@@ -34,14 +34,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use banyan_types::app::{ProposalContext, ProposalSource};
+use banyan_types::app::ProposalContext;
 use banyan_types::block::Block;
 use banyan_types::ids::{BlockHash, Round};
-use banyan_types::payload::Payload;
 
 use crossbeam::channel;
 
-use crate::{BatchPolicy, Mempool, PushOutcome, Request, WorkloadBatch};
+use crate::{BatchPolicy, Mempool, PoolSource, ReplicaPool, Request, WorkloadBatch};
 
 /// Default bound on the ingest channel (queued pushes + gossip accepts).
 pub const DEFAULT_INGEST_CAP: usize = 65_536;
@@ -175,62 +174,13 @@ impl ConcurrentPool {
         applied
     }
 
-    /// Drains the next batch: applies queued ingest, computes the
-    /// ancestor-exclusion set under the coordinator lock, then runs the
-    /// shared bounded-drain core under the pending lock.
-    pub fn next_batch(
-        &self,
-        max_records: usize,
-        max_bytes: u64,
-        ctx: &ProposalContext,
-        policy: &BatchPolicy,
-    ) -> Vec<Request> {
-        let excluded = {
-            let coordinator = self.coordinator.lock().expect("coordinator lock");
-            coordinator.leases.exclusions(&ctx.ancestors)
-        };
-        let mut pool = self.pending.lock().expect("pending lock");
-        Self::apply_ingest(&self.ingest_rx, &mut pool);
-        pool.drain_core(max_records, max_bytes, &excluded, policy, ctx.now)
-    }
-
-    /// Observes one block crossing the wire (see
-    /// [`Mempool::observe_proposal`]): decodes outside any lock, records
-    /// the lease under the coordinator lock only. Returns `true` when a
-    /// new lease was recorded.
-    pub fn observe_proposal(&self, block: &Block) -> bool {
-        let chunk = {
-            let coordinator = self.coordinator.lock().expect("coordinator lock");
-            match coordinator.speculation {
-                Some(chunk) => chunk,
-                None => return false,
-            }
-        };
-        let Some(batch) = WorkloadBatch::decode(&block.payload) else {
-            return false;
-        };
-        if batch.requests.is_empty() {
-            return false;
-        }
-        let hash = block.hash(chunk);
-        let mut coordinator = self.coordinator.lock().expect("coordinator lock");
-        coordinator.leases.observe_with_provenance(
-            hash,
-            block.round,
-            batch.requests,
-            crate::LeaseProvenance::Optimistic {
-                parent: block.parent,
-            },
-        )
-    }
-
     /// Records a lease for a block whose batch was already decoded and
     /// whose hash was already computed — the staged pipeline's verify
     /// workers do both outside any lock and call this, so the decode and
     /// the commitment walk are never repeated under the coordinator.
     /// No-op (returns `false`) when speculation is off or the batch is
     /// empty; idempotent per block like
-    /// [`observe_proposal`](Self::observe_proposal). `parent` links the
+    /// [`observe_proposal`](ReplicaPool::observe_proposal). `parent` links the
     /// lease for the eager certificate-conflict release.
     pub fn observe_decoded(
         &self,
@@ -252,33 +202,6 @@ impl ConcurrentPool {
             requests,
             crate::LeaseProvenance::Optimistic { parent },
         )
-    }
-
-    /// Commit-side retirement (see [`Mempool::mark_committed_block`]):
-    /// lease removal and release collection happen under the coordinator
-    /// lock; tombstoning and re-pending under the pending lock — in that
-    /// order, never interleaved the other way.
-    pub fn mark_committed_block(&self, block: BlockHash, round: Round, requests: &[Request]) {
-        let released = {
-            let mut coordinator = self.coordinator.lock().expect("coordinator lock");
-            // The committed block's own lease is fulfilled, not released.
-            coordinator.leases.remove(&block);
-            // Dead-fork children first (their losing parents' live leases
-            // pin the parent rounds), then the round sweep; re-pend in
-            // ascending round order to match `Mempool`.
-            let conflicting = coordinator.leases.take_conflicting(round, &block);
-            let mut released = coordinator.leases.take_at_or_below(round);
-            released.extend(conflicting);
-            released
-        };
-        let mut pool = self.pending.lock().expect("pending lock");
-        Self::apply_ingest(&self.ingest_rx, &mut pool);
-        for req in requests {
-            pool.mark_committed(req.id);
-        }
-        for requests in released {
-            pool.reinsert_all(requests);
-        }
     }
 
     /// Fork abandonment (see [`Mempool::release`]): returns how many
@@ -306,28 +229,6 @@ impl ConcurrentPool {
             .len()
     }
 
-    /// Drains the gossip outbox (applies queued ingest first, so freshly
-    /// pushed requests are forwarded without waiting for a drain point).
-    pub fn take_outbox(&self) -> Vec<Request> {
-        let mut pool = self.pending.lock().expect("pending lock");
-        Self::apply_ingest(&self.ingest_rx, &mut pool);
-        pool.take_outbox()
-    }
-
-    /// Synchronous push, bypassing the ingest channel (setup paths and
-    /// tests; producer threads should use a [`PoolIngest`] handle).
-    pub fn push_now(&self, req: Request) -> PushOutcome {
-        self.pending.lock().expect("pending lock").push(req)
-    }
-
-    /// Marks one id committed (delivery-layer dedup hook).
-    pub fn mark_committed(&self, id: u64) -> bool {
-        self.pending
-            .lock()
-            .expect("pending lock")
-            .mark_committed(id)
-    }
-
     /// Live pending requests (after applying queued ingest).
     pub fn len(&self) -> usize {
         let mut pool = self.pending.lock().expect("pending lock");
@@ -352,6 +253,92 @@ impl ConcurrentPool {
     }
 }
 
+/// The replica seam over the lock-split pool: each method takes only the
+/// lock(s) it needs, in **coordinator → pending** order.
+impl ReplicaPool for SharedConcurrentPool {
+    /// Drains the gossip outbox (applies queued ingest first, so freshly
+    /// pushed requests are forwarded without waiting for a drain point).
+    fn take_outbox(&self) -> Vec<Request> {
+        let mut pool = self.pending.lock().expect("pending lock");
+        ConcurrentPool::apply_ingest(&self.ingest_rx, &mut pool);
+        pool.take_outbox()
+    }
+
+    /// Applies peer-forwarded requests straight to the pending shards
+    /// (never re-gossiped). Only the inline event loop gets here; the
+    /// staged replica's verify workers feed [`PoolIngest::forward`].
+    fn accept_forwarded(&self, requests: Vec<Request>) {
+        let mut pool = self.pending.lock().expect("pending lock");
+        for req in requests {
+            pool.accept_forwarded(req);
+        }
+    }
+
+    /// Observes one block crossing the wire (see
+    /// [`Mempool::observe_proposal`]): decodes and hashes outside any
+    /// lock, then records the lease through
+    /// [`observe_decoded`](ConcurrentPool::observe_decoded).
+    fn observe_proposal(&self, block: &Block) -> bool {
+        let chunk = {
+            let coordinator = self.coordinator.lock().expect("coordinator lock");
+            match coordinator.speculation {
+                Some(chunk) => chunk,
+                None => return false,
+            }
+        };
+        let Some(batch) = WorkloadBatch::decode(&block.payload) else {
+            return false;
+        };
+        self.observe_decoded(block.hash(chunk), block.round, block.parent, batch.requests)
+    }
+
+    /// Commit-side retirement (see [`Mempool::mark_committed_block`]):
+    /// lease removal and release collection happen under the coordinator
+    /// lock; tombstoning and re-pending under the pending lock — in that
+    /// order, never interleaved the other way.
+    fn mark_committed_block(&self, block: BlockHash, round: Round, requests: &[Request]) {
+        let released = {
+            let mut coordinator = self.coordinator.lock().expect("coordinator lock");
+            // The committed block's own lease is fulfilled, not released.
+            coordinator.leases.remove(&block);
+            // Dead-fork children first (their losing parents' live leases
+            // pin the parent rounds), then the round sweep; re-pend in
+            // ascending round order to match `Mempool`.
+            let conflicting = coordinator.leases.take_conflicting(round, &block);
+            let mut released = coordinator.leases.take_at_or_below(round);
+            released.extend(conflicting);
+            released
+        };
+        let mut pool = self.pending.lock().expect("pending lock");
+        ConcurrentPool::apply_ingest(&self.ingest_rx, &mut pool);
+        for req in requests {
+            pool.mark_committed(req.id);
+        }
+        for requests in released {
+            pool.reinsert_all(requests);
+        }
+    }
+
+    /// Drains the next batch: applies queued ingest, computes the
+    /// ancestor-exclusion set under the coordinator lock, then runs the
+    /// shared bounded-drain core under the pending lock.
+    fn next_batch(
+        &self,
+        max_records: usize,
+        max_bytes: u64,
+        ctx: &ProposalContext,
+        policy: &BatchPolicy,
+    ) -> Vec<Request> {
+        let excluded = {
+            let coordinator = self.coordinator.lock().expect("coordinator lock");
+            coordinator.leases.exclusions(&ctx.ancestors)
+        };
+        let mut pool = self.pending.lock().expect("pending lock");
+        ConcurrentPool::apply_ingest(&self.ingest_rx, &mut pool);
+        pool.drain_core(max_records, max_bytes, &excluded, policy, ctx.now)
+    }
+}
+
 impl std::fmt::Debug for ConcurrentPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConcurrentPool")
@@ -361,64 +348,16 @@ impl std::fmt::Debug for ConcurrentPool {
     }
 }
 
-/// A [`ProposalSource`] draining a [`ConcurrentPool`] — the lock-split
-/// counterpart of [`MempoolSource`](crate::MempoolSource), with the same
-/// record/byte bounds and batch policy.
-#[derive(Debug)]
-pub struct ConcurrentMempoolSource {
-    pool: SharedConcurrentPool,
-    max_batch: usize,
-    max_bytes: u64,
-    policy: BatchPolicy,
-}
-
-impl ConcurrentMempoolSource {
-    /// A source draining `pool`, at most `max_batch` requests and
-    /// [`DEFAULT_MAX_BATCH_BYTES`](crate::DEFAULT_MAX_BATCH_BYTES)
-    /// nominal bytes per block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is zero.
-    pub fn new(pool: SharedConcurrentPool, max_batch: usize) -> Self {
-        assert!(max_batch > 0, "batch record cap must be positive");
-        ConcurrentMempoolSource {
-            pool,
-            max_batch,
-            max_bytes: crate::DEFAULT_MAX_BATCH_BYTES,
-            policy: BatchPolicy::EAGER,
-        }
-    }
-
-    /// Overrides the nominal byte bound per batch.
-    pub fn with_max_bytes(mut self, max_bytes: u64) -> Self {
-        self.max_bytes = max_bytes;
-        self
-    }
-
-    /// Installs a latency-targeted [`BatchPolicy`].
-    pub fn with_batch_policy(mut self, policy: BatchPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-}
-
-impl ProposalSource for ConcurrentMempoolSource {
-    fn next_payload(&mut self, ctx: &ProposalContext) -> Payload {
-        let requests = self
-            .pool
-            .next_batch(self.max_batch, self.max_bytes, ctx, &self.policy);
-        if requests.is_empty() {
-            Payload::empty()
-        } else {
-            WorkloadBatch { requests }.into_payload()
-        }
-    }
-}
+/// The [`PoolSource`] over a [`SharedConcurrentPool`] — the lock-split
+/// counterpart of [`MempoolSource`](crate::MempoolSource), same bounds and
+/// batch policy.
+pub type ConcurrentMempoolSource = PoolSource<SharedConcurrentPool>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use banyan_types::app::ProposalSource;
+    use banyan_types::block::Block;
     use banyan_types::time::Time;
 
     fn req(id: u64, at: u64) -> Request {

@@ -1231,7 +1231,7 @@ impl WorkloadBatch {
     }
 }
 
-/// A [`ProposalSource`] that drains a [`SharedMempool`] into one
+/// A [`ProposalSource`] that drains a pool handle (any [`ReplicaPool`]) into one
 /// [`WorkloadBatch`] payload per proposal. An empty mempool yields an
 /// empty payload (the chain keeps moving; blocks just carry no work).
 ///
@@ -1254,25 +1254,29 @@ impl WorkloadBatch {
 /// inclusions) and (b) releases requests of abandoned blocks back into
 /// the queue (no local loss either).
 #[derive(Debug)]
-pub struct MempoolSource {
-    mempool: SharedMempool,
+pub struct PoolSource<P> {
+    pool: P,
     max_batch: usize,
     max_bytes: u64,
     policy: BatchPolicy,
 }
 
-impl MempoolSource {
-    /// A source draining `mempool`, at most `max_batch` requests and
+/// The [`PoolSource`] over a [`SharedMempool`] (what the simulator and
+/// the inline TCP replica use).
+pub type MempoolSource = PoolSource<SharedMempool>;
+
+impl<P: ReplicaPool> PoolSource<P> {
+    /// A source draining `pool`, at most `max_batch` requests and
     /// [`DEFAULT_MAX_BATCH_BYTES`] nominal bytes per block.
     ///
     /// # Panics
     ///
     /// Panics if `max_batch` is zero (every block would be empty forever
     /// while requests pile up in the pool).
-    pub fn new(mempool: SharedMempool, max_batch: usize) -> Self {
+    pub fn new(pool: P, max_batch: usize) -> Self {
         assert!(max_batch > 0, "batch record cap must be positive");
-        MempoolSource {
-            mempool,
+        PoolSource {
+            pool,
             max_batch,
             max_bytes: DEFAULT_MAX_BATCH_BYTES,
             policy: BatchPolicy::EAGER,
@@ -1293,18 +1297,75 @@ impl MempoolSource {
     }
 }
 
-impl ProposalSource for MempoolSource {
+impl<P: ReplicaPool> ProposalSource for PoolSource<P> {
     fn next_payload(&mut self, ctx: &ProposalContext) -> Payload {
         let requests = self
-            .mempool
-            .lock()
-            .expect("mempool lock")
-            .drain_speculative(self.max_batch, self.max_bytes, ctx, &self.policy);
+            .pool
+            .next_batch(self.max_batch, self.max_bytes, ctx, &self.policy);
         if requests.is_empty() {
             Payload::empty()
         } else {
             WorkloadBatch { requests }.into_payload()
         }
+    }
+}
+
+/// The one seam between a pool handle and its replica: everything the TCP
+/// event loop (gossip flush, inbound forwards, lease observation, commit
+/// retirement) and the engine's [`PoolSource`] need, so neither cares
+/// whether the pool is a [`SharedMempool`] (one mutex, deterministic —
+/// the simulator's and the inline replica's) or a [`SharedConcurrentPool`]
+/// (lock-split, for the staged replica). Handles are cheap `Arc` clones.
+pub trait ReplicaPool: Clone + Send + 'static {
+    /// Drains the gossip outbox (see [`Mempool::take_outbox`]).
+    fn take_outbox(&self) -> Vec<Request>;
+    /// Accepts peer-forwarded requests (see [`Mempool::accept_forwarded`]).
+    fn accept_forwarded(&self, requests: Vec<Request>);
+    /// Observes a block crossing the wire into the lease table (see
+    /// [`Mempool::observe_proposal`]); `true` when a new lease was recorded.
+    fn observe_proposal(&self, block: &Block) -> bool;
+    /// Commit-side retirement (see [`Mempool::mark_committed_block`]).
+    fn mark_committed_block(&self, block: BlockHash, round: Round, requests: &[Request]);
+    /// Drains the next batch (see [`Mempool::drain_speculative`]).
+    fn next_batch(
+        &self,
+        max_records: usize,
+        max_bytes: u64,
+        ctx: &ProposalContext,
+        policy: &BatchPolicy,
+    ) -> Vec<Request>;
+}
+
+impl ReplicaPool for SharedMempool {
+    fn take_outbox(&self) -> Vec<Request> {
+        self.lock().expect("mempool lock").take_outbox()
+    }
+
+    fn accept_forwarded(&self, requests: Vec<Request>) {
+        let mut pool = self.lock().expect("mempool lock");
+        for req in requests {
+            pool.accept_forwarded(req);
+        }
+    }
+
+    fn observe_proposal(&self, block: &Block) -> bool {
+        self.lock().expect("mempool lock").observe_proposal(block)
+    }
+
+    fn mark_committed_block(&self, block: BlockHash, round: Round, requests: &[Request]) {
+        let mut pool = self.lock().expect("mempool lock");
+        pool.mark_committed_block(block, round, requests);
+    }
+
+    fn next_batch(
+        &self,
+        max_records: usize,
+        max_bytes: u64,
+        ctx: &ProposalContext,
+        policy: &BatchPolicy,
+    ) -> Vec<Request> {
+        let mut pool = self.lock().expect("mempool lock");
+        pool.drain_speculative(max_records, max_bytes, ctx, policy)
     }
 }
 

@@ -8,7 +8,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::thread;
 
-use banyan_mempool::{BatchPolicy, ConcurrentPool, Mempool, Request};
+use banyan_mempool::{BatchPolicy, ConcurrentPool, Mempool, ReplicaPool, Request};
 use banyan_types::app::ProposalContext;
 use banyan_types::ids::Round;
 use banyan_types::time::Time;

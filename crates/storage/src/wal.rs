@@ -19,7 +19,8 @@
 //! segments are deleted, so recovery always yields a consistent *prefix*
 //! of the mutation history (never a gap).
 //!
-//! When the live segment exceeds the rotation threshold (see
+//! When the records appended to the live segment since its leading
+//! checkpoint exceed the rotation threshold (see
 //! [`WalStore::open_with`]), the store
 //! rotates: it opens a fresh segment whose first record is a
 //! `Checkpoint` of the current state and deletes all older segments —
@@ -191,7 +192,10 @@ pub struct WalStore {
     segment: u64,
     /// Index of the oldest live segment (older ones were pruned).
     oldest_segment: u64,
-    /// Bytes in the live segment.
+    /// Bytes appended to the live segment *after* its leading checkpoint —
+    /// what rotation weighs against the limit. Counting the checkpoint
+    /// itself would make a store whose whole-chain checkpoint outgrew the
+    /// limit rotate (and rewrite the chain) on every append.
     segment_bytes: u64,
     /// Bytes across all live segments.
     total_bytes: u64,
@@ -240,11 +244,20 @@ impl WalStore {
             let mut buf = Vec::new();
             File::open(&path)?.read_to_end(&mut buf)?;
             let (records, clean) = scan_segment(&buf);
+            total_bytes += clean as u64;
+            // A rotated segment opens with its checkpoint, which does not
+            // count against the rotation limit (see `segment_bytes`).
+            let lead = match records.first() {
+                Some(WalRecord::Checkpoint(_)) => {
+                    let len: [u8; 4] = buf[..4].try_into().expect("scanned a record header");
+                    8 + u64::from(u32::from_le_bytes(len))
+                }
+                _ => 0,
+            };
+            live = Some((idx, clean as u64 - lead));
             for record in records {
                 apply(&mut mem, record);
             }
-            total_bytes += clean as u64;
-            live = Some((idx, clean as u64));
             if clean < buf.len() {
                 torn_at = Some((i, clean));
                 break;
@@ -314,7 +327,8 @@ impl WalStore {
         self.maybe_rotate();
     }
 
-    /// Rotates to a fresh segment once the live one exceeds the limit:
+    /// Rotates to a fresh segment once the live one has taken `segment_limit`
+    /// bytes of appends:
     /// the new segment opens with a checkpoint of current state and all
     /// older segments — wholly below that checkpoint — are deleted.
     fn maybe_rotate(&mut self) {
@@ -344,7 +358,7 @@ impl WalStore {
         self.file = file;
         self.oldest_segment = next;
         self.segment = next;
-        self.segment_bytes = frame.len() as u64;
+        self.segment_bytes = 0;
         self.total_bytes = frame.len() as u64;
     }
 }
@@ -636,6 +650,58 @@ mod tests {
             "checkpointed state replays bit-identically"
         );
         assert_eq!(wal.max_finalized_round(), Round(20));
+    }
+
+    /// Once the whole-chain checkpoint outgrows the segment limit, the
+    /// checkpoint a rotation writes must not itself trigger the next
+    /// rotation — live, or after a reopen re-derives the segment fill.
+    #[test]
+    fn oversized_checkpoint_does_not_rotate_on_every_append() {
+        let dir = scratch_dir("rerotate");
+        let mut wal = WalStore::open(&dir).unwrap();
+        let mut parent = BlockHash::ZERO;
+        let mut extend = |wal: &mut WalStore, round: u64, bytes: usize| {
+            let mut b = block(round, parent, 1).1;
+            b.payload = Payload::Inline(vec![round as u8; bytes]);
+            let h = b.hash(1024);
+            wal.insert(h, b);
+            wal.mark_finalized(Round(round), h);
+            parent = h;
+        };
+        // 80 × 64 KiB: the chain (and so every checkpoint of it) passes
+        // the default 4 MiB limit.
+        for round in 1..=80 {
+            extend(&mut wal, round, 64 << 10);
+        }
+        assert!(wal.segment >= 1, "the fill rotated at least once");
+        assert!(wal.snapshot().to_bytes().len() as u64 > DEFAULT_SEGMENT_LIMIT);
+        let before = wal.segment;
+        for round in 81..=180 {
+            extend(&mut wal, round, 256);
+        }
+        // Reopen mid-way: the re-derived fill must not count the
+        // checkpoint either.
+        let expected = wal.snapshot();
+        drop(wal);
+        let mut wal = WalStore::open(&dir).unwrap();
+        assert_eq!(wal.snapshot().to_bytes(), expected.to_bytes());
+        for round in 181..=280 {
+            extend(&mut wal, round, 256);
+        }
+        assert!(
+            wal.segment - before <= 2,
+            "200 small appends rotated {} times",
+            wal.segment - before
+        );
+        let expected = wal.snapshot();
+        drop(wal);
+        let wal = WalStore::open(&dir).unwrap();
+        assert_eq!(
+            wal.snapshot().to_bytes(),
+            expected.to_bytes(),
+            "replayed state is bit-identical"
+        );
+        assert_eq!(wal.max_finalized_round(), Round(280));
     }
 
     #[test]

@@ -6,7 +6,14 @@
 //! one reader thread per inbound connection, and a timer heap in the
 //! engine loop. No async runtime: the engines are synchronous state
 //! machines and a handful of threads per replica is exactly what a
-//! reproduction needs (`DESIGN.md` §2).
+//! reproduction needs (`docs/ARCHITECTURE.md`, "Sharded pool & replica
+//! pipeline").
+//!
+//! There is one replica event loop (the private `replica` module). The
+//! public runners in [`runner`] and [`pipeline`] are thin calls into it
+//! that differ only in the pool they attach, whether a verify stage sits
+//! between readers and the engine thread, and whether the replica crashes
+//! and rejoins mid-run.
 //!
 //! Synthetic payloads stay synthetic on the wire (16 bytes + declared
 //! size); the TCP path demonstrates protocol correctness over real
@@ -16,8 +23,8 @@
 //!
 //! Payloads come from each engine's [`banyan_types::app::ProposalSource`]
 //! (installed through the builder; `payload_size` below is the
-//! `FixedSizeSource` shim), and finalized blocks can be delivered to a
-//! [`banyan_types::app::App`] via [`runner::run_replica_with_app`].
+//! `FixedSizeSource` shim), and finalized blocks are delivered to the
+//! [`banyan_types::app::App`] passed to [`runner::run_replica_full`].
 //!
 //! # Examples
 //!
@@ -35,14 +42,15 @@
 
 pub mod framing;
 pub mod pipeline;
+mod replica;
 pub mod runner;
 
 pub use framing::{read_frame, write_hello, write_msg, Frame, MAX_FRAME};
 pub use pipeline::{
-    run_local_cluster_pipelined, run_replica_pipelined, PipelineConfig, PipelineRunReport,
-    PipelineStats, PipelineStatsSnapshot, VerifyStage,
+    run_replica_pipelined, PipelineConfig, PipelineRunReport, PipelineStats, PipelineStatsSnapshot,
+    VerifyStage,
 };
-pub use runner::{run_local_cluster, run_replica, run_replica_with_app, TcpRunReport};
+pub use runner::{run_local_cluster, run_replica_full, TcpRunReport};
 
 /// Serializes the loopback cluster tests: each spins up 4 replicas ×
 /// several threads, and on small (single-core CI) machines letting them

@@ -1,10 +1,11 @@
-//! The staged multi-core replica pipeline: decode → verify → engine →
-//! dispatch.
+//! The optional verify stage of the replica event loop: decode → **verify**
+//! → engine → dispatch.
 //!
-//! [`run_replica_full`](crate::runner::run_replica_full) decodes,
-//! verifies and executes every frame on the one consensus thread. This
-//! module splits that work into stages connected by bounded MPMC
-//! channels (`crossbeam::channel`), so a replica scales across cores:
+//! The one TCP replica loop (`crate::replica`) decodes, verifies and
+//! executes every frame on the consensus thread unless it is handed a
+//! [`PipelineConfig`]. With one, a pool of verify workers sits between the
+//! readers and the consensus thread, connected by bounded MPMC channels
+//! (`crossbeam::channel`), so a replica scales across cores:
 //!
 //! ```text
 //!  sockets ──► readers (decode frames, one per peer)
@@ -14,7 +15,8 @@
 //!            · Forward frames → pool ingest (send-only, lock-free path;
 //!              they NEVER reach the consensus thread)
 //!            · proposal blocks → recompute block hash, WorkloadBatch
-//!              sanity, optional signature verifier, lease observation
+//!              sanity, lease observation
+//!            · votes / certificates → signature plane (verify_backend)
 //!                 │  ordered engine events only
 //!                 ▼
 //!          consensus thread (EngineDriver: timers, votes, commits)
@@ -30,61 +32,46 @@
 //! bounded channel and record leases in the coordinator, so the consensus
 //! thread's drains contend with neither.
 //!
-//! Shutdown is staged and loss-free: readers stop, the verify channels
-//! disconnect, workers drain what was queued and exit, and the consensus
-//! thread absorbs the tail — [`PipelineStats`] counts every decoded frame
-//! into exactly one of `ingested` / `verified` / `rejected`, so a test
-//! can assert nothing fell on the floor at close.
+//! Everything else — acceptor, readers, reconnecting writers, timers,
+//! gossip, probe answering, catch-up, crash/rejoin — is the shared loop's,
+//! so a staged replica restarts and catches up exactly like an inline one.
+//!
+//! Shutdown is staged and loss-free: readers are woken and exit, the
+//! verify channels disconnect, workers drain what was queued and exit, and
+//! the consensus thread absorbs the tail — [`PipelineStats`] counts every
+//! decoded frame into exactly one of `ingested` / `verified` / `rejected`,
+//! so a test can assert nothing fell on the floor at close.
 
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Instant;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Sender};
 
 use banyan_mempool::{ConcurrentPool, SharedConcurrentPool, WorkloadBatch};
-use banyan_runtime::driver::{AppSink, EngineDriver};
-use banyan_types::app::{App, NullApp};
+use banyan_types::app::App;
 use banyan_types::block::Block;
-use banyan_types::engine::{CommitEntry, Engine, Outbound};
+use banyan_types::engine::Engine;
 use banyan_types::ids::ReplicaId;
 use banyan_types::message::{DisseminationMsg, Message};
 use banyan_types::payload::Payload;
-use banyan_types::time::Time;
 
-use crate::framing::{read_frame, write_hello, write_msg, Frame};
 use crate::runner::TcpRunReport;
 
-/// Event-channel capacity into the consensus thread.
-const EVENT_QUEUE: usize = 4096;
 /// Frame-channel capacity into each verify worker.
 const VERIFY_QUEUE: usize = 2048;
-/// Outbound-queue capacity per peer writer.
-const PEER_QUEUE: usize = 1024;
-
-/// An application-supplied block check run by the verify stage (e.g. a
-/// Schnorr signature verification). Returning `false` rejects the frame.
-pub type VerifyFn = Arc<dyn Fn(&Block) -> bool + Send + Sync>;
 
 /// Sizing and behavior of the staged pipeline.
 #[derive(Clone)]
 pub struct PipelineConfig {
     /// Verify workers between the readers and the consensus thread.
-    /// 0 behaves like 1 (the stage always exists; the *unstaged* baseline
-    /// is [`run_replica_full`](crate::runner::run_replica_full)).
+    /// 0 behaves like 1 (a configured stage always exists; the *inline*
+    /// replica is [`run_replica_full`](crate::runner::run_replica_full)).
     pub verify_workers: usize,
-    /// Bound of the pool-ingest channel (pass to
-    /// [`ConcurrentPool::new`] when building the replica's pool).
-    pub ingest_cap: usize,
     /// Payload-chunk size for block-hash recomputation; must match the
     /// cluster's `ProtocolConfig::payload_chunk`.
     pub payload_chunk: usize,
-    /// Optional extra block check (signatures). `None` = structural
-    /// checks only.
-    pub verifier: Option<VerifyFn>,
     /// Optional signature-verify plane: when set, the workers check every
     /// vote signature and aggregate certificate a frame carries *before*
     /// it reaches the consensus thread, rejecting forgeries off-thread.
@@ -99,9 +86,7 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             verify_workers: 2,
-            ingest_cap: banyan_mempool::DEFAULT_INGEST_CAP,
             payload_chunk: 64 << 10,
-            verifier: None,
             verify_backend: None,
         }
     }
@@ -111,9 +96,7 @@ impl std::fmt::Debug for PipelineConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PipelineConfig")
             .field("verify_workers", &self.verify_workers)
-            .field("ingest_cap", &self.ingest_cap)
             .field("payload_chunk", &self.payload_chunk)
-            .field("verifier", &self.verifier.as_ref().map(|_| "fn"))
             .field(
                 "verify_backend",
                 &self.verify_backend.as_ref().map(|_| "backend"),
@@ -130,24 +113,10 @@ impl PipelineConfig {
         self
     }
 
-    /// Builder-style: sets the pool-ingest channel bound.
-    #[must_use]
-    pub fn with_ingest_cap(mut self, cap: usize) -> Self {
-        self.ingest_cap = cap;
-        self
-    }
-
     /// Builder-style: sets the payload-chunk size for hash recomputation.
     #[must_use]
     pub fn with_payload_chunk(mut self, chunk: usize) -> Self {
         self.payload_chunk = chunk;
-        self
-    }
-
-    /// Builder-style: installs an extra block verifier.
-    #[must_use]
-    pub fn with_verifier(mut self, verifier: VerifyFn) -> Self {
-        self.verifier = Some(verifier);
         self
     }
 
@@ -173,7 +142,7 @@ pub struct PipelineStats {
     pub ingested: AtomicU64,
     /// Frames verified and forwarded to the consensus thread.
     pub verified: AtomicU64,
-    /// Frames rejected by verification (corrupt batch, failed verifier).
+    /// Frames rejected by verification (corrupt batch, forged signature).
     pub rejected: AtomicU64,
     /// Individual requests fed to pool ingest (diagnostic).
     pub requests_ingested: AtomicU64,
@@ -228,11 +197,12 @@ pub enum VerifyOutcome {
 /// * `Forward` frames feed `pool` ingest and stop here.
 /// * Proposal-carrying messages pay the real CPU cost: the block hash is
 ///   recomputed over the payload (the commitment walk), a
-///   [`WorkloadBatch`]-magic payload must decode cleanly, the optional
-///   `verifier` must accept, and the lease is recorded (when `pool`
-///   speculates) under the hash just computed — the consensus thread
-///   never re-hashes.
-/// * Everything else (votes, timeouts, sync) passes through.
+///   [`WorkloadBatch`]-magic payload must decode cleanly, and the lease is
+///   recorded (when `pool` speculates) under the hash just computed — the
+///   consensus thread never re-hashes.
+/// * Vote signatures and aggregate certificates are checked against
+///   `config.verify_backend` when one is installed.
+/// * Everything else (timeouts, sync) passes through.
 pub fn verify_frame(
     from: ReplicaId,
     msg: Message,
@@ -266,12 +236,6 @@ pub fn verify_frame(
                 // The CPU stage: recompute the block id over the payload
                 // commitment (SHA-256 over every chunk).
                 let hash = block.hash(config.payload_chunk);
-                if let Some(verifier) = &config.verifier {
-                    if !verifier(block) {
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        return VerifyOutcome::Rejected;
-                    }
-                }
                 if let (Some(pool), Some(batch)) = (pool, batch) {
                     // Record the lease under the hash just computed; the
                     // consensus thread skips its own observation pass.
@@ -385,12 +349,20 @@ impl VerifyStage {
         self.txs.clone()
     }
 
-    /// Drops the stage's own senders (workers then exit once every reader
-    /// clone is gone too) and joins the workers. Callers that must keep
-    /// draining the event channel while workers wind down should instead
-    /// destructure, as `run_replica_pipelined` does.
-    pub fn shutdown(self) {
-        drop(self.txs);
+    /// Drops the stage's own input senders: workers drain what is queued
+    /// and exit once every reader clone is gone too. The replica loop
+    /// calls this first and keeps absorbing the event channel while the
+    /// workers wind down, so none blocks on a full channel.
+    pub(crate) fn close(&mut self) {
+        self.txs.clear();
+    }
+
+    /// Drops the stage's own input senders and joins the workers, which
+    /// exit once every reader clone is gone too. Workers block while the
+    /// event channel is full, so the thread that drains it must absorb
+    /// the tail before calling this.
+    pub fn shutdown(mut self) {
+        self.close();
         for h in self.handles {
             let _ = h.join();
         }
@@ -408,35 +380,16 @@ pub struct PipelineRunReport {
     pub ingest_dropped: u64,
 }
 
-/// Marks every committed batch's ids committed in the concurrent pool —
-/// the pipeline's half of the exactly-once dedup rule (the unstaged
-/// runner's `PoolDedupApp` does the same against a `SharedMempool`).
-struct ConcurrentDedupApp<A: App> {
-    app: A,
-    pool: Option<SharedConcurrentPool>,
-}
-
-impl<A: App> App for ConcurrentDedupApp<A> {
-    fn deliver(&mut self, entry: &CommitEntry) {
-        if let Some(pool) = &self.pool {
-            if let Some(batch) = WorkloadBatch::decode(&entry.payload) {
-                pool.mark_committed_block(entry.block, entry.round, &batch.requests);
-            }
-        }
-        self.app.deliver(entry);
-    }
-}
-
 /// The staged counterpart of
-/// [`run_replica_full`](crate::runner::run_replica_full): reader threads
-/// decode, a verify worker pool checks and feeds pool ingest, and only
-/// ordered engine events cross into this (the consensus) thread. Workers
-/// are joined before returning; the returned stats satisfy
+/// [`run_replica_full`](crate::runner::run_replica_full): the same event
+/// loop with a verify worker pool between the readers and this (the
+/// consensus) thread, so only ordered engine events cross into it.
+/// Workers are joined before returning; the returned stats satisfy
 /// `decoded == ingested + verified + rejected`.
 ///
 /// # Errors
 ///
-/// Returns an I/O error if binding or dialing fails permanently.
+/// Returns an I/O error if binding fails.
 pub fn run_replica_pipelined(
     engine: Box<dyn Engine>,
     app: impl App + 'static,
@@ -446,307 +399,22 @@ pub fn run_replica_pipelined(
     peers: Vec<SocketAddr>,
     run_for: std::time::Duration,
 ) -> std::io::Result<PipelineRunReport> {
-    let me = engine.id();
-    let n = peers.len();
-    let start = Instant::now();
-    let now = || Time(start.elapsed().as_nanos() as u64);
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let (event_tx, event_rx) = bounded::<(ReplicaId, Message)>(EVENT_QUEUE);
-    let verify = VerifyStage::spawn(&config, pool.clone(), event_tx.clone());
-    let stats = verify.stats.clone();
-
-    // --- acceptor + readers (decode stage) ----------------------------
-    let listener = TcpListener::bind(listen)?;
-    listener.set_nonblocking(true)?;
-    {
-        let stop = stop.clone();
-        let verify_txs = verify.senders();
-        let stats = stats.clone();
-        thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nonblocking(false).ok();
-                        stream.set_nodelay(true).ok();
-                        // A read timeout lets the reader notice `stop`
-                        // even when its peer stays silent — required so
-                        // the verify channels disconnect and the workers
-                        // can be joined.
-                        stream
-                            .set_read_timeout(Some(std::time::Duration::from_millis(50)))
-                            .ok();
-                        let verify_txs = verify_txs.clone();
-                        let stop = stop.clone();
-                        let stats = stats.clone();
-                        thread::spawn(move || {
-                            let mut reader = BufReader::new(stream);
-                            // First frame must be a hello.
-                            loop {
-                                match read_frame(&mut reader) {
-                                    Ok(Frame::Hello { from: _ }) => break,
-                                    Ok(Frame::Msg { .. }) => return,
-                                    Err(e) if would_retry(&e) => {
-                                        if stop.load(Ordering::Relaxed) {
-                                            return;
-                                        }
-                                    }
-                                    Err(_) => return,
-                                }
-                            }
-                            while !stop.load(Ordering::Relaxed) {
-                                match read_frame(&mut reader) {
-                                    Ok(Frame::Msg { from, msg }) => {
-                                        stats.decoded.fetch_add(1, Ordering::Relaxed);
-                                        let tx = &verify_txs[from.as_usize() % verify_txs.len()];
-                                        if tx.send((from, msg)).is_err() {
-                                            return;
-                                        }
-                                    }
-                                    Ok(Frame::Hello { .. }) => {}
-                                    Err(e) if would_retry(&e) => {}
-                                    Err(_) => return,
-                                }
-                            }
-                        });
-                    }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-    }
-
-    // --- writers (dispatch stage) --------------------------------------
-    let mut peer_txs: Vec<Option<Sender<Message>>> = Vec::with_capacity(n);
-    for (i, addr) in peers.iter().enumerate() {
-        if i == me.as_usize() {
-            peer_txs.push(None);
-            continue;
-        }
-        let (tx, rx): (Sender<Message>, Receiver<Message>) = bounded(PEER_QUEUE);
-        let addr = *addr;
-        let stop = stop.clone();
-        thread::spawn(move || {
-            // Dial with retries: peers start in arbitrary order.
-            let stream = loop {
-                match TcpStream::connect(addr) {
-                    Ok(s) => break s,
-                    Err(_) if !stop.load(Ordering::Relaxed) => {
-                        thread::sleep(std::time::Duration::from_millis(20));
-                    }
-                    Err(_) => return,
-                }
-            };
-            stream.set_nodelay(true).ok();
-            let mut writer = BufWriter::new(stream);
-            if write_hello(&mut writer, me).is_err() {
-                return;
-            }
-            while let Ok(msg) = rx.recv() {
-                if write_msg(&mut writer, me, &msg).is_err() {
-                    return;
-                }
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-        });
-        peer_txs.push(Some(tx));
-    }
-
-    // --- consensus thread ----------------------------------------------
-    let mut messages_sent = 0u64;
-    let mut messages_received = 0u64;
-    let sink = AppSink {
-        inner: Vec::<CommitEntry>::new(),
-        app: ConcurrentDedupApp {
-            app,
-            pool: pool.clone(),
-        },
-    };
-    let mut driver = EngineDriver::new(engine, sink);
-    // Own outbound proposals are observed here (they never pass the
-    // verify stage); inbound blocks were already observed by the workers.
-    let observe_pool = pool.clone();
-    let mut transmit = |out: Outbound| {
-        if let Some(pool) = &observe_pool {
-            let msg = match &out {
-                Outbound::Broadcast(msg) => msg,
-                Outbound::Send(_, msg) => msg,
-            };
-            if let Some(block) = msg.proposal_block() {
-                pool.observe_proposal(block);
-            }
-        }
-        match out {
-            Outbound::Broadcast(msg) => {
-                for tx in peer_txs.iter().flatten() {
-                    messages_sent += 1;
-                    let _ = tx.try_send(msg.clone());
-                }
-            }
-            Outbound::Send(to, msg) => {
-                if let Some(Some(tx)) = peer_txs.get(to.as_usize()) {
-                    messages_sent += 1;
-                    let _ = tx.try_send(msg);
-                }
-            }
-        }
-    };
-
-    // Disseminate before proposing (same ordering as the plain runner):
-    // pooled requests are forwarded ahead of the init proposal so peers
-    // ingest them before any block that could commit them.
-    if let Some(pool) = &pool {
-        let requests = pool.take_outbox();
-        if !requests.is_empty() {
-            transmit(Outbound::Broadcast(Message::Dissemination(
-                DisseminationMsg::Forward { requests },
-            )));
-        }
-    }
-    driver.init(now(), &mut transmit);
-
-    while start.elapsed() < run_for {
-        driver.fire_due(now(), &mut transmit);
-        // Gossip: forward requests pushed into the local pool since the
-        // last pass (one Forward frame per flush, never re-forwarded).
-        if let Some(pool) = &pool {
-            let requests = pool.take_outbox();
-            if !requests.is_empty() {
-                transmit(Outbound::Broadcast(Message::Dissemination(
-                    DisseminationMsg::Forward { requests },
-                )));
-            }
-        }
-        // Wait for the next verified event or timer.
-        let wait = driver
-            .next_deadline()
-            .map(|at| std::time::Duration::from_nanos(at.0.saturating_sub(now().0)))
-            .unwrap_or(std::time::Duration::from_millis(10))
-            .min(std::time::Duration::from_millis(10));
-        if let Ok((from, msg)) = event_rx.recv_timeout(wait) {
-            messages_received += 1;
-            driver.handle_message(from, msg, now(), &mut transmit);
-        }
-    }
-
-    // --- staged shutdown ------------------------------------------------
-    // Order matters: release the stage's own senders *first*, then keep
-    // absorbing the verify tail (so no worker blocks on a full event
-    // channel) until every worker has drained its queue and exited —
-    // readers notice `stop` within their read timeout and drop the last
-    // sender clones.
-    stop.store(true, Ordering::Relaxed);
-    drop(event_tx);
-    let VerifyStage {
-        txs,
-        handles,
-        stats: _,
-        alive,
-    } = verify;
-    drop(txs);
-    while alive.load(Ordering::Acquire) > 0 {
-        if event_rx
-            .recv_timeout(std::time::Duration::from_millis(5))
-            .is_ok()
-        {
-            messages_received += 1;
-        }
-    }
-    for h in handles {
-        let _ = h.join();
-    }
-    // Frames the workers forwarded in their last instants still count.
-    while event_rx.try_recv().is_ok() {
-        messages_received += 1;
-    }
-
-    let stale_timers_dropped = driver.stale_timers_dropped();
-    let wal_bytes = driver.engine().wal_bytes();
-    // When the pipeline and the engine share one backend these are the
-    // unified plane totals; otherwise fall back to what the engine alone
-    // verified on the consensus thread.
-    let verify = config
-        .verify_backend
-        .as_ref()
-        .map(|b| b.stats())
-        .unwrap_or_else(|| driver.engine().verify_stats());
+    let stage = Some((config, pool.clone()));
+    let (report, stats) = crate::replica::run(
+        engine,
+        app,
+        pool.clone(),
+        stage,
+        listen,
+        peers,
+        run_for,
+        None,
+    )?;
     Ok(PipelineRunReport {
-        report: TcpRunReport {
-            commits: driver.into_sink().inner,
-            messages_received,
-            messages_sent,
-            stale_timers_dropped,
-            // The pipelined replica has no restart phase (see
-            // `run_replica_restarting` for the recovering path).
-            sync_requests: 0,
-            sync_blocks_served: 0,
-            restart_recovery_ms: 0,
-            wal_bytes,
-            sigs_verified: verify.sigs_verified,
-            verify_batches: verify.verify_batches,
-            cert_cache_hits: verify.cert_cache_hits,
-            verify_cpu_ms: verify.verify_cpu_ms(),
-        },
-        stats: stats.snapshot(),
-        ingest_dropped: pool.map(|p| p.ingest_dropped()).unwrap_or(0),
+        report,
+        stats,
+        ingest_dropped: pool.map_or(0, |p| p.ingest_dropped()),
     })
-}
-
-/// Retryable read errors: the reader's poll timeout, not a dead socket.
-fn would_retry(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Runs a whole pipelined cluster on localhost — the staged counterpart of
-/// [`run_local_cluster_with_pools`](crate::runner::run_local_cluster_with_pools).
-/// `pools[i]` is wired into replica `i`; engines should pull payloads from
-/// the same handles via
-/// [`ConcurrentMempoolSource`](banyan_mempool::ConcurrentMempoolSource).
-///
-/// # Panics
-///
-/// Panics if `pools.len() != engines.len()`, a replica thread panics or a
-/// socket operation fails.
-pub fn run_local_cluster_pipelined(
-    engines: Vec<Box<dyn Engine>>,
-    pools: Vec<SharedConcurrentPool>,
-    config: PipelineConfig,
-    run_for: std::time::Duration,
-) -> Vec<PipelineRunReport> {
-    let n = engines.len();
-    assert_eq!(pools.len(), n, "one pool per replica");
-    // Bind listeners first so every address is known before any dial.
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    let addrs: Vec<SocketAddr> = listeners
-        .iter()
-        .map(|l| l.local_addr().expect("addr"))
-        .collect();
-    drop(listeners);
-
-    let mut handles = Vec::new();
-    for (i, (engine, pool)) in engines.into_iter().zip(pools).enumerate() {
-        let addrs = addrs.clone();
-        let listen = addrs[i];
-        let config = config.clone();
-        handles.push(thread::spawn(move || {
-            run_replica_pipelined(engine, NullApp, Some(pool), config, listen, addrs, run_for)
-                .expect("replica run")
-        }));
-    }
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("replica thread"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -754,6 +422,7 @@ mod tests {
     use super::*;
     use banyan_core::builder::ClusterBuilder;
     use banyan_mempool::{ConcurrentMempoolSource, Mempool, Request};
+    use banyan_types::app::NullApp;
     use banyan_types::time::Duration as BDuration;
     use banyan_types::time::Time as BTime;
 
@@ -792,12 +461,12 @@ mod tests {
         }
 
         let config = PipelineConfig::default().with_verify_workers(2);
-        let reports = run_local_cluster_pipelined(
-            engines,
-            pools.clone(),
-            config,
-            std::time::Duration::from_secs(3),
-        );
+        let run_for = std::time::Duration::from_secs(3);
+        let reports = crate::runner::run_local(engines, |i, engine, listen, peers| {
+            let (pool, config) = (Some(pools[i].clone()), config.clone());
+            run_replica_pipelined(engine, NullApp, pool, config, listen, peers, run_for)
+                .expect("replica run")
+        });
 
         // Liveness + agreement, as in the unstaged runner.
         let mut canonical = std::collections::HashMap::new();
@@ -893,19 +562,38 @@ mod tests {
             VerifyOutcome::Rejected
         );
 
-        // A failing verifier rejects too.
+        // A frame failing signature verification is rejected too: the
+        // same vote passes with its real signature and fails forged.
+        use banyan_crypto::{DirectVerify, KeyRegistry, ToySchnorr};
+        use banyan_types::vote::{Vote, VoteKind};
+        let scheme: Arc<dyn banyan_crypto::SignatureScheme> = Arc::new(ToySchnorr::compact());
+        let keys = KeyRegistry::generate(scheme, 5, 4, 1);
         let strict = config
             .clone()
-            .with_verifier(Arc::new(|_: &Block| false) as VerifyFn);
-        let msg = Message::Streamlet(StreamletMsg::Proposal { block });
+            .with_verify_backend(Arc::new(DirectVerify::new(keys.table().clone())));
+        let mut vote = Vote {
+            kind: VoteKind::Notarize,
+            round: Round(1),
+            block: BlockHash::ZERO,
+            voter: ReplicaId(1),
+            signature: Signature::zero(),
+        };
+        vote.signature = keys.sign(&vote.message());
+        let honest = Message::Streamlet(StreamletMsg::Vote(vote));
+        assert!(matches!(
+            verify_frame(ReplicaId(1), honest, Some(&*pool), &strict, &stats),
+            VerifyOutcome::Engine(..)
+        ));
+        vote.signature.0[4] ^= 1;
+        let forged = Message::Streamlet(StreamletMsg::Vote(vote));
         assert_eq!(
-            verify_frame(ReplicaId(0), msg, Some(&*pool), &strict, &stats),
+            verify_frame(ReplicaId(1), forged, Some(&*pool), &strict, &stats),
             VerifyOutcome::Rejected
         );
 
         let s = stats.snapshot();
         assert_eq!(s.ingested, 1);
-        assert_eq!(s.verified, 1);
+        assert_eq!(s.verified, 2);
         assert_eq!(s.rejected, 2);
         assert_eq!(s.requests_ingested, 2);
     }

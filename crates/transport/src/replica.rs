@@ -1,0 +1,647 @@
+//! The one TCP replica event loop. Every public runner
+//! ([`run_replica_full`](crate::runner::run_replica_full),
+//! [`run_replica_restarting`](crate::runner::run_replica_restarting),
+//! [`run_replica_pipelined`](crate::pipeline::run_replica_pipelined)) is a
+//! thin call into [`run`].
+//!
+//! Thread layout per replica:
+//!
+//! ```text
+//!  acceptor ──spawns──► readers (one per inbound connection: decode frames)
+//!                          │
+//!                          ├─ inline ──────────────────────────┐
+//!                          │                                   ▼
+//!                          └─ staged ─► verify workers ─► event channel
+//!                             (only with a PipelineConfig)     │
+//!                                                              ▼
+//!            engine loop (the calling thread): EngineDriver timers, gossip
+//!            flush, driver-level Dissemination / FrontierProbe / FrontierInfo
+//!            routing, catch-up, crash / rejoin phases
+//!                                                              │
+//!                                                              ▼
+//!            writers (one per peer: dial, redial on drop, drain a bounded
+//!            queue — a slow peer never blocks the engine)
+//! ```
+//!
+//! The verify stage is the loop's only fork, taken where a reader hands a
+//! frame on (`Ingress`): inline readers send straight into the event
+//! channel — no extra thread hop — staged ones to the verify worker
+//! `from % W`. The engine loop itself is the shared
+//! [`EngineDriver`]: it owns the timer heap (same deterministic
+//! `(time, seq)` ordering the simulator uses, same stale-timer filtering)
+//! and routes engine actions; this module only supplies wall-clock time,
+//! sockets and the driver-level traffic engines must never see.
+//!
+//! Readers block in `read` with no timeout, so a frame whose sender stalls
+//! between header and body is never abandoned half-read. To stop, the
+//! acceptor shuts down its clone of every accepted stream, which wakes the
+//! blocked readers with EOF; the engine thread absorbs the event channel
+//! until every reader (and verify worker) has hung up, so no decoded frame
+//! is lost at close.
+
+use std::io::{BufReader, BufWriter};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
+
+use crossbeam::channel::{bounded, Receiver, Sender};
+
+use banyan_mempool::{ReplicaPool, SharedConcurrentPool, WorkloadBatch};
+use banyan_runtime::driver::{AppSink, EngineDriver};
+use banyan_storage::{CatchUpState, CatchUpStep};
+use banyan_types::app::App;
+use banyan_types::engine::{CommitEntry, Engine, Outbound};
+use banyan_types::ids::{ReplicaId, Round};
+use banyan_types::message::{DisseminationMsg, Message, SyncMsg};
+use banyan_types::time::Time;
+
+use crate::framing::{read_frame, write_hello, write_msg, Frame};
+use crate::pipeline::{PipelineConfig, PipelineStats, PipelineStatsSnapshot, VerifyStage};
+use crate::runner::{TcpRestart, TcpRunReport};
+
+/// Event-channel capacity into the engine loop.
+const EVENT_QUEUE: usize = 4096;
+/// Outbound-queue capacity per peer writer.
+const PEER_QUEUE: usize = 1024;
+/// Per-step catch-up deadline (wall clock, 250 ms). Loopback round trips
+/// are far below this; a lapsed window re-probes or rotates peers.
+const CATCHUP_TIMEOUT: banyan_types::time::Duration = banyan_types::time::Duration(250_000_000);
+
+type Event = (ReplicaId, Message);
+
+/// The optional verify stage: its sizing and the pool its workers feed.
+pub(crate) type Stage = (PipelineConfig, Option<SharedConcurrentPool>);
+
+/// Where a reader hands a decoded frame — the loop's only fork.
+#[derive(Clone)]
+enum Ingress {
+    /// Straight into the event channel.
+    Inline(Sender<Event>),
+    /// To a verify worker, counted `decoded`; same routing rule as
+    /// [`VerifyStage::sender_for`].
+    Staged(Vec<Sender<Event>>, Arc<PipelineStats>),
+}
+
+impl Ingress {
+    /// Hands one frame on; `false` once the receiving side is gone.
+    fn deliver(&self, from: ReplicaId, msg: Message) -> bool {
+        match self {
+            Ingress::Inline(tx) => tx.send((from, msg)).is_ok(),
+            Ingress::Staged(txs, stats) => {
+                stats.decoded.fetch_add(1, Ordering::Relaxed);
+                txs[from.as_usize() % txs.len()].send((from, msg)).is_ok()
+            }
+        }
+    }
+}
+
+/// One inbound connection: a hello, then frames until the stream ends
+/// (peer gone, or shut down by the acceptor at stop).
+fn read_frames(stream: TcpStream, ingress: &Ingress) {
+    let mut reader = BufReader::new(stream);
+    let Ok(Frame::Hello { .. }) = read_frame(&mut reader) else {
+        return;
+    };
+    loop {
+        match read_frame(&mut reader) {
+            Ok(Frame::Msg { from, msg }) => {
+                if !ingress.deliver(from, msg) {
+                    return;
+                }
+            }
+            Ok(Frame::Hello { .. }) => {}
+            Err(_) => return,
+        }
+    }
+}
+
+/// Accepts inbound connections until `stop`, one reader thread each, then
+/// wakes and joins every reader.
+fn spawn_acceptor(
+    listener: TcpListener,
+    ingress: Ingress,
+    stop: Arc<AtomicBool>,
+) -> JoinHandle<()> {
+    thread::spawn(move || {
+        // A clone of each accepted stream, kept to shut it down at stop.
+        let mut readers: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+        while !stop.load(Ordering::Relaxed) {
+            let Ok((stream, _)) = listener.accept() else {
+                // Nothing pending (the listener is non-blocking), or a
+                // transient accept failure: poll again.
+                thread::sleep(Duration::from_millis(5));
+                continue;
+            };
+            stream.set_nonblocking(false).ok();
+            stream.set_nodelay(true).ok();
+            let Ok(wake) = stream.try_clone() else {
+                continue; // dropped: the peer's writer redials
+            };
+            // Peers that crashed and redialed leave finished readers behind.
+            readers.retain(|(_, reader)| !reader.is_finished());
+            let ingress = ingress.clone();
+            readers.push((wake, thread::spawn(move || read_frames(stream, &ingress))));
+        }
+        for (wake, reader) in readers {
+            let _ = wake.shutdown(Shutdown::Both);
+            reader.join().expect("reader thread");
+        }
+    })
+}
+
+/// One peer's writer: dials (with retries — peers start in arbitrary
+/// order), says hello and drains `rx`, redialing whenever the connection
+/// drops so a peer that crashes and resumes listening becomes reachable
+/// again (messages sent while it was down are lost, as on any wire).
+/// Detached: it exits when `rx` disconnects or at its next `stop` check,
+/// and joining it could wait on a hung peer's full socket buffer.
+fn spawn_writer(me: ReplicaId, addr: SocketAddr, rx: Receiver<Message>, stop: Arc<AtomicBool>) {
+    thread::spawn(move || {
+        'reconnect: while !stop.load(Ordering::Relaxed) {
+            let stream = loop {
+                match TcpStream::connect(addr) {
+                    Ok(s) => break s,
+                    Err(_) if !stop.load(Ordering::Relaxed) => {
+                        thread::sleep(Duration::from_millis(20));
+                    }
+                    Err(_) => return,
+                }
+            };
+            stream.set_nodelay(true).ok();
+            let mut writer = BufWriter::new(stream);
+            if write_hello(&mut writer, me).is_err() {
+                continue 'reconnect;
+            }
+            while let Ok(msg) = rx.recv() {
+                if write_msg(&mut writer, me, &msg).is_err() {
+                    continue 'reconnect;
+                }
+                if stop.load(Ordering::Relaxed) {
+                    return;
+                }
+            }
+            return; // outbound channel closed: the run is over
+        }
+    });
+}
+
+/// Marks every committed batch's request ids committed in the local pool
+/// — retiring and releasing speculative leases along the way — before
+/// handing the block to the inner [`App`]: the TCP replica's half of the
+/// exactly-once dedup rule (the simulator's `SimCommitSink` does the
+/// same).
+struct DedupApp<A, P> {
+    app: A,
+    pool: Option<P>,
+}
+
+impl<A: App, P: ReplicaPool> App for DedupApp<A, P> {
+    fn deliver(&mut self, entry: &CommitEntry) {
+        if let Some(pool) = &self.pool {
+            if let Some(batch) = WorkloadBatch::decode(&entry.payload) {
+                pool.mark_committed_block(entry.block, entry.round, &batch.requests);
+            }
+        }
+        self.app.deliver(entry);
+    }
+}
+
+/// Gossip: broadcasts the requests pushed into the local pool since the
+/// last flush (one `Forward` frame per flush, never re-forwarded).
+fn flush_outbox<P: ReplicaPool>(pool: &Option<P>, transmit: &mut impl FnMut(Outbound)) {
+    let requests = pool.as_ref().map(P::take_outbox).unwrap_or_default();
+    if !requests.is_empty() {
+        transmit(Outbound::Broadcast(Message::Dissemination(
+            DisseminationMsg::Forward { requests },
+        )));
+    }
+}
+
+/// A rejoined replica's catch-up: the storage layer's machine plus what
+/// the TCP driver keeps around it — the TCP counterpart of the
+/// simulator's `drive_catchup`.
+struct CatchUp {
+    me: ReplicaId,
+    n: usize,
+    /// `Some` from rejoin until the machine reports `Done`.
+    machine: Option<CatchUpState>,
+    /// Fetch-peer rotation: the driver cannot know which peers are up, so
+    /// a stalled window retries elsewhere (the machine's stall budget
+    /// bounds the rotation).
+    rotor: usize,
+    rejoined_at: Time,
+    sync_requests: u64,
+    recovery_ms: u64,
+}
+
+impl CatchUp {
+    fn begin(&mut self, frontier: Round, now: Time) {
+        self.rejoined_at = now;
+        self.machine = Some(CatchUpState::new(frontier, now, CATCHUP_TIMEOUT));
+    }
+
+    fn on_frontier(&mut self, finalized: Round) {
+        if let Some(machine) = &mut self.machine {
+            machine.on_frontier(finalized);
+        }
+    }
+
+    /// Runs the machine until it waits or finishes, turning its steps into
+    /// driver-level sync traffic. A no-op unless catching up.
+    fn drive(&mut self, engine: &dyn Engine, now: Time, transmit: &mut impl FnMut(Outbound)) {
+        let Some(mut machine) = self.machine.take() else {
+            return;
+        };
+        machine.on_progress(engine.finalized_round());
+        loop {
+            match machine.step(now) {
+                CatchUpStep::Probe => {
+                    self.sync_requests += 1;
+                    transmit(Outbound::Broadcast(Message::Sync(SyncMsg::FrontierProbe)));
+                }
+                CatchUpStep::Fetch {
+                    from_round,
+                    to_round,
+                } => {
+                    self.sync_requests += 1;
+                    if self.n < 2 {
+                        continue; // nobody to ask; window will lapse
+                    }
+                    // Rotate through the other replicas in id order.
+                    let off = 1 + self.rotor % (self.n - 1);
+                    self.rotor += 1;
+                    let peer = ReplicaId(((self.me.as_usize() + off) % self.n) as u16);
+                    transmit(Outbound::Send(
+                        peer,
+                        Message::Sync(SyncMsg::RequestRange {
+                            from_round,
+                            to_round,
+                        }),
+                    ));
+                }
+                CatchUpStep::Wait => {
+                    // The event loop wakes at least every 10 ms and
+                    // re-drives, so lapsed deadlines need no timer.
+                    self.machine = Some(machine);
+                    return;
+                }
+                CatchUpStep::Done => {
+                    self.recovery_ms += now.since(self.rejoined_at).as_nanos() / 1_000_000;
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// Runs `engine` over TCP for `run_for`: inline when `stage` is `None`,
+/// with verify workers between readers and this thread otherwise;
+/// crashing and rejoining mid-run when `restart` says so. Returns the run
+/// report and the verify stage's frame accounting (all zero when inline).
+///
+/// # Errors
+///
+/// Returns an I/O error if binding `listen` fails.
+// The parameters are the three public runners' parameters, unioned.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run<P: ReplicaPool>(
+    engine: Box<dyn Engine>,
+    app: impl App + 'static,
+    pool: Option<P>,
+    stage: Option<Stage>,
+    listen: SocketAddr,
+    peers: Vec<SocketAddr>,
+    run_for: Duration,
+    mut restart: Option<TcpRestart>,
+) -> std::io::Result<(TcpRunReport, PipelineStatsSnapshot)> {
+    let me = engine.id();
+    let start = Instant::now();
+    let now = || Time(start.elapsed().as_nanos() as u64);
+    let stop = Arc::new(AtomicBool::new(false));
+
+    let listener = TcpListener::bind(listen)?;
+    listener.set_nonblocking(true)?;
+    let (event_tx, event_rx) = bounded::<Event>(EVENT_QUEUE);
+    let backend = stage.as_ref().and_then(|(c, _)| c.verify_backend.clone());
+    let mut verify =
+        stage.map(|(config, pool)| VerifyStage::spawn(&config, pool, event_tx.clone()));
+    let ingress = match &verify {
+        Some(stage) => Ingress::Staged(stage.senders(), stage.stats.clone()),
+        None => Ingress::Inline(event_tx.clone()),
+    };
+    // Readers and workers now hold the only event senders, so the channel
+    // disconnects exactly when the last of them has exited.
+    drop(event_tx);
+    let acceptor = spawn_acceptor(listener, ingress, stop.clone());
+
+    let peer_txs: Vec<Option<Sender<Message>>> = peers
+        .iter()
+        .enumerate()
+        .map(|(i, &addr)| {
+            (i != me.as_usize()).then(|| {
+                let (tx, rx) = bounded(PEER_QUEUE);
+                spawn_writer(me, addr, rx, stop.clone());
+                tx
+            })
+        })
+        .collect();
+
+    // The shared driver owns timers, stale filtering and action routing;
+    // this closure is the only transport-specific piece of the loop.
+    let mut messages_sent = 0u64;
+    let mut messages_received = 0u64;
+    let mut sync_blocks_served = 0u64;
+    let mut transmit = |out: Outbound| {
+        let msg = match &out {
+            Outbound::Broadcast(msg) => msg,
+            Outbound::Send(_, msg) => msg,
+        };
+        // Served catch-up batches, counted at the server (as in the sim).
+        sync_blocks_served += msg.sync_batch_blocks().len() as u64;
+        // Speculative drain: every block this replica puts on the wire is
+        // observed into its pool's lease table (a cheap no-op unless the
+        // pool speculates).
+        if let (Some(pool), Some(block)) = (&pool, msg.proposal_block()) {
+            pool.observe_proposal(block);
+        }
+        match out {
+            Outbound::Broadcast(msg) => {
+                for tx in peer_txs.iter().flatten() {
+                    messages_sent += 1;
+                    let _ = tx.try_send(msg.clone());
+                }
+            }
+            Outbound::Send(to, msg) => {
+                if let Some(Some(tx)) = peer_txs.get(to.as_usize()) {
+                    messages_sent += 1;
+                    let _ = tx.try_send(msg);
+                }
+            }
+        }
+    };
+
+    let sink = AppSink {
+        inner: Vec::<CommitEntry>::new(),
+        app: DedupApp {
+            app,
+            pool: pool.clone(),
+        },
+    };
+    // Disseminate before proposing: requests already pooled locally are
+    // forwarded ahead of the init proposal in every per-peer channel, so
+    // per-connection ordering lands them in peer pools before any block
+    // that could commit them (a quorum excluding this replica can commit
+    // its init proposal arbitrarily soon after it is sent).
+    flush_outbox(&pool, &mut transmit);
+    let mut first_life = EngineDriver::new(engine, sink);
+    first_life.init(now(), &mut transmit);
+    // `None` while the replica is down mid-restart; the sink (the commit
+    // log already delivered to the app) is parked in `down_sink` so the
+    // report spans both lives.
+    let mut driver = Some(first_life);
+    let mut down_sink = None;
+    let mut stale_accum = 0u64;
+    let mut catchup = CatchUp {
+        me,
+        n: peers.len(),
+        machine: None,
+        rotor: 0,
+        rejoined_at: Time::ZERO,
+        sync_requests: 0,
+        recovery_ms: 0,
+    };
+
+    while start.elapsed() < run_for {
+        if let Some(plan) = &restart {
+            if driver.is_some() && start.elapsed() >= plan.crash_after {
+                // Crash: drop the engine and its timer heap. All volatile
+                // state is gone; only durable storage (the WAL) and the
+                // commits already delivered downstream survive.
+                let d = driver.take().expect("engine up");
+                stale_accum += d.stale_timers_dropped();
+                down_sink = Some(d.into_sink());
+            }
+            if driver.is_none() && start.elapsed() >= plan.rejoin_after {
+                let plan = restart.take().expect("restart plan");
+                // Rebuild from durable state only (reopens the WAL).
+                let engine = (plan.rebuild)();
+                assert_eq!(engine.id(), me, "restart rebuilt the wrong replica");
+                let frontier = engine.finalized_round();
+                let mut d = EngineDriver::new(engine, down_sink.take().expect("parked sink"));
+                // Same gossip-before-propose ordering as the first life:
+                // requests pooled while down go out ahead of the rejoin
+                // proposal.
+                flush_outbox(&pool, &mut transmit);
+                d.init(now(), &mut transmit);
+                catchup.begin(frontier, now());
+                catchup.drive(d.engine(), now(), &mut transmit);
+                driver = Some(d);
+            }
+        }
+        let Some(d) = driver.as_mut() else {
+            // Down: a dead process reads nothing. Drain and discard so
+            // the bounded channel never backpressures the readers.
+            while event_rx.try_recv().is_ok() {}
+            thread::sleep(Duration::from_millis(2));
+            continue;
+        };
+
+        d.fire_due(now(), &mut transmit);
+        flush_outbox(&pool, &mut transmit);
+        // Re-drive catch-up every pass: this is what notices lapsed
+        // probe/fetch deadlines (the loop wakes at least every 10 ms).
+        catchup.drive(d.engine(), now(), &mut transmit);
+        // Wait for the next event or timer; on timeout the loop simply
+        // re-checks timers and the deadline.
+        let wait = d
+            .next_deadline()
+            .map(|at| Duration::from_nanos(at.0.saturating_sub(now().0)))
+            .unwrap_or(Duration::from_millis(10))
+            .min(Duration::from_millis(10));
+        let Ok((from, msg)) = event_rx.recv_timeout(wait) else {
+            continue;
+        };
+        messages_received += 1;
+        match msg {
+            // Dissemination frames feed the pool, never the engine (the
+            // same contract the simulator enforces). Inline only: the
+            // verify workers absorb them before the event channel.
+            Message::Dissemination(
+                DisseminationMsg::Forward { requests } | DisseminationMsg::Announce { requests },
+            ) => {
+                if let Some(pool) = &pool {
+                    pool.accept_forwarded(requests);
+                }
+            }
+            // Driver traffic: answer from the engine's commit frontier
+            // without delivering (engines stay pure, and the chained
+            // engine's own answer path would double-reply).
+            Message::Sync(SyncMsg::FrontierProbe) => {
+                let finalized = d.engine().finalized_round();
+                transmit(Outbound::Send(
+                    from,
+                    Message::Sync(SyncMsg::FrontierInfo { finalized }),
+                ));
+            }
+            // Driver traffic: feed the catch-up machine.
+            Message::Sync(SyncMsg::FrontierInfo { finalized }) => {
+                catchup.on_frontier(finalized);
+                catchup.drive(d.engine(), now(), &mut transmit);
+            }
+            msg => {
+                // Speculative drain: arriving blocks are observed too —
+                // here when inline; the verify workers already recorded
+                // the lease under the hash they computed.
+                if let (None, Some(pool), Some(block)) = (&verify, &pool, msg.proposal_block()) {
+                    pool.observe_proposal(block);
+                }
+                d.handle_message(from, msg, now(), &mut transmit);
+                // Adopted batches may have advanced the frontier.
+                catchup.drive(d.engine(), now(), &mut transmit);
+            }
+        }
+    }
+
+    // Loss-free close: wake the readers, release the verify stage's own
+    // input senders, and absorb the tail until every reader and worker
+    // has hung up — so none of them blocks on a full channel and every
+    // decoded frame is accounted for.
+    stop.store(true, Ordering::Relaxed);
+    if let Some(stage) = &mut verify {
+        stage.close();
+    }
+    while event_rx.recv().is_ok() {
+        messages_received += 1;
+    }
+    acceptor.join().expect("acceptor thread");
+    let stats = verify.map(|stage| {
+        let stats = stage.stats.clone();
+        stage.shutdown();
+        stats.snapshot()
+    });
+
+    let (commits, stale_timers_dropped, wal_bytes, engine_verify) = match driver {
+        Some(d) => {
+            let stale = stale_accum + d.stale_timers_dropped();
+            let wal = d.engine().wal_bytes();
+            let verify = d.engine().verify_stats();
+            (d.into_sink().inner, stale, wal, verify)
+        }
+        // Crashed and never rejoined before the deadline: report the
+        // first life's commits.
+        None => (
+            down_sink.map(|s| s.inner).unwrap_or_default(),
+            stale_accum,
+            0,
+            Default::default(),
+        ),
+    };
+    // When the verify stage and the engine share one backend these are
+    // the unified plane totals; otherwise what the engine alone verified.
+    let verified = backend.map_or(engine_verify, |b| b.stats());
+    let report = TcpRunReport {
+        commits,
+        messages_received,
+        messages_sent,
+        stale_timers_dropped,
+        sync_requests: catchup.sync_requests,
+        sync_blocks_served,
+        restart_recovery_ms: catchup.recovery_ms,
+        wal_bytes,
+        sigs_verified: verified.sigs_verified,
+        verify_batches: verified.verify_batches,
+        cert_cache_hits: verified.cert_cache_hits,
+        verify_cpu_ms: verified.verify_cpu_ms(),
+    };
+    Ok((report, stats.unwrap_or_default()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use banyan_core::builder::ClusterBuilder;
+    use banyan_mempool::SharedMempool;
+    use banyan_types::app::NullApp;
+    use std::io::Write;
+
+    /// A sender that stalls 120 ms between a frame's header and its body
+    /// must not desynchronize the reader: the frame arrives intact, inline
+    /// and staged. The frame is a `FrontierProbe`, and the replica runs
+    /// HotStuff — which ignores sync traffic — so the `FrontierInfo` that
+    /// comes back can only be the driver's answer.
+    #[test]
+    fn stalled_frame_arrives_intact_and_the_driver_answers_the_probe() {
+        let _serial = crate::loopback_serial_lock();
+        for staged in [false, true] {
+            let replica = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let me_as_peer = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let listen = replica.local_addr().expect("addr");
+            let peers = vec![listen, me_as_peer.local_addr().expect("addr")];
+            drop(replica);
+
+            let engine = ClusterBuilder::new(4, 1, 1)
+                .unwrap()
+                .build_hotstuff()
+                .swap_remove(0);
+            let stage = staged.then(|| (PipelineConfig::default(), None));
+            let run_for = Duration::from_millis(1500);
+            let run = thread::spawn(move || {
+                let pool = None::<SharedMempool>;
+                run(engine, NullApp, pool, stage, listen, peers, run_for, None)
+            });
+
+            // Play replica 1: hello, then a probe split after its 6-byte
+            // header.
+            let mut out = loop {
+                match TcpStream::connect(listen) {
+                    Ok(s) => break s,
+                    Err(_) => thread::sleep(Duration::from_millis(10)),
+                }
+            };
+            out.set_nodelay(true).expect("nodelay");
+            write_hello(&mut out, ReplicaId(1)).expect("hello");
+            let mut frame = Vec::new();
+            write_msg(
+                &mut frame,
+                ReplicaId(1),
+                &Message::Sync(SyncMsg::FrontierProbe),
+            )
+            .expect("encode");
+            out.write_all(&frame[..6]).expect("header");
+            thread::sleep(Duration::from_millis(120));
+            out.write_all(&frame[6..]).expect("body");
+
+            // Everything the replica sends replica 1, until it hangs up.
+            let (inbound, _) = me_as_peer.accept().expect("replica dials its peer");
+            inbound
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            let mut inbound = BufReader::new(inbound);
+            let mut answers = 0;
+            while let Ok(frame) = read_frame(&mut inbound) {
+                if let Frame::Msg {
+                    msg: Message::Sync(SyncMsg::FrontierInfo { .. }),
+                    ..
+                } = frame
+                {
+                    answers += 1;
+                }
+            }
+
+            let (report, stats) = run.join().expect("replica thread").expect("replica run");
+            assert_eq!(
+                report.messages_received, 1,
+                "staged={staged}: the stalled frame was lost or mangled"
+            );
+            assert_eq!(
+                answers, 1,
+                "staged={staged}: probe not answered by the driver"
+            );
+            if staged {
+                assert_eq!((stats.decoded, stats.verified, stats.rejected), (1, 1, 0));
+            }
+        }
+    }
+}

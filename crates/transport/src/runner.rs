@@ -1,23 +1,11 @@
-//! The threaded TCP runner: drives one [`Engine`] over real sockets.
+//! The public entry points of the threaded TCP runner: drive one
+//! [`Engine`] over real sockets.
 //!
-//! Thread layout per replica:
-//!
-//! * **acceptor** — accepts inbound connections, spawns a reader per peer;
-//! * **readers** — decode frames, push `(from, msg)` into the event
-//!   channel;
-//! * **writers** — one per peer, draining a per-peer outbound queue (a
-//!   slow peer never blocks the engine);
-//! * **engine loop** (the calling thread) — an
-//!   [`EngineDriver`] from the shared
-//!   driver layer: it owns the timer heap (same deterministic
-//!   `(time, seq)` ordering the simulator uses, same stale-timer
-//!   filtering) and routes engine actions; this module only supplies
-//!   wall-clock time and socket transport.
-//!
-//! Time is wall-clock nanoseconds since `run` started, so the engine sees
-//! the same `Time` type as under simulation. The engines themselves are
-//! identical — that is the point: `banyan-simnet` results transfer to real
-//! sockets.
+//! All of them are thin calls into the one event loop in `crate::replica`
+//! (see its docs for the thread layout). Time is wall-clock nanoseconds
+//! since the run started, so the engine sees the same `Time` type as under
+//! simulation. The engines themselves are identical — that is the point:
+//! `banyan-simnet` results transfer to real sockets.
 //!
 //! # Request dissemination
 //!
@@ -39,39 +27,21 @@
 //! constructs a fresh engine (for the chained engines: over a reopened
 //! `banyan_storage::WalStore`, whose replay restores the durable
 //! frontier), and the loop starts a driver-level
-//! [`CatchUpState`] that probes peers for the commit frontier and pulls
-//! the missing certified chain over `SyncMsg::RequestRange`. The same
-//! purity contract as the simulator holds: `FrontierProbe` is answered
-//! here, from [`Engine::finalized_round`], and `FrontierInfo` feeds the
-//! catch-up machine — neither ever reaches an engine.
+//! [`CatchUpState`](banyan_storage::CatchUpState) that probes peers for
+//! the commit frontier and pulls the missing certified chain over
+//! `SyncMsg::RequestRange`. The same purity contract as the simulator
+//! holds: `FrontierProbe` is answered by the loop, from
+//! [`Engine::finalized_round`], and `FrontierInfo` feeds the catch-up
+//! machine — neither ever reaches an engine.
 
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpListener};
 use std::thread;
-use std::time::Instant;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
-
-use banyan_mempool::{SharedMempool, WorkloadBatch};
-use banyan_runtime::driver::{AppSink, EngineDriver};
-use banyan_storage::{CatchUpState, CatchUpStep};
+use banyan_mempool::SharedMempool;
 use banyan_types::app::{App, NullApp};
-use banyan_types::engine::{CommitEntry, Engine, Outbound};
-use banyan_types::ids::{ReplicaId, Round};
-use banyan_types::message::{DisseminationMsg, Message, SyncMsg};
-use banyan_types::time::Time;
+use banyan_types::engine::{CommitEntry, Engine};
 
-use crate::framing::{read_frame, write_hello, write_msg, Frame};
-
-/// Event-channel capacity per replica.
-const EVENT_QUEUE: usize = 4096;
-/// Outbound-queue capacity per peer.
-const PEER_QUEUE: usize = 1024;
-/// Per-step catch-up deadline (wall clock, 250 ms). Loopback round trips
-/// are far below this; a lapsed window re-probes or rotates peers.
-const CATCHUP_TIMEOUT: banyan_types::time::Duration = banyan_types::time::Duration(250_000_000);
+use crate::replica;
 
 /// Everything a finished run reports.
 #[derive(Debug, Default)]
@@ -116,77 +86,24 @@ pub struct TcpRestart {
     pub rebuild: Box<dyn FnOnce() -> Box<dyn Engine> + Send>,
 }
 
-/// Runs `engine` over TCP until `deadline` (wall time from start).
+/// Runs `engine` over TCP for `run_for` (wall time from start),
+/// delivering every finalized block to `app` as it commits.
 ///
 /// `listen` is this replica's bind address; `peers[i]` the address of
 /// replica `i` (our own slot is ignored). All replicas must use the same
 /// ordering. Connections are one-directional: we dial every peer for
 /// sending and accept every peer for receiving.
 ///
-/// # Errors
-///
-/// Returns an I/O error if binding or dialing fails permanently.
-pub fn run_replica(
-    engine: Box<dyn Engine>,
-    listen: SocketAddr,
-    peers: Vec<SocketAddr>,
-    run_for: std::time::Duration,
-) -> std::io::Result<TcpRunReport> {
-    run_replica_with_app(engine, NullApp, listen, peers, run_for)
-}
-
-/// Like [`run_replica`], additionally delivering every finalized block to
-/// `app` (via the shared [`AppSink`] combinator) as it commits — the TCP
-/// deployment's half of the `ProposalSource`/`App` service interface.
+/// With `pool` provided the request-dissemination layer is wired in:
+/// inbound `Forward` frames feed the pool, the pool's gossip outbox
+/// (requests pushed locally, e.g. by a client front-end thread) is
+/// broadcast to all peers, and commits mark their batched ids committed
+/// for exactly-once dedup. The engine's `MempoolSource` should share the
+/// same pool handle.
 ///
 /// # Errors
 ///
-/// Returns an I/O error if binding or dialing fails permanently.
-pub fn run_replica_with_app(
-    engine: Box<dyn Engine>,
-    app: impl App + 'static,
-    listen: SocketAddr,
-    peers: Vec<SocketAddr>,
-    run_for: std::time::Duration,
-) -> std::io::Result<TcpRunReport> {
-    run_replica_full(engine, app, None, listen, peers, run_for)
-}
-
-/// Marks every committed batch's request ids committed in the local pool
-/// — retiring and releasing speculative leases along the way — before
-/// handing the block to the inner [`App`]: the TCP runner's half of the
-/// exactly-once dedup rule (the simulator's `SimCommitSink` does the
-/// same).
-struct PoolDedupApp<A: App> {
-    app: A,
-    pool: Option<SharedMempool>,
-}
-
-impl<A: App> App for PoolDedupApp<A> {
-    fn deliver(&mut self, entry: &CommitEntry) {
-        if let Some(pool) = &self.pool {
-            if let Some(batch) = WorkloadBatch::decode(&entry.payload) {
-                pool.lock().expect("mempool lock").mark_committed_block(
-                    entry.block,
-                    entry.round,
-                    &batch.requests,
-                );
-            }
-        }
-        self.app.deliver(entry);
-    }
-}
-
-/// Like [`run_replica_with_app`], with the request-dissemination layer
-/// wired in when `pool` is provided: inbound `Forward` frames feed the
-/// pool, the pool's gossip outbox (requests pushed locally, e.g. by a
-/// client front-end thread) is broadcast to all peers, and commits mark
-/// their batched ids committed for exactly-once dedup. The engine's
-/// `MempoolSource` should share the same pool handle.
-///
-/// # Errors
-///
-/// Returns an I/O error if binding or dialing fails permanently.
+/// Returns an I/O error if binding fails.
 pub fn run_replica_full(
     engine: Box<dyn Engine>,
     app: impl App + 'static,
@@ -198,83 +115,13 @@ pub fn run_replica_full(
     run_replica_restarting(engine, app, pool, listen, peers, run_for, None)
 }
 
-/// The peer a recovering replica fetches ranges from: rotate through the
-/// other replicas in id order so a stalled window retries elsewhere (the
-/// TCP driver cannot know which peers are up; the catch-up machine's
-/// stall budget bounds the rotation).
-fn pick_sync_peer(me: ReplicaId, n: usize, rotor: usize) -> Option<ReplicaId> {
-    if n < 2 {
-        return None;
-    }
-    let off = 1 + rotor % (n - 1);
-    Some(ReplicaId(((me.as_usize() + off) % n) as u16))
-}
-
-/// Runs a recovering replica's catch-up machine until it waits or
-/// finishes, turning its steps into driver-level sync traffic — the TCP
-/// counterpart of the simulator's `drive_catchup`.
-#[allow(clippy::too_many_arguments)]
-fn drive_catchup(
-    catchup: &mut Option<CatchUpState>,
-    frontier: Round,
-    now: Time,
-    me: ReplicaId,
-    n: usize,
-    rotor: &mut usize,
-    sync_requests: &mut u64,
-    recovery_ms: &mut u64,
-    rejoined_at: Time,
-    transmit: &mut impl FnMut(Outbound),
-) {
-    let Some(mut cu) = catchup.take() else {
-        return;
-    };
-    cu.on_progress(frontier);
-    loop {
-        match cu.step(now) {
-            CatchUpStep::Probe => {
-                *sync_requests += 1;
-                transmit(Outbound::Broadcast(Message::Sync(SyncMsg::FrontierProbe)));
-            }
-            CatchUpStep::Fetch {
-                from_round,
-                to_round,
-            } => {
-                *sync_requests += 1;
-                let Some(peer) = pick_sync_peer(me, n, *rotor) else {
-                    continue; // nobody to ask; window will lapse
-                };
-                *rotor += 1;
-                transmit(Outbound::Send(
-                    peer,
-                    Message::Sync(SyncMsg::RequestRange {
-                        from_round,
-                        to_round,
-                    }),
-                ));
-            }
-            CatchUpStep::Wait => {
-                // The event loop wakes at least every 10 ms and re-drives,
-                // so lapsed deadlines are picked up without a timer.
-                *catchup = Some(cu);
-                return;
-            }
-            CatchUpStep::Done => {
-                *recovery_ms += now.since(rejoined_at).as_nanos() / 1_000_000;
-                return;
-            }
-        }
-    }
-}
-
 /// Like [`run_replica_full`], optionally crashing and rejoining mid-run
 /// (see [`TcpRestart`] and the module docs' *Crash recovery* section).
 /// With `restart: None` the behavior is identical to `run_replica_full`.
 ///
 /// # Errors
 ///
-/// Returns an I/O error if binding or dialing fails permanently.
-#[allow(clippy::too_many_lines)]
+/// Returns an I/O error if binding fails.
 pub fn run_replica_restarting(
     engine: Box<dyn Engine>,
     app: impl App + 'static,
@@ -284,370 +131,43 @@ pub fn run_replica_restarting(
     run_for: std::time::Duration,
     restart: Option<TcpRestart>,
 ) -> std::io::Result<TcpRunReport> {
-    let me = engine.id();
-    let n = peers.len();
-    let start = Instant::now();
-    let now = || Time(start.elapsed().as_nanos() as u64);
-    let stop = Arc::new(AtomicBool::new(false));
+    replica::run(engine, app, pool, None, listen, peers, run_for, restart).map(|(report, _)| report)
+}
 
-    let (event_tx, event_rx) = bounded::<(ReplicaId, Message)>(EVENT_QUEUE);
+/// Runs one replica thread per engine on localhost and returns what each
+/// `run(i, engine, listen, peers)` returned, in replica order. Ports are
+/// allocated by the OS.
+///
+/// # Panics
+///
+/// Panics if a replica thread panics or a socket operation fails.
+pub(crate) fn run_local<R: Send>(
+    engines: Vec<Box<dyn Engine>>,
+    run: impl Fn(usize, Box<dyn Engine>, SocketAddr, Vec<SocketAddr>) -> R + Sync,
+) -> Vec<R> {
+    // Bind listeners first so every address is known before any dial.
+    let listeners: Vec<TcpListener> = (0..engines.len())
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
+        .collect();
+    let addrs: Vec<SocketAddr> = listeners
+        .iter()
+        .map(|l| l.local_addr().expect("addr"))
+        .collect();
+    drop(listeners); // ports linger in TIME_WAIT-free state long enough on loopback
 
-    // --- acceptor + readers -------------------------------------------
-    let listener = TcpListener::bind(listen)?;
-    listener.set_nonblocking(true)?;
-    {
-        let stop = stop.clone();
-        let event_tx = event_tx.clone();
-        thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nonblocking(false).ok();
-                        stream.set_nodelay(true).ok();
-                        let event_tx = event_tx.clone();
-                        let stop = stop.clone();
-                        thread::spawn(move || {
-                            let mut reader = BufReader::new(stream);
-                            // First frame must be a hello.
-                            let Ok(Frame::Hello { from: _ }) = read_frame(&mut reader) else {
-                                return;
-                            };
-                            while !stop.load(Ordering::Relaxed) {
-                                match read_frame(&mut reader) {
-                                    Ok(Frame::Msg { from, msg }) => {
-                                        if event_tx.send((from, msg)).is_err() {
-                                            return;
-                                        }
-                                    }
-                                    Ok(Frame::Hello { .. }) => {}
-                                    Err(_) => return,
-                                }
-                            }
-                        });
-                    }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-    }
-
-    // --- writers --------------------------------------------------------
-    let mut peer_txs: Vec<Option<Sender<Message>>> = Vec::with_capacity(n);
-    for (i, addr) in peers.iter().enumerate() {
-        if i == me.as_usize() {
-            peer_txs.push(None);
-            continue;
-        }
-        let (tx, rx): (Sender<Message>, Receiver<Message>) = bounded(PEER_QUEUE);
-        let addr = *addr;
-        let stop = stop.clone();
-        thread::spawn(move || {
-            // Outer loop: redial whenever the connection drops, so a peer
-            // that crashes and resumes listening becomes reachable again
-            // (messages sent while it was down are lost, as on any wire).
-            'reconnect: while !stop.load(Ordering::Relaxed) {
-                // Dial with retries: peers start in arbitrary order.
-                let stream = loop {
-                    match TcpStream::connect(addr) {
-                        Ok(s) => break s,
-                        Err(_) if !stop.load(Ordering::Relaxed) => {
-                            thread::sleep(std::time::Duration::from_millis(20));
-                        }
-                        Err(_) => return,
-                    }
-                };
-                stream.set_nodelay(true).ok();
-                let mut writer = BufWriter::new(stream);
-                if write_hello(&mut writer, me).is_err() {
-                    continue 'reconnect;
-                }
-                while let Ok(msg) = rx.recv() {
-                    if write_msg(&mut writer, me, &msg).is_err() {
-                        continue 'reconnect;
-                    }
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                }
-                return; // outbound channel closed: the run is over
-            }
-        });
-        peer_txs.push(Some(tx));
-    }
-
-    // --- engine loop ------------------------------------------------------
-    // The shared driver owns timers, stale filtering and action routing;
-    // this closure is the only transport-specific piece of the loop.
-    let mut messages_sent = 0u64;
-    let mut messages_received = 0u64;
-    let mut sync_blocks_served = 0u64;
-    let mut sync_requests = 0u64;
-    let mut restart_recovery_ms = 0u64;
-    let mut rotor = 0usize;
-    let sink = AppSink {
-        inner: Vec::<CommitEntry>::new(),
-        app: PoolDedupApp {
-            app,
-            pool: pool.clone(),
-        },
-    };
-    // `None` while the replica is down mid-restart; the sink (the commit
-    // log already delivered to the app) is parked in `down_sink` so the
-    // report spans both lives.
-    let mut driver = Some(EngineDriver::new(engine, sink));
-    let mut down_sink = None;
-    let mut catchup: Option<CatchUpState> = None;
-    let mut rejoined_at = Time::ZERO;
-    let mut stale_accum = 0u64;
-    let mut restart = restart;
-    // Speculative drain: observe every block this replica puts on (or
-    // takes off) the wire into its pool's lease table. `observe_proposal`
-    // is a cheap no-op unless the pool was built `with_speculation`.
-    let observe_pool = pool.clone();
-    let mut transmit = |out: Outbound| {
-        let msg = match &out {
-            Outbound::Broadcast(msg) => msg,
-            Outbound::Send(_, msg) => msg,
-        };
-        // Served catch-up batches, counted at the server (as in the sim).
-        sync_blocks_served += msg.sync_batch_blocks().len() as u64;
-        if let Some(pool) = &observe_pool {
-            if let Some(block) = msg.proposal_block() {
-                pool.lock().expect("mempool lock").observe_proposal(block);
-            }
-        }
-        match out {
-            Outbound::Broadcast(msg) => {
-                for tx in peer_txs.iter().flatten() {
-                    messages_sent += 1;
-                    let _ = tx.try_send(msg.clone());
-                }
-            }
-            Outbound::Send(to, msg) => {
-                if let Some(Some(tx)) = peer_txs.get(to.as_usize()) {
-                    messages_sent += 1;
-                    let _ = tx.try_send(msg);
-                }
-            }
-        }
-    };
-
-    // Disseminate before proposing: requests already pooled locally are
-    // forwarded ahead of the init proposal in every per-peer channel, so
-    // per-connection ordering lands them in peer pools before any block
-    // that could commit them (a quorum excluding this replica can commit
-    // its init proposal arbitrarily soon after it is sent).
-    if let Some(pool) = &pool {
-        let requests = pool.lock().expect("mempool lock").take_outbox();
-        if !requests.is_empty() {
-            transmit(Outbound::Broadcast(Message::Dissemination(
-                DisseminationMsg::Forward { requests },
-            )));
-        }
-    }
-    driver
-        .as_mut()
-        .expect("engine up at start")
-        .init(now(), &mut transmit);
-
-    while start.elapsed() < run_for {
-        // --- restart phase boundaries ---------------------------------
-        if let Some(plan) = &restart {
-            if driver.is_some() && start.elapsed() >= plan.crash_after {
-                // Crash: drop the engine and its timer heap. All volatile
-                // state is gone; only durable storage (the WAL) and the
-                // commits already delivered downstream survive.
-                let d = driver.take().expect("engine up");
-                stale_accum += d.stale_timers_dropped();
-                down_sink = Some(d.into_sink());
-            }
-            if driver.is_none() && start.elapsed() >= plan.rejoin_after {
-                let plan = restart.take().expect("restart plan");
-                // Rebuild from durable state only (reopens the WAL).
-                let engine = (plan.rebuild)();
-                assert_eq!(engine.id(), me, "restart rebuilt the wrong replica");
-                let frontier = engine.finalized_round();
-                let mut d = EngineDriver::new(engine, down_sink.take().expect("parked sink"));
-                // Same gossip-before-propose ordering as the first life:
-                // requests pooled while down go out ahead of the rejoin
-                // proposal.
-                if let Some(pool) = &pool {
-                    let requests = pool.lock().expect("mempool lock").take_outbox();
-                    if !requests.is_empty() {
-                        transmit(Outbound::Broadcast(Message::Dissemination(
-                            DisseminationMsg::Forward { requests },
-                        )));
-                    }
-                }
-                d.init(now(), &mut transmit);
-                driver = Some(d);
-                rejoined_at = now();
-                catchup = Some(CatchUpState::new(frontier, now(), CATCHUP_TIMEOUT));
-                drive_catchup(
-                    &mut catchup,
-                    frontier,
-                    now(),
-                    me,
-                    n,
-                    &mut rotor,
-                    &mut sync_requests,
-                    &mut restart_recovery_ms,
-                    rejoined_at,
-                    &mut transmit,
-                );
-            }
-        }
-        let Some(d) = driver.as_mut() else {
-            // Down: a dead process reads nothing. Drain and discard so
-            // the bounded channel never backpressures the readers.
-            while event_rx.try_recv().is_ok() {}
-            thread::sleep(std::time::Duration::from_millis(2));
-            continue;
-        };
-
-        d.fire_due(now(), &mut transmit);
-        // Gossip: forward requests pushed into the local pool since the
-        // last pass (one Forward frame per flush, never re-forwarded).
-        if let Some(pool) = &pool {
-            let requests = pool.lock().expect("mempool lock").take_outbox();
-            if !requests.is_empty() {
-                transmit(Outbound::Broadcast(Message::Dissemination(
-                    DisseminationMsg::Forward { requests },
-                )));
-            }
-        }
-        // Re-drive catch-up every pass: this is what notices lapsed
-        // probe/fetch deadlines (the loop wakes at least every 10 ms).
-        if catchup.is_some() {
-            let frontier = d.engine().finalized_round();
-            drive_catchup(
-                &mut catchup,
-                frontier,
-                now(),
-                me,
-                n,
-                &mut rotor,
-                &mut sync_requests,
-                &mut restart_recovery_ms,
-                rejoined_at,
-                &mut transmit,
-            );
-        }
-        // Wait for the next event or timer.
-        let wait = d
-            .next_deadline()
-            .map(|at| std::time::Duration::from_nanos(at.0.saturating_sub(now().0)))
-            .unwrap_or(std::time::Duration::from_millis(10))
-            .min(std::time::Duration::from_millis(10));
-        // On timeout the loop simply re-checks timers and the deadline.
-        if let Ok((from, msg)) = event_rx.recv_timeout(wait) {
-            messages_received += 1;
-            match msg {
-                // Dissemination frames feed the pool, never the engine
-                // (the same contract the simulator enforces).
-                Message::Dissemination(
-                    DisseminationMsg::Forward { requests }
-                    | DisseminationMsg::Announce { requests },
-                ) => {
-                    if let Some(pool) = &pool {
-                        let mut pool = pool.lock().expect("mempool lock");
-                        for req in requests {
-                            pool.accept_forwarded(req);
-                        }
-                    }
-                }
-                // Driver traffic: answer from the engine's commit
-                // frontier without delivering (engines stay pure, and the
-                // chained engine's own answer path would double-reply).
-                Message::Sync(SyncMsg::FrontierProbe) => {
-                    let finalized = d.engine().finalized_round();
-                    transmit(Outbound::Send(
-                        from,
-                        Message::Sync(SyncMsg::FrontierInfo { finalized }),
-                    ));
-                }
-                // Driver traffic: feed the catch-up machine.
-                Message::Sync(SyncMsg::FrontierInfo { finalized }) => {
-                    if let Some(cu) = &mut catchup {
-                        cu.on_frontier(finalized);
-                        let frontier = d.engine().finalized_round();
-                        drive_catchup(
-                            &mut catchup,
-                            frontier,
-                            now(),
-                            me,
-                            n,
-                            &mut rotor,
-                            &mut sync_requests,
-                            &mut restart_recovery_ms,
-                            rejoined_at,
-                            &mut transmit,
-                        );
-                    }
-                }
-                msg => {
-                    // Speculative drain: observe arriving blocks into the
-                    // pool's lease table (no-op unless speculation is on).
-                    if let Some(pool) = &pool {
-                        if let Some(block) = msg.proposal_block() {
-                            pool.lock().expect("mempool lock").observe_proposal(block);
-                        }
-                    }
-                    d.handle_message(from, msg, now(), &mut transmit);
-                    // Adopted batches may have advanced the frontier.
-                    if catchup.is_some() {
-                        let frontier = d.engine().finalized_round();
-                        drive_catchup(
-                            &mut catchup,
-                            frontier,
-                            now(),
-                            me,
-                            n,
-                            &mut rotor,
-                            &mut sync_requests,
-                            &mut restart_recovery_ms,
-                            rejoined_at,
-                            &mut transmit,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    stop.store(true, Ordering::Relaxed);
-    let (commits, stale_timers_dropped, wal_bytes, verify) = match driver {
-        Some(d) => {
-            let stale = stale_accum + d.stale_timers_dropped();
-            let wal = d.engine().wal_bytes();
-            let verify = d.engine().verify_stats();
-            (d.into_sink().inner, stale, wal, verify)
-        }
-        // Crashed and never rejoined before the deadline: report the
-        // first life's commits.
-        None => (
-            down_sink.map(|s| s.inner).unwrap_or_default(),
-            stale_accum,
-            0,
-            Default::default(),
-        ),
-    };
-    Ok(TcpRunReport {
-        commits,
-        messages_received,
-        messages_sent,
-        stale_timers_dropped,
-        sync_requests,
-        sync_blocks_served,
-        restart_recovery_ms,
-        wal_bytes,
-        sigs_verified: verify.sigs_verified,
-        verify_batches: verify.verify_batches,
-        cert_cache_hits: verify.cert_cache_hits,
-        verify_cpu_ms: verify.verify_cpu_ms(),
+    thread::scope(|s| {
+        let handles: Vec<_> = engines
+            .into_iter()
+            .enumerate()
+            .map(|(i, engine)| {
+                let (run, addrs) = (&run, addrs.clone());
+                s.spawn(move || run(i, engine, addrs[i], addrs))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("replica thread"))
+            .collect()
     })
 }
 
@@ -661,68 +181,9 @@ pub fn run_local_cluster(
     engines: Vec<Box<dyn Engine>>,
     run_for: std::time::Duration,
 ) -> Vec<TcpRunReport> {
-    let n = engines.len();
-    // Bind listeners first so every address is known before any dial.
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    let addrs: Vec<SocketAddr> = listeners
-        .iter()
-        .map(|l| l.local_addr().expect("addr"))
-        .collect();
-    drop(listeners); // ports linger in TIME_WAIT-free state long enough on loopback
-
-    let mut handles = Vec::new();
-    for (i, engine) in engines.into_iter().enumerate() {
-        let addrs = addrs.clone();
-        let listen = addrs[i];
-        handles.push(thread::spawn(move || {
-            run_replica(engine, listen, addrs, run_for).expect("replica run")
-        }));
-    }
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("replica thread"))
-        .collect()
-}
-
-/// Like [`run_local_cluster`], with `pools[i]` wired into replica `i`'s
-/// dissemination path (see [`run_replica_full`]). The engines should pull
-/// payloads from the same pool handles via `MempoolSource`.
-///
-/// # Panics
-///
-/// Panics if `pools.len() != engines.len()`, a replica thread panics or a
-/// socket operation fails.
-pub fn run_local_cluster_with_pools(
-    engines: Vec<Box<dyn Engine>>,
-    pools: Vec<SharedMempool>,
-    run_for: std::time::Duration,
-) -> Vec<TcpRunReport> {
-    let n = engines.len();
-    assert_eq!(pools.len(), n, "one pool per replica");
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    let addrs: Vec<SocketAddr> = listeners
-        .iter()
-        .map(|l| l.local_addr().expect("addr"))
-        .collect();
-    drop(listeners);
-
-    let mut handles = Vec::new();
-    for (i, (engine, pool)) in engines.into_iter().zip(pools).enumerate() {
-        let addrs = addrs.clone();
-        let listen = addrs[i];
-        handles.push(thread::spawn(move || {
-            run_replica_full(engine, NullApp, Some(pool), listen, addrs, run_for)
-                .expect("replica run")
-        }));
-    }
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("replica thread"))
-        .collect()
+    run_local(engines, |_, engine, listen, peers| {
+        run_replica_full(engine, NullApp, None, listen, peers, run_for).expect("replica run")
+    })
 }
 
 #[cfg(test)]
@@ -763,7 +224,7 @@ mod tests {
     #[test]
     fn gossiped_requests_reach_every_pool_and_commit() {
         let _serial = crate::loopback_serial_lock();
-        use banyan_mempool::{Mempool, MempoolSource, Request};
+        use banyan_mempool::{Mempool, MempoolSource, Request, WorkloadBatch};
         use banyan_types::time::Time as BTime;
 
         let n = 4;
@@ -792,8 +253,18 @@ mod tests {
             }
         }
 
-        let reports =
-            run_local_cluster_with_pools(engines, pools.clone(), std::time::Duration::from_secs(3));
+        let run_for = std::time::Duration::from_secs(3);
+        let reports = run_local(engines, |i, engine, listen, peers| {
+            run_replica_full(
+                engine,
+                NullApp,
+                Some(pools[i].clone()),
+                listen,
+                peers,
+                run_for,
+            )
+            .expect("replica run")
+        });
 
         // Every peer pool saw the forwarded copies arrive. On a real wire
         // a quorum that excludes a slow-to-connect peer can commit the
@@ -826,14 +297,29 @@ mod tests {
         }
     }
 
+    /// One replica with a `WalStore` crashes, rejoins through
+    /// [`TcpRestart`] and catches up — inline, and with the verify stage
+    /// (which inherits restart and catch-up by sharing the loop).
     #[test]
     fn wal_restart_catches_up_over_loopback() {
+        for staged in [false, true] {
+            wal_restart_catches_up(staged);
+        }
+    }
+
+    fn wal_restart_catches_up(staged: bool) {
         let _serial = crate::loopback_serial_lock();
+        use crate::pipeline::PipelineConfig;
         use banyan_storage::{BlockStore, WalStore};
         use std::path::PathBuf;
 
-        let wal_dir =
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/wal-tests/tcp-restart");
+        let wal_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/wal-tests")
+            .join(if staged {
+                "tcp-restart-staged"
+            } else {
+                "tcp-restart"
+            });
         let _ = std::fs::remove_dir_all(&wal_dir);
 
         // One builder recipe used for both lives of replica 2: replica 2
@@ -856,57 +342,40 @@ mod tests {
             }
         };
 
-        let n = 4;
-        let listeners: Vec<TcpListener> = (0..n)
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-            .collect();
-        let addrs: Vec<SocketAddr> = listeners
-            .iter()
-            .map(|l| l.local_addr().expect("addr"))
-            .collect();
-        drop(listeners);
-
         // Generous post-rejoin window: catch-up plus fresh commits must
         // fit even on a single-core debug build.
         let run_for = std::time::Duration::from_secs(8);
-        let engines = make_builder().build_banyan();
-        let mut handles = Vec::new();
-        for (i, engine) in engines.into_iter().enumerate() {
-            let addrs = addrs.clone();
-            let listen = addrs[i];
-            if i == 2 {
-                // Crash at 2 s, rejoin at 3 s by reopening the WAL: the
-                // rebuild closure recovers the durable frontier via
-                // replay, then the driver's catch-up machine refills the
-                // downtime gap over ranged sync.
+        let reports = run_local(make_builder().build_banyan(), |i, engine, listen, peers| {
+            // Crash at 2 s, rejoin at 3 s by reopening the WAL: the
+            // rebuild closure recovers the durable frontier via replay,
+            // then the driver's catch-up machine refills the downtime gap
+            // over ranged sync.
+            let restart = (i == 2).then(|| {
                 let rebuild_builder = make_builder();
-                let restart = TcpRestart {
+                TcpRestart {
                     crash_after: std::time::Duration::from_secs(2),
                     rejoin_after: std::time::Duration::from_millis(3000),
                     rebuild: Box::new(move || rebuild_builder.build_replica("banyan", 2)),
-                };
-                handles.push(thread::spawn(move || {
-                    run_replica_restarting(
-                        engine,
-                        banyan_types::app::NullApp,
-                        None,
-                        listen,
-                        addrs,
-                        run_for,
-                        Some(restart),
-                    )
-                    .expect("replica run")
-                }));
-            } else {
-                handles.push(thread::spawn(move || {
-                    run_replica(engine, listen, addrs, run_for).expect("replica run")
-                }));
+                }
+            });
+            let stage = staged.then(|| (PipelineConfig::default(), None));
+            let pool = None::<SharedMempool>;
+            replica::run(
+                engine, NullApp, pool, stage, listen, peers, run_for, restart,
+            )
+            .expect("replica run")
+        });
+        if staged {
+            for (i, (_, s)) in reports.iter().enumerate() {
+                assert!(s.decoded > 0, "replica {i} ran without its verify stage");
+                assert_eq!(
+                    s.decoded,
+                    s.ingested + s.verified + s.rejected,
+                    "replica {i} lost frames at close: {s:?}"
+                );
             }
         }
-        let reports: Vec<TcpRunReport> = handles
-            .into_iter()
-            .map(|h| h.join().expect("replica thread"))
-            .collect();
+        let reports: Vec<TcpRunReport> = reports.into_iter().map(|(report, _)| report).collect();
 
         // The rejoined replica probed the frontier and persisted a WAL.
         assert!(reports[2].sync_requests > 0, "no catch-up traffic issued");
@@ -915,7 +384,7 @@ mod tests {
         let served: u64 = reports.iter().map(|r| r.sync_blocks_served).sum();
         assert!(served > 0, "no blocks served over ranged sync");
         // It committed new blocks after rejoining.
-        let rejoin = Time(3_000_000_000);
+        let rejoin = banyan_types::time::Time(3_000_000_000);
         assert!(
             reports[2].commits.iter().any(|c| c.committed_at > rejoin),
             "replica 2 never committed after rejoining"
