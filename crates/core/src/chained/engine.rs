@@ -286,11 +286,19 @@ impl ChainedEngine {
     }
 
     fn round_state(&mut self, round: Round) -> &mut RoundState {
-        let n = self.cfg.n();
-        let thr = self.cfg.unlock_threshold();
-        self.rounds
+        Self::round_entry(&mut self.rounds, &self.cfg, round)
+    }
+
+    /// [`round_state`](Self::round_state) over split borrows, for callers
+    /// that read another field of `self` while holding the round.
+    fn round_entry<'a>(
+        rounds: &'a mut BTreeMap<Round, RoundState>,
+        cfg: &ProtocolConfig,
+        round: Round,
+    ) -> &'a mut RoundState {
+        rounds
             .entry(round)
-            .or_insert_with(|| RoundState::new(round, n, thr))
+            .or_insert_with(|| RoundState::new(round, cfg.n(), cfg.unlock_threshold()))
     }
 
     fn my_rank(&self, round: Round) -> Rank {
@@ -572,10 +580,9 @@ impl ChainedEngine {
     ) -> Message {
         let parent_notarization = self.store.notarization(parent).cloned();
         let parent_unlock = (self.fast_path() && block.round > Round(1)).then(|| {
-            let table = self.registry.table().clone();
-            self.round_state(block.round.prev())
+            Self::round_entry(&mut self.rounds, &self.cfg, block.round.prev())
                 .unlock
-                .build_proof(&table)
+                .build_proof(self.registry.table())
         });
         Message::Chained(ChainedMsg::Proposal {
             block: block.clone(),
@@ -799,12 +806,14 @@ impl ChainedEngine {
         if block.round == Round::GENESIS {
             return;
         }
-        let hash = block.hash(self.cfg.payload_chunk);
-        // Rank must match the beacon's permutation for the round.
+        // Rank must match the beacon's permutation for the round. Checked
+        // before the hash, which is the only O(payload) step: a proposal
+        // from the wrong proposer is dropped without touching its bytes.
         let expected = Rank(self.beacon.rank(block.round.0, block.proposer.0));
         if block.rank != expected {
             return;
         }
+        let hash = block.hash(self.cfg.payload_chunk);
         if self.cfg.verify_signatures
             && !self.verify.verify(
                 block.proposer.0,

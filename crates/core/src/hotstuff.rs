@@ -250,6 +250,10 @@ impl HotStuffEngine {
         if view == 0 || !self.verify_qc(&justify) {
             return;
         }
+        // Header checks before the hash, the only O(payload) step.
+        if block.proposer != self.leader(view) || block.parent != justify.block {
+            return;
+        }
         let hash = block.hash(self.cfg.payload_chunk);
         if self.cfg.verify_signatures
             && !self.verify.verify(
@@ -258,9 +262,6 @@ impl HotStuffEngine {
                 &block.signature,
             )
         {
-            return;
-        }
-        if block.proposer != self.leader(view) || block.parent != justify.block {
             return;
         }
         self.blocks.entry(hash).or_insert((block, justify.clone()));

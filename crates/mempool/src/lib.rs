@@ -1204,7 +1204,7 @@ impl WorkloadBatch {
         }
         let mut bytes = w.into_bytes();
         bytes.resize(total, 0);
-        Payload::Inline(bytes)
+        Payload::inline(bytes)
     }
 
     /// Decodes a batch from a committed payload. Returns `None` for
@@ -1212,10 +1212,7 @@ impl WorkloadBatch {
     /// blocks, foreign inline content); a truncated or corrupt batch is
     /// rejected, never a panic.
     pub fn decode(payload: &Payload) -> Option<WorkloadBatch> {
-        let Payload::Inline(bytes) = payload else {
-            return None;
-        };
-        let rest = bytes.strip_prefix(BATCH_MAGIC.as_slice())?;
+        let rest = payload.as_inline()?.strip_prefix(BATCH_MAGIC.as_slice())?;
         let mut reader = Reader::new(rest);
         let count = reader.u32().ok()? as usize;
         // A corrupt count must fail the length check here, not reserve
@@ -1540,12 +1537,12 @@ mod tests {
         assert_eq!(WorkloadBatch::decode(&Payload::empty()), None);
         assert_eq!(WorkloadBatch::decode(&Payload::synthetic(1_000, 3)), None);
         assert_eq!(
-            WorkloadBatch::decode(&Payload::Inline(b"not a batch".to_vec())),
+            WorkloadBatch::decode(&Payload::inline(b"not a batch".to_vec())),
             None
         );
         // Truncated batch (magic but no count) is rejected, not a panic.
         assert_eq!(
-            WorkloadBatch::decode(&Payload::Inline(BATCH_MAGIC.to_vec())),
+            WorkloadBatch::decode(&Payload::inline(BATCH_MAGIC.to_vec())),
             None
         );
     }

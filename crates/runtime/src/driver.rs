@@ -472,7 +472,7 @@ mod tests {
             round: Round(1),
             block: BlockHash([1; 32]),
             proposer: ReplicaId(0),
-            payload: banyan_types::Payload::Inline(vec![7; 42]),
+            payload: banyan_types::Payload::inline(vec![7; 42]),
             proposed_at: Time::ZERO,
             committed_at: Time(9),
             fast: false,

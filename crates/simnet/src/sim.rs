@@ -360,7 +360,7 @@ impl ActionDispatch for NetDispatch<'_> {
             Outbound::Send(to, msg) => {
                 let bytes = msg.wire_len();
                 let departure = self.reserve_egress(from, bytes);
-                self.schedule_delivery(from, to, msg, departure);
+                self.schedule_delivery(from, to, msg, bytes, departure);
             }
         }
     }
@@ -369,13 +369,15 @@ impl ActionDispatch for NetDispatch<'_> {
 impl NetDispatch<'_> {
     /// Serializes one copy of the message per receiver on the sender's
     /// uplink, in round-robin receiver order starting after the sender.
+    /// The copies are clones: an inline block payload stays one shared
+    /// buffer (and one commitment memo) across all receivers.
     fn transmit_broadcast(&mut self, from: ReplicaId, msg: Message) {
         let n = self.topology.n();
         let bytes = msg.wire_len();
         for off in 1..n {
             let to = ReplicaId(((from.as_usize() + off) % n) as u16);
             let departure = self.reserve_egress(from, bytes);
-            self.schedule_delivery(from, to, msg.clone(), departure);
+            self.schedule_delivery(from, to, msg.clone(), bytes, departure);
         }
     }
 
@@ -389,14 +391,23 @@ impl NetDispatch<'_> {
         departure
     }
 
-    fn schedule_delivery(&mut self, from: ReplicaId, to: ReplicaId, msg: Message, departure: Time) {
+    /// `bytes` is `msg.wire_len()`, computed once per transmit by the
+    /// caller (it walks every request of a `Forward`).
+    fn schedule_delivery(
+        &mut self,
+        from: ReplicaId,
+        to: ReplicaId,
+        msg: Message,
+        bytes: u64,
+        departure: Time,
+    ) {
         if self.faults.is_crashed(from, self.now) {
             return;
         }
         *self.messages_sent += 1;
-        *self.bytes_sent += msg.wire_len();
+        *self.bytes_sent += bytes;
         if matches!(msg, Message::Dissemination(_)) {
-            *self.gossip_bytes += msg.wire_len();
+            *self.gossip_bytes += bytes;
         }
 
         if self.faults.is_cut(from, to, self.now) {

@@ -159,3 +159,71 @@ fn testbed_ordering_matches_geography() {
         "4-global ({global4:.1}) ≲ 19-global ({global19:.1})"
     );
 }
+
+/// A broadcast block with an inline payload is one buffer for the whole
+/// simulation: the copies `transmit_broadcast` hands the receivers, the
+/// blocks in their stores and the payloads in their `CommitEntry`s all
+/// share the proposer's allocation (and with it the commitment memo, so
+/// the Merkle walk runs once per block, not once per receipt).
+#[test]
+fn broadcast_inline_payload_is_one_allocation_everywhere() {
+    use banyan_types::app::{ProposalContext, ProposalSource};
+    use banyan_types::payload::Payload;
+    use std::collections::HashMap;
+
+    struct InlineSource(u16);
+    impl ProposalSource for InlineSource {
+        fn next_payload(&mut self, ctx: &ProposalContext) -> Payload {
+            let mut bytes = vec![self.0 as u8; 4096];
+            bytes[..8].copy_from_slice(&ctx.round.0.to_le_bytes());
+            Payload::inline(bytes)
+        }
+    }
+
+    let n = 4;
+    let topo = Topology::uniform(n, Duration::from_millis(10));
+    let engines: Vec<Box<dyn Engine>> = ClusterBuilder::new(n, 1, 1)
+        .unwrap()
+        .delta(Duration::from_millis(15))
+        .proposal_sources(|i| Box::new(InlineSource(i)))
+        .build_banyan();
+    let mut sim = Simulation::new(topo, engines, FaultPlan::none(), SimConfig::with_seed(5));
+    sim.run_until(secs(2));
+    assert!(sim.auditor().is_safe());
+
+    // Commit entries: every replica's entry for a block shares one buffer.
+    let mut by_block: HashMap<_, Vec<&Payload>> = HashMap::new();
+    for c in &sim.metrics().commits {
+        by_block
+            .entry(c.entry.block)
+            .or_default()
+            .push(&c.entry.payload);
+    }
+    let everywhere: Vec<_> = by_block.iter().filter(|(_, ps)| ps.len() == n).collect();
+    assert!(
+        everywhere.len() > 5,
+        "too few rounds committed at all replicas"
+    );
+    for (hash, payloads) in &everywhere {
+        assert_eq!(payloads[0].len(), 4096);
+        for p in &payloads[1..] {
+            assert!(p.ptr_eq(payloads[0]), "commit of {hash:?} holds a copy");
+        }
+    }
+    // Stores: what each replica adopted off the wire (or minted) is that
+    // same buffer too.
+    for r in 0..n as u16 {
+        let snap = sim.engine(ReplicaId(r)).snapshot();
+        for (hash, payloads) in &everywhere {
+            let (_, block) = snap
+                .blocks
+                .iter()
+                .find(|(h, _)| h == *hash)
+                .expect("committed block is stored");
+            assert!(
+                block.payload.ptr_eq(payloads[0]),
+                "replica {r} stores a copy of {hash:?}"
+            );
+        }
+    }
+}

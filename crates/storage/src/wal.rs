@@ -662,7 +662,7 @@ mod tests {
         let mut parent = BlockHash::ZERO;
         let mut extend = |wal: &mut WalStore, round: u64, bytes: usize| {
             let mut b = block(round, parent, 1).1;
-            b.payload = Payload::Inline(vec![round as u8; bytes]);
+            b.payload = Payload::inline(vec![round as u8; bytes]);
             let h = b.hash(1024);
             wal.insert(h, b);
             wal.mark_finalized(Round(round), h);

@@ -55,7 +55,6 @@ use banyan_types::block::Block;
 use banyan_types::engine::Engine;
 use banyan_types::ids::ReplicaId;
 use banyan_types::message::{DisseminationMsg, Message};
-use banyan_types::payload::Payload;
 
 use crate::runner::TcpRunReport;
 
@@ -198,8 +197,10 @@ pub enum VerifyOutcome {
 /// * Proposal-carrying messages pay the real CPU cost: the block hash is
 ///   recomputed over the payload (the commitment walk), a
 ///   [`WorkloadBatch`]-magic payload must decode cleanly, and the lease is
-///   recorded (when `pool` speculates) under the hash just computed — the
-///   consensus thread never re-hashes.
+///   recorded (when `pool` speculates) under the hash just computed. The
+///   walk memoizes the commitment on the payload's shared buffer, and the
+///   returned message carries that same buffer, so the consensus thread
+///   never re-hashes the payload — its `Block::hash` is one header SHA.
 /// * Vote signatures and aggregate certificates are checked against
 ///   `config.verify_backend` when one is installed.
 /// * Everything else (timeouts, sync) passes through.
@@ -276,10 +277,10 @@ pub fn verify_frame(
 /// True when the block's payload starts with the workload-batch magic
 /// (used to distinguish "corrupt batch" from "foreign payload").
 fn payload_claims_batch(block: &Block) -> bool {
-    match &block.payload {
-        Payload::Inline(bytes) => bytes.starts_with(b"BanyanWB"),
-        Payload::Synthetic { .. } => false,
-    }
+    block
+        .payload
+        .as_inline()
+        .is_some_and(|bytes| bytes.starts_with(b"BanyanWB"))
 }
 
 /// The spawned verify stage: per-worker input channels (route with
@@ -517,6 +518,7 @@ mod tests {
         use banyan_crypto::Signature;
         use banyan_types::ids::{BlockHash, Rank, Round};
         use banyan_types::message::StreamletMsg;
+        use banyan_types::payload::Payload;
         let config = PipelineConfig::default();
         let stats = PipelineStats::default();
         let pool = ConcurrentPool::new(Mempool::new(64).with_speculation(config.payload_chunk), 64);
@@ -555,7 +557,7 @@ mod tests {
 
         // A corrupt batch (magic, garbage body) is rejected.
         let mut corrupt = block.clone();
-        corrupt.payload = Payload::Inline(b"BanyanWB\xFF\xFF\xFF\xFF".to_vec());
+        corrupt.payload = Payload::inline(b"BanyanWB\xFF\xFF\xFF\xFF".to_vec());
         let msg = Message::Streamlet(StreamletMsg::Proposal { block: corrupt });
         assert_eq!(
             verify_frame(ReplicaId(0), msg, Some(&*pool), &config, &stats),
@@ -596,6 +598,78 @@ mod tests {
         assert_eq!(s.verified, 2);
         assert_eq!(s.rejected, 2);
         assert_eq!(s.requests_ingested, 2);
+    }
+
+    /// A proposal keeps one payload buffer from the frame decoder through
+    /// the verify stage into the engine's store: the allocation
+    /// `verify_frame` hashed (and memoized the commitment on) is the one
+    /// the consensus thread adopts, so it never walks the payload again.
+    #[test]
+    fn verified_proposal_reaches_the_engine_as_the_buffer_that_was_hashed() {
+        use banyan_types::app::{ProposalContext, ProposalSource};
+        use banyan_types::codec::Wire;
+        use banyan_types::engine::Outbound;
+        use banyan_types::payload::Payload;
+
+        struct InlineSource;
+        impl ProposalSource for InlineSource {
+            fn next_payload(&mut self, _ctx: &ProposalContext) -> Payload {
+                Payload::inline(vec![0xAB; 200_000])
+            }
+        }
+        let mut engines = ClusterBuilder::new(4, 1, 1)
+            .unwrap()
+            .delta(BDuration::from_millis(50))
+            .proposal_sources(|_| Box::new(InlineSource))
+            .build_banyan();
+        // Whoever leads round 1 proposes at init or on its first timer.
+        let mut proposal = None;
+        for (i, engine) in engines.iter_mut().enumerate() {
+            let init = engine.on_init(BTime::ZERO);
+            let mut outbound = init.outbound;
+            for timer in init.timers {
+                outbound.extend(engine.on_timer(timer.kind, timer.at).outbound);
+            }
+            let sent = outbound.into_iter().find_map(|out| match out {
+                Outbound::Broadcast(msg) if msg.proposal_block().is_some() => Some(msg),
+                _ => None,
+            });
+            if let Some(msg) = sent {
+                proposal = Some((i, msg));
+                break;
+            }
+        }
+        let (leader, sent) = proposal.expect("a round-1 leader proposes");
+        let receiver = (leader + 1) % 4;
+
+        // Off the socket: a fresh buffer, nothing memoized.
+        let decoded = Message::from_bytes(&sent.to_bytes()).expect("decode");
+        let arrived = decoded.proposal_block().expect("proposal").payload.clone();
+        assert!(!arrived.ptr_eq(&sent.proposal_block().expect("proposal").payload));
+
+        let config = PipelineConfig::default();
+        let stats = PipelineStats::default();
+        let from = ReplicaId(leader as u16);
+        let VerifyOutcome::Engine(_, verified) = verify_frame(from, decoded, None, &config, &stats)
+        else {
+            panic!("an honest proposal must pass the verify stage");
+        };
+        assert!(verified
+            .proposal_block()
+            .expect("proposal")
+            .payload
+            .ptr_eq(&arrived));
+
+        let engine = &mut engines[receiver];
+        engine.on_message(from, verified, BTime(1));
+        let stored = engine.snapshot();
+        assert!(
+            stored
+                .blocks
+                .iter()
+                .any(|(_, b)| b.payload.ptr_eq(&arrived)),
+            "the engine must store the verified buffer, not a copy"
+        );
     }
 
     /// An *optimistic* chained proposal — uncertified parent, so

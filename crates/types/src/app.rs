@@ -91,7 +91,7 @@ impl ProposalContext {
 /// impl ProposalSource for Alternating {
 ///     fn next_payload(&mut self, _ctx: &ProposalContext) -> Payload {
 ///         self.0 = !self.0;
-///         if self.0 { Payload::Inline(vec![1]) } else { Payload::empty() }
+///         if self.0 { Payload::inline(vec![1]) } else { Payload::empty() }
 ///     }
 /// }
 ///
@@ -321,7 +321,7 @@ mod tests {
             round: Round(1),
             block: BlockHash::ZERO,
             proposer: ReplicaId(0),
-            payload: Payload::Inline(vec![1, 2, 3]),
+            payload: Payload::inline(vec![1, 2, 3]),
             proposed_at: Time::ZERO,
             committed_at: Time(10),
             fast: false,

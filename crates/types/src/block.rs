@@ -150,6 +150,21 @@ mod tests {
     }
 
     #[test]
+    fn hash_follows_payload_replacement_after_memoizing() {
+        // The commitment memo lives on the payload buffer, not the block:
+        // assigning a new payload can never leave a stale hash behind.
+        let chunk = 16;
+        let mut b = sample();
+        b.payload = Payload::inline(vec![1; 64]);
+        let h = b.hash(chunk);
+        let holder = b.clone();
+        assert!(holder.payload.ptr_eq(&b.payload));
+        b.payload = Payload::inline(vec![2; 64]);
+        assert_ne!(b.hash(chunk), h);
+        assert_eq!(holder.hash(chunk), h);
+    }
+
+    #[test]
     fn wire_roundtrip() {
         let b = sample();
         let bytes = b.to_bytes();
@@ -160,7 +175,7 @@ mod tests {
     #[test]
     fn inline_payload_roundtrip() {
         let mut b = sample();
-        b.payload = Payload::Inline(vec![1, 2, 3, 4, 5]);
+        b.payload = Payload::inline(vec![1, 2, 3, 4, 5]);
         assert_eq!(Block::from_bytes(&b.to_bytes()).unwrap(), b);
         assert_eq!(b.payload_len(), 5);
     }

@@ -898,7 +898,7 @@ mod tests {
                 agg: agg(),
             })),
             Message::HotStuff(HotStuffMsg::Proposal {
-                block: block(Payload::Inline(vec![1, 2, 3])),
+                block: block(Payload::inline(vec![1, 2, 3])),
                 justify: QuorumCert::genesis(),
             }),
             Message::HotStuff(HotStuffMsg::Vote {

@@ -14,17 +14,101 @@
 //!
 //! Both flavors commit to their content with a 32-byte digest included in
 //! the block hash, so switching flavors never changes protocol behavior.
+//!
+//! Inline bytes live in one immutable, reference-counted [`InlineBytes`]
+//! buffer that remembers its own commitment: cloning a payload (per
+//! receiver, per relay, into the store, into a `CommitEntry`) bumps a
+//! refcount, and the Merkle walk over the bytes runs once per allocation
+//! rather than once per holder. See `docs/ARCHITECTURE.md`, "Payload
+//! ownership and the hash memo".
+
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 use banyan_crypto::merkle::payload_root;
 use banyan_crypto::sha256::sha256_concat;
 
 use crate::codec::{CodecError, Reader, Wire, Writer};
 
+/// The bytes of an inline payload: immutable, shared by every clone, and
+/// carrying a write-once memo of their own Merkle commitment.
+///
+/// Equality and `Debug` are by content — two buffers with the same bytes
+/// are equal whether or not they share an allocation or a memo.
+#[derive(Clone)]
+pub struct InlineBytes(Arc<Shared>);
+
+struct Shared {
+    bytes: Vec<u8>,
+    /// `(chunk_size, payload_root(bytes, chunk_size))` of the first
+    /// commitment computed on this allocation. A cluster uses one chunk
+    /// size (`ProtocolConfig::payload_chunk`), so one slot is enough; a
+    /// call with another size recomputes and leaves the slot alone.
+    root: OnceLock<(usize, [u8; 32])>,
+}
+
+impl InlineBytes {
+    /// Merkle root over `chunk_size` pieces, computed at most once per
+    /// allocation for the first chunk size asked for.
+    fn root(&self, chunk_size: usize) -> [u8; 32] {
+        if let Some(&(chunk, root)) = self.0.root.get() {
+            if chunk == chunk_size {
+                return root;
+            }
+        }
+        let root = payload_root(&self.0.bytes, chunk_size);
+        // First writer wins: a slot already taken (another chunk size, or
+        // a concurrent first call with this one) is left as it is.
+        let _ = self.0.root.set((chunk_size, root));
+        root
+    }
+
+    /// True if both handles point at the same allocation (and therefore
+    /// share one commitment memo).
+    pub fn ptr_eq(&self, other: &InlineBytes) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl From<Vec<u8>> for InlineBytes {
+    /// Takes ownership of `bytes` as a fresh buffer with an empty memo.
+    fn from(bytes: Vec<u8>) -> Self {
+        InlineBytes(Arc::new(Shared {
+            bytes,
+            root: OnceLock::new(),
+        }))
+    }
+}
+
+impl Deref for InlineBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0.bytes
+    }
+}
+
+impl PartialEq for InlineBytes {
+    fn eq(&self, other: &Self) -> bool {
+        self.ptr_eq(other) || self.0.bytes == other.0.bytes
+    }
+}
+
+impl Eq for InlineBytes {}
+
+impl fmt::Debug for InlineBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.bytes.fmt(f)
+    }
+}
+
 /// A block payload. See the module docs for the two flavors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Payload {
-    /// Real bytes carried on the wire.
-    Inline(Vec<u8>),
+    /// Real bytes carried on the wire. Build with [`Payload::inline`],
+    /// read with [`Payload::as_inline`].
+    Inline(InlineBytes),
     /// A size-only stand-in: `len` bytes derived from `seed`.
     Synthetic {
         /// Logical payload size in bytes (charged against bandwidth).
@@ -36,19 +120,43 @@ pub enum Payload {
 
 impl Default for Payload {
     fn default() -> Self {
-        Payload::Inline(Vec::new())
+        Payload::empty()
     }
 }
 
 impl Payload {
     /// An empty inline payload.
     pub fn empty() -> Self {
-        Payload::Inline(Vec::new())
+        Payload::inline(Vec::new())
+    }
+
+    /// An inline payload owning `bytes`: a fresh shared buffer whose
+    /// commitment has not been computed yet.
+    pub fn inline(bytes: Vec<u8>) -> Self {
+        Payload::Inline(bytes.into())
     }
 
     /// A synthetic payload of `len` bytes.
     pub fn synthetic(len: u64, seed: u64) -> Self {
         Payload::Synthetic { len, seed }
+    }
+
+    /// The bytes of an inline payload; `None` for a synthetic one.
+    pub fn as_inline(&self) -> Option<&[u8]> {
+        match self {
+            Payload::Inline(bytes) => Some(bytes),
+            Payload::Synthetic { .. } => None,
+        }
+    }
+
+    /// True if both are inline payloads backed by the same allocation —
+    /// clones of one another, sharing bytes and commitment memo. Content
+    /// equality is `==`.
+    pub fn ptr_eq(&self, other: &Payload) -> bool {
+        match (self, other) {
+            (Payload::Inline(a), Payload::Inline(b)) => a.ptr_eq(b),
+            _ => false,
+        }
     }
 
     /// The logical size in bytes (what the experiment's "block size" means).
@@ -69,9 +177,12 @@ impl Payload {
     /// Inline payloads commit with a Merkle root over `chunk_size` pieces;
     /// synthetic payloads commit to their `(len, seed)` descriptor. The two
     /// flavors are deliberately in disjoint domains.
+    ///
+    /// The inline root is memoized on the shared buffer, so after the
+    /// first call every clone answers without touching the bytes.
     pub fn commitment(&self, chunk_size: usize) -> [u8; 32] {
         match self {
-            Payload::Inline(bytes) => payload_root(bytes, chunk_size),
+            Payload::Inline(bytes) => bytes.root(chunk_size),
             Payload::Synthetic { len, seed } => sha256_concat(&[
                 b"banyan/payload/synthetic",
                 &len.to_le_bytes(),
@@ -95,7 +206,7 @@ impl Payload {
     /// Expands the payload to owned bytes (deterministic for synthetic).
     pub fn materialize(&self) -> Vec<u8> {
         match self {
-            Payload::Inline(bytes) => bytes.clone(),
+            Payload::Inline(bytes) => bytes.to_vec(),
             Payload::Synthetic { len, seed } => {
                 let mut out = Vec::with_capacity(*len as usize);
                 let mut counter = 0u64;
@@ -132,7 +243,9 @@ impl Wire for Payload {
 
     fn decode(input: &mut Reader<'_>) -> Result<Self, CodecError> {
         match input.u8()? {
-            0 => Ok(Payload::Inline(input.var_bytes()?)),
+            // Always a fresh buffer: bytes from a socket or the WAL never
+            // arrive with a commitment someone else computed.
+            0 => Ok(Payload::inline(input.var_bytes()?)),
             1 => Ok(Payload::Synthetic {
                 len: input.u64()?,
                 seed: input.u64()?,
@@ -157,7 +270,7 @@ mod tests {
     fn lengths() {
         assert_eq!(Payload::empty().len(), 0);
         assert!(Payload::empty().is_empty());
-        assert_eq!(Payload::Inline(vec![0; 10]).len(), 10);
+        assert_eq!(Payload::inline(vec![0; 10]).len(), 10);
         assert_eq!(Payload::synthetic(1_000_000, 1).len(), 1_000_000);
     }
 
@@ -176,14 +289,14 @@ mod tests {
         // Materializing a synthetic payload and re-wrapping as inline gives
         // a *different* commitment domain — the flavors must not collide.
         let syn = Payload::synthetic(64, 3);
-        let inline = Payload::Inline(syn.materialize());
+        let inline = Payload::inline(syn.materialize());
         assert_ne!(syn.commitment(32), inline.commitment(32));
     }
 
     #[test]
     fn commitment_depends_on_content() {
-        let a = Payload::Inline(b"aaaa".to_vec());
-        let b = Payload::Inline(b"aaab".to_vec());
+        let a = Payload::inline(b"aaaa".to_vec());
+        let b = Payload::inline(b"aaab".to_vec());
         assert_ne!(a.commitment(2), b.commitment(2));
         assert_eq!(a.commitment(2), a.commitment(2));
     }
@@ -192,7 +305,7 @@ mod tests {
     fn wire_roundtrip() {
         for p in [
             Payload::empty(),
-            Payload::Inline(vec![9u8; 33]),
+            Payload::inline(vec![9u8; 33]),
             Payload::synthetic(1 << 20, 42),
         ] {
             let bytes = p.to_bytes();
@@ -203,7 +316,7 @@ mod tests {
 
     #[test]
     fn virtual_wire_extra_only_for_synthetic() {
-        assert_eq!(Payload::Inline(vec![0; 100]).virtual_wire_extra(), 0);
+        assert_eq!(Payload::inline(vec![0; 100]).virtual_wire_extra(), 0);
         assert_eq!(Payload::synthetic(12345, 0).virtual_wire_extra(), 12345);
     }
 

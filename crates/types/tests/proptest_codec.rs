@@ -33,7 +33,7 @@ fn arb_sig() -> impl Strategy<Value = Signature> {
 
 fn arb_payload() -> impl Strategy<Value = Payload> {
     prop_oneof![
-        proptest::collection::vec(any::<u8>(), 0..256).prop_map(Payload::Inline),
+        proptest::collection::vec(any::<u8>(), 0..256).prop_map(Payload::inline),
         (any::<u64>(), any::<u64>()).prop_map(|(len, seed)| Payload::Synthetic {
             len: len % (1 << 24),
             seed
@@ -289,6 +289,38 @@ proptest! {
         let h1 = b.hash(chunk);
         let b2 = Block::from_bytes(&b.to_bytes()).expect("decode");
         prop_assert_eq!(b2.hash(chunk), h1);
+    }
+
+    /// The commitment memo is invisible: whichever handle answers — the
+    /// first call, a repeat, a clone sharing the buffer, a decoded copy
+    /// on a fresh one — the root is `payload_root` of the bytes, and a
+    /// second chunk size on the same buffer never gets the first's root.
+    #[test]
+    fn commitment_memo_is_transparent(
+        bytes in proptest::collection::vec(any::<u8>(), 0..2048),
+        small in 1usize..64,
+        extra in 1usize..64,
+        large_first in any::<bool>(),
+    ) {
+        let large = small + extra;
+        let root = |chunk| banyan_crypto::merkle::payload_root(&bytes, chunk);
+        let p = Payload::inline(bytes.clone());
+        let copy = p.clone();
+        prop_assert!(copy.ptr_eq(&p));
+        let (first, second) = if large_first { (large, small) } else { (small, large) };
+        // Interleave the two sizes across both handles of one buffer.
+        for chunk in [first, second, first, second] {
+            prop_assert_eq!(p.commitment(chunk), root(chunk));
+            prop_assert_eq!(copy.commitment(chunk), root(chunk));
+        }
+        let encoded = p.to_bytes();
+        let decoded = Payload::from_bytes(&encoded).expect("decode");
+        prop_assert!(!decoded.ptr_eq(&p), "decode must build a fresh buffer");
+        prop_assert_eq!(&decoded, &p);
+        prop_assert_eq!(decoded.commitment(second), root(second));
+        prop_assert_eq!(decoded.commitment(first), root(first));
+        // The memo never reaches the wire.
+        prop_assert_eq!(decoded.to_bytes(), encoded);
     }
 }
 
