@@ -1,5 +1,6 @@
 //! **Crypto microbenchmark**: individual vs RLC-batched Schnorr
-//! verification, and naive vs compact aggregate-certificate checking.
+//! verification, naive vs compact aggregate-certificate checking, and the
+//! hash kernels under both (SHA-256 dispatched vs portable, WAL CRC-32).
 //!
 //! The verify plane's whole premise is that one random-linear-combination
 //! equation over k signatures beats k independent equations, and that a
@@ -9,25 +10,34 @@
 //! any simulator — the number the CI gate pins.
 //!
 //! Run: `cargo run --release -p banyan-bench --bin crypto_microbench -- \
-//!       [--assert-speedup X] [--k K] [rounds]`
+//!       [--assert-speedup X] [--assert-sha-speedup X] [--k K] [rounds]`
 //!
 //! * `--assert-speedup X` exits nonzero unless batched verification at
 //!   the configured batch size is at least `X`× faster than individual
 //!   verification (the CI regression gate; the PR that introduced the
 //!   batcher measured ≥ 1.5× at k=32);
+//! * `--assert-sha-speedup X` exits nonzero unless the SHA-256 kernel the
+//!   process selected hashes 1 MiB at least `X`× faster than the portable
+//!   kernel — checked only when a hardware kernel was selected, and
+//!   reported as skipped otherwise (a ratio on one machine, so it means
+//!   the same on any runner);
 //! * `--k K` sets the batch/certificate size (default 32 — a quorum-ish
 //!   burst);
 //! * `rounds` sets how many timed repetitions to run (default 200; the
 //!   fastest round is reported, which is the standard way to strip
 //!   scheduler noise from a CPU-bound microbench).
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use banyan_crypto::sha256::{kernel_name, sha256, Sha256};
 use banyan_crypto::sig::{BatchItem, SignatureScheme};
 use banyan_crypto::ToySchnorr;
+use banyan_storage::wal::crc32;
 
 struct Args {
     assert_speedup: Option<f64>,
+    assert_sha_speedup: Option<f64>,
     k: usize,
     rounds: usize,
 }
@@ -35,6 +45,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         assert_speedup: None,
+        assert_sha_speedup: None,
         k: 32,
         rounds: 200,
     };
@@ -47,6 +58,13 @@ fn parse_args() -> Args {
                     it.next()
                         .and_then(|v| v.parse().ok())
                         .expect("--assert-speedup takes a ratio"),
+                )
+            }
+            "--assert-sha-speedup" => {
+                args.assert_sha_speedup = Some(
+                    it.next()
+                        .and_then(|v| v.parse().ok())
+                        .expect("--assert-sha-speedup takes a ratio"),
                 )
             }
             "--k" => {
@@ -161,10 +179,45 @@ fn main() {
         compact_agg.data.len()
     );
 
+    // --- hash kernels --------------------------------------------------
+    let buf: Vec<u8> = (0..1u32 << 20)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+        .collect();
+    let mbps = |d: Duration| buf.len() as f64 / d.as_secs_f64() / 1e6;
+    let dispatched = mbps(best_of(args.rounds, || {
+        black_box(sha256(black_box(&buf)));
+    }));
+    let portable = mbps(best_of(args.rounds, || {
+        let mut h = Sha256::portable();
+        h.update(black_box(&buf));
+        black_box(h.finalize());
+    }));
+    let crc = mbps(best_of(args.rounds, || {
+        black_box(crc32(black_box(&buf)));
+    }));
+    let kernel = kernel_name();
+    let sha_speedup = dispatched / portable;
+    println!("# hash kernels over 1 MiB — SHA-256 kernel selected: {kernel}");
+    println!("sha256:     {dispatched:>10.1} MB/s  ({kernel})   speedup {sha_speedup:.2}x");
+    println!("sha256:     {portable:>10.1} MB/s  (portable)");
+    println!("crc32:      {crc:>10.1} MB/s");
+
+    let mut failed = false;
     if let Some(min) = args.assert_speedup {
         if speedup < min {
             eprintln!("FAIL: batched speedup {speedup:.2}x below the {min:.2}x gate at k={k}");
-            std::process::exit(1);
+            failed = true;
         }
+    }
+    if let Some(min) = args.assert_sha_speedup {
+        if kernel == "portable" {
+            println!("--assert-sha-speedup skipped: no hardware SHA-256 kernel on this CPU");
+        } else if sha_speedup < min {
+            eprintln!("FAIL: {kernel} SHA-256 only {sha_speedup:.2}x the portable kernel (gate {min:.2}x)");
+            failed = true;
+        }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -257,7 +257,10 @@ fn main() {
          {} requests/frame (~{payload_kib} KiB payload each)",
         args.frames, args.batch
     );
-    println!("# frame cost = batch decode + SHA-256 commitment walk (Block::hash)");
+    println!(
+        "# frame cost = batch decode + SHA-256 commitment walk (Block::hash), {} kernel",
+        banyan_crypto::sha256::kernel_name()
+    );
     println!(
         "{:>8} {:>10} {:>12} {:>10} {:>9}",
         "workers", "secs", "req/s", "MB/s", "speedup"

@@ -26,17 +26,25 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
 #[derive(Clone, Debug)]
 pub struct HmacSha256 {
     inner: Sha256,
-    /// Outer-pad key block, applied at finalization.
-    opad_key: [u8; BLOCK_LEN],
+    /// The outer hash with the outer-pad key block already absorbed; takes
+    /// the inner digest at finalization.
+    outer: Sha256,
 }
 
 impl HmacSha256 {
     /// Creates a MAC instance keyed with `key`.
     pub fn new(key: &[u8]) -> Self {
+        Self::keyed(key, Sha256::new())
+    }
+
+    /// Keys a MAC whose every hash starts from a copy of `fresh` (an empty
+    /// hasher), so the whole construction runs on that hasher's kernel.
+    fn keyed(key: &[u8], fresh: Sha256) -> Self {
         let mut key_block = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
-            let digest = crate::sha256::sha256(key);
-            key_block[..DIGEST_LEN].copy_from_slice(&digest);
+            let mut h = fresh.clone();
+            h.update(key);
+            key_block[..DIGEST_LEN].copy_from_slice(&h.finalize());
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
@@ -48,12 +56,11 @@ impl HmacSha256 {
             opad[i] = key_block[i] ^ 0x5c;
         }
 
-        let mut inner = Sha256::new();
+        let mut inner = fresh.clone();
         inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            opad_key: opad,
-        }
+        let mut outer = fresh;
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -62,12 +69,9 @@ impl HmacSha256 {
     }
 
     /// Completes the MAC and returns the 32-byte tag.
-    pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
-        outer.finalize()
+    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+        self.outer.update(&self.inner.finalize());
+        self.outer.finalize()
     }
 }
 
@@ -93,36 +97,41 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// RFC 4231 test cases 1, 2, 3, 6 (covering short keys, long keys).
+    /// RFC 4231 test cases 1, 2, 3, 6 (covering short keys, long keys),
+    /// on the dispatched kernel and on the portable one.
     #[test]
     fn rfc4231_vectors() {
-        // Case 1
-        let key = [0x0bu8; 20];
-        assert_eq!(
-            hex(&hmac_sha256(&key, b"Hi There")),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-        // Case 2
-        assert_eq!(
-            hex(&hmac_sha256(b"Jefe", b"what do ya want for nothing?")),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-        // Case 3
-        let key = [0xaau8; 20];
-        let data = [0xddu8; 50];
-        assert_eq!(
-            hex(&hmac_sha256(&key, &data)),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-        );
-        // Case 6: key larger than block size
-        let key = [0xaau8; 131];
-        assert_eq!(
-            hex(&hmac_sha256(
-                &key,
-                b"Test Using Larger Than Block-Size Key - Hash Key First"
-            )),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+        let cases: &[(&[u8], &[u8], &str)] = &[
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            // Case 6: key larger than block size
+            (
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+        ];
+        for (key, msg, expect) in cases {
+            assert_eq!(hex(&hmac_sha256(key, msg)), *expect);
+            for fresh in [Sha256::new, Sha256::portable] {
+                let mut mac = HmacSha256::keyed(key, fresh());
+                mac.update(msg);
+                assert_eq!(hex(&mac.finalize()), *expect);
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! Def. 7.7). This crate provides all of that from scratch, using only the
 //! approved offline dependency set:
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256, validated against NIST vectors.
+//! * [`sha256`] — FIPS 180-4 SHA-256, validated against NIST vectors; runs
+//!   on the x86-64 SHA extensions where the CPU has them.
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104/4231).
 //! * [`merkle`] — RFC-6962-style Merkle trees for payload commitments.
 //! * [`sig`] — the [`sig::SignatureScheme`] trait: sign / verify /

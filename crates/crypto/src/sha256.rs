@@ -8,6 +8,17 @@
 //! Both a one-shot convenience function ([`sha256`]) and an incremental
 //! hasher ([`Sha256`]) are provided. The incremental form is used by the
 //! wire codec to hash blocks without materializing a contiguous buffer.
+//!
+//! The compression function has two kernels — the x86-64 SHA extensions
+//! where the CPU has them, portable scalar rounds everywhere else — chosen
+//! by run-time detection in the private `kernel` module. Nothing selects a
+//! kernel by hand: [`kernel_name`] reports the choice, and
+//! [`Sha256::portable`] exists so tests and `crypto_microbench` can hold
+//! the hardware kernel against the portable one.
+
+mod kernel;
+
+use kernel::Kernel;
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -19,19 +30,6 @@ pub const BLOCK_LEN: usize = 64;
 /// roots of the first 8 primes (FIPS 180-4 §5.3.3).
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
-];
-
-/// Round constants: first 32 bits of the fractional parts of the cube roots
-/// of the first 64 primes (FIPS 180-4 §4.2.2).
-const K: [u32; 64] = [
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
 /// Incremental SHA-256 hasher.
@@ -61,6 +59,7 @@ pub struct Sha256 {
     /// Partially filled block.
     buf: [u8; BLOCK_LEN],
     buf_len: usize,
+    kernel: Kernel,
 }
 
 impl Default for Sha256 {
@@ -70,13 +69,26 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a fresh hasher.
+    /// Creates a fresh hasher on the fastest kernel this CPU supports.
     pub fn new() -> Self {
+        Self::on(Kernel::detect())
+    }
+
+    /// A fresh hasher pinned to the portable kernel, whatever the CPU
+    /// offers. Digests are identical to [`Sha256::new`]'s; this is the
+    /// reference side of kernel comparisons (tests, `crypto_microbench`),
+    /// not a switch.
+    pub fn portable() -> Self {
+        Self::on(Kernel::PORTABLE)
+    }
+
+    fn on(kernel: Kernel) -> Self {
         Sha256 {
             state: H0,
             len: 0,
             buf: [0u8; BLOCK_LEN],
             buf_len: 0,
+            kernel,
         }
     }
 
@@ -91,27 +103,21 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&input[..take]);
             self.buf_len += take;
             input = &input[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < BLOCK_LEN {
+                return;
             }
+            self.compress_buf();
         }
 
-        // Whole blocks straight from the input.
-        while input.len() >= BLOCK_LEN {
-            let (block, rest) = input.split_at(BLOCK_LEN);
-            let mut arr = [0u8; BLOCK_LEN];
-            arr.copy_from_slice(block);
-            self.compress(&arr);
-            input = rest;
+        // Every whole block in one kernel call, straight from the input.
+        let (blocks, tail) = input.as_chunks::<BLOCK_LEN>();
+        if !blocks.is_empty() {
+            self.kernel.compress_blocks(&mut self.state, blocks);
         }
 
         // Stash the tail.
-        if !input.is_empty() {
-            self.buf[..input.len()].copy_from_slice(input);
-            self.buf_len = input.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Completes the hash and returns the 32-byte digest.
@@ -125,16 +131,14 @@ impl Sha256 {
             for b in self.buf[i..].iter_mut() {
                 *b = 0;
             }
-            let block = self.buf;
-            self.compress(&block);
+            self.compress_buf();
             i = 0;
         }
         for b in self.buf[i..BLOCK_LEN - 8].iter_mut() {
             *b = 0;
         }
         self.buf[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        self.compress_buf();
 
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
@@ -143,52 +147,18 @@ impl Sha256 {
         out
     }
 
-    /// One compression-function invocation over a 64-byte block.
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    /// Compresses the (full) staging block.
+    fn compress_buf(&mut self) {
+        self.kernel
+            .compress_blocks(&mut self.state, std::slice::from_ref(&self.buf));
+        self.buf_len = 0;
     }
+}
+
+/// Name of the compression kernel [`Sha256::new`] selected on this CPU:
+/// `"sha-ni"` or `"portable"`.
+pub fn kernel_name() -> &'static str {
+    Kernel::detect().name()
 }
 
 /// One-shot SHA-256 of `data`.
@@ -222,6 +192,20 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// Every vector below runs once per entry: the kernel the CPU selected
+    /// and the portable one (the same kernel twice on a host without a
+    /// hardware kernel), so the portable path keeps its full-hash coverage
+    /// on machines that never dispatch to it.
+    const KERNELS: [(&str, Fresh); 2] =
+        [("dispatched", Sha256::new), ("portable", Sha256::portable)];
+    type Fresh = fn() -> Sha256;
+
+    fn digest(fresh: Fresh, data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut h = fresh();
+        h.update(data);
+        h.finalize()
+    }
+
     /// NIST FIPS 180-4 / de-facto standard test vectors.
     #[test]
     fn nist_vectors() {
@@ -239,31 +223,39 @@ mod tests {
         ];
         for (input, expect) in cases {
             assert_eq!(hex(&sha256(input)), *expect, "input: {input:?}");
+            for (kernel, fresh) in KERNELS {
+                assert_eq!(hex(&digest(fresh, input)), *expect, "{kernel}: {input:?}");
+            }
         }
     }
 
     #[test]
     fn million_a() {
-        let mut h = Sha256::new();
-        let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        for (kernel, fresh) in KERNELS {
+            let mut h = fresh();
+            let chunk = [b'a'; 1000];
+            for _ in 0..1000 {
+                h.update(&chunk);
+            }
+            assert_eq!(
+                hex(&h.finalize()),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{kernel}"
+            );
         }
-        assert_eq!(
-            hex(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     #[test]
     fn incremental_matches_oneshot_at_all_split_points() {
         let data: Vec<u8> = (0..257u16).map(|i| (i % 251) as u8).collect();
         let whole = sha256(&data);
-        for split in 0..=data.len() {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), whole, "split at {split}");
+        for (kernel, fresh) in KERNELS {
+            for split in 0..=data.len() {
+                let mut h = fresh();
+                h.update(&data[..split]);
+                h.update(&data[split..]);
+                assert_eq!(h.finalize(), whole, "{kernel}: split at {split}");
+            }
         }
     }
 
@@ -281,13 +273,15 @@ mod tests {
 
     #[test]
     fn padding_boundary_lengths() {
-        // Lengths straddling the 55/56/64-byte padding boundaries all differ
-        // and hash deterministically.
+        // Lengths straddling the 55/56/64-byte padding boundaries all
+        // differ, hash deterministically, and agree across kernels.
         let mut seen = std::collections::HashSet::new();
         for len in 50..70 {
             let data = vec![0xabu8; len];
             let d = sha256(&data);
-            assert_eq!(d, sha256(&data));
+            for (kernel, fresh) in KERNELS {
+                assert_eq!(digest(fresh, &data), d, "{kernel}: length {len}");
+            }
             assert!(seen.insert(d), "collision at length {len}");
         }
     }

@@ -13,24 +13,36 @@ use banyan_crypto::sig::{SignatureScheme, SignerIndex};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Incremental hashing over arbitrary chunkings equals one-shot.
+    /// Incremental hashing over arbitrary partitions equals one-shot, on the
+    /// dispatched kernel and the portable one. Each piece's length comes
+    /// from one `u16`: its low two bits pick a shape (short of a block, a
+    /// run of whole blocks, exactly up to the next block boundary, or
+    /// anything), so cuts land inside, on and across 64-byte boundaries.
     #[test]
     fn sha256_incremental_equals_oneshot(
-        data in proptest::collection::vec(any::<u8>(), 0..2048),
-        splits in proptest::collection::vec(any::<u16>(), 0..8),
+        data in proptest::collection::vec(any::<u8>(), 0..4096),
+        splits in proptest::collection::vec(any::<u16>(), 0..12),
     ) {
         let oneshot = sha256(&data);
-        let mut h = Sha256::new();
-        let mut rest: &[u8] = &data;
-        for s in splits {
-            if rest.is_empty() { break; }
-            let cut = (s as usize) % rest.len();
-            let (a, b) = rest.split_at(cut);
-            h.update(a);
-            rest = b;
+        for fresh in [Sha256::new, Sha256::portable] {
+            let mut h = fresh();
+            let mut rest: &[u8] = &data;
+            for &s in &splits {
+                let (shape, size) = (s % 4, (s / 4) as usize);
+                let absorbed = data.len() - rest.len();
+                let cut = match shape {
+                    0 => size % 64,
+                    1 => 64 * (size % 8),
+                    2 => 64 - absorbed % 64,
+                    _ => size,
+                };
+                let (a, b) = rest.split_at(cut.min(rest.len()));
+                h.update(a);
+                rest = b;
+            }
+            h.update(rest);
+            prop_assert_eq!(h.finalize(), oneshot);
         }
-        h.update(rest);
-        prop_assert_eq!(h.finalize(), oneshot);
     }
 
     /// Distinct inputs hash distinctly (collision sanity, not a proof).
