@@ -60,11 +60,12 @@
 //!   columns go live), then the batched configuration is scaled over a
 //!   geo-distributed cluster of n ∈ {4, 8, 16, 32, 64} replicas cycled
 //!   through the real AWS region catalog;
-//! * `--assert-crypto` (requires `--crypto`) exits nonzero unless the
-//!   batched knee goodput stays within 1.5× of crypto-off *and* strictly
-//!   beats unbatched, the batched run actually batched and hit its cert
-//!   cache, and (with retry/gossip on) no point lost a request — the CI
-//!   gate that keeps crypto-on the viable measured configuration;
+//! * `--assert-crypto` (requires `--crypto`) exits nonzero unless both
+//!   crypto-on knees stay within 1.5× of crypto-off goodput, the batched
+//!   run actually batched and was charged strictly less verify CPU than
+//!   unbatched at no less goodput, and (with retry/gossip on) no point
+//!   lost a request — the CI gate that keeps crypto-on the viable
+//!   measured configuration;
 //! * `--cohorts` sweeps **cohort-aggregated modeled populations** (10³ up
 //!   to 10⁶ modeled clients folded into 64 cohorts, token-paced, with a
 //!   global admission cap) instead of real closed-loop clients — memory
@@ -608,12 +609,18 @@ fn crypto_sweep(args: &Args) {
 }
 
 /// The crypto-viability gate (`--assert-crypto`): at the n=4 knee,
-/// turning full crypto on may cost at most 1.5× in goodput against the
-/// free placeholder scheme, batching must strictly beat the unbatched
-/// configuration it optimizes, and the batched run must show real
-/// batches and cert-cache hits (otherwise the mode silently degraded to
-/// per-signature checking and the comparison is vacuous). With
-/// retry/gossip on, no point may lose a request.
+/// turning full crypto on — batched or not — may cost at most 1.5× in
+/// goodput against the free placeholder scheme; batching must show real
+/// batches (otherwise the mode silently degraded to per-signature
+/// checking and the comparison is vacuous) and be charged strictly less
+/// verify CPU than the unbatched configuration it optimizes, at no less
+/// goodput. Goodput alone cannot tell the two apart: the engine checks
+/// each piece of evidence once, and what remains no longer binds the
+/// n=4 knee. Cert-cache hits are not required here — every simulated
+/// replica owns its backend and its engine seldom offers it one
+/// certificate twice (see `transport::pipeline` for hits across verifiers
+/// that share a backend). With retry/gossip on, no point may lose a
+/// request.
 fn check_crypto(
     knees: &[Option<SweepPoint>; 3],
     all_points: &[Vec<SweepPoint>],
@@ -621,27 +628,31 @@ fn check_crypto(
     failures: &mut Vec<String>,
 ) {
     let [off, unbatched, batched] = knees;
-    match (off, batched) {
-        (Some(o), Some(b)) if b.goodput_rps * 1.5 >= o.goodput_rps => {}
-        (o, b) => failures.push(format!(
-            "crypto-on knee goodput worse than 1.5x off (batched={:?} off={:?} req/s)",
-            b.as_ref().map(|p| p.goodput_rps),
-            o.as_ref().map(|p| p.goodput_rps),
-        )),
+    for (mode, on) in [("unbatched", unbatched), ("batched", batched)] {
+        match (off, on) {
+            (Some(o), Some(c)) if c.goodput_rps * 1.5 >= o.goodput_rps => {}
+            (o, c) => failures.push(format!(
+                "crypto {mode} knee goodput worse than 1.5x off ({mode}={:?} off={:?} req/s)",
+                c.as_ref().map(|p| p.goodput_rps),
+                o.as_ref().map(|p| p.goodput_rps),
+            )),
+        }
     }
     match (unbatched, batched) {
-        (Some(u), Some(b)) if b.goodput_rps > u.goodput_rps => {}
+        (Some(u), Some(b))
+            if b.verify_cpu_ms < u.verify_cpu_ms && b.goodput_rps >= u.goodput_rps => {}
         (u, b) => failures.push(format!(
-            "batched knee goodput not strictly above unbatched (batched={:?} unbatched={:?} req/s)",
-            b.as_ref().map(|p| p.goodput_rps),
-            u.as_ref().map(|p| p.goodput_rps),
+            "batched knee not charged strictly less verify CPU than unbatched at no less \
+             goodput (batched={:?} unbatched={:?} as (vcpu ms, req/s))",
+            b.as_ref().map(|p| (p.verify_cpu_ms, p.goodput_rps)),
+            u.as_ref().map(|p| (p.verify_cpu_ms, p.goodput_rps)),
         )),
     }
     if let Some(b) = batched {
-        if b.sigs == 0 || b.batches == 0 || b.cache_hits == 0 {
+        if b.sigs == 0 || b.batches == 0 {
             failures.push(format!(
-                "batched knee shows an idle crypto plane (sigs={} batches={} cache_hits={})",
-                b.sigs, b.batches, b.cache_hits
+                "batched knee shows an idle crypto plane (sigs={} batches={})",
+                b.sigs, b.batches
             ));
         }
     }

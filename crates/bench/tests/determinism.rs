@@ -359,7 +359,7 @@ fn optimistic_on_is_deterministic_per_seed() {
 #[test]
 fn crypto_modes_are_deterministic_and_charge_as_configured() {
     use banyan_bench::runner::CryptoMode;
-    for mode in [CryptoMode::Unbatched, CryptoMode::Batched] {
+    let [unbatched_ms, batched_ms] = [CryptoMode::Unbatched, CryptoMode::Batched].map(|mode| {
         let build = || scenario(42).crypto(mode);
         let (a, auditor_a) = run_metrics(&build());
         let (b, auditor_b) = run_metrics(&build());
@@ -368,17 +368,26 @@ fn crypto_modes_are_deterministic_and_charge_as_configured() {
         assert_eq!(a, b, "{mode:?}: same seed must replay exactly");
         assert!(a.sigs_verified > 0, "{mode:?}: verified nothing");
         assert!(a.verify_cpu_ms > 0, "{mode:?}: charged no CPU time");
+        // No `cert_cache_hits > 0` for the batched mode: every simulated
+        // replica owns its backend and the engine seldom offers it one
+        // certificate twice, so whether a run hits the cache depends on
+        // the seed. Hits between verifiers that share a backend are
+        // asserted where that happens, in `transport::pipeline`.
         match mode {
             CryptoMode::Batched => {
                 assert!(a.verify_batches > 0, "batched mode never batched");
-                assert!(a.cert_cache_hits > 0, "cert cache never hit");
             }
             _ => {
                 assert_eq!(a.verify_batches, 0, "unbatched mode batched");
                 assert_eq!(a.cert_cache_hits, 0, "unbatched mode cached");
             }
         }
-    }
+        a.verify_cpu_ms
+    });
+    assert!(
+        batched_ms < unbatched_ms,
+        "batching must charge strictly less verify CPU ({batched_ms} ms) than unbatched ({unbatched_ms} ms)"
+    );
     // Crypto off (the default) must charge and cache nothing — that run
     // is the one the flag-off goldens above pin bit-for-bit.
     let (off, _) = run_metrics(&scenario(42));

@@ -19,6 +19,18 @@
 //! performance of Banyan is exactly the one of ICC") is directly testable
 //! here: the two modes differ only in the fast-path hooks.
 //!
+//! **Evidence is checked once.** Relays (Algorithm 1 line 35), `Advance`
+//! broadcasts (Addition 1) and heartbeats hand a replica the same blocks,
+//! fast-vote support and certificates many times over. The handlers that
+//! take those in (`handle_proposal`, `handle_notarization`,
+//! `merge_unlock_proof`) therefore ask *novelty before signature* — can
+//! this change my state? — and verify only what can. Every intake
+//! handler, `handle_votes` included, returns whether state changed, and
+//! `on_message` re-runs the `progress` fixpoint only if it did. Nothing
+//! unverified is ever merged, and what is skipped could not have been
+//! merged (see `docs/ARCHITECTURE.md`, "What the engine verifies, and
+//! when").
+//!
 //! A [`ByzantineMode`] knob turns a replica into one of the adversaries
 //! used by the safety test-suite (equivocating leader, silent leader,
 //! double fast-voter).
@@ -301,6 +313,13 @@ impl ChainedEngine {
             .or_insert_with(|| RoundState::new(round, cfg.n(), cfg.unlock_threshold()))
     }
 
+    /// Whether the proposer's own fast vote for `hash` (Addition 2) is held.
+    fn holds_leader_fast_vote(&self, round: Round, hash: &BlockHash) -> bool {
+        self.rounds
+            .get(&round)
+            .is_some_and(|rs| rs.leader_fast_votes.contains_key(hash))
+    }
+
     fn my_rank(&self, round: Round) -> Rank {
         Rank(self.beacon.rank(round.0, self.id.0))
     }
@@ -384,7 +403,7 @@ impl ChainedEngine {
         }
         if self.fast_path() && rank.is_leader() {
             // Rank-0 blocks must carry the proposer's fast vote.
-            if !self.round_state(round).leader_fast_votes.contains_key(hash) {
+            if !self.holds_leader_fast_vote(round, hash) {
                 return false;
             }
         }
@@ -671,35 +690,42 @@ impl ChainedEngine {
     /// `reconcile_optimistic`), so an abandoned optimistic block never
     /// spends our one-fast-vote-per-round budget and the fallback
     /// re-proposal is a fully valid rank-0 block.
-    fn maybe_propose_optimistic(&mut self, received: BlockHash, now: Time, actions: &mut Actions) {
+    ///
+    /// Returns `true` iff it proposed.
+    fn maybe_propose_optimistic(
+        &mut self,
+        received: BlockHash,
+        now: Time,
+        actions: &mut Actions,
+    ) -> bool {
         let Some(ocfg) = self.optimistic else {
-            return;
+            return false;
         };
         if self.pending_optimistic.is_some() {
-            return;
+            return false;
         }
         let Some(block) = self.store.get(&received) else {
-            return;
+            return false;
         };
         let (b_round, b_rank) = (block.round, block.rank);
         if b_round != self.round {
-            return;
+            return false;
         }
         if ocfg.leader_parents_only && !b_rank.is_leader() {
-            return;
+            return false;
         }
         let next = b_round.next();
         if !self.my_rank(next).is_leader() {
-            return;
+            return false;
         }
         if self.round_state(next).proposed {
-            return;
+            return false;
         }
         if self.store.is_notarized(&received) {
-            return; // already certified: the normal propose path handles it
+            return false; // already certified: the normal propose path handles it
         }
         if !self.is_valid(&received) {
-            return; // only extend a block we could ourselves vote for
+            return false; // only extend a block we could ourselves vote for
         }
         self.round_state(next).proposed = true;
         let rank = self.my_rank(next);
@@ -728,7 +754,7 @@ impl ChainedEngine {
                     parent: received,
                     block: hash_a,
                 });
-                return;
+                return true;
             }
             // Identical payloads: no equivocation possible, pipeline
             // honestly below.
@@ -742,6 +768,7 @@ impl ChainedEngine {
             parent: received,
             block: hash,
         });
+        true
     }
 
     /// Resolves the pending optimistic proposal when we are about to
@@ -786,6 +813,8 @@ impl ChainedEngine {
     // Message intake
     // ------------------------------------------------------------------
 
+    /// Takes in a proposal (first receipt, relay or sync reply) and its
+    /// attached evidence. Returns `true` iff any of it changed state.
     fn handle_proposal(
         &mut self,
         block: Block,
@@ -794,53 +823,68 @@ impl ChainedEngine {
         fast_vote: Option<Vote>,
         now: Time,
         actions: &mut Actions,
-    ) {
+    ) -> bool {
         // Attached evidence helps regardless of block validity.
+        let mut changed = false;
         if let Some(cert) = parent_notarization {
-            self.handle_notarization(cert, actions);
+            changed |= self.handle_notarization(cert, actions);
         }
         if let Some(proof) = parent_unlock {
-            self.merge_unlock_proof(proof);
+            changed |= self.merge_unlock_proof(proof);
         }
 
         if block.round == Round::GENESIS {
-            return;
+            return changed;
         }
         // Rank must match the beacon's permutation for the round. Checked
         // before the hash, which is the only O(payload) step: a proposal
         // from the wrong proposer is dropped without touching its bytes.
         let expected = Rank(self.beacon.rank(block.round.0, block.proposer.0));
         if block.rank != expected {
-            return;
+            return changed;
         }
         let hash = block.hash(self.cfg.payload_chunk);
-        if self.cfg.verify_signatures
+        // A hash already in the store is that exact block, authenticated
+        // when it was adopted: a relay of it needs no second check.
+        let stored = self.store.contains(&hash);
+        if !stored
+            && self.cfg.verify_signatures
             && !self.verify.verify(
                 block.proposer.0,
                 &Block::signing_message(&hash),
                 &block.signature,
             )
         {
-            return;
+            return changed;
         }
-        // The attached fast vote must be the proposer's, for this block.
+        // The attached fast vote must be the proposer's, for this block —
+        // and is only looked at until one is held.
         let fast_vote = fast_vote.filter(|v| {
             v.kind == VoteKind::Fast
                 && v.round == block.round
                 && v.block == hash
                 && v.voter == block.proposer
+                && !self.holds_leader_fast_vote(block.round, &hash)
                 && self.verify_vote(v)
         });
-        self.adopt_block(hash, block, fast_vote, now, actions);
+        if !stored || fast_vote.is_some() {
+            changed = true;
+            self.adopt_block(hash, block, fast_vote, now, actions);
+        }
         self.sync_requested.remove(&hash);
-        self.maybe_propose_optimistic(hash, now, actions);
-        self.progress(now, actions);
+        changed | self.maybe_propose_optimistic(hash, now, actions)
     }
 
-    fn handle_votes(&mut self, votes: Vec<Vote>, now: Time, actions: &mut Actions) {
+    /// Records a burst of votes. Returns `true` iff any was new. Votes
+    /// are verified before the tables are consulted: a voter sends each
+    /// vote once and only a stalled round's heartbeat repeats it, so a
+    /// duplicate filter would have nothing to drop (it dropped none of
+    /// the votes of any benchmark workload).
+    fn handle_votes(&mut self, votes: Vec<Vote>) -> bool {
         // One batched check for the whole burst instead of a verification
         // per vote; verdicts come back per-item either way.
         let verdicts = self.verify_votes(&votes);
+        let mut changed = false;
         for (vote, ok) in votes.into_iter().zip(verdicts) {
             if !ok {
                 continue;
@@ -857,52 +901,58 @@ impl ChainedEngine {
                     b.proposer == vote.voter && b.round == vote.round && b.rank.is_leader()
                 });
             let rs = self.round_state(vote.round);
-            match vote.kind {
-                VoteKind::Notarize => {
-                    rs.notarize_votes
-                        .add(vote.block, vote.voter, vote.signature);
-                }
-                VoteKind::Finalize => {
-                    rs.finalize_votes
-                        .add(vote.block, vote.voter, vote.signature);
-                }
+            changed |= match vote.kind {
+                VoteKind::Notarize => rs
+                    .notarize_votes
+                    .add(vote.block, vote.voter, vote.signature),
+                VoteKind::Finalize => rs
+                    .finalize_votes
+                    .add(vote.block, vote.voter, vote.signature),
                 VoteKind::Fast => {
-                    rs.unlock
+                    let new_vote = rs
+                        .unlock
                         .add_fast_vote(vote.block, vote.voter, vote.signature);
-                    if proposer_fast {
-                        rs.leader_fast_votes.entry(vote.block).or_insert(vote);
+                    // A re-sent vote that reached the table before its
+                    // block was stored still has to land here.
+                    let new_leader_vote =
+                        proposer_fast && !rs.leader_fast_votes.contains_key(&vote.block);
+                    if new_leader_vote {
+                        rs.leader_fast_votes.insert(vote.block, vote);
                     }
+                    new_vote || new_leader_vote
                 }
-            }
+            };
         }
-        self.progress(now, actions);
+        changed
     }
 
-    fn handle_notarization(&mut self, cert: Notarization, actions: &mut Actions) {
+    /// Adopts a notarization certificate. Returns `true` iff the block
+    /// was not notarized before and now is.
+    fn handle_notarization(&mut self, cert: Notarization, actions: &mut Actions) -> bool {
         if self.store.is_notarized(&cert.block) {
-            return;
+            return false;
         }
         // Gate on popcount before touching signatures: an empty or
         // below-quorum aggregate verifies trivially under every scheme.
         if !cert.meets_quorum(self.cfg.notarization_quorum()) {
-            return;
+            return false;
         }
         if self.cfg.verify_signatures {
             let msg = Vote::signing_message(VoteKind::Notarize, cert.round, &cert.block);
             if !self.verify.verify_aggregate(&msg, &cert.agg) {
-                return;
+                return false;
             }
             if let Some(fast_agg) = &cert.fast_agg {
                 // Remark 7.8: the second multi-signature covers fast votes.
                 let msg = Vote::signing_message(VoteKind::Fast, cert.round, &cert.block);
                 if !self.verify.verify_aggregate(&msg, fast_agg) {
-                    return;
+                    return false;
                 }
             }
         }
         // The fast votes inside a two-signature notarization are genuine
         // fast votes: feed them to the unlock machinery too.
-        if let Some(fast_agg) = cert.fast_agg.clone() {
+        if let Some(fast_agg) = &cert.fast_agg {
             if self.fast_path() {
                 if let Some(rank) = self.store.get(&cert.block).map(|b| b.rank) {
                     self.round_state(cert.round)
@@ -916,21 +966,24 @@ impl ChainedEngine {
         if !self.store.contains(&block) {
             self.request_sync(block, actions);
         }
+        true
     }
 
-    fn merge_unlock_proof(&mut self, proof: UnlockProof) {
+    /// Merges a relayed unlock proof (see `UnlockState::merge_proof_with`
+    /// for what is verified). Returns `true` iff support or a rank was
+    /// added.
+    fn merge_unlock_proof(&mut self, proof: UnlockProof) -> bool {
         if !self.fast_path() {
-            return;
+            return false;
         }
-        let backend = self.verify.clone();
         let verifier = self.cfg.verify_signatures.then_some(
-            move |msg: &[u8], agg: &banyan_crypto::AggregateSignature| {
-                backend.verify_aggregate(msg, agg)
+            |msg: &[u8], agg: &banyan_crypto::AggregateSignature| {
+                self.verify.verify_aggregate(msg, agg)
             },
         );
-        self.round_state(proof.round)
+        Self::round_entry(&mut self.rounds, &self.cfg, proof.round)
             .unlock
-            .merge_proof_with(&proof, verifier);
+            .merge_proof_with(&proof, verifier)
     }
 
     fn handle_finalization(&mut self, cert: Finalization, now: Time, actions: &mut Actions) {
@@ -1056,6 +1109,7 @@ impl ChainedEngine {
             }
             SyncMsg::Response { block } => {
                 self.handle_proposal(block, None, None, None, now, actions);
+                self.progress(now, actions);
             }
             SyncMsg::RequestRange {
                 from_round,
@@ -1069,6 +1123,7 @@ impl ChainedEngine {
             } => {
                 for block in blocks {
                     self.handle_proposal(block, None, None, None, now, actions);
+                    self.progress(now, actions);
                 }
                 for cert in notarizations {
                     self.handle_notarization(cert, actions);
@@ -1186,8 +1241,8 @@ impl ChainedEngine {
         for (voter, _) in rs.notarize_votes.votes_for(hash) {
             bm.set(voter);
         }
-        let table = self.registry.table().clone();
-        for idx in rs.unlock.aggregate_indiv(&table, hash).signers.iter() {
+        let table = self.registry.table();
+        for idx in rs.unlock.aggregate_indiv(table, hash).signers.iter() {
             bm.set(idx);
         }
         bm.count()
@@ -1199,8 +1254,9 @@ impl ChainedEngine {
         let votes = self.rounds[&round].notarize_votes.votes_for(&hash);
         let agg = self.registry.table().aggregate(&votes);
         let fast_agg = self.piggyback().then(|| {
-            let table = self.registry.table().clone();
-            self.rounds[&round].unlock.aggregate_indiv(&table, &hash)
+            self.rounds[&round]
+                .unlock
+                .aggregate_indiv(self.registry.table(), &hash)
         });
         Notarization {
             round,
@@ -1275,8 +1331,7 @@ impl ChainedEngine {
             if rs.unlock.indiv_count(&hash) < quorum {
                 continue;
             }
-            let table = self.registry.table().clone();
-            let agg = rs.unlock.aggregate_indiv(&table, &hash);
+            let agg = rs.unlock.aggregate_indiv(self.registry.table(), &hash);
             let cert = Finalization {
                 round,
                 block: hash,
@@ -1541,8 +1596,9 @@ impl ChainedEngine {
         // Addition 1 / line 50: broadcast notarization + unlock proof.
         if let Some(cert) = self.store.notarization(&chosen).cloned() {
             let unlock = self.fast_path().then(|| {
-                let table = self.registry.table().clone();
-                self.round_state(round).unlock.build_proof(&table)
+                Self::round_entry(&mut self.rounds, &self.cfg, round)
+                    .unlock
+                    .build_proof(self.registry.table())
             });
             actions.broadcast(Message::Chained(ChainedMsg::Advance {
                 notarization: cert,
@@ -1624,8 +1680,9 @@ impl ChainedEngine {
                 .find_map(|h| self.store.notarization(h).cloned());
             if let Some(cert) = cert {
                 let unlock = self.fast_path().then(|| {
-                    let table = self.registry.table().clone();
-                    self.round_state(prev).unlock.build_proof(&table)
+                    Self::round_entry(&mut self.rounds, &self.cfg, prev)
+                        .unlock
+                        .build_proof(self.registry.table())
                 });
                 actions.broadcast(Message::Chained(ChainedMsg::Advance {
                     notarization: cert,
@@ -1669,45 +1726,50 @@ impl Engine for ChainedEngine {
     fn on_message(&mut self, from: ReplicaId, msg: Message, now: Time) -> Actions {
         self.routed_k_max = self.k_max;
         let mut actions = Actions::none();
-        match msg {
+        // Evidence intake reports whether it changed state, and the `upon`
+        // rules are re-evaluated only if it did: between events the state
+        // sits at `progress`'s fixpoint, and the one guard that time alone
+        // can open (`try_vote`'s notarization delay) arms a timer for
+        // exactly its deadline.
+        let changed = match msg {
             Message::Chained(ChainedMsg::Proposal {
                 block,
                 parent_notarization,
                 parent_unlock,
                 fast_vote,
-            }) => {
-                self.handle_proposal(
-                    block,
-                    parent_notarization,
-                    parent_unlock,
-                    fast_vote,
-                    now,
-                    &mut actions,
-                );
-            }
-            Message::Chained(ChainedMsg::Votes(votes)) => {
-                self.handle_votes(votes, now, &mut actions);
-            }
+            }) => self.handle_proposal(
+                block,
+                parent_notarization,
+                parent_unlock,
+                fast_vote,
+                now,
+                &mut actions,
+            ),
+            Message::Chained(ChainedMsg::Votes(votes)) => self.handle_votes(votes),
             Message::Chained(ChainedMsg::Advance {
                 notarization,
                 unlock,
             }) => {
-                self.handle_notarization(notarization, &mut actions);
-                if let Some(proof) = unlock {
-                    self.merge_unlock_proof(proof);
-                }
-                self.progress(now, &mut actions);
+                let notarized = self.handle_notarization(notarization, &mut actions);
+                let merged = unlock.is_some_and(|proof| self.merge_unlock_proof(proof));
+                notarized || merged
             }
+            // Finalizations and sync replies run `progress` themselves.
             Message::Chained(ChainedMsg::Final(cert)) => {
                 self.handle_finalization(cert, now, &mut actions);
+                false
             }
             Message::Sync(sync) => {
                 self.handle_sync(from, sync, now, &mut actions);
+                false
             }
             // Foreign protocol families — and dissemination traffic,
             // which belongs to the driver layer, not an engine — are
             // ignored.
-            Message::HotStuff(_) | Message::Streamlet(_) | Message::Dissemination(_) => {}
+            Message::HotStuff(_) | Message::Streamlet(_) | Message::Dissemination(_) => false,
+        };
+        if changed {
+            self.progress(now, &mut actions);
         }
         actions
     }

@@ -14,6 +14,13 @@
 //!
 //! The same table yields FP-finalization (`n − p` fast votes for a rank-0
 //! block, Addition 4) and unlock-proof construction (Definition 7.7).
+//!
+//! Unlock proofs arrive many times over (every `Advance`, every relayed
+//! proposal), almost always restating support the table already holds.
+//! [`UnlockState::merge_proof_with`] therefore asks *novelty before
+//! signature*: only an aggregate naming a voter not yet in `supp(b)` can
+//! change the table, so only those are verified — and only verified
+//! aggregates are ever stored.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -35,6 +42,12 @@ struct Support {
 }
 
 impl Support {
+    /// True if `voter` supports the block, individually or certified.
+    fn has_voter(&self, voter: u16) -> bool {
+        self.indiv.contains_key(&voter)
+            || self.certified.iter().any(|agg| agg.signers.contains(voter))
+    }
+
     /// Union of individual voters and certified bitmaps.
     fn voters(&self, n: usize) -> SignerBitmap {
         let mut bm = SignerBitmap::new(n);
@@ -97,21 +110,36 @@ impl UnlockState {
         entry.indiv.insert(voter.0, sig).is_none()
     }
 
-    /// Adopts certified support (an unlock-proof entry or fast cert).
-    pub fn add_certified(&mut self, block: BlockHash, rank: Rank, agg: AggregateSignature) {
+    /// True if `agg` names a replica not yet in `supp(block)` — the only
+    /// way certified support can change this table.
+    fn adds_voter(&self, block: &BlockHash, agg: &AggregateSignature) -> bool {
+        let held = self.support.get(block);
+        agg.signers
+            .iter()
+            .any(|idx| (idx as usize) < self.n && !held.is_some_and(|s| s.has_voter(idx)))
+    }
+
+    /// Adopts certified support (an unlock-proof entry or fast cert): the
+    /// block's rank if it was unknown, and the aggregate if it adds a
+    /// voter (one that adds none is dropped). Returns `true` if either
+    /// was new. The caller vouches for `agg`'s signature.
+    pub fn add_certified(
+        &mut self,
+        block: BlockHash,
+        rank: Rank,
+        agg: &AggregateSignature,
+    ) -> bool {
+        let new_rank = !self.ranks.contains_key(&block);
         self.observe_block(block, rank);
-        let entry = self.support.entry(block).or_default();
-        // Skip aggregates that add no new voter.
-        let before = entry.voters(self.n).count();
-        let mut with: SignerBitmap = entry.voters(self.n);
-        for idx in agg.signers.iter() {
-            if (idx as usize) < self.n {
-                with.set(idx);
-            }
+        let adds_voter = self.adds_voter(&block, agg);
+        if adds_voter {
+            self.support
+                .entry(block)
+                .or_default()
+                .certified
+                .push(agg.clone());
         }
-        if with.count() > before {
-            entry.certified.push(agg);
-        }
+        new_rank || adds_voter
     }
 
     /// `|supp(b)|` — distinct replicas supporting `b`.
@@ -242,9 +270,12 @@ impl UnlockState {
         }
     }
 
-    /// Verifies an unlock proof's aggregates and merges its support into
-    /// this table. Returns `false` (without merging anything further) if
-    /// any entry fails verification.
+    /// Merges an unlock proof's support into this table, verifying the
+    /// aggregates that can change it. Returns `true` iff support or a
+    /// rank was added. `false` therefore does *not* mean "rejected": a
+    /// rejected proof (which merges nothing) and an accepted proof that
+    /// restates what the table already holds both return it — callers
+    /// need to know whether to re-evaluate their rules, not why not.
     ///
     /// Rank claims for blocks we have received are cross-checked; claims
     /// for unknown blocks are accepted as-is (the paper defers compact
@@ -271,6 +302,16 @@ impl UnlockState {
     /// of the raw key table. `None` skips validation entirely (signature
     /// checks *and* the rank cross-check), exactly like
     /// `merge_proof(.., verify = false)`.
+    ///
+    /// Novelty before signature: every entry's rank is cross-checked, but
+    /// only an entry naming a voter not already in `supp(block)` is
+    /// verified — any other is dropped by [`UnlockState::add_certified`]
+    /// whatever its signature says, so checking it buys nothing. The
+    /// proof is rejected whole (nothing merged) if the round is wrong, a
+    /// rank claim contradicts a known block, or any entry it needed fails
+    /// verification; a forged entry that adds no voter is simply ignored.
+    /// Ranks are still learned from every entry of an accepted proof —
+    /// the signed message never covered them.
     pub fn merge_proof_with(
         &mut self,
         proof: &UnlockProof,
@@ -281,21 +322,23 @@ impl UnlockState {
         }
         if let Some(verify_aggregate) = verify_aggregate {
             for entry in &proof.entries {
-                let msg = Vote::signing_message(VoteKind::Fast, proof.round, &entry.block);
-                if !verify_aggregate(&msg, &entry.agg) {
+                let known = self.ranks.get(&entry.block);
+                if known.is_some_and(|known| *known != entry.rank) {
                     return false;
                 }
-                if let Some(known) = self.ranks.get(&entry.block) {
-                    if *known != entry.rank {
+                if self.adds_voter(&entry.block, &entry.agg) {
+                    let msg = Vote::signing_message(VoteKind::Fast, proof.round, &entry.block);
+                    if !verify_aggregate(&msg, &entry.agg) {
                         return false;
                     }
                 }
             }
         }
+        let mut changed = false;
         for entry in &proof.entries {
-            self.add_certified(entry.block, entry.rank, entry.agg.clone());
+            changed |= self.add_certified(entry.block, entry.rank, &entry.agg);
         }
-        true
+        changed
     }
 }
 
@@ -304,6 +347,7 @@ mod tests {
     use super::*;
     use banyan_crypto::hashsig::HashSig;
     use banyan_crypto::registry::KeyRegistry;
+    use std::cell::Cell;
     use std::sync::Arc;
 
     /// n = 4, f = 1, p = 1 ⇒ threshold f + p = 2, fast quorum n − p = 3.
@@ -330,6 +374,53 @@ mod tests {
             voter: ReplicaId(reg.my_index()),
             signature: reg.sign(&msg),
         }
+    }
+
+    /// A proof entry carrying real fast votes from `voters` for `block`.
+    fn entry(regs: &[KeyRegistry], block: BlockHash, rank: Rank, voters: &[usize]) -> UnlockEntry {
+        let votes: Vec<(u16, Signature)> = voters
+            .iter()
+            .map(|&i| {
+                let v = fast_vote(&regs[i], Round(1), block);
+                (v.voter.0, v.signature)
+            })
+            .collect();
+        UnlockEntry {
+            block,
+            rank,
+            agg: regs[0].table().aggregate(&votes),
+        }
+    }
+
+    fn proof(entries: Vec<UnlockEntry>) -> UnlockProof {
+        UnlockProof {
+            round: Round(1),
+            entries,
+        }
+    }
+
+    /// A receiver that observed `b0` at rank 0 and individually holds real
+    /// fast votes for it from replicas 0, 1 and 2.
+    fn receiver_holding_b0(regs: &[KeyRegistry], b0: BlockHash) -> UnlockState {
+        let mut s = state();
+        s.observe_block(b0, Rank(0));
+        for reg in regs.iter().take(3) {
+            let v = fast_vote(reg, Round(1), b0);
+            s.add_fast_vote(v.block, v.voter, v.signature);
+        }
+        s
+    }
+
+    /// Merges through the real key table, counting verifier calls.
+    fn merge_counting(s: &mut UnlockState, proof: &UnlockProof, calls: &Cell<usize>) -> bool {
+        let table = registries(4)[0].table().clone();
+        s.merge_proof_with(
+            proof,
+            Some(|msg: &[u8], agg: &AggregateSignature| {
+                calls.set(calls.get() + 1);
+                table.verify_aggregate(msg, agg)
+            }),
+        )
     }
 
     #[test]
@@ -500,18 +591,29 @@ mod tests {
         let mut fresh = state();
         assert!(!fresh.merge_proof(&proof, &table, true));
         assert_eq!(fresh.supp(&b0), 0, "nothing merged from a bad proof");
+        assert!(!fresh.ranks.contains_key(&b0), "nor its rank learned");
         // Without verification (trusted channel), merging is allowed.
         assert!(fresh.merge_proof(&proof, &table, false));
+        assert_eq!(fresh.supp(&b0), 4);
     }
 
     #[test]
     fn proof_for_wrong_round_rejected() {
         let regs = registries(4);
         let table = regs[0].table().clone();
-        let s = UnlockState::new(Round(2), 4, 2);
+        let b0 = hash(1);
+        let mut s = UnlockState::new(Round(2), 4, 2);
+        s.observe_block(b0, Rank(0));
+        let v = fast_vote(&regs[0], Round(2), b0);
+        s.add_fast_vote(v.block, v.voter, v.signature);
         let proof = s.build_proof(&table);
+        assert_eq!(proof.total_votes(), 1);
         let mut other = state(); // round 1
         assert!(!other.merge_proof(&proof, &table, false));
+        // `false` alone could be a redundant proof; rejection is that
+        // nothing of it was merged.
+        assert_eq!(other.supp(&b0), 0);
+        assert!(!other.ranks.contains_key(&b0));
     }
 
     #[test]
@@ -530,6 +632,7 @@ mod tests {
         let mut fresh = state();
         fresh.observe_block(b0, Rank(0)); // fresh replica has the block
         assert!(!fresh.merge_proof(&proof, &table, true));
+        assert_eq!(fresh.supp(&b0), 0, "the honest signature was not merged");
     }
 
     #[test]
@@ -549,12 +652,145 @@ mod tests {
         let agg = table.aggregate(&votes);
 
         let mut s = state();
-        s.add_certified(b0, Rank(0), agg);
+        s.add_certified(b0, Rank(0), &agg);
         assert_eq!(s.supp(&b0), 3);
         assert!(s.is_unlocked(&b0));
         // Redundant aggregate adding no voters is dropped.
         let small = table.aggregate(&votes[..1]);
-        s.add_certified(b0, Rank(0), small);
+        s.add_certified(b0, Rank(0), &small);
         assert_eq!(s.supp(&b0), 3);
+    }
+
+    #[test]
+    fn entry_already_counted_is_not_verified_and_the_proof_still_merges() {
+        let regs = registries(4);
+        let (b0, b1) = (hash(1), hash(2));
+        let mut s = receiver_holding_b0(&regs, b0);
+        let relayed = proof(vec![
+            entry(&regs, b0, Rank(0), &[0, 1, 2]), // all three already counted
+            entry(&regs, b1, Rank(1), &[3]),       // new block, new voter
+        ]);
+        let calls = Cell::new(0);
+        assert!(merge_counting(&mut s, &relayed, &calls));
+        assert_eq!(
+            calls.get(),
+            1,
+            "only the entry that adds a voter is verified"
+        );
+        assert_eq!((s.supp(&b0), s.supp(&b1)), (3, 1));
+        // The same proof relayed again costs no verification at all.
+        assert!(!merge_counting(&mut s, &relayed, &calls));
+        assert_eq!(calls.get(), 1);
+    }
+
+    #[test]
+    fn forged_entry_that_adds_a_voter_rejects_the_whole_proof() {
+        let regs = registries(4);
+        let (b0, b1) = (hash(1), hash(2));
+        let mut s = receiver_holding_b0(&regs, b0);
+        let mut forged = entry(&regs, b0, Rank(0), &[0, 1]);
+        forged.agg.signers.set(3); // claims a voter we do not count yet
+        let relayed = proof(vec![entry(&regs, b1, Rank(1), &[3]), forged]);
+        let calls = Cell::new(0);
+        assert!(!merge_counting(&mut s, &relayed, &calls));
+        assert_eq!(calls.get(), 2, "both entries could add a voter");
+        assert_eq!((s.supp(&b0), s.supp(&b1)), (3, 0), "nothing merged");
+        assert!(
+            !s.ranks.contains_key(&b1),
+            "the honest entry's rank was not learned either"
+        );
+    }
+
+    #[test]
+    fn forged_entry_that_adds_no_voter_is_ignored() {
+        let regs = registries(4);
+        let (b0, b1) = (hash(1), hash(2));
+        let table = regs[0].table().clone();
+        let mut s = receiver_holding_b0(&regs, b0);
+        let mut forged = entry(&regs, b0, Rank(0), &[0]);
+        forged.agg.signers.set(1); // invalid, but names only counted voters
+        let msg = Vote::signing_message(VoteKind::Fast, Round(1), &b0);
+        assert!(!table.verify_aggregate(&msg, &forged.agg));
+        let relayed = proof(vec![forged, entry(&regs, b1, Rank(1), &[3])]);
+        let calls = Cell::new(0);
+        assert!(merge_counting(&mut s, &relayed, &calls));
+        assert_eq!(calls.get(), 1, "the forged entry was never looked at");
+        assert_eq!((s.supp(&b0), s.supp(&b1)), (3, 1));
+        // It was not stored: everything we would relay verifies.
+        for e in &s.build_proof(&table).entries {
+            let msg = Vote::signing_message(VoteKind::Fast, Round(1), &e.block);
+            assert!(table.verify_aggregate(&msg, &e.agg));
+        }
+    }
+
+    #[test]
+    fn rank_mismatch_rejects_even_a_redundant_entry() {
+        let regs = registries(4);
+        let (b0, b1) = (hash(1), hash(2));
+        let mut s = receiver_holding_b0(&regs, b0);
+        let relayed = proof(vec![
+            entry(&regs, b1, Rank(1), &[3]),
+            entry(&regs, b0, Rank(2), &[0]), // redundant support, wrong rank
+        ]);
+        let calls = Cell::new(0);
+        assert!(!merge_counting(&mut s, &relayed, &calls));
+        assert_eq!(
+            s.supp(&b1),
+            0,
+            "nothing merged from a proof with a lying rank"
+        );
+    }
+
+    #[test]
+    fn redundant_entry_for_an_unranked_block_still_teaches_the_rank() {
+        let regs = registries(4);
+        let b0 = hash(1);
+        // Votes arrived before the block: support without a rank.
+        let mut s = state();
+        for reg in regs.iter().take(3) {
+            let v = fast_vote(reg, Round(1), b0);
+            s.add_fast_vote(v.block, v.voter, v.signature);
+        }
+        assert_eq!(
+            s.fast_finalizable(3),
+            None,
+            "unranked blocks are not counted"
+        );
+        let calls = Cell::new(0);
+        let relayed = proof(vec![entry(&regs, b0, Rank(0), &[0, 1])]);
+        assert!(
+            merge_counting(&mut s, &relayed, &calls),
+            "a learned rank is a change"
+        );
+        assert_eq!(calls.get(), 0);
+        assert_eq!(s.fast_finalizable(3), Some(b0));
+    }
+
+    #[test]
+    fn changed_is_true_exactly_when_support_or_a_rank_was_added() {
+        let regs = registries(4);
+        let (b0, b1) = (hash(1), hash(2));
+        let mut s = receiver_holding_b0(&regs, b0);
+        let calls = Cell::new(0);
+        let merge = |s: &mut UnlockState, entries| merge_counting(s, &proof(entries), &calls);
+        // Nothing new: counted voters, known rank; or no entries at all.
+        assert!(!merge(&mut s, vec![entry(&regs, b0, Rank(0), &[1, 2])]));
+        assert!(!merge(&mut s, vec![]));
+        // A new voter for a known block.
+        assert!(merge(&mut s, vec![entry(&regs, b0, Rank(0), &[2, 3])]));
+        assert_eq!(s.supp(&b0), 4);
+        assert!(!merge(&mut s, vec![entry(&regs, b0, Rank(0), &[2, 3])]));
+        // A new block: rank and support at once, then nothing.
+        assert!(merge(&mut s, vec![entry(&regs, b1, Rank(1), &[0])]));
+        assert!(!merge(&mut s, vec![entry(&regs, b1, Rank(1), &[0])]));
+        // Rejected proofs change nothing, whatever else they carry.
+        let mut forged = entry(&regs, b1, Rank(1), &[0]);
+        forged.agg.signers.set(2);
+        assert!(!merge(&mut s, vec![forged]));
+        assert_eq!(s.supp(&b1), 1);
+        let mut wrong_round = proof(vec![entry(&regs, b1, Rank(1), &[1])]);
+        wrong_round.round = Round(2);
+        assert!(!merge_counting(&mut s, &wrong_round, &calls));
+        assert_eq!(s.supp(&b1), 1);
     }
 }

@@ -1,0 +1,387 @@
+//! Every piece of relayed evidence is checked once: relays and
+//! re-broadcasts of a proposal or an `Advance` the engine has already
+//! taken in cost no signature check, and no replay — a `Votes` frame's
+//! included — emits anything, while evidence that *is* new is still
+//! verified, whichever channel happens to carry it first. Counted
+//! through `Engine::verify_stats()`.
+
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+use banyan_core::builder::ClusterBuilder;
+use banyan_core::chained::{ChainedEngine, OptimisticConfig, PathMode};
+use banyan_crypto::beacon::{Beacon, BeaconMode};
+use banyan_crypto::hashsig::HashSig;
+use banyan_crypto::registry::KeyRegistry;
+use banyan_crypto::{AggregateSignature, Signature};
+use banyan_simnet::faults::FaultPlan;
+use banyan_simnet::sim::{SimConfig, Simulation};
+use banyan_simnet::topology::Topology;
+use banyan_types::app::FixedSizeSource;
+use banyan_types::block::Block;
+use banyan_types::certs::{Notarization, UnlockEntry, UnlockProof};
+use banyan_types::config::ProtocolConfig;
+use banyan_types::engine::{Actions, Engine, Outbound};
+use banyan_types::ids::{BlockHash, Rank, ReplicaId, Round};
+use banyan_types::message::{ChainedMsg, Message, SyncMsg};
+use banyan_types::payload::Payload;
+use banyan_types::time::{Duration, Time};
+use banyan_types::vote::{Vote, VoteKind};
+
+const CLUSTER_SEED: u64 = 77;
+
+/// A hand-driven cluster of `n` key holders around one real engine.
+/// Round-robin beacon: the leader of round `k` is replica `k mod n`.
+struct Cluster {
+    cfg: ProtocolConfig,
+}
+
+impl Cluster {
+    fn new(n: usize, f: usize, p: usize) -> Self {
+        let cfg = ProtocolConfig::new(n, f, p)
+            .unwrap()
+            .with_delta(Duration::from_millis(100));
+        Cluster { cfg }
+    }
+
+    fn n(&self) -> usize {
+        self.cfg.n()
+    }
+
+    fn registry(&self, i: u16) -> KeyRegistry {
+        KeyRegistry::generate(Arc::new(HashSig), CLUSTER_SEED, self.n(), i)
+    }
+
+    fn engine(&self, i: u16) -> ChainedEngine {
+        ChainedEngine::new(
+            self.cfg.clone(),
+            PathMode::Banyan,
+            self.registry(i),
+            Beacon::new(BeaconMode::RoundRobin, self.n()),
+            Box::new(FixedSizeSource::new(1_000, i)),
+        )
+    }
+
+    /// The round leader's signed block on `parent`.
+    fn leader_block(&self, round: u64, parent: BlockHash) -> (BlockHash, Block) {
+        let proposer = (round % self.n() as u64) as u16;
+        let mut block = Block {
+            round: Round(round),
+            proposer: ReplicaId(proposer),
+            rank: Rank(0),
+            parent,
+            proposed_at: Time(0),
+            payload: Payload::synthetic(1_000, round),
+            signature: Signature::zero(),
+        };
+        let hash = block.hash(self.cfg.payload_chunk);
+        block.signature = self.registry(proposer).sign(&Block::signing_message(&hash));
+        (hash, block)
+    }
+
+    fn vote(&self, voter: u16, kind: VoteKind, round: u64, block: BlockHash) -> Vote {
+        let msg = Vote::signing_message(kind, Round(round), &block);
+        Vote {
+            kind,
+            round: Round(round),
+            block,
+            voter: ReplicaId(voter),
+            signature: self.registry(voter).sign(&msg),
+        }
+    }
+
+    fn aggregate(
+        &self,
+        voters: std::ops::RangeInclusive<u16>,
+        kind: VoteKind,
+        round: u64,
+        block: BlockHash,
+    ) -> AggregateSignature {
+        let votes: Vec<(u16, Signature)> = voters
+            .map(|v| (v, self.vote(v, kind, round, block).signature))
+            .collect();
+        self.registry(0).table().aggregate(&votes)
+    }
+
+    fn notarization(
+        &self,
+        voters: std::ops::RangeInclusive<u16>,
+        round: u64,
+        block: BlockHash,
+    ) -> Notarization {
+        Notarization {
+            round: Round(round),
+            block,
+            agg: self.aggregate(voters, VoteKind::Notarize, round, block),
+            fast_agg: None,
+        }
+    }
+
+    /// An unlock proof with one entry: `voters`' fast votes for the
+    /// round's rank-0 `block`.
+    fn unlock_proof(
+        &self,
+        voters: std::ops::RangeInclusive<u16>,
+        round: u64,
+        block: BlockHash,
+    ) -> UnlockProof {
+        UnlockProof {
+            round: Round(round),
+            entries: vec![UnlockEntry {
+                block,
+                rank: Rank(0),
+                agg: self.aggregate(voters, VoteKind::Fast, round, block),
+            }],
+        }
+    }
+}
+
+fn sigs(e: &ChainedEngine) -> u64 {
+    e.verify_stats().sigs_verified
+}
+
+fn votes_frame(votes: Vec<Vote>) -> Message {
+    Message::Chained(ChainedMsg::Votes(votes))
+}
+
+fn broadcast_votes(actions: &Actions) -> Vec<Vote> {
+    actions
+        .outbound
+        .iter()
+        .filter_map(|o| match o {
+            Outbound::Broadcast(Message::Chained(ChainedMsg::Votes(v))) => Some(v.clone()),
+            _ => None,
+        })
+        .flatten()
+        .collect()
+}
+
+/// Delivers `msg` `times` more times, from rotating senders, and asserts
+/// that none of the deliveries emits an action. Returns the number of
+/// signatures the replays verified.
+fn replay_quietly(e: &mut ChainedEngine, n: usize, msg: &Message, times: usize) -> u64 {
+    let before = sigs(e);
+    for i in 0..times {
+        let from = ReplicaId(1 + (i % (n - 1)) as u16);
+        let actions = e.on_message(from, msg.clone(), Time(9_000 + i as u64));
+        assert!(actions.is_empty(), "replay {i} emitted {actions:?}");
+    }
+    sigs(e) - before
+}
+
+/// [`replay_quietly`], and none of the deliveries verifies a signature.
+fn assert_replays_are_free(e: &mut ChainedEngine, n: usize, msg: &Message, times: usize) {
+    assert_eq!(
+        replay_quietly(e, n, msg, times),
+        0,
+        "replays of known evidence verified signatures"
+    );
+}
+
+/// n = 7 (f = 2, p = 1): notarization quorum 5, unlock threshold > 3,
+/// fast quorum 6 — five voters notarize and unlock a block without
+/// FP-finalizing it, so rounds advance through `Advance`-shaped evidence.
+#[test]
+fn relayed_proposals_and_advances_are_checked_once_and_replays_emit_nothing() {
+    let c = Cluster::new(7, 2, 1);
+    let mut e = c.engine(0);
+    e.on_init(Time(0));
+
+    // Round 1: the leader's block, then votes from replicas 1..=4.
+    let (b1, block1) = c.leader_block(1, BlockHash::ZERO);
+    e.on_message(
+        ReplicaId(1),
+        Message::Chained(ChainedMsg::Proposal {
+            block: block1,
+            parent_notarization: None,
+            parent_unlock: None,
+            fast_vote: Some(c.vote(1, VoteKind::Fast, 1, b1)),
+        }),
+        Time(1_000),
+    );
+    for v in 1..=4 {
+        e.on_message(
+            ReplicaId(v),
+            votes_frame(vec![
+                c.vote(v, VoteKind::Notarize, 1, b1),
+                c.vote(v, VoteKind::Fast, 1, b1),
+            ]),
+            Time(2_000),
+        );
+    }
+    assert_eq!(e.current_round(), Round(2));
+
+    // Round 2: the leader's block as every peer relays it (Algorithm 1
+    // line 35) — with the parent's notarization and unlock proof. The
+    // proof names replica 5, whose fast vote we have not seen.
+    let (b2, block2) = c.leader_block(2, b1);
+    let proposal = Message::Chained(ChainedMsg::Proposal {
+        block: block2,
+        parent_notarization: Some(c.notarization(1..=5, 1, b1)),
+        parent_unlock: Some(c.unlock_proof(1..=5, 1, b1)),
+        fast_vote: Some(c.vote(2, VoteKind::Fast, 2, b2)),
+    });
+    let before = sigs(&e);
+    let first = e.on_message(ReplicaId(2), proposal.clone(), Time(3_000));
+    assert!(
+        broadcast_votes(&first).iter().any(|v| v.block == b2),
+        "first delivery is voted on"
+    );
+    // Proposer signature + leader fast vote + the one proof entry that
+    // adds a voter (5 signers); the known notarization is not re-checked.
+    assert_eq!(sigs(&e) - before, 1 + 1 + 5);
+    assert_replays_are_free(&mut e, c.n(), &proposal, 17);
+
+    // The round-2 `Advance` every peer broadcasts on leaving the round.
+    let advance = Message::Chained(ChainedMsg::Advance {
+        notarization: c.notarization(1..=5, 2, b2),
+        unlock: Some(c.unlock_proof(1..=4, 2, b2)),
+    });
+    let before = sigs(&e);
+    e.on_message(ReplicaId(1), advance.clone(), Time(4_000));
+    assert_eq!(e.current_round(), Round(3), "first delivery advances us");
+    assert_eq!(sigs(&e) - before, 5 + 4);
+    assert_replays_are_free(&mut e, c.n(), &advance, 17);
+
+    // A `Votes` frame (a heartbeat re-sends exactly this) replayed 100×
+    // changes nothing and emits nothing. Votes are not relayed, so —
+    // unlike the two above — duplicates are not filtered ahead of the
+    // check: each replay costs the frame's two verifications, no more.
+    let frame = votes_frame(vec![
+        c.vote(3, VoteKind::Notarize, 2, b2),
+        c.vote(3, VoteKind::Fast, 2, b2),
+    ]);
+    let before = sigs(&e);
+    e.on_message(ReplicaId(3), frame.clone(), Time(5_000));
+    assert_eq!(sigs(&e) - before, 2);
+    assert!(replay_quietly(&mut e, c.n(), &frame, 100) <= 200);
+}
+
+/// The novelty test is per piece of evidence, not per message: a relay of
+/// an already-stored block can still be the first to carry the leader's
+/// fast vote (the block itself came through a sync reply), and that vote
+/// must be verified and must make the block valid.
+#[test]
+fn first_leader_fast_vote_for_a_stored_block_is_still_verified() {
+    let c = Cluster::new(4, 1, 1);
+    let mut e = c.engine(0);
+    e.on_init(Time(0));
+    let (b1, block1) = c.leader_block(1, BlockHash::ZERO);
+
+    let actions = e.on_message(
+        ReplicaId(2),
+        Message::Sync(SyncMsg::Response {
+            block: block1.clone(),
+        }),
+        Time(1_000),
+    );
+    assert!(e.store().contains(&b1));
+    assert!(
+        broadcast_votes(&actions).is_empty(),
+        "rank-0 block without its proposer's fast vote is not valid"
+    );
+    assert_eq!(sigs(&e), 1, "proposer signature");
+
+    let relay = |fast_vote| {
+        Message::Chained(ChainedMsg::Proposal {
+            block: block1.clone(),
+            parent_notarization: None,
+            parent_unlock: None,
+            fast_vote: Some(fast_vote),
+        })
+    };
+    // A forged fast vote on the relay is checked — and rejected.
+    let mut forged = c.vote(1, VoteKind::Fast, 1, b1);
+    forged.signature.0[0] ^= 0xFF;
+    let actions = e.on_message(ReplicaId(3), relay(forged), Time(2_000));
+    assert!(broadcast_votes(&actions).is_empty());
+    assert_eq!(sigs(&e), 2);
+
+    // The genuine one is checked (the stored block is not) and accepted.
+    let genuine = c.vote(1, VoteKind::Fast, 1, b1);
+    let actions = e.on_message(ReplicaId(3), relay(genuine), Time(3_000));
+    assert_eq!(sigs(&e), 3);
+    let cast = broadcast_votes(&actions);
+    assert!(
+        cast.iter()
+            .any(|v| v.kind == VoteKind::Notarize && v.block == b1),
+        "the block became valid and was voted on: {cast:?}"
+    );
+    assert_replays_are_free(&mut e, c.n(), &relay(genuine), 3);
+}
+
+/// Optimistic pipelining releases the proposer's fast vote in a `Votes`
+/// frame of its own. If that frame overtakes the block, the vote is
+/// recorded as support but cannot yet count as the *leader's* fast vote;
+/// when a heartbeat re-sends it after the block arrived it must fill that
+/// role and count as a change, though the vote table already holds it.
+#[test]
+fn proposer_fast_vote_that_overtook_its_block_still_validates_it_when_resent() {
+    let c = Cluster::new(4, 1, 1);
+    let mut e = c.engine(0).with_optimistic(OptimisticConfig::default());
+    e.on_init(Time(0));
+    let (b1, block1) = c.leader_block(1, BlockHash::ZERO);
+    let released = votes_frame(vec![c.vote(1, VoteKind::Fast, 1, b1)]);
+
+    e.on_message(ReplicaId(1), released.clone(), Time(1_000));
+    let actions = e.on_message(
+        ReplicaId(1),
+        Message::Chained(ChainedMsg::Proposal {
+            block: block1,
+            parent_notarization: None,
+            parent_unlock: None,
+            fast_vote: None,
+        }),
+        Time(2_000),
+    );
+    assert!(
+        broadcast_votes(&actions).is_empty(),
+        "no leader fast vote on record yet"
+    );
+
+    let actions = e.on_message(ReplicaId(1), released.clone(), Time(3_000));
+    assert!(
+        broadcast_votes(&actions)
+            .iter()
+            .any(|v| v.kind == VoteKind::Notarize && v.block == b1),
+        "the re-sent fast vote must make the block valid"
+    );
+    replay_quietly(&mut e, c.n(), &released, 3);
+}
+
+/// The budget: on a seeded n = 4 happy path the whole cluster verifies
+/// at most 31 signatures per explicitly committed round (27.04 when
+/// pinned: 6 570 over 243 rounds; the engine before novelty-first intake
+/// read 89.89). A regression in redundant checking fails here, not in a
+/// benchmark.
+#[test]
+fn happy_path_signature_budget_per_committed_round() {
+    const N: usize = 4;
+    let topo = Topology::uniform(N, Duration::from_millis(10));
+    let engines = ClusterBuilder::new(N, 1, 1)
+        .unwrap()
+        .delta(Duration::from_millis(15))
+        .payload_size(1_000)
+        .build("banyan");
+    let mut sim = Simulation::new(topo, engines, FaultPlan::none(), SimConfig::with_seed(18));
+    sim.run_until(Time(Duration::from_secs(5).as_nanos()));
+    assert!(sim.auditor().is_safe());
+
+    let rounds: BTreeSet<Round> = sim
+        .metrics()
+        .commits
+        .iter()
+        .filter(|c| c.entry.explicit)
+        .map(|c| c.entry.round)
+        .collect();
+    assert!(rounds.len() > 100, "only {} rounds committed", rounds.len());
+    let sigs: u64 = (0..N as u16)
+        .map(|i| sim.engine(ReplicaId(i)).verify_stats().sigs_verified)
+        .sum();
+    let per_round = sigs as f64 / rounds.len() as f64;
+    assert!(
+        per_round <= 31.0,
+        "{per_round:.2} signature checks per committed round ({sigs} / {})",
+        rounds.len()
+    );
+}

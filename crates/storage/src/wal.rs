@@ -428,12 +428,14 @@ fn apply(mem: &mut BlockStore, record: WalRecord) {
 
 impl ChainStore for WalStore {
     fn insert(&mut self, hash: BlockHash, block: Block) -> bool {
+        // Duplicate check before the clone: relays re-offer stored blocks.
+        if self.mem.get(&hash).is_some() {
+            return false;
+        }
         // Cache first, then log: `append` may rotate, and the rotation
         // checkpoint must include this mutation (the old segment holding
         // its record is deleted).
-        if !self.mem.insert(hash, block.clone()) {
-            return false;
-        }
+        self.mem.insert(hash, block.clone());
         self.append(&WalRecord::Block { hash, block });
         true
     }

@@ -245,10 +245,11 @@ pub fn verify_frame(
             }
             // Signature plane: check every vote signature and aggregate
             // certificate the frame carries before it can occupy the
-            // consensus thread. The engine remains the authority (it
-            // re-checks through the same shared backend, where the cert
-            // cache makes the second look a hit); rejection here is the
-            // off-thread fast path for forgeries.
+            // consensus thread. The engine remains the authority, but
+            // looks only at evidence that can change its state; when it
+            // does, it goes through the same shared backend, where the
+            // cert cache makes the second look a hit. Rejection here is
+            // the off-thread fast path for forgeries.
             if let Some(backend) = &config.verify_backend {
                 let checks = msg.vote_checks();
                 if !checks.is_empty() {
@@ -748,5 +749,88 @@ mod tests {
         let s = stats.snapshot();
         assert_eq!(s.verified, 2);
         assert_eq!(s.rejected, 0, "optimistic shape must not be rejected");
+    }
+
+    /// The cert-verdict cache earns its keep where two verifiers share one
+    /// backend: a certificate a verify worker has checked is a cache hit
+    /// when the engine then needs it. The engine looks up only evidence
+    /// that can change its state — a relay of the same certificate is
+    /// checked (and hit) by the stateless worker alone.
+    #[test]
+    fn worker_verified_certificate_is_a_cache_hit_when_the_engine_needs_it() {
+        use banyan_core::builder::VerifyPlaneConfig;
+        use banyan_types::engine::{Actions, Outbound};
+        use banyan_types::ids::Round;
+        use banyan_types::message::ChainedMsg;
+        use std::collections::VecDeque;
+
+        let builder = ClusterBuilder::new(4, 1, 1)
+            .unwrap()
+            .delta(BDuration::from_millis(50))
+            .verify_plane(VerifyPlaneConfig::default());
+        let mut engines = builder.build_banyan();
+
+        // Replicas 0..=2 run round 1 among themselves — three fast votes
+        // are the fast quorum n − p — while replica 3 hears nothing.
+        let mut wire: Vec<(ReplicaId, Message)> = Vec::new();
+        let mut queue: VecDeque<(ReplicaId, Message)> = VecDeque::new();
+        let broadcasts = |from: usize, actions: Actions| {
+            actions
+                .outbound
+                .into_iter()
+                .filter_map(move |out| match out {
+                    Outbound::Broadcast(msg) => Some((ReplicaId(from as u16), msg)),
+                    Outbound::Send(..) => None,
+                })
+        };
+        for (i, engine) in engines.iter_mut().enumerate().take(3) {
+            let init = engine.on_init(BTime::ZERO);
+            for timer in init.timers.iter().filter(|t| t.at == BTime::ZERO) {
+                queue.extend(broadcasts(i, engine.on_timer(timer.kind, timer.at)));
+            }
+            queue.extend(broadcasts(i, init));
+        }
+        while let Some((from, msg)) = queue.pop_front() {
+            for (to, engine) in engines.iter_mut().enumerate().take(3) {
+                if to != from.as_usize() {
+                    queue.extend(broadcasts(
+                        to,
+                        engine.on_message(from, msg.clone(), BTime(1)),
+                    ));
+                }
+            }
+            wire.push((from, msg));
+        }
+        assert_eq!(engines[0].finalized_round(), Round(1));
+        let find = |pred: fn(&Message) -> bool| {
+            wire.iter()
+                .find(|(_, m)| pred(m))
+                .cloned()
+                .expect("round 1 ran")
+        };
+        let proposal = find(|m| m.proposal_block().is_some());
+        let certificate = find(|m| matches!(m, Message::Chained(ChainedMsg::Final(_))));
+
+        // Replica 3 sits behind a staged pipeline: worker and engine share
+        // one cached backend.
+        let shared = builder.make_verify_backend();
+        engines[3].set_verify_backend(shared.clone());
+        let config = PipelineConfig::default().with_verify_backend(shared.clone());
+        let stats = PipelineStats::default();
+        engines[3].on_init(BTime::ZERO);
+        let mut deliver = |(from, msg): (ReplicaId, Message)| {
+            let VerifyOutcome::Engine(from, msg) = verify_frame(from, msg, None, &config, &stats)
+            else {
+                panic!("honest frames pass the verify stage");
+            };
+            engines[3].on_message(from, msg, BTime(2));
+            (shared.stats().cert_cache_hits, engines[3].finalized_round())
+        };
+        assert_eq!(deliver(proposal), (0, Round(0)));
+        // Worker: miss, verified, cached. Engine: needs it — a hit.
+        assert_eq!(deliver(certificate.clone()), (1, Round(1)));
+        // Relayed again: the worker's look is a hit; the engine, already
+        // past round 1, does not look at all.
+        assert_eq!(deliver(certificate), (2, Round(1)));
     }
 }
