@@ -12,8 +12,9 @@
 //! Run: `cargo run --release -p banyan-bench --bin saturation_sweep -- \
 //!       [--quick] [--json] [--gossip] [--retry-ms N] [--fanout K] \
 //!       [--speculative] [--batch-min-bytes N] [--batch-age-ms N] \
-//!       [--shards S] [--cohorts] [--fanout-tree F] \
-//!       [--assert-no-drop] [--assert-max-dups] [--assert-gossip-bytes] [secs]`
+//!       [--restart] [--optimistic] [--crypto] [--cohorts] [--fanout-tree F] \
+//!       [--assert-no-drop] [--assert-max-dups] [--assert-rpc] [--assert-crypto] \
+//!       [--assert-gossip-bytes] [secs]`
 //!
 //! * `--quick` shrinks the sweep to a CI-sized smoke test;
 //! * `--json` emits one machine-readable JSON object per protocol
@@ -28,9 +29,6 @@
 //! * `--batch-min-bytes N` / `--batch-age-ms N` install a
 //!   latency-targeted batch policy (defer until N eligible bytes or an
 //!   N ms old request);
-//! * `--shards S` shards each replica's pending queue S ways; the
-//!   arrival-stamp merge keeps every number bit-identical to `--shards 1`
-//!   (the determinism suite and the CI gate pin this);
 //! * `--restart` schedules two staggered crash-and-rejoin restarts
 //!   (replicas 1 then 2) per point: each drops all volatile state,
 //!   rebuilds from its durable snapshot, and catches up over ranged
@@ -68,7 +66,7 @@
 //!   measured configuration;
 //! * `--cohorts` sweeps **cohort-aggregated modeled populations** (10³ up
 //!   to 10⁶ modeled clients folded into 64 cohorts, token-paced, with a
-//!   global admission cap) instead of real closed-loop clients — memory
+//!   global admission cap) instead of one cohort per client — memory
 //!   stays `O(cohorts)` regardless of the modeled population;
 //! * `--fanout-tree F` switches gossip to **propagation-limited** mode:
 //!   pushes travel a degree-`F` tree (ring successor + lowest-delay
@@ -106,7 +104,6 @@ struct Args {
     speculative: bool,
     batch_min_bytes: Option<u64>,
     batch_age_ms: Option<u64>,
-    shards: usize,
     restart: bool,
     optimistic: bool,
     crypto: bool,
@@ -130,7 +127,6 @@ fn parse_args() -> Args {
         speculative: false,
         batch_min_bytes: None,
         batch_age_ms: None,
-        shards: 1,
         restart: false,
         optimistic: false,
         crypto: false,
@@ -193,13 +189,6 @@ fn parse_args() -> Args {
                         .and_then(|v| v.parse().ok())
                         .expect("--batch-age-ms takes a millisecond count"),
                 )
-            }
-            "--shards" => {
-                args.shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s: &usize| s > 0)
-                    .expect("--shards takes a positive shard count")
             }
             other => match other.parse() {
                 Ok(v) => args.secs = Some(v),
@@ -340,8 +329,7 @@ fn main() {
             .secs(secs)
             .seed(seed)
             .drain(drain_secs)
-            .fanout(args.fanout)
-            .shards(args.shards);
+            .fanout(args.fanout);
         if args.gossip {
             base = base.gossip();
         }
@@ -480,8 +468,7 @@ fn crypto_sweep(args: &Args) {
             .secs(secs)
             .seed(seed)
             .drain(drain_secs)
-            .fanout(args.fanout)
-            .shards(args.shards);
+            .fanout(args.fanout);
         if args.gossip {
             base = base.gossip();
         }

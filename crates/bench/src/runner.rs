@@ -12,7 +12,7 @@ use banyan_core::chained::{ByzantineMode, OptimisticConfig};
 use banyan_crypto::ToySchnorr;
 use banyan_mempool::BatchPolicy;
 use banyan_runtime::driver::CommitSink;
-use banyan_simnet::cohort::{CohortWorkload, LoadShape};
+use banyan_simnet::cohort::LoadShape;
 use banyan_simnet::faults::FaultPlan;
 use banyan_simnet::metrics::{LatencyStats, RunMetrics, SafetyAuditor};
 use banyan_simnet::sim::{CryptoCost, SimConfig, Simulation};
@@ -86,24 +86,22 @@ pub struct Scenario {
     /// Open-loop client requests per second across the cluster; 0 (the
     /// default) keeps the paper's leader-minted synthetic workload.
     pub rate: u64,
-    /// Closed-loop client population size; 0 (the default) means no
-    /// closed loop. Takes precedence over `rate`.
-    pub clients: u16,
-    /// Cohort-aggregated modeled client population (see
-    /// `banyan_simnet::cohort`); 0 (the default) means none. Takes
-    /// precedence over `clients` and `rate` — this is how sweeps model
-    /// 10⁵–10⁶ clients in `O(cohorts)` memory.
+    /// Closed-loop client population size (see `banyan_simnet::cohort`);
+    /// 0 (the default) means no closed loop. Takes precedence over
+    /// `rate`.
     pub modeled_clients: u64,
-    /// Cohorts aggregating the modeled clients (only meaningful with
-    /// `modeled_clients > 0`).
+    /// Cohorts the closed-loop clients are folded into:
+    /// [`closed_loop`](Self::closed_loop) sets one per client,
+    /// [`cohort_load`](Self::cohort_load) fewer — which is how sweeps
+    /// model 10⁵–10⁶ clients in `O(cohorts)` memory.
     pub cohorts: u16,
-    /// Global in-flight admission cap for the cohort population; 0 (the
+    /// Global in-flight admission cap for the closed loop; 0 (the
     /// default) means the full `modeled_clients × window`.
     pub max_outstanding: u64,
-    /// Token-bucket pacing per *modeled* client (cohort population only);
+    /// Token-bucket pacing per *modeled* client (closed loop only);
     /// `None` resubmits freed slots immediately, the pure closed loop.
     pub member_interval: Option<Duration>,
-    /// Aggregate load shape for the cohort population.
+    /// Aggregate load shape for the closed loop.
     pub shape: LoadShape,
     /// Propagation-limited gossip: forward pushes down a bounded-fanout
     /// tree of this degree with per-peer backpressure instead of
@@ -140,12 +138,7 @@ pub struct Scenario {
     /// only — building a hotstuff/streamlet scenario with this on panics.
     /// Off by default — the historical certify-then-propose behavior.
     pub optimistic: bool,
-    /// Pending-queue shards per mempool. The arrival-stamp merge makes
-    /// drain order independent of the shard count, so any value sweeps
-    /// bit-identically to 1 (the historical single FIFO) — the knob
-    /// exists so sweeps can exercise and regression-pin that invariance.
-    pub shards: usize,
-    /// Per-client think-time multipliers for the closed loop (client `c`
+    /// Per-cohort think-time multipliers for the closed loop (cohort `c`
     /// pauses `think_time × multipliers[c % len]`); empty = uniform.
     pub think_multipliers: Vec<u32>,
     /// Extra seconds to run after freezing the workload, letting
@@ -187,7 +180,6 @@ impl Scenario {
             p,
             payload: 0,
             rate: 0,
-            clients: 0,
             modeled_clients: 0,
             cohorts: 0,
             max_outstanding: 0,
@@ -203,7 +195,6 @@ impl Scenario {
             speculative: false,
             batch_policy: None,
             optimistic: false,
-            shards: 1,
             think_multipliers: Vec::new(),
             drain_secs: 0,
             byzantine: Vec::new(),
@@ -238,20 +229,16 @@ impl Scenario {
     /// The offered load self-regulates to what the cluster commits, so
     /// sweeping `clients` traces a saturation (throughput-vs-latency)
     /// curve. Takes precedence over [`rate`](Self::rate).
-    pub fn closed_loop(mut self, clients: u16, window: u32, think_time: Duration) -> Self {
-        self.clients = clients;
-        self.window = window;
-        self.think_time = think_time;
-        self
+    pub fn closed_loop(self, clients: u16, window: u32, think_time: Duration) -> Self {
+        self.cohort_load(clients as u64, clients, window, think_time)
     }
 
-    /// Switches the scenario to a **cohort-aggregated** closed-loop
-    /// population: `modeled_clients` modeled clients folded into
+    /// [`closed_loop`](Self::closed_loop) with the population
+    /// **aggregated**: `modeled_clients` modeled clients folded into
     /// `cohorts` cohorts, each client keeping `window` outstanding
     /// requests with `think_time` between completion and resubmission.
     /// Memory and per-event work are `O(cohorts)`, so sweeping to 10⁶
-    /// modeled clients costs the same as 64. Takes precedence over
-    /// [`closed_loop`](Self::closed_loop) and [`rate`](Self::rate).
+    /// modeled clients costs the same as 64.
     pub fn cohort_load(
         mut self,
         modeled_clients: u64,
@@ -267,21 +254,21 @@ impl Scenario {
     }
 
     /// Paces each modeled client at one submission per `interval`
-    /// (cohort population only).
+    /// (closed loop only).
     pub fn member_interval(mut self, interval: Duration) -> Self {
         self.member_interval = Some(interval);
         self
     }
 
-    /// Caps the cohort population's total in-flight requests (admission
+    /// Caps the closed loop's total in-flight requests (admission
     /// control; deferred demand is admitted as completions free slots).
     pub fn max_outstanding(mut self, cap: u64) -> Self {
         self.max_outstanding = cap;
         self
     }
 
-    /// Installs an aggregate [`LoadShape`] for the cohort population
-    /// (flash crowd, diurnal wave, regional outage with failover).
+    /// Installs an aggregate [`LoadShape`] for the closed loop (flash
+    /// crowd, diurnal wave, regional outage with failover).
     pub fn load_shape(mut self, shape: LoadShape) -> Self {
         self.shape = shape;
         self
@@ -355,17 +342,9 @@ impl Scenario {
         self
     }
 
-    /// Shards each replica's pending queue `shards` ways (1 = the
-    /// historical single FIFO). Results are bit-identical for any value —
-    /// the determinism suite pins this.
-    pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "shard count must be positive");
-        self.shards = shards;
-        self
-    }
-
-    /// Skews per-client submit rates in the closed loop: client `c`
-    /// pauses `think_time × multipliers[c % len]` before resubmitting.
+    /// Skews per-cohort submit rates in the closed loop: cohort `c`
+    /// (client `c` under [`closed_loop`](Self::closed_loop)) pauses
+    /// `think_time × multipliers[c % len]` before resubmitting.
     pub fn think_multipliers(mut self, multipliers: Vec<u32>) -> Self {
         self.think_multipliers = multipliers;
         self
@@ -387,11 +366,10 @@ impl Scenario {
         self
     }
 
-    /// True when the scenario runs any client workload (open loop,
-    /// closed loop, or cohort population) instead of leader-minted
-    /// synthetic payloads.
+    /// True when the scenario runs a client workload (open or closed
+    /// loop) instead of leader-minted synthetic payloads.
     pub fn client_driven(&self) -> bool {
-        self.modeled_clients > 0 || self.clients > 0 || self.rate > 0
+        self.modeled_clients > 0 || self.rate > 0
     }
 
     /// True when any dissemination-layer feature (gossip, retry, submit
@@ -592,9 +570,7 @@ pub fn build_simulation(scenario: &Scenario) -> Simulation {
         (0..n)
             .map(|_| {
                 std::sync::Arc::new(std::sync::Mutex::new(
-                    Mempool::new(DEFAULT_MEMPOOL_CAPACITY)
-                        .with_gossip(scenario.gossip)
-                        .with_shards(scenario.shards),
+                    Mempool::new(DEFAULT_MEMPOOL_CAPACITY).with_gossip(scenario.gossip),
                 ))
             })
             .collect()
@@ -640,7 +616,7 @@ pub fn build_simulation(scenario: &Scenario) -> Simulation {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(1);
         if scenario.modeled_clients > 0 {
-            let mut workload = CohortWorkload::new(
+            let mut workload = ClosedLoopWorkload::aggregated(
                 scenario.modeled_clients,
                 scenario.cohorts.max(1),
                 scenario.window,
@@ -648,40 +624,20 @@ pub fn build_simulation(scenario: &Scenario) -> Simulation {
                 scenario.request_size,
                 client_seed,
                 pools,
-            );
+            )
+            .with_shape(scenario.shape.clone())
+            .with_think_multipliers(scenario.think_multipliers.clone());
             if scenario.max_outstanding > 0 {
                 workload = workload.with_max_outstanding(scenario.max_outstanding);
             }
             if let Some(interval) = scenario.member_interval {
                 workload = workload.with_member_interval(interval);
             }
-            if scenario.shape != LoadShape::Steady {
-                workload = workload.with_shape(scenario.shape.clone());
-            }
             if let Some(timeout) = scenario.retry {
                 workload = workload.with_retry(timeout);
             }
             if scenario.fanout > 1 {
                 workload = workload.with_fanout(scenario.fanout);
-            }
-            sim.attach_cohorts(workload);
-        } else if scenario.clients > 0 {
-            let mut workload = ClosedLoopWorkload::new(
-                scenario.clients,
-                scenario.window,
-                scenario.think_time,
-                scenario.request_size,
-                client_seed,
-                pools,
-            );
-            if let Some(timeout) = scenario.retry {
-                workload = workload.with_retry(timeout);
-            }
-            if scenario.fanout > 1 {
-                workload = workload.with_fanout(scenario.fanout);
-            }
-            if !scenario.think_multipliers.is_empty() {
-                workload = workload.with_think_multipliers(scenario.think_multipliers.clone());
             }
             sim.attach_closed_loop(workload);
         } else {

@@ -16,9 +16,8 @@ use crate::runner::{run, Scenario};
 /// One measured point of a saturation sweep.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepPoint {
-    /// Closed-loop population size: real clients for
-    /// [`measure`], *modeled* clients for [`measure_cohorts`] (which is
-    /// why this is wide enough for 10⁶).
+    /// Closed-loop population size: the (modeled) clients, wide enough
+    /// for [`measure_cohorts`]'s 10⁶.
     pub clients: u64,
     /// Outstanding-request window per client.
     pub window: u32,
@@ -138,21 +137,18 @@ pub fn mean_rounds_per_commit(points: &[SweepPoint]) -> Option<f64> {
 
 /// Runs one point of a sweep: `base` (protocol, topology, request size,
 /// duration, seed, …) switched to a closed loop of `clients × window`
-/// outstanding requests with `think_time` pauses, reduced to a
-/// [`SweepPoint`].
+/// outstanding requests with `think_time` pauses, one cohort per client,
+/// reduced to a [`SweepPoint`].
 ///
 /// # Panics
 ///
 /// Panics if the run observes a safety violation.
 pub fn measure(base: &Scenario, clients: u16, window: u32, think_time: Duration) -> SweepPoint {
-    let scenario = base.clone().closed_loop(clients, window, think_time);
-    reduce(&scenario, clients as u64, window)
+    measure_cohorts(base, clients as u64, clients, window, think_time)
 }
 
-/// Runs one point of a **cohort** sweep: `base` switched to a
-/// cohort-aggregated population of `modeled` clients in `cohorts`
-/// cohorts. The same [`SweepPoint`] comes back, with `clients` carrying
-/// the *modeled* population (up to millions).
+/// [`measure`] with the population aggregated: `modeled` clients (up to
+/// millions) folded into `cohorts` cohorts.
 ///
 /// # Panics
 ///

@@ -241,37 +241,58 @@ fn saturation_sweep_is_monotone_up_to_the_knee() {
     }
 }
 
-/// Sharding the pending queue must be invisible to every observable
-/// number: the per-request arrival stamps give the merge a total order,
-/// so `shards(4)` replays the historical single-FIFO run bit-for-bit —
-/// commit log, counters, latency samples, everything. Exercised both on
-/// the open-loop stream and on a gossiping closed loop with the
-/// speculative drain, where drain order feeds back into proposals.
+/// The closed loop is pinned to numbers, not to a second implementation:
+/// the goldens below were captured at the last revision that still had
+/// the per-client `ClosedLoopWorkload` next to the cohort model (PR 18),
+/// on the per-client side. Any drift means the one surviving population
+/// changed an RNG draw, a request id, a tick time or the submit
+/// accounting.
 #[test]
-fn shard_count_never_changes_the_run() {
-    let (single, auditor_a) = run_metrics(&client_scenario(42).shards(1));
-    let (sharded, auditor_b) = run_metrics(&client_scenario(42).shards(4));
-    assert!(auditor_a.is_safe() && auditor_b.is_safe());
-    assert!(single.requests_committed() > 0, "no progress");
-    assert_eq!(
-        single, sharded,
-        "shards(4) must replay the single-FIFO run bit-for-bit"
-    );
-    assert_eq!(single.client_latencies(), sharded.client_latencies());
-
-    let contended = |shards: usize| {
-        closed_scenario(42)
-            .gossip()
-            .speculative_drain()
-            .shards(shards)
-    };
-    let (single, _) = run_metrics(&contended(1));
-    for shards in [2, 4, 7] {
-        let (sharded, auditor) = run_metrics(&contended(shards));
+fn closed_loop_is_bit_identical_to_the_per_client_goldens() {
+    let uniform = |delay_ms| Topology::uniform(4, Duration::from_millis(delay_ms));
+    // The `fairness.rs` skewed-rate scenario: think multipliers, gossip,
+    // retry and a drain phase.
+    let skewed = Scenario::new("banyan", uniform(5), 1, 1)
+        .closed_loop(8, 2, Duration::from_millis(2))
+        .think_multipliers(vec![1, 1, 1, 1, 1, 1, 1, 40])
+        .request_size(256)
+        .secs(4)
+        .seed(42)
+        .gossip()
+        .retry_timeout(Duration::from_millis(400))
+        .drain(2);
+    // A retry storm across a crash-and-rejoin.
+    let restarted = Scenario::new("banyan", uniform(10), 1, 1)
+        .closed_loop(48, 8, Duration::ZERO)
+        .request_size(300)
+        .secs(3)
+        .seed(5)
+        .retry_timeout(Duration::from_millis(40))
+        .restart(1, Duration::from_millis(500), Duration::from_millis(1_500))
+        .drain(2);
+    // (commits, submitted, committed, retried, messages, bytes)
+    let goldens = [
+        (
+            closed_scenario(42),
+            [584, 2_048, 2_000, 0, 5_262, 8_458_881],
+        ),
+        (skewed, [2_284, 2_753, 2_753, 0, 28_785, 15_715_248]),
+        (restarted, [884, 18_732, 18_732, 21_971, 7_932, 70_394_012]),
+    ];
+    for (i, (scenario, golden)) in goldens.into_iter().enumerate() {
+        let (m, auditor) = run_metrics(&scenario);
         assert!(auditor.is_safe());
+        let got = [
+            m.commits.len() as u64,
+            m.requests_submitted,
+            m.requests_committed(),
+            m.requests_retried,
+            m.messages_sent,
+            m.bytes_sent,
+        ];
         assert_eq!(
-            single, sharded,
-            "shards({shards}) diverged under gossip + speculative drain"
+            got, golden,
+            "#{i}: (commits, submitted, committed, retried, messages, bytes) drifted"
         );
     }
 }

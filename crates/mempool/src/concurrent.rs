@@ -1,35 +1,40 @@
-//! The lock-split concurrent pool: send-only ingest, a separately-guarded
-//! lease coordinator, and the sharded pending queue behind its own lock.
+//! The lock-split concurrent pool: send-only channel ingest and a
+//! separately-locked lease coordinator over one pending FIFO.
 //!
 //! [`SharedMempool`](crate::SharedMempool) serializes *every* operation —
 //! client push, gossip accept, lease bookkeeping, speculative drain — on
-//! one mutex. [`ConcurrentPool`] splits that into three independent
-//! pieces so the staged replica pipeline can scale across cores:
+//! one mutex. [`ConcurrentPool`] keeps the same single [`Mempool`] behind
+//! one lock and takes two kinds of work off it, which is all the
+//! parallelism there is:
 //!
 //! * **Ingest** — pushes and gossip accepts go through a bounded MPMC
 //!   channel (`crossbeam::channel`). The hot path is a single `try_send`
-//!   by a cloneable [`PoolIngest`] handle: no lock, no waiting. Queued
-//!   operations are applied to the pending shards at the next drain or
-//!   observation point ([`ConcurrentPool::sync_ingest`], called
-//!   internally by every consumer-side entry point). A full channel
-//!   sheds the request (counted in
+//!   by a cloneable [`PoolIngest`] handle: no lock, no waiting, from any
+//!   number of reader/verify threads at once. Queued operations are
+//!   applied to the pending queue by whichever thread next reaches a
+//!   drain or observation point ([`ConcurrentPool::sync_ingest`], called
+//!   internally by every consumer-side entry point), under the pending
+//!   lock. A full channel sheds the request (counted in
 //!   [`ingest_dropped`](ConcurrentPool::ingest_dropped)) — clients
 //!   retry, so a shed ingest is a delayed request, never a lost one,
 //!   exactly like a gossip-outbox drop.
 //! * **Lease coordination** — `observe_proposal` / `mark_committed_block`
-//!   / `release` operate on a [`LeaseTable`] behind its own small mutex,
-//!   so commit retirement and proposal observation never block client
-//!   ingest or each other's fast paths.
-//! * **Pending shards** — the [`Mempool`] itself (sharded, see the
-//!   crate-level *Sharding* section) behind the pending lock, touched
-//!   only by drains, ingest application and commit tombstoning.
+//!   / `release` operate on a [`LeaseTable`](crate::LeaseTable) behind its
+//!   own small mutex, and block decoding and hashing happen outside any
+//!   lock, so the verify workers' lease observations never wait on a
+//!   drain (or on each other's decode).
+//!
+//! The **pending queue** itself — the [`Mempool`]'s one FIFO — is touched
+//! only under the pending lock, by drains, ingest application and commit
+//! tombstoning: one thread at a time, so its order is a single FIFO's.
 //!
 //! Lock order is always **coordinator → pending** (never both the other
 //! way), so the two can't deadlock. Determinism note: the simulator keeps
-//! using the plain [`SharedMempool`] — its whole point is a single
-//! deterministic event order. `ConcurrentPool` is for the real-threads
-//! TCP pipeline, where the channel hand-off trades a bounded reordering
-//! window (ingest lands at the next sync point) for lock-free submission.
+//! using the plain [`SharedMempool`](crate::SharedMempool) — its whole
+//! point is a single deterministic event order. `ConcurrentPool` is for
+//! the real-threads TCP pipeline, where the channel hand-off trades a
+//! bounded reordering window (ingest lands at the next sync point) for
+//! lock-free submission.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -88,8 +93,8 @@ impl PoolIngest {
     }
 }
 
-/// Lease state guarded separately from the pending shards, so commit
-/// retirement no longer blocks client ingest.
+/// Lease state guarded separately from the pending queue, so lease
+/// observation never waits on a drain.
 #[derive(Debug, Default)]
 struct LeaseCoordinator {
     /// `Some(payload_chunk)` when speculation is on (parameterizes block
@@ -98,9 +103,9 @@ struct LeaseCoordinator {
     leases: crate::LeaseTable,
 }
 
-/// A [`Mempool`] split across three independently-guarded pieces: a
-/// bounded MPMC ingest channel, a lease coordinator, and the sharded
-/// pending queue. See the module docs for the locking story.
+/// A [`Mempool`] behind its pending lock, fed by a bounded MPMC ingest
+/// channel and steered by a separately-locked lease coordinator. See the
+/// module docs for the locking story.
 pub struct ConcurrentPool {
     pending: Mutex<Mempool>,
     coordinator: Mutex<LeaseCoordinator>,
@@ -149,7 +154,7 @@ impl ConcurrentPool {
         self.ingest_dropped.load(Ordering::Relaxed)
     }
 
-    /// Applies every queued ingest operation to the pending shards and
+    /// Applies every queued ingest operation to the pending queue and
     /// returns how many were applied. Called internally at each drain /
     /// observation point; exposed for drivers that want an explicit sync
     /// (e.g. before reading [`len`](Self::len) in a test).
@@ -264,7 +269,7 @@ impl ReplicaPool for SharedConcurrentPool {
         pool.take_outbox()
     }
 
-    /// Applies peer-forwarded requests straight to the pending shards
+    /// Applies peer-forwarded requests straight to the pending queue
     /// (never re-gossiped). Only the inline event loop gets here; the
     /// staged replica's verify workers feed [`PoolIngest::forward`].
     fn accept_forwarded(&self, requests: Vec<Request>) {
@@ -379,7 +384,7 @@ mod tests {
         let ingest = pool.ingest();
         assert!(ingest.push(req(1, 1)));
         assert!(ingest.forward(req(2, 2)));
-        // Nothing is in the pending shards until a sync point.
+        // Nothing is in the pending queue until a sync point.
         assert_eq!(pool.pool().len(), 0);
         let out = pool.next_batch(
             10,

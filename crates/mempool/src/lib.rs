@@ -86,23 +86,6 @@
 //!    committed occurrence wins, later ones are counted as *suppressed
 //!    duplicates*, never delivered or measured twice.
 //!
-//! # Sharding
-//!
-//! The pending queue is split into `S` independent **shards** by
-//! request-id hash ([`Mempool::with_shards`]; default 1). Each shard owns
-//! its FIFO, dedup set and byte accounting, so the lock-split
-//! [`ConcurrentPool`] and the staged replica pipeline can grow ingest
-//! parallelism without a single hot queue. Drains stay deterministic for
-//! *any* shard count: every accepted request is stamped with a global
-//! **arrival sequence number**, and the drain merges shard heads by
-//! minimum sequence — exactly the order a single FIFO would serve. (For
-//! the normal in-order client stream this equals `(timestamp, id)` order;
-//! the sequence stamp additionally keeps released and retried requests —
-//! which re-enter the queue *back* with their original older timestamps —
-//! in their re-arrival position, which is what the single-queue pool
-//! always did.) `shards(1)` is bit-identical to the historical pool, and
-//! any `S` produces the same drain order as `S = 1`.
-//!
 //! Everything is a deterministic function of inputs: replays of a seeded
 //! run reproduce the same pools, batches and forwards bit-for-bit.
 
@@ -237,13 +220,15 @@ pub enum PushOutcome {
 #[derive(Debug)]
 pub struct Mempool {
     capacity: usize,
-    /// The pending queue, split by request-id hash (see the crate-level
-    /// *Sharding* section). One shard by default.
-    shards: Vec<Shard>,
-    /// Global arrival stamp: every accepted request gets the next value,
-    /// and drains merge shard heads by minimum stamp — the single-FIFO
-    /// service order, independent of the shard count.
-    next_seq: u64,
+    /// The pending FIFO, in acceptance order. An entry is live while its
+    /// id is in `pending`; the rest are tombstones drains discard.
+    queue: VecDeque<Request>,
+    /// Live id → nominal size, so tombstoning
+    /// ([`mark_committed`](Self::mark_committed), which only knows the
+    /// id) keeps `pending_bytes` exact in O(1).
+    pending: HashMap<u64, u64>,
+    /// Nominal bytes of the live requests.
+    pending_bytes: u64,
     /// Ids observed committed; never accepted again.
     committed_ids: HashSet<u64>,
     /// When true, locally pushed requests are queued for gossip.
@@ -279,18 +264,6 @@ pub struct Mempool {
     deferred: u64,
 }
 
-/// One pending-queue shard: its own FIFO, dedup/live set and byte
-/// accounting. Queue entries carry the global arrival stamp the drain
-/// merge orders by; `pending` maps each live id to its nominal size so
-/// tombstoning ([`Mempool::mark_committed`]) can keep `pending_bytes`
-/// exact in O(1).
-#[derive(Debug, Default)]
-struct Shard {
-    queue: VecDeque<(u64, Request)>,
-    pending: HashMap<u64, u64>,
-    pending_bytes: u64,
-}
-
 /// One peer's bounded outbound relay queue (propagation-limited gossip).
 /// Entries are `(request, relay)`: `relay = false` for locally pushed
 /// requests (first hop, shipped as `Forward` with bodies), `true` for
@@ -323,18 +296,6 @@ impl PeerQueue {
     }
 }
 
-/// The stable shard of `id` among `shards`: a Fibonacci-hash spread so
-/// adjacent client ids don't pile into one shard. Every copy of an id
-/// maps to the same shard, which is what keeps per-shard dedup
-/// equivalent to global dedup.
-fn shard_index(id: u64, shards: usize) -> usize {
-    if shards == 1 {
-        0
-    } else {
-        (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % shards
-    }
-}
-
 impl Mempool {
     /// An empty mempool holding at most `capacity` pending requests.
     ///
@@ -345,8 +306,9 @@ impl Mempool {
         assert!(capacity > 0, "mempool capacity must be positive");
         Mempool {
             capacity,
-            shards: vec![Shard::default()],
-            next_seq: 0,
+            queue: VecDeque::new(),
+            pending: HashMap::new(),
+            pending_bytes: 0,
             committed_ids: HashSet::new(),
             gossip: false,
             outbox: VecDeque::new(),
@@ -366,61 +328,6 @@ impl Mempool {
             released: 0,
             deferred: 0,
         }
-    }
-
-    /// Builder-style: splits the pending queue into `shards` independent
-    /// shards (default 1). Existing entries are redistributed, keeping
-    /// their arrival stamps, so the drain order is unchanged. Any shard
-    /// count drains in the same order as one shard — see the crate-level
-    /// *Sharding* section.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.set_shards(shards);
-        self
-    }
-
-    /// Re-shards the pending queue in place — the shared-handle
-    /// counterpart of [`with_shards`](Self::with_shards).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn set_shards(&mut self, shards: usize) {
-        assert!(shards > 0, "shard count must be positive");
-        if shards == self.shards.len() {
-            return;
-        }
-        let live: HashMap<u64, u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.pending.iter().map(|(id, size)| (*id, *size)))
-            .collect();
-        let mut all: Vec<(u64, Request)> = self
-            .shards
-            .iter_mut()
-            .flat_map(|s| s.queue.drain(..))
-            .collect();
-        all.sort_unstable_by_key(|(seq, _)| *seq);
-        self.shards = (0..shards).map(|_| Shard::default()).collect();
-        for (seq, req) in all {
-            // Tombstones of committed ids are dropped by the re-shard —
-            // drains would have discarded them anyway.
-            if !live.contains_key(&req.id) {
-                continue;
-            }
-            let shard = &mut self.shards[shard_index(req.id, shards)];
-            shard.pending.insert(req.id, req.size);
-            shard.pending_bytes = shard.pending_bytes.saturating_add(req.size);
-            shard.queue.push_back((seq, req));
-        }
-    }
-
-    /// Number of pending-queue shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Builder-style: enables (or disables) the gossip outbox. When
@@ -592,17 +499,13 @@ impl Mempool {
             self.rejected_committed += 1;
             return PushOutcome::Committed;
         }
-        let s = shard_index(req.id, self.shards.len());
-        let shard = &mut self.shards[s];
-        if shard.pending.contains_key(&req.id) {
+        if self.pending.contains_key(&req.id) {
             self.duplicates += 1;
             return PushOutcome::Duplicate;
         }
-        shard.pending.insert(req.id, req.size);
-        shard.pending_bytes = shard.pending_bytes.saturating_add(req.size);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        shard.queue.push_back((seq, req));
+        self.pending.insert(req.id, req.size);
+        self.pending_bytes = self.pending_bytes.saturating_add(req.size);
+        self.queue.push_back(req);
         self.accepted += 1;
         if self.len() > self.capacity {
             let oldest = self.pop_live().expect("over capacity implies a live entry");
@@ -612,41 +515,16 @@ impl Mempool {
         PushOutcome::Accepted
     }
 
-    /// Pops the oldest *live* (non-tombstone) request across all shards —
-    /// the one with the minimum arrival stamp — discarding any leading
-    /// tombstones left by [`mark_committed`](Self::mark_committed).
+    /// Pops the oldest *live* (non-tombstone) request, discarding any
+    /// leading tombstones left by [`mark_committed`](Self::mark_committed).
     fn pop_live(&mut self) -> Option<Request> {
-        let s = self.min_live_shard()?;
-        let (_, req) = self.shards[s]
-            .queue
-            .pop_front()
-            .expect("min_live_shard found a live head");
-        let shard = &mut self.shards[s];
-        let size = shard.pending.remove(&req.id).expect("head was live");
-        shard.pending_bytes = shard.pending_bytes.saturating_sub(size);
-        Some(req)
-    }
-
-    /// The shard whose live head has the minimum arrival stamp, after
-    /// discarding each shard's leading tombstones. `None` when nothing is
-    /// live anywhere.
-    fn min_live_shard(&mut self) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for s in 0..self.shards.len() {
-            let shard = &mut self.shards[s];
-            while let Some((_, front)) = shard.queue.front() {
-                if shard.pending.contains_key(&front.id) {
-                    break;
-                }
-                shard.queue.pop_front();
-            }
-            if let Some((seq, _)) = shard.queue.front() {
-                if best.is_none_or(|(bseq, _)| *seq < bseq) {
-                    best = Some((*seq, s));
-                }
+        while let Some(req) = self.queue.pop_front() {
+            if let Some(size) = self.pending.remove(&req.id) {
+                self.pending_bytes = self.pending_bytes.saturating_sub(size);
+                return Some(req);
             }
         }
-        best.map(|(_, s)| s)
+        None
     }
 
     /// Records that `id` was observed committed: any pending copy becomes
@@ -658,10 +536,8 @@ impl Mempool {
         if !self.committed_ids.insert(id) {
             return false;
         }
-        let s = shard_index(id, self.shards.len());
-        let shard = &mut self.shards[s];
-        if let Some(size) = shard.pending.remove(&id) {
-            shard.pending_bytes = shard.pending_bytes.saturating_sub(size);
+        if let Some(size) = self.pending.remove(&id) {
+            self.pending_bytes = self.pending_bytes.saturating_sub(size);
         }
         true
     }
@@ -956,11 +832,9 @@ impl Mempool {
     /// The lock-split [`ConcurrentPool`] calls it directly with an
     /// exclusion set computed by its separately-guarded coordinator.
     ///
-    /// The merge rule: repeatedly take the live, non-excluded shard head
-    /// with the minimum arrival stamp — bit-identical to a single FIFO
-    /// for any shard count. Tombstones are discarded as encountered;
-    /// excluded (ancestor-leased) heads are set aside and restored to
-    /// their shard fronts in original order, keeping their FIFO slots.
+    /// Tombstones are discarded as encountered; excluded
+    /// (ancestor-leased) requests are set aside and restored to the queue
+    /// front in original order, keeping their FIFO slots.
     pub(crate) fn drain_core(
         &mut self,
         max_records: usize,
@@ -977,83 +851,57 @@ impl Mempool {
                 return Vec::new();
             }
         }
-        let nshards = self.shards.len();
         let mut out = Vec::new();
-        let mut skipped: Vec<Vec<(u64, Request)>> = (0..nshards).map(|_| Vec::new()).collect();
+        let mut skipped = Vec::new();
         let mut bytes = 0u64;
         while out.len() < max_records {
-            // Advance every shard head past tombstones (discarded) and
-            // excluded entries (set aside), then pick the minimum-stamp
-            // live candidate.
-            let mut best: Option<(u64, usize)> = None;
-            for (s, (shard, skipped)) in self.shards.iter_mut().zip(skipped.iter_mut()).enumerate()
-            {
-                while let Some((seq, front)) = shard.queue.front() {
-                    let seq = *seq;
-                    if !shard.pending.contains_key(&front.id) {
-                        shard.queue.pop_front(); // tombstone of a committed id
-                        continue;
-                    }
-                    if excluded.contains(&front.id) {
-                        let entry = shard.queue.pop_front().expect("front exists");
-                        skipped.push(entry);
-                        continue;
-                    }
-                    if best.is_none_or(|(bseq, _)| seq < bseq) {
-                        best = Some((seq, s));
-                    }
-                    break;
-                }
-            }
-            let Some((_, s)) = best else {
+            let Some(req) = self.queue.pop_front() else {
                 break;
             };
-            let (seq, req) = self.shards[s].queue.pop_front().expect("candidate head");
+            if !self.pending.contains_key(&req.id) {
+                continue; // tombstone of a committed id
+            }
+            if excluded.contains(&req.id) {
+                skipped.push(req);
+                continue;
+            }
             let next = bytes.saturating_add(req.size);
             if !out.is_empty() && next > max_bytes {
-                self.shards[s].queue.push_front((seq, req));
+                self.queue.push_front(req);
                 break;
             }
             bytes = next;
-            let shard = &mut self.shards[s];
-            let size = shard.pending.remove(&req.id).expect("candidate was live");
-            shard.pending_bytes = shard.pending_bytes.saturating_sub(size);
+            self.pending.remove(&req.id);
+            self.pending_bytes = self.pending_bytes.saturating_sub(req.size);
             out.push(req);
         }
-        // Skipped (ancestor-leased) requests return to their shard fronts
-        // in original relative order: FIFO fairness is preserved for them.
-        for (s, shard_skipped) in skipped.into_iter().enumerate() {
-            for entry in shard_skipped.into_iter().rev() {
-                self.shards[s].queue.push_front(entry);
-            }
+        for req in skipped.into_iter().rev() {
+            self.queue.push_front(req);
         }
         out
     }
 
     /// The [`BatchPolicy`] gate: is the eligible backlog (live, not
     /// ancestor-leased) big or old enough to build a batch? The checks
-    /// are order-independent — build iff any eligible request hit the age
-    /// escape or the eligible bytes reach the target — so shards can be
-    /// scanned without merging.
+    /// Build iff any eligible request hit the age escape or the eligible
+    /// bytes reach the target.
     fn batch_ready(&self, excluded: &HashSet<u64>, policy: &BatchPolicy, now: Time) -> BatchReady {
         if policy.min_bytes == 0 {
             return BatchReady::Build; // EAGER: never defer (the historical behavior)
         }
         let mut bytes = 0u64;
         let mut eligible = false;
-        for shard in &self.shards {
-            for (_, req) in &shard.queue {
-                if !shard.pending.contains_key(&req.id) || excluded.contains(&req.id) {
-                    continue;
-                }
-                eligible = true;
-                if now.since(req.submitted_at) >= policy.max_age {
-                    return BatchReady::Build; // an eligible request hit the age escape
-                }
-                bytes = bytes.saturating_add(req.size);
-                if bytes >= policy.min_bytes {
-                    return BatchReady::Build;
-                }
+        for req in &self.queue {
+            if !self.pending.contains_key(&req.id) || excluded.contains(&req.id) {
+                continue;
+            }
+            eligible = true;
+            if now.since(req.submitted_at) >= policy.max_age {
+                return BatchReady::Build; // an eligible request hit the age escape
+            }
+            bytes = bytes.saturating_add(req.size);
+            if bytes >= policy.min_bytes {
+                return BatchReady::Build;
             }
         }
         if eligible {
@@ -1066,15 +914,14 @@ impl Mempool {
         }
     }
 
-    /// Pending (live) requests across all shards.
+    /// Pending (live) requests.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.pending.len()).sum()
+        self.pending.len()
     }
 
-    /// Nominal bytes (sum of [`Request::size`]) pending across all
-    /// shards — the per-shard byte accounting, aggregated.
+    /// Nominal bytes (sum of [`Request::size`]) pending.
     pub fn pending_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.pending_bytes).sum()
+        self.pending_bytes
     }
 
     /// Ids of the pending (live) requests, in no particular order. Used
@@ -1083,12 +930,12 @@ impl Mempool {
     /// in several pools, and summing [`len`](Self::len)s would hide real
     /// losses behind surviving copies of other requests.
     pub fn pending_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.shards.iter().flat_map(|s| s.pending.keys().copied())
+        self.pending.keys().copied()
     }
 
     /// True if nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.pending.is_empty())
+        self.pending.is_empty()
     }
 
     /// Requests accepted so far (including later-evicted ones; local

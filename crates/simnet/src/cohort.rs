@@ -1,12 +1,20 @@
-//! Cohort-aggregated client populations: 10⁶ modeled clients in O(K)
-//! memory.
+//! The closed-loop client population: one cohort-aggregated model, from a
+//! dozen per-client windows to 10⁶ modeled clients in O(K) memory.
 //!
-//! [`ClosedLoopWorkload`](crate::ClosedLoopWorkload) keeps per-client
-//! state, so sweeps top out at thousands of clients. [`CohortWorkload`]
-//! models a population of `modeled_clients` clients as `K` **cohorts** —
-//! each cohort aggregates `members` statistically identical clients into
-//! four numbers (members, outstanding, deferred demand, token clock) plus
-//! a bounded latency reservoir. Aggregate submit statistics are *exact*:
+//! [`ClosedLoopWorkload`] models `modeled_clients` clients as `K`
+//! **cohorts** — each cohort aggregates `members` statistically identical
+//! clients into four numbers (members, outstanding, deferred demand,
+//! token clock). It has two constructors over the same state machine:
+//!
+//! * [`ClosedLoopWorkload::new`] — one member per cohort: every client is
+//!   its own cohort, so per-client windows, think times and latency
+//!   series (`RunMetrics::per_client_latencies` keys by the request's
+//!   `client` field, which *is* the cohort id) are exact;
+//! * [`ClosedLoopWorkload::aggregated`] — `modeled_clients` folded into
+//!   `K ≤ 65 535` cohorts, so sweeps reach populations no per-client
+//!   bookkeeping could hold.
+//!
+//! Aggregate submit statistics are *exact* either way:
 //!
 //! * **window accounting** — a cohort of `m` members with window `w`
 //!   never holds more than `m × w` outstanding requests, and the whole
@@ -16,17 +24,15 @@
 //! * **token-bucket pacing** — an optional per-cohort submit interval
 //!   (derived from a per-client rate × members) spaces submissions out
 //!   instead of flooding the pools at t = 0; deferred slots are counted
-//!   as *demand* and pumped as tokens ripen;
-//! * **latency reservoirs** — per-cohort Algorithm-R samples of commit
-//!   latency, drawn from a *separate* seeded RNG stream so sampling never
-//!   perturbs replica targeting.
+//!   as *demand* and pumped as tokens ripen.
 //!
-//! **Equivalence:** with one member per cohort (`K = clients`), no rate
-//! limit and the default admission cap, the submission stream — every
-//! RNG draw, request id, retry deadline and resume tick — is
-//! bit-identical to `ClosedLoopWorkload` with the same seed (asserted by
-//! `crates/simnet/tests/proptest_cohort.rs`). The aggregate model is a
-//! strict generalization, not a parallel implementation that can drift.
+//! Committed work is observed through the commit path: the simulator
+//! decodes each delivered [`WorkloadBatch`] once and hands the records to
+//! [`ClosedLoopWorkload::settle`] (the [`App`] impl is the
+//! decode-then-settle wrapper for hand-driven use). The first delivery of
+//! an in-flight id completes it — later replicas' deliveries of the same
+//! block are ignored — and schedules one resubmission a think time
+//! later, which the simulator turns into a `ClientTick`.
 //!
 //! **Load shapes** ([`LoadShape`]) reshape the token rate over virtual
 //! time: a flash crowd multiplies it for a burst window, a diurnal curve
@@ -34,23 +40,21 @@
 //! makes affected cohorts *fail over* — submissions that would target a
 //! partitioned replica redirect to its successor, the client-side
 //! complement of `ByzantineMode::CensorClients`.
+//!
+//! Determinism: replica targeting comes from an RNG seeded with `seed`
+//! (exactly one draw per submission or retry), completions arrive in the
+//! simulator's deterministic commit order, and resubmissions fire at
+//! exact virtual times, so a seeded run reproduces bit-for-bit.
 
-use std::collections::{BTreeMap, HashMap};
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 use banyan_types::app::App;
 use banyan_types::engine::CommitEntry;
-use banyan_types::ids::ReplicaId;
 use banyan_types::time::{Duration, Time};
 
-#[cfg(test)]
-use crate::workload::Mempool;
-use crate::workload::{Request, SharedMempool, WorkloadBatch};
-
-/// Bound on each cohort's latency reservoir (Algorithm R).
-const RESERVOIR_CAP: usize = 256;
+use crate::workload::{
+    shared_client_api, swap_ticks, ClientCore, Request, SharedMempool, WorkloadBatch,
+};
 
 /// A programmable aggregate load shape (see the module docs). All shapes
 /// are exact functions of virtual time, so shaped runs stay
@@ -115,15 +119,10 @@ struct Cohort {
     armed_token_tick: Option<Time>,
     submitted: u64,
     completed: u64,
-    /// Algorithm-R latency reservoir: a uniform sample of this cohort's
-    /// commit latencies.
-    reservoir: Vec<Duration>,
-    /// Latencies offered to the reservoir so far.
-    observed: u64,
 }
 
 /// Aggregate statistics for one cohort (reporting; see
-/// [`CohortWorkload::cohort_stats`]).
+/// [`ClosedLoopWorkload::cohort_stats`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CohortStats {
     /// Modeled clients in the cohort.
@@ -136,97 +135,112 @@ pub struct CohortStats {
     pub outstanding: u64,
     /// Freed slots currently deferred by pacing or admission.
     pub demand: u64,
-    /// Median of the latency reservoir (`None` until a commit lands).
-    pub latency_p50: Option<Duration>,
 }
 
-/// A seeded closed-loop population of up to millions of *modeled*
-/// clients, aggregated into `K` cohorts (see the module docs).
-pub struct CohortWorkload {
+/// A seeded closed-loop client population (see the module docs).
+///
+/// Each modeled client keeps a *window* of `window` outstanding requests:
+/// the population is primed with its initial windows, and a slot only
+/// submits a replacement once one of its cohort's requests is observed
+/// committed — so the offered rate self-regulates to what the cluster can
+/// absorb, which is the defining contrast to the open-loop
+/// [`ClientWorkload`](crate::ClientWorkload).
+///
+/// Invariant: at most [`max_in_flight`](Self::max_in_flight) requests are
+/// ever uncommitted. Without [`retry`](Self::with_retry), a request lost
+/// to a never-finalized proposal permanently occupies its window slot
+/// (mirroring a real closed-loop client that never gets its response and
+/// visible as `requests_lost` in the metrics); with retry armed, the
+/// request is resubmitted and the slot eventually turns over.
+pub struct ClosedLoopWorkload {
+    core: ClientCore,
     window: u32,
     think_time: Duration,
+    /// Per-cohort think-time multipliers (empty = uniform ×1). Cohort `c`
+    /// pauses `think_time × multipliers[c % len]` between a completion
+    /// and its replacement submission, skewing per-cohort submit rates.
+    think_multipliers: Vec<u32>,
     request_size: u64,
-    mempools: Vec<SharedMempool>,
-    /// Replica-targeting RNG — the same draw stream as
-    /// `ClosedLoopWorkload` (one `gen_range` per submission or retry).
-    rng: SmallRng,
-    /// Reservoir-sampling RNG, deliberately separate so sampling never
-    /// perturbs targeting.
-    stats_rng: SmallRng,
-    next_id: u64,
     modeled_clients: u64,
     cohorts: Vec<Cohort>,
     /// Per-submission token interval per *member* (None = unlimited). A
     /// cohort of `m` members paces at `interval / m`.
     interval: Option<Duration>,
     shape: LoadShape,
-    fanout: usize,
-    retry: RetryState,
     /// Global admission cap: in-flight requests never exceed it, so
     /// driver memory is O(cap), not O(modeled clients × window).
     max_outstanding: u64,
-    outstanding_total: u64,
-    /// Requests submitted and not yet observed committed, by id —
-    /// bounded by the admission cap.
-    in_flight: HashMap<u64, Request>,
-    /// Freed slots waiting for their think-time tick, keyed by
-    /// `(due, completion seq)` — the `ClosedLoopWorkload` resume rule.
+    /// Cohorts whose freed slot is waiting for its think-time tick, keyed
+    /// by `(due time, completion seq)` so resubmissions pair with their
+    /// own tick even when skewed think times reorder deadlines across
+    /// cohorts (with uniform think times this degenerates to completion
+    /// order).
     resume_queue: BTreeMap<(Time, u64), u16>,
+    /// Completion counter: the deterministic tie-break for equal-time
+    /// resubmission deadlines.
     resume_seq: u64,
+    /// Tick times produced by completions and token misses and not yet
+    /// scheduled.
     pending_ticks: Vec<Time>,
     submitted: u64,
-    completed: u64,
-    frozen: bool,
 }
 
-/// Per-request retransmission state — the same FIFO discipline as the
-/// per-client workloads (constant timeout keeps the deque sorted).
-#[derive(Debug, Default)]
-struct RetryState {
-    timeout: Option<Duration>,
-    deadlines: std::collections::VecDeque<(Time, u64)>,
-    pending_ticks: Vec<Time>,
-    retries: u64,
-}
-
-impl RetryState {
-    fn arm(&mut self, id: u64, now: Time) {
-        if let Some(timeout) = self.timeout {
-            let at = now + timeout;
-            self.deadlines.push_back((at, id));
-            self.pending_ticks.push(at);
-        }
-    }
-}
-
-impl std::fmt::Debug for CohortWorkload {
+impl std::fmt::Debug for ClosedLoopWorkload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CohortWorkload")
-            .field("modeled_clients", &self.modeled_clients)
+        f.debug_struct("ClosedLoopWorkload")
+            .field("clients", &self.modeled_clients)
             .field("cohorts", &self.cohorts.len())
             .field("window", &self.window)
+            .field("think_time", &self.think_time)
             .field("max_outstanding", &self.max_outstanding)
             .field("interval", &self.interval)
             .field("shape", &self.shape)
+            .field("core", &self.core)
             .finish_non_exhaustive()
     }
 }
 
-impl CohortWorkload {
+impl ClosedLoopWorkload {
+    /// A population of `clients` clients, one cohort each, every client
+    /// keeping `window` outstanding `request_size`-byte requests and
+    /// pausing `think_time` between a completion and the replacement
+    /// submission. Targets are drawn per request from an RNG seeded with
+    /// `seed`; `mempools[i]` feeds replica `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clients` or `window` is zero or `mempools` is empty.
+    pub fn new(
+        clients: u16,
+        window: u32,
+        think_time: Duration,
+        request_size: u64,
+        seed: u64,
+        mempools: Vec<SharedMempool>,
+    ) -> Self {
+        Self::aggregated(
+            clients as u64,
+            clients,
+            window,
+            think_time,
+            request_size,
+            seed,
+            mempools,
+        )
+    }
+
     /// A population of `modeled_clients` clients aggregated into
     /// `cohorts` cohorts (members split as evenly as possible; the first
-    /// `modeled_clients % cohorts` cohorts hold one extra). Each modeled
-    /// client keeps a window of `window` outstanding `request_size`-byte
-    /// requests and pauses `think_time` between a completion and the
-    /// replacement submission.
+    /// `modeled_clients % cohorts` cohorts hold one extra). Memory and
+    /// per-event work are `O(cohorts)`, so millions of modeled clients
+    /// cost the same as dozens.
     ///
     /// # Panics
     ///
     /// Panics if `modeled_clients` or `window` is zero, `cohorts` is
-    /// zero, exceeds `u16::MAX` (cohort ids travel in the request's
-    /// `client` field) or exceeds `modeled_clients`, or `mempools` is
-    /// empty.
-    pub fn new(
+    /// zero or exceeds `modeled_clients` (cohort ids travel in the
+    /// request's 16-bit `client` field), or `mempools` is empty.
+    pub fn aggregated(
         modeled_clients: u64,
         cohorts: u16,
         window: u32,
@@ -235,14 +249,13 @@ impl CohortWorkload {
         seed: u64,
         mempools: Vec<SharedMempool>,
     ) -> Self {
-        assert!(modeled_clients > 0, "need at least one modeled client");
+        assert!(modeled_clients > 0, "need at least one client");
         assert!(window > 0, "window must be positive");
         assert!(cohorts > 0, "need at least one cohort");
         assert!(
             cohorts as u64 <= modeled_clients,
             "more cohorts than modeled clients"
         );
-        assert!(!mempools.is_empty(), "need at least one replica mempool");
         let k = cohorts as u64;
         let base = modeled_clients / k;
         let extra = modeled_clients % k;
@@ -258,36 +271,28 @@ impl CohortWorkload {
                     armed_token_tick: None,
                     submitted: 0,
                     completed: 0,
-                    reservoir: Vec::new(),
-                    observed: 0,
                 }
             })
             .collect();
-        CohortWorkload {
+        ClosedLoopWorkload {
+            core: ClientCore::new(seed, mempools),
             window,
             think_time,
+            think_multipliers: Vec::new(),
             request_size,
-            mempools,
-            rng: SmallRng::seed_from_u64(seed),
-            stats_rng: SmallRng::seed_from_u64(seed ^ 0xBEEF_FACE_CAFE_F00D),
-            next_id: 0,
             modeled_clients,
             cohorts,
             interval: None,
             shape: LoadShape::Steady,
-            fanout: 1,
-            retry: RetryState::default(),
             max_outstanding: modeled_clients.saturating_mul(window as u64),
-            outstanding_total: 0,
-            in_flight: HashMap::new(),
             resume_queue: BTreeMap::new(),
             resume_seq: 0,
             pending_ticks: Vec::new(),
             submitted: 0,
-            completed: 0,
-            frozen: false,
         }
     }
+
+    shared_client_api!();
 
     /// Builder-style: paces each *modeled client* at one submission per
     /// `interval` (a cohort of `m` members gets an aggregate interval of
@@ -306,6 +311,14 @@ impl CohortWorkload {
     /// Builder-style: installs a [`LoadShape`] (default
     /// [`LoadShape::Steady`]).
     pub fn with_shape(mut self, shape: LoadShape) -> Self {
+        self.core.set_outage(match shape {
+            LoadShape::RegionalOutage {
+                at,
+                duration,
+                replica,
+            } => Some((replica, at, at + duration)),
+            _ => None,
+        });
         self.shape = shape;
         self
     }
@@ -320,79 +333,70 @@ impl CohortWorkload {
     /// Panics if `cap` is zero.
     pub fn with_max_outstanding(mut self, cap: u64) -> Self {
         assert!(cap > 0, "admission cap must be positive");
-        self.max_outstanding = cap.min(self.modeled_clients * self.window as u64);
+        self.max_outstanding = cap.min(self.modeled_clients.saturating_mul(self.window as u64));
         self
     }
 
-    /// Builder-style: enables per-request retransmission with the given
-    /// timeout (the `ClosedLoopWorkload` retry discipline).
-    pub fn with_retry(mut self, timeout: Duration) -> Self {
-        self.retry.timeout = Some(timeout);
+    /// Builder-style: skews per-cohort submit rates. Cohort `c` pauses
+    /// `think_time × multipliers[c % multipliers.len()]` between a
+    /// completion and its replacement submission, so a ×50 cohort offers
+    /// 50× less load than a ×1 cohort. An empty vec (the default) keeps
+    /// the uniform rate bit-for-bit; multipliers of zero are allowed
+    /// (think-free resubmission for that cohort).
+    pub fn with_think_multipliers(mut self, multipliers: Vec<u32>) -> Self {
+        self.think_multipliers = multipliers;
         self
     }
 
-    /// Builder-style: submits every request to `fanout` replicas
-    /// (clamped to the cluster size) instead of one.
-    pub fn with_fanout(mut self, fanout: usize) -> Self {
-        assert!(fanout > 0, "fanout must be positive");
-        self.fanout = fanout;
-        self
+    /// The think time cohort `c` pauses before a replacement submission.
+    pub fn think_time_for(&self, cohort: u16) -> Duration {
+        if self.think_multipliers.is_empty() {
+            return self.think_time;
+        }
+        let k = self.think_multipliers[cohort as usize % self.think_multipliers.len()];
+        self.think_time.saturating_mul(k as u64)
     }
 
     /// Total modeled clients.
-    pub fn modeled_clients(&self) -> u64 {
+    pub fn clients(&self) -> u64 {
         self.modeled_clients
     }
 
-    /// Number of cohorts.
+    /// Number of cohorts (equal to [`clients`](Self::clients) for a
+    /// population built with [`new`](Self::new)).
     pub fn cohorts(&self) -> u16 {
         self.cohorts.len() as u16
     }
 
+    /// Outstanding-request window per modeled client.
+    pub fn window(&self) -> u32 {
+        self.window
+    }
+
     /// The population's in-flight cap:
-    /// `min(modeled × window, admission cap)`.
+    /// `min(clients × window, admission cap)`.
     pub fn max_in_flight(&self) -> u64 {
         self.max_outstanding
     }
 
-    /// Requests currently in flight (≤ [`max_in_flight`](Self::max_in_flight)).
+    /// Requests currently uncommitted (≤
+    /// [`max_in_flight`](Self::max_in_flight); includes any lost to
+    /// never-finalized proposals when retry is off).
     pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
+        self.core.in_flight()
     }
 
-    /// Requests submitted so far (retransmissions not counted).
+    /// Requests submitted so far (initial windows + resubmissions;
+    /// retransmissions of an already-submitted id are *not* counted — see
+    /// [`retries`](Self::retries)).
     pub fn submitted(&self) -> u64 {
         self.submitted
-    }
-
-    /// Requests observed committed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Retransmissions performed so far.
-    pub fn retries(&self) -> u64 {
-        self.retry.retries
     }
 
     /// Freed slots currently deferred by pacing or admission, across all
     /// cohorts.
     pub fn deferred_demand(&self) -> u64 {
         self.cohorts.iter().map(|c| c.demand).sum()
-    }
-
-    /// The per-replica pools this population feeds.
-    pub fn mempools(&self) -> &[SharedMempool] {
-        &self.mempools
-    }
-
-    /// *Unique* requests currently pending in at least one pool.
-    pub fn pending_in_pools(&self) -> u64 {
-        let mut ids = std::collections::HashSet::new();
-        for pool in &self.mempools {
-            ids.extend(pool.lock().expect("mempool lock").pending_ids());
-        }
-        ids.len() as u64
     }
 
     /// Aggregate statistics for cohort `c`.
@@ -402,30 +406,13 @@ impl CohortWorkload {
     /// Panics if `c` is out of range.
     pub fn cohort_stats(&self, c: u16) -> CohortStats {
         let cohort = &self.cohorts[c as usize];
-        let latency_p50 = (!cohort.reservoir.is_empty()).then(|| {
-            let mut sorted = cohort.reservoir.clone();
-            sorted.sort_unstable();
-            sorted[sorted.len() / 2]
-        });
         CohortStats {
             members: cohort.members,
             submitted: cohort.submitted,
             completed: cohort.completed,
             outstanding: cohort.outstanding,
             demand: cohort.demand,
-            latency_p50,
         }
-    }
-
-    /// True once [`freeze`](Self::freeze) was called.
-    pub fn frozen(&self) -> bool {
-        self.frozen
-    }
-
-    /// Stops new submissions (retries of in-flight requests keep
-    /// firing) — the end-of-run drain hook.
-    pub fn freeze(&mut self) {
-        self.frozen = true;
     }
 
     /// The token interval cohort `c` is pacing at around `now`, shaped
@@ -469,49 +456,15 @@ impl CohortWorkload {
         Some(shaped)
     }
 
-    /// Applies the regional-outage failover rule to a drawn primary.
-    fn failover(&self, target: usize, now: Time) -> usize {
-        if let LoadShape::RegionalOutage {
-            at,
-            duration,
-            replica,
-        } = self.shape
-        {
-            if target == replica && now >= at && now < at + duration {
-                return (target + 1) % self.mempools.len();
-            }
-        }
-        target
-    }
-
-    /// Can the population admit one more in-flight request?
-    fn can_admit(&self) -> bool {
-        self.outstanding_total < self.max_outstanding
-    }
-
-    /// Submits one request for cohort `c` at `now`, drawing the target
-    /// from the shared RNG stream (exactly one draw, the
-    /// `ClosedLoopWorkload` discipline). Caller has already checked
-    /// window, admission and token constraints.
-    fn submit_for(&mut self, c: usize, now: Time) -> ReplicaId {
-        let target = self.rng.gen_range(0..self.mempools.len());
-        let target = self.failover(target, now);
-        self.next_id += 1;
+    /// Submits one request for cohort `c` at `now` (exactly one target
+    /// draw). Caller has already checked window, admission and token
+    /// constraints.
+    fn submit_for(&mut self, c: usize, now: Time) {
         self.submitted += 1;
         let cohort = &mut self.cohorts[c];
         cohort.submitted += 1;
         cohort.outstanding += 1;
-        self.outstanding_total += 1;
-        let req = Request {
-            id: self.next_id,
-            client: c as u16,
-            size: self.request_size,
-            submitted_at: now,
-        };
-        self.in_flight.insert(req.id, req);
-        push_fanout(&self.mempools, self.fanout, target, req);
-        self.retry.arm(req.id, now);
-        ReplicaId(target as u16)
+        self.core.submit(c as u16, self.request_size, now);
     }
 
     /// Tries to submit one request for cohort `c` at `now`: consumes a
@@ -519,7 +472,9 @@ impl CohortWorkload {
     /// admission cap or the token bucket refuses. Returns `true` on
     /// submission.
     fn try_submit(&mut self, c: usize, now: Time) -> bool {
-        if self.cohorts[c].outstanding >= self.cohorts[c].cap || !self.can_admit() {
+        if self.cohorts[c].outstanding >= self.cohorts[c].cap
+            || self.core.in_flight() as u64 >= self.max_outstanding
+        {
             // Capacity misses defer *unarmed*: capacity frees on a
             // completion, whose resume tick pumps the demand — arming a
             // timer here would busy-spin the event queue.
@@ -557,7 +512,8 @@ impl CohortWorkload {
     /// while its window, the admission cap and its token clock allow.
     /// Returns how many requests were submitted. With no pacing
     /// configured, demand only accrues at the admission cap, so the pump
-    /// makes no RNG draws in the equivalence configuration.
+    /// makes no RNG draws for a population built with
+    /// [`new`](Self::new).
     fn pump(&mut self, now: Time) -> u64 {
         let mut submitted = 0;
         for c in 0..self.cohorts.len() {
@@ -586,9 +542,10 @@ impl CohortWorkload {
 
     /// Handles one client tick at `now`: the earliest freed slot (if
     /// any) submits its replacement, then deferred demand is pumped.
-    /// Returns how many requests were submitted.
+    /// Returns how many requests were submitted (always 0 once the
+    /// population is frozen for draining).
     pub fn handle_tick(&mut self, now: Time) -> u64 {
-        if self.frozen {
+        if self.core.frozen() {
             return 0;
         }
         let mut submitted = 0;
@@ -622,98 +579,28 @@ impl CohortWorkload {
         self.submitted - before
     }
 
-    /// Drains the tick times produced since the last call; the simulator
-    /// schedules one `ClientTick` per entry.
-    pub fn take_pending_ticks(&mut self) -> Vec<Time> {
-        std::mem::take(&mut self.pending_ticks)
-    }
-
-    /// Allocation-free [`take_pending_ticks`](Self::take_pending_ticks):
-    /// clears `out` and swaps it with the pending buffer.
+    /// Drains the tick times produced since the last call into `out`
+    /// (cleared first; the two buffers swap, so capacity recycles
+    /// between calls). The simulator schedules one `ClientTick` per
+    /// entry.
     pub fn take_pending_ticks_into(&mut self, out: &mut Vec<Time>) {
-        out.clear();
-        std::mem::swap(&mut self.pending_ticks, out);
+        swap_ticks(&mut self.pending_ticks, out);
     }
 
-    /// Drains the retry deadlines armed since the last call.
-    pub fn take_pending_retry_ticks(&mut self) -> Vec<Time> {
-        std::mem::take(&mut self.retry.pending_ticks)
-    }
-
-    /// Allocation-free
-    /// [`take_pending_retry_ticks`](Self::take_pending_retry_ticks).
-    pub fn take_pending_retry_ticks_into(&mut self, out: &mut Vec<Time>) {
-        out.clear();
-        std::mem::swap(&mut self.retry.pending_ticks, out);
-    }
-
-    /// Handles one retry tick at `now`: every due, still-in-flight
-    /// request is resubmitted (original id and timestamp, fresh seeded
-    /// target) and re-armed. Returns how many were retried.
-    pub fn handle_retry_tick(&mut self, now: Time) -> u64 {
-        let mut retried = 0;
-        while let Some(&(at, id)) = self.retry.deadlines.front() {
-            if at > now {
-                break;
-            }
-            self.retry.deadlines.pop_front();
-            if let Some(req) = self.in_flight.get(&id).copied() {
-                let target = self.rng.gen_range(0..self.mempools.len());
-                let target = self.failover(target, now);
-                push_fanout(&self.mempools, self.fanout, target, req);
-                self.retry.retries += 1;
-                self.retry.arm(id, now);
-                retried += 1;
-            }
-        }
-        retried
-    }
-}
-
-/// Pushes `req` into `fanout` pools (the shared dissemination client
-/// rule: sampled primary plus ring successors, no extra RNG draws).
-fn push_fanout(mempools: &[SharedMempool], fanout: usize, primary: usize, req: Request) {
-    let n = mempools.len();
-    for k in 0..fanout.clamp(1, n) {
-        mempools[(primary + k) % n]
-            .lock()
-            .expect("mempool lock")
-            .push(req);
-    }
-}
-
-impl App for CohortWorkload {
-    /// Completion hook: decodes the delivered batch and settles every
-    /// record still in flight (first delivery per id wins). Each
-    /// completion frees its cohort slot, feeds the cohort's latency
-    /// reservoir and schedules a replacement one think time later.
-    fn deliver(&mut self, entry: &CommitEntry) {
-        let Some(batch) = WorkloadBatch::decode(&entry.payload) else {
-            return;
-        };
-        for req in &batch.requests {
-            if self.in_flight.remove(&req.id).is_none() {
+    /// The completion hook: settles the records of one committed batch.
+    /// Every record still in flight completes (first delivery per id
+    /// wins), frees its cohort's slot and schedules a replacement one
+    /// think time after `committed_at`.
+    pub fn settle(&mut self, requests: &[Request], committed_at: Time) {
+        for req in requests {
+            if !self.core.complete(req.id) {
                 continue;
             }
-            self.completed += 1;
-            self.outstanding_total = self.outstanding_total.saturating_sub(1);
             let c = req.client as usize % self.cohorts.len();
-            let latency = entry.committed_at.since(req.submitted_at);
             let cohort = &mut self.cohorts[c];
             cohort.completed += 1;
             cohort.outstanding = cohort.outstanding.saturating_sub(1);
-            // Algorithm R: keep each observed latency with probability
-            // reservoir_cap / observed, replacing a uniform victim.
-            cohort.observed += 1;
-            if cohort.reservoir.len() < RESERVOIR_CAP {
-                cohort.reservoir.push(latency);
-            } else {
-                let j = self.stats_rng.gen_range(0..cohort.observed);
-                if (j as usize) < RESERVOIR_CAP {
-                    cohort.reservoir[j as usize] = latency;
-                }
-            }
-            let due = entry.committed_at + self.think_time;
+            let due = committed_at + self.think_time_for(c as u16);
             self.resume_queue.insert((due, self.resume_seq), c as u16);
             self.resume_seq += 1;
             self.pending_ticks.push(due);
@@ -721,33 +608,74 @@ impl App for CohortWorkload {
     }
 }
 
+impl App for ClosedLoopWorkload {
+    /// Decodes the delivered block's batch (if any) and
+    /// [`settle`](ClosedLoopWorkload::settle)s it.
+    fn deliver(&mut self, entry: &CommitEntry) {
+        if let Some(batch) = WorkloadBatch::decode(&entry.payload) {
+            self.settle(&batch.requests, entry.committed_at);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::tests::{commit_of, think_ticks};
+    use crate::workload::Mempool;
 
     fn pools(n: usize) -> Vec<SharedMempool> {
         (0..n).map(|_| Mempool::shared(1 << 20)).collect()
     }
 
-    fn commit_of(requests: Vec<Request>, at: u64) -> CommitEntry {
-        use banyan_types::ids::{BlockHash, Round};
-        CommitEntry {
-            round: Round(1),
-            block: BlockHash::ZERO,
-            proposer: ReplicaId(0),
-            payload: WorkloadBatch { requests }.into_payload(),
-            proposed_at: Time::ZERO,
-            committed_at: Time(at),
-            fast: false,
-            explicit: true,
+    fn drain_all(mempools: &[SharedMempool]) -> Vec<Vec<Request>> {
+        mempools
+            .iter()
+            .map(|m| m.lock().unwrap().drain(usize::MAX))
+            .collect()
+    }
+
+    #[test]
+    fn one_member_per_cohort_primes_the_same_pools_as_new() {
+        for (clients, window, seed) in [(1u16, 1u32, 0u64), (7, 3, 42), (64, 4, 9)] {
+            let per_client = pools(4);
+            let folded = pools(4);
+            let mut a = ClosedLoopWorkload::new(
+                clients,
+                window,
+                Duration::ZERO,
+                200,
+                seed,
+                per_client.clone(),
+            );
+            let mut b = ClosedLoopWorkload::aggregated(
+                clients as u64,
+                clients,
+                window,
+                Duration::ZERO,
+                200,
+                seed,
+                folded.clone(),
+            );
+            assert_eq!(a.prime(Time::ZERO), b.prime(Time::ZERO));
+            assert_eq!(a.max_in_flight(), b.max_in_flight());
+            assert_eq!(drain_all(&per_client), drain_all(&folded));
         }
     }
 
     #[test]
     fn million_clients_prime_in_cohort_memory() {
         let mempools = pools(4);
-        let mut w = CohortWorkload::new(1_000_000, 64, 4, Duration::ZERO, 64, 42, mempools.clone())
-            .with_max_outstanding(10_000);
+        let mut w = ClosedLoopWorkload::aggregated(
+            1_000_000,
+            64,
+            4,
+            Duration::ZERO,
+            64,
+            42,
+            mempools.clone(),
+        )
+        .with_max_outstanding(10_000);
         assert_eq!(w.prime(Time::ZERO), 10_000, "admission cap bounds prime");
         assert_eq!(w.in_flight(), 10_000);
         assert_eq!(w.max_in_flight(), 10_000);
@@ -761,22 +689,33 @@ mod tests {
 
     #[test]
     fn members_split_evenly_with_remainder_up_front() {
-        let w = CohortWorkload::new(10, 3, 1, Duration::ZERO, 64, 1, pools(1));
+        let w = ClosedLoopWorkload::aggregated(10, 3, 1, Duration::ZERO, 64, 1, pools(1));
         let members: Vec<u64> = (0..3).map(|c| w.cohort_stats(c).members).collect();
         assert_eq!(members, [4, 3, 3]);
         assert_eq!(members.iter().sum::<u64>(), 10);
+        assert_eq!((w.clients(), w.cohorts(), w.window()), (10, 3, 1));
     }
 
     #[test]
     fn completion_frees_slot_and_resubmits_on_tick() {
         let mempools = pools(1);
-        let mut w = CohortWorkload::new(4, 2, 1, Duration::from_millis(5), 64, 1, mempools.clone());
+        let mut w = ClosedLoopWorkload::aggregated(
+            4,
+            2,
+            1,
+            Duration::from_millis(5),
+            64,
+            1,
+            mempools.clone(),
+        );
         assert_eq!(w.prime(Time::ZERO), 4);
         let drained = mempools[0].lock().unwrap().drain(usize::MAX);
         w.deliver(&commit_of(vec![drained[0]], 1_000_000));
         assert_eq!(w.completed(), 1);
         assert_eq!(w.in_flight(), 3);
-        let ticks = w.take_pending_ticks();
+        let stats = w.cohort_stats(drained[0].client);
+        assert_eq!((stats.completed, stats.outstanding), (1, 1));
+        let ticks = think_ticks(&mut w);
         assert_eq!(ticks, vec![Time(1_000_000) + Duration::from_millis(5)]);
         assert_eq!(w.handle_tick(ticks[0]), 1, "the freed slot resubmits");
         assert_eq!(w.in_flight(), 4);
@@ -788,29 +727,31 @@ mod tests {
         let mempools = pools(1);
         // 2 modeled clients in one cohort, window 2, one submission per
         // client per 10 ms → cohort interval 5 ms.
-        let mut w = CohortWorkload::new(2, 1, 2, Duration::ZERO, 64, 1, mempools.clone())
-            .with_member_interval(Duration::from_millis(10));
+        let mut w =
+            ClosedLoopWorkload::aggregated(2, 1, 2, Duration::ZERO, 64, 1, mempools.clone())
+                .with_member_interval(Duration::from_millis(10));
         assert_eq!(w.prime(Time::ZERO), 1, "one token at t=0");
         assert_eq!(w.deferred_demand(), 3);
-        let ticks = w.take_pending_ticks();
+        let ticks = think_ticks(&mut w);
         assert_eq!(ticks, vec![Time(5_000_000)], "one armed token tick");
         assert_eq!(w.handle_tick(Time(5_000_000)), 1, "next token admits one");
         assert_eq!(w.deferred_demand(), 2);
         // The pump re-arms itself at the next token's ripe time.
-        assert_eq!(w.take_pending_ticks(), vec![Time(10_000_000)]);
+        assert_eq!(think_ticks(&mut w), vec![Time(10_000_000)]);
     }
 
     #[test]
     fn admission_cap_admits_as_completions_free_capacity() {
         let mempools = pools(1);
-        let mut w = CohortWorkload::new(8, 2, 1, Duration::ZERO, 64, 1, mempools.clone())
-            .with_max_outstanding(2);
+        let mut w =
+            ClosedLoopWorkload::aggregated(8, 2, 1, Duration::ZERO, 64, 1, mempools.clone())
+                .with_max_outstanding(2);
         assert_eq!(w.prime(Time::ZERO), 2);
         assert_eq!(w.deferred_demand(), 6);
         let drained = mempools[0].lock().unwrap().drain(usize::MAX);
         w.deliver(&commit_of(drained, 1_000));
         assert_eq!(w.in_flight(), 0);
-        let ticks = w.take_pending_ticks();
+        let ticks = think_ticks(&mut w);
         assert!(!ticks.is_empty());
         w.handle_tick(ticks[0]);
         assert_eq!(w.in_flight(), 2, "freed capacity re-admits deferred demand");
@@ -819,7 +760,7 @@ mod tests {
 
     #[test]
     fn flash_crowd_shrinks_the_interval_during_the_burst() {
-        let w = CohortWorkload::new(1, 1, 1, Duration::ZERO, 64, 1, pools(1))
+        let w = ClosedLoopWorkload::new(1, 1, Duration::ZERO, 64, 1, pools(1))
             .with_member_interval(Duration::from_millis(10))
             .with_shape(LoadShape::FlashCrowd {
                 at: Time(1_000_000_000),
@@ -844,7 +785,7 @@ mod tests {
 
     #[test]
     fn diurnal_interval_walks_a_triangle_wave() {
-        let w = CohortWorkload::new(1, 1, 1, Duration::ZERO, 64, 1, pools(1))
+        let w = ClosedLoopWorkload::new(1, 1, Duration::ZERO, 64, 1, pools(1))
             .with_member_interval(Duration::from_millis(10))
             .with_shape(LoadShape::Diurnal {
                 period: Duration::from_secs(10),
@@ -861,62 +802,59 @@ mod tests {
     #[test]
     fn regional_outage_fails_over_to_the_ring_successor() {
         let mempools = pools(2);
-        // Replica 0 partitioned for the whole run: every submission must
-        // land on replica 1, whatever the RNG draws.
-        let mut w = CohortWorkload::new(8, 2, 1, Duration::ZERO, 64, 42, mempools.clone())
-            .with_shape(LoadShape::RegionalOutage {
-                at: Time::ZERO,
-                duration: Duration::from_secs(3600),
-                replica: 0,
-            });
+        // Replica 0 partitioned for the whole run: every submission and
+        // every retry must land on replica 1, whatever the RNG draws.
+        let timeout = Duration::from_millis(10);
+        let mut w =
+            ClosedLoopWorkload::aggregated(8, 2, 1, Duration::ZERO, 64, 42, mempools.clone())
+                .with_retry(timeout)
+                .with_shape(LoadShape::RegionalOutage {
+                    at: Time::ZERO,
+                    duration: Duration::from_secs(3600),
+                    replica: 0,
+                });
         w.prime(Time::ZERO);
         assert_eq!(mempools[0].lock().unwrap().len(), 0, "outage: no traffic");
         assert_eq!(mempools[1].lock().unwrap().len(), 8, "failover target");
+        drain_all(&mempools);
+        assert_eq!(w.handle_retry_tick(Time::ZERO + timeout), 8);
+        assert_eq!(
+            mempools[0].lock().unwrap().len(),
+            0,
+            "retries fail over too"
+        );
+        assert_eq!(mempools[1].lock().unwrap().len(), 8);
     }
 
     #[test]
     fn retry_resubmits_with_original_timestamp() {
         let mempools = pools(1);
         let timeout = Duration::from_millis(10);
-        let mut w = CohortWorkload::new(1, 1, 1, Duration::ZERO, 64, 1, mempools.clone())
-            .with_retry(timeout);
+        // Three members folded into one cohort: retry is per request,
+        // whatever the aggregation.
+        let mut w =
+            ClosedLoopWorkload::aggregated(3, 1, 1, Duration::ZERO, 64, 1, mempools.clone())
+                .with_retry(timeout);
         w.prime(Time::ZERO);
-        let ticks = w.take_pending_retry_ticks();
-        assert_eq!(ticks, vec![Time::ZERO + timeout]);
+        let mut ticks = Vec::new();
+        w.take_pending_retry_ticks_into(&mut ticks);
+        assert_eq!(ticks, vec![Time::ZERO + timeout; 3]);
         let drained = mempools[0].lock().unwrap().drain(usize::MAX);
-        assert_eq!(w.handle_retry_tick(ticks[0]), 1);
+        assert_eq!(w.handle_retry_tick(ticks[0]), 3);
         let back = mempools[0].lock().unwrap().drain(usize::MAX);
-        assert_eq!(back, drained, "identical request re-enters the pool");
-    }
-
-    #[test]
-    fn reservoir_caps_per_cohort_memory() {
-        let mempools = pools(1);
-        let mut w = CohortWorkload::new(2_000, 2, 1, Duration::ZERO, 64, 7, mempools.clone());
-        w.prime(Time::ZERO);
-        let drained = mempools[0].lock().unwrap().drain(usize::MAX);
-        assert_eq!(drained.len(), 2_000);
-        for chunk in drained.chunks(100) {
-            w.deliver(&commit_of(chunk.to_vec(), 5_000_000));
-        }
-        assert_eq!(w.completed(), 2_000);
-        for c in 0..2 {
-            let stats = w.cohort_stats(c);
-            assert_eq!(stats.completed, 1_000);
-            assert!(stats.latency_p50.is_some());
-        }
-        assert!(w.cohorts.iter().all(|c| c.reservoir.len() <= RESERVOIR_CAP));
+        assert_eq!(back, drained, "identical requests re-enter the pool");
     }
 
     #[test]
     fn frozen_population_stops_submitting() {
         let mempools = pools(1);
-        let mut w = CohortWorkload::new(2, 1, 1, Duration::ZERO, 64, 1, mempools.clone());
+        let mut w =
+            ClosedLoopWorkload::aggregated(2, 1, 1, Duration::ZERO, 64, 1, mempools.clone());
         w.prime(Time::ZERO);
         let drained = mempools[0].lock().unwrap().drain(usize::MAX);
         w.deliver(&commit_of(drained, 1_000));
         w.freeze();
-        let ticks = w.take_pending_ticks();
+        let ticks = think_ticks(&mut w);
         assert_eq!(w.handle_tick(ticks[0]), 0, "frozen: no resubmission");
         assert_eq!(w.submitted(), 2);
     }
@@ -925,9 +863,16 @@ mod tests {
     fn deterministic_per_seed() {
         let run = |seed: u64| -> (u64, Vec<usize>) {
             let mempools = pools(4);
-            let mut w =
-                CohortWorkload::new(100_000, 32, 2, Duration::ZERO, 64, seed, mempools.clone())
-                    .with_max_outstanding(1_000);
+            let mut w = ClosedLoopWorkload::aggregated(
+                100_000,
+                32,
+                2,
+                Duration::ZERO,
+                64,
+                seed,
+                mempools.clone(),
+            )
+            .with_max_outstanding(1_000);
             w.prime(Time::ZERO);
             let lens = mempools.iter().map(|m| m.lock().unwrap().len()).collect();
             (w.submitted(), lens)

@@ -15,17 +15,19 @@
 //!   safety auditor;
 //! * [`workload`] — the seeded client populations feeding the
 //!   per-replica mempools (`banyan_mempool`, re-exported): an open-loop
-//!   generator (fixed rate) and a closed-loop population (fixed windows,
-//!   resubmit-on-commit), both with optional submit fan-out and
-//!   per-request retry. [`sim::Simulation::enable_dissemination`] adds
-//!   pending-request gossip and exactly-once commit dedup on top;
+//!   generator (fixed rate) and the closed-loop population (fixed
+//!   windows, resubmit-on-commit), both over one shared client core with
+//!   optional submit fan-out and per-request retry.
+//!   [`sim::Simulation::enable_dissemination`] adds pending-request
+//!   gossip and exactly-once commit dedup on top;
 //!   [`sim::Simulation::enable_fanout_tree`] bounds that gossip to a
 //!   seeded degree-`F` propagation tree with per-peer backpressure;
-//! * [`cohort`] — the cohort-aggregated population: up to 10⁶ modeled
-//!   clients in `O(cohorts)` memory, token-bucket pacing, a global
-//!   admission cap, per-cohort latency reservoirs, and programmable
-//!   [`LoadShape`]s (flash crowd, diurnal curve, regional outage with
-//!   failover).
+//! * [`cohort`] — the closed-loop population itself, one
+//!   cohort-aggregated model with two constructors: one member per
+//!   cohort (exact per-client windows), or up to 10⁶ modeled clients in
+//!   `O(cohorts)` memory, with token-bucket pacing, a global admission
+//!   cap and programmable [`LoadShape`]s (flash crowd, diurnal curve,
+//!   regional outage with failover).
 //!
 //! # Examples
 //!
@@ -50,12 +52,11 @@ pub mod sim;
 pub mod topology;
 pub mod workload;
 
-pub use cohort::{CohortStats, CohortWorkload, LoadShape};
+pub use cohort::{ClosedLoopWorkload, CohortStats, LoadShape};
 pub use faults::{Fault, FaultPlan};
 pub use metrics::{ClientLoadSummary, LatencyStats, ObservedCommit, RunMetrics, SafetyAuditor};
 pub use sim::{CryptoCost, SimConfig, Simulation};
 pub use topology::{Region, Topology, AWS_REGIONS};
 pub use workload::{
-    ClientWorkload, ClosedLoopWorkload, Mempool, MempoolSource, PushOutcome, Request,
-    SharedMempool, WorkloadBatch,
+    ClientWorkload, Mempool, MempoolSource, PushOutcome, Request, SharedMempool, WorkloadBatch,
 };

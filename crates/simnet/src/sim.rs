@@ -42,7 +42,7 @@ use rand::{Rng, SeedableRng};
 
 use banyan_crypto::VerifyStats;
 use banyan_mempool::{
-    PushOutcome, SharedMempool, WorkloadBatch, DEFAULT_PEER_CREDIT, DEFAULT_PEER_QUEUE_CAP,
+    PushOutcome, Request, SharedMempool, WorkloadBatch, DEFAULT_PEER_CREDIT, DEFAULT_PEER_QUEUE_CAP,
 };
 use banyan_runtime::driver::{is_stale, route_actions, ActionDispatch, CommitSink};
 use banyan_runtime::queue::EventQueue;
@@ -54,11 +54,10 @@ use banyan_types::message::{DisseminationMsg, Message, SyncMsg};
 use banyan_types::time::{Duration, Time};
 use banyan_types::ChainSnapshot;
 
-use crate::cohort::CohortWorkload;
 use crate::faults::FaultPlan;
 use crate::metrics::{ObservedCommit, RunMetrics, SafetyAuditor};
 use crate::topology::Topology;
-use crate::workload::{ClientWorkload, ClosedLoopWorkload};
+use crate::workload::{ClientCore, ClientWorkload, ClosedLoopWorkload};
 
 /// Virtual CPU cost charged per signature-verification operation.
 ///
@@ -188,80 +187,45 @@ enum EventKind {
 
 /// The attached client population, if any. Open loop ticks itself on a
 /// fixed interval; closed loop only ticks when a completion (observed via
-/// the commit path) schedules a think-time resubmission. Retry ticks are
-/// armed by submissions in either mode.
+/// the commit path) or a token deadline schedules one. Everything else —
+/// pools, retry ticks, completion count, freeze — is the shared client
+/// core's, reached through [`core`](Self::core) in either mode.
 enum Workload {
     Open(ClientWorkload),
     Closed(ClosedLoopWorkload),
-    Cohort(CohortWorkload),
 }
 
 impl Workload {
-    /// Feeds one commit to the population's completion hook (all modes
-    /// track completions — the first delivery of an id settles it).
-    fn observe_commit(&mut self, entry: &CommitEntry) {
+    fn core(&self) -> &ClientCore {
         match self {
-            Workload::Open(w) => w.deliver(entry),
-            Workload::Closed(w) => w.deliver(entry),
-            Workload::Cohort(w) => w.deliver(entry),
+            Workload::Open(w) => w.core(),
+            Workload::Closed(w) => w.core(),
+        }
+    }
+
+    fn core_mut(&mut self) -> &mut ClientCore {
+        match self {
+            Workload::Open(w) => w.core_mut(),
+            Workload::Closed(w) => w.core_mut(),
+        }
+    }
+
+    /// Feeds one committed batch's records to the population's completion
+    /// hook (both modes track completions — the first delivery of an id
+    /// settles it).
+    fn settle(&mut self, requests: &[Request], committed_at: Time) {
+        match self {
+            Workload::Open(w) => w.settle(requests),
+            Workload::Closed(w) => w.settle(requests, committed_at),
         }
     }
 
     /// Drains pending think-time deadlines into `out` (cleared first); the
-    /// populations recycle the buffer instead of allocating per event.
+    /// population recycles the buffer instead of allocating per event.
     fn take_pending_think_ticks_into(&mut self, out: &mut Vec<Time>) {
         match self {
             Workload::Open(_) => out.clear(),
             Workload::Closed(w) => w.take_pending_ticks_into(out),
-            Workload::Cohort(w) => w.take_pending_ticks_into(out),
-        }
-    }
-
-    fn take_pending_retry_ticks_into(&mut self, out: &mut Vec<Time>) {
-        match self {
-            Workload::Open(w) => w.take_pending_retry_ticks_into(out),
-            Workload::Closed(w) => w.take_pending_retry_ticks_into(out),
-            Workload::Cohort(w) => w.take_pending_retry_ticks_into(out),
-        }
-    }
-
-    fn handle_retry_tick(&mut self, now: Time) -> u64 {
-        match self {
-            Workload::Open(w) => w.handle_retry_tick(now),
-            Workload::Closed(w) => w.handle_retry_tick(now),
-            Workload::Cohort(w) => w.handle_retry_tick(now),
-        }
-    }
-
-    fn mempools(&self) -> &[SharedMempool] {
-        match self {
-            Workload::Open(w) => w.mempools(),
-            Workload::Closed(w) => w.mempools(),
-            Workload::Cohort(w) => w.mempools(),
-        }
-    }
-
-    fn completed(&self) -> u64 {
-        match self {
-            Workload::Open(w) => w.completed(),
-            Workload::Closed(w) => w.completed(),
-            Workload::Cohort(w) => w.completed(),
-        }
-    }
-
-    fn pending_in_pools(&self) -> u64 {
-        match self {
-            Workload::Open(w) => w.pending_in_pools(),
-            Workload::Closed(w) => w.pending_in_pools(),
-            Workload::Cohort(w) => w.pending_in_pools(),
-        }
-    }
-
-    fn freeze(&mut self) {
-        match self {
-            Workload::Open(w) => w.freeze(),
-            Workload::Closed(w) => w.freeze(),
-            Workload::Cohort(w) => w.freeze(),
         }
     }
 }
@@ -301,19 +265,21 @@ struct SimCommitSink<'a> {
 impl CommitSink for SimCommitSink<'_> {
     fn on_commit(&mut self, replica: ReplicaId, entry: CommitEntry) {
         self.auditor.observe(replica, &entry);
-        if let Some(pools) = self.dedup_pools {
-            if let Some(batch) = WorkloadBatch::decode(&entry.payload) {
-                pools[replica.as_usize()]
-                    .lock()
-                    .expect("mempool lock")
-                    .mark_committed_block(entry.block, entry.round, &batch.requests);
-            }
+        // One decode per delivery serves both the pool and the clients.
+        let batch = (self.dedup_pools.is_some() || self.workload.is_some())
+            .then(|| WorkloadBatch::decode(&entry.payload))
+            .flatten();
+        if let (Some(pools), Some(batch)) = (self.dedup_pools, &batch) {
+            pools[replica.as_usize()]
+                .lock()
+                .expect("mempool lock")
+                .mark_committed_block(entry.block, entry.round, &batch.requests);
         }
         if let Some(app) = &mut self.apps[replica.as_usize()] {
             app.deliver(&entry);
         }
-        if let Some(workload) = self.workload.as_deref_mut() {
-            workload.observe_commit(&entry);
+        if let (Some(workload), Some(batch)) = (self.workload.as_deref_mut(), &batch) {
+            workload.settle(&batch.requests, entry.committed_at);
         }
         self.commits.push(ObservedCommit { replica, entry });
     }
@@ -599,10 +565,11 @@ impl Simulation {
         self.queue.push(first, EventKind::ClientTick);
     }
 
-    /// Attaches a closed-loop client population: its full initial window
-    /// (`clients × window` requests) is submitted immediately, and from
-    /// then on completions — observed through the commit delivery path —
-    /// schedule think-time `ClientTick`s that resubmit one request each.
+    /// Attaches a closed-loop client population (see [`crate::cohort`]):
+    /// its initial windows — up to the admission cap, as pacing allows —
+    /// are submitted immediately, and from then on completions (observed
+    /// through the commit path) and token-bucket deadlines schedule
+    /// `ClientTick`s that resubmit freed slots and admit deferred demand.
     ///
     /// # Panics
     ///
@@ -613,36 +580,11 @@ impl Simulation {
         self.workload = Some(Workload::Closed(workload));
     }
 
-    /// The attached closed-loop population, if any (for post-run window
-    /// and completion assertions).
+    /// The attached closed-loop population, if any (for post-run window,
+    /// completion and per-cohort assertions).
     pub fn closed_loop(&self) -> Option<&ClosedLoopWorkload> {
         match &self.workload {
             Some(Workload::Closed(w)) => Some(w),
-            _ => None,
-        }
-    }
-
-    /// Attaches a cohort-aggregated client population (see
-    /// [`crate::cohort`]): up to the admission cap of its initial windows
-    /// is submitted immediately, and from then on completions and
-    /// token-bucket deadlines schedule `ClientTick`s that admit deferred
-    /// demand. Memory and per-event work stay `O(cohorts)`, so millions
-    /// of modeled clients cost the same as dozens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a workload is already attached.
-    pub fn attach_cohorts(&mut self, mut workload: CohortWorkload) {
-        assert!(self.workload.is_none(), "a workload is already attached");
-        self.metrics.requests_submitted += workload.prime(self.now);
-        self.workload = Some(Workload::Cohort(workload));
-    }
-
-    /// The attached cohort population, if any (for post-run per-cohort
-    /// latency/throughput assertions).
-    pub fn cohort_workload(&self) -> Option<&CohortWorkload> {
-        match &self.workload {
-            Some(Workload::Cohort(w)) => Some(w),
             _ => None,
         }
     }
@@ -663,6 +605,7 @@ impl Simulation {
             .workload
             .as_ref()
             .expect("attach a workload before enabling dissemination")
+            .core()
             .mempools()
             .to_vec();
         assert_eq!(
@@ -752,7 +695,7 @@ impl Simulation {
     /// of being stranded, and `RunMetrics::requests_lost` ends at zero.
     pub fn freeze_workload(&mut self) {
         if let Some(w) = &mut self.workload {
-            w.freeze();
+            w.core_mut().freeze();
         }
     }
 
@@ -941,18 +884,10 @@ impl Simulation {
                         }
                     }
                     Workload::Closed(workload) => {
-                        if let Some(target) = workload.resubmit_next(self.now) {
-                            self.metrics.requests_submitted += 1;
-                            if self.config.trace {
-                                eprintln!("[{}] client resubmit -> {}", self.now, target);
-                            }
-                        }
-                    }
-                    Workload::Cohort(workload) => {
                         let admitted = workload.handle_tick(self.now);
                         self.metrics.requests_submitted += admitted;
                         if self.config.trace && admitted > 0 {
-                            eprintln!("[{}] cohorts admitted {admitted} request(s)", self.now);
+                            eprintln!("[{}] clients submitted {admitted} request(s)", self.now);
                         }
                     }
                 },
@@ -961,6 +896,7 @@ impl Simulation {
                         .workload
                         .as_mut()
                         .expect("retry tick without a workload")
+                        .core_mut()
                         .handle_retry_tick(self.now);
                     self.metrics.requests_retried += retried;
                     if self.config.trace && retried > 0 {
@@ -977,8 +913,8 @@ impl Simulation {
         self.now = end;
         self.metrics.end_time = end;
         if let Some(w) = &self.workload {
-            self.metrics.requests_completed = w.completed();
-            self.metrics.requests_pending = w.pending_in_pools();
+            self.metrics.requests_completed = w.core().completed();
+            self.metrics.requests_pending = w.core().pending_in_pools();
         }
         self.metrics.wal_bytes = self.engines.iter().map(|e| e.wal_bytes()).sum();
         if let Some(d) = &self.dissemination {
@@ -1092,7 +1028,7 @@ impl Simulation {
             for &at in think_scratch.iter() {
                 queue.push(at.max(*now), EventKind::ClientTick);
             }
-            w.take_pending_retry_ticks_into(retry_scratch);
+            w.core_mut().take_pending_retry_ticks_into(retry_scratch);
             for &at in retry_scratch.iter() {
                 queue.push(at.max(*now), EventKind::RetryTick);
             }

@@ -10,13 +10,15 @@
 //!   simulator drives via its own event queue;
 //! * [`ClosedLoopWorkload`] — a seeded closed-loop client population
 //!   (`clients × window` outstanding requests) that observes completions
-//!   through the [`App`] delivery path and resubmits after an optional
-//!   think time. Open loop fixes the *offered rate* and lets latency blow
-//!   up under overload; closed loop fixes the *population* and lets the
-//!   rate self-regulate, which is what saturation (throughput-vs-latency)
-//!   sweeps need.
+//!   through the commit path and resubmits after an optional think time;
+//!   implemented in [`crate::cohort`], re-exported here. Open loop fixes
+//!   the *offered rate* and lets latency blow up under overload; closed
+//!   loop fixes the *population* and lets the rate self-regulate, which
+//!   is what saturation (throughput-vs-latency) sweeps need.
 //!
-//! Both populations speak the dissemination layer's client side:
+//! Both populations own one private client core — pools, targeting RNG,
+//! id counter, in-flight map, retry deadlines — so they speak the
+//! dissemination layer's client side identically:
 //!
 //! * **submit fan-out** ([`ClientWorkload::with_fanout`],
 //!   [`ClosedLoopWorkload::with_fanout`]) — each request is submitted to
@@ -26,10 +28,9 @@
 //! * **retry** ([`ClientWorkload::with_retry`],
 //!   [`ClosedLoopWorkload::with_retry`]) — every submission arms a
 //!   per-request retransmission deadline; if the request has not been
-//!   observed committed by then (completions arrive through the same
-//!   [`App`] delivery path the closed loop uses), the client resubmits it
-//!   — with its *original* submit timestamp, so end-to-end latency is
-//!   measured from first submission — and re-arms. Requests drained into
+//!   observed committed by then, the client resubmits it — with its
+//!   *original* submit timestamp, so end-to-end latency is measured from
+//!   first submission — and re-arms. Requests drained into
 //!   never-finalized proposals thus re-enter the system instead of being
 //!   lost (or, in a closed loop, leaking window slots forever).
 //!
@@ -40,7 +41,7 @@
 //! (the default), the submission stream — including every RNG draw — is
 //! bit-identical to the historical single-replica, no-retry behavior.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -55,7 +56,9 @@ pub use banyan_mempool::{
     DEFAULT_MAX_BATCH_BYTES, DEFAULT_MEMPOOL_CAPACITY,
 };
 
-/// Per-request retransmission bookkeeping shared by both populations.
+pub use crate::cohort::ClosedLoopWorkload;
+
+/// Per-request retransmission bookkeeping.
 ///
 /// Deadlines are kept in a FIFO: with a constant timeout, re-armed
 /// deadlines are always ≥ every queued one, so the queue stays sorted
@@ -78,17 +81,6 @@ impl RetryState {
             self.pending_ticks.push(at);
         }
     }
-
-    fn take_pending_ticks(&mut self) -> Vec<Time> {
-        std::mem::take(&mut self.pending_ticks)
-    }
-
-    /// Allocation-free drain: clears `out` and swaps it with the pending
-    /// buffer, so the two vectors recycle their capacity between calls.
-    fn take_pending_ticks_into(&mut self, out: &mut Vec<Time>) {
-        out.clear();
-        std::mem::swap(&mut self.pending_ticks, out);
-    }
 }
 
 /// Pushes `req` into `fanout` pools: the sampled `primary` plus its
@@ -104,36 +96,282 @@ fn push_fanout(mempools: &[SharedMempool], fanout: usize, primary: usize, req: R
     }
 }
 
-/// A seeded open-loop client population: `rate` requests per second of
-/// `request_size` bytes each, submitted to a seeded-random replica's
-/// mempool regardless of how fast the cluster commits (open loop — the
-/// defining contrast to a closed loop that waits for completions).
-pub struct ClientWorkload {
-    interval: Duration,
-    request_size: u64,
+/// Swap-buffer drain: clears `out` and swaps it with `pending`, so the
+/// two vectors recycle their capacity between calls instead of allocating
+/// a fresh `Vec` per event — hot at 10⁵+ modeled clients.
+pub(crate) fn swap_ticks(pending: &mut Vec<Time>, out: &mut Vec<Time>) {
+    out.clear();
+    std::mem::swap(pending, out);
+}
+
+/// The half of a client population both workloads share: where requests
+/// go (pools, targeting RNG, submit fan-out), what is outstanding (id
+/// counter, in-flight map, completion count), retransmission, and the
+/// end-of-run freeze. The simulator reaches all of it through
+/// `Workload::core`, whichever population is attached.
+pub(crate) struct ClientCore {
     mempools: Vec<SharedMempool>,
+    /// Replica-targeting RNG: exactly one draw per submission or retry.
     rng: SmallRng,
     next_id: u64,
     fanout: usize,
     retry: RetryState,
-    /// Submitted-and-not-yet-committed requests (completion is observed
-    /// through the `App` delivery path; retries consult this map so a
-    /// committed request is never retransmitted).
-    outstanding: HashMap<u64, Request>,
+    /// Requests submitted and not yet observed committed, by id (retries
+    /// consult this map so a committed request is never retransmitted).
+    in_flight: HashMap<u64, Request>,
     completed: u64,
     frozen: bool,
+    /// `(replica, from, until)`: submissions and retries that draw
+    /// `replica` as primary during `[from, until)` go to its ring
+    /// successor instead (see `LoadShape::RegionalOutage`).
+    outage: Option<(usize, Time, Time)>,
 }
 
-impl std::fmt::Debug for ClientWorkload {
+impl ClientCore {
+    pub(crate) fn new(seed: u64, mempools: Vec<SharedMempool>) -> Self {
+        assert!(!mempools.is_empty(), "need at least one replica mempool");
+        ClientCore {
+            mempools,
+            rng: SmallRng::seed_from_u64(seed),
+            next_id: 0,
+            fanout: 1,
+            retry: RetryState::default(),
+            in_flight: HashMap::new(),
+            completed: 0,
+            frozen: false,
+            outage: None,
+        }
+    }
+
+    pub(crate) fn set_retry(&mut self, timeout: Duration) {
+        self.retry.timeout = Some(timeout);
+    }
+
+    pub(crate) fn set_fanout(&mut self, fanout: usize) {
+        assert!(fanout > 0, "fanout must be positive");
+        self.fanout = fanout;
+    }
+
+    /// Installs (or clears) the unreachable-replica window, as
+    /// `(replica, from, until)`.
+    pub(crate) fn set_outage(&mut self, outage: Option<(usize, Time, Time)>) {
+        self.outage = outage;
+    }
+
+    /// Draws the primary target for one submission or retry at `now`.
+    fn target(&mut self, now: Time) -> usize {
+        let target = self.rng.gen_range(0..self.mempools.len());
+        match self.outage {
+            Some((replica, from, until)) if target == replica && now >= from && now < until => {
+                (target + 1) % self.mempools.len()
+            }
+            _ => target,
+        }
+    }
+
+    /// The id the next [`submit`](Self::submit) will assign.
+    fn peek_id(&self) -> u64 {
+        self.next_id + 1
+    }
+
+    /// Submits one fresh `size`-byte request on behalf of `client` at
+    /// `now`: one target draw, the next id, fan-out push, retry armed.
+    /// Returns the primary target replica.
+    pub(crate) fn submit(&mut self, client: u16, size: u64, now: Time) -> ReplicaId {
+        let target = self.target(now);
+        self.next_id += 1;
+        let req = Request {
+            id: self.next_id,
+            client,
+            size,
+            submitted_at: now,
+        };
+        self.in_flight.insert(req.id, req);
+        push_fanout(&self.mempools, self.fanout, target, req);
+        self.retry.arm(req.id, now);
+        ReplicaId(target as u16)
+    }
+
+    /// Settles one committed record: the first delivery of an in-flight
+    /// id completes it (returns `true`); later deliveries of the same id
+    /// (other replicas committing the block, or a re-gossiped, retried or
+    /// fanned-out copy landing in a second block) complete nothing twice
+    /// — the client half of the exactly-once dedup rule.
+    pub(crate) fn complete(&mut self, id: u64) -> bool {
+        let first = self.in_flight.remove(&id).is_some();
+        self.completed += u64::from(first);
+        first
+    }
+
+    /// Handles one retry tick at `now`: every due, still-in-flight
+    /// request is resubmitted (original id and submit timestamp, fresh
+    /// seeded target) and re-armed. Returns how many were retried.
+    pub(crate) fn handle_retry_tick(&mut self, now: Time) -> u64 {
+        let mut retried = 0;
+        while let Some(&(at, id)) = self.retry.deadlines.front() {
+            if at > now {
+                break;
+            }
+            self.retry.deadlines.pop_front();
+            if let Some(req) = self.in_flight.get(&id).copied() {
+                let target = self.target(now);
+                push_fanout(&self.mempools, self.fanout, target, req);
+                self.retry.retries += 1;
+                self.retry.arm(id, now);
+                retried += 1;
+            }
+        }
+        retried
+    }
+
+    /// Drains the retry deadlines armed since the last call into `out`
+    /// (see [`swap_ticks`]).
+    pub(crate) fn take_pending_retry_ticks_into(&mut self, out: &mut Vec<Time>) {
+        swap_ticks(&mut self.retry.pending_ticks, out);
+    }
+
+    pub(crate) fn mempools(&self) -> &[SharedMempool] {
+        &self.mempools
+    }
+
+    /// *Unique* requests currently pending in at least one pool (with
+    /// gossip or fan-out a request can have live copies in several).
+    pub(crate) fn pending_in_pools(&self) -> u64 {
+        let mut ids = HashSet::new();
+        for pool in &self.mempools {
+            ids.extend(pool.lock().expect("mempool lock").pending_ids());
+        }
+        ids.len() as u64
+    }
+
+    pub(crate) fn in_flight(&self) -> usize {
+        self.in_flight.len()
+    }
+
+    pub(crate) fn completed(&self) -> u64 {
+        self.completed
+    }
+
+    pub(crate) fn retries(&self) -> u64 {
+        self.retry.retries
+    }
+
+    pub(crate) fn frozen(&self) -> bool {
+        self.frozen
+    }
+
+    pub(crate) fn freeze(&mut self) {
+        self.frozen = true;
+    }
+}
+
+impl std::fmt::Debug for ClientCore {
+    /// A summary, not the pools' contents.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClientWorkload")
-            .field("interval", &self.interval)
-            .field("request_size", &self.request_size)
+        f.debug_struct("ClientCore")
             .field("replicas", &self.mempools.len())
             .field("fanout", &self.fanout)
             .field("retry", &self.retry.timeout)
+            .field("in_flight", &self.in_flight.len())
             .finish_non_exhaustive()
     }
+}
+
+/// The public surface both populations share, each method a one-line
+/// call into the type's `core` field — defined once so the open and the
+/// closed loop cannot drift apart.
+macro_rules! shared_client_api {
+    () => {
+        /// Builder-style: enables per-request retransmission with the
+        /// given timeout (see the [`crate::workload`] docs). Without it,
+        /// a request lost to a never-finalized proposal stays lost — in
+        /// a closed loop, permanently occupying its window slot.
+        pub fn with_retry(mut self, timeout: Duration) -> Self {
+            self.core.set_retry(timeout);
+            self
+        }
+
+        /// Builder-style: submits every request to `fanout` replicas
+        /// (clamped to the cluster size) instead of one.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `fanout` is zero.
+        pub fn with_fanout(mut self, fanout: usize) -> Self {
+            self.core.set_fanout(fanout);
+            self
+        }
+
+        /// The per-replica pools this population feeds.
+        pub fn mempools(&self) -> &[SharedMempool] {
+            self.core.mempools()
+        }
+
+        /// *Unique* requests currently pending in at least one pool (with
+        /// gossip or fan-out a request can have live copies in several).
+        pub fn pending_in_pools(&self) -> u64 {
+            self.core.pending_in_pools()
+        }
+
+        /// Requests observed committed so far (first delivery per id,
+        /// from any replica).
+        pub fn completed(&self) -> u64 {
+            self.core.completed()
+        }
+
+        /// Retransmissions performed so far.
+        pub fn retries(&self) -> u64 {
+            self.core.retries()
+        }
+
+        /// True once [`freeze`](Self::freeze) was called.
+        pub fn frozen(&self) -> bool {
+            self.core.frozen()
+        }
+
+        /// Stops new submissions (retries of already-submitted requests
+        /// keep firing). Drivers call this to drain the system at the
+        /// end of a measured run.
+        pub fn freeze(&mut self) {
+            self.core.freeze();
+        }
+
+        /// Drains the retry deadlines armed since the last call into
+        /// `out` (cleared first; the two buffers swap, so capacity
+        /// recycles between calls). The simulator schedules one retry
+        /// tick per entry.
+        pub fn take_pending_retry_ticks_into(&mut self, out: &mut Vec<Time>) {
+            self.core.take_pending_retry_ticks_into(out);
+        }
+
+        /// Handles one retry tick at `now`: every due, still-uncommitted
+        /// request is resubmitted (original id and submit timestamp,
+        /// fresh seeded target) and re-armed. Returns how many were
+        /// retried.
+        pub fn handle_retry_tick(&mut self, now: Time) -> u64 {
+            self.core.handle_retry_tick(now)
+        }
+
+        pub(crate) fn core(&self) -> &ClientCore {
+            &self.core
+        }
+
+        pub(crate) fn core_mut(&mut self) -> &mut ClientCore {
+            &mut self.core
+        }
+    };
+}
+pub(crate) use shared_client_api;
+
+/// A seeded open-loop client population: `rate` requests per second of
+/// `request_size` bytes each, submitted to a seeded-random replica's
+/// mempool regardless of how fast the cluster commits (open loop — the
+/// defining contrast to a closed loop that waits for completions).
+#[derive(Debug)]
+pub struct ClientWorkload {
+    core: ClientCore,
+    interval: Duration,
+    request_size: u64,
 }
 
 impl ClientWorkload {
@@ -157,495 +395,76 @@ impl ClientWorkload {
             rate <= 1_000_000_000,
             "open-loop rate above 1e9/s truncates the tick interval to zero"
         );
-        assert!(!mempools.is_empty(), "need at least one replica mempool");
         ClientWorkload {
+            core: ClientCore::new(seed, mempools),
             interval: Duration(1_000_000_000 / rate),
             request_size,
-            mempools,
-            rng: SmallRng::seed_from_u64(seed),
-            next_id: 0,
-            fanout: 1,
-            retry: RetryState::default(),
-            outstanding: HashMap::new(),
-            completed: 0,
-            frozen: false,
         }
     }
 
-    /// Builder-style: enables per-request retransmission with the given
-    /// timeout. Retrying clients observe completions through the [`App`]
-    /// delivery path (the simulator feeds them every replica's commits).
-    pub fn with_retry(mut self, timeout: Duration) -> Self {
-        self.retry.timeout = Some(timeout);
-        self
-    }
-
-    /// Builder-style: submits every request to `fanout` replicas (clamped
-    /// to the cluster size) instead of one.
-    pub fn with_fanout(mut self, fanout: usize) -> Self {
-        assert!(fanout > 0, "fanout must be positive");
-        self.fanout = fanout;
-        self
-    }
+    shared_client_api!();
 
     /// Time between consecutive submissions.
     pub fn interval(&self) -> Duration {
         self.interval
     }
 
-    /// The per-replica pools this population feeds.
-    pub fn mempools(&self) -> &[SharedMempool] {
-        &self.mempools
-    }
-
-    /// *Unique* requests currently pending in at least one pool (with
-    /// gossip or fan-out a request can have live copies in several).
-    pub fn pending_in_pools(&self) -> u64 {
-        let mut ids = std::collections::HashSet::new();
-        for pool in &self.mempools {
-            ids.extend(pool.lock().expect("mempool lock").pending_ids());
-        }
-        ids.len() as u64
-    }
-
-    /// Requests observed committed so far (first delivery per id, from
-    /// any replica).
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Retransmissions performed so far.
-    pub fn retries(&self) -> u64 {
-        self.retry.retries
-    }
-
-    /// True once [`freeze`](Self::freeze) was called.
-    pub fn frozen(&self) -> bool {
-        self.frozen
-    }
-
-    /// Stops new submissions (retries of already-submitted requests keep
-    /// firing). Drivers call this to drain the system at the end of a
-    /// measured run.
-    pub fn freeze(&mut self) {
-        self.frozen = true;
-    }
-
     /// Submits the next request at `now`, returning the primary target
     /// replica. Called by the simulator on each client tick.
     pub fn submit_next(&mut self, now: Time) -> ReplicaId {
-        let target = self.rng.gen_range(0..self.mempools.len());
-        self.next_id += 1;
-        let req = Request {
-            id: self.next_id,
-            client: (self.next_id % u16::MAX as u64) as u16,
-            size: self.request_size,
-            submitted_at: now,
-        };
-        push_fanout(&self.mempools, self.fanout, target, req);
-        self.outstanding.insert(req.id, req);
-        self.retry.arm(req.id, now);
-        ReplicaId(target as u16)
+        let client = (self.core.peek_id() % u16::MAX as u64) as u16;
+        self.core.submit(client, self.request_size, now)
     }
 
-    /// Drains the retry deadlines armed since the last call; the
-    /// simulator schedules one retry tick per entry.
-    pub fn take_pending_retry_ticks(&mut self) -> Vec<Time> {
-        self.retry.take_pending_ticks()
-    }
-
-    /// Allocation-free [`take_pending_retry_ticks`](Self::take_pending_retry_ticks):
-    /// clears `out` and swaps it with the pending buffer (capacity
-    /// recycles between calls — hot at large populations).
-    pub fn take_pending_retry_ticks_into(&mut self, out: &mut Vec<Time>) {
-        self.retry.take_pending_ticks_into(out);
-    }
-
-    /// Handles one retry tick at `now`: every due, still-uncommitted
-    /// request is resubmitted (original id and submit timestamp, fresh
-    /// seeded target) and re-armed. Returns how many were retried.
-    pub fn handle_retry_tick(&mut self, now: Time) -> u64 {
-        let mut retried = 0;
-        while let Some(&(at, id)) = self.retry.deadlines.front() {
-            if at > now {
-                break;
-            }
-            self.retry.deadlines.pop_front();
-            if let Some(req) = self.outstanding.get(&id).copied() {
-                let target = self.rng.gen_range(0..self.mempools.len());
-                push_fanout(&self.mempools, self.fanout, target, req);
-                self.retry.retries += 1;
-                self.retry.arm(id, now);
-                retried += 1;
-            }
+    /// The completion hook: settles the records of one committed batch
+    /// (first delivery per id wins), so loss accounting balances and
+    /// settled requests are never retried.
+    pub fn settle(&mut self, requests: &[Request]) {
+        for req in requests {
+            self.core.complete(req.id);
         }
-        retried
     }
 }
 
 impl App for ClientWorkload {
-    /// Completion hook: decodes the delivered block's batch and settles
-    /// every record still outstanding (first delivery per id wins), so
-    /// loss accounting balances and settled requests are never retried.
+    /// Decodes the delivered block's batch (if any) and
+    /// [`settle`](ClientWorkload::settle)s it.
     fn deliver(&mut self, entry: &CommitEntry) {
-        let Some(batch) = WorkloadBatch::decode(&entry.payload) else {
-            return;
-        };
-        for req in &batch.requests {
-            if self.outstanding.remove(&req.id).is_some() {
-                self.completed += 1;
-            }
-        }
-    }
-}
-
-/// A seeded closed-loop client population.
-///
-/// `clients` clients each keep a *window* of `window` outstanding
-/// requests: the population is primed with `clients × window` requests,
-/// and a client only submits a replacement once one of its requests is
-/// observed committed — so the offered rate self-regulates to what the
-/// cluster can absorb, which is the defining contrast to the open-loop
-/// [`ClientWorkload`]. Committed work is observed through the ordinary
-/// [`App`] delivery path: the workload *is* an `App`, and the simulator
-/// feeds it every finalized block. Records recovered from a delivered
-/// [`WorkloadBatch`] complete the matching in-flight requests (first
-/// delivery wins; later replicas' deliveries of the same block are
-/// ignored), and each completion schedules one resubmission `think_time`
-/// later — the simulator turns those into `ClientTick` events.
-///
-/// Determinism: replica targeting comes from an RNG seeded with `seed`,
-/// completions arrive in the simulator's deterministic commit order, and
-/// resubmissions fire at exact virtual times, so a seeded run reproduces
-/// bit-for-bit.
-///
-/// Invariant: at most `clients × window` requests are ever uncommitted
-/// ("in flight"). Without [`retry`](Self::with_retry), a request lost to
-/// a never-finalized proposal permanently occupies its window slot
-/// (mirroring a real closed-loop client that never gets its response and
-/// visible as `requests_lost` in the metrics); with retry armed, the
-/// request is resubmitted and the slot eventually turns over.
-pub struct ClosedLoopWorkload {
-    window: u32,
-    think_time: Duration,
-    /// Per-client think-time multipliers (empty = uniform ×1). Client `c`
-    /// pauses `think_time × multipliers[c % len]` between a completion
-    /// and its replacement submission, skewing per-client submit rates.
-    think_multipliers: Vec<u32>,
-    request_size: u64,
-    mempools: Vec<SharedMempool>,
-    rng: SmallRng,
-    next_id: u64,
-    clients: u16,
-    fanout: usize,
-    retry: RetryState,
-    /// Requests submitted and not yet observed committed, by id.
-    in_flight: HashMap<u64, Request>,
-    /// Clients whose freed slot is waiting for its think-time tick, keyed
-    /// by `(due time, completion seq)` so resubmissions pair with their
-    /// own tick even when skewed think times reorder deadlines across
-    /// clients (with uniform think times this degenerates to completion
-    /// order, the historical behavior, bit-for-bit).
-    resume_queue: std::collections::BTreeMap<(Time, u64), u16>,
-    /// Completion counter: the deterministic tie-break for equal-time
-    /// resubmission deadlines.
-    resume_seq: u64,
-    /// Tick times produced by completions and not yet scheduled.
-    pending_ticks: Vec<Time>,
-    submitted: u64,
-    completed: u64,
-    frozen: bool,
-}
-
-impl std::fmt::Debug for ClosedLoopWorkload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClosedLoopWorkload")
-            .field("clients", &self.clients)
-            .field("window", &self.window)
-            .field("think_time", &self.think_time)
-            .field("in_flight", &self.in_flight.len())
-            .field("fanout", &self.fanout)
-            .field("retry", &self.retry.timeout)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ClosedLoopWorkload {
-    /// A population of `clients` clients, each with `window` outstanding
-    /// `request_size`-byte requests, pausing `think_time` between a
-    /// completion and the replacement submission. Targets are drawn per
-    /// request from an RNG seeded with `seed`; `mempools[i]` feeds
-    /// replica `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clients` or `window` is zero or `mempools` is empty.
-    pub fn new(
-        clients: u16,
-        window: u32,
-        think_time: Duration,
-        request_size: u64,
-        seed: u64,
-        mempools: Vec<SharedMempool>,
-    ) -> Self {
-        assert!(clients > 0, "need at least one client");
-        assert!(window > 0, "window must be positive");
-        assert!(!mempools.is_empty(), "need at least one replica mempool");
-        ClosedLoopWorkload {
-            window,
-            think_time,
-            think_multipliers: Vec::new(),
-            request_size,
-            mempools,
-            rng: SmallRng::seed_from_u64(seed),
-            next_id: 0,
-            clients,
-            fanout: 1,
-            retry: RetryState::default(),
-            in_flight: HashMap::new(),
-            resume_queue: std::collections::BTreeMap::new(),
-            resume_seq: 0,
-            pending_ticks: Vec::new(),
-            submitted: 0,
-            completed: 0,
-            frozen: false,
-        }
-    }
-
-    /// Builder-style: enables per-request retransmission with the given
-    /// timeout (see the module docs). Without it, a request lost to a
-    /// never-finalized proposal permanently leaks its window slot.
-    pub fn with_retry(mut self, timeout: Duration) -> Self {
-        self.retry.timeout = Some(timeout);
-        self
-    }
-
-    /// Builder-style: submits every request to `fanout` replicas (clamped
-    /// to the cluster size) instead of one.
-    pub fn with_fanout(mut self, fanout: usize) -> Self {
-        assert!(fanout > 0, "fanout must be positive");
-        self.fanout = fanout;
-        self
-    }
-
-    /// Builder-style: skews per-client submit rates. Client `c` pauses
-    /// `think_time × multipliers[c % multipliers.len()]` between a
-    /// completion and its replacement submission, so a ×50 client offers
-    /// 50× less load than a ×1 client. An empty vec (the default) keeps
-    /// the uniform rate bit-for-bit; multipliers of zero are allowed
-    /// (think-free resubmission for that client).
-    pub fn with_think_multipliers(mut self, multipliers: Vec<u32>) -> Self {
-        self.think_multipliers = multipliers;
-        self
-    }
-
-    /// The think time client `c` pauses before a replacement submission.
-    pub fn think_time_for(&self, client: u16) -> Duration {
-        if self.think_multipliers.is_empty() {
-            return self.think_time;
-        }
-        let k = self.think_multipliers[client as usize % self.think_multipliers.len()];
-        self.think_time.saturating_mul(k as u64)
-    }
-
-    /// Number of clients in the population.
-    pub fn clients(&self) -> u16 {
-        self.clients
-    }
-
-    /// Outstanding-request window per client.
-    pub fn window(&self) -> u32 {
-        self.window
-    }
-
-    /// The population's in-flight cap, `clients × window`.
-    pub fn max_in_flight(&self) -> u64 {
-        self.clients as u64 * self.window as u64
-    }
-
-    /// Requests currently uncommitted (includes any lost to
-    /// never-finalized proposals when retry is off).
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    /// Requests submitted so far (initial windows + resubmissions;
-    /// retransmissions of an already-submitted id are *not* counted — see
-    /// [`retries`](Self::retries)).
-    pub fn submitted(&self) -> u64 {
-        self.submitted
-    }
-
-    /// Requests observed committed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Retransmissions performed so far.
-    pub fn retries(&self) -> u64 {
-        self.retry.retries
-    }
-
-    /// The per-replica pools this population feeds.
-    pub fn mempools(&self) -> &[SharedMempool] {
-        &self.mempools
-    }
-
-    /// *Unique* requests currently pending in at least one pool (with
-    /// gossip or fan-out a request can have live copies in several).
-    pub fn pending_in_pools(&self) -> u64 {
-        let mut ids = std::collections::HashSet::new();
-        for pool in &self.mempools {
-            ids.extend(pool.lock().expect("mempool lock").pending_ids());
-        }
-        ids.len() as u64
-    }
-
-    /// True once [`freeze`](Self::freeze) was called.
-    pub fn frozen(&self) -> bool {
-        self.frozen
-    }
-
-    /// Stops replacement submissions (retries of already-submitted
-    /// requests keep firing). Drivers call this to drain the system at
-    /// the end of a measured run.
-    pub fn freeze(&mut self) {
-        self.frozen = true;
-    }
-
-    /// Submits the full initial window of every client at `now`,
-    /// returning how many requests were submitted. The simulator calls
-    /// this once when the workload is attached.
-    pub fn prime(&mut self, now: Time) -> u64 {
-        let before = self.submitted;
-        for client in 0..self.clients {
-            for _ in 0..self.window {
-                self.submit_for(client, now);
-            }
-        }
-        self.submitted - before
-    }
-
-    /// Drains the tick times produced by completions since the last call;
-    /// the simulator schedules one `ClientTick` per entry.
-    pub fn take_pending_ticks(&mut self) -> Vec<Time> {
-        std::mem::take(&mut self.pending_ticks)
-    }
-
-    /// Allocation-free [`take_pending_ticks`](Self::take_pending_ticks):
-    /// clears `out` and swaps it with the pending buffer, so the two
-    /// vectors recycle their capacity between calls instead of allocating
-    /// a fresh `Vec` per event — hot at 10⁵+ modeled clients.
-    pub fn take_pending_ticks_into(&mut self, out: &mut Vec<Time>) {
-        out.clear();
-        std::mem::swap(&mut self.pending_ticks, out);
-    }
-
-    /// Drains the retry deadlines armed since the last call; the
-    /// simulator schedules one retry tick per entry.
-    pub fn take_pending_retry_ticks(&mut self) -> Vec<Time> {
-        self.retry.take_pending_ticks()
-    }
-
-    /// Allocation-free [`take_pending_retry_ticks`](Self::take_pending_retry_ticks):
-    /// the swap-buffer counterpart, like
-    /// [`take_pending_ticks_into`](Self::take_pending_ticks_into).
-    pub fn take_pending_retry_ticks_into(&mut self, out: &mut Vec<Time>) {
-        self.retry.take_pending_ticks_into(out);
-    }
-
-    /// Handles one think-time tick at `now`: the freed slot with the
-    /// earliest resubmission deadline submits its replacement request.
-    /// Returns the target replica, or `None` if no slot is waiting (or
-    /// the population is frozen for draining).
-    pub fn resubmit_next(&mut self, now: Time) -> Option<ReplicaId> {
-        if self.frozen {
-            return None;
-        }
-        let key = *self.resume_queue.keys().next()?;
-        let client = self.resume_queue.remove(&key).expect("key just read");
-        Some(self.submit_for(client, now))
-    }
-
-    /// Handles one retry tick at `now`: every due, still-in-flight
-    /// request is resubmitted (original id and submit timestamp, fresh
-    /// seeded target) and re-armed. Returns how many were retried.
-    pub fn handle_retry_tick(&mut self, now: Time) -> u64 {
-        let mut retried = 0;
-        while let Some(&(at, id)) = self.retry.deadlines.front() {
-            if at > now {
-                break;
-            }
-            self.retry.deadlines.pop_front();
-            if let Some(req) = self.in_flight.get(&id).copied() {
-                let target = self.rng.gen_range(0..self.mempools.len());
-                push_fanout(&self.mempools, self.fanout, target, req);
-                self.retry.retries += 1;
-                self.retry.arm(id, now);
-                retried += 1;
-            }
-        }
-        retried
-    }
-
-    fn submit_for(&mut self, client: u16, now: Time) -> ReplicaId {
-        let target = self.rng.gen_range(0..self.mempools.len());
-        self.next_id += 1;
-        self.submitted += 1;
-        let req = Request {
-            id: self.next_id,
-            client,
-            size: self.request_size,
-            submitted_at: now,
-        };
-        self.in_flight.insert(req.id, req);
-        push_fanout(&self.mempools, self.fanout, target, req);
-        self.retry.arm(req.id, now);
-        ReplicaId(target as u16)
-    }
-}
-
-impl App for ClosedLoopWorkload {
-    /// The completion hook: decodes the delivered block's batch (if any)
-    /// and completes every record still in flight, scheduling each
-    /// client's resubmission one think time after the commit. Duplicate
-    /// deliveries of a request id (re-gossiped, retried or fanned-out
-    /// copies landing in more than one block) complete nothing twice —
-    /// the first delivery wins, which is the workload's half of the
-    /// exactly-once dedup rule.
-    fn deliver(&mut self, entry: &CommitEntry) {
-        let Some(batch) = WorkloadBatch::decode(&entry.payload) else {
-            return;
-        };
-        for req in &batch.requests {
-            if self.in_flight.remove(&req.id).is_some() {
-                self.completed += 1;
-                let due = entry.committed_at + self.think_time_for(req.client);
-                self.resume_queue.insert((due, self.resume_seq), req.client);
-                self.resume_seq += 1;
-                self.pending_ticks.push(due);
-            }
+        if let Some(batch) = WorkloadBatch::decode(&entry.payload) {
+            self.settle(&batch.requests);
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use banyan_types::ids::Round;
+    use banyan_types::ids::{BlockHash, Round};
 
-    fn commit_of(batch: WorkloadBatch, at: u64) -> CommitEntry {
-        use banyan_types::ids::BlockHash;
+    /// A commit of `requests` observed at virtual time `at` (ns).
+    pub(crate) fn commit_of(requests: Vec<Request>, at: u64) -> CommitEntry {
         CommitEntry {
             round: Round(1),
             block: BlockHash::ZERO,
             proposer: ReplicaId(0),
-            payload: batch.into_payload(),
+            payload: WorkloadBatch { requests }.into_payload(),
             proposed_at: Time::ZERO,
             committed_at: Time(at),
             fast: false,
             explicit: true,
         }
+    }
+
+    pub(crate) fn think_ticks(w: &mut ClosedLoopWorkload) -> Vec<Time> {
+        let mut out = Vec::new();
+        w.take_pending_ticks_into(&mut out);
+        out
+    }
+
+    fn retry_ticks(w: &mut ClosedLoopWorkload) -> Vec<Time> {
+        let mut out = Vec::new();
+        w.take_pending_retry_ticks_into(&mut out);
+        out
     }
 
     #[test]
@@ -659,10 +478,10 @@ mod tests {
         assert_eq!(pending, 20, "every primed request lands in a mempool");
         assert_eq!(w.pending_in_pools(), 20);
         // No completions yet, so no ticks and nothing to resubmit.
-        assert!(w.take_pending_ticks().is_empty());
-        assert!(w.resubmit_next(Time(1)).is_none());
+        assert!(think_ticks(&mut w).is_empty());
+        assert_eq!(w.handle_tick(Time(1)), 0);
         // Retry is off by default: no deadlines armed.
-        assert!(w.take_pending_retry_ticks().is_empty());
+        assert!(retry_ticks(&mut w).is_empty());
     }
 
     #[test]
@@ -675,29 +494,27 @@ mod tests {
         assert_eq!(drained.len(), 2);
 
         // Deliver a batch committing the first request only.
-        let batch = WorkloadBatch {
-            requests: vec![drained[0]],
-        };
+        let batch = vec![drained[0]];
         w.deliver(&commit_of(batch.clone(), 1_000));
         assert_eq!(w.completed(), 1);
         assert_eq!(w.in_flight(), 1);
-        let ticks = w.take_pending_ticks();
+        let ticks = think_ticks(&mut w);
         assert_eq!(ticks, vec![Time(1_000) + think], "one tick, think later");
 
         // Re-delivery of the same batch (another replica committing the
         // same block) completes nothing twice.
         w.deliver(&commit_of(batch, 2_000));
         assert_eq!(w.completed(), 1);
-        assert!(w.take_pending_ticks().is_empty());
+        assert!(think_ticks(&mut w).is_empty());
 
         // The tick resubmits for the completed request's client; the
         // window cap is never exceeded.
         let at = ticks[0];
-        assert!(w.resubmit_next(at).is_some());
+        assert_eq!(w.handle_tick(at), 1);
         assert_eq!(w.in_flight(), 2);
         assert_eq!(w.submitted(), 3);
         assert!(w.in_flight() as u64 <= w.max_in_flight());
-        assert!(w.resubmit_next(at).is_none(), "one tick, one resubmit");
+        assert_eq!(w.handle_tick(at), 0, "one tick, one resubmit");
     }
 
     #[test]
@@ -714,15 +531,15 @@ mod tests {
         // Deliver the SLOW client's completion first: its deadline
         // (commit + 20 ms) must not hijack the fast client's earlier tick.
         drained.sort_by_key(|r| std::cmp::Reverse(r.client));
-        w.deliver(&commit_of(WorkloadBatch { requests: drained }, 1_000_000));
-        let mut ticks = w.take_pending_ticks();
+        w.deliver(&commit_of(drained, 1_000_000));
+        let mut ticks = think_ticks(&mut w);
         ticks.sort();
         assert_eq!(ticks, vec![Time(3_000_000), Time(21_000_000)]);
         // The early tick resubmits the ×1 client, the late one the ×10.
-        w.resubmit_next(ticks[0]);
+        w.handle_tick(ticks[0]);
         let fast = mempools[0].lock().unwrap().drain(usize::MAX);
         assert_eq!(fast.iter().map(|r| r.client).collect::<Vec<_>>(), [0]);
-        w.resubmit_next(ticks[1]);
+        w.handle_tick(ticks[1]);
         let slow = mempools[0].lock().unwrap().drain(usize::MAX);
         assert_eq!(slow.iter().map(|r| r.client).collect::<Vec<_>>(), [1]);
     }
@@ -790,7 +607,7 @@ mod tests {
         let mut w = ClosedLoopWorkload::new(1, 1, Duration::ZERO, 64, 1, mempools.clone())
             .with_retry(timeout);
         w.prime(Time::ZERO);
-        let ticks = w.take_pending_retry_ticks();
+        let ticks = retry_ticks(&mut w);
         assert_eq!(ticks, vec![Time::ZERO + timeout], "submission arms retry");
 
         // The request is drained into a proposal that never finalizes.
@@ -803,7 +620,7 @@ mod tests {
         let back = mempools[0].lock().unwrap().drain(usize::MAX);
         assert_eq!(back, drained, "identical request re-enters the pool");
         // And the retry re-arms for another period.
-        assert_eq!(w.take_pending_retry_ticks(), vec![ticks[0] + timeout]);
+        assert_eq!(retry_ticks(&mut w), vec![ticks[0] + timeout]);
     }
 
     #[test]
@@ -813,18 +630,13 @@ mod tests {
         let mut w = ClosedLoopWorkload::new(1, 1, Duration::ZERO, 64, 1, mempools.clone())
             .with_retry(timeout);
         w.prime(Time::ZERO);
-        let ticks = w.take_pending_retry_ticks();
+        let ticks = retry_ticks(&mut w);
         let drained = mempools[0].lock().unwrap().drain(usize::MAX);
         // The request commits before its deadline fires.
-        w.deliver(&commit_of(
-            WorkloadBatch {
-                requests: drained.clone(),
-            },
-            5_000_000,
-        ));
+        w.deliver(&commit_of(drained, 5_000_000));
         assert_eq!(w.handle_retry_tick(ticks[0]), 0, "nothing left to retry");
         assert!(mempools[0].lock().unwrap().is_empty());
-        assert!(w.take_pending_retry_ticks().is_empty(), "no re-arm");
+        assert!(retry_ticks(&mut w).is_empty(), "no re-arm");
     }
 
     #[test]
@@ -834,16 +646,12 @@ mod tests {
         let mut w = ClientWorkload::open_loop(1_000, 64, 1, mempools.clone()).with_retry(timeout);
         w.submit_next(Time(0));
         w.submit_next(Time(1_000_000));
-        let ticks = w.take_pending_retry_ticks();
+        let mut ticks = Vec::new();
+        w.take_pending_retry_ticks_into(&mut ticks);
         assert_eq!(ticks.len(), 2);
         let drained = mempools[0].lock().unwrap().drain(usize::MAX);
         // First request commits; the second is lost with its proposal.
-        w.deliver(&commit_of(
-            WorkloadBatch {
-                requests: vec![drained[0]],
-            },
-            2_000_000,
-        ));
+        w.deliver(&commit_of(vec![drained[0]], 2_000_000));
         assert_eq!(w.completed(), 1);
         assert_eq!(
             w.handle_retry_tick(ticks[1]),
@@ -869,11 +677,12 @@ mod tests {
         assert!(buf.is_empty(), "second drain is empty, stale ticks cleared");
 
         let drained = mempools[0].lock().unwrap().drain(usize::MAX);
-        w.deliver(&commit_of(WorkloadBatch { requests: drained }, 1_000_000));
+        w.deliver(&commit_of(drained, 1_000_000));
         w.take_pending_ticks_into(&mut buf);
         let due = Time(1_000_000) + Duration::from_millis(1);
         assert_eq!(buf, vec![due, due], "one think tick per completion");
-        assert!(w.take_pending_ticks().is_empty(), "drained by the swap");
+        w.take_pending_ticks_into(&mut buf);
+        assert!(buf.is_empty(), "drained by the swap");
     }
 
     #[test]
@@ -883,17 +692,12 @@ mod tests {
         let mut w = ClosedLoopWorkload::new(1, 1, Duration::ZERO, 64, 1, mempools.clone())
             .with_retry(timeout);
         w.prime(Time::ZERO);
-        let ticks = w.take_pending_retry_ticks();
+        let ticks = retry_ticks(&mut w);
         let drained = mempools[0].lock().unwrap().drain(usize::MAX);
-        w.deliver(&commit_of(
-            WorkloadBatch {
-                requests: drained.clone(),
-            },
-            1_000,
-        ));
+        w.deliver(&commit_of(drained, 1_000));
         w.freeze();
         // The freed slot does not resubmit while frozen…
-        assert!(w.resubmit_next(Time(2_000)).is_none());
+        assert_eq!(w.handle_tick(Time(2_000)), 0);
         assert_eq!(w.submitted(), 1);
         // …but a still-in-flight request would keep retrying (here the
         // only request completed, so the tick is a no-op).

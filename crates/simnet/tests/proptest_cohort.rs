@@ -1,13 +1,6 @@
-//! Property tests for the cohort-aggregated workload: with one member
-//! per cohort (`K = clients`), no pacing and the default admission cap,
-//! [`CohortWorkload`] must replay [`ClosedLoopWorkload`]'s submission
-//! stream **bit-for-bit** — same RNG draws, same request ids, same pool
-//! contents, same resume ticks. The aggregate model is a strict
-//! generalization of the per-client one, not a lookalike that can drift.
+//! The aggregated closed loop at a scale no per-client bookkeeping could
+//! hold, driven by hand through its public surface.
 
-use proptest::prelude::*;
-
-use banyan_simnet::cohort::CohortWorkload;
 use banyan_simnet::workload::{ClosedLoopWorkload, Mempool, SharedMempool, WorkloadBatch};
 use banyan_types::app::App;
 use banyan_types::engine::CommitEntry;
@@ -39,125 +32,13 @@ fn commit_of(requests: Vec<PendingRequest>, at: Time) -> CommitEntry {
     }
 }
 
-proptest! {
-    /// The equivalence property: prime both populations, then run a few
-    /// commit → tick rounds, delivering the same commits to both. At
-    /// every step the pool contents, the pending ticks and the submit
-    /// counters must be identical.
-    #[test]
-    fn cohort_at_one_member_each_matches_closed_loop(
-        clients in 1u16..12,
-        window in 1u32..4,
-        n_pools in 1usize..5,
-        seed in any::<u64>(),
-        think_ms in 0u64..8,
-        rounds in 1usize..6,
-    ) {
-        let think = Duration::from_millis(think_ms);
-        let size = 200;
-        let closed_pools = pools(n_pools);
-        let cohort_pools = pools(n_pools);
-        let mut closed =
-            ClosedLoopWorkload::new(clients, window, think, size, seed, closed_pools.clone());
-        let mut cohort = CohortWorkload::new(
-            clients as u64,
-            clients,
-            window,
-            think,
-            size,
-            seed,
-            cohort_pools.clone(),
-        );
-        prop_assert_eq!(closed.prime(Time::ZERO), cohort.prime(Time::ZERO));
-        prop_assert_eq!(cohort.max_in_flight(), closed.max_in_flight());
-
-        let mut now = Time::ZERO;
-        for round in 0..rounds {
-            // Both sides must have produced identical pool contents; the
-            // drain doubles as this round's "proposal".
-            let closed_drained = drain_all(&closed_pools);
-            let cohort_drained = drain_all(&cohort_pools);
-            prop_assert_eq!(&closed_drained, &cohort_drained, "round {} pools", round);
-
-            // Commit half of each replica's drained requests (integer
-            // truncation keeps some requests in flight across rounds).
-            now += Duration::from_millis(10);
-            for drained in closed_drained {
-                let keep = drained.len().div_ceil(2);
-                closed.deliver(&commit_of(drained[..keep].to_vec(), now));
-                cohort.deliver(&commit_of(drained[..keep].to_vec(), now));
-            }
-            let closed_ticks = closed.take_pending_ticks();
-            let cohort_ticks = cohort.take_pending_ticks();
-            prop_assert_eq!(&closed_ticks, &cohort_ticks, "round {} ticks", round);
-
-            // Fire every tick in schedule order: one resubmission each.
-            let mut ticks = closed_ticks;
-            ticks.sort_unstable();
-            for at in ticks {
-                let resubmitted = closed.resubmit_next(at).is_some();
-                prop_assert_eq!(cohort.handle_tick(at), u64::from(resubmitted));
-            }
-            prop_assert_eq!(closed.submitted(), cohort.submitted());
-            prop_assert_eq!(closed.completed(), cohort.completed());
-            prop_assert_eq!(closed.in_flight(), cohort.in_flight());
-            prop_assert_eq!(cohort.deferred_demand(), 0, "no pacing: no demand");
-        }
-    }
-
-    /// Retransmission equivalence: the retry stream (deadline order, RNG
-    /// draws, re-pushed requests) must also match.
-    #[test]
-    fn cohort_retry_stream_matches_closed_loop(
-        clients in 1u16..8,
-        n_pools in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        let timeout = Duration::from_millis(50);
-        let closed_pools = pools(n_pools);
-        let cohort_pools = pools(n_pools);
-        let mut closed = ClosedLoopWorkload::new(
-            clients,
-            2,
-            Duration::ZERO,
-            100,
-            seed,
-            closed_pools.clone(),
-        )
-        .with_retry(timeout);
-        let mut cohort = CohortWorkload::new(
-            clients as u64,
-            clients,
-            2,
-            Duration::ZERO,
-            100,
-            seed,
-            cohort_pools.clone(),
-        )
-        .with_retry(timeout);
-        prop_assert_eq!(closed.prime(Time::ZERO), cohort.prime(Time::ZERO));
-        prop_assert_eq!(
-            closed.take_pending_retry_ticks(),
-            cohort.take_pending_retry_ticks()
-        );
-        // Nothing commits; every in-flight request retries.
-        drain_all(&closed_pools);
-        drain_all(&cohort_pools);
-        let at = Time::ZERO + timeout;
-        prop_assert_eq!(closed.handle_retry_tick(at), cohort.handle_retry_tick(at));
-        prop_assert_eq!(closed.retries(), cohort.retries());
-        prop_assert_eq!(drain_all(&closed_pools), drain_all(&cohort_pools));
-    }
-}
-
-/// Determinism per seed at an aggregate scale no per-client workload
-/// could hold: two runs with the same seed submit the same stream; a
-/// different seed retargets it.
+/// Determinism per seed: two runs with the same seed submit the same
+/// stream; a different seed retargets it.
 #[test]
 fn cohort_population_is_deterministic_per_seed() {
     let run = |seed: u64| {
         let mempools = pools(4);
-        let mut w = CohortWorkload::new(
+        let mut w = ClosedLoopWorkload::aggregated(
             1_000_000,
             64,
             4,
@@ -170,10 +51,11 @@ fn cohort_population_is_deterministic_per_seed() {
         .with_member_interval(Duration::from_secs(30));
         let mut submitted = w.prime(Time::ZERO);
         let mut now = Time::ZERO;
+        let mut ticks = Vec::new();
         for _ in 0..50 {
-            let mut ticks = w.take_pending_ticks();
+            w.take_pending_ticks_into(&mut ticks);
             ticks.sort_unstable();
-            for at in ticks {
+            for &at in &ticks {
                 now = now.max(at);
                 submitted += w.handle_tick(at);
             }
@@ -185,9 +67,9 @@ fn cohort_population_is_deterministic_per_seed() {
         }
         // One more tick round *without* a drain, so the per-pool fill
         // reflects the seed's targeting draws.
-        let mut ticks = w.take_pending_ticks();
+        w.take_pending_ticks_into(&mut ticks);
         ticks.sort_unstable();
-        for at in ticks {
+        for &at in &ticks {
             submitted += w.handle_tick(at);
         }
         let lens: Vec<usize> = mempools

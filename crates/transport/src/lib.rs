@@ -6,8 +6,8 @@
 //! one reader thread per inbound connection, and a timer heap in the
 //! engine loop. No async runtime: the engines are synchronous state
 //! machines and a handful of threads per replica is exactly what a
-//! reproduction needs (`docs/ARCHITECTURE.md`, "Sharded pool & replica
-//! pipeline").
+//! reproduction needs (`docs/ARCHITECTURE.md`, "Concurrent pool &
+//! replica pipeline").
 //!
 //! There is one replica event loop (the private `replica` module). The
 //! public runners in [`runner`] and [`pipeline`] are thin calls into it
