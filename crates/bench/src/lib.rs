@@ -1,21 +1,21 @@
-//! Benchmark & paper-reproduction harness for the Banyan reproduction.
+//! Paper-reproduction harness for the Banyan reproduction: one runner, one
+//! sweep vocabulary, four binaries.
 //!
-//! * [`runner`] — the shared scenario runner (all experiments use the same
-//!   measurement methodology, §9.2 of the paper);
-//! * [`sweep`] — closed-loop saturation sweeps and knee detection (the
-//!   `saturation_sweep` binary drives these);
-//! * one binary per paper table/figure under `src/bin/` (see `DESIGN.md`
-//!   for the experiment index);
-//! * Criterion benches under `benches/` exercising scaled-down versions of
-//!   each experiment plus microbenchmarks of the substrates.
+//! * [`runner`] — a [`runner::Scenario`] in, a [`runner::Outcome`] out;
+//!   every experiment shares its measurement methodology (§9.2 of the
+//!   paper);
+//! * [`sweep`] — closed-loop saturation sweeps, knee detection, and the
+//!   one [`sweep::COLUMNS`] list their table and JSON are rendered from;
+//! * `--bin paper -- <experiment> [secs]` — every table and figure of the
+//!   paper's §9 plus the ablations; `paper list` prints the index;
+//! * `--bin saturation_sweep` — the sweeps, with their CI gates;
+//! * `--bin crypto_microbench`, `--bin pipeline_throughput` — wall-clock
+//!   CI gates with thresholds.
+//!
+//! Codec, hashing and signature timings are not measured here: they are
+//! the `types.*` and `crypto.*` rows of the repository benchmark.
 
 #![warn(missing_docs)]
 
 pub mod runner;
 pub mod sweep;
-
-pub use runner::{
-    build_simulation, header, human_bytes, row, run, run_metrics, run_observed, CryptoMode,
-    Outcome, Scenario,
-};
-pub use sweep::{knee_index, measure, point_json, point_row, sweep_header, sweep_json, SweepPoint};

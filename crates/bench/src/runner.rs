@@ -1,9 +1,9 @@
 //! Shared experiment runner: one [`Scenario`] in, one [`Outcome`] out.
 //!
-//! Every figure/table harness and every Criterion macro-bench goes through
-//! this module, so all experiments share the same measurement methodology
-//! (§9.2 of the paper): proposer-measured finalization latency, committed
-//! bytes per second at a non-faulty replica, per-replica block intervals.
+//! Every figure/table experiment and every sweep goes through this module,
+//! so all of them share the same measurement methodology (§9.2 of the
+//! paper): proposer-measured finalization latency, committed bytes per
+//! second at a non-faulty replica, per-replica block intervals.
 
 use std::sync::Arc;
 
@@ -11,8 +11,6 @@ use banyan_core::builder::{ClusterBuilder, VerifyPlaneConfig};
 use banyan_core::chained::{ByzantineMode, OptimisticConfig};
 use banyan_crypto::ToySchnorr;
 use banyan_mempool::BatchPolicy;
-use banyan_runtime::driver::CommitSink;
-use banyan_simnet::cohort::LoadShape;
 use banyan_simnet::faults::FaultPlan;
 use banyan_simnet::metrics::{LatencyStats, RunMetrics, SafetyAuditor};
 use banyan_simnet::sim::{CryptoCost, SimConfig, Simulation};
@@ -48,16 +46,6 @@ pub enum CryptoMode {
 }
 
 impl CryptoMode {
-    /// Parses a `--crypto-mode` style argument.
-    pub fn parse(s: &str) -> Option<CryptoMode> {
-        match s {
-            "off" => Some(CryptoMode::Off),
-            "unbatched" => Some(CryptoMode::Unbatched),
-            "batched" => Some(CryptoMode::Batched),
-            _ => None,
-        }
-    }
-
     /// The mode's sweep label.
     pub fn label(self) -> &'static str {
         match self {
@@ -101,8 +89,6 @@ pub struct Scenario {
     /// Token-bucket pacing per *modeled* client (closed loop only);
     /// `None` resubmits freed slots immediately, the pure closed loop.
     pub member_interval: Option<Duration>,
-    /// Aggregate load shape for the closed loop.
-    pub shape: LoadShape,
     /// Propagation-limited gossip: forward pushes down a bounded-fanout
     /// tree of this degree with per-peer backpressure instead of
     /// broadcasting to every peer. 0 (the default) keeps broadcast
@@ -184,7 +170,6 @@ impl Scenario {
             cohorts: 0,
             max_outstanding: 0,
             member_interval: None,
-            shape: LoadShape::Steady,
             fanout_tree: 0,
             window: 0,
             think_time: Duration::ZERO,
@@ -267,13 +252,6 @@ impl Scenario {
         self
     }
 
-    /// Installs an aggregate [`LoadShape`] for the closed loop (flash
-    /// crowd, diurnal wave, regional outage with failover).
-    pub fn load_shape(mut self, shape: LoadShape) -> Self {
-        self.shape = shape;
-        self
-    }
-
     /// Switches gossip to **propagation-limited** mode: each replica
     /// forwards pushes only to `fanout` tree peers (ring successor +
     /// lowest-delay picks) through bounded per-peer queues with
@@ -353,7 +331,7 @@ impl Scenario {
     /// Adds a drain phase: after the measured `secs`, the workload is
     /// frozen (no new submissions) and the run continues `secs_extra`
     /// more seconds so in-flight requests finish. With retry and/or
-    /// gossip on, `Outcome::requests_lost` must end at zero.
+    /// gossip on, `RunMetrics::requests_lost` must end at zero.
     pub fn drain(mut self, secs_extra: u64) -> Self {
         self.drain_secs = secs_extra;
         self
@@ -440,8 +418,9 @@ impl Scenario {
     }
 }
 
-/// Aggregated results of one scenario run.
-#[derive(Clone, Debug)]
+/// Aggregated results of one scenario run: the numbers derived from the
+/// commit log, plus the run's counters as the simulator reported them.
+#[derive(Clone, Debug, Default)]
 pub struct Outcome {
     /// Proposer-measured finalization latency (the paper's latency metric).
     pub latency: LatencyStats,
@@ -461,20 +440,9 @@ pub struct Outcome {
     /// End-to-end client latency (submit→commit), present only when the
     /// scenario ran a client workload (open or closed loop).
     pub client_latency: Option<LatencyStats>,
-    /// Client requests submitted / committed (0/0 without a workload).
-    pub requests_submitted: u64,
     /// Client requests that reached a committed block (deduped by id —
     /// a re-gossiped or retried request counts once).
     pub requests_committed: u64,
-    /// Requests lost to the request path: submitted but neither observed
-    /// committed nor pending in any pool at the end of the run (see
-    /// `RunMetrics::requests_lost`). With retry/gossip plus a drain
-    /// phase this must be 0.
-    pub requests_lost: u64,
-    /// Requests still pending in mempools at the end of the run.
-    pub requests_pending: u64,
-    /// Client retransmissions performed over the run.
-    pub requests_retried: u64,
     /// Batched request occurrences suppressed by exactly-once dedup
     /// (copies of an already-committed id in a later block).
     pub duplicates_suppressed: u64,
@@ -488,40 +456,17 @@ pub struct Outcome {
     /// Share of explicit commits taken via the fast path at a non-faulty
     /// replica (0 for non-Banyan protocols).
     pub fast_share: f64,
-    /// Catch-up fetches issued by rejoining replicas (frontier probes plus
-    /// ranged block requests); 0 for runs without restarts.
-    pub sync_requests: u64,
-    /// Blocks served in `SyncMsg::ResponseBatch` replies over the run.
-    pub sync_blocks_served: u64,
-    /// Total milliseconds rejoining replicas spent catching up (rejoin →
-    /// caught-up), summed over all restarts.
-    pub restart_recovery_ms: u64,
-    /// Write-ahead-log bytes held across all replicas at the end of the
-    /// run (0 when engines run on in-memory stores).
-    pub wal_bytes: u64,
-    /// Signatures verified across all replicas (aggregate members count
-    /// individually; 0 with [`CryptoMode::Off`]).
-    pub sigs_verified: u64,
-    /// Combined (RLC or multi-signature) checks performed.
-    pub verify_batches: u64,
-    /// Certificate verifications answered from the verdict cache.
-    pub cert_cache_hits: u64,
-    /// Virtual CPU milliseconds charged for verification across the run.
-    pub verify_cpu_ms: u64,
     /// Rounds with at least one committed block.
     pub committed_rounds: usize,
-    /// Network messages sent.
-    pub messages: u64,
-    /// Network bytes sent.
-    pub bytes: u64,
-    /// Dissemination-layer bytes sent (gossip `Forward` bodies plus
-    /// fanout-tree `Announce` records; subset of `bytes`).
-    pub gossip_bytes: u64,
-    /// Forward-path losses: shared-outbox drops plus per-peer
-    /// backpressure sheds across every pool.
-    pub forwards_dropped: u64,
     /// No safety violation observed (must always be true).
     pub safe: bool,
+    /// Every counter the run reported (requests submitted / pending /
+    /// retried and [`RunMetrics::requests_lost`], messages and bytes
+    /// sent, gossip, sync, WAL and verify-plane totals), under the names
+    /// [`RunMetrics`] gives them. The commit log itself is consumed by
+    /// the fields above and left empty here, so an `Outcome` stays small
+    /// enough to keep one per sweep point.
+    pub counters: RunMetrics,
 }
 
 /// Builds the simulation a scenario describes, without running it. All
@@ -532,6 +477,15 @@ pub struct Outcome {
 ///
 /// Panics if the scenario's `(n, f, p)` triple is invalid.
 pub fn build_simulation(scenario: &Scenario) -> Simulation {
+    build_simulation_with(scenario, |cluster| cluster)
+}
+
+/// [`build_simulation`] with a last word on the cluster (see
+/// [`run_with`]).
+fn build_simulation_with(
+    scenario: &Scenario,
+    cluster: impl FnOnce(ClusterBuilder) -> ClusterBuilder,
+) -> Simulation {
     let n = scenario.topology.n();
     let delta = effective_delta(scenario);
     let mut builder = ClusterBuilder::new(n, scenario.f, scenario.p)
@@ -592,6 +546,7 @@ pub fn build_simulation(scenario: &Scenario) -> Simulation {
         !scenario.speculative || mempools.is_some(),
         "speculative drain needs a client workload"
     );
+    let builder = cluster(builder);
     let payload_chunk = builder.protocol_config().payload_chunk;
     let engines = builder.build(&scenario.protocol);
     let mut sim_config = SimConfig::with_seed(scenario.seed);
@@ -625,7 +580,6 @@ pub fn build_simulation(scenario: &Scenario) -> Simulation {
                 client_seed,
                 pools,
             )
-            .with_shape(scenario.shape.clone())
             .with_think_multipliers(scenario.think_multipliers.clone());
             if scenario.max_outstanding > 0 {
                 workload = workload.with_max_outstanding(scenario.max_outstanding);
@@ -699,7 +653,12 @@ pub fn effective_delta(scenario: &Scenario) -> Duration {
 ///
 /// Panics if the scenario's `(n, f, p)` triple is invalid.
 pub fn run_metrics(scenario: &Scenario) -> (RunMetrics, SafetyAuditor) {
-    let mut sim = build_simulation(scenario);
+    finish(scenario, build_simulation(scenario))
+}
+
+/// Drives a built simulation through the scenario's measured window and
+/// drain phase.
+fn finish(scenario: &Scenario, mut sim: Simulation) -> (RunMetrics, SafetyAuditor) {
     sim.run_until(Time(Duration::from_secs(scenario.secs).as_nanos()));
     if scenario.drain_secs > 0 {
         // Drain phase: freeze the client population (retries of
@@ -714,31 +673,30 @@ pub fn run_metrics(scenario: &Scenario) -> (RunMetrics, SafetyAuditor) {
     sim.into_results()
 }
 
-/// Runs a scenario and additionally replays every observed commit, in
-/// observation order, into `sink` — the same [`CommitSink`] abstraction
-/// the simulator and the TCP runner collect through. Harnesses use this
-/// to stream commits (e.g. to a log) without re-deriving them from the
-/// aggregate metrics.
-pub fn run_observed(scenario: &Scenario, sink: &mut dyn CommitSink) -> Outcome {
-    let (metrics, auditor) = run_metrics(scenario);
-    for c in &metrics.commits {
-        sink.on_commit(c.replica, c.entry.clone());
-    }
-    summarize(scenario, &metrics, &auditor)
-}
-
 /// Runs a scenario to completion.
 ///
 /// # Panics
 ///
 /// Panics if the scenario's `(n, f, p)` triple is invalid.
 pub fn run(scenario: &Scenario) -> Outcome {
-    let (metrics, auditor) = run_metrics(scenario);
-    summarize(scenario, &metrics, &auditor)
+    run_with(scenario, |cluster| cluster)
+}
+
+/// [`run`] with a last word on the cluster: `cluster` sees the fully
+/// configured [`ClusterBuilder`] just before the engines are built. This
+/// is how an experiment varies something that is not a [`Scenario`] knob
+/// (the beacon ablation's leader schedule) and still gets the shared
+/// wiring, run loop and [`Outcome`].
+pub fn run_with(
+    scenario: &Scenario,
+    cluster: impl FnOnce(ClusterBuilder) -> ClusterBuilder,
+) -> Outcome {
+    let (metrics, auditor) = finish(scenario, build_simulation_with(scenario, cluster));
+    summarize(scenario, metrics, &auditor)
 }
 
 /// Reduces a finished run to the paper's headline numbers.
-fn summarize(scenario: &Scenario, m: &RunMetrics, auditor: &SafetyAuditor) -> Outcome {
+fn summarize(scenario: &Scenario, m: RunMetrics, auditor: &SafetyAuditor) -> Outcome {
     // Report at the first replica that never crashes.
     let crashed = scenario.faults.crashed_replicas();
     let observer = (0..scenario.topology.n() as u16)
@@ -764,28 +722,16 @@ fn summarize(scenario: &Scenario, m: &RunMetrics, auditor: &SafetyAuditor) -> Ou
         rounds_per_commit: m.mean_commit_interval_ms(observer)
             / effective_delta(scenario).as_millis_f64(),
         client_latency: client_samples.as_deref().map(LatencyStats::from_samples),
-        requests_submitted: m.requests_submitted,
         requests_committed,
-        requests_lost: m.requests_lost(),
-        requests_pending: m.requests_pending,
-        requests_retried: m.requests_retried,
         duplicates_suppressed: client_report.as_ref().map_or(0, |&(_, dups)| dups),
         goodput_rps: banyan_simnet::metrics::per_second(requests_committed, scenario.secs as f64),
         fast_share: m.fast_path_share(observer),
-        sync_requests: m.sync_requests,
-        sync_blocks_served: m.sync_blocks_served,
-        restart_recovery_ms: m.restart_recovery_ms,
-        wal_bytes: m.wal_bytes,
-        sigs_verified: m.sigs_verified,
-        verify_batches: m.verify_batches,
-        cert_cache_hits: m.cert_cache_hits,
-        verify_cpu_ms: m.verify_cpu_ms,
         committed_rounds: auditor.committed_rounds(),
-        messages: m.messages_sent,
-        bytes: m.bytes_sent,
-        gossip_bytes: m.gossip_bytes,
-        forwards_dropped: m.forwards_dropped,
         safe: auditor.is_safe(),
+        counters: RunMetrics {
+            commits: Vec::new(),
+            ..m
+        },
     }
 }
 
@@ -895,7 +841,7 @@ mod tests {
         .secs(3);
         let out = run(&s);
         assert!(out.safe);
-        assert!(out.requests_submitted > 300);
+        assert!(out.counters.requests_submitted > 300);
         assert!(out.requests_committed > 0);
         let e2e = out.client_latency.as_ref().expect("workload configured");
         assert!(e2e.count > 0);

@@ -11,79 +11,69 @@
 
 use banyan_types::time::Duration;
 
-use crate::runner::{run, Scenario};
+use crate::runner::{run, Outcome, Scenario};
 
-/// One measured point of a saturation sweep.
-#[derive(Clone, Debug, PartialEq)]
+/// One measured point of a saturation sweep: the population it offered
+/// and the run's [`Outcome`]. What a sweep reports about a point is the
+/// [`COLUMNS`] list.
+#[derive(Clone, Debug)]
 pub struct SweepPoint {
     /// Closed-loop population size: the (modeled) clients, wide enough
     /// for [`measure_cohorts`]'s 10⁶.
     pub clients: u64,
     /// Outstanding-request window per client.
     pub window: u32,
-    /// Committed requests per second.
-    pub goodput_rps: f64,
-    /// End-to-end (submit→commit) median latency, ms.
-    pub p50_ms: f64,
+    /// The run, reduced.
+    pub out: Outcome,
+}
+
+impl SweepPoint {
+    /// End-to-end (submit→commit) median latency, ms (0 when nothing
+    /// committed).
+    pub fn p50_ms(&self) -> f64 {
+        self.out.client_latency.as_ref().map_or(0.0, |l| l.p50_ms)
+    }
+
     /// End-to-end (submit→commit) 99th-percentile latency, ms.
-    pub p99_ms: f64,
-    /// Committed payload bytes per second, MB/s.
-    pub throughput_mbps: f64,
-    /// Rounds per commit: mean explicit-commit interval at the observer
-    /// normalized by the protocol Δ (see `Outcome::rounds_per_commit`).
-    /// The meter optimistic pipelining moves — proposal/certification
-    /// overlap shortens the span between finalizations.
-    pub rounds_per_commit: f64,
-    /// Requests submitted over the run.
-    pub submitted: u64,
-    /// Requests committed over the run (deduped by id).
-    pub committed: u64,
+    pub fn p99_ms(&self) -> f64 {
+        self.out.client_latency.as_ref().map_or(0.0, |l| l.p99_ms)
+    }
+
     /// Requests lost: `submitted − completed − pending` at the end of
     /// the run (after the drain phase, when one is configured). Nonzero
     /// means work vanished into never-finalized proposals.
-    pub lost: u64,
-    /// Client retransmissions performed.
-    pub retried: u64,
-    /// Duplicate committed occurrences suppressed by exactly-once dedup.
-    pub duplicates: u64,
+    pub fn lost(&self) -> u64 {
+        self.out.counters.requests_lost()
+    }
+
     /// Duplicate inclusions as a share of committed requests
     /// (`duplicates / committed`, 0 when nothing committed) — the
     /// regression meter for the speculative drain: blind drains under
     /// gossip push this far up for commit-lagged protocols; ancestor-aware
     /// drains hold it near zero.
-    pub dup_share: f64,
+    pub fn dup_share(&self) -> f64 {
+        Self::efficiency(self.out.requests_committed, self.out.duplicates_suppressed).0
+    }
+
     /// Batch efficiency: the fraction of batched-and-committed request
     /// occurrences that were useful, `committed / (committed +
     /// duplicates)` (1.0 when nothing committed — an empty run wastes no
     /// block space).
-    pub batch_efficiency: f64,
-    /// Catch-up fetches issued by rejoining replicas (0 without restarts).
-    pub sync_requests: u64,
-    /// Blocks served in ranged-sync response batches.
-    pub sync_blocks: u64,
-    /// Total milliseconds rejoining replicas spent catching up.
-    pub recovery_ms: u64,
-    /// Write-ahead-log bytes held across replicas at the end of the run.
-    pub wal_bytes: u64,
-    /// Signatures verified across all replicas (0 with crypto off).
-    pub sigs: u64,
-    /// Combined (batched) verification checks performed.
-    pub batches: u64,
-    /// Certificate verifications answered from the verdict cache.
-    pub cache_hits: u64,
-    /// Virtual CPU milliseconds charged for verification.
-    pub verify_cpu_ms: u64,
+    pub fn batch_efficiency(&self) -> f64 {
+        Self::efficiency(self.out.requests_committed, self.out.duplicates_suppressed).1
+    }
+
     /// Dissemination bytes on the wire per submitted request (0 without
     /// gossip) — the meter propagation-limited gossip exists to shrink:
     /// broadcast pays ~`(n−1) × size` per request, the fanout tree pays
     /// `fanout` full copies plus compact announce records.
-    pub gossip_bytes_per_req: f64,
-    /// Forward-path losses: shared-outbox drops plus per-peer
-    /// backpressure sheds across every pool.
-    pub forwards_dropped: u64,
-}
+    pub fn gossip_bytes_per_req(&self) -> f64 {
+        match self.out.counters.requests_submitted {
+            0 => 0.0,
+            submitted => self.out.counters.gossip_bytes as f64 / submitted as f64,
+        }
+    }
 
-impl SweepPoint {
     /// Derives the duplicate-share and batch-efficiency columns from raw
     /// committed/duplicate counts.
     pub fn efficiency(committed: u64, duplicates: u64) -> (f64, f64) {
@@ -96,6 +86,50 @@ impl SweepPoint {
     }
 }
 
+/// How a column of [`COLUMNS`] reads and prints its value.
+pub enum Cell {
+    /// A counter, printed as is in the table and in JSON.
+    Count(fn(&SweepPoint) -> u64),
+    /// A measurement: accessor, table decimals, JSON decimals.
+    Real(fn(&SweepPoint) -> f64, usize, usize),
+    /// A `[0, 1]` share: JSON carries the fraction, the table shows it
+    /// × 100.
+    Share(fn(&SweepPoint) -> f64, usize, usize),
+}
+use Cell::{Count, Real, Share};
+
+/// Everything a sweep reports about a point, in print order: `(JSON key,
+/// table header, table width, accessor and precision)`. [`sweep_header`],
+/// [`point_row`] and [`point_json`] are all rendered from this list, so
+/// adding a column is one entry here.
+#[rustfmt::skip]
+pub const COLUMNS: &[(&str, &str, usize, Cell)] = &[
+    ("clients", "clients", 8, Count(|p| p.clients)),
+    ("window", "window", 7, Count(|p| p.window as u64)),
+    ("goodput_rps", "goodput/s", 12, Real(|p| p.out.goodput_rps, 1, 3)),
+    ("p50_ms", "p50 ms", 10, Real(SweepPoint::p50_ms, 2, 4)),
+    ("p99_ms", "p99 ms", 10, Real(SweepPoint::p99_ms, 2, 4)),
+    ("throughput_mbps", "MB/s", 9, Real(|p| p.out.throughput_mbps, 3, 5)),
+    ("rounds_per_commit", "rpc", 6, Real(|p| p.out.rounds_per_commit, 2, 4)),
+    ("submitted", "submitted", 10, Count(|p| p.out.counters.requests_submitted)),
+    ("committed", "committed", 10, Count(|p| p.out.requests_committed)),
+    ("lost", "lost", 6, Count(SweepPoint::lost)),
+    ("retried", "retried", 8, Count(|p| p.out.counters.requests_retried)),
+    ("duplicates", "dups", 6, Count(|p| p.out.duplicates_suppressed)),
+    ("dup_share", "dup%", 6, Share(SweepPoint::dup_share, 2, 5)),
+    ("batch_efficiency", "eff%", 6, Share(SweepPoint::batch_efficiency, 1, 5)),
+    ("sync_requests", "sync", 5, Count(|p| p.out.counters.sync_requests)),
+    ("sync_blocks", "served", 7, Count(|p| p.out.counters.sync_blocks_served)),
+    ("recovery_ms", "rec.ms", 7, Count(|p| p.out.counters.restart_recovery_ms)),
+    ("wal_bytes", "wal.B", 9, Count(|p| p.out.counters.wal_bytes)),
+    ("sigs", "sigs", 9, Count(|p| p.out.counters.sigs_verified)),
+    ("batches", "batches", 8, Count(|p| p.out.counters.verify_batches)),
+    ("cache_hits", "cacheh", 7, Count(|p| p.out.counters.cert_cache_hits)),
+    ("verify_cpu_ms", "vcpu.ms", 8, Count(|p| p.out.counters.verify_cpu_ms)),
+    ("gossip_bytes_per_req", "gsp.B/req", 10, Real(SweepPoint::gossip_bytes_per_req, 1, 3)),
+    ("forwards_dropped", "fwd.drop", 8, Count(|p| p.out.counters.forwards_dropped)),
+];
+
 /// The fraction of the plateau goodput a point must reach to qualify as
 /// the knee (90% — past it, added clients buy latency, not goodput).
 pub const KNEE_FRACTION: f64 = 0.9;
@@ -104,20 +138,20 @@ pub const KNEE_FRACTION: f64 = 0.9;
 /// [`KNEE_FRACTION`] of the sweep's maximum goodput. `None` for an empty
 /// sweep or one that never commits anything.
 pub fn knee_index(points: &[SweepPoint]) -> Option<usize> {
-    let max = points.iter().map(|p| p.goodput_rps).fold(0.0, f64::max);
+    let max = points.iter().map(|p| p.out.goodput_rps).fold(0.0, f64::max);
     if max <= 0.0 {
         return None;
     }
     points
         .iter()
-        .position(|p| p.goodput_rps >= KNEE_FRACTION * max)
+        .position(|p| p.out.goodput_rps >= KNEE_FRACTION * max)
 }
 
 /// The end-to-end median latency at the sweep's knee, ms — the headline
 /// "commit latency at the operating point" number. `None` when the sweep
 /// has no knee (nothing committed).
 pub fn knee_p50_ms(points: &[SweepPoint]) -> Option<f64> {
-    knee_index(points).map(|i| points[i].p50_ms)
+    knee_index(points).map(|i| points[i].p50_ms())
 }
 
 /// Mean rounds-per-commit across a sweep's points (0-valued points —
@@ -126,7 +160,7 @@ pub fn knee_p50_ms(points: &[SweepPoint]) -> Option<f64> {
 pub fn mean_rounds_per_commit(points: &[SweepPoint]) -> Option<f64> {
     let live: Vec<f64> = points
         .iter()
-        .map(|p| p.rounds_per_commit)
+        .map(|p| p.out.rounds_per_commit)
         .filter(|&r| r > 0.0)
         .collect();
     if live.is_empty() {
@@ -163,149 +197,44 @@ pub fn measure_cohorts(
     let scenario = base
         .clone()
         .cohort_load(modeled, cohorts, window, think_time);
-    reduce(&scenario, modeled, window)
-}
-
-fn reduce(scenario: &Scenario, clients: u64, window: u32) -> SweepPoint {
-    let out = run(scenario);
+    let out = run(&scenario);
     assert!(out.safe, "safety violation in {} sweep", scenario.protocol);
-    let e2e = out.client_latency.unwrap_or_default();
-    let (dup_share, batch_efficiency) =
-        SweepPoint::efficiency(out.requests_committed, out.duplicates_suppressed);
-    let gossip_bytes_per_req = if out.requests_submitted > 0 {
-        out.gossip_bytes as f64 / out.requests_submitted as f64
-    } else {
-        0.0
-    };
     SweepPoint {
-        clients,
+        clients: modeled,
         window,
-        goodput_rps: out.goodput_rps,
-        p50_ms: e2e.p50_ms,
-        p99_ms: e2e.p99_ms,
-        throughput_mbps: out.throughput_mbps,
-        rounds_per_commit: out.rounds_per_commit,
-        submitted: out.requests_submitted,
-        committed: out.requests_committed,
-        lost: out.requests_lost,
-        retried: out.requests_retried,
-        duplicates: out.duplicates_suppressed,
-        dup_share,
-        batch_efficiency,
-        sync_requests: out.sync_requests,
-        sync_blocks: out.sync_blocks_served,
-        recovery_ms: out.restart_recovery_ms,
-        wal_bytes: out.wal_bytes,
-        sigs: out.sigs_verified,
-        batches: out.verify_batches,
-        cache_hits: out.cert_cache_hits,
-        verify_cpu_ms: out.verify_cpu_ms,
-        gossip_bytes_per_req,
-        forwards_dropped: out.forwards_dropped,
+        out,
     }
 }
 
 /// Header matching [`point_row`].
 pub fn sweep_header() -> String {
-    format!(
-        "{:>8} {:>7} {:>12} {:>10} {:>10} {:>9} {:>6} {:>10} {:>10} {:>6} {:>8} {:>6} {:>6} {:>6} {:>5} {:>7} {:>7} {:>9} {:>9} {:>8} {:>7} {:>8} {:>10} {:>8}  {}",
-        "clients",
-        "window",
-        "goodput/s",
-        "p50 ms",
-        "p99 ms",
-        "MB/s",
-        "rpc",
-        "submitted",
-        "committed",
-        "lost",
-        "retried",
-        "dups",
-        "dup%",
-        "eff%",
-        "sync",
-        "served",
-        "rec.ms",
-        "wal.B",
-        "sigs",
-        "batches",
-        "cacheh",
-        "vcpu.ms",
-        "gsp.B/req",
-        "fwd.drop",
-        ""
-    )
+    let cell = |&(_, head, width, _): &(_, &str, usize, _)| format!("{head:>width$}");
+    let cells: Vec<String> = COLUMNS.iter().map(cell).collect();
+    format!("{}  ", cells.join(" "))
 }
 
 /// Formats one sweep point; `knee` appends the saturation marker.
 pub fn point_row(p: &SweepPoint, knee: bool) -> String {
-    format!(
-        "{:>8} {:>7} {:>12.1} {:>10.2} {:>10.2} {:>9.3} {:>6.2} {:>10} {:>10} {:>6} {:>8} {:>6} {:>6.2} {:>6.1} {:>5} {:>7} {:>7} {:>9} {:>9} {:>8} {:>7} {:>8} {:>10.1} {:>8}  {}",
-        p.clients,
-        p.window,
-        p.goodput_rps,
-        p.p50_ms,
-        p.p99_ms,
-        p.throughput_mbps,
-        p.rounds_per_commit,
-        p.submitted,
-        p.committed,
-        p.lost,
-        p.retried,
-        p.duplicates,
-        p.dup_share * 100.0,
-        p.batch_efficiency * 100.0,
-        p.sync_requests,
-        p.sync_blocks,
-        p.recovery_ms,
-        p.wal_bytes,
-        p.sigs,
-        p.batches,
-        p.cache_hits,
-        p.verify_cpu_ms,
-        p.gossip_bytes_per_req,
-        p.forwards_dropped,
-        if knee { "<- knee" } else { "" }
-    )
+    let cell = |(_, _, width, cell): &(_, _, usize, Cell)| match *cell {
+        Count(get) => format!("{:>width$}", get(p)),
+        Real(get, decimals, _) => format!("{:>width$.decimals$}", get(p)),
+        Share(get, decimals, _) => format!("{:>width$.decimals$}", get(p) * 100.0),
+    };
+    let cells: Vec<String> = COLUMNS.iter().map(cell).collect();
+    format!("{}  {}", cells.join(" "), if knee { "<- knee" } else { "" })
 }
 
 /// One sweep point as a JSON object (hand-rolled — every field is a
 /// number, so no escaping is needed).
 pub fn point_json(p: &SweepPoint) -> String {
-    format!(
-        "{{\"clients\":{},\"window\":{},\"goodput_rps\":{:.3},\"p50_ms\":{:.4},\
-         \"p99_ms\":{:.4},\"throughput_mbps\":{:.5},\"rounds_per_commit\":{:.4},\
-         \"submitted\":{},\"committed\":{},\
-         \"lost\":{},\"retried\":{},\"duplicates\":{},\"dup_share\":{:.5},\
-         \"batch_efficiency\":{:.5},\"sync_requests\":{},\"sync_blocks\":{},\
-         \"recovery_ms\":{},\"wal_bytes\":{},\"sigs\":{},\"batches\":{},\
-         \"cache_hits\":{},\"verify_cpu_ms\":{},\
-         \"gossip_bytes_per_req\":{:.3},\"forwards_dropped\":{}}}",
-        p.clients,
-        p.window,
-        p.goodput_rps,
-        p.p50_ms,
-        p.p99_ms,
-        p.throughput_mbps,
-        p.rounds_per_commit,
-        p.submitted,
-        p.committed,
-        p.lost,
-        p.retried,
-        p.duplicates,
-        p.dup_share,
-        p.batch_efficiency,
-        p.sync_requests,
-        p.sync_blocks,
-        p.recovery_ms,
-        p.wal_bytes,
-        p.sigs,
-        p.batches,
-        p.cache_hits,
-        p.verify_cpu_ms,
-        p.gossip_bytes_per_req,
-        p.forwards_dropped
-    )
+    let cell = |(key, _, _, cell): &(&str, _, _, Cell)| match *cell {
+        Count(get) => format!("\"{key}\":{}", get(p)),
+        Real(get, _, decimals) | Share(get, _, decimals) => {
+            format!("\"{key}\":{:.decimals$}", get(p))
+        }
+    };
+    let cells: Vec<String> = COLUMNS.iter().map(cell).collect();
+    format!("{{{}}}", cells.join(","))
 }
 
 /// One protocol's whole sweep as a JSON object:
@@ -329,35 +258,44 @@ pub fn sweep_json(protocol: &str, points: &[SweepPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use banyan_simnet::metrics::{LatencyStats, RunMetrics};
 
     fn pt(clients: u64, goodput: f64) -> SweepPoint {
-        let (dup_share, batch_efficiency) = SweepPoint::efficiency(90, 1);
-        SweepPoint {
+        let mut p = SweepPoint {
             clients,
             window: 1,
-            goodput_rps: goodput,
+            out: Outcome::default(),
+        };
+        p.out.goodput_rps = goodput;
+        p.out.client_latency = Some(LatencyStats {
             p50_ms: 10.0,
             p99_ms: 20.0,
-            throughput_mbps: 1.0,
-            rounds_per_commit: 3.5,
-            submitted: 100,
-            committed: 90,
-            lost: 3,
-            retried: 7,
-            duplicates: 1,
-            dup_share,
-            batch_efficiency,
+            ..LatencyStats::default()
+        });
+        p.out.throughput_mbps = 1.0;
+        p.out.rounds_per_commit = 3.5;
+        p.out.requests_committed = 90;
+        p.out.duplicates_suppressed = 1;
+        p.out.counters = RunMetrics {
+            requests_submitted: 100,
+            // lost = submitted − completed − pending = 3.
+            requests_completed: 90,
+            requests_pending: 7,
+            requests_retried: 7,
             sync_requests: 2,
-            sync_blocks: 12,
-            recovery_ms: 45,
+            sync_blocks_served: 12,
+            restart_recovery_ms: 45,
             wal_bytes: 2048,
-            sigs: 640,
-            batches: 32,
-            cache_hits: 16,
+            sigs_verified: 640,
+            verify_batches: 32,
+            cert_cache_hits: 16,
             verify_cpu_ms: 25,
-            gossip_bytes_per_req: 1536.5,
+            // 1536.5 B per submitted request.
+            gossip_bytes: 153_650,
             forwards_dropped: 4,
-        }
+            ..RunMetrics::default()
+        };
+        p
     }
 
     #[test]
@@ -406,7 +344,7 @@ mod tests {
         // Zero-valued (too-few-commits) points are excluded, and an
         // all-zero sweep yields no meter at all.
         let mut short = pt(1, 25.0);
-        short.rounds_per_commit = 0.0;
+        short.out.rounds_per_commit = 0.0;
         assert_eq!(mean_rounds_per_commit(&[short.clone()]), None);
         let mixed = vec![short, pt(2, 95.0)];
         assert_eq!(mean_rounds_per_commit(&mixed), Some(3.5));
@@ -437,6 +375,26 @@ mod tests {
             "gossip columns in header: {header}"
         );
         assert!(row.contains("1536.5"), "gossip-bytes column present: {row}");
+    }
+
+    #[test]
+    fn header_row_and_json_each_have_one_cell_per_column() {
+        let p = pt(4, 123.4);
+        // Cells are right-aligned to their width and joined by one space,
+        // then two spaces and the (possibly empty) knee marker.
+        let width: usize = COLUMNS.iter().map(|(_, _, w, _)| w + 1).sum::<usize>() + 1;
+        assert_eq!(sweep_header().chars().count(), width);
+        let row = point_row(&p, false);
+        assert_eq!(row.chars().count(), width);
+        assert_eq!(row.split_whitespace().count(), COLUMNS.len());
+        let json = point_json(&p);
+        assert_eq!(json.matches("\":").count(), COLUMNS.len());
+        for (i, (key, head, ..)) in COLUMNS.iter().enumerate() {
+            assert!(json.contains(&format!("\"{key}\":")), "{key}");
+            assert!(sweep_header().contains(head), "{head}");
+            let earlier = &COLUMNS[..i];
+            assert!(earlier.iter().all(|(k, h, ..)| k != key && h != head));
+        }
     }
 
     #[test]

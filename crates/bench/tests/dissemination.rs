@@ -23,7 +23,7 @@ fn saturated(protocol: &str) -> Scenario {
     .seed(42)
 }
 
-/// The acceptance criterion: with gossip + retry enabled, a drained
+/// The acceptance bar: with gossip + retry enabled, a drained
 /// closed-loop run loses nothing — every submitted request is observed
 /// committed, for all three engines.
 #[test]

@@ -29,7 +29,7 @@ fn gossiped(protocol: &str) -> Scenario {
     .drain(3)
 }
 
-/// The acceptance criterion: the speculative drain cuts the `dups`
+/// The acceptance bar: the speculative drain cuts the `dups`
 /// column by ≥90% for HotStuff and Streamlet (whose commit lag made
 /// blind drains re-batch multiple ancestor blocks), keeps it no worse
 /// for Banyan, loses zero requests, and does not cost goodput.

@@ -317,20 +317,14 @@ impl ClusterBuilder {
         );
     }
 
-    fn build_chained(&self, mode: PathMode) -> Vec<Box<dyn Engine>> {
-        (0..self.cfg.n() as u16)
-            .map(|i| self.build_chained_replica(mode, i))
-            .collect()
-    }
-
     /// Builds an `n`-replica Banyan cluster.
     pub fn build_banyan(&self) -> Vec<Box<dyn Engine>> {
-        self.build_chained(PathMode::Banyan)
+        self.build("banyan")
     }
 
     /// Builds an `n`-replica ICC (slow-path-only) cluster.
     pub fn build_icc(&self) -> Vec<Box<dyn Engine>> {
-        self.build_chained(PathMode::IccOnly)
+        self.build("icc")
     }
 
     /// Builds an `n`-replica chained-HotStuff cluster.
@@ -342,20 +336,7 @@ impl ClusterBuilder {
     /// next leader's proposal), so the chained engines' pipelining knob
     /// does not apply.
     pub fn build_hotstuff(&self) -> Vec<Box<dyn Engine>> {
-        self.assert_no_optimistic("hotstuff");
-        (0..self.cfg.n() as u16)
-            .map(|i| {
-                let mut engine = HotStuffEngine::new(
-                    self.cfg.clone(),
-                    self.registry(i),
-                    self.beacon(),
-                    (self.sources)(i),
-                    self.baseline_timeout,
-                );
-                self.install_verify(&mut engine);
-                Box::new(engine) as Box<dyn Engine>
-            })
-            .collect()
+        self.build("hotstuff")
     }
 
     /// Builds an `n`-replica Streamlet cluster. The epoch length is `2Δ`.
@@ -366,43 +347,26 @@ impl ClusterBuilder {
     /// clocked by the epoch timer, not by certificate arrival, so there
     /// is no certification wait to overlap.
     pub fn build_streamlet(&self) -> Vec<Box<dyn Engine>> {
-        self.assert_no_optimistic("streamlet");
-        let epoch_len = self.cfg.delta.saturating_mul(2);
-        (0..self.cfg.n() as u16)
-            .map(|i| {
-                let mut engine = StreamletEngine::new(
-                    self.cfg.clone(),
-                    self.registry(i),
-                    self.beacon(),
-                    (self.sources)(i),
-                    epoch_len,
-                );
-                self.install_verify(&mut engine);
-                Box::new(engine) as Box<dyn Engine>
-            })
-            .collect()
+        self.build("streamlet")
     }
 
     /// Builds a cluster by protocol name ("banyan", "icc", "hotstuff",
-    /// "streamlet").
+    /// "streamlet"): [`Self::build_replica`] for every index in order.
     ///
     /// # Panics
     ///
     /// Panics on an unknown protocol name.
     pub fn build(&self, protocol: &str) -> Vec<Box<dyn Engine>> {
-        match protocol {
-            "banyan" => self.build_banyan(),
-            "icc" => self.build_icc(),
-            "hotstuff" => self.build_hotstuff(),
-            "streamlet" => self.build_streamlet(),
-            other => panic!("unknown protocol {other:?}"),
-        }
+        (0..self.cfg.n() as u16)
+            .map(|i| self.build_replica(protocol, i))
+            .collect()
     }
 
-    /// Builds a single replica's engine — the crash-recovery path: a
-    /// restarting replica rebuilds exactly its own engine (same PKI,
-    /// beacon, sources, and — via [`Self::chain_stores`] — its reopened
-    /// store), then `Engine::restore`s a snapshot before `on_init`.
+    /// Builds a single replica's engine — every cluster is built from
+    /// these, and it is the crash-recovery path: a restarting replica
+    /// rebuilds exactly its own engine (same PKI, beacon, sources, and —
+    /// via [`Self::chain_stores`] — its reopened store), then
+    /// `Engine::restore`s a snapshot before `on_init`.
     ///
     /// # Panics
     ///

@@ -1563,7 +1563,7 @@ impl ChainedEngine {
         // Restriction 2 requires our fast vote to be out. If the block is
         // valid and we simply have not voted yet (catch-up), vote now —
         // the network has already converged on it, so the notarization
-        // delay serves no purpose (see DESIGN.md §4).
+        // delay serves no purpose.
         if self.fast_path() && !self.round_state(round).fast_vote_sent {
             if self.is_valid(&chosen) && !self.rounds[&round].notarize_voted.contains(&chosen) {
                 let notarize = self.make_vote(VoteKind::Notarize, round, chosen);

@@ -13,7 +13,7 @@
 //!   output is `SHA-256(seed ‖ k)`, expanded into a Fisher–Yates permutation.
 //!   Deterministic, unpredictable-looking, and identical at every replica —
 //!   exactly the interface a real beacon provides (substitution **R3** in
-//!   `DESIGN.md`).
+//!   `docs/ARCHITECTURE.md`).
 
 use crate::sha256::sha256_concat;
 

@@ -5,10 +5,11 @@
 //! The Banyan paper uses BLS multi-signatures [Boneh–Drijvers–Neven 2018] so
 //! votes aggregate into one compact, publicly verifiable certificate. BLS
 //! needs pairing curves, which we deliberately do not hand-roll (substitution
-//! **R2** in `DESIGN.md`). `HashSig` reproduces the *API and message flow* of
-//! BLS exactly — fixed-size signatures, constant-size aggregates carrying a
-//! signer bitmap, aggregate verification against the public-key table — but
-//! it is **not secure against an adversary outside the process**: the
+//! **R2** in `docs/ARCHITECTURE.md`). `HashSig` reproduces the *API and
+//! message flow* of BLS exactly — fixed-size signatures, constant-size
+//! aggregates carrying a signer bitmap, aggregate verification against the
+//! public-key table — but it is **not secure against an adversary outside
+//! the process**: the
 //! "public key" doubles as the MAC key, so anyone holding the key table can
 //! forge. That is acceptable in a single-process simulation or a trusted
 //! benchmark cluster, which is where the paper's latency measurements live;

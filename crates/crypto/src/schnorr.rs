@@ -11,7 +11,7 @@
 //! **Security**: none against a real attacker — a 62-bit discrete log is
 //! trivially computable. The parameters are clearly toy; swapping in a
 //! production group (e.g. ristretto255) changes only the constants in
-//! [`Group`]. This is substitution **R2** in `DESIGN.md`.
+//! [`Group`]. This is substitution **R2** in `docs/ARCHITECTURE.md`.
 //!
 //! # Batch verification
 //!

@@ -19,7 +19,7 @@
 //!   verifiable Schnorr scheme over a 62-bit Schnorr group. Toy parameters —
 //!   honest-majority experiments only, not secure against real attackers.
 //!
-//! The substitution is recorded as **R2** in `DESIGN.md`.
+//! The substitution is recorded as **R2** in `docs/ARCHITECTURE.md`.
 
 use std::fmt;
 

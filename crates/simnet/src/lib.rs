@@ -2,10 +2,10 @@
 //!
 //! The paper evaluates on AWS `t3.large` instances spread over up to 19
 //! datacenters (Fig. 5). This crate substitutes that testbed (**R1** in
-//! `DESIGN.md`) with a simulator whose network model captures what the
-//! paper measures: propagation delay between datacenters, egress-bandwidth
-//! serialization for large blocks, jitter, FIFO links, and fail-stop
-//! crashes.
+//! `docs/ARCHITECTURE.md`) with a simulator whose network model captures
+//! what the paper measures: propagation delay between datacenters,
+//! egress-bandwidth serialization for large blocks, jitter, FIFO links, and
+//! fail-stop crashes.
 //!
 //! * [`topology`] — the three paper testbeds plus synthetic layouts;
 //! * [`sim`] — the event loop driving [`banyan_types::engine::Engine`]s;

@@ -1,6 +1,7 @@
 //! The discrete-event simulation driver.
 //!
-//! Replaces the paper's AWS testbed (substitution **R1** in `DESIGN.md`):
+//! Replaces the paper's AWS testbed (substitution **R1** in
+//! `docs/ARCHITECTURE.md`):
 //! `n` [`Engine`]s, a [`Topology`], a [`FaultPlan`] and a seed go in; a
 //! [`RunMetrics`] with the paper's metrics comes out. Everything is
 //! deterministic: the event queue is the shared
@@ -815,10 +816,7 @@ impl Simulation {
                         if let Some(d) = &self.dissemination {
                             if d.speculative {
                                 let mut pool = d.pools[to.as_usize()].lock().expect("mempool lock");
-                                if let Some(block) = msg.proposal_block() {
-                                    pool.observe_proposal(block);
-                                }
-                                for block in msg.sync_batch_blocks() {
+                                for block in msg.carried_blocks() {
                                     pool.observe_proposal(block);
                                 }
                             }

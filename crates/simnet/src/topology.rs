@@ -3,7 +3,7 @@
 //! The paper's testbeds (Fig. 5) are AWS `t3.large` instances in
 //! 4 global datacenters (§9.3), 4 US datacenters (§9.4) and 19 worldwide
 //! datacenters (§9.5). We reproduce them with a geodesic latency model
-//! (substitution **R1** in `DESIGN.md`):
+//! (substitution **R1** in `docs/ARCHITECTURE.md`):
 //!
 //! > one-way delay = great-circle distance / fiber speed × routing
 //! > inflation + per-hop overhead

@@ -194,7 +194,9 @@ pub enum VerifyOutcome {
 /// inline to measure the unstaged path).
 ///
 /// * `Forward` frames feed `pool` ingest and stop here.
-/// * Proposal-carrying messages pay the real CPU cost: the block hash is
+/// * Block-carrying messages (proposals, sync responses and catch-up
+///   batches — [`Message::carried_blocks`]) pay the real CPU cost per
+///   block: the block hash is
 ///   recomputed over the payload (the commitment walk), a
 ///   [`WorkloadBatch`]-magic payload must decode cleanly, and the lease is
 ///   recorded (when `pool` speculates) under the hash just computed. The
@@ -203,7 +205,7 @@ pub enum VerifyOutcome {
 ///   never re-hashes the payload — its `Block::hash` is one header SHA.
 /// * Vote signatures and aggregate certificates are checked against
 ///   `config.verify_backend` when one is installed.
-/// * Everything else (timeouts, sync) passes through.
+/// * Everything else (timeouts, sync requests) passes through.
 pub fn verify_frame(
     from: ReplicaId,
     msg: Message,
@@ -226,7 +228,7 @@ pub fn verify_frame(
             VerifyOutcome::Ingested
         }
         msg => {
-            if let Some(block) = msg.proposal_block() {
+            for block in msg.carried_blocks() {
                 // Structural sanity: a payload that claims to be a
                 // workload batch must decode as one.
                 let batch = WorkloadBatch::decode(&block.payload);
@@ -437,6 +439,23 @@ mod tests {
         }
     }
 
+    /// A round-1 block whose payload is a one-request workload batch.
+    fn block_batching(request: Request) -> Block {
+        use banyan_types::ids::{BlockHash, Rank, Round};
+        Block {
+            round: Round(1),
+            proposer: ReplicaId(0),
+            rank: Rank(0),
+            parent: BlockHash::ZERO,
+            proposed_at: BTime::ZERO,
+            payload: WorkloadBatch {
+                requests: vec![request],
+            }
+            .into_payload(),
+            signature: banyan_crypto::Signature::zero(),
+        }
+    }
+
     #[test]
     fn pipelined_cluster_commits_agrees_and_drops_no_frame() {
         let _serial = crate::loopback_serial_lock();
@@ -517,7 +536,7 @@ mod tests {
     #[test]
     fn verify_frame_accounts_every_frame_once() {
         use banyan_crypto::Signature;
-        use banyan_types::ids::{BlockHash, Rank, Round};
+        use banyan_types::ids::{BlockHash, Round};
         use banyan_types::message::StreamletMsg;
         use banyan_types::payload::Payload;
         let config = PipelineConfig::default();
@@ -535,18 +554,7 @@ mod tests {
         assert_eq!(pool.len(), 2, "both requests reached the pool");
 
         // A proposal with a valid batch passes and records its lease.
-        let block = Block {
-            round: Round(1),
-            proposer: ReplicaId(0),
-            rank: Rank(0),
-            parent: BlockHash::ZERO,
-            proposed_at: BTime::ZERO,
-            payload: WorkloadBatch {
-                requests: vec![req(7)],
-            }
-            .into_payload(),
-            signature: Signature::zero(),
-        };
+        let block = block_batching(req(7));
         let msg = Message::Streamlet(StreamletMsg::Proposal {
             block: block.clone(),
         });
@@ -605,6 +613,41 @@ mod tests {
     /// the verify stage into the engine's store: the allocation
     /// `verify_frame` hashed (and memoized the commitment on) is the one
     /// the consensus thread adopts, so it never walks the payload again.
+    /// A catch-up batch of one block carrying one request, and the two
+    /// pools it may meet with the live leases it must leave on each: a
+    /// speculating pool leases the fetched block like a proposal, a
+    /// non-speculating one records nothing.
+    fn catch_up_batch_and_pools() -> (Message, [(SharedConcurrentPool, usize); 2]) {
+        let batch = Message::Sync(banyan_types::message::SyncMsg::ResponseBatch {
+            blocks: vec![block_batching(req(7))],
+            notarizations: vec![],
+        });
+        let chunk = PipelineConfig::default().payload_chunk;
+        let speculating = ConcurrentPool::new(Mempool::new(64).with_speculation(chunk), 64);
+        let plain = ConcurrentPool::new(Mempool::new(64), 64);
+        (batch, [(speculating, 1), (plain, 0)])
+    }
+
+    #[test]
+    fn verify_frame_leases_the_blocks_of_a_catch_up_batch() {
+        let (batch, pools) = catch_up_batch_and_pools();
+        let (config, stats) = (PipelineConfig::default(), PipelineStats::default());
+        for (pool, leases) in pools {
+            let out = verify_frame(ReplicaId(2), batch.clone(), Some(&*pool), &config, &stats);
+            assert!(matches!(out, VerifyOutcome::Engine(ReplicaId(2), _)));
+            assert_eq!(pool.live_leases(), leases);
+        }
+    }
+
+    #[test]
+    fn inline_path_leases_the_blocks_of_a_catch_up_batch() {
+        let (batch, pools) = catch_up_batch_and_pools();
+        for (pool, leases) in pools {
+            crate::replica::observe_inbound(&pool, &batch);
+            assert_eq!(pool.live_leases(), leases);
+        }
+    }
+
     #[test]
     fn verified_proposal_reaches_the_engine_as_the_buffer_that_was_hashed() {
         use banyan_types::app::{ProposalContext, ProposalSource};

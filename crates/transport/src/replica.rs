@@ -219,6 +219,17 @@ fn flush_outbox<P: ReplicaPool>(pool: &Option<P>, transmit: &mut impl FnMut(Outb
     }
 }
 
+/// Speculative drain, inline path: leases every block an arriving frame
+/// carries — proposals and fetched catch-up batches alike, as the
+/// simulator does on receipt — so a rejoined replica never re-batches
+/// requests its freshly fetched ancestors already hold. A no-op unless
+/// the pool speculates.
+pub(crate) fn observe_inbound<P: ReplicaPool>(pool: &P, msg: &Message) {
+    for block in msg.carried_blocks() {
+        pool.observe_proposal(block);
+    }
+}
+
 /// A rejoined replica's catch-up: the storage layer's machine plus what
 /// the TCP driver keeps around it — the TCP counterpart of the
 /// simulator's `drive_catchup`.
@@ -494,8 +505,8 @@ pub(crate) fn run<P: ReplicaPool>(
                 // Speculative drain: arriving blocks are observed too —
                 // here when inline; the verify workers already recorded
                 // the lease under the hash they computed.
-                if let (None, Some(pool), Some(block)) = (&verify, &pool, msg.proposal_block()) {
-                    pool.observe_proposal(block);
+                if let (None, Some(pool)) = (&verify, &pool) {
+                    observe_inbound(pool, &msg);
                 }
                 d.handle_message(from, msg, now(), &mut transmit);
                 // Adopted batches may have advanced the frontier.

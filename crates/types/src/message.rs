@@ -97,6 +97,16 @@ impl Message {
         }
     }
 
+    /// Every block this message carries: the proposal or single sync
+    /// response of [`Message::proposal_block`], then the batch of
+    /// [`Message::sync_batch_blocks`]. The one walk every driver's
+    /// inbound lease observation goes through.
+    pub fn carried_blocks(&self) -> impl Iterator<Item = &Block> {
+        self.proposal_block()
+            .into_iter()
+            .chain(self.sync_batch_blocks())
+    }
+
     /// Short label for traces and drop counters.
     pub fn label(&self) -> &'static str {
         match self {
@@ -1123,8 +1133,10 @@ mod tests {
         });
         assert_eq!(msg.wire_len(), msg.encoded_len() as u64 + 30_000);
         assert_eq!(msg.sync_batch_blocks().len(), 2);
+        assert_eq!(msg.carried_blocks().count(), 2);
         let probe = Message::Sync(SyncMsg::FrontierProbe);
         assert!(probe.sync_batch_blocks().is_empty());
+        assert_eq!(probe.carried_blocks().count(), 0);
         assert_eq!(probe.wire_len(), probe.encoded_len() as u64);
     }
 

@@ -39,7 +39,7 @@ fn main() {
     let e2e = open.client_latency.as_ref().expect("open-loop run");
     println!(
         "\n{} of {} requests committed",
-        open.requests_committed, open.requests_submitted
+        open.requests_committed, open.counters.requests_submitted
     );
     println!(
         "proposer latency p50 {:.1} ms  |  client e2e p50 {:.1} ms / p99 {:.1} ms",
