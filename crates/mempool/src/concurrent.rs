@@ -41,7 +41,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use banyan_types::app::ProposalContext;
 use banyan_types::block::Block;
-use banyan_types::ids::{BlockHash, Round};
+use banyan_types::engine::Outbound;
+use banyan_types::ids::{BlockHash, ReplicaId, Round};
+use banyan_types::message::DisseminationMsg;
 
 use crossbeam::channel;
 
@@ -55,9 +57,9 @@ enum IngestOp {
     /// A locally submitted request ([`Mempool::push`] semantics: gossips
     /// if the pool gossips).
     Push(Request),
-    /// A peer-forwarded request ([`Mempool::accept_forwarded`] semantics:
-    /// never re-gossiped).
-    Forward(Request),
+    /// A request gossiped by the named peer ([`Mempool::accept_from`]
+    /// semantics: relayed onward only down per-peer queues).
+    Forward(ReplicaId, Request),
 }
 
 /// The cloneable, send-only ingest handle: what reader/verify threads
@@ -76,10 +78,10 @@ impl PoolIngest {
         self.send(IngestOp::Push(req))
     }
 
-    /// Queues a peer-forwarded request. Returns `false` (and counts a
+    /// Queues a request gossiped by `from`. Returns `false` (and counts a
     /// drop) when the ingest channel is full or closed.
-    pub fn forward(&self, req: Request) -> bool {
-        self.send(IngestOp::Forward(req))
+    pub fn forward(&self, from: ReplicaId, req: Request) -> bool {
+        self.send(IngestOp::Forward(from, req))
     }
 
     fn send(&self, op: IngestOp) -> bool {
@@ -170,9 +172,7 @@ impl ConcurrentPool {
                 IngestOp::Push(req) => {
                     pool.push(req);
                 }
-                IngestOp::Forward(req) => {
-                    pool.accept_forwarded(req);
-                }
+                IngestOp::Forward(from, req) => pool.accept_from(from, req),
             }
             applied += 1;
         }
@@ -261,22 +261,20 @@ impl ConcurrentPool {
 /// The replica seam over the lock-split pool: each method takes only the
 /// lock(s) it needs, in **coordinator → pending** order.
 impl ReplicaPool for SharedConcurrentPool {
-    /// Drains the gossip outbox (applies queued ingest first, so freshly
-    /// pushed requests are forwarded without waiting for a drain point).
-    fn take_outbox(&self) -> Vec<Request> {
+    /// Flushes queued gossip (applies queued ingest first, so freshly
+    /// pushed requests go out without waiting for a drain point).
+    fn flush(&self, emit: &mut impl FnMut(Outbound)) {
         let mut pool = self.pending.lock().expect("pending lock");
         ConcurrentPool::apply_ingest(&self.ingest_rx, &mut pool);
-        pool.take_outbox()
+        pool.flush(emit);
     }
 
-    /// Applies peer-forwarded requests straight to the pending queue
-    /// (never re-gossiped). Only the inline event loop gets here; the
-    /// staged replica's verify workers feed [`PoolIngest::forward`].
-    fn accept_forwarded(&self, requests: Vec<Request>) {
-        let mut pool = self.pending.lock().expect("pending lock");
-        for req in requests {
-            pool.accept_forwarded(req);
-        }
+    /// Applies one inbound dissemination frame straight to the pending
+    /// queue. Only the inline event loop gets here; the staged replica's
+    /// verify workers feed [`PoolIngest::forward`], which lands in the
+    /// same accept-and-relay rule.
+    fn intake(&self, from: ReplicaId, msg: DisseminationMsg) {
+        self.pending.lock().expect("pending lock").intake(from, msg);
     }
 
     /// Observes one block crossing the wire (see
@@ -383,7 +381,7 @@ mod tests {
         let pool = ConcurrentPool::new(Mempool::new(100), 64);
         let ingest = pool.ingest();
         assert!(ingest.push(req(1, 1)));
-        assert!(ingest.forward(req(2, 2)));
+        assert!(ingest.forward(ReplicaId(1), req(2, 2)));
         // Nothing is in the pending queue until a sync point.
         assert_eq!(pool.pool().len(), 0);
         let out = pool.next_batch(

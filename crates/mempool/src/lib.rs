@@ -62,12 +62,24 @@
 //! historical blind FIFO drain.
 //!
 //! The gossip traffic itself travels as
-//! [`banyan_types::message::DisseminationMsg`] frames: drivers (the
-//! simulator, the TCP runner) drain [`Mempool::take_outbox`] into
-//! `Forward` broadcasts and apply received forwards via
-//! [`Mempool::accept_forwarded`] — engines never see dissemination
-//! traffic, preserving the purity contract (engines just pull
-//! `next_payload`).
+//! [`banyan_types::message::DisseminationMsg`] frames, and the pool
+//! writes and reads them itself: a driver (the simulator, the TCP replica
+//! loop) only calls [`ReplicaPool::flush`] and puts what it emits on its
+//! network, and hands every received frame to [`ReplicaPool::intake`].
+//! Whether a flush is one `Forward` broadcast or per-peer
+//! `Forward`/`Announce` sends, and whether an accepted request is relayed
+//! onward, follows from the pool's own shape — no driver is told.
+//! Engines never see dissemination traffic, preserving the purity
+//! contract (engines just pull `next_payload`).
+//!
+//! # What a driver does with a pool
+//!
+//! Four operations, written once over [`Mempool`] and reached through
+//! [`ReplicaPool`] by both pool handles and both drivers: **flush**
+//! ([`Mempool::flush`]), **intake** ([`Mempool::intake`]), **lease
+//! observation** ([`ReplicaPool::observe_outbound`] /
+//! [`ReplicaPool::observe_inbound`]) and **commit retirement**
+//! ([`ReplicaPool::retire`]).
 //!
 //! # The exactly-once dedup rule
 //!
@@ -76,10 +88,11 @@
 //! pools:
 //!
 //! 1. every driver, on observing a commit, calls
-//!    [`Mempool::mark_committed`] for each batched id on *its own*
-//!    replica's pool — purging still-pending copies cluster-wide within
-//!    one commit round and rejecting any later push/forward/retry of the
-//!    id;
+//!    [`ReplicaPool::retire`] on *its own* replica's pool, which decodes
+//!    the committed batch once and runs
+//!    [`Mempool::mark_committed_block`] over it — purging still-pending
+//!    copies cluster-wide within one commit round, rejecting any later
+//!    push/forward/retry of the ids, and retiring or releasing leases;
 //! 2. copies already drained into in-flight proposals can still land in a
 //!    second committed block (the pool cannot recall them); the metrics
 //!    and `App`-delivery layers therefore dedup by id — the first
@@ -105,7 +118,9 @@ use std::sync::{Arc, Mutex};
 use banyan_types::app::{ProposalContext, ProposalSource};
 use banyan_types::block::Block;
 use banyan_types::codec::{Reader, Wire, Writer};
-use banyan_types::ids::{BlockHash, Round};
+use banyan_types::engine::{CommitEntry, Outbound};
+use banyan_types::ids::{BlockHash, ReplicaId, Round};
+use banyan_types::message::{DisseminationMsg, Message};
 use banyan_types::payload::Payload;
 use banyan_types::time::{Duration, Time};
 
@@ -139,9 +154,8 @@ pub const DEFAULT_OUTBOX_CAP: usize = 16_384;
 /// its own queue, never the pool's other queues.
 pub const DEFAULT_PEER_QUEUE_CAP: usize = 4_096;
 
-/// Default credit per peer queue: how many requests a driver may take for
-/// one peer before it must [`grant_peer_credit`](Mempool::grant_peer_credit)
-/// (i.e. confirm the previous flush was actually transmitted).
+/// Default credit per peer queue: how many requests one
+/// [`flush`](Mempool::flush) may put in flight for one peer.
 pub const DEFAULT_PEER_CREDIT: u32 = 512;
 
 /// Latency-targeted batching policy: when may a leader return an *empty*
@@ -332,8 +346,7 @@ impl Mempool {
 
     /// Builder-style: enables (or disables) the gossip outbox. When
     /// enabled, every locally [`push`](Self::push)ed request is also
-    /// queued for the driver to forward to peers via
-    /// [`take_outbox`](Self::take_outbox).
+    /// queued for the next [`flush`](Self::flush) to forward to peers.
     pub fn with_gossip(mut self, on: bool) -> Self {
         self.set_gossip(on);
         self
@@ -361,9 +374,9 @@ impl Mempool {
     /// credit-gated relay queue per fanout peer (`peers` are replica
     /// indices — typically `Topology::fanout_peers`). Locally pushed
     /// requests go to every peer queue instead of the shared outbox, and
-    /// the driver relays first-time peer acceptances onward via
-    /// [`queue_relay`](Self::queue_relay). Implies gossip. Any previously
-    /// queued per-peer entries are discarded.
+    /// [`intake`](Self::intake) relays first-time peer acceptances
+    /// onward. Implies gossip. Any previously queued per-peer entries are
+    /// discarded.
     ///
     /// # Panics
     ///
@@ -396,11 +409,6 @@ impl Mempool {
     /// True when per-peer relay queues are configured.
     pub fn peer_queues_enabled(&self) -> bool {
         !self.peer_queues.is_empty()
-    }
-
-    /// The configured fanout peers, in configuration order.
-    pub fn peer_ids(&self) -> Vec<usize> {
-        self.peer_queues.iter().map(|q| q.peer).collect()
     }
 
     /// Builder-style: enables the speculative lease machinery.
@@ -696,10 +704,11 @@ impl Mempool {
         self.leases.get(block)
     }
 
-    /// Drains the gossip outbox: the locally pushed requests a driver
-    /// should forward to peers, oldest first. Requests already observed
-    /// committed in the meantime are dropped rather than forwarded.
-    pub fn take_outbox(&mut self) -> Vec<Request> {
+    /// Drains the gossip outbox: the locally pushed requests
+    /// [`flush`](Self::flush) forwards to peers, oldest first. Requests
+    /// already observed committed in the meantime are dropped rather than
+    /// forwarded.
+    fn take_outbox(&mut self) -> Vec<Request> {
         self.outbox
             .drain(..)
             .filter(|r| !self.committed_ids.contains(&r.id))
@@ -708,16 +717,16 @@ impl Mempool {
 
     /// Queues `req` for relay to every configured fanout peer except
     /// `exclude` (the peer it arrived from — relaying a forward straight
-    /// back wastes an edge). Drivers call this when
-    /// [`accept_forwarded`](Self::accept_forwarded) reports a *first*
+    /// back wastes an edge). [`accept_from`](Self::accept_from) calls this
+    /// when [`accept_forwarded`](Self::accept_forwarded) reports a *first*
     /// acceptance; duplicate arrivals are never relayed, which is what
     /// terminates the cascade. Entries ship as the compact `Announce`.
     /// No-op in broadcast mode.
-    pub fn queue_relay(&mut self, req: Request, exclude: Option<usize>) {
+    fn queue_relay(&mut self, req: Request, exclude: usize) {
         let cap = self.peer_queue_cap;
         let mut sheds = 0;
         for pq in &mut self.peer_queues {
-            if Some(pq.peer) == exclude {
+            if pq.peer == exclude {
                 continue;
             }
             if pq.enqueue((req, true), cap) {
@@ -735,7 +744,7 @@ impl Mempool {
     /// for unknown peers, an empty queue, or exhausted credit — the
     /// backpressure rule: no credit, no take, and the queue keeps filling
     /// until it sheds its own oldest entries.
-    pub fn take_peer_outbox(&mut self, peer: usize) -> Vec<(Request, bool)> {
+    fn take_peer_outbox(&mut self, peer: usize) -> Vec<(Request, bool)> {
         let Some(pq) = self.peer_queues.iter_mut().find(|q| q.peer == peer) else {
             return Vec::new();
         };
@@ -754,10 +763,9 @@ impl Mempool {
     }
 
     /// Restores `n` credits to `peer`'s queue (capped at the configured
-    /// ceiling). Drivers call this once a previous take was actually
-    /// handed to the transport — a peer whose writer is wedged never gets
-    /// its credit back, so its queue fills and sheds alone.
-    pub fn grant_peer_credit(&mut self, peer: usize, n: u32) {
+    /// ceiling). [`flush`](Self::flush) calls this once a take was handed
+    /// to the transport.
+    fn grant_peer_credit(&mut self, peer: usize, n: u32) {
         let max = self.peer_credit_max;
         if let Some(pq) = self.peer_queues.iter_mut().find(|q| q.peer == peer) {
             pq.credit = pq.credit.saturating_add(n).min(max);
@@ -770,6 +778,75 @@ impl Mempool {
             .iter()
             .find(|q| q.peer == peer)
             .map_or(0, |q| q.queue.len())
+    }
+
+    /// **Flush**: turns whatever gossip the pool holds into frames, one
+    /// `emit` per frame. The pool knows its own shape — in broadcast mode
+    /// the shared outbox becomes one `Forward` broadcast; with per-peer
+    /// queues each peer, in configuration order, gets what its credit
+    /// allows as a `Forward` (first-hop bodies) and then an `Announce`
+    /// (relayed records). An emitted frame counts as handed to the
+    /// transport, so the credit it consumed is granted straight back: the
+    /// credit bounds what one flush puts in flight behind a shed-prone
+    /// queue. Emits nothing when nothing is queued (gossip off included).
+    pub fn flush(&mut self, emit: &mut impl FnMut(Outbound)) {
+        if self.peer_queues.is_empty() {
+            let requests = self.take_outbox();
+            if !requests.is_empty() {
+                emit(Outbound::Broadcast(Message::Dissemination(
+                    DisseminationMsg::Forward { requests },
+                )));
+            }
+            return;
+        }
+        for i in 0..self.peer_queues.len() {
+            let peer = self.peer_queues[i].peer;
+            let entries = self.take_peer_outbox(peer);
+            if entries.is_empty() {
+                continue;
+            }
+            self.grant_peer_credit(peer, entries.len() as u32);
+            let (mut forwards, mut announces) = (Vec::new(), Vec::new());
+            for (req, relay) in entries {
+                if relay { &mut announces } else { &mut forwards }.push(req);
+            }
+            let mut send = |frame| {
+                let to = ReplicaId(peer as u16);
+                emit(Outbound::Send(to, Message::Dissemination(frame)));
+            };
+            if !forwards.is_empty() {
+                send(DisseminationMsg::Forward { requests: forwards });
+            }
+            if !announces.is_empty() {
+                send(DisseminationMsg::Announce {
+                    requests: announces,
+                });
+            }
+        }
+    }
+
+    /// **Intake**: applies one inbound dissemination frame from `from`.
+    /// Every request is [accepted](Self::accept_forwarded) under the
+    /// duplicate and committed-id rules. In broadcast mode that is all —
+    /// gossip is one round. With per-peer queues each *first-time* accept
+    /// is relayed down this pool's own queues, minus the sender;
+    /// duplicates are never relayed, so the cascade ends once every
+    /// replica has seen the request.
+    pub fn intake(&mut self, from: ReplicaId, msg: DisseminationMsg) {
+        for &req in msg.requests() {
+            self.accept_from(from, req);
+        }
+    }
+
+    /// [`intake`](Self::intake) of one request — also where the staged
+    /// replica's ingest hand-off lands.
+    pub(crate) fn accept_from(&mut self, from: ReplicaId, req: Request) {
+        if matches!(
+            self.accept_forwarded(req),
+            PushOutcome::Accepted | PushOutcome::AcceptedEvicting(_)
+        ) {
+            self.queue_relay(req, from.as_usize());
+        }
     }
 
     /// Removes and returns up to `max` requests, oldest first.
@@ -1154,17 +1231,25 @@ impl<P: ReplicaPool> ProposalSource for PoolSource<P> {
     }
 }
 
-/// The one seam between a pool handle and its replica: everything the TCP
-/// event loop (gossip flush, inbound forwards, lease observation, commit
-/// retirement) and the engine's [`PoolSource`] need, so neither cares
-/// whether the pool is a [`SharedMempool`] (one mutex, deterministic —
-/// the simulator's and the inline replica's) or a [`SharedConcurrentPool`]
-/// (lock-split, for the staged replica). Handles are cheap `Arc` clones.
+/// The one seam between a pool handle and its replica: what every driver
+/// (the simulator's event loop, the TCP replica loop) does with a pool
+/// besides letting the engine's [`PoolSource`] drain it — **flush**,
+/// **intake**, **lease observation** and **commit retirement** — so
+/// neither cares whether the pool is a [`SharedMempool`] (one mutex,
+/// deterministic — the simulator's and the inline replica's) or a
+/// [`SharedConcurrentPool`] (lock-split, for the staged replica). A
+/// handle takes its lock(s) and calls into the one [`Mempool`]
+/// implementation. Handles are cheap `Arc` clones.
 pub trait ReplicaPool: Clone + Send + 'static {
-    /// Drains the gossip outbox (see [`Mempool::take_outbox`]).
-    fn take_outbox(&self) -> Vec<Request>;
-    /// Accepts peer-forwarded requests (see [`Mempool::accept_forwarded`]).
-    fn accept_forwarded(&self, requests: Vec<Request>);
+    /// Turns the pool's queued gossip into frames (see [`Mempool::flush`]).
+    /// `emit` runs under the pool's lock and must not call back into the
+    /// pool: collect the frames, send them afterwards. (Every driver
+    /// flushes every pool after every event, almost always finding
+    /// nothing; collecting on the handle's side of the lock instead cost
+    /// the 19-replica simulation 2–3 % of its CPU.)
+    fn flush(&self, emit: &mut impl FnMut(Outbound));
+    /// Applies one inbound dissemination frame (see [`Mempool::intake`]).
+    fn intake(&self, from: ReplicaId, msg: DisseminationMsg);
     /// Observes a block crossing the wire into the lease table (see
     /// [`Mempool::observe_proposal`]); `true` when a new lease was recorded.
     fn observe_proposal(&self, block: &Block) -> bool;
@@ -1178,18 +1263,48 @@ pub trait ReplicaPool: Clone + Send + 'static {
         ctx: &ProposalContext,
         policy: &BatchPolicy,
     ) -> Vec<Request>;
+
+    /// Leases the block an outbound frame proposes (own proposals,
+    /// relays, single sync responses) — what lets an abandoned own
+    /// proposal release its drained requests back into the pool. A no-op
+    /// unless the pool speculates.
+    fn observe_outbound(&self, out: &Outbound) {
+        let (Outbound::Broadcast(msg) | Outbound::Send(_, msg)) = out;
+        if let Some(block) = msg.proposal_block() {
+            self.observe_proposal(block);
+        }
+    }
+
+    /// Leases every block an arriving frame carries — proposals and
+    /// fetched catch-up batches alike, so a rejoined replica never
+    /// re-batches requests its freshly fetched ancestors already hold. A
+    /// no-op unless the pool speculates.
+    fn observe_inbound(&self, msg: &Message) {
+        for block in msg.carried_blocks() {
+            self.observe_proposal(block);
+        }
+    }
+
+    /// Retires one commit in the pool — this replica's half of the
+    /// exactly-once dedup rule: decodes the committed batch once, marks
+    /// its ids committed and retires/releases leases
+    /// ([`mark_committed_block`](Self::mark_committed_block)), and hands
+    /// the batch back for whoever else needs it. `None` (and nothing
+    /// done) for a payload that is not a [`WorkloadBatch`].
+    fn retire(&self, entry: &CommitEntry) -> Option<WorkloadBatch> {
+        let batch = WorkloadBatch::decode(&entry.payload)?;
+        self.mark_committed_block(entry.block, entry.round, &batch.requests);
+        Some(batch)
+    }
 }
 
 impl ReplicaPool for SharedMempool {
-    fn take_outbox(&self) -> Vec<Request> {
-        self.lock().expect("mempool lock").take_outbox()
+    fn flush(&self, emit: &mut impl FnMut(Outbound)) {
+        self.lock().expect("mempool lock").flush(emit);
     }
 
-    fn accept_forwarded(&self, requests: Vec<Request>) {
-        let mut pool = self.lock().expect("mempool lock");
-        for req in requests {
-            pool.accept_forwarded(req);
-        }
+    fn intake(&self, from: ReplicaId, msg: DisseminationMsg) {
+        self.lock().expect("mempool lock").intake(from, msg);
     }
 
     fn observe_proposal(&self, block: &Block) -> bool {
@@ -1721,7 +1836,7 @@ mod tests {
     fn queue_relay_skips_the_sender_and_marks_announce() {
         let mut mp = Mempool::new(100).with_peer_queues(&[1, 2]);
         assert_eq!(mp.accept_forwarded(req(9, 1)), PushOutcome::Accepted);
-        mp.queue_relay(req(9, 1), Some(1));
+        mp.queue_relay(req(9, 1), 1);
         assert_eq!(mp.peer_queue_len(1), 0, "never relayed back to sender");
         let took = mp.take_peer_outbox(2);
         assert_eq!(took.len(), 1);

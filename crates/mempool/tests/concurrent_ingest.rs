@@ -10,7 +10,7 @@ use std::thread;
 
 use banyan_mempool::{BatchPolicy, ConcurrentPool, Mempool, ReplicaPool, Request};
 use banyan_types::app::ProposalContext;
-use banyan_types::ids::Round;
+use banyan_types::ids::{ReplicaId, Round};
 use banyan_types::time::Time;
 
 fn req(id: u64) -> Request {
@@ -42,7 +42,7 @@ fn contended_ingest_loses_and_duplicates_nothing() {
                     let ok = if id.is_multiple_of(2) {
                         ingest.push(req(id))
                     } else {
-                        ingest.forward(req(id))
+                        ingest.forward(ReplicaId(p as u16), req(id))
                     };
                     assert!(ok, "ingest channel sized for the whole workload");
                 }

@@ -1,7 +1,8 @@
 //! Property tests of the speculative lease lifecycle: under any
 //! interleaving of pushes, speculative drains, peer-block observations,
 //! commits and releases, the pool neither loses a request nor lets one
-//! commit twice.
+//! commit twice — and one script of driver-level operations leaves both
+//! pool handles in the same state.
 //!
 //! The model mirrors the pool's contract: every pushed id is always in
 //! exactly one reachable state — *pending* in the queue, *leased* to at
@@ -10,12 +11,19 @@
 //! or → pending again (its block is abandoned).
 
 use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
-use banyan_mempool::{BatchPolicy, Mempool, Request};
+use banyan_mempool::{
+    BatchPolicy, ConcurrentPool, Mempool, ReplicaPool, Request, SharedConcurrentPool,
+    SharedMempool, WorkloadBatch,
+};
 use banyan_types::app::ProposalContext;
-use banyan_types::ids::{BlockHash, Round};
+use banyan_types::block::Block;
+use banyan_types::engine::{CommitEntry, Outbound};
+use banyan_types::ids::{BlockHash, Rank, ReplicaId, Round};
+use banyan_types::message::{DisseminationMsg, Message, StreamletMsg, SyncMsg};
 use banyan_types::time::Time;
 
 /// One live lease in the model: a block (own proposal drained out of the
@@ -95,8 +103,183 @@ fn check_invariants(pool: &Mempool, model: &Model) {
     }
 }
 
+/// Payload-chunk size the scripted blocks are hashed with.
+const CHUNK: usize = 64 * 1024;
+
+/// What the script observes of a pool afterwards: pending ids (sorted),
+/// live leases, and every counter.
+type PoolState = (Vec<u64>, usize, [u64; 9]);
+
+fn pool_state(pool: &Mempool, live_leases: usize) -> PoolState {
+    let mut pending: Vec<u64> = pool.pending_ids().collect();
+    pending.sort_unstable();
+    let counters = [
+        pool.accepted(),
+        pool.evicted(),
+        pool.duplicates(),
+        pool.forwarded_in(),
+        pool.rejected_committed(),
+        pool.forward_dropped(),
+        pool.peer_sheds(),
+        pool.released(),
+        pool.deferred(),
+    ];
+    (pending, live_leases, counters)
+}
+
+/// A pool handle under the script. Everything a driver does goes through
+/// [`ReplicaPool`]; only a client's local push — and, for the lock-split
+/// pool, the staged replica's `Announce` hand-off — is the handle's own.
+trait Handle: ReplicaPool {
+    fn push(&self, req: Request);
+    fn announce(&self, from: ReplicaId, requests: Vec<Request>);
+    fn state(&self) -> PoolState;
+}
+
+impl Handle for SharedMempool {
+    fn push(&self, req: Request) {
+        self.lock().unwrap().push(req);
+    }
+    fn announce(&self, from: ReplicaId, requests: Vec<Request>) {
+        self.intake(from, DisseminationMsg::Announce { requests });
+    }
+    fn state(&self) -> PoolState {
+        let pool = self.lock().unwrap();
+        pool_state(&pool, pool.live_leases())
+    }
+}
+
+impl Handle for SharedConcurrentPool {
+    fn push(&self, req: Request) {
+        assert!(self.ingest().push(req));
+        self.sync_ingest();
+    }
+    /// As a verify worker hands it over: through the ingest channel.
+    fn announce(&self, from: ReplicaId, requests: Vec<Request>) {
+        for req in requests {
+            assert!(self.ingest().forward(from, req));
+        }
+        self.sync_ingest();
+    }
+    fn state(&self) -> PoolState {
+        pool_state(&self.pool(), self.live_leases())
+    }
+}
+
+fn block(round: u64, requests: Vec<Request>) -> Block {
+    Block {
+        round: Round(round),
+        proposer: ReplicaId(0),
+        rank: Rank(0),
+        parent: BlockHash::ZERO,
+        proposed_at: Time(round),
+        payload: WorkloadBatch { requests }.into_payload(),
+        signature: banyan_crypto::Signature::zero(),
+    }
+}
+
+/// Applies `ops` to replica 0's `pool` — local pushes, `Forward`s and
+/// `Announce`s from peers 1..=3, own proposals going out, catch-up
+/// batches coming in, commits, flushes — and returns every frame the
+/// flushes emitted plus the pool's final state.
+fn run_script<H: Handle>(pool: &H, ops: &[(u8, u8)]) -> (Vec<Outbound>, PoolState) {
+    let mut emitted = Vec::new();
+    let mut minted = 0u64;
+    let mut blocks: Vec<Block> = Vec::new();
+    let mut round = 0u64;
+    for &(op, arg) in ops {
+        let from = ReplicaId(1 + u16::from(arg % 3));
+        let arg = u64::from(arg);
+        match op {
+            0 => {
+                minted += 1;
+                pool.push(req(minted));
+            }
+            // Gossip carries one fresh id and one that may already be
+            // pending, leased or committed here.
+            1 | 2 => {
+                minted += 1;
+                let requests = vec![req(minted), req(1 + arg % minted)];
+                if op == 1 {
+                    pool.intake(from, DisseminationMsg::Forward { requests });
+                } else {
+                    pool.announce(from, requests);
+                }
+            }
+            // A block batching up to three minted ids: proposed by this
+            // replica, or fetched in a catch-up batch behind the block
+            // before it.
+            3 | 4 if minted > 0 => {
+                round += 1;
+                let batched = (0..=arg % 3).map(|k| req(1 + (arg + k) % minted));
+                let new = block(round, batched.collect());
+                if op == 3 {
+                    let proposal = StreamletMsg::Proposal { block: new.clone() };
+                    pool.observe_outbound(&Outbound::Broadcast(Message::Streamlet(proposal)));
+                } else {
+                    let fetched = blocks.last().cloned().into_iter().chain([new.clone()]);
+                    pool.observe_inbound(&Message::Sync(SyncMsg::ResponseBatch {
+                        blocks: fetched.collect(),
+                        notarizations: vec![],
+                    }));
+                }
+                blocks.push(new);
+            }
+            5 if !blocks.is_empty() => {
+                let won = blocks.remove(arg as usize % blocks.len());
+                let retired = pool.retire(&CommitEntry {
+                    round: won.round,
+                    block: won.hash(CHUNK),
+                    proposer: won.proposer,
+                    payload: won.payload.clone(),
+                    proposed_at: won.proposed_at,
+                    committed_at: Time(round),
+                    fast: true,
+                    explicit: true,
+                });
+                assert_eq!(retired, WorkloadBatch::decode(&won.payload));
+            }
+            _ => pool.flush(&mut |out| emitted.push(out)),
+        }
+    }
+    pool.flush(&mut |out| emitted.push(out));
+    (emitted, pool.state())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One script, both handles: whatever a driver does to a
+    /// `SharedMempool` and to a `SharedConcurrentPool` — with and without
+    /// per-peer queues and speculation — both emit the same frames and
+    /// end with the same pending ids, live leases and counters.
+    #[test]
+    fn one_script_leaves_both_handles_in_the_same_state(
+        ops in proptest::collection::vec((0u8..7, 0u8..8), 1..80)
+    ) {
+        for (peer_queues, speculation) in [(false, false), (false, true), (true, false), (true, true)] {
+            let build = || {
+                let mut pool = Mempool::new(100_000).with_gossip(true);
+                if peer_queues {
+                    pool = pool.with_peer_queues(&[1, 2, 3]);
+                }
+                if speculation {
+                    pool = pool.with_speculation(CHUNK);
+                }
+                pool
+            };
+            let shared: SharedMempool = Arc::new(Mutex::new(build()));
+            let concurrent = ConcurrentPool::new(build(), 1_024);
+            let (shared_out, shared_state) = run_script(&shared, &ops);
+            let (concurrent_out, concurrent_state) = run_script(&concurrent, &ops);
+            prop_assert_eq!(&shared_out, &concurrent_out);
+            prop_assert_eq!(&shared_state, &concurrent_state);
+            // The script really gossips in both shapes, and really leases.
+            let broadcast = shared_out.iter().any(|out| matches!(out, Outbound::Broadcast(_)));
+            prop_assert!(shared_out.is_empty() || broadcast != peer_queues);
+            prop_assert!(speculation || shared_state.1 == 0);
+        }
+    }
 
     /// Interleaved push / speculative-drain / observe / commit / release
     /// never loses a request and never commits one twice.

@@ -27,31 +27,31 @@
 //! # Request dissemination
 //!
 //! With [`Simulation::enable_dissemination`], the simulator also routes
-//! the mempool layer's traffic: pending requests pushed at one replica
-//! are gossiped to every peer as
-//! [`banyan_types::message::DisseminationMsg::Forward`] broadcasts —
-//! through the *same* bandwidth/propagation/jitter/FIFO model as
-//! consensus traffic, so dissemination is charged against the links it
-//! would really occupy — and every commit marks its batched request ids
-//! committed in the committing replica's pool (the exactly-once dedup
-//! rule; see `banyan_mempool`). Engines never see dissemination frames:
-//! the simulator applies them to pools directly, preserving the purity
-//! contract.
+//! the mempool layer's traffic. What a replica does with its pool —
+//! flushing gossip, taking in dissemination frames, observing blocks for
+//! leases, retiring commits — is `banyan_mempool::ReplicaPool`'s, the
+//! same code the TCP replica loop runs; catching a restarted replica up
+//! is `banyan_storage::CatchUpState::drive`'s. The simulator supplies
+//! only what differs: virtual time, the network — gossip and sync frames
+//! go through the *same* bandwidth/propagation/jitter/FIFO model as
+//! consensus traffic, so they are charged against the links they would
+//! really occupy — and the knowledge of who is alive. Engines never see
+//! dissemination or frontier frames, preserving the purity contract.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use banyan_crypto::VerifyStats;
 use banyan_mempool::{
-    PushOutcome, Request, SharedMempool, WorkloadBatch, DEFAULT_PEER_CREDIT, DEFAULT_PEER_QUEUE_CAP,
+    ReplicaPool, Request, SharedMempool, WorkloadBatch, DEFAULT_PEER_CREDIT, DEFAULT_PEER_QUEUE_CAP,
 };
 use banyan_runtime::driver::{is_stale, route_actions, ActionDispatch, CommitSink};
 use banyan_runtime::queue::EventQueue;
-use banyan_storage::{CatchUpState, CatchUpStep};
+use banyan_storage::catchup::{frontier_info, CatchUpState, Inbound};
 use banyan_types::app::App;
 use banyan_types::engine::{Actions, CommitEntry, Engine, Outbound, TimerKind, TimerRequest};
 use banyan_types::ids::{ReplicaId, Round};
-use banyan_types::message::{DisseminationMsg, Message, SyncMsg};
+use banyan_types::message::{Message, SyncMsg};
 use banyan_types::time::{Duration, Time};
 use banyan_types::ChainSnapshot;
 
@@ -231,21 +231,6 @@ impl Workload {
     }
 }
 
-/// Dissemination-layer wiring: the per-replica pools the simulator routes
-/// gossip into and marks commits against.
-struct DisseminationState {
-    /// Forward pending requests to peers (one gossip round per push).
-    gossip: bool,
-    /// Speculative drain: observe every block crossing the wire and feed
-    /// each pool's lease table (see `banyan_mempool`).
-    speculative: bool,
-    /// Propagation-limited gossip: route pushes down a bounded-fanout
-    /// tree through per-peer queues instead of broadcasting every push.
-    fanout_tree: bool,
-    /// `pools[i]` is replica `i`'s mempool.
-    pools: Vec<SharedMempool>,
-}
-
 /// Commit side of action routing: every finalization feeds the safety
 /// auditor, the replica's [`App`] (if attached), the workload's
 /// completion hook (if attached), the dissemination layer's committed-id
@@ -257,25 +242,24 @@ struct SimCommitSink<'a> {
     /// The client population observes every replica's commits — the
     /// first delivery of a batched request completes it.
     workload: Option<&'a mut Workload>,
-    /// With dissemination enabled, each commit marks its batched ids
-    /// committed in the committing replica's pool (exactly-once dedup)
-    /// and — when the pool is speculative — retires/releases leases.
-    dedup_pools: Option<&'a [SharedMempool]>,
+    /// With dissemination enabled, each commit is retired in the
+    /// committing replica's pool (exactly-once dedup, lease
+    /// retirement/release).
+    pools: Option<&'a [SharedMempool]>,
 }
 
 impl CommitSink for SimCommitSink<'_> {
     fn on_commit(&mut self, replica: ReplicaId, entry: CommitEntry) {
         self.auditor.observe(replica, &entry);
         // One decode per delivery serves both the pool and the clients.
-        let batch = (self.dedup_pools.is_some() || self.workload.is_some())
-            .then(|| WorkloadBatch::decode(&entry.payload))
-            .flatten();
-        if let (Some(pools), Some(batch)) = (self.dedup_pools, &batch) {
-            pools[replica.as_usize()]
-                .lock()
-                .expect("mempool lock")
-                .mark_committed_block(entry.block, entry.round, &batch.requests);
-        }
+        let batch = match self.pools {
+            Some(pools) => pools[replica.as_usize()].retire(&entry),
+            None => self
+                .workload
+                .is_some()
+                .then(|| WorkloadBatch::decode(&entry.payload))
+                .flatten(),
+        };
         if let Some(app) = &mut self.apps[replica.as_usize()] {
             app.deliver(&entry);
         }
@@ -458,9 +442,12 @@ pub struct Simulation {
     apps: Vec<Option<Box<dyn App>>>,
     /// Client population (open- or closed-loop), if attached.
     workload: Option<Workload>,
-    /// Request-dissemination wiring (gossip routing + commit dedup), if
-    /// enabled.
-    dissemination: Option<DisseminationState>,
+    /// Request-dissemination wiring, if enabled: `pools[i]` is replica
+    /// `i`'s mempool, which the simulator flushes gossip from, routes
+    /// dissemination frames into, feeds observed blocks and retires
+    /// commits against. Whether a pool gossips, speculates or has
+    /// per-peer queues is the pool's to know.
+    dissemination: Option<Vec<SharedMempool>>,
     /// Per-replica incarnation counter, bumped on crash and on rejoin so
     /// stale-life timers are dropped.
     generations: Vec<u32>,
@@ -472,8 +459,6 @@ pub struct Simulation {
     crash_snapshots: Vec<Option<ChainSnapshot>>,
     /// Driver-level catch-up state per recovering replica.
     catchup: Vec<Option<CatchUpState>>,
-    /// When each restarted replica rejoined (recovery-latency metric).
-    rejoined_at: Vec<Option<Time>>,
     /// Per-replica verify-counter snapshot at the last metering point
     /// (reset when an engine is dropped or rebuilt).
     last_verify: Vec<VerifyStats>,
@@ -532,7 +517,6 @@ impl Simulation {
             restart_builder: None,
             crash_snapshots: (0..n).map(|_| None).collect(),
             catchup: (0..n).map(|_| None).collect(),
-            rejoined_at: vec![None; n],
             last_verify: vec![VerifyStats::default(); n],
             retired_verify: VerifyStats::default(),
             charged_crypto: Duration::ZERO,
@@ -619,12 +603,7 @@ impl Simulation {
                 pool.lock().expect("mempool lock").set_gossip(true);
             }
         }
-        self.dissemination = Some(DisseminationState {
-            gossip,
-            speculative: false,
-            fanout_tree: false,
-            pools,
-        });
+        self.dissemination = Some(pools);
     }
 
     /// Switches gossip from all-peers broadcast to **propagation-limited
@@ -643,22 +622,21 @@ impl Simulation {
     /// Panics if [`enable_dissemination`](Self::enable_dissemination) was
     /// not called with `gossip = true` first.
     pub fn enable_fanout_tree(&mut self, fanout: usize) {
-        let d = self
+        let pools = self
             .dissemination
-            .as_mut()
+            .as_ref()
             .expect("enable dissemination before the fanout tree");
-        assert!(d.gossip, "the fanout tree replaces gossip broadcast");
-        d.fanout_tree = true;
-        for (i, pool) in d.pools.iter().enumerate() {
+        for (i, pool) in pools.iter().enumerate() {
+            let mut pool = pool.lock().expect("mempool lock");
+            assert!(
+                pool.gossip_enabled(),
+                "the fanout tree replaces gossip broadcast"
+            );
             let peers = self.topology.fanout_peers(i, fanout, self.config.seed);
             if peers.is_empty() {
                 continue;
             }
-            pool.lock().expect("mempool lock").set_peer_queues(
-                &peers,
-                DEFAULT_PEER_QUEUE_CAP,
-                DEFAULT_PEER_CREDIT,
-            );
+            pool.set_peer_queues(&peers, DEFAULT_PEER_QUEUE_CAP, DEFAULT_PEER_CREDIT);
         }
     }
 
@@ -676,12 +654,11 @@ impl Simulation {
     /// Panics if [`enable_dissemination`](Self::enable_dissemination) was
     /// not called first (speculation needs the commit→pool feed).
     pub fn enable_speculation(&mut self, payload_chunk: usize) {
-        let d = self
+        let pools = self
             .dissemination
-            .as_mut()
+            .as_ref()
             .expect("enable dissemination before speculation");
-        d.speculative = true;
-        for pool in &d.pools {
+        for pool in pools {
             pool.lock()
                 .expect("mempool lock")
                 .set_speculation(Some(payload_chunk));
@@ -785,60 +762,55 @@ impl Simulation {
                     if self.config.trace {
                         eprintln!("[{}] {} -> {}: {}", self.now, from, to, msg.label());
                     }
-                    // Dissemination frames are driver-level traffic: they
-                    // feed the receiver's mempool, never an engine.
-                    if let Message::Dissemination(d) = msg {
-                        self.handle_dissemination(from, to, d);
-                    } else if matches!(msg, Message::Sync(SyncMsg::FrontierProbe)) {
-                        // Driver traffic: answer from the engine's commit
-                        // frontier without delivering (engines stay pure,
-                        // and the chained engine's own answer path would
-                        // double-reply).
-                        let finalized = self.engines[to.as_usize()].finalized_round();
-                        self.driver_send(
-                            to,
-                            Outbound::Send(
-                                from,
-                                Message::Sync(SyncMsg::FrontierInfo { finalized }),
-                            ),
-                        );
-                    } else if let Message::Sync(SyncMsg::FrontierInfo { finalized }) = msg {
-                        // Driver traffic: feed the recovering replica's
-                        // catch-up machine.
-                        if let Some(cu) = &mut self.catchup[to.as_usize()] {
-                            cu.on_frontier(finalized);
-                        }
-                        self.drive_catchup(to);
-                    } else {
-                        // Speculative drain: the driver — not the engine —
-                        // observes every arriving block and feeds the
-                        // receiver's lease table.
-                        if let Some(d) = &self.dissemination {
-                            if d.speculative {
-                                let mut pool = d.pools[to.as_usize()].lock().expect("mempool lock");
-                                for block in msg.carried_blocks() {
-                                    pool.observe_proposal(block);
-                                }
+                    let i = to.as_usize();
+                    match Inbound::classify(msg) {
+                        // Feeds the receiver's mempool, never an engine.
+                        // With no pools wired the frame is dropped like
+                        // any foreign traffic.
+                        Inbound::Dissemination(d) => {
+                            if let Some(pools) = &self.dissemination {
+                                pools[i].intake(from, d);
                             }
                         }
-                        let was_batch = matches!(msg, Message::Sync(SyncMsg::ResponseBatch { .. }));
-                        let actions = self.engines[to.as_usize()].on_message(from, msg, self.now);
-                        // Crypto cost model: the verification work this
-                        // delivery triggered occupies the replica's CPU, so
-                        // everything it *produces* (outbound messages,
-                        // timers) departs later by the charged time. The
-                        // engine's own view of `now` stays the arrival
-                        // instant (virtual CPU time below the event
-                        // granularity is not observable to the protocol).
-                        let crypto_cost = self.meter_crypto(to);
-                        self.now += crypto_cost;
-                        self.process_actions(to, actions);
-                        if was_batch && self.catchup[to.as_usize()].is_some() {
-                            let frontier = self.engines[to.as_usize()].finalized_round();
-                            if let Some(cu) = &mut self.catchup[to.as_usize()] {
-                                cu.on_progress(frontier);
+                        // Answered from the engine's commit frontier
+                        // without delivering (engines stay pure).
+                        Inbound::FrontierProbe => {
+                            let finalized = self.engines[i].finalized_round();
+                            self.driver_send(to, frontier_info(from, finalized));
+                        }
+                        Inbound::FrontierInfo(finalized) => {
+                            if let Some(cu) = &mut self.catchup[i] {
+                                cu.on_frontier(finalized);
                             }
                             self.drive_catchup(to);
+                        }
+                        Inbound::Engine(msg) => {
+                            // Speculative drain: the driver — not the
+                            // engine — observes every arriving block.
+                            if let Some(pools) = &self.dissemination {
+                                pools[i].observe_inbound(&msg);
+                            }
+                            let was_batch =
+                                matches!(msg, Message::Sync(SyncMsg::ResponseBatch { .. }));
+                            let actions = self.engines[i].on_message(from, msg, self.now);
+                            // Crypto cost model: the verification work this
+                            // delivery triggered occupies the replica's CPU, so
+                            // everything it *produces* (outbound messages,
+                            // timers) departs later by the charged time. The
+                            // engine's own view of `now` stays the arrival
+                            // instant (virtual CPU time below the event
+                            // granularity is not observable to the protocol).
+                            let crypto_cost = self.meter_crypto(to);
+                            self.now += crypto_cost;
+                            self.process_actions(to, actions);
+                            // An adopted batch may have advanced the frontier.
+                            if was_batch {
+                                let frontier = self.engines[i].finalized_round();
+                                if let Some(cu) = &mut self.catchup[i] {
+                                    cu.on_progress(frontier);
+                                }
+                                self.drive_catchup(to);
+                            }
                         }
                     }
                 }
@@ -915,11 +887,10 @@ impl Simulation {
             self.metrics.requests_pending = w.core().pending_in_pools();
         }
         self.metrics.wal_bytes = self.engines.iter().map(|e| e.wal_bytes()).sum();
-        if let Some(d) = &self.dissemination {
+        if let Some(pools) = &self.dissemination {
             // Forward loss accounting: shared-outbox drops plus per-peer
             // backpressure sheds, across every pool.
-            self.metrics.forwards_dropped = d
-                .pools
+            self.metrics.forwards_dropped = pools
                 .iter()
                 .map(|p| {
                     let pool = p.lock().expect("mempool lock");
@@ -947,68 +918,19 @@ impl Simulation {
         (self.metrics, self.auditor)
     }
 
-    /// Applies one dissemination frame to the receiving replica's pool.
-    /// Forwarded requests are accepted (subject to the duplicate and
-    /// committed-id rules). In broadcast mode they are never re-forwarded
-    /// — gossip is one round. In fanout-tree mode, each *first-time*
-    /// accept is relayed down the receiver's own tree edges (minus the
-    /// sender) as a compact announcement; duplicates are never relayed,
-    /// so the cascade terminates once every replica has seen the request.
-    fn handle_dissemination(&mut self, from: ReplicaId, to: ReplicaId, msg: DisseminationMsg) {
-        let Some(d) = &self.dissemination else {
-            // No pools wired (e.g. a frame arriving after reconfiguration):
-            // dropped like any foreign traffic.
-            return;
-        };
-        let relay = d.fanout_tree;
-        let mut pool = d.pools[to.as_usize()].lock().expect("mempool lock");
-        let (DisseminationMsg::Forward { requests } | DisseminationMsg::Announce { requests }) =
-            msg;
-        for req in requests {
-            let outcome = pool.accept_forwarded(req);
-            if relay
-                && matches!(
-                    outcome,
-                    PushOutcome::Accepted | PushOutcome::AcceptedEvicting(_)
-                )
-            {
-                pool.queue_relay(req, Some(from.as_usize()));
-            }
-        }
-    }
-
-    /// Post-event bookkeeping: flush gossip outboxes into the network
-    /// model (all-peers `Forward` broadcasts, or per-peer tree sends in
-    /// fanout mode) and turn the workload's freshly armed think/retry
-    /// deadlines into queue events. Called once per processed event (and
-    /// at segment start), so pushes and completions from *this* event are
-    /// scheduled before the next event pops.
+    /// Post-event bookkeeping: flush every pool's gossip into the network
+    /// model (dissemination shares links with consensus traffic and is
+    /// charged the same way) and turn the workload's freshly armed
+    /// think/retry deadlines into queue events. Called once per processed
+    /// event (and at segment start), so pushes and completions from *this*
+    /// event are scheduled before the next event pops.
     fn after_event(&mut self) {
-        let tree = self
-            .dissemination
-            .as_ref()
-            .is_some_and(|d| d.gossip && d.fanout_tree);
-        if tree {
-            self.flush_fanout_queues();
-        } else {
-            // Gossip: collect each replica's newly pushed requests, then
-            // broadcast one Forward per replica through the network model.
-            let outboxes: Vec<(ReplicaId, Vec<banyan_mempool::Request>)> = match &self.dissemination
-            {
-                Some(d) if d.gossip => d
-                    .pools
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, pool)| {
-                        let requests = pool.lock().expect("mempool lock").take_outbox();
-                        (!requests.is_empty()).then_some((ReplicaId(i as u16), requests))
-                    })
-                    .collect(),
-                _ => Vec::new(),
-            };
-            for (from, requests) in outboxes {
-                self.broadcast_forward(from, requests);
-            }
+        let mut frames: Vec<(ReplicaId, Outbound)> = Vec::new();
+        for (i, pool) in self.dissemination.iter().flatten().enumerate() {
+            pool.flush(&mut |out| frames.push((ReplicaId(i as u16), out)));
+        }
+        for (from, out) in frames {
+            self.driver_send(from, out);
         }
         // Workload deadlines become queue events, never before `now`. The
         // scratch buffers are recycled across events (no per-event Vec
@@ -1031,72 +953,6 @@ impl Simulation {
                 queue.push(at.max(*now), EventKind::RetryTick);
             }
         }
-    }
-
-    /// Fanout-tree flush: drain every replica's per-peer queues (as far
-    /// as each peer's credit allows), sending first-hop entries as full
-    /// `Forward` bodies and relay entries as compact `Announce` records.
-    /// The simulated transport confirms synchronously, so consumed credit
-    /// is granted straight back; the credit machinery still bounds how
-    /// much any single flush may put in flight behind a shed-prone queue.
-    fn flush_fanout_queues(&mut self) {
-        let Some(d) = &self.dissemination else {
-            return;
-        };
-        let mut sends: Vec<(ReplicaId, ReplicaId, Message)> = Vec::new();
-        for (i, pool) in d.pools.iter().enumerate() {
-            let from = ReplicaId(i as u16);
-            let mut pool = pool.lock().expect("mempool lock");
-            for peer in pool.peer_ids() {
-                let entries = pool.take_peer_outbox(peer);
-                if entries.is_empty() {
-                    continue;
-                }
-                pool.grant_peer_credit(peer, entries.len() as u32);
-                let to = ReplicaId(peer as u16);
-                let forwards: Vec<banyan_mempool::Request> = entries
-                    .iter()
-                    .filter(|(_, relay)| !relay)
-                    .map(|(req, _)| *req)
-                    .collect();
-                let announces: Vec<banyan_mempool::Request> = entries
-                    .iter()
-                    .filter(|(_, relay)| *relay)
-                    .map(|(req, _)| *req)
-                    .collect();
-                if !forwards.is_empty() {
-                    sends.push((
-                        from,
-                        to,
-                        Message::Dissemination(DisseminationMsg::Forward { requests: forwards }),
-                    ));
-                }
-                if !announces.is_empty() {
-                    sends.push((
-                        from,
-                        to,
-                        Message::Dissemination(DisseminationMsg::Announce {
-                            requests: announces,
-                        }),
-                    ));
-                }
-            }
-        }
-        for (from, to, msg) in sends {
-            self.driver_send(from, Outbound::Send(to, msg));
-        }
-    }
-
-    /// Broadcasts one `Forward` frame from `from` through the ordinary
-    /// egress/propagation/jitter/FIFO model (dissemination shares links
-    /// with consensus traffic and is charged the same way).
-    fn broadcast_forward(&mut self, from: ReplicaId, requests: Vec<banyan_mempool::Request>) {
-        self.driver_send(
-            from,
-            Outbound::Broadcast(Message::Dissemination(DisseminationMsg::Forward {
-                requests,
-            })),
-        );
     }
 
     /// Transmits driver-originated traffic (dissemination gossip,
@@ -1201,7 +1057,6 @@ impl Simulation {
         self.engines[i] = engine;
         self.last_verify[i] = self.engines[i].verify_stats();
         self.generations[i] = self.generations[i].wrapping_add(1);
-        self.rejoined_at[i] = Some(self.now);
         if self.config.trace {
             eprintln!(
                 "[{}] {} rejoins at frontier {}",
@@ -1220,65 +1075,40 @@ impl Simulation {
         self.drive_catchup(replica);
     }
 
-    /// Runs a recovering replica's catch-up machine until it waits or
-    /// finishes, turning its steps into driver-level sync traffic.
+    /// Drives a recovering replica's catch-up machine: its sync traffic
+    /// goes through the network model, a machine left waiting is re-armed
+    /// with a `CatchUpTick` one timeout out, and a finished one is
+    /// dropped. The machine's own counters are the metrics' only source.
     fn drive_catchup(&mut self, replica: ReplicaId) {
         let i = replica.as_usize();
         let Some(mut cu) = self.catchup[i].take() else {
             return;
         };
-        loop {
-            match cu.step(self.now) {
-                CatchUpStep::Probe => {
-                    self.metrics.sync_requests += 1;
-                    self.driver_send(
-                        replica,
-                        Outbound::Broadcast(Message::Sync(SyncMsg::FrontierProbe)),
-                    );
-                }
-                CatchUpStep::Fetch {
-                    from_round,
-                    to_round,
-                } => {
-                    self.metrics.sync_requests += 1;
-                    let Some(peer) = self.pick_sync_peer(replica) else {
-                        continue; // nobody alive to ask; window will lapse
-                    };
-                    self.driver_send(
-                        replica,
-                        Outbound::Send(
-                            peer,
-                            Message::Sync(SyncMsg::RequestRange {
-                                from_round,
-                                to_round,
-                            }),
-                        ),
-                    );
-                }
-                CatchUpStep::Wait => {
-                    self.queue.push(
-                        self.now + CATCHUP_TIMEOUT,
-                        EventKind::CatchUpTick { replica },
-                    );
-                    self.catchup[i] = Some(cu);
-                    return;
-                }
-                CatchUpStep::Done => {
-                    if let Some(rejoined) = self.rejoined_at[i] {
-                        self.metrics.restart_recovery_ms +=
-                            self.now.since(rejoined).as_nanos() / 1_000_000;
-                    }
-                    if self.config.trace {
-                        eprintln!(
-                            "[{}] {} catch-up done at frontier {}",
-                            self.now,
-                            replica,
-                            self.engines[i].finalized_round()
-                        );
-                    }
-                    return;
-                }
-            }
+        let asked = cu.requests_issued();
+        let mut frames = Vec::new();
+        let waiting = cu.drive(self.now, || self.pick_sync_peer(replica), &mut |out| {
+            frames.push(out)
+        });
+        self.metrics.sync_requests += cu.requests_issued() - asked;
+        for out in frames {
+            self.driver_send(replica, out);
+        }
+        if waiting {
+            self.queue.push(
+                self.now + CATCHUP_TIMEOUT,
+                EventKind::CatchUpTick { replica },
+            );
+            self.catchup[i] = Some(cu);
+            return;
+        }
+        self.metrics.restart_recovery_ms += self.now.since(cu.started_at()).as_nanos() / 1_000_000;
+        if self.config.trace {
+            eprintln!(
+                "[{}] {} catch-up done at frontier {}",
+                self.now,
+                replica,
+                self.engines[i].finalized_round()
+            );
         }
     }
 
@@ -1293,31 +1123,15 @@ impl Simulation {
 
     /// Routes one engine's actions through the shared driver layer.
     fn process_actions(&mut self, replica: ReplicaId, actions: Actions) {
-        // Speculative drain: observe the replica's own outbound blocks
-        // (proposals, relays, sync responses) into its lease table before
-        // they hit the wire — this is what lets an abandoned own proposal
-        // release its drained requests back into the pool.
-        if let Some(d) = &self.dissemination {
-            if d.speculative {
-                let mut pool = d.pools[replica.as_usize()].lock().expect("mempool lock");
-                for out in &actions.outbound {
-                    let msg = match out {
-                        Outbound::Broadcast(msg) => msg,
-                        Outbound::Send(_, msg) => msg,
-                    };
-                    if let Some(block) = msg.proposal_block() {
-                        pool.observe_proposal(block);
-                    }
-                }
-            }
-        }
-        // Catch-up serving metric: blocks shipped in ResponseBatch
-        // replies, counted at the server.
         for out in &actions.outbound {
-            let msg = match out {
-                Outbound::Broadcast(msg) => msg,
-                Outbound::Send(_, msg) => msg,
-            };
+            // Speculative drain: the replica's own outbound blocks are
+            // observed into its lease table before they hit the wire.
+            if let Some(pools) = &self.dissemination {
+                pools[replica.as_usize()].observe_outbound(out);
+            }
+            // Catch-up serving metric: blocks shipped in ResponseBatch
+            // replies, counted at the server.
+            let (Outbound::Broadcast(msg) | Outbound::Send(_, msg)) = out;
             self.metrics.sync_blocks_served += msg.sync_batch_blocks().len() as u64;
         }
         let Simulation {
@@ -1350,7 +1164,7 @@ impl Simulation {
             auditor,
             apps,
             workload: workload.as_mut(),
-            dedup_pools: dissemination.as_ref().map(|d| d.pools.as_slice()),
+            pools: dissemination.as_deref(),
         };
         let mut dispatch = NetDispatch {
             now: *now,

@@ -3,8 +3,9 @@
 //!
 //! Engines are pure state machines and never see catch-up traffic; the
 //! *driver* (simulator event loop or TCP replica loop) owns one
-//! `CatchUpState` per recovering replica and turns its [`CatchUpStep`]s
-//! into `SyncMsg` traffic:
+//! `CatchUpState` per recovering replica and calls
+//! [`drive`](CatchUpState::drive), which turns the machine's steps into
+//! `SyncMsg` traffic:
 //!
 //! ```text
 //!           ┌────────┐  FrontierProbe (broadcast)
@@ -23,9 +24,55 @@
 //!
 //! Every transition is driven by explicit `(event, now)` calls, so the
 //! machine is deterministic and simulation-friendly: no clocks, no I/O.
+//! What stays with the driver is what only it can know: the time, which
+//! peer to fetch from, and how it gets woken when a deadline lapses.
+//!
+//! [`Inbound`] is the other half of the driver contract: which arriving
+//! frames are the driver's to handle and which are the engine's.
 
-use banyan_types::ids::Round;
+use banyan_types::engine::Outbound;
+use banyan_types::ids::{ReplicaId, Round};
+use banyan_types::message::{DisseminationMsg, Message, SyncMsg};
 use banyan_types::time::{Duration, Time};
+
+/// One arriving frame, sorted by who handles it. Engines are pure: only
+/// [`Inbound::Engine`] frames ever reach `Engine::on_message`.
+// `Engine` carries the whole message inline: a classification is consumed
+// immediately, never stored, so the size skew costs nothing.
+#[allow(clippy::large_enum_variant)]
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Inbound {
+    /// Request gossip: feeds the replica's pool.
+    Dissemination(DisseminationMsg),
+    /// A recovering peer asks for the commit frontier: the driver answers
+    /// with [`frontier_info`] (the chained engine's own answer path would
+    /// double-reply).
+    FrontierProbe,
+    /// A peer's answer to our probe: feeds
+    /// [`CatchUpState::on_frontier`].
+    FrontierInfo(Round),
+    /// Everything else is the engine's.
+    Engine(Message),
+}
+
+impl Inbound {
+    /// Sorts one arriving frame.
+    #[inline]
+    pub fn classify(msg: Message) -> Inbound {
+        match msg {
+            Message::Dissemination(d) => Inbound::Dissemination(d),
+            Message::Sync(SyncMsg::FrontierProbe) => Inbound::FrontierProbe,
+            Message::Sync(SyncMsg::FrontierInfo { finalized }) => Inbound::FrontierInfo(finalized),
+            msg => Inbound::Engine(msg),
+        }
+    }
+}
+
+/// The driver's answer to a [`Inbound::FrontierProbe`] from `to`, given
+/// its engine's finalized frontier.
+pub fn frontier_info(to: ReplicaId, finalized: Round) -> Outbound {
+    Outbound::Send(to, Message::Sync(SyncMsg::FrontierInfo { finalized }))
+}
 
 /// How many rounds one `RequestRange` asks for.
 pub const DEFAULT_BATCH_ROUNDS: u64 = 32;
@@ -34,9 +81,9 @@ pub const DEFAULT_BATCH_ROUNDS: u64 = 32;
 /// not serve ranged fetches — rely on the engine's native sync).
 pub const MAX_STALLED_FETCHES: u32 = 3;
 
-/// What the driver should do next.
+/// What [`CatchUpState::drive`] does next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CatchUpStep {
+enum CatchUpStep {
     /// Broadcast a `SyncMsg::FrontierProbe` to learn the commit frontier.
     Probe,
     /// Send `SyncMsg::RequestRange { from_round, to_round }` to a peer.
@@ -67,8 +114,6 @@ pub struct CatchUpState {
     deadline: Time,
     /// Per-step timeout.
     timeout: Duration,
-    /// Rounds per fetch.
-    batch: u64,
     /// Consecutive deadline expiries without progress.
     stalled: u32,
     /// Terminal flag.
@@ -89,18 +134,11 @@ impl CatchUpState {
             in_flight: None,
             deadline: now,
             timeout,
-            batch: DEFAULT_BATCH_ROUNDS,
             stalled: 0,
             done: false,
             requests_issued: 0,
             started_at: now,
         }
-    }
-
-    /// Overrides the fetch window size.
-    pub fn with_batch(mut self, rounds: u64) -> Self {
-        self.batch = rounds.max(1);
-        self
     }
 
     /// A peer reported its finalized frontier.
@@ -127,9 +165,57 @@ impl CatchUpState {
         }
     }
 
-    /// Decides the next action. Call after any event that may have
-    /// changed the picture (frontier report, batch adoption, timer).
-    pub fn step(&mut self, now: Time) -> CatchUpStep {
+    /// Runs the machine until it waits or finishes, turning its steps
+    /// into driver-level sync traffic: a probe is a `FrontierProbe`
+    /// broadcast, a fetch a `RequestRange` to whichever peer `pick_peer`
+    /// names. Call after any event that may have changed the picture — a
+    /// frontier report, an adopted batch, a lapsed deadline.
+    ///
+    /// `pick_peer` is asked once per fetch; when it has nobody to offer
+    /// the window simply lapses and the next one asks again, up to
+    /// [`MAX_STALLED_FETCHES`].
+    ///
+    /// Local progress is the caller's to report, through
+    /// [`on_progress`](Self::on_progress), and deliberately not a
+    /// parameter here: the TCP loop reports before every drive, the
+    /// simulator only after a `ResponseBatch`, and folding both into
+    /// "every drive" moves the simulator's `--restart` sweep output
+    /// (fewer fetches, earlier `Done`).
+    ///
+    /// Returns `true` while a probe or fetch is in flight — the caller
+    /// must drive again once its deadline (one `timeout` from `now`) may
+    /// have lapsed — and `false` once the machine is done.
+    pub fn drive(
+        &mut self,
+        now: Time,
+        mut pick_peer: impl FnMut() -> Option<ReplicaId>,
+        emit: &mut impl FnMut(Outbound),
+    ) -> bool {
+        loop {
+            match self.step(now) {
+                CatchUpStep::Probe => {
+                    emit(Outbound::Broadcast(Message::Sync(SyncMsg::FrontierProbe)));
+                }
+                CatchUpStep::Fetch {
+                    from_round,
+                    to_round,
+                } => {
+                    if let Some(peer) = pick_peer() {
+                        let range = SyncMsg::RequestRange {
+                            from_round,
+                            to_round,
+                        };
+                        emit(Outbound::Send(peer, Message::Sync(range)));
+                    }
+                }
+                CatchUpStep::Wait => return true,
+                CatchUpStep::Done => return false,
+            }
+        }
+    }
+
+    /// Decides the next action.
+    fn step(&mut self, now: Time) -> CatchUpStep {
         if self.done {
             return CatchUpStep::Done;
         }
@@ -160,7 +246,7 @@ impl CatchUpState {
             }
             Some(target) => {
                 let from = self.local.next();
-                let to = Round(target.0.min(self.local.0 + self.batch));
+                let to = Round(target.0.min(self.local.0 + DEFAULT_BATCH_ROUNDS));
                 self.in_flight = Some((from, to));
                 self.deadline = now + self.timeout;
                 self.requests_issued += 1;
@@ -234,6 +320,86 @@ mod tests {
         assert_eq!(cu.step(Time(5)), CatchUpStep::Done);
         assert!(cu.is_done());
         assert_eq!(cu.requests_issued(), 3);
+    }
+
+    fn range(to: u16, from_round: u64, to_round: u64) -> Outbound {
+        let range = SyncMsg::RequestRange {
+            from_round: Round(from_round),
+            to_round: Round(to_round),
+        };
+        Outbound::Send(ReplicaId(to), Message::Sync(range))
+    }
+
+    #[test]
+    fn drive_turns_probe_info_fetch_progress_done_into_exactly_that_traffic() {
+        let mut cu = CatchUpState::new(Round(5), Time(0), TICK);
+        let mut frames = Vec::new();
+        let mut next_peer = 0;
+        let mut pick = || {
+            next_peer += 1;
+            Some(ReplicaId(next_peer))
+        };
+        assert!(cu.drive(Time(0), &mut pick, &mut |out| frames.push(out)));
+        assert!(cu.drive(Time(1), &mut pick, &mut |out| frames.push(out)));
+        cu.on_frontier(Round(40));
+        assert!(cu.drive(Time(2), &mut pick, &mut |out| frames.push(out)));
+        assert!(cu.drive(Time(3), &mut pick, &mut |out| frames.push(out)));
+        cu.on_progress(Round(37));
+        assert!(cu.drive(Time(4), &mut pick, &mut |out| frames.push(out)));
+        cu.on_progress(Round(40));
+        assert!(!cu.drive(Time(5), &mut pick, &mut |out| frames.push(out)));
+        assert!(!cu.drive(Time(6), &mut pick, &mut |out| frames.push(out)));
+        let probe = Outbound::Broadcast(Message::Sync(SyncMsg::FrontierProbe));
+        assert_eq!(frames, [probe, range(1, 6, 37), range(2, 38, 40)]);
+        assert_eq!(cu.requests_issued(), frames.len() as u64);
+    }
+
+    #[test]
+    fn a_lapsed_window_asks_the_picker_again() {
+        let mut cu = CatchUpState::new(Round(0), Time(0), TICK);
+        cu.on_frontier(Round(8));
+        let mut frames = Vec::new();
+        let mut peers = [ReplicaId(3), ReplicaId(1)].into_iter();
+        assert!(cu.drive(Time(0), || peers.next(), &mut |out| frames.push(out)));
+        assert!(cu.drive(Time(9), || peers.next(), &mut |out| frames.push(out)));
+        assert!(cu.drive(Time(10), || peers.next(), &mut |out| frames.push(out)));
+        assert_eq!(frames, [range(3, 1, 8), range(1, 1, 8)]);
+    }
+
+    #[test]
+    fn a_picker_with_nobody_to_offer_lapses_to_done() {
+        let mut cu = CatchUpState::new(Round(0), Time(0), TICK);
+        cu.on_frontier(Round(100));
+        let mut now = Time(0);
+        let mut drives = 0;
+        while cu.drive(now, || None, &mut |out| panic!("emitted {out:?}")) {
+            now += TICK;
+            drives += 1;
+        }
+        assert_eq!(drives, MAX_STALLED_FETCHES);
+        assert!(cu.is_done());
+        // Every window was asked for, though nobody could be asked.
+        assert_eq!(cu.requests_issued(), u64::from(MAX_STALLED_FETCHES));
+    }
+
+    #[test]
+    fn inbound_frames_are_sorted_by_who_handles_them() {
+        let probe = Message::Sync(SyncMsg::FrontierProbe);
+        assert_eq!(Inbound::classify(probe), Inbound::FrontierProbe);
+        let Outbound::Send(to, info) = frontier_info(ReplicaId(2), Round(9)) else {
+            panic!("a frontier answer goes to the prober alone");
+        };
+        assert_eq!(to, ReplicaId(2));
+        assert_eq!(Inbound::classify(info), Inbound::FrontierInfo(Round(9)));
+        let gossip = DisseminationMsg::Announce { requests: vec![] };
+        assert_eq!(
+            Inbound::classify(Message::Dissemination(gossip.clone())),
+            Inbound::Dissemination(gossip)
+        );
+        let Outbound::Send(_, fetch) = range(1, 2, 3) else {
+            unreachable!()
+        };
+        assert_eq!(Inbound::classify(fetch.clone()), Inbound::Engine(fetch));
     }
 
     #[test]

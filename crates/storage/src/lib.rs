@@ -31,7 +31,7 @@ use banyan_types::certs::Notarization;
 use banyan_types::ids::{BlockHash, Round};
 use banyan_types::{Block, ChainSnapshot};
 
-pub use catchup::{CatchUpState, CatchUpStep};
+pub use catchup::CatchUpState;
 pub use memory::BlockStore;
 pub use wal::{WalStore, DEFAULT_SEGMENT_LIMIT};
 

@@ -193,7 +193,9 @@ pub enum VerifyOutcome {
 /// threads and by single-thread baselines (the throughput bench runs it
 /// inline to measure the unstaged path).
 ///
-/// * `Forward` frames feed `pool` ingest and stop here.
+/// * `Forward`/`Announce` frames feed `pool` ingest under their sender's
+///   name — the hand-off into the same accept-and-relay rule the inline
+///   loop's `ReplicaPool::intake` applies — and stop here.
 /// * Block-carrying messages (proposals, sync responses and catch-up
 ///   batches — [`Message::carried_blocks`]) pay the real CPU cost per
 ///   block: the block hash is
@@ -220,7 +222,7 @@ pub fn verify_frame(
             if let Some(pool) = pool {
                 let ingest = pool.ingest();
                 for req in requests {
-                    ingest.forward(req);
+                    ingest.forward(from, req);
                     stats.requests_ingested.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -553,6 +555,21 @@ mod tests {
         );
         assert_eq!(pool.len(), 2, "both requests reached the pool");
 
+        // A staged `Announce` lands in the same accept-and-relay rule as
+        // an inline one: with per-peer queues, a first-time accept is
+        // relayed to every queue but its sender's.
+        let tree = ConcurrentPool::new(Mempool::new(64).with_peer_queues(&[1, 2, 3]), 64);
+        let announce = Message::Dissemination(DisseminationMsg::Announce {
+            requests: vec![req(3)],
+        });
+        assert_eq!(
+            verify_frame(ReplicaId(2), announce, Some(&*tree), &config, &stats),
+            VerifyOutcome::Ingested
+        );
+        tree.sync_ingest();
+        let queued = [1, 2, 3].map(|peer| tree.pool().peer_queue_len(peer));
+        assert_eq!(queued, [1, 0, 1], "relayed to all but the sender");
+
         // A proposal with a valid batch passes and records its lease.
         let block = block_batching(req(7));
         let msg = Message::Streamlet(StreamletMsg::Proposal {
@@ -603,10 +620,10 @@ mod tests {
         );
 
         let s = stats.snapshot();
-        assert_eq!(s.ingested, 1);
+        assert_eq!(s.ingested, 2);
         assert_eq!(s.verified, 2);
         assert_eq!(s.rejected, 2);
-        assert_eq!(s.requests_ingested, 2);
+        assert_eq!(s.requests_ingested, 3);
     }
 
     /// A proposal keeps one payload buffer from the frame decoder through
@@ -643,7 +660,7 @@ mod tests {
     fn inline_path_leases_the_blocks_of_a_catch_up_batch() {
         let (batch, pools) = catch_up_batch_and_pools();
         for (pool, leases) in pools {
-            crate::replica::observe_inbound(&pool, &batch);
+            banyan_mempool::ReplicaPool::observe_inbound(&pool, &batch);
             assert_eq!(pool.live_leases(), leases);
         }
     }

@@ -14,9 +14,13 @@
 //!                          └─ staged ─► verify workers ─► event channel
 //!                             (only with a PipelineConfig)     │
 //!                                                              ▼
-//!            engine loop (the calling thread): EngineDriver timers, gossip
-//!            flush, driver-level Dissemination / FrontierProbe / FrontierInfo
-//!            routing, catch-up, crash / rejoin phases
+//!            engine loop (the calling thread)
+//!              · shared with the simulator: EngineDriver (timers, action
+//!                routing); ReplicaPool::{flush, intake, observe_outbound,
+//!                observe_inbound, retire}; catchup::Inbound::classify and
+//!                CatchUpState::drive
+//!              · this loop's own: wall-clock time, the sockets, the
+//!                fetch-peer rotation, crash / rejoin phases
 //!                                                              │
 //!                                                              ▼
 //!            writers (one per peer: dial, redial on drop, drain a bounded
@@ -29,8 +33,12 @@
 //! `from % W`. The engine loop itself is the shared
 //! [`EngineDriver`]: it owns the timer heap (same deterministic
 //! `(time, seq)` ordering the simulator uses, same stale-timer filtering)
-//! and routes engine actions; this module only supplies wall-clock time,
-//! sockets and the driver-level traffic engines must never see.
+//! and routes engine actions. What a replica does besides its engine —
+//! gossip, dissemination intake, lease observation, commit retirement,
+//! probe answering, catch-up — is `banyan_mempool::ReplicaPool`'s and
+//! `banyan_storage::catchup`'s, the same code the simulator runs; this
+//! module only supplies wall-clock time, sockets and the one decision a
+//! socketed driver makes blind: which peer to fetch from.
 //!
 //! Readers block in `read` with no timeout, so a frame whose sender stalls
 //! between header and body is never abandoned half-read. To stop, the
@@ -48,13 +56,13 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
-use banyan_mempool::{ReplicaPool, SharedConcurrentPool, WorkloadBatch};
+use banyan_mempool::{ReplicaPool, SharedConcurrentPool};
 use banyan_runtime::driver::{AppSink, EngineDriver};
-use banyan_storage::{CatchUpState, CatchUpStep};
+use banyan_storage::catchup::{frontier_info, CatchUpState, Inbound};
 use banyan_types::app::App;
 use banyan_types::engine::{CommitEntry, Engine, Outbound};
-use banyan_types::ids::{ReplicaId, Round};
-use banyan_types::message::{DisseminationMsg, Message, SyncMsg};
+use banyan_types::ids::ReplicaId;
+use banyan_types::message::Message;
 use banyan_types::time::Time;
 
 use crate::framing::{read_frame, write_hello, write_msg, Frame};
@@ -187,11 +195,9 @@ fn spawn_writer(me: ReplicaId, addr: SocketAddr, rx: Receiver<Message>, stop: Ar
     });
 }
 
-/// Marks every committed batch's request ids committed in the local pool
-/// — retiring and releasing speculative leases along the way — before
-/// handing the block to the inner [`App`]: the TCP replica's half of the
-/// exactly-once dedup rule (the simulator's `SimCommitSink` does the
-/// same).
+/// Retires every commit in the local pool
+/// ([`ReplicaPool::retire`] — exactly-once dedup, lease
+/// retirement/release) before handing the block to the inner [`App`].
 struct DedupApp<A, P> {
     app: A,
     pool: Option<P>,
@@ -200,109 +206,47 @@ struct DedupApp<A, P> {
 impl<A: App, P: ReplicaPool> App for DedupApp<A, P> {
     fn deliver(&mut self, entry: &CommitEntry) {
         if let Some(pool) = &self.pool {
-            if let Some(batch) = WorkloadBatch::decode(&entry.payload) {
-                pool.mark_committed_block(entry.block, entry.round, &batch.requests);
-            }
+            pool.retire(entry);
         }
         self.app.deliver(entry);
     }
 }
 
-/// Gossip: broadcasts the requests pushed into the local pool since the
-/// last flush (one `Forward` frame per flush, never re-forwarded).
-fn flush_outbox<P: ReplicaPool>(pool: &Option<P>, transmit: &mut impl FnMut(Outbound)) {
-    let requests = pool.as_ref().map(P::take_outbox).unwrap_or_default();
-    if !requests.is_empty() {
-        transmit(Outbound::Broadcast(Message::Dissemination(
-            DisseminationMsg::Forward { requests },
-        )));
-    }
-}
-
-/// Speculative drain, inline path: leases every block an arriving frame
-/// carries — proposals and fetched catch-up batches alike, as the
-/// simulator does on receipt — so a rejoined replica never re-batches
-/// requests its freshly fetched ancestors already hold. A no-op unless
-/// the pool speculates.
-pub(crate) fn observe_inbound<P: ReplicaPool>(pool: &P, msg: &Message) {
-    for block in msg.carried_blocks() {
-        pool.observe_proposal(block);
-    }
-}
-
-/// A rejoined replica's catch-up: the storage layer's machine plus what
-/// the TCP driver keeps around it — the TCP counterpart of the
-/// simulator's `drive_catchup`.
+/// A rejoined replica's catch-up: the storage layer's machine plus the
+/// one thing only this driver decides, whom to fetch from.
 struct CatchUp {
     me: ReplicaId,
     n: usize,
-    /// `Some` from rejoin until the machine reports `Done`.
+    /// `Some` from rejoin on; kept once done, for its counters.
     machine: Option<CatchUpState>,
     /// Fetch-peer rotation: the driver cannot know which peers are up, so
     /// a stalled window retries elsewhere (the machine's stall budget
     /// bounds the rotation).
     rotor: usize,
-    rejoined_at: Time,
-    sync_requests: u64,
     recovery_ms: u64,
 }
 
 impl CatchUp {
-    fn begin(&mut self, frontier: Round, now: Time) {
-        self.rejoined_at = now;
-        self.machine = Some(CatchUpState::new(frontier, now, CATCHUP_TIMEOUT));
-    }
-
-    fn on_frontier(&mut self, finalized: Round) {
-        if let Some(machine) = &mut self.machine {
-            machine.on_frontier(finalized);
-        }
-    }
-
-    /// Runs the machine until it waits or finishes, turning its steps into
-    /// driver-level sync traffic. A no-op unless catching up.
+    /// Drives the machine, if one is still catching up. The event loop
+    /// wakes at least every 10 ms and calls this on every pass, so a
+    /// lapsed probe/fetch deadline needs no timer.
     fn drive(&mut self, engine: &dyn Engine, now: Time, transmit: &mut impl FnMut(Outbound)) {
-        let Some(mut machine) = self.machine.take() else {
+        let Some(machine) = self.machine.as_mut().filter(|m| !m.is_done()) else {
             return;
         };
-        machine.on_progress(engine.finalized_round());
-        loop {
-            match machine.step(now) {
-                CatchUpStep::Probe => {
-                    self.sync_requests += 1;
-                    transmit(Outbound::Broadcast(Message::Sync(SyncMsg::FrontierProbe)));
-                }
-                CatchUpStep::Fetch {
-                    from_round,
-                    to_round,
-                } => {
-                    self.sync_requests += 1;
-                    if self.n < 2 {
-                        continue; // nobody to ask; window will lapse
-                    }
-                    // Rotate through the other replicas in id order.
-                    let off = 1 + self.rotor % (self.n - 1);
-                    self.rotor += 1;
-                    let peer = ReplicaId(((self.me.as_usize() + off) % self.n) as u16);
-                    transmit(Outbound::Send(
-                        peer,
-                        Message::Sync(SyncMsg::RequestRange {
-                            from_round,
-                            to_round,
-                        }),
-                    ));
-                }
-                CatchUpStep::Wait => {
-                    // The event loop wakes at least every 10 ms and
-                    // re-drives, so lapsed deadlines need no timer.
-                    self.machine = Some(machine);
-                    return;
-                }
-                CatchUpStep::Done => {
-                    self.recovery_ms += now.since(self.rejoined_at).as_nanos() / 1_000_000;
-                    return;
-                }
+        let (me, n, rotor) = (self.me.as_usize(), self.n, &mut self.rotor);
+        // Rotate through the other replicas in id order.
+        let pick_peer = || {
+            if n < 2 {
+                return None; // nobody to ask
             }
+            let off = 1 + *rotor % (n - 1);
+            *rotor += 1;
+            Some(ReplicaId(((me + off) % n) as u16))
+        };
+        machine.on_progress(engine.finalized_round());
+        if !machine.drive(now, pick_peer, transmit) {
+            self.recovery_ms = now.since(machine.started_at()).as_nanos() / 1_000_000;
         }
     }
 }
@@ -365,18 +309,14 @@ pub(crate) fn run<P: ReplicaPool>(
     let mut messages_received = 0u64;
     let mut sync_blocks_served = 0u64;
     let mut transmit = |out: Outbound| {
-        let msg = match &out {
-            Outbound::Broadcast(msg) => msg,
-            Outbound::Send(_, msg) => msg,
-        };
-        // Served catch-up batches, counted at the server (as in the sim).
-        sync_blocks_served += msg.sync_batch_blocks().len() as u64;
         // Speculative drain: every block this replica puts on the wire is
-        // observed into its pool's lease table (a cheap no-op unless the
-        // pool speculates).
-        if let (Some(pool), Some(block)) = (&pool, msg.proposal_block()) {
-            pool.observe_proposal(block);
+        // observed into its pool's lease table.
+        if let Some(pool) = &pool {
+            pool.observe_outbound(&out);
         }
+        // Served catch-up batches, counted at the server (as in the sim).
+        let (Outbound::Broadcast(msg) | Outbound::Send(_, msg)) = &out;
+        sync_blocks_served += msg.sync_batch_blocks().len() as u64;
         match out {
             Outbound::Broadcast(msg) => {
                 for tx in peer_txs.iter().flatten() {
@@ -400,12 +340,23 @@ pub(crate) fn run<P: ReplicaPool>(
             pool: pool.clone(),
         },
     };
+    // Gossip: whatever the local pool has queued goes out — a `Forward`
+    // broadcast, or per-peer `Forward`/`Announce` sends when the pool has
+    // per-peer queues.
+    let flush = |transmit: &mut dyn FnMut(Outbound)| {
+        // Collected first: `transmit` observes into the same pool.
+        let mut frames = Vec::new();
+        if let Some(pool) = &pool {
+            pool.flush(&mut |out| frames.push(out));
+        }
+        frames.into_iter().for_each(transmit);
+    };
     // Disseminate before proposing: requests already pooled locally are
     // forwarded ahead of the init proposal in every per-peer channel, so
     // per-connection ordering lands them in peer pools before any block
     // that could commit them (a quorum excluding this replica can commit
     // its init proposal arbitrarily soon after it is sent).
-    flush_outbox(&pool, &mut transmit);
+    flush(&mut transmit);
     let mut first_life = EngineDriver::new(engine, sink);
     first_life.init(now(), &mut transmit);
     // `None` while the replica is down mid-restart; the sink (the commit
@@ -419,8 +370,6 @@ pub(crate) fn run<P: ReplicaPool>(
         n: peers.len(),
         machine: None,
         rotor: 0,
-        rejoined_at: Time::ZERO,
-        sync_requests: 0,
         recovery_ms: 0,
     };
 
@@ -444,9 +393,9 @@ pub(crate) fn run<P: ReplicaPool>(
                 // Same gossip-before-propose ordering as the first life:
                 // requests pooled while down go out ahead of the rejoin
                 // proposal.
-                flush_outbox(&pool, &mut transmit);
+                flush(&mut transmit);
                 d.init(now(), &mut transmit);
-                catchup.begin(frontier, now());
+                catchup.machine = Some(CatchUpState::new(frontier, now(), CATCHUP_TIMEOUT));
                 catchup.drive(d.engine(), now(), &mut transmit);
                 driver = Some(d);
             }
@@ -460,9 +409,7 @@ pub(crate) fn run<P: ReplicaPool>(
         };
 
         d.fire_due(now(), &mut transmit);
-        flush_outbox(&pool, &mut transmit);
-        // Re-drive catch-up every pass: this is what notices lapsed
-        // probe/fetch deadlines (the loop wakes at least every 10 ms).
+        flush(&mut transmit);
         catchup.drive(d.engine(), now(), &mut transmit);
         // Wait for the next event or timer; on timeout the loop simply
         // re-checks timers and the deadline.
@@ -475,38 +422,32 @@ pub(crate) fn run<P: ReplicaPool>(
             continue;
         };
         messages_received += 1;
-        match msg {
-            // Dissemination frames feed the pool, never the engine (the
-            // same contract the simulator enforces). Inline only: the
-            // verify workers absorb them before the event channel.
-            Message::Dissemination(
-                DisseminationMsg::Forward { requests } | DisseminationMsg::Announce { requests },
-            ) => {
+        match Inbound::classify(msg) {
+            // Feeds the pool, never the engine (the same contract the
+            // simulator enforces). Inline only: the verify workers absorb
+            // dissemination frames before the event channel.
+            Inbound::Dissemination(frame) => {
                 if let Some(pool) = &pool {
-                    pool.accept_forwarded(requests);
+                    pool.intake(from, frame);
                 }
             }
-            // Driver traffic: answer from the engine's commit frontier
-            // without delivering (engines stay pure, and the chained
-            // engine's own answer path would double-reply).
-            Message::Sync(SyncMsg::FrontierProbe) => {
-                let finalized = d.engine().finalized_round();
-                transmit(Outbound::Send(
-                    from,
-                    Message::Sync(SyncMsg::FrontierInfo { finalized }),
-                ));
+            // Answered from the engine's commit frontier without
+            // delivering (engines stay pure).
+            Inbound::FrontierProbe => {
+                transmit(frontier_info(from, d.engine().finalized_round()));
             }
-            // Driver traffic: feed the catch-up machine.
-            Message::Sync(SyncMsg::FrontierInfo { finalized }) => {
-                catchup.on_frontier(finalized);
+            Inbound::FrontierInfo(finalized) => {
+                if let Some(machine) = &mut catchup.machine {
+                    machine.on_frontier(finalized);
+                }
                 catchup.drive(d.engine(), now(), &mut transmit);
             }
-            msg => {
+            Inbound::Engine(msg) => {
                 // Speculative drain: arriving blocks are observed too —
                 // here when inline; the verify workers already recorded
                 // the lease under the hash they computed.
                 if let (None, Some(pool)) = (&verify, &pool) {
-                    observe_inbound(pool, &msg);
+                    pool.observe_inbound(&msg);
                 }
                 d.handle_message(from, msg, now(), &mut transmit);
                 // Adopted batches may have advanced the frontier.
@@ -557,7 +498,10 @@ pub(crate) fn run<P: ReplicaPool>(
         messages_received,
         messages_sent,
         stale_timers_dropped,
-        sync_requests: catchup.sync_requests,
+        sync_requests: catchup
+            .machine
+            .as_ref()
+            .map_or(0, CatchUpState::requests_issued),
         sync_blocks_served,
         restart_recovery_ms: catchup.recovery_ms,
         wal_bytes,
@@ -575,6 +519,7 @@ mod tests {
     use banyan_core::builder::ClusterBuilder;
     use banyan_mempool::SharedMempool;
     use banyan_types::app::NullApp;
+    use banyan_types::message::SyncMsg;
     use std::io::Write;
 
     /// A sender that stalls 120 ms between a frame's header and its body

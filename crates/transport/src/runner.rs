@@ -9,13 +9,15 @@
 //!
 //! # Request dissemination
 //!
-//! [`run_replica_full`] attaches a [`SharedMempool`] to the wire path:
-//! inbound `DisseminationMsg::Forward`/`Announce` frames feed the pool (they never
-//! reach the engine — same contract as the simulator), locally pushed
-//! requests found in the pool's gossip outbox are broadcast to every
-//! peer, and each finalized block marks its batched request ids committed
-//! in the pool before the block reaches the [`App`] (the exactly-once
-//! dedup rule; see `banyan_mempool`).
+//! [`run_replica_full`] attaches a [`SharedMempool`] to the wire path
+//! through the same `banyan_mempool::ReplicaPool` operations the
+//! simulator uses: inbound `DisseminationMsg::Forward`/`Announce` frames
+//! feed the pool (they never reach the engine), the pool's queued gossip
+//! goes out on every pass — one `Forward` broadcast, or per-peer
+//! `Forward`/`Announce` sends with relaying when the pool has per-peer
+//! queues — and each finalized block is retired in the pool before it
+//! reaches the [`App`] (the exactly-once dedup rule; see
+//! `banyan_mempool`).
 //!
 //! # Crash recovery
 //!
@@ -95,11 +97,11 @@ pub struct TcpRestart {
 /// sending and accept every peer for receiving.
 ///
 /// With `pool` provided the request-dissemination layer is wired in:
-/// inbound `Forward` frames feed the pool, the pool's gossip outbox
-/// (requests pushed locally, e.g. by a client front-end thread) is
-/// broadcast to all peers, and commits mark their batched ids committed
-/// for exactly-once dedup. The engine's `MempoolSource` should share the
-/// same pool handle.
+/// inbound `Forward`/`Announce` frames feed the pool, the pool's queued
+/// gossip (requests pushed locally, e.g. by a client front-end thread,
+/// and relays if it has per-peer queues) goes out to its peers, and
+/// commits mark their batched ids committed for exactly-once dedup. The
+/// engine's `MempoolSource` should share the same pool handle.
 ///
 /// # Errors
 ///
@@ -221,14 +223,33 @@ mod tests {
         }
     }
 
+    /// Broadcast gossip, then per-peer queues with each replica fanning
+    /// out to its two ring successors — where replica 3 hears of a
+    /// request pushed at replica 0 only if replica 1 or 2 relays it.
     #[test]
     fn gossiped_requests_reach_every_pool_and_commit() {
+        for peer_queues in [false, true] {
+            gossiped_requests_reach_every_pool(peer_queues);
+        }
+    }
+
+    fn gossiped_requests_reach_every_pool(peer_queues: bool) {
         let _serial = crate::loopback_serial_lock();
         use banyan_mempool::{Mempool, MempoolSource, Request, WorkloadBatch};
         use banyan_types::time::Time as BTime;
+        use std::sync::{Arc, Mutex};
 
         let n = 4;
-        let pools: Vec<SharedMempool> = (0..n).map(|_| Mempool::shared_gossiping(1_024)).collect();
+        let pools: Vec<SharedMempool> = (0..n)
+            .map(|i| {
+                let pool = Mempool::new(1_024).with_gossip(true);
+                Arc::new(Mutex::new(if peer_queues {
+                    pool.with_peer_queues(&[(i + 1) % n, (i + 2) % n])
+                } else {
+                    pool
+                }))
+            })
+            .collect();
         let sources = pools.clone();
         let engines = ClusterBuilder::new(n, 1, 1)
             .unwrap()
@@ -271,13 +292,13 @@ mod tests {
         // batch before the Forward frame lands there; the pool then
         // refuses the copies as already-committed (`rejected_committed`)
         // — still proof the gossip path delivered. With speculation off,
-        // nothing but `accept_forwarded` touches these counters on a
+        // nothing but dissemination intake touches these counters on a
         // peer pool.
         for (i, pool) in pools.iter().enumerate().skip(1) {
             let p = pool.lock().unwrap();
             assert!(
                 p.forwarded_in() + p.rejected_committed() + p.duplicates() > 0,
-                "replica {i} never received a forwarded request"
+                "peer_queues={peer_queues}: replica {i} never received a forwarded request"
             );
         }
         // Every request commits, and the dedup layer marked it committed

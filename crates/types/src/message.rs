@@ -326,8 +326,8 @@ pub enum DisseminationMsg {
 
 impl DisseminationMsg {
     /// The requests this dissemination frame carries, whichever discipline
-    /// produced it. Drivers apply them to the receiving replica's pool via
-    /// `accept_forwarded`.
+    /// produced it. Drivers hand the whole frame to the receiving
+    /// replica's pool (`ReplicaPool::intake`).
     pub fn requests(&self) -> &[PendingRequest] {
         match self {
             DisseminationMsg::Forward { requests } => requests,
