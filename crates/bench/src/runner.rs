@@ -518,14 +518,27 @@ fn build_simulation_with(
     }
     // Workload: either the paper's leader-minted synthetic payloads, or
     // per-replica mempools fed by a client population (closed loop takes
-    // precedence over open loop). Gossiping pools queue local pushes for
-    // forwarding from the first (priming) submission on.
+    // precedence over open loop). Each pool is built in its final shape,
+    // so it gossips — down its fanout tree, if it has one — and leases
+    // from the first (priming) submission on.
+    let payload_chunk = builder.protocol_config().payload_chunk;
     let mempools: Option<Vec<SharedMempool>> = scenario.client_driven().then(|| {
         (0..n)
-            .map(|_| {
-                std::sync::Arc::new(std::sync::Mutex::new(
-                    Mempool::new(DEFAULT_MEMPOOL_CAPACITY).with_gossip(scenario.gossip),
-                ))
+            .map(|i| {
+                let mut pool = Mempool::new(DEFAULT_MEMPOOL_CAPACITY).with_gossip(scenario.gossip);
+                if scenario.fanout_tree > 0 {
+                    let peers =
+                        scenario
+                            .topology
+                            .fanout_peers(i, scenario.fanout_tree, scenario.seed);
+                    if !peers.is_empty() {
+                        pool = pool.with_peer_queues(&peers);
+                    }
+                }
+                if scenario.speculative {
+                    pool = pool.with_speculation(payload_chunk);
+                }
+                std::sync::Arc::new(std::sync::Mutex::new(pool))
             })
             .collect()
     });
@@ -547,7 +560,6 @@ fn build_simulation_with(
         "speculative drain needs a client workload"
     );
     let builder = cluster(builder);
-    let payload_chunk = builder.protocol_config().payload_chunk;
     let engines = builder.build(&scenario.protocol);
     let mut sim_config = SimConfig::with_seed(scenario.seed);
     if scenario.crypto != CryptoMode::Off {
@@ -610,12 +622,6 @@ fn build_simulation_with(
             // reach the pools to retire/release leases even when gossip,
             // retry and fan-out are all off.
             sim.enable_dissemination(scenario.gossip);
-        }
-        if scenario.fanout_tree > 0 {
-            sim.enable_fanout_tree(scenario.fanout_tree);
-        }
-        if scenario.speculative {
-            sim.enable_speculation(payload_chunk);
         }
     }
     if !scenario.faults.restarts().is_empty() {

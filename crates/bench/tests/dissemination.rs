@@ -213,6 +213,33 @@ fn fanout_tree_reaches_every_replica_at_half_the_gossip_bytes() {
     );
 }
 
+/// A pool has its tree from the moment it is built, so the window a
+/// closed-loop population primes at time zero rides it like every later
+/// submission. (Pools handed their per-peer queues after priming kept
+/// those first requests in the shared outbox, which a tree-mode flush
+/// never reads: they were not gossiped at all.)
+#[test]
+fn primed_requests_ride_the_fanout_tree() {
+    // Think time past the end of the run: the primed window is all the
+    // load there is.
+    let scenario = Scenario::new(
+        "banyan",
+        Topology::uniform(8, Duration::from_millis(5)).with_egress_bps(100_000_000),
+        2,
+        1,
+    )
+    .closed_loop(16, 2, Duration::from_secs(60))
+    .request_size(512)
+    .secs(1)
+    .seed(42)
+    .fanout_tree(2);
+    let (m, auditor) = run_metrics(&scenario);
+    assert!(auditor.is_safe());
+    assert_eq!(m.requests_submitted, 32, "16 clients x window 2, primed");
+    assert!(m.gossip_bytes > 0, "the primed window must be gossiped");
+    assert_eq!(m.requests_completed, m.requests_submitted);
+}
+
 /// A cohort-aggregated population riding the fanout tree is still
 /// bit-deterministic per seed — the tentpole pair composes without
 /// breaking the simulator's reproducibility contract.

@@ -300,7 +300,8 @@ proptest! {
                     }
                 }
                 // Speculative drain into a new own block on a *certified*
-                // parent (unlinked provenance), excluding live leases.
+                // parent (recorded as genesis: nobody leases it, so the
+                // conflict release never fires), excluding live leases.
                 1 => {
                     let ancestors: Vec<BlockHash> =
                         model.leases.iter().map(|l| l.block).collect();
@@ -321,7 +322,7 @@ proptest! {
                         blocks += 1;
                         let hash = block_hash(blocks);
                         let ids: Vec<u64> = out.iter().map(|r| r.id).collect();
-                        pool.observe_block(hash, Round(round), out);
+                        pool.observe_block(hash, Round(round), BlockHash::ZERO, out);
                         for id in &ids {
                             model.pending.remove(id);
                         }
@@ -333,7 +334,7 @@ proptest! {
                         });
                     }
                 }
-                // Observe a peer's (unlinked) block carrying pending ids;
+                // Observe a peer's block (genesis parent) carrying pending ids;
                 // the pending copies stay in the queue.
                 2 => {
                     let mut ids: Vec<u64> = model.pending.iter().copied().collect();
@@ -346,6 +347,7 @@ proptest! {
                         pool.observe_block(
                             hash,
                             Round(round),
+                            BlockHash::ZERO,
                             ids.iter().map(|&id| req(id)).collect(),
                         );
                         model.leases.push(ModelLease {
@@ -357,8 +359,8 @@ proptest! {
                     }
                 }
                 // Drain an *optimistic* own block extending a live lease's
-                // still-uncertified block: provenance links it to the
-                // parent, one round above it.
+                // still-uncertified block: the lease names that parent,
+                // one round above it.
                 3 => {
                     if !model.leases.is_empty() {
                         let (parent_block, parent_round) = {
@@ -383,7 +385,7 @@ proptest! {
                             blocks += 1;
                             let hash = block_hash(blocks);
                             let ids: Vec<u64> = out.iter().map(|r| r.id).collect();
-                            pool.observe_linked(
+                            pool.observe_block(
                                 hash,
                                 Round(parent_round + 1),
                                 parent_block,

@@ -1,53 +1,40 @@
-//! The lock-split concurrent pool: send-only channel ingest and a
-//! separately-locked lease coordinator over one pending FIFO.
+//! The concurrent pool: a bounded, send-only ingest channel in front of
+//! the one [`Mempool`] mutex.
 //!
 //! [`SharedMempool`](crate::SharedMempool) serializes *every* operation —
-//! client push, gossip accept, lease bookkeeping, speculative drain — on
-//! one mutex. [`ConcurrentPool`] keeps the same single [`Mempool`] behind
-//! one lock and takes two kinds of work off it, which is all the
-//! parallelism there is:
+//! client push, gossip accept, lease bookkeeping, drain — on one mutex.
+//! [`ConcurrentPool`] is the same [`Mempool`] behind the same kind of
+//! mutex and takes exactly one kind of work off it: **ingest**. Pushes
+//! and gossip accepts go through a bounded MPMC channel
+//! (`crossbeam::channel`); the hot path is a single `try_send` by a
+//! cloneable [`PoolIngest`] handle — no lock, no waiting, from any number
+//! of reader/verify threads at once. Whichever thread next takes the pool
+//! lock, for any operation, first applies everything queued, in channel
+//! order — so an operation never overtakes ingest queued before it. A
+//! full channel sheds the request (counted in
+//! [`ingest_dropped`](ConcurrentPool::ingest_dropped)) — clients retry,
+//! so a shed ingest is a delayed request, never a lost one, exactly like
+//! a gossip-outbox drop.
 //!
-//! * **Ingest** — pushes and gossip accepts go through a bounded MPMC
-//!   channel (`crossbeam::channel`). The hot path is a single `try_send`
-//!   by a cloneable [`PoolIngest`] handle: no lock, no waiting, from any
-//!   number of reader/verify threads at once. Queued operations are
-//!   applied to the pending queue by whichever thread next reaches a
-//!   drain or observation point ([`ConcurrentPool::sync_ingest`], called
-//!   internally by every consumer-side entry point), under the pending
-//!   lock. A full channel sheds the request (counted in
-//!   [`ingest_dropped`](ConcurrentPool::ingest_dropped)) — clients
-//!   retry, so a shed ingest is a delayed request, never a lost one,
-//!   exactly like a gossip-outbox drop.
-//! * **Lease coordination** — `observe_proposal` / `mark_committed_block`
-//!   / `release` operate on a [`LeaseTable`](crate::LeaseTable) behind its
-//!   own small mutex, and block decoding and hashing happen outside any
-//!   lock, so the verify workers' lease observations never wait on a
-//!   drain (or on each other's decode).
+//! Everything else — leases, retirement, drains, gossip — is
+//! [`Mempool`]'s, reached through [`ReplicaPool`]. The staged replica's
+//! verify workers still decode batches and hash blocks outside the lock
+//! and hand the result to [`ConcurrentPool::observe_decoded`].
 //!
-//! The **pending queue** itself — the [`Mempool`]'s one FIFO — is touched
-//! only under the pending lock, by drains, ingest application and commit
-//! tombstoning: one thread at a time, so its order is a single FIFO's.
-//!
-//! Lock order is always **coordinator → pending** (never both the other
-//! way), so the two can't deadlock. Determinism note: the simulator keeps
-//! using the plain [`SharedMempool`](crate::SharedMempool) — its whole
-//! point is a single deterministic event order. `ConcurrentPool` is for
-//! the real-threads TCP pipeline, where the channel hand-off trades a
-//! bounded reordering window (ingest lands at the next sync point) for
-//! lock-free submission.
+//! Determinism note: the simulator keeps using the plain
+//! [`SharedMempool`](crate::SharedMempool) — its whole point is a single
+//! deterministic event order. `ConcurrentPool` is for the real-threads TCP
+//! pipeline, where the channel hand-off trades a bounded reordering
+//! window (ingest lands at the next lock) for lock-free submission.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use banyan_types::app::ProposalContext;
-use banyan_types::block::Block;
-use banyan_types::engine::Outbound;
 use banyan_types::ids::{BlockHash, ReplicaId, Round};
-use banyan_types::message::DisseminationMsg;
 
 use crossbeam::channel;
 
-use crate::{BatchPolicy, Mempool, PoolSource, ReplicaPool, Request, WorkloadBatch};
+use crate::{Mempool, PoolSource, ReplicaPool, Request};
 
 /// Default bound on the ingest channel (queued pushes + gossip accepts).
 pub const DEFAULT_INGEST_CAP: usize = 65_536;
@@ -57,14 +44,14 @@ enum IngestOp {
     /// A locally submitted request ([`Mempool::push`] semantics: gossips
     /// if the pool gossips).
     Push(Request),
-    /// A request gossiped by the named peer ([`Mempool::accept_from`]
+    /// A request gossiped by the named peer ([`Mempool::intake`]
     /// semantics: relayed onward only down per-peer queues).
     Forward(ReplicaId, Request),
 }
 
 /// The cloneable, send-only ingest handle: what reader/verify threads
 /// hold. A send is one `try_send` on the bounded MPMC channel — the
-/// caller never touches the pending lock.
+/// caller never touches the pool lock.
 #[derive(Clone)]
 pub struct PoolIngest {
     tx: channel::Sender<IngestOp>,
@@ -95,22 +82,10 @@ impl PoolIngest {
     }
 }
 
-/// Lease state guarded separately from the pending queue, so lease
-/// observation never waits on a drain.
-#[derive(Debug, Default)]
-struct LeaseCoordinator {
-    /// `Some(payload_chunk)` when speculation is on (parameterizes block
-    /// hashing in observation).
-    speculation: Option<usize>,
-    leases: crate::LeaseTable,
-}
-
-/// A [`Mempool`] behind its pending lock, fed by a bounded MPMC ingest
-/// channel and steered by a separately-locked lease coordinator. See the
-/// module docs for the locking story.
+/// A [`Mempool`] behind its lock, fed by a bounded MPMC ingest channel.
+/// See the module docs.
 pub struct ConcurrentPool {
     pending: Mutex<Mempool>,
-    coordinator: Mutex<LeaseCoordinator>,
     ingest_tx: channel::Sender<IngestOp>,
     ingest_rx: channel::Receiver<IngestOp>,
     ingest_dropped: Arc<AtomicU64>,
@@ -120,22 +95,12 @@ pub struct ConcurrentPool {
 pub type SharedConcurrentPool = Arc<ConcurrentPool>;
 
 impl ConcurrentPool {
-    /// Wraps `pool` with an ingest channel of capacity `ingest_cap`.
-    /// Speculation configured on `pool` migrates to the coordinator: the
-    /// lease table lives there, not behind the pending lock.
+    /// Wraps `pool`, as built, with an ingest channel of capacity
+    /// `ingest_cap`.
     pub fn new(pool: Mempool, ingest_cap: usize) -> SharedConcurrentPool {
-        let mut pool = pool;
-        let speculation = pool.speculation_chunk();
-        // The inner pool's own lease machinery stays off — exclusions
-        // are computed by the coordinator and passed into the drain core.
-        pool.set_speculation(None);
         let (ingest_tx, ingest_rx) = channel::bounded(ingest_cap.max(1));
         Arc::new(ConcurrentPool {
             pending: Mutex::new(pool),
-            coordinator: Mutex::new(LeaseCoordinator {
-                speculation,
-                leases: crate::LeaseTable::new(),
-            }),
             ingest_tx,
             ingest_rx,
             ingest_dropped: Arc::new(AtomicU64::new(0)),
@@ -156,18 +121,17 @@ impl ConcurrentPool {
         self.ingest_dropped.load(Ordering::Relaxed)
     }
 
-    /// Applies every queued ingest operation to the pending queue and
-    /// returns how many were applied. Called internally at each drain /
-    /// observation point; exposed for drivers that want an explicit sync
-    /// (e.g. before reading [`len`](Self::len) in a test).
+    /// Applies every queued ingest operation to the pool and returns how
+    /// many were applied. Every [`ReplicaPool`] operation does this
+    /// first; exposed for callers that read the pool through
+    /// [`pool`](Self::pool) (metrics, tests).
     pub fn sync_ingest(&self) -> usize {
-        let mut pool = self.pending.lock().expect("pending lock");
-        Self::apply_ingest(&self.ingest_rx, &mut pool)
+        self.apply_ingest(&mut self.pool())
     }
 
-    fn apply_ingest(rx: &channel::Receiver<IngestOp>, pool: &mut Mempool) -> usize {
+    fn apply_ingest(&self, pool: &mut Mempool) -> usize {
         let mut applied = 0;
-        for op in rx.try_iter() {
+        for op in self.ingest_rx.try_iter() {
             match op {
                 IngestOp::Push(req) => {
                     pool.push(req);
@@ -179,14 +143,18 @@ impl ConcurrentPool {
         applied
     }
 
+    /// The pool lock, taken with every queued ingest operation applied.
+    fn synced(&self) -> MutexGuard<'_, Mempool> {
+        let mut pool = self.pool();
+        self.apply_ingest(&mut pool);
+        pool
+    }
+
     /// Records a lease for a block whose batch was already decoded and
     /// whose hash was already computed — the staged pipeline's verify
-    /// workers do both outside any lock and call this, so the decode and
-    /// the commitment walk are never repeated under the coordinator.
-    /// No-op (returns `false`) when speculation is off or the batch is
-    /// empty; idempotent per block like
-    /// [`observe_proposal`](ReplicaPool::observe_proposal). `parent` links the
-    /// lease for the eager certificate-conflict release.
+    /// workers do both outside the lock and call this, so the decode and
+    /// the commitment walk are never repeated under it. A delegation to
+    /// [`Mempool::observe_block`].
     pub fn observe_decoded(
         &self,
         block: BlockHash,
@@ -194,51 +162,12 @@ impl ConcurrentPool {
         parent: BlockHash,
         requests: Vec<Request>,
     ) -> bool {
-        if requests.is_empty() {
-            return false;
-        }
-        let mut coordinator = self.coordinator.lock().expect("coordinator lock");
-        if coordinator.speculation.is_none() {
-            return false;
-        }
-        coordinator.leases.observe_with_provenance(
-            block,
-            round,
-            requests,
-            crate::LeaseProvenance::Optimistic { parent },
-        )
-    }
-
-    /// Fork abandonment (see [`Mempool::release`]): returns how many
-    /// requests re-entered the pending queue.
-    pub fn release(&self, block: BlockHash) -> usize {
-        let Some(requests) = self
-            .coordinator
-            .lock()
-            .expect("coordinator lock")
-            .leases
-            .remove(&block)
-        else {
-            return 0;
-        };
-        let mut pool = self.pending.lock().expect("pending lock");
-        pool.reinsert_all(requests)
-    }
-
-    /// Number of live leases in the coordinator.
-    pub fn live_leases(&self) -> usize {
-        self.coordinator
-            .lock()
-            .expect("coordinator lock")
-            .leases
-            .len()
+        self.synced().observe_block(block, round, parent, requests)
     }
 
     /// Live pending requests (after applying queued ingest).
     pub fn len(&self) -> usize {
-        let mut pool = self.pending.lock().expect("pending lock");
-        Self::apply_ingest(&self.ingest_rx, &mut pool);
-        pool.len()
+        self.synced().len()
     }
 
     /// True when nothing is pending and nothing is queued for ingest.
@@ -246,7 +175,7 @@ impl ConcurrentPool {
         self.len() == 0
     }
 
-    /// Direct access to the pending pool (metrics, post-run inspection).
+    /// Direct access to the pool (metrics, post-run inspection).
     /// Queued ingest is *not* applied; call
     /// [`sync_ingest`](Self::sync_ingest) first when it matters.
     ///
@@ -258,87 +187,9 @@ impl ConcurrentPool {
     }
 }
 
-/// The replica seam over the lock-split pool: each method takes only the
-/// lock(s) it needs, in **coordinator → pending** order.
 impl ReplicaPool for SharedConcurrentPool {
-    /// Flushes queued gossip (applies queued ingest first, so freshly
-    /// pushed requests go out without waiting for a drain point).
-    fn flush(&self, emit: &mut impl FnMut(Outbound)) {
-        let mut pool = self.pending.lock().expect("pending lock");
-        ConcurrentPool::apply_ingest(&self.ingest_rx, &mut pool);
-        pool.flush(emit);
-    }
-
-    /// Applies one inbound dissemination frame straight to the pending
-    /// queue. Only the inline event loop gets here; the staged replica's
-    /// verify workers feed [`PoolIngest::forward`], which lands in the
-    /// same accept-and-relay rule.
-    fn intake(&self, from: ReplicaId, msg: DisseminationMsg) {
-        self.pending.lock().expect("pending lock").intake(from, msg);
-    }
-
-    /// Observes one block crossing the wire (see
-    /// [`Mempool::observe_proposal`]): decodes and hashes outside any
-    /// lock, then records the lease through
-    /// [`observe_decoded`](ConcurrentPool::observe_decoded).
-    fn observe_proposal(&self, block: &Block) -> bool {
-        let chunk = {
-            let coordinator = self.coordinator.lock().expect("coordinator lock");
-            match coordinator.speculation {
-                Some(chunk) => chunk,
-                None => return false,
-            }
-        };
-        let Some(batch) = WorkloadBatch::decode(&block.payload) else {
-            return false;
-        };
-        self.observe_decoded(block.hash(chunk), block.round, block.parent, batch.requests)
-    }
-
-    /// Commit-side retirement (see [`Mempool::mark_committed_block`]):
-    /// lease removal and release collection happen under the coordinator
-    /// lock; tombstoning and re-pending under the pending lock — in that
-    /// order, never interleaved the other way.
-    fn mark_committed_block(&self, block: BlockHash, round: Round, requests: &[Request]) {
-        let released = {
-            let mut coordinator = self.coordinator.lock().expect("coordinator lock");
-            // The committed block's own lease is fulfilled, not released.
-            coordinator.leases.remove(&block);
-            // Dead-fork children first (their losing parents' live leases
-            // pin the parent rounds), then the round sweep; re-pend in
-            // ascending round order to match `Mempool`.
-            let conflicting = coordinator.leases.take_conflicting(round, &block);
-            let mut released = coordinator.leases.take_at_or_below(round);
-            released.extend(conflicting);
-            released
-        };
-        let mut pool = self.pending.lock().expect("pending lock");
-        ConcurrentPool::apply_ingest(&self.ingest_rx, &mut pool);
-        for req in requests {
-            pool.mark_committed(req.id);
-        }
-        for requests in released {
-            pool.reinsert_all(requests);
-        }
-    }
-
-    /// Drains the next batch: applies queued ingest, computes the
-    /// ancestor-exclusion set under the coordinator lock, then runs the
-    /// shared bounded-drain core under the pending lock.
-    fn next_batch(
-        &self,
-        max_records: usize,
-        max_bytes: u64,
-        ctx: &ProposalContext,
-        policy: &BatchPolicy,
-    ) -> Vec<Request> {
-        let excluded = {
-            let coordinator = self.coordinator.lock().expect("coordinator lock");
-            coordinator.leases.exclusions(&ctx.ancestors)
-        };
-        let mut pool = self.pending.lock().expect("pending lock");
-        ConcurrentPool::apply_ingest(&self.ingest_rx, &mut pool);
-        pool.drain_core(max_records, max_bytes, &excluded, policy, ctx.now)
+    fn with_pool<R>(&self, f: impl FnOnce(&mut Mempool) -> R) -> R {
+        f(&mut self.synced())
     }
 }
 
@@ -351,15 +202,16 @@ impl std::fmt::Debug for ConcurrentPool {
     }
 }
 
-/// The [`PoolSource`] over a [`SharedConcurrentPool`] — the lock-split
-/// counterpart of [`MempoolSource`](crate::MempoolSource), same bounds and
-/// batch policy.
+/// The [`PoolSource`] over a [`SharedConcurrentPool`] — the
+/// channel-fronted counterpart of [`MempoolSource`](crate::MempoolSource),
+/// same bounds and batch policy.
 pub type ConcurrentMempoolSource = PoolSource<SharedConcurrentPool>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use banyan_types::app::ProposalSource;
+    use crate::{BatchPolicy, WorkloadBatch};
+    use banyan_types::app::{ProposalContext, ProposalSource};
     use banyan_types::block::Block;
     use banyan_types::time::Time;
 
@@ -413,7 +265,7 @@ mod tests {
             ingest.push(req(id, id));
         }
         pool.sync_ingest();
-        // Lease {1,2} to an ancestor block via the coordinator.
+        // Lease {1,2} to an ancestor block.
         let batch = WorkloadBatch {
             requests: vec![req(1, 1), req(2, 2)],
         };
@@ -429,7 +281,7 @@ mod tests {
             signature: Signature::zero(),
         };
         assert!(pool.observe_proposal(&block));
-        assert_eq!(pool.live_leases(), 1);
+        assert_eq!(pool.pool().live_leases(), 1);
         let ctx = ProposalContext {
             round: Round(4),
             now: Time(5),
@@ -445,7 +297,7 @@ mod tests {
         // Commit a competing block at the same round: the lease releases
         // {1,2} back into the pending queue.
         pool.mark_committed_block(hash(0xB), Round(3), &[req(9, 9)]);
-        assert_eq!(pool.live_leases(), 0);
+        assert_eq!(pool.pool().live_leases(), 0);
         let back = pool.next_batch(
             10,
             u64::MAX,
@@ -469,18 +321,5 @@ mod tests {
             batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(),
             [1, 2, 3]
         );
-    }
-
-    #[test]
-    fn release_reinserts_through_the_pending_lock() {
-        let pool = ConcurrentPool::new(Mempool::new(100).with_speculation(1024), 64);
-        let mut coordinator = pool.coordinator.lock().unwrap();
-        coordinator
-            .leases
-            .observe(hash(0xA), Round(2), vec![req(7, 7), req(8, 8)]);
-        drop(coordinator);
-        assert_eq!(pool.release(hash(0xA)), 2);
-        assert_eq!(pool.release(hash(0xA)), 0, "idempotent");
-        assert_eq!(pool.len(), 2);
     }
 }

@@ -57,9 +57,12 @@
 //! eligible backlog reaches a byte target or its oldest request reaches an
 //! age target — trading a bounded wait for fuller blocks.
 //!
-//! Everything defaults **off**: with speculation disabled and the
-//! [`BatchPolicy::EAGER`] policy, drains are bit-identical to the
-//! historical blind FIFO drain.
+//! A pool's shape is stated once, where it is built —
+//! `Mempool::new(cap)` then any of [`with_gossip`](Mempool::with_gossip),
+//! [`with_peer_queues`](Mempool::with_peer_queues),
+//! [`with_speculation`](Mempool::with_speculation) — and a pool built
+//! with none of them, drained under [`BatchPolicy::EAGER`], is the
+//! historical blind FIFO bit for bit.
 //!
 //! The gossip traffic itself travels as
 //! [`banyan_types::message::DisseminationMsg`] frames, and the pool
@@ -79,7 +82,10 @@
 //! ([`Mempool::flush`]), **intake** ([`Mempool::intake`]), **lease
 //! observation** ([`ReplicaPool::observe_outbound`] /
 //! [`ReplicaPool::observe_inbound`]) and **commit retirement**
-//! ([`ReplicaPool::retire`]).
+//! ([`ReplicaPool::retire`]). A handle is a lock around the one
+//! [`Mempool`] and nothing else: [`SharedMempool`] is the bare mutex,
+//! [`SharedConcurrentPool`] the same mutex behind a bounded ingest
+//! channel that is emptied into the pool before every operation.
 //!
 //! # The exactly-once dedup rule
 //!
@@ -110,7 +116,6 @@ mod lease;
 pub use concurrent::{
     ConcurrentMempoolSource, ConcurrentPool, PoolIngest, SharedConcurrentPool, DEFAULT_INGEST_CAP,
 };
-pub use lease::{LeaseProvenance, LeaseTable};
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -125,6 +130,8 @@ use banyan_types::payload::Payload;
 use banyan_types::time::{Duration, Time};
 
 pub use banyan_types::message::PendingRequest as Request;
+
+use lease::LeaseTable;
 
 /// Magic prefix identifying a [`WorkloadBatch`] payload.
 const BATCH_MAGIC: &[u8; 8] = b"BanyanWB";
@@ -266,7 +273,7 @@ pub struct Mempool {
     /// (the chunk size parameterizes block hashing in
     /// [`observe_proposal`](Self::observe_proposal)).
     speculation: Option<usize>,
-    /// Live leases (see [`LeaseTable`]).
+    /// Live leases: `block → the requests it carries`.
     leases: LeaseTable,
     accepted: u64,
     evicted: u64,
@@ -292,8 +299,6 @@ struct PeerQueue {
     /// [`Mempool::take_peer_outbox`], restored by
     /// [`Mempool::grant_peer_credit`] once the driver confirms delivery.
     credit: u32,
-    /// Entries shed by this queue's bound so far.
-    sheds: u64,
 }
 
 impl PeerQueue {
@@ -303,7 +308,6 @@ impl PeerQueue {
         self.queue.push_back(entry);
         if self.queue.len() > cap {
             self.queue.pop_front();
-            self.sheds += 1;
             return true;
         }
         false
@@ -358,57 +362,29 @@ impl Mempool {
         self.gossip = on;
     }
 
-    /// Builder-style: overrides the gossip outbox bound (default
-    /// [`DEFAULT_OUTBOX_CAP`]).
+    /// Builder-style: switches gossip into **propagation-limited** mode:
+    /// one bounded ([`DEFAULT_PEER_QUEUE_CAP`]), credit-gated
+    /// ([`DEFAULT_PEER_CREDIT`]) relay queue per fanout peer (`peers` are
+    /// replica indices — typically `Topology::fanout_peers`). Locally
+    /// pushed requests go to every peer queue instead of the shared
+    /// outbox, and [`intake`](Self::intake) relays first-time peer
+    /// acceptances onward. Implies gossip.
     ///
     /// # Panics
     ///
-    /// Panics if `cap` is zero.
-    pub fn with_outbox_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "outbox cap must be positive");
-        self.outbox_cap = cap;
-        self
-    }
-
-    /// Switches gossip into **propagation-limited** mode: one bounded,
-    /// credit-gated relay queue per fanout peer (`peers` are replica
-    /// indices — typically `Topology::fanout_peers`). Locally pushed
-    /// requests go to every peer queue instead of the shared outbox, and
-    /// [`intake`](Self::intake) relays first-time peer acceptances
-    /// onward. Implies gossip. Any previously queued per-peer entries are
-    /// discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peers` is empty, or if `cap`/`credit` is zero.
-    pub fn set_peer_queues(&mut self, peers: &[usize], cap: usize, credit: u32) {
+    /// Panics if `peers` is empty.
+    pub fn with_peer_queues(mut self, peers: &[usize]) -> Self {
         assert!(!peers.is_empty(), "at least one fanout peer");
-        assert!(cap > 0, "peer queue cap must be positive");
-        assert!(credit > 0, "peer credit must be positive");
         self.gossip = true;
-        self.peer_queue_cap = cap;
-        self.peer_credit_max = credit;
         self.peer_queues = peers
             .iter()
             .map(|&peer| PeerQueue {
                 peer,
                 queue: VecDeque::new(),
-                credit,
-                sheds: 0,
+                credit: self.peer_credit_max,
             })
             .collect();
-    }
-
-    /// Builder-style [`set_peer_queues`](Self::set_peer_queues) with the
-    /// default cap and credit.
-    pub fn with_peer_queues(mut self, peers: &[usize]) -> Self {
-        self.set_peer_queues(peers, DEFAULT_PEER_QUEUE_CAP, DEFAULT_PEER_CREDIT);
         self
-    }
-
-    /// True when per-peer relay queues are configured.
-    pub fn peer_queues_enabled(&self) -> bool {
-        !self.peer_queues.is_empty()
     }
 
     /// Builder-style: enables the speculative lease machinery.
@@ -416,25 +392,8 @@ impl Mempool {
     /// `ProtocolConfig::payload_chunk` so observed blocks hash to the same
     /// ids the engines use.
     pub fn with_speculation(mut self, payload_chunk: usize) -> Self {
-        self.set_speculation(Some(payload_chunk));
+        self.speculation = Some(payload_chunk);
         self
-    }
-
-    /// Enables (`Some(payload_chunk)`) or disables (`None`) the
-    /// speculative lease machinery in place — the shared-handle
-    /// counterpart of [`with_speculation`](Self::with_speculation).
-    pub fn set_speculation(&mut self, payload_chunk: Option<usize>) {
-        self.speculation = payload_chunk;
-    }
-
-    /// True when the speculative lease machinery is enabled.
-    pub fn speculation_enabled(&self) -> bool {
-        self.speculation.is_some()
-    }
-
-    /// The configured speculation payload-chunk size, when enabled.
-    pub fn speculation_chunk(&self) -> Option<usize> {
-        self.speculation
     }
 
     /// A new mempool behind the `Arc<Mutex<_>>` the driver and the
@@ -464,7 +423,7 @@ impl Mempool {
                 PushOutcome::Accepted | PushOutcome::AcceptedEvicting(_)
             )
         {
-            if self.peer_queues_enabled() {
+            if !self.peer_queues.is_empty() {
                 // Propagation-limited mode: first hop goes to each fanout
                 // peer's own queue (bodies, shipped as `Forward`). A full
                 // queue sheds only itself.
@@ -579,48 +538,27 @@ impl Mempool {
             return false;
         };
         let hash = block.hash(payload_chunk);
-        self.leases.observe_with_provenance(
-            hash,
-            block.round,
-            batch.requests,
-            LeaseProvenance::Optimistic {
-                parent: block.parent,
-            },
-        )
+        self.observe_block(hash, block.round, block.parent, batch.requests)
     }
 
-    /// Records a lease directly: `block` (of `round`) carries `requests`.
-    /// The decoded form of [`observe_proposal`](Self::observe_proposal),
-    /// exposed for drivers that already hold the batch and for tests.
-    /// Recorded [unlinked](LeaseProvenance::Unlinked) — use
-    /// [`observe_linked`](Self::observe_linked) when the parent is known.
-    /// Idempotent per block id; returns `true` when newly recorded.
+    /// The one lease-observe entry: `block` (of `round`, extending
+    /// `parent`) carries `requests`. The decoded form of
+    /// [`observe_proposal`](Self::observe_proposal), for callers that
+    /// already hold the batch and the block id (the staged replica's
+    /// verify workers, tests). The parent is what enables the eager
+    /// certificate-conflict release of
+    /// [`mark_committed_block`](Self::mark_committed_block); a parent
+    /// nobody leased (genesis included) never triggers it. A no-op unless
+    /// the pool speculates; idempotent per block id; returns `true` when
+    /// newly recorded.
     pub fn observe_block(
-        &mut self,
-        block: BlockHash,
-        round: Round,
-        requests: Vec<Request>,
-    ) -> bool {
-        self.leases.observe(block, round, requests)
-    }
-
-    /// [`observe_block`](Self::observe_block) with
-    /// [`Optimistic`](LeaseProvenance::Optimistic) parent provenance,
-    /// enabling the eager certificate-conflict release of
-    /// [`mark_committed_block`](Self::mark_committed_block).
-    pub fn observe_linked(
         &mut self,
         block: BlockHash,
         round: Round,
         parent: BlockHash,
         requests: Vec<Request>,
     ) -> bool {
-        self.leases.observe_with_provenance(
-            block,
-            round,
-            requests,
-            LeaseProvenance::Optimistic { parent },
-        )
+        self.speculation.is_some() && self.leases.observe(block, round, parent, requests)
     }
 
     /// Commit-side lease retirement: marks every request of the committed
@@ -631,11 +569,11 @@ impl Mempool {
     /// queue with their original id and submit timestamp.
     ///
     /// It also releases **eagerly on certificate-conflict**: a round-
-    /// `round + 1` lease whose [`Optimistic`](LeaseProvenance::Optimistic)
-    /// parent is a round-≤-`round` block other than `block` extends a
-    /// fork this commit just killed, yet sits *above* the release
-    /// horizon — without the eager sweep its requests would strand until
-    /// the next commit (the fork-abandonment blind spot).
+    /// `round + 1` lease whose parent is a leased round-≤-`round` block
+    /// other than `block` extends a fork this commit just killed, yet
+    /// sits *above* the release horizon — without the eager sweep its
+    /// requests would strand until the next commit (the fork-abandonment
+    /// blind spot).
     ///
     /// With speculation off this reduces to per-id `mark_committed`
     /// calls, preserving the historical commit path bit-for-bit.
@@ -679,7 +617,7 @@ impl Mempool {
 
     /// Re-pends released requests: committed ids and ids already pending
     /// are skipped; the rest append in their original batch order.
-    pub(crate) fn reinsert_all(&mut self, requests: Vec<Request>) -> usize {
+    fn reinsert_all(&mut self, requests: Vec<Request>) -> usize {
         let mut reinserted = 0;
         for req in requests {
             if matches!(
@@ -838,9 +776,8 @@ impl Mempool {
         }
     }
 
-    /// [`intake`](Self::intake) of one request — also where the staged
-    /// replica's ingest hand-off lands.
-    pub(crate) fn accept_from(&mut self, from: ReplicaId, req: Request) {
+    /// [`intake`](Self::intake) of one request.
+    fn accept_from(&mut self, from: ReplicaId, req: Request) {
         if matches!(
             self.accept_forwarded(req),
             PushOutcome::Accepted | PushOutcome::AcceptedEvicting(_)
@@ -849,37 +786,33 @@ impl Mempool {
         }
     }
 
-    /// Removes and returns up to `max` requests, oldest first.
+    /// Removes and returns up to `max` requests, oldest first: the blind
+    /// FIFO drain, i.e. [`drain_speculative`](Self::drain_speculative)
+    /// with no byte cap, a genesis-rooted context and the
+    /// [`BatchPolicy::EAGER`] policy.
     pub fn drain(&mut self, max: usize) -> Vec<Request> {
-        self.drain_bounded(max, u64::MAX)
-    }
-
-    /// Removes and returns requests, oldest first, stopping before
-    /// `max_records` is exceeded and before the *nominal* byte total
-    /// (the sum of [`Request::size`]) would exceed `max_bytes`. When
-    /// `max_records > 0`, at least one request is taken when any is
-    /// pending — a single oversized request still ships rather than
-    /// wedging the pool ([`MempoolSource`] rejects a zero record cap at
-    /// construction for the same reason). Tombstones of committed ids are
-    /// discarded along the way, never returned.
-    ///
-    /// Equivalent to [`drain_speculative`](Self::drain_speculative) with
-    /// a genesis-rooted context and the [`BatchPolicy::EAGER`] policy.
-    pub fn drain_bounded(&mut self, max_records: usize, max_bytes: u64) -> Vec<Request> {
         self.drain_speculative(
-            max_records,
-            max_bytes,
+            max,
+            u64::MAX,
             &ProposalContext::root(Round(0), Time::ZERO),
             &BatchPolicy::EAGER,
         )
     }
 
-    /// The ancestor-aware drain: like
-    /// [`drain_bounded`](Self::drain_bounded), but every pending request
-    /// whose id is
+    /// The drain: removes and returns requests, oldest first, stopping
+    /// before `max_records` is exceeded and before the *nominal* byte
+    /// total (the sum of [`Request::size`]) would exceed `max_bytes`.
+    /// When `max_records > 0`, at least one request is taken when any is
+    /// eligible — a single oversized request still ships rather than
+    /// wedging the pool ([`MempoolSource`] rejects a zero record cap at
+    /// construction for the same reason). Tombstones of committed ids are
+    /// discarded along the way, never returned.
+    ///
+    /// It is ancestor-aware: every pending request whose id is
     /// leased to a block of `ctx.ancestors` — the uncommitted chain the
     /// proposal extends, per [`observe_proposal`](Self::observe_proposal)
-    /// — is *skipped, not consumed*: its pending copy keeps its FIFO
+    /// — is *skipped, not consumed*: it is set aside and restored to the
+    /// queue front in original order, so its pending copy keeps its FIFO
     /// position, available to a competing fork's leader and recoverable
     /// if the ancestor is abandoned. (Engines must report the ancestor
     /// chain down to the newest commit the *driver has routed*, i.e. as
@@ -899,28 +832,7 @@ impl Mempool {
         policy: &BatchPolicy,
     ) -> Vec<Request> {
         let excluded = self.leases.exclusions(&ctx.ancestors);
-        self.drain_core(max_records, max_bytes, &excluded, policy, ctx.now)
-    }
-
-    /// The single bounded-drain core every public drain routes through
-    /// ([`drain`](Self::drain) → [`drain_bounded`](Self::drain_bounded) →
-    /// [`drain_speculative`](Self::drain_speculative) → here), so the
-    /// record-cap, byte-cap and policy logic cannot drift between them.
-    /// The lock-split [`ConcurrentPool`] calls it directly with an
-    /// exclusion set computed by its separately-guarded coordinator.
-    ///
-    /// Tombstones are discarded as encountered; excluded
-    /// (ancestor-leased) requests are set aside and restored to the queue
-    /// front in original order, keeping their FIFO slots.
-    pub(crate) fn drain_core(
-        &mut self,
-        max_records: usize,
-        max_bytes: u64,
-        excluded: &HashSet<u64>,
-        policy: &BatchPolicy,
-        now: Time,
-    ) -> Vec<Request> {
-        match self.batch_ready(excluded, policy, now) {
+        match self.batch_ready(&excluded, policy, ctx.now) {
             BatchReady::Build => {}
             BatchReady::Idle => return Vec::new(),
             BatchReady::Defer => {
@@ -1157,7 +1069,7 @@ impl WorkloadBatch {
 /// empty payload (the chain keeps moving; blocks just carry no work).
 ///
 /// Each batch is bounded two ways: at most `max_batch` request records
-/// *and* at most [`max_bytes`](Self::with_max_bytes) nominal bytes (the
+/// *and* at most [`DEFAULT_MAX_BATCH_BYTES`] nominal bytes (the
 /// sum of request sizes — what the bandwidth model will charge for the
 /// block). Without the byte bound, large requests would let the record
 /// cap admit multi-gigabyte blocks.
@@ -1204,12 +1116,6 @@ impl<P: ReplicaPool> PoolSource<P> {
         }
     }
 
-    /// Overrides the nominal byte bound per batch.
-    pub fn with_max_bytes(mut self, max_bytes: u64) -> Self {
-        self.max_bytes = max_bytes;
-        self
-    }
-
     /// Installs a latency-targeted [`BatchPolicy`] (default
     /// [`BatchPolicy::EAGER`], which never defers).
     pub fn with_batch_policy(mut self, policy: BatchPolicy) -> Self {
@@ -1235,26 +1141,44 @@ impl<P: ReplicaPool> ProposalSource for PoolSource<P> {
 /// (the simulator's event loop, the TCP replica loop) does with a pool
 /// besides letting the engine's [`PoolSource`] drain it — **flush**,
 /// **intake**, **lease observation** and **commit retirement** — so
-/// neither cares whether the pool is a [`SharedMempool`] (one mutex,
+/// neither cares whether the pool is a [`SharedMempool`] (the bare mutex,
 /// deterministic — the simulator's and the inline replica's) or a
-/// [`SharedConcurrentPool`] (lock-split, for the staged replica). A
-/// handle takes its lock(s) and calls into the one [`Mempool`]
-/// implementation. Handles are cheap `Arc` clones.
+/// [`SharedConcurrentPool`] (the same mutex behind an ingest channel, for
+/// the staged replica). A handle supplies [`with_pool`](Self::with_pool)
+/// — its lock — and every operation is that lock around the one
+/// [`Mempool`] method. Handles are cheap `Arc` clones.
 pub trait ReplicaPool: Clone + Send + 'static {
+    /// Runs `f` on the handle's [`Mempool`] under its lock, with whatever
+    /// the handle had queued for the pool applied first. `f` must not call
+    /// back into the handle.
+    fn with_pool<R>(&self, f: impl FnOnce(&mut Mempool) -> R) -> R;
+
     /// Turns the pool's queued gossip into frames (see [`Mempool::flush`]).
     /// `emit` runs under the pool's lock and must not call back into the
     /// pool: collect the frames, send them afterwards. (Every driver
     /// flushes every pool after every event, almost always finding
     /// nothing; collecting on the handle's side of the lock instead cost
     /// the 19-replica simulation 2–3 % of its CPU.)
-    fn flush(&self, emit: &mut impl FnMut(Outbound));
+    fn flush(&self, emit: &mut impl FnMut(Outbound)) {
+        self.with_pool(|pool| pool.flush(emit));
+    }
+
     /// Applies one inbound dissemination frame (see [`Mempool::intake`]).
-    fn intake(&self, from: ReplicaId, msg: DisseminationMsg);
+    fn intake(&self, from: ReplicaId, msg: DisseminationMsg) {
+        self.with_pool(|pool| pool.intake(from, msg));
+    }
+
     /// Observes a block crossing the wire into the lease table (see
     /// [`Mempool::observe_proposal`]); `true` when a new lease was recorded.
-    fn observe_proposal(&self, block: &Block) -> bool;
+    fn observe_proposal(&self, block: &Block) -> bool {
+        self.with_pool(|pool| pool.observe_proposal(block))
+    }
+
     /// Commit-side retirement (see [`Mempool::mark_committed_block`]).
-    fn mark_committed_block(&self, block: BlockHash, round: Round, requests: &[Request]);
+    fn mark_committed_block(&self, block: BlockHash, round: Round, requests: &[Request]) {
+        self.with_pool(|pool| pool.mark_committed_block(block, round, requests));
+    }
+
     /// Drains the next batch (see [`Mempool::drain_speculative`]).
     fn next_batch(
         &self,
@@ -1262,7 +1186,9 @@ pub trait ReplicaPool: Clone + Send + 'static {
         max_bytes: u64,
         ctx: &ProposalContext,
         policy: &BatchPolicy,
-    ) -> Vec<Request>;
+    ) -> Vec<Request> {
+        self.with_pool(|pool| pool.drain_speculative(max_records, max_bytes, ctx, policy))
+    }
 
     /// Leases the block an outbound frame proposes (own proposals,
     /// relays, single sync responses) — what lets an abandoned own
@@ -1299,32 +1225,8 @@ pub trait ReplicaPool: Clone + Send + 'static {
 }
 
 impl ReplicaPool for SharedMempool {
-    fn flush(&self, emit: &mut impl FnMut(Outbound)) {
-        self.lock().expect("mempool lock").flush(emit);
-    }
-
-    fn intake(&self, from: ReplicaId, msg: DisseminationMsg) {
-        self.lock().expect("mempool lock").intake(from, msg);
-    }
-
-    fn observe_proposal(&self, block: &Block) -> bool {
-        self.lock().expect("mempool lock").observe_proposal(block)
-    }
-
-    fn mark_committed_block(&self, block: BlockHash, round: Round, requests: &[Request]) {
-        let mut pool = self.lock().expect("mempool lock");
-        pool.mark_committed_block(block, round, requests);
-    }
-
-    fn next_batch(
-        &self,
-        max_records: usize,
-        max_bytes: u64,
-        ctx: &ProposalContext,
-        policy: &BatchPolicy,
-    ) -> Vec<Request> {
-        let mut pool = self.lock().expect("mempool lock");
-        pool.drain_speculative(max_records, max_bytes, ctx, policy)
+    fn with_pool<R>(&self, f: impl FnOnce(&mut Mempool) -> R) -> R {
+        f(&mut self.lock().expect("mempool lock"))
     }
 }
 
@@ -1538,7 +1440,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_bounded_enforces_nominal_byte_cap() {
+    fn drain_enforces_nominal_byte_cap() {
         // Regression: with large requests, the record cap alone admitted
         // arbitrarily many bytes per batch.
         let mut mp = Mempool::new(100);
@@ -1550,7 +1452,15 @@ mod tests {
                 submitted_at: Time(id),
             });
         }
-        let batch = mp.drain_bounded(4_096, DEFAULT_MAX_BATCH_BYTES);
+        let capped = |mp: &mut Mempool, max_records| {
+            mp.drain_speculative(
+                max_records,
+                DEFAULT_MAX_BATCH_BYTES,
+                &ctx_at(0),
+                &BatchPolicy::EAGER,
+            )
+        };
+        let batch = capped(&mut mp, 4_096);
         assert_eq!(
             batch.len(),
             2,
@@ -1564,13 +1474,13 @@ mod tests {
             size: 10_000_000,
             submitted_at: Time(1),
         });
-        assert_eq!(mp.drain_bounded(4_096, DEFAULT_MAX_BATCH_BYTES).len(), 1);
+        assert_eq!(capped(&mut mp, 4_096).len(), 1);
         // The record cap still applies to small requests.
         let mut mp = Mempool::new(10);
         for id in 1..=5 {
             mp.push(req(id, id));
         }
-        assert_eq!(mp.drain_bounded(3, u64::MAX).len(), 3);
+        assert_eq!(mp.drain(3).len(), 3);
     }
 
     fn hash(tag: u8) -> BlockHash {
@@ -1601,8 +1511,13 @@ mod tests {
         }
         // Two competing round-5 blocks: ancestor A carries 1..=3, fork
         // parent B carries 6.
-        mp.observe_block(hash(0xA), Round(5), vec![req(1, 1), req(2, 2), req(3, 3)]);
-        mp.observe_block(hash(0xB), Round(5), vec![req(6, 6)]);
+        mp.observe_block(
+            hash(0xA),
+            Round(5),
+            BlockHash::ZERO,
+            vec![req(1, 1), req(2, 2), req(3, 3)],
+        );
+        mp.observe_block(hash(0xB), Round(5), BlockHash::ZERO, vec![req(6, 6)]);
         assert_eq!(mp.live_leases(), 2);
 
         // Proposing on top of A: A's requests are skipped, B's are fair
@@ -1627,8 +1542,13 @@ mod tests {
         for id in 1..=3 {
             mp.push(req(id, id));
         }
-        mp.observe_block(hash(0xE), Round(2), vec![req(1, 1), req(2, 2)]);
-        mp.observe_block(hash(0xC), Round(4), vec![req(3, 3)]);
+        mp.observe_block(
+            hash(0xE),
+            Round(2),
+            BlockHash::ZERO,
+            vec![req(1, 1), req(2, 2)],
+        );
+        mp.observe_block(hash(0xC), Round(4), BlockHash::ZERO, vec![req(3, 3)]);
         let chain = [hash(0xC), hash(0xE)];
         let out = mp.drain_speculative(10, u64::MAX, &ctx(5, &chain), &BatchPolicy::EAGER);
         assert!(
@@ -1654,8 +1574,8 @@ mod tests {
         // B carries {3} (observed from a peer; its copy 3 stays pending).
         let drained = mp.drain_speculative(2, u64::MAX, &ctx(7, &[]), &BatchPolicy::EAGER);
         assert_eq!(drained.iter().map(|r| r.id).collect::<Vec<_>>(), [1, 2]);
-        mp.observe_block(hash(0xA), Round(7), drained.clone());
-        mp.observe_block(hash(0xB), Round(7), vec![req(3, 3)]);
+        mp.observe_block(hash(0xA), Round(7), BlockHash::ZERO, drained.clone());
+        mp.observe_block(hash(0xB), Round(7), BlockHash::ZERO, vec![req(3, 3)]);
 
         // B commits: its ids are retired, and A's lease — same round,
         // losing fork — releases {1,2} back into the queue with their
@@ -1683,11 +1603,11 @@ mod tests {
         let mut mp = Mempool::new(100).with_speculation(64 * 1024);
         // All four blocks were observed from peers; none of their
         // requests is pending locally, so a release visibly re-enters.
-        mp.observe_block(hash(0xA), Round(7), vec![req(11, 11)]);
-        mp.observe_block(hash(0xB), Round(7), vec![req(12, 12)]);
-        mp.observe_linked(hash(0xD), Round(8), hash(0xA), vec![req(13, 13)]);
+        mp.observe_block(hash(0xA), Round(7), BlockHash::ZERO, vec![req(11, 11)]);
+        mp.observe_block(hash(0xB), Round(7), BlockHash::ZERO, vec![req(12, 12)]);
+        mp.observe_block(hash(0xD), Round(8), hash(0xA), vec![req(13, 13)]);
         // A round-8 child of the *winner* must survive the sweep.
-        mp.observe_linked(hash(0xE), Round(8), hash(0xB), vec![req(14, 14)]);
+        mp.observe_block(hash(0xE), Round(8), hash(0xB), vec![req(14, 14)]);
         assert_eq!(mp.live_leases(), 4);
 
         mp.mark_committed_block(hash(0xB), Round(7), &[req(12, 12)]);
@@ -1711,7 +1631,12 @@ mod tests {
         mp.push(req(2, 2));
         // Lease carries 1 (still pending here), 2 (pending) and 9 (never
         // seen locally). 2 commits through another block first.
-        mp.observe_block(hash(0xC), Round(3), vec![req(1, 1), req(2, 2), req(9, 9)]);
+        mp.observe_block(
+            hash(0xC),
+            Round(3),
+            BlockHash::ZERO,
+            vec![req(1, 1), req(2, 2), req(9, 9)],
+        );
         mp.mark_committed(2);
         assert_eq!(mp.release(hash(0xC)), 1, "only 9 actually re-enters");
         assert_eq!(mp.len(), 2, "pending 1 + released 9");
@@ -1783,7 +1708,12 @@ mod tests {
         for id in 1..=20 {
             mp.push(req(id, 1));
         }
-        mp.observe_block(hash(0xD), Round(1), (1..=20).map(|id| req(id, 1)).collect());
+        mp.observe_block(
+            hash(0xD),
+            Round(1),
+            BlockHash::ZERO,
+            (1..=20).map(|id| req(id, 1)).collect(),
+        );
         assert!(
             mp.drain_speculative(
                 100,
@@ -1803,7 +1733,8 @@ mod tests {
 
     #[test]
     fn outbox_cap_drops_oldest_forwards() {
-        let mut mp = Mempool::new(100).with_gossip(true).with_outbox_cap(3);
+        let mut mp = Mempool::new(100).with_gossip(true);
+        mp.outbox_cap = 3;
         for id in 1..=5 {
             mp.push(req(id, id));
         }
@@ -1811,6 +1742,18 @@ mod tests {
         let out: Vec<u64> = mp.take_outbox().iter().map(|r| r.id).collect();
         assert_eq!(out, [3, 4, 5], "oldest queued forwards were shed");
         assert_eq!(mp.len(), 5, "dropping a forward never drops the request");
+    }
+
+    /// A tree-mode pool whose per-peer bounds are `cap` and `credit`
+    /// instead of the defaults.
+    fn tree_pool(peers: &[usize], cap: usize, credit: u32) -> Mempool {
+        let mut mp = Mempool::new(100).with_peer_queues(peers);
+        mp.peer_queue_cap = cap;
+        mp.peer_credit_max = credit;
+        for pq in &mut mp.peer_queues {
+            pq.credit = credit;
+        }
+        mp
     }
 
     #[test]
@@ -1845,8 +1788,7 @@ mod tests {
 
     #[test]
     fn peer_credit_gates_takes_until_granted() {
-        let mut mp = Mempool::new(100);
-        mp.set_peer_queues(&[7], 100, 2);
+        let mut mp = tree_pool(&[7], 100, 2);
         for id in 1..=5 {
             mp.push(req(id, id));
         }
@@ -1861,8 +1803,7 @@ mod tests {
 
     #[test]
     fn slow_peer_sheds_its_own_queue_only() {
-        let mut mp = Mempool::new(100);
-        mp.set_peer_queues(&[1, 2], 3, 64);
+        let mut mp = tree_pool(&[1, 2], 3, 64);
         for id in 1..=5 {
             mp.push(req(id, id));
         }
@@ -1884,8 +1825,7 @@ mod tests {
 
     #[test]
     fn committed_requests_are_not_taken_and_cost_no_credit() {
-        let mut mp = Mempool::new(100);
-        mp.set_peer_queues(&[1], 100, 2);
+        let mut mp = tree_pool(&[1], 100, 2);
         mp.push(req(1, 1));
         mp.push(req(2, 2));
         mp.push(req(3, 3));
@@ -1920,7 +1860,8 @@ mod tests {
                 });
             }
         }
-        let mut src = MempoolSource::new(shared, 4_096).with_max_bytes(1_000);
+        let mut src = MempoolSource::new(shared, 4_096);
+        src.max_bytes = 1_000;
         let batch =
             WorkloadBatch::decode(&src.next_payload(&ProposalContext::root(Round(1), Time(1))))
                 .unwrap();

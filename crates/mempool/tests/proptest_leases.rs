@@ -128,7 +128,7 @@ fn pool_state(pool: &Mempool, live_leases: usize) -> PoolState {
 }
 
 /// A pool handle under the script. Everything a driver does goes through
-/// [`ReplicaPool`]; only a client's local push — and, for the lock-split
+/// [`ReplicaPool`]; only a client's local push — and, for the concurrent
 /// pool, the staged replica's `Announce` hand-off — is the handle's own.
 trait Handle: ReplicaPool {
     fn push(&self, req: Request);
@@ -162,7 +162,8 @@ impl Handle for SharedConcurrentPool {
         self.sync_ingest();
     }
     fn state(&self) -> PoolState {
-        pool_state(&self.pool(), self.live_leases())
+        let pool = self.pool();
+        pool_state(&pool, pool.live_leases())
     }
 }
 
@@ -337,7 +338,7 @@ proptest! {
                         blocks += 1;
                         let hash = block_hash(blocks);
                         let ids: Vec<u64> = out.iter().map(|r| r.id).collect();
-                        pool.observe_block(hash, Round(round), out);
+                        pool.observe_block(hash, Round(round), BlockHash::ZERO, out);
                         for id in &ids {
                             model.pending.remove(id);
                         }
@@ -357,6 +358,7 @@ proptest! {
                         pool.observe_block(
                             hash,
                             Round(round),
+                            BlockHash::ZERO,
                             ids.iter().map(|&id| req(id)).collect(),
                         );
                         model.leases.push(ModelLease { round, block: hash, ids });

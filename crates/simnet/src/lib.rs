@@ -19,9 +19,9 @@
 //!   windows, resubmit-on-commit), both over one shared client core with
 //!   optional submit fan-out and per-request retry.
 //!   [`sim::Simulation::enable_dissemination`] adds pending-request
-//!   gossip and exactly-once commit dedup on top;
-//!   [`sim::Simulation::enable_fanout_tree`] bounds that gossip to a
-//!   seeded degree-`F` propagation tree with per-peer backpressure;
+//!   gossip and exactly-once commit dedup on top; a pool built
+//!   `with_peer_queues(&`[`Topology::fanout_peers`]`)` bounds that gossip
+//!   to a seeded degree-`F` propagation tree with per-peer backpressure;
 //! * [`cohort`] — the closed-loop population itself, one
 //!   cohort-aggregated model with two constructors: one member per
 //!   cohort (exact per-client windows), or up to 10⁶ modeled clients in

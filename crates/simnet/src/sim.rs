@@ -42,9 +42,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use banyan_crypto::VerifyStats;
-use banyan_mempool::{
-    ReplicaPool, Request, SharedMempool, WorkloadBatch, DEFAULT_PEER_CREDIT, DEFAULT_PEER_QUEUE_CAP,
-};
+use banyan_mempool::{ReplicaPool, Request, SharedMempool, WorkloadBatch};
 use banyan_runtime::driver::{is_stale, route_actions, ActionDispatch, CommitSink};
 use banyan_runtime::queue::EventQueue;
 use banyan_storage::catchup::{frontier_info, CatchUpState, Inbound};
@@ -581,6 +579,12 @@ impl Simulation {
     /// every peer through the network model, so a request reaches every
     /// potential leader within one gossip round.
     ///
+    /// Everything else about a pool is its own shape, stated where it was
+    /// built: one built `with_peer_queues` gossips down its fanout tree
+    /// instead of broadcasting, and one built `with_speculation` leases
+    /// every block the simulator shows it crossing the wire (own
+    /// proposals on the way out, peers' and sync responses on the way in).
+    ///
     /// # Panics
     ///
     /// Panics if no workload is attached or its pool count does not match
@@ -604,65 +608,6 @@ impl Simulation {
             }
         }
         self.dissemination = Some(pools);
-    }
-
-    /// Switches gossip from all-peers broadcast to **propagation-limited
-    /// gossip**: each replica forwards pushes only to its `fanout` tree
-    /// peers (ring successor + lowest-delay picks, see
-    /// [`Topology::fanout_peers`]) through bounded per-peer queues with
-    /// credit-based backpressure — a slow peer sheds from its own queue
-    /// without stalling the others. First-time acceptors relay down their
-    /// own tree edges as compact announcements (id-only records), so every
-    /// request still reaches every replica while per-request gossip bytes
-    /// drop from `O(n · size)` to roughly `O(n)` announce records plus
-    /// `fanout` full copies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`enable_dissemination`](Self::enable_dissemination) was
-    /// not called with `gossip = true` first.
-    pub fn enable_fanout_tree(&mut self, fanout: usize) {
-        let pools = self
-            .dissemination
-            .as_ref()
-            .expect("enable dissemination before the fanout tree");
-        for (i, pool) in pools.iter().enumerate() {
-            let mut pool = pool.lock().expect("mempool lock");
-            assert!(
-                pool.gossip_enabled(),
-                "the fanout tree replaces gossip broadcast"
-            );
-            let peers = self.topology.fanout_peers(i, fanout, self.config.seed);
-            if peers.is_empty() {
-                continue;
-            }
-            pool.set_peer_queues(&peers, DEFAULT_PEER_QUEUE_CAP, DEFAULT_PEER_CREDIT);
-        }
-    }
-
-    /// Enables the **speculative drain** on every wired pool: the
-    /// simulator observes each block crossing the wire (own proposals on
-    /// the way out, peers' and sync responses on the way in) and feeds
-    /// the pool's lease table, so an inclusion-aware `MempoolSource`
-    /// skips requests a live ancestor already carries and abandoned
-    /// blocks release their requests back into the queue. `payload_chunk`
-    /// must match the cluster's `ProtocolConfig::payload_chunk` so
-    /// observed blocks hash to the engine's block ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`enable_dissemination`](Self::enable_dissemination) was
-    /// not called first (speculation needs the commit→pool feed).
-    pub fn enable_speculation(&mut self, payload_chunk: usize) {
-        let pools = self
-            .dissemination
-            .as_ref()
-            .expect("enable dissemination before speculation");
-        for pool in pools {
-            pool.lock()
-                .expect("mempool lock")
-                .set_speculation(Some(payload_chunk));
-        }
     }
 
     /// Freezes the attached workload: no new submissions or replacement

@@ -663,7 +663,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn take_into_matches_take_and_recycles_the_buffer() {
+    fn pending_ticks_drain_into_a_cleared_buffer() {
         let mempools: Vec<SharedMempool> = vec![Mempool::shared(1_000)];
         let timeout = Duration::from_millis(10);
         let mut w =

@@ -28,9 +28,9 @@
 //! Routing a peer's frames to the worker `from % verify_workers` keeps
 //! per-peer FIFO order (a peer's proposal is never overtaken by its own
 //! later vote) while different peers verify in parallel. The pool side
-//! uses the lock-split [`ConcurrentPool`]: workers feed ingest through a
-//! bounded channel and record leases in the coordinator, so the consensus
-//! thread's drains contend with neither.
+//! uses [`ConcurrentPool`]: workers feed ingest through a bounded channel,
+//! never the pool's lock, and take that lock only to record a lease they
+//! have already decoded and hashed for.
 //!
 //! Everything else — acceptor, readers, reconnecting writers, timers,
 //! gossip, probe answering, catch-up, crash/rejoin — is the shared loop's,
@@ -143,7 +143,8 @@ pub struct PipelineStats {
     pub verified: AtomicU64,
     /// Frames rejected by verification (corrupt batch, forged signature).
     pub rejected: AtomicU64,
-    /// Individual requests fed to pool ingest (diagnostic).
+    /// Individual requests the pool's ingest channel accepted (diagnostic;
+    /// the ones it shed are the pool's `ingest_dropped`).
     pub requests_ingested: AtomicU64,
 }
 
@@ -158,7 +159,7 @@ pub struct PipelineStatsSnapshot {
     pub verified: u64,
     /// Frames rejected by verification.
     pub rejected: u64,
-    /// Individual requests fed to pool ingest.
+    /// Individual requests the pool's ingest channel accepted.
     pub requests_ingested: u64,
 }
 
@@ -222,8 +223,9 @@ pub fn verify_frame(
             if let Some(pool) = pool {
                 let ingest = pool.ingest();
                 for req in requests {
-                    ingest.forward(from, req);
-                    stats.requests_ingested.fetch_add(1, Ordering::Relaxed);
+                    if ingest.forward(from, req) {
+                        stats.requests_ingested.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
             stats.ingested.fetch_add(1, Ordering::Relaxed);
@@ -579,7 +581,11 @@ mod tests {
             VerifyOutcome::Engine(from, _) => assert_eq!(from, ReplicaId(0)),
             other => panic!("expected Engine, got {other:?}"),
         }
-        assert_eq!(pool.live_leases(), 1, "lease recorded by the verify stage");
+        assert_eq!(
+            pool.pool().live_leases(),
+            1,
+            "lease recorded by the verify stage"
+        );
 
         // A corrupt batch (magic, garbage body) is rejected.
         let mut corrupt = block.clone();
@@ -624,6 +630,21 @@ mod tests {
         assert_eq!(s.verified, 2);
         assert_eq!(s.rejected, 2);
         assert_eq!(s.requests_ingested, 3);
+
+        // Only what the ingest channel accepted counts as ingested: a
+        // cap-1 channel takes the first of three requests and sheds two.
+        let stats = PipelineStats::default();
+        let tiny = ConcurrentPool::new(Mempool::new(64), 1);
+        let burst = Message::Dissemination(DisseminationMsg::Forward {
+            requests: vec![req(4), req(5), req(6)],
+        });
+        assert_eq!(
+            verify_frame(ReplicaId(1), burst, Some(&*tiny), &config, &stats),
+            VerifyOutcome::Ingested
+        );
+        assert_eq!(stats.snapshot().requests_ingested, 1);
+        assert_eq!(tiny.ingest_dropped(), 2);
+        assert_eq!(tiny.len(), 1);
     }
 
     /// A proposal keeps one payload buffer from the frame decoder through
@@ -652,7 +673,7 @@ mod tests {
         for (pool, leases) in pools {
             let out = verify_frame(ReplicaId(2), batch.clone(), Some(&*pool), &config, &stats);
             assert!(matches!(out, VerifyOutcome::Engine(ReplicaId(2), _)));
-            assert_eq!(pool.live_leases(), leases);
+            assert_eq!(pool.pool().live_leases(), leases);
         }
     }
 
@@ -661,7 +682,7 @@ mod tests {
         let (batch, pools) = catch_up_batch_and_pools();
         for (pool, leases) in pools {
             banyan_mempool::ReplicaPool::observe_inbound(&pool, &batch);
-            assert_eq!(pool.live_leases(), leases);
+            assert_eq!(pool.pool().live_leases(), leases);
         }
     }
 
@@ -805,7 +826,7 @@ mod tests {
         }
         // Both proposals' leases live — parent first, then its optimistic
         // child linked to the still-uncertified parent hash.
-        assert_eq!(pool.live_leases(), 2, "both leases recorded");
+        assert_eq!(pool.pool().live_leases(), 2, "both leases recorded");
         let s = stats.snapshot();
         assert_eq!(s.verified, 2);
         assert_eq!(s.rejected, 0, "optimistic shape must not be rejected");
