@@ -319,8 +319,7 @@ fn fig6d(secs: u64, run: &dyn Run) {
             // leader, so Δ = 1.5 s.
             let scenario = synthetic(protocol, &testbed, (6, 1), payload, secs)
                 .delta(Duration::from_millis(1_500))
-                .faults(FaultPlan::none().crash_spread(crashed, 19, Time::ZERO))
-                .timeout(Duration::from_secs(3));
+                .faults(FaultPlan::none().crash_spread(crashed, 19, Time::ZERO));
             let out = run.run(&case(label, scenario));
             println!(
                 "{:<14} {:>8} {:>10.2} {:>10.0}ms {:>10.1}ms {:>8} {:>6}",

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use banyan_core::builder::{ClusterBuilder, VerifyPlaneConfig};
-use banyan_core::chained::{ByzantineMode, OptimisticConfig};
+use banyan_core::chained::ByzantineMode;
 use banyan_crypto::ToySchnorr;
 use banyan_mempool::BatchPolicy;
 use banyan_simnet::faults::FaultPlan;
@@ -149,8 +149,6 @@ pub struct Scenario {
     /// Remark 7.8 fast-vote piggyback (off by default, matching the
     /// paper's evaluated variant).
     pub piggyback: bool,
-    /// View/epoch timeout for baselines and crash recovery.
-    pub timeout: Duration,
     /// Cryptographic configuration (see [`CryptoMode`]). `Off` by
     /// default — the historical, cost-free placeholder scheme.
     pub crypto: CryptoMode,
@@ -189,7 +187,6 @@ impl Scenario {
             faults: FaultPlan::none(),
             forwarding: true,
             piggyback: false,
-            timeout: Duration::from_secs(3),
             crypto: CryptoMode::Off,
         }
     }
@@ -405,12 +402,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the baseline view/epoch timeout.
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
     /// Sets the cryptographic configuration (see [`CryptoMode`]).
     pub fn crypto(mut self, mode: CryptoMode) -> Self {
         self.crypto = mode;
@@ -492,10 +483,9 @@ fn build_simulation_with(
         .expect("valid (n, f, p)")
         .delta(delta)
         .forwarding(scenario.forwarding)
-        .piggyback(scenario.piggyback)
-        .baseline_timeout(scenario.timeout);
+        .piggyback(scenario.piggyback);
     if scenario.optimistic {
-        builder = builder.optimistic(OptimisticConfig::default());
+        builder = builder.optimistic();
     }
     // Crypto plane: `Off` must not touch the builder at all, so the
     // historical configuration stays bit-identical to pre-crypto runs.

@@ -19,7 +19,7 @@ use banyan_types::time::Duration;
 /// when a cluster is built, so each engine gets its own boxed source.
 pub type SourceFactory = Arc<dyn Fn(u16) -> Box<dyn ProposalSource> + Send + Sync>;
 
-use crate::chained::{ByzantineMode, ChainedEngine, OptimisticConfig, PathMode};
+use crate::chained::{ByzantineMode, ChainedEngine, PathMode};
 use crate::hotstuff::HotStuffEngine;
 use crate::store::ChainStore;
 use crate::streamlet::StreamletEngine;
@@ -28,6 +28,10 @@ use crate::streamlet::StreamletEngine;
 /// per replica index when a cluster is built, so each engine gets its own
 /// backing store — e.g. a `WalStore` opened on that replica's directory.
 pub type StoreFactory = Arc<dyn Fn(u16) -> Box<dyn ChainStore> + Send + Sync>;
+
+/// View/epoch timeout of the HotStuff and Streamlet baselines: the paper's
+/// §9.4 setting.
+const BASELINE_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// Configuration of the engines' verify plane (the measured-crypto setup):
 /// how vote bursts and certificates are cryptographically checked.
@@ -79,16 +83,14 @@ pub struct ClusterBuilder {
     cluster_seed: u64,
     beacon_mode: BeaconMode,
     sources: SourceFactory,
-    /// View/epoch timeout for the baseline protocols.
-    baseline_timeout: Duration,
     /// Per-replica Byzantine behaviors (chained engines only).
     byzantine: Vec<(u16, ByzantineMode)>,
     /// Per-replica chain-store factory (chained engines only); `None`
     /// keeps the default in-memory `BlockStore`.
     stores: Option<StoreFactory>,
-    /// Optimistic proposal pipelining (chained engines only); `None`
-    /// keeps the feature off.
-    optimistic: Option<OptimisticConfig>,
+    /// Optimistic proposal pipelining (chained engines only); off by
+    /// default.
+    optimistic: bool,
     /// Verify plane (batched/cached verification); `None` keeps each
     /// engine's built-in direct backend.
     verify_plane: Option<VerifyPlaneConfig>,
@@ -118,18 +120,11 @@ impl ClusterBuilder {
             cluster_seed: 42,
             beacon_mode: BeaconMode::RoundRobin,
             sources: Arc::new(|i| Box::new(FixedSizeSource::new(0, i))),
-            baseline_timeout: Duration::from_secs(3),
             byzantine: Vec::new(),
             stores: None,
-            optimistic: None,
+            optimistic: false,
             verify_plane: None,
         })
-    }
-
-    /// Replaces the whole protocol configuration (advanced use).
-    pub fn config(mut self, cfg: ProtocolConfig) -> Self {
-        self.cfg = cfg;
-        self
     }
 
     /// Sets the `Δ` bound used in proposal/notarization delays.
@@ -168,12 +163,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Toggles signature verification.
-    pub fn verify_signatures(mut self, on: bool) -> Self {
-        self.cfg = self.cfg.clone().with_signature_verification(on);
-        self
-    }
-
     /// Enables the Remark 7.8 fast-vote piggyback (Banyan only): omit the
     /// notarization vote when a fast vote is sent; notarizations carry two
     /// multi-signatures.
@@ -197,13 +186,6 @@ impl ClusterBuilder {
     /// Uses a different signature scheme (default: `HashSig`).
     pub fn scheme(mut self, scheme: Arc<dyn SignatureScheme>) -> Self {
         self.scheme = scheme;
-        self
-    }
-
-    /// View/epoch timeout for HotStuff/Streamlet (default 3 s, the paper's
-    /// §9.4 setting).
-    pub fn baseline_timeout(mut self, timeout: Duration) -> Self {
-        self.baseline_timeout = timeout;
         self
     }
 
@@ -234,8 +216,8 @@ impl ClusterBuilder {
     /// this set panics — HotStuff is already optimistically responsive
     /// (a formed QC triggers the next proposal), and Streamlet's
     /// epoch-clocked proposals leave nothing to overlap.
-    pub fn optimistic(mut self, cfg: OptimisticConfig) -> Self {
-        self.optimistic = Some(cfg);
+    pub fn optimistic(mut self) -> Self {
+        self.optimistic = true;
         self
     }
 
@@ -248,10 +230,9 @@ impl ClusterBuilder {
     }
 
     /// Builds one verify backend matching the configured plane (direct
-    /// when no plane is installed). Drivers that run transport-level
-    /// verify workers construct the backend themselves with this, install
-    /// it via `Engine::set_verify_backend`, and hand clones of the `Arc`
-    /// to the workers — sharing the counters and certificate cache.
+    /// when no plane is installed). Drivers that wrap the backend (to
+    /// trace or count it) construct it with this and install the wrapper
+    /// via `Engine::set_verify_backend`.
     pub fn make_verify_backend(&self) -> Arc<dyn VerifyBackend> {
         let table = PublicKeyTable::generate(self.scheme.clone(), self.cluster_seed, self.cfg.n());
         match self.verify_plane {
@@ -301,8 +282,8 @@ impl ClusterBuilder {
         if let Some(stores) = &self.stores {
             engine = engine.with_store(stores(i));
         }
-        if let Some(ocfg) = self.optimistic {
-            engine = engine.with_optimistic(ocfg);
+        if self.optimistic {
+            engine = engine.with_optimistic();
         }
         self.install_verify(&mut engine);
         Box::new(engine)
@@ -311,7 +292,7 @@ impl ClusterBuilder {
     /// Guard: optimistic pipelining exists only for the chained engines.
     fn assert_no_optimistic(&self, protocol: &str) {
         assert!(
-            self.optimistic.is_none(),
+            !self.optimistic,
             "optimistic pipelining is not supported for {protocol}; \
              it is a chained-engine (banyan/icc) feature"
         );
@@ -386,7 +367,7 @@ impl ClusterBuilder {
                     self.registry(i),
                     self.beacon(),
                     (self.sources)(i),
-                    self.baseline_timeout,
+                    BASELINE_TIMEOUT,
                 );
                 self.install_verify(&mut engine);
                 Box::new(engine)
@@ -440,7 +421,7 @@ mod tests {
         let b = ClusterBuilder::new(4, 1, 1)
             .unwrap()
             .payload_size(100)
-            .optimistic(OptimisticConfig::default());
+            .optimistic();
         for proto in ["banyan", "icc"] {
             assert_eq!(b.build(proto).len(), 4, "{proto}");
         }
@@ -451,7 +432,7 @@ mod tests {
     fn optimistic_hotstuff_is_rejected() {
         let _ = ClusterBuilder::new(4, 1, 1)
             .unwrap()
-            .optimistic(OptimisticConfig::default())
+            .optimistic()
             .build("hotstuff");
     }
 
@@ -460,7 +441,7 @@ mod tests {
     fn optimistic_streamlet_is_rejected() {
         let _ = ClusterBuilder::new(4, 1, 1)
             .unwrap()
-            .optimistic(OptimisticConfig::default())
+            .optimistic()
             .build_streamlet();
     }
 }

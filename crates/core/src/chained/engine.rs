@@ -100,25 +100,6 @@ pub enum ByzantineMode {
     EquivocateOptimistic,
 }
 
-/// Tuning for Moonshot-style optimistic proposal pipelining
-/// ([`ChainedEngine::with_optimistic`]). Pipelining is off unless a
-/// config is installed; every defaults-off code path is untouched.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OptimisticConfig {
-    /// Pipeline only on rank-0 (presumptive-winner) parents. Higher-rank
-    /// round-`r` blocks rarely win their round, so optimistically
-    /// extending them mostly mints abandoned blocks.
-    pub leader_parents_only: bool,
-}
-
-impl Default for OptimisticConfig {
-    fn default() -> Self {
-        OptimisticConfig {
-            leader_parents_only: true,
-        }
-    }
-}
-
 /// The engine's one in-flight optimistic proposal: a round-`r + 1` block
 /// proposed on a received-but-uncertified round-`r` parent. Resolved on
 /// round entry by `reconcile_optimistic`.
@@ -168,8 +149,8 @@ pub struct ChainedEngine {
     /// Where block payloads come from (mempool, client queue, or the
     /// paper's size-only synthetic workload).
     source: Box<dyn ProposalSource>,
-    /// Moonshot-style optimistic pipelining; `None` = disabled (default).
-    optimistic: Option<OptimisticConfig>,
+    /// Moonshot-style optimistic pipelining; off by default.
+    optimistic: bool,
     /// The in-flight optimistic proposal, if any.
     pending_optimistic: Option<PendingOptimistic>,
     /// `k_max` as of the entry into the current engine event. The
@@ -231,7 +212,7 @@ impl ChainedEngine {
             retry_store_len: 0,
             sync_requested: std::collections::HashSet::new(),
             source,
-            optimistic: None,
+            optimistic: false,
             pending_optimistic: None,
             routed_k_max: Round::GENESIS,
         }
@@ -247,14 +228,9 @@ impl ChainedEngine {
     /// pipelining — when this replica leads round `r + 1` and receives
     /// the round-`r` block before its certificate, it proposes on top of
     /// it immediately instead of waiting for the notarization.
-    pub fn with_optimistic(mut self, cfg: OptimisticConfig) -> Self {
-        self.optimistic = Some(cfg);
+    pub fn with_optimistic(mut self) -> Self {
+        self.optimistic = true;
         self
-    }
-
-    /// Whether optimistic pipelining is enabled.
-    pub fn optimistic_enabled(&self) -> bool {
-        self.optimistic.is_some()
     }
 
     /// Builder-style: replaces the chain store (e.g. a recovered
@@ -336,9 +312,6 @@ impl ChainedEngine {
     }
 
     fn verify_vote(&self, vote: &Vote) -> bool {
-        if !self.cfg.verify_signatures {
-            return true;
-        }
         self.verify
             .verify(vote.voter.0, &vote.message(), &vote.signature)
     }
@@ -347,9 +320,6 @@ impl ChainedEngine {
     /// backend (one combined exponentiation check for the whole burst
     /// under a batching scheme, with per-item fallback on failure).
     fn verify_votes(&self, votes: &[Vote]) -> Vec<bool> {
-        if !self.cfg.verify_signatures {
-            return vec![true; votes.len()];
-        }
         let msgs: Vec<Vec<u8>> = votes.iter().map(Vote::message).collect();
         let items: Vec<_> = votes
             .iter()
@@ -437,7 +407,7 @@ impl ChainedEngine {
         // Retransmission heartbeat: fires only if we are still stuck in
         // this round by then (recovery from message loss).
         actions.arm(
-            now + self.cfg.heartbeat,
+            now + ProtocolConfig::HEARTBEAT,
             TimerKind::RoundTimeout { round: round.0 },
         );
         // Bounded memory: drop state far behind the finalized tip.
@@ -698,20 +668,17 @@ impl ChainedEngine {
         now: Time,
         actions: &mut Actions,
     ) -> bool {
-        let Some(ocfg) = self.optimistic else {
-            return false;
-        };
-        if self.pending_optimistic.is_some() {
+        if !self.optimistic || self.pending_optimistic.is_some() {
             return false;
         }
         let Some(block) = self.store.get(&received) else {
             return false;
         };
         let (b_round, b_rank) = (block.round, block.rank);
-        if b_round != self.round {
-            return false;
-        }
-        if ocfg.leader_parents_only && !b_rank.is_leader() {
+        // Only rank-0 (presumptive-winner) parents: higher-rank blocks
+        // rarely win their round, so extending them mostly mints
+        // abandoned blocks.
+        if b_round != self.round || !b_rank.is_leader() {
             return false;
         }
         let next = b_round.next();
@@ -848,7 +815,6 @@ impl ChainedEngine {
         // when it was adopted: a relay of it needs no second check.
         let stored = self.store.contains(&hash);
         if !stored
-            && self.cfg.verify_signatures
             && !self.verify.verify(
                 block.proposer.0,
                 &Block::signing_message(&hash),
@@ -895,7 +861,7 @@ impl ChainedEngine {
             // stored rank-0 block is the exact evidence Addition 2
             // demands, so accept it for validity through this channel
             // too (gated: defaults-off runs are bit-identical).
-            let proposer_fast = self.optimistic.is_some()
+            let proposer_fast = self.optimistic
                 && vote.kind == VoteKind::Fast
                 && self.store.get(&vote.block).is_some_and(|b| {
                     b.proposer == vote.voter && b.round == vote.round && b.rank.is_leader()
@@ -937,17 +903,15 @@ impl ChainedEngine {
         if !cert.meets_quorum(self.cfg.notarization_quorum()) {
             return false;
         }
-        if self.cfg.verify_signatures {
-            let msg = Vote::signing_message(VoteKind::Notarize, cert.round, &cert.block);
-            if !self.verify.verify_aggregate(&msg, &cert.agg) {
+        let msg = Vote::signing_message(VoteKind::Notarize, cert.round, &cert.block);
+        if !self.verify.verify_aggregate(&msg, &cert.agg) {
+            return false;
+        }
+        if let Some(fast_agg) = &cert.fast_agg {
+            // Remark 7.8: the second multi-signature covers fast votes.
+            let msg = Vote::signing_message(VoteKind::Fast, cert.round, &cert.block);
+            if !self.verify.verify_aggregate(&msg, fast_agg) {
                 return false;
-            }
-            if let Some(fast_agg) = &cert.fast_agg {
-                // Remark 7.8: the second multi-signature covers fast votes.
-                let msg = Vote::signing_message(VoteKind::Fast, cert.round, &cert.block);
-                if !self.verify.verify_aggregate(&msg, fast_agg) {
-                    return false;
-                }
             }
         }
         // The fast votes inside a two-signature notarization are genuine
@@ -976,14 +940,10 @@ impl ChainedEngine {
         if !self.fast_path() {
             return false;
         }
-        let verifier = self.cfg.verify_signatures.then_some(
-            |msg: &[u8], agg: &banyan_crypto::AggregateSignature| {
-                self.verify.verify_aggregate(msg, agg)
-            },
-        );
+        let verify = &self.verify;
         Self::round_entry(&mut self.rounds, &self.cfg, proof.round)
             .unlock
-            .merge_proof_with(&proof, verifier)
+            .merge_proof_with(&proof, |msg, agg| verify.verify_aggregate(msg, agg))
     }
 
     fn handle_finalization(&mut self, cert: Finalization, now: Time, actions: &mut Actions) {
@@ -1001,15 +961,13 @@ impl ChainedEngine {
         if cert.kind == FinalKind::Fast && !self.fast_path() {
             return;
         }
-        if self.cfg.verify_signatures {
-            let kind = match cert.kind {
-                FinalKind::Slow => VoteKind::Finalize,
-                FinalKind::Fast => VoteKind::Fast,
-            };
-            let msg = Vote::signing_message(kind, cert.round, &cert.block);
-            if !self.verify.verify_aggregate(&msg, &cert.agg) {
-                return;
-            }
+        let kind = match cert.kind {
+            FinalKind::Slow => VoteKind::Finalize,
+            FinalKind::Fast => VoteKind::Fast,
+        };
+        let msg = Vote::signing_message(kind, cert.round, &cert.block);
+        if !self.verify.verify_aggregate(&msg, &cert.agg) {
+            return;
         }
         // Fast finalizations are only valid for rank-0 blocks; check if we
         // hold the block, defer otherwise.
@@ -1695,7 +1653,7 @@ impl ChainedEngine {
             actions.broadcast(Message::Chained(ChainedMsg::Final(cert)));
         }
         actions.arm(
-            now + self.cfg.heartbeat,
+            now + ProtocolConfig::HEARTBEAT,
             TimerKind::RoundTimeout { round: round.0 },
         );
     }

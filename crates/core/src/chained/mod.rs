@@ -11,5 +11,5 @@ pub mod engine;
 pub mod round;
 pub mod unlock;
 
-pub use engine::{ByzantineMode, ChainedEngine, OptimisticConfig, PathMode};
+pub use engine::{ByzantineMode, ChainedEngine, PathMode};
 pub use unlock::UnlockState;

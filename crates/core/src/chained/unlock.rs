@@ -282,26 +282,14 @@ impl UnlockState {
     /// worst-case proofs to future work; a lying rank claim can only
     /// *delay* unlocking, never violate safety, because unlocking gates
     /// extension, not finalization).
-    pub fn merge_proof(
-        &mut self,
-        proof: &UnlockProof,
-        table: &PublicKeyTable,
-        verify: bool,
-    ) -> bool {
-        self.merge_proof_with(
-            proof,
-            verify.then_some(|msg: &[u8], agg: &banyan_crypto::AggregateSignature| {
-                table.verify_aggregate(msg, agg)
-            }),
-        )
+    pub fn merge_proof(&mut self, proof: &UnlockProof, table: &PublicKeyTable) -> bool {
+        self.merge_proof_with(proof, |msg, agg| table.verify_aggregate(msg, agg))
     }
 
     /// [`UnlockState::merge_proof`] with a caller-supplied aggregate
     /// verifier, so engines can route the check through an instrumented
     /// [`banyan_crypto::VerifyBackend`] (batched, cached, counted) instead
-    /// of the raw key table. `None` skips validation entirely (signature
-    /// checks *and* the rank cross-check), exactly like
-    /// `merge_proof(.., verify = false)`.
+    /// of the raw key table.
     ///
     /// Novelty before signature: every entry's rank is cross-checked, but
     /// only an entry naming a voter not already in `supp(block)` is
@@ -315,22 +303,20 @@ impl UnlockState {
     pub fn merge_proof_with(
         &mut self,
         proof: &UnlockProof,
-        verify_aggregate: Option<impl Fn(&[u8], &banyan_crypto::AggregateSignature) -> bool>,
+        verify_aggregate: impl Fn(&[u8], &AggregateSignature) -> bool,
     ) -> bool {
         if proof.round != self.round {
             return false;
         }
-        if let Some(verify_aggregate) = verify_aggregate {
-            for entry in &proof.entries {
-                let known = self.ranks.get(&entry.block);
-                if known.is_some_and(|known| *known != entry.rank) {
+        for entry in &proof.entries {
+            let known = self.ranks.get(&entry.block);
+            if known.is_some_and(|known| *known != entry.rank) {
+                return false;
+            }
+            if self.adds_voter(&entry.block, &entry.agg) {
+                let msg = Vote::signing_message(VoteKind::Fast, proof.round, &entry.block);
+                if !verify_aggregate(&msg, &entry.agg) {
                     return false;
-                }
-                if self.adds_voter(&entry.block, &entry.agg) {
-                    let msg = Vote::signing_message(VoteKind::Fast, proof.round, &entry.block);
-                    if !verify_aggregate(&msg, &entry.agg) {
-                        return false;
-                    }
                 }
             }
         }
@@ -414,13 +400,10 @@ mod tests {
     /// Merges through the real key table, counting verifier calls.
     fn merge_counting(s: &mut UnlockState, proof: &UnlockProof, calls: &Cell<usize>) -> bool {
         let table = registries(4)[0].table().clone();
-        s.merge_proof_with(
-            proof,
-            Some(|msg: &[u8], agg: &AggregateSignature| {
-                calls.set(calls.get() + 1);
-                table.verify_aggregate(msg, agg)
-            }),
-        )
+        s.merge_proof_with(proof, |msg, agg| {
+            calls.set(calls.get() + 1);
+            table.verify_aggregate(msg, agg)
+        })
     }
 
     #[test]
@@ -568,7 +551,7 @@ mod tests {
         // A fresh replica verifies and merges the proof; the block
         // unlocks for it too.
         let mut fresh = state();
-        assert!(fresh.merge_proof(&proof, &table, true));
+        assert!(fresh.merge_proof(&proof, &table));
         assert_eq!(fresh.supp(&b0), 3);
         assert!(fresh.is_unlocked(&b0));
     }
@@ -589,12 +572,9 @@ mod tests {
         // Claim an extra signer that never voted.
         proof.entries[0].agg.signers.set(3);
         let mut fresh = state();
-        assert!(!fresh.merge_proof(&proof, &table, true));
+        assert!(!fresh.merge_proof(&proof, &table));
         assert_eq!(fresh.supp(&b0), 0, "nothing merged from a bad proof");
         assert!(!fresh.ranks.contains_key(&b0), "nor its rank learned");
-        // Without verification (trusted channel), merging is allowed.
-        assert!(fresh.merge_proof(&proof, &table, false));
-        assert_eq!(fresh.supp(&b0), 4);
     }
 
     #[test]
@@ -609,7 +589,7 @@ mod tests {
         let proof = s.build_proof(&table);
         assert_eq!(proof.total_votes(), 1);
         let mut other = state(); // round 1
-        assert!(!other.merge_proof(&proof, &table, false));
+        assert!(!other.merge_proof(&proof, &table));
         // `false` alone could be a redundant proof; rejection is that
         // nothing of it was merged.
         assert_eq!(other.supp(&b0), 0);
@@ -631,7 +611,7 @@ mod tests {
 
         let mut fresh = state();
         fresh.observe_block(b0, Rank(0)); // fresh replica has the block
-        assert!(!fresh.merge_proof(&proof, &table, true));
+        assert!(!fresh.merge_proof(&proof, &table));
         assert_eq!(fresh.supp(&b0), 0, "the honest signature was not merged");
     }
 

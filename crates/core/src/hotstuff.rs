@@ -232,9 +232,6 @@ impl HotStuffEngine {
         if !qc.meets_quorum(self.quorum()) {
             return false;
         }
-        if !self.cfg.verify_signatures {
-            return true;
-        }
         self.verify
             .verify_aggregate(&vote_message(qc.view, &qc.block), &qc.agg)
     }
@@ -255,13 +252,11 @@ impl HotStuffEngine {
             return;
         }
         let hash = block.hash(self.cfg.payload_chunk);
-        if self.cfg.verify_signatures
-            && !self.verify.verify(
-                block.proposer.0,
-                &Block::signing_message(&hash),
-                &block.signature,
-            )
-        {
+        if !self.verify.verify(
+            block.proposer.0,
+            &Block::signing_message(&hash),
+            &block.signature,
+        ) {
             return;
         }
         self.blocks.entry(hash).or_insert((block, justify.clone()));
@@ -312,10 +307,9 @@ impl HotStuffEngine {
         now: Time,
         actions: &mut Actions,
     ) {
-        if self.cfg.verify_signatures
-            && !self
-                .verify
-                .verify(voter.0, &vote_message(view, &block), &signature)
+        if !self
+            .verify
+            .verify(voter.0, &vote_message(view, &block), &signature)
         {
             return;
         }

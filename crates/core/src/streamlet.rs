@@ -212,13 +212,11 @@ impl StreamletEngine {
         if self.blocks.contains_key(&hash) {
             return;
         }
-        if self.cfg.verify_signatures
-            && !self.verify.verify(
-                block.proposer.0,
-                &Block::signing_message(&hash),
-                &block.signature,
-            )
-        {
+        if !self.verify.verify(
+            block.proposer.0,
+            &Block::signing_message(&hash),
+            &block.signature,
+        ) {
             return;
         }
         self.blocks.insert(hash, (block.clone(), 0));
@@ -247,10 +245,9 @@ impl StreamletEngine {
         if vote.kind != VoteKind::Notarize {
             return;
         }
-        if self.cfg.verify_signatures
-            && !self
-                .verify
-                .verify(vote.voter.0, &vote.message(), &vote.signature)
+        if !self
+            .verify
+            .verify(vote.voter.0, &vote.message(), &vote.signature)
         {
             return;
         }
@@ -382,11 +379,9 @@ impl StreamletEngine {
         if !cert.meets_quorum(self.quorum()) {
             return;
         }
-        if self.cfg.verify_signatures {
-            let msg = Vote::signing_message(VoteKind::Notarize, cert.round, &cert.block);
-            if !self.verify.verify_aggregate(&msg, &cert.agg) {
-                return;
-            }
+        let msg = Vote::signing_message(VoteKind::Notarize, cert.round, &cert.block);
+        if !self.verify.verify_aggregate(&msg, &cert.agg) {
+            return;
         }
         self.notarized.insert(cert.block);
         let block = cert.block;

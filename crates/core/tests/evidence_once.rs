@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use banyan_core::builder::ClusterBuilder;
-use banyan_core::chained::{ChainedEngine, OptimisticConfig, PathMode};
+use banyan_core::chained::{ChainedEngine, PathMode};
 use banyan_crypto::beacon::{Beacon, BeaconMode};
 use banyan_crypto::hashsig::HashSig;
 use banyan_crypto::registry::KeyRegistry;
@@ -318,7 +318,7 @@ fn first_leader_fast_vote_for_a_stored_block_is_still_verified() {
 #[test]
 fn proposer_fast_vote_that_overtook_its_block_still_validates_it_when_resent() {
     let c = Cluster::new(4, 1, 1);
-    let mut e = c.engine(0).with_optimistic(OptimisticConfig::default());
+    let mut e = c.engine(0).with_optimistic();
     e.on_init(Time(0));
     let (b1, block1) = c.leader_block(1, BlockHash::ZERO);
     let released = votes_frame(vec![c.vote(1, VoteKind::Fast, 1, b1)]);

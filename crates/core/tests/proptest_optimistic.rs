@@ -13,7 +13,6 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 
 use banyan_core::builder::ClusterBuilder;
-use banyan_core::chained::OptimisticConfig;
 use banyan_mempool::{
     BatchPolicy, Mempool, MempoolSource, Request, SharedMempool, WorkloadBatch, DEFAULT_MAX_BATCH,
 };
@@ -87,7 +86,7 @@ fn run_optimistic(protocol: &str, n: usize, f: usize, plan: &OptimisticPlan) -> 
                 DEFAULT_MAX_BATCH,
             ))
         })
-        .optimistic(OptimisticConfig::default())
+        .optimistic()
         .build(protocol);
     let mut faults = FaultPlan::none();
     for (replica, ms) in &plan.crashes {

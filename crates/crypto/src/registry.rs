@@ -63,9 +63,11 @@ impl PublicKeyTable {
         }
     }
 
-    /// Verifies an aggregate certificate over `msg`.
+    /// Verifies an aggregate certificate over `msg`. The signer bitmap
+    /// must be exactly as wide as the cluster: the quorum gates count every
+    /// bit, so a bit the scheme never checks would be a forged vote.
     pub fn verify_aggregate(&self, msg: &[u8], agg: &AggregateSignature) -> bool {
-        self.scheme.verify_aggregate(&self.pks, msg, agg)
+        agg.signers.len() == self.len() && self.scheme.verify_aggregate(&self.pks, msg, agg)
     }
 
     /// Verifies a batch of `(signer, message, signature)` triples in one

@@ -1,7 +1,7 @@
 //! The verify plane: every signature check a consensus engine performs is
 //! routed through a [`VerifyBackend`], so the *policy* (batch vote bursts?
-//! cache certificate verdicts? run on the consensus thread or in the
-//! pipeline's verify workers?) is decided once, outside the protocol logic.
+//! cache certificate verdicts?) is decided once, outside the protocol
+//! logic.
 //!
 //! Two implementations:
 //!
@@ -13,10 +13,9 @@
 //!   rebroadcast by `f + 1` peers (heartbeats, piggybacked parents,
 //!   catch-up replies) is verified cryptographically once.
 //!
-//! All counters are atomics, so one backend can be shared (`Arc`) between a
-//! consensus thread and the staged pipeline's verify workers; the counts
-//! themselves depend only on the call sequence, which keeps simulation runs
-//! bit-reproducible.
+//! All counters are atomics, so a backend is `Send + Sync` behind an `Arc`;
+//! the counts themselves depend only on the call sequence, which keeps
+//! simulation runs bit-reproducible.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -34,13 +34,6 @@
 //! block are ignored — and schedules one resubmission a think time
 //! later, which the simulator turns into a `ClientTick`.
 //!
-//! **Load shapes** ([`LoadShape`]) reshape the token rate over virtual
-//! time: a flash crowd multiplies it for a burst window, a diurnal curve
-//! walks it through an integer triangle wave, and a regional outage
-//! makes affected cohorts *fail over* — submissions that would target a
-//! partitioned replica redirect to its successor, the client-side
-//! complement of `ByzantineMode::CensorClients`.
-//!
 //! Determinism: replica targeting comes from an RNG seeded with `seed`
 //! (exactly one draw per submission or retry), completions arrive in the
 //! simulator's deterministic commit order, and resubmissions fire at
@@ -55,47 +48,6 @@ use banyan_types::time::{Duration, Time};
 use crate::workload::{
     shared_client_api, swap_ticks, ClientCore, Request, SharedMempool, WorkloadBatch,
 };
-
-/// A programmable aggregate load shape (see the module docs). All shapes
-/// are exact functions of virtual time, so shaped runs stay
-/// deterministic per seed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LoadShape {
-    /// Constant token rate (the default).
-    Steady,
-    /// The token rate multiplies by `factor` during
-    /// `[at, at + duration)` — a flash crowd arriving and leaving.
-    FlashCrowd {
-        /// Burst start (virtual time).
-        at: Time,
-        /// Rate multiplier during the burst (≥ 1).
-        factor: u32,
-        /// Burst length.
-        duration: Duration,
-    },
-    /// The token *interval* walks an integer triangle wave between ×1
-    /// (peak) and ×`trough` (quietest) over each `period` — a diurnal
-    /// curve without floating-point drift.
-    Diurnal {
-        /// Full wave period.
-        period: Duration,
-        /// Interval multiplier at the trough (≥ 1).
-        trough: u32,
-    },
-    /// Replica `replica` is unreachable from its region during
-    /// `[at, at + duration)`: submissions (initial, resumed or retried)
-    /// that drew it as primary fail over to its ring successor. Pairs
-    /// with `ByzantineMode::CensorClients` — censored clients keep their
-    /// aggregate rate but route around the censor.
-    RegionalOutage {
-        /// Outage start (virtual time).
-        at: Time,
-        /// Outage length.
-        duration: Duration,
-        /// The partitioned replica.
-        replica: usize,
-    },
-}
 
 /// One cohort's aggregate state: O(1) per cohort regardless of how many
 /// clients it models.
@@ -166,7 +118,6 @@ pub struct ClosedLoopWorkload {
     /// Per-submission token interval per *member* (None = unlimited). A
     /// cohort of `m` members paces at `interval / m`.
     interval: Option<Duration>,
-    shape: LoadShape,
     /// Global admission cap: in-flight requests never exceed it, so
     /// driver memory is O(cap), not O(modeled clients × window).
     max_outstanding: u64,
@@ -194,7 +145,6 @@ impl std::fmt::Debug for ClosedLoopWorkload {
             .field("think_time", &self.think_time)
             .field("max_outstanding", &self.max_outstanding)
             .field("interval", &self.interval)
-            .field("shape", &self.shape)
             .field("core", &self.core)
             .finish_non_exhaustive()
     }
@@ -283,7 +233,6 @@ impl ClosedLoopWorkload {
             modeled_clients,
             cohorts,
             interval: None,
-            shape: LoadShape::Steady,
             max_outstanding: modeled_clients.saturating_mul(window as u64),
             resume_queue: BTreeMap::new(),
             resume_seq: 0,
@@ -305,21 +254,6 @@ impl ClosedLoopWorkload {
     pub fn with_member_interval(mut self, interval: Duration) -> Self {
         assert!(interval > Duration::ZERO, "token interval must be positive");
         self.interval = Some(interval);
-        self
-    }
-
-    /// Builder-style: installs a [`LoadShape`] (default
-    /// [`LoadShape::Steady`]).
-    pub fn with_shape(mut self, shape: LoadShape) -> Self {
-        self.core.set_outage(match shape {
-            LoadShape::RegionalOutage {
-                at,
-                duration,
-                replica,
-            } => Some((replica, at, at + duration)),
-            _ => None,
-        });
-        self.shape = shape;
         self
     }
 
@@ -415,45 +349,11 @@ impl ClosedLoopWorkload {
         }
     }
 
-    /// The token interval cohort `c` is pacing at around `now`, shaped
-    /// by the configured [`LoadShape`]. `None` = unlimited.
-    fn effective_interval(&self, c: usize, now: Time) -> Option<Duration> {
+    /// The token interval cohort `c` paces at. `None` = unlimited.
+    fn effective_interval(&self, c: usize) -> Option<Duration> {
         let member = self.interval?;
-        let members = self.cohorts[c].members;
         // Aggregate pacing: m members at one per `member` each.
-        let base = Duration((member.0 / members).max(1));
-        let shaped = match self.shape {
-            LoadShape::Steady | LoadShape::RegionalOutage { .. } => base,
-            LoadShape::FlashCrowd {
-                at,
-                factor,
-                duration,
-            } => {
-                if now >= at && now < at + duration {
-                    Duration((base.0 / u64::from(factor.max(1))).max(1))
-                } else {
-                    base
-                }
-            }
-            LoadShape::Diurnal { period, trough } => {
-                // Integer triangle wave: interval multiplier walks
-                // 1 → trough → 1 over each period.
-                let span = u64::from(trough.max(1)) - 1;
-                if span == 0 || period == Duration::ZERO {
-                    base
-                } else {
-                    let phase = now.0 % period.0;
-                    let half = period.0 / 2;
-                    let steps = if phase < half {
-                        phase * span / half.max(1)
-                    } else {
-                        (period.0 - phase) * span / half.max(1)
-                    };
-                    base.saturating_mul(1 + steps)
-                }
-            }
-        };
-        Some(shaped)
+        Some(Duration((member.0 / self.cohorts[c].members).max(1)))
     }
 
     /// Submits one request for cohort `c` at `now` (exactly one target
@@ -481,7 +381,7 @@ impl ClosedLoopWorkload {
             self.cohorts[c].demand += 1;
             return false;
         }
-        match self.effective_interval(c, now) {
+        match self.effective_interval(c) {
             None => {
                 self.submit_for(c, now);
                 true
@@ -756,74 +656,6 @@ mod tests {
         w.handle_tick(ticks[0]);
         assert_eq!(w.in_flight(), 2, "freed capacity re-admits deferred demand");
         assert!(w.in_flight() as u64 <= w.max_in_flight());
-    }
-
-    #[test]
-    fn flash_crowd_shrinks_the_interval_during_the_burst() {
-        let w = ClosedLoopWorkload::new(1, 1, Duration::ZERO, 64, 1, pools(1))
-            .with_member_interval(Duration::from_millis(10))
-            .with_shape(LoadShape::FlashCrowd {
-                at: Time(1_000_000_000),
-                factor: 10,
-                duration: Duration::from_secs(1),
-            });
-        assert_eq!(
-            w.effective_interval(0, Time(0)),
-            Some(Duration::from_millis(10))
-        );
-        assert_eq!(
-            w.effective_interval(0, Time(1_500_000_000)),
-            Some(Duration::from_millis(1)),
-            "10× the rate during the burst"
-        );
-        assert_eq!(
-            w.effective_interval(0, Time(2_000_000_000)),
-            Some(Duration::from_millis(10)),
-            "burst over"
-        );
-    }
-
-    #[test]
-    fn diurnal_interval_walks_a_triangle_wave() {
-        let w = ClosedLoopWorkload::new(1, 1, Duration::ZERO, 64, 1, pools(1))
-            .with_member_interval(Duration::from_millis(10))
-            .with_shape(LoadShape::Diurnal {
-                period: Duration::from_secs(10),
-                trough: 5,
-            });
-        let at = |t: u64| w.effective_interval(0, Time(t)).unwrap();
-        assert_eq!(at(0), Duration::from_millis(10), "peak at phase 0");
-        assert_eq!(at(5_000_000_000), Duration::from_millis(50), "trough");
-        assert_eq!(at(10_000_000_000), Duration::from_millis(10), "next peak");
-        assert!(at(2_500_000_000) > at(0));
-        assert!(at(2_500_000_000) < at(5_000_000_000));
-    }
-
-    #[test]
-    fn regional_outage_fails_over_to_the_ring_successor() {
-        let mempools = pools(2);
-        // Replica 0 partitioned for the whole run: every submission and
-        // every retry must land on replica 1, whatever the RNG draws.
-        let timeout = Duration::from_millis(10);
-        let mut w =
-            ClosedLoopWorkload::aggregated(8, 2, 1, Duration::ZERO, 64, 42, mempools.clone())
-                .with_retry(timeout)
-                .with_shape(LoadShape::RegionalOutage {
-                    at: Time::ZERO,
-                    duration: Duration::from_secs(3600),
-                    replica: 0,
-                });
-        w.prime(Time::ZERO);
-        assert_eq!(mempools[0].lock().unwrap().len(), 0, "outage: no traffic");
-        assert_eq!(mempools[1].lock().unwrap().len(), 8, "failover target");
-        drain_all(&mempools);
-        assert_eq!(w.handle_retry_tick(Time::ZERO + timeout), 8);
-        assert_eq!(
-            mempools[0].lock().unwrap().len(),
-            0,
-            "retries fail over too"
-        );
-        assert_eq!(mempools[1].lock().unwrap().len(), 8);
     }
 
     #[test]

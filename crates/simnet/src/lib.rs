@@ -25,9 +25,8 @@
 //! * [`cohort`] — the closed-loop population itself, one
 //!   cohort-aggregated model with two constructors: one member per
 //!   cohort (exact per-client windows), or up to 10⁶ modeled clients in
-//!   `O(cohorts)` memory, with token-bucket pacing, a global admission
-//!   cap and programmable [`LoadShape`]s (flash crowd, diurnal curve,
-//!   regional outage with failover).
+//!   `O(cohorts)` memory, with token-bucket pacing and a global
+//!   admission cap.
 //!
 //! # Examples
 //!
@@ -52,7 +51,7 @@ pub mod sim;
 pub mod topology;
 pub mod workload;
 
-pub use cohort::{ClosedLoopWorkload, CohortStats, LoadShape};
+pub use cohort::{ClosedLoopWorkload, CohortStats};
 pub use faults::{Fault, FaultPlan};
 pub use metrics::{ClientLoadSummary, LatencyStats, ObservedCommit, RunMetrics, SafetyAuditor};
 pub use sim::{CryptoCost, SimConfig, Simulation};

@@ -208,7 +208,7 @@ pub struct RunMetrics {
     /// (0 for purely in-memory stores).
     pub wal_bytes: u64,
     /// Individual signature verifications performed by the replicas'
-    /// verify planes over the run (0 when verification is off).
+    /// verify planes over the run.
     pub sigs_verified: u64,
     /// Batched verification calls issued (each covering ≥ 2 signatures).
     pub verify_batches: u64,

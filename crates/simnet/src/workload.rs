@@ -121,10 +121,6 @@ pub(crate) struct ClientCore {
     in_flight: HashMap<u64, Request>,
     completed: u64,
     frozen: bool,
-    /// `(replica, from, until)`: submissions and retries that draw
-    /// `replica` as primary during `[from, until)` go to its ring
-    /// successor instead (see `LoadShape::RegionalOutage`).
-    outage: Option<(usize, Time, Time)>,
 }
 
 impl ClientCore {
@@ -139,7 +135,6 @@ impl ClientCore {
             in_flight: HashMap::new(),
             completed: 0,
             frozen: false,
-            outage: None,
         }
     }
 
@@ -152,21 +147,9 @@ impl ClientCore {
         self.fanout = fanout;
     }
 
-    /// Installs (or clears) the unreachable-replica window, as
-    /// `(replica, from, until)`.
-    pub(crate) fn set_outage(&mut self, outage: Option<(usize, Time, Time)>) {
-        self.outage = outage;
-    }
-
-    /// Draws the primary target for one submission or retry at `now`.
-    fn target(&mut self, now: Time) -> usize {
-        let target = self.rng.gen_range(0..self.mempools.len());
-        match self.outage {
-            Some((replica, from, until)) if target == replica && now >= from && now < until => {
-                (target + 1) % self.mempools.len()
-            }
-            _ => target,
-        }
+    /// Draws the primary target for one submission or retry.
+    fn target(&mut self) -> usize {
+        self.rng.gen_range(0..self.mempools.len())
     }
 
     /// The id the next [`submit`](Self::submit) will assign.
@@ -178,7 +161,7 @@ impl ClientCore {
     /// `now`: one target draw, the next id, fan-out push, retry armed.
     /// Returns the primary target replica.
     pub(crate) fn submit(&mut self, client: u16, size: u64, now: Time) -> ReplicaId {
-        let target = self.target(now);
+        let target = self.target();
         self.next_id += 1;
         let req = Request {
             id: self.next_id,
@@ -214,7 +197,7 @@ impl ClientCore {
             }
             self.retry.deadlines.pop_front();
             if let Some(req) = self.in_flight.get(&id).copied() {
-                let target = self.target(now);
+                let target = self.target();
                 push_fanout(&self.mempools, self.fanout, target, req);
                 self.retry.retries += 1;
                 self.retry.arm(id, now);

@@ -167,4 +167,42 @@ mod tests {
         buf.extend_from_slice(&[0xFF, 0xFF, 0xFF]);
         assert!(read_frame(&mut buf.as_slice()).is_err());
     }
+
+    /// The framing half of `arbitrary_bytes_never_panic_the_decoder`
+    /// (`banyan-types`' codec proptest, which cannot reach this crate):
+    /// noise up to 4 KiB — half of it behind a header whose length is
+    /// honest, so the body reaches the message decoder — and real frames
+    /// with a few bytes overwritten return a frame or an error, never a
+    /// panic.
+    #[test]
+    fn arbitrary_bytes_never_panic_read_frame() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut real = Vec::new();
+        write_msg(&mut real, ReplicaId(2), &sample_msg()).unwrap();
+        for case in 0..4_000 {
+            let mut buf: Vec<u8> = if case % 2 == 0 {
+                let len = (next() % 4096) as usize;
+                (0..len).map(|_| next() as u8).collect()
+            } else {
+                let mut frame = real.clone();
+                for _ in 0..1 + next() % 4 {
+                    let at = (next() as usize) % frame.len();
+                    frame[at] = next() as u8;
+                }
+                frame
+            };
+            if case % 4 == 0 && buf.len() >= 6 {
+                let body = (buf.len() - 6) as u32;
+                buf[..4].copy_from_slice(&body.to_le_bytes());
+            }
+            let _ = read_frame(&mut buf.as_slice());
+        }
+    }
 }

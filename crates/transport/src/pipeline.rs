@@ -16,7 +16,6 @@
 //!              they NEVER reach the consensus thread)
 //!            · proposal blocks → recompute block hash, WorkloadBatch
 //!              sanity, lease observation
-//!            · votes / certificates → signature plane (verify_backend)
 //!                 │  ordered engine events only
 //!                 ▼
 //!          consensus thread (EngineDriver: timers, votes, commits)
@@ -24,6 +23,11 @@
 //!                 ▼
 //!          per-peer writer threads (dispatch)
 //! ```
+//!
+//! Signatures are not checked here: the engine checks every vote and
+//! certificate that can change its state, and only those, so a worker
+//! check would be a second look at evidence the engine either needs (and
+//! checks itself) or skips.
 //!
 //! Routing a peer's frames to the worker `from % verify_workers` keeps
 //! per-peer FIFO order (a peer's proposal is never overtaken by its own
@@ -61,8 +65,8 @@ use crate::runner::TcpRunReport;
 /// Frame-channel capacity into each verify worker.
 const VERIFY_QUEUE: usize = 2048;
 
-/// Sizing and behavior of the staged pipeline.
-#[derive(Clone)]
+/// Sizing of the staged pipeline.
+#[derive(Clone, Debug)]
 pub struct PipelineConfig {
     /// Verify workers between the readers and the consensus thread.
     /// 0 behaves like 1 (a configured stage always exists; the *inline*
@@ -71,14 +75,6 @@ pub struct PipelineConfig {
     /// Payload-chunk size for block-hash recomputation; must match the
     /// cluster's `ProtocolConfig::payload_chunk`.
     pub payload_chunk: usize,
-    /// Optional signature-verify plane: when set, the workers check every
-    /// vote signature and aggregate certificate a frame carries *before*
-    /// it reaches the consensus thread, rejecting forgeries off-thread.
-    /// Share the same `Arc` with the engine
-    /// (`Engine::set_verify_backend`) so its stats unify and the cert
-    /// cache deduplicates work across both planes. `None` = the engine
-    /// does all signature checking on the consensus thread.
-    pub verify_backend: Option<Arc<dyn banyan_crypto::VerifyBackend>>,
 }
 
 impl Default for PipelineConfig {
@@ -86,21 +82,7 @@ impl Default for PipelineConfig {
         PipelineConfig {
             verify_workers: 2,
             payload_chunk: 64 << 10,
-            verify_backend: None,
         }
-    }
-}
-
-impl std::fmt::Debug for PipelineConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PipelineConfig")
-            .field("verify_workers", &self.verify_workers)
-            .field("payload_chunk", &self.payload_chunk)
-            .field(
-                "verify_backend",
-                &self.verify_backend.as_ref().map(|_| "backend"),
-            )
-            .finish()
     }
 }
 
@@ -118,15 +100,6 @@ impl PipelineConfig {
         self.payload_chunk = chunk;
         self
     }
-
-    /// Builder-style: installs a signature-verify plane. Pass the same
-    /// `Arc` to the engine's `set_verify_backend` so stats and the cert
-    /// cache are shared.
-    #[must_use]
-    pub fn with_verify_backend(mut self, backend: Arc<dyn banyan_crypto::VerifyBackend>) -> Self {
-        self.verify_backend = Some(backend);
-        self
-    }
 }
 
 /// Frame accounting across the pipeline stages. Every frame decoded by a
@@ -141,7 +114,7 @@ pub struct PipelineStats {
     pub ingested: AtomicU64,
     /// Frames verified and forwarded to the consensus thread.
     pub verified: AtomicU64,
-    /// Frames rejected by verification (corrupt batch, forged signature).
+    /// Frames rejected by verification (a corrupt workload batch).
     pub rejected: AtomicU64,
     /// Individual requests the pool's ingest channel accepted (diagnostic;
     /// the ones it shed are the pool's `ingest_dropped`).
@@ -186,7 +159,7 @@ pub enum VerifyOutcome {
     Engine(ReplicaId, Message),
     /// Absorbed into pool ingest (dissemination traffic).
     Ingested,
-    /// Dropped: failed a structural or signature check.
+    /// Dropped: failed a structural check.
     Rejected,
 }
 
@@ -206,9 +179,8 @@ pub enum VerifyOutcome {
 ///   walk memoizes the commitment on the payload's shared buffer, and the
 ///   returned message carries that same buffer, so the consensus thread
 ///   never re-hashes the payload — its `Block::hash` is one header SHA.
-/// * Vote signatures and aggregate certificates are checked against
-///   `config.verify_backend` when one is installed.
-/// * Everything else (timeouts, sync requests) passes through.
+/// * Everything else (votes, certificates, timeouts, sync requests)
+///   passes through: signatures are the engine's to check.
 pub fn verify_frame(
     from: ReplicaId,
     msg: Message,
@@ -247,32 +219,6 @@ pub fn verify_frame(
                     // Record the lease under the hash just computed; the
                     // consensus thread skips its own observation pass.
                     pool.observe_decoded(hash, block.round, block.parent, batch.requests);
-                }
-            }
-            // Signature plane: check every vote signature and aggregate
-            // certificate the frame carries before it can occupy the
-            // consensus thread. The engine remains the authority, but
-            // looks only at evidence that can change its state; when it
-            // does, it goes through the same shared backend, where the
-            // cert cache makes the second look a hit. Rejection here is
-            // the off-thread fast path for forgeries.
-            if let Some(backend) = &config.verify_backend {
-                let checks = msg.vote_checks();
-                if !checks.is_empty() {
-                    let items: Vec<_> = checks
-                        .iter()
-                        .map(|(voter, m, sig)| (voter.0, m.as_slice(), *sig))
-                        .collect();
-                    if backend.verify_votes(&items).iter().any(|ok| !ok) {
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        return VerifyOutcome::Rejected;
-                    }
-                }
-                for (m, agg) in msg.certificates() {
-                    if !backend.verify_aggregate(&m, agg) {
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        return VerifyOutcome::Rejected;
-                    }
                 }
             }
             stats.verified.fetch_add(1, Ordering::Relaxed);
@@ -539,8 +485,6 @@ mod tests {
 
     #[test]
     fn verify_frame_accounts_every_frame_once() {
-        use banyan_crypto::Signature;
-        use banyan_types::ids::{BlockHash, Round};
         use banyan_types::message::StreamletMsg;
         use banyan_types::payload::Payload;
         let config = PipelineConfig::default();
@@ -596,39 +540,10 @@ mod tests {
             VerifyOutcome::Rejected
         );
 
-        // A frame failing signature verification is rejected too: the
-        // same vote passes with its real signature and fails forged.
-        use banyan_crypto::{DirectVerify, KeyRegistry, ToySchnorr};
-        use banyan_types::vote::{Vote, VoteKind};
-        let scheme: Arc<dyn banyan_crypto::SignatureScheme> = Arc::new(ToySchnorr::compact());
-        let keys = KeyRegistry::generate(scheme, 5, 4, 1);
-        let strict = config
-            .clone()
-            .with_verify_backend(Arc::new(DirectVerify::new(keys.table().clone())));
-        let mut vote = Vote {
-            kind: VoteKind::Notarize,
-            round: Round(1),
-            block: BlockHash::ZERO,
-            voter: ReplicaId(1),
-            signature: Signature::zero(),
-        };
-        vote.signature = keys.sign(&vote.message());
-        let honest = Message::Streamlet(StreamletMsg::Vote(vote));
-        assert!(matches!(
-            verify_frame(ReplicaId(1), honest, Some(&*pool), &strict, &stats),
-            VerifyOutcome::Engine(..)
-        ));
-        vote.signature.0[4] ^= 1;
-        let forged = Message::Streamlet(StreamletMsg::Vote(vote));
-        assert_eq!(
-            verify_frame(ReplicaId(1), forged, Some(&*pool), &strict, &stats),
-            VerifyOutcome::Rejected
-        );
-
         let s = stats.snapshot();
         assert_eq!(s.ingested, 2);
-        assert_eq!(s.verified, 2);
-        assert_eq!(s.rejected, 2);
+        assert_eq!(s.verified, 1);
+        assert_eq!(s.rejected, 1);
         assert_eq!(s.requests_ingested, 3);
 
         // Only what the ingest channel accepted counts as ingested: a
@@ -830,88 +745,5 @@ mod tests {
         let s = stats.snapshot();
         assert_eq!(s.verified, 2);
         assert_eq!(s.rejected, 0, "optimistic shape must not be rejected");
-    }
-
-    /// The cert-verdict cache earns its keep where two verifiers share one
-    /// backend: a certificate a verify worker has checked is a cache hit
-    /// when the engine then needs it. The engine looks up only evidence
-    /// that can change its state — a relay of the same certificate is
-    /// checked (and hit) by the stateless worker alone.
-    #[test]
-    fn worker_verified_certificate_is_a_cache_hit_when_the_engine_needs_it() {
-        use banyan_core::builder::VerifyPlaneConfig;
-        use banyan_types::engine::{Actions, Outbound};
-        use banyan_types::ids::Round;
-        use banyan_types::message::ChainedMsg;
-        use std::collections::VecDeque;
-
-        let builder = ClusterBuilder::new(4, 1, 1)
-            .unwrap()
-            .delta(BDuration::from_millis(50))
-            .verify_plane(VerifyPlaneConfig::default());
-        let mut engines = builder.build_banyan();
-
-        // Replicas 0..=2 run round 1 among themselves — three fast votes
-        // are the fast quorum n − p — while replica 3 hears nothing.
-        let mut wire: Vec<(ReplicaId, Message)> = Vec::new();
-        let mut queue: VecDeque<(ReplicaId, Message)> = VecDeque::new();
-        let broadcasts = |from: usize, actions: Actions| {
-            actions
-                .outbound
-                .into_iter()
-                .filter_map(move |out| match out {
-                    Outbound::Broadcast(msg) => Some((ReplicaId(from as u16), msg)),
-                    Outbound::Send(..) => None,
-                })
-        };
-        for (i, engine) in engines.iter_mut().enumerate().take(3) {
-            let init = engine.on_init(BTime::ZERO);
-            for timer in init.timers.iter().filter(|t| t.at == BTime::ZERO) {
-                queue.extend(broadcasts(i, engine.on_timer(timer.kind, timer.at)));
-            }
-            queue.extend(broadcasts(i, init));
-        }
-        while let Some((from, msg)) = queue.pop_front() {
-            for (to, engine) in engines.iter_mut().enumerate().take(3) {
-                if to != from.as_usize() {
-                    queue.extend(broadcasts(
-                        to,
-                        engine.on_message(from, msg.clone(), BTime(1)),
-                    ));
-                }
-            }
-            wire.push((from, msg));
-        }
-        assert_eq!(engines[0].finalized_round(), Round(1));
-        let find = |pred: fn(&Message) -> bool| {
-            wire.iter()
-                .find(|(_, m)| pred(m))
-                .cloned()
-                .expect("round 1 ran")
-        };
-        let proposal = find(|m| m.proposal_block().is_some());
-        let certificate = find(|m| matches!(m, Message::Chained(ChainedMsg::Final(_))));
-
-        // Replica 3 sits behind a staged pipeline: worker and engine share
-        // one cached backend.
-        let shared = builder.make_verify_backend();
-        engines[3].set_verify_backend(shared.clone());
-        let config = PipelineConfig::default().with_verify_backend(shared.clone());
-        let stats = PipelineStats::default();
-        engines[3].on_init(BTime::ZERO);
-        let mut deliver = |(from, msg): (ReplicaId, Message)| {
-            let VerifyOutcome::Engine(from, msg) = verify_frame(from, msg, None, &config, &stats)
-            else {
-                panic!("honest frames pass the verify stage");
-            };
-            engines[3].on_message(from, msg, BTime(2));
-            (shared.stats().cert_cache_hits, engines[3].finalized_round())
-        };
-        assert_eq!(deliver(proposal), (0, Round(0)));
-        // Worker: miss, verified, cached. Engine: needs it — a hit.
-        assert_eq!(deliver(certificate.clone()), (1, Round(1)));
-        // Relayed again: the worker's look is a hit; the engine, already
-        // past round 1, does not look at all.
-        assert_eq!(deliver(certificate), (2, Round(1)));
     }
 }

@@ -279,7 +279,6 @@ pub(crate) fn run<P: ReplicaPool>(
     let listener = TcpListener::bind(listen)?;
     listener.set_nonblocking(true)?;
     let (event_tx, event_rx) = bounded::<Event>(EVENT_QUEUE);
-    let backend = stage.as_ref().and_then(|(c, _)| c.verify_backend.clone());
     let mut verify =
         stage.map(|(config, pool)| VerifyStage::spawn(&config, pool, event_tx.clone()));
     let ingress = match &verify {
@@ -474,7 +473,7 @@ pub(crate) fn run<P: ReplicaPool>(
         stats.snapshot()
     });
 
-    let (commits, stale_timers_dropped, wal_bytes, engine_verify) = match driver {
+    let (commits, stale_timers_dropped, wal_bytes, verified) = match driver {
         Some(d) => {
             let stale = stale_accum + d.stale_timers_dropped();
             let wal = d.engine().wal_bytes();
@@ -490,9 +489,6 @@ pub(crate) fn run<P: ReplicaPool>(
             Default::default(),
         ),
     };
-    // When the verify stage and the engine share one backend these are
-    // the unified plane totals; otherwise what the engine alone verified.
-    let verified = backend.map_or(engine_verify, |b| b.stats());
     let report = TcpRunReport {
         commits,
         messages_received,

@@ -65,8 +65,7 @@ pub struct TcpRunReport {
     /// Bytes in the engine's write-ahead log at shutdown (0 for
     /// in-memory stores and non-chained engines).
     pub wal_bytes: u64,
-    /// Individual signatures the replica's verify plane checked (0 when
-    /// verification is off).
+    /// Individual signatures the replica's engine checked.
     pub sigs_verified: u64,
     /// Batched verification calls issued (each covering ≥ 2 signatures).
     pub verify_batches: u64,

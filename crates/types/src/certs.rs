@@ -52,8 +52,11 @@ impl Wire for AggregateSignature {
     }
 
     fn decode(input: &mut Reader<'_>) -> Result<Self, CodecError> {
+        // Signer indices are `u16`: a wider bitmap counts bits its own
+        // iterator cannot reach, and would size the word vector below
+        // from an unchecked prefix.
         let width = input.u32()? as usize;
-        if width > crate::codec::MAX_LEN {
+        if width > usize::from(u16::MAX) {
             return Err(CodecError::LengthOverflow);
         }
         let word_count = input.u32()? as usize;

@@ -58,6 +58,10 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Static protocol parameters shared by all replicas of a deployment.
+///
+/// What is *not* a parameter: every received signature is verified; the
+/// rank-`r` proposal and notarization delays are `2Δ·r`; a replica stuck
+/// in a round retransmits every [`ProtocolConfig::HEARTBEAT`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProtocolConfig {
     /// Total number of replicas.
@@ -69,37 +73,32 @@ pub struct ProtocolConfig {
     /// preferable, §3). `p = 0` is accepted for ICC-only runs where the
     /// fast path is unused.
     p: usize,
-    /// The `Δ` bound used in the proposal/notarization delay schedule
-    /// (`Δ_prop(r) = Δ_notary(r) = 2Δ·r`, §4). The paper sets this larger
-    /// than the undisrupted message delay (§9.2).
+    /// The `Δ` bound used in the proposal/notarization delay schedule,
+    /// fixed at the paper's `Δ_prop(r) = Δ_notary(r) = 2Δ·r` (§4). The
+    /// paper sets this larger than the undisrupted message delay (§9.2).
     pub delta: Duration,
-    /// Extra stagger multiplier: delays are `stagger × Δ × rank`. The paper
-    /// fixes this to 2 (`2Δ·r`); exposed for the Δ-sensitivity ablation.
-    pub stagger: u64,
     /// Relay blocks that extend the chain tip on first receipt (§9.1: "by
     /// forwarding blocks that extend the tip of the chain, we drastically
     /// improve the performance of all algorithms").
     pub forward_blocks: bool,
-    /// Retransmission interval: while stuck in a round, a replica
-    /// re-broadcasts its proposal, votes and the previous round's
-    /// certificates every `heartbeat`. The paper's model assumes reliable
-    /// links; production ICC keeps re-gossiping its artifact pool — this
-    /// is the equivalent, and it is what lets the protocol recover from
-    /// actual message loss (hard partitions).
-    pub heartbeat: Duration,
     /// Remark 7.8 optimization: omit the notarization vote when a fast
     /// vote is sent; notarizations then carry two multi-signatures and
     /// count the distinct union. Saves one signature per replica per
     /// round on the happy path. Banyan mode only.
     pub piggyback_fast_votes: bool,
-    /// Verify signatures on receipt. Disable only in benchmarks isolating
-    /// network effects; all protocol tests keep it on.
-    pub verify_signatures: bool,
     /// Chunk size for payload Merkle commitments.
     pub payload_chunk: usize,
 }
 
 impl ProtocolConfig {
+    /// Retransmission interval: while stuck in a round, a replica
+    /// re-broadcasts its proposal, votes and the previous round's
+    /// certificates every `HEARTBEAT`. The paper's model assumes reliable
+    /// links; production ICC keeps re-gossiping its artifact pool — this
+    /// is the equivalent, and it is what lets the protocol recover from
+    /// actual message loss (hard partitions).
+    pub const HEARTBEAT: Duration = Duration::from_millis(500);
+
     /// Creates a validated configuration.
     ///
     /// # Errors
@@ -121,11 +120,8 @@ impl ProtocolConfig {
             f,
             p,
             delta: Duration::from_millis(100),
-            stagger: 2,
             forward_blocks: true,
-            heartbeat: Duration::from_millis(500),
             piggyback_fast_votes: false,
-            verify_signatures: true,
             payload_chunk: 64 * 1024,
         })
     }
@@ -158,21 +154,9 @@ impl ProtocolConfig {
         self
     }
 
-    /// Builder-style: sets the stuck-round retransmission interval.
-    pub fn with_heartbeat(mut self, heartbeat: Duration) -> Self {
-        self.heartbeat = heartbeat;
-        self
-    }
-
     /// Builder-style: enables the Remark 7.8 fast-vote piggyback.
     pub fn with_piggyback(mut self, on: bool) -> Self {
         self.piggyback_fast_votes = on;
-        self
-    }
-
-    /// Builder-style: enables/disables signature verification.
-    pub fn with_signature_verification(mut self, on: bool) -> Self {
-        self.verify_signatures = on;
         self
     }
 
@@ -217,14 +201,13 @@ impl ProtocolConfig {
     }
 
     /// Proposal delay for a replica of `rank` in the current round:
-    /// `Δ_prop(r) = stagger × Δ × r` (paper: `2Δ·r`, §4).
+    /// `Δ_prop(r) = 2Δ·r` (§4).
     pub fn proposal_delay(&self, rank: u16) -> Duration {
-        self.delta
-            .saturating_mul(self.stagger.saturating_mul(rank as u64))
+        self.delta.saturating_mul(2 * rank as u64)
     }
 
     /// Notarization delay before voting for a block of `rank`:
-    /// `Δ_notary(r) = stagger × Δ × r` (§4).
+    /// `Δ_notary(r) = 2Δ·r` (§4).
     pub fn notarization_delay(&self, rank: u16) -> Duration {
         self.proposal_delay(rank)
     }

@@ -235,11 +235,8 @@ pub trait Engine: Send {
         VerifyStats::default()
     }
 
-    /// Installs a verify backend for this engine's signature checks.
-    /// Drivers call this to share one batched/cached backend between the
-    /// engine and transport-level verify workers, so a certificate
-    /// pre-verified off-thread is a cache hit on the consensus thread.
-    /// Engines that do not route verification through a backend ignore it
+    /// Installs a verify backend for this engine's signature checks
+    /// (a batched/cached plane, or a wrapper that traces one). Engines that do not route verification through a backend ignore it
     /// (the default).
     fn set_verify_backend(&mut self, backend: Arc<dyn VerifyBackend>) {
         let _ = backend;

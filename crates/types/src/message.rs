@@ -123,122 +123,6 @@ impl Message {
             Message::Dissemination(DisseminationMsg::Announce { .. }) => "req-announce",
         }
     }
-
-    /// Every individual vote signature this message carries, as
-    /// `(voter, signed message, signature)` triples ready for
-    /// `PublicKeyTable::verify_batch`. Transport-level verify workers use
-    /// this to batch-check a message's signatures off the consensus thread;
-    /// the list covers chained, Streamlet and HotStuff votes (the latter
-    /// sign [`QuorumCert::signing_message`] rather than a [`Vote`]).
-    pub fn vote_checks(&self) -> Vec<(ReplicaId, Vec<u8>, &Signature)> {
-        let mut out = Vec::new();
-        match self {
-            Message::Chained(ChainedMsg::Proposal {
-                fast_vote: Some(v), ..
-            }) => {
-                out.push((v.voter, v.message(), &v.signature));
-            }
-            Message::Chained(ChainedMsg::Votes(votes)) => {
-                for v in votes {
-                    out.push((v.voter, v.message(), &v.signature));
-                }
-            }
-            Message::HotStuff(HotStuffMsg::Vote {
-                view,
-                block,
-                voter,
-                signature,
-            }) => {
-                out.push((*voter, QuorumCert::signing_message(*view, block), signature));
-            }
-            Message::Streamlet(StreamletMsg::Vote(v)) => {
-                out.push((v.voter, v.message(), &v.signature));
-            }
-            _ => {}
-        }
-        out
-    }
-
-    /// Every aggregate certificate this message carries, as
-    /// `(signed message, aggregate)` pairs ready for
-    /// `VerifyBackend::verify_aggregate`. The genesis QC is omitted (it is
-    /// exempt from verification by convention). Pairing each aggregate with
-    /// the exact byte string its votes signed is what lets transport
-    /// workers warm the certificate-verdict cache without protocol
-    /// knowledge.
-    pub fn certificates(&self) -> Vec<(Vec<u8>, &banyan_crypto::AggregateSignature)> {
-        use crate::vote::VoteKind;
-
-        fn push_notarization<'a>(
-            out: &mut Vec<(Vec<u8>, &'a banyan_crypto::AggregateSignature)>,
-            n: &'a Notarization,
-        ) {
-            out.push((
-                Vote::signing_message(VoteKind::Notarize, n.round, &n.block),
-                &n.agg,
-            ));
-            if let Some(fast) = &n.fast_agg {
-                out.push((
-                    Vote::signing_message(VoteKind::Fast, n.round, &n.block),
-                    fast,
-                ));
-            }
-        }
-
-        fn push_unlock<'a>(
-            out: &mut Vec<(Vec<u8>, &'a banyan_crypto::AggregateSignature)>,
-            p: &'a UnlockProof,
-        ) {
-            for entry in &p.entries {
-                out.push((
-                    Vote::signing_message(VoteKind::Fast, p.round, &entry.block),
-                    &entry.agg,
-                ));
-            }
-        }
-
-        let mut out = Vec::new();
-        match self {
-            Message::Chained(ChainedMsg::Proposal {
-                parent_notarization,
-                parent_unlock,
-                ..
-            }) => {
-                if let Some(n) = parent_notarization {
-                    push_notarization(&mut out, n);
-                }
-                if let Some(p) = parent_unlock {
-                    push_unlock(&mut out, p);
-                }
-            }
-            Message::Chained(ChainedMsg::Advance {
-                notarization,
-                unlock,
-            }) => {
-                push_notarization(&mut out, notarization);
-                if let Some(p) = unlock {
-                    push_unlock(&mut out, p);
-                }
-            }
-            Message::Chained(ChainedMsg::Final(f)) => {
-                let kind = match f.kind {
-                    crate::certs::FinalKind::Slow => VoteKind::Finalize,
-                    crate::certs::FinalKind::Fast => VoteKind::Fast,
-                };
-                out.push((Vote::signing_message(kind, f.round, &f.block), &f.agg));
-            }
-            Message::HotStuff(
-                HotStuffMsg::Proposal { justify, .. } | HotStuffMsg::NewView { justify, .. },
-            ) if !justify.is_genesis() => {
-                out.push((
-                    QuorumCert::signing_message(justify.view, &justify.block),
-                    &justify.agg,
-                ));
-            }
-            _ => {}
-        }
-        out
-    }
 }
 
 /// One client request as it travels between mempools: the wire record of
@@ -992,100 +876,6 @@ mod tests {
                 msg.label()
             );
         }
-    }
-
-    #[test]
-    fn vote_checks_extract_every_vote_signature() {
-        let v = vote();
-        let burst = Message::Chained(ChainedMsg::Votes(vec![vote(), vote()]));
-        assert_eq!(burst.vote_checks().len(), 2);
-        for (voter, msg, sig) in burst.vote_checks() {
-            assert_eq!(voter, v.voter);
-            assert_eq!(msg, v.message());
-            assert_eq!(sig.0, v.signature.0);
-        }
-
-        let proposal = &all_messages()[0]; // full proposal with fast_vote
-        assert_eq!(proposal.vote_checks().len(), 1);
-
-        let hs = Message::HotStuff(HotStuffMsg::Vote {
-            view: 9,
-            block: BlockHash([6; 32]),
-            voter: ReplicaId(2),
-            signature: Signature([3; 64]),
-        });
-        let checks = hs.vote_checks();
-        assert_eq!(checks.len(), 1);
-        assert_eq!(checks[0].0, ReplicaId(2));
-        assert_eq!(
-            checks[0].1,
-            QuorumCert::signing_message(9, &BlockHash([6; 32]))
-        );
-
-        assert_eq!(
-            Message::Streamlet(StreamletMsg::Vote(vote()))
-                .vote_checks()
-                .len(),
-            1
-        );
-        assert!(Message::Sync(SyncMsg::FrontierProbe)
-            .vote_checks()
-            .is_empty());
-    }
-
-    #[test]
-    fn certificates_pair_each_aggregate_with_its_signed_message() {
-        use crate::vote::VoteKind;
-
-        // Full proposal: notarization agg + its fast_agg + one unlock entry.
-        let proposal = &all_messages()[0];
-        let certs = proposal.certificates();
-        assert_eq!(certs.len(), 3);
-        assert_eq!(
-            certs[0].0,
-            Vote::signing_message(VoteKind::Notarize, Round(3), &BlockHash([6; 32]))
-        );
-        assert_eq!(
-            certs[1].0,
-            Vote::signing_message(VoteKind::Fast, Round(3), &BlockHash([6; 32]))
-        );
-        assert_eq!(
-            certs[2].0,
-            Vote::signing_message(VoteKind::Fast, Round(3), &BlockHash([6; 32]))
-        );
-
-        // A fast finalization's aggregate is over fast votes.
-        let fin = Message::Chained(ChainedMsg::Final(Finalization {
-            round: Round(4),
-            block: BlockHash([6; 32]),
-            kind: crate::certs::FinalKind::Fast,
-            agg: agg(),
-        }));
-        assert_eq!(
-            fin.certificates()[0].0,
-            Vote::signing_message(VoteKind::Fast, Round(4), &BlockHash([6; 32]))
-        );
-
-        // Genesis QCs are exempt; real QCs are extracted.
-        let genesis = Message::HotStuff(HotStuffMsg::Proposal {
-            block: block(Payload::empty()),
-            justify: QuorumCert::genesis(),
-        });
-        assert!(genesis.certificates().is_empty());
-        let new_view = Message::HotStuff(HotStuffMsg::NewView {
-            view: 10,
-            justify: QuorumCert {
-                view: 9,
-                block: BlockHash([6; 32]),
-                agg: agg(),
-            },
-        });
-        let qc_certs = new_view.certificates();
-        assert_eq!(qc_certs.len(), 1);
-        assert_eq!(
-            qc_certs[0].0,
-            QuorumCert::signing_message(9, &BlockHash([6; 32]))
-        );
     }
 
     #[test]

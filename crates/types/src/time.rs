@@ -47,7 +47,7 @@ impl Duration {
     pub const ZERO: Duration = Duration(0);
 
     /// Builds a duration from milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         Duration(ms * 1_000_000)
     }
 
@@ -57,7 +57,7 @@ impl Duration {
     }
 
     /// Builds a duration from seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         Duration(s * 1_000_000_000)
     }
 

@@ -322,6 +322,64 @@ proptest! {
         // The memo never reaches the wire.
         prop_assert_eq!(decoded.to_bytes(), encoded);
     }
+
+    /// Bytes off a socket never panic the decoder (ROADMAP aim 3): any
+    /// string up to 4 KiB — raw noise, or a real encoding with a few
+    /// bytes overwritten so decoding gets deep before it fails — decodes
+    /// to a value or an error, and no decoded certificate is wider than a
+    /// `u16` signer index can address.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_decoder(bytes in prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..4096),
+        (arb_message(), proptest::collection::vec((any::<usize>(), any::<u8>()), 1..8))
+            .prop_map(|(msg, edits)| {
+                let mut bytes = msg.to_bytes();
+                for (at, byte) in edits {
+                    let at = at % bytes.len();
+                    bytes[at] = byte;
+                }
+                bytes
+            }),
+    ]) {
+        if let Ok(msg) = Message::from_bytes(&bytes) {
+            for agg in aggregates(&msg) {
+                prop_assert!(agg.signers.len() <= usize::from(u16::MAX));
+            }
+        }
+    }
+}
+
+/// Every aggregate signature a message carries.
+fn aggregates(msg: &Message) -> Vec<&AggregateSignature> {
+    fn notarization(n: &Notarization) -> impl Iterator<Item = &AggregateSignature> {
+        std::iter::once(&n.agg).chain(&n.fast_agg)
+    }
+    fn unlock(p: &Option<UnlockProof>) -> impl Iterator<Item = &AggregateSignature> {
+        p.iter().flat_map(|p| p.entries.iter().map(|e| &e.agg))
+    }
+    match msg {
+        Message::Chained(ChainedMsg::Proposal {
+            parent_notarization,
+            parent_unlock,
+            ..
+        }) => parent_notarization
+            .iter()
+            .flat_map(notarization)
+            .chain(unlock(parent_unlock))
+            .collect(),
+        Message::Chained(ChainedMsg::Advance {
+            notarization: n,
+            unlock: u,
+        }) => notarization(n).chain(unlock(u)).collect(),
+        Message::Chained(ChainedMsg::Final(f)) => vec![&f.agg],
+        Message::HotStuff(
+            HotStuffMsg::Proposal { justify, .. } | HotStuffMsg::NewView { justify, .. },
+        ) => vec![&justify.agg],
+        Message::Sync(SyncMsg::ResponseBatch { notarizations, .. }) => {
+            notarizations.iter().flat_map(notarization).collect()
+        }
+        _ => Vec::new(),
+    }
 }
 
 // ---------------------------------------------------------------------------
