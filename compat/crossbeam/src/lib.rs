@@ -23,7 +23,7 @@ pub mod channel {
 
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError};
@@ -32,8 +32,8 @@ pub mod channel {
     /// mirrored in an atomic so full/empty checks on the hot paths can
     /// fail fast without taking the lock.
     struct Core<T> {
-        queue: Mutex<VecDeque<T>>,
-        /// Mirror of `queue.len()`, written under the queue lock but
+        state: Mutex<State<T>>,
+        /// Mirror of `state.queue.len()`, written under the lock but
         /// readable without it (the lock-free fast path).
         len: AtomicUsize,
         cap: usize,
@@ -45,6 +45,22 @@ pub mod channel {
         not_full: Condvar,
     }
 
+    /// What the lock guards: the queue, and how many threads are parked
+    /// on each condvar. `Condvar::notify_one` is a futex syscall whether
+    /// or not anyone waits, so a push or pop notifies only when a count
+    /// says someone does. No wake-up is lost: a thread raises its count
+    /// under the lock, after finding the queue unable to serve it, and
+    /// holds the lock until `wait` releases it, so a push or pop that
+    /// could serve it either came first (and its check saw that) or sees
+    /// the raised count.
+    struct State<T> {
+        queue: VecDeque<T>,
+        /// Receivers parked on `not_empty`.
+        parked_receivers: usize,
+        /// Senders parked on `not_full`.
+        parked_senders: usize,
+    }
+
     impl<T> Core<T> {
         fn sender_connected(&self) -> bool {
             self.senders.load(Ordering::Acquire) > 0
@@ -52,6 +68,29 @@ pub mod channel {
 
         fn receiver_connected(&self) -> bool {
             self.receivers.load(Ordering::Acquire) > 0
+        }
+
+        fn lock(&self) -> MutexGuard<'_, State<T>> {
+            self.state.lock().expect("channel lock")
+        }
+
+        /// Appends under the lock, waking one parked receiver if any.
+        fn push(&self, state: &mut State<T>, value: T) {
+            state.queue.push_back(value);
+            self.len.store(state.queue.len(), Ordering::Release);
+            if state.parked_receivers > 0 {
+                self.not_empty.notify_one();
+            }
+        }
+
+        /// Pops under the lock, waking one parked sender if any.
+        fn pop(&self, state: &mut State<T>) -> Option<T> {
+            let value = state.queue.pop_front()?;
+            self.len.store(state.queue.len(), Ordering::Release);
+            if state.parked_senders > 0 {
+                self.not_full.notify_one();
+            }
+            Some(value)
         }
     }
 
@@ -82,7 +121,7 @@ pub mod channel {
                 // Last sender: take the lock so the count change is
                 // ordered against any receiver mid-wait, then wake them
                 // all to observe the disconnect.
-                let _guard = self.0.queue.lock().expect("channel lock");
+                let _guard = self.0.lock();
                 self.0.not_empty.notify_all();
             }
         }
@@ -91,7 +130,7 @@ pub mod channel {
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
             if self.0.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let _guard = self.0.queue.lock().expect("channel lock");
+                let _guard = self.0.lock();
                 self.0.not_full.notify_all();
             }
         }
@@ -101,7 +140,11 @@ pub mod channel {
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
         let cap = cap.max(1);
         let core = Arc::new(Core {
-            queue: Mutex::new(VecDeque::with_capacity(cap.min(4096))),
+            state: Mutex::new(State {
+                queue: VecDeque::with_capacity(cap.min(4096)),
+                parked_receivers: 0,
+                parked_senders: 0,
+            }),
             len: AtomicUsize::new(0),
             cap,
             senders: AtomicUsize::new(1),
@@ -120,18 +163,18 @@ pub mod channel {
         /// Returns the value back if all receivers disconnected.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let core = &*self.0;
-            let mut queue = core.queue.lock().expect("channel lock");
+            let mut state = core.lock();
             loop {
                 if !core.receiver_connected() {
                     return Err(SendError(value));
                 }
-                if queue.len() < core.cap {
-                    queue.push_back(value);
-                    core.len.store(queue.len(), Ordering::Release);
-                    core.not_empty.notify_one();
+                if state.queue.len() < core.cap {
+                    core.push(&mut state, value);
                     return Ok(());
                 }
-                queue = core.not_full.wait(queue).expect("channel lock");
+                state.parked_senders += 1;
+                state = core.not_full.wait(state).expect("channel lock");
+                state.parked_senders -= 1;
             }
         }
 
@@ -155,16 +198,14 @@ pub mod channel {
                     Err(TrySendError::Disconnected(value))
                 };
             }
-            let mut queue = core.queue.lock().expect("channel lock");
+            let mut state = core.lock();
             if !core.receiver_connected() {
                 return Err(TrySendError::Disconnected(value));
             }
-            if queue.len() >= core.cap {
+            if state.queue.len() >= core.cap {
                 return Err(TrySendError::Full(value));
             }
-            queue.push_back(value);
-            core.len.store(queue.len(), Ordering::Release);
-            core.not_empty.notify_one();
+            core.push(&mut state, value);
             Ok(())
         }
     }
@@ -178,17 +219,17 @@ pub mod channel {
         /// disconnected.
         pub fn recv(&self) -> Result<T, RecvError> {
             let core = &*self.0;
-            let mut queue = core.queue.lock().expect("channel lock");
+            let mut state = core.lock();
             loop {
-                if let Some(value) = queue.pop_front() {
-                    core.len.store(queue.len(), Ordering::Release);
-                    core.not_full.notify_one();
+                if let Some(value) = core.pop(&mut state) {
                     return Ok(value);
                 }
                 if !core.sender_connected() {
                     return Err(RecvError);
                 }
-                queue = core.not_empty.wait(queue).expect("channel lock");
+                state.parked_receivers += 1;
+                state = core.not_empty.wait(state).expect("channel lock");
+                state.parked_receivers -= 1;
             }
         }
 
@@ -202,11 +243,9 @@ pub mod channel {
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let core = &*self.0;
             let deadline = Instant::now() + timeout;
-            let mut queue = core.queue.lock().expect("channel lock");
+            let mut state = core.lock();
             loop {
-                if let Some(value) = queue.pop_front() {
-                    core.len.store(queue.len(), Ordering::Release);
-                    core.not_full.notify_one();
+                if let Some(value) = core.pop(&mut state) {
                     return Ok(value);
                 }
                 if !core.sender_connected() {
@@ -216,11 +255,13 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                state.parked_receivers += 1;
                 let (guard, _timed_out) = core
                     .not_empty
-                    .wait_timeout(queue, deadline - now)
+                    .wait_timeout(state, deadline - now)
                     .expect("channel lock");
-                queue = guard;
+                state = guard;
+                state.parked_receivers -= 1;
             }
         }
 
@@ -241,22 +282,10 @@ pub mod channel {
                 }
                 // Senders are gone, but a value may have landed before
                 // the last disconnect: confirm under the lock.
-                let mut queue = core.queue.lock().expect("channel lock");
-                return match queue.pop_front() {
-                    Some(value) => {
-                        core.len.store(queue.len(), Ordering::Release);
-                        Ok(value)
-                    }
-                    None => Err(TryRecvError::Disconnected),
-                };
+                return core.pop(&mut core.lock()).ok_or(TryRecvError::Disconnected);
             }
-            let mut queue = core.queue.lock().expect("channel lock");
-            match queue.pop_front() {
-                Some(value) => {
-                    core.len.store(queue.len(), Ordering::Release);
-                    core.not_full.notify_one();
-                    Ok(value)
-                }
+            match core.pop(&mut core.lock()) {
+                Some(value) => Ok(value),
                 None if core.sender_connected() => Err(TryRecvError::Empty),
                 None => Err(TryRecvError::Disconnected),
             }
@@ -430,6 +459,90 @@ pub mod channel {
             assert_eq!(rx.try_recv().unwrap(), 1);
             assert_eq!(rx.recv().unwrap(), 2);
             assert!(matches!(rx.try_recv(), Err(TryRecvError::Disconnected)));
+        }
+
+        /// Wakes are sent only to parked threads, so a skipped notify
+        /// strands a parked thread for good. Through a one-slot queue,
+        /// senders parked in `send` on a full queue and receivers parked in
+        /// `recv` and `recv_timeout` hand over 20 000 values, with one and
+        /// then two threads per side (alone, a stranded thread has nobody
+        /// to rescue it). Every hand-off must land within `DEADLINE`,
+        /// watched from this thread, so a lost wake-up fails the test
+        /// instead of hanging it.
+        #[test]
+        fn parked_senders_and_receivers_always_wake() {
+            for threads in [1, 2] {
+                hand_off_through_one_slot(threads);
+            }
+        }
+
+        fn hand_off_through_one_slot(threads: u64) {
+            use std::sync::atomic::AtomicU64;
+            const TOTAL: u64 = 20_000;
+            const DEADLINE: Duration = Duration::from_secs(5);
+            let per_sender = TOTAL / threads;
+            let (tx, rx) = bounded::<u64>(1);
+            let received = Arc::new(AtomicU64::new(0));
+            let senders: Vec<_> = (0..threads)
+                .map(|s| {
+                    let tx = tx.clone();
+                    thread::spawn(move || {
+                        for i in 0..per_sender {
+                            tx.send(s * per_sender + i).expect("receivers alive");
+                        }
+                    })
+                })
+                .collect();
+            drop(tx);
+            let receivers: Vec<_> = (0..threads)
+                .map(|r| {
+                    let timed = r == 1;
+                    let (rx, received) = (rx.clone(), received.clone());
+                    thread::spawn(move || {
+                        let mut sum = 0u64;
+                        loop {
+                            let value = if timed {
+                                match rx.recv_timeout(DEADLINE) {
+                                    Ok(v) => v,
+                                    Err(RecvTimeoutError::Disconnected) => return sum,
+                                    Err(RecvTimeoutError::Timeout) => {
+                                        panic!("recv_timeout parked past its deadline")
+                                    }
+                                }
+                            } else {
+                                match rx.recv() {
+                                    Ok(v) => v,
+                                    Err(RecvError) => return sum,
+                                }
+                            };
+                            sum += value;
+                            received.fetch_add(1, Ordering::Relaxed);
+                        }
+                    })
+                })
+                .collect();
+            drop(rx);
+            let (mut last, mut since) = (0, Instant::now());
+            while receivers.iter().any(|r| !r.is_finished()) {
+                let now = received.load(Ordering::Relaxed);
+                if now != last {
+                    (last, since) = (now, Instant::now());
+                }
+                assert!(
+                    since.elapsed() < DEADLINE,
+                    "{threads} per side: lost wake-up, no hand-off for {DEADLINE:?} after {last} of {TOTAL}"
+                );
+                thread::sleep(Duration::from_millis(1));
+            }
+            for s in senders {
+                s.join().expect("sender");
+            }
+            let sum: u64 = receivers
+                .into_iter()
+                .map(|r| r.join().expect("receiver"))
+                .sum();
+            assert_eq!(received.load(Ordering::Relaxed), TOTAL, "no loss");
+            assert_eq!(sum, TOTAL * (TOTAL - 1) / 2, "each value exactly once");
         }
 
         #[test]

@@ -12,7 +12,7 @@
 
 use std::io::{self, Read, Write};
 
-use banyan_types::codec::Wire;
+use banyan_types::codec::{Wire, Writer};
 use banyan_types::ids::ReplicaId;
 use banyan_types::message::Message;
 
@@ -40,6 +40,9 @@ pub enum Frame {
     },
 }
 
+/// Bytes ahead of a frame's body: its length and its sender.
+const HEADER: usize = 4 + 2;
+
 /// Writes a hello frame.
 ///
 /// # Errors
@@ -51,18 +54,35 @@ pub fn write_hello<W: Write>(w: &mut W, from: ReplicaId) -> io::Result<()> {
     w.flush()
 }
 
-/// Writes a message frame.
+/// Encodes one message frame, header and body, into a fresh buffer: the
+/// one place the frame layout is written. A broadcast is encoded once and
+/// the same bytes go to every peer.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the underlying writer.
-pub fn write_msg<W: Write>(w: &mut W, from: ReplicaId, msg: &Message) -> io::Result<()> {
-    let body = msg.to_bytes();
-    let len = u32::try_from(body.len())
+/// Returns [`io::ErrorKind::InvalidInput`] if the body is too long for
+/// the `u32` length field.
+pub fn encode_frame(from: ReplicaId, msg: &Message) -> io::Result<Vec<u8>> {
+    // Sized once: a frame is shared until every peer's writer has sent it.
+    let mut w = Writer::with_capacity(HEADER + msg.encoded_len());
+    w.u32(0); // the length, patched below
+    w.u16(from.0);
+    msg.encode(&mut w);
+    let mut frame = w.into_bytes();
+    let len = u32::try_from(frame.len() - HEADER)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&from.0.to_le_bytes())?;
-    w.write_all(&body)?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    Ok(frame)
+}
+
+/// Writes and flushes one message frame.
+///
+/// # Errors
+///
+/// Propagates I/O errors from the underlying writer, and
+/// [`encode_frame`]'s.
+pub fn write_msg<W: Write>(w: &mut W, from: ReplicaId, msg: &Message) -> io::Result<()> {
+    w.write_all(&encode_frame(from, msg)?)?;
     w.flush()
 }
 
@@ -98,7 +118,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use banyan_types::ids::BlockHash;
+    use banyan_types::ids::{BlockHash, Round};
     use banyan_types::message::SyncMsg;
 
     fn sample_msg() -> Message {
@@ -140,6 +160,55 @@ mod tests {
         assert!(matches!(read_frame(&mut r).unwrap(), Frame::Msg { .. }));
         assert!(matches!(read_frame(&mut r).unwrap(), Frame::Msg { .. }));
         assert!(read_frame(&mut r).is_err(), "EOF");
+    }
+
+    /// Distinct messages from distinct senders, so an order or boundary
+    /// slip shows.
+    fn distinct_msgs() -> Vec<(ReplicaId, Message)> {
+        (0..5u8)
+            .map(|i| {
+                let msg = match i % 3 {
+                    0 => Message::Sync(SyncMsg::Request {
+                        hash: BlockHash([i; 32]),
+                    }),
+                    1 => Message::Sync(SyncMsg::FrontierProbe),
+                    _ => Message::Sync(SyncMsg::FrontierInfo {
+                        finalized: Round(u64::from(i) * 1_000),
+                    }),
+                };
+                (ReplicaId(u16::from(i)), msg)
+            })
+            .collect()
+    }
+
+    /// A writer's batch is its frames back to back in one buffer; the
+    /// reader must split it into the same frames, in order.
+    #[test]
+    fn coalesced_frames_read_back_in_order() {
+        let sent = distinct_msgs();
+        let mut wire = Vec::new();
+        for (from, msg) in &sent {
+            wire.extend_from_slice(&encode_frame(*from, msg).unwrap());
+        }
+        let mut r = wire.as_slice();
+        for (from, msg) in sent {
+            assert_eq!(read_frame(&mut r).unwrap(), Frame::Msg { from, msg });
+        }
+        assert!(r.is_empty(), "nothing left over");
+    }
+
+    /// A broadcast is encoded once for every peer: those bytes must be the
+    /// ones `write_msg` puts on each peer's stream.
+    #[test]
+    fn one_encoding_equals_per_peer_write_msg() {
+        for (from, msg) in distinct_msgs() {
+            let shared = encode_frame(from, &msg).unwrap();
+            for _peer in 0..3 {
+                let mut wire = Vec::new();
+                write_msg(&mut wire, from, &msg).unwrap();
+                assert_eq!(wire, shared);
+            }
+        }
     }
 
     #[test]

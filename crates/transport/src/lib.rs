@@ -45,7 +45,7 @@ pub mod pipeline;
 mod replica;
 pub mod runner;
 
-pub use framing::{read_frame, write_hello, write_msg, Frame, MAX_FRAME};
+pub use framing::{encode_frame, read_frame, write_hello, write_msg, Frame, MAX_FRAME};
 pub use pipeline::{
     run_replica_pipelined, PipelineConfig, PipelineRunReport, PipelineStats, PipelineStatsSnapshot,
     VerifyStage,

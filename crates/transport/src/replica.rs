@@ -21,11 +21,23 @@
 //!                CatchUpState::drive
 //!              · this loop's own: wall-clock time, the sockets, the
 //!                fetch-peer rotation, crash / rejoin phases
+//!              · Outbox: each outbound message encoded once (a broadcast
+//!                once for all peers) and staged per peer
 //!                                                              │
+//!                              one batch per peer per engine step
 //!                                                              ▼
 //!            writers (one per peer: dial, redial on drop, drain a bounded
-//!            queue — a slow peer never blocks the engine)
+//!            queue of batches, one flush per drain — a slow peer never
+//!            blocks the engine)
 //! ```
+//!
+//! An engine step is everything the loop does between two waits: one
+//! event (or timer wake-up), the timers due, the pool's gossip and a
+//! catch-up drive. Its frames reach a peer's writer as one batch, handed
+//! off just before the loop waits again, and the writer writes whatever
+//! batches are queued and flushes once. Per-peer FIFO order is the order
+//! of `transmit` calls, so the gossip-before-propose ordering at init and
+//! rejoin holds on every connection.
 //!
 //! The verify stage is the loop's only fork, taken where a reader hands a
 //! frame on (`Ingress`): inline readers send straight into the event
@@ -40,14 +52,17 @@
 //! module only supplies wall-clock time, sockets and the one decision a
 //! socketed driver makes blind: which peer to fetch from.
 //!
-//! Readers block in `read` with no timeout, so a frame whose sender stalls
-//! between header and body is never abandoned half-read. To stop, the
-//! acceptor shuts down its clone of every accepted stream, which wakes the
-//! blocked readers with EOF; the engine thread absorbs the event channel
-//! until every reader (and verify worker) has hung up, so no decoded frame
-//! is lost at close.
+//! The acceptor blocks in `accept`; at stop the loop wakes it with one
+//! connection to its own listener. Readers block in `read` with no
+//! timeout, so a frame whose sender stalls between header and body is
+//! never abandoned half-read. To stop, the acceptor shuts down its clone
+//! of every accepted stream, which wakes the blocked readers with EOF; the
+//! engine thread absorbs the event channel until every reader (and verify
+//! worker) has hung up, so no decoded frame is lost at close.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
+use std::iter;
+use std::mem;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -65,13 +80,13 @@ use banyan_types::ids::ReplicaId;
 use banyan_types::message::Message;
 use banyan_types::time::Time;
 
-use crate::framing::{read_frame, write_hello, write_msg, Frame};
+use crate::framing::{encode_frame, read_frame, write_hello, Frame};
 use crate::pipeline::{PipelineConfig, PipelineStats, PipelineStatsSnapshot, VerifyStage};
 use crate::runner::{TcpRestart, TcpRunReport};
 
 /// Event-channel capacity into the engine loop.
 const EVENT_QUEUE: usize = 4096;
-/// Outbound-queue capacity per peer writer.
+/// Outbound-queue capacity per peer writer, in batches (engine steps).
 const PEER_QUEUE: usize = 1024;
 /// Per-step catch-up deadline (wall clock, 250 ms). Loopback round trips
 /// are far below this; a lapsed window re-probes or rotates peers.
@@ -126,7 +141,8 @@ fn read_frames(stream: TcpStream, ingress: &Ingress) {
 }
 
 /// Accepts inbound connections until `stop`, one reader thread each, then
-/// wakes and joins every reader.
+/// wakes and joins every reader. `accept` blocks: whoever sets `stop`
+/// then connects to `listener` once, so the acceptor wakes to see it.
 fn spawn_acceptor(
     listener: TcpListener,
     ingress: Ingress,
@@ -135,14 +151,18 @@ fn spawn_acceptor(
     thread::spawn(move || {
         // A clone of each accepted stream, kept to shut it down at stop.
         let mut readers: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
-        while !stop.load(Ordering::Relaxed) {
-            let Ok((stream, _)) = listener.accept() else {
-                // Nothing pending (the listener is non-blocking), or a
-                // transient accept failure: poll again.
+        loop {
+            let accepted = listener.accept();
+            // Release/Acquire: `stop` is stored before the wake-up dial.
+            if stop.load(Ordering::Acquire) {
+                break;
+            }
+            let Ok((stream, _)) = accepted else {
+                // A transient failure (a dialer that gave up, descriptors
+                // exhausted): retry after a pause rather than spin.
                 thread::sleep(Duration::from_millis(5));
                 continue;
             };
-            stream.set_nonblocking(false).ok();
             stream.set_nodelay(true).ok();
             let Ok(wake) = stream.try_clone() else {
                 continue; // dropped: the peer's writer redials
@@ -159,13 +179,19 @@ fn spawn_acceptor(
     })
 }
 
+/// What an engine step hands one peer's writer: its frames for that peer,
+/// encoded and in send order. A broadcast's frame is one allocation that
+/// every peer's batch shares.
+type Batch = Vec<Arc<Vec<u8>>>;
+
 /// One peer's writer: dials (with retries — peers start in arbitrary
 /// order), says hello and drains `rx`, redialing whenever the connection
 /// drops so a peer that crashes and resumes listening becomes reachable
 /// again (messages sent while it was down are lost, as on any wire).
+/// Each wake-up writes every batch queued by then and flushes once.
 /// Detached: it exits when `rx` disconnects or at its next `stop` check,
 /// and joining it could wait on a hung peer's full socket buffer.
-fn spawn_writer(me: ReplicaId, addr: SocketAddr, rx: Receiver<Message>, stop: Arc<AtomicBool>) {
+fn spawn_writer(me: ReplicaId, addr: SocketAddr, rx: Receiver<Batch>, stop: Arc<AtomicBool>) {
     thread::spawn(move || {
         'reconnect: while !stop.load(Ordering::Relaxed) {
             let stream = loop {
@@ -182,8 +208,12 @@ fn spawn_writer(me: ReplicaId, addr: SocketAddr, rx: Receiver<Message>, stop: Ar
             if write_hello(&mut writer, me).is_err() {
                 continue 'reconnect;
             }
-            while let Ok(msg) = rx.recv() {
-                if write_msg(&mut writer, me, &msg).is_err() {
+            while let Ok(batch) = rx.recv() {
+                let written = iter::once(batch)
+                    .chain(rx.try_iter())
+                    .flatten()
+                    .try_for_each(|frame| writer.write_all(&frame));
+                if written.and_then(|()| writer.flush()).is_err() {
                     continue 'reconnect;
                 }
                 if stop.load(Ordering::Relaxed) {
@@ -193,6 +223,106 @@ fn spawn_writer(me: ReplicaId, addr: SocketAddr, rx: Receiver<Message>, stop: Ar
             return; // outbound channel closed: the run is over
         }
     });
+}
+
+/// The sending side of the loop. `transmit` encodes each outbound message
+/// once and stages the frame for every peer it addresses; `hand_off` ends
+/// the engine step, giving each peer's writer its staged frames in one
+/// queue operation.
+struct Outbox<P> {
+    me: ReplicaId,
+    /// Observes every block this replica puts on the wire into the pool's
+    /// lease table (speculative drain), and supplies the gossip.
+    pool: Option<P>,
+    /// Per peer (`None` at this replica's own index): its writer's queue
+    /// and the frames staged for it in this step.
+    peers: Vec<Option<(Sender<Batch>, Batch)>>,
+    /// Frames a writer accepted. A batch refused by a full queue is
+    /// dropped, its frames not sent.
+    frames_sent: u64,
+    /// Blocks served in catch-up batches, counted at the server (as in
+    /// the simulator).
+    sync_blocks_served: u64,
+}
+
+impl<P: ReplicaPool> Outbox<P> {
+    /// Spawns a writer for every peer but `me`.
+    fn connect(
+        me: ReplicaId,
+        pool: Option<P>,
+        peers: &[SocketAddr],
+        stop: &Arc<AtomicBool>,
+    ) -> Self {
+        let peers = peers
+            .iter()
+            .enumerate()
+            .map(|(i, &addr)| {
+                (i != me.as_usize()).then(|| {
+                    let (tx, rx) = bounded(PEER_QUEUE);
+                    spawn_writer(me, addr, rx, stop.clone());
+                    (tx, Batch::new())
+                })
+            })
+            .collect();
+        Outbox {
+            me,
+            pool,
+            peers,
+            frames_sent: 0,
+            sync_blocks_served: 0,
+        }
+    }
+
+    fn transmit(&mut self, out: Outbound) {
+        if let Some(pool) = &self.pool {
+            pool.observe_outbound(&out);
+        }
+        let (Outbound::Broadcast(msg) | Outbound::Send(_, msg)) = &out;
+        self.sync_blocks_served += msg.sync_batch_blocks().len() as u64;
+        // Only a body past `u32::MAX` bytes fails to encode; no peer could
+        // take it.
+        let frame = |msg: &Message| encode_frame(self.me, msg).ok().map(Arc::new);
+        match &out {
+            Outbound::Broadcast(msg) => {
+                let Some(frame) = frame(msg) else { return };
+                for (_, staged) in self.peers.iter_mut().flatten() {
+                    staged.push(frame.clone());
+                }
+            }
+            Outbound::Send(to, msg) => {
+                if let Some(Some((_, staged))) = self.peers.get_mut(to.as_usize()) {
+                    staged.extend(frame(msg));
+                }
+            }
+        }
+    }
+
+    /// Gossip: whatever the local pool has queued goes out — a `Forward`
+    /// broadcast, or per-peer `Forward`/`Announce` sends when the pool has
+    /// per-peer queues.
+    fn gossip(&mut self) {
+        // Collected first: `transmit` observes into the same pool.
+        let mut frames = Vec::new();
+        if let Some(pool) = &self.pool {
+            pool.flush(&mut |out| frames.push(out));
+        }
+        frames.into_iter().for_each(|out| self.transmit(out));
+    }
+
+    /// Ends the engine step: each peer's staged frames go to its writer in
+    /// one `try_send`. A full queue (a peer that stopped reading) refuses
+    /// the batch, and its frames are lost, as on any wire.
+    fn hand_off(&mut self) {
+        for (writer, staged) in self.peers.iter_mut().flatten() {
+            if staged.is_empty() {
+                continue;
+            }
+            let frames = staged.len() as u64;
+            if writer.try_send(mem::take(staged)).is_ok() {
+                self.frames_sent += frames;
+            }
+        }
+    }
 }
 
 /// Retires every commit in the local pool
@@ -277,7 +407,7 @@ pub(crate) fn run<P: ReplicaPool>(
     let stop = Arc::new(AtomicBool::new(false));
 
     let listener = TcpListener::bind(listen)?;
-    listener.set_nonblocking(true)?;
+    let wake_acceptor = listener.local_addr()?;
     let (event_tx, event_rx) = bounded::<Event>(EVENT_QUEUE);
     let mut verify =
         stage.map(|(config, pool)| VerifyStage::spawn(&config, pool, event_tx.clone()));
@@ -290,47 +420,10 @@ pub(crate) fn run<P: ReplicaPool>(
     drop(event_tx);
     let acceptor = spawn_acceptor(listener, ingress, stop.clone());
 
-    let peer_txs: Vec<Option<Sender<Message>>> = peers
-        .iter()
-        .enumerate()
-        .map(|(i, &addr)| {
-            (i != me.as_usize()).then(|| {
-                let (tx, rx) = bounded(PEER_QUEUE);
-                spawn_writer(me, addr, rx, stop.clone());
-                tx
-            })
-        })
-        .collect();
-
     // The shared driver owns timers, stale filtering and action routing;
-    // this closure is the only transport-specific piece of the loop.
-    let mut messages_sent = 0u64;
+    // the outbox is the only transport-specific piece of the loop.
+    let mut outbox = Outbox::connect(me, pool.clone(), &peers, &stop);
     let mut messages_received = 0u64;
-    let mut sync_blocks_served = 0u64;
-    let mut transmit = |out: Outbound| {
-        // Speculative drain: every block this replica puts on the wire is
-        // observed into its pool's lease table.
-        if let Some(pool) = &pool {
-            pool.observe_outbound(&out);
-        }
-        // Served catch-up batches, counted at the server (as in the sim).
-        let (Outbound::Broadcast(msg) | Outbound::Send(_, msg)) = &out;
-        sync_blocks_served += msg.sync_batch_blocks().len() as u64;
-        match out {
-            Outbound::Broadcast(msg) => {
-                for tx in peer_txs.iter().flatten() {
-                    messages_sent += 1;
-                    let _ = tx.try_send(msg.clone());
-                }
-            }
-            Outbound::Send(to, msg) => {
-                if let Some(Some(tx)) = peer_txs.get(to.as_usize()) {
-                    messages_sent += 1;
-                    let _ = tx.try_send(msg);
-                }
-            }
-        }
-    };
 
     let sink = AppSink {
         inner: Vec::<CommitEntry>::new(),
@@ -339,25 +432,14 @@ pub(crate) fn run<P: ReplicaPool>(
             pool: pool.clone(),
         },
     };
-    // Gossip: whatever the local pool has queued goes out — a `Forward`
-    // broadcast, or per-peer `Forward`/`Announce` sends when the pool has
-    // per-peer queues.
-    let flush = |transmit: &mut dyn FnMut(Outbound)| {
-        // Collected first: `transmit` observes into the same pool.
-        let mut frames = Vec::new();
-        if let Some(pool) = &pool {
-            pool.flush(&mut |out| frames.push(out));
-        }
-        frames.into_iter().for_each(transmit);
-    };
     // Disseminate before proposing: requests already pooled locally are
     // forwarded ahead of the init proposal in every per-peer channel, so
     // per-connection ordering lands them in peer pools before any block
     // that could commit them (a quorum excluding this replica can commit
     // its init proposal arbitrarily soon after it is sent).
-    flush(&mut transmit);
+    outbox.gossip();
     let mut first_life = EngineDriver::new(engine, sink);
-    first_life.init(now(), &mut transmit);
+    first_life.init(now(), |out| outbox.transmit(out));
     // `None` while the replica is down mid-restart; the sink (the commit
     // log already delivered to the app) is parked in `down_sink` so the
     // report spans both lives.
@@ -392,26 +474,30 @@ pub(crate) fn run<P: ReplicaPool>(
                 // Same gossip-before-propose ordering as the first life:
                 // requests pooled while down go out ahead of the rejoin
                 // proposal.
-                flush(&mut transmit);
-                d.init(now(), &mut transmit);
+                outbox.gossip();
+                d.init(now(), |out| outbox.transmit(out));
                 catchup.machine = Some(CatchUpState::new(frontier, now(), CATCHUP_TIMEOUT));
-                catchup.drive(d.engine(), now(), &mut transmit);
+                catchup.drive(d.engine(), now(), &mut |out| outbox.transmit(out));
                 driver = Some(d);
             }
         }
         let Some(d) = driver.as_mut() else {
             // Down: a dead process reads nothing. Drain and discard so
-            // the bounded channel never backpressures the readers.
+            // the bounded channel never backpressures the readers. What
+            // the last step before the crash sent still leaves.
+            outbox.hand_off();
             while event_rx.try_recv().is_ok() {}
             thread::sleep(Duration::from_millis(2));
             continue;
         };
 
-        d.fire_due(now(), &mut transmit);
-        flush(&mut transmit);
-        catchup.drive(d.engine(), now(), &mut transmit);
-        // Wait for the next event or timer; on timeout the loop simply
+        d.fire_due(now(), |out| outbox.transmit(out));
+        outbox.gossip();
+        catchup.drive(d.engine(), now(), &mut |out| outbox.transmit(out));
+        // The step is over: its frames leave, one batch per peer. Then
+        // wait for the next event or timer; on timeout the loop simply
         // re-checks timers and the deadline.
+        outbox.hand_off();
         let wait = d
             .next_deadline()
             .map(|at| Duration::from_nanos(at.0.saturating_sub(now().0)))
@@ -433,13 +519,13 @@ pub(crate) fn run<P: ReplicaPool>(
             // Answered from the engine's commit frontier without
             // delivering (engines stay pure).
             Inbound::FrontierProbe => {
-                transmit(frontier_info(from, d.engine().finalized_round()));
+                outbox.transmit(frontier_info(from, d.engine().finalized_round()));
             }
             Inbound::FrontierInfo(finalized) => {
                 if let Some(machine) = &mut catchup.machine {
                     machine.on_frontier(finalized);
                 }
-                catchup.drive(d.engine(), now(), &mut transmit);
+                catchup.drive(d.engine(), now(), &mut |out| outbox.transmit(out));
             }
             Inbound::Engine(msg) => {
                 // Speculative drain: arriving blocks are observed too —
@@ -448,18 +534,22 @@ pub(crate) fn run<P: ReplicaPool>(
                 if let (None, Some(pool)) = (&verify, &pool) {
                     pool.observe_inbound(&msg);
                 }
-                d.handle_message(from, msg, now(), &mut transmit);
+                d.handle_message(from, msg, now(), |out| outbox.transmit(out));
                 // Adopted batches may have advanced the frontier.
-                catchup.drive(d.engine(), now(), &mut transmit);
+                catchup.drive(d.engine(), now(), &mut |out| outbox.transmit(out));
             }
         }
     }
 
-    // Loss-free close: wake the readers, release the verify stage's own
+    // The last step's frames leave. Then a loss-free close: wake the
+    // acceptor (which wakes the readers), release the verify stage's own
     // input senders, and absorb the tail until every reader and worker
     // has hung up — so none of them blocks on a full channel and every
     // decoded frame is accounted for.
-    stop.store(true, Ordering::Relaxed);
+    outbox.hand_off();
+    stop.store(true, Ordering::Release);
+    // Our own listener, bound and listening: the dial ends its `accept`.
+    let _ = TcpStream::connect(wake_acceptor);
     if let Some(stage) = &mut verify {
         stage.close();
     }
@@ -492,13 +582,13 @@ pub(crate) fn run<P: ReplicaPool>(
     let report = TcpRunReport {
         commits,
         messages_received,
-        messages_sent,
+        messages_sent: outbox.frames_sent,
         stale_timers_dropped,
         sync_requests: catchup
             .machine
             .as_ref()
             .map_or(0, CatchUpState::requests_issued),
-        sync_blocks_served,
+        sync_blocks_served: outbox.sync_blocks_served,
         restart_recovery_ms: catchup.recovery_ms,
         wal_bytes,
         sigs_verified: verified.sigs_verified,
@@ -512,11 +602,80 @@ pub(crate) fn run<P: ReplicaPool>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::write_msg;
     use banyan_core::builder::ClusterBuilder;
     use banyan_mempool::SharedMempool;
     use banyan_types::app::NullApp;
     use banyan_types::message::SyncMsg;
-    use std::io::Write;
+    use banyan_types::time::Duration as BDuration;
+
+    /// Addresses nobody listens on: a writer dialing one never connects,
+    /// so it never drains its queue.
+    fn unreachable_addrs(k: usize) -> Vec<SocketAddr> {
+        let listeners: Vec<TcpListener> = (0..k)
+            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
+            .collect();
+        listeners
+            .iter()
+            .map(|l| l.local_addr().expect("addr"))
+            .collect()
+    }
+
+    /// `messages_sent` counts frames a writer accepted. Replica 1 floods
+    /// the replica with `FrontierProbe`s while its own address refuses
+    /// connections, so the answers pile up in its writer's queue; once
+    /// `PEER_QUEUE` batches wait there, the rest are refused, and must not
+    /// count as sent. The engine's Δ outlasts the run, so no timer adds
+    /// traffic of its own.
+    #[test]
+    fn answers_refused_by_a_full_peer_queue_are_not_counted_as_sent() {
+        let _serial = crate::loopback_serial_lock();
+        const PROBES: usize = PEER_QUEUE + 200;
+        let replica = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let listen = replica.local_addr().expect("addr");
+        drop(replica);
+        let mut peers = vec![listen];
+        peers.extend(unreachable_addrs(3));
+
+        let engine = ClusterBuilder::new(4, 1, 1)
+            .unwrap()
+            .delta(BDuration::from_secs(60))
+            .build_hotstuff()
+            .swap_remove(0);
+        let run_for = Duration::from_millis(2000);
+        let run = thread::spawn(move || {
+            let pool = None::<SharedMempool>;
+            run(engine, NullApp, pool, None, listen, peers, run_for, None)
+        });
+
+        let mut wire = Vec::new();
+        write_hello(&mut wire, ReplicaId(1)).expect("hello");
+        let probe = Message::Sync(SyncMsg::FrontierProbe);
+        for _ in 0..PROBES {
+            write_msg(&mut wire, ReplicaId(1), &probe).expect("encode");
+        }
+        let mut out = loop {
+            match TcpStream::connect(listen) {
+                Ok(s) => break s,
+                Err(_) => thread::sleep(Duration::from_millis(10)),
+            }
+        };
+        out.write_all(&wire).expect("probes");
+        drop(out);
+
+        let (report, _) = run.join().expect("replica thread").expect("replica run");
+        assert_eq!(report.messages_received, PROBES as u64, "every probe read");
+        assert!(
+            report.messages_sent >= PEER_QUEUE as u64,
+            "the queue took fewer than PEER_QUEUE answers: {}",
+            report.messages_sent
+        );
+        assert!(
+            report.messages_sent < PROBES as u64,
+            "{} frames counted as sent, but at most PEER_QUEUE of the {PROBES} answers fit replica 1's queue",
+            report.messages_sent
+        );
+    }
 
     /// A sender that stalls 120 ms between a frame's header and its body
     /// must not desynchronize the reader: the frame arrives intact, inline
