@@ -13,7 +13,7 @@
 //! `k` rounds below the finalized frontier after each finalization, so the
 //! resident set plateaus on long runs.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use banyan_types::certs::Notarization;
 use banyan_types::ids::{BlockHash, Round};
@@ -21,18 +21,30 @@ use banyan_types::{Block, ChainSnapshot};
 
 use crate::ChainStore;
 
+/// What the store knows of one block hash. A notarization (and its
+/// certificate) can arrive before the block, so each part is optional.
+/// The block and the certificate are boxed: a table slot is then a key
+/// and three words, so the one table stays small and cheap to double as
+/// the chain grows.
+#[derive(Clone, Debug, Default)]
+struct Entry {
+    block: Option<Box<Block>>,
+    /// Notarized (own quorum or received certificate).
+    notarized: bool,
+    /// The retained notarization certificate (needed for proposals and
+    /// round-advance broadcasts).
+    cert: Option<Box<Notarization>>,
+}
+
 /// The block tree plus notarization/finalization bookkeeping.
 #[derive(Clone, Debug, Default)]
 pub struct BlockStore {
-    /// Every block we hold, by hash.
-    blocks: HashMap<BlockHash, Block>,
+    /// Every block, notarization and certificate we hold, by hash.
+    entries: HashMap<BlockHash, Entry>,
+    /// Entries holding a block.
+    blocks: usize,
     /// Hashes per round, in arrival order.
     by_round: BTreeMap<Round, Vec<BlockHash>>,
-    /// Blocks known to be notarized (own quorum or received certificate).
-    notarized: HashSet<BlockHash>,
-    /// Retained notarization certificates (needed for proposals and
-    /// round-advance broadcasts).
-    notarizations: HashMap<BlockHash, Notarization>,
     /// The finalized block of each round (the canonical chain).
     finalized: BTreeMap<Round, BlockHash>,
     /// Highest finalized round ever seen. Cached so the value survives
@@ -72,22 +84,28 @@ impl BlockStore {
 
     /// Inserts a block, returning `false` if it was already present.
     pub fn insert(&mut self, hash: BlockHash, block: Block) -> bool {
-        if self.blocks.contains_key(&hash) {
+        let entry = self.entries.entry(hash).or_default();
+        if entry.block.is_some() {
             return false;
         }
-        self.by_round.entry(block.round).or_default().push(hash);
-        self.blocks.insert(hash, block);
+        // Most rounds hold one block.
+        self.by_round
+            .entry(block.round)
+            .or_insert_with(|| Vec::with_capacity(1))
+            .push(hash);
+        entry.block = Some(Box::new(block));
+        self.blocks += 1;
         true
     }
 
     /// Fetches a block by hash.
     pub fn get(&self, hash: &BlockHash) -> Option<&Block> {
-        self.blocks.get(hash)
+        self.entries.get(hash)?.block.as_deref()
     }
 
     /// True if we hold the block (or it is genesis).
     pub fn contains(&self, hash: &BlockHash) -> bool {
-        Self::is_genesis(hash) || self.blocks.contains_key(hash)
+        Self::is_genesis(hash) || self.get(hash).is_some()
     }
 
     /// Hashes of blocks received for `round`.
@@ -97,20 +115,21 @@ impl BlockStore {
 
     /// Marks a block notarized, keeping the certificate if given.
     pub fn mark_notarized(&mut self, hash: BlockHash, cert: Option<Notarization>) {
-        self.notarized.insert(hash);
-        if let Some(cert) = cert {
-            self.notarizations.entry(hash).or_insert(cert);
+        let entry = self.entries.entry(hash).or_default();
+        entry.notarized = true;
+        if entry.cert.is_none() {
+            entry.cert = cert.map(Box::new);
         }
     }
 
     /// True if the block is notarized (genesis always is).
     pub fn is_notarized(&self, hash: &BlockHash) -> bool {
-        Self::is_genesis(hash) || self.notarized.contains(hash)
+        Self::is_genesis(hash) || self.entries.get(hash).is_some_and(|e| e.notarized)
     }
 
     /// The retained notarization certificate for a block, if any.
     pub fn notarization(&self, hash: &BlockHash) -> Option<&Notarization> {
-        self.notarizations.get(hash)
+        self.entries.get(hash)?.cert.as_deref()
     }
 
     /// Records the finalized block of a round.
@@ -118,7 +137,7 @@ impl BlockStore {
         self.finalized.insert(round, hash);
         // A finalized block is necessarily notarized.
         if !Self::is_genesis(&hash) {
-            self.notarized.insert(hash);
+            self.entries.entry(hash).or_default().notarized = true;
         }
         if round > self.max_finalized {
             self.max_finalized = round;
@@ -160,7 +179,7 @@ impl BlockStore {
             if Self::is_genesis(&cursor) {
                 break;
             }
-            let block = self.blocks.get(&cursor)?;
+            let block = self.get(&cursor)?;
             if block.round <= stop_after {
                 break;
             }
@@ -173,12 +192,19 @@ impl BlockStore {
 
     /// Number of blocks held.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.blocks
     }
 
     /// True if no blocks are held.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.blocks == 0
+    }
+
+    /// Forgets `hash`: its block, notarization and certificate.
+    fn forget(&mut self, hash: &BlockHash) {
+        if self.entries.remove(hash).is_some_and(|e| e.block.is_some()) {
+            self.blocks -= 1;
+        }
     }
 
     /// Drops per-round indexes and blocks strictly below `round` that are
@@ -189,9 +215,7 @@ impl BlockStore {
             if let Some(hashes) = self.by_round.remove(&r) {
                 for h in hashes {
                     if self.finalized.get(&r) != Some(&h) {
-                        self.blocks.remove(&h);
-                        self.notarized.remove(&h);
-                        self.notarizations.remove(&h);
+                        self.forget(&h);
                     }
                 }
             }
@@ -212,9 +236,7 @@ impl BlockStore {
         for r in doomed {
             if let Some(hashes) = self.by_round.remove(&r) {
                 for h in hashes {
-                    self.blocks.remove(&h);
-                    self.notarized.remove(&h);
-                    self.notarizations.remove(&h);
+                    self.forget(&h);
                 }
             }
         }
@@ -226,10 +248,18 @@ impl BlockStore {
 
     /// The durable state as a normalized snapshot.
     pub fn snapshot(&self) -> ChainSnapshot {
+        let entries = || self.entries.iter();
         let mut snap = ChainSnapshot {
-            blocks: self.blocks.iter().map(|(h, b)| (*h, b.clone())).collect(),
-            notarized: self.notarized.iter().copied().collect(),
-            notarizations: self.notarizations.values().cloned().collect(),
+            blocks: entries()
+                .filter_map(|(h, e)| Some((*h, e.block.as_deref()?.clone())))
+                .collect(),
+            notarized: entries()
+                .filter(|(_, e)| e.notarized)
+                .map(|(h, _)| *h)
+                .collect(),
+            notarizations: entries()
+                .filter_map(|(_, e)| e.cert.as_deref().cloned())
+                .collect(),
             justifies: Vec::new(),
             finalized: self.finalized.iter().map(|(r, h)| (*r, *h)).collect(),
             committed_round: self.max_finalized,
@@ -249,17 +279,18 @@ impl BlockStore {
             self.insert(*h, b.clone());
         }
         for h in &snapshot.notarized {
-            self.notarized.insert(*h);
+            self.entries.entry(*h).or_default().notarized = true;
         }
         for cert in &snapshot.notarizations {
-            self.notarizations
-                .entry(cert.block)
-                .or_insert_with(|| cert.clone());
+            let entry = self.entries.entry(cert.block).or_default();
+            if entry.cert.is_none() {
+                entry.cert = Some(Box::new(cert.clone()));
+            }
         }
         for (r, h) in &snapshot.finalized {
             self.finalized.insert(*r, *h);
             if !Self::is_genesis(h) {
-                self.notarized.insert(*h);
+                self.entries.entry(*h).or_default().notarized = true;
             }
         }
         self.max_finalized = snapshot.max_finalized_round();

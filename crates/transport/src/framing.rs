@@ -49,8 +49,10 @@ const HEADER: usize = 4 + 2;
 ///
 /// Propagates I/O errors from the underlying writer.
 pub fn write_hello<W: Write>(w: &mut W, from: ReplicaId) -> io::Result<()> {
-    w.write_all(&0u32.to_le_bytes())?;
-    w.write_all(&from.0.to_le_bytes())?;
+    // One write: on an unbuffered socket, one segment.
+    let mut hello = [0u8; HEADER];
+    hello[4..].copy_from_slice(&from.0.to_le_bytes());
+    w.write_all(&hello)?;
     w.flush()
 }
 
@@ -63,7 +65,7 @@ pub fn write_hello<W: Write>(w: &mut W, from: ReplicaId) -> io::Result<()> {
 /// Returns [`io::ErrorKind::InvalidInput`] if the body is too long for
 /// the `u32` length field.
 pub fn encode_frame(from: ReplicaId, msg: &Message) -> io::Result<Vec<u8>> {
-    // Sized once: a frame is shared until every peer's writer has sent it.
+    // Sized once: a frame is shared until every peer's socket has taken it.
     let mut w = Writer::with_capacity(HEADER + msg.encoded_len());
     w.u32(0); // the length, patched below
     w.u16(from.0);
@@ -181,7 +183,7 @@ mod tests {
             .collect()
     }
 
-    /// A writer's batch is its frames back to back in one buffer; the
+    /// A peer's backlog goes out as its frames back to back; the
     /// reader must split it into the same frames, in order.
     #[test]
     fn coalesced_frames_read_back_in_order() {

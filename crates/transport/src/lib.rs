@@ -2,12 +2,12 @@
 //!
 //! The same [`banyan_types::engine::Engine`] state machines that run under
 //! the discrete-event simulator run here over real sockets — length-
-//! prefixed frames on `std::net::TcpStream`, one writer thread per peer,
-//! one reader thread per inbound connection, and a timer heap in the
-//! engine loop. No async runtime: the engines are synchronous state
-//! machines and a handful of threads per replica is exactly what a
-//! reproduction needs (`docs/ARCHITECTURE.md`, "Concurrent pool &
-//! replica pipeline").
+//! prefixed frames on `std::net::TcpStream`, one reader thread per
+//! inbound connection, and an engine loop that owns the timer heap and
+//! writes its peers' non-blocking sockets itself. No async runtime: the
+//! engines are synchronous state machines and a handful of threads per
+//! replica is exactly what a reproduction needs (`docs/ARCHITECTURE.md`,
+//! "Concurrent pool & replica pipeline").
 //!
 //! There is one replica event loop (the private `replica` module). The
 //! public runners in [`runner`] and [`pipeline`] are thin calls into it

@@ -19,9 +19,9 @@
 //!                 │  ordered engine events only
 //!                 ▼
 //!          consensus thread (EngineDriver: timers, votes, commits)
-//!                 │  outbound actions
+//!                 │  outbound actions, written by this same thread
 //!                 ▼
-//!          per-peer writer threads (dispatch)
+//!          one non-blocking socket per peer (dispatch)
 //! ```
 //!
 //! Signatures are not checked here: the engine checks every vote and
@@ -36,7 +36,7 @@
 //! never the pool's lock, and take that lock only to record a lease they
 //! have already decoded and hashed for.
 //!
-//! Everything else — acceptor, readers, reconnecting writers, timers,
+//! Everything else — acceptor, readers, per-peer backlogs and redial, timers,
 //! gossip, probe answering, catch-up, crash/rejoin — is the shared loop's,
 //! so a staged replica restarts and catches up exactly like an inline one.
 //!
@@ -259,7 +259,7 @@ impl VerifyStage {
         let alive = Arc::new(AtomicUsize::new(workers));
         let mut txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
+        for k in 0..workers {
             let (tx, rx) = bounded::<(ReplicaId, Message)>(VERIFY_QUEUE);
             txs.push(tx);
             let pool = pool.clone();
@@ -267,21 +267,26 @@ impl VerifyStage {
             let stats = stats.clone();
             let alive = alive.clone();
             let event_tx = event_tx.clone();
-            handles.push(thread::spawn(move || {
-                // Drain until every producer (reader) hangs up, so no
-                // queued frame is lost at shutdown.
-                while let Ok((from, msg)) = rx.recv() {
-                    match verify_frame(from, msg, pool.as_deref(), &config, &stats) {
-                        VerifyOutcome::Engine(from, msg) => {
-                            if event_tx.send((from, msg)).is_err() {
-                                break; // consensus thread gone: stop cleanly
+            let worker = thread::Builder::new().name(format!("verify-{k}"));
+            handles.push(
+                worker
+                    .spawn(move || {
+                        // Drain until every producer (reader) hangs up, so
+                        // no queued frame is lost at shutdown.
+                        while let Ok((from, msg)) = rx.recv() {
+                            match verify_frame(from, msg, pool.as_deref(), &config, &stats) {
+                                VerifyOutcome::Engine(from, msg) => {
+                                    if event_tx.send((from, msg)).is_err() {
+                                        break; // consensus thread gone: stop cleanly
+                                    }
+                                }
+                                VerifyOutcome::Ingested | VerifyOutcome::Rejected => {}
                             }
                         }
-                        VerifyOutcome::Ingested | VerifyOutcome::Rejected => {}
-                    }
-                }
-                alive.fetch_sub(1, Ordering::AcqRel);
-            }));
+                        alive.fetch_sub(1, Ordering::AcqRel);
+                    })
+                    .expect("spawn verify worker"),
+            );
         }
         VerifyStage {
             txs,

@@ -22,22 +22,24 @@
 //!              · this loop's own: wall-clock time, the sockets, the
 //!                fetch-peer rotation, crash / rejoin phases
 //!              · Outbox: each outbound message encoded once (a broadcast
-//!                once for all peers) and staged per peer
+//!                once for all peers) into every addressed peer's backlog
 //!                                                              │
-//!                              one batch per peer per engine step
+//!                 non-blocking writes at the end of every engine step
 //!                                                              ▼
-//!            writers (one per peer: dial, redial on drop, drain a bounded
-//!            queue of batches, one flush per drain — a slow peer never
-//!            blocks the engine)
+//!            one outbound socket per peer (a dialer thread connects it,
+//!            and redials after a write error, without blocking the loop)
 //! ```
 //!
-//! An engine step is everything the loop does between two waits: one
-//! event (or timer wake-up), the timers due, the pool's gossip and a
-//! catch-up drive. Its frames reach a peer's writer as one batch, handed
-//! off just before the loop waits again, and the writer writes whatever
-//! batches are queued and flushes once. Per-peer FIFO order is the order
-//! of `transmit` calls, so the gossip-before-propose ordering at init and
-//! rejoin holds on every connection.
+//! An engine step is everything the loop does between two waits: the
+//! event it waited for and up to `STEP_EVENTS - 1` more already queued,
+//! the timers due, the pool's gossip and a catch-up drive. Just before the
+//! loop waits again, each peer's backlog is written to its socket with
+//! `write_vectored` until the backlog is empty or the socket would block;
+//! a full socket delays only that peer, whose backlog then caps the wait
+//! so the rest is retried soon. A frame the socket took only part of
+//! resumes at its offset. Per-peer FIFO order is the order of `transmit`
+//! calls, so the gossip-before-propose ordering at init and rejoin holds on
+//! every connection.
 //!
 //! The verify stage is the loop's only fork, taken where a reader hands a
 //! frame on (`Ingress`): inline readers send straight into the event
@@ -60,9 +62,9 @@
 //! engine thread absorbs the event channel until every reader (and verify
 //! worker) has hung up, so no decoded frame is lost at close.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::collections::VecDeque;
+use std::io::{self, BufReader, IoSlice, Write};
 use std::iter;
-use std::mem;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -86,13 +88,29 @@ use crate::runner::{TcpRestart, TcpRunReport};
 
 /// Event-channel capacity into the engine loop.
 const EVENT_QUEUE: usize = 4096;
-/// Outbound-queue capacity per peer writer, in batches (engine steps).
-const PEER_QUEUE: usize = 1024;
+/// Events one engine step takes: the one it waited for and those already
+/// queued behind it, so replies to a burst leave in one write per peer.
+const STEP_EVENTS: usize = 64;
+/// Frames one peer's backlog holds. Past it, what is sent to a peer that
+/// stopped reading (or is not connected) is lost, as on any wire.
+const BACKLOG: usize = 4096;
+/// The loop's longest wait while a backlog holds frames its socket could
+/// not take yet.
+const RETRY_WRITE: Duration = Duration::from_micros(200);
+/// Frames one `write_vectored` call hands the kernel.
+const IOV: usize = 64;
+/// A dialer's longest pause between connection attempts. The first is
+/// 100 µs and each failure doubles it: peers started together begin
+/// listening within about a millisecond of each other, and one that is
+/// down costs an attempt every 20 ms.
+const REDIAL: Duration = Duration::from_millis(20);
 /// Per-step catch-up deadline (wall clock, 250 ms). Loopback round trips
 /// are far below this; a lapsed window re-probes or rotates peers.
 const CATCHUP_TIMEOUT: banyan_types::time::Duration = banyan_types::time::Duration(250_000_000);
 
 type Event = (ReplicaId, Message);
+/// A stream a dialer connected, and the index of the peer it reaches.
+type Dialed = (usize, TcpStream);
 
 /// The optional verify stage: its sizing and the pool its workers feed.
 pub(crate) type Stage = (PipelineConfig, Option<SharedConcurrentPool>);
@@ -121,21 +139,17 @@ impl Ingress {
 }
 
 /// One inbound connection: a hello, then frames until the stream ends
-/// (peer gone, or shut down by the acceptor at stop).
+/// (peer gone, or shut down by the acceptor at stop). The hello names the
+/// sender of every frame on the connection: a frame naming anyone else,
+/// or a second hello, ends it.
 fn read_frames(stream: TcpStream, ingress: &Ingress) {
     let mut reader = BufReader::new(stream);
-    let Ok(Frame::Hello { .. }) = read_frame(&mut reader) else {
+    let Ok(Frame::Hello { from: peer }) = read_frame(&mut reader) else {
         return;
     };
-    loop {
-        match read_frame(&mut reader) {
-            Ok(Frame::Msg { from, msg }) => {
-                if !ingress.deliver(from, msg) {
-                    return;
-                }
-            }
-            Ok(Frame::Hello { .. }) => {}
-            Err(_) => return,
+    while let Ok(Frame::Msg { from, msg }) = read_frame(&mut reader) {
+        if from != peer || !ingress.deliver(from, msg) {
+            return;
         }
     }
 }
@@ -144,101 +158,166 @@ fn read_frames(stream: TcpStream, ingress: &Ingress) {
 /// wakes and joins every reader. `accept` blocks: whoever sets `stop`
 /// then connects to `listener` once, so the acceptor wakes to see it.
 fn spawn_acceptor(
+    me: ReplicaId,
     listener: TcpListener,
     ingress: Ingress,
     stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
-    thread::spawn(move || {
-        // A clone of each accepted stream, kept to shut it down at stop.
-        let mut readers: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
-        loop {
-            let accepted = listener.accept();
-            // Release/Acquire: `stop` is stored before the wake-up dial.
-            if stop.load(Ordering::Acquire) {
-                break;
+    named(me, "acceptor")
+        .spawn(move || {
+            // A clone of each accepted stream, kept to shut it down at stop.
+            let mut readers: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+            loop {
+                let accepted = listener.accept();
+                // Release/Acquire: `stop` is stored before the wake-up dial.
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
+                let Ok((stream, _)) = accepted else {
+                    // A transient failure (a dialer that gave up, descriptors
+                    // exhausted): retry after a pause rather than spin.
+                    thread::sleep(Duration::from_millis(5));
+                    continue;
+                };
+                stream.set_nodelay(true).ok();
+                let Ok(wake) = stream.try_clone() else {
+                    continue; // dropped: the peer redials
+                };
+                // Peers that crashed and redialed leave finished readers behind.
+                readers.retain(|(_, reader)| !reader.is_finished());
+                let ingress = ingress.clone();
+                let reader = named(me, "reader")
+                    .spawn(move || read_frames(stream, &ingress))
+                    .expect("spawn reader thread");
+                readers.push((wake, reader));
             }
-            let Ok((stream, _)) = accepted else {
-                // A transient failure (a dialer that gave up, descriptors
-                // exhausted): retry after a pause rather than spin.
-                thread::sleep(Duration::from_millis(5));
-                continue;
-            };
-            stream.set_nodelay(true).ok();
-            let Ok(wake) = stream.try_clone() else {
-                continue; // dropped: the peer's writer redials
-            };
-            // Peers that crashed and redialed leave finished readers behind.
-            readers.retain(|(_, reader)| !reader.is_finished());
-            let ingress = ingress.clone();
-            readers.push((wake, thread::spawn(move || read_frames(stream, &ingress))));
-        }
-        for (wake, reader) in readers {
-            let _ = wake.shutdown(Shutdown::Both);
-            reader.join().expect("reader thread");
-        }
-    })
+            for (wake, reader) in readers {
+                let _ = wake.shutdown(Shutdown::Both);
+                reader.join().expect("reader thread");
+            }
+        })
+        .expect("spawn acceptor thread")
 }
 
-/// What an engine step hands one peer's writer: its frames for that peer,
-/// encoded and in send order. A broadcast's frame is one allocation that
-/// every peer's batch shares.
-type Batch = Vec<Arc<Vec<u8>>>;
+/// A builder for this replica's `role` thread, named for per-role CPU
+/// accounting (`/proc/<pid>/task/*/comm`).
+fn named(me: ReplicaId, role: &str) -> thread::Builder {
+    thread::Builder::new().name(format!("replica-{}-{role}", me.0))
+}
 
-/// One peer's writer: dials (with retries — peers start in arbitrary
-/// order), says hello and drains `rx`, redialing whenever the connection
-/// drops so a peer that crashes and resumes listening becomes reachable
-/// again (messages sent while it was down are lost, as on any wire).
-/// Each wake-up writes every batch queued by then and flushes once.
-/// Detached: it exits when `rx` disconnects or at its next `stop` check,
-/// and joining it could wait on a hung peer's full socket buffer.
-fn spawn_writer(me: ReplicaId, addr: SocketAddr, rx: Receiver<Batch>, stop: Arc<AtomicBool>) {
-    thread::spawn(move || {
-        'reconnect: while !stop.load(Ordering::Relaxed) {
-            let stream = loop {
-                match TcpStream::connect(addr) {
-                    Ok(s) => break s,
-                    Err(_) if !stop.load(Ordering::Relaxed) => {
-                        thread::sleep(Duration::from_millis(20));
+/// Connects to `addr`, says hello, and makes the stream non-blocking.
+fn dial(me: ReplicaId, addr: SocketAddr) -> io::Result<TcpStream> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    write_hello(&mut stream, me)?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
+}
+
+/// Dials peer `peer` until it answers (peers start in arbitrary order, and
+/// one that crashed may resume listening), then hands the stream back on
+/// `dialed`. Detached: it exits at its next `stop` check, and joining it
+/// could wait on a connect to a dead host.
+fn spawn_dialer(
+    me: ReplicaId,
+    peer: usize,
+    addr: SocketAddr,
+    dialed: Sender<Dialed>,
+    stop: Arc<AtomicBool>,
+) {
+    named(me, "dialer")
+        .spawn(move || {
+            let mut pause = Duration::from_micros(100);
+            while !stop.load(Ordering::Relaxed) {
+                match dial(me, addr) {
+                    Ok(stream) => {
+                        let _ = dialed.send((peer, stream));
+                        return;
                     }
-                    Err(_) => return,
-                }
-            };
-            stream.set_nodelay(true).ok();
-            let mut writer = BufWriter::new(stream);
-            if write_hello(&mut writer, me).is_err() {
-                continue 'reconnect;
-            }
-            while let Ok(batch) = rx.recv() {
-                let written = iter::once(batch)
-                    .chain(rx.try_iter())
-                    .flatten()
-                    .try_for_each(|frame| writer.write_all(&frame));
-                if written.and_then(|()| writer.flush()).is_err() {
-                    continue 'reconnect;
-                }
-                if stop.load(Ordering::Relaxed) {
-                    return;
+                    Err(_) => {
+                        thread::sleep(pause);
+                        pause = (pause * 2).min(REDIAL);
+                    }
                 }
             }
-            return; // outbound channel closed: the run is over
+        })
+        .expect("spawn dialer thread");
+}
+
+/// One peer's outbound connection and the frames not yet written to it.
+struct Peer {
+    addr: SocketAddr,
+    /// `None` while a dialer connects (exactly one is then running).
+    stream: Option<TcpStream>,
+    /// Encoded frames in `transmit` order. A broadcast's frame is one
+    /// allocation every peer's backlog shares.
+    backlog: VecDeque<Arc<Vec<u8>>>,
+    /// Bytes of the head frame already written.
+    written: usize,
+}
+
+impl Peer {
+    /// Queues `frame` unless the backlog is full; `true` if it was taken.
+    fn stage(&mut self, frame: &Arc<Vec<u8>>) -> bool {
+        let room = self.backlog.len() < BACKLOG;
+        if room {
+            self.backlog.push_back(frame.clone());
         }
-    });
+        room
+    }
+
+    /// Writes the backlog until it is empty or the socket would block.
+    fn write(&mut self) -> io::Result<()> {
+        let Some(stream) = &mut self.stream else {
+            return Ok(());
+        };
+        while let Some(head) = self.backlog.front() {
+            let mut iov = [IoSlice::new(&[]); IOV];
+            for (slot, frame) in iov.iter_mut().zip(&self.backlog) {
+                *slot = IoSlice::new(frame);
+            }
+            iov[0] = IoSlice::new(&head[self.written..]);
+            let mut n = match stream.write_vectored(&iov[..self.backlog.len().min(IOV)]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            // Retire what the kernel took; a frame it took only part of
+            // stays at the head, to resume at `written`.
+            while let Some(head) = self.backlog.front() {
+                let left = head.len() - self.written;
+                if n < left {
+                    self.written += n;
+                    break;
+                }
+                n -= left;
+                self.written = 0;
+                self.backlog.pop_front();
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The sending side of the loop. `transmit` encodes each outbound message
-/// once and stages the frame for every peer it addresses; `hand_off` ends
-/// the engine step, giving each peer's writer its staged frames in one
-/// queue operation.
+/// once into the backlog of every peer it addresses; `hand_off` ends the
+/// engine step, writing every backlog its socket will take.
 struct Outbox<P> {
     me: ReplicaId,
     /// Observes every block this replica puts on the wire into the pool's
     /// lease table (speculative drain), and supplies the gossip.
     pool: Option<P>,
-    /// Per peer (`None` at this replica's own index): its writer's queue
-    /// and the frames staged for it in this step.
-    peers: Vec<Option<(Sender<Batch>, Batch)>>,
-    /// Frames a writer accepted. A batch refused by a full queue is
-    /// dropped, its frames not sent.
+    /// Per peer; `None` at this replica's own index.
+    peers: Vec<Option<Peer>>,
+    /// Where dialers hand back the streams they connected: a clone of
+    /// `dialer_tx` goes to each.
+    dialed: Receiver<Dialed>,
+    dialer_tx: Sender<Dialed>,
+    stop: Arc<AtomicBool>,
+    /// Frames a backlog accepted. A frame a full backlog refuses is
+    /// dropped, not sent.
     frames_sent: u64,
     /// Blocks served in catch-up batches, counted at the server (as in
     /// the simulator).
@@ -246,21 +325,30 @@ struct Outbox<P> {
 }
 
 impl<P: ReplicaPool> Outbox<P> {
-    /// Spawns a writer for every peer but `me`.
+    /// Dials every peer but `me` once, here, so the first connections wait
+    /// on no thread; a peer not listening yet gets a dialer.
     fn connect(
         me: ReplicaId,
         pool: Option<P>,
         peers: &[SocketAddr],
         stop: &Arc<AtomicBool>,
     ) -> Self {
+        let (dialer_tx, dialed) = bounded(peers.len().max(1));
         let peers = peers
             .iter()
             .enumerate()
             .map(|(i, &addr)| {
                 (i != me.as_usize()).then(|| {
-                    let (tx, rx) = bounded(PEER_QUEUE);
-                    spawn_writer(me, addr, rx, stop.clone());
-                    (tx, Batch::new())
+                    let stream = dial(me, addr).ok();
+                    if stream.is_none() {
+                        spawn_dialer(me, i, addr, dialer_tx.clone(), stop.clone());
+                    }
+                    Peer {
+                        addr,
+                        stream,
+                        backlog: VecDeque::new(),
+                        written: 0,
+                    }
                 })
             })
             .collect();
@@ -268,6 +356,9 @@ impl<P: ReplicaPool> Outbox<P> {
             me,
             pool,
             peers,
+            dialed,
+            dialer_tx,
+            stop: stop.clone(),
             frames_sent: 0,
             sync_blocks_served: 0,
         }
@@ -281,17 +372,20 @@ impl<P: ReplicaPool> Outbox<P> {
         self.sync_blocks_served += msg.sync_batch_blocks().len() as u64;
         // Only a body past `u32::MAX` bytes fails to encode; no peer could
         // take it.
-        let frame = |msg: &Message| encode_frame(self.me, msg).ok().map(Arc::new);
+        let me = self.me;
+        let frame = |msg: &Message| encode_frame(me, msg).ok().map(Arc::new);
         match &out {
             Outbound::Broadcast(msg) => {
                 let Some(frame) = frame(msg) else { return };
-                for (_, staged) in self.peers.iter_mut().flatten() {
-                    staged.push(frame.clone());
+                for peer in self.peers.iter_mut().flatten() {
+                    self.frames_sent += u64::from(peer.stage(&frame));
                 }
             }
             Outbound::Send(to, msg) => {
-                if let Some(Some((_, staged))) = self.peers.get_mut(to.as_usize()) {
-                    staged.extend(frame(msg));
+                if let Some(Some(peer)) = self.peers.get_mut(to.as_usize()) {
+                    if let Some(frame) = frame(msg) {
+                        self.frames_sent += u64::from(peer.stage(&frame));
+                    }
                 }
             }
         }
@@ -309,19 +403,42 @@ impl<P: ReplicaPool> Outbox<P> {
         frames.into_iter().for_each(|out| self.transmit(out));
     }
 
-    /// Ends the engine step: each peer's staged frames go to its writer in
-    /// one `try_send`. A full queue (a peer that stopped reading) refuses
-    /// the batch, and its frames are lost, as on any wire.
+    /// Ends the engine step: streams the dialers connected are taken in,
+    /// then every backlog is written until it is empty or its socket would
+    /// block. A write error drops the connection, and with it the frame it
+    /// cut; the rest of the backlog waits for a dialer to reconnect.
     fn hand_off(&mut self) {
-        for (writer, staged) in self.peers.iter_mut().flatten() {
-            if staged.is_empty() {
-                continue;
-            }
-            let frames = staged.len() as u64;
-            if writer.try_send(mem::take(staged)).is_ok() {
-                self.frames_sent += frames;
+        for (i, stream) in self.dialed.try_iter() {
+            if let Some(Some(peer)) = self.peers.get_mut(i) {
+                peer.stream = Some(stream);
             }
         }
+        for (i, peer) in self.peers.iter_mut().enumerate() {
+            let Some(peer) = peer else { continue };
+            if peer.write().is_ok() {
+                continue;
+            }
+            peer.stream = None;
+            if peer.written > 0 {
+                peer.backlog.pop_front();
+                peer.written = 0;
+            }
+            spawn_dialer(
+                self.me,
+                i,
+                peer.addr,
+                self.dialer_tx.clone(),
+                self.stop.clone(),
+            );
+        }
+    }
+
+    /// True while some backlog holds frames not yet written.
+    fn pending(&self) -> bool {
+        self.peers
+            .iter()
+            .flatten()
+            .any(|peer| !peer.backlog.is_empty())
     }
 }
 
@@ -418,7 +535,7 @@ pub(crate) fn run<P: ReplicaPool>(
     // Readers and workers now hold the only event senders, so the channel
     // disconnects exactly when the last of them has exited.
     drop(event_tx);
-    let acceptor = spawn_acceptor(listener, ingress, stop.clone());
+    let acceptor = spawn_acceptor(me, listener, ingress, stop.clone());
 
     // The shared driver owns timers, stale filtering and action routing;
     // the outbox is the only transport-specific piece of the loop.
@@ -494,49 +611,56 @@ pub(crate) fn run<P: ReplicaPool>(
         d.fire_due(now(), |out| outbox.transmit(out));
         outbox.gossip();
         catchup.drive(d.engine(), now(), &mut |out| outbox.transmit(out));
-        // The step is over: its frames leave, one batch per peer. Then
-        // wait for the next event or timer; on timeout the loop simply
-        // re-checks timers and the deadline.
+        // The step is over: its frames leave, each peer's in as few
+        // writes as its socket takes. Then wait for the next event or
+        // timer — briefly while a socket refused part of a backlog; on
+        // timeout the loop simply re-checks timers and the deadline.
         outbox.hand_off();
-        let wait = d
+        let mut wait = d
             .next_deadline()
             .map(|at| Duration::from_nanos(at.0.saturating_sub(now().0)))
             .unwrap_or(Duration::from_millis(10))
             .min(Duration::from_millis(10));
-        let Ok((from, msg)) = event_rx.recv_timeout(wait) else {
+        if outbox.pending() {
+            wait = wait.min(RETRY_WRITE);
+        }
+        let Ok(first) = event_rx.recv_timeout(wait) else {
             continue;
         };
-        messages_received += 1;
-        match Inbound::classify(msg) {
-            // Feeds the pool, never the engine (the same contract the
-            // simulator enforces). Inline only: the verify workers absorb
-            // dissemination frames before the event channel.
-            Inbound::Dissemination(frame) => {
-                if let Some(pool) = &pool {
-                    pool.intake(from, frame);
+        let queued = event_rx.try_iter().take(STEP_EVENTS - 1);
+        for (from, msg) in iter::once(first).chain(queued) {
+            messages_received += 1;
+            match Inbound::classify(msg) {
+                // Feeds the pool, never the engine (the same contract the
+                // simulator enforces). Inline only: the verify workers
+                // absorb dissemination frames before the event channel.
+                Inbound::Dissemination(frame) => {
+                    if let Some(pool) = &pool {
+                        pool.intake(from, frame);
+                    }
                 }
-            }
-            // Answered from the engine's commit frontier without
-            // delivering (engines stay pure).
-            Inbound::FrontierProbe => {
-                outbox.transmit(frontier_info(from, d.engine().finalized_round()));
-            }
-            Inbound::FrontierInfo(finalized) => {
-                if let Some(machine) = &mut catchup.machine {
-                    machine.on_frontier(finalized);
+                // Answered from the engine's commit frontier without
+                // delivering (engines stay pure).
+                Inbound::FrontierProbe => {
+                    outbox.transmit(frontier_info(from, d.engine().finalized_round()));
                 }
-                catchup.drive(d.engine(), now(), &mut |out| outbox.transmit(out));
-            }
-            Inbound::Engine(msg) => {
-                // Speculative drain: arriving blocks are observed too —
-                // here when inline; the verify workers already recorded
-                // the lease under the hash they computed.
-                if let (None, Some(pool)) = (&verify, &pool) {
-                    pool.observe_inbound(&msg);
+                Inbound::FrontierInfo(finalized) => {
+                    if let Some(machine) = &mut catchup.machine {
+                        machine.on_frontier(finalized);
+                    }
+                    catchup.drive(d.engine(), now(), &mut |out| outbox.transmit(out));
                 }
-                d.handle_message(from, msg, now(), |out| outbox.transmit(out));
-                // Adopted batches may have advanced the frontier.
-                catchup.drive(d.engine(), now(), &mut |out| outbox.transmit(out));
+                Inbound::Engine(msg) => {
+                    // Speculative drain: arriving blocks are observed too —
+                    // here when inline; the verify workers already recorded
+                    // the lease under the hash they computed.
+                    if let (None, Some(pool)) = (&verify, &pool) {
+                        pool.observe_inbound(&msg);
+                    }
+                    d.handle_message(from, msg, now(), |out| outbox.transmit(out));
+                    // Adopted batches may have advanced the frontier.
+                    catchup.drive(d.engine(), now(), &mut |out| outbox.transmit(out));
+                }
             }
         }
     }
@@ -608,9 +732,10 @@ mod tests {
     use banyan_types::app::NullApp;
     use banyan_types::message::SyncMsg;
     use banyan_types::time::Duration as BDuration;
+    use std::sync::mpsc;
 
-    /// Addresses nobody listens on: a writer dialing one never connects,
-    /// so it never drains its queue.
+    /// Addresses nobody listens on: a dialer never connects to one, so
+    /// its backlog is never written.
     fn unreachable_addrs(k: usize) -> Vec<SocketAddr> {
         let listeners: Vec<TcpListener> = (0..k)
             .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
@@ -621,60 +746,299 @@ mod tests {
             .collect()
     }
 
-    /// `messages_sent` counts frames a writer accepted. Replica 1 floods
-    /// the replica with `FrontierProbe`s while its own address refuses
-    /// connections, so the answers pile up in its writer's queue; once
-    /// `PEER_QUEUE` batches wait there, the rest are refused, and must not
-    /// count as sent. The engine's Δ outlasts the run, so no timer adds
-    /// traffic of its own.
-    #[test]
-    fn answers_refused_by_a_full_peer_queue_are_not_counted_as_sent() {
-        let _serial = crate::loopback_serial_lock();
-        const PROBES: usize = PEER_QUEUE + 200;
-        let replica = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let listen = replica.local_addr().expect("addr");
-        drop(replica);
-        let mut peers = vec![listen];
-        peers.extend(unreachable_addrs(3));
+    fn listener() -> (TcpListener, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        (listener, addr)
+    }
 
+    /// Replica 0 on `peers[0]`, on a thread of its own, running HotStuff:
+    /// its Δ outlasts the run, so no timer adds traffic of its own, and it
+    /// ignores sync traffic, so every `FrontierInfo` it sends is the
+    /// driver's answer to a probe. The report arrives on the channel.
+    fn spawn_replica(peers: Vec<SocketAddr>, run_for: Duration) -> mpsc::Receiver<TcpRunReport> {
         let engine = ClusterBuilder::new(4, 1, 1)
             .unwrap()
             .delta(BDuration::from_secs(60))
             .build_hotstuff()
             .swap_remove(0);
-        let run_for = Duration::from_millis(2000);
-        let run = thread::spawn(move || {
+        let (done, report) = mpsc::channel();
+        thread::spawn(move || {
             let pool = None::<SharedMempool>;
-            run(engine, NullApp, pool, None, listen, peers, run_for, None)
+            let listen = peers[0];
+            let run = run(engine, NullApp, pool, None, listen, peers, run_for, None);
+            let _ = done.send(run.expect("replica run").0);
         });
+        report
+    }
 
-        let mut wire = Vec::new();
-        write_hello(&mut wire, ReplicaId(1)).expect("hello");
-        let probe = Message::Sync(SyncMsg::FrontierProbe);
-        for _ in 0..PROBES {
-            write_msg(&mut wire, ReplicaId(1), &probe).expect("encode");
-        }
-        let mut out = loop {
+    /// Dials the replica at `listen`, retrying until it listens.
+    fn dial_replica(listen: SocketAddr) -> TcpStream {
+        loop {
             match TcpStream::connect(listen) {
                 Ok(s) => break s,
                 Err(_) => thread::sleep(Duration::from_millis(10)),
             }
-        };
-        out.write_all(&wire).expect("probes");
+        }
+    }
+
+    /// `n` probes framed as sent by `from`.
+    fn probes(from: ReplicaId, n: usize) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for _ in 0..n {
+            write_msg(&mut wire, from, &Message::Sync(SyncMsg::FrontierProbe)).expect("encode");
+        }
+        wire
+    }
+
+    /// The `FrontierInfo` frames the replica sends the peer `listener`
+    /// plays, counted until the replica hangs up or `timeout` passes.
+    fn answers_on(listener: &TcpListener, timeout: Duration) -> usize {
+        let (inbound, _) = listener.accept().expect("replica dials its peer");
+        inbound.set_read_timeout(Some(timeout)).expect("timeout");
+        let mut inbound = BufReader::new(inbound);
+        let mut answers = 0;
+        while let Ok(frame) = read_frame(&mut inbound) {
+            if let Frame::Msg {
+                msg: Message::Sync(SyncMsg::FrontierInfo { .. }),
+                ..
+            } = frame
+            {
+                answers += 1;
+            }
+        }
+        answers
+    }
+
+    /// `messages_sent` counts frames a backlog accepted. Replica 1 floods
+    /// the replica with `FrontierProbe`s while its own address refuses
+    /// connections, so the answers pile up in its backlog; once `BACKLOG`
+    /// frames wait there, the rest are refused, and must not count as
+    /// sent.
+    #[test]
+    fn answers_refused_by_a_full_peer_queue_are_not_counted_as_sent() {
+        let _serial = crate::loopback_serial_lock();
+        const PROBES: usize = BACKLOG + 200;
+        let peers = unreachable_addrs(4);
+        let listen = peers[0];
+        let report = spawn_replica(peers, Duration::from_millis(2000));
+
+        let mut out = dial_replica(listen);
+        write_hello(&mut out, ReplicaId(1)).expect("hello");
+        out.write_all(&probes(ReplicaId(1), PROBES))
+            .expect("probes");
         drop(out);
 
-        let (report, _) = run.join().expect("replica thread").expect("replica run");
+        let report = report.recv().expect("replica run");
         assert_eq!(report.messages_received, PROBES as u64, "every probe read");
         assert!(
-            report.messages_sent >= PEER_QUEUE as u64,
-            "the queue took fewer than PEER_QUEUE answers: {}",
+            report.messages_sent >= BACKLOG as u64,
+            "the backlog took fewer than BACKLOG answers: {}",
             report.messages_sent
         );
         assert!(
             report.messages_sent < PROBES as u64,
-            "{} frames counted as sent, but at most PEER_QUEUE of the {PROBES} answers fit replica 1's queue",
+            "{} frames counted as sent, but at most BACKLOG of the {PROBES} answers fit replica 1's backlog",
             report.messages_sent
         );
+    }
+
+    /// A peer that accepts and never reads fills its socket, then its
+    /// backlog, and must not stall the loop: the replica still answers
+    /// another peer's probe and returns on time.
+    #[test]
+    fn a_peer_that_never_reads_does_not_stall_the_loop() {
+        let _serial = crate::loopback_serial_lock();
+        // Their 16-byte answers outgrow what a loopback connection buffers
+        // for a reader that never reads (about 4 MB on Linux) plus
+        // `BACKLOG`; the last assertion checks that they did.
+        const PROBES: usize = 300_000;
+        let (stalled, stalled_addr) = listener();
+        let (reading, reading_addr) = listener();
+        let mut peers = unreachable_addrs(2);
+        let listen = peers[0];
+        peers.splice(1..1, [stalled_addr, reading_addr]);
+        let run_for = Duration::from_millis(2000);
+        let deadline = Instant::now() + run_for + Duration::from_secs(1);
+        let report = spawn_replica(peers, run_for);
+
+        // As replica 1: connected to, never read from, and flooding the
+        // replica with probes whose answers it will not take.
+        let (_never_read, _) = stalled.accept().expect("replica dials replica 1");
+        let mut flood = dial_replica(listen);
+        flood.set_write_timeout(Some(run_for)).expect("timeout");
+        write_hello(&mut flood, ReplicaId(1)).expect("hello");
+        let _ = flood.write_all(&probes(ReplicaId(1), PROBES));
+        // As replica 2: one probe after the flood.
+        let mut asker = dial_replica(listen);
+        write_hello(&mut asker, ReplicaId(2)).expect("hello");
+        asker.write_all(&probes(ReplicaId(2), 1)).expect("probe");
+        let answers = answers_on(&reading, deadline - Instant::now());
+
+        let left = deadline.saturating_duration_since(Instant::now());
+        let report = report
+            .recv_timeout(left)
+            .expect("the replica ran past run_for + 1 s: the peer that never reads stalled it");
+        assert_eq!(answers, 1, "replica 2's probe was not answered");
+        assert_eq!(report.messages_received, PROBES as u64 + 1);
+        assert!(
+            report.messages_sent < PROBES as u64,
+            "all {} frames were taken: replica 1's socket never filled",
+            report.messages_sent
+        );
+    }
+
+    /// `k` distinct messages of ~1.2 MiB each: eight outgrow what a
+    /// loopback connection buffers for a reader that has not read yet.
+    fn large_forwards(k: u64) -> Vec<Message> {
+        use banyan_types::message::{DisseminationMsg, PendingRequest};
+        (0..k)
+            .map(|k| {
+                let requests = (0..48_000)
+                    .map(|i| PendingRequest {
+                        id: k << 32 | i,
+                        client: k as u16,
+                        size: 64,
+                        submitted_at: Time(i),
+                    })
+                    .collect();
+                Message::Dissemination(DisseminationMsg::Forward { requests })
+            })
+            .collect()
+    }
+
+    /// A frame the socket takes only part of resumes at its offset: what a
+    /// slow peer finally reads is `write_msg`'s bytes for the same
+    /// messages, in `transmit` order, behind the hello.
+    #[test]
+    fn a_frame_cut_by_a_full_socket_resumes_at_its_offset() {
+        use std::io::Read;
+        let (slow, slow_addr) = listener();
+        let peers = vec![unreachable_addrs(1)[0], slow_addr];
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut outbox = Outbox::connect(ReplicaId(0), None::<SharedMempool>, &peers, &stop);
+
+        let msgs = large_forwards(8);
+        for msg in &msgs {
+            outbox.transmit(Outbound::Send(ReplicaId(1), msg.clone()));
+        }
+        outbox.hand_off();
+        let peer = outbox.peers[1].as_ref().expect("peer 1");
+        assert!(
+            peer.written > 0,
+            "the socket did not cut a frame: {} frames left, none begun",
+            peer.backlog.len()
+        );
+
+        let (mut conn, _) = slow.accept().expect("accept");
+        let reader = thread::spawn(move || {
+            let mut wire = Vec::new();
+            let mut chunk = [0u8; 64 << 10];
+            // Slowly: the socket fills again, and frames are cut again.
+            while let Ok(n @ 1..) = conn.read(&mut chunk) {
+                wire.extend_from_slice(&chunk[..n]);
+                thread::sleep(Duration::from_micros(200));
+            }
+            wire
+        });
+        while outbox.pending() {
+            outbox.hand_off();
+            thread::sleep(Duration::from_micros(100));
+        }
+        drop(outbox);
+
+        let mut want = Vec::new();
+        write_hello(&mut want, ReplicaId(0)).expect("hello");
+        for msg in &msgs {
+            write_msg(&mut want, ReplicaId(0), msg).expect("encode");
+        }
+        let got = reader.join().expect("reader");
+        assert_eq!(got.len(), want.len(), "bytes read");
+        assert!(got == want, "the bytes differ from write_msg's");
+    }
+
+    /// A write error drops the connection and the frame it cut; a dialer
+    /// reconnects, and the rest of the backlog follows a fresh hello.
+    #[test]
+    fn a_write_error_redials_and_resumes_at_a_frame_boundary() {
+        use std::io::Read;
+        let (peer, addr) = listener();
+        let peers = vec![unreachable_addrs(1)[0], addr];
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut outbox = Outbox::connect(ReplicaId(0), None::<SharedMempool>, &peers, &stop);
+        let (first, _) = peer.accept().expect("accept");
+
+        let msgs = large_forwards(8);
+        for msg in &msgs {
+            outbox.transmit(Outbound::Send(ReplicaId(1), msg.clone()));
+        }
+        outbox.hand_off();
+        assert!(outbox.peers[1].as_ref().expect("peer 1").written > 0);
+        // Closing with unread bytes resets the connection.
+        drop(first);
+        let cut_at = Instant::now();
+        while outbox.peers[1].as_ref().expect("peer 1").stream.is_some() {
+            assert!(cut_at.elapsed() < Duration::from_secs(5), "no write error");
+            outbox.hand_off();
+            thread::sleep(Duration::from_millis(1));
+        }
+        let rest = outbox.peers[1].as_ref().expect("peer 1").backlog.len();
+
+        let (mut second, _) = peer.accept().expect("the peer is redialed");
+        let reader = thread::spawn(move || {
+            let mut wire = Vec::new();
+            second.read_to_end(&mut wire).map(|_| wire)
+        });
+        while outbox.pending() {
+            outbox.hand_off();
+            thread::sleep(Duration::from_micros(100));
+        }
+        drop(outbox);
+
+        let mut want = Vec::new();
+        write_hello(&mut want, ReplicaId(0)).expect("hello");
+        for msg in &msgs[msgs.len() - rest..] {
+            write_msg(&mut want, ReplicaId(0), msg).expect("encode");
+        }
+        let got = reader.join().expect("reader").expect("read");
+        assert_eq!(got.len(), want.len(), "bytes read after the redial");
+        assert!(
+            got == want,
+            "the redialed stream is not hello + whole frames"
+        );
+    }
+
+    /// The hello names a connection's sender. Replica 1's connection
+    /// carries a probe of its own, then one framed as replica 2, then
+    /// another of its own; a second connection says hello twice. Only the
+    /// first probe is read and answered, and the answer goes to replica
+    /// 1: neither connection can make the replica send replica 2 anything.
+    #[test]
+    fn a_frame_naming_another_sender_ends_the_connection() {
+        let _serial = crate::loopback_serial_lock();
+        let (one, one_addr) = listener();
+        let (two, two_addr) = listener();
+        let mut peers = unreachable_addrs(2);
+        let listen = peers[0];
+        peers.splice(1..1, [one_addr, two_addr]);
+        let run_for = Duration::from_millis(1000);
+        let report = spawn_replica(peers, run_for);
+
+        let mut spoof = dial_replica(listen);
+        write_hello(&mut spoof, ReplicaId(1)).expect("hello");
+        for from in [1, 2, 1] {
+            spoof.write_all(&probes(ReplicaId(from), 1)).expect("probe");
+        }
+        let mut rehello = dial_replica(listen);
+        write_hello(&mut rehello, ReplicaId(1)).expect("hello");
+        write_hello(&mut rehello, ReplicaId(1)).expect("second hello");
+        rehello.write_all(&probes(ReplicaId(1), 1)).expect("probe");
+
+        let timeout = run_for + Duration::from_secs(5);
+        assert_eq!(answers_on(&one, timeout), 1, "replica 1's answers");
+        assert_eq!(answers_on(&two, timeout), 0, "answers sent to replica 2");
+        let report = report.recv().expect("replica run");
+        assert_eq!(report.messages_received, 1, "frames read");
     }
 
     /// A sender that stalls 120 ms between a frame's header and its body

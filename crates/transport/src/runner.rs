@@ -52,7 +52,9 @@ pub struct TcpRunReport {
     pub commits: Vec<CommitEntry>,
     /// Messages received off the wire.
     pub messages_received: u64,
-    /// Messages sent (per-peer copies counted individually).
+    /// Messages sent (per-peer copies counted individually): frames a
+    /// peer's outbound backlog accepted. One a full backlog refused is
+    /// not counted.
     pub messages_sent: u64,
     /// Timers dropped by the shared driver as stale (diagnostic).
     pub stale_timers_dropped: u64,
