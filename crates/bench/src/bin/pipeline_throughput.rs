@@ -3,12 +3,14 @@
 //!
 //! Four sender threads each dial the receiver and stream pre-serialized
 //! proposal frames whose payloads are genuine [`WorkloadBatch`]
-//! encodings. The receiver runs the same reader threads and
-//! [`VerifyStage`] worker pool that `run_replica_pipelined` deploys —
-//! every frame pays the real verify cost (batch decode plus the SHA-256
-//! payload-commitment walk in `Block::hash`) before a consumer thread
-//! counts it off the ordered event channel. What the table reports is the
-//! decode + verify stage in isolation: no consensus engine behind it.
+//! encodings. The receiver runs the [`VerifyStage`] worker pool that
+//! `run_replica_pipelined` deploys, fed by one blocking reader thread per
+//! connection (the replica's own loop reads its sockets itself; threads
+//! keep this bench free of an engine) — every frame pays the real verify
+//! cost (batch decode plus the SHA-256 payload-commitment walk in
+//! `Block::hash`) before a consumer thread counts it off the ordered event
+//! channel. What the table reports is the decode + verify stage in
+//! isolation: no consensus engine behind it.
 //!
 //! Run: `cargo run --release -p banyan-bench --bin pipeline_throughput -- \
 //!       [--quick] [--frames N] [--batch N] \
@@ -160,7 +162,8 @@ fn run_once(workers: usize, frames: usize, batch: usize) -> RunResult {
     let stats = verify.stats.clone();
 
     // Readers: the decode stage, one thread per inbound connection,
-    // routing by sender id exactly as `run_replica_pipelined` does.
+    // routing by sender id as `run_replica_pipelined` does. Their send
+    // may block: the consumer below waits on nothing they hold.
     let acceptor = {
         let verify_txs = verify.senders();
         let stats = stats.clone();

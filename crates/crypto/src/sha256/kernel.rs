@@ -11,7 +11,9 @@
 //!   `sha256msg2`), compiled on x86-64 only and entered only after
 //!   `is_x86_feature_detected!` has seen every feature it uses.
 //!
-//! This module holds all of the workspace's `unsafe`. A [`Kernel`] can
+//! This module holds all of the workspace's `unsafe` but one FFI call
+//! (the TCP replica loop's `ppoll` wrapper in `banyan-transport`). A
+//! [`Kernel`] can
 //! only be obtained through [`Kernel::detect`] or [`Kernel::PORTABLE`]
 //! (its field is private), so holding the hardware variant is proof that
 //! detection succeeded — which is what the dispatching call relies on.

@@ -9,6 +9,11 @@
 //! The first frame on every connection is a `HELLO` (empty body) that
 //! identifies the sender, after which only protocol messages flow. Frames
 //! are bounded by [`MAX_FRAME`] to protect receivers from hostile lengths.
+//!
+//! [`encode_frame`] is the one writer of the layout; `body_len` and
+//! `decode` below are its one reader, called by both the blocking
+//! [`read_frame`] and the incremental `FrameBuf` the replica loop reads
+//! its non-blocking sockets with.
 
 use std::io::{self, Read, Write};
 
@@ -88,33 +93,146 @@ pub fn write_msg<W: Write>(w: &mut W, from: ReplicaId, msg: &Message) -> io::Res
     w.flush()
 }
 
-/// Reads one frame, blocking.
-///
-/// # Errors
-///
-/// Returns an error on I/O failure, oversized frames, or undecodable
-/// bodies.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Frame> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
+/// The body length a frame's first four bytes declare, checked against
+/// [`MAX_FRAME`] before anything is allocated for it.
+fn body_len(prefix: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame exceeds MAX_FRAME",
         ));
     }
-    let mut from_buf = [0u8; 2];
-    r.read_exact(&mut from_buf)?;
-    let from = ReplicaId(u16::from_le_bytes(from_buf));
-    if len == 0 {
+    Ok(len)
+}
+
+/// The frame a sender id and a whole body make: an empty body is a hello.
+fn decode(from: [u8; 2], body: &[u8]) -> io::Result<Frame> {
+    let from = ReplicaId(u16::from_le_bytes(from));
+    if body.is_empty() {
         return Ok(Frame::Hello { from });
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    let msg = Message::from_bytes(&body)
+    let msg = Message::from_bytes(body)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad message: {e}")))?;
     Ok(Frame::Msg { from, msg })
+}
+
+/// Reads one frame, blocking. The body grows as its bytes arrive, so a
+/// header alone never allocates what its length claims.
+///
+/// # Errors
+///
+/// Returns an error on I/O failure (a stream that ends mid-frame is
+/// [`io::ErrorKind::UnexpectedEof`]), oversized frames, or undecodable
+/// bodies.
+pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Frame> {
+    let mut prefix = [0u8; 4];
+    r.read_exact(&mut prefix)?;
+    let len = body_len(prefix)?;
+    let mut from = [0u8; 2];
+    r.read_exact(&mut from)?;
+    let mut body = Vec::with_capacity(len.min(INITIAL_BUF));
+    r.by_ref().take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    decode(from, &body)
+}
+
+/// Bytes a [`FrameBuf`] starts with, and the most [`read_frame`] reserves
+/// for a body before its bytes arrive.
+const INITIAL_BUF: usize = 64 << 10;
+
+/// The incremental reader of the frame layout, for a non-blocking
+/// stream: [`fill`](FrameBuf::fill) reads whatever bytes have arrived,
+/// [`next_frame`](FrameBuf::next_frame) splits off each frame they
+/// complete, and a frame still arriving stays buffered for the next read.
+/// It yields the frames, and the error, that [`read_frame`] called over
+/// and over yields on the same bytes; where `read_frame` would wait for
+/// more, it yields `None`.
+///
+/// The buffer starts at [`INITIAL_BUF`] and doubles only when one
+/// unfinished frame fills it, never past that frame's length, so its
+/// capacity stays within twice the bytes received plus its initial size
+/// whatever a header claims.
+#[derive(Debug)]
+pub(crate) struct FrameBuf {
+    /// Always initialized to its full length; `start..end` holds the
+    /// bytes received and not yet split off.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl Default for FrameBuf {
+    fn default() -> Self {
+        FrameBuf {
+            buf: vec![0; INITIAL_BUF],
+            start: 0,
+            end: 0,
+        }
+    }
+}
+
+impl FrameBuf {
+    /// Room left for the next read.
+    pub(crate) fn free(&self) -> usize {
+        self.buf.len() - self.end
+    }
+
+    /// One `read` from `r` into the free space. An unfinished frame is
+    /// first moved to the front, and if it fills the whole buffer the
+    /// buffer doubles (up to that frame's length), so there is always
+    /// room. `Ok(0)` is end of stream.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the read's error, `WouldBlock` included.
+    pub(crate) fn fill<R: Read>(&mut self, r: &mut R) -> io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end == self.buf.len() {
+            let grown = 2 * self.buf.len();
+            let frame = self
+                .buf
+                .first_chunk::<4>()
+                .map(|&prefix| HEADER + u32::from_le_bytes(prefix) as usize)
+                .filter(|&frame| frame > self.buf.len());
+            self.buf
+                .resize(frame.map_or(grown, |frame| frame.min(grown)), 0);
+        }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Splits the next frame off the front: `Ok(None)` while its bytes
+    /// have not all arrived.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] for an oversized frame or an
+    /// undecodable body, as [`read_frame`] returns; the stream is then
+    /// unusable.
+    pub(crate) fn next_frame(&mut self) -> io::Result<Option<Frame>> {
+        let bytes = &self.buf[self.start..self.end];
+        let Some(&prefix) = bytes.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = body_len(prefix)?;
+        let Some(frame) = bytes.get(..HEADER + len) else {
+            return Ok(None);
+        };
+        let frame = decode([frame[4], frame[5]], &frame[HEADER..])?;
+        self.start += HEADER + len;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
+        Ok(Some(frame))
+    }
 }
 
 #[cfg(test)]
@@ -247,33 +365,152 @@ mod tests {
     /// panic.
     #[test]
     fn arbitrary_bytes_never_panic_read_frame() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
+        let mut next = splitmix(0x9E37_79B9_7F4A_7C15);
+        let mut real = Vec::new();
+        write_msg(&mut real, ReplicaId(2), &sample_msg()).unwrap();
+        for case in 0..4_000 {
+            let buf = hostile_bytes(case, &real, &mut next);
+            let _ = read_frame(&mut buf.as_slice());
+        }
+    }
+
+    /// A deterministic stream of pseudo-random words (splitmix64).
+    fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
+        }
+    }
+
+    /// Case `case` of the hostile inputs: noise up to 4 KiB on even cases,
+    /// `real` with a few bytes overwritten on odd ones; every fourth case
+    /// gets a header whose length is honest, so the body reaches the
+    /// message decoder.
+    fn hostile_bytes(case: usize, real: &[u8], next: &mut impl FnMut() -> u64) -> Vec<u8> {
+        let mut buf: Vec<u8> = if case.is_multiple_of(2) {
+            let len = (next() % 4096) as usize;
+            (0..len).map(|_| next() as u8).collect()
+        } else {
+            let mut frame = real.to_vec();
+            for _ in 0..1 + next() % 4 {
+                let at = (next() as usize) % frame.len();
+                frame[at] = next() as u8;
+            }
+            frame
         };
+        if case.is_multiple_of(4) && buf.len() >= HEADER {
+            let body = (buf.len() - HEADER) as u32;
+            buf[..4].copy_from_slice(&body.to_le_bytes());
+        }
+        buf
+    }
+
+    /// What a [`FrameBuf`] yields for `wire` arriving in chunks whose
+    /// sizes `next` picks (often a few bytes, sometimes all that is
+    /// left): every frame, then the error it stopped at, if any.
+    fn split_in_chunks(
+        wire: &[u8],
+        next: &mut impl FnMut() -> u64,
+    ) -> (Vec<Frame>, Option<io::Error>) {
+        let mut frames = FrameBuf::default();
+        let (mut got, mut rest) = (Vec::new(), wire);
+        loop {
+            match frames.next_frame() {
+                Ok(Some(frame)) => {
+                    got.push(frame);
+                    continue;
+                }
+                Ok(None) => {}
+                Err(e) => return (got, Some(e)),
+            }
+            if rest.is_empty() {
+                return (got, None);
+            }
+            let most = if next().is_multiple_of(2) {
+                8
+            } else {
+                rest.len()
+            };
+            let chunk = 1 + (next() as usize) % most.min(rest.len());
+            let n = frames.fill(&mut &rest[..chunk]).unwrap();
+            rest = &rest[n..];
+        }
+    }
+
+    /// The splitter and `read_frame` are one reader: on hostile bytes —
+    /// the cases above, and whole streams of real frames with a few
+    /// bytes overwritten — fed in random chunkings, the splitter yields
+    /// exactly the frames `read_frame` yields over and over on the
+    /// concatenation, then the same error; where `read_frame` runs out of
+    /// bytes, the splitter waits for more.
+    #[test]
+    fn the_splitter_yields_what_read_frame_yields_in_any_chunking() {
+        let mut next = splitmix(0x2545_F491_4F6C_DD1D);
         let mut real = Vec::new();
         write_msg(&mut real, ReplicaId(2), &sample_msg()).unwrap();
-        for case in 0..4_000 {
-            let mut buf: Vec<u8> = if case % 2 == 0 {
-                let len = (next() % 4096) as usize;
-                (0..len).map(|_| next() as u8).collect()
-            } else {
-                let mut frame = real.clone();
-                for _ in 0..1 + next() % 4 {
-                    let at = (next() as usize) % frame.len();
-                    frame[at] = next() as u8;
+        let mut stream = Vec::new();
+        write_hello(&mut stream, ReplicaId(0)).unwrap();
+        for (from, msg) in distinct_msgs() {
+            write_msg(&mut stream, from, &msg).unwrap();
+        }
+        for case in 0..3_000 {
+            let wire = if case % 3 == 2 {
+                let mut wire = stream.clone();
+                for _ in 0..next() % 3 {
+                    let at = (next() as usize) % wire.len();
+                    wire[at] = next() as u8;
                 }
-                frame
+                wire
+            } else {
+                hostile_bytes(case, &real, &mut next)
             };
-            if case % 4 == 0 && buf.len() >= 6 {
-                let body = (buf.len() - 6) as u32;
-                buf[..4].copy_from_slice(&body.to_le_bytes());
+            let mut r = wire.as_slice();
+            let mut want = Vec::new();
+            let end = loop {
+                match read_frame(&mut r) {
+                    Ok(frame) => want.push(frame),
+                    Err(e) => break e,
+                }
+            };
+            let (got, err) = split_in_chunks(&wire, &mut next);
+            assert_eq!(got, want, "case {case}: frames");
+            match err {
+                None => assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof, "case {case}"),
+                Some(err) => {
+                    assert_eq!(err.kind(), end.kind(), "case {case}");
+                    assert_eq!(err.to_string(), end.to_string(), "case {case}");
+                }
             }
-            let _ = read_frame(&mut buf.as_slice());
+        }
+    }
+
+    /// A header claiming `MAX_FRAME` buys its sender no memory: with 10
+    /// body bytes and EOF, `read_frame` returns an error, and a
+    /// connection buffer fed a whole MiB of that body stays within twice
+    /// the bytes received plus its initial size.
+    #[test]
+    fn a_header_claiming_max_frame_allocates_only_what_arrives() {
+        let mut header = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        header.extend_from_slice(&1u16.to_le_bytes());
+        let mut wire = header.clone();
+        wire.extend_from_slice(&[0xAB; 10]);
+        let err = read_frame(&mut wire.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+
+        let mut frames = FrameBuf::default();
+        let mut received = frames.fill(&mut header.as_slice()).unwrap();
+        let body = vec![0xAB; 4 << 10];
+        while received < 1 << 20 {
+            received += frames.fill(&mut body.as_slice()).unwrap();
+            assert!(frames.next_frame().unwrap().is_none());
+            assert!(
+                frames.buf.len() <= 2 * received + INITIAL_BUF,
+                "{} bytes buffered for {received} received",
+                frames.buf.len()
+            );
         }
     }
 }

@@ -2,18 +2,19 @@
 //!
 //! The same [`banyan_types::engine::Engine`] state machines that run under
 //! the discrete-event simulator run here over real sockets — length-
-//! prefixed frames on `std::net::TcpStream`, one reader thread per
-//! inbound connection, and an engine loop that owns the timer heap and
-//! writes its peers' non-blocking sockets itself. No async runtime: the
-//! engines are synchronous state machines and a handful of threads per
-//! replica is exactly what a reproduction needs (`docs/ARCHITECTURE.md`,
-//! "Concurrent pool & replica pipeline").
+//! prefixed frames on `std::net::TcpStream`, and one engine loop per
+//! replica that owns the timer heap and reads and writes every one of its
+//! non-blocking sockets itself, waiting on all of them in one `ppoll(2)`.
+//! No async runtime: the engines are synchronous state machines and one
+//! thread per replica (plus verify workers when staged) is exactly what a
+//! reproduction needs (`docs/ARCHITECTURE.md`, "Concurrent pool & replica
+//! pipeline").
 //!
 //! There is one replica event loop (the private `replica` module). The
 //! public runners in [`runner`] and [`pipeline`] are thin calls into it
 //! that differ only in the pool they attach, whether a verify stage sits
-//! between readers and the engine thread, and whether the replica crashes
-//! and rejoins mid-run.
+//! between the loop's socket reads and its engine, and whether the replica
+//! crashes and rejoins mid-run.
 //!
 //! Synthetic payloads stay synthetic on the wire (16 bytes + declared
 //! size); the TCP path demonstrates protocol correctness over real
@@ -42,6 +43,7 @@
 
 pub mod framing;
 pub mod pipeline;
+mod poll;
 mod replica;
 pub mod runner;
 

@@ -4,20 +4,22 @@
 //! The one TCP replica loop (`crate::replica`) decodes, verifies and
 //! executes every frame on the consensus thread unless it is handed a
 //! [`PipelineConfig`]. With one, a pool of verify workers sits between the
-//! readers and the consensus thread, connected by bounded MPMC channels
+//! loop's socket reads and its engine, connected by bounded MPMC channels
 //! (`crossbeam::channel`), so a replica scales across cores:
 //!
 //! ```text
-//!  sockets ──► readers (decode frames, one per peer)
-//!                 │  route by sender id: worker = from % W
+//!  sockets ──► replica loop (one ppoll; reads and splits frames)
+//!                 │  route by sender id: worker = from % W, try_send
+//!                 │  (a full queue holds the frame and pauses that
+//!                 │   connection's reads; the loop never blocks on it)
 //!                 ▼
 //!          verify workers (× W, PipelineConfig::verify_workers)
 //!            · Forward frames → pool ingest (send-only, lock-free path;
 //!              they NEVER reach the consensus thread)
 //!            · proposal blocks → recompute block hash, WorkloadBatch
 //!              sanity, lease observation
-//!                 │  ordered engine events only
-//!                 ▼
+//!                 │  ordered engine events, then a wake-up if the
+//!                 ▼  loop is parked in ppoll
 //!          consensus thread (EngineDriver: timers, votes, commits)
 //!                 │  outbound actions, written by this same thread
 //!                 ▼
@@ -36,15 +38,17 @@
 //! never the pool's lock, and take that lock only to record a lease they
 //! have already decoded and hashed for.
 //!
-//! Everything else — acceptor, readers, per-peer backlogs and redial, timers,
-//! gossip, probe answering, catch-up, crash/rejoin — is the shared loop's,
-//! so a staged replica restarts and catches up exactly like an inline one.
+//! Everything else — accepting and reading connections, per-peer backlogs
+//! and redial, timers, gossip, probe answering, catch-up, crash/rejoin —
+//! is the shared loop's, so a staged replica restarts and catches up
+//! exactly like an inline one.
 //!
-//! Shutdown is staged and loss-free: readers are woken and exit, the
-//! verify channels disconnect, workers drain what was queued and exit, and
-//! the consensus thread absorbs the tail — [`PipelineStats`] counts every
-//! decoded frame into exactly one of `ingested` / `verified` / `rejected`,
-//! so a test can assert nothing fell on the floor at close.
+//! Shutdown is staged and loss-free: the loop stops reading and drops its
+//! senders, the verify channels disconnect, workers drain what was queued
+//! and exit, and the consensus thread absorbs the tail — [`PipelineStats`]
+//! counts every frame handed to the stage into exactly one of `ingested` /
+//! `verified` / `rejected`, so a test can assert nothing fell on the floor
+//! at close.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -68,7 +72,7 @@ const VERIFY_QUEUE: usize = 2048;
 /// Sizing of the staged pipeline.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Verify workers between the readers and the consensus thread.
+    /// Verify workers between the loop's socket reads and its engine.
     /// 0 behaves like 1 (a configured stage always exists; the *inline*
     /// replica is [`run_replica_full`](crate::runner::run_replica_full)).
     pub verify_workers: usize,
@@ -102,12 +106,12 @@ impl PipelineConfig {
     }
 }
 
-/// Frame accounting across the pipeline stages. Every frame decoded by a
-/// reader lands in exactly one of `ingested`, `verified` or `rejected` —
-/// the conservation law the shutdown test asserts.
+/// Frame accounting across the pipeline stages. Every frame handed to the
+/// verify stage lands in exactly one of `ingested`, `verified` or
+/// `rejected` — the conservation law the shutdown test asserts.
 #[derive(Debug, Default)]
 pub struct PipelineStats {
-    /// Frames decoded by readers and handed to the verify stage.
+    /// Frames decoded off the sockets and handed to the verify stage.
     pub decoded: AtomicU64,
     /// Dissemination frames absorbed into pool ingest (never reach the
     /// consensus thread).
@@ -124,7 +128,7 @@ pub struct PipelineStats {
 /// A plain-value copy of [`PipelineStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStatsSnapshot {
-    /// Frames decoded by readers.
+    /// Frames decoded off the sockets and handed to the verify stage.
     pub decoded: u64,
     /// Frames absorbed into pool ingest.
     pub ingested: u64,
@@ -254,6 +258,19 @@ impl VerifyStage {
         pool: Option<SharedConcurrentPool>,
         event_tx: Sender<(ReplicaId, Message)>,
     ) -> VerifyStage {
+        Self::spawn_waking(config, pool, event_tx, || {})
+    }
+
+    /// Like [`spawn`](Self::spawn), with each worker calling `wake` after
+    /// every frame it finishes: the replica loop, which waits on its
+    /// sockets rather than on `event_tx`, learns both that an event is
+    /// queued and that a worker's queue has room again.
+    pub(crate) fn spawn_waking(
+        config: &PipelineConfig,
+        pool: Option<SharedConcurrentPool>,
+        event_tx: Sender<(ReplicaId, Message)>,
+        wake: impl Fn() + Clone + Send + 'static,
+    ) -> VerifyStage {
         let workers = config.verify_workers.max(1);
         let stats = Arc::new(PipelineStats::default());
         let alive = Arc::new(AtomicUsize::new(workers));
@@ -267,12 +284,13 @@ impl VerifyStage {
             let stats = stats.clone();
             let alive = alive.clone();
             let event_tx = event_tx.clone();
+            let wake = wake.clone();
             let worker = thread::Builder::new().name(format!("verify-{k}"));
             handles.push(
                 worker
                     .spawn(move || {
-                        // Drain until every producer (reader) hangs up, so
-                        // no queued frame is lost at shutdown.
+                        // Drain until every producer hangs up, so no
+                        // queued frame is lost at shutdown.
                         while let Ok((from, msg)) = rx.recv() {
                             match verify_frame(from, msg, pool.as_deref(), &config, &stats) {
                                 VerifyOutcome::Engine(from, msg) => {
@@ -282,6 +300,7 @@ impl VerifyStage {
                                 }
                                 VerifyOutcome::Ingested | VerifyOutcome::Rejected => {}
                             }
+                            wake();
                         }
                         alive.fetch_sub(1, Ordering::AcqRel);
                     })
@@ -303,23 +322,25 @@ impl VerifyStage {
         &self.txs[from.as_usize() % self.txs.len()]
     }
 
-    /// Clones of all worker input channels (for reader threads).
+    /// Clones of all worker input channels, for a caller that reads its
+    /// own sockets on threads of its own (the throughput bench).
     pub fn senders(&self) -> Vec<Sender<(ReplicaId, Message)>> {
         self.txs.clone()
     }
 
     /// Drops the stage's own input senders: workers drain what is queued
-    /// and exit once every reader clone is gone too. The replica loop
-    /// calls this first and keeps absorbing the event channel while the
-    /// workers wind down, so none blocks on a full channel.
+    /// and exit once every clone is gone too. The replica loop, which
+    /// holds no clone, calls this first and keeps absorbing the event
+    /// channel while the workers wind down, so none blocks on a full
+    /// channel.
     pub(crate) fn close(&mut self) {
         self.txs.clear();
     }
 
     /// Drops the stage's own input senders and joins the workers, which
-    /// exit once every reader clone is gone too. Workers block while the
-    /// event channel is full, so the thread that drains it must absorb
-    /// the tail before calling this.
+    /// exit once every clone is gone too. Workers block while the event
+    /// channel is full, so the thread that drains it must absorb the tail
+    /// before calling this.
     pub fn shutdown(mut self) {
         self.close();
         for h in self.handles {
@@ -341,8 +362,9 @@ pub struct PipelineRunReport {
 
 /// The staged counterpart of
 /// [`run_replica_full`](crate::runner::run_replica_full): the same event
-/// loop with a verify worker pool between the readers and this (the
-/// consensus) thread, so only ordered engine events cross into it.
+/// loop with a verify worker pool between its socket reads and its engine,
+/// so only ordered engine events cross back into this (the consensus)
+/// thread.
 /// Workers are joined before returning; the returned stats satisfy
 /// `decoded == ingested + verified + rejected`.
 ///

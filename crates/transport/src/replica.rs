@@ -7,14 +7,20 @@
 //! Thread layout per replica:
 //!
 //! ```text
-//!  acceptor ──spawns──► readers (one per inbound connection: decode frames)
-//!                          │
-//!                          ├─ inline ──────────────────────────┐
-//!                          │                                   ▼
-//!                          └─ staged ─► verify workers ─► event channel
-//!                             (only with a PipelineConfig)     │
-//!                                                              ▼
+//!   listener · inbound connections · waker · backlogged outbound sockets
+//!                          │ one ppoll(2)
+//!                          ▼
 //!            engine loop (the calling thread)
+//!              · accepts, reads each ready connection (FrameBuf: whole
+//!                frames split off, a partial one kept for the next read)
+//!              │
+//!              ├─ inline: frames join this step's events ─────┐
+//!              │                                              │
+//!              └─ staged: try_send to worker from % W ─► verify workers
+//!                 (only with a PipelineConfig)     │ events back on a
+//!                                                  │ channel, then a
+//!                                                  │ wake-up if parked
+//!                                                  ▼          ▼
 //!              · shared with the simulator: EngineDriver (timers, action
 //!                routing); ReplicaPool::{flush, intake, observe_outbound,
 //!                observe_inbound, retire}; catchup::Inbound::classify and
@@ -23,55 +29,62 @@
 //!                fetch-peer rotation, crash / rejoin phases
 //!              · Outbox: each outbound message encoded once (a broadcast
 //!                once for all peers) into every addressed peer's backlog
-//!                                                              │
+//!                                                             │
 //!                 non-blocking writes at the end of every engine step
-//!                                                              ▼
+//!                                                             ▼
 //!            one outbound socket per peer (a dialer thread connects it,
 //!            and redials after a write error, without blocking the loop)
 //! ```
 //!
+//! A replica runs this one thread, plus a dialer only while a peer is
+//! unreachable, plus W verify workers when staged.
+//!
 //! An engine step is everything the loop does between two waits: the
-//! event it waited for and up to `STEP_EVENTS - 1` more already queued,
-//! the timers due, the pool's gossip and a catch-up drive. Just before the
-//! loop waits again, each peer's backlog is written to its socket with
-//! `write_vectored` until the backlog is empty or the socket would block;
-//! a full socket delays only that peer, whose backlog then caps the wait
-//! so the rest is retried soon. A frame the socket took only part of
-//! resumes at its offset. Per-peer FIFO order is the order of `transmit`
-//! calls, so the gossip-before-propose ordering at init and rejoin holds on
-//! every connection.
+//! frames it read (at most `READ_BUDGET` bytes from each connection) and
+//! the verified events the workers returned, the timers due, the pool's
+//! gossip and a catch-up drive. Just before the loop waits again, each
+//! peer's backlog is written to its socket with `write_vectored` until the
+//! backlog is empty or the socket would block; a full socket delays only
+//! that peer, whose socket the wait then watches for room. A frame the
+//! socket took only part of resumes at its offset. Per-peer FIFO order is
+//! the order of `transmit` calls, so the gossip-before-propose ordering at
+//! init and rejoin holds on every connection.
 //!
-//! The verify stage is the loop's only fork, taken where a reader hands a
-//! frame on (`Ingress`): inline readers send straight into the event
-//! channel — no extra thread hop — staged ones to the verify worker
-//! `from % W`. The engine loop itself is the shared
-//! [`EngineDriver`]: it owns the timer heap (same deterministic
-//! `(time, seq)` ordering the simulator uses, same stale-timer filtering)
-//! and routes engine actions. What a replica does besides its engine —
-//! gossip, dissemination intake, lease observation, commit retirement,
-//! probe answering, catch-up — is `banyan_mempool::ReplicaPool`'s and
-//! `banyan_storage::catchup`'s, the same code the simulator runs; this
-//! module only supplies wall-clock time, sockets and the one decision a
-//! socketed driver makes blind: which peer to fetch from.
+//! The verify stage is the loop's only fork, taken where a frame is
+//! decoded: inline, it joins the step's events — no channel, no thread
+//! hop — staged, it goes to the verify worker `from % W` by `try_send`.
+//! A full worker queue hands the frame back; the loop holds it and stops
+//! reading that connection until the worker takes it, so the bytes back
+//! up in the kernel as TCP intends. (A blocking send could deadlock: the
+//! worker may itself be waiting on the loop's full event channel.) The
+//! engine loop itself is the shared [`EngineDriver`]: it owns the timer
+//! heap (same deterministic `(time, seq)` ordering the simulator uses,
+//! same stale-timer filtering) and routes engine actions. What a replica
+//! does besides its engine — gossip, dissemination intake, lease
+//! observation, commit retirement, probe answering, catch-up — is
+//! `banyan_mempool::ReplicaPool`'s and `banyan_storage::catchup`'s, the
+//! same code the simulator runs; this module only supplies wall-clock
+//! time, sockets and the one decision a socketed driver makes blind: which
+//! peer to fetch from.
 //!
-//! The acceptor blocks in `accept`; at stop the loop wakes it with one
-//! connection to its own listener. Readers block in `read` with no
-//! timeout, so a frame whose sender stalls between header and body is
-//! never abandoned half-read. To stop, the acceptor shuts down its clone
-//! of every accepted stream, which wakes the blocked readers with EOF; the
-//! engine thread absorbs the event channel until every reader (and verify
-//! worker) has hung up, so no decoded frame is lost at close.
+//! Verify workers and dialers reach the parked loop through the waker: a
+//! socket pair whose read end the wait watches. They write one byte only
+//! when the loop says it is parked, so a busy loop pays no syscall for
+//! them. At stop the loop closes its sockets, releases the verify stage's
+//! inputs and absorbs the event channel until every worker has hung up,
+//! so no frame handed to the stage is lost at close.
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader, IoSlice, Write};
-use std::iter;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{self, IoSlice, Read, Write};
+use std::mem;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 
 use banyan_mempool::{ReplicaPool, SharedConcurrentPool};
 use banyan_runtime::driver::{AppSink, EngineDriver};
@@ -82,21 +95,19 @@ use banyan_types::ids::ReplicaId;
 use banyan_types::message::Message;
 use banyan_types::time::Time;
 
-use crate::framing::{encode_frame, read_frame, write_hello, Frame};
-use crate::pipeline::{PipelineConfig, PipelineStats, PipelineStatsSnapshot, VerifyStage};
+use crate::framing::{encode_frame, write_hello, Frame, FrameBuf};
+use crate::pipeline::{PipelineConfig, PipelineStatsSnapshot, VerifyStage};
+use crate::poll::{self, PollFd, READABLE, WRITABLE};
 use crate::runner::{TcpRestart, TcpRunReport};
 
-/// Event-channel capacity into the engine loop.
+/// Capacity of the channel verify workers return events on.
 const EVENT_QUEUE: usize = 4096;
-/// Events one engine step takes: the one it waited for and those already
-/// queued behind it, so replies to a burst leave in one write per peer.
-const STEP_EVENTS: usize = 64;
+/// Bytes one engine step reads from one connection at most, so a peer
+/// that floods cannot starve the others.
+const READ_BUDGET: usize = 1 << 20;
 /// Frames one peer's backlog holds. Past it, what is sent to a peer that
 /// stopped reading (or is not connected) is lost, as on any wire.
 const BACKLOG: usize = 4096;
-/// The loop's longest wait while a backlog holds frames its socket could
-/// not take yet.
-const RETRY_WRITE: Duration = Duration::from_micros(200);
 /// Frames one `write_vectored` call hands the kernel.
 const IOV: usize = 64;
 /// A dialer's longest pause between connection attempts. The first is
@@ -115,88 +126,49 @@ type Dialed = (usize, TcpStream);
 /// The optional verify stage: its sizing and the pool its workers feed.
 pub(crate) type Stage = (PipelineConfig, Option<SharedConcurrentPool>);
 
-/// Where a reader hands a decoded frame — the loop's only fork.
-#[derive(Clone)]
-enum Ingress {
-    /// Straight into the event channel.
-    Inline(Sender<Event>),
-    /// To a verify worker, counted `decoded`; same routing rule as
-    /// [`VerifyStage::sender_for`].
-    Staged(Vec<Sender<Event>>, Arc<PipelineStats>),
+/// Wakes the loop out of its wait from another thread: one byte into a
+/// socket pair whose read end the wait watches, written only while the
+/// loop is parked, so work handed to a busy loop costs no syscall (the
+/// rule `compat/crossbeam`'s channel follows for its condvars).
+struct Waker {
+    /// True from just before the loop's last look at its queues until
+    /// its wait returns.
+    parked: AtomicBool,
+    tx: UnixStream,
 }
 
-impl Ingress {
-    /// Hands one frame on; `false` once the receiving side is gone.
-    fn deliver(&self, from: ReplicaId, msg: Message) -> bool {
-        match self {
-            Ingress::Inline(tx) => tx.send((from, msg)).is_ok(),
-            Ingress::Staged(txs, stats) => {
-                stats.decoded.fetch_add(1, Ordering::Relaxed);
-                txs[from.as_usize() % txs.len()].send((from, msg)).is_ok()
-            }
+impl Waker {
+    /// The waker and the read end the loop watches, both non-blocking.
+    fn pair() -> io::Result<(Arc<Waker>, UnixStream)> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        let parked = AtomicBool::new(false);
+        Ok((Arc::new(Waker { parked, tx }), rx))
+    }
+
+    /// The loop is about to wait: after this it looks at its queues one
+    /// last time, and what is queued later wakes it.
+    fn park(&self) {
+        self.parked.store(true, Ordering::Relaxed);
+        // Pairs with the fence in `wake`: either the loop's last look
+        // sees what a waker queued, or that waker sees `parked`.
+        fence(Ordering::SeqCst);
+    }
+
+    /// The loop's wait is over.
+    fn unpark(&self) {
+        self.parked.store(false, Ordering::Relaxed);
+    }
+
+    /// Called after queuing work for the loop: a byte if it is parked.
+    fn wake(&self) {
+        fence(Ordering::SeqCst);
+        if self.parked.swap(false, Ordering::Relaxed) {
+            // A full pair already holds a wake-up the loop has not read.
+            let _ = (&self.tx).write(&[1]);
         }
     }
-}
-
-/// One inbound connection: a hello, then frames until the stream ends
-/// (peer gone, or shut down by the acceptor at stop). The hello names the
-/// sender of every frame on the connection: a frame naming anyone else,
-/// or a second hello, ends it.
-fn read_frames(stream: TcpStream, ingress: &Ingress) {
-    let mut reader = BufReader::new(stream);
-    let Ok(Frame::Hello { from: peer }) = read_frame(&mut reader) else {
-        return;
-    };
-    while let Ok(Frame::Msg { from, msg }) = read_frame(&mut reader) {
-        if from != peer || !ingress.deliver(from, msg) {
-            return;
-        }
-    }
-}
-
-/// Accepts inbound connections until `stop`, one reader thread each, then
-/// wakes and joins every reader. `accept` blocks: whoever sets `stop`
-/// then connects to `listener` once, so the acceptor wakes to see it.
-fn spawn_acceptor(
-    me: ReplicaId,
-    listener: TcpListener,
-    ingress: Ingress,
-    stop: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    named(me, "acceptor")
-        .spawn(move || {
-            // A clone of each accepted stream, kept to shut it down at stop.
-            let mut readers: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
-            loop {
-                let accepted = listener.accept();
-                // Release/Acquire: `stop` is stored before the wake-up dial.
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok((stream, _)) = accepted else {
-                    // A transient failure (a dialer that gave up, descriptors
-                    // exhausted): retry after a pause rather than spin.
-                    thread::sleep(Duration::from_millis(5));
-                    continue;
-                };
-                stream.set_nodelay(true).ok();
-                let Ok(wake) = stream.try_clone() else {
-                    continue; // dropped: the peer redials
-                };
-                // Peers that crashed and redialed leave finished readers behind.
-                readers.retain(|(_, reader)| !reader.is_finished());
-                let ingress = ingress.clone();
-                let reader = named(me, "reader")
-                    .spawn(move || read_frames(stream, &ingress))
-                    .expect("spawn reader thread");
-                readers.push((wake, reader));
-            }
-            for (wake, reader) in readers {
-                let _ = wake.shutdown(Shutdown::Both);
-                reader.join().expect("reader thread");
-            }
-        })
-        .expect("spawn acceptor thread")
 }
 
 /// A builder for this replica's `role` thread, named for per-role CPU
@@ -216,14 +188,15 @@ fn dial(me: ReplicaId, addr: SocketAddr) -> io::Result<TcpStream> {
 
 /// Dials peer `peer` until it answers (peers start in arbitrary order, and
 /// one that crashed may resume listening), then hands the stream back on
-/// `dialed`. Detached: it exits at its next `stop` check, and joining it
-/// could wait on a connect to a dead host.
+/// `dialed` and wakes the loop. Detached: it exits at its next `stop`
+/// check, and joining it could wait on a connect to a dead host.
 fn spawn_dialer(
     me: ReplicaId,
     peer: usize,
     addr: SocketAddr,
     dialed: Sender<Dialed>,
     stop: Arc<AtomicBool>,
+    waker: Arc<Waker>,
 ) {
     named(me, "dialer")
         .spawn(move || {
@@ -232,6 +205,7 @@ fn spawn_dialer(
                 match dial(me, addr) {
                     Ok(stream) => {
                         let _ = dialed.send((peer, stream));
+                        waker.wake();
                         return;
                     }
                     Err(_) => {
@@ -242,6 +216,189 @@ fn spawn_dialer(
             }
         })
         .expect("spawn dialer thread");
+}
+
+/// One inbound connection: its non-blocking stream, the bytes of a frame
+/// still arriving, and the sender its hello named.
+struct Conn {
+    stream: TcpStream,
+    frames: FrameBuf,
+    /// Set by the hello; every later frame must name it.
+    peer: Option<ReplicaId>,
+    /// A frame its verify worker's queue had no room for. While one is
+    /// held the connection is neither read nor waited on.
+    held: Option<Event>,
+    /// The last wait found the socket readable, or hung up.
+    ready: bool,
+}
+
+impl Conn {
+    /// Hands the held frame on, if any; `false` while it is still held.
+    fn release(&mut self, deliver: &mut impl FnMut(Event) -> Option<Event>) -> bool {
+        if let Some(event) = self.held.take() {
+            self.held = deliver(event);
+        }
+        self.held.is_none()
+    }
+
+    /// Hands on, in order, the held frame, the frames already buffered,
+    /// and — if the last wait found the socket ready — those completed by
+    /// up to `READ_BUDGET` more bytes, until the socket is drained or a
+    /// frame is held. `false` once the connection is over: end of stream,
+    /// an error, a frame that is no frame, or one that breaks the sender
+    /// binding (a frame before the hello or naming another replica, or a
+    /// second hello).
+    fn pump(&mut self, deliver: &mut impl FnMut(Event) -> Option<Event>) -> bool {
+        let mut read = mem::take(&mut self.ready);
+        let mut budget = READ_BUDGET;
+        if !self.release(deliver) {
+            return true;
+        }
+        loop {
+            loop {
+                match self.frames.next_frame() {
+                    Ok(None) => break,
+                    Ok(Some(Frame::Hello { from })) if self.peer.is_none() => {
+                        self.peer = Some(from);
+                    }
+                    Ok(Some(Frame::Msg { from, msg })) if self.peer == Some(from) => {
+                        self.held = deliver((from, msg));
+                        if self.held.is_some() {
+                            return true;
+                        }
+                    }
+                    _ => return false,
+                }
+            }
+            if !read || budget == 0 {
+                return true;
+            }
+            match self.frames.fill(&mut self.stream) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    budget = budget.saturating_sub(n);
+                    // A read short of the free space drained the socket:
+                    // another would only return `WouldBlock`.
+                    read = self.frames.free() == 0;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+    }
+}
+
+/// The receiving side of the loop: the listener, every accepted
+/// connection, and the waker's read end — all non-blocking, all watched
+/// by the one wait.
+struct Inbox {
+    listener: TcpListener,
+    conns: Vec<Conn>,
+    waker: Arc<Waker>,
+    wakes: UnixStream,
+    /// The wait's descriptor list, kept to reuse its allocation.
+    fds: Vec<PollFd>,
+}
+
+impl Inbox {
+    fn bind(listen: SocketAddr) -> io::Result<Self> {
+        let listener = TcpListener::bind(listen)?;
+        listener.set_nonblocking(true)?;
+        let (waker, wakes) = Waker::pair()?;
+        Ok(Inbox {
+            listener,
+            conns: Vec::new(),
+            waker,
+            wakes,
+            fds: Vec::new(),
+        })
+    }
+
+    /// Takes in every connection waiting on the listener. One that fails
+    /// (a dialer that gave up, descriptors exhausted) is left: its peer
+    /// redials.
+    fn accept(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_ok() {
+                        self.conns.push(Conn {
+                            stream,
+                            frames: FrameBuf::default(),
+                            peer: None,
+                            held: None,
+                            ready: true,
+                        });
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Blocks until a connection is readable or arrives, an outbound
+    /// socket in `writable` can take bytes, the waker fires, or `timeout`
+    /// passes; then marks the ready connections and accepts the new ones.
+    fn wait<'a>(&mut self, writable: impl Iterator<Item = &'a TcpStream>, timeout: Duration) {
+        self.fds.clear();
+        self.fds.push(PollFd::new(&self.wakes, READABLE));
+        self.fds.push(PollFd::new(&self.listener, READABLE));
+        let unheld = |conn: &&mut Conn| conn.held.is_none();
+        for conn in self.conns.iter_mut().filter(unheld) {
+            self.fds.push(PollFd::new(&conn.stream, READABLE));
+        }
+        self.fds
+            .extend(writable.map(|stream| PollFd::new(stream, WRITABLE)));
+        // Should the wait itself fail, every socket is tried: a read that
+        // finds nothing costs one `WouldBlock`.
+        let waited = poll::wait(&mut self.fds, timeout).is_ok();
+        self.waker.unpark();
+        let mut fds = self.fds.iter().map(|fd| !waited || fd.ready());
+        let (woken, arrived) = (fds.next() == Some(true), fds.next() == Some(true));
+        for (conn, ready) in self.conns.iter_mut().filter(unheld).zip(fds) {
+            conn.ready = ready;
+        }
+        if woken {
+            while let Ok(1..) = (&self.wakes).read(&mut [0; 64]) {}
+        }
+        if arrived {
+            self.accept();
+        }
+    }
+
+    /// Hands every connection's frames to `deliver` ([`Conn::pump`]),
+    /// dropping the connections that are over.
+    fn read(&mut self, deliver: &mut impl FnMut(Event) -> Option<Event>) {
+        self.conns.retain_mut(|conn| conn.pump(deliver));
+    }
+
+    /// Offers the held frames again, up to the first one taken; `true` if
+    /// one was (the rest are offered again when the step reads).
+    fn release_held(&mut self, deliver: &mut impl FnMut(Event) -> Option<Event>) -> bool {
+        let mut held = self.conns.iter_mut().filter(|conn| conn.held.is_some());
+        held.any(|conn| conn.release(deliver))
+    }
+}
+
+/// Where the loop hands a decoded frame — its only fork. Inline, the
+/// frame joins this step's `events`; staged, it goes to verify worker
+/// `from % W`, counted `decoded`, and comes back if that worker's queue
+/// is full, for the connection to hold.
+fn deliver(verify: Option<&VerifyStage>, events: &mut Vec<Event>, event: Event) -> Option<Event> {
+    let Some(stage) = verify else {
+        events.push(event);
+        return None;
+    };
+    match stage.sender_for(event.0).try_send(event) {
+        Ok(()) => {
+            stage.stats.decoded.fetch_add(1, Ordering::Relaxed);
+            None
+        }
+        Err(TrySendError::Full(event)) => Some(event),
+        Err(TrySendError::Disconnected(_)) => None,
+    }
 }
 
 /// One peer's outbound connection and the frames not yet written to it.
@@ -312,10 +469,11 @@ struct Outbox<P> {
     /// Per peer; `None` at this replica's own index.
     peers: Vec<Option<Peer>>,
     /// Where dialers hand back the streams they connected: a clone of
-    /// `dialer_tx` goes to each.
+    /// `dialer_tx` goes to each, with the waker.
     dialed: Receiver<Dialed>,
     dialer_tx: Sender<Dialed>,
     stop: Arc<AtomicBool>,
+    waker: Arc<Waker>,
     /// Frames a backlog accepted. A frame a full backlog refuses is
     /// dropped, not sent.
     frames_sent: u64,
@@ -332,6 +490,7 @@ impl<P: ReplicaPool> Outbox<P> {
         pool: Option<P>,
         peers: &[SocketAddr],
         stop: &Arc<AtomicBool>,
+        waker: &Arc<Waker>,
     ) -> Self {
         let (dialer_tx, dialed) = bounded(peers.len().max(1));
         let peers = peers
@@ -341,7 +500,8 @@ impl<P: ReplicaPool> Outbox<P> {
                 (i != me.as_usize()).then(|| {
                     let stream = dial(me, addr).ok();
                     if stream.is_none() {
-                        spawn_dialer(me, i, addr, dialer_tx.clone(), stop.clone());
+                        let (tx, stop, waker) = (dialer_tx.clone(), stop.clone(), waker.clone());
+                        spawn_dialer(me, i, addr, tx, stop, waker);
                     }
                     Peer {
                         addr,
@@ -359,6 +519,7 @@ impl<P: ReplicaPool> Outbox<P> {
             dialed,
             dialer_tx,
             stop: stop.clone(),
+            waker: waker.clone(),
             frames_sent: 0,
             sync_blocks_served: 0,
         }
@@ -423,22 +584,22 @@ impl<P: ReplicaPool> Outbox<P> {
                 peer.backlog.pop_front();
                 peer.written = 0;
             }
-            spawn_dialer(
-                self.me,
-                i,
-                peer.addr,
+            let (tx, stop, waker) = (
                 self.dialer_tx.clone(),
                 self.stop.clone(),
+                self.waker.clone(),
             );
+            spawn_dialer(self.me, i, peer.addr, tx, stop, waker);
         }
     }
 
-    /// True while some backlog holds frames not yet written.
-    fn pending(&self) -> bool {
-        self.peers
-            .iter()
-            .flatten()
-            .any(|peer| !peer.backlog.is_empty())
+    /// The connected sockets whose backlog still holds frames: the wait
+    /// watches them for room.
+    fn backlogged(&self) -> impl Iterator<Item = &TcpStream> {
+        let peers = self.peers.iter().flatten();
+        peers
+            .filter(|peer| !peer.backlog.is_empty())
+            .filter_map(|peer| peer.stream.as_ref())
     }
 }
 
@@ -499,13 +660,14 @@ impl CatchUp {
 }
 
 /// Runs `engine` over TCP for `run_for`: inline when `stage` is `None`,
-/// with verify workers between readers and this thread otherwise;
+/// with verify workers between the socket reads and the engine otherwise;
 /// crashing and rejoining mid-run when `restart` says so. Returns the run
 /// report and the verify stage's frame accounting (all zero when inline).
 ///
 /// # Errors
 ///
-/// Returns an I/O error if binding `listen` fails.
+/// Returns an I/O error if binding `listen` (or creating the waker)
+/// fails.
 // The parameters are the three public runners' parameters, unioned.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run<P: ReplicaPool>(
@@ -523,24 +685,23 @@ pub(crate) fn run<P: ReplicaPool>(
     let now = || Time(start.elapsed().as_nanos() as u64);
     let stop = Arc::new(AtomicBool::new(false));
 
-    let listener = TcpListener::bind(listen)?;
-    let wake_acceptor = listener.local_addr()?;
-    let (event_tx, event_rx) = bounded::<Event>(EVENT_QUEUE);
-    let mut verify =
-        stage.map(|(config, pool)| VerifyStage::spawn(&config, pool, event_tx.clone()));
-    let ingress = match &verify {
-        Some(stage) => Ingress::Staged(stage.senders(), stage.stats.clone()),
-        None => Ingress::Inline(event_tx.clone()),
-    };
-    // Readers and workers now hold the only event senders, so the channel
-    // disconnects exactly when the last of them has exited.
-    drop(event_tx);
-    let acceptor = spawn_acceptor(me, listener, ingress, stop.clone());
+    let mut inbox = Inbox::bind(listen)?;
+    // Staged only: the workers, and the channel they return verified
+    // events on. The workers hold its only senders, so it disconnects
+    // exactly when the last of them has exited.
+    let verify = stage.map(|(config, pool)| {
+        let (event_tx, events) = bounded::<Event>(EVENT_QUEUE);
+        let waker = inbox.waker.clone();
+        let stage = VerifyStage::spawn_waking(&config, pool, event_tx, move || waker.wake());
+        (stage, events)
+    });
 
     // The shared driver owns timers, stale filtering and action routing;
     // the outbox is the only transport-specific piece of the loop.
-    let mut outbox = Outbox::connect(me, pool.clone(), &peers, &stop);
+    let mut outbox = Outbox::connect(me, pool.clone(), &peers, &stop, &inbox.waker);
     let mut messages_received = 0u64;
+    // The step's events, kept to reuse their allocation.
+    let mut events: Vec<Event> = Vec::new();
 
     let sink = AppSink {
         inner: Vec::<CommitEntry>::new(),
@@ -599,12 +760,16 @@ pub(crate) fn run<P: ReplicaPool>(
             }
         }
         let Some(d) = driver.as_mut() else {
-            // Down: a dead process reads nothing. Drain and discard so
-            // the bounded channel never backpressures the readers. What
-            // the last step before the crash sent still leaves.
+            // Down: as with a dead process, no frame reaches a handler or
+            // a worker. The sockets are still read and the frames
+            // discarded, so no peer's connection backs up; what the last
+            // step before the crash sent still leaves.
             outbox.hand_off();
-            while event_rx.try_recv().is_ok() {}
-            thread::sleep(Duration::from_millis(2));
+            if let Some((_, events)) = &verify {
+                while events.try_recv().is_ok() {}
+            }
+            inbox.wait(outbox.backlogged(), Duration::from_millis(2));
+            inbox.read(&mut |_| None);
             continue;
         };
 
@@ -612,23 +777,34 @@ pub(crate) fn run<P: ReplicaPool>(
         outbox.gossip();
         catchup.drive(d.engine(), now(), &mut |out| outbox.transmit(out));
         // The step is over: its frames leave, each peer's in as few
-        // writes as its socket takes. Then wait for the next event or
-        // timer — briefly while a socket refused part of a backlog; on
-        // timeout the loop simply re-checks timers and the deadline.
+        // writes as its socket takes. Then wait for a frame, an event,
+        // room on a backlogged socket or the next timer; on timeout the
+        // loop simply re-checks timers and the deadline.
         outbox.hand_off();
-        let mut wait = d
+        let wait = d
             .next_deadline()
             .map(|at| Duration::from_nanos(at.0.saturating_sub(now().0)))
             .unwrap_or(Duration::from_millis(10))
             .min(Duration::from_millis(10));
-        if outbox.pending() {
-            wait = wait.min(RETRY_WRITE);
+        let stage = verify.as_ref().map(|(stage, _)| stage);
+        let mut route = |event| deliver(stage, &mut events, event);
+        // Parked first, then one last look at everything a waker
+        // announces: what arrives after the look wakes the wait.
+        inbox.waker.park();
+        let queued = verify
+            .as_ref()
+            .is_some_and(|(_, events)| !events.is_empty())
+            || !outbox.dialed.is_empty()
+            || inbox.release_held(&mut route);
+        inbox.wait(
+            outbox.backlogged(),
+            if queued { Duration::ZERO } else { wait },
+        );
+        inbox.read(&mut route);
+        if let Some((_, verified)) = &verify {
+            events.extend(verified.try_iter().take(EVENT_QUEUE));
         }
-        let Ok(first) = event_rx.recv_timeout(wait) else {
-            continue;
-        };
-        let queued = event_rx.try_iter().take(STEP_EVENTS - 1);
-        for (from, msg) in iter::once(first).chain(queued) {
+        for (from, msg) in events.drain(..) {
             messages_received += 1;
             match Inbound::classify(msg) {
                 // Feeds the pool, never the engine (the same contract the
@@ -665,23 +841,20 @@ pub(crate) fn run<P: ReplicaPool>(
         }
     }
 
-    // The last step's frames leave. Then a loss-free close: wake the
-    // acceptor (which wakes the readers), release the verify stage's own
-    // input senders, and absorb the tail until every reader and worker
-    // has hung up — so none of them blocks on a full channel and every
-    // decoded frame is accounted for.
+    // The last step's frames leave. Then a loss-free close: stop reading
+    // (dropping the inbox closes every socket it owns), release the verify
+    // stage's inputs, and absorb the tail until every worker has hung up —
+    // so none of them blocks on a full channel and every frame handed to
+    // the stage is accounted for.
     outbox.hand_off();
-    stop.store(true, Ordering::Release);
-    // Our own listener, bound and listening: the dial ends its `accept`.
-    let _ = TcpStream::connect(wake_acceptor);
-    if let Some(stage) = &mut verify {
+    // Relaxed: `stop` publishes nothing; a dialer that sees it just exits.
+    stop.store(true, Ordering::Relaxed);
+    drop(inbox);
+    let stats = verify.map(|(mut stage, events)| {
         stage.close();
-    }
-    while event_rx.recv().is_ok() {
-        messages_received += 1;
-    }
-    acceptor.join().expect("acceptor thread");
-    let stats = verify.map(|stage| {
+        while events.recv().is_ok() {
+            messages_received += 1;
+        }
         let stats = stage.stats.clone();
         stage.shutdown();
         stats.snapshot()
@@ -726,13 +899,30 @@ pub(crate) fn run<P: ReplicaPool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::write_msg;
+    use crate::framing::{read_frame, write_msg};
     use banyan_core::builder::ClusterBuilder;
     use banyan_mempool::SharedMempool;
     use banyan_types::app::NullApp;
     use banyan_types::message::SyncMsg;
     use banyan_types::time::Duration as BDuration;
+    use std::io::BufReader;
     use std::sync::mpsc;
+
+    /// An outbox on `peers` as replica 0, with no pool.
+    fn outbox(peers: &[SocketAddr]) -> Outbox<SharedMempool> {
+        let stop = Arc::new(AtomicBool::new(false));
+        let (waker, _) = Waker::pair().expect("waker");
+        Outbox::connect(ReplicaId(0), None, peers, &stop, &waker)
+    }
+
+    /// True while some backlog holds frames not yet written.
+    fn pending(outbox: &Outbox<SharedMempool>) -> bool {
+        outbox
+            .peers
+            .iter()
+            .flatten()
+            .any(|peer| !peer.backlog.is_empty())
+    }
 
     /// Addresses nobody listens on: a dialer never connects to one, so
     /// its backlog is never written.
@@ -755,8 +945,13 @@ mod tests {
     /// Replica 0 on `peers[0]`, on a thread of its own, running HotStuff:
     /// its Δ outlasts the run, so no timer adds traffic of its own, and it
     /// ignores sync traffic, so every `FrontierInfo` it sends is the
-    /// driver's answer to a probe. The report arrives on the channel.
-    fn spawn_replica(peers: Vec<SocketAddr>, run_for: Duration) -> mpsc::Receiver<TcpRunReport> {
+    /// driver's answer to a probe. Staged when `stage` says so. The report
+    /// and the stage's accounting arrive on the channel.
+    fn spawn_replica(
+        peers: Vec<SocketAddr>,
+        run_for: Duration,
+        stage: Option<Stage>,
+    ) -> mpsc::Receiver<(TcpRunReport, PipelineStatsSnapshot)> {
         let engine = ClusterBuilder::new(4, 1, 1)
             .unwrap()
             .delta(BDuration::from_secs(60))
@@ -766,10 +961,24 @@ mod tests {
         thread::spawn(move || {
             let pool = None::<SharedMempool>;
             let listen = peers[0];
-            let run = run(engine, NullApp, pool, None, listen, peers, run_for, None);
-            let _ = done.send(run.expect("replica run").0);
+            let run = run(engine, NullApp, pool, stage, listen, peers, run_for, None);
+            let _ = done.send(run.expect("replica run"));
         });
         report
+    }
+
+    /// Reads what the replica sends the peer on `inbound` until it sends
+    /// a `FrontierInfo`: the answer to a probe.
+    fn next_answer(inbound: &mut impl Read) -> io::Result<()> {
+        loop {
+            if let Frame::Msg {
+                msg: Message::Sync(SyncMsg::FrontierInfo { .. }),
+                ..
+            } = read_frame(inbound)?
+            {
+                return Ok(());
+            }
+        }
     }
 
     /// Dials the replica at `listen`, retrying until it listens.
@@ -821,7 +1030,7 @@ mod tests {
         const PROBES: usize = BACKLOG + 200;
         let peers = unreachable_addrs(4);
         let listen = peers[0];
-        let report = spawn_replica(peers, Duration::from_millis(2000));
+        let report = spawn_replica(peers, Duration::from_millis(2000), None);
 
         let mut out = dial_replica(listen);
         write_hello(&mut out, ReplicaId(1)).expect("hello");
@@ -829,7 +1038,7 @@ mod tests {
             .expect("probes");
         drop(out);
 
-        let report = report.recv().expect("replica run");
+        let (report, _) = report.recv().expect("replica run");
         assert_eq!(report.messages_received, PROBES as u64, "every probe read");
         assert!(
             report.messages_sent >= BACKLOG as u64,
@@ -860,7 +1069,7 @@ mod tests {
         peers.splice(1..1, [stalled_addr, reading_addr]);
         let run_for = Duration::from_millis(2000);
         let deadline = Instant::now() + run_for + Duration::from_secs(1);
-        let report = spawn_replica(peers, run_for);
+        let report = spawn_replica(peers, run_for, None);
 
         // As replica 1: connected to, never read from, and flooding the
         // replica with probes whose answers it will not take.
@@ -876,7 +1085,7 @@ mod tests {
         let answers = answers_on(&reading, deadline - Instant::now());
 
         let left = deadline.saturating_duration_since(Instant::now());
-        let report = report
+        let (report, _) = report
             .recv_timeout(left)
             .expect("the replica ran past run_for + 1 s: the peer that never reads stalled it");
         assert_eq!(answers, 1, "replica 2's probe was not answered");
@@ -912,11 +1121,8 @@ mod tests {
     /// messages, in `transmit` order, behind the hello.
     #[test]
     fn a_frame_cut_by_a_full_socket_resumes_at_its_offset() {
-        use std::io::Read;
         let (slow, slow_addr) = listener();
-        let peers = vec![unreachable_addrs(1)[0], slow_addr];
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut outbox = Outbox::connect(ReplicaId(0), None::<SharedMempool>, &peers, &stop);
+        let mut outbox = outbox(&[unreachable_addrs(1)[0], slow_addr]);
 
         let msgs = large_forwards(8);
         for msg in &msgs {
@@ -941,7 +1147,7 @@ mod tests {
             }
             wire
         });
-        while outbox.pending() {
+        while pending(&outbox) {
             outbox.hand_off();
             thread::sleep(Duration::from_micros(100));
         }
@@ -961,11 +1167,8 @@ mod tests {
     /// reconnects, and the rest of the backlog follows a fresh hello.
     #[test]
     fn a_write_error_redials_and_resumes_at_a_frame_boundary() {
-        use std::io::Read;
         let (peer, addr) = listener();
-        let peers = vec![unreachable_addrs(1)[0], addr];
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut outbox = Outbox::connect(ReplicaId(0), None::<SharedMempool>, &peers, &stop);
+        let mut outbox = outbox(&[unreachable_addrs(1)[0], addr]);
         let (first, _) = peer.accept().expect("accept");
 
         let msgs = large_forwards(8);
@@ -989,7 +1192,7 @@ mod tests {
             let mut wire = Vec::new();
             second.read_to_end(&mut wire).map(|_| wire)
         });
-        while outbox.pending() {
+        while pending(&outbox) {
             outbox.hand_off();
             thread::sleep(Duration::from_micros(100));
         }
@@ -1022,7 +1225,7 @@ mod tests {
         let listen = peers[0];
         peers.splice(1..1, [one_addr, two_addr]);
         let run_for = Duration::from_millis(1000);
-        let report = spawn_replica(peers, run_for);
+        let report = spawn_replica(peers, run_for, None);
 
         let mut spoof = dial_replica(listen);
         write_hello(&mut spoof, ReplicaId(1)).expect("hello");
@@ -1037,7 +1240,7 @@ mod tests {
         let timeout = run_for + Duration::from_secs(5);
         assert_eq!(answers_on(&one, timeout), 1, "replica 1's answers");
         assert_eq!(answers_on(&two, timeout), 0, "answers sent to replica 2");
-        let report = report.recv().expect("replica run");
+        let (report, _) = report.recv().expect("replica run");
         assert_eq!(report.messages_received, 1, "frames read");
     }
 
@@ -1118,5 +1321,187 @@ mod tests {
                 assert_eq!((stats.decoded, stats.verified, stats.rejected), (1, 1, 0));
             }
         }
+    }
+
+    /// Peers 1 and 2 as listeners in the test, peer 0 the replica, peer
+    /// 3 unreachable: the two listeners and the addresses.
+    fn two_peers() -> (TcpListener, TcpListener, Vec<SocketAddr>) {
+        let (one, one_addr) = listener();
+        let (two, two_addr) = listener();
+        let mut peers = unreachable_addrs(2);
+        peers.splice(1..1, [one_addr, two_addr]);
+        (one, two, peers)
+    }
+
+    /// Replica 1 floods probes while replica 2 sends its hello and
+    /// probes a byte at a time, waiting for each answer before the next
+    /// probe. The loop reads both: replica 2's probes are answered one by
+    /// one, in order, while the flood runs, and every flooded probe is
+    /// read and answered too.
+    #[test]
+    fn a_flooding_peer_does_not_starve_one_dribbling_bytes() {
+        let _serial = crate::loopback_serial_lock();
+        const DRIBBLED: usize = 5;
+        let (one, two, peers) = two_peers();
+        let listen = peers[0];
+        let run_for = Duration::from_millis(3000);
+        let report = spawn_replica(peers, run_for, None);
+        let flood_answers =
+            thread::spawn(move || answers_on(&one, run_for + Duration::from_secs(5)));
+        let (answers, _) = two.accept().expect("replica dials replica 2");
+        answers
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let mut answers = BufReader::new(answers);
+
+        let dribbling = Arc::new(AtomicBool::new(true));
+        let flood = {
+            let dribbling = dribbling.clone();
+            let mut flood = dial_replica(listen);
+            write_hello(&mut flood, ReplicaId(1)).expect("hello");
+            let chunk = probes(ReplicaId(1), 1_000);
+            thread::spawn(move || {
+                let mut sent = 0;
+                // Capped so that the answers fit what a loopback
+                // connection buffers, however slowly they are read: past
+                // that, a full backlog would refuse some.
+                while dribbling.load(Ordering::Relaxed) && sent < 20_000 {
+                    flood.write_all(&chunk).expect("flood");
+                    sent += 1_000;
+                    thread::sleep(Duration::from_millis(2));
+                }
+                sent
+            })
+        };
+        let mut dribble = dial_replica(listen);
+        dribble.set_nodelay(true).expect("nodelay");
+        let mut hello = Vec::new();
+        write_hello(&mut hello, ReplicaId(2)).expect("hello");
+        for k in 0..DRIBBLED {
+            let wire = if k == 0 {
+                [hello.clone(), probes(ReplicaId(2), 1)].concat()
+            } else {
+                probes(ReplicaId(2), 1)
+            };
+            for byte in wire {
+                dribble.write_all(&[byte]).expect("dribble");
+                thread::sleep(Duration::from_millis(1));
+            }
+            next_answer(&mut answers).unwrap_or_else(|e| panic!("probe {k} unanswered: {e}"));
+        }
+        dribbling.store(false, Ordering::Relaxed);
+        let flooded = flood.join().expect("flood");
+
+        let (report, _) = report.recv().expect("replica run");
+        assert_eq!(report.messages_received, (flooded + DRIBBLED) as u64);
+        assert_eq!(flood_answers.join().expect("answers"), flooded);
+    }
+
+    /// A connection that never says hello — one silent, one stopped
+    /// inside a header — delays no other peer: replica 1's probe is
+    /// answered within a second.
+    #[test]
+    fn a_connection_that_never_says_hello_delays_no_one() {
+        let _serial = crate::loopback_serial_lock();
+        let (one, _two, peers) = two_peers();
+        let listen = peers[0];
+        let report = spawn_replica(peers, Duration::from_millis(1500), None);
+
+        let _silent = dial_replica(listen);
+        let mut stopped = dial_replica(listen);
+        stopped.write_all(&[9, 0, 0]).expect("part of a header");
+        let mut asker = dial_replica(listen);
+        write_hello(&mut asker, ReplicaId(1)).expect("hello");
+        asker.write_all(&probes(ReplicaId(1), 1)).expect("probe");
+        let (answers, _) = one.accept().expect("replica dials replica 1");
+        answers
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .expect("timeout");
+        next_answer(&mut BufReader::new(answers)).expect("the probe waited on a silent connection");
+
+        let (report, _) = report.recv().expect("replica run");
+        assert_eq!(report.messages_received, 1, "frames read");
+    }
+
+    /// Staged with one verify worker, a flood fills the worker's queue.
+    /// The loop holds the frame that found it full and stops reading that
+    /// connection until the worker takes it: it neither blocks (a blocking
+    /// send deadlocks once the worker waits on the loop's full event
+    /// channel) nor drops a frame. Replica 2's probe is still answered,
+    /// the run returns within `run_for` + 1 s, and every frame read is
+    /// accounted for.
+    #[test]
+    fn a_full_verify_queue_pauses_one_connection_not_the_loop() {
+        let _serial = crate::loopback_serial_lock();
+        const PROBES: usize = 60_000;
+        let (_one, two, peers) = two_peers();
+        let listen = peers[0];
+        let run_for = Duration::from_millis(2000);
+        let deadline = Instant::now() + run_for + Duration::from_secs(1);
+        let stage = (PipelineConfig::default().with_verify_workers(1), None);
+        let report = spawn_replica(peers, run_for, Some(stage));
+
+        let mut flood = dial_replica(listen);
+        flood.set_write_timeout(Some(run_for)).expect("timeout");
+        write_hello(&mut flood, ReplicaId(1)).expect("hello");
+        flood
+            .write_all(&probes(ReplicaId(1), PROBES))
+            .expect("flood");
+        let mut asker = dial_replica(listen);
+        write_hello(&mut asker, ReplicaId(2)).expect("hello");
+        asker.write_all(&probes(ReplicaId(2), 1)).expect("probe");
+        let answers = answers_on(&two, deadline - Instant::now());
+
+        let left = deadline.saturating_duration_since(Instant::now());
+        let (report, s) = report
+            .recv_timeout(left)
+            .expect("the replica ran past run_for + 1 s: the full queue stalled it");
+        assert_eq!(answers, 1, "replica 2's probe was not answered");
+        assert_eq!(s.decoded, s.ingested + s.verified + s.rejected, "{s:?}");
+        assert_eq!(s.decoded, PROBES as u64 + 1, "frames held back were lost");
+        assert_eq!(report.messages_received, PROBES as u64 + 1);
+    }
+
+    /// A backlog the socket refused is finished on `POLLOUT`: the wait
+    /// watches the backlogged socket and returns once the slow peer makes
+    /// room. Each wait here may sleep 10 s and no timer is in play, so a
+    /// wait that did not watch the socket would sleep through.
+    #[test]
+    fn a_refused_backlog_is_finished_when_its_socket_has_room() {
+        let (slow, slow_addr) = listener();
+        let mut outbox = outbox(&[unreachable_addrs(1)[0], slow_addr]);
+        let mut inbox = Inbox::bind("127.0.0.1:0".parse().expect("addr")).expect("bind");
+        let msgs = large_forwards(8);
+        for msg in &msgs {
+            outbox.transmit(Outbound::Send(ReplicaId(1), msg.clone()));
+        }
+        outbox.hand_off();
+        assert!(pending(&outbox), "the socket took every frame at once");
+
+        let (mut conn, _) = slow.accept().expect("accept");
+        let reader = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(200));
+            let mut wire = Vec::new();
+            conn.read_to_end(&mut wire).map(|_| wire)
+        });
+        while pending(&outbox) {
+            let waited = Instant::now();
+            inbox.wait(outbox.backlogged(), Duration::from_secs(10));
+            assert!(
+                waited.elapsed() < Duration::from_secs(5),
+                "the wait slept through room on the socket"
+            );
+            outbox.hand_off();
+        }
+        drop(outbox);
+
+        let mut want = Vec::new();
+        write_hello(&mut want, ReplicaId(0)).expect("hello");
+        for msg in &msgs {
+            write_msg(&mut want, ReplicaId(0), msg).expect("encode");
+        }
+        let got = reader.join().expect("reader").expect("read");
+        assert_eq!(got.len(), want.len(), "bytes read");
+        assert!(got == want, "the bytes differ from write_msg's");
     }
 }

@@ -24,8 +24,9 @@
 //! [`run_replica_restarting`] runs the same event loop through a
 //! mid-run crash/rejoin cycle described by a [`TcpRestart`] plan. At the
 //! crash point the engine and its timer heap are dropped — every byte of
-//! volatile state is gone, and inbound frames are discarded unread, as a
-//! dead process would. At the rejoin point the plan's `rebuild` closure
+//! volatile state is gone, and inbound frames are read and discarded:
+//! none reaches a handler, as with a dead process, and no peer's
+//! connection backs up. At the rejoin point the plan's `rebuild` closure
 //! constructs a fresh engine (for the chained engines: over a reopened
 //! `banyan_storage::WalStore`, whose replay restores the durable
 //! frontier), and the loop starts a driver-level
