@@ -4,22 +4,20 @@
 //! [`SharedMempool`](crate::SharedMempool) serializes *every* operation —
 //! client push, gossip accept, lease bookkeeping, drain — on one mutex.
 //! [`ConcurrentPool`] is the same [`Mempool`] behind the same kind of
-//! mutex and takes exactly one kind of work off it: **ingest**. Pushes
-//! and gossip accepts go through a bounded MPMC channel
-//! (`crossbeam::channel`); the hot path is a single `try_send` by a
-//! cloneable [`PoolIngest`] handle — no lock, no waiting, from any number
-//! of reader/verify threads at once. Whichever thread next takes the pool
-//! lock, for any operation, first applies everything queued, in channel
-//! order — so an operation never overtakes ingest queued before it. A
-//! full channel sheds the request (counted in
-//! [`ingest_dropped`](ConcurrentPool::ingest_dropped)) — clients retry,
-//! so a shed ingest is a delayed request, never a lost one, exactly like
-//! a gossip-outbox drop.
+//! mutex and takes exactly one kind of work off it: **client ingest**.
+//! Pushes go through a bounded MPMC channel (`crossbeam::channel`); the
+//! hot path is a single `try_send` by a cloneable [`PoolIngest`] handle —
+//! no lock, no waiting, from any number of client threads at once.
+//! Whichever thread next takes the pool lock, for any operation, first
+//! applies everything queued, in channel order — so an operation never
+//! overtakes ingest queued before it. A full channel sheds the request
+//! (counted in [`ingest_dropped`](ConcurrentPool::ingest_dropped)) —
+//! clients retry, so a shed ingest is a delayed request, never a lost
+//! one, exactly like a gossip-outbox drop.
 //!
-//! Everything else — leases, retirement, drains, gossip — is
-//! [`Mempool`]'s, reached through [`ReplicaPool`]. The staged replica's
-//! verify workers still decode batches and hash blocks outside the lock
-//! and hand the result to [`ConcurrentPool::observe_decoded`].
+//! Everything else — gossip intake, leases, retirement, drains, flush — is
+//! [`Mempool`]'s, reached through [`ReplicaPool`] by the replica loop
+//! exactly as on a [`SharedMempool`](crate::SharedMempool).
 //!
 //! Determinism note: the simulator keeps using the plain
 //! [`SharedMempool`](crate::SharedMempool) — its whole point is a single
@@ -30,49 +28,28 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use banyan_types::ids::{BlockHash, ReplicaId, Round};
-
 use crossbeam::channel;
 
 use crate::{Mempool, PoolSource, ReplicaPool, Request};
 
-/// Default bound on the ingest channel (queued pushes + gossip accepts).
+/// Default bound on the ingest channel (queued pushes).
 pub const DEFAULT_INGEST_CAP: usize = 65_536;
 
-/// One queued ingest operation.
-enum IngestOp {
-    /// A locally submitted request ([`Mempool::push`] semantics: gossips
-    /// if the pool gossips).
-    Push(Request),
-    /// A request gossiped by the named peer ([`Mempool::intake`]
-    /// semantics: relayed onward only down per-peer queues).
-    Forward(ReplicaId, Request),
-}
-
-/// The cloneable, send-only ingest handle: what reader/verify threads
-/// hold. A send is one `try_send` on the bounded MPMC channel — the
-/// caller never touches the pool lock.
+/// The cloneable, send-only ingest handle: what client threads hold. A
+/// send is one `try_send` on the bounded MPMC channel — the caller never
+/// touches the pool lock.
 #[derive(Clone)]
 pub struct PoolIngest {
-    tx: channel::Sender<IngestOp>,
+    tx: channel::Sender<Request>,
     dropped: Arc<AtomicU64>,
 }
 
 impl PoolIngest {
-    /// Queues a locally submitted request. Returns `false` (and counts a
-    /// drop) when the ingest channel is full or closed.
+    /// Queues a locally submitted request ([`Mempool::push`] semantics:
+    /// gossips if the pool gossips). Returns `false` (and counts a drop)
+    /// when the ingest channel is full or closed.
     pub fn push(&self, req: Request) -> bool {
-        self.send(IngestOp::Push(req))
-    }
-
-    /// Queues a request gossiped by `from`. Returns `false` (and counts a
-    /// drop) when the ingest channel is full or closed.
-    pub fn forward(&self, from: ReplicaId, req: Request) -> bool {
-        self.send(IngestOp::Forward(from, req))
-    }
-
-    fn send(&self, op: IngestOp) -> bool {
-        match self.tx.try_send(op) {
+        match self.tx.try_send(req) {
             Ok(()) => true,
             Err(_) => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -86,8 +63,8 @@ impl PoolIngest {
 /// See the module docs.
 pub struct ConcurrentPool {
     pending: Mutex<Mempool>,
-    ingest_tx: channel::Sender<IngestOp>,
-    ingest_rx: channel::Receiver<IngestOp>,
+    ingest_tx: channel::Sender<Request>,
+    ingest_rx: channel::Receiver<Request>,
     ingest_dropped: Arc<AtomicU64>,
 }
 
@@ -131,13 +108,8 @@ impl ConcurrentPool {
 
     fn apply_ingest(&self, pool: &mut Mempool) -> usize {
         let mut applied = 0;
-        for op in self.ingest_rx.try_iter() {
-            match op {
-                IngestOp::Push(req) => {
-                    pool.push(req);
-                }
-                IngestOp::Forward(from, req) => pool.accept_from(from, req),
-            }
+        for req in self.ingest_rx.try_iter() {
+            pool.push(req);
             applied += 1;
         }
         applied
@@ -148,21 +120,6 @@ impl ConcurrentPool {
         let mut pool = self.pool();
         self.apply_ingest(&mut pool);
         pool
-    }
-
-    /// Records a lease for a block whose batch was already decoded and
-    /// whose hash was already computed — the staged pipeline's verify
-    /// workers do both outside the lock and call this, so the decode and
-    /// the commitment walk are never repeated under it. A delegation to
-    /// [`Mempool::observe_block`].
-    pub fn observe_decoded(
-        &self,
-        block: BlockHash,
-        round: Round,
-        parent: BlockHash,
-        requests: Vec<Request>,
-    ) -> bool {
-        self.synced().observe_block(block, round, parent, requests)
     }
 
     /// Live pending requests (after applying queued ingest).
@@ -213,6 +170,7 @@ mod tests {
     use crate::{BatchPolicy, WorkloadBatch};
     use banyan_types::app::{ProposalContext, ProposalSource};
     use banyan_types::block::Block;
+    use banyan_types::ids::{BlockHash, Round};
     use banyan_types::time::Time;
 
     fn req(id: u64, at: u64) -> Request {
@@ -233,7 +191,7 @@ mod tests {
         let pool = ConcurrentPool::new(Mempool::new(100), 64);
         let ingest = pool.ingest();
         assert!(ingest.push(req(1, 1)));
-        assert!(ingest.forward(ReplicaId(1), req(2, 2)));
+        assert!(ingest.push(req(2, 2)));
         // Nothing is in the pending queue until a sync point.
         assert_eq!(pool.pool().len(), 0);
         let out = pool.next_batch(

@@ -544,8 +544,8 @@ impl Mempool {
     /// The one lease-observe entry: `block` (of `round`, extending
     /// `parent`) carries `requests`. The decoded form of
     /// [`observe_proposal`](Self::observe_proposal), for callers that
-    /// already hold the batch and the block id (the staged replica's
-    /// verify workers, tests). The parent is what enables the eager
+    /// already hold the batch and the block id (tests, lease models). The
+    /// parent is what enables the eager
     /// certificate-conflict release of
     /// [`mark_committed_block`](Self::mark_committed_block); a parent
     /// nobody leased (genesis included) never triggers it. A no-op unless
@@ -655,7 +655,7 @@ impl Mempool {
 
     /// Queues `req` for relay to every configured fanout peer except
     /// `exclude` (the peer it arrived from — relaying a forward straight
-    /// back wastes an edge). [`accept_from`](Self::accept_from) calls this
+    /// back wastes an edge). [`intake`](Self::intake) calls this
     /// when [`accept_forwarded`](Self::accept_forwarded) reports a *first*
     /// acceptance; duplicate arrivals are never relayed, which is what
     /// terminates the cascade. Entries ship as the compact `Announce`.
@@ -772,17 +772,12 @@ impl Mempool {
     /// replica has seen the request.
     pub fn intake(&mut self, from: ReplicaId, msg: DisseminationMsg) {
         for &req in msg.requests() {
-            self.accept_from(from, req);
-        }
-    }
-
-    /// [`intake`](Self::intake) of one request.
-    fn accept_from(&mut self, from: ReplicaId, req: Request) {
-        if matches!(
-            self.accept_forwarded(req),
-            PushOutcome::Accepted | PushOutcome::AcceptedEvicting(_)
-        ) {
-            self.queue_relay(req, from.as_usize());
+            if matches!(
+                self.accept_forwarded(req),
+                PushOutcome::Accepted | PushOutcome::AcceptedEvicting(_)
+            ) {
+                self.queue_relay(req, from.as_usize());
+            }
         }
     }
 

@@ -1,21 +1,23 @@
 //! The concurrent pool under real threads.
 //!
-//! Contended ingest: N producer threads blast pushes and forwards through
-//! cloned [`PoolIngest`] handles while a drainer thread concurrently
-//! drains batches. Every request that was accepted into the channel must
-//! come out of a drain exactly once — no loss, no duplication —
-//! regardless of thread interleaving.
+//! Contended ingest: N producer threads blast pushes through cloned
+//! [`PoolIngest`] handles while a drainer thread concurrently drains
+//! batches. Every request that was accepted into the channel must come
+//! out of a drain exactly once — no loss, no duplication — regardless of
+//! thread interleaving.
 //!
-//! The whole lease lifecycle, speculation on: producers, two verify
-//! workers observing blocks, a proposer draining on top of them and a
-//! committer retiring them all share the one lock, and every request
-//! stays accounted for.
+//! The whole lease lifecycle, speculation on: producers, two observers
+//! leasing blocks, a proposer draining on top of them and a committer
+//! retiring them all share the one lock, and every request stays
+//! accounted for.
 
 use std::collections::HashSet;
 use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
 
-use banyan_mempool::{BatchPolicy, ConcurrentPool, Mempool, ReplicaPool, Request, WorkloadBatch};
+use banyan_mempool::{
+    BatchPolicy, ConcurrentPool, Mempool, ReplicaPool, Request, SharedConcurrentPool, WorkloadBatch,
+};
 use banyan_types::app::ProposalContext;
 use banyan_types::engine::CommitEntry;
 use banyan_types::ids::{BlockHash, ReplicaId, Round};
@@ -46,13 +48,10 @@ fn contended_ingest_loses_and_duplicates_nothing() {
             thread::spawn(move || {
                 for i in 0..PER_PRODUCER {
                     let id = p * PER_PRODUCER + i + 1;
-                    // Alternate local pushes and gossip-style forwards.
-                    let ok = if id.is_multiple_of(2) {
-                        ingest.push(req(id))
-                    } else {
-                        ingest.forward(ReplicaId(p as u16), req(id))
-                    };
-                    assert!(ok, "ingest channel sized for the whole workload");
+                    assert!(
+                        ingest.push(req(id)),
+                        "ingest channel sized for the whole workload"
+                    );
                 }
             })
         })
@@ -109,11 +108,24 @@ fn block_id(kind: u8, n: u64) -> BlockHash {
     BlockHash(h)
 }
 
+/// Leases `block` (of `round`, extending `parent`) to `requests` under the
+/// pool's lock: lease observation once the batch is decoded and the block
+/// id known.
+fn lease(
+    pool: &SharedConcurrentPool,
+    block: BlockHash,
+    round: Round,
+    parent: BlockHash,
+    requests: Vec<Request>,
+) -> bool {
+    pool.with_pool(|p| p.observe_block(block, round, parent, requests))
+}
+
 /// Producers push through [`PoolIngest`](banyan_mempool::PoolIngest); two
-/// verify workers lease blocks batching those ids through
-/// `observe_decoded` (one the winner of each round, one its loser); a
-/// proposer drains on top of the winners it has been shown and leases
-/// what it drained as its own block; a committer retires the winners.
+/// observer threads lease blocks batching those ids (one the winner of
+/// each round, one its loser); a proposer drains on top of the winners it
+/// has been shown and leases what it drained as its own block; a
+/// committer retires the winners.
 /// The hand-offs force the order a replica sees — a block is observed
 /// before it is built on, and built on before it commits — and leave
 /// everything else to the scheduler.
@@ -128,7 +140,13 @@ fn lease_lifecycle_under_threads_accounts_for_every_request() {
     // Speculation is the wrapped pool's own: a lease observed through the
     // handle lands in the table `pool()` shows.
     let probe = ConcurrentPool::new(Mempool::new(8).with_speculation(HASH_CHUNK), 8);
-    assert!(probe.observe_decoded(block_id(1, 0), Round(1), BlockHash::ZERO, vec![req(1)]));
+    assert!(lease(
+        &probe,
+        block_id(1, 0),
+        Round(1),
+        BlockHash::ZERO,
+        vec![req(1)]
+    ));
     assert_eq!(probe.pool().live_leases(), 1);
 
     // Winner `j` batches ids `j*25+1 ..= (j+1)*25`, loser `j` the same
@@ -155,12 +173,13 @@ fn lease_lifecycle_under_threads_accounts_for_every_request() {
                 }
             });
         }
-        // Verify worker: each round's winner, announced once leased.
+        // Observer: each round's winner, announced once leased.
         s.spawn(|| {
             start.wait();
             for j in 0..ROUNDS {
                 let requests = batched(1, j);
-                assert!(pool.observe_decoded(
+                assert!(lease(
+                    &pool,
                     block_id(1, j),
                     Round(j + 1),
                     BlockHash::ZERO,
@@ -170,12 +189,18 @@ fn lease_lifecycle_under_threads_accounts_for_every_request() {
             }
             drop(observed_tx);
         });
-        // Verify worker: each round's loser, racing the commits that
-        // release it.
+        // Observer: each round's loser, racing the commits that release
+        // it.
         s.spawn(|| {
             start.wait();
             for j in 0..ROUNDS {
-                pool.observe_decoded(block_id(2, j), Round(j + 1), BlockHash::ZERO, batched(2, j));
+                lease(
+                    &pool,
+                    block_id(2, j),
+                    Round(j + 1),
+                    BlockHash::ZERO,
+                    batched(2, j),
+                );
             }
         });
         // Proposer: one drain per winner shown to it, on top of every
@@ -203,7 +228,8 @@ fn lease_lifecycle_under_threads_accounts_for_every_request() {
                 }
                 // Own proposals sit above every round that commits here,
                 // so their leases outlive the run.
-                if pool.observe_decoded(
+                if lease(
+                    &pool,
                     block_id(3, own),
                     Round(1_000_000 + own),
                     ctx.parent,

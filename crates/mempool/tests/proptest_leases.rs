@@ -128,20 +128,15 @@ fn pool_state(pool: &Mempool, live_leases: usize) -> PoolState {
 }
 
 /// A pool handle under the script. Everything a driver does goes through
-/// [`ReplicaPool`]; only a client's local push — and, for the concurrent
-/// pool, the staged replica's `Announce` hand-off — is the handle's own.
+/// [`ReplicaPool`]; only a client's local push is the handle's own.
 trait Handle: ReplicaPool {
     fn push(&self, req: Request);
-    fn announce(&self, from: ReplicaId, requests: Vec<Request>);
     fn state(&self) -> PoolState;
 }
 
 impl Handle for SharedMempool {
     fn push(&self, req: Request) {
         self.lock().unwrap().push(req);
-    }
-    fn announce(&self, from: ReplicaId, requests: Vec<Request>) {
-        self.intake(from, DisseminationMsg::Announce { requests });
     }
     fn state(&self) -> PoolState {
         let pool = self.lock().unwrap();
@@ -152,13 +147,6 @@ impl Handle for SharedMempool {
 impl Handle for SharedConcurrentPool {
     fn push(&self, req: Request) {
         assert!(self.ingest().push(req));
-        self.sync_ingest();
-    }
-    /// As a verify worker hands it over: through the ingest channel.
-    fn announce(&self, from: ReplicaId, requests: Vec<Request>) {
-        for req in requests {
-            assert!(self.ingest().forward(from, req));
-        }
         self.sync_ingest();
     }
     fn state(&self) -> PoolState {
@@ -201,11 +189,12 @@ fn run_script<H: Handle>(pool: &H, ops: &[(u8, u8)]) -> (Vec<Outbound>, PoolStat
             1 | 2 => {
                 minted += 1;
                 let requests = vec![req(minted), req(1 + arg % minted)];
-                if op == 1 {
-                    pool.intake(from, DisseminationMsg::Forward { requests });
+                let frame = if op == 1 {
+                    DisseminationMsg::Forward { requests }
                 } else {
-                    pool.announce(from, requests);
-                }
+                    DisseminationMsg::Announce { requests }
+                };
+                pool.intake(from, frame);
             }
             // A block batching up to three minted ids: proposed by this
             // replica, or fetched in a catch-up batch behind the block

@@ -50,7 +50,6 @@ pub mod runner;
 pub use framing::{encode_frame, read_frame, write_hello, write_msg, Frame, MAX_FRAME};
 pub use pipeline::{
     run_replica_pipelined, PipelineConfig, PipelineRunReport, PipelineStats, PipelineStatsSnapshot,
-    VerifyStage,
 };
 pub use runner::{run_local_cluster, run_replica_full, TcpRunReport};
 

@@ -17,8 +17,9 @@
 //!              ├─ inline: frames join this step's events ─────┐
 //!              │                                              │
 //!              └─ staged: try_send to worker from % W ─► verify workers
-//!                 (only with a PipelineConfig)     │ events back on a
-//!                                                  │ channel, then a
+//!                 (only with a PipelineConfig)     │ (payload hashes)
+//!                                                  │ every frame back on
+//!                                                  │ a channel, then a
 //!                                                  │ wake-up if parked
 //!                                                  ▼          ▼
 //!              · shared with the simulator: EngineDriver (timers, action
@@ -40,28 +41,30 @@
 //! unreachable, plus W verify workers when staged.
 //!
 //! An engine step is everything the loop does between two waits: the
-//! frames it read (at most `READ_BUDGET` bytes from each connection) and
-//! the verified events the workers returned, the timers due, the pool's
-//! gossip and a catch-up drive. Just before the loop waits again, each
-//! peer's backlog is written to its socket with `write_vectored` until the
-//! backlog is empty or the socket would block; a full socket delays only
-//! that peer, whose socket the wait then watches for room. A frame the
-//! socket took only part of resumes at its offset. Per-peer FIFO order is
-//! the order of `transmit` calls, so the gossip-before-propose ordering at
-//! init and rejoin holds on every connection.
+//! frames it read (at most `READ_BUDGET` bytes from each connection) or
+//! the workers handed back, the timers due, the pool's gossip and a
+//! catch-up drive. Just before the loop waits again, each peer's backlog
+//! is written to its socket with `write_vectored` until the backlog is
+//! empty or the socket would block; a full socket delays only that peer,
+//! whose socket the wait then watches for room. A frame the socket took
+//! only part of resumes at its offset. Per-peer FIFO order is the order of
+//! `transmit` calls, so the gossip-before-propose ordering at init and
+//! rejoin holds on every connection.
 //!
 //! The verify stage is the loop's only fork, taken where a frame is
 //! decoded: inline, it joins the step's events — no channel, no thread
-//! hop — staged, it goes to the verify worker `from % W` by `try_send`.
-//! A full worker queue hands the frame back; the loop holds it and stops
-//! reading that connection until the worker takes it, so the bytes back
-//! up in the kernel as TCP intends. (A blocking send could deadlock: the
-//! worker may itself be waiting on the loop's full event channel.) The
-//! engine loop itself is the shared [`EngineDriver`]: it owns the timer
-//! heap (same deterministic `(time, seq)` ordering the simulator uses,
-//! same stale-timer filtering) and routes engine actions. What a replica
-//! does besides its engine — gossip, dissemination intake, lease
-//! observation, commit retirement, probe answering, catch-up — is
+//! hop — staged, it goes to the verify worker `from % W` by `try_send`,
+//! which walks the payload commitment of every block it carries and
+//! hands it back. From the step's events on, a frame meets the same code
+//! on both paths. A full worker queue refuses the frame; the loop holds
+//! it and stops reading that connection until the worker takes it, so the
+//! bytes back up in the kernel as TCP intends. (A blocking send could
+//! deadlock: the worker may itself be waiting on the loop's full event
+//! channel.) The engine loop itself is the shared [`EngineDriver`]: it
+//! owns the timer heap (same deterministic `(time, seq)` ordering the
+//! simulator uses, same stale-timer filtering) and routes engine actions.
+//! What a replica does besides its engine — gossip, dissemination intake,
+//! lease observation, commit retirement, probe answering, catch-up — is
 //! `banyan_mempool::ReplicaPool`'s and `banyan_storage::catchup`'s, the
 //! same code the simulator runs; this module only supplies wall-clock
 //! time, sockets and the one decision a socketed driver makes blind: which
@@ -86,7 +89,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 
-use banyan_mempool::{ReplicaPool, SharedConcurrentPool};
+use banyan_mempool::ReplicaPool;
 use banyan_runtime::driver::{AppSink, EngineDriver};
 use banyan_storage::catchup::{frontier_info, CatchUpState, Inbound};
 use banyan_types::app::App;
@@ -122,9 +125,6 @@ const CATCHUP_TIMEOUT: banyan_types::time::Duration = banyan_types::time::Durati
 type Event = (ReplicaId, Message);
 /// A stream a dialer connected, and the index of the peer it reaches.
 type Dialed = (usize, TcpStream);
-
-/// The optional verify stage: its sizing and the pool its workers feed.
-pub(crate) type Stage = (PipelineConfig, Option<SharedConcurrentPool>);
 
 /// Wakes the loop out of its wait from another thread: one byte into a
 /// socket pair whose read end the wait watches, written only while the
@@ -660,9 +660,10 @@ impl CatchUp {
 }
 
 /// Runs `engine` over TCP for `run_for`: inline when `stage` is `None`,
-/// with verify workers between the socket reads and the engine otherwise;
-/// crashing and rejoining mid-run when `restart` says so. Returns the run
-/// report and the verify stage's frame accounting (all zero when inline).
+/// with verify workers hashing payloads between the socket reads and the
+/// engine otherwise; crashing and rejoining mid-run when `restart` says
+/// so. Returns the run report and the verify stage's frame accounting
+/// (all zero when inline).
 ///
 /// # Errors
 ///
@@ -674,7 +675,7 @@ pub(crate) fn run<P: ReplicaPool>(
     engine: Box<dyn Engine>,
     app: impl App + 'static,
     pool: Option<P>,
-    stage: Option<Stage>,
+    stage: Option<PipelineConfig>,
     listen: SocketAddr,
     peers: Vec<SocketAddr>,
     run_for: Duration,
@@ -686,13 +687,13 @@ pub(crate) fn run<P: ReplicaPool>(
     let stop = Arc::new(AtomicBool::new(false));
 
     let mut inbox = Inbox::bind(listen)?;
-    // Staged only: the workers, and the channel they return verified
-    // events on. The workers hold its only senders, so it disconnects
-    // exactly when the last of them has exited.
-    let verify = stage.map(|(config, pool)| {
+    // Staged only: the workers, and the channel they hand every frame back
+    // on. The workers hold its only senders, so it disconnects exactly
+    // when the last of them has exited.
+    let verify = stage.map(|config| {
         let (event_tx, events) = bounded::<Event>(EVENT_QUEUE);
         let waker = inbox.waker.clone();
-        let stage = VerifyStage::spawn_waking(&config, pool, event_tx, move || waker.wake());
+        let stage = VerifyStage::spawn(&config, event_tx, move || waker.wake());
         (stage, events)
     });
 
@@ -808,8 +809,7 @@ pub(crate) fn run<P: ReplicaPool>(
             messages_received += 1;
             match Inbound::classify(msg) {
                 // Feeds the pool, never the engine (the same contract the
-                // simulator enforces). Inline only: the verify workers
-                // absorb dissemination frames before the event channel.
+                // simulator enforces).
                 Inbound::Dissemination(frame) => {
                     if let Some(pool) = &pool {
                         pool.intake(from, frame);
@@ -827,10 +827,8 @@ pub(crate) fn run<P: ReplicaPool>(
                     catchup.drive(d.engine(), now(), &mut |out| outbox.transmit(out));
                 }
                 Inbound::Engine(msg) => {
-                    // Speculative drain: arriving blocks are observed too —
-                    // here when inline; the verify workers already recorded
-                    // the lease under the hash they computed.
-                    if let (None, Some(pool)) = (&verify, &pool) {
+                    // Speculative drain: arriving blocks are observed too.
+                    if let Some(pool) = &pool {
                         pool.observe_inbound(&msg);
                     }
                     d.handle_message(from, msg, now(), |out| outbox.transmit(out));
@@ -950,7 +948,7 @@ mod tests {
     fn spawn_replica(
         peers: Vec<SocketAddr>,
         run_for: Duration,
-        stage: Option<Stage>,
+        stage: Option<PipelineConfig>,
     ) -> mpsc::Receiver<(TcpRunReport, PipelineStatsSnapshot)> {
         let engine = ClusterBuilder::new(4, 1, 1)
             .unwrap()
@@ -1263,7 +1261,7 @@ mod tests {
                 .unwrap()
                 .build_hotstuff()
                 .swap_remove(0);
-            let stage = staged.then(|| (PipelineConfig::default(), None));
+            let stage = staged.then(PipelineConfig::default);
             let run_for = Duration::from_millis(1500);
             let run = thread::spawn(move || {
                 let pool = None::<SharedMempool>;
@@ -1318,7 +1316,107 @@ mod tests {
                 "staged={staged}: probe not answered by the driver"
             );
             if staged {
-                assert_eq!((stats.decoded, stats.verified, stats.rejected), (1, 1, 0));
+                assert_eq!((stats.decoded, stats.verified), (1, 1));
+            }
+        }
+    }
+
+    /// A staged replica does with every frame what an inline one does:
+    /// gossip reaches the pool, a carried workload batch is leased, a
+    /// block whose payload claims to be a batch but is none reaches the
+    /// engine all the same, and every frame counts as received. Replica 1
+    /// sends them, then a probe, on one connection. The replica runs
+    /// HotStuff, which ignores sync traffic, so only the loop acts on the
+    /// blocks.
+    #[test]
+    fn a_staged_replica_does_with_every_frame_what_an_inline_one_does() {
+        use banyan_crypto::Signature;
+        use banyan_mempool::{ConcurrentPool, Mempool, WorkloadBatch};
+        use banyan_types::block::Block;
+        use banyan_types::ids::{BlockHash, Rank, Round};
+        use banyan_types::message::{DisseminationMsg, PendingRequest};
+        use banyan_types::payload::Payload;
+        let _serial = crate::loopback_serial_lock();
+        let request = |id| PendingRequest {
+            id,
+            client: 0,
+            size: 64,
+            submitted_at: Time::ZERO,
+        };
+        let carrying = |payload| {
+            let block = Block {
+                round: Round(1),
+                proposer: ReplicaId(1),
+                rank: Rank(0),
+                parent: BlockHash::ZERO,
+                proposed_at: Time::ZERO,
+                payload,
+                signature: Signature::zero(),
+            };
+            Message::Sync(SyncMsg::Response { block })
+        };
+        let batch = WorkloadBatch {
+            requests: vec![request(3)],
+        };
+        let frames = [
+            Message::Dissemination(DisseminationMsg::Forward {
+                requests: vec![request(1), request(2)],
+            }),
+            carrying(batch.into_payload()),
+            carrying(Payload::inline(b"BanyanWB\xFF\xFF\xFF\xFF".to_vec())),
+            Message::Sync(SyncMsg::FrontierProbe),
+        ];
+        let mut wire = Vec::new();
+        write_hello(&mut wire, ReplicaId(1)).expect("hello");
+        for msg in &frames {
+            write_msg(&mut wire, ReplicaId(1), msg).expect("encode");
+        }
+
+        for staged in [false, true] {
+            let (one, _two, peers) = two_peers();
+            let listen = peers[0];
+            let chunk = PipelineConfig::default().payload_chunk;
+            let pool = ConcurrentPool::new(Mempool::new(64).with_speculation(chunk), 64);
+            let engine = ClusterBuilder::new(4, 1, 1)
+                .unwrap()
+                .delta(BDuration::from_secs(60))
+                .build_hotstuff()
+                .swap_remove(0);
+            let (stage, replica_pool) = (staged.then(PipelineConfig::default), Some(pool.clone()));
+            let run_for = Duration::from_millis(1000);
+            let replica = thread::spawn(move || {
+                run(
+                    engine,
+                    NullApp,
+                    replica_pool,
+                    stage,
+                    listen,
+                    peers,
+                    run_for,
+                    None,
+                )
+            });
+            dial_replica(listen).write_all(&wire).expect("frames");
+            let answers = answers_on(&one, run_for + Duration::from_secs(5));
+
+            let (report, stats) = replica
+                .join()
+                .expect("replica thread")
+                .expect("replica run");
+            assert_eq!(answers, 1, "staged={staged}: the probe was not answered");
+            assert_eq!(
+                report.messages_received,
+                frames.len() as u64,
+                "staged={staged}: frames received"
+            );
+            assert_eq!(pool.len(), 2, "staged={staged}: gossip missed the pool");
+            assert_eq!(
+                pool.pool().live_leases(),
+                1,
+                "staged={staged}: leases recorded"
+            );
+            if staged {
+                assert_eq!((stats.decoded, stats.verified), (4, 4), "{stats:?}");
             }
         }
     }
@@ -1438,7 +1536,7 @@ mod tests {
         let listen = peers[0];
         let run_for = Duration::from_millis(2000);
         let deadline = Instant::now() + run_for + Duration::from_secs(1);
-        let stage = (PipelineConfig::default().with_verify_workers(1), None);
+        let stage = PipelineConfig::default().with_verify_workers(1);
         let report = spawn_replica(peers, run_for, Some(stage));
 
         let mut flood = dial_replica(listen);
@@ -1457,7 +1555,7 @@ mod tests {
             .recv_timeout(left)
             .expect("the replica ran past run_for + 1 s: the full queue stalled it");
         assert_eq!(answers, 1, "replica 2's probe was not answered");
-        assert_eq!(s.decoded, s.ingested + s.verified + s.rejected, "{s:?}");
+        assert_eq!(s.decoded, s.verified, "{s:?}");
         assert_eq!(s.decoded, PROBES as u64 + 1, "frames held back were lost");
         assert_eq!(report.messages_received, PROBES as u64 + 1);
     }
