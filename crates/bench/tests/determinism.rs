@@ -415,8 +415,8 @@ fn crypto_modes_are_deterministic_and_charge_as_configured() {
     assert_eq!(off.cert_cache_hits, 0, "crypto-off hit a cache");
 }
 
-/// `RunMetrics` is the `CommitSink` the simulator collects through: a
-/// run's log holds commits from every live replica.
+/// `RunMetrics` is where the simulator collects every replica's commits:
+/// a run's log holds commits from every live replica.
 #[test]
 fn observed_runs_stream_every_commit_through_the_shared_sink() {
     let (metrics, auditor) = run_metrics(&scenario(42));

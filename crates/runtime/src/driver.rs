@@ -1,304 +1,372 @@
-//! Action routing, timer management and the single-engine driver core.
+//! The one replica step: everything a replica does around its [`Engine`],
+//! with time and the network supplied by whoever drives it.
 //!
-//! The contract between an [`Engine`] and any deployment is narrow: feed
-//! it events, and route the [`Actions`] it returns — commits to a
-//! [`CommitSink`], timers to [`ActionDispatch::arm`], transmissions to
-//! [`ActionDispatch::transmit`]. Before this crate existed, the simulator,
-//! the TCP runner and the bench harness each re-implemented that routing
-//! (and its subtle ordering rules) independently; this module is now the
-//! only copy.
+//! A [`Replica`] owns its engine, its timer heap, its optional request
+//! pool and its catch-up machine, and knows whether it is up. Its inputs
+//! are the three things that can happen to a replica — a frame arrives
+//! ([`Replica::on_frame`]), a deadline passes ([`Replica::on_timer`]), the
+//! process dies or comes back ([`Replica::crash`], [`Replica::rejoin`]) —
+//! and everything it does in answer goes to one [`ReplicaIo`]: frames to
+//! put on the wire, finalized blocks, and the wake-ups it armed. Nothing
+//! here performs I/O or reads a clock, so the simulator and the TCP loop
+//! run this same code and differ only in their `ReplicaIo`:
+//!
+//! * the simulator's charges links and jitter, schedules one wake-up event
+//!   per [`ReplicaIo::armed`] in its global queue, meters crypto work as
+//!   [`ReplicaIo::busy`] time and fetches from the nearest live peer;
+//! * the TCP loop's encodes frames into per-peer backlogs, waits on
+//!   [`Replica::next_deadline`] and fetches round-robin, blind to who is up.
 
-use banyan_types::app::App;
+use banyan_mempool::{ReplicaPool, WorkloadBatch};
+use banyan_storage::catchup::{frontier_info, CatchUpState, Inbound};
 use banyan_types::engine::{Actions, CommitEntry, Engine, Outbound, TimerKind, TimerRequest};
 use banyan_types::ids::{ReplicaId, Round};
-use banyan_types::message::Message;
-use banyan_types::time::Time;
+use banyan_types::message::{Message, SyncMsg};
+use banyan_types::time::{Duration, Time};
 
 use crate::queue::EventQueue;
-
-/// Where finalized blocks land. Implemented by the simulator's metrics
-/// pipeline, the TCP run report, and plain vectors for tests.
-pub trait CommitSink {
-    /// Called once per commit, in the order the engine emitted them.
-    fn on_commit(&mut self, replica: ReplicaId, entry: CommitEntry);
-}
-
-impl CommitSink for Vec<CommitEntry> {
-    fn on_commit(&mut self, _replica: ReplicaId, entry: CommitEntry) {
-        self.push(entry);
-    }
-}
-
-impl<S: CommitSink + ?Sized> CommitSink for &mut S {
-    fn on_commit(&mut self, replica: ReplicaId, entry: CommitEntry) {
-        (**self).on_commit(replica, entry);
-    }
-}
-
-/// [`CommitSink`] combinator that delivers every commit to an [`App`]
-/// before forwarding it to the inner sink — how a deployment (TCP runner,
-/// tests) bolts application delivery onto an existing metrics sink.
-pub struct AppSink<S: CommitSink, A: App> {
-    /// The sink commits are forwarded to after delivery.
-    pub inner: S,
-    /// The application receiving each finalized block.
-    pub app: A,
-}
-
-impl<S: CommitSink, A: App> CommitSink for AppSink<S, A> {
-    fn on_commit(&mut self, replica: ReplicaId, entry: CommitEntry) {
-        self.app.deliver(&entry);
-        self.inner.on_commit(replica, entry);
-    }
-}
-
-/// The driver side of action routing: where armed timers and outbound
-/// messages go. One implementor per deployment (the simulator's network
-/// model, the TCP runner's channels), so both consequences of an engine
-/// event can share mutable scheduling state (e.g. one global event queue).
-pub trait ActionDispatch {
-    /// Schedules a timer for `replica`.
-    fn arm(&mut self, replica: ReplicaId, request: TimerRequest);
-
-    /// Hands an outbound transmission from `from` to the network.
-    fn transmit(&mut self, from: ReplicaId, out: Outbound);
-}
-
-/// Closure-based [`ActionDispatch`] for tests and simple drivers.
-pub struct FnDispatch<A, T>
-where
-    A: FnMut(ReplicaId, TimerRequest),
-    T: FnMut(ReplicaId, Outbound),
-{
-    /// Receives armed timers.
-    pub arm: A,
-    /// Receives outbound transmissions.
-    pub transmit: T,
-}
-
-impl<A, T> ActionDispatch for FnDispatch<A, T>
-where
-    A: FnMut(ReplicaId, TimerRequest),
-    T: FnMut(ReplicaId, Outbound),
-{
-    fn arm(&mut self, replica: ReplicaId, request: TimerRequest) {
-        (self.arm)(replica, request)
-    }
-    fn transmit(&mut self, from: ReplicaId, out: Outbound) {
-        (self.transmit)(from, out)
-    }
-}
 
 /// True if `kind` belongs to a round the engine has already left.
 ///
 /// Every engine in the workspace treats such timers as no-ops (`propose`
 /// and `heartbeat` bail when `round != current`, HotStuff ignores old
-/// views, Streamlet old epochs), so drivers drop them without delivery.
+/// views, Streamlet old epochs), so a replica drops them without delivery.
 /// Timers for the current or a future round are always delivered.
-pub fn is_stale(kind: &TimerKind, current_round: Round) -> bool {
+fn is_stale(kind: &TimerKind, current_round: Round) -> bool {
     kind.scope_round() < current_round.0
 }
 
-/// Routes one [`Actions`] bundle: commits → `sink`, then timers →
-/// `dispatch.arm`, then transmissions → `dispatch.transmit`, preserving
-/// the engine's emission order within each category. Every driver routes
-/// through here, so traces line up across deployments.
-pub fn route_actions<S: CommitSink + ?Sized, D: ActionDispatch + ?Sized>(
-    replica: ReplicaId,
-    actions: Actions,
-    sink: &mut S,
-    dispatch: &mut D,
-) {
-    for entry in actions.commits {
-        sink.on_commit(replica, entry);
-    }
-    for timer in actions.timers {
-        dispatch.arm(replica, timer);
-    }
-    for out in actions.outbound {
-        dispatch.transmit(replica, out);
-    }
+/// One entry of a replica's timer heap.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Wake {
+    /// An engine timer.
+    Timer(TimerKind),
+    /// The deadline of an in-flight catch-up probe or fetch.
+    CatchUp,
 }
 
-/// One replica's pending timers: an [`EventQueue`] of [`TimerKind`]s with
-/// arm-time clamping and stale-timer filtering on pop.
+/// One replica's pending wake-ups: an [`EventQueue`] of [`Wake`]s, the
+/// engine's timers and the catch-up deadlines in one heap, so that equal
+/// deadlines pop in arming order whatever their kind.
 #[derive(Default)]
-pub struct TimerSet {
-    queue: EventQueue<TimerKind>,
-    stale_dropped: u64,
+struct TimerSet {
+    queue: EventQueue<Wake>,
 }
 
 impl TimerSet {
-    /// An empty timer set.
-    pub fn new() -> Self {
-        Self::default()
+    /// Arms an engine timer, clamping its deadline to `now` so timers
+    /// always fire at or after the moment they were requested. Returns the
+    /// clamped deadline.
+    fn arm(&mut self, request: TimerRequest, now: Time) -> Time {
+        let at = request.at.max(now);
+        self.queue.push(at, Wake::Timer(request.kind));
+        at
     }
 
-    /// Arms `request`, clamping its deadline to `now` so timers always
-    /// fire at or after the moment they were requested.
-    pub fn arm(&mut self, request: TimerRequest, now: Time) {
-        self.queue.push(request.at.max(now), request.kind);
+    /// Arms a catch-up deadline.
+    fn arm_catchup(&mut self, at: Time) {
+        self.queue.push(at, Wake::CatchUp);
     }
 
     /// Earliest pending deadline, if any. (May belong to a stale timer;
     /// use only as a wake-up bound, never as a liveness signal.)
-    pub fn next_deadline(&self) -> Option<Time> {
+    fn next_deadline(&self) -> Option<Time> {
         self.queue.next_at()
     }
 
-    /// Pops the next timer due at `now`, silently discarding timers whose
-    /// round the engine (at `current_round`) has already abandoned. Equal
-    /// deadlines pop in arming order.
-    pub fn pop_due(&mut self, now: Time, current_round: Round) -> Option<(Time, TimerKind)> {
-        while let Some((at, kind)) = self.queue.pop_due(now) {
-            if is_stale(&kind, current_round) {
-                self.stale_dropped += 1;
-                continue;
-            }
-            return Some((at, kind));
-        }
-        None
-    }
-
-    /// Number of pending (possibly stale) timers.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True if no timers are pending.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Timers dropped as stale so far (diagnostic).
-    pub fn stale_dropped(&self) -> u64 {
-        self.stale_dropped
+    /// Pops the earliest wake-up if it is due at `now`. Equal deadlines pop
+    /// in arming order.
+    fn pop_due(&mut self, now: Time) -> Option<(Time, Wake)> {
+        self.queue.pop_due(now)
     }
 }
 
-/// Adapts a [`TimerSet`] plus a transmit callback into [`ActionDispatch`]
-/// for single-engine drivers (the timer heap and the network never share
-/// state there, unlike in the simulator).
-struct TimerSetDispatch<'a, F: FnMut(Outbound)> {
-    timers: &'a mut TimerSet,
-    now: Time,
-    transmit: F,
+/// What [`Replica::on_timer`] found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Due {
+    /// No wake-up was due.
+    Nothing,
+    /// An engine timer of a round the engine has left: dropped, and
+    /// nothing else happened.
+    Stale,
+    /// A timer fired, or catch-up was re-driven.
+    Fired,
 }
 
-impl<F: FnMut(Outbound)> ActionDispatch for TimerSetDispatch<'_, F> {
-    fn arm(&mut self, _replica: ReplicaId, request: TimerRequest) {
-        self.timers.arm(request, self.now);
-    }
-    fn transmit(&mut self, _from: ReplicaId, out: Outbound) {
-        (self.transmit)(out)
+/// The driver's side of a replica step: where its effects go.
+pub trait ReplicaIo {
+    /// Puts one frame on the wire.
+    fn transmit(&mut self, out: Outbound);
+
+    /// Takes one finalized block, in the order the engine emitted them,
+    /// after the replica's pool retired it. `batch` is the workload batch
+    /// the pool decoded from its payload: `None` without a pool, or for a
+    /// payload that is no batch.
+    fn commit(&mut self, entry: CommitEntry, batch: Option<WorkloadBatch>);
+
+    /// The peer a catching-up replica asks for its next range; `None`
+    /// when nobody can be asked (the window then lapses).
+    fn fetch_peer(&mut self) -> Option<ReplicaId>;
+
+    /// A wake-up was armed for `at`. A driver with an event queue of its
+    /// own schedules one [`Replica::on_timer`] call there per call here,
+    /// which then fires exactly this wake-up; one that polls
+    /// [`Replica::next_deadline`] ignores it (the default).
+    fn armed(&mut self, _at: Time) {}
+
+    /// CPU time the engine's handling of one frame took: the frames and
+    /// timers it produced leave that much later. The default, zero, is a
+    /// wall-clock driver's, whose clock already moved.
+    fn busy(&mut self, _engine: &dyn Engine) -> Duration {
+        Duration::ZERO
     }
 }
 
-/// The single-engine event-loop core: an [`Engine`], its [`TimerSet`] and
-/// a [`CommitSink`], with the three dispatch paths every deployment needs.
-/// The caller supplies time (virtual or wall-clock) and a `transmit`
-/// callback; this type owns everything else, so deployments cannot drift
-/// apart in how they feed an engine.
-pub struct EngineDriver<S: CommitSink> {
-    engine: Box<dyn Engine>,
+/// One replica: engine, timer heap, optional pool, catch-up, up or down.
+/// See the module docs.
+pub struct Replica<P> {
+    me: ReplicaId,
+    /// `None` while down: a crashed replica holds no volatile state.
+    engine: Option<Box<dyn Engine>>,
     timers: TimerSet,
-    sink: S,
+    /// Request dissemination: takes in gossip, supplies it, leases the
+    /// blocks crossing the wire and retires commits. Survives a crash
+    /// (clients keep it, as they keep the durable store).
+    pool: Option<P>,
+    /// The machine of the latest rejoin; kept once done.
+    catchup: Option<CatchUpState>,
+    catchup_timeout: Duration,
+    stale_timers: u64,
+    sync_requests: u64,
+    sync_blocks_served: u64,
+    recovery_ms: u64,
 }
 
-impl<S: CommitSink> EngineDriver<S> {
-    /// Wraps `engine`, committing into `sink`.
-    pub fn new(engine: Box<dyn Engine>, sink: S) -> Self {
-        EngineDriver {
-            engine,
-            timers: TimerSet::new(),
-            sink,
+impl<P: ReplicaPool> Replica<P> {
+    /// A replica around `engine`, up but not yet initialized
+    /// ([`init`](Self::init)); a probe or fetch of its catch-up lapses
+    /// after `catchup_timeout`.
+    pub fn new(engine: Box<dyn Engine>, pool: Option<P>, catchup_timeout: Duration) -> Self {
+        Replica {
+            me: engine.id(),
+            engine: Some(engine),
+            timers: TimerSet::default(),
+            pool,
+            catchup: None,
+            catchup_timeout,
+            stale_timers: 0,
+            sync_requests: 0,
+            sync_blocks_served: 0,
+            recovery_ms: 0,
         }
     }
 
-    /// The wrapped engine's replica id.
-    pub fn id(&self) -> ReplicaId {
-        self.engine.id()
+    /// Wires in a request pool after construction.
+    pub fn attach_pool(&mut self, pool: P) {
+        self.pool = Some(pool);
     }
 
-    /// Read access to the engine (for assertions and probes).
-    pub fn engine(&self) -> &dyn Engine {
-        self.engine.as_ref()
+    /// The engine, unless the replica is down.
+    pub fn engine(&self) -> Option<&dyn Engine> {
+        self.engine.as_deref()
     }
 
-    /// Read access to the commit sink.
-    pub fn sink(&self) -> &S {
-        &self.sink
+    /// The request pool, if one is wired in.
+    pub fn pool(&self) -> Option<&P> {
+        self.pool.as_ref()
     }
 
-    /// Consumes the driver, returning the sink.
-    pub fn into_sink(self) -> S {
-        self.sink
+    /// False between [`crash`](Self::crash) and [`rejoin`](Self::rejoin).
+    pub fn is_up(&self) -> bool {
+        self.engine.is_some()
     }
 
-    /// Timers dropped as stale so far (diagnostic).
-    pub fn stale_timers_dropped(&self) -> u64 {
-        self.timers.stale_dropped()
-    }
-
-    /// Deadline of the earliest pending timer.
+    /// Deadline of the earliest pending wake-up.
     pub fn next_deadline(&self) -> Option<Time> {
         self.timers.next_deadline()
     }
 
-    /// Delivers the one-time init event.
-    pub fn init(&mut self, now: Time, transmit: impl FnMut(Outbound)) {
-        let EngineDriver {
-            engine,
-            timers,
-            sink,
-        } = self;
-        let actions = engine.on_init(now);
-        let mut dispatch = TimerSetDispatch {
-            timers,
-            now,
-            transmit,
-        };
-        route_actions(engine.id(), actions, sink, &mut dispatch);
+    /// Timers dropped as stale, over every life.
+    pub fn stale_timers_dropped(&self) -> u64 {
+        self.stale_timers
     }
 
-    /// Delivers one network message.
-    pub fn handle_message(
-        &mut self,
-        from: ReplicaId,
-        msg: Message,
-        now: Time,
-        transmit: impl FnMut(Outbound),
-    ) {
-        let EngineDriver {
-            engine,
-            timers,
-            sink,
-        } = self;
-        let actions = engine.on_message(from, msg, now);
-        let mut dispatch = TimerSetDispatch {
-            timers,
-            now,
-            transmit,
-        };
-        route_actions(engine.id(), actions, sink, &mut dispatch);
+    /// Catch-up probes and fetches issued, over every rejoin.
+    pub fn sync_requests(&self) -> u64 {
+        self.sync_requests
     }
 
-    /// Fires every timer due at `now`, including timers armed by earlier
-    /// firings in the same call. Stale timers are dropped, not delivered.
-    pub fn fire_due(&mut self, now: Time, mut transmit: impl FnMut(Outbound)) {
-        let EngineDriver {
-            engine,
-            timers,
-            sink,
-        } = self;
-        while let Some((_, kind)) = timers.pop_due(now, engine.current_round()) {
-            let actions = engine.on_timer(kind, now);
-            let mut dispatch = TimerSetDispatch {
-                timers: &mut *timers,
-                now,
-                transmit: &mut transmit,
-            };
-            route_actions(engine.id(), actions, sink, &mut dispatch);
+    /// Blocks served to others in catch-up batches.
+    pub fn sync_blocks_served(&self) -> u64 {
+        self.sync_blocks_served
+    }
+
+    /// Milliseconds from each rejoin until its catch-up finished, summed.
+    pub fn recovery_ms(&self) -> u64 {
+        self.recovery_ms
+    }
+
+    /// Delivers the engine's one-time init event.
+    pub fn init(&mut self, now: Time, io: &mut impl ReplicaIo) {
+        if let Some(engine) = &mut self.engine {
+            let actions = engine.on_init(now);
+            self.route(actions, now, io);
+        }
+    }
+
+    /// Sends whatever gossip the pool has queued. A down replica's is
+    /// drained and dropped: a dead process sends nothing.
+    pub fn flush(&mut self, io: &mut impl ReplicaIo) {
+        let Some(pool) = &self.pool else { return };
+        // Collected first: the frames are encoded outside the pool's lock,
+        // which clients pushing into the pool wait on.
+        let mut frames = Vec::new();
+        pool.flush(&mut |out| frames.push(out));
+        if self.engine.is_some() {
+            frames.into_iter().for_each(|out| io.transmit(out));
+        }
+    }
+
+    /// Handles one frame from `from`. Request gossip feeds the pool, a
+    /// frontier probe is answered from the engine's commit frontier, a
+    /// frontier report feeds catch-up: engines never see these. Every
+    /// other frame is the engine's, and the blocks it carries are leased
+    /// in the pool first. A down replica drops every frame.
+    pub fn on_frame(&mut self, from: ReplicaId, msg: Message, now: Time, io: &mut impl ReplicaIo) {
+        let Some(engine) = &mut self.engine else {
+            return;
+        };
+        match Inbound::classify(msg) {
+            Inbound::Dissemination(frame) => {
+                if let Some(pool) = &self.pool {
+                    pool.intake(from, frame);
+                }
+            }
+            Inbound::FrontierProbe => io.transmit(frontier_info(from, engine.finalized_round())),
+            Inbound::FrontierInfo(finalized) => {
+                if let Some(machine) = &mut self.catchup {
+                    machine.on_frontier(finalized);
+                }
+                self.drive_catchup(now, io);
+            }
+            Inbound::Engine(msg) => {
+                if let Some(pool) = &self.pool {
+                    pool.observe_inbound(&msg);
+                }
+                let batch = matches!(msg, Message::Sync(SyncMsg::ResponseBatch { .. }));
+                let actions = engine.on_message(from, msg, now);
+                // The engine saw the arrival instant; what it produced
+                // leaves once its CPU time is spent.
+                let now = now + io.busy(engine.as_ref());
+                self.route(actions, now, io);
+                // Only an adopted batch reports local progress.
+                if batch {
+                    let frontier = self.frontier();
+                    if let Some(machine) = &mut self.catchup {
+                        machine.on_progress(frontier);
+                    }
+                    self.drive_catchup(now, io);
+                }
+            }
+        }
+    }
+
+    /// Fires the earliest wake-up if it is due at `now`: an engine timer
+    /// (dropped if its round was left), or a catch-up deadline that
+    /// re-drives the machine. A driver that polls calls this until
+    /// nothing is due.
+    pub fn on_timer(&mut self, now: Time, io: &mut impl ReplicaIo) -> Due {
+        let Some((_, wake)) = self.timers.pop_due(now) else {
+            return Due::Nothing;
+        };
+        match (wake, &mut self.engine) {
+            (Wake::Timer(kind), Some(engine)) if !is_stale(&kind, engine.current_round()) => {
+                let actions = engine.on_timer(kind, now);
+                self.route(actions, now, io);
+            }
+            (Wake::Timer(_), _) => {
+                self.stale_timers += 1;
+                return Due::Stale;
+            }
+            (Wake::CatchUp, _) => self.drive_catchup(now, io),
+        }
+        Due::Fired
+    }
+
+    /// The process dies: engine, timers and catch-up are dropped. Only the
+    /// durable store (the engine's WAL) and the pool survive. Read what
+    /// you need off [`engine`](Self::engine) first.
+    pub fn crash(&mut self) {
+        self.engine = None;
+        self.timers = TimerSet::default();
+        self.catchup = None;
+    }
+
+    /// The process comes back as `engine`, rebuilt from durable state: it
+    /// is initialized, then catches up to the live commit frontier —
+    /// probing peers for it, fetching the missing rounds in windows, and
+    /// re-driving on each answer, each adopted batch and each lapsed
+    /// deadline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `engine` is another replica's.
+    pub fn rejoin(&mut self, engine: Box<dyn Engine>, now: Time, io: &mut impl ReplicaIo) {
+        assert_eq!(engine.id(), self.me, "rejoin rebuilt the wrong replica");
+        self.engine = Some(engine);
+        self.init(now, io);
+        let frontier = self.frontier();
+        self.catchup = Some(CatchUpState::new(frontier, now, self.catchup_timeout));
+        self.drive_catchup(now, io);
+    }
+
+    /// The engine's finalized frontier (genesis while down).
+    fn frontier(&self) -> Round {
+        self.engine()
+            .map_or(Round::GENESIS, |e| e.finalized_round())
+    }
+
+    /// Runs the catch-up machine, if one is still catching up: its traffic
+    /// goes out, and while it waits a wake-up is armed one timeout out.
+    fn drive_catchup(&mut self, now: Time, io: &mut impl ReplicaIo) {
+        let Some(machine) = self.catchup.as_mut().filter(|m| !m.is_done()) else {
+            return;
+        };
+        let asked = machine.requests_issued();
+        let mut frames = Vec::new();
+        let waiting = machine.drive(now, || io.fetch_peer(), &mut |out| frames.push(out));
+        self.sync_requests += machine.requests_issued() - asked;
+        frames.into_iter().for_each(|out| io.transmit(out));
+        if waiting {
+            let at = now + self.catchup_timeout;
+            self.timers.arm_catchup(at);
+            io.armed(at);
+        } else {
+            self.recovery_ms += now.since(machine.started_at()).as_nanos() / 1_000_000;
+        }
+    }
+
+    /// Routes one [`Actions`] bundle. Every outbound block is leased in the
+    /// pool first; then commits, timers and transmissions, each in the
+    /// engine's emission order.
+    fn route(&mut self, actions: Actions, now: Time, io: &mut impl ReplicaIo) {
+        for out in &actions.outbound {
+            if let Some(pool) = &self.pool {
+                pool.observe_outbound(out);
+            }
+            let (Outbound::Broadcast(msg) | Outbound::Send(_, msg)) = out;
+            self.sync_blocks_served += msg.sync_batch_blocks().len() as u64;
+        }
+        for entry in actions.commits {
+            let batch = self.pool.as_ref().and_then(|pool| pool.retire(&entry));
+            io.commit(entry, batch);
+        }
+        for timer in actions.timers {
+            let at = self.timers.arm(timer, now);
+            io.armed(at);
+        }
+        for out in actions.outbound {
+            io.transmit(out);
         }
     }
 }
@@ -306,104 +374,189 @@ impl<S: CommitSink> EngineDriver<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use banyan_types::engine::TimerKind;
-    use banyan_types::ids::Round;
+    use banyan_mempool::SharedMempool;
+    use banyan_types::ids::BlockHash;
 
-    fn sink_only_dispatch(
-    ) -> FnDispatch<impl FnMut(ReplicaId, TimerRequest), impl FnMut(ReplicaId, Outbound)> {
-        FnDispatch {
-            arm: |_, _| {},
-            transmit: |_, _| {},
+    /// An engine in `round` that arms `timers` and commits `commits` at
+    /// init, and answers every timer with a `FrontierInfo` naming the
+    /// timer's round (so what fired shows up as traffic).
+    struct Scripted {
+        round: Round,
+        init: Vec<TimerRequest>,
+        commits: u64,
+    }
+
+    impl Engine for Scripted {
+        fn id(&self) -> ReplicaId {
+            ReplicaId(0)
         }
+        fn protocol_name(&self) -> &'static str {
+            "scripted"
+        }
+        fn on_init(&mut self, _now: Time) -> Actions {
+            let mut a = Actions::none();
+            for round in 1..=self.commits {
+                a.commit(CommitEntry {
+                    round: Round(round),
+                    block: BlockHash([round as u8; 32]),
+                    proposer: ReplicaId(0),
+                    payload: banyan_types::Payload::empty(),
+                    proposed_at: Time::ZERO,
+                    committed_at: Time(round),
+                    fast: false,
+                    explicit: true,
+                });
+            }
+            for t in &self.init {
+                a.arm(t.at, t.kind);
+            }
+            a.send(
+                ReplicaId(1),
+                Message::Sync(SyncMsg::Request {
+                    hash: BlockHash::ZERO,
+                }),
+            );
+            a
+        }
+        fn on_message(&mut self, _from: ReplicaId, _msg: Message, _now: Time) -> Actions {
+            Actions::none()
+        }
+        fn on_timer(&mut self, kind: TimerKind, _now: Time) -> Actions {
+            let mut a = Actions::none();
+            let finalized = Round(kind.scope_round());
+            a.send(
+                ReplicaId(1),
+                Message::Sync(SyncMsg::FrontierInfo { finalized }),
+            );
+            a
+        }
+        fn current_round(&self) -> Round {
+            self.round
+        }
+    }
+
+    /// What a step did, in order.
+    // A handful per test: the frame's size costs nothing.
+    #[allow(clippy::large_enum_variant)]
+    #[derive(Debug, PartialEq)]
+    enum Effect {
+        Sent(Outbound),
+        Committed(Round),
+        Armed(Time),
+    }
+
+    #[derive(Default)]
+    struct Log(Vec<Effect>);
+
+    impl ReplicaIo for Log {
+        fn transmit(&mut self, out: Outbound) {
+            self.0.push(Effect::Sent(out));
+        }
+        fn commit(&mut self, entry: CommitEntry, _batch: Option<WorkloadBatch>) {
+            self.0.push(Effect::Committed(entry.round));
+        }
+        fn fetch_peer(&mut self) -> Option<ReplicaId> {
+            Some(ReplicaId(2))
+        }
+        fn armed(&mut self, at: Time) {
+            self.0.push(Effect::Armed(at));
+        }
+    }
+
+    impl Log {
+        /// The rounds of the `FrontierInfo`s sent: the timers that fired.
+        fn fired(&self) -> Vec<u64> {
+            let info = |e: &Effect| match e {
+                Effect::Sent(Outbound::Send(
+                    _,
+                    Message::Sync(SyncMsg::FrontierInfo { finalized }),
+                )) => Some(finalized.0),
+                _ => None,
+            };
+            self.0.iter().filter_map(info).collect()
+        }
+    }
+
+    fn timer(at: u64, kind: TimerKind) -> TimerRequest {
+        TimerRequest { at: Time(at), kind }
+    }
+
+    /// A replica in `round` whose engine arms `timers` at init (at time 0).
+    fn scripted(round: u64, timers: Vec<TimerRequest>) -> (Replica<SharedMempool>, Log) {
+        let engine = Scripted {
+            round: Round(round),
+            init: timers,
+            commits: 0,
+        };
+        let mut replica = Replica::new(Box::new(engine), None, Duration(10));
+        let mut log = Log::default();
+        replica.init(Time::ZERO, &mut log);
+        (replica, log)
     }
 
     #[test]
     fn timer_set_clamps_past_deadlines_to_now() {
-        let mut t = TimerSet::new();
-        t.arm(
-            TimerRequest {
-                at: Time(5),
-                kind: TimerKind::Propose { round: 1 },
-            },
-            Time(100),
-        );
+        let mut t = TimerSet::default();
+        let at = t.arm(timer(5, TimerKind::Propose { round: 1 }), Time(100));
+        assert_eq!(at, Time(100));
         assert_eq!(t.next_deadline(), Some(Time(100)));
     }
 
     #[test]
     fn equal_deadline_timers_pop_in_arming_order() {
-        let mut t = TimerSet::new();
+        let mut t = TimerSet::default();
         let kinds = [
             TimerKind::Propose { round: 3 },
             TimerKind::NotarizeRank { round: 3, rank: 0 },
             TimerKind::RoundTimeout { round: 3 },
         ];
+        t.arm_catchup(Time(50));
         for kind in kinds {
-            t.arm(TimerRequest { at: Time(50), kind }, Time(0));
+            t.arm(timer(50, kind), Time(0));
         }
+        assert_eq!(t.pop_due(Time(50)), Some((Time(50), Wake::CatchUp)));
         for expected in kinds {
-            let (at, kind) = t.pop_due(Time(50), Round(3)).expect("due");
-            assert_eq!((at, kind), (Time(50), expected));
+            assert_eq!(t.pop_due(Time(50)), Some((Time(50), Wake::Timer(expected))));
         }
-        assert!(t.pop_due(Time(50), Round(3)).is_none());
+        assert!(t.pop_due(Time(50)).is_none());
     }
 
     #[test]
     fn stale_timers_for_abandoned_rounds_are_dropped() {
-        let mut t = TimerSet::new();
-        t.arm(
-            TimerRequest {
-                at: Time(10),
-                kind: TimerKind::Propose { round: 1 },
-            },
-            Time(0),
+        // The engine is in round 5: rounds 1 and 2 are abandoned.
+        let (mut replica, mut log) = scripted(
+            5,
+            vec![
+                timer(10, TimerKind::Propose { round: 1 }),
+                timer(11, TimerKind::RoundTimeout { round: 2 }),
+                timer(12, TimerKind::Propose { round: 5 }),
+            ],
         );
-        t.arm(
-            TimerRequest {
-                at: Time(11),
-                kind: TimerKind::RoundTimeout { round: 2 },
-            },
-            Time(0),
-        );
-        t.arm(
-            TimerRequest {
-                at: Time(12),
-                kind: TimerKind::Propose { round: 5 },
-            },
-            Time(0),
-        );
-        // The engine has advanced to round 5: rounds 1 and 2 are abandoned.
-        let (_, kind) = t.pop_due(Time(20), Round(5)).expect("live timer");
-        assert_eq!(kind, TimerKind::Propose { round: 5 });
-        assert_eq!(t.stale_dropped(), 2);
-        assert!(t.pop_due(Time(20), Round(5)).is_none());
+        let mut pops = 0;
+        while replica.on_timer(Time(20), &mut log) != Due::Nothing {
+            pops += 1;
+        }
+        assert_eq!(pops, 3, "one wake-up per armed timer, stale or not");
+        assert_eq!(log.fired(), [5]);
+        assert_eq!(replica.stale_timers_dropped(), 2);
+        assert_eq!(replica.next_deadline(), None);
     }
 
     #[test]
     fn current_and_future_round_timers_are_delivered() {
-        let mut t = TimerSet::new();
-        t.arm(
-            TimerRequest {
-                at: Time(1),
-                kind: TimerKind::EpochTick { epoch: 4 },
-            },
-            Time(0),
-        );
         // Streamlet arms the tick for epoch current+1; it must survive.
-        let popped = t.pop_due(Time(2), Round(3));
-        assert_eq!(
-            popped.map(|(_, k)| k),
-            Some(TimerKind::EpochTick { epoch: 4 })
-        );
-        assert_eq!(t.stale_dropped(), 0);
+        let (mut replica, mut log) = scripted(3, vec![timer(1, TimerKind::EpochTick { epoch: 4 })]);
+        assert_eq!(replica.on_timer(Time(2), &mut log), Due::Fired);
+        assert_eq!(log.fired(), [4]);
+        assert_eq!(replica.stale_timers_dropped(), 0);
     }
 
     /// The optimistic-pipelining fallback contract: the round-r+1 leader
     /// arms its fallback `Propose` timer while the engine is still in
-    /// round r. Drivers must hold that future-round timer (never drop it
-    /// as stale) and deliver it once the engine reaches round r+1 — if
-    /// the driver swallowed it, an uncertified optimistic parent would
-    /// leave the round leaderless instead of falling back.
+    /// round r. A replica must hold that future-round timer (never drop it
+    /// as stale) and deliver it — if it swallowed it, an uncertified
+    /// optimistic parent would leave the round leaderless instead of
+    /// falling back.
     #[test]
     fn future_round_propose_timer_survives_until_its_round() {
         let fallback = TimerKind::Propose { round: 8 };
@@ -414,97 +567,161 @@ mod tests {
         // Only once the engine moves past round 8 is it abandoned.
         assert!(is_stale(&fallback, Round(9)));
 
-        let mut t = TimerSet::new();
-        t.arm(
-            TimerRequest {
-                at: Time(30),
-                kind: fallback,
-            },
-            Time(0),
-        );
         // Due while the engine is still in round 7 (the optimistic parent
         // has not certified yet): the fallback must fire, not vanish.
-        let popped = t.pop_due(Time(30), Round(7)).expect("fallback delivered");
-        assert_eq!(popped, (Time(30), fallback));
-        assert_eq!(t.stale_dropped(), 0, "future-round timer counted stale");
-    }
-
-    #[test]
-    fn vec_commit_sink_collects_in_order() {
-        use banyan_types::ids::BlockHash;
-        let mut sink: Vec<CommitEntry> = Vec::new();
-        let mut actions = Actions::none();
-        for round in 1..=3u64 {
-            actions.commit(CommitEntry {
-                round: Round(round),
-                block: BlockHash([round as u8; 32]),
-                proposer: ReplicaId(0),
-                payload: banyan_types::Payload::empty(),
-                proposed_at: Time::ZERO,
-                committed_at: Time(round),
-                fast: false,
-                explicit: true,
-            });
-        }
-        route_actions(ReplicaId(0), actions, &mut sink, &mut sink_only_dispatch());
-        let rounds: Vec<u64> = sink.iter().map(|c| c.round.0).collect();
-        assert_eq!(rounds, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn app_sink_delivers_then_forwards() {
-        use banyan_types::ids::BlockHash;
-
-        #[derive(Default)]
-        struct Tally(u64);
-        impl App for Tally {
-            fn deliver(&mut self, entry: &CommitEntry) {
-                self.0 += entry.payload_len();
-            }
-        }
-
-        let mut sink = AppSink {
-            inner: Vec::<CommitEntry>::new(),
-            app: Tally::default(),
-        };
-        let mut actions = Actions::none();
-        actions.commit(CommitEntry {
-            round: Round(1),
-            block: BlockHash([1; 32]),
-            proposer: ReplicaId(0),
-            payload: banyan_types::Payload::inline(vec![7; 42]),
-            proposed_at: Time::ZERO,
-            committed_at: Time(9),
-            fast: false,
-            explicit: true,
-        });
-        route_actions(ReplicaId(0), actions, &mut sink, &mut sink_only_dispatch());
-        assert_eq!(sink.app.0, 42, "app saw the payload bytes");
-        assert_eq!(sink.inner.len(), 1, "inner sink still gets the commit");
+        let (mut replica, mut log) = scripted(7, vec![timer(30, fallback)]);
+        assert_eq!(
+            replica.on_timer(Time(29), &mut log),
+            Due::Nothing,
+            "fired early"
+        );
+        assert_eq!(replica.on_timer(Time(30), &mut log), Due::Fired);
+        assert_eq!(log.fired(), [8], "fallback not delivered");
+        assert_eq!(replica.stale_timers_dropped(), 0);
     }
 
     #[test]
     fn routing_preserves_category_order() {
-        let mut actions = Actions::none();
-        use banyan_types::message::{Message, SyncMsg};
-        actions.arm(Time(2), TimerKind::Propose { round: 2 });
-        actions.arm(Time(1), TimerKind::Propose { round: 1 });
-        actions.send(
-            ReplicaId(1),
-            Message::Sync(SyncMsg::Request {
-                hash: banyan_types::ids::BlockHash::ZERO,
-            }),
-        );
-        let mut armed = Vec::new();
-        let mut sent = 0u32;
-        let mut sink: Vec<CommitEntry> = Vec::new();
-        let mut dispatch = FnDispatch {
-            arm: |_, t: TimerRequest| armed.push(t.at),
-            transmit: |_, _| sent += 1,
+        let engine = Scripted {
+            round: Round(1),
+            init: vec![
+                timer(2, TimerKind::Propose { round: 2 }),
+                timer(1, TimerKind::Propose { round: 1 }),
+            ],
+            commits: 2,
         };
-        route_actions(ReplicaId(0), actions, &mut sink, &mut dispatch);
-        // Timers arrive in emission order, not deadline order.
-        assert_eq!(armed, vec![Time(2), Time(1)]);
-        assert_eq!(sent, 1);
+        let mut replica: Replica<SharedMempool> =
+            Replica::new(Box::new(engine), None, Duration(10));
+        let mut log = Log::default();
+        replica.init(Time::ZERO, &mut log);
+        // Commits, then timers in emission order (not deadline order),
+        // then transmissions.
+        let request = Message::Sync(SyncMsg::Request {
+            hash: BlockHash::ZERO,
+        });
+        assert_eq!(
+            log.0,
+            [
+                Effect::Committed(Round(1)),
+                Effect::Committed(Round(2)),
+                Effect::Armed(Time(2)),
+                Effect::Armed(Time(1)),
+                Effect::Sent(Outbound::Send(ReplicaId(1), request)),
+            ]
+        );
+    }
+
+    /// Gossip feeds the pool and the pool's gossip goes out while the
+    /// replica is up; a down one takes in nothing, and the gossip queued
+    /// meanwhile is drained without a frame leaving.
+    #[test]
+    fn a_down_replica_takes_in_and_sends_no_gossip() {
+        use banyan_mempool::{Mempool, Request};
+        use banyan_types::message::DisseminationMsg;
+        let pool = Mempool::shared_gossiping(16);
+        let engine = Scripted {
+            round: Round(1),
+            init: vec![],
+            commits: 0,
+        };
+        let mut replica = Replica::new(Box::new(engine), Some(pool.clone()), Duration(10));
+        let mut log = Log::default();
+        let request = |id| Request {
+            id,
+            client: 0,
+            size: 64,
+            submitted_at: Time::ZERO,
+        };
+        let forward = |id| {
+            let requests = vec![request(id)];
+            Message::Dissemination(DisseminationMsg::Forward { requests })
+        };
+
+        replica.on_frame(ReplicaId(1), forward(1), Time(1), &mut log);
+        assert_eq!(pool.lock().unwrap().len(), 1, "gossip missed the pool");
+        pool.lock().unwrap().push(request(2));
+        replica.flush(&mut log);
+        assert!(
+            matches!(&log.0[..], [Effect::Sent(Outbound::Broadcast(_))]),
+            "{:?}",
+            log.0
+        );
+
+        replica.crash();
+        log.0.clear();
+        replica.on_frame(ReplicaId(1), forward(3), Time(2), &mut log);
+        pool.lock().unwrap().push(request(4));
+        replica.flush(&mut log);
+        assert!(log.0.is_empty(), "a down replica sent {:?}", log.0);
+        assert_eq!(
+            pool.lock().unwrap().len(),
+            3,
+            "a down replica took in gossip"
+        );
+        replica.rejoin(
+            Box::new(Scripted {
+                round: Round(1),
+                init: vec![],
+                commits: 0,
+            }),
+            Time(3),
+            &mut log,
+        );
+        log.0.clear();
+        replica.flush(&mut log);
+        assert!(log.0.is_empty(), "the gossip queued while down left later");
+    }
+
+    /// A crashed replica handles nothing, fires nothing and sends nothing;
+    /// after a rejoin it probes the frontier, fetches from the peer its
+    /// driver names once a peer reports one, and re-fetches when the
+    /// window lapses.
+    #[test]
+    fn a_rejoined_replica_catches_up_through_its_own_wake_ups() {
+        let (mut replica, mut log) = scripted(1, vec![timer(5, TimerKind::Propose { round: 1 })]);
+        replica.crash();
+        assert!(!replica.is_up());
+        assert_eq!(replica.next_deadline(), None, "timers outlived the crash");
+        let probe = Message::Sync(SyncMsg::FrontierProbe);
+        log.0.clear();
+        replica.on_frame(ReplicaId(1), probe.clone(), Time(6), &mut log);
+        assert_eq!(replica.on_timer(Time(6), &mut log), Due::Nothing);
+        assert!(log.0.is_empty(), "a down replica acted: {:?}", log.0);
+
+        let engine = Scripted {
+            round: Round(1),
+            init: vec![],
+            commits: 0,
+        };
+        replica.rejoin(Box::new(engine), Time(100), &mut log);
+        // Init's own frame, then the probe and its deadline.
+        assert_eq!(
+            log.0[1..],
+            [
+                Effect::Sent(Outbound::Broadcast(probe)),
+                Effect::Armed(Time(110))
+            ]
+        );
+        log.0.clear();
+        let info = Message::Sync(SyncMsg::FrontierInfo {
+            finalized: Round(40),
+        });
+        replica.on_frame(ReplicaId(3), info, Time(104), &mut log);
+        let fetch = |from, to| {
+            let range = SyncMsg::RequestRange {
+                from_round: Round(from),
+                to_round: Round(to),
+            };
+            Effect::Sent(Outbound::Send(ReplicaId(2), Message::Sync(range)))
+        };
+        assert_eq!(log.0, [fetch(1, 32), Effect::Armed(Time(114))]);
+        log.0.clear();
+        // The probe's deadline finds the fetch in flight; the fetch's own
+        // deadline lapses it and asks again.
+        assert_eq!(replica.on_timer(Time(110), &mut log), Due::Fired);
+        assert_eq!(log.0, [Effect::Armed(Time(120))]);
+        assert_eq!(replica.on_timer(Time(114), &mut log), Due::Fired);
+        assert_eq!(log.0[1..], [fetch(1, 32), Effect::Armed(Time(124))]);
+        assert_eq!(replica.sync_requests(), 3);
     }
 }

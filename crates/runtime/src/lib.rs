@@ -1,24 +1,19 @@
-//! The shared engine-driver layer.
+//! The shared replica layer.
 //!
 //! Every deployment of a Banyan [`Engine`](banyan_types::engine::Engine) —
-//! the discrete-event simulator (`banyan-simnet`), the threaded TCP runner
-//! (`banyan-transport`) and the experiment harness (`banyan-bench`) — must
-//! order events and timers *identically*, or the repo's core claim
-//! ("simulation results transfer to real sockets because both drive the
-//! same engine") falls apart. This crate is that single implementation:
+//! the discrete-event simulator (`banyan-simnet`) and the TCP runner
+//! (`banyan-transport`) — must handle frames, timers, crashes and catch-up
+//! *identically*, or the repo's core claim ("simulation results transfer
+//! to real sockets because both drive the same engine") falls apart. This
+//! crate is that single implementation:
 //!
 //! * [`queue::EventQueue`] — the deterministic min-heap every driver
 //!   schedules on: entries pop by time, ties broken by insertion sequence.
-//! * [`driver::TimerSet`] — engine timers over an [`queue::EventQueue`],
-//!   with stale-timer filtering (timers for abandoned rounds are dropped
-//!   before delivery, see [`driver::is_stale`]).
-//! * [`driver::CommitSink`] — where finalized blocks land; implemented by
-//!   the simulator's metrics pipeline, the TCP run report and plain `Vec`s.
-//! * [`driver::route_actions`] — the one routing of an engine's
-//!   [`Actions`](banyan_types::engine::Actions) into commits, timers and
-//!   outbound transmissions.
-//! * [`driver::EngineDriver`] — a complete single-engine event loop core
-//!   (init / message / due-timer dispatch), used by the TCP runner.
+//! * [`driver::Replica`] — one replica step: per-frame dispatch (engine,
+//!   request pool, frontier probes, catch-up), timers (those of rounds
+//!   the engine has left are dropped undelivered), action routing, crash
+//!   and rejoin. Its effects go to a [`driver::ReplicaIo`], the only thing a
+//!   driver writes.
 //!
 //! Nothing here performs I/O, reads a clock or draws randomness; drivers
 //! inject time and transport. That keeps every run reproducible from its
@@ -27,7 +22,5 @@
 pub mod driver;
 pub mod queue;
 
-pub use driver::{
-    is_stale, route_actions, ActionDispatch, CommitSink, EngineDriver, FnDispatch, TimerSet,
-};
+pub use driver::{Due, Replica, ReplicaIo};
 pub use queue::EventQueue;

@@ -20,7 +20,6 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use banyan_runtime::driver::CommitSink;
 use banyan_types::engine::CommitEntry;
 use banyan_types::ids::{BlockHash, ReplicaId, Round};
 use banyan_types::time::{Duration, Time};
@@ -228,12 +227,6 @@ pub struct RunMetrics {
     pub forwards_dropped: u64,
     /// Virtual time at the end of the run.
     pub end_time: Time,
-}
-
-impl CommitSink for RunMetrics {
-    fn on_commit(&mut self, replica: ReplicaId, entry: CommitEntry) {
-        self.commits.push(ObservedCommit { replica, entry });
-    }
 }
 
 impl RunMetrics {

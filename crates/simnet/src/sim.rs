@@ -10,9 +10,14 @@
 //! the TCP/QUIC channels the paper assumes — Remark 8.3 notes Banyan's
 //! restrictions never cost latency when reordering is precluded).
 //!
-//! Engine actions are routed through [`banyan_runtime::route_actions`] —
-//! the same layer the TCP runner uses — so a simulated replica and a
-//! socketed replica process identical events identically.
+//! Each simulated replica is a [`banyan_runtime::Replica`] — the same step
+//! the TCP replica loop runs: frame dispatch, timers, crash, rejoin and
+//! catch-up are its code, not this module's. The simulator supplies what
+//! differs, through the replica's [`ReplicaIo`]: virtual time, the network
+//! model below, one queue event per armed wake-up (so a replica's timers
+//! interleave with every other event in exact `(time, seq)` order), the
+//! crypto cost of each handled frame, the fault schedule and the knowledge
+//! of who is alive.
 //!
 //! # Network model
 //!
@@ -26,30 +31,23 @@
 //!
 //! # Request dissemination
 //!
-//! With [`Simulation::enable_dissemination`], the simulator also routes
-//! the mempool layer's traffic. What a replica does with its pool —
-//! flushing gossip, taking in dissemination frames, observing blocks for
-//! leases, retiring commits — is `banyan_mempool::ReplicaPool`'s, the
-//! same code the TCP replica loop runs; catching a restarted replica up
-//! is `banyan_storage::CatchUpState::drive`'s. The simulator supplies
-//! only what differs: virtual time, the network — gossip and sync frames
-//! go through the *same* bandwidth/propagation/jitter/FIFO model as
-//! consensus traffic, so they are charged against the links they would
-//! really occupy — and the knowledge of who is alive. Engines never see
-//! dissemination or frontier frames, preserving the purity contract.
+//! With [`Simulation::enable_dissemination`], every replica gets its
+//! client pool wired in, and the simulator flushes each pool's gossip after
+//! every event. Gossip and sync frames go through the *same*
+//! bandwidth/propagation/jitter/FIFO model as consensus traffic, so they
+//! are charged against the links they would really occupy.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use banyan_crypto::VerifyStats;
-use banyan_mempool::{ReplicaPool, Request, SharedMempool, WorkloadBatch};
-use banyan_runtime::driver::{is_stale, route_actions, ActionDispatch, CommitSink};
+use banyan_mempool::{Request, SharedMempool, WorkloadBatch};
+use banyan_runtime::driver::{Due, Replica, ReplicaIo};
 use banyan_runtime::queue::EventQueue;
-use banyan_storage::catchup::{frontier_info, CatchUpState, Inbound};
 use banyan_types::app::App;
-use banyan_types::engine::{Actions, CommitEntry, Engine, Outbound, TimerKind, TimerRequest};
-use banyan_types::ids::{ReplicaId, Round};
-use banyan_types::message::{Message, SyncMsg};
+use banyan_types::engine::{CommitEntry, Engine, Outbound};
+use banyan_types::ids::ReplicaId;
+use banyan_types::message::Message;
 use banyan_types::time::{Duration, Time};
 use banyan_types::ChainSnapshot;
 
@@ -148,7 +146,7 @@ impl SimConfig {
 
 /// What can happen next in virtual time. Ordering lives entirely in the
 /// shared [`EventQueue`]; this payload carries no ordering of its own.
-// Deliveries carry whole messages inline; timers are tiny. Events live
+// Deliveries carry whole messages inline; the rest are tiny. Events live
 // only inside the queue, so the per-entry slack is acceptable.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
@@ -158,12 +156,13 @@ enum EventKind {
         to: ReplicaId,
         msg: Message,
     },
-    Timer {
+    /// One wake-up the replica armed (an engine timer or a catch-up
+    /// deadline): it fires exactly that one.
+    Wake {
         replica: ReplicaId,
-        kind: TimerKind,
-        /// Incarnation of the replica that armed this timer; a restart
-        /// bumps the replica's generation, so timers armed by a previous
-        /// life never fire into the new engine.
+        /// Incarnation of the replica that armed it; a crash and a rejoin
+        /// each bump the replica's generation, so a wake-up armed by a
+        /// previous life never reaches the new one.
         generation: u32,
     },
     /// The client population acts: an open-loop workload submits its next
@@ -173,15 +172,12 @@ enum EventKind {
     /// every due, still-uncommitted request.
     RetryTick,
     /// A scheduled `Fault::Crash`/`Fault::Restart` outage begins: the
-    /// engine is dropped (heap state really released; see ISSUE 7's crash
-    /// fidelity fix), capturing a snapshot first when a rejoin is planned.
+    /// engine is dropped (heap state really released), capturing a
+    /// snapshot first when a rejoin is planned.
     CrashAt { replica: ReplicaId },
     /// A `Fault::Restart` outage ends: the replica is rebuilt via the
-    /// restart builder and begins driver-level catch-up.
+    /// restart builder and begins catch-up.
     Rejoin { replica: ReplicaId },
-    /// A catch-up probe/fetch deadline: re-drive the replica's
-    /// `CatchUpState`.
-    CatchUpTick { replica: ReplicaId },
 }
 
 /// The attached client population, if any. Open loop ticks itself on a
@@ -229,147 +225,156 @@ impl Workload {
     }
 }
 
-/// Commit side of action routing: every finalization feeds the safety
-/// auditor, the replica's [`App`] (if attached), the workload's
-/// completion hook (if attached), the dissemination layer's committed-id
-/// dedup (if enabled) and the metrics log.
-struct SimCommitSink<'a> {
-    commits: &'a mut Vec<ObservedCommit>,
+/// Replica `me`'s [`ReplicaIo`]: frames run through the
+/// bandwidth/propagation/jitter/FIFO model, wake-ups become queue events
+/// (so timer/delivery interleavings stay totally ordered), and every
+/// commit feeds the safety auditor, the replica's [`App`] (if attached),
+/// the workload's completion hook (if attached) and the metrics log.
+struct SimIo<'a> {
+    /// The replica whose step this is.
+    me: ReplicaId,
+    /// Per-replica incarnations, stamped onto wake-ups.
+    generations: &'a [u32],
+    /// Virtual time; a handled frame's crypto charge moves it on.
+    now: Time,
+    queue: &'a mut EventQueue<EventKind>,
+    topology: &'a Topology,
+    faults: &'a FaultPlan,
+    config: &'a SimConfig,
+    rng: &'a mut SmallRng,
+    egress_free_at: &'a mut [Time],
+    link_last_arrival: &'a mut [Vec<Time>],
+    metrics: &'a mut RunMetrics,
     auditor: &'a mut SafetyAuditor,
     apps: &'a mut [Option<Box<dyn App>>],
     /// The client population observes every replica's commits — the
     /// first delivery of a batched request completes it.
     workload: Option<&'a mut Workload>,
-    /// With dissemination enabled, each commit is retired in the
-    /// committing replica's pool (exactly-once dedup, lease
-    /// retirement/release).
-    pools: Option<&'a [SharedMempool]>,
+    /// Per-replica verify counters at the last metering point.
+    last_verify: &'a mut [VerifyStats],
+    charged_crypto: &'a mut Duration,
 }
 
-impl CommitSink for SimCommitSink<'_> {
-    fn on_commit(&mut self, replica: ReplicaId, entry: CommitEntry) {
-        self.auditor.observe(replica, &entry);
-        // One decode per delivery serves both the pool and the clients.
-        let batch = match self.pools {
-            Some(pools) => pools[replica.as_usize()].retire(&entry),
-            None => self
-                .workload
-                .is_some()
-                .then(|| WorkloadBatch::decode(&entry.payload))
-                .flatten(),
-        };
-        if let Some(app) = &mut self.apps[replica.as_usize()] {
+impl ReplicaIo for SimIo<'_> {
+    fn transmit(&mut self, out: Outbound) {
+        match out {
+            Outbound::Broadcast(msg) => self.transmit_broadcast(msg),
+            Outbound::Send(to, msg) => {
+                let bytes = msg.wire_len();
+                let departure = self.reserve_egress(bytes);
+                self.schedule_delivery(to, msg, bytes, departure);
+            }
+        }
+    }
+
+    fn commit(&mut self, entry: CommitEntry, batch: Option<WorkloadBatch>) {
+        self.auditor.observe(self.me, &entry);
+        // A replica without a pool decoded nothing: the clients decode.
+        let batch = batch.or_else(|| {
+            self.workload.as_ref()?;
+            WorkloadBatch::decode(&entry.payload)
+        });
+        if let Some(app) = &mut self.apps[self.me.as_usize()] {
             app.deliver(&entry);
         }
         if let (Some(workload), Some(batch)) = (self.workload.as_deref_mut(), &batch) {
             workload.settle(&batch.requests, entry.committed_at);
         }
-        self.commits.push(ObservedCommit { replica, entry });
+        let replica = self.me;
+        self.metrics.commits.push(ObservedCommit { replica, entry });
     }
-}
 
-/// Driver side of action routing: timers go back into the global event
-/// queue (so timer/delivery interleavings stay totally ordered), outbound
-/// messages run through the bandwidth/propagation/jitter/FIFO model.
-struct NetDispatch<'a> {
-    now: Time,
-    queue: &'a mut EventQueue<EventKind>,
-    topology: &'a Topology,
-    faults: &'a FaultPlan,
-    jitter: Duration,
-    rng: &'a mut SmallRng,
-    egress_free_at: &'a mut [Time],
-    link_last_arrival: &'a mut [Vec<Time>],
-    messages_sent: &'a mut u64,
-    bytes_sent: &'a mut u64,
-    messages_dropped: &'a mut u64,
-    gossip_bytes: &'a mut u64,
-    /// The acting replica's current incarnation, stamped onto armed
-    /// timers (see `EventKind::Timer::generation`).
-    generation: u32,
-}
+    /// The nearest live replica by id order after `me` (deterministic).
+    fn fetch_peer(&mut self) -> Option<ReplicaId> {
+        let n = self.topology.n();
+        (1..n)
+            .map(|off| ReplicaId(((self.me.as_usize() + off) % n) as u16))
+            .find(|peer| !self.faults.is_crashed(*peer, self.now))
+    }
 
-impl ActionDispatch for NetDispatch<'_> {
-    fn arm(&mut self, replica: ReplicaId, request: TimerRequest) {
-        // Timers always fire at or after `now`.
-        let at = request.at.max(self.now);
+    fn armed(&mut self, at: Time) {
+        let replica = self.me;
+        let generation = self.generations[replica.as_usize()];
         self.queue.push(
             at,
-            EventKind::Timer {
+            EventKind::Wake {
                 replica,
-                kind: request.kind,
-                generation: self.generation,
+                generation,
             },
         );
     }
 
-    fn transmit(&mut self, from: ReplicaId, out: Outbound) {
-        match out {
-            Outbound::Broadcast(msg) => self.transmit_broadcast(from, msg),
-            Outbound::Send(to, msg) => {
-                let bytes = msg.wire_len();
-                let departure = self.reserve_egress(from, bytes);
-                self.schedule_delivery(from, to, msg, bytes, departure);
-            }
-        }
+    /// Crypto cost model: the verification work a delivery triggered
+    /// occupies the replica's CPU, so everything it *produces* departs
+    /// later by the charged time. (The engine's own view of `now` stayed
+    /// the arrival instant: virtual CPU time below the event granularity
+    /// is not observable to the protocol.) The metering snapshot advances
+    /// even with the model off, so enabling it never double-charges.
+    fn busy(&mut self, engine: &dyn Engine) -> Duration {
+        let last = &mut self.last_verify[self.me.as_usize()];
+        let cur = engine.verify_stats();
+        let delta = cur.delta_since(last);
+        *last = cur;
+        let Some(cost) = &self.config.crypto_cost else {
+            return Duration::ZERO;
+        };
+        let charge = cost.charge(&delta);
+        *self.charged_crypto = *self.charged_crypto + charge;
+        self.now += charge;
+        charge
     }
 }
 
-impl NetDispatch<'_> {
+impl SimIo<'_> {
     /// Serializes one copy of the message per receiver on the sender's
     /// uplink, in round-robin receiver order starting after the sender.
     /// The copies are clones: an inline block payload stays one shared
     /// buffer (and one commitment memo) across all receivers.
-    fn transmit_broadcast(&mut self, from: ReplicaId, msg: Message) {
+    fn transmit_broadcast(&mut self, msg: Message) {
         let n = self.topology.n();
         let bytes = msg.wire_len();
         for off in 1..n {
-            let to = ReplicaId(((from.as_usize() + off) % n) as u16);
-            let departure = self.reserve_egress(from, bytes);
-            self.schedule_delivery(from, to, msg.clone(), bytes, departure);
+            let to = ReplicaId(((self.me.as_usize() + off) % n) as u16);
+            let departure = self.reserve_egress(bytes);
+            self.schedule_delivery(to, msg.clone(), bytes, departure);
         }
     }
 
     /// Occupies the sender's uplink for one copy of `bytes`, returning the
     /// departure (serialization-complete) time.
-    fn reserve_egress(&mut self, from: ReplicaId, bytes: u64) -> Time {
+    fn reserve_egress(&mut self, bytes: u64) -> Time {
         let tx = self.topology.transmit_time(bytes);
-        let start = self.egress_free_at[from.as_usize()].max(self.now);
-        let departure = start + tx;
-        self.egress_free_at[from.as_usize()] = departure;
+        let free_at = &mut self.egress_free_at[self.me.as_usize()];
+        let departure = (*free_at).max(self.now) + tx;
+        *free_at = departure;
         departure
     }
 
     /// `bytes` is `msg.wire_len()`, computed once per transmit by the
     /// caller (it walks every request of a `Forward`).
-    fn schedule_delivery(
-        &mut self,
-        from: ReplicaId,
-        to: ReplicaId,
-        msg: Message,
-        bytes: u64,
-        departure: Time,
-    ) {
+    fn schedule_delivery(&mut self, to: ReplicaId, msg: Message, bytes: u64, departure: Time) {
+        let from = self.me;
         if self.faults.is_crashed(from, self.now) {
             return;
         }
-        *self.messages_sent += 1;
-        *self.bytes_sent += bytes;
+        self.metrics.messages_sent += 1;
+        self.metrics.bytes_sent += bytes;
         if matches!(msg, Message::Dissemination(_)) {
-            *self.gossip_bytes += bytes;
+            self.metrics.gossip_bytes += bytes;
         }
 
         if self.faults.is_cut(from, to, self.now) {
-            *self.messages_dropped += 1;
+            self.metrics.messages_dropped += 1;
             return;
         }
 
         let base = self.topology.delay(from.as_usize(), to.as_usize());
         let extra = self.faults.extra_delay(from, to, self.now);
-        let jitter = if self.jitter.as_nanos() == 0 {
+        let jitter = self.config.jitter.as_nanos();
+        let jitter = if jitter == 0 {
             Duration::ZERO
         } else {
-            Duration(self.rng.gen_range(0..=self.jitter.as_nanos()))
+            Duration(self.rng.gen_range(0..=jitter))
         };
         let mut arrival = departure + base + extra + jitter;
 
@@ -390,42 +395,14 @@ impl NetDispatch<'_> {
 /// or — for WAL-backed replicas — ignore the snapshot and reopen the log.
 pub type RestartBuilder = Box<dyn Fn(ReplicaId, &ChainSnapshot) -> Box<dyn Engine>>;
 
-/// Per-step timeout for driver-level catch-up (probe and fetch windows).
+/// Per-step timeout for catch-up (probe and fetch windows).
 const CATCHUP_TIMEOUT: Duration = Duration(500_000_000); // 500 ms
-
-/// Tombstone standing in for a dropped engine during an outage: a crashed
-/// replica's heap state is really gone (`Fault::Crash` fidelity), so any
-/// event that slips through the fault checks hits a no-op.
-struct CrashedEngine {
-    id: ReplicaId,
-}
-
-impl Engine for CrashedEngine {
-    fn id(&self) -> ReplicaId {
-        self.id
-    }
-    fn protocol_name(&self) -> &'static str {
-        "crashed"
-    }
-    fn on_init(&mut self, _now: Time) -> Actions {
-        Actions::none()
-    }
-    fn on_message(&mut self, _from: ReplicaId, _msg: Message, _now: Time) -> Actions {
-        Actions::none()
-    }
-    fn on_timer(&mut self, _kind: TimerKind, _now: Time) -> Actions {
-        Actions::none()
-    }
-    fn current_round(&self) -> Round {
-        Round::GENESIS
-    }
-}
 
 /// The simulator. See the module docs.
 pub struct Simulation {
     topology: Topology,
     config: SimConfig,
-    engines: Vec<Box<dyn Engine>>,
+    replicas: Vec<Replica<SharedMempool>>,
     faults: FaultPlan,
     now: Time,
     queue: EventQueue<EventKind>,
@@ -440,14 +417,8 @@ pub struct Simulation {
     apps: Vec<Option<Box<dyn App>>>,
     /// Client population (open- or closed-loop), if attached.
     workload: Option<Workload>,
-    /// Request-dissemination wiring, if enabled: `pools[i]` is replica
-    /// `i`'s mempool, which the simulator flushes gossip from, routes
-    /// dissemination frames into, feeds observed blocks and retires
-    /// commits against. Whether a pool gossips, speculates or has
-    /// per-peer queues is the pool's to know.
-    dissemination: Option<Vec<SharedMempool>>,
     /// Per-replica incarnation counter, bumped on crash and on rejoin so
-    /// stale-life timers are dropped.
+    /// wake-ups armed by a previous life are dropped.
     generations: Vec<u32>,
     /// Rebuilds engines for `Fault::Restart` rejoins; without one, a
     /// restarted replica simply stays down.
@@ -455,8 +426,6 @@ pub struct Simulation {
     /// Snapshot captured at the crash instant of a restart-scheduled
     /// replica (the durable state a non-WAL engine recovers from).
     crash_snapshots: Vec<Option<ChainSnapshot>>,
-    /// Driver-level catch-up state per recovering replica.
-    catchup: Vec<Option<CatchUpState>>,
     /// Per-replica verify-counter snapshot at the last metering point
     /// (reset when an engine is dropped or rebuilt).
     last_verify: Vec<VerifyStats>,
@@ -496,10 +465,14 @@ impl Simulation {
         }
         let n = topology.n();
         let rng = SmallRng::seed_from_u64(config.seed);
+        let replicas = engines
+            .into_iter()
+            .map(|engine| Replica::new(engine, None, CATCHUP_TIMEOUT))
+            .collect();
         Simulation {
             topology,
             config,
-            engines,
+            replicas,
             faults,
             now: Time::ZERO,
             queue: EventQueue::new(),
@@ -510,11 +483,9 @@ impl Simulation {
             auditor: SafetyAuditor::new(),
             apps: (0..n).map(|_| None).collect(),
             workload: None,
-            dissemination: None,
             generations: vec![0; n],
             restart_builder: None,
             crash_snapshots: (0..n).map(|_| None).collect(),
-            catchup: (0..n).map(|_| None).collect(),
             last_verify: vec![VerifyStats::default(); n],
             retired_verify: VerifyStats::default(),
             charged_crypto: Duration::ZERO,
@@ -573,41 +544,40 @@ impl Simulation {
     }
 
     /// Enables the request-dissemination layer for the attached
-    /// workload's pools: commits mark their batched ids committed in the
-    /// committing replica's pool (exactly-once dedup), and — with
-    /// `gossip` — pending requests pushed at one replica are forwarded to
-    /// every peer through the network model, so a request reaches every
-    /// potential leader within one gossip round.
+    /// workload's pools: each replica gets its pool wired in, so commits
+    /// mark their batched ids committed there (exactly-once dedup), and —
+    /// with `gossip` — pending requests pushed at one replica are
+    /// forwarded to every peer through the network model, so a request
+    /// reaches every potential leader within one gossip round.
     ///
     /// Everything else about a pool is its own shape, stated where it was
     /// built: one built `with_peer_queues` gossips down its fanout tree
     /// instead of broadcasting, and one built `with_speculation` leases
-    /// every block the simulator shows it crossing the wire (own
-    /// proposals on the way out, peers' and sync responses on the way in).
+    /// every block its replica sees cross the wire (own proposals on the
+    /// way out, peers' and sync responses on the way in).
     ///
     /// # Panics
     ///
     /// Panics if no workload is attached or its pool count does not match
     /// the topology.
     pub fn enable_dissemination(&mut self, gossip: bool) {
-        let pools: Vec<SharedMempool> = self
+        let pools = self
             .workload
             .as_ref()
             .expect("attach a workload before enabling dissemination")
             .core()
-            .mempools()
-            .to_vec();
+            .mempools();
         assert_eq!(
             pools.len(),
             self.topology.n(),
             "dissemination needs one pool per replica"
         );
-        if gossip {
-            for pool in &pools {
+        for (replica, pool) in self.replicas.iter_mut().zip(pools) {
+            if gossip {
                 pool.lock().expect("mempool lock").set_gossip(true);
             }
+            replica.attach_pool(pool.clone());
         }
-        self.dissemination = Some(pools);
     }
 
     /// Freezes the attached workload: no new submissions or replacement
@@ -654,8 +624,14 @@ impl Simulation {
     }
 
     /// Immutable access to an engine (for assertions in tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `replica` is down.
     pub fn engine(&self, replica: ReplicaId) -> &dyn Engine {
-        self.engines[replica.as_usize()].as_ref()
+        self.replicas[replica.as_usize()]
+            .engine()
+            .expect("replica is down")
     }
 
     /// Runs until virtual time `end` (or until no events remain).
@@ -682,13 +658,12 @@ impl Simulation {
                     _ => {}
                 }
             }
-            for i in 0..self.engines.len() {
-                let id = ReplicaId(i as u16);
-                if self.faults.is_crashed(id, self.now) {
+            for i in 0..self.replicas.len() {
+                if self.faults.is_crashed(ReplicaId(i as u16), self.now) {
                     continue;
                 }
-                let actions = self.engines[i].on_init(self.now);
-                self.process_actions(id, actions);
+                let (replica, mut io) = self.io(i);
+                replica.init(io.now, &mut io);
             }
         }
         // Requests pushed before this call (priming, earlier segments)
@@ -707,80 +682,26 @@ impl Simulation {
                     if self.config.trace {
                         eprintln!("[{}] {} -> {}: {}", self.now, from, to, msg.label());
                     }
-                    let i = to.as_usize();
-                    match Inbound::classify(msg) {
-                        // Feeds the receiver's mempool, never an engine.
-                        // With no pools wired the frame is dropped like
-                        // any foreign traffic.
-                        Inbound::Dissemination(d) => {
-                            if let Some(pools) = &self.dissemination {
-                                pools[i].intake(from, d);
-                            }
-                        }
-                        // Answered from the engine's commit frontier
-                        // without delivering (engines stay pure).
-                        Inbound::FrontierProbe => {
-                            let finalized = self.engines[i].finalized_round();
-                            self.driver_send(to, frontier_info(from, finalized));
-                        }
-                        Inbound::FrontierInfo(finalized) => {
-                            if let Some(cu) = &mut self.catchup[i] {
-                                cu.on_frontier(finalized);
-                            }
-                            self.drive_catchup(to);
-                        }
-                        Inbound::Engine(msg) => {
-                            // Speculative drain: the driver — not the
-                            // engine — observes every arriving block.
-                            if let Some(pools) = &self.dissemination {
-                                pools[i].observe_inbound(&msg);
-                            }
-                            let was_batch =
-                                matches!(msg, Message::Sync(SyncMsg::ResponseBatch { .. }));
-                            let actions = self.engines[i].on_message(from, msg, self.now);
-                            // Crypto cost model: the verification work this
-                            // delivery triggered occupies the replica's CPU, so
-                            // everything it *produces* (outbound messages,
-                            // timers) departs later by the charged time. The
-                            // engine's own view of `now` stays the arrival
-                            // instant (virtual CPU time below the event
-                            // granularity is not observable to the protocol).
-                            let crypto_cost = self.meter_crypto(to);
-                            self.now += crypto_cost;
-                            self.process_actions(to, actions);
-                            // An adopted batch may have advanced the frontier.
-                            if was_batch {
-                                let frontier = self.engines[i].finalized_round();
-                                if let Some(cu) = &mut self.catchup[i] {
-                                    cu.on_progress(frontier);
-                                }
-                                self.drive_catchup(to);
-                            }
-                        }
-                    }
+                    let (replica, mut io) = self.io(to.as_usize());
+                    replica.on_frame(from, msg, io.now, &mut io);
+                    self.now = io.now;
                 }
-                EventKind::Timer {
+                EventKind::Wake {
                     replica,
-                    kind,
                     generation,
                 } => {
-                    if self.faults.is_crashed(replica, self.now) {
-                        continue;
-                    }
-                    // Timers armed by a previous incarnation die with it.
+                    // Wake-ups armed by a previous incarnation die with it.
                     if generation != self.generations[replica.as_usize()] {
                         continue;
                     }
-                    // Shared stale-timer rule: rounds the engine has left
-                    // are dropped without delivery (engines would no-op).
-                    if is_stale(&kind, self.engines[replica.as_usize()].current_round()) {
+                    if self.config.trace {
+                        eprintln!("[{}] {} wakes", self.now, replica);
+                    }
+                    let (replica, mut io) = self.io(replica.as_usize());
+                    // A dropped stale timer changed nothing to account for.
+                    if replica.on_timer(io.now, &mut io) == Due::Stale {
                         continue;
                     }
-                    if self.config.trace {
-                        eprintln!("[{}] {} timer {:?}", self.now, replica, kind);
-                    }
-                    let actions = self.engines[replica.as_usize()].on_timer(kind, self.now);
-                    self.process_actions(replica, actions);
                 }
                 EventKind::ClientTick => match self
                     .workload
@@ -820,47 +741,98 @@ impl Simulation {
                 }
                 EventKind::CrashAt { replica } => self.crash_replica(replica),
                 EventKind::Rejoin { replica } => self.rejoin_replica(replica),
-                EventKind::CatchUpTick { replica } => self.drive_catchup(replica),
             }
             self.after_event();
         }
 
         self.now = end;
-        self.metrics.end_time = end;
+        let m = &mut self.metrics;
+        m.end_time = end;
         if let Some(w) = &self.workload {
-            self.metrics.requests_completed = w.core().completed();
-            self.metrics.requests_pending = w.core().pending_in_pools();
+            m.requests_completed = w.core().completed();
+            m.requests_pending = w.core().pending_in_pools();
         }
-        self.metrics.wal_bytes = self.engines.iter().map(|e| e.wal_bytes()).sum();
-        if let Some(pools) = &self.dissemination {
-            // Forward loss accounting: shared-outbox drops plus per-peer
-            // backpressure sheds, across every pool.
-            self.metrics.forwards_dropped = pools
-                .iter()
-                .map(|p| {
-                    let pool = p.lock().expect("mempool lock");
-                    pool.forward_dropped() + pool.peer_sheds()
-                })
-                .sum();
-        }
+        let engines = || self.replicas.iter().filter_map(Replica::engine);
+        m.wal_bytes = engines().map(|e| e.wal_bytes()).sum();
+        // Forward loss accounting: shared-outbox drops plus per-peer
+        // backpressure sheds, across every pool.
+        m.forwards_dropped = (self.replicas.iter().filter_map(Replica::pool))
+            .map(|p| {
+                let pool = p.lock().expect("mempool lock");
+                pool.forward_dropped() + pool.peer_sheds()
+            })
+            .sum();
+        m.sync_requests = self.replicas.iter().map(Replica::sync_requests).sum();
+        m.sync_blocks_served = self.replicas.iter().map(Replica::sync_blocks_served).sum();
+        m.restart_recovery_ms = self.replicas.iter().map(Replica::recovery_ms).sum();
         // Verify-plane totals: live engines plus engines retired by
         // crashes. `verify_cpu_ms` is the *charged* virtual time — the
         // wall-clock `verify_cpu_ns` the backends also track is
         // non-deterministic and deliberately ignored here.
         let mut verify = self.retired_verify;
-        for e in &self.engines {
+        for e in engines() {
             verify.merge(&e.verify_stats());
         }
-        self.metrics.sigs_verified = verify.sigs_verified;
-        self.metrics.verify_batches = verify.verify_batches;
-        self.metrics.cert_cache_hits = verify.cert_cache_hits;
-        self.metrics.verify_cpu_ms = self.charged_crypto.as_nanos() / 1_000_000;
+        m.sigs_verified = verify.sigs_verified;
+        m.verify_batches = verify.verify_batches;
+        m.cert_cache_hits = verify.cert_cache_hits;
+        m.verify_cpu_ms = self.charged_crypto.as_nanos() / 1_000_000;
         &self.metrics
     }
 
     /// Consumes the simulation, returning final metrics and auditor.
     pub fn into_results(self) -> (RunMetrics, SafetyAuditor) {
         (self.metrics, self.auditor)
+    }
+
+    /// Replica `i` and its [`ReplicaIo`] for one step at the current time.
+    fn io(&mut self, i: usize) -> (&mut Replica<SharedMempool>, SimIo<'_>) {
+        let (replicas, mut io) = self.split();
+        io.me = ReplicaId(i as u16);
+        (&mut replicas[i], io)
+    }
+
+    /// Every replica, and a [`ReplicaIo`] at the current time for
+    /// whichever one `me` then names.
+    fn split(&mut self) -> (&mut [Replica<SharedMempool>], SimIo<'_>) {
+        let Simulation {
+            topology,
+            config,
+            replicas,
+            faults,
+            now,
+            queue,
+            egress_free_at,
+            link_last_arrival,
+            rng,
+            metrics,
+            auditor,
+            apps,
+            workload,
+            generations,
+            last_verify,
+            charged_crypto,
+            ..
+        } = self;
+        let io = SimIo {
+            me: ReplicaId(0),
+            generations,
+            now: *now,
+            queue,
+            topology,
+            faults,
+            config,
+            rng,
+            egress_free_at,
+            link_last_arrival,
+            metrics,
+            auditor,
+            apps,
+            workload: workload.as_mut(),
+            last_verify,
+            charged_crypto,
+        };
+        (replicas, io)
     }
 
     /// Post-event bookkeeping: flush every pool's gossip into the network
@@ -870,12 +842,16 @@ impl Simulation {
     /// event (and at segment start), so pushes and completions from *this*
     /// event are scheduled before the next event pops.
     fn after_event(&mut self) {
-        let mut frames: Vec<(ReplicaId, Outbound)> = Vec::new();
-        for (i, pool) in self.dissemination.iter().flatten().enumerate() {
-            pool.flush(&mut |out| frames.push((ReplicaId(i as u16), out)));
+        // Pools come only with a client population.
+        if self.workload.is_none() {
+            return;
         }
-        for (from, out) in frames {
-            self.driver_send(from, out);
+        let (replicas, mut io) = self.split();
+        for (i, replica) in replicas.iter_mut().enumerate() {
+            if replica.pool().is_some() {
+                io.me = ReplicaId(i as u16);
+                replica.flush(&mut io);
+            }
         }
         // Workload deadlines become queue events, never before `now`. The
         // scratch buffers are recycled across events (no per-event Vec
@@ -900,97 +876,37 @@ impl Simulation {
         }
     }
 
-    /// Transmits driver-originated traffic (dissemination gossip,
-    /// catch-up sync) from `from` through the same network model engine
-    /// traffic uses — driver frames are charged against real links.
-    fn driver_send(&mut self, from: ReplicaId, out: Outbound) {
-        let Simulation {
-            topology,
-            config,
-            faults,
-            now,
-            queue,
-            egress_free_at,
-            link_last_arrival,
-            rng,
-            metrics,
-            generations,
-            ..
-        } = self;
-        let RunMetrics {
-            messages_sent,
-            bytes_sent,
-            messages_dropped,
-            gossip_bytes,
-            ..
-        } = metrics;
-        let mut dispatch = NetDispatch {
-            now: *now,
-            queue,
-            topology,
-            faults,
-            jitter: config.jitter,
-            rng,
-            egress_free_at,
-            link_last_arrival,
-            messages_sent,
-            bytes_sent,
-            messages_dropped,
-            gossip_bytes,
-            generation: generations[from.as_usize()],
-        };
-        dispatch.transmit(from, out);
-    }
-
-    /// Meters `replica`'s verify counters since the last metering point
-    /// and returns the virtual CPU time to charge (zero when the cost
-    /// model is off — the snapshot is still advanced so enabling the
-    /// model never double-charges old work).
-    fn meter_crypto(&mut self, replica: ReplicaId) -> Duration {
-        let i = replica.as_usize();
-        let cur = self.engines[i].verify_stats();
-        let delta = cur.delta_since(&self.last_verify[i]);
-        self.last_verify[i] = cur;
-        let Some(cost) = &self.config.crypto_cost else {
-            return Duration::ZERO;
-        };
-        let charge = cost.charge(&delta);
-        self.charged_crypto = self.charged_crypto + charge;
-        charge
-    }
-
     /// Begins a scheduled outage: captures a recovery snapshot when a
     /// rejoin is planned, then **drops the engine** — crashed replicas
     /// hold no heap state, exactly like a killed process (the only way
     /// back is the restart builder's durable state).
     fn crash_replica(&mut self, replica: ReplicaId) {
         let i = replica.as_usize();
-        if self.engines[i].protocol_name() == "crashed" {
+        let Some(engine) = self.replicas[i].engine() else {
             return; // already down (duplicate schedule entry)
-        }
+        };
         let rejoins = self
             .faults
             .restarts()
             .iter()
             .any(|(r, at, _)| *r == replica && *at <= self.now);
         if rejoins {
-            self.crash_snapshots[i] = Some(self.engines[i].snapshot());
+            self.crash_snapshots[i] = Some(engine.snapshot());
         }
+        // Fold the dying engine's verify counters into the run totals and
+        // reset the metering snapshot for its replacement.
+        self.retired_verify.merge(&engine.verify_stats());
+        self.last_verify[i] = VerifyStats::default();
         if self.config.trace {
             eprintln!("[{}] {} crashes (engine dropped)", self.now, replica);
         }
-        // Fold the dying engine's verify counters into the run totals and
-        // reset the metering snapshot for the (zeroed) replacement.
-        self.retired_verify.merge(&self.engines[i].verify_stats());
-        self.last_verify[i] = VerifyStats::default();
-        self.engines[i] = Box::new(CrashedEngine { id: replica });
+        self.replicas[i].crash();
         self.generations[i] = self.generations[i].wrapping_add(1);
-        self.catchup[i] = None;
     }
 
     /// Ends a scheduled outage: rebuilds the engine from durable state
-    /// via the restart builder, re-initializes it, and starts driver-level
-    /// catch-up toward the live commit frontier.
+    /// via the restart builder and rejoins it, which re-initializes it and
+    /// starts catch-up toward the live commit frontier.
     fn rejoin_replica(&mut self, replica: ReplicaId) {
         let i = replica.as_usize();
         let snapshot = self.crash_snapshots[i].take().unwrap_or_default();
@@ -998,144 +914,24 @@ impl Simulation {
             return; // no rebuild path: the replica stays down
         };
         let engine = builder(replica, &snapshot);
-        assert_eq!(engine.id(), replica, "restart builder rebuilt wrong id");
-        self.engines[i] = engine;
-        self.last_verify[i] = self.engines[i].verify_stats();
+        self.last_verify[i] = engine.verify_stats();
         self.generations[i] = self.generations[i].wrapping_add(1);
         if self.config.trace {
+            let frontier = engine.finalized_round();
             eprintln!(
                 "[{}] {} rejoins at frontier {}",
-                self.now,
-                replica,
-                self.engines[i].finalized_round()
+                self.now, replica, frontier
             );
         }
-        let actions = self.engines[i].on_init(self.now);
-        self.process_actions(replica, actions);
-        self.catchup[i] = Some(CatchUpState::new(
-            self.engines[i].finalized_round(),
-            self.now,
-            CATCHUP_TIMEOUT,
-        ));
-        self.drive_catchup(replica);
-    }
-
-    /// Drives a recovering replica's catch-up machine: its sync traffic
-    /// goes through the network model, a machine left waiting is re-armed
-    /// with a `CatchUpTick` one timeout out, and a finished one is
-    /// dropped. The machine's own counters are the metrics' only source.
-    fn drive_catchup(&mut self, replica: ReplicaId) {
-        let i = replica.as_usize();
-        let Some(mut cu) = self.catchup[i].take() else {
-            return;
-        };
-        let asked = cu.requests_issued();
-        let mut frames = Vec::new();
-        let waiting = cu.drive(self.now, || self.pick_sync_peer(replica), &mut |out| {
-            frames.push(out)
-        });
-        self.metrics.sync_requests += cu.requests_issued() - asked;
-        for out in frames {
-            self.driver_send(replica, out);
-        }
-        if waiting {
-            self.queue.push(
-                self.now + CATCHUP_TIMEOUT,
-                EventKind::CatchUpTick { replica },
-            );
-            self.catchup[i] = Some(cu);
-            return;
-        }
-        self.metrics.restart_recovery_ms += self.now.since(cu.started_at()).as_nanos() / 1_000_000;
-        if self.config.trace {
-            eprintln!(
-                "[{}] {} catch-up done at frontier {}",
-                self.now,
-                replica,
-                self.engines[i].finalized_round()
-            );
-        }
-    }
-
-    /// The peer a recovering replica fetches ranges from: the nearest
-    /// live replica by id order after itself (deterministic).
-    fn pick_sync_peer(&self, replica: ReplicaId) -> Option<ReplicaId> {
-        let n = self.topology.n();
-        (1..n)
-            .map(|off| ReplicaId(((replica.as_usize() + off) % n) as u16))
-            .find(|peer| !self.faults.is_crashed(*peer, self.now))
-    }
-
-    /// Routes one engine's actions through the shared driver layer.
-    fn process_actions(&mut self, replica: ReplicaId, actions: Actions) {
-        for out in &actions.outbound {
-            // Speculative drain: the replica's own outbound blocks are
-            // observed into its lease table before they hit the wire.
-            if let Some(pools) = &self.dissemination {
-                pools[replica.as_usize()].observe_outbound(out);
-            }
-            // Catch-up serving metric: blocks shipped in ResponseBatch
-            // replies, counted at the server.
-            let (Outbound::Broadcast(msg) | Outbound::Send(_, msg)) = out;
-            self.metrics.sync_blocks_served += msg.sync_batch_blocks().len() as u64;
-        }
-        let Simulation {
-            topology,
-            config,
-            faults,
-            now,
-            queue,
-            egress_free_at,
-            link_last_arrival,
-            rng,
-            metrics,
-            auditor,
-            apps,
-            workload,
-            dissemination,
-            generations,
-            ..
-        } = self;
-        let RunMetrics {
-            commits,
-            messages_sent,
-            bytes_sent,
-            messages_dropped,
-            gossip_bytes,
-            ..
-        } = metrics;
-        let mut sink = SimCommitSink {
-            commits,
-            auditor,
-            apps,
-            workload: workload.as_mut(),
-            pools: dissemination.as_deref(),
-        };
-        let mut dispatch = NetDispatch {
-            now: *now,
-            queue,
-            topology,
-            faults,
-            jitter: config.jitter,
-            rng,
-            egress_free_at,
-            link_last_arrival,
-            messages_sent,
-            bytes_sent,
-            messages_dropped,
-            gossip_bytes,
-            generation: generations[replica.as_usize()],
-        };
-        route_actions(replica, actions, &mut sink, &mut dispatch);
-        // Think/retry deadlines recorded during routing are turned into
-        // queue events by `after_event` (the queue is borrowed here).
+        let (replica, mut io) = self.io(i);
+        replica.rejoin(engine, io.now, &mut io);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use banyan_types::engine::CommitEntry;
+    use banyan_types::engine::{Actions, CommitEntry, TimerKind};
     use banyan_types::ids::{BlockHash, Round};
     use banyan_types::message::SyncMsg;
 

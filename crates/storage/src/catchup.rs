@@ -2,10 +2,10 @@
 //! recovered or lagging replica to the live commit frontier.
 //!
 //! Engines are pure state machines and never see catch-up traffic; the
-//! *driver* (simulator event loop or TCP replica loop) owns one
-//! `CatchUpState` per recovering replica and calls
-//! [`drive`](CatchUpState::drive), which turns the machine's steps into
-//! `SyncMsg` traffic:
+//! replica around the engine (`banyan_runtime::Replica`, under the
+//! simulator and the TCP loop alike) owns one `CatchUpState` per rejoin
+//! and calls [`drive`](CatchUpState::drive), which turns the machine's
+//! steps into `SyncMsg` traffic:
 //!
 //! ```text
 //!           ┌────────┐  FrontierProbe (broadcast)
@@ -177,10 +177,10 @@ impl CatchUpState {
     ///
     /// Local progress is the caller's to report, through
     /// [`on_progress`](Self::on_progress), and deliberately not a
-    /// parameter here: the TCP loop reports before every drive, the
-    /// simulator only after a `ResponseBatch`, and folding both into
-    /// "every drive" moves the simulator's `--restart` sweep output
-    /// (fewer fetches, earlier `Done`).
+    /// parameter here: the replica reports it only after an adopted
+    /// `ResponseBatch`, and reporting before every drive instead moves the
+    /// simulator's `--restart` sweep output (fewer fetches, earlier
+    /// `Done`).
     ///
     /// Returns `true` while a probe or fetch is in flight — the caller
     /// must drive again once its deadline (one `timeout` from `now`) may

@@ -22,12 +22,11 @@
 //!                                                  │ a channel, then a
 //!                                                  │ wake-up if parked
 //!                                                  ▼          ▼
-//!              · shared with the simulator: EngineDriver (timers, action
-//!                routing); ReplicaPool::{flush, intake, observe_outbound,
-//!                observe_inbound, retire}; catchup::Inbound::classify and
-//!                CatchUpState::drive
+//!              · the replica step the simulator runs too
+//!                (banyan_runtime::Replica: frame dispatch, timers, gossip,
+//!                crash, rejoin, catch-up)
 //!              · this loop's own: wall-clock time, the sockets, the
-//!                fetch-peer rotation, crash / rejoin phases
+//!                fetch-peer rotation, when to crash and rejoin
 //!              · Outbox: each outbound message encoded once (a broadcast
 //!                once for all peers) into every addressed peer's backlog
 //!                                                             │
@@ -41,15 +40,14 @@
 //! unreachable, plus W verify workers when staged.
 //!
 //! An engine step is everything the loop does between two waits: the
-//! frames it read (at most `READ_BUDGET` bytes from each connection) or
-//! the workers handed back, the timers due, the pool's gossip and a
-//! catch-up drive. Just before the loop waits again, each peer's backlog
-//! is written to its socket with `write_vectored` until the backlog is
-//! empty or the socket would block; a full socket delays only that peer,
-//! whose socket the wait then watches for room. A frame the socket took
-//! only part of resumes at its offset. Per-peer FIFO order is the order of
-//! `transmit` calls, so the gossip-before-propose ordering at init and
-//! rejoin holds on every connection.
+//! timers due, the pool's gossip, and the frames it read (at most
+//! `READ_BUDGET` bytes from each connection) or the workers handed back.
+//! Just before the loop waits again, each peer's backlog is written to its
+//! socket with `write_vectored` until the backlog is empty or the socket
+//! would block; a full socket delays only that peer, whose socket the wait
+//! then watches for room. A frame the socket took only part of resumes at
+//! its offset. Per-peer FIFO order is the order of `transmit` calls, so the
+//! gossip-before-propose ordering at init holds on every connection.
 //!
 //! The verify stage is the loop's only fork, taken where a frame is
 //! decoded: inline, it joins the step's events — no channel, no thread
@@ -60,15 +58,12 @@
 //! it and stops reading that connection until the worker takes it, so the
 //! bytes back up in the kernel as TCP intends. (A blocking send could
 //! deadlock: the worker may itself be waiting on the loop's full event
-//! channel.) The engine loop itself is the shared [`EngineDriver`]: it
-//! owns the timer heap (same deterministic `(time, seq)` ordering the
-//! simulator uses, same stale-timer filtering) and routes engine actions.
-//! What a replica does besides its engine — gossip, dissemination intake,
-//! lease observation, commit retirement, probe answering, catch-up — is
-//! `banyan_mempool::ReplicaPool`'s and `banyan_storage::catchup`'s, the
-//! same code the simulator runs; this module only supplies wall-clock
-//! time, sockets and the one decision a socketed driver makes blind: which
-//! peer to fetch from.
+//! channel.)
+//!
+//! What the loop does with a frame, a due timer, a crash or a rejoin is
+//! [`Replica`]'s — the simulator runs the same code. This module supplies
+//! only wall-clock time, the sockets (through [`ReplicaIo`]) and the one
+//! decision a socketed driver makes blind: which peer to fetch from.
 //!
 //! Verify workers and dialers reach the parked loop through the waker: a
 //! socket pair whose read end the wait watches. They write one byte only
@@ -89,9 +84,8 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 
-use banyan_mempool::ReplicaPool;
-use banyan_runtime::driver::{AppSink, EngineDriver};
-use banyan_storage::catchup::{frontier_info, CatchUpState, Inbound};
+use banyan_mempool::{ReplicaPool, WorkloadBatch};
+use banyan_runtime::driver::{Due, Replica, ReplicaIo};
 use banyan_types::app::App;
 use banyan_types::engine::{CommitEntry, Engine, Outbound};
 use banyan_types::ids::ReplicaId;
@@ -461,11 +455,8 @@ impl Peer {
 /// The sending side of the loop. `transmit` encodes each outbound message
 /// once into the backlog of every peer it addresses; `hand_off` ends the
 /// engine step, writing every backlog its socket will take.
-struct Outbox<P> {
+struct Outbox {
     me: ReplicaId,
-    /// Observes every block this replica puts on the wire into the pool's
-    /// lease table (speculative drain), and supplies the gossip.
-    pool: Option<P>,
     /// Per peer; `None` at this replica's own index.
     peers: Vec<Option<Peer>>,
     /// Where dialers hand back the streams they connected: a clone of
@@ -477,17 +468,13 @@ struct Outbox<P> {
     /// Frames a backlog accepted. A frame a full backlog refuses is
     /// dropped, not sent.
     frames_sent: u64,
-    /// Blocks served in catch-up batches, counted at the server (as in
-    /// the simulator).
-    sync_blocks_served: u64,
 }
 
-impl<P: ReplicaPool> Outbox<P> {
+impl Outbox {
     /// Dials every peer but `me` once, here, so the first connections wait
     /// on no thread; a peer not listening yet gets a dialer.
     fn connect(
         me: ReplicaId,
-        pool: Option<P>,
         peers: &[SocketAddr],
         stop: &Arc<AtomicBool>,
         waker: &Arc<Waker>,
@@ -514,23 +501,16 @@ impl<P: ReplicaPool> Outbox<P> {
             .collect();
         Outbox {
             me,
-            pool,
             peers,
             dialed,
             dialer_tx,
             stop: stop.clone(),
             waker: waker.clone(),
             frames_sent: 0,
-            sync_blocks_served: 0,
         }
     }
 
     fn transmit(&mut self, out: Outbound) {
-        if let Some(pool) = &self.pool {
-            pool.observe_outbound(&out);
-        }
-        let (Outbound::Broadcast(msg) | Outbound::Send(_, msg)) = &out;
-        self.sync_blocks_served += msg.sync_batch_blocks().len() as u64;
         // Only a body past `u32::MAX` bytes fails to encode; no peer could
         // take it.
         let me = self.me;
@@ -550,18 +530,6 @@ impl<P: ReplicaPool> Outbox<P> {
                 }
             }
         }
-    }
-
-    /// Gossip: whatever the local pool has queued goes out — a `Forward`
-    /// broadcast, or per-peer `Forward`/`Announce` sends when the pool has
-    /// per-peer queues.
-    fn gossip(&mut self) {
-        // Collected first: `transmit` observes into the same pool.
-        let mut frames = Vec::new();
-        if let Some(pool) = &self.pool {
-            pool.flush(&mut |out| frames.push(out));
-        }
-        frames.into_iter().for_each(|out| self.transmit(out));
     }
 
     /// Ends the engine step: streams the dialers connected are taken in,
@@ -603,59 +571,37 @@ impl<P: ReplicaPool> Outbox<P> {
     }
 }
 
-/// Retires every commit in the local pool
-/// ([`ReplicaPool::retire`] — exactly-once dedup, lease
-/// retirement/release) before handing the block to the inner [`App`].
-struct DedupApp<A, P> {
+/// The loop's [`ReplicaIo`]: frames go into the outbox, commits to the
+/// app and the run report, and fetches rotate through the other replicas.
+struct Effects<A> {
+    outbox: Outbox,
     app: A,
-    pool: Option<P>,
-}
-
-impl<A: App, P: ReplicaPool> App for DedupApp<A, P> {
-    fn deliver(&mut self, entry: &CommitEntry) {
-        if let Some(pool) = &self.pool {
-            pool.retire(entry);
-        }
-        self.app.deliver(entry);
-    }
-}
-
-/// A rejoined replica's catch-up: the storage layer's machine plus the
-/// one thing only this driver decides, whom to fetch from.
-struct CatchUp {
-    me: ReplicaId,
-    n: usize,
-    /// `Some` from rejoin on; kept once done, for its counters.
-    machine: Option<CatchUpState>,
-    /// Fetch-peer rotation: the driver cannot know which peers are up, so
-    /// a stalled window retries elsewhere (the machine's stall budget
-    /// bounds the rotation).
+    commits: Vec<CommitEntry>,
+    /// Fetch-peer rotation: the loop cannot know which peers are up, so a
+    /// stalled window retries elsewhere (the catch-up machine's stall
+    /// budget bounds the rotation).
     rotor: usize,
-    recovery_ms: u64,
 }
 
-impl CatchUp {
-    /// Drives the machine, if one is still catching up. The event loop
-    /// wakes at least every 10 ms and calls this on every pass, so a
-    /// lapsed probe/fetch deadline needs no timer.
-    fn drive(&mut self, engine: &dyn Engine, now: Time, transmit: &mut impl FnMut(Outbound)) {
-        let Some(machine) = self.machine.as_mut().filter(|m| !m.is_done()) else {
-            return;
-        };
-        let (me, n, rotor) = (self.me.as_usize(), self.n, &mut self.rotor);
-        // Rotate through the other replicas in id order.
-        let pick_peer = || {
-            if n < 2 {
-                return None; // nobody to ask
-            }
-            let off = 1 + *rotor % (n - 1);
-            *rotor += 1;
-            Some(ReplicaId(((me + off) % n) as u16))
-        };
-        machine.on_progress(engine.finalized_round());
-        if !machine.drive(now, pick_peer, transmit) {
-            self.recovery_ms = now.since(machine.started_at()).as_nanos() / 1_000_000;
+impl<A: App> ReplicaIo for Effects<A> {
+    fn transmit(&mut self, out: Outbound) {
+        self.outbox.transmit(out);
+    }
+
+    fn commit(&mut self, entry: CommitEntry, _batch: Option<WorkloadBatch>) {
+        self.app.deliver(&entry);
+        self.commits.push(entry);
+    }
+
+    /// The other replicas in id order, one per fetch.
+    fn fetch_peer(&mut self) -> Option<ReplicaId> {
+        let (me, n) = (self.outbox.me.as_usize(), self.outbox.peers.len());
+        if n < 2 {
+            return None; // nobody to ask
         }
+        let off = 1 + self.rotor % (n - 1);
+        self.rotor += 1;
+        Some(ReplicaId(((me + off) % n) as u16))
     }
 }
 
@@ -697,96 +643,62 @@ pub(crate) fn run<P: ReplicaPool>(
         (stage, events)
     });
 
-    // The shared driver owns timers, stale filtering and action routing;
-    // the outbox is the only transport-specific piece of the loop.
-    let mut outbox = Outbox::connect(me, pool.clone(), &peers, &stop, &inbox.waker);
+    let mut io = Effects {
+        outbox: Outbox::connect(me, &peers, &stop, &inbox.waker),
+        app,
+        commits: Vec::new(),
+        rotor: 0,
+    };
     let mut messages_received = 0u64;
     // The step's events, kept to reuse their allocation.
     let mut events: Vec<Event> = Vec::new();
 
-    let sink = AppSink {
-        inner: Vec::<CommitEntry>::new(),
-        app: DedupApp {
-            app,
-            pool: pool.clone(),
-        },
-    };
+    let mut replica = Replica::new(engine, pool, CATCHUP_TIMEOUT);
     // Disseminate before proposing: requests already pooled locally are
     // forwarded ahead of the init proposal in every per-peer channel, so
     // per-connection ordering lands them in peer pools before any block
     // that could commit them (a quorum excluding this replica can commit
     // its init proposal arbitrarily soon after it is sent).
-    outbox.gossip();
-    let mut first_life = EngineDriver::new(engine, sink);
-    first_life.init(now(), |out| outbox.transmit(out));
-    // `None` while the replica is down mid-restart; the sink (the commit
-    // log already delivered to the app) is parked in `down_sink` so the
-    // report spans both lives.
-    let mut driver = Some(first_life);
-    let mut down_sink = None;
-    let mut stale_accum = 0u64;
-    let mut catchup = CatchUp {
-        me,
-        n: peers.len(),
-        machine: None,
-        rotor: 0,
-        recovery_ms: 0,
-    };
+    replica.flush(&mut io);
+    replica.init(now(), &mut io);
 
     while start.elapsed() < run_for {
+        // The next crash or rejoin, as an offset from start.
+        let mut phase = None;
         if let Some(plan) = &restart {
-            if driver.is_some() && start.elapsed() >= plan.crash_after {
-                // Crash: drop the engine and its timer heap. All volatile
-                // state is gone; only durable storage (the WAL) and the
-                // commits already delivered downstream survive.
-                let d = driver.take().expect("engine up");
-                stale_accum += d.stale_timers_dropped();
-                down_sink = Some(d.into_sink());
+            if replica.is_up() && start.elapsed() >= plan.crash_after {
+                // Crash: all volatile state is gone; only durable storage
+                // (the WAL) and the commits already delivered survive.
+                replica.crash();
             }
-            if driver.is_none() && start.elapsed() >= plan.rejoin_after {
+            if !replica.is_up() && start.elapsed() >= plan.rejoin_after {
                 let plan = restart.take().expect("restart plan");
                 // Rebuild from durable state only (reopens the WAL).
-                let engine = (plan.rebuild)();
-                assert_eq!(engine.id(), me, "restart rebuilt the wrong replica");
-                let frontier = engine.finalized_round();
-                let mut d = EngineDriver::new(engine, down_sink.take().expect("parked sink"));
-                // Same gossip-before-propose ordering as the first life:
-                // requests pooled while down go out ahead of the rejoin
-                // proposal.
-                outbox.gossip();
-                d.init(now(), |out| outbox.transmit(out));
-                catchup.machine = Some(CatchUpState::new(frontier, now(), CATCHUP_TIMEOUT));
-                catchup.drive(d.engine(), now(), &mut |out| outbox.transmit(out));
-                driver = Some(d);
+                replica.rejoin((plan.rebuild)(), now(), &mut io);
+            } else {
+                phase = Some(if replica.is_up() {
+                    plan.crash_after
+                } else {
+                    plan.rejoin_after
+                });
             }
         }
-        let Some(d) = driver.as_mut() else {
-            // Down: as with a dead process, no frame reaches a handler or
-            // a worker. The sockets are still read and the frames
-            // discarded, so no peer's connection backs up; what the last
-            // step before the crash sent still leaves.
-            outbox.hand_off();
-            if let Some((_, events)) = &verify {
-                while events.try_recv().is_ok() {}
-            }
-            inbox.wait(outbox.backlogged(), Duration::from_millis(2));
-            inbox.read(&mut |_| None);
-            continue;
-        };
-
-        d.fire_due(now(), |out| outbox.transmit(out));
-        outbox.gossip();
-        catchup.drive(d.engine(), now(), &mut |out| outbox.transmit(out));
+        let step = now();
+        while replica.on_timer(step, &mut io) != Due::Nothing {}
+        replica.flush(&mut io);
         // The step is over: its frames leave, each peer's in as few
         // writes as its socket takes. Then wait for a frame, an event,
-        // room on a backlogged socket or the next timer; on timeout the
-        // loop simply re-checks timers and the deadline.
-        outbox.hand_off();
-        let wait = d
+        // room on a backlogged socket, the next timer or the next crash
+        // or rejoin; on timeout the loop simply re-checks them all.
+        io.outbox.hand_off();
+        let mut wait = replica
             .next_deadline()
             .map(|at| Duration::from_nanos(at.0.saturating_sub(now().0)))
             .unwrap_or(Duration::from_millis(10))
             .min(Duration::from_millis(10));
+        if let Some(phase) = phase {
+            wait = wait.min(phase.saturating_sub(start.elapsed()));
+        }
         let stage = verify.as_ref().map(|(stage, _)| stage);
         let mut route = |event| deliver(stage, &mut events, event);
         // Parked first, then one last look at everything a waker
@@ -795,47 +707,21 @@ pub(crate) fn run<P: ReplicaPool>(
         let queued = verify
             .as_ref()
             .is_some_and(|(_, events)| !events.is_empty())
-            || !outbox.dialed.is_empty()
+            || !io.outbox.dialed.is_empty()
             || inbox.release_held(&mut route);
         inbox.wait(
-            outbox.backlogged(),
+            io.outbox.backlogged(),
             if queued { Duration::ZERO } else { wait },
         );
         inbox.read(&mut route);
         if let Some((_, verified)) = &verify {
             events.extend(verified.try_iter().take(EVENT_QUEUE));
         }
+        // While down, as with a dead process, every frame is dropped
+        // unhandled; reading them on keeps every peer's connection moving.
         for (from, msg) in events.drain(..) {
             messages_received += 1;
-            match Inbound::classify(msg) {
-                // Feeds the pool, never the engine (the same contract the
-                // simulator enforces).
-                Inbound::Dissemination(frame) => {
-                    if let Some(pool) = &pool {
-                        pool.intake(from, frame);
-                    }
-                }
-                // Answered from the engine's commit frontier without
-                // delivering (engines stay pure).
-                Inbound::FrontierProbe => {
-                    outbox.transmit(frontier_info(from, d.engine().finalized_round()));
-                }
-                Inbound::FrontierInfo(finalized) => {
-                    if let Some(machine) = &mut catchup.machine {
-                        machine.on_frontier(finalized);
-                    }
-                    catchup.drive(d.engine(), now(), &mut |out| outbox.transmit(out));
-                }
-                Inbound::Engine(msg) => {
-                    // Speculative drain: arriving blocks are observed too.
-                    if let Some(pool) = &pool {
-                        pool.observe_inbound(&msg);
-                    }
-                    d.handle_message(from, msg, now(), |out| outbox.transmit(out));
-                    // Adopted batches may have advanced the frontier.
-                    catchup.drive(d.engine(), now(), &mut |out| outbox.transmit(out));
-                }
-            }
+            replica.on_frame(from, msg, now(), &mut io);
         }
     }
 
@@ -844,7 +730,7 @@ pub(crate) fn run<P: ReplicaPool>(
     // stage's inputs, and absorb the tail until every worker has hung up —
     // so none of them blocks on a full channel and every frame handed to
     // the stage is accounted for.
-    outbox.hand_off();
+    io.outbox.hand_off();
     // Relaxed: `stop` publishes nothing; a dialer that sees it just exits.
     stop.store(true, Ordering::Relaxed);
     drop(inbox);
@@ -858,34 +744,18 @@ pub(crate) fn run<P: ReplicaPool>(
         stats.snapshot()
     });
 
-    let (commits, stale_timers_dropped, wal_bytes, verified) = match driver {
-        Some(d) => {
-            let stale = stale_accum + d.stale_timers_dropped();
-            let wal = d.engine().wal_bytes();
-            let verify = d.engine().verify_stats();
-            (d.into_sink().inner, stale, wal, verify)
-        }
-        // Crashed and never rejoined before the deadline: report the
-        // first life's commits.
-        None => (
-            down_sink.map(|s| s.inner).unwrap_or_default(),
-            stale_accum,
-            0,
-            Default::default(),
-        ),
-    };
+    // Crashed and never rejoined before the deadline: no engine to read.
+    let engine = replica.engine();
+    let verified = engine.map(|e| e.verify_stats()).unwrap_or_default();
     let report = TcpRunReport {
-        commits,
+        commits: io.commits,
         messages_received,
-        messages_sent: outbox.frames_sent,
-        stale_timers_dropped,
-        sync_requests: catchup
-            .machine
-            .as_ref()
-            .map_or(0, CatchUpState::requests_issued),
-        sync_blocks_served: outbox.sync_blocks_served,
-        restart_recovery_ms: catchup.recovery_ms,
-        wal_bytes,
+        messages_sent: io.outbox.frames_sent,
+        stale_timers_dropped: replica.stale_timers_dropped(),
+        sync_requests: replica.sync_requests(),
+        sync_blocks_served: replica.sync_blocks_served(),
+        restart_recovery_ms: replica.recovery_ms(),
+        wal_bytes: engine.map_or(0, |e| e.wal_bytes()),
         sigs_verified: verified.sigs_verified,
         verify_batches: verified.verify_batches,
         cert_cache_hits: verified.cert_cache_hits,
@@ -907,14 +777,14 @@ mod tests {
     use std::sync::mpsc;
 
     /// An outbox on `peers` as replica 0, with no pool.
-    fn outbox(peers: &[SocketAddr]) -> Outbox<SharedMempool> {
+    fn outbox(peers: &[SocketAddr]) -> Outbox {
         let stop = Arc::new(AtomicBool::new(false));
         let (waker, _) = Waker::pair().expect("waker");
-        Outbox::connect(ReplicaId(0), None, peers, &stop, &waker)
+        Outbox::connect(ReplicaId(0), peers, &stop, &waker)
     }
 
     /// True while some backlog holds frames not yet written.
-    fn pending(outbox: &Outbox<SharedMempool>) -> bool {
+    fn pending(outbox: &Outbox) -> bool {
         outbox
             .peers
             .iter()

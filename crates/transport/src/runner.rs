@@ -22,19 +22,18 @@
 //! # Crash recovery
 //!
 //! [`run_replica_restarting`] runs the same event loop through a
-//! mid-run crash/rejoin cycle described by a [`TcpRestart`] plan. At the
-//! crash point the engine and its timer heap are dropped — every byte of
-//! volatile state is gone, and inbound frames are read and discarded:
-//! none reaches a handler, as with a dead process, and no peer's
-//! connection backs up. At the rejoin point the plan's `rebuild` closure
-//! constructs a fresh engine (for the chained engines: over a reopened
-//! `banyan_storage::WalStore`, whose replay restores the durable
-//! frontier), and the loop starts a driver-level
-//! [`CatchUpState`](banyan_storage::CatchUpState) that probes peers for
-//! the commit frontier and pulls the missing certified chain over
-//! `SyncMsg::RequestRange`. The same purity contract as the simulator
-//! holds: `FrontierProbe` is answered by the loop, from
-//! [`Engine::finalized_round`], and `FrontierInfo` feeds the catch-up
+//! mid-run crash/rejoin cycle described by a [`TcpRestart`] plan, with
+//! the crash and the rejoin being `banyan_runtime::Replica`'s — the code
+//! the simulator runs. At the crash point the engine and its timer heap
+//! are dropped — every byte of volatile state is gone, and inbound frames
+//! are read and discarded: none reaches a handler, as with a dead process,
+//! and no peer's connection backs up. At the rejoin point the plan's
+//! `rebuild` closure constructs a fresh engine (for the chained engines:
+//! over a reopened `WalStore`, whose replay restores the durable
+//! frontier), and the replica catches up: it probes peers for the commit
+//! frontier and pulls the missing certified chain over
+//! `SyncMsg::RequestRange`. `FrontierProbe` is answered by the replica,
+//! from [`Engine::finalized_round`], and `FrontierInfo` feeds its catch-up
 //! machine — neither ever reaches an engine.
 
 use std::net::{SocketAddr, TcpListener};
