@@ -16,7 +16,7 @@ use banyan_simnet::metrics::{LatencyStats, RunMetrics, SafetyAuditor};
 use banyan_simnet::sim::{CryptoCost, SimConfig, Simulation};
 use banyan_simnet::topology::Topology;
 use banyan_simnet::workload::{
-    ClientWorkload, ClosedLoopWorkload, Mempool, MempoolSource, SharedMempool, DEFAULT_MAX_BATCH,
+    ClosedLoopWorkload, Mempool, MempoolSource, SharedMempool, DEFAULT_MAX_BATCH,
     DEFAULT_MEMPOOL_CAPACITY,
 };
 use banyan_types::ids::ReplicaId;
@@ -199,7 +199,10 @@ impl Scenario {
 
     /// Switches the scenario to an open-loop client workload of
     /// `req_per_sec` requests per second (fed into per-replica mempools;
-    /// end-to-end submit→commit latency is then reported).
+    /// end-to-end submit→commit latency is then reported): one client
+    /// paced at `1 s / req_per_sec`, submitting from t = 0 whatever
+    /// commits. Building the simulation panics above 10⁹/s, or when
+    /// `req_per_sec × (secs + drain_secs)` overflows a `u32` window.
     pub fn rate(mut self, req_per_sec: u64) -> Self {
         self.rate = req_per_sec;
         self
@@ -572,7 +575,7 @@ fn build_simulation_with(
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(1);
-        if scenario.modeled_clients > 0 {
+        let mut workload = if scenario.modeled_clients > 0 {
             let mut workload = ClosedLoopWorkload::aggregated(
                 scenario.modeled_clients,
                 scenario.cohorts.max(1),
@@ -589,24 +592,17 @@ fn build_simulation_with(
             if let Some(interval) = scenario.member_interval {
                 workload = workload.with_member_interval(interval);
             }
-            if let Some(timeout) = scenario.retry {
-                workload = workload.with_retry(timeout);
-            }
-            if scenario.fanout > 1 {
-                workload = workload.with_fanout(scenario.fanout);
-            }
-            sim.attach_closed_loop(workload);
+            workload
         } else {
-            let mut workload =
-                ClientWorkload::open_loop(scenario.rate, scenario.request_size, client_seed, pools);
-            if let Some(timeout) = scenario.retry {
-                workload = workload.with_retry(timeout);
-            }
-            if scenario.fanout > 1 {
-                workload = workload.with_fanout(scenario.fanout);
-            }
-            sim.attach_workload(workload);
+            open_loop(scenario, client_seed, pools)
+        };
+        if let Some(timeout) = scenario.retry {
+            workload = workload.with_retry(timeout);
         }
+        if scenario.fanout > 1 {
+            workload = workload.with_fanout(scenario.fanout);
+        }
+        sim.attach_closed_loop(workload);
         if scenario.disseminating() || scenario.speculative {
             // Speculation rides the dissemination wiring: commits must
             // reach the pools to retire/release leases even when gossip,
@@ -629,6 +625,36 @@ fn build_simulation_with(
         }));
     }
     sim
+}
+
+/// The open loop of [`Scenario::rate`]: one member paced at `1 s / rate`,
+/// with a window of the most requests the run can submit, so the window
+/// never binds and the member submits at `0, i, 2i, …` whatever commits.
+///
+/// # Panics
+///
+/// Panics if the rate exceeds 10⁹/s (the interval would truncate to zero
+/// virtual nanoseconds) or the window overflows `u32`.
+fn open_loop(scenario: &Scenario, seed: u64, pools: Vec<SharedMempool>) -> ClosedLoopWorkload {
+    assert!(
+        scenario.rate <= 1_000_000_000,
+        "open-loop rate above 1e9/s truncates the submit interval to zero"
+    );
+    let most = scenario
+        .rate
+        .saturating_mul(scenario.secs + scenario.drain_secs)
+        .saturating_add(1);
+    let window = u32::try_from(most).expect("open-loop window (rate × run seconds) overflows u32");
+    ClosedLoopWorkload::aggregated(
+        1,
+        1,
+        window,
+        Duration::ZERO,
+        scenario.request_size,
+        seed,
+        pools,
+    )
+    .with_member_interval(Duration(1_000_000_000 / scenario.rate))
 }
 
 /// The protocol `Δ` a scenario resolves to: the explicit override, or
@@ -845,6 +871,29 @@ mod tests {
             e2e.p50_ms >= out.latency.p50_ms,
             "e2e must dominate proposer latency"
         );
+    }
+
+    /// An open loop whose interval would truncate to zero, or whose window
+    /// (the most requests the run can submit) overflows `u32`, is refused
+    /// when the simulation is built.
+    #[test]
+    fn open_loop_rejects_zero_intervals_and_overflowing_windows() {
+        let open = |rate, secs| {
+            let topology = Topology::uniform(4, Duration::from_millis(5));
+            let s = Scenario::new("banyan", topology, 1, 1)
+                .rate(rate)
+                .secs(secs);
+            let panic = std::panic::catch_unwind(|| build_simulation(&s)).err()?;
+            panic.downcast_ref::<String>().cloned().or_else(|| {
+                let message = panic.downcast_ref::<&str>()?;
+                Some(message.to_string())
+            })
+        };
+        let too_fast = open(1_000_000_001, 1).expect("a rate above 1e9/s builds");
+        assert!(too_fast.contains("above 1e9/s"), "{too_fast}");
+        let too_long = open(1_000_000_000, 5).expect("a 5e9-request window builds");
+        assert!(too_long.contains("overflows u32"), "{too_long}");
+        assert_eq!(open(1_000, 5), None, "an ordinary open loop builds");
     }
 
     #[test]

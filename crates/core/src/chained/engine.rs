@@ -1088,21 +1088,9 @@ impl ChainedEngine {
                 }
                 self.progress(now, actions);
             }
-            SyncMsg::FrontierProbe => {
-                // Drivers normally answer probes without engine delivery;
-                // answering here too keeps blindly-forwarding drivers
-                // correct (the reply is a pure function of state).
-                actions.send(
-                    from,
-                    Message::Sync(SyncMsg::FrontierInfo {
-                        finalized: self.k_max,
-                    }),
-                );
-            }
-            SyncMsg::FrontierInfo { .. } => {
-                // Consumed by the driver's CatchUpState; nothing for the
-                // engine to do.
-            }
+            // The replica answers probes and feeds reports to catch-up:
+            // neither reaches an engine.
+            SyncMsg::FrontierProbe | SyncMsg::FrontierInfo { .. } => {}
         }
     }
 

@@ -40,8 +40,8 @@ pub struct StreamletEngine {
     registry: KeyRegistry,
     /// The verify plane (see `ChainedEngine::set_verify_backend`).
     verify: Arc<dyn VerifyBackend>,
-    /// All received blocks with their chain length (genesis = length 0).
-    blocks: HashMap<BlockHash, (Block, u64)>,
+    /// All received blocks.
+    blocks: HashMap<BlockHash, Block>,
     /// Votes per block.
     votes: HashMap<BlockHash, HashMap<u16, Signature>>,
     /// Notarized blocks.
@@ -119,7 +119,7 @@ impl StreamletEngine {
         if !self.notarized.contains(hash) {
             return None;
         }
-        let (block, _) = self.blocks.get(hash)?;
+        let block = self.blocks.get(hash)?;
         self.notarized_chain_len(&block.parent).map(|l| l + 1)
     }
 
@@ -186,7 +186,7 @@ impl StreamletEngine {
         let mut ancestors = Vec::new();
         let mut cursor = parent;
         while cursor != BlockHash::ZERO {
-            let Some((block, _)) = self.blocks.get(&cursor) else {
+            let Some(block) = self.blocks.get(&cursor) else {
                 break;
             };
             if block.round <= self.committed_round {
@@ -219,7 +219,7 @@ impl StreamletEngine {
         ) {
             return;
         }
-        self.blocks.insert(hash, (block.clone(), 0));
+        self.blocks.insert(hash, block.clone());
 
         // Vote if we haven't voted this epoch and the proposal extends a
         // longest notarized chain.
@@ -283,14 +283,14 @@ impl StreamletEngine {
     fn handle_sync(&mut self, from: ReplicaId, msg: SyncMsg, now: Time, actions: &mut Actions) {
         match msg {
             SyncMsg::Request { hash } => {
-                if let Some((block, _)) = self.blocks.get(&hash) {
+                if let Some(block) = self.blocks.get(&hash) {
                     let block = block.clone();
                     actions.send(from, Message::Sync(SyncMsg::Response { block }));
                 }
             }
             SyncMsg::Response { block } => {
                 let hash = block.hash(self.cfg.payload_chunk);
-                self.blocks.entry(hash).or_insert((block, 0));
+                self.blocks.entry(hash).or_insert(block);
             }
             SyncMsg::RequestRange {
                 from_round,
@@ -304,26 +304,15 @@ impl StreamletEngine {
             } => {
                 for block in blocks {
                     let hash = block.hash(self.cfg.payload_chunk);
-                    self.blocks.entry(hash).or_insert((block, 0));
+                    self.blocks.entry(hash).or_insert(block);
                 }
                 for cert in notarizations {
                     self.adopt_notarization(cert, now, actions);
                 }
             }
-            SyncMsg::FrontierProbe => {
-                // Drivers normally answer probes without engine delivery;
-                // answering here too keeps blindly-forwarding drivers
-                // correct (the reply is a pure function of state).
-                actions.send(
-                    from,
-                    Message::Sync(SyncMsg::FrontierInfo {
-                        finalized: self.committed_round,
-                    }),
-                );
-            }
-            SyncMsg::FrontierInfo { .. } => {
-                // Consumed by the driver's CatchUpState.
-            }
+            // The replica answers probes and feeds reports to catch-up:
+            // neither reaches an engine.
+            SyncMsg::FrontierProbe | SyncMsg::FrontierInfo { .. } => {}
         }
     }
 
@@ -350,7 +339,7 @@ impl StreamletEngine {
         let mut blocks = Vec::new();
         let mut notarizations = Vec::new();
         for (_, hash) in served {
-            if let Some((block, _)) = self.blocks.get(&hash) {
+            if let Some(block) = self.blocks.get(&hash) {
                 blocks.push(block.clone());
             }
             notarizations.push(self.notarization_certs[&hash].clone());
@@ -394,7 +383,7 @@ impl StreamletEngine {
     fn try_commit(&mut self, tip: &BlockHash, now: Time, actions: &mut Actions) {
         // tip = e3; parent = e2; grandparent = e1. Epochs must be
         // consecutive; then e2 and ancestors commit.
-        let Some((b3, _)) = self.blocks.get(tip) else {
+        let Some(b3) = self.blocks.get(tip) else {
             return;
         };
         let e3 = b3.round.0;
@@ -402,7 +391,7 @@ impl StreamletEngine {
         if p2 == BlockHash::ZERO || !self.notarized.contains(&p2) {
             return;
         }
-        let Some((b2, _)) = self.blocks.get(&p2) else {
+        let Some(b2) = self.blocks.get(&p2) else {
             return;
         };
         let e2 = b2.round.0;
@@ -419,7 +408,7 @@ impl StreamletEngine {
             if !self.notarized.contains(&p1) {
                 return;
             }
-            let Some((b1, _)) = self.blocks.get(&p1) else {
+            let Some(b1) = self.blocks.get(&p1) else {
                 return;
             };
             b1.round.0
@@ -434,7 +423,7 @@ impl StreamletEngine {
         let mut chain = Vec::new();
         let mut cursor = p2;
         while cursor != BlockHash::ZERO {
-            let Some((blk, _)) = self.blocks.get(&cursor) else {
+            let Some(blk) = self.blocks.get(&cursor) else {
                 break;
             };
             if blk.round <= self.committed_round {
@@ -540,7 +529,7 @@ impl Engine for StreamletEngine {
 
     fn snapshot(&self) -> ChainSnapshot {
         let mut snap = ChainSnapshot::default();
-        for (hash, (block, _)) in &self.blocks {
+        for (hash, block) in &self.blocks {
             snap.blocks.push((*hash, block.clone()));
         }
         snap.notarized = self.notarized.iter().copied().collect();
@@ -559,7 +548,7 @@ impl Engine for StreamletEngine {
         let mut max_seen = snapshot.committed_round.0;
         for (hash, block) in &snapshot.blocks {
             max_seen = max_seen.max(block.round.0);
-            self.blocks.insert(*hash, (block.clone(), 0));
+            self.blocks.insert(*hash, block.clone());
         }
         self.notarized.extend(snapshot.notarized.iter().copied());
         for cert in &snapshot.notarizations {

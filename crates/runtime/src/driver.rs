@@ -378,8 +378,9 @@ mod tests {
     use banyan_types::ids::BlockHash;
 
     /// An engine in `round` that arms `timers` and commits `commits` at
-    /// init, and answers every timer with a `FrontierInfo` naming the
-    /// timer's round (so what fired shows up as traffic).
+    /// init, answers every timer with a `FrontierInfo` naming the timer's
+    /// round, and echoes every frame it is handed back to its sender (so
+    /// what fired, and what reached it, shows up as traffic).
     struct Scripted {
         round: Round,
         init: Vec<TimerRequest>,
@@ -418,8 +419,10 @@ mod tests {
             );
             a
         }
-        fn on_message(&mut self, _from: ReplicaId, _msg: Message, _now: Time) -> Actions {
-            Actions::none()
+        fn on_message(&mut self, from: ReplicaId, msg: Message, _now: Time) -> Actions {
+            let mut a = Actions::none();
+            a.send(from, msg);
+            a
         }
         fn on_timer(&mut self, kind: TimerKind, _now: Time) -> Actions {
             let mut a = Actions::none();
@@ -609,6 +612,29 @@ mod tests {
                 Effect::Sent(Outbound::Send(ReplicaId(1), request)),
             ]
         );
+    }
+
+    /// Frontier frames are the replica's own: a probe is answered from the
+    /// engine's commit frontier and a report goes to catch-up, so the
+    /// engine is handed neither — while any other frame reaches it.
+    #[test]
+    fn frontier_frames_never_reach_the_engine() {
+        let (mut replica, mut log) = scripted(1, vec![]);
+        log.0.clear();
+        let probe = Message::Sync(SyncMsg::FrontierProbe);
+        replica.on_frame(ReplicaId(3), probe, Time(1), &mut log);
+        let info = |finalized| Message::Sync(SyncMsg::FrontierInfo { finalized });
+        replica.on_frame(ReplicaId(3), info(Round(40)), Time(2), &mut log);
+        let answer = Outbound::Send(ReplicaId(3), info(Round::GENESIS));
+        assert_eq!(log.0, [Effect::Sent(answer)], "the engine echoed a frame");
+
+        log.0.clear();
+        let request = Message::Sync(SyncMsg::Request {
+            hash: BlockHash::ZERO,
+        });
+        replica.on_frame(ReplicaId(3), request.clone(), Time(3), &mut log);
+        let echo = Outbound::Send(ReplicaId(3), request);
+        assert_eq!(log.0, [Effect::Sent(echo)], "the engine is deaf");
     }
 
     /// Gossip feeds the pool and the pool's gossip goes out while the

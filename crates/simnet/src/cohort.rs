@@ -1,5 +1,5 @@
-//! The closed-loop client population: one cohort-aggregated model, from a
-//! dozen per-client windows to 10⁶ modeled clients in O(K) memory.
+//! The client population: one cohort-aggregated model, from one paced
+//! open-loop member to 10⁶ modeled clients in O(K) memory.
 //!
 //! [`ClosedLoopWorkload`] models `modeled_clients` clients as `K`
 //! **cohorts** — each cohort aggregates `members` statistically identical
@@ -24,7 +24,9 @@
 //! * **token-bucket pacing** — an optional per-cohort submit interval
 //!   (derived from a per-client rate × members) spaces submissions out
 //!   instead of flooding the pools at t = 0; deferred slots are counted
-//!   as *demand* and pumped as tokens ripen.
+//!   as *demand* and pumped as tokens ripen. One paced member whose
+//!   window the run cannot fill is the open loop: it submits once per
+//!   interval whatever commits.
 //!
 //! Committed work is observed through the commit path: the simulator
 //! decodes each delivered [`WorkloadBatch`] once and hands the records to
@@ -39,15 +41,62 @@
 //! simulator's deterministic commit order, and resubmissions fire at
 //! exact virtual times, so a seeded run reproduces bit-for-bit.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use banyan_types::app::App;
 use banyan_types::engine::CommitEntry;
 use banyan_types::time::{Duration, Time};
 
-use crate::workload::{
-    shared_client_api, swap_ticks, ClientCore, Request, SharedMempool, WorkloadBatch,
-};
+use crate::workload::{Request, SharedMempool, WorkloadBatch};
+
+/// Per-request retransmission bookkeeping.
+///
+/// Deadlines are kept in a FIFO: with a constant timeout, re-armed
+/// deadlines are always ≥ every queued one, so the queue stays sorted
+/// without a heap and retry processing is deterministic.
+#[derive(Debug, Default)]
+struct RetryState {
+    timeout: Option<Duration>,
+    /// `(deadline, id)` in nondecreasing deadline order.
+    deadlines: VecDeque<(Time, u64)>,
+    /// Deadlines armed since the simulator last collected retry ticks.
+    pending_ticks: Vec<Time>,
+    retries: u64,
+}
+
+impl RetryState {
+    fn arm(&mut self, id: u64, now: Time) {
+        if let Some(timeout) = self.timeout {
+            let at = now + timeout;
+            self.deadlines.push_back((at, id));
+            self.pending_ticks.push(at);
+        }
+    }
+}
+
+/// Pushes `req` into `fanout` pools: the sampled `primary` plus its
+/// successors in replica order (deterministic — no extra RNG draws, and
+/// with `fanout == 1` exactly the historical single-target behavior).
+fn push_fanout(mempools: &[SharedMempool], fanout: usize, primary: usize, req: Request) {
+    let n = mempools.len();
+    for k in 0..fanout.clamp(1, n) {
+        mempools[(primary + k) % n]
+            .lock()
+            .expect("mempool lock")
+            .push(req);
+    }
+}
+
+/// Swap-buffer drain: clears `out` and swaps it with `pending`, so the
+/// two vectors recycle their capacity between calls instead of allocating
+/// a fresh `Vec` per event — hot at 10⁵+ modeled clients.
+fn swap_ticks(pending: &mut Vec<Time>, out: &mut Vec<Time>) {
+    out.clear();
+    std::mem::swap(pending, out);
+}
 
 /// One cohort's aggregate state: O(1) per cohort regardless of how many
 /// clients it models.
@@ -95,8 +144,8 @@ pub struct CohortStats {
 /// the population is primed with its initial windows, and a slot only
 /// submits a replacement once one of its cohort's requests is observed
 /// committed — so the offered rate self-regulates to what the cluster can
-/// absorb, which is the defining contrast to the open-loop
-/// [`ClientWorkload`](crate::ClientWorkload).
+/// absorb. (Paced with a window the run cannot fill, it is the open loop
+/// instead; see the module docs.)
 ///
 /// Invariant: at most [`max_in_flight`](Self::max_in_flight) requests are
 /// ever uncommitted. Without [`retry`](Self::with_retry), a request lost
@@ -105,7 +154,16 @@ pub struct CohortStats {
 /// visible as `requests_lost` in the metrics); with retry armed, the
 /// request is resubmitted and the slot eventually turns over.
 pub struct ClosedLoopWorkload {
-    core: ClientCore,
+    mempools: Vec<SharedMempool>,
+    /// Replica-targeting RNG: exactly one draw per submission or retry.
+    rng: SmallRng,
+    fanout: usize,
+    retry: RetryState,
+    /// Requests submitted and not yet observed committed, by id (retries
+    /// consult this map so a committed request is never retransmitted).
+    in_flight: HashMap<u64, Request>,
+    completed: u64,
+    frozen: bool,
     window: u32,
     think_time: Duration,
     /// Per-cohort think-time multipliers (empty = uniform ×1). Cohort `c`
@@ -145,7 +203,9 @@ impl std::fmt::Debug for ClosedLoopWorkload {
             .field("think_time", &self.think_time)
             .field("max_outstanding", &self.max_outstanding)
             .field("interval", &self.interval)
-            .field("core", &self.core)
+            .field("replicas", &self.mempools.len())
+            .field("fanout", &self.fanout)
+            .field("retry", &self.retry.timeout)
             .finish_non_exhaustive()
     }
 }
@@ -199,6 +259,7 @@ impl ClosedLoopWorkload {
         seed: u64,
         mempools: Vec<SharedMempool>,
     ) -> Self {
+        assert!(!mempools.is_empty(), "need at least one replica mempool");
         assert!(modeled_clients > 0, "need at least one client");
         assert!(window > 0, "window must be positive");
         assert!(cohorts > 0, "need at least one cohort");
@@ -225,7 +286,13 @@ impl ClosedLoopWorkload {
             })
             .collect();
         ClosedLoopWorkload {
-            core: ClientCore::new(seed, mempools),
+            mempools,
+            rng: SmallRng::seed_from_u64(seed),
+            fanout: 1,
+            retry: RetryState::default(),
+            in_flight: HashMap::new(),
+            completed: 0,
+            frozen: false,
             window,
             think_time,
             think_multipliers: Vec::new(),
@@ -241,7 +308,26 @@ impl ClosedLoopWorkload {
         }
     }
 
-    shared_client_api!();
+    /// Builder-style: enables per-request retransmission with the given
+    /// timeout (see the [`crate::workload`] docs). Without it, a request
+    /// lost to a never-finalized proposal stays lost, permanently
+    /// occupying its window slot.
+    pub fn with_retry(mut self, timeout: Duration) -> Self {
+        self.retry.timeout = Some(timeout);
+        self
+    }
+
+    /// Builder-style: submits every request to `fanout` replicas (clamped
+    /// to the cluster size) instead of one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fanout` is zero.
+    pub fn with_fanout(mut self, fanout: usize) -> Self {
+        assert!(fanout > 0, "fanout must be positive");
+        self.fanout = fanout;
+        self
+    }
 
     /// Builder-style: paces each *modeled client* at one submission per
     /// `interval` (a cohort of `m` members gets an aggregate interval of
@@ -317,7 +403,40 @@ impl ClosedLoopWorkload {
     /// [`max_in_flight`](Self::max_in_flight); includes any lost to
     /// never-finalized proposals when retry is off).
     pub fn in_flight(&self) -> usize {
-        self.core.in_flight()
+        self.in_flight.len()
+    }
+
+    /// The per-replica pools this population feeds.
+    pub fn mempools(&self) -> &[SharedMempool] {
+        &self.mempools
+    }
+
+    /// *Unique* requests currently pending in at least one pool (with
+    /// gossip or fan-out a request can have live copies in several).
+    pub fn pending_in_pools(&self) -> u64 {
+        let mut ids = HashSet::new();
+        for pool in &self.mempools {
+            ids.extend(pool.lock().expect("mempool lock").pending_ids());
+        }
+        ids.len() as u64
+    }
+
+    /// Requests observed committed so far (first delivery per id, from
+    /// any replica).
+    pub fn completed(&self) -> u64 {
+        self.completed
+    }
+
+    /// Retransmissions performed so far.
+    pub fn retries(&self) -> u64 {
+        self.retry.retries
+    }
+
+    /// Stops new submissions (retries of already-submitted requests keep
+    /// firing). Drivers call this to drain the system at the end of a
+    /// measured run.
+    pub fn freeze(&mut self) {
+        self.frozen = true;
     }
 
     /// Requests submitted so far (initial windows + resubmissions;
@@ -356,15 +475,29 @@ impl ClosedLoopWorkload {
         Some(Duration((member.0 / self.cohorts[c].members).max(1)))
     }
 
-    /// Submits one request for cohort `c` at `now` (exactly one target
-    /// draw). Caller has already checked window, admission and token
-    /// constraints.
+    /// Draws the primary target for one submission or retry.
+    fn target(&mut self) -> usize {
+        self.rng.gen_range(0..self.mempools.len())
+    }
+
+    /// Submits one request for cohort `c` at `now`: one target draw, the
+    /// next id, fan-out push, retry armed. Caller has already checked
+    /// window, admission and token constraints.
     fn submit_for(&mut self, c: usize, now: Time) {
+        let target = self.target();
         self.submitted += 1;
         let cohort = &mut self.cohorts[c];
         cohort.submitted += 1;
         cohort.outstanding += 1;
-        self.core.submit(c as u16, self.request_size, now);
+        let req = Request {
+            id: self.submitted,
+            client: c as u16,
+            size: self.request_size,
+            submitted_at: now,
+        };
+        self.in_flight.insert(req.id, req);
+        push_fanout(&self.mempools, self.fanout, target, req);
+        self.retry.arm(req.id, now);
     }
 
     /// Tries to submit one request for cohort `c` at `now`: consumes a
@@ -373,7 +506,7 @@ impl ClosedLoopWorkload {
     /// submission.
     fn try_submit(&mut self, c: usize, now: Time) -> bool {
         if self.cohorts[c].outstanding >= self.cohorts[c].cap
-            || self.core.in_flight() as u64 >= self.max_outstanding
+            || self.in_flight.len() as u64 >= self.max_outstanding
         {
             // Capacity misses defer *unarmed*: capacity frees on a
             // completion, whose resume tick pumps the demand — arming a
@@ -445,7 +578,7 @@ impl ClosedLoopWorkload {
     /// Returns how many requests were submitted (always 0 once the
     /// population is frozen for draining).
     pub fn handle_tick(&mut self, now: Time) -> u64 {
-        if self.core.frozen() {
+        if self.frozen {
             return 0;
         }
         let mut submitted = 0;
@@ -487,15 +620,48 @@ impl ClosedLoopWorkload {
         swap_ticks(&mut self.pending_ticks, out);
     }
 
+    /// Drains the retry deadlines armed since the last call into `out`
+    /// (cleared first, buffers swapped as for
+    /// [`take_pending_ticks_into`](Self::take_pending_ticks_into)). The
+    /// simulator schedules one retry tick per entry.
+    pub fn take_pending_retry_ticks_into(&mut self, out: &mut Vec<Time>) {
+        swap_ticks(&mut self.retry.pending_ticks, out);
+    }
+
+    /// Handles one retry tick at `now`: every due, still-uncommitted
+    /// request is resubmitted (original id and submit timestamp, fresh
+    /// seeded target) and re-armed. Returns how many were retried.
+    pub fn handle_retry_tick(&mut self, now: Time) -> u64 {
+        let mut retried = 0;
+        while let Some(&(at, id)) = self.retry.deadlines.front() {
+            if at > now {
+                break;
+            }
+            self.retry.deadlines.pop_front();
+            if let Some(req) = self.in_flight.get(&id).copied() {
+                let target = self.target();
+                push_fanout(&self.mempools, self.fanout, target, req);
+                self.retry.retries += 1;
+                self.retry.arm(id, now);
+                retried += 1;
+            }
+        }
+        retried
+    }
+
     /// The completion hook: settles the records of one committed batch.
-    /// Every record still in flight completes (first delivery per id
-    /// wins), frees its cohort's slot and schedules a replacement one
-    /// think time after `committed_at`.
+    /// Every record still in flight completes, frees its cohort's slot
+    /// and schedules a replacement one think time after `committed_at`.
+    /// Later deliveries of the same id (other replicas committing the
+    /// block, or a re-gossiped, retried or fanned-out copy landing in a
+    /// second block) complete nothing twice — the client half of the
+    /// exactly-once dedup rule.
     pub fn settle(&mut self, requests: &[Request], committed_at: Time) {
         for req in requests {
-            if !self.core.complete(req.id) {
+            if self.in_flight.remove(&req.id).is_none() {
                 continue;
             }
+            self.completed += 1;
             let c = req.client as usize % self.cohorts.len();
             let cohort = &mut self.cohorts[c];
             cohort.completed += 1;

@@ -13,20 +13,18 @@
 //! * [`metrics`] — the paper's latency & throughput metrics, end-to-end
 //!   client latency, goodput, request-loss accounting, and the global
 //!   safety auditor;
-//! * [`workload`] — the seeded client populations feeding the
-//!   per-replica mempools (`banyan_mempool`, re-exported): an open-loop
-//!   generator (fixed rate) and the closed-loop population (fixed
-//!   windows, resubmit-on-commit), both over one shared client core with
-//!   optional submit fan-out and per-request retry.
+//! * [`workload`] — the seeded client population feeding the
+//!   per-replica mempools (`banyan_mempool`, re-exported): closed loop
+//!   (fixed windows, resubmit-on-commit) or open loop (one paced member,
+//!   fixed rate), with optional submit fan-out and per-request retry.
 //!   [`sim::Simulation::enable_dissemination`] adds pending-request
 //!   gossip and exactly-once commit dedup on top; a pool built
 //!   `with_peer_queues(&`[`Topology::fanout_peers`]`)` bounds that gossip
 //!   to a seeded degree-`F` propagation tree with per-peer backpressure;
-//! * [`cohort`] — the closed-loop population itself, one
-//!   cohort-aggregated model with two constructors: one member per
-//!   cohort (exact per-client windows), or up to 10⁶ modeled clients in
-//!   `O(cohorts)` memory, with token-bucket pacing and a global
-//!   admission cap.
+//! * [`cohort`] — the population itself, one cohort-aggregated model
+//!   with two constructors: one member per cohort (exact per-client
+//!   windows), or up to 10⁶ modeled clients in `O(cohorts)` memory, with
+//!   token-bucket pacing and a global admission cap.
 //!
 //! # Examples
 //!
@@ -56,6 +54,4 @@ pub use faults::{Fault, FaultPlan};
 pub use metrics::{ClientLoadSummary, LatencyStats, ObservedCommit, RunMetrics, SafetyAuditor};
 pub use sim::{CryptoCost, SimConfig, Simulation};
 pub use topology::{Region, Topology, AWS_REGIONS};
-pub use workload::{
-    ClientWorkload, Mempool, MempoolSource, PushOutcome, Request, SharedMempool, WorkloadBatch,
-};
+pub use workload::{Mempool, MempoolSource, PushOutcome, Request, SharedMempool, WorkloadBatch};

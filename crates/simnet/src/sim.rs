@@ -41,7 +41,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use banyan_crypto::VerifyStats;
-use banyan_mempool::{Request, SharedMempool, WorkloadBatch};
+use banyan_mempool::{SharedMempool, WorkloadBatch};
 use banyan_runtime::driver::{Due, Replica, ReplicaIo};
 use banyan_runtime::queue::EventQueue;
 use banyan_types::app::App;
@@ -54,7 +54,7 @@ use banyan_types::ChainSnapshot;
 use crate::faults::FaultPlan;
 use crate::metrics::{ObservedCommit, RunMetrics, SafetyAuditor};
 use crate::topology::Topology;
-use crate::workload::{ClientCore, ClientWorkload, ClosedLoopWorkload};
+use crate::workload::ClosedLoopWorkload;
 
 /// Virtual CPU cost charged per signature-verification operation.
 ///
@@ -109,8 +109,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Maximum uniform per-message jitter added to propagation delay.
     pub jitter: Duration,
-    /// Print an event trace to stderr (debugging aid).
-    pub trace: bool,
     /// Charge virtual CPU time for signature verification (see
     /// [`CryptoCost`]). `None` — the default — charges nothing and leaves
     /// crypto-off runs bit-identical to earlier releases.
@@ -122,7 +120,6 @@ impl Default for SimConfig {
         SimConfig {
             seed: 0,
             jitter: Duration::from_micros(500),
-            trace: false,
             crypto_cost: None,
         }
     }
@@ -165,8 +162,8 @@ enum EventKind {
         /// previous life never reaches the new one.
         generation: u32,
     },
-    /// The client population acts: an open-loop workload submits its next
-    /// request; a closed-loop workload resubmits after a think time.
+    /// The client population acts: a freed slot resubmits after its
+    /// think time, or a ripe token admits deferred demand.
     ClientTick,
     /// A per-request retransmission deadline fires: the workload retries
     /// every due, still-uncommitted request.
@@ -178,51 +175,6 @@ enum EventKind {
     /// A `Fault::Restart` outage ends: the replica is rebuilt via the
     /// restart builder and begins catch-up.
     Rejoin { replica: ReplicaId },
-}
-
-/// The attached client population, if any. Open loop ticks itself on a
-/// fixed interval; closed loop only ticks when a completion (observed via
-/// the commit path) or a token deadline schedules one. Everything else —
-/// pools, retry ticks, completion count, freeze — is the shared client
-/// core's, reached through [`core`](Self::core) in either mode.
-enum Workload {
-    Open(ClientWorkload),
-    Closed(ClosedLoopWorkload),
-}
-
-impl Workload {
-    fn core(&self) -> &ClientCore {
-        match self {
-            Workload::Open(w) => w.core(),
-            Workload::Closed(w) => w.core(),
-        }
-    }
-
-    fn core_mut(&mut self) -> &mut ClientCore {
-        match self {
-            Workload::Open(w) => w.core_mut(),
-            Workload::Closed(w) => w.core_mut(),
-        }
-    }
-
-    /// Feeds one committed batch's records to the population's completion
-    /// hook (both modes track completions — the first delivery of an id
-    /// settles it).
-    fn settle(&mut self, requests: &[Request], committed_at: Time) {
-        match self {
-            Workload::Open(w) => w.settle(requests),
-            Workload::Closed(w) => w.settle(requests, committed_at),
-        }
-    }
-
-    /// Drains pending think-time deadlines into `out` (cleared first); the
-    /// population recycles the buffer instead of allocating per event.
-    fn take_pending_think_ticks_into(&mut self, out: &mut Vec<Time>) {
-        match self {
-            Workload::Open(_) => out.clear(),
-            Workload::Closed(w) => w.take_pending_ticks_into(out),
-        }
-    }
 }
 
 /// Replica `me`'s [`ReplicaIo`]: frames run through the
@@ -249,7 +201,7 @@ struct SimIo<'a> {
     apps: &'a mut [Option<Box<dyn App>>],
     /// The client population observes every replica's commits — the
     /// first delivery of a batched request completes it.
-    workload: Option<&'a mut Workload>,
+    workload: Option<&'a mut ClosedLoopWorkload>,
     /// Per-replica verify counters at the last metering point.
     last_verify: &'a mut [VerifyStats],
     charged_crypto: &'a mut Duration,
@@ -415,8 +367,8 @@ pub struct Simulation {
     auditor: SafetyAuditor,
     /// Per-replica commit delivery targets (None = metrics only).
     apps: Vec<Option<Box<dyn App>>>,
-    /// Client population (open- or closed-loop), if attached.
-    workload: Option<Workload>,
+    /// Client population, if attached.
+    workload: Option<ClosedLoopWorkload>,
     /// Per-replica incarnation counter, bumped on crash and on rejoin so
     /// wake-ups armed by a previous life are dropped.
     generations: Vec<u32>,
@@ -504,22 +456,7 @@ impl Simulation {
         self.restart_builder = Some(builder);
     }
 
-    /// Attaches an open-loop client workload: its generator is driven from
-    /// the simulation's own event queue (one tick per request), so request
-    /// arrivals interleave deterministically with deliveries and timers.
-    /// The first request is submitted one inter-arrival interval in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a workload is already attached.
-    pub fn attach_workload(&mut self, workload: ClientWorkload) {
-        assert!(self.workload.is_none(), "a workload is already attached");
-        let first = self.now + workload.interval();
-        self.workload = Some(Workload::Open(workload));
-        self.queue.push(first, EventKind::ClientTick);
-    }
-
-    /// Attaches a closed-loop client population (see [`crate::cohort`]):
+    /// Attaches the client population (see [`crate::cohort`]):
     /// its initial windows — up to the admission cap, as pacing allows —
     /// are submitted immediately, and from then on completions (observed
     /// through the commit path) and token-bucket deadlines schedule
@@ -531,16 +468,13 @@ impl Simulation {
     pub fn attach_closed_loop(&mut self, mut workload: ClosedLoopWorkload) {
         assert!(self.workload.is_none(), "a workload is already attached");
         self.metrics.requests_submitted += workload.prime(self.now);
-        self.workload = Some(Workload::Closed(workload));
+        self.workload = Some(workload);
     }
 
-    /// The attached closed-loop population, if any (for post-run window,
+    /// The attached client population, if any (for post-run window,
     /// completion and per-cohort assertions).
     pub fn closed_loop(&self) -> Option<&ClosedLoopWorkload> {
-        match &self.workload {
-            Some(Workload::Closed(w)) => Some(w),
-            _ => None,
-        }
+        self.workload.as_ref()
     }
 
     /// Enables the request-dissemination layer for the attached
@@ -565,7 +499,6 @@ impl Simulation {
             .workload
             .as_ref()
             .expect("attach a workload before enabling dissemination")
-            .core()
             .mempools();
         assert_eq!(
             pools.len(),
@@ -588,7 +521,7 @@ impl Simulation {
     /// of being stranded, and `RunMetrics::requests_lost` ends at zero.
     pub fn freeze_workload(&mut self) {
         if let Some(w) = &mut self.workload {
-            w.core_mut().freeze();
+            w.freeze();
         }
     }
 
@@ -679,9 +612,6 @@ impl Simulation {
                         self.metrics.messages_dropped += 1;
                         continue;
                     }
-                    if self.config.trace {
-                        eprintln!("[{}] {} -> {}: {}", self.now, from, to, msg.label());
-                    }
                     let (replica, mut io) = self.io(to.as_usize());
                     replica.on_frame(from, msg, io.now, &mut io);
                     self.now = io.now;
@@ -694,50 +624,25 @@ impl Simulation {
                     if generation != self.generations[replica.as_usize()] {
                         continue;
                     }
-                    if self.config.trace {
-                        eprintln!("[{}] {} wakes", self.now, replica);
-                    }
                     let (replica, mut io) = self.io(replica.as_usize());
                     // A dropped stale timer changed nothing to account for.
                     if replica.on_timer(io.now, &mut io) == Due::Stale {
                         continue;
                     }
                 }
-                EventKind::ClientTick => match self
-                    .workload
-                    .as_mut()
-                    .expect("client tick without a workload")
-                {
-                    Workload::Open(workload) => {
-                        if !workload.frozen() {
-                            let target = workload.submit_next(self.now);
-                            self.metrics.requests_submitted += 1;
-                            if self.config.trace {
-                                eprintln!("[{}] client submit -> {}", self.now, target);
-                            }
-                            let next = self.now + workload.interval();
-                            self.queue.push(next, EventKind::ClientTick);
-                        }
-                    }
-                    Workload::Closed(workload) => {
-                        let admitted = workload.handle_tick(self.now);
-                        self.metrics.requests_submitted += admitted;
-                        if self.config.trace && admitted > 0 {
-                            eprintln!("[{}] clients submitted {admitted} request(s)", self.now);
-                        }
-                    }
-                },
-                EventKind::RetryTick => {
-                    let retried = self
+                EventKind::ClientTick => {
+                    let w = self
                         .workload
                         .as_mut()
-                        .expect("retry tick without a workload")
-                        .core_mut()
-                        .handle_retry_tick(self.now);
-                    self.metrics.requests_retried += retried;
-                    if self.config.trace && retried > 0 {
-                        eprintln!("[{}] client retried {retried} request(s)", self.now);
-                    }
+                        .expect("client tick without a workload");
+                    self.metrics.requests_submitted += w.handle_tick(self.now);
+                }
+                EventKind::RetryTick => {
+                    let w = self
+                        .workload
+                        .as_mut()
+                        .expect("retry tick without a workload");
+                    self.metrics.requests_retried += w.handle_retry_tick(self.now);
                 }
                 EventKind::CrashAt { replica } => self.crash_replica(replica),
                 EventKind::Rejoin { replica } => self.rejoin_replica(replica),
@@ -749,8 +654,8 @@ impl Simulation {
         let m = &mut self.metrics;
         m.end_time = end;
         if let Some(w) = &self.workload {
-            m.requests_completed = w.core().completed();
-            m.requests_pending = w.core().pending_in_pools();
+            m.requests_completed = w.completed();
+            m.requests_pending = w.pending_in_pools();
         }
         let engines = || self.replicas.iter().filter_map(Replica::engine);
         m.wal_bytes = engines().map(|e| e.wal_bytes()).sum();
@@ -865,11 +770,11 @@ impl Simulation {
             ..
         } = self;
         if let Some(w) = workload {
-            w.take_pending_think_ticks_into(think_scratch);
+            w.take_pending_ticks_into(think_scratch);
             for &at in think_scratch.iter() {
                 queue.push(at.max(*now), EventKind::ClientTick);
             }
-            w.core_mut().take_pending_retry_ticks_into(retry_scratch);
+            w.take_pending_retry_ticks_into(retry_scratch);
             for &at in retry_scratch.iter() {
                 queue.push(at.max(*now), EventKind::RetryTick);
             }
@@ -897,9 +802,6 @@ impl Simulation {
         // reset the metering snapshot for its replacement.
         self.retired_verify.merge(&engine.verify_stats());
         self.last_verify[i] = VerifyStats::default();
-        if self.config.trace {
-            eprintln!("[{}] {} crashes (engine dropped)", self.now, replica);
-        }
         self.replicas[i].crash();
         self.generations[i] = self.generations[i].wrapping_add(1);
     }
@@ -916,13 +818,6 @@ impl Simulation {
         let engine = builder(replica, &snapshot);
         self.last_verify[i] = engine.verify_stats();
         self.generations[i] = self.generations[i].wrapping_add(1);
-        if self.config.trace {
-            let frontier = engine.finalized_round();
-            eprintln!(
-                "[{}] {} rejoins at frontier {}",
-                self.now, replica, frontier
-            );
-        }
         let (replica, mut io) = self.io(i);
         replica.rejoin(engine, io.now, &mut io);
     }

@@ -1,38 +1,36 @@
-//! Client workloads: the seeded open- and closed-loop populations that
-//! feed the request-dissemination layer.
+//! Client workloads: the seeded client population that feeds the
+//! request-dissemination layer.
 //!
 //! The mempool itself — FIFO pools, batch encoding, gossip outboxes and
 //! the exactly-once dedup rule — lives in [`banyan_mempool`] (re-exported
-//! here for convenience); this module owns the *clients*:
+//! here for convenience); the clients are one population,
+//! [`ClosedLoopWorkload`] (implemented in [`crate::cohort`], re-exported
+//! here), which covers both classic load shapes:
 //!
-//! * [`ClientWorkload`] — a seeded open-loop generator (fixed
-//!   requests/sec, fixed request size, seeded replica targeting) the
-//!   simulator drives via its own event queue;
-//! * [`ClosedLoopWorkload`] — a seeded closed-loop client population
-//!   (`clients × window` outstanding requests) that observes completions
-//!   through the commit path and resubmits after an optional think time;
-//!   implemented in [`crate::cohort`], re-exported here. Open loop fixes
-//!   the *offered rate* and lets latency blow up under overload; closed
-//!   loop fixes the *population* and lets the rate self-regulate, which
-//!   is what saturation (throughput-vs-latency) sweeps need.
+//! * **closed loop** — `clients × window` outstanding requests, each
+//!   freed slot resubmitting after an optional think time: the
+//!   *population* is fixed and the rate self-regulates to what the
+//!   cluster commits, which is what saturation (throughput-vs-latency)
+//!   sweeps need;
+//! * **open loop** — one member paced at one submission per interval
+//!   `i` ([`ClosedLoopWorkload::with_member_interval`]) with a window the
+//!   run cannot fill: it submits at `t, t + i, t + 2i, …` whatever
+//!   commits, so the *offered rate* is fixed and latency blows up under
+//!   overload (`Scenario::rate` in `banyan-bench` builds it).
 //!
-//! Both populations own one private client core — pools, targeting RNG,
-//! id counter, in-flight map, retry deadlines — so they speak the
-//! dissemination layer's client side identically:
+//! The population speaks the dissemination layer's client side:
 //!
-//! * **submit fan-out** ([`ClientWorkload::with_fanout`],
-//!   [`ClosedLoopWorkload::with_fanout`]) — each request is submitted to
-//!   `k` replicas' pools (the sampled primary plus its successors), the
-//!   classic submit-to-`f+1` defense against an unresponsive or censoring
-//!   replica;
-//! * **retry** ([`ClientWorkload::with_retry`],
-//!   [`ClosedLoopWorkload::with_retry`]) — every submission arms a
-//!   per-request retransmission deadline; if the request has not been
-//!   observed committed by then, the client resubmits it — with its
+//! * **submit fan-out** ([`ClosedLoopWorkload::with_fanout`]) — each
+//!   request is submitted to `k` replicas' pools (the sampled primary
+//!   plus its successors), the classic submit-to-`f+1` defense against
+//!   an unresponsive or censoring replica;
+//! * **retry** ([`ClosedLoopWorkload::with_retry`]) — every submission
+//!   arms a per-request retransmission deadline; if the request has not
+//!   been observed committed by then, the client resubmits it — with its
 //!   *original* submit timestamp, so end-to-end latency is measured from
 //!   first submission — and re-arms. Requests drained into
 //!   never-finalized proposals thus re-enter the system instead of being
-//!   lost (or, in a closed loop, leaking window slots forever).
+//!   lost (or leaking window slots forever).
 //!
 //! Everything is a deterministic function of seeds and virtual time:
 //! replays of a seeded run reproduce the same requests, batches, retries
@@ -41,16 +39,6 @@
 //! (the default), the submission stream — including every RNG draw — is
 //! bit-identical to the historical single-replica, no-retry behavior.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-use banyan_types::app::App;
-use banyan_types::engine::CommitEntry;
-use banyan_types::ids::ReplicaId;
-use banyan_types::time::{Duration, Time};
-
 pub use banyan_mempool::{
     Mempool, MempoolSource, PushOutcome, Request, SharedMempool, WorkloadBatch, DEFAULT_MAX_BATCH,
     DEFAULT_MAX_BATCH_BYTES, DEFAULT_MEMPOOL_CAPACITY,
@@ -58,371 +46,16 @@ pub use banyan_mempool::{
 
 pub use crate::cohort::ClosedLoopWorkload;
 
-/// Per-request retransmission bookkeeping.
-///
-/// Deadlines are kept in a FIFO: with a constant timeout, re-armed
-/// deadlines are always ≥ every queued one, so the queue stays sorted
-/// without a heap and retry processing is deterministic.
-#[derive(Debug, Default)]
-struct RetryState {
-    timeout: Option<Duration>,
-    /// `(deadline, id)` in nondecreasing deadline order.
-    deadlines: VecDeque<(Time, u64)>,
-    /// Deadlines armed since the simulator last collected retry ticks.
-    pending_ticks: Vec<Time>,
-    retries: u64,
-}
-
-impl RetryState {
-    fn arm(&mut self, id: u64, now: Time) {
-        if let Some(timeout) = self.timeout {
-            let at = now + timeout;
-            self.deadlines.push_back((at, id));
-            self.pending_ticks.push(at);
-        }
-    }
-}
-
-/// Pushes `req` into `fanout` pools: the sampled `primary` plus its
-/// successors in replica order (deterministic — no extra RNG draws, and
-/// with `fanout == 1` exactly the historical single-target behavior).
-fn push_fanout(mempools: &[SharedMempool], fanout: usize, primary: usize, req: Request) {
-    let n = mempools.len();
-    for k in 0..fanout.clamp(1, n) {
-        mempools[(primary + k) % n]
-            .lock()
-            .expect("mempool lock")
-            .push(req);
-    }
-}
-
-/// Swap-buffer drain: clears `out` and swaps it with `pending`, so the
-/// two vectors recycle their capacity between calls instead of allocating
-/// a fresh `Vec` per event — hot at 10⁵+ modeled clients.
-pub(crate) fn swap_ticks(pending: &mut Vec<Time>, out: &mut Vec<Time>) {
-    out.clear();
-    std::mem::swap(pending, out);
-}
-
-/// The half of a client population both workloads share: where requests
-/// go (pools, targeting RNG, submit fan-out), what is outstanding (id
-/// counter, in-flight map, completion count), retransmission, and the
-/// end-of-run freeze. The simulator reaches all of it through
-/// `Workload::core`, whichever population is attached.
-pub(crate) struct ClientCore {
-    mempools: Vec<SharedMempool>,
-    /// Replica-targeting RNG: exactly one draw per submission or retry.
-    rng: SmallRng,
-    next_id: u64,
-    fanout: usize,
-    retry: RetryState,
-    /// Requests submitted and not yet observed committed, by id (retries
-    /// consult this map so a committed request is never retransmitted).
-    in_flight: HashMap<u64, Request>,
-    completed: u64,
-    frozen: bool,
-}
-
-impl ClientCore {
-    pub(crate) fn new(seed: u64, mempools: Vec<SharedMempool>) -> Self {
-        assert!(!mempools.is_empty(), "need at least one replica mempool");
-        ClientCore {
-            mempools,
-            rng: SmallRng::seed_from_u64(seed),
-            next_id: 0,
-            fanout: 1,
-            retry: RetryState::default(),
-            in_flight: HashMap::new(),
-            completed: 0,
-            frozen: false,
-        }
-    }
-
-    pub(crate) fn set_retry(&mut self, timeout: Duration) {
-        self.retry.timeout = Some(timeout);
-    }
-
-    pub(crate) fn set_fanout(&mut self, fanout: usize) {
-        assert!(fanout > 0, "fanout must be positive");
-        self.fanout = fanout;
-    }
-
-    /// Draws the primary target for one submission or retry.
-    fn target(&mut self) -> usize {
-        self.rng.gen_range(0..self.mempools.len())
-    }
-
-    /// The id the next [`submit`](Self::submit) will assign.
-    fn peek_id(&self) -> u64 {
-        self.next_id + 1
-    }
-
-    /// Submits one fresh `size`-byte request on behalf of `client` at
-    /// `now`: one target draw, the next id, fan-out push, retry armed.
-    /// Returns the primary target replica.
-    pub(crate) fn submit(&mut self, client: u16, size: u64, now: Time) -> ReplicaId {
-        let target = self.target();
-        self.next_id += 1;
-        let req = Request {
-            id: self.next_id,
-            client,
-            size,
-            submitted_at: now,
-        };
-        self.in_flight.insert(req.id, req);
-        push_fanout(&self.mempools, self.fanout, target, req);
-        self.retry.arm(req.id, now);
-        ReplicaId(target as u16)
-    }
-
-    /// Settles one committed record: the first delivery of an in-flight
-    /// id completes it (returns `true`); later deliveries of the same id
-    /// (other replicas committing the block, or a re-gossiped, retried or
-    /// fanned-out copy landing in a second block) complete nothing twice
-    /// — the client half of the exactly-once dedup rule.
-    pub(crate) fn complete(&mut self, id: u64) -> bool {
-        let first = self.in_flight.remove(&id).is_some();
-        self.completed += u64::from(first);
-        first
-    }
-
-    /// Handles one retry tick at `now`: every due, still-in-flight
-    /// request is resubmitted (original id and submit timestamp, fresh
-    /// seeded target) and re-armed. Returns how many were retried.
-    pub(crate) fn handle_retry_tick(&mut self, now: Time) -> u64 {
-        let mut retried = 0;
-        while let Some(&(at, id)) = self.retry.deadlines.front() {
-            if at > now {
-                break;
-            }
-            self.retry.deadlines.pop_front();
-            if let Some(req) = self.in_flight.get(&id).copied() {
-                let target = self.target();
-                push_fanout(&self.mempools, self.fanout, target, req);
-                self.retry.retries += 1;
-                self.retry.arm(id, now);
-                retried += 1;
-            }
-        }
-        retried
-    }
-
-    /// Drains the retry deadlines armed since the last call into `out`
-    /// (see [`swap_ticks`]).
-    pub(crate) fn take_pending_retry_ticks_into(&mut self, out: &mut Vec<Time>) {
-        swap_ticks(&mut self.retry.pending_ticks, out);
-    }
-
-    pub(crate) fn mempools(&self) -> &[SharedMempool] {
-        &self.mempools
-    }
-
-    /// *Unique* requests currently pending in at least one pool (with
-    /// gossip or fan-out a request can have live copies in several).
-    pub(crate) fn pending_in_pools(&self) -> u64 {
-        let mut ids = HashSet::new();
-        for pool in &self.mempools {
-            ids.extend(pool.lock().expect("mempool lock").pending_ids());
-        }
-        ids.len() as u64
-    }
-
-    pub(crate) fn in_flight(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    pub(crate) fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    pub(crate) fn retries(&self) -> u64 {
-        self.retry.retries
-    }
-
-    pub(crate) fn frozen(&self) -> bool {
-        self.frozen
-    }
-
-    pub(crate) fn freeze(&mut self) {
-        self.frozen = true;
-    }
-}
-
-impl std::fmt::Debug for ClientCore {
-    /// A summary, not the pools' contents.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClientCore")
-            .field("replicas", &self.mempools.len())
-            .field("fanout", &self.fanout)
-            .field("retry", &self.retry.timeout)
-            .field("in_flight", &self.in_flight.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// The public surface both populations share, each method a one-line
-/// call into the type's `core` field — defined once so the open and the
-/// closed loop cannot drift apart.
-macro_rules! shared_client_api {
-    () => {
-        /// Builder-style: enables per-request retransmission with the
-        /// given timeout (see the [`crate::workload`] docs). Without it,
-        /// a request lost to a never-finalized proposal stays lost — in
-        /// a closed loop, permanently occupying its window slot.
-        pub fn with_retry(mut self, timeout: Duration) -> Self {
-            self.core.set_retry(timeout);
-            self
-        }
-
-        /// Builder-style: submits every request to `fanout` replicas
-        /// (clamped to the cluster size) instead of one.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `fanout` is zero.
-        pub fn with_fanout(mut self, fanout: usize) -> Self {
-            self.core.set_fanout(fanout);
-            self
-        }
-
-        /// The per-replica pools this population feeds.
-        pub fn mempools(&self) -> &[SharedMempool] {
-            self.core.mempools()
-        }
-
-        /// *Unique* requests currently pending in at least one pool (with
-        /// gossip or fan-out a request can have live copies in several).
-        pub fn pending_in_pools(&self) -> u64 {
-            self.core.pending_in_pools()
-        }
-
-        /// Requests observed committed so far (first delivery per id,
-        /// from any replica).
-        pub fn completed(&self) -> u64 {
-            self.core.completed()
-        }
-
-        /// Retransmissions performed so far.
-        pub fn retries(&self) -> u64 {
-            self.core.retries()
-        }
-
-        /// True once [`freeze`](Self::freeze) was called.
-        pub fn frozen(&self) -> bool {
-            self.core.frozen()
-        }
-
-        /// Stops new submissions (retries of already-submitted requests
-        /// keep firing). Drivers call this to drain the system at the
-        /// end of a measured run.
-        pub fn freeze(&mut self) {
-            self.core.freeze();
-        }
-
-        /// Drains the retry deadlines armed since the last call into
-        /// `out` (cleared first; the two buffers swap, so capacity
-        /// recycles between calls). The simulator schedules one retry
-        /// tick per entry.
-        pub fn take_pending_retry_ticks_into(&mut self, out: &mut Vec<Time>) {
-            self.core.take_pending_retry_ticks_into(out);
-        }
-
-        /// Handles one retry tick at `now`: every due, still-uncommitted
-        /// request is resubmitted (original id and submit timestamp,
-        /// fresh seeded target) and re-armed. Returns how many were
-        /// retried.
-        pub fn handle_retry_tick(&mut self, now: Time) -> u64 {
-            self.core.handle_retry_tick(now)
-        }
-
-        pub(crate) fn core(&self) -> &ClientCore {
-            &self.core
-        }
-
-        pub(crate) fn core_mut(&mut self) -> &mut ClientCore {
-            &mut self.core
-        }
-    };
-}
-pub(crate) use shared_client_api;
-
-/// A seeded open-loop client population: `rate` requests per second of
-/// `request_size` bytes each, submitted to a seeded-random replica's
-/// mempool regardless of how fast the cluster commits (open loop — the
-/// defining contrast to a closed loop that waits for completions).
-#[derive(Debug)]
-pub struct ClientWorkload {
-    core: ClientCore,
-    interval: Duration,
-    request_size: u64,
-}
-
-impl ClientWorkload {
-    /// An open-loop workload: `rate` requests/sec of `request_size` bytes,
-    /// target replica drawn per request from an RNG seeded with `seed`,
-    /// feeding `mempools[i]` for replica `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is zero, exceeds 10⁹/s (the inter-arrival interval
-    /// would truncate to zero virtual nanoseconds and the tick loop would
-    /// never advance time), or `mempools` is empty.
-    pub fn open_loop(
-        rate: u64,
-        request_size: u64,
-        seed: u64,
-        mempools: Vec<SharedMempool>,
-    ) -> Self {
-        assert!(rate > 0, "open-loop rate must be positive");
-        assert!(
-            rate <= 1_000_000_000,
-            "open-loop rate above 1e9/s truncates the tick interval to zero"
-        );
-        ClientWorkload {
-            core: ClientCore::new(seed, mempools),
-            interval: Duration(1_000_000_000 / rate),
-            request_size,
-        }
-    }
-
-    shared_client_api!();
-
-    /// Time between consecutive submissions.
-    pub fn interval(&self) -> Duration {
-        self.interval
-    }
-
-    /// Submits the next request at `now`, returning the primary target
-    /// replica. Called by the simulator on each client tick.
-    pub fn submit_next(&mut self, now: Time) -> ReplicaId {
-        let client = (self.core.peek_id() % u16::MAX as u64) as u16;
-        self.core.submit(client, self.request_size, now)
-    }
-
-    /// The completion hook: settles the records of one committed batch
-    /// (first delivery per id wins), so loss accounting balances and
-    /// settled requests are never retried.
-    pub fn settle(&mut self, requests: &[Request]) {
-        for req in requests {
-            self.core.complete(req.id);
-        }
-    }
-}
-
-impl App for ClientWorkload {
-    /// Decodes the delivered block's batch (if any) and
-    /// [`settle`](ClientWorkload::settle)s it.
-    fn deliver(&mut self, entry: &CommitEntry) {
-        if let Some(batch) = WorkloadBatch::decode(&entry.payload) {
-            self.settle(&batch.requests);
-        }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use banyan_types::ids::{BlockHash, Round};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use banyan_types::app::App;
+    use banyan_types::engine::CommitEntry;
+    use banyan_types::ids::{BlockHash, ReplicaId, Round};
+    use banyan_types::time::{Duration, Time};
 
     /// A commit of `requests` observed at virtual time `at` (ns).
     pub(crate) fn commit_of(requests: Vec<Request>, at: u64) -> CommitEntry {
@@ -539,14 +172,86 @@ pub(crate) mod tests {
         assert_ne!(run(3), run(4), "different seeds should retarget");
     }
 
+    /// The open-loop shape: one member paced at `interval`, with a
+    /// window of `window` requests.
+    fn open_loop(
+        interval: Duration,
+        window: u32,
+        seed: u64,
+        mempools: &[SharedMempool],
+    ) -> ClosedLoopWorkload {
+        ClosedLoopWorkload::new(1, window, Duration::ZERO, 64, seed, mempools.to_vec())
+            .with_member_interval(interval)
+    }
+
+    /// Drives `w` through `until` the way the simulator does — prime at
+    /// t = 0, then every tick it asks for in time order — and returns the
+    /// submit times. With `complete_at_once`, each request commits the
+    /// instant it is submitted.
+    fn submit_times(
+        w: &mut ClosedLoopWorkload,
+        pool: &SharedMempool,
+        until: Time,
+        complete_at_once: bool,
+    ) -> Vec<Time> {
+        let mut times = Vec::new();
+        let mut ticks = BinaryHeap::new();
+        let mut now = Time::ZERO;
+        w.prime(now);
+        loop {
+            let submitted = pool.lock().unwrap().drain(usize::MAX);
+            times.extend(submitted.iter().map(|r| r.submitted_at));
+            if complete_at_once && !submitted.is_empty() {
+                w.deliver(&commit_of(submitted, now.as_nanos()));
+            }
+            ticks.extend(think_ticks(w).into_iter().map(Reverse));
+            match ticks.pop() {
+                Some(Reverse(at)) if at <= until => {
+                    now = at;
+                    w.handle_tick(now);
+                }
+                _ => return times,
+            }
+        }
+    }
+
+    /// A paced one-member cohort whose window the run cannot fill submits
+    /// at exactly `0, i, 2i, …` whether nothing ever commits or every
+    /// request commits at once: completions never add a submission, which
+    /// is what makes it the open loop.
+    #[test]
+    fn a_paced_member_with_an_unfillable_window_submits_at_a_fixed_rate() {
+        let interval = Duration::from_millis(3);
+        let expected: Vec<Time> = (0..=40).map(|k| Time(k * interval.as_nanos())).collect();
+        let until = *expected.last().unwrap();
+        for complete_at_once in [false, true] {
+            let pool = Mempool::shared(1_000);
+            let mut w = open_loop(interval, 1_000, 5, std::slice::from_ref(&pool));
+            let times = submit_times(&mut w, &pool, until, complete_at_once);
+            assert_eq!(times, expected, "complete_at_once = {complete_at_once}");
+            assert_eq!(w.submitted(), 41);
+            let completed = if complete_at_once { 41 } else { 0 };
+            assert_eq!(w.completed(), completed);
+        }
+    }
+
     #[test]
     fn open_loop_generator_is_seed_deterministic() {
         let run = |seed: u64| -> (Vec<u16>, Vec<usize>) {
             let mempools: Vec<SharedMempool> = (0..4).map(|_| Mempool::shared(100)).collect();
-            let mut w = ClientWorkload::open_loop(1_000, 64, seed, mempools.clone());
-            let targets: Vec<u16> = (0..20)
-                .map(|k| w.submit_next(Time(k * w.interval().as_nanos())).0)
-                .collect();
+            let interval = Duration::from_millis(1);
+            let mut w = open_loop(interval, 20, seed, &mempools);
+            w.prime(Time::ZERO);
+            for k in 1..20 {
+                assert_eq!(w.handle_tick(Time(k * interval.as_nanos())), 1);
+            }
+            // Request `id` was the `id`-th submission.
+            let mut targets = vec![0u16; 20];
+            for (replica, pool) in mempools.iter().enumerate() {
+                for id in pool.lock().unwrap().pending_ids() {
+                    targets[id as usize - 1] = replica as u16;
+                }
+            }
             let lens = mempools.iter().map(|m| m.lock().unwrap().len()).collect();
             (targets, lens)
         };
@@ -576,8 +281,8 @@ pub(crate) mod tests {
     #[test]
     fn fanout_is_clamped_to_cluster_size() {
         let mempools: Vec<SharedMempool> = (0..2).map(|_| Mempool::shared(100)).collect();
-        let mut w = ClientWorkload::open_loop(100, 64, 1, mempools.clone()).with_fanout(10);
-        w.submit_next(Time(1));
+        let mut w = open_loop(Duration::from_millis(10), 100, 1, &mempools).with_fanout(10);
+        w.prime(Time(1));
         let copies: usize = w.mempools().iter().map(|m| m.lock().unwrap().len()).sum();
         assert_eq!(copies, 2, "clamped to one copy per pool");
         assert_eq!(w.pending_in_pools(), 1, "still one unique request");
@@ -626,9 +331,9 @@ pub(crate) mod tests {
     fn open_loop_retry_tracks_completions() {
         let mempools: Vec<SharedMempool> = vec![Mempool::shared(100)];
         let timeout = Duration::from_millis(10);
-        let mut w = ClientWorkload::open_loop(1_000, 64, 1, mempools.clone()).with_retry(timeout);
-        w.submit_next(Time(0));
-        w.submit_next(Time(1_000_000));
+        let mut w = open_loop(Duration::from_millis(1), 2, 1, &mempools).with_retry(timeout);
+        w.prime(Time(0));
+        w.handle_tick(Time(1_000_000));
         let mut ticks = Vec::new();
         w.take_pending_retry_ticks_into(&mut ticks);
         assert_eq!(ticks.len(), 2);

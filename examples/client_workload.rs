@@ -1,6 +1,8 @@
 //! Drive a Banyan cluster from an **open-loop client workload** instead of
-//! the paper's leader-minted payloads: a seeded client population submits
-//! requests into per-replica mempools, proposers drain them into blocks,
+//! the paper's leader-minted payloads: one seeded client, paced at a fixed
+//! rate whatever commits (the simulator's one client population, as a
+//! single token-paced cohort), submits requests into per-replica mempools,
+//! proposers drain them into blocks,
 //! and the run reports end-to-end (submit→commit) latency alongside the
 //! paper's proposer-measured latency.
 //!
