@@ -31,11 +31,20 @@
 //! merged (see `docs/ARCHITECTURE.md`, "What the engine verifies, and
 //! when").
 //!
+//! **Rules look at what changed.** Every change to a round's state marks
+//! the round touched (`round_entry`; `restore` marks them all), and
+//! `progress` runs the certificate rules — notarization assembly, fast
+//! and slow finalization — over the touched rounds only. An untouched
+//! round cannot yield a new certificate, so this is exact; in debug
+//! builds an oracle re-runs the rules over every retained round after
+//! each `progress` and asserts they find nothing (see
+//! `docs/ARCHITECTURE.md`, "Which rounds `progress` looks at").
+//!
 //! A [`ByzantineMode`] knob turns a replica into one of the adversaries
 //! used by the safety test-suite (equivocating leader, silent leader,
 //! double fast-voter).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use banyan_crypto::beacon::Beacon;
@@ -130,6 +139,10 @@ pub struct ChainedEngine {
     verify: Arc<dyn VerifyBackend>,
     store: Box<dyn ChainStore>,
     rounds: BTreeMap<Round, RoundState>,
+    /// Rounds whose state may have changed since `progress` last looked
+    /// at them: every access through `round_entry` marks its round, and
+    /// `restore` marks them all. The certificate rules scan only these.
+    touched: BTreeSet<Round>,
     /// Current round `k`.
     round: Round,
     /// Highest explicitly finalized round (`kMax`).
@@ -205,6 +218,7 @@ impl ChainedEngine {
             verify,
             store: Box::new(BlockStore::new()),
             rounds: BTreeMap::new(),
+            touched: BTreeSet::new(),
             round: Round(0),
             k_max: Round::GENESIS,
             finalizations: HashMap::new(),
@@ -274,16 +288,19 @@ impl ChainedEngine {
     }
 
     fn round_state(&mut self, round: Round) -> &mut RoundState {
-        Self::round_entry(&mut self.rounds, &self.cfg, round)
+        Self::round_entry(&mut self.rounds, &mut self.touched, &self.cfg, round)
     }
 
     /// [`round_state`](Self::round_state) over split borrows, for callers
-    /// that read another field of `self` while holding the round.
+    /// that read another field of `self` while holding the round. Marks
+    /// the round touched.
     fn round_entry<'a>(
         rounds: &'a mut BTreeMap<Round, RoundState>,
+        touched: &mut BTreeSet<Round>,
         cfg: &ProtocolConfig,
         round: Round,
     ) -> &'a mut RoundState {
+        touched.insert(round);
         rounds
             .entry(round)
             .or_insert_with(|| RoundState::new(round, cfg.n(), cfg.unlock_threshold()))
@@ -569,9 +586,14 @@ impl ChainedEngine {
     ) -> Message {
         let parent_notarization = self.store.notarization(parent).cloned();
         let parent_unlock = (self.fast_path() && block.round > Round(1)).then(|| {
-            Self::round_entry(&mut self.rounds, &self.cfg, block.round.prev())
-                .unlock
-                .build_proof(self.registry.table())
+            Self::round_entry(
+                &mut self.rounds,
+                &mut self.touched,
+                &self.cfg,
+                block.round.prev(),
+            )
+            .unlock
+            .build_proof(self.registry.table())
         });
         Message::Chained(ChainedMsg::Proposal {
             block: block.clone(),
@@ -941,7 +963,7 @@ impl ChainedEngine {
             return false;
         }
         let verify = &self.verify;
-        Self::round_entry(&mut self.rounds, &self.cfg, proof.round)
+        Self::round_entry(&mut self.rounds, &mut self.touched, &self.cfg, proof.round)
             .unlock
             .merge_proof_with(&proof, |msg, agg| verify.verify_aggregate(msg, agg))
     }
@@ -968,13 +990,6 @@ impl ChainedEngine {
         let msg = Vote::signing_message(kind, cert.round, &cert.block);
         if !self.verify.verify_aggregate(&msg, &cert.agg) {
             return;
-        }
-        // Fast finalizations are only valid for rank-0 blocks; check if we
-        // hold the block, defer otherwise.
-        if let Some(block) = self.store.get(&cert.block) {
-            if cert.kind == FinalKind::Fast && !block.rank.is_leader() {
-                return;
-            }
         }
         self.apply_finalization(cert, now, actions);
         self.progress(now, actions);
@@ -1024,7 +1039,15 @@ impl ChainedEngine {
         }
         // Sanity: the chain must end at the certified block and start just
         // above kMax.
-        debug_assert_eq!(chain.last().expect("non-empty").0, cert.block);
+        let tip = chain.last().expect("non-empty");
+        debug_assert_eq!(tip.0, cert.block);
+        // Addition 4: only a rank-0 block can be FP-finalized. Checked
+        // here, where the block is stored, so a fast certificate that was
+        // parked before its block arrived is checked when the retry
+        // applies it (and dropped).
+        if cert.kind == FinalKind::Fast && !tip.5.is_leader() {
+            return false;
+        }
 
         for (hash, round, proposer, payload, proposed_at, _rank) in chain {
             let explicit = hash == cert.block;
@@ -1152,20 +1175,57 @@ impl ChainedEngine {
         // batch (or the buffered live traffic arriving right after it)
         // legitimately chains one enabling per recovered round; the cap
         // only guards against a genuine oscillation bug.
+        //
+        // The three certificate rules look only at the rounds touched
+        // since the previous pass: an untouched round already sat at their
+        // fixpoint, and nothing outside its round state (the store only
+        // notarizes, finalizes and prunes; `k_max` only grows) can give it
+        // a new certificate. `restore` marks every round.
         const PROGRESS_CAP: usize = 100_000;
         for _ in 0..PROGRESS_CAP {
+            let touched = std::mem::take(&mut self.touched);
             let mut changed = false;
-            changed |= self.try_assemble_notarizations(actions);
-            changed |= self.try_fast_finalize(now, actions);
-            changed |= self.try_slow_finalize(now, actions);
+            changed |= self.try_assemble_notarizations(&touched, actions);
+            changed |= self.try_fast_finalize(&touched, now, actions);
+            changed |= self.try_slow_finalize(&touched, now, actions);
             changed |= self.retry_pending_finalizations(now, actions);
             changed |= self.try_vote(now, actions);
             changed |= self.try_advance(now, actions);
             if !changed {
+                #[cfg(debug_assertions)]
+                self.assert_full_scans_find_nothing(now);
                 return;
             }
         }
         debug_assert!(false, "progress loop did not converge");
+    }
+
+    /// The oracle for the touched-round worklist: at `progress`'s
+    /// fixpoint, the three certificate rules run over *every* retained
+    /// round must find nothing to do.
+    #[cfg(debug_assertions)]
+    fn assert_full_scans_find_nothing(&mut self, now: Time) {
+        let all: BTreeSet<Round> = self.rounds.keys().copied().collect();
+        let parked = self.pending_finalizations.len();
+        let mut scratch = Actions::none();
+        let found = self.try_assemble_notarizations(&all, &mut scratch)
+            | self.try_fast_finalize(&all, now, &mut scratch)
+            | self.try_slow_finalize(&all, now, &mut scratch);
+        assert!(
+            !found && scratch.is_empty() && self.pending_finalizations.len() == parked,
+            "a round outside the touched set held a certificate: {scratch:?}"
+        );
+    }
+
+    /// The retained states of the `rounds` at or above `from`, ascending.
+    fn states_from<'a>(
+        &'a self,
+        rounds: &'a BTreeSet<Round>,
+        from: Round,
+    ) -> impl Iterator<Item = (Round, &'a RoundState)> + 'a {
+        rounds
+            .range(from..)
+            .filter_map(|r| self.rounds.get(r).map(|rs| (*r, rs)))
     }
 
     /// True when Remark 7.8 piggyback counting is active.
@@ -1213,26 +1273,31 @@ impl ChainedEngine {
     }
 
     /// Algorithm 2 line 45: combine `⌈(n+f+1)/2⌉` notarization votes
-    /// (distinct union with fast votes under Remark 7.8).
-    fn try_assemble_notarizations(&mut self, actions: &mut Actions) -> bool {
+    /// (distinct union with fast votes under Remark 7.8), in `rounds`.
+    fn try_assemble_notarizations(
+        &mut self,
+        rounds: &BTreeSet<Round>,
+        actions: &mut Actions,
+    ) -> bool {
         let quorum = self.cfg.notarization_quorum();
+        let piggyback = self.piggyback();
         let mut newly: Vec<(Round, BlockHash)> = Vec::new();
-        for (round, rs) in &self.rounds {
+        for (round, rs) in self.states_from(rounds, Round::GENESIS) {
             // Candidates: anything with at least one notarization vote,
             // plus (piggyback mode) every received block of the round.
-            let mut candidates = rs.notarize_votes.with_quorum(1);
-            if self.piggyback() {
-                candidates.extend(self.store.round_blocks(*round).iter().copied());
-                candidates.sort();
-                candidates.dedup();
-            }
-            for hash in candidates {
-                if !self.store.is_notarized(&hash) && self.notarize_support(*round, &hash) >= quorum
-                {
-                    newly.push((*round, hash));
+            let stored = self
+                .store
+                .round_blocks(round)
+                .iter()
+                .filter(|h| piggyback && rs.notarize_votes.count(h) == 0);
+            for hash in rs.notarize_votes.blocks_with(1).chain(stored) {
+                if !self.store.is_notarized(hash) && self.notarize_support(round, hash) >= quorum {
+                    newly.push((round, *hash));
                 }
             }
         }
+        // Ascending (round, hash): the order certificates are recorded in.
+        newly.sort_unstable();
         let changed = !newly.is_empty();
         for (round, hash) in newly {
             let cert = self.build_notarization(round, hash);
@@ -1245,16 +1310,20 @@ impl ChainedEngine {
     }
 
     /// Addition 4 / Algorithm 2 line 56 (fast case): `n − p` fast votes
-    /// for a rank-0 block FP-finalize it.
-    fn try_fast_finalize(&mut self, now: Time, actions: &mut Actions) -> bool {
+    /// for a rank-0 block FP-finalize it, in `rounds` above `k_max`.
+    fn try_fast_finalize(
+        &mut self,
+        rounds: &BTreeSet<Round>,
+        now: Time,
+        actions: &mut Actions,
+    ) -> bool {
         if !self.fast_path() {
             return false;
         }
         let quorum = self.cfg.fast_quorum();
         let candidates: Vec<(Round, BlockHash)> = self
-            .rounds
-            .range(self.k_max.next()..)
-            .filter_map(|(round, rs)| rs.unlock.fast_finalizable(quorum).map(|h| (*round, h)))
+            .states_from(rounds, self.k_max.next())
+            .filter_map(|(round, rs)| rs.unlock.fast_finalizable(quorum).map(|h| (round, h)))
             .collect();
         let mut changed = false;
         for (round, hash) in candidates {
@@ -1289,19 +1358,24 @@ impl ChainedEngine {
         changed
     }
 
-    /// Algorithm 2 line 56 (slow case): `⌈(n+f+1)/2⌉` finalization votes.
-    fn try_slow_finalize(&mut self, now: Time, actions: &mut Actions) -> bool {
+    /// Algorithm 2 line 56 (slow case): `⌈(n+f+1)/2⌉` finalization votes,
+    /// in `rounds` above `k_max`.
+    fn try_slow_finalize(
+        &mut self,
+        rounds: &BTreeSet<Round>,
+        now: Time,
+        actions: &mut Actions,
+    ) -> bool {
         let quorum = self.cfg.finalization_quorum();
-        let candidates: Vec<(Round, BlockHash)> = self
-            .rounds
-            .range(self.k_max.next()..)
+        let mut candidates: Vec<(Round, BlockHash)> = self
+            .states_from(rounds, self.k_max.next())
             .flat_map(|(round, rs)| {
                 rs.finalize_votes
-                    .with_quorum(quorum)
-                    .into_iter()
-                    .map(move |h| (*round, h))
+                    .blocks_with(quorum)
+                    .map(move |h| (round, *h))
             })
             .collect();
+        candidates.sort_unstable();
         let mut changed = false;
         for (round, hash) in candidates {
             if self.store.finalized(round).is_some() {
@@ -1359,6 +1433,18 @@ impl ChainedEngine {
         let Some(t0) = self.round_state(round).t0 else {
             return false;
         };
+        // Nothing is left to do once every stored block of the round has
+        // our notarization vote: each got it at or after its rank's
+        // deadline, so there is no timer left to arm either.
+        let voted = &self.rounds[&round].notarize_voted;
+        if self
+            .store
+            .round_blocks(round)
+            .iter()
+            .all(|h| voted.contains(h))
+        {
+            return false;
+        }
         // All valid blocks of the round, with ranks.
         let hashes = self.store.round_blocks(round).to_vec();
         let mut valid: Vec<(Rank, BlockHash)> = Vec::new();
@@ -1542,7 +1628,7 @@ impl ChainedEngine {
         // Addition 1 / line 50: broadcast notarization + unlock proof.
         if let Some(cert) = self.store.notarization(&chosen).cloned() {
             let unlock = self.fast_path().then(|| {
-                Self::round_entry(&mut self.rounds, &self.cfg, round)
+                Self::round_entry(&mut self.rounds, &mut self.touched, &self.cfg, round)
                     .unlock
                     .build_proof(self.registry.table())
             });
@@ -1626,7 +1712,7 @@ impl ChainedEngine {
                 .find_map(|h| self.store.notarization(h).cloned());
             if let Some(cert) = cert {
                 let unlock = self.fast_path().then(|| {
-                    Self::round_entry(&mut self.rounds, &self.cfg, prev)
+                    Self::round_entry(&mut self.rounds, &mut self.touched, &self.cfg, prev)
                         .unlock
                         .build_proof(self.registry.table())
                 });
@@ -1761,9 +1847,11 @@ impl Engine for ChainedEngine {
         // Optimistic state is volatile: a recovered replica starts from
         // the certified frontier.
         self.pending_optimistic = None;
-        // Force the next pending-finalization retry to walk: the store
-        // contents just changed wholesale.
+        // Force the next pending-finalization retry to walk, and the next
+        // `progress` to look at every round: the store contents just
+        // changed wholesale.
         self.retry_store_len = usize::MAX;
+        self.touched.extend(self.rounds.keys().copied());
     }
 
     fn wal_bytes(&self) -> u64 {

@@ -44,14 +44,17 @@ impl VoteTable {
             .unwrap_or_default()
     }
 
-    /// Blocks with at least `quorum` votes.
-    pub fn with_quorum(&self, quorum: usize) -> Vec<BlockHash> {
-        let mut out: Vec<BlockHash> = self
-            .votes
+    /// Blocks with at least `quorum` votes, in no particular order.
+    pub fn blocks_with(&self, quorum: usize) -> impl Iterator<Item = &BlockHash> {
+        self.votes
             .iter()
-            .filter(|(_, m)| m.len() >= quorum)
-            .map(|(h, _)| *h)
-            .collect();
+            .filter(move |(_, m)| m.len() >= quorum)
+            .map(|(h, _)| h)
+    }
+
+    /// Blocks with at least `quorum` votes, sorted.
+    pub fn with_quorum(&self, quorum: usize) -> Vec<BlockHash> {
+        let mut out: Vec<BlockHash> = self.blocks_with(quorum).copied().collect();
         out.sort();
         out
     }

@@ -6,13 +6,27 @@
 //! argument). Every test runs the full protocol through the simulator
 //! with the global safety auditor attached.
 
+use std::sync::Arc;
+
 use banyan_core::builder::ClusterBuilder;
-use banyan_core::chained::ByzantineMode;
+use banyan_core::chained::{ByzantineMode, ChainedEngine, PathMode};
+use banyan_crypto::beacon::{Beacon, BeaconMode};
+use banyan_crypto::hashsig::HashSig;
+use banyan_crypto::registry::KeyRegistry;
+use banyan_crypto::Signature;
 use banyan_simnet::faults::FaultPlan;
 use banyan_simnet::sim::{SimConfig, Simulation};
 use banyan_simnet::topology::Topology;
+use banyan_types::app::FixedSizeSource;
+use banyan_types::block::Block;
+use banyan_types::certs::{FinalKind, Finalization};
+use banyan_types::config::ProtocolConfig;
 use banyan_types::engine::Engine;
+use banyan_types::ids::{BlockHash, Rank, ReplicaId, Round};
+use banyan_types::message::{ChainedMsg, Message, SyncMsg};
+use banyan_types::payload::Payload;
 use banyan_types::time::{Duration, Time};
+use banyan_types::vote::{Vote, VoteKind};
 
 fn secs(s: u64) -> Time {
     Time(Duration::from_secs(s).as_nanos())
@@ -231,4 +245,75 @@ fn partition_heals_and_progress_resumes() {
     let after = sim.auditor().committed_rounds();
     assert!(sim.auditor().is_safe(), "{:?}", sim.auditor().violations());
     assert!(after > during + 30, "progress resumed: {during} -> {after}");
+}
+
+/// Addition 4 admits only rank-0 blocks to FP-finalization. When the
+/// leader is silent, honest replicas fast-vote the rank-1 block, so one
+/// Byzantine aggregator can build an `n − p` fast certificate for it. If
+/// that certificate arrives before the block, it is parked; the rank
+/// check must still apply when the block arrives and the parked
+/// certificate is retried.
+#[test]
+fn parked_fast_certificate_for_a_higher_rank_block_never_commits() {
+    const N: usize = 4;
+    let cfg = ProtocolConfig::new(N, 1, 1)
+        .unwrap()
+        .with_delta(Duration::from_millis(100));
+    let registry = |i: u16| KeyRegistry::generate(Arc::new(HashSig), 77, N, i);
+    let beacon = Beacon::new(BeaconMode::RoundRobin, N);
+    let mut e = ChainedEngine::new(
+        cfg.clone(),
+        PathMode::Banyan,
+        registry(0),
+        beacon.clone(),
+        Box::new(FixedSizeSource::new(1_000, 0)),
+    );
+    e.on_init(Time(0));
+
+    // Round 1: replica 1 leads (and stays silent); replica 2 has rank 1.
+    assert_eq!(beacon.rank(1, 2), 1);
+    let mut block = Block {
+        round: Round(1),
+        proposer: ReplicaId(2),
+        rank: Rank(1),
+        parent: BlockHash::ZERO,
+        proposed_at: Time(0),
+        payload: Payload::synthetic(1_000, 1),
+        signature: Signature::zero(),
+    };
+    let hash = block.hash(cfg.payload_chunk);
+    block.signature = registry(2).sign(&Block::signing_message(&hash));
+    let votes: Vec<(u16, Signature)> = [1u16, 2, 3]
+        .iter()
+        .map(|&v| {
+            let msg = Vote::signing_message(VoteKind::Fast, Round(1), &hash);
+            (v, registry(v).sign(&msg))
+        })
+        .collect();
+    let cert = Finalization {
+        round: Round(1),
+        block: hash,
+        kind: FinalKind::Fast,
+        agg: registry(0).table().aggregate(&votes),
+    };
+
+    let early = e.on_message(
+        ReplicaId(3),
+        Message::Chained(ChainedMsg::Final(cert)),
+        Time(1_000),
+    );
+    assert!(early.commits.is_empty(), "no block yet: the cert is parked");
+
+    let late = e.on_message(
+        ReplicaId(2),
+        Message::Sync(SyncMsg::Response { block }),
+        Time(2_000),
+    );
+    assert!(e.store().contains(&hash));
+    assert!(
+        !late.commits.iter().any(|c| c.fast),
+        "a rank-1 block was fast-committed: {:?}",
+        late.commits
+    );
+    assert_eq!(e.finalized_round(), Round::GENESIS);
 }

@@ -731,3 +731,91 @@ fn sync_request_served_with_block() {
     });
     assert!(served, "sync request must be answered with the block");
 }
+
+// ---------------------------------------------------------------------
+// Which rounds `progress` looks at: a certificate becomes assemblable only
+// in a round whose state just changed, and every such change marks it.
+// Run under Remark 7.8 (piggyback), where a stored block is a candidate
+// on fast votes alone.
+// ---------------------------------------------------------------------
+
+fn piggyback_engine(i: u16) -> ChainedEngine {
+    ChainedEngine::new(
+        cfg().with_piggyback(true),
+        PathMode::Banyan,
+        registry(i),
+        Beacon::new(BeaconMode::RoundRobin, N),
+        Box::new(FixedSizeSource::new(1_000, i)),
+    )
+}
+
+/// Replica 2's rank-0 block of round 2, which an engine still in round 1
+/// has not entered, on a round-1 parent it never saw.
+fn round2_block() -> (BlockHash, Block) {
+    make_block(2, 2, BlockHash([7; 32]), 2)
+}
+
+fn fast_votes(voters: &[u16], round: u64, block: BlockHash) -> Message {
+    let votes = voters
+        .iter()
+        .map(|&v| make_vote(v, VoteKind::Fast, round, block))
+        .collect();
+    Message::Chained(ChainedMsg::Votes(votes))
+}
+
+#[test]
+fn block_arriving_after_its_fast_vote_quorum_is_notarized_on_arrival() {
+    let mut e = piggyback_engine(0);
+    e.on_init(Time(0));
+    let (hash, block) = round2_block();
+    // 3 = ⌈(n + f + 1)/2⌉ fast votes, but no block to count them for.
+    e.on_message(ReplicaId(1), fast_votes(&[1, 2, 3], 2, hash), Time(1_000));
+    assert!(!e.store().is_notarized(&hash));
+
+    let fv = make_vote(2, VoteKind::Fast, 2, hash);
+    e.on_message(ReplicaId(2), proposal_msg(block, Some(fv)), Time(2_000));
+    assert_eq!(e.current_round(), Round(1), "round 2 is not entered");
+    assert!(
+        e.store().is_notarized(&hash),
+        "storing the block touches its round"
+    );
+}
+
+#[test]
+fn quorum_completed_for_a_round_not_yet_entered_is_notarized() {
+    let mut e = piggyback_engine(0);
+    e.on_init(Time(0));
+    let (hash, block) = round2_block();
+    e.on_message(ReplicaId(2), proposal_msg(block, None), Time(1_000));
+    e.on_message(ReplicaId(1), fast_votes(&[1, 2], 2, hash), Time(2_000));
+    assert!(!e.store().is_notarized(&hash), "2 of 3 votes");
+
+    e.on_message(ReplicaId(3), fast_votes(&[3], 2, hash), Time(3_000));
+    assert_eq!(e.current_round(), Round(1), "round 2 is not entered");
+    assert!(e.store().is_notarized(&hash));
+}
+
+#[test]
+fn restore_that_brings_a_block_with_a_held_quorum_notarizes_it_next_progress() {
+    let mut e = piggyback_engine(0);
+    e.on_init(Time(0));
+    let (hash, block) = round2_block();
+    e.on_message(ReplicaId(1), fast_votes(&[1, 2, 3], 2, hash), Time(1_000));
+    assert!(!e.store().is_notarized(&hash));
+
+    // A snapshot holding the block, not notarized.
+    let mut peer = piggyback_engine(3);
+    peer.on_init(Time(0));
+    peer.on_message(ReplicaId(2), proposal_msg(block, None), Time(1_000));
+    let snapshot = peer.snapshot();
+    assert!(snapshot.blocks.iter().any(|(h, _)| *h == hash));
+    assert!(!snapshot.notarized.contains(&hash));
+
+    e.restore(&snapshot);
+    // The next `progress` comes from an event about round 1 only.
+    e.on_timer(TimerKind::NotarizeRank { round: 1, rank: 0 }, Time(2_000));
+    assert!(
+        e.store().is_notarized(&hash),
+        "restore must mark the rounds whose blocks it may have brought"
+    );
+}

@@ -385,3 +385,146 @@ fn happy_path_signature_budget_per_committed_round() {
         rounds.len()
     );
 }
+
+/// Store reads, counted. Optimized builds only: a debug build's
+/// `progress` ends with an oracle that re-runs every retained round's
+/// scan, which is the very cost counted here. Run with
+/// `cargo test --release -p banyan-core --test evidence_once`.
+#[cfg(not(debug_assertions))]
+mod store_reads {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use banyan_core::store::{BlockStore, ChainStore};
+    use banyan_types::engine::TimerKind;
+    use banyan_types::ChainSnapshot;
+
+    use super::*;
+
+    /// A [`BlockStore`] that counts every read an engine makes of it.
+    struct CountingStore {
+        inner: BlockStore,
+        reads: Arc<AtomicUsize>,
+    }
+
+    impl CountingStore {
+        fn read(&self) -> &BlockStore {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            &self.inner
+        }
+    }
+
+    impl ChainStore for CountingStore {
+        fn insert(&mut self, hash: BlockHash, block: Block) -> bool {
+            self.inner.insert(hash, block)
+        }
+        fn get(&self, hash: &BlockHash) -> Option<&Block> {
+            self.read().get(hash)
+        }
+        fn contains(&self, hash: &BlockHash) -> bool {
+            self.read().contains(hash)
+        }
+        fn round_blocks(&self, round: Round) -> &[BlockHash] {
+            self.read().round_blocks(round)
+        }
+        fn mark_notarized(&mut self, hash: BlockHash, cert: Option<Notarization>) {
+            self.inner.mark_notarized(hash, cert)
+        }
+        fn is_notarized(&self, hash: &BlockHash) -> bool {
+            self.read().is_notarized(hash)
+        }
+        fn notarization(&self, hash: &BlockHash) -> Option<&Notarization> {
+            self.read().notarization(hash)
+        }
+        fn mark_finalized(&mut self, round: Round, hash: BlockHash) {
+            self.inner.mark_finalized(round, hash)
+        }
+        fn finalized(&self, round: Round) -> Option<BlockHash> {
+            self.read().finalized(round)
+        }
+        fn is_finalized(&self, round: Round, hash: &BlockHash) -> bool {
+            self.read().is_finalized(round, hash)
+        }
+        fn max_finalized_round(&self) -> Round {
+            self.read().max_finalized_round()
+        }
+        fn chain_to(&self, tip: &BlockHash, stop_after: Round) -> Option<Vec<(BlockHash, &Block)>> {
+            self.read().chain_to(tip, stop_after)
+        }
+        fn len(&self) -> usize {
+            self.read().len()
+        }
+        fn prune_below(&mut self, round: Round) {
+            self.inner.prune_below(round)
+        }
+        fn snapshot(&self) -> ChainSnapshot {
+            self.read().snapshot()
+        }
+        fn restore(&mut self, snapshot: &ChainSnapshot) {
+            self.inner.restore(snapshot)
+        }
+    }
+
+    /// A `Votes` event costs what it changes, not what the engine retains:
+    /// the store reads it makes are the same one round after a prune (11
+    /// retained rounds) as one round before the next (23), where a scan of
+    /// every retained round reads one `is_notarized` more per round.
+    #[test]
+    fn store_reads_per_votes_event_do_not_grow_with_the_retained_rounds() {
+        let c = Cluster::new(4, 1, 1);
+        let reads = Arc::new(AtomicUsize::new(0));
+        let store = CountingStore {
+            inner: BlockStore::new(),
+            reads: reads.clone(),
+        };
+        let mut e = c.engine(0).with_store(Box::new(store));
+        e.on_init(Time(0));
+
+        // Every round: the leader's block (our own every fourth round), then
+        // one `Votes` frame from each peer. With our own votes, the second
+        // frame notarizes and FP-finalizes; the third arrives after.
+        // Entering round 32 prunes every round below 23, entering 48 every
+        // round below 39.
+        let mut reads_per_frame = Vec::new();
+        let mut parent = BlockHash::ZERO;
+        for r in 1..=45u64 {
+            let t = Time(r * 1_000_000);
+            let hash = if r % 4 == 0 {
+                e.on_timer(TimerKind::Propose { round: r }, t);
+                e.store().round_blocks(Round(r))[0]
+            } else {
+                let (hash, block) = c.leader_block(r, parent);
+                let leader = (r % 4) as u16;
+                e.on_message(
+                    ReplicaId(leader),
+                    Message::Chained(ChainedMsg::Proposal {
+                        block,
+                        parent_notarization: None,
+                        parent_unlock: None,
+                        fast_vote: Some(c.vote(leader, VoteKind::Fast, r, hash)),
+                    }),
+                    t,
+                );
+                hash
+            };
+            let mut frames = Vec::new();
+            for v in 1..=3 {
+                let frame = votes_frame(vec![
+                    c.vote(v, VoteKind::Notarize, r, hash),
+                    c.vote(v, VoteKind::Fast, r, hash),
+                ]);
+                let before = reads.load(Ordering::Relaxed);
+                e.on_message(ReplicaId(v), frame, t);
+                frames.push(reads.load(Ordering::Relaxed) - before);
+            }
+            assert_eq!(e.finalized_round(), Round(r));
+            reads_per_frame.push(frames);
+            parent = hash;
+        }
+        // Rounds 33 and 45 have the same leader and the same traffic.
+        assert_eq!(
+            reads_per_frame[33 - 1],
+            reads_per_frame[45 - 1],
+            "store reads per Votes frame, one round after a prune and one before"
+        );
+    }
+}
