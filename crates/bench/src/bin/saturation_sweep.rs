@@ -35,12 +35,11 @@
 //!   sync — the sync/served/rec.ms columns then go nonzero. Combine
 //!   with `--gossip --retry-ms N --assert-no-drop` for the rolling-
 //!   restart zero-loss gate;
-//! * `--optimistic` enables Moonshot-style optimistic proposal
-//!   pipelining for the chained rows (the round-`r + 1` leader proposes
-//!   on the received-but-uncertified round-`r` block): the banyan row
-//!   switches it on, and an extra `chained (icc)` row — the slow-path
-//!   chained engine, where the overlap pays at every load — is swept
-//!   with and without the flag so the two columns sit side by side;
+//! * `--optimistic` sweeps Moonshot-style optimistic proposal
+//!   pipelining (the round-`r + 1` leader proposes on the
+//!   received-but-uncertified round-`r` block), which only ICC runs: the
+//!   banyan row gives way to a `chained (icc)` row swept with and
+//!   without the flag, so the two columns sit side by side;
 //! * `--assert-no-drop` exits nonzero if any past-knee point falls below
 //!   90% of the plateau goodput or, with retry/gossip on, loses requests
 //!   — the CI regression gate for the dissemination layer;
@@ -313,15 +312,13 @@ fn main() {
         }
     }
 
-    // (label, protocol, optimistic). With --optimistic the chained rows
-    // pipeline, and the icc engine — where the proposal/certification
-    // overlap pays at every load — is swept both ways so the comparison
+    // (label, protocol, optimistic). With --optimistic the icc engine —
+    // the only one that pipelines — is swept both ways so the comparison
     // (and the --assert-rpc gate) reads straight off the table.
     let rows: Vec<(&str, &str, bool)> = if args.optimistic {
         vec![
             ("chained (icc)", "icc", false),
             ("chained (icc, optimistic)", "icc", true),
-            ("chained (banyan, optimistic)", "banyan", true),
             ("hotstuff", "hotstuff", false),
             ("streamlet", "streamlet", false),
         ]

@@ -339,37 +339,28 @@ fn optimistic_off_is_bit_identical_to_seed() {
     }
 }
 
-/// With optimism on, the run is still a pure function of the seed: same
-/// seed ⇒ identical `RunMetrics` (commit log, counters, every latency
-/// sample), different seed ⇒ divergence.
+/// With optimism on (ICC, the only protocol that pipelines), the run is
+/// still a pure function of the seed: same seed ⇒ identical `RunMetrics`
+/// (commit log, counters, every latency sample), different seed ⇒
+/// divergence.
 #[test]
 fn optimistic_on_is_deterministic_per_seed() {
-    for protocol in ["banyan", "icc"] {
-        let build = |seed| {
-            Scenario::new(
-                protocol,
-                Topology::uniform(4, Duration::from_millis(10)),
-                1,
-                1,
-            )
+    let build = |seed| {
+        Scenario::new("icc", Topology::uniform(4, Duration::from_millis(10)), 1, 1)
             .rate(400)
             .request_size(300)
             .secs(3)
             .seed(seed)
             .optimistic()
-        };
-        let (a, auditor_a) = run_metrics(&build(42));
-        let (b, auditor_b) = run_metrics(&build(42));
-        assert!(auditor_a.is_safe() && auditor_b.is_safe());
-        assert!(
-            !a.commits.is_empty(),
-            "{protocol}: no progress with optimism"
-        );
-        assert_eq!(a, b, "{protocol}: optimistic run must replay exactly");
-        assert_eq!(a.client_latencies(), b.client_latencies());
-        let (other, _) = run_metrics(&build(43));
-        assert_ne!(a, other, "{protocol}: different seeds should diverge");
-    }
+    };
+    let (a, auditor_a) = run_metrics(&build(42));
+    let (b, auditor_b) = run_metrics(&build(42));
+    assert!(auditor_a.is_safe() && auditor_b.is_safe());
+    assert!(!a.commits.is_empty(), "no progress with optimism");
+    assert_eq!(a, b, "optimistic run must replay exactly");
+    assert_eq!(a.client_latencies(), b.client_latencies());
+    let (other, _) = run_metrics(&build(43));
+    assert_ne!(a, other, "different seeds should diverge");
 }
 
 /// The measured-crypto configurations are still pure functions of the

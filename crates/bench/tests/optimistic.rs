@@ -1,6 +1,5 @@
-//! End-to-end tests of optimistic proposal pipelining (ISSUE 8): the
-//! Moonshot-style overlap must shorten the chained engine's commit
-//! cadence, survive a leader that *equivocates on its optimistic slot*
+//! End-to-end tests of optimistic proposal pipelining, which only ICC
+//! runs: the Moonshot-style overlap must shorten its commit cadence, survive a leader that *equivocates on its optimistic slot*
 //! (different optimistic proposals to different peers), and lose nothing
 //! under gossip + retry.
 
@@ -9,12 +8,12 @@ use banyan_core::chained::ByzantineMode;
 use banyan_simnet::topology::Topology;
 use banyan_types::time::Duration;
 
-/// A gossiping, retrying closed loop with optimism on — the setting
+/// A gossiping, retrying ICC closed loop with optimism on — the setting
 /// where an abandoned optimistic proposal would surface as lost or
 /// duplicated requests if the fallback/release machinery were wrong.
-fn optimistic_loop(protocol: &str) -> Scenario {
+fn optimistic_loop() -> Scenario {
     Scenario::new(
-        protocol,
+        "icc",
         Topology::uniform(4, Duration::from_millis(5)).with_egress_bps(100_000_000),
         1,
         1,
@@ -35,8 +34,8 @@ fn optimistic_loop(protocol: &str) -> Scenario {
 /// shorter than the flag-off baseline on the same workload.
 #[test]
 fn optimistic_pipelining_shortens_the_commit_cadence() {
-    let on = optimistic_loop("icc");
-    let mut off = optimistic_loop("icc");
+    let on = optimistic_loop();
+    let mut off = optimistic_loop();
     off.optimistic = false;
     let (m_on, a_on) = run_metrics(&on);
     let (m_off, a_off) = run_metrics(&off);
@@ -63,36 +62,33 @@ fn optimistic_pipelining_shortens_the_commit_cadence() {
 /// committing — with zero requests lost and agreement intact.
 #[test]
 fn optimistic_equivocation_falls_back_and_loses_nothing() {
-    for protocol in ["banyan", "icc"] {
-        let honest = optimistic_loop(protocol);
-        let attacked = optimistic_loop(protocol).byzantine(1, ByzantineMode::EquivocateOptimistic);
-        let (h, _) = run_metrics(&honest);
-        let (m, auditor) = run_metrics(&attacked);
-        assert!(
-            auditor.is_safe(),
-            "{protocol}: equivocating optimistic leader broke agreement: {:?}",
-            auditor.violations()
-        );
-        assert_eq!(
-            m.requests_lost(),
-            0,
-            "{protocol}: requests lost under optimistic equivocation"
-        );
-        assert!(
-            auditor.committed_rounds() > 50,
-            "{protocol}: commit progress did not resume past the equivocator \
-             ({} rounds)",
-            auditor.committed_rounds()
-        );
-        // One equivocator out of four leader slots costs its own rounds at
-        // worst — the honest majority's cadence must survive.
-        assert!(
-            m.commits.len() * 2 > h.commits.len(),
-            "{protocol}: equivocation collapsed throughput ({} vs honest {})",
-            m.commits.len(),
-            h.commits.len()
-        );
-    }
+    let honest = optimistic_loop();
+    let attacked = optimistic_loop().byzantine(1, ByzantineMode::EquivocateOptimistic);
+    let (h, _) = run_metrics(&honest);
+    let (m, auditor) = run_metrics(&attacked);
+    assert!(
+        auditor.is_safe(),
+        "equivocating optimistic leader broke agreement: {:?}",
+        auditor.violations()
+    );
+    assert_eq!(
+        m.requests_lost(),
+        0,
+        "requests lost under optimistic equivocation"
+    );
+    assert!(
+        auditor.committed_rounds() > 50,
+        "commit progress did not resume past the equivocator ({} rounds)",
+        auditor.committed_rounds()
+    );
+    // One equivocator out of four leader slots costs its own rounds at
+    // worst — the honest majority's cadence must survive.
+    assert!(
+        m.commits.len() * 2 > h.commits.len(),
+        "equivocation collapsed throughput ({} vs honest {})",
+        m.commits.len(),
+        h.commits.len()
+    );
 }
 
 /// Abandoned optimistic inclusions must not double-commit: the lease
@@ -101,7 +97,7 @@ fn optimistic_equivocation_falls_back_and_loses_nothing() {
 /// while an equivocator forces abandonment every fourth round.
 #[test]
 fn optimistic_equivocation_stays_within_the_duplicate_budget() {
-    let attacked = optimistic_loop("banyan").byzantine(1, ByzantineMode::EquivocateOptimistic);
+    let attacked = optimistic_loop().byzantine(1, ByzantineMode::EquivocateOptimistic);
     let (m, auditor) = run_metrics(&attacked);
     assert!(auditor.is_safe());
     let committed = m.requests_committed();

@@ -209,12 +209,14 @@ impl ClusterBuilder {
         self
     }
 
-    /// Enables Moonshot-style optimistic proposal pipelining for the
-    /// chained engines: the leader of round `r + 1` proposes on a
-    /// received-but-uncertified round-`r` block instead of waiting for
-    /// its certificate. Building a HotStuff or Streamlet cluster with
-    /// this set panics — HotStuff is already optimistically responsive
-    /// (a formed QC triggers the next proposal), and Streamlet's
+    /// Enables Moonshot-style optimistic proposal pipelining for ICC:
+    /// the leader of round `r + 1` proposes on a received-but-uncertified
+    /// round-`r` block instead of waiting for its certificate. Building
+    /// any other protocol with this set panics — a Banyan rank-0 block
+    /// carries its proposer's fast vote, which it cannot cast before the
+    /// parent certifies (holding it back measured slower than not
+    /// pipelining), HotStuff is already optimistically responsive (a
+    /// formed QC triggers the next proposal), and Streamlet's
     /// epoch-clocked proposals leave nothing to overlap.
     pub fn optimistic(mut self) -> Self {
         self.optimistic = true;
@@ -289,16 +291,13 @@ impl ClusterBuilder {
         Box::new(engine)
     }
 
-    /// Guard: optimistic pipelining exists only for the chained engines.
-    fn assert_no_optimistic(&self, protocol: &str) {
-        assert!(
-            !self.optimistic,
-            "optimistic pipelining is not supported for {protocol}; \
-             it is a chained-engine (banyan/icc) feature"
-        );
-    }
-
     /// Builds an `n`-replica Banyan cluster.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Self::optimistic`] was set: a Banyan rank-0 block
+    /// carries its proposer's fast vote, so there is no vote-free block
+    /// to pipeline on an uncertified parent.
     pub fn build_banyan(&self) -> Vec<Box<dyn Engine>> {
         self.build("banyan")
     }
@@ -351,17 +350,21 @@ impl ClusterBuilder {
     ///
     /// # Panics
     ///
-    /// Panics on an unknown protocol name or out-of-range index.
+    /// Panics on an unknown protocol name or out-of-range index, and if
+    /// [`Self::optimistic`] was set for any protocol but `"icc"`.
     pub fn build_replica(&self, protocol: &str, i: u16) -> Box<dyn Engine> {
         assert!(
             (i as usize) < self.cfg.n(),
             "replica index {i} out of range"
         );
+        assert!(
+            !self.optimistic || protocol == "icc",
+            "optimistic pipelining is not supported for {protocol}"
+        );
         match protocol {
             "banyan" => self.build_chained_replica(PathMode::Banyan, i),
             "icc" => self.build_chained_replica(PathMode::IccOnly, i),
             "hotstuff" => {
-                self.assert_no_optimistic("hotstuff");
                 let mut engine = HotStuffEngine::new(
                     self.cfg.clone(),
                     self.registry(i),
@@ -373,7 +376,6 @@ impl ClusterBuilder {
                 Box::new(engine)
             }
             "streamlet" => {
-                self.assert_no_optimistic("streamlet");
                 let mut engine = StreamletEngine::new(
                     self.cfg.clone(),
                     self.registry(i),
@@ -422,9 +424,16 @@ mod tests {
             .unwrap()
             .payload_size(100)
             .optimistic();
-        for proto in ["banyan", "icc"] {
-            assert_eq!(b.build(proto).len(), 4, "{proto}");
-        }
+        assert_eq!(b.build("icc").len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "not supported for banyan")]
+    fn optimistic_banyan_is_rejected() {
+        let _ = ClusterBuilder::new(4, 1, 1)
+            .unwrap()
+            .optimistic()
+            .build("banyan");
     }
 
     #[test]

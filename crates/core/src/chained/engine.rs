@@ -162,7 +162,7 @@ pub struct ChainedEngine {
     /// Where block payloads come from (mempool, client queue, or the
     /// paper's size-only synthetic workload).
     source: Box<dyn ProposalSource>,
-    /// Moonshot-style optimistic pipelining; off by default.
+    /// Moonshot-style optimistic pipelining (ICC only); off by default.
     optimistic: bool,
     /// The in-flight optimistic proposal, if any.
     pending_optimistic: Option<PendingOptimistic>,
@@ -242,7 +242,19 @@ impl ChainedEngine {
     /// pipelining — when this replica leads round `r + 1` and receives
     /// the round-`r` block before its certificate, it proposes on top of
     /// it immediately instead of waiting for the notarization.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the engine runs [`PathMode::IccOnly`]. A Banyan
+    /// rank-0 block carries its proposer's fast vote (Addition 2), which
+    /// an uncertified parent gives no safe moment to cast; holding it
+    /// back measured slower than not pipelining at all.
     pub fn with_optimistic(mut self) -> Self {
+        assert_eq!(
+            self.mode,
+            PathMode::IccOnly,
+            "optimistic pipelining is not supported for banyan"
+        );
         self.optimistic = true;
         self
     }
@@ -458,10 +470,8 @@ impl ChainedEngine {
                 self.propose_equivocating(round, parent, now, actions);
             }
             _ => {
-                let (hash, block, fast_vote) = self.build_block(round, rank, parent, now, true);
-                let msg = self.proposal_message(&block, &parent, fast_vote.as_ref());
-                self.adopt_block(hash, block, fast_vote, now, actions);
-                actions.broadcast(msg);
+                let built = self.build_block(round, rank, parent, now);
+                self.broadcast_block(built, actions);
             }
         }
     }
@@ -547,13 +557,14 @@ impl ChainedEngine {
         }
     }
 
+    /// Mints and signs our block for `round` on `parent`; a rank-0 block
+    /// in Banyan mode comes with the proposer's fast vote.
     fn build_block(
         &mut self,
         round: Round,
         rank: Rank,
         parent: BlockHash,
         now: Time,
-        attach_fast: bool,
     ) -> (BlockHash, Block, Option<Vote>) {
         let ctx = self.proposal_context(round, parent, now);
         let payload = self.source.next_payload(&ctx);
@@ -569,22 +580,14 @@ impl ChainedEngine {
         let hash = block.hash(self.cfg.payload_chunk);
         block.signature = self.registry.sign(&Block::signing_message(&hash));
         // Addition 2 / Algorithm 1 line 28: rank-0 proposals carry the
-        // proposer's fast vote. The optimistic path withholds it until
-        // the parent certifies (`attach_fast = false`), keeping the
-        // one-fast-vote-per-round budget unspent while the parent's fate
-        // is open.
-        let fast_vote = (attach_fast && self.fast_path() && rank.is_leader())
+        // proposer's fast vote.
+        let fast_vote = (self.fast_path() && rank.is_leader())
             .then(|| self.make_vote(VoteKind::Fast, round, hash));
         (hash, block, fast_vote)
     }
 
-    fn proposal_message(
-        &mut self,
-        block: &Block,
-        parent: &BlockHash,
-        fast_vote: Option<&Vote>,
-    ) -> Message {
-        let parent_notarization = self.store.notarization(parent).cloned();
+    fn proposal_message(&mut self, block: &Block, fast_vote: Option<&Vote>) -> Message {
+        let parent_notarization = self.store.notarization(&block.parent).cloned();
         let parent_unlock = (self.fast_path() && block.round > Round(1)).then(|| {
             Self::round_entry(
                 &mut self.rounds,
@@ -604,14 +607,7 @@ impl ChainedEngine {
     }
 
     /// Applies our own (or a received) block to local state.
-    fn adopt_block(
-        &mut self,
-        hash: BlockHash,
-        block: Block,
-        fast_vote: Option<Vote>,
-        _now: Time,
-        _actions: &mut Actions,
-    ) {
+    fn adopt_block(&mut self, hash: BlockHash, block: Block, fast_vote: Option<Vote>) {
         let round = block.round;
         let rank = block.rank;
         let me = self.id;
@@ -628,6 +624,35 @@ impl ChainedEngine {
         }
     }
 
+    /// Adopts a block from [`build_block`](Self::build_block) and
+    /// broadcasts its proposal.
+    fn broadcast_block(&mut self, built: (BlockHash, Block, Option<Vote>), actions: &mut Actions) {
+        let (hash, block, fast_vote) = built;
+        let msg = self.proposal_message(&block, fast_vote.as_ref());
+        self.adopt_block(hash, block, fast_vote);
+        actions.broadcast(msg);
+    }
+
+    /// Byzantine: adopts two conflicting blocks from
+    /// [`build_block`](Self::build_block) and sends `a` to the even
+    /// peers, `b` to the odd ones.
+    fn send_conflicting(
+        &mut self,
+        a: (BlockHash, Block, Option<Vote>),
+        b: (BlockHash, Block, Option<Vote>),
+        actions: &mut Actions,
+    ) {
+        let msg_a = self.proposal_message(&a.1, a.2.as_ref());
+        let msg_b = self.proposal_message(&b.1, b.2.as_ref());
+        // Keep both locally so we can serve sync requests for either.
+        self.adopt_block(a.0, a.1, a.2);
+        self.adopt_block(b.0, b.1, b.2);
+        for peer in (0..self.cfg.n() as u16).filter(|&p| p != self.id.0) {
+            let msg = if peer % 2 == 0 { &msg_a } else { &msg_b };
+            actions.send(ReplicaId(peer), msg.clone());
+        }
+    }
+
     /// Byzantine: two conflicting rank-0 proposals, one per half of the
     /// cluster.
     fn propose_equivocating(
@@ -638,50 +663,27 @@ impl ChainedEngine {
         actions: &mut Actions,
     ) {
         let rank = self.my_rank(round);
-        let (hash_a, block_a, fast_a) = self.build_block(round, rank, parent, now, true);
-        let (hash_b, block_b, fast_b) = self.build_block(round, rank, parent, now, true);
-        if hash_a == hash_b {
+        let a = self.build_block(round, rank, parent, now);
+        let b = self.build_block(round, rank, parent, now);
+        if a.0 == b.0 {
             // The source minted identical payloads (e.g. an empty mempool
             // twice): no equivocation is possible, so propose honestly.
-            let msg = self.proposal_message(&block_a, &parent, fast_a.as_ref());
-            self.adopt_block(hash_a, block_a, fast_a, now, actions);
-            actions.broadcast(msg);
-            return;
-        }
-        let msg_a = self.proposal_message(&block_a, &parent, fast_a.as_ref());
-        let msg_b = self.proposal_message(&block_b, &parent, fast_b.as_ref());
-        // Keep block A locally; also track B so we can serve sync requests.
-        self.adopt_block(hash_a, block_a, fast_a, now, actions);
-        self.adopt_block(hash_b, block_b, fast_b, now, actions);
-        let n = self.cfg.n() as u16;
-        for peer in 0..n {
-            if peer == self.id.0 {
-                continue;
-            }
-            let msg = if peer % 2 == 0 {
-                msg_a.clone()
-            } else {
-                msg_b.clone()
-            };
-            actions.send(ReplicaId(peer), msg);
+            self.broadcast_block(a, actions);
+        } else {
+            self.send_conflicting(a, b, actions);
         }
     }
 
     // ------------------------------------------------------------------
-    // Optimistic pipelining (Moonshot-style)
+    // Optimistic pipelining (Moonshot-style, ICC only)
     // ------------------------------------------------------------------
 
     /// If we lead round `r + 1` and just received this round's (rank-0)
     /// block, propose on top of it immediately instead of waiting for
     /// its certificate — the block payload's broadcast then overlaps
-    /// with the parent's certification.
-    ///
-    /// The proposal ships without a parent notarization (none exists
-    /// yet) and, in Banyan mode, without our fast vote: the fast vote is
-    /// withheld until the parent actually certifies (see
-    /// `reconcile_optimistic`), so an abandoned optimistic block never
-    /// spends our one-fast-vote-per-round budget and the fallback
-    /// re-proposal is a fully valid rank-0 block.
+    /// with the parent's certification. The proposal ships without a
+    /// parent notarization (none exists yet); if the parent never
+    /// certifies, `reconcile_optimistic` abandons it.
     ///
     /// Returns `true` iff it proposed.
     fn maybe_propose_optimistic(
@@ -718,61 +720,40 @@ impl ChainedEngine {
         }
         self.round_state(next).proposed = true;
         let rank = self.my_rank(next);
+        let mut block = None;
         if self.byz == ByzantineMode::EquivocateOptimistic {
-            let (hash_a, block_a, _) = self.build_block(next, rank, received, now, false);
-            let (hash_b, block_b, _) = self.build_block(next, rank, received, now, false);
-            if hash_a != hash_b {
-                let msg_a = self.proposal_message(&block_a, &received, None);
-                let msg_b = self.proposal_message(&block_b, &received, None);
-                self.adopt_block(hash_a, block_a, None, now, actions);
-                self.adopt_block(hash_b, block_b, None, now, actions);
-                let n = self.cfg.n() as u16;
-                for peer in 0..n {
-                    if peer == self.id.0 {
-                        continue;
-                    }
-                    let msg = if peer % 2 == 0 {
-                        msg_a.clone()
-                    } else {
-                        msg_b.clone()
-                    };
-                    actions.send(ReplicaId(peer), msg);
-                }
-                self.pending_optimistic = Some(PendingOptimistic {
-                    round: next,
-                    parent: received,
-                    block: hash_a,
-                });
-                return true;
+            let a = self.build_block(next, rank, received, now);
+            let b = self.build_block(next, rank, received, now);
+            if a.0 != b.0 {
+                block = Some(a.0);
+                self.send_conflicting(a, b, actions);
             }
             // Identical payloads: no equivocation possible, pipeline
             // honestly below.
         }
-        let (hash, block, _) = self.build_block(next, rank, received, now, false);
-        let msg = self.proposal_message(&block, &received, None);
-        self.adopt_block(hash, block, None, now, actions);
-        actions.broadcast(msg);
+        let block = block.unwrap_or_else(|| {
+            let built = self.build_block(next, rank, received, now);
+            let hash = built.0;
+            self.broadcast_block(built, actions);
+            hash
+        });
         self.pending_optimistic = Some(PendingOptimistic {
             round: next,
             parent: received,
-            block: hash,
+            block,
         });
         true
     }
 
     /// Resolves the pending optimistic proposal when we are about to
-    /// enter round `next`.
-    ///
-    /// * Parent certified (notarized + unlocked): the pipeline won. In
-    ///   Banyan mode we now release the withheld fast vote for the
-    ///   optimistic block — peers already hold its body, so this small
-    ///   message is all that gates their votes.
-    /// * Parent never certified: abandon. Clearing the round's
-    ///   `proposed` flag re-arms the `Propose` timer on round entry, so
-    ///   the normal path re-proposes on the certified parent (the
-    ///   fallback). The abandoned block's drained requests come back via
-    ///   the mempool's certificate-conflict lease release.
-    fn reconcile_optimistic(&mut self, next: Round, actions: &mut Actions) {
+    /// enter round `next`. If its parent certified (notarized +
+    /// unlocked), the pipeline won and there is nothing left to do.
+    /// Otherwise it is abandoned: clearing the round's `proposed` flag
+    /// re-arms the `Propose` timer on round entry, so the normal path
+    /// re-proposes on the certified parent (the fallback). The abandoned
+    /// block's drained requests come back via the mempool's
+    /// certificate-conflict lease release.
+    fn reconcile_optimistic(&mut self, next: Round) {
         let Some(po) = self.pending_optimistic else {
             return;
         };
@@ -784,17 +765,6 @@ impl ChainedEngine {
             self.store.is_notarized(&po.parent) && self.is_unlocked(po.round.prev(), &po.parent);
         if !parent_certified {
             self.round_state(po.round).proposed = false;
-            return;
-        }
-        if po.round == next && self.fast_path() && !self.round_state(po.round).fast_vote_sent {
-            let fast = self.make_vote(VoteKind::Fast, po.round, po.block);
-            let me = self.id;
-            let rs = self.round_state(po.round);
-            rs.leader_fast_votes.insert(po.block, fast);
-            rs.unlock.add_fast_vote(po.block, me, fast.signature);
-            rs.fast_vote_sent = true;
-            rs.our_votes.push(fast);
-            actions.broadcast(Message::Chained(ChainedMsg::Votes(vec![fast])));
         }
     }
 
@@ -857,7 +827,7 @@ impl ChainedEngine {
         });
         if !stored || fast_vote.is_some() {
             changed = true;
-            self.adopt_block(hash, block, fast_vote, now, actions);
+            self.adopt_block(hash, block, fast_vote);
         }
         self.sync_requested.remove(&hash);
         changed | self.maybe_propose_optimistic(hash, now, actions)
@@ -877,17 +847,6 @@ impl ChainedEngine {
             if !ok {
                 continue;
             }
-            // Optimistic pipelining ships rank-0 proposals without the
-            // proposer's fast vote and releases it separately once the
-            // parent certifies. A proposer's fast vote for its own
-            // stored rank-0 block is the exact evidence Addition 2
-            // demands, so accept it for validity through this channel
-            // too (gated: defaults-off runs are bit-identical).
-            let proposer_fast = self.optimistic
-                && vote.kind == VoteKind::Fast
-                && self.store.get(&vote.block).is_some_and(|b| {
-                    b.proposer == vote.voter && b.round == vote.round && b.rank.is_leader()
-                });
             let rs = self.round_state(vote.round);
             changed |= match vote.kind {
                 VoteKind::Notarize => rs
@@ -896,19 +855,9 @@ impl ChainedEngine {
                 VoteKind::Finalize => rs
                     .finalize_votes
                     .add(vote.block, vote.voter, vote.signature),
-                VoteKind::Fast => {
-                    let new_vote = rs
-                        .unlock
-                        .add_fast_vote(vote.block, vote.voter, vote.signature);
-                    // A re-sent vote that reached the table before its
-                    // block was stored still has to land here.
-                    let new_leader_vote =
-                        proposer_fast && !rs.leader_fast_votes.contains_key(&vote.block);
-                    if new_leader_vote {
-                        rs.leader_fast_votes.insert(vote.block, vote);
-                    }
-                    new_vote || new_leader_vote
-                }
+                VoteKind::Fast => rs
+                    .unlock
+                    .add_fast_vote(vote.block, vote.voter, vote.signature),
             };
         }
         changed
@@ -1083,8 +1032,7 @@ impl ChainedEngine {
                         .get(&block.round)
                         .and_then(|rs| rs.leader_fast_votes.get(&hash))
                         .copied();
-                    let parent = block.parent;
-                    let msg = self.proposal_message(&block, &parent, fast_vote.as_ref());
+                    let msg = self.proposal_message(&block, fast_vote.as_ref());
                     actions.send(from, msg);
                 }
             }
@@ -1550,13 +1498,12 @@ impl ChainedEngine {
                 && self.round_state(round).relayed.insert(hash)
             {
                 let block = self.store.get(&hash).expect("stored").clone();
-                let parent = block.parent;
                 let fast_vote = self
                     .round_state(round)
                     .leader_fast_votes
                     .get(&hash)
                     .copied();
-                let msg = self.proposal_message(&block, &parent, fast_vote.as_ref());
+                let msg = self.proposal_message(&block, fast_vote.as_ref());
                 actions.broadcast(msg);
             }
         }
@@ -1571,7 +1518,7 @@ impl ChainedEngine {
         // Finalization-driven catch-up: never linger at or below kMax.
         if self.round <= self.k_max {
             let next = self.k_max.next();
-            self.reconcile_optimistic(next, actions);
+            self.reconcile_optimistic(next);
             self.enter_round(next, now, actions);
             return true;
         }
@@ -1654,7 +1601,7 @@ impl ChainedEngine {
         }
 
         self.round_state(round).advanced = true;
-        self.reconcile_optimistic(round.next(), actions);
+        self.reconcile_optimistic(round.next());
         self.enter_round(round.next(), now, actions);
         true
     }
@@ -1682,13 +1629,12 @@ impl ChainedEngine {
             .copied();
         if let Some(hash) = own_proposal {
             let block = self.store.get(&hash).expect("stored").clone();
-            let parent = block.parent;
             let fast_vote = self
                 .round_state(round)
                 .leader_fast_votes
                 .get(&hash)
                 .copied();
-            let msg = self.proposal_message(&block, &parent, fast_vote.as_ref());
+            let msg = self.proposal_message(&block, fast_vote.as_ref());
             actions.broadcast(msg);
         }
         // A pending optimistic proposal for the next round (its parent's
@@ -1696,8 +1642,7 @@ impl ChainedEngine {
         if let Some(po) = self.pending_optimistic {
             if po.round == round.next() {
                 if let Some(block) = self.store.get(&po.block).cloned() {
-                    let parent = block.parent;
-                    let msg = self.proposal_message(&block, &parent, None);
+                    let msg = self.proposal_message(&block, None);
                     actions.broadcast(msg);
                 }
             }

@@ -239,6 +239,15 @@ fn rank0_block_without_leader_fast_vote_is_invalid_in_banyan() {
     assert!(broadcast_votes(&actions, VoteKind::Notarize).is_empty());
 }
 
+/// Addition 2 gives a Banyan rank-0 block its proposer's fast vote, so
+/// there is no fast-vote-free block to pipeline on an uncertified parent:
+/// optimistic pipelining is ICC's alone.
+#[test]
+#[should_panic(expected = "not supported for banyan")]
+fn optimistic_banyan_engine_is_rejected() {
+    let _ = engine(0, PathMode::Banyan).with_optimistic();
+}
+
 #[test]
 fn wrong_rank_proposal_rejected() {
     let mut e = engine(0, PathMode::Banyan);

@@ -63,10 +63,11 @@ fn req(id: u64) -> Request {
     }
 }
 
-/// Runs an n-replica optimistic cluster where every replica carries its
-/// own disjoint batch of requests (gossip off — each id has exactly one
-/// possible proposer), under the plan's crashes and partition window.
-fn run_optimistic(protocol: &str, n: usize, f: usize, plan: &OptimisticPlan) -> Simulation {
+/// Runs an n-replica optimistic ICC cluster (the only protocol that
+/// pipelines) where every replica carries its own disjoint batch of
+/// requests (gossip off — each id has exactly one possible proposer),
+/// under the plan's crashes and partition window.
+fn run_optimistic(n: usize, f: usize, plan: &OptimisticPlan) -> Simulation {
     let pools: Vec<SharedMempool> = (0..n)
         .map(|i| {
             let mut pool = Mempool::new(100_000);
@@ -87,7 +88,7 @@ fn run_optimistic(protocol: &str, n: usize, f: usize, plan: &OptimisticPlan) -> 
             ))
         })
         .optimistic()
-        .build(protocol);
+        .build("icc");
     let mut faults = FaultPlan::none();
     for (replica, ms) in &plan.crashes {
         faults = faults.crash(
@@ -112,7 +113,7 @@ fn run_optimistic(protocol: &str, n: usize, f: usize, plan: &OptimisticPlan) -> 
 /// Every request id in every replica's committed chain, with the claim
 /// that none repeats: an abandoned optimistic block's requests must
 /// re-enter pending and commit through exactly one later block.
-fn assert_no_chain_duplicates(sim: &Simulation, protocol: &str) {
+fn assert_no_chain_duplicates(sim: &Simulation) {
     let mut per_replica: HashMap<ReplicaId, HashSet<u64>> = HashMap::new();
     for c in &sim.metrics().commits {
         let seen = per_replica.entry(c.replica).or_default();
@@ -120,7 +121,7 @@ fn assert_no_chain_duplicates(sim: &Simulation, protocol: &str) {
             for r in batch.requests {
                 assert!(
                     seen.insert(r.id),
-                    "{protocol}: request {} committed twice in replica {}'s chain",
+                    "request {} committed twice in replica {}'s chain",
                     r.id,
                     c.replica.0
                 );
@@ -130,7 +131,7 @@ fn assert_no_chain_duplicates(sim: &Simulation, protocol: &str) {
 }
 
 proptest! {
-    // Each case simulates 8 s of protocol time across two engines.
+    // Each case simulates 8 s of protocol time.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// n = 4, f = 1 with optimism on: any single crash, any partition
@@ -139,28 +140,26 @@ proptest! {
     /// cluster keeps committing despite abandoned optimistic parents.
     #[test]
     fn optimistic_pipelining_is_safe_under_random_faults(plan in arb_plan(4, 1)) {
-        for protocol in ["banyan", "icc"] {
-            let sim = run_optimistic(protocol, 4, 1, &plan);
-            prop_assert!(
-                sim.auditor().is_safe(),
-                "{protocol}: {:?} under {plan:?}",
-                sim.auditor().violations()
-            );
-            assert_no_chain_duplicates(&sim, protocol);
-            prop_assert!(
-                sim.auditor().committed_rounds() > 20,
-                "{protocol}: only {} rounds under {plan:?}",
-                sim.auditor().committed_rounds()
-            );
-        }
+        let sim = run_optimistic(4, 1, &plan);
+        prop_assert!(
+            sim.auditor().is_safe(),
+            "{:?} under {plan:?}",
+            sim.auditor().violations()
+        );
+        assert_no_chain_duplicates(&sim);
+        prop_assert!(
+            sim.auditor().committed_rounds() > 20,
+            "only {} rounds under {plan:?}",
+            sim.auditor().committed_rounds()
+        );
     }
 
     /// Safety must hold even past the fault bound (liveness may not).
     #[test]
     fn optimistic_safety_beyond_the_fault_bound(plan in arb_plan(4, 3)) {
-        let sim = run_optimistic("banyan", 4, 1, &plan);
+        let sim = run_optimistic(4, 1, &plan);
         prop_assert!(sim.auditor().is_safe(), "{:?}", sim.auditor().violations());
-        assert_no_chain_duplicates(&sim, "banyan");
+        assert_no_chain_duplicates(&sim);
     }
 }
 

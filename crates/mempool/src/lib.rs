@@ -122,7 +122,7 @@ use std::sync::{Arc, Mutex};
 
 use banyan_types::app::{ProposalContext, ProposalSource};
 use banyan_types::block::Block;
-use banyan_types::codec::{Reader, Wire, Writer};
+use banyan_types::codec::{Reader, Wire, Writer, MAX_LEN};
 use banyan_types::engine::{CommitEntry, Outbound};
 use banyan_types::ids::{BlockHash, ReplicaId, Round};
 use banyan_types::message::{DisseminationMsg, Message};
@@ -135,6 +135,12 @@ use lease::LeaseTable;
 
 /// Magic prefix identifying a [`WorkloadBatch`] payload.
 const BATCH_MAGIC: &[u8; 8] = b"BanyanWB";
+
+/// The largest request a pool takes in: a one-record [`WorkloadBatch`]
+/// of it still fits the length prefix a peer's decoder accepts. A bigger
+/// `size` can only be forged, and batching it would size a buffer from
+/// that hostile field.
+const MAX_REQUEST_SIZE: u64 = (MAX_LEN - (BATCH_MAGIC.len() + 4 + WorkloadBatch::RECORD)) as u64;
 
 /// Default mempool capacity (pending requests per replica).
 pub const DEFAULT_MEMPOOL_CAPACITY: usize = 65_536;
@@ -221,6 +227,9 @@ pub enum PushOutcome {
     /// Rejected: a request with this id was already observed committed
     /// (the exactly-once dedup rule; see the crate docs).
     Committed,
+    /// Rejected: the request is too large for any batch a peer could
+    /// decode.
+    Oversized,
 }
 
 /// A deterministic FIFO mempool with bounded capacity, an optional gossip
@@ -462,6 +471,9 @@ impl Mempool {
     }
 
     fn insert(&mut self, req: Request) -> PushOutcome {
+        if req.size > MAX_REQUEST_SIZE {
+            return PushOutcome::Oversized;
+        }
         if self.committed_ids.contains(&req.id) {
             self.rejected_committed += 1;
             return PushOutcome::Committed;
@@ -1476,6 +1488,28 @@ mod tests {
             mp.push(req(id, id));
         }
         assert_eq!(mp.drain(3).len(), 3);
+    }
+
+    /// A peer's forged record claiming an impossible size must not reach
+    /// a batch: the next leader would size its payload buffer from it.
+    #[test]
+    fn forged_oversized_forward_never_reaches_a_batch() {
+        let shared = Mempool::shared(100);
+        let forged = Request {
+            size: u64::MAX,
+            ..req(1, 1)
+        };
+        shared.lock().unwrap().intake(
+            ReplicaId(1),
+            DisseminationMsg::Forward {
+                requests: vec![forged],
+            },
+        );
+        assert!(shared.lock().unwrap().is_empty());
+        let mut src = MempoolSource::new(shared, 3);
+        assert!(src
+            .next_payload(&ProposalContext::root(Round(1), Time(1)))
+            .is_empty());
     }
 
     fn hash(tag: u8) -> BlockHash {

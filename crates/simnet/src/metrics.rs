@@ -398,14 +398,6 @@ impl RunMetrics {
         per_second(bytes, self.end_time.as_secs_f64())
     }
 
-    /// Maximum throughput across replicas (a non-faulty replica's view;
-    /// crashed replicas commit little and would bias the mean).
-    pub fn max_throughput_bps(&self) -> f64 {
-        (0..self.replica_count())
-            .map(|r| self.throughput_bps(ReplicaId(r as u16)))
-            .fold(0.0, f64::max)
-    }
-
     /// Intervals between consecutive commits at `replica` (block interval,
     /// Fig. 6d).
     pub fn block_intervals(&self, replica: ReplicaId) -> Vec<Duration> {
@@ -464,14 +456,6 @@ impl RunMetrics {
     /// Highest round committed anywhere.
     pub fn max_committed_round(&self) -> Option<Round> {
         self.commits.iter().map(|c| c.entry.round).max()
-    }
-
-    fn replica_count(&self) -> usize {
-        self.commits
-            .iter()
-            .map(|c| c.replica.as_usize() + 1)
-            .max()
-            .unwrap_or(0)
     }
 }
 

@@ -535,12 +535,6 @@ impl Simulation {
         self.apps[replica.as_usize()] = Some(app);
     }
 
-    /// Removes and returns `replica`'s attached [`App`] (for post-run
-    /// assertions in tests and examples).
-    pub fn take_app(&mut self, replica: ReplicaId) -> Option<Box<dyn App>> {
-        self.apps[replica.as_usize()].take()
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> Time {
         self.now

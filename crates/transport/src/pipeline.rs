@@ -540,8 +540,8 @@ mod tests {
         );
     }
 
-    /// An *optimistic* chained proposal — uncertified parent, so
-    /// `parent_notarization: None` and a withheld `fast_vote: None` — must
+    /// An *optimistic* ICC proposal — uncertified parent, so
+    /// `parent_notarization: None`, and no `fast_vote` — must
     /// flow through the verify stage exactly like a certified one: the
     /// message handed back with every field untouched. The verify pool is
     /// deliberately certification-blind; optimism needs no new wire
