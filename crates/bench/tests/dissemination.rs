@@ -269,3 +269,32 @@ fn cohort_tree_runs_are_deterministic() {
     let (c, _) = run_metrics(&scenario(43));
     assert_ne!(a, c, "different seeds must diverge");
 }
+
+/// A primed window larger than one flush's per-peer credit leaves every
+/// tree-mode pool a backlog after the first flush. The simulator flushes
+/// only the pool of the replica an event ran on — plus every pool with a
+/// backlog, so the backlog drains one credit per event exactly as when
+/// every pool was flushed after every event. The pinned counts are those
+/// of a simulator that flushed every pool after every event; skipping the
+/// backlogged pools sends 3 044 frames instead.
+#[test]
+fn a_gossip_backlog_drains_as_if_every_pool_were_flushed() {
+    let scenario = Scenario::new(
+        "banyan",
+        Topology::uniform(4, Duration::from_millis(5)).with_egress_bps(100_000_000),
+        1,
+        1,
+    )
+    .closed_loop(4096, 1, Duration::from_secs(60))
+    .request_size(64)
+    .secs(1)
+    .seed(42)
+    .fanout_tree(2);
+    let (m, auditor) = run_metrics(&scenario);
+    assert!(auditor.is_safe());
+    assert_eq!(m.requests_completed, 4096);
+    assert_eq!(
+        (m.messages_sent, m.bytes_sent, m.gossip_bytes),
+        (3038, 6_438_208, 1_403_482)
+    );
+}

@@ -730,6 +730,14 @@ impl Mempool {
             .map_or(0, |q| q.queue.len())
     }
 
+    /// True while gossip waits in the shared outbox or in a peer queue —
+    /// what the next [`flush`](Self::flush) takes from. A flush empties
+    /// them, except a peer queue holding more than one flush's credit,
+    /// which keeps the rest for the next.
+    pub fn has_queued_gossip(&self) -> bool {
+        !self.outbox.is_empty() || self.peer_queues.iter().any(|q| !q.queue.is_empty())
+    }
+
     /// **Flush**: turns whatever gossip the pool holds into frames, one
     /// `emit` per frame. The pool knows its own shape — in broadcast mode
     /// the shared outbox becomes one `Forward` broadcast; with per-peer
@@ -1160,14 +1168,19 @@ pub trait ReplicaPool: Clone + Send + 'static {
     /// back into the handle.
     fn with_pool<R>(&self, f: impl FnOnce(&mut Mempool) -> R) -> R;
 
-    /// Turns the pool's queued gossip into frames (see [`Mempool::flush`]).
-    /// `emit` runs under the pool's lock and must not call back into the
-    /// pool: collect the frames, send them afterwards. (Every driver
-    /// flushes every pool after every event, almost always finding
-    /// nothing; collecting on the handle's side of the lock instead cost
-    /// the 19-replica simulation 2–3 % of its CPU.)
-    fn flush(&self, emit: &mut impl FnMut(Outbound)) {
-        self.with_pool(|pool| pool.flush(emit));
+    /// Turns the pool's queued gossip into frames (see [`Mempool::flush`])
+    /// and reports whether some is still queued
+    /// ([`Mempool::has_queued_gossip`]: a peer queue held more than its
+    /// credit). `emit` runs under the pool's lock and must not call back
+    /// into the pool: collect the frames, send them afterwards. (A driver
+    /// flushes after every event, almost always finding nothing;
+    /// collecting on the handle's side of the lock instead cost the
+    /// 19-replica simulation 2–3 % of its CPU.)
+    fn flush(&self, emit: &mut impl FnMut(Outbound)) -> bool {
+        self.with_pool(|pool| {
+            pool.flush(emit);
+            pool.has_queued_gossip()
+        })
     }
 
     /// Applies one inbound dissemination frame (see [`Mempool::intake`]).

@@ -229,7 +229,9 @@ fn run_script<H: Handle>(pool: &H, ops: &[(u8, u8)]) -> (Vec<Outbound>, PoolStat
                 });
                 assert_eq!(retired, WorkloadBatch::decode(&won.payload));
             }
-            _ => pool.flush(&mut |out| emitted.push(out)),
+            _ => {
+                pool.flush(&mut |out| emitted.push(out));
+            }
         }
     }
     pool.flush(&mut |out| emitted.push(out));

@@ -215,16 +215,19 @@ impl<P: ReplicaPool> Replica<P> {
     }
 
     /// Sends whatever gossip the pool has queued. A down replica's is
-    /// drained and dropped: a dead process sends nothing.
-    pub fn flush(&mut self, io: &mut impl ReplicaIo) {
-        let Some(pool) = &self.pool else { return };
+    /// drained and dropped: a dead process sends nothing. Returns true if
+    /// gossip is still queued (a peer queue held more than one flush's
+    /// credit): the next flush sends more even if nothing is added.
+    pub fn flush(&mut self, io: &mut impl ReplicaIo) -> bool {
+        let Some(pool) = &self.pool else { return false };
         // Collected first: the frames are encoded outside the pool's lock,
         // which clients pushing into the pool wait on.
         let mut frames = Vec::new();
-        pool.flush(&mut |out| frames.push(out));
+        let backlog = pool.flush(&mut |out| frames.push(out));
         if self.engine.is_some() {
             frames.into_iter().for_each(|out| io.transmit(out));
         }
+        backlog
     }
 
     /// Handles one frame from `from`. Request gossip feeds the pool, a

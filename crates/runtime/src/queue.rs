@@ -5,36 +5,19 @@
 //! *only* event-ordering implementation in the workspace; the simulator's
 //! global event loop and the TCP runner's timer wheel are both built on
 //! it, which is what makes their schedules comparable.
+//!
+//! The heap holds only `(time, seq, slot)` keys, 24 bytes each; the
+//! payloads wait in a slot arena the keys index. A sift then moves keys,
+//! never payloads — the simulator's deliveries carry whole messages, and
+//! moving those through every level of the heap was most of the queue's
+//! cost. A popped entry's slot goes on a free list and the next push
+//! reuses it, so the arena never outgrows the peak number of pending
+//! entries.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use banyan_types::time::Time;
-
-/// One scheduled entry. Ordering ignores the payload entirely: `(at, seq)`
-/// is a total order because `seq` is unique per queue.
-struct Entry<T> {
-    at: Time,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
 
 /// A deterministic time-ordered queue of `T`.
 ///
@@ -42,7 +25,13 @@ impl<T> Ord for Entry<T> {
 /// pushes in the same order always pop identically, independent of the
 /// payload type's own ordering (it needs none).
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Reverse<Entry<T>>>,
+    /// `(at, seq, slot)` keys. `seq` is unique per queue, so the slot never
+    /// decides the order: it only says where the payload is.
+    heap: BinaryHeap<Reverse<(Time, u64, u32)>>,
+    /// Payloads by slot; `None` marks a free slot.
+    slots: Vec<Option<T>>,
+    /// Free slots, reused before the arena grows.
+    free: Vec<u32>,
     seq: u64,
 }
 
@@ -57,6 +46,8 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             seq: 0,
         }
     }
@@ -66,17 +57,32 @@ impl<T> EventQueue<T> {
     pub fn push(&mut self, at: Time, item: T) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, item }));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(item);
+                slot
+            }
+            None => {
+                self.slots.push(Some(item));
+                u32::try_from(self.slots.len() - 1).expect("more than u32::MAX pending events")
+            }
+        };
+        self.heap.push(Reverse((at, seq, slot)));
     }
 
     /// Time of the earliest entry, if any.
     pub fn next_at(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse(e)| e.at)
+        self.heap.peek().map(|Reverse((at, ..))| *at)
     }
 
     /// Removes and returns the earliest entry.
     pub fn pop(&mut self) -> Option<(Time, T)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.item))
+        let Reverse((at, _, slot)) = self.heap.pop()?;
+        let item = self.slots[slot as usize]
+            .take()
+            .expect("a keyed slot is full");
+        self.free.push(slot);
+        Some((at, item))
     }
 
     /// Removes and returns the earliest entry if it is due at `now`
@@ -158,6 +164,83 @@ mod tests {
         assert_eq!(q.pop_due(Time(15)), None);
         assert_eq!(q.pop_due(Time(25)), Some((Time(20), 2)));
         assert!(q.is_empty());
+    }
+
+    /// xorshift64*: a seeded, dependency-free stream for the randomized
+    /// test below.
+    struct Stream(u64);
+
+    impl Stream {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        }
+    }
+
+    #[test]
+    fn random_operations_match_a_time_seq_ordered_model() {
+        for seed in 1..=20u64 {
+            let mut rng = Stream(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let mut q = EventQueue::new();
+            // The reference: every pending `(time, seq, value)`; the next
+            // pop is its minimum.
+            let mut model: Vec<(Time, u64, u64)> = Vec::new();
+            let (mut seq, mut peak) = (0u64, 0usize);
+            for step in 0..4_000u64 {
+                match rng.below(4) {
+                    // Pushes outnumber pops, so the queue grows and
+                    // shrinks; times come from a narrow range, so many are
+                    // equal and only `seq` orders them.
+                    0 | 1 => {
+                        let at = Time(rng.below(32));
+                        q.push(at, step);
+                        model.push((at, seq, step));
+                        seq += 1;
+                    }
+                    op => {
+                        let due = (op == 3).then(|| Time(rng.below(40)));
+                        let next = (model.iter().enumerate())
+                            .min_by_key(|(_, e)| (e.0, e.1))
+                            .map(|(i, e)| (i, e.0));
+                        let expected = match next {
+                            Some((i, at)) if due.is_none_or(|now| at <= now) => {
+                                let (at, _, value) = model.swap_remove(i);
+                                Some((at, value))
+                            }
+                            _ => None,
+                        };
+                        let got = match due {
+                            Some(now) => q.pop_due(now),
+                            None => q.pop(),
+                        };
+                        assert_eq!(got, expected, "seed {seed} step {step}");
+                    }
+                }
+                peak = peak.max(model.len());
+                assert_eq!(q.len(), model.len());
+                assert_eq!(q.next_at(), model.iter().map(|e| e.0).min());
+            }
+            assert_eq!(q.pushed(), seq);
+            assert_eq!(q.slots.len(), peak, "seed {seed}: arena outgrew the peak");
+        }
+    }
+
+    #[test]
+    fn freed_slots_are_reused() {
+        let mut q = EventQueue::new();
+        for i in 0..8u64 {
+            q.push(Time(i), i);
+        }
+        // 10⁵ alternating calls: never more than 9 entries pending.
+        for i in 8..50_008u64 {
+            q.push(Time(i), i);
+            assert_eq!(q.pop(), Some((Time(i - 8), i - 8)));
+        }
+        assert_eq!(q.len(), 8);
+        assert_eq!(q.slots.len(), 9, "a freed slot was not reused");
+        assert_eq!(q.free.len(), 1);
     }
 
     #[test]

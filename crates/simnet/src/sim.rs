@@ -32,10 +32,12 @@
 //! # Request dissemination
 //!
 //! With [`Simulation::enable_dissemination`], every replica gets its
-//! client pool wired in, and the simulator flushes each pool's gossip after
-//! every event. Gossip and sync frames go through the *same*
-//! bandwidth/propagation/jitter/FIFO model as consensus traffic, so they
-//! are charged against the links they would really occupy.
+//! client pool wired in, and the simulator flushes pool gossip after every
+//! event — after a delivery or a wake-up only the pool of the replica it
+//! ran on, the one pool such an event can fill. Gossip and sync frames go
+//! through the *same* bandwidth/propagation/jitter/FIFO model as consensus
+//! traffic, so they are charged against the links they would really
+//! occupy.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -175,6 +177,21 @@ enum EventKind {
     /// A `Fault::Restart` outage ends: the replica is rebuilt via the
     /// restart builder and begins catch-up.
     Rejoin { replica: ReplicaId },
+}
+
+impl EventKind {
+    /// The replica a delivery or a wake-up runs on: the one pool such an
+    /// event can fill. `None` for the events that push into any pool.
+    fn touches(&self) -> Option<ReplicaId> {
+        match self {
+            EventKind::Deliver { to, .. } => Some(*to),
+            EventKind::Wake { replica, .. } => Some(*replica),
+            EventKind::ClientTick
+            | EventKind::RetryTick
+            | EventKind::CrashAt { .. }
+            | EventKind::Rejoin { .. } => None,
+        }
+    }
 }
 
 /// Replica `me`'s [`ReplicaIo`]: frames run through the
@@ -372,6 +389,10 @@ pub struct Simulation {
     /// Per-replica incarnation counter, bumped on crash and on rejoin so
     /// wake-ups armed by a previous life are dropped.
     generations: Vec<u32>,
+    /// Per-replica: its pool's last flush left gossip queued (a peer
+    /// queue held more than one flush's credit), so every event flushes
+    /// it again until it drains, as if every pool were flushed.
+    gossip_backlog: Vec<bool>,
     /// Rebuilds engines for `Fault::Restart` rejoins; without one, a
     /// restarted replica simply stays down.
     restart_builder: Option<RestartBuilder>,
@@ -436,6 +457,7 @@ impl Simulation {
             apps: (0..n).map(|_| None).collect(),
             workload: None,
             generations: vec![0; n],
+            gossip_backlog: vec![false; n],
             restart_builder: None,
             crash_snapshots: (0..n).map(|_| None).collect(),
             last_verify: vec![VerifyStats::default(); n],
@@ -595,11 +617,12 @@ impl Simulation {
         }
         // Requests pushed before this call (priming, earlier segments)
         // may have left gossip or retry work pending.
-        self.after_event();
+        self.after_event(None);
 
         while self.queue.next_at().is_some_and(|at| at <= end) {
             let (at, event) = self.queue.pop().expect("peeked");
             self.now = at;
+            let touched = event.touches();
             match event {
                 EventKind::Deliver { from, to, msg } => {
                     if self.faults.is_crashed(to, self.now) {
@@ -641,7 +664,7 @@ impl Simulation {
                 EventKind::CrashAt { replica } => self.crash_replica(replica),
                 EventKind::Rejoin { replica } => self.rejoin_replica(replica),
             }
-            self.after_event();
+            self.after_event(touched);
         }
 
         self.now = end;
@@ -734,23 +757,40 @@ impl Simulation {
         (replicas, io)
     }
 
-    /// Post-event bookkeeping: flush every pool's gossip into the network
-    /// model (dissemination shares links with consensus traffic and is
-    /// charged the same way) and turn the workload's freshly armed
-    /// think/retry deadlines into queue events. Called once per processed
-    /// event (and at segment start), so pushes and completions from *this*
-    /// event are scheduled before the next event pops.
-    fn after_event(&mut self) {
+    /// Post-event bookkeeping: flush pool gossip into the network model
+    /// (dissemination shares links with consensus traffic and is charged
+    /// the same way) and turn the workload's freshly armed think/retry
+    /// deadlines into queue events. Called once per processed event (and
+    /// at segment start), so pushes and completions from *this* event are
+    /// scheduled before the next event pops.
+    ///
+    /// `touched` names the replica a delivery or wake-up ran on. Such an
+    /// event fills no pool but that replica's: its frames, timers and
+    /// commits reach only its own pool, and commits only arm client ticks.
+    /// So only that pool is flushed, plus any whose last flush left a
+    /// backlog. Every other pool holds no queued gossip, and flushing it
+    /// would send nothing and change nothing: the frames sent, their order
+    /// and the jitter drawn for them equal flushing every pool. `None` —
+    /// client ticks, retries, crashes, rejoins, segment start, which push
+    /// into any pool — flushes every pool.
+    fn after_event(&mut self, touched: Option<ReplicaId>) {
         // Pools come only with a client population.
         if self.workload.is_none() {
             return;
         }
+        let mut backlog = std::mem::take(&mut self.gossip_backlog);
         let (replicas, mut io) = self.split();
         for (i, replica) in replicas.iter_mut().enumerate() {
-            if replica.pool().is_some() {
+            let due = backlog[i] || touched.is_none_or(|t| t.as_usize() == i);
+            if due && replica.pool().is_some() {
                 io.me = ReplicaId(i as u16);
-                replica.flush(&mut io);
+                backlog[i] = replica.flush(&mut io);
             }
+        }
+        self.gossip_backlog = backlog;
+        #[cfg(debug_assertions)]
+        if let Some(touched) = touched {
+            self.assert_no_unflushed_gossip(touched);
         }
         // Workload deadlines become queue events, never before `now`. The
         // scratch buffers are recycled across events (no per-event Vec
@@ -772,6 +812,22 @@ impl Simulation {
             for &at in retry_scratch.iter() {
                 queue.push(at.max(*now), EventKind::RetryTick);
             }
+        }
+    }
+
+    /// The oracle of [`after_event`](Self::after_event)'s touched-replica
+    /// flush (debug builds): every pool it skipped holds no queued gossip,
+    /// so flushing it too would have sent nothing. A panic here names an
+    /// event that filled another replica's pool.
+    #[cfg(debug_assertions)]
+    fn assert_no_unflushed_gossip(&self, touched: ReplicaId) {
+        for (i, replica) in self.replicas.iter().enumerate() {
+            let Some(pool) = replica.pool() else { continue };
+            assert!(
+                self.gossip_backlog[i] || !pool.lock().expect("mempool lock").has_queued_gossip(),
+                "after an event on replica {touched:?}, replica {i}'s pool holds gossip \
+                 that flushing every pool would have sent"
+            );
         }
     }
 

@@ -44,9 +44,10 @@
 //! `READ_BUDGET` bytes from each connection) or the workers handed back.
 //! Just before the loop waits again, each peer's backlog is written to its
 //! socket with `write_vectored` until the backlog is empty or the socket
-//! would block; a full socket delays only that peer, whose socket the wait
-//! then watches for room. A frame the socket took only part of resumes at
-//! its offset. Per-peer FIFO order is the order of `transmit` calls, so the
+//! would block (and earlier, when a frame finds the backlog full); a full
+//! socket delays only that peer, whose socket the wait then watches for
+//! room. A frame the socket took only part of resumes at its offset.
+//! Per-peer FIFO order is the order of `transmit` calls, so the
 //! gossip-before-propose ordering at init holds on every connection.
 //!
 //! The verify stage is the loop's only fork, taken where a frame is
@@ -408,8 +409,16 @@ struct Peer {
 }
 
 impl Peer {
-    /// Queues `frame` unless the backlog is full; `true` if it was taken.
+    /// Queues `frame` unless the backlog is full and its socket takes
+    /// nothing more; `true` if it was taken. A step that answers more
+    /// than `BACKLOG` frames to one peer (a burst read while the loop was
+    /// descheduled) writes early, so it refuses only what the socket
+    /// would not take either — not what merely waited for the step's end.
+    /// A write error is left to [`Outbox::hand_off`], which meets it again.
     fn stage(&mut self, frame: &Arc<Vec<u8>>) -> bool {
+        if self.backlog.len() >= BACKLOG {
+            let _ = self.write();
+        }
         let room = self.backlog.len() < BACKLOG;
         if room {
             self.backlog.push_back(frame.clone());
