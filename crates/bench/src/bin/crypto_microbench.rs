@@ -116,17 +116,21 @@ fn main() {
         .zip(&msgs)
         .map(|((sk, _), m)| scheme.sign(sk, m))
         .collect();
-    let items: Vec<BatchItem<'_>> = keys
+    let pks: Vec<_> = keys
+        .iter()
+        .map(|(_, pk)| scheme.expand_public(*pk))
+        .collect();
+    let items: Vec<BatchItem<'_>> = pks
         .iter()
         .zip(&msgs)
         .zip(&sigs)
-        .map(|(((_, pk), msg), sig)| BatchItem { pk, msg, sig })
+        .map(|((pk, msg), sig)| BatchItem { pk, msg, sig })
         .collect();
 
     // --- individual vs batched verification --------------------------
     let individual = best_of(args.rounds, || {
         for it in &items {
-            assert!(scheme.verify(it.pk, it.msg, it.sig));
+            assert!(scheme.verify_expanded(it.pk, it.msg, it.sig));
         }
     });
     let batched = best_of(args.rounds, || {
@@ -157,7 +161,6 @@ fn main() {
         .enumerate()
         .map(|(i, (sk, _))| (i as u16, scheme.sign(sk, &cert_msg)))
         .collect();
-    let pks: Vec<_> = keys.iter().map(|(_, pk)| *pk).collect();
     let naive_agg = scheme.aggregate(k, &cert_sigs);
     let compact_agg = compact.aggregate(k, &cert_sigs);
     let naive = best_of(args.rounds, || {

@@ -3,7 +3,7 @@
 //! Everything the harnesses and tests need to stand up an `n`-replica
 //! cluster of any of the four protocols with one call chain.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use banyan_crypto::beacon::{Beacon, BeaconMode};
 use banyan_crypto::hashsig::HashSig;
@@ -94,6 +94,11 @@ pub struct ClusterBuilder {
     /// Verify plane (batched/cached verification); `None` keeps each
     /// engine's built-in direct backend.
     verify_plane: Option<VerifyPlaneConfig>,
+    /// The cluster's public-key table, generated on first use for the
+    /// current scheme, cluster seed and `n`. Every registry and verify
+    /// backend built from this builder (or from a clone taken after first
+    /// use) shares its one allocation.
+    table: OnceLock<PublicKeyTable>,
 }
 
 impl std::fmt::Debug for ClusterBuilder {
@@ -124,6 +129,7 @@ impl ClusterBuilder {
             stores: None,
             optimistic: false,
             verify_plane: None,
+            table: OnceLock::new(),
         })
     }
 
@@ -180,12 +186,14 @@ impl ClusterBuilder {
     /// Sets the PKI cluster seed.
     pub fn cluster_seed(mut self, seed: u64) -> Self {
         self.cluster_seed = seed;
+        self.table = OnceLock::new();
         self
     }
 
     /// Uses a different signature scheme (default: `HashSig`).
     pub fn scheme(mut self, scheme: Arc<dyn SignatureScheme>) -> Self {
         self.scheme = scheme;
+        self.table = OnceLock::new();
         self
     }
 
@@ -236,7 +244,7 @@ impl ClusterBuilder {
     /// trace or count it) construct it with this and install the wrapper
     /// via `Engine::set_verify_backend`.
     pub fn make_verify_backend(&self) -> Arc<dyn VerifyBackend> {
-        let table = PublicKeyTable::generate(self.scheme.clone(), self.cluster_seed, self.cfg.n());
+        let table = self.table().clone();
         match self.verify_plane {
             Some(vp) if vp.cert_cache > 0 => Arc::new(CachedVerify::new(table, vp.cert_cache)),
             Some(vp) => Arc::new(DirectVerify::new(table).with_batching(vp.batch_votes)),
@@ -260,8 +268,15 @@ impl ClusterBuilder {
         Beacon::new(self.beacon_mode, self.cfg.n())
     }
 
+    /// The cluster's one public-key table (see the `table` field).
+    fn table(&self) -> &PublicKeyTable {
+        self.table.get_or_init(|| {
+            PublicKeyTable::generate(self.scheme.clone(), self.cluster_seed, self.cfg.n())
+        })
+    }
+
     fn registry(&self, i: u16) -> KeyRegistry {
-        KeyRegistry::generate(self.scheme.clone(), self.cluster_seed, self.cfg.n(), i)
+        KeyRegistry::with_table(self.table().clone(), self.cluster_seed, i)
     }
 
     fn byz_mode(&self, i: u16) -> ByzantineMode {
@@ -404,6 +419,28 @@ mod tests {
             assert_eq!(engines[2].id().0, 2);
             assert_eq!(engines[0].protocol_name(), proto);
         }
+    }
+
+    #[test]
+    fn every_replica_shares_one_key_table() {
+        let b = ClusterBuilder::new(4, 1, 1).unwrap();
+        let first = |t: &PublicKeyTable| t.public_key(0).unwrap() as *const _;
+        let shared = first(b.registry(0).table());
+        for i in 0..4 {
+            assert_eq!(first(b.registry(i).table()), shared, "replica {i}");
+        }
+        assert_eq!(first(b.make_verify_backend().table()), shared);
+        // A clone (the restart-rebuild path) keeps the table; a new seed
+        // or scheme gets a fresh one.
+        assert_eq!(first(b.clone().registry(2).table()), shared);
+        let reseeded = b.clone().cluster_seed(7);
+        assert_ne!(first(reseeded.registry(0).table()), shared);
+        assert_ne!(
+            reseeded.registry(0).table().public_key(0),
+            b.registry(0).table().public_key(0)
+        );
+        let rescheme = b.clone().scheme(Arc::new(banyan_crypto::ToySchnorr::new()));
+        assert_eq!(rescheme.registry(1).table().scheme().name(), "toy-schnorr");
     }
 
     #[test]

@@ -31,39 +31,25 @@ use banyan_types::ids::{BlockHash, Rank, ReplicaId, Round};
 use banyan_types::vote::{Vote, VoteKind};
 
 /// Per-block support record.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct Support {
     /// Individually received fast-vote signatures, by voter.
     indiv: BTreeMap<u16, Signature>,
-    /// Certified support adopted from unlock proofs / certificates.
-    /// Kept pruned: an aggregate subsumed by the union of the others plus
-    /// `indiv` is dropped.
+    /// Certified support adopted from unlock proofs / certificates. Only
+    /// an aggregate that named a voter not yet in `voters` is kept.
     certified: Vec<AggregateSignature>,
+    /// `supp(b)`: the union of `indiv`'s voters and every certified
+    /// bitmap, restricted to replicas below `n`.
+    voters: SignerBitmap,
 }
 
 impl Support {
-    /// True if `voter` supports the block, individually or certified.
-    fn has_voter(&self, voter: u16) -> bool {
-        self.indiv.contains_key(&voter)
-            || self.certified.iter().any(|agg| agg.signers.contains(voter))
-    }
-
-    /// Union of individual voters and certified bitmaps.
-    fn voters(&self, n: usize) -> SignerBitmap {
-        let mut bm = SignerBitmap::new(n);
-        for &voter in self.indiv.keys() {
-            if (voter as usize) < n {
-                bm.set(voter);
-            }
+    fn new(n: usize) -> Self {
+        Support {
+            indiv: BTreeMap::new(),
+            certified: Vec::new(),
+            voters: SignerBitmap::new(n),
         }
-        for agg in &self.certified {
-            for idx in agg.signers.iter() {
-                if (idx as usize) < n {
-                    bm.set(idx);
-                }
-            }
-        }
-        bm
     }
 }
 
@@ -106,17 +92,26 @@ impl UnlockState {
 
     /// Adds an individually received fast vote. Returns `true` if new.
     pub fn add_fast_vote(&mut self, block: BlockHash, voter: ReplicaId, sig: Signature) -> bool {
-        let entry = self.support.entry(block).or_default();
+        let in_range = (voter.0 as usize) < self.n;
+        let entry = self.support_mut(block);
+        if in_range {
+            entry.voters.set(voter.0);
+        }
         entry.indiv.insert(voter.0, sig).is_none()
+    }
+
+    fn support_mut(&mut self, block: BlockHash) -> &mut Support {
+        let n = self.n;
+        self.support.entry(block).or_insert_with(|| Support::new(n))
     }
 
     /// True if `agg` names a replica not yet in `supp(block)` — the only
     /// way certified support can change this table.
     fn adds_voter(&self, block: &BlockHash, agg: &AggregateSignature) -> bool {
-        let held = self.support.get(block);
-        agg.signers
-            .iter()
-            .any(|idx| (idx as usize) < self.n && !held.is_some_and(|s| s.has_voter(idx)))
+        match self.support.get(block) {
+            Some(s) => s.voters.lacks_any_of(&agg.signers),
+            None => SignerBitmap::new(self.n).lacks_any_of(&agg.signers),
+        }
     }
 
     /// Adopts certified support (an unlock-proof entry or fast cert): the
@@ -133,20 +128,16 @@ impl UnlockState {
         self.observe_block(block, rank);
         let adds_voter = self.adds_voter(&block, agg);
         if adds_voter {
-            self.support
-                .entry(block)
-                .or_default()
-                .certified
-                .push(agg.clone());
+            let entry = self.support_mut(block);
+            entry.voters.union_with(&agg.signers);
+            entry.certified.push(agg.clone());
         }
         new_rank || adds_voter
     }
 
     /// `|supp(b)|` — distinct replicas supporting `b`.
     pub fn supp(&self, block: &BlockHash) -> usize {
-        self.support
-            .get(block)
-            .map_or(0, |s| s.voters(self.n).count())
+        self.support.get(block).map_or(0, |s| s.voters.count())
     }
 
     /// Distinct replicas supporting any block in `blocks`.
@@ -154,9 +145,7 @@ impl UnlockState {
         let mut bm = SignerBitmap::new(self.n);
         for b in blocks {
             if let Some(s) = self.support.get(b) {
-                for idx in s.voters(self.n).iter() {
-                    bm.set(idx);
-                }
+                bm.union_with(&s.voters);
             }
         }
         bm.count()
@@ -333,6 +322,7 @@ mod tests {
     use super::*;
     use banyan_crypto::hashsig::HashSig;
     use banyan_crypto::registry::KeyRegistry;
+    use proptest::prelude::*;
     use std::cell::Cell;
     use std::sync::Arc;
 
@@ -772,5 +762,155 @@ mod tests {
         wrong_round.round = Round(2);
         assert!(!merge_counting(&mut s, &wrong_round, &calls));
         assert_eq!(s.supp(&b1), 1);
+    }
+
+    /// The per-index definition the voter unions replace: a block's
+    /// support is recomputed from every individual vote and every kept
+    /// aggregate, one replica index at a time.
+    struct Model {
+        n: usize,
+        threshold: usize,
+        indiv: HashMap<BlockHash, Vec<u16>>,
+        certified: HashMap<BlockHash, Vec<SignerBitmap>>,
+        ranks: HashMap<BlockHash, Rank>,
+        all_unlocked: bool,
+    }
+
+    impl Model {
+        fn has_voter(&self, b: &BlockHash, v: u16) -> bool {
+            self.indiv.get(b).is_some_and(|vs| vs.contains(&v))
+                || self
+                    .certified
+                    .get(b)
+                    .is_some_and(|aggs| aggs.iter().any(|bm| bm.contains(v)))
+        }
+
+        fn supp_union(&self, blocks: &[BlockHash]) -> usize {
+            (0..self.n as u16)
+                .filter(|&v| blocks.iter().any(|b| self.has_voter(b, v)))
+                .count()
+        }
+
+        fn adds_voter(&self, b: &BlockHash, signers: &SignerBitmap) -> bool {
+            signers
+                .iter()
+                .any(|v| (v as usize) < self.n && !self.has_voter(b, v))
+        }
+
+        /// Definition 7.6, evaluated with per-index support.
+        fn is_unlocked(&mut self, b: &BlockHash) -> bool {
+            if self.all_unlocked {
+                return true;
+            }
+            let max = self
+                .ranks
+                .iter()
+                .filter(|(_, r)| r.is_leader())
+                .map(|(h, _)| (*h, self.supp_union(&[*h])))
+                .max_by(|(ha, sa), (hb, sb)| sa.cmp(sb).then_with(|| hb.cmp(ha)))
+                .map(|(h, _)| h);
+            let non_max: Vec<BlockHash> = self
+                .ranks
+                .keys()
+                .filter(|h| Some(**h) != max)
+                .copied()
+                .collect();
+            if self.supp_union(&non_max) > self.threshold {
+                self.all_unlocked = true;
+                return true;
+            }
+            let mut set: Vec<BlockHash> = self
+                .ranks
+                .iter()
+                .filter(|(_, r)| !r.is_leader())
+                .map(|(h, _)| *h)
+                .collect();
+            if self.ranks.contains_key(b)
+                || self.indiv.contains_key(b)
+                || self.certified.contains_key(b)
+            {
+                set.push(*b);
+            }
+            self.supp_union(&set) > self.threshold
+        }
+    }
+
+    /// A bitmap of `width` signers (below, at or beyond `n`) from two
+    /// random words, thinned by `sparse` so that aggregates add a voter
+    /// or two rather than everyone at once.
+    fn bitmap(n: usize, width_sel: u8, w0: u64, w1: u64, sparse: u64) -> SignerBitmap {
+        let width = match width_sel % 4 {
+            0 | 1 => n,
+            2 => n + 3,
+            _ => 70,
+        };
+        SignerBitmap::from_words(vec![w0 & sparse, w1 & sparse], width)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over random votes (from voters inside and beyond `n`), rank
+        /// sightings and certified aggregates (as wide as `n`, wider, and
+        /// wider than one word), the unions answer `supp`, `adds_voter`
+        /// and `is_unlocked` exactly as the per-index definition does.
+        #[test]
+        fn voter_unions_match_the_per_index_definition(
+            n in 4usize..10,
+            threshold_sel in any::<u8>(),
+            ops in proptest::collection::vec(
+                (0u8..3, 0u8..4, any::<u8>(), (any::<u64>(), any::<u64>(), any::<u64>())),
+                1..40,
+            ),
+        ) {
+            let threshold = 1 + threshold_sel as usize % (n / 2);
+            let mut s = UnlockState::new(Round(1), n, threshold);
+            let mut m = Model {
+                n,
+                threshold,
+                indiv: HashMap::new(),
+                certified: HashMap::new(),
+                ranks: HashMap::new(),
+                all_unlocked: false,
+            };
+            let blocks: Vec<BlockHash> = (1..=4).map(hash).collect();
+            for (kind, block, a, (w0, w1, sparse)) in ops {
+                let b = blocks[block as usize];
+                let rank = Rank(u16::from(a % 3));
+                match kind {
+                    0 => {
+                        s.observe_block(b, rank);
+                        m.ranks.entry(b).or_insert(rank);
+                    }
+                    1 => {
+                        // Voters up to n + 2: out-of-range ones count nowhere.
+                        let voter = u16::from(a) % (n as u16 + 3);
+                        s.add_fast_vote(b, ReplicaId(voter), Signature::zero());
+                        let vs = m.indiv.entry(b).or_default();
+                        if !vs.contains(&voter) {
+                            vs.push(voter);
+                        }
+                    }
+                    _ => {
+                        let signers = bitmap(n, a, w0, w1, sparse & w0.rotate_left(7));
+                        let agg = AggregateSignature { signers: signers.clone(), data: vec![] };
+                        let adds = m.adds_voter(&b, &signers);
+                        prop_assert_eq!(s.adds_voter(&b, &agg), adds);
+                        s.add_certified(b, rank, &agg);
+                        m.ranks.entry(b).or_insert(rank);
+                        if adds {
+                            m.certified.entry(b).or_default().push(signers);
+                        }
+                    }
+                }
+                for b in &blocks {
+                    prop_assert_eq!(s.supp(b), m.supp_union(&[*b]));
+                    let probe = bitmap(n, a.wrapping_add(1), w1, w0, sparse);
+                    let agg = AggregateSignature { signers: probe.clone(), data: vec![] };
+                    prop_assert_eq!(s.adds_voter(b, &agg), m.adds_voter(b, &probe));
+                    prop_assert_eq!(s.is_unlocked(b), m.is_unlocked(b));
+                }
+            }
+        }
     }
 }

@@ -49,7 +49,7 @@ pub use merkle::{MerkleProof, MerkleTree};
 pub use registry::{KeyRegistry, PublicKeyTable};
 pub use schnorr::ToySchnorr;
 pub use sig::{
-    AggregateSignature, BatchItem, PublicKey, SecretKey, Signature, SignatureScheme, SignerBitmap,
-    SignerIndex,
+    AggregateSignature, BatchItem, Expanded, PublicKey, SecretKey, Signature, SignatureScheme,
+    SignerBitmap, SignerIndex,
 };
 pub use verify::{CachedVerify, DirectVerify, VerifyBackend, VerifyStats};

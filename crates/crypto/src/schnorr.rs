@@ -33,7 +33,7 @@
 //! order-`q` subgroup — the same reason production Ed25519 batch verifiers
 //! use the cofactored equation. If the combined equation fails, we fall
 //! back to individual verification to identify culprits, so the per-item
-//! verdict always matches [`SignatureScheme::verify`].
+//! verdict always matches [`SignatureScheme::verify_expanded`].
 //!
 //! # Aggregation formats
 //!
@@ -56,8 +56,8 @@
 use crate::hmac::hmac_sha256;
 use crate::sha256::sha256_concat;
 use crate::sig::{
-    AggregateSignature, BatchItem, PublicKey, SecretKey, Signature, SignatureScheme, SignerBitmap,
-    SignerIndex, SCHEME_ID_SCHNORR_COMPACT, SCHEME_ID_SCHNORR_NAIVE,
+    AggregateSignature, BatchItem, Expanded, PublicKey, SecretKey, Signature, SignatureScheme,
+    SignerBitmap, SignerIndex, SCHEME_ID_SCHNORR_COMPACT, SCHEME_ID_SCHNORR_NAIVE,
 };
 
 /// Domain-separation prefix for key derivation.
@@ -377,19 +377,16 @@ impl ToySchnorr {
     /// random-linear-combination equation (see the module docs for the
     /// math), falling back to individual verification when the combined
     /// equation fails, to identify culprits. The returned vector matches
-    /// what [`SignatureScheme::verify`] would say for each item.
+    /// what [`SignatureScheme::verify_expanded`] would say for each item.
     pub fn batch_verify(&self, items: &[BatchItem<'_>]) -> Vec<bool> {
         if items.len() < 2 {
-            return items
-                .iter()
-                .map(|it| self.verify(it.pk, it.msg, it.sig))
-                .collect();
+            return self.verify_each(items);
         }
         // Structural pre-checks; a malformed item can't poison the batch,
         // so fall out to the per-item path if any fails.
         let mut decoded = Vec::with_capacity(items.len());
         for it in items {
-            match self.decode_checked(it.pk, it.sig) {
+            match self.decode_checked(it.pk.key(), it.sig) {
                 Some(d) => decoded.push(d),
                 None => return self.verify_each(items),
             }
@@ -405,7 +402,7 @@ impl ToySchnorr {
         let mut s_combined: u64 = 0;
         let mut combined = Vec::with_capacity(items.len());
         for ((&(r, s, x), it), &z) in decoded.iter().zip(items).zip(&zs) {
-            let e = self.challenge(r, it.pk, it.msg);
+            let e = self.challenge(r, it.pk.key(), it.msg);
             s_combined = (s_combined as u128 + mulmod(z % g.q, s, g.q) as u128) as u64 % g.q;
             combined.push((r, x, e, z));
         }
@@ -420,7 +417,7 @@ impl ToySchnorr {
     fn verify_each(&self, items: &[BatchItem<'_>]) -> Vec<bool> {
         items
             .iter()
-            .map(|it| self.verify(it.pk, it.msg, it.sig))
+            .map(|it| self.verify_expanded(it.pk, it.msg, it.sig))
             .collect()
     }
 
@@ -436,7 +433,7 @@ impl ToySchnorr {
 
     fn verify_aggregate_naive(
         &self,
-        pks: &[PublicKey],
+        pks: &[Expanded<PublicKey>],
         msg: &[u8],
         agg: &AggregateSignature,
     ) -> bool {
@@ -446,7 +443,7 @@ impl ToySchnorr {
             };
             let mut sig = [0u8; 64];
             sig[..16].copy_from_slice(&agg.data[slot * 16..slot * 16 + 16]);
-            if !self.verify(pk, msg, &Signature(sig)) {
+            if !self.verify_expanded(pk, msg, &Signature(sig)) {
                 return false;
             }
         }
@@ -455,7 +452,7 @@ impl ToySchnorr {
 
     fn verify_aggregate_compact(
         &self,
-        pks: &[PublicKey],
+        pks: &[Expanded<PublicKey>],
         msg: &[u8],
         agg: &AggregateSignature,
     ) -> bool {
@@ -477,7 +474,7 @@ impl ToySchnorr {
         let zs = combiner_scalars(Self::agg_seed(&agg.signers, &rs), count);
         let mut combined = Vec::with_capacity(count);
         for ((slot, idx), &z) in agg.signers.iter().enumerate().zip(&zs) {
-            let Some(pk) = pks.get(idx as usize) else {
+            let Some(pk) = pks.get(idx as usize).map(Expanded::key) else {
                 return false;
             };
             let x = Self::decode_pk(pk);
@@ -516,7 +513,8 @@ impl SignatureScheme for ToySchnorr {
         (sk, Self::encode_pk(pk_point))
     }
 
-    fn sign(&self, sk: &SecretKey, msg: &[u8]) -> Signature {
+    fn sign_expanded(&self, sk: &Expanded<SecretKey>, msg: &[u8]) -> Signature {
+        let sk = sk.key();
         let g = self.group;
         let x = self.secret_scalar(sk);
         let pk = Self::encode_pk(powmod(g.g, x, g.p));
@@ -536,7 +534,8 @@ impl SignatureScheme for ToySchnorr {
         Signature(out)
     }
 
-    fn verify(&self, pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
+    fn verify_expanded(&self, pk: &Expanded<PublicKey>, msg: &[u8], sig: &Signature) -> bool {
+        let pk = pk.key();
         let g = self.group;
         let Some((r, s, x)) = self.decode_checked(pk, sig) else {
             return false;
@@ -589,7 +588,12 @@ impl SignatureScheme for ToySchnorr {
         AggregateSignature { signers, data }
     }
 
-    fn verify_aggregate(&self, pks: &[PublicKey], msg: &[u8], agg: &AggregateSignature) -> bool {
+    fn verify_aggregate(
+        &self,
+        pks: &[Expanded<PublicKey>],
+        msg: &[u8],
+        agg: &AggregateSignature,
+    ) -> bool {
         // Both formats are accepted regardless of which one this instance
         // emits: the payload is self-describing (tag byte + length).
         let count = agg.signers.count();
@@ -689,10 +693,10 @@ mod tests {
         keys: &[(SecretKey, PublicKey)],
         msgs: &[Vec<u8>],
         scheme: &ToySchnorr,
-    ) -> Vec<(PublicKey, Vec<u8>, Signature)> {
+    ) -> Vec<(Expanded<PublicKey>, Vec<u8>, Signature)> {
         keys.iter()
             .zip(msgs)
-            .map(|((sk, pk), m)| (*pk, m.clone(), scheme.sign(sk, m)))
+            .map(|((sk, pk), m)| (scheme.expand_public(*pk), m.clone(), scheme.sign(sk, m)))
             .collect()
     }
 
@@ -724,7 +728,7 @@ mod tests {
         let verdicts = scheme.batch_verify(&items);
         let individual: Vec<bool> = owned
             .iter()
-            .map(|(pk, m, s)| scheme.verify(pk, m, s))
+            .map(|(pk, m, s)| scheme.verify_expanded(pk, m, s))
             .collect();
         assert_eq!(verdicts, individual);
         assert!(!verdicts[3] && !verdicts[6]);
@@ -735,7 +739,10 @@ mod tests {
     fn aggregate_roundtrip_and_size() {
         let scheme = ToySchnorr::new();
         let keys: Vec<_> = (0..19u8).map(|i| scheme.keygen(&[i; 32])).collect();
-        let pks: Vec<_> = keys.iter().map(|(_, pk)| *pk).collect();
+        let pks: Vec<_> = keys
+            .iter()
+            .map(|(_, pk)| scheme.expand_public(*pk))
+            .collect();
         let msg = b"fast vote round 3";
         let sigs: Vec<_> = keys
             .iter()
@@ -753,7 +760,10 @@ mod tests {
     fn compact_aggregate_roundtrip_and_size() {
         let scheme = ToySchnorr::compact();
         let keys: Vec<_> = (0..19u8).map(|i| scheme.keygen(&[i; 32])).collect();
-        let pks: Vec<_> = keys.iter().map(|(_, pk)| *pk).collect();
+        let pks: Vec<_> = keys
+            .iter()
+            .map(|(_, pk)| scheme.expand_public(*pk))
+            .collect();
         let msg = b"fast vote round 3";
         let sigs: Vec<_> = keys
             .iter()
@@ -778,7 +788,10 @@ mod tests {
     fn compact_aggregate_rejects_tampering() {
         let scheme = ToySchnorr::compact();
         let keys: Vec<_> = (0..7u8).map(|i| scheme.keygen(&[i; 32])).collect();
-        let pks: Vec<_> = keys.iter().map(|(_, pk)| *pk).collect();
+        let pks: Vec<_> = keys
+            .iter()
+            .map(|(_, pk)| scheme.expand_public(*pk))
+            .collect();
         let msg = b"m";
         let sigs: Vec<_> = keys
             .iter()
@@ -809,7 +822,10 @@ mod tests {
     fn aggregate_detects_single_bad_member() {
         for scheme in [ToySchnorr::new(), ToySchnorr::compact()] {
             let keys: Vec<_> = (0..4u8).map(|i| scheme.keygen(&[i; 32])).collect();
-            let pks: Vec<_> = keys.iter().map(|(_, pk)| *pk).collect();
+            let pks: Vec<_> = keys
+                .iter()
+                .map(|(_, pk)| scheme.expand_public(*pk))
+                .collect();
             let msg = b"m";
             let mut sigs: Vec<_> = keys
                 .iter()
@@ -830,7 +846,7 @@ mod tests {
             let sig = scheme.sign(&sk, b"m");
             let mut agg = scheme.aggregate(4, &[(0, sig)]);
             agg.data.push(0);
-            assert!(!scheme.verify_aggregate(&[pk], b"m", &agg));
+            assert!(!scheme.verify_aggregate(&[scheme.expand_public(pk)], b"m", &agg));
         }
     }
 

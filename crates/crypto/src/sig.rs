@@ -23,6 +23,8 @@
 
 use std::fmt;
 
+use crate::hmac::HmacSha256;
+
 /// Index of a signer within the fixed replica set (the paper's replica id).
 pub type SignerIndex = u16;
 
@@ -38,8 +40,8 @@ pub const SCHEME_ID_SCHNORR_COMPACT: u8 = 3;
 /// verification.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchItem<'a> {
-    /// The claimed signer's public key.
-    pub pk: &'a PublicKey,
+    /// The claimed signer's public key, expanded by the verifying scheme.
+    pub pk: &'a Expanded<PublicKey>,
     /// The signed message.
     pub msg: &'a [u8],
     /// The signature to check.
@@ -80,6 +82,42 @@ impl fmt::Debug for PublicKey {
             "PublicKey({:02x}{:02x}{:02x}{:02x}..)",
             self.0[0], self.0[1], self.0[2], self.0[3]
         )
+    }
+}
+
+/// A key together with what its scheme precomputes from it, so that each
+/// sign or verify hashes only its message.
+///
+/// Only a scheme builds one ([`SignatureScheme::expand_public`],
+/// [`SignatureScheme::expand_secret`]); a
+/// [`crate::registry::PublicKeyTable`] expands each replica's key once.
+#[derive(Clone)]
+pub struct Expanded<K> {
+    key: K,
+    /// [`crate::hashsig::HashSig`]'s keyed MAC, both pads absorbed; `None`
+    /// for a scheme that precomputes nothing.
+    mac: Option<HmacSha256>,
+}
+
+impl<K> Expanded<K> {
+    pub(crate) fn new(key: K, mac: Option<HmacSha256>) -> Self {
+        Expanded { key, mac }
+    }
+
+    /// The key itself.
+    pub fn key(&self) -> &K {
+        &self.key
+    }
+
+    pub(crate) fn mac(&self) -> Option<&HmacSha256> {
+        self.mac.as_ref()
+    }
+}
+
+impl<K: fmt::Debug> fmt::Debug for Expanded<K> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The MAC state is key material: print only the key's own form.
+        f.debug_tuple("Expanded").field(&self.key).finish()
     }
 }
 
@@ -184,13 +222,43 @@ impl SignerBitmap {
     pub fn from_words(words: Vec<u64>, len: usize) -> Self {
         let mut bm = SignerBitmap { words, len };
         bm.words.resize(len.div_ceil(64), 0);
-        let tail_bits = len % 64;
-        if tail_bits != 0 {
-            if let Some(last) = bm.words.last_mut() {
-                *last &= (1u64 << tail_bits) - 1;
-            }
-        }
+        bm.clear_padding();
         bm
+    }
+
+    /// Adds every signer of `other` that is in range for this bitmap.
+    pub fn union_with(&mut self, other: &SignerBitmap) {
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+        self.clear_padding();
+    }
+
+    /// True if `other` names a signer that is in range for this bitmap
+    /// but absent from it.
+    pub fn lacks_any_of(&self, other: &SignerBitmap) -> bool {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .any(|(i, (w, o))| o & !w & self.in_range(i) != 0)
+    }
+
+    /// The bits of word `i` that stand for signers below `len`.
+    fn in_range(&self, i: usize) -> u64 {
+        let tail_bits = self.len % 64;
+        if i + 1 == self.words.len() && tail_bits != 0 {
+            (1u64 << tail_bits) - 1
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Clears the bits of the last word that lie at or beyond `len`.
+    fn clear_padding(&mut self) {
+        if let Some(i) = self.words.len().checked_sub(1) {
+            self.words[i] &= self.in_range(i);
+        }
     }
 }
 
@@ -249,8 +317,40 @@ pub trait SignatureScheme: fmt::Debug + Send + Sync {
         0
     }
 
+    /// Derives a keypair from a 32-byte seed.
+    fn keygen(&self, seed: &[u8; 32]) -> (SecretKey, PublicKey);
+
+    /// Precomputes what checking `pk`'s signatures needs from `pk` alone.
+    /// The default precomputes nothing.
+    fn expand_public(&self, pk: PublicKey) -> Expanded<PublicKey> {
+        Expanded::new(pk, None)
+    }
+
+    /// Precomputes what signing with `sk` needs from `sk` alone. The
+    /// default precomputes nothing.
+    fn expand_secret(&self, sk: SecretKey) -> Expanded<SecretKey> {
+        Expanded::new(sk, None)
+    }
+
+    /// Signs `msg` with an expanded secret key.
+    fn sign_expanded(&self, sk: &Expanded<SecretKey>, msg: &[u8]) -> Signature;
+
+    /// Verifies a single signature against an expanded public key.
+    fn verify_expanded(&self, pk: &Expanded<PublicKey>, msg: &[u8], sig: &Signature) -> bool;
+
+    /// Signs `msg` with `sk`: the expansion, then [`Self::sign_expanded`].
+    fn sign(&self, sk: &SecretKey, msg: &[u8]) -> Signature {
+        self.sign_expanded(&self.expand_secret(sk.clone()), msg)
+    }
+
+    /// Verifies a single signature: the expansion, then
+    /// [`Self::verify_expanded`].
+    fn verify(&self, pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
+        self.verify_expanded(&self.expand_public(*pk), msg, sig)
+    }
+
     /// Verifies a batch of triples, returning each item's verdict — the
-    /// result must match calling [`Self::verify`] per item.
+    /// result must match calling [`Self::verify_expanded`] per item.
     ///
     /// The default is the individual loop; schemes with a cheaper combined
     /// check (e.g. [`crate::schnorr::ToySchnorr`]'s random-linear-combination
@@ -258,18 +358,9 @@ pub trait SignatureScheme: fmt::Debug + Send + Sync {
     fn verify_batch(&self, items: &[BatchItem<'_>]) -> Vec<bool> {
         items
             .iter()
-            .map(|it| self.verify(it.pk, it.msg, it.sig))
+            .map(|it| self.verify_expanded(it.pk, it.msg, it.sig))
             .collect()
     }
-
-    /// Derives a keypair from a 32-byte seed.
-    fn keygen(&self, seed: &[u8; 32]) -> (SecretKey, PublicKey);
-
-    /// Signs `msg` with `sk`.
-    fn sign(&self, sk: &SecretKey, msg: &[u8]) -> Signature;
-
-    /// Verifies a single signature.
-    fn verify(&self, pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool;
 
     /// Aggregates signatures from distinct signers over the **same** message.
     ///
@@ -277,9 +368,14 @@ pub trait SignatureScheme: fmt::Debug + Send + Sync {
     /// indices are ignored (first occurrence wins).
     fn aggregate(&self, n: usize, sigs: &[(SignerIndex, Signature)]) -> AggregateSignature;
 
-    /// Verifies an aggregate against the full public-key table (indexed by
-    /// signer index) and the common message.
-    fn verify_aggregate(&self, pks: &[PublicKey], msg: &[u8], agg: &AggregateSignature) -> bool;
+    /// Verifies an aggregate against the full expanded public-key table
+    /// (indexed by signer index) and the common message.
+    fn verify_aggregate(
+        &self,
+        pks: &[Expanded<PublicKey>],
+        msg: &[u8],
+        agg: &AggregateSignature,
+    ) -> bool;
 }
 
 #[cfg(test)]
@@ -337,6 +433,30 @@ mod tests {
             clean.set(i);
         }
         assert_eq!(bm, clean);
+    }
+
+    #[test]
+    fn union_and_lacks_ignore_signers_out_of_range() {
+        let mut wide = SignerBitmap::new(130);
+        for i in [2u16, 5, 64, 129] {
+            wide.set(i);
+        }
+        let mut held = SignerBitmap::new(6);
+        assert!(held.lacks_any_of(&wide));
+        held.union_with(&wide);
+        assert_eq!(held.iter().collect::<Vec<_>>(), vec![2, 5]);
+        assert!(!held.lacks_any_of(&wide));
+        held.set(0);
+        let mut narrow = SignerBitmap::new(3);
+        narrow.set(1);
+        assert!(held.lacks_any_of(&narrow));
+    }
+
+    #[test]
+    fn expanded_debug_hides_mac_state() {
+        let scheme = crate::hashsig::HashSig;
+        let sk = scheme.expand_secret(SecretKey::from_bytes([42u8; 32]));
+        assert_eq!(format!("{sk:?}"), "Expanded(SecretKey(..))");
     }
 
     #[test]

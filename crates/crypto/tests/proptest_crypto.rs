@@ -5,10 +5,15 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use banyan_crypto::hashsig::HashSig;
+use banyan_crypto::hmac::hmac_sha256;
 use banyan_crypto::merkle::MerkleTree;
 use banyan_crypto::schnorr::{is_prime_u64, mulmod, powmod, ToySchnorr};
-use banyan_crypto::sha256::{sha256, Sha256};
+use banyan_crypto::sha256::{sha256, sha256_concat, Sha256};
 use banyan_crypto::sig::{SignatureScheme, SignerIndex};
+
+/// `HashSig`'s signing domain, restated so the tag format is pinned
+/// independently of the code under test.
+const HASHSIG_SIGN_DOMAIN: &[u8] = b"banyan/hashsig/v1/sign";
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -81,6 +86,26 @@ proptest! {
         prop_assert!(!scheme.verify(&pk, &other, &sig));
     }
 
+    /// A tag made from an expanded key is exactly the HMAC keyed with
+    /// `pk ‖ sha256(SIGN_DOMAIN ‖ pk)`: expansion moves work, never bits.
+    #[test]
+    fn hashsig_expanded_tag_is_the_hmac_of_the_raw_key(
+        seed in any::<[u8; 32]>(),
+        msg in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let scheme = HashSig;
+        let (sk, pk) = scheme.keygen(&seed);
+        let mut key = pk.0.to_vec();
+        key.extend_from_slice(&sha256_concat(&[HASHSIG_SIGN_DOMAIN, &pk.0]));
+        let expect = hmac_sha256(&key, &msg);
+        let expanded_sk = scheme.expand_secret(sk.clone());
+        let sig = scheme.sign_expanded(&expanded_sk, &msg);
+        prop_assert_eq!(&sig.0[..32], &expect[..]);
+        prop_assert_eq!(sig, scheme.sign(&sk, &msg));
+        prop_assert!(scheme.verify_expanded(&scheme.expand_public(pk), &msg, &sig));
+        prop_assert!(scheme.verify(&pk, &msg, &sig));
+    }
+
     /// HashSig aggregates over arbitrary signer subsets verify; adding a
     /// non-signer to the bitmap breaks them.
     #[test]
@@ -91,7 +116,7 @@ proptest! {
         let scheme = HashSig;
         let scheme_arc: Arc<dyn SignatureScheme> = Arc::new(HashSig);
         let keys: Vec<_> = (0..12u8).map(|i| scheme_arc.keygen(&[i; 32])).collect();
-        let pks: Vec<_> = keys.iter().map(|(_, pk)| *pk).collect();
+        let pks: Vec<_> = keys.iter().map(|(_, pk)| scheme.expand_public(*pk)).collect();
         let votes: Vec<(SignerIndex, _)> = subset
             .iter()
             .map(|&i| (i, scheme.sign(&keys[i as usize].0, &msg)))
@@ -126,7 +151,7 @@ proptest! {
                 scheme.keygen(&seed)
             })
             .collect();
-        let mut pks: Vec<_> = keys.iter().map(|(_, pk)| *pk).collect();
+        let mut pks: Vec<_> = keys.iter().map(|(_, pk)| scheme.expand_public(*pk)).collect();
         let mut msgs: Vec<Vec<u8>> = (0..k).map(|i| vec![b'm', i as u8]).collect();
         let mut sigs: Vec<_> = keys
             .iter()
@@ -137,7 +162,7 @@ proptest! {
             let i = pos as usize % k;
             match kind {
                 // Wrong key: attribute the signature to another signer.
-                0 => pks[i] = keys[(i + 1) % k].1,
+                0 => pks[i] = scheme.expand_public(keys[(i + 1) % k].1),
                 // Wrong message: first byte differs from every honest one.
                 1 => msgs[i] = vec![b'x', byte],
                 // Bit-flip somewhere in the signature bytes.
@@ -151,7 +176,7 @@ proptest! {
             .map(|i| BatchItem { pk: &pks[i], msg: &msgs[i], sig: &sigs[i] })
             .collect();
         let individual: Vec<bool> = (0..k)
-            .map(|i| scheme.verify(&pks[i], &msgs[i], &sigs[i]))
+            .map(|i| scheme.verify_expanded(&pks[i], &msgs[i], &sigs[i]))
             .collect();
         prop_assert_eq!(scheme.batch_verify(&items), individual.clone());
         if tampers.is_empty() {
