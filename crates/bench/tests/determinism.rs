@@ -245,7 +245,10 @@ fn saturation_sweep_is_monotone_up_to_the_knee() {
 /// the per-client `ClosedLoopWorkload` next to the cohort model (PR 18),
 /// on the per-client side. Any drift means the one surviving population
 /// changed an RNG draw, a request id, a tick time or the submit
-/// accounting.
+/// accounting. The skewed and restarted scenarios' commits, messages and
+/// bytes were re-derived once, when an idle leader began to hold its
+/// proposal until a request arrives: they run fewer empty rounds, while
+/// their submitted, committed and retried counts stayed put.
 #[test]
 fn closed_loop_is_bit_identical_to_the_per_client_goldens() {
     let uniform = |delay_ms| Topology::uniform(4, Duration::from_millis(delay_ms));
@@ -275,8 +278,8 @@ fn closed_loop_is_bit_identical_to_the_per_client_goldens() {
             closed_scenario(42),
             [584, 2_048, 2_000, 0, 5_262, 8_458_881],
         ),
-        (skewed, [2_284, 2_753, 2_753, 0, 28_785, 15_715_248]),
-        (restarted, [884, 18_732, 18_732, 21_971, 7_932, 70_394_012]),
+        (skewed, [1_840, 2_753, 2_753, 0, 24_783, 14_764_920]),
+        (restarted, [700, 18_732, 18_732, 21_971, 6_381, 70_034_336]),
     ];
     for (i, (scenario, golden)) in goldens.into_iter().enumerate() {
         let (m, auditor) = run_metrics(&scenario);

@@ -431,7 +431,13 @@ impl ChainedEngine {
         let skip_proposal =
             rs.proposed || (self.byz == ByzantineMode::SilentLeader && rank.is_leader());
         if !skip_proposal {
-            actions.arm(now + prop_delay, TimerKind::Propose { round: round.0 });
+            // An idle rank-0 leader may be held for Δ, half the rank-1
+            // backup's `proposal_delay(1)`, so no backup ever proposes
+            // over a held leader. The optimistic path proposes on its own
+            // schedule: never held.
+            let hold_until = (rank.is_leader() && !self.optimistic).then(|| now + self.cfg.delta);
+            let round = round.0;
+            actions.arm(now + prop_delay, TimerKind::Propose { round, hold_until });
         }
         // Retransmission heartbeat: fires only if we are still stuck in
         // this round by then (recovery from message loss).
@@ -1755,7 +1761,7 @@ impl Engine for ChainedEngine {
         self.routed_k_max = self.k_max;
         let mut actions = Actions::none();
         match kind {
-            TimerKind::Propose { round } => {
+            TimerKind::Propose { round, .. } => {
                 self.propose(Round(round), now, &mut actions);
                 self.progress(now, &mut actions);
             }

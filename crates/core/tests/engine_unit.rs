@@ -120,11 +120,26 @@ fn round1_leader_proposes_immediately_with_fast_vote() {
     let propose_timer = actions
         .timers
         .iter()
-        .find(|t| matches!(t.kind, TimerKind::Propose { round: 1 }))
+        .find(|t| matches!(t.kind, TimerKind::Propose { round: 1, .. }))
         .expect("propose timer armed");
     assert_eq!(propose_timer.at, Time(0), "leader proposes with zero delay");
+    // An idle pool may hold it for Δ (100 ms), half a backup's 2Δ.
+    let hold_until = Some(Time(Duration::from_millis(100).as_nanos()));
+    assert_eq!(
+        propose_timer.kind,
+        TimerKind::Propose {
+            round: 1,
+            hold_until
+        }
+    );
 
-    let actions = e.on_timer(TimerKind::Propose { round: 1 }, Time(0));
+    let actions = e.on_timer(
+        TimerKind::Propose {
+            round: 1,
+            hold_until: None,
+        },
+        Time(0),
+    );
     let proposals: Vec<_> = broadcasts(&actions)
         .into_iter()
         .filter(|m| matches!(m, Message::Chained(ChainedMsg::Proposal { .. })))
@@ -158,7 +173,13 @@ fn round1_leader_proposes_immediately_with_fast_vote() {
 fn icc_leader_proposal_has_no_fast_vote() {
     let mut e = engine(1, PathMode::IccOnly);
     e.on_init(Time(0));
-    let actions = e.on_timer(TimerKind::Propose { round: 1 }, Time(0));
+    let actions = e.on_timer(
+        TimerKind::Propose {
+            round: 1,
+            hold_until: None,
+        },
+        Time(0),
+    );
     for m in broadcasts(&actions) {
         if let Message::Chained(ChainedMsg::Proposal {
             fast_vote,
@@ -180,9 +201,17 @@ fn non_leader_waits_proposal_delay() {
     let t = actions
         .timers
         .iter()
-        .find(|t| matches!(t.kind, TimerKind::Propose { round: 1 }))
+        .find(|t| matches!(t.kind, TimerKind::Propose { round: 1, .. }))
         .expect("propose timer");
     assert_eq!(t.at, Time(Duration::from_millis(400).as_nanos()));
+    assert_eq!(
+        t.kind,
+        TimerKind::Propose {
+            round: 1,
+            hold_until: None
+        },
+        "a backup's proposal is never held"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -686,7 +715,13 @@ fn stale_timers_are_ignored() {
     let (_, _) = drive_to_advance(&mut e, &[1, 2]);
     assert_eq!(e.current_round(), Round(2));
     // A stale round-1 propose timer must not produce a proposal.
-    let actions = e.on_timer(TimerKind::Propose { round: 1 }, Time(5000));
+    let actions = e.on_timer(
+        TimerKind::Propose {
+            round: 1,
+            hold_until: None,
+        },
+        Time(5000),
+    );
     let proposals = broadcasts(&actions)
         .into_iter()
         .filter(|m| matches!(m, Message::Chained(ChainedMsg::Proposal { .. })))
@@ -713,8 +748,14 @@ fn foreign_protocol_messages_are_ignored() {
 fn sync_request_served_with_block() {
     let mut e = engine(1, PathMode::Banyan);
     e.on_init(Time(0));
-    e.on_timer(TimerKind::Propose { round: 1 }, Time(0)); // own proposal stored
-                                                          // Find our own block hash via a second engine processing the proposal.
+    e.on_timer(
+        TimerKind::Propose {
+            round: 1,
+            hold_until: None,
+        },
+        Time(0),
+    ); // own proposal stored
+       // Find our own block hash via a second engine processing the proposal.
     let (hash, _) = {
         let mut probe = engine(0, PathMode::Banyan);
         probe.on_init(Time(0));

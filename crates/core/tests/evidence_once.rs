@@ -457,7 +457,13 @@ mod store_reads {
         for r in 1..=45u64 {
             let t = Time(r * 1_000_000);
             let hash = if r % 4 == 0 {
-                e.on_timer(TimerKind::Propose { round: r }, t);
+                e.on_timer(
+                    TimerKind::Propose {
+                        round: r,
+                        hold_until: None,
+                    },
+                    t,
+                );
                 e.store().round_blocks(Round(r))[0]
             } else {
                 let (hash, block) = c.leader_block(r, parent);

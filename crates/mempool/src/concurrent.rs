@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crossbeam::channel;
 
-use crate::{Mempool, PoolSource, ReplicaPool, Request};
+use crate::{ArrivalHook, Mempool, PoolSource, ReplicaPool, Request};
 
 /// Default bound on the ingest channel (queued pushes).
 pub const DEFAULT_INGEST_CAP: usize = 65_536;
@@ -42,15 +42,23 @@ pub const DEFAULT_INGEST_CAP: usize = 65_536;
 pub struct PoolIngest {
     tx: channel::Sender<Request>,
     dropped: Arc<AtomicU64>,
+    arrival: Arc<Mutex<Option<ArrivalHook>>>,
 }
 
 impl PoolIngest {
     /// Queues a locally submitted request ([`Mempool::push`] semantics:
-    /// gossips if the pool gossips). Returns `false` (and counts a drop)
-    /// when the ingest channel is full or closed.
+    /// gossips if the pool gossips) and calls the pool's
+    /// [arrival hook](ReplicaPool::set_arrival_hook), if one is installed.
+    /// Returns `false` (and counts a drop) when the ingest channel is full
+    /// or closed.
     pub fn push(&self, req: Request) -> bool {
         match self.tx.try_send(req) {
-            Ok(()) => true,
+            Ok(()) => {
+                if let Some(hook) = &*self.arrival.lock().expect("arrival hook lock") {
+                    hook.call();
+                }
+                true
+            }
             Err(_) => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
                 false
@@ -66,6 +74,9 @@ pub struct ConcurrentPool {
     ingest_tx: channel::Sender<Request>,
     ingest_rx: channel::Receiver<Request>,
     ingest_dropped: Arc<AtomicU64>,
+    /// The hook every [`PoolIngest`] calls, shared with all of them, so
+    /// one installed after they were handed out still reaches them.
+    arrival: Arc<Mutex<Option<ArrivalHook>>>,
 }
 
 /// The `Arc` handle drivers, pipeline stages and sources share.
@@ -81,6 +92,7 @@ impl ConcurrentPool {
             ingest_tx,
             ingest_rx,
             ingest_dropped: Arc::new(AtomicU64::new(0)),
+            arrival: Arc::default(),
         })
     }
 
@@ -90,6 +102,7 @@ impl ConcurrentPool {
         PoolIngest {
             tx: self.ingest_tx.clone(),
             dropped: self.ingest_dropped.clone(),
+            arrival: self.arrival.clone(),
         }
     }
 
@@ -148,6 +161,12 @@ impl ReplicaPool for SharedConcurrentPool {
     fn with_pool<R>(&self, f: impl FnOnce(&mut Mempool) -> R) -> R {
         f(&mut self.synced())
     }
+
+    /// Installs the hook on the ingest handles, where clients push: the
+    /// pool's own [`Mempool::push`] then only applies what they queued.
+    fn set_arrival_hook(&self, hook: ArrivalHook) {
+        *self.arrival.lock().expect("arrival hook lock") = Some(hook);
+    }
 }
 
 impl std::fmt::Debug for ConcurrentPool {
@@ -184,6 +203,21 @@ mod tests {
 
     fn hash(tag: u8) -> BlockHash {
         BlockHash([tag; 32])
+    }
+
+    /// The hook installed on the pool reaches ingest handles handed out
+    /// before it, and is called once per queued push; applying the ingest
+    /// calls nothing more.
+    #[test]
+    fn ingest_pushes_call_a_hook_installed_later() {
+        let pool = ConcurrentPool::new(Mempool::new(100), 64);
+        let ingest = pool.ingest();
+        assert!(ingest.push(req(1, 1)));
+        let (hook, calls) = crate::tests::counting_hook();
+        pool.set_arrival_hook(hook);
+        assert!(ingest.push(req(2, 2)));
+        assert_eq!(pool.len(), 2);
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -171,6 +171,38 @@ pub const DEFAULT_PEER_QUEUE_CAP: usize = 4_096;
 /// [`flush`](Mempool::flush) may put in flight for one peer.
 pub const DEFAULT_PEER_CREDIT: u32 = 512;
 
+/// What a pool calls when a request arrives from a client: the wake-up of
+/// a driver that parks while its pool is idle. A rank-0 leader whose pool
+/// is empty holds its proposal (`banyan_runtime::driver`'s idle hold), so
+/// a parked TCP loop must learn of the first request at once. Installed
+/// with [`ReplicaPool::set_arrival_hook`]; [`Mempool::push`] calls it when
+/// it takes a request into an empty pool, [`PoolIngest::push`] (which
+/// cannot see the pool) on every request it queues. A busy pool's
+/// driver is not parked for long, and a hook call per push would cost a
+/// saturated one a wake-up per request. It runs on the client's thread —
+/// under the pool's lock for `Mempool::push` — so it must be cheap and
+/// must not touch the pool.
+#[derive(Clone)]
+pub struct ArrivalHook(Arc<dyn Fn() + Send + Sync>);
+
+impl ArrivalHook {
+    /// A hook calling `wake`.
+    pub fn new(wake: impl Fn() + Send + Sync + 'static) -> Self {
+        ArrivalHook(Arc::new(wake))
+    }
+
+    /// Calls the hook.
+    pub fn call(&self) {
+        (self.0)()
+    }
+}
+
+impl std::fmt::Debug for ArrivalHook {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ArrivalHook")
+    }
+}
+
 /// Latency-targeted batching policy: when may a leader return an *empty*
 /// payload instead of draining the pool?
 ///
@@ -284,6 +316,8 @@ pub struct Mempool {
     speculation: Option<usize>,
     /// Live leases: `block → the requests it carries`.
     leases: LeaseTable,
+    /// Called when a [`push`](Self::push) makes an empty pool busy.
+    arrival: Option<ArrivalHook>,
     accepted: u64,
     evicted: u64,
     duplicates: u64,
@@ -346,6 +380,7 @@ impl Mempool {
             peer_sheds: 0,
             speculation: None,
             leases: LeaseTable::new(),
+            arrival: None,
             accepted: 0,
             evicted: 0,
             duplicates: 0,
@@ -421,17 +456,29 @@ impl Mempool {
         self.gossip
     }
 
+    /// Installs the hook a [`push`](Self::push) into an empty pool calls,
+    /// replacing any earlier one.
+    pub fn set_arrival_hook(&mut self, hook: ArrivalHook) {
+        self.arrival = Some(hook);
+    }
+
     /// Submits one locally received request. FIFO position is acquisition
     /// order; with gossip enabled, an accepted request is also queued for
-    /// forwarding.
+    /// forwarding. A request accepted into an empty pool calls the
+    /// [arrival hook](Self::set_arrival_hook), if one is installed.
     pub fn push(&mut self, req: Request) -> PushOutcome {
+        let was_idle = self.is_empty();
         let outcome = self.insert(req);
-        if self.gossip
-            && matches!(
-                outcome,
-                PushOutcome::Accepted | PushOutcome::AcceptedEvicting(_)
-            )
-        {
+        let accepted = matches!(
+            outcome,
+            PushOutcome::Accepted | PushOutcome::AcceptedEvicting(_)
+        );
+        if accepted && was_idle {
+            if let Some(hook) = &self.arrival {
+                hook.call();
+            }
+        }
+        if self.gossip && accepted {
             if !self.peer_queues.is_empty() {
                 // Propagation-limited mode: first hop goes to each fanout
                 // peer's own queue (bodies, shipped as `Forward`). A full
@@ -1183,6 +1230,12 @@ pub trait ReplicaPool: Clone + Send + 'static {
         })
     }
 
+    /// Installs the hook a client's push calls (see [`ArrivalHook`]):
+    /// here, on the pool's [`Mempool::push`].
+    fn set_arrival_hook(&self, hook: ArrivalHook) {
+        self.with_pool(|pool| pool.set_arrival_hook(hook));
+    }
+
     /// Applies one inbound dissemination frame (see [`Mempool::intake`]).
     fn intake(&self, from: ReplicaId, msg: DisseminationMsg) {
         self.with_pool(|pool| pool.intake(from, msg));
@@ -1261,6 +1314,40 @@ mod tests {
             size: 100,
             submitted_at: Time(at),
         }
+    }
+
+    /// A counting [`ArrivalHook`] and its count.
+    pub(crate) fn counting_hook() -> (ArrivalHook, Arc<std::sync::atomic::AtomicU64>) {
+        let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let counter = calls.clone();
+        let hook = ArrivalHook::new(move || {
+            counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        });
+        (hook, calls)
+    }
+
+    /// A push that makes an empty pool busy calls the hook once; a push
+    /// into a busy pool, a rejected one, a peer's forward and a pool
+    /// without a hook call nothing.
+    #[test]
+    fn a_push_into_an_empty_pool_calls_the_arrival_hook() {
+        let (hook, calls) = counting_hook();
+        let calls = move || calls.load(std::sync::atomic::Ordering::Relaxed);
+        let mut mp = Mempool::new(10);
+        mp.push(req(1, 1));
+        mp.set_arrival_hook(hook);
+        mp.push(req(2, 2));
+        assert_eq!(calls(), 0, "a busy pool's push called the hook");
+        mp.drain(10);
+        mp.accept_forwarded(req(3, 3));
+        mp.drain(10);
+        mp.mark_committed(4);
+        mp.push(req(4, 4));
+        assert_eq!(calls(), 0);
+        mp.push(req(5, 5));
+        mp.push(req(5, 6));
+        mp.push(req(6, 7));
+        assert_eq!(calls(), 1);
     }
 
     #[test]

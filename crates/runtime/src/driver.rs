@@ -16,6 +16,22 @@
 //!   [`ReplicaIo::busy`] time and fetches from the nearest live peer;
 //! * the TCP loop's encodes frames into per-peer backlogs, waits on
 //!   [`Replica::next_deadline`] and fetches round-robin, blind to who is up.
+//!
+//! # Idle hold
+//!
+//! A rank-0 leader that proposes whenever it enters a round keeps an idle
+//! cluster finalizing empty blocks back to back. So a rank-0 `Propose`
+//! timer (the engine marks it with
+//! [`hold_until`](TimerKind::Propose::hold_until)) that fires while the
+//! replica's pool holds no live pending request is **held**: the first
+//! [`Replica::flush`] that finds a request in the pool fires it, and so
+//! does its bound, Δ after the round started, if no request came. Backup
+//! timers, replicas without a pool and engines that never set the bound
+//! are never held. A held proposal whose round was left is dropped, and
+//! a crash or rejoin clears it. A driver must therefore flush a pool a
+//! request reached: the simulator flushes the pools an event can fill,
+//! and the TCP loop, which flushes once per step, is woken by the pool's
+//! [`ArrivalHook`](banyan_mempool::ArrivalHook).
 
 use banyan_mempool::{ReplicaPool, WorkloadBatch};
 use banyan_storage::catchup::{frontier_info, CatchUpState, Inbound};
@@ -43,6 +59,9 @@ enum Wake {
     Timer(TimerKind),
     /// The deadline of an in-flight catch-up probe or fetch.
     CatchUp,
+    /// The bound of the proposal held for this round: it fires then if
+    /// no request released it first.
+    HoldBound(u64),
 }
 
 /// One replica's pending wake-ups: an [`EventQueue`] of [`Wake`]s, the
@@ -63,9 +82,9 @@ impl TimerSet {
         at
     }
 
-    /// Arms a catch-up deadline.
-    fn arm_catchup(&mut self, at: Time) {
-        self.queue.push(at, Wake::CatchUp);
+    /// Arms a catch-up deadline, or a held proposal's bound.
+    fn arm_wake(&mut self, at: Time, wake: Wake) {
+        self.queue.push(at, wake);
     }
 
     /// Earliest pending deadline, if any. (May belong to a stale timer;
@@ -86,9 +105,13 @@ impl TimerSet {
 pub enum Due {
     /// No wake-up was due.
     Nothing,
-    /// An engine timer of a round the engine has left: dropped, and
-    /// nothing else happened.
+    /// An engine timer of a round the engine has left, or the bound of
+    /// a hold that was already released: dropped, and nothing else
+    /// happened.
     Stale,
+    /// A rank-0 proposal found the pool idle and is held (see the module
+    /// docs); its bound was armed.
+    Held,
     /// A timer fired, or catch-up was re-driven.
     Fired,
 }
@@ -129,6 +152,8 @@ pub struct Replica<P> {
     /// `None` while down: a crashed replica holds no volatile state.
     engine: Option<Box<dyn Engine>>,
     timers: TimerSet,
+    /// The rank-0 `Propose` timer held while the pool is idle.
+    held: Option<TimerKind>,
     /// Request dissemination: takes in gossip, supplies it, leases the
     /// blocks crossing the wire and retires commits. Survives a crash
     /// (clients keep it, as they keep the durable store).
@@ -151,6 +176,7 @@ impl<P: ReplicaPool> Replica<P> {
             me: engine.id(),
             engine: Some(engine),
             timers: TimerSet::default(),
+            held: None,
             pool,
             catchup: None,
             catchup_timeout,
@@ -214,11 +240,12 @@ impl<P: ReplicaPool> Replica<P> {
         }
     }
 
-    /// Sends whatever gossip the pool has queued. A down replica's is
-    /// drained and dropped: a dead process sends nothing. Returns true if
-    /// gossip is still queued (a peer queue held more than one flush's
+    /// Sends whatever gossip the pool has queued, then releases a held
+    /// proposal if the pool now holds a request. A down replica's gossip
+    /// is drained and dropped: a dead process sends nothing. Returns true
+    /// if gossip is still queued (a peer queue held more than one flush's
     /// credit): the next flush sends more even if nothing is added.
-    pub fn flush(&mut self, io: &mut impl ReplicaIo) -> bool {
+    pub fn flush(&mut self, now: Time, io: &mut impl ReplicaIo) -> bool {
         let Some(pool) = &self.pool else { return false };
         // Collected first: the frames are encoded outside the pool's lock,
         // which clients pushing into the pool wait on.
@@ -227,7 +254,18 @@ impl<P: ReplicaPool> Replica<P> {
         if self.engine.is_some() {
             frames.into_iter().for_each(|out| io.transmit(out));
         }
+        if self.holds_releasable() {
+            let kind = self.held.take().expect("a held proposal");
+            self.fire(kind, now, io);
+        }
         backlog
+    }
+
+    /// True if a proposal is held while the pool holds a request: what
+    /// the next [`flush`](Self::flush) releases.
+    pub fn holds_releasable(&self) -> bool {
+        let busy = |pool: &P| pool.with_pool(|pool| !pool.is_empty());
+        self.held.is_some() && self.pool.as_ref().is_some_and(busy)
     }
 
     /// Handles one frame from `from`. Request gossip feeds the pool, a
@@ -282,26 +320,72 @@ impl<P: ReplicaPool> Replica<P> {
         let Some((_, wake)) = self.timers.pop_due(now) else {
             return Due::Nothing;
         };
-        match (wake, &mut self.engine) {
-            (Wake::Timer(kind), Some(engine)) if !is_stale(&kind, engine.current_round()) => {
-                let actions = engine.on_timer(kind, now);
-                self.route(actions, now, io);
+        match wake {
+            Wake::Timer(kind) => match self.hold_bound(&kind, now) {
+                Some(until) => {
+                    // A held proposal still here was left with its round.
+                    if self.held.replace(kind).is_some() {
+                        self.stale_timers += 1;
+                    }
+                    self.timers
+                        .arm_wake(until, Wake::HoldBound(kind.scope_round()));
+                    io.armed(until);
+                    Due::Held
+                }
+                None => self.fire(kind, now, io),
+            },
+            Wake::HoldBound(round) => match self.held.take_if(|k| k.scope_round() == round) {
+                Some(kind) => self.fire(kind, now, io),
+                None => Due::Stale,
+            },
+            Wake::CatchUp => {
+                self.drive_catchup(now, io);
+                Due::Fired
             }
-            (Wake::Timer(_), _) => {
-                self.stale_timers += 1;
-                return Due::Stale;
-            }
-            (Wake::CatchUp, _) => self.drive_catchup(now, io),
         }
-        Due::Fired
     }
 
-    /// The process dies: engine, timers and catch-up are dropped. Only the
-    /// durable store (the engine's WAL) and the pool survive. Read what
-    /// you need off [`engine`](Self::engine) first.
+    /// The instant a timer due now may be held until: `Some` for a
+    /// rank-0 proposal of the current round, within its bound, on a
+    /// replica whose pool is idle.
+    fn hold_bound(&self, kind: &TimerKind, now: Time) -> Option<Time> {
+        let TimerKind::Propose {
+            hold_until: Some(until),
+            ..
+        } = *kind
+        else {
+            return None;
+        };
+        if is_stale(kind, self.engine.as_ref()?.current_round()) {
+            return None;
+        }
+        let idle = self.pool.as_ref()?.with_pool(|pool| pool.is_empty());
+        (idle && now < until).then_some(until)
+    }
+
+    /// Hands one engine timer to the engine, unless its round was left
+    /// (or the replica is down): then it is dropped.
+    fn fire(&mut self, kind: TimerKind, now: Time, io: &mut impl ReplicaIo) -> Due {
+        match &mut self.engine {
+            Some(engine) if !is_stale(&kind, engine.current_round()) => {
+                let actions = engine.on_timer(kind, now);
+                self.route(actions, now, io);
+                Due::Fired
+            }
+            _ => {
+                self.stale_timers += 1;
+                Due::Stale
+            }
+        }
+    }
+
+    /// The process dies: engine, timers, a held proposal and catch-up
+    /// are dropped. Only the durable store (the engine's WAL) and the pool
+    /// survive. Read what you need off [`engine`](Self::engine) first.
     pub fn crash(&mut self) {
         self.engine = None;
         self.timers = TimerSet::default();
+        self.held = None;
         self.catchup = None;
     }
 
@@ -317,6 +401,7 @@ impl<P: ReplicaPool> Replica<P> {
     pub fn rejoin(&mut self, engine: Box<dyn Engine>, now: Time, io: &mut impl ReplicaIo) {
         assert_eq!(engine.id(), self.me, "rejoin rebuilt the wrong replica");
         self.engine = Some(engine);
+        self.held = None;
         self.init(now, io);
         let frontier = self.frontier();
         self.catchup = Some(CatchUpState::new(frontier, now, self.catchup_timeout));
@@ -342,7 +427,7 @@ impl<P: ReplicaPool> Replica<P> {
         frames.into_iter().for_each(|out| io.transmit(out));
         if waiting {
             let at = now + self.catchup_timeout;
-            self.timers.arm_catchup(at);
+            self.timers.arm_wake(at, Wake::CatchUp);
             io.armed(at);
         } else {
             self.recovery_ms += now.since(machine.started_at()).as_nanos() / 1_000_000;
@@ -383,7 +468,8 @@ mod tests {
     /// An engine in `round` that arms `timers` and commits `commits` at
     /// init, answers every timer with a `FrontierInfo` naming the timer's
     /// round, and echoes every frame it is handed back to its sender (so
-    /// what fired, and what reached it, shows up as traffic).
+    /// what fired, and what reached it, shows up as traffic). Every frame
+    /// it is handed moves it one round on.
     struct Scripted {
         round: Round,
         init: Vec<TimerRequest>,
@@ -423,6 +509,7 @@ mod tests {
             a
         }
         fn on_message(&mut self, from: ReplicaId, msg: Message, _now: Time) -> Actions {
+            self.round = self.round.next();
             let mut a = Actions::none();
             a.send(from, msg);
             a
@@ -487,6 +574,14 @@ mod tests {
         TimerRequest { at: Time(at), kind }
     }
 
+    /// A backup's `Propose` timer: never held.
+    fn propose(round: u64) -> TimerKind {
+        TimerKind::Propose {
+            round,
+            hold_until: None,
+        }
+    }
+
     /// A replica in `round` whose engine arms `timers` at init (at time 0).
     fn scripted(round: u64, timers: Vec<TimerRequest>) -> (Replica<SharedMempool>, Log) {
         let engine = Scripted {
@@ -503,7 +598,7 @@ mod tests {
     #[test]
     fn timer_set_clamps_past_deadlines_to_now() {
         let mut t = TimerSet::default();
-        let at = t.arm(timer(5, TimerKind::Propose { round: 1 }), Time(100));
+        let at = t.arm(timer(5, propose(1)), Time(100));
         assert_eq!(at, Time(100));
         assert_eq!(t.next_deadline(), Some(Time(100)));
     }
@@ -512,11 +607,11 @@ mod tests {
     fn equal_deadline_timers_pop_in_arming_order() {
         let mut t = TimerSet::default();
         let kinds = [
-            TimerKind::Propose { round: 3 },
+            propose(3),
             TimerKind::NotarizeRank { round: 3, rank: 0 },
             TimerKind::RoundTimeout { round: 3 },
         ];
-        t.arm_catchup(Time(50));
+        t.arm_wake(Time(50), Wake::CatchUp);
         for kind in kinds {
             t.arm(timer(50, kind), Time(0));
         }
@@ -533,9 +628,9 @@ mod tests {
         let (mut replica, mut log) = scripted(
             5,
             vec![
-                timer(10, TimerKind::Propose { round: 1 }),
+                timer(10, propose(1)),
                 timer(11, TimerKind::RoundTimeout { round: 2 }),
-                timer(12, TimerKind::Propose { round: 5 }),
+                timer(12, propose(5)),
             ],
         );
         let mut pops = 0;
@@ -565,7 +660,7 @@ mod tests {
     /// falling back.
     #[test]
     fn future_round_propose_timer_survives_until_its_round() {
-        let fallback = TimerKind::Propose { round: 8 };
+        let fallback = propose(8);
         // Still in round 7 when armed: not stale.
         assert!(!is_stale(&fallback, Round(7)));
         // Still in its own round when due: not stale.
@@ -590,10 +685,7 @@ mod tests {
     fn routing_preserves_category_order() {
         let engine = Scripted {
             round: Round(1),
-            init: vec![
-                timer(2, TimerKind::Propose { round: 2 }),
-                timer(1, TimerKind::Propose { round: 1 }),
-            ],
+            init: vec![timer(2, propose(2)), timer(1, propose(1))],
             commits: 2,
         };
         let mut replica: Replica<SharedMempool> =
@@ -669,7 +761,7 @@ mod tests {
         replica.on_frame(ReplicaId(1), forward(1), Time(1), &mut log);
         assert_eq!(pool.lock().unwrap().len(), 1, "gossip missed the pool");
         pool.lock().unwrap().push(request(2));
-        replica.flush(&mut log);
+        replica.flush(Time::ZERO, &mut log);
         assert!(
             matches!(&log.0[..], [Effect::Sent(Outbound::Broadcast(_))]),
             "{:?}",
@@ -680,7 +772,7 @@ mod tests {
         log.0.clear();
         replica.on_frame(ReplicaId(1), forward(3), Time(2), &mut log);
         pool.lock().unwrap().push(request(4));
-        replica.flush(&mut log);
+        replica.flush(Time::ZERO, &mut log);
         assert!(log.0.is_empty(), "a down replica sent {:?}", log.0);
         assert_eq!(
             pool.lock().unwrap().len(),
@@ -697,7 +789,7 @@ mod tests {
             &mut log,
         );
         log.0.clear();
-        replica.flush(&mut log);
+        replica.flush(Time::ZERO, &mut log);
         assert!(log.0.is_empty(), "the gossip queued while down left later");
     }
 
@@ -707,7 +799,7 @@ mod tests {
     /// window lapses.
     #[test]
     fn a_rejoined_replica_catches_up_through_its_own_wake_ups() {
-        let (mut replica, mut log) = scripted(1, vec![timer(5, TimerKind::Propose { round: 1 })]);
+        let (mut replica, mut log) = scripted(1, vec![timer(5, propose(1))]);
         replica.crash();
         assert!(!replica.is_up());
         assert_eq!(replica.next_deadline(), None, "timers outlived the crash");
@@ -752,5 +844,153 @@ mod tests {
         assert_eq!(replica.on_timer(Time(114), &mut log), Due::Fired);
         assert_eq!(log.0[1..], [fetch(1, 32), Effect::Armed(Time(124))]);
         assert_eq!(replica.sync_requests(), 3);
+    }
+
+    /// A replica in round 1 with an idle pool whose engine arms, at init,
+    /// a rank-0 `Propose` for round 1 due at 0 and held until 100.
+    fn idle_leader() -> (Replica<SharedMempool>, SharedMempool, Log) {
+        let pool = banyan_mempool::Mempool::shared(16);
+        let leader = TimerKind::Propose {
+            round: 1,
+            hold_until: Some(Time(100)),
+        };
+        let engine = Scripted {
+            round: Round(1),
+            init: vec![timer(0, leader)],
+            commits: 0,
+        };
+        let mut replica = Replica::new(Box::new(engine), Some(pool.clone()), Duration(10));
+        let mut log = Log::default();
+        replica.init(Time::ZERO, &mut log);
+        assert_eq!(replica.on_timer(Time::ZERO, &mut log), Due::Held);
+        assert_eq!(replica.next_deadline(), Some(Time(100)), "no bound armed");
+        assert!(log.fired().is_empty(), "an idle leader proposed");
+        (replica, pool, log)
+    }
+
+    fn arrive(pool: &SharedMempool, id: u64) {
+        pool.lock().unwrap().push(banyan_mempool::Request {
+            id,
+            client: 0,
+            size: 64,
+            submitted_at: Time::ZERO,
+        });
+    }
+
+    /// The first flush that finds a request fires the held proposal at
+    /// the flush's instant; its bound then finds nothing to fire.
+    #[test]
+    fn a_held_proposal_is_released_by_a_pool_arrival() {
+        let (mut replica, pool, mut log) = idle_leader();
+        replica.flush(Time(5), &mut log);
+        assert!(log.fired().is_empty(), "released with an empty pool");
+        assert!(!replica.holds_releasable());
+        arrive(&pool, 1);
+        assert!(
+            replica.holds_releasable(),
+            "a parked driver would miss the arrival"
+        );
+        replica.flush(Time(7), &mut log);
+        assert_eq!(log.fired(), [1]);
+        assert!(!replica.holds_releasable());
+        assert_eq!(replica.on_timer(Time(100), &mut log), Due::Stale);
+        assert_eq!(log.fired(), [1], "fired twice");
+        assert_eq!(replica.stale_timers_dropped(), 0);
+    }
+
+    /// With no request, the bound fires the held proposal, and not before.
+    #[test]
+    fn a_held_proposal_fires_at_its_bound() {
+        let (mut replica, _pool, mut log) = idle_leader();
+        assert_eq!(replica.on_timer(Time(99), &mut log), Due::Nothing);
+        assert_eq!(replica.on_timer(Time(100), &mut log), Due::Fired);
+        assert_eq!(log.fired(), [1]);
+        assert_eq!(replica.next_deadline(), None);
+    }
+
+    /// A held proposal whose round the engine left is dropped, whether a
+    /// request or the bound comes for it first.
+    #[test]
+    fn a_held_proposal_is_dropped_when_its_round_moves() {
+        let frame = || {
+            Message::Sync(SyncMsg::Request {
+                hash: BlockHash::ZERO,
+            })
+        };
+        for by_arrival in [true, false] {
+            let (mut replica, pool, mut log) = idle_leader();
+            replica.on_frame(ReplicaId(2), frame(), Time(3), &mut log);
+            assert_eq!(replica.engine().unwrap().current_round(), Round(2));
+            if by_arrival {
+                arrive(&pool, 1);
+                replica.flush(Time(4), &mut log);
+            }
+            assert_eq!(replica.on_timer(Time(100), &mut log), Due::Stale);
+            assert!(log.fired().is_empty(), "a left round proposed");
+            assert_eq!(replica.stale_timers_dropped(), 1);
+        }
+    }
+
+    /// A crash clears a held proposal: the rejoined replica's first flush
+    /// with a request fires nothing, and no bound outlives the crash.
+    #[test]
+    fn a_crash_clears_a_held_proposal() {
+        let (mut replica, pool, mut log) = idle_leader();
+        replica.crash();
+        assert_eq!(
+            replica.next_deadline(),
+            None,
+            "the bound outlived the crash"
+        );
+        arrive(&pool, 1);
+        let engine = Scripted {
+            round: Round(1),
+            init: vec![],
+            commits: 0,
+        };
+        replica.rejoin(Box::new(engine), Time(50), &mut log);
+        assert!(!replica.holds_releasable());
+        replica.flush(Time(51), &mut log);
+        assert!(
+            log.fired().is_empty(),
+            "the held proposal survived the crash"
+        );
+    }
+
+    /// Only a rank-0 proposal on an idle pool is held: a backup's timer,
+    /// a leader whose pool holds a request and a leader without a pool
+    /// all fire at once.
+    #[test]
+    fn only_an_idle_pool_holds_a_leader() {
+        let leader = TimerKind::Propose {
+            round: 1,
+            hold_until: Some(Time(100)),
+        };
+        let cases = [
+            (propose(1), true, false),
+            (leader, true, true),
+            (leader, false, false),
+        ];
+        for (kind, with_pool, busy) in cases {
+            let pool = banyan_mempool::Mempool::shared(16);
+            if busy {
+                arrive(&pool, 1);
+            }
+            let engine = Scripted {
+                round: Round(1),
+                init: vec![timer(0, kind)],
+                commits: 0,
+            };
+            let pool = with_pool.then_some(pool);
+            let mut replica = Replica::new(Box::new(engine), pool, Duration(10));
+            let mut log = Log::default();
+            replica.init(Time::ZERO, &mut log);
+            assert_eq!(
+                replica.on_timer(Time::ZERO, &mut log),
+                Due::Fired,
+                "{kind:?}"
+            );
+            assert_eq!(log.fired(), [1]);
+        }
     }
 }

@@ -34,10 +34,12 @@
 //! With [`Simulation::enable_dissemination`], every replica gets its
 //! client pool wired in, and the simulator flushes pool gossip after every
 //! event — after a delivery or a wake-up only the pool of the replica it
-//! ran on, the one pool such an event can fill. Gossip and sync frames go
-//! through the *same* bandwidth/propagation/jitter/FIFO model as consensus
-//! traffic, so they are charged against the links they would really
-//! occupy.
+//! ran on, the one pool such an event can fill. A flush also releases the
+//! proposal an idle rank-0 leader holds once its pool has a request (see
+//! `banyan_runtime::driver`), so a request is proposed at the instant it
+//! reaches the leader's pool. Gossip and sync frames go through the
+//! *same* bandwidth/propagation/jitter/FIFO model as consensus traffic,
+//! so they are charged against the links they would really occupy.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -759,17 +761,19 @@ impl Simulation {
 
     /// Post-event bookkeeping: flush pool gossip into the network model
     /// (dissemination shares links with consensus traffic and is charged
-    /// the same way) and turn the workload's freshly armed think/retry
-    /// deadlines into queue events. Called once per processed event (and
-    /// at segment start), so pushes and completions from *this* event are
-    /// scheduled before the next event pops.
+    /// the same way), release the held proposals of the flushed replicas
+    /// whose pools now hold a request, and turn the workload's freshly
+    /// armed think/retry deadlines into queue events. Called once per
+    /// processed event (and at segment start), so pushes and completions
+    /// from *this* event are scheduled before the next event pops.
     ///
     /// `touched` names the replica a delivery or wake-up ran on. Such an
     /// event fills no pool but that replica's: its frames, timers and
     /// commits reach only its own pool, and commits only arm client ticks.
     /// So only that pool is flushed, plus any whose last flush left a
-    /// backlog. Every other pool holds no queued gossip, and flushing it
-    /// would send nothing and change nothing: the frames sent, their order
+    /// backlog. Every other pool holds no queued gossip and no request a
+    /// held proposal waits for, and flushing it would send nothing and
+    /// change nothing: the frames sent, their order
     /// and the jitter drawn for them equal flushing every pool. `None` —
     /// client ticks, retries, crashes, rejoins, segment start, which push
     /// into any pool — flushes every pool.
@@ -784,13 +788,14 @@ impl Simulation {
             let due = backlog[i] || touched.is_none_or(|t| t.as_usize() == i);
             if due && replica.pool().is_some() {
                 io.me = ReplicaId(i as u16);
-                backlog[i] = replica.flush(&mut io);
+                backlog[i] = replica.flush(io.now, &mut io);
             }
         }
         self.gossip_backlog = backlog;
         #[cfg(debug_assertions)]
         if let Some(touched) = touched {
             self.assert_no_unflushed_gossip(touched);
+            self.assert_no_releasable_hold(touched);
         }
         // Workload deadlines become queue events, never before `now`. The
         // scratch buffers are recycled across events (no per-event Vec
@@ -827,6 +832,22 @@ impl Simulation {
                 self.gossip_backlog[i] || !pool.lock().expect("mempool lock").has_queued_gossip(),
                 "after an event on replica {touched:?}, replica {i}'s pool holds gossip \
                  that flushing every pool would have sent"
+            );
+        }
+    }
+
+    /// The oracle of the idle hold under the touched-replica flush (debug
+    /// builds): no pool it skipped holds a request that would release its
+    /// replica's held proposal, so releasing holds only on the flushed
+    /// replicas equals releasing them on every replica. A panic here names
+    /// an event that brought a request to another replica's idle leader.
+    #[cfg(debug_assertions)]
+    fn assert_no_releasable_hold(&self, touched: ReplicaId) {
+        for (i, replica) in self.replicas.iter().enumerate() {
+            assert!(
+                !replica.holds_releasable(),
+                "after an event on replica {touched:?}, replica {i} holds a proposal \
+                 that flushing every pool would have released"
             );
         }
     }

@@ -66,10 +66,14 @@
 //! only wall-clock time, the sockets (through [`ReplicaIo`]) and the one
 //! decision a socketed driver makes blind: which peer to fetch from.
 //!
-//! Verify workers and dialers reach the parked loop through the waker: a
-//! socket pair whose read end the wait watches. They write one byte only
-//! when the loop says it is parked, so a busy loop pays no syscall for
-//! them. At stop the loop closes its sockets, releases the verify stage's
+//! Verify workers, dialers and a client's push into an idle pool reach
+//! the parked loop through the waker: a socket pair whose read end the
+//! wait watches. They write one byte only when the loop says it is
+//! parked, so a busy loop pays no syscall for them. The pool's wake-up
+//! matters most: an idle rank-0 leader holds its proposal until a request
+//! reaches its pool (the replica's idle hold), so a parked loop that
+//! missed the push would leave the request waiting until the wait timed
+//! out. At stop the loop closes its sockets, releases the verify stage's
 //! inputs and absorbs the event channel until every worker has hung up,
 //! so no frame handed to the stage is lost at close.
 
@@ -85,7 +89,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 
-use banyan_mempool::{ReplicaPool, WorkloadBatch};
+use banyan_mempool::{ArrivalHook, ReplicaPool, WorkloadBatch};
 use banyan_runtime::driver::{Due, Replica, ReplicaIo};
 use banyan_types::app::App;
 use banyan_types::engine::{CommitEntry, Engine, Outbound};
@@ -662,13 +666,25 @@ pub(crate) fn run<P: ReplicaPool>(
     // The step's events, kept to reuse their allocation.
     let mut events: Vec<Event> = Vec::new();
 
+    // A request entering an idle pool is flagged for the loop's last look
+    // before it parks, then wakes the loop if it is parked already.
+    // Relaxed: `Waker::park` and `Waker::wake` fence, so either the look
+    // sees the flag or the hook sees `parked`.
+    let arrived = Arc::new(AtomicBool::new(false));
+    if let Some(pool) = &pool {
+        let (flag, waker) = (arrived.clone(), inbox.waker.clone());
+        pool.set_arrival_hook(ArrivalHook::new(move || {
+            flag.store(true, Ordering::Relaxed);
+            waker.wake();
+        }));
+    }
     let mut replica = Replica::new(engine, pool, CATCHUP_TIMEOUT);
     // Disseminate before proposing: requests already pooled locally are
     // forwarded ahead of the init proposal in every per-peer channel, so
     // per-connection ordering lands them in peer pools before any block
     // that could commit them (a quorum excluding this replica can commit
     // its init proposal arbitrarily soon after it is sent).
-    replica.flush(&mut io);
+    replica.flush(now(), &mut io);
     replica.init(now(), &mut io);
 
     while start.elapsed() < run_for {
@@ -694,7 +710,7 @@ pub(crate) fn run<P: ReplicaPool>(
         }
         let step = now();
         while replica.on_timer(step, &mut io) != Due::Nothing {}
-        replica.flush(&mut io);
+        let backlog = replica.flush(step, &mut io);
         // The step is over: its frames leave, each peer's in as few
         // writes as its socket takes. Then wait for a frame, an event,
         // room on a backlogged socket, the next timer or the next crash
@@ -711,11 +727,14 @@ pub(crate) fn run<P: ReplicaPool>(
         let stage = verify.as_ref().map(|(stage, _)| stage);
         let mut route = |event| deliver(stage, &mut events, event);
         // Parked first, then one last look at everything a waker
-        // announces: what arrives after the look wakes the wait.
+        // announces: what arrives after the look wakes the wait. Gossip a
+        // flush left queued goes out at once too.
         inbox.waker.park();
-        let queued = verify
-            .as_ref()
-            .is_some_and(|(_, events)| !events.is_empty())
+        let queued = arrived.swap(false, Ordering::Relaxed)
+            || backlog
+            || verify
+                .as_ref()
+                .is_some_and(|(_, events)| !events.is_empty())
             || !io.outbox.dialed.is_empty()
             || inbox.release_held(&mut route);
         inbox.wait(

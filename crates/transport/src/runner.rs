@@ -319,6 +319,142 @@ mod tests {
         }
     }
 
+    /// An idle cluster parks: every pool is empty, so the round's leader
+    /// holds its proposal, here for Δ = 2 s. A request pushed into a
+    /// non-leader's pool must wake that replica's parked loop, which
+    /// gossips it to the leader, whose arrival releases the proposal: each
+    /// request commits well inside Δ. Inline over `SharedMempool`s
+    /// (`Mempool::push` wakes), and staged over `ConcurrentPool`s
+    /// (`PoolIngest::push` wakes).
+    ///
+    /// A parked loop also looks around every 10 ms, so a missed wake costs
+    /// up to 10 ms, not Δ. Pushed at arbitrary phases of that period, the
+    /// requests' median latency tells the two apart: about a millisecond
+    /// with the wake, about half the period without it.
+    #[test]
+    fn a_request_pushed_into_a_parked_cluster_commits_well_inside_delta() {
+        for staged in [false, true] {
+            a_request_pushed_into_a_parked_cluster_commits(staged);
+        }
+    }
+
+    fn a_request_pushed_into_a_parked_cluster_commits(staged: bool) {
+        let _serial = crate::loopback_serial_lock();
+        use crate::pipeline::PipelineConfig;
+        use banyan_mempool::{
+            ConcurrentMempoolSource, ConcurrentPool, Mempool, MempoolSource, Request,
+            SharedConcurrentPool, WorkloadBatch,
+        };
+        use banyan_types::time::Time as BTime;
+        use std::sync::mpsc;
+        use std::time::{Duration, Instant};
+
+        /// Reports when each committed request was first seen.
+        struct Tap(mpsc::Sender<(u64, Instant)>);
+        impl App for Tap {
+            fn deliver(&mut self, entry: &CommitEntry) {
+                for r in WorkloadBatch::decode(&entry.payload).map_or(vec![], |b| b.requests) {
+                    let _ = self.0.send((r.id, Instant::now()));
+                }
+            }
+        }
+
+        let n = 4;
+        let builder = ClusterBuilder::new(n, 1, 1)
+            .unwrap()
+            .delta(BDuration::from_secs(2));
+        let shared: Vec<SharedMempool> = (0..n).map(|_| Mempool::shared_gossiping(1_024)).collect();
+        let concurrent: Vec<SharedConcurrentPool> = (0..n)
+            .map(|_| ConcurrentPool::new(Mempool::new(1_024).with_gossip(true), 1_024))
+            .collect();
+        let engines = if staged {
+            let sources = concurrent.clone();
+            builder
+                .proposal_sources(move |i| {
+                    Box::new(ConcurrentMempoolSource::new(
+                        sources[i as usize].clone(),
+                        64,
+                    ))
+                })
+                .build_banyan()
+        } else {
+            let sources = shared.clone();
+            builder
+                .proposal_sources(move |i| {
+                    Box::new(MempoolSource::new(sources[i as usize].clone(), 64))
+                })
+                .build_banyan()
+        };
+
+        // Round-robin leaders: round k is led by replica k mod 4, and each
+        // request below is finalized in a round of its own, so request k
+        // lands in round k + 1. Replica k + 3 never leads it.
+        let requests = 8u64;
+        let pushes = {
+            let (shared, concurrent) = (shared.clone(), concurrent.clone());
+            let ingests: Vec<_> = concurrent.iter().map(|pool| pool.ingest()).collect();
+            thread::spawn(move || {
+                let mut pushed = Vec::new();
+                for id in 0..requests {
+                    // Long enough for every loop to park.
+                    thread::sleep(Duration::from_millis(if id == 0 { 400 } else { 120 }));
+                    let request = Request {
+                        id,
+                        client: 0,
+                        size: 64,
+                        submitted_at: BTime::ZERO,
+                    };
+                    let to = (id as usize + 3) % n;
+                    pushed.push(Instant::now());
+                    if staged {
+                        assert!(ingests[to].push(request));
+                    } else {
+                        shared[to].lock().unwrap().push(request);
+                    }
+                }
+                drop(concurrent);
+                pushed
+            })
+        };
+        let (tx, commits) = mpsc::channel();
+        let run_for = Duration::from_millis(1_800);
+        run_local(engines, |i, engine, listen, peers| {
+            let app = Tap(tx.clone());
+            if staged {
+                let pool = Some(concurrent[i].clone());
+                let stage = Some(PipelineConfig::default());
+                replica::run(engine, app, pool, stage, listen, peers, run_for, None)
+            } else {
+                let pool = Some(shared[i].clone());
+                replica::run(engine, app, pool, None, listen, peers, run_for, None)
+            }
+            .expect("replica run")
+        });
+        drop(tx);
+        let pushed = pushes.join().expect("pusher");
+        let mut first = vec![None; requests as usize];
+        for (id, at) in commits.iter() {
+            let seen = &mut first[id as usize];
+            *seen = Some(seen.map_or(at, |t: Instant| t.min(at)));
+        }
+        let mut latencies = Vec::new();
+        for (id, (pushed, committed)) in pushed.iter().zip(first).enumerate() {
+            let committed = committed.unwrap_or_else(|| panic!("request {id} never committed"));
+            let latency = committed.duration_since(*pushed);
+            assert!(
+                latency < Duration::from_millis(100),
+                "staged={staged}: request {id} took {latency:?} under a 2 s hold"
+            );
+            latencies.push(latency);
+        }
+        latencies.sort();
+        let median = latencies[latencies.len() / 2];
+        assert!(
+            median < Duration::from_millis(3),
+            "staged={staged}: median {median:?}: a push did not wake the parked loop"
+        );
+    }
+
     /// One replica with a `WalStore` crashes, rejoins through
     /// [`TcpRestart`] and catches up — inline, and with the verify stage
     /// (which inherits restart and catch-up by sharing the loop).

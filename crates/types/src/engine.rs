@@ -26,6 +26,10 @@ pub enum TimerKind {
     Propose {
         /// The round to propose in.
         round: u64,
+        /// Set by a rank-0 proposer only: while the replica's request
+        /// pool is idle, its driver may hold the proposal until a request
+        /// arrives, but never past this instant.
+        hold_until: Option<Time>,
     },
     /// Time to consider notarization votes for blocks of `rank` in `round`
     /// (after `Δ_notary(rank)`).
@@ -59,7 +63,7 @@ impl TimerKind {
     /// abandoned), so such timers can be dropped without delivery.
     pub fn scope_round(&self) -> u64 {
         match *self {
-            TimerKind::Propose { round } => round,
+            TimerKind::Propose { round, .. } => round,
             TimerKind::NotarizeRank { round, .. } => round,
             TimerKind::RoundTimeout { round } => round,
             TimerKind::EpochTick { epoch } => epoch,
@@ -261,7 +265,13 @@ mod tests {
                 hash: BlockHash::ZERO,
             }),
         );
-        a.arm(Time(5), TimerKind::Propose { round: 1 });
+        a.arm(
+            Time(5),
+            TimerKind::Propose {
+                round: 1,
+                hold_until: None,
+            },
+        );
         assert!(!a.is_empty());
         assert_eq!(a.outbound.len(), 2);
         assert_eq!(a.timers.len(), 1);
@@ -270,9 +280,21 @@ mod tests {
     #[test]
     fn actions_extend_preserves_order() {
         let mut a = Actions::none();
-        a.arm(Time(1), TimerKind::Propose { round: 1 });
+        a.arm(
+            Time(1),
+            TimerKind::Propose {
+                round: 1,
+                hold_until: None,
+            },
+        );
         let mut b = Actions::none();
-        b.arm(Time(2), TimerKind::Propose { round: 2 });
+        b.arm(
+            Time(2),
+            TimerKind::Propose {
+                round: 2,
+                hold_until: None,
+            },
+        );
         a.extend(b);
         assert_eq!(a.timers[0].at, Time(1));
         assert_eq!(a.timers[1].at, Time(2));
@@ -281,8 +303,14 @@ mod tests {
     #[test]
     fn timer_kinds_are_comparable() {
         assert_eq!(
-            TimerKind::Propose { round: 1 },
-            TimerKind::Propose { round: 1 }
+            TimerKind::Propose {
+                round: 1,
+                hold_until: None,
+            },
+            TimerKind::Propose {
+                round: 1,
+                hold_until: None,
+            }
         );
         assert_ne!(
             TimerKind::NotarizeRank { round: 1, rank: 0 },
