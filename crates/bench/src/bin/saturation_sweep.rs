@@ -69,7 +69,7 @@
 //!   stays `O(cohorts)` regardless of the modeled population;
 //! * `--fanout-tree F` switches gossip to **propagation-limited** mode:
 //!   pushes travel a degree-`F` tree (ring successor + lowest-delay
-//!   peers) through bounded per-peer queues with credit backpressure,
+//!   peers) through bounded per-peer queues, each flush taking a bounded share,
 //!   relays going out as compact announce records (implies `--gossip`);
 //! * `--assert-gossip-bytes` (requires `--fanout-tree`) exits nonzero
 //!   unless an n=8 comparison shows tree gossip bytes/request at most

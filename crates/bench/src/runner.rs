@@ -256,8 +256,8 @@ impl Scenario {
 
     /// Switches gossip to **propagation-limited** mode: each replica
     /// forwards pushes only to `fanout` tree peers (ring successor +
-    /// lowest-delay picks) through bounded per-peer queues with
-    /// credit-based backpressure; first-time acceptors relay compact
+    /// lowest-delay picks) through bounded per-peer queues, of which one
+    /// flush takes a bounded share; first-time acceptors relay compact
     /// announcements down their own edges. Implies [`gossip`](Self::gossip).
     pub fn fanout_tree(mut self, fanout: usize) -> Self {
         assert!(fanout > 0, "fanout-tree degree must be positive");

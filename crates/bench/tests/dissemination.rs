@@ -270,10 +270,10 @@ fn cohort_tree_runs_are_deterministic() {
     assert_ne!(a, c, "different seeds must diverge");
 }
 
-/// A primed window larger than one flush's per-peer credit leaves every
+/// A primed window larger than one flush's per-peer take leaves every
 /// tree-mode pool a backlog after the first flush. The simulator flushes
 /// only the pool of the replica an event ran on — plus every pool with a
-/// backlog, so the backlog drains one credit per event exactly as when
+/// backlog, so the backlog drains one take per event exactly as when
 /// every pool was flushed after every event. The pinned counts are those
 /// of a simulator that flushed every pool, and released every idle
 /// leader's held proposal, after every event; skipping the backlogged

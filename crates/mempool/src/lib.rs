@@ -167,9 +167,9 @@ pub const DEFAULT_OUTBOX_CAP: usize = 16_384;
 /// its own queue, never the pool's other queues.
 pub const DEFAULT_PEER_QUEUE_CAP: usize = 4_096;
 
-/// Default credit per peer queue: how many requests one
-/// [`flush`](Mempool::flush) may put in flight for one peer.
-pub const DEFAULT_PEER_CREDIT: u32 = 512;
+/// Most entries one [`flush`](Mempool::flush) takes from one peer queue;
+/// the rest wait for the next flush.
+const DEFAULT_PEER_TAKE: usize = 512;
 
 /// What a pool calls when a request arrives from a client: the wake-up of
 /// a driver that parks while its pool is idle. A rank-0 leader whose pool
@@ -301,13 +301,12 @@ pub struct Mempool {
     outbox_cap: usize,
     /// Per-peer relay queues (propagation-limited gossip). Empty =
     /// broadcast mode (the shared outbox above). Non-empty diverts every
-    /// gossiped request into one bounded, credit-gated queue per fanout
-    /// peer.
+    /// gossiped request into one bounded queue per fanout peer.
     peer_queues: Vec<PeerQueue>,
     /// Bound on each per-peer queue (drop-oldest past it).
     peer_queue_cap: usize,
-    /// Credit ceiling per peer queue; see [`take_peer_outbox`](Self::take_peer_outbox).
-    peer_credit_max: u32,
+    /// Most entries one flush takes from one peer queue.
+    peer_take: usize,
     /// Entries shed by per-peer queue bounds so far (all peers).
     peer_sheds: u64,
     /// `Some(payload_chunk)` when the speculative lease machinery is on
@@ -338,10 +337,6 @@ struct PeerQueue {
     /// The peer's replica index.
     peer: usize,
     queue: VecDeque<(Request, bool)>,
-    /// Remaining take credit; consumed by
-    /// [`Mempool::take_peer_outbox`], restored by
-    /// [`Mempool::grant_peer_credit`] once the driver confirms delivery.
-    credit: u32,
 }
 
 impl PeerQueue {
@@ -376,7 +371,7 @@ impl Mempool {
             outbox_cap: DEFAULT_OUTBOX_CAP,
             peer_queues: Vec::new(),
             peer_queue_cap: DEFAULT_PEER_QUEUE_CAP,
-            peer_credit_max: DEFAULT_PEER_CREDIT,
+            peer_take: DEFAULT_PEER_TAKE,
             peer_sheds: 0,
             speculation: None,
             leases: LeaseTable::new(),
@@ -407,9 +402,10 @@ impl Mempool {
     }
 
     /// Builder-style: switches gossip into **propagation-limited** mode:
-    /// one bounded ([`DEFAULT_PEER_QUEUE_CAP`]), credit-gated
-    /// ([`DEFAULT_PEER_CREDIT`]) relay queue per fanout peer (`peers` are
-    /// replica indices — typically `Topology::fanout_peers`). Locally
+    /// one bounded ([`DEFAULT_PEER_QUEUE_CAP`]) relay queue per fanout
+    /// peer (`peers` are replica indices — typically
+    /// `Topology::fanout_peers`), of which one [`flush`](Self::flush)
+    /// takes at most 512 entries. Locally
     /// pushed requests go to every peer queue instead of the shared
     /// outbox, and [`intake`](Self::intake) relays first-time peer
     /// acceptances onward. Implies gossip.
@@ -425,7 +421,6 @@ impl Mempool {
             .map(|&peer| PeerQueue {
                 peer,
                 queue: VecDeque::new(),
-                credit: self.peer_credit_max,
             })
             .collect();
         self
@@ -733,40 +728,27 @@ impl Mempool {
         self.peer_sheds += sheds;
     }
 
-    /// Drains up to `credit` entries of `peer`'s relay queue, oldest
-    /// first, consuming one credit per entry returned. Each entry is
-    /// `(request, relay)` — `relay = false` first-hop bodies (`Forward`),
-    /// `true` onward relays (`Announce`). Requests observed committed in
-    /// the meantime are discarded without consuming credit. Returns empty
-    /// for unknown peers, an empty queue, or exhausted credit — the
-    /// backpressure rule: no credit, no take, and the queue keeps filling
-    /// until it sheds its own oldest entries.
+    /// Drains up to `peer_take` entries of `peer`'s relay queue, oldest
+    /// first. Each entry is `(request, relay)` — `relay = false` first-hop
+    /// bodies (`Forward`), `true` onward relays (`Announce`). Requests
+    /// observed committed in the meantime are discarded and do not count
+    /// against the bound. Returns empty for unknown peers or an empty
+    /// queue; what the bound leaves waits for the next take, and the queue
+    /// keeps filling until it sheds its own oldest entries.
     fn take_peer_outbox(&mut self, peer: usize) -> Vec<(Request, bool)> {
         let Some(pq) = self.peer_queues.iter_mut().find(|q| q.peer == peer) else {
             return Vec::new();
         };
         let mut out = Vec::new();
-        while pq.credit > 0 {
+        while out.len() < self.peer_take {
             let Some((req, relay)) = pq.queue.pop_front() else {
                 break;
             };
-            if self.committed_ids.contains(&req.id) {
-                continue;
+            if !self.committed_ids.contains(&req.id) {
+                out.push((req, relay));
             }
-            pq.credit -= 1;
-            out.push((req, relay));
         }
         out
-    }
-
-    /// Restores `n` credits to `peer`'s queue (capped at the configured
-    /// ceiling). [`flush`](Self::flush) calls this once a take was handed
-    /// to the transport.
-    fn grant_peer_credit(&mut self, peer: usize, n: u32) {
-        let max = self.peer_credit_max;
-        if let Some(pq) = self.peer_queues.iter_mut().find(|q| q.peer == peer) {
-            pq.credit = pq.credit.saturating_add(n).min(max);
-        }
     }
 
     /// Queued entries currently waiting for `peer` (tests, diagnostics).
@@ -779,7 +761,7 @@ impl Mempool {
 
     /// True while gossip waits in the shared outbox or in a peer queue —
     /// what the next [`flush`](Self::flush) takes from. A flush empties
-    /// them, except a peer queue holding more than one flush's credit,
+    /// them, except a peer queue holding more than one flush takes,
     /// which keeps the rest for the next.
     pub fn has_queued_gossip(&self) -> bool {
         !self.outbox.is_empty() || self.peer_queues.iter().any(|q| !q.queue.is_empty())
@@ -788,12 +770,11 @@ impl Mempool {
     /// **Flush**: turns whatever gossip the pool holds into frames, one
     /// `emit` per frame. The pool knows its own shape — in broadcast mode
     /// the shared outbox becomes one `Forward` broadcast; with per-peer
-    /// queues each peer, in configuration order, gets what its credit
-    /// allows as a `Forward` (first-hop bodies) and then an `Announce`
-    /// (relayed records). An emitted frame counts as handed to the
-    /// transport, so the credit it consumed is granted straight back: the
-    /// credit bounds what one flush puts in flight behind a shed-prone
-    /// queue. Emits nothing when nothing is queued (gossip off included).
+    /// queues each peer, in configuration order, gets up to 512 entries
+    /// of its queue as a `Forward` (first-hop bodies) and then an
+    /// `Announce` (relayed records): the bound on what one flush puts in
+    /// flight behind a shed-prone queue. Emits nothing when nothing is
+    /// queued (gossip off included).
     pub fn flush(&mut self, emit: &mut impl FnMut(Outbound)) {
         if self.peer_queues.is_empty() {
             let requests = self.take_outbox();
@@ -810,7 +791,6 @@ impl Mempool {
             if entries.is_empty() {
                 continue;
             }
-            self.grant_peer_credit(peer, entries.len() as u32);
             let (mut forwards, mut announces) = (Vec::new(), Vec::new());
             for (req, relay) in entries {
                 if relay { &mut announces } else { &mut forwards }.push(req);
@@ -1217,8 +1197,8 @@ pub trait ReplicaPool: Clone + Send + 'static {
 
     /// Turns the pool's queued gossip into frames (see [`Mempool::flush`])
     /// and reports whether some is still queued
-    /// ([`Mempool::has_queued_gossip`]: a peer queue held more than its
-    /// credit). `emit` runs under the pool's lock and must not call back
+    /// ([`Mempool::has_queued_gossip`]: a peer queue held more than one
+    /// flush takes). `emit` runs under the pool's lock and must not call back
     /// into the pool: collect the frames, send them afterwards. (A driver
     /// flushes after every event, almost always finding nothing;
     /// collecting on the handle's side of the lock instead cost the
@@ -1873,16 +1853,25 @@ mod tests {
         assert_eq!(mp.len(), 5, "dropping a forward never drops the request");
     }
 
-    /// A tree-mode pool whose per-peer bounds are `cap` and `credit`
+    /// A tree-mode pool whose per-peer bounds are `cap` and `take`
     /// instead of the defaults.
-    fn tree_pool(peers: &[usize], cap: usize, credit: u32) -> Mempool {
+    fn tree_pool(peers: &[usize], cap: usize, take: usize) -> Mempool {
         let mut mp = Mempool::new(100).with_peer_queues(peers);
         mp.peer_queue_cap = cap;
-        mp.peer_credit_max = credit;
-        for pq in &mut mp.peer_queues {
-            pq.credit = credit;
-        }
+        mp.peer_take = take;
         mp
+    }
+
+    /// The ids of the requests one flush sends each peer, in order.
+    fn flushed(mp: &mut Mempool) -> Vec<(u16, Vec<u64>)> {
+        let mut sent = Vec::new();
+        mp.flush(&mut |out| {
+            let Outbound::Send(to, Message::Dissemination(frame)) = out else {
+                panic!("tree mode sends per peer")
+            };
+            sent.push((to.0, frame.requests().iter().map(|r| r.id).collect()));
+        });
+        sent
     }
 
     #[test]
@@ -1916,18 +1905,23 @@ mod tests {
     }
 
     #[test]
-    fn peer_credit_gates_takes_until_granted() {
-        let mut mp = tree_pool(&[7], 100, 2);
+    fn a_flush_takes_at_most_the_bound_per_peer() {
+        let mut mp = tree_pool(&[7, 8], 100, 2);
         for id in 1..=5 {
             mp.push(req(id, id));
         }
-        assert_eq!(mp.take_peer_outbox(7).len(), 2, "credit-bounded take");
-        assert_eq!(mp.take_peer_outbox(7).len(), 0, "no credit, no take");
+        let bounded = [(7, vec![1, 2]), (8, vec![1, 2])];
+        assert_eq!(
+            flushed(&mut mp),
+            bounded,
+            "each peer gets at most the bound"
+        );
+        assert!(mp.has_queued_gossip());
         assert_eq!(mp.peer_queue_len(7), 3);
-        mp.grant_peer_credit(7, 1);
-        assert_eq!(mp.take_peer_outbox(7).len(), 1);
-        mp.grant_peer_credit(7, 100);
-        assert_eq!(mp.take_peer_outbox(7).len(), 2, "grant caps at the ceiling");
+        assert_eq!(flushed(&mut mp), [(7, vec![3, 4]), (8, vec![3, 4])]);
+        assert_eq!(flushed(&mut mp), [(7, vec![5]), (8, vec![5])], "the rest");
+        assert!(!mp.has_queued_gossip());
+        assert_eq!(flushed(&mut mp), [], "nothing queued, nothing sent");
     }
 
     #[test]
@@ -1953,26 +1947,20 @@ mod tests {
     }
 
     #[test]
-    fn committed_requests_are_not_taken_and_cost_no_credit() {
+    fn committed_requests_are_not_taken_and_do_not_count_against_the_bound() {
         let mut mp = tree_pool(&[1], 100, 2);
-        mp.push(req(1, 1));
-        mp.push(req(2, 2));
-        mp.push(req(3, 3));
+        for id in 1..=4 {
+            mp.push(req(id, id));
+        }
         mp.mark_committed(1);
         mp.mark_committed(2);
-        let ids: Vec<u64> = mp
-            .take_peer_outbox(1)
-            .into_iter()
-            .map(|(r, _)| r.id)
-            .collect();
-        assert_eq!(ids, [3], "committed entries are discarded, not shipped");
-        assert_eq!(mp.take_peer_outbox(1).len(), 0, "queue is empty");
-        mp.push(req(4, 4));
+        let sent = flushed(&mut mp);
         assert_eq!(
-            mp.take_peer_outbox(1).len(),
-            1,
-            "discarding committed entries consumed no credit"
+            sent,
+            [(1, vec![3, 4])],
+            "committed entries are discarded, not shipped"
         );
+        assert!(!mp.has_queued_gossip(), "queue is empty");
     }
 
     #[test]

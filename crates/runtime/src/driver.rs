@@ -243,8 +243,8 @@ impl<P: ReplicaPool> Replica<P> {
     /// Sends whatever gossip the pool has queued, then releases a held
     /// proposal if the pool now holds a request. A down replica's gossip
     /// is drained and dropped: a dead process sends nothing. Returns true
-    /// if gossip is still queued (a peer queue held more than one flush's
-    /// credit): the next flush sends more even if nothing is added.
+    /// if gossip is still queued (a peer queue held more than one flush
+    /// takes): the next flush sends more even if nothing is added.
     pub fn flush(&mut self, now: Time, io: &mut impl ReplicaIo) -> bool {
         let Some(pool) = &self.pool else { return false };
         // Collected first: the frames are encoded outside the pool's lock,

@@ -392,7 +392,7 @@ pub struct Simulation {
     /// wake-ups armed by a previous life are dropped.
     generations: Vec<u32>,
     /// Per-replica: its pool's last flush left gossip queued (a peer
-    /// queue held more than one flush's credit), so every event flushes
+    /// queue held more than one flush takes), so every event flushes
     /// it again until it drains, as if every pool were flushed.
     gossip_backlog: Vec<bool>,
     /// Rebuilds engines for `Fault::Restart` rejoins; without one, a

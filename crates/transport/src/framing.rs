@@ -236,7 +236,7 @@ impl FrameBuf {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use banyan_types::ids::{BlockHash, Round};
     use banyan_types::message::SyncMsg;
@@ -375,7 +375,7 @@ mod tests {
     }
 
     /// A deterministic stream of pseudo-random words (splitmix64).
-    fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+    pub(crate) fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
         move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;

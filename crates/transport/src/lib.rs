@@ -41,6 +41,7 @@
 //! assert_eq!(reports.len(), 4);
 //! ```
 
+mod conn;
 pub mod framing;
 pub mod pipeline;
 mod poll;

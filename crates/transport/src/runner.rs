@@ -54,8 +54,11 @@ pub struct TcpRunReport {
     pub messages_received: u64,
     /// Messages sent (per-peer copies counted individually): frames a
     /// peer's outbound backlog accepted. One a full backlog refused is
-    /// not counted.
+    /// counted in `frames_refused` instead.
     pub messages_sent: u64,
+    /// Frames a full outbound backlog refused (per-peer copies counted
+    /// individually): dropped, as on any wire, and not sent.
+    pub frames_refused: u64,
     /// Timers dropped by the shared driver as stale (diagnostic).
     pub stale_timers_dropped: u64,
     /// Catch-up probes/fetches this replica issued after rejoining.
