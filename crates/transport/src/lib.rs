@@ -1,31 +1,26 @@
-//! Threaded TCP transport for the Banyan BFT engines.
+//! TCP transport for the Banyan BFT engines.
 //!
 //! The same [`banyan_types::engine::Engine`] state machines that run under
-//! the discrete-event simulator run here over real sockets — length-
-//! prefixed frames on `std::net::TcpStream`, and one engine loop per
-//! replica that owns the timer heap and reads and writes every one of its
-//! non-blocking sockets itself, waiting on all of them in one `ppoll(2)`.
-//! No async runtime: the engines are synchronous state machines and one
-//! thread per replica (plus verify workers when staged) is exactly what a
-//! reproduction needs (`docs/ARCHITECTURE.md`, "Concurrent pool & replica
-//! pipeline").
+//! the discrete-event simulator run here over real sockets: length-prefixed
+//! frames on `std::net::TcpStream`, and one engine loop per replica that
+//! owns the timer heap, dials, reads and writes every one of its
+//! non-blocking sockets itself and waits on all of them in one `ppoll(2)`.
+//! No async runtime and no helper threads: one thread per replica (plus
+//! verify workers when staged; `docs/ARCHITECTURE.md`, "Concurrent pool &
+//! replica pipeline"). The loop's body is one step that reads no clock,
+//! so the tests run whole clusters of it in one thread in virtual time.
 //!
-//! There is one replica event loop (the private `replica` module). The
-//! public runners in [`runner`] and [`pipeline`] are thin calls into it
-//! that differ only in the pool they attach, whether a verify stage sits
-//! between the loop's socket reads and its engine, and whether the replica
-//! crashes and rejoins mid-run.
+//! The public runners in [`runner`] and [`pipeline`] are thin calls into
+//! the one loop (the private `replica` module) that differ only in the
+//! pool they attach, whether a verify stage sits between the loop's socket
+//! reads and its engine, and whether the replica crashes and rejoins.
 //!
 //! Synthetic payloads stay synthetic on the wire (16 bytes + declared
-//! size); the TCP path demonstrates protocol correctness over real
-//! networking, while bandwidth-sensitive measurements live in
-//! `banyan-simnet`, whose egress model charges the declared size. Use
-//! inline payloads here when real bytes must flow.
-//!
-//! Payloads come from each engine's [`banyan_types::app::ProposalSource`]
-//! (installed through the builder; `payload_size` below is the
-//! `FixedSizeSource` shim), and finalized blocks are delivered to the
-//! [`banyan_types::app::App`] passed to [`runner::run_replica_full`].
+//! size); bandwidth-sensitive measurements live in `banyan-simnet`, whose
+//! egress model charges the declared size. Payloads come from each
+//! engine's [`banyan_types::app::ProposalSource`], and finalized blocks go
+//! to the [`banyan_types::app::App`] passed to
+//! [`runner::run_replica_full`].
 //!
 //! # Examples
 //!

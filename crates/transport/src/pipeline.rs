@@ -2,49 +2,33 @@
 //! → engine → dispatch.
 //!
 //! The one TCP replica loop (`crate::replica`) decodes and executes every
-//! frame on the consensus thread unless it is handed a [`PipelineConfig`].
-//! With one, a pool of verify workers sits between the loop's socket reads
-//! and its engine, connected by bounded MPMC channels
-//! (`crossbeam::channel`), so the payload hashing of a replica scales
-//! across cores:
+//! frame on its own thread unless it is handed a [`PipelineConfig`]. With
+//! one, verify workers sit between the loop's socket reads and its engine,
+//! joined by bounded MPMC channels (`crossbeam::channel`), so a replica's
+//! payload hashing scales across cores:
 //!
 //! ```text
-//!  sockets ──► replica loop (one ppoll; reads and splits frames)
-//!                 │  route by sender id: worker = from % W, try_send
-//!                 │  (a full queue holds the frame and pauses that
-//!                 │   connection's reads; the loop never blocks on it)
-//!                 ▼
-//!          verify workers (× W, PipelineConfig::verify_workers)
-//!            · every block a frame carries → its payload commitment
-//!              (the SHA-256 walk), memoized on the payload buffer
-//!                 │  every frame back, in order, then a wake-up if
-//!                 ▼  the loop is parked in ppoll
-//!          consensus thread: what an inline replica does with a frame
-//!          (pool intake, lease observation, probes, catch-up, engine)
-//!                 │  outbound actions, written by this same thread
-//!                 ▼
-//!          one non-blocking socket per peer (dispatch)
+//!  replica loop (reads and splits frames)
+//!     │  worker = from % W, try_send; a full queue holds the frame and
+//!     ▼  pauses that connection's reads, never the loop
+//!  verify workers (× W): every block a frame carries → its payload
+//!     │  commitment (the SHA-256 walk), memoized on the payload buffer
+//!     ▼  every frame back, in order, then a wake-up if the loop is parked
+//!  replica loop: what an inline replica does with the frame
 //! ```
 //!
-//! A worker decides nothing about a frame. It hands every frame back
+//! A worker decides nothing about a frame: it hands every frame back
 //! unchanged, and the loop treats it exactly as an inline replica treats
-//! the frame it decoded: the same `Inbound::classify`, the same pool intake
-//! and lease observation, the same engine call. What the stage buys is the
-//! commitment walk off the consensus thread: the frame comes back holding
-//! the payload buffer whose root the worker memoized, so every later
-//! `Block::hash` of it — the lease observation's, the engine's — is one
-//! header SHA. Signatures are the engine's to check: it checks every vote
-//! and certificate that can change its state, and only those.
+//! the frame it decoded (the same `Inbound::classify`, pool intake, lease
+//! observation and engine call). What the stage buys is the commitment
+//! walk off the loop's thread: every later `Block::hash` of the payload is
+//! one header SHA. Signatures are the engine's to check. Routing a peer's
+//! frames to worker `from % verify_workers` keeps per-peer FIFO order
+//! while different peers hash in parallel.
 //!
-//! Routing a peer's frames to the worker `from % verify_workers` keeps
-//! per-peer FIFO order (a peer's proposal is never overtaken by its own
-//! later vote) while different peers hash in parallel.
-//!
-//! Shutdown is staged and loss-free: the loop stops reading and drops its
-//! senders, the verify channels disconnect, workers drain what was queued
-//! and exit, and the consensus thread absorbs the tail — every frame a
-//! worker's queue took (`decoded`) comes back to the loop (`verified`), so
-//! a test can assert nothing fell on the floor at close.
+//! Shutdown is loss-free: the loop stops reading and drops its senders,
+//! workers drain what was queued and exit, and the loop absorbs the tail —
+//! every frame a worker's queue took (`decoded`) comes back (`verified`).
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -276,16 +260,10 @@ pub fn run_replica_pipelined(
     peers: Vec<SocketAddr>,
     run_for: std::time::Duration,
 ) -> std::io::Result<PipelineRunReport> {
-    let (report, stats) = crate::replica::run(
-        engine,
-        app,
-        pool,
-        Some(config),
-        listen,
-        peers,
-        run_for,
-        None,
-    )?;
+    let listener = std::net::TcpListener::bind(listen)?;
+    let stage = Some(config);
+    let (report, stats) =
+        crate::replica::run(engine, app, pool, stage, listener, peers, run_for, None)?;
     Ok(PipelineRunReport { report, stats })
 }
 
@@ -352,10 +330,12 @@ mod tests {
 
         let config = PipelineConfig::default().with_verify_workers(2);
         let run_for = std::time::Duration::from_secs(3);
-        let reports = crate::runner::run_local(engines, |i, engine, listen, peers| {
-            let (pool, config) = (Some(pools[i].clone()), config.clone());
-            run_replica_pipelined(engine, NullApp, pool, config, listen, peers, run_for)
-                .expect("replica run")
+        let reports = crate::runner::run_local(engines, |i, engine, listener, peers| {
+            let (pool, stage) = (Some(pools[i].clone()), Some(config.clone()));
+            let run =
+                crate::replica::run(engine, NullApp, pool, stage, listener, peers, run_for, None);
+            let (report, stats) = run.expect("replica run");
+            PipelineRunReport { report, stats }
         });
 
         // Liveness + agreement, as in the unstaged runner.

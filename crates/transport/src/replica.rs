@@ -2,47 +2,39 @@
 //! ([`run_replica_full`](crate::runner::run_replica_full),
 //! [`run_replica_restarting`](crate::runner::run_replica_restarting),
 //! [`run_replica_pipelined`](crate::pipeline::run_replica_pipelined)) is a
-//! thin call into [`run`].
-//!
-//! Thread layout per replica:
+//! thin call into [`run`]. A replica is one thread, plus W verify workers
+//! when staged:
 //!
 //! ```text
 //!   listener · inbound connections · waker · backlogged outbound sockets
-//!                          │ one ppoll(2)
+//!                          │ one ppoll(2), until the step's deadline
 //!                          ▼
-//!   engine loop (the calling thread)
+//!   engine loop (the calling thread): read the clock, then one step
 //!     · reads each ready connection (conn::Conns)
 //!       │ inline: frames join the step's events     staged: try_send to
 //!       │      ◄── every frame back, a wake-up ──── verify worker from % W
 //!       ▼          if parked                        (payload hashes)
 //!     · the replica step the simulator runs too (banyan_runtime::Replica)
 //!     · each outbound message encoded once into every addressed peer's
-//!       backlog (conn::Peers), written at the step's end
-//!                          ▼
-//!   one outbound socket per peer (a dialer thread connects it, and
-//!   redials after a write error, without blocking the loop)
+//!       backlog (conn::Peers), written at the step's end; a peer without
+//!       a socket is dialed (non-blocking connect) when its redial is due
 //! ```
 //!
-//! A replica runs this one thread, plus a dialer only while a peer is
-//! unreachable, plus W verify workers when staged.
+//! [`Shell::step`] is everything between two waits, over any `Read +
+//! Write` stream, given `now`; it reads no clock and returns its next
+//! deadline. [`run`] adds the sockets, the wall clock and the wait; the
+//! tests' `LocalNet` steps n shells over seeded pipes in virtual time.
+//! The bytes are [`conn`](crate::conn)'s, and a frame, timer, crash or
+//! rejoin is [`Replica`]'s; the shell adds the one choice a socketed
+//! driver makes blind: which peer to fetch from. A full socket delays
+//! only its peer, whose socket the wait then watches. Staged, a frame goes
+//! to worker `from % W` by `try_send` (a blocking send could deadlock on
+//! the loop's full event channel); a full worker queue refuses it for the
+//! connection to hold.
 //!
-//! This module is the shell: the `ppoll` wait, the listener, the waker,
-//! the dialers and [`run`]. What happens to the bytes is
-//! [`conn`](crate::conn)'s, and what happens to a frame, a timer, a crash
-//! or a rejoin is [`Replica`]'s; the shell adds wall-clock time and the
-//! one choice a socketed driver makes blind: which peer to fetch from.
-//!
-//! An engine step is everything between two waits: the timers due, the
-//! pool's gossip, and the frames read or handed back. At its end each
-//! peer's backlog is written; a full socket delays only that peer, whose
-//! socket the wait then watches for room. The verify stage is the loop's
-//! only fork: staged, a frame goes to worker `from % W` by `try_send` (a
-//! blocking send could deadlock on the loop's full event channel), and a
-//! full worker queue refuses it for the connection to hold.
-//!
-//! Workers, dialers and a client's push into an idle pool wake the parked
-//! loop through a socket pair the wait watches, writing a byte only while
-//! the loop is parked: an idle rank-0 leader holds its proposal until a
+//! Workers and a client's push into an idle pool wake the parked loop
+//! through a socket pair the wait watches, writing a byte only while the
+//! loop is parked: an idle rank-0 leader holds its proposal until a
 //! request reaches its pool, so a missed push would wait out the timeout.
 //! At stop the loop absorbs the event channel until every worker has hung
 //! up, so no frame handed to the stage is lost.
@@ -52,10 +44,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, TrySendError};
 
 use banyan_mempool::{ArrivalHook, ReplicaPool, WorkloadBatch};
 use banyan_runtime::driver::{Due, Replica, ReplicaIo};
@@ -65,24 +56,17 @@ use banyan_types::ids::ReplicaId;
 use banyan_types::time::Time;
 
 use crate::conn::{Conns, Event, Peers};
-use crate::framing::write_hello;
 use crate::pipeline::{PipelineConfig, PipelineStatsSnapshot, VerifyStage};
 use crate::poll::{self, PollFd, READABLE, WRITABLE};
 use crate::runner::{TcpRestart, TcpRunReport};
 
 /// Capacity of the channel verify workers return events on.
 const EVENT_QUEUE: usize = 4096;
-/// A dialer's longest pause between connection attempts. The first is
-/// 100 µs and each failure doubles it: peers started together begin
-/// listening within about a millisecond of each other, and one that is
-/// down costs an attempt every 20 ms.
-const REDIAL: Duration = Duration::from_millis(20);
+/// The longest wait: a parked loop looks around this often.
+const MAX_WAIT: Duration = Duration::from_millis(10);
 /// Per-step catch-up deadline (wall clock, 250 ms). Loopback round trips
 /// are far below this; a lapsed window re-probes or rotates peers.
 const CATCHUP_TIMEOUT: banyan_types::time::Duration = banyan_types::time::Duration(250_000_000);
-
-/// A stream a dialer connected, and the index of the peer it reaches.
-type Dialed = (usize, TcpStream);
 
 /// Wakes the loop out of its wait from another thread: one byte into a
 /// socket pair whose read end the wait watches, written only while the
@@ -129,95 +113,10 @@ impl Waker {
     }
 }
 
-/// Connects to `addr`, says hello, and makes the stream non-blocking.
-fn dial(me: ReplicaId, addr: SocketAddr) -> io::Result<TcpStream> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    write_hello(&mut stream, me)?;
-    stream.set_nonblocking(true)?;
-    Ok(stream)
-}
-
-/// The dialers: this replica, the peers' addresses, the channel that
-/// hands connected streams back to the loop, and the stop flag and waker
-/// every dialer thread shares.
-struct Dialer {
-    me: ReplicaId,
-    addrs: Vec<SocketAddr>,
-    tx: Sender<Dialed>,
-    dialed: Receiver<Dialed>,
-    stop: Arc<AtomicBool>,
-    waker: Arc<Waker>,
-}
-
-impl Dialer {
-    fn new(me: ReplicaId, addrs: Vec<SocketAddr>, waker: Arc<Waker>) -> Self {
-        let (tx, dialed) = bounded(addrs.len().max(1));
-        let stop = Arc::new(AtomicBool::new(false));
-        Dialer {
-            me,
-            addrs,
-            tx,
-            dialed,
-            stop,
-            waker,
-        }
-    }
-
-    /// The peers' backlogs, each peer dialed once, here, so the first
-    /// connections wait on no thread; one not listening yet gets a dialer.
-    fn connect(&self) -> Peers<TcpStream> {
-        let connect = |i| dial(self.me, self.addrs[i]).map_err(|_| self.spawn(i)).ok();
-        Peers::new(self.me, self.addrs.len(), connect)
-    }
-
-    /// Ends the engine step: streams the dialers connected are taken in,
-    /// then every backlog is written ([`Peers::write`]); a peer whose
-    /// write failed gets a dialer.
-    fn hand_off(&self, peers: &mut Peers<TcpStream>) {
-        for (i, stream) in self.dialed.try_iter() {
-            peers.connected(i, stream);
-        }
-        peers.write(|i| self.spawn(i));
-    }
-
-    /// Dials peer `i` on a thread until it answers (peers start in
-    /// arbitrary order, and one that crashed may resume listening), then
-    /// hands the stream back and wakes the loop. Detached: it exits at its
-    /// next `stop` check, and joining it could wait on a connect to a
-    /// dead host. Named for per-role CPU accounting
-    /// (`/proc/<pid>/task/*/comm`).
-    fn spawn(&self, i: usize) {
-        let (me, addr, tx) = (self.me, self.addrs[i], self.tx.clone());
-        let (stop, waker) = (self.stop.clone(), self.waker.clone());
-        thread::Builder::new()
-            .name(format!("replica-{}-dialer", me.0))
-            .spawn(move || {
-                let mut pause = Duration::from_micros(100);
-                while !stop.load(Ordering::Relaxed) {
-                    match dial(me, addr) {
-                        Ok(stream) => {
-                            let _ = tx.send((i, stream));
-                            waker.wake();
-                            return;
-                        }
-                        Err(_) => {
-                            thread::sleep(pause);
-                            pause = (pause * 2).min(REDIAL);
-                        }
-                    }
-                }
-            })
-            .expect("spawn dialer thread");
-    }
-}
-
-/// The receiving side of the loop: the listener, every accepted
-/// connection, and the waker's read end — all non-blocking, all watched
-/// by the one wait.
+/// What the wait watches besides the connections: the listener and the
+/// waker's read end, both non-blocking.
 struct Inbox {
     listener: TcpListener,
-    conns: Conns<TcpStream>,
     waker: Arc<Waker>,
     wakes: UnixStream,
     /// The wait's descriptor list, kept to reuse its allocation.
@@ -225,46 +124,32 @@ struct Inbox {
 }
 
 impl Inbox {
-    fn bind(listen: SocketAddr) -> io::Result<Self> {
-        let listener = TcpListener::bind(listen)?;
+    fn new(listener: TcpListener) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
         let (waker, wakes) = Waker::pair()?;
         Ok(Inbox {
             listener,
-            conns: Conns::default(),
             waker,
             wakes,
             fds: Vec::new(),
         })
     }
 
-    /// Takes in every connection waiting on the listener. One that fails
-    /// (a dialer that gave up, descriptors exhausted) is left: its peer
-    /// redials.
-    fn accept(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_ok() {
-                        self.conns.push(stream);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        }
-    }
-
     /// Blocks until a connection is readable or arrives, an outbound
     /// socket in `writable` can take bytes, the waker fires, or `timeout`
     /// passes; then marks the ready connections and accepts the new ones.
-    fn wait<'a>(&mut self, writable: impl Iterator<Item = &'a TcpStream>, timeout: Duration) {
+    fn wait<'a>(
+        &mut self,
+        conns: &mut Conns<TcpStream>,
+        writable: impl Iterator<Item = &'a TcpStream>,
+        timeout: Duration,
+    ) {
         self.fds.clear();
         self.fds.push(PollFd::new(&self.wakes, READABLE));
         self.fds.push(PollFd::new(&self.listener, READABLE));
-        let conns = self.conns.watched();
+        let watched = conns.watched();
         self.fds
-            .extend(conns.map(|stream| PollFd::new(stream, READABLE)));
+            .extend(watched.map(|stream| PollFd::new(stream, READABLE)));
         self.fds
             .extend(writable.map(|stream| PollFd::new(stream, WRITABLE)));
         // Should the wait itself fail, every socket is tried: a read that
@@ -273,12 +158,19 @@ impl Inbox {
         self.waker.unpark();
         let mut fds = self.fds.iter().map(|fd| !waited || fd.ready());
         let (woken, arrived) = (fds.next() == Some(true), fds.next() == Some(true));
-        self.conns.mark_ready(fds);
+        conns.mark_ready(fds);
         if woken {
             while let Ok(1..) = (&self.wakes).read(&mut [0; 64]) {}
         }
-        if arrived {
-            self.accept();
+        // Take in every connection waiting. One that fails (a peer that
+        // gave up, descriptors exhausted) is left: its peer redials.
+        let mut accepting = arrived;
+        while accepting {
+            match self.listener.accept() {
+                Ok((stream, _)) if stream.set_nonblocking(true).is_ok() => conns.push(stream),
+                Ok(_) => {}
+                Err(e) => accepting = e.kind() == io::ErrorKind::Interrupted,
+            }
         }
     }
 }
@@ -305,18 +197,18 @@ fn deliver(verify: Option<&VerifyStage>, events: &mut Vec<Event>, event: Event) 
 /// The loop's [`ReplicaIo`]: frames go into the peers' backlogs, commits
 /// to the app and the run report, and fetches rotate through the other
 /// replicas.
-struct Effects<A> {
-    peers: Peers<TcpStream>,
-    dialer: Dialer,
+struct Effects<S, A> {
+    peers: Peers<S>,
     app: A,
     commits: Vec<CommitEntry>,
-    /// Fetch-peer rotation: the loop cannot know which peers are up, so a
-    /// stalled window retries elsewhere (the catch-up machine's stall
-    /// budget bounds the rotation).
-    rotor: usize,
+    /// The other replicas in id order from this one, round and round: the
+    /// loop cannot know which peers are up, so a stalled window retries
+    /// elsewhere (the catch-up machine's stall budget bounds the
+    /// rotation).
+    fetch: Box<dyn Iterator<Item = ReplicaId>>,
 }
 
-impl<A: App> ReplicaIo for Effects<A> {
+impl<S: Write, A: App> ReplicaIo for Effects<S, A> {
     fn transmit(&mut self, out: Outbound) {
         self.peers.transmit(out);
     }
@@ -326,28 +218,153 @@ impl<A: App> ReplicaIo for Effects<A> {
         self.commits.push(entry);
     }
 
-    /// The other replicas in id order, one per fetch.
+    /// The next of the other replicas; none if there is nobody to ask.
     fn fetch_peer(&mut self) -> Option<ReplicaId> {
-        let (me, n) = (self.dialer.me.as_usize(), self.dialer.addrs.len());
-        if n < 2 {
-            return None; // nobody to ask
-        }
-        let off = 1 + self.rotor % (n - 1);
-        self.rotor += 1;
-        Some(ReplicaId(((me + off) % n) as u16))
+        self.fetch.next()
     }
 }
 
-/// Runs `engine` over TCP for `run_for`: inline when `stage` is `None`,
-/// with verify workers hashing payloads between the socket reads and the
-/// engine otherwise; crashing and rejoining mid-run when `restart` says
-/// so. Returns the run report and the verify stage's frame accounting
+/// One replica's loop state between steps, over streams `S`: the
+/// replica, its effects, its inbound connections and the crash and
+/// rejoin still to come.
+struct Shell<S, A, P> {
+    replica: Replica<P>,
+    io: Effects<S, A>,
+    conns: Conns<S>,
+    restart: Option<TcpRestart>,
+    /// The step's events, kept to reuse their allocation.
+    events: Vec<Event>,
+    messages_received: u64,
+}
+
+impl<S: Read + Write, A: App, P: ReplicaPool> Shell<S, A, P> {
+    /// Replica `engine.id()` of `n`, started at `now`: no peer dialed yet.
+    fn start(
+        engine: Box<dyn Engine>,
+        app: A,
+        pool: Option<P>,
+        n: usize,
+        restart: Option<TcpRestart>,
+        now: Time,
+    ) -> Self {
+        let me = engine.id();
+        let others = (1..n).map(move |off| ReplicaId(((me.as_usize() + off) % n) as u16));
+        let (peers, fetch) = (Peers::new(me, n), Box::new(others.cycle()));
+        let mut shell = Shell {
+            replica: Replica::new(engine, pool, CATCHUP_TIMEOUT),
+            io: Effects {
+                peers,
+                app,
+                commits: Vec::new(),
+                fetch,
+            },
+            conns: Conns::default(),
+            restart,
+            events: Vec::new(),
+            messages_received: 0,
+        };
+        // Disseminate before proposing: requests already pooled locally
+        // are forwarded ahead of the init proposal in every per-peer
+        // backlog, so per-connection ordering lands them in peer pools
+        // before any block that could commit them (a quorum excluding
+        // this replica can commit its init proposal arbitrarily soon
+        // after it is sent).
+        shell.replica.flush(now, &mut shell.io);
+        shell.replica.init(now, &mut shell.io);
+        shell
+    }
+
+    /// One step at `now`: the frames of the connections the wait marked
+    /// ready (and, staged, those the workers handed back), the crash or
+    /// rejoin due, the timers due, the pool's gossip, and every backlog
+    /// written, each peer whose redial is due dialed by `dial`. Returns
+    /// when to step next: the earliest timer, crash, rejoin or redial, or
+    /// `now` if a flush left gossip queued.
+    fn step(
+        &mut self,
+        now: Time,
+        dial: impl FnMut(usize) -> io::Result<S>,
+        verify: Option<&(VerifyStage, Receiver<Event>)>,
+    ) -> Option<Time> {
+        let (stage, events) = (verify.map(|(stage, _)| stage), &mut self.events);
+        self.conns.read(&mut |event| deliver(stage, events, event));
+        if let Some((_, verified)) = verify {
+            events.extend(verified.try_iter().take(EVENT_QUEUE));
+        }
+        // While down, as with a dead process, every frame is dropped
+        // unhandled; reading them on keeps every peer's connection moving.
+        for (from, msg) in events.drain(..) {
+            self.messages_received += 1;
+            self.replica.on_frame(from, msg, now, &mut self.io);
+        }
+        let phase = self.restart_phase(now);
+        while self.replica.on_timer(now, &mut self.io) != Due::Nothing {}
+        let queued = self.replica.flush(now, &mut self.io).then_some(now);
+        // The step is over: its frames leave, each peer's in as few
+        // writes as its socket takes.
+        self.io.peers.write(now, dial);
+        let (timer, redial) = (self.replica.next_deadline(), self.io.peers.next_dial());
+        [queued, timer, phase, redial].into_iter().flatten().min()
+    }
+
+    /// Crashes or rejoins the replica if the restart plan says so by
+    /// `now`; returns the plan's next point, if one is left.
+    fn restart_phase(&mut self, now: Time) -> Option<Time> {
+        let plan = self.restart.as_ref()?;
+        let at = |offset| Time::ZERO + banyan_types::time::Duration::from(offset);
+        if self.replica.is_up() && now >= at(plan.crash_after) {
+            // Crash: all volatile state is gone; only durable storage
+            // (the WAL) and the commits already delivered survive.
+            self.replica.crash();
+        }
+        let next = at(if self.replica.is_up() {
+            plan.crash_after
+        } else {
+            plan.rejoin_after
+        });
+        if now < next {
+            return Some(next);
+        }
+        let plan = self.restart.take()?;
+        // Rebuild from durable state only (reopens the WAL).
+        self.replica.rejoin((plan.rebuild)(), now, &mut self.io);
+        None
+    }
+
+    fn report(self) -> TcpRunReport {
+        let (replica, io) = (self.replica, self.io);
+        // Crashed and never rejoined before the deadline: no engine to read.
+        let engine = replica.engine();
+        let verified = engine.map(|e| e.verify_stats()).unwrap_or_default();
+        TcpRunReport {
+            commits: io.commits,
+            messages_received: self.messages_received,
+            messages_sent: io.peers.frames_sent,
+            frames_refused: io.peers.frames_refused,
+            stale_timers_dropped: replica.stale_timers_dropped(),
+            sync_requests: replica.sync_requests(),
+            sync_blocks_served: replica.sync_blocks_served(),
+            restart_recovery_ms: replica.recovery_ms(),
+            wal_bytes: engine.map_or(0, |e| e.wal_bytes()),
+            sigs_verified: verified.sigs_verified,
+            verify_batches: verified.verify_batches,
+            cert_cache_hits: verified.cert_cache_hits,
+            verify_cpu_ms: verified.verify_cpu_ms(),
+        }
+    }
+}
+
+/// Runs `engine` over TCP for `run_for`, accepting on `listener`: inline
+/// when `stage` is `None`, with verify workers hashing payloads between
+/// the socket reads and the engine otherwise; crashing and rejoining
+/// mid-run when `restart` says so. Each turn reads the wall clock, steps
+/// the [`Shell`] and waits until the deadline it returned (10 ms at
+/// most). Returns the run report and the verify stage's frame accounting
 /// (all zero when inline).
 ///
 /// # Errors
 ///
-/// Returns an I/O error if binding `listen` (or creating the waker)
-/// fails.
+/// Returns an I/O error if the listener or the waker cannot be set up.
 // The parameters are the three public runners' parameters, unioned.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run<P: ReplicaPool>(
@@ -355,16 +372,15 @@ pub(crate) fn run<P: ReplicaPool>(
     app: impl App + 'static,
     pool: Option<P>,
     stage: Option<PipelineConfig>,
-    listen: SocketAddr,
+    listener: TcpListener,
     peers: Vec<SocketAddr>,
     run_for: Duration,
-    mut restart: Option<TcpRestart>,
+    restart: Option<TcpRestart>,
 ) -> std::io::Result<(TcpRunReport, PipelineStatsSnapshot)> {
-    let me = engine.id();
     let start = Instant::now();
     let now = || Time(start.elapsed().as_nanos() as u64);
 
-    let mut inbox = Inbox::bind(listen)?;
+    let mut inbox = Inbox::new(listener)?;
     // Staged only: the workers, and the channel they hand every frame back
     // on. The workers hold its only senders, so it disconnects exactly
     // when the last of them has exited.
@@ -374,18 +390,6 @@ pub(crate) fn run<P: ReplicaPool>(
         let stage = VerifyStage::spawn(&config, event_tx, move || waker.wake());
         (stage, events)
     });
-
-    let dialer = Dialer::new(me, peers, inbox.waker.clone());
-    let mut io = Effects {
-        peers: dialer.connect(),
-        dialer,
-        app,
-        commits: Vec::new(),
-        rotor: 0,
-    };
-    let mut messages_received = 0u64;
-    // The step's events, kept to reuse their allocation.
-    let mut events: Vec<Event> = Vec::new();
 
     // A request entering an idle pool is flagged for the loop's last look
     // before it parks, then wakes the loop if it is parked already.
@@ -399,148 +403,90 @@ pub(crate) fn run<P: ReplicaPool>(
             waker.wake();
         }));
     }
-    let mut replica = Replica::new(engine, pool, CATCHUP_TIMEOUT);
-    // Disseminate before proposing: requests already pooled locally are
-    // forwarded ahead of the init proposal in every per-peer channel, so
-    // per-connection ordering lands them in peer pools before any block
-    // that could commit them (a quorum excluding this replica can commit
-    // its init proposal arbitrarily soon after it is sent).
-    replica.flush(now(), &mut io);
-    replica.init(now(), &mut io);
+    let mut shell = Shell::start(engine, app, pool, peers.len(), restart, now());
+    let mut dial = |i: usize| poll::connect_nonblocking(peers[i]);
 
-    while start.elapsed() < run_for {
-        // The next crash or rejoin, as an offset from start.
-        let mut phase = None;
-        if let Some(plan) = &restart {
-            if replica.is_up() && start.elapsed() >= plan.crash_after {
-                // Crash: all volatile state is gone; only durable storage
-                // (the WAL) and the commits already delivered survive.
-                replica.crash();
-            }
-            if !replica.is_up() && start.elapsed() >= plan.rejoin_after {
-                let plan = restart.take().expect("restart plan");
-                // Rebuild from durable state only (reopens the WAL).
-                replica.rejoin((plan.rebuild)(), now(), &mut io);
-            } else {
-                phase = Some(if replica.is_up() {
-                    plan.crash_after
-                } else {
-                    plan.rejoin_after
-                });
-            }
-        }
-        let step = now();
-        while replica.on_timer(step, &mut io) != Due::Nothing {}
-        let backlog = replica.flush(step, &mut io);
-        // The step is over: its frames leave, each peer's in as few
-        // writes as its socket takes. Then wait for a frame, an event,
-        // room on a backlogged socket, the next timer or the next crash
-        // or rejoin; on timeout the loop simply re-checks them all.
-        io.dialer.hand_off(&mut io.peers);
-        let mut wait = replica
-            .next_deadline()
-            .map(|at| Duration::from_nanos(at.0.saturating_sub(now().0)))
-            .unwrap_or(Duration::from_millis(10))
-            .min(Duration::from_millis(10));
-        if let Some(phase) = phase {
-            wait = wait.min(phase.saturating_sub(start.elapsed()));
-        }
-        let stage = verify.as_ref().map(|(stage, _)| stage);
-        let mut route = |event| deliver(stage, &mut events, event);
+    let (end, mut at) = (Time(run_for.as_nanos() as u64), now());
+    while at < end {
+        let next = shell.step(at, &mut dial, verify.as_ref());
         // Parked first, then one last look at everything a waker
-        // announces: what arrives after the look wakes the wait. Gossip a
-        // flush left queued goes out at once too.
+        // announces: what arrives after the look wakes the wait.
         inbox.waker.park();
+        let (stage, events) = (verify.as_ref().map(|(stage, _)| stage), &mut shell.events);
+        let verified = verify
+            .as_ref()
+            .is_some_and(|(_, events)| !events.is_empty());
         let queued = arrived.swap(false, Ordering::Relaxed)
-            || backlog
-            || verify
-                .as_ref()
-                .is_some_and(|(_, events)| !events.is_empty())
-            || !io.dialer.dialed.is_empty()
-            || inbox.conns.release(&mut route);
-        inbox.wait(
-            io.peers.backlogged(),
-            if queued { Duration::ZERO } else { wait },
-        );
-        inbox.conns.read(&mut route);
-        if let Some((_, verified)) = &verify {
-            events.extend(verified.try_iter().take(EVENT_QUEUE));
-        }
-        // While down, as with a dead process, every frame is dropped
-        // unhandled; reading them on keeps every peer's connection moving.
-        for (from, msg) in events.drain(..) {
-            messages_received += 1;
-            replica.on_frame(from, msg, now(), &mut io);
-        }
+            || verified
+            || shell
+                .conns
+                .release(&mut |event| deliver(stage, events, event));
+        let wait = match next {
+            _ if queued => Duration::ZERO,
+            Some(next) => Duration::from_nanos(next.0.saturating_sub(now().0)),
+            None => MAX_WAIT,
+        };
+        let writable = shell.io.peers.backlogged();
+        inbox.wait(&mut shell.conns, writable, wait.min(MAX_WAIT));
+        at = now();
     }
 
-    // The last step's frames leave. Then a loss-free close: stop reading
-    // (dropping the inbox closes every socket it owns), release the verify
+    // A loss-free close: stop reading (dropping the inbox and the
+    // connections closes every socket they own), release the verify
     // stage's inputs, and absorb the tail until every worker has hung up —
     // so none of them blocks on a full channel and every frame handed to
     // the stage is accounted for.
-    io.dialer.hand_off(&mut io.peers);
-    // Relaxed: `stop` publishes nothing; a dialer that sees it just exits.
-    io.dialer.stop.store(true, Ordering::Relaxed);
     drop(inbox);
+    shell.conns = Conns::default();
     let stats = verify.map(|(mut stage, events)| {
         stage.close();
         while events.recv().is_ok() {
-            messages_received += 1;
+            shell.messages_received += 1;
         }
         let stats = stage.stats.clone();
         stage.shutdown();
         stats.snapshot()
     });
-
-    // Crashed and never rejoined before the deadline: no engine to read.
-    let engine = replica.engine();
-    let verified = engine.map(|e| e.verify_stats()).unwrap_or_default();
-    let report = TcpRunReport {
-        commits: io.commits,
-        messages_received,
-        messages_sent: io.peers.frames_sent,
-        frames_refused: io.peers.frames_refused,
-        stale_timers_dropped: replica.stale_timers_dropped(),
-        sync_requests: replica.sync_requests(),
-        sync_blocks_served: replica.sync_blocks_served(),
-        restart_recovery_ms: replica.recovery_ms(),
-        wal_bytes: engine.map_or(0, |e| e.wal_bytes()),
-        sigs_verified: verified.sigs_verified,
-        verify_batches: verified.verify_batches,
-        cert_cache_hits: verified.cert_cache_hits,
-        verify_cpu_ms: verified.verify_cpu_ms(),
-    };
-    Ok((report, stats.unwrap_or_default()))
+    Ok((shell.report(), stats.unwrap_or_default()))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::conn::tests::{framed, info, step, Script};
+    use crate::conn::tests::{framed, info, once, step, Link, Script};
     use crate::conn::{BACKLOG, READ_BUDGET};
-    use crate::framing::{encode_frame, read_frame, write_msg, Frame};
+    use crate::framing::tests::splitmix;
+    use crate::framing::{encode_frame, read_frame, write_hello, write_msg, Frame};
     use banyan_core::builder::ClusterBuilder;
     use banyan_mempool::SharedMempool;
+    use banyan_runtime::EventQueue;
     use banyan_types::app::NullApp;
     use banyan_types::message::{DisseminationMsg, Message, PendingRequest, SyncMsg};
     use banyan_types::time::Duration as BDuration;
+    use std::cell::{Cell, RefCell};
     use std::io::BufReader;
     use std::iter;
+    use std::rc::Rc;
+    use std::thread;
 
     // Scripted: the byte path's rules on seeded sockets; no thread, no
     // clock, no loopback.
 
-    /// The backlogs of replica 0, peer `i + 1` on `scripts[i]`.
-    fn scripted(scripts: Vec<Script>) -> Peers<Script> {
-        let mut scripts = scripts.into_iter();
-        Peers::new(ReplicaId(0), scripts.len() + 1, |_| scripts.next())
+    /// The backlogs of replica 0, not yet connected: the first
+    /// [`write_to`] dials peer `i + 1` on `scripts[i]`.
+    fn scripted(scripts: Vec<Script>) -> (Peers<Script>, impl FnMut(usize) -> io::Result<Script>) {
+        let peers = Peers::new(ReplicaId(0), scripts.len() + 1);
+        let mut scripts = scripts.into_iter().map(Some).collect::<Vec<_>>();
+        (peers, move |i: usize| {
+            Ok(scripts[i - 1].take().expect("one dial a peer"))
+        })
     }
 
     /// Connections reading `inputs`, up to `most` bytes a call.
     fn reading(most: usize, inputs: Vec<Vec<u8>>) -> Conns<Script> {
         let mut conns = Conns::default();
         for (seed, input) in (20..).zip(inputs) {
+            let input = Rc::new(RefCell::new(input));
             conns.push(Script::new(seed).with(|s| (s.most, s.input) = (most, input)));
         }
         conns
@@ -568,12 +514,12 @@ mod tests {
     /// peer whose socket never takes a byte, the last 200 are refused.
     #[test]
     fn answers_refused_by_a_full_peer_queue_are_not_counted_as_sent() {
-        let mut peers = scripted(vec![Script::new(1).with(|s| s.blocked = u64::MAX)]);
+        let (mut peers, dial) = scripted(vec![Script::new(1).with(|s| s.blocked = u64::MAX)]);
         let staged = BACKLOG as u64 + 200;
         for k in 0..staged {
             peers.transmit(Outbound::Send(ReplicaId(1), info(k)));
         }
-        peers.write(|_| panic!("no write error"));
+        peers.write(Time::ZERO, dial);
         assert_eq!(peers.frames_refused, 200);
         assert_eq!(peers.frames_sent + peers.frames_refused, staged);
     }
@@ -585,13 +531,17 @@ mod tests {
     fn a_peer_that_never_reads_does_not_stall_the_loop() {
         let reading = Script::new(3).with(|s| s.most = 7);
         let wire = reading.wire.clone();
-        let mut peers = scripted(vec![Script::new(2).with(|s| s.blocked = u64::MAX), reading]);
+        let blocked = Script::new(2).with(|s| s.blocked = u64::MAX);
+        let (mut peers, dial) = scripted(vec![blocked, reading]);
         for k in 0..3 * BACKLOG as u64 {
             peers.transmit(Outbound::Send(ReplicaId(1), info(k)));
         }
         peers.transmit(Outbound::Send(ReplicaId(2), info(0)));
-        peers.write(|_| panic!("no write error"));
-        assert_eq!(*wire.borrow(), framed(iter::once(info(0))));
+        peers.write(Time::ZERO, dial);
+        assert_eq!(
+            *wire.borrow(),
+            [hello(0), framed(iter::once(info(0)))].concat()
+        );
         assert_eq!(peers.frames_refused, 2 * BACKLOG as u64);
     }
 
@@ -602,46 +552,50 @@ mod tests {
     fn a_frame_cut_by_a_full_socket_resumes_at_its_offset() {
         let slow = Script::new(4).with(|s| (s.most, s.stall) = (5, 3));
         let wire = slow.wire.clone();
-        let mut peers = scripted(vec![slow]);
+        let (mut peers, mut dial) = scripted(vec![slow]);
         for k in 0..200 {
             peers.transmit(Outbound::Send(ReplicaId(1), info(k)));
         }
-        let ends: Vec<usize> = (0..=200).map(|k| framed((0..k).map(info)).len()).collect();
+        let framed_to = |k| [hello(0), framed((0..k).map(info))].concat();
+        let ends: Vec<usize> = (0..=200).map(|k| framed_to(k).len()).collect();
         let mut cuts = 0;
-        while peers.backlogged().next().is_some() {
-            peers.write(|_| panic!("no write error"));
+        loop {
+            peers.write(Time::ZERO, &mut dial);
             cuts += usize::from(ends.binary_search(&wire.borrow().len()).is_err());
+            if peers.backlogged().next().is_none() {
+                break;
+            }
         }
         assert!(cuts > 0, "the socket never cut a frame");
-        assert!(
-            *wire.borrow() == framed((0..200).map(info)),
-            "not write_msg's bytes"
-        );
+        assert!(*wire.borrow() == framed_to(200), "not write_msg's bytes");
     }
 
-    /// A write error drops the stream and the frame it cut, and reports
-    /// the peer for a redial; the rest of the backlog follows on the new
-    /// stream as whole frames.
+    /// A write error drops the stream and the frame it cut, and sets the
+    /// peer's redial 100 µs on; not dialed before then, the rest of the
+    /// backlog follows on the new stream, after its hello, as whole
+    /// frames.
     #[test]
     fn a_write_error_redials_and_resumes_at_a_frame_boundary() {
-        let reset_at = framed((0..6).map(info)).len() + 3;
+        let reset_at = hello(0).len() + framed((0..6).map(info)).len() + 3;
         let first = Script::new(5).with(|s| (s.most, s.reset_at) = (5, Some(reset_at)));
         let first_wire = first.wire.clone();
-        let mut peers = scripted(vec![first]);
+        let (mut peers, dial) = scripted(vec![first]);
         for k in 0..20 {
             peers.transmit(Outbound::Send(ReplicaId(1), info(k)));
         }
-        let mut redials = Vec::new();
-        peers.write(|i| redials.push(i));
-        assert_eq!(redials, [1], "peers reported for a redial");
+        let failed = Time(7_000);
+        peers.write(failed, dial);
         assert_eq!(first_wire.borrow().len(), reset_at);
+        let redial = failed + BDuration::from_micros(100);
+        assert_eq!(peers.next_dial(), Some(redial), "the redial's deadline");
+        peers.write(Time(redial.0 - 1), |_| panic!("dialed before the deadline"));
 
         let second = Script::new(6).with(|s| s.most = 5);
         let second_wire = second.wire.clone();
-        peers.connected(1, second);
-        peers.write(|_| panic!("no second write error"));
+        peers.write(redial, once(second));
+        assert_eq!(peers.next_dial(), None, "a second write error");
         // Frame 6 was cut; frames 7.. follow whole.
-        assert!(*second_wire.borrow() == framed((7..20).map(info)));
+        assert!(*second_wire.borrow() == [hello(0), framed((7..20).map(info))].concat());
     }
 
     /// The hello names a connection's sender. One connection carries a
@@ -674,7 +628,8 @@ mod tests {
         let flooded = 3 * READ_BUDGET / len;
         let dribble = [hello(2), probes(2, 3)].concat();
         let mut conns = reading(usize::MAX, vec![[hello(1), probes(1, flooded)].concat()]);
-        conns.push(Script::new(8).with(|s| (s.most, s.input) = (1, dribble.clone())));
+        let input = Rc::new(RefCell::new(dribble.clone()));
+        conns.push(Script::new(8).with(|s| (s.most, s.input) = (1, input)));
         let (mut from_flood, mut arrivals) = (0, Vec::new());
         for at in 0..dribble.len() {
             let events = step(&mut conns);
@@ -743,8 +698,6 @@ mod tests {
 
     // Over loopback: what needs the shell's sockets and wait.
 
-    /// Addresses nobody listens on: a dialer never connects to one, so
-    /// its backlog is never written.
     /// The `FrontierInfo` answers the replica sends the peer listening on
     /// `listener`, read until it hangs up or `timeout` passes unread.
     fn answers_on(listener: &TcpListener, timeout: Duration) -> usize {
@@ -764,6 +717,8 @@ mod tests {
         answers
     }
 
+    /// Addresses nobody listens on: a dial to one is refused, so its
+    /// backlog is never written.
     fn unreachable_addrs(k: usize) -> Vec<SocketAddr> {
         let listeners: Vec<_> = (0..k).map(|_| listener()).collect();
         listeners.iter().map(|(_, addr)| *addr).collect()
@@ -794,15 +749,15 @@ mod tests {
     #[test]
     fn a_refused_backlog_is_finished_when_its_socket_has_room() {
         let (slow, slow_addr) = listener();
-        let (waker, _) = Waker::pair().expect("waker");
-        let addrs = vec![unreachable_addrs(1)[0], slow_addr];
-        let dialer = Dialer::new(ReplicaId(0), addrs, waker);
-        let mut peers = dialer.connect();
-        let mut inbox = Inbox::bind("127.0.0.1:0".parse().expect("addr")).expect("bind");
+        let addrs = [unreachable_addrs(1)[0], slow_addr];
+        let mut dial = |i: usize| poll::connect_nonblocking(addrs[i]);
+        let mut peers = Peers::new(ReplicaId(0), 2);
+        let mut inbox = Inbox::new(listener().0).expect("inbox");
+        let mut conns = Conns::default();
         let requests = vec![request(1); 400_000];
         let msg = Message::Dissemination(DisseminationMsg::Forward { requests });
         peers.transmit(Outbound::Send(ReplicaId(1), msg.clone()));
-        dialer.hand_off(&mut peers);
+        peers.write(Time::ZERO, &mut dial);
         let pending = |peers: &Peers<_>| peers.backlogged().next().is_some();
         assert!(pending(&peers), "the socket took the frame at once");
 
@@ -814,12 +769,12 @@ mod tests {
         });
         while pending(&peers) {
             let waited = Instant::now();
-            inbox.wait(peers.backlogged(), Duration::from_secs(10));
+            inbox.wait(&mut conns, peers.backlogged(), Duration::from_secs(10));
             assert!(
                 waited.elapsed() < Duration::from_secs(5),
                 "the wait slept through room"
             );
-            dialer.hand_off(&mut peers);
+            peers.write(Time::ZERO, &mut dial);
         }
         drop(peers);
 
@@ -842,10 +797,9 @@ mod tests {
         let stalls = [wire.len() + 3, wire.len() + 6];
         wire.extend(probes(1, 1));
         for staged in [false, true] {
-            let (one, one_addr) = listener();
+            let ((one, one_addr), (own, listen)) = (listener(), listener());
             let mut peers = unreachable_addrs(4);
-            peers[1] = one_addr;
-            let listen = peers[0];
+            (peers[0], peers[1]) = (listen, one_addr);
             let engine = ClusterBuilder::new(4, 1, 1)
                 .unwrap()
                 .build_hotstuff()
@@ -854,7 +808,7 @@ mod tests {
             let run_for = Duration::from_millis(1000);
             let replica = thread::spawn(move || {
                 let pool = None::<SharedMempool>;
-                run(engine, NullApp, pool, stage, listen, peers, run_for, None)
+                run(engine, NullApp, pool, stage, own, peers, run_for, None)
             });
             let mut out = loop {
                 match TcpStream::connect(listen) {
@@ -880,7 +834,10 @@ mod tests {
                 report.messages_received, 1,
                 "staged={staged}: the stalled frame was lost or mangled"
             );
-            assert_eq!(answers, 1, "staged={staged}: probe not answered by the driver");
+            assert_eq!(
+                answers, 1,
+                "staged={staged}: probe not answered by the driver"
+            );
             if staged {
                 assert_eq!((stats.decoded, stats.verified), (1, 1));
             }
@@ -932,10 +889,9 @@ mod tests {
         }
 
         for staged in [false, true] {
-            let (one, one_addr) = listener();
+            let ((one, one_addr), (own, listen)) = (listener(), listener());
             let mut peers = unreachable_addrs(4);
-            peers[1] = one_addr;
-            let listen = peers[0];
+            (peers[0], peers[1]) = (listen, one_addr);
             let chunk = PipelineConfig::default().payload_chunk;
             let pool = ConcurrentPool::new(Mempool::new(64).with_speculation(chunk), 64);
             let engine = ClusterBuilder::new(4, 1, 1)
@@ -951,7 +907,7 @@ mod tests {
                     NullApp,
                     replica_pool,
                     stage,
-                    listen,
+                    own,
                     peers,
                     run_for,
                     None,
@@ -977,6 +933,159 @@ mod tests {
             assert_eq!(leases, 1, "staged={staged}: leases recorded");
             if staged {
                 assert_eq!((stats.decoded, stats.verified), (4, 4), "{stats:?}");
+            }
+        }
+    }
+
+    // In one thread: whole clusters of shells over seeded pipes, in
+    // virtual time.
+
+    /// n shells in one thread, joined by seeded in-memory pipes
+    /// ([`Script::pair`]) that deliver each write `delay` later, in
+    /// virtual time: the pipes' arrivals wait in an [`EventQueue`], and
+    /// the clock jumps to the earliest arrival or shell deadline. At each
+    /// instant every shell due steps, in index order, its connections all
+    /// marked ready (a pipe read that finds nothing would block), and
+    /// again at once while a pipe refused part of its backlog. The run is
+    /// a function of the seed: no thread, socket, sleep or clock.
+    pub(crate) struct LocalNet {
+        pub(crate) seed: u64,
+        pub(crate) delay: BDuration,
+    }
+
+    impl LocalNet {
+        /// Runs `engines` for `run_for`, replica `i` with `pool(i)` and the
+        /// restart plan `restart(i)` (offsets in virtual time); returns
+        /// each replica's report.
+        pub(crate) fn run<P: ReplicaPool>(
+            &self,
+            engines: Vec<Box<dyn Engine>>,
+            run_for: BDuration,
+            mut pool: impl FnMut(usize) -> Option<P>,
+            mut restart: impl FnMut(usize) -> Option<TcpRestart>,
+        ) -> Vec<TcpRunReport> {
+            let n = engines.len();
+            let clock = Rc::new(Cell::new(Time::ZERO));
+            let arrivals = Rc::new(RefCell::new(EventQueue::new()));
+            let mut next = splitmix(self.seed);
+            let mut shells: Vec<Shell<Script, NullApp, P>> = (engines.into_iter().enumerate())
+                .map(|(i, e)| Shell::start(e, NullApp, pool(i), n, restart(i), Time::ZERO))
+                .collect();
+            // Each replica's inbound pipes, dialed and not yet taken in.
+            let mut dialed: Vec<Vec<Script>> = (0..n).map(|_| Vec::new()).collect();
+            let mut due = vec![Some(Time::ZERO); n];
+            let end = Time::ZERO + run_for;
+            loop {
+                let first = arrivals.borrow().next_at();
+                let now = match due.iter().chain([&first]).flatten().min() {
+                    Some(&now) if now < end => now,
+                    _ => break,
+                };
+                clock.set(now);
+                let mut woken: Vec<bool> = due
+                    .iter()
+                    .map(|at| at.is_some_and(|at| at <= now))
+                    .collect();
+                while let Some((_, j)) = arrivals.borrow_mut().pop_due(now) {
+                    woken[j] = true;
+                }
+                for (i, shell) in shells.iter_mut().enumerate().filter(|(i, _)| woken[*i]) {
+                    dialed[i].drain(..).for_each(|rx| shell.conns.push(rx));
+                    shell.conns.mark_ready(iter::repeat(true));
+                    let dial = |j: usize| {
+                        let arrivals = arrivals.clone();
+                        let wake = Box::new(move |at| arrivals.borrow_mut().push(at, j));
+                        let (tx, rx) =
+                            Script::pair(&mut next, Link::new(clock.clone(), self.delay, wake));
+                        dialed[j].push(rx);
+                        Ok(tx)
+                    };
+                    let next_step = shell.step(now, dial, None);
+                    let refused = shell.io.peers.backlogged().next().is_some();
+                    due[i] = if refused { Some(now) } else { next_step };
+                }
+            }
+            shells.into_iter().map(Shell::report).collect()
+        }
+    }
+
+    /// A commit log as the simulator and the shell can agree on it: block
+    /// hashes cover proposal times, which differ.
+    fn chain(
+        commits: &[CommitEntry],
+    ) -> Vec<(banyan_types::ids::Round, ReplicaId, banyan_types::Payload)> {
+        let chain = commits
+            .iter()
+            .map(|c| (c.round, c.proposer, c.payload.clone()));
+        chain.collect()
+    }
+
+    /// `tests/sim_vs_loopback.rs`'s case — seed 11, Δ = 1 s, 1 ms links,
+    /// n = 4 — on a `LocalNet`: for banyan and icc, the shell finalizes
+    /// the simulator's chain prefix, at least 20 commits of it; and two
+    /// runs at one seed are bit-identical in every replica's commit log
+    /// (block hashes included) and frame counts.
+    #[test]
+    fn a_localnet_finalizes_the_simulators_chain_and_replays_bit_identically() {
+        use banyan_simnet::faults::FaultPlan;
+        use banyan_simnet::sim::{SimConfig, Simulation};
+        use banyan_simnet::topology::Topology;
+        let link = BDuration::from_millis(1);
+        for protocol in ["banyan", "icc"] {
+            let builder = ClusterBuilder::new(4, 1, 1)
+                .unwrap()
+                .cluster_seed(11)
+                .delta(BDuration::from_secs(1))
+                .payload_size(256);
+            let topology = Topology::uniform(4, link);
+            let (faults, config) = (FaultPlan::none(), SimConfig::with_seed(11));
+            let mut sim = Simulation::new(topology, builder.build(protocol), faults, config);
+            sim.run_until(Time::ZERO + BDuration::from_secs(1));
+            let commits = sim.metrics().commits.iter();
+            let first: Vec<CommitEntry> = commits
+                .filter(|c| c.replica == ReplicaId(0))
+                .map(|c| c.entry.clone())
+                .collect();
+
+            let net = LocalNet {
+                seed: 11,
+                delay: link,
+            };
+            let run = || {
+                let engines = builder.build(protocol);
+                net.run(
+                    engines,
+                    BDuration::from_secs(1),
+                    |_| None::<SharedMempool>,
+                    |_| None,
+                )
+            };
+            let (once, again) = (run(), run());
+            let (simulated, shelled) = (chain(&first), chain(&once[0].commits));
+            let k = simulated.len().min(shelled.len());
+            assert!(
+                k >= 20,
+                "{protocol}: {} simulated, {} shelled commits",
+                simulated.len(),
+                shelled.len()
+            );
+            assert_eq!(
+                simulated[..k],
+                shelled[..k],
+                "{protocol}: the chains diverge"
+            );
+            for (i, (a, b)) in once.iter().zip(&again).enumerate() {
+                assert!(
+                    a.commits == b.commits,
+                    "{protocol}: replica {i}'s commit logs differ"
+                );
+                let counts =
+                    |r: &TcpRunReport| (r.messages_sent, r.messages_received, r.frames_refused);
+                assert_eq!(
+                    counts(a),
+                    counts(b),
+                    "{protocol}: replica {i}'s frame counts"
+                );
             }
         }
     }

@@ -1,5 +1,5 @@
-//! The public entry points of the threaded TCP runner: drive one
-//! [`Engine`] over real sockets.
+//! The public entry points of the TCP runner: drive one [`Engine`] over
+//! real sockets.
 //!
 //! All of them are thin calls into the one event loop in `crate::replica`
 //! (see its docs for the thread layout). Time is wall-clock nanoseconds
@@ -9,32 +9,22 @@
 //!
 //! # Request dissemination
 //!
-//! [`run_replica_full`] attaches a [`SharedMempool`] to the wire path
-//! through the same `banyan_mempool::ReplicaPool` operations the
-//! simulator uses: inbound `DisseminationMsg::Forward`/`Announce` frames
-//! feed the pool (they never reach the engine), the pool's queued gossip
-//! goes out on every pass — one `Forward` broadcast, or per-peer
-//! `Forward`/`Announce` sends with relaying when the pool has per-peer
-//! queues — and each finalized block is retired in the pool before it
-//! reaches the [`App`] (the exactly-once dedup rule; see
-//! `banyan_mempool`).
+//! [`run_replica_full`] attaches a [`SharedMempool`] through the
+//! `banyan_mempool::ReplicaPool` operations the simulator uses: inbound
+//! `Forward`/`Announce` frames feed the pool (never the engine), its
+//! queued gossip goes out on every step, and each finalized block is
+//! retired in the pool before it reaches the [`App`] (the exactly-once
+//! dedup rule; see `banyan_mempool`).
 //!
 //! # Crash recovery
 //!
-//! [`run_replica_restarting`] runs the same event loop through a
-//! mid-run crash/rejoin cycle described by a [`TcpRestart`] plan, with
-//! the crash and the rejoin being `banyan_runtime::Replica`'s — the code
-//! the simulator runs. At the crash point the engine and its timer heap
-//! are dropped — every byte of volatile state is gone, and inbound frames
-//! are read and discarded: none reaches a handler, as with a dead process,
-//! and no peer's connection backs up. At the rejoin point the plan's
-//! `rebuild` closure constructs a fresh engine (for the chained engines:
-//! over a reopened `WalStore`, whose replay restores the durable
-//! frontier), and the replica catches up: it probes peers for the commit
-//! frontier and pulls the missing certified chain over
-//! `SyncMsg::RequestRange`. `FrontierProbe` is answered by the replica,
-//! from [`Engine::finalized_round`], and `FrontierInfo` feeds its catch-up
-//! machine — neither ever reaches an engine.
+//! [`run_replica_restarting`] runs the same loop through the crash and
+//! rejoin of a [`TcpRestart`] plan, both `banyan_runtime::Replica`'s, as
+//! in the simulator: down, the engine and its timers are gone and
+//! inbound frames are read and dropped; at rejoin the plan's `rebuild`
+//! (for the chained engines, over the reopened `WalStore`) restores the
+//! durable frontier, and catch-up probes peers and pulls the missing
+//! certified chain over `SyncMsg::RequestRange`.
 
 use std::net::{SocketAddr, TcpListener};
 use std::thread;
@@ -137,21 +127,23 @@ pub fn run_replica_restarting(
     run_for: std::time::Duration,
     restart: Option<TcpRestart>,
 ) -> std::io::Result<TcpRunReport> {
-    replica::run(engine, app, pool, None, listen, peers, run_for, restart).map(|(report, _)| report)
+    let listener = TcpListener::bind(listen)?;
+    replica::run(engine, app, pool, None, listener, peers, run_for, restart)
+        .map(|(report, _)| report)
 }
 
 /// Runs one replica thread per engine on localhost and returns what each
-/// `run(i, engine, listen, peers)` returned, in replica order. Ports are
-/// allocated by the OS.
+/// `run(i, engine, listener, peers)` returned, in replica order. Ports
+/// are allocated by the OS, and each replica is handed the listener
+/// bound to its own, so no other process can take it first.
 ///
 /// # Panics
 ///
 /// Panics if a replica thread panics or a socket operation fails.
 pub(crate) fn run_local<R: Send>(
     engines: Vec<Box<dyn Engine>>,
-    run: impl Fn(usize, Box<dyn Engine>, SocketAddr, Vec<SocketAddr>) -> R + Sync,
+    run: impl Fn(usize, Box<dyn Engine>, TcpListener, Vec<SocketAddr>) -> R + Sync,
 ) -> Vec<R> {
-    // Bind listeners first so every address is known before any dial.
     let listeners: Vec<TcpListener> = (0..engines.len())
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
         .collect();
@@ -159,15 +151,15 @@ pub(crate) fn run_local<R: Send>(
         .iter()
         .map(|l| l.local_addr().expect("addr"))
         .collect();
-    drop(listeners); // ports linger in TIME_WAIT-free state long enough on loopback
 
     thread::scope(|s| {
         let handles: Vec<_> = engines
             .into_iter()
+            .zip(listeners)
             .enumerate()
-            .map(|(i, engine)| {
+            .map(|(i, (engine, listener))| {
                 let (run, addrs) = (&run, addrs.clone());
-                s.spawn(move || run(i, engine, addrs[i], addrs))
+                s.spawn(move || run(i, engine, listener, addrs))
             })
             .collect();
         handles
@@ -187,26 +179,41 @@ pub fn run_local_cluster(
     engines: Vec<Box<dyn Engine>>,
     run_for: std::time::Duration,
 ) -> Vec<TcpRunReport> {
-    run_local(engines, |_, engine, listen, peers| {
-        run_replica_full(engine, NullApp, None, listen, peers, run_for).expect("replica run")
+    run_local(engines, |_, engine, listener, peers| {
+        let pool = None::<SharedMempool>;
+        replica::run(engine, NullApp, pool, None, listener, peers, run_for, None)
+            .expect("replica run")
+            .0
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replica::tests::LocalNet;
     use banyan_core::builder::ClusterBuilder;
     use banyan_types::time::Duration as BDuration;
 
+    /// The cluster tests' network: 5 ms links, a tenth of their Δ.
+    const NET: LocalNet = LocalNet {
+        seed: 0xC1A5,
+        delay: BDuration::from_millis(5),
+    };
+
+    /// A cluster without pools or restarts on [`NET`] for `secs` seconds.
+    fn run_net(engines: Vec<Box<dyn Engine>>, secs: u64) -> Vec<TcpRunReport> {
+        let no_pool = |_| None::<SharedMempool>;
+        NET.run(engines, BDuration::from_secs(secs), no_pool, |_| None)
+    }
+
     #[test]
     fn banyan_cluster_over_loopback_commits_and_agrees() {
-        let _serial = crate::loopback_serial_lock();
         let engines = ClusterBuilder::new(4, 1, 1)
             .unwrap()
             .delta(BDuration::from_millis(50))
             .payload_size(512)
             .build_banyan();
-        let reports = run_local_cluster(engines, std::time::Duration::from_secs(3));
+        let reports = run_net(engines, 3);
         // Every replica commits something.
         for (i, r) in reports.iter().enumerate() {
             assert!(
@@ -238,7 +245,6 @@ mod tests {
     }
 
     fn gossiped_requests_reach_every_pool(peer_queues: bool) {
-        let _serial = crate::loopback_serial_lock();
         use banyan_mempool::{Mempool, MempoolSource, Request, WorkloadBatch};
         use banyan_types::time::Time as BTime;
         use std::sync::{Arc, Mutex};
@@ -278,18 +284,8 @@ mod tests {
             }
         }
 
-        let run_for = std::time::Duration::from_secs(3);
-        let reports = run_local(engines, |i, engine, listen, peers| {
-            run_replica_full(
-                engine,
-                NullApp,
-                Some(pools[i].clone()),
-                listen,
-                peers,
-                run_for,
-            )
-            .expect("replica run")
-        });
+        let run_for = BDuration::from_secs(3);
+        let reports = NET.run(engines, run_for, |i| Some(pools[i].clone()), |_| None);
 
         // Every peer pool saw the forwarded copies arrive. On a real wire
         // a quorum that excludes a slow-to-connect peer can commit the
@@ -459,8 +455,9 @@ mod tests {
     }
 
     /// One replica with a `WalStore` crashes, rejoins through
-    /// [`TcpRestart`] and catches up — inline, and with the verify stage
-    /// (which inherits restart and catch-up by sharing the loop).
+    /// [`TcpRestart`] and catches up — inline on a [`LocalNet`], and with
+    /// the verify stage (which inherits restart and catch-up by sharing
+    /// the loop) over loopback.
     #[test]
     fn wal_restart_catches_up_over_loopback() {
         for staged in [false, true] {
@@ -469,18 +466,11 @@ mod tests {
     }
 
     fn wal_restart_catches_up(staged: bool) {
-        let _serial = crate::loopback_serial_lock();
         use crate::pipeline::PipelineConfig;
         use banyan_storage::{BlockStore, WalStore};
-        use std::path::PathBuf;
 
-        let wal_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/wal-tests")
-            .join(if staged {
-                "tcp-restart-staged"
-            } else {
-                "tcp-restart"
-            });
+        let name = format!("banyan-tcp-restart-{}-{staged}", std::process::id());
+        let wal_dir = std::env::temp_dir().join(name);
         let _ = std::fs::remove_dir_all(&wal_dir);
 
         // One builder recipe used for both lives of replica 2: replica 2
@@ -503,30 +493,41 @@ mod tests {
             }
         };
 
-        // Generous post-rejoin window: catch-up plus fresh commits must
-        // fit even on a single-core debug build.
-        let run_for = std::time::Duration::from_secs(8);
-        let reports = run_local(make_builder().build_banyan(), |i, engine, listen, peers| {
-            // Crash at 2 s, rejoin at 3 s by reopening the WAL: the
-            // rebuild closure recovers the durable frontier via replay,
-            // then the driver's catch-up machine refills the downtime gap
-            // over ranged sync.
-            let restart = (i == 2).then(|| {
+        // Crash at 2 s, rejoin at 3 s by reopening the WAL: the rebuild
+        // closure recovers the durable frontier via replay, then the
+        // driver's catch-up machine refills the downtime gap over ranged
+        // sync.
+        let restart = |i| {
+            (i == 2).then(|| {
                 let rebuild_builder = make_builder();
                 TcpRestart {
                     crash_after: std::time::Duration::from_secs(2),
                     rejoin_after: std::time::Duration::from_millis(3000),
                     rebuild: Box::new(move || rebuild_builder.build_replica("banyan", 2)),
                 }
+            })
+        };
+        let pool = |_| None::<SharedMempool>;
+        let reports = if staged {
+            let _serial = crate::loopback_serial_lock();
+            // Generous post-rejoin window: catch-up plus fresh commits
+            // must fit even on a single-core debug build.
+            let run_for = std::time::Duration::from_secs(8);
+            let engines = make_builder().build_banyan();
+            let reports = run_local(engines, |i, engine, listener, peers| {
+                let stage = Some(PipelineConfig::default());
+                replica::run(
+                    engine,
+                    NullApp,
+                    pool(i),
+                    stage,
+                    listener,
+                    peers,
+                    run_for,
+                    restart(i),
+                )
+                .expect("replica run")
             });
-            let stage = staged.then(PipelineConfig::default);
-            let pool = None::<SharedMempool>;
-            replica::run(
-                engine, NullApp, pool, stage, listen, peers, run_for, restart,
-            )
-            .expect("replica run")
-        });
-        if staged {
             for (i, (_, s)) in reports.iter().enumerate() {
                 assert!(s.decoded > 0, "replica {i} ran without its verify stage");
                 assert_eq!(
@@ -534,8 +535,15 @@ mod tests {
                     "replica {i} lost frames at close: {s:?}"
                 );
             }
-        }
-        let reports: Vec<TcpRunReport> = reports.into_iter().map(|(report, _)| report).collect();
+            reports.into_iter().map(|(report, _)| report).collect()
+        } else {
+            NET.run(
+                make_builder().build_banyan(),
+                BDuration::from_secs(4),
+                pool,
+                restart,
+            )
+        };
 
         // The rejoined replica probed the frontier and persisted a WAL.
         assert!(reports[2].sync_requests > 0, "no catch-up traffic issued");
@@ -559,17 +567,17 @@ mod tests {
                 }
             }
         }
+        let _ = std::fs::remove_dir_all(&wal_dir);
     }
 
     #[test]
     fn icc_cluster_over_loopback_commits() {
-        let _serial = crate::loopback_serial_lock();
         let engines = ClusterBuilder::new(4, 1, 1)
             .unwrap()
             .delta(BDuration::from_millis(50))
             .payload_size(512)
             .build_icc();
-        let reports = run_local_cluster(engines, std::time::Duration::from_secs(3));
+        let reports = run_net(engines, 3);
         assert!(reports.iter().all(|r| !r.commits.is_empty()));
     }
 }

@@ -4,6 +4,9 @@
 //! same payload in every round, whatever the clock or the wire. Block
 //! hashes differ (they cover wall-clock versus virtual proposal times),
 //! so the chain is compared as `(round, proposer, payload)` per commit.
+//! The third leg, the TCP shell's step on in-memory pipes in virtual
+//! time, is `banyan-transport`'s own test
+//! `a_localnet_finalizes_the_simulators_chain_and_replays_bit_identically`.
 
 use banyan::core::builder::ClusterBuilder;
 use banyan::simnet::faults::FaultPlan;
