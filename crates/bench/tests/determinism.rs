@@ -263,15 +263,6 @@ fn closed_loop_is_bit_identical_to_the_per_client_goldens() {
         .gossip()
         .retry_timeout(Duration::from_millis(400))
         .drain(2);
-    // A retry storm across a crash-and-rejoin.
-    let restarted = Scenario::new("banyan", uniform(10), 1, 1)
-        .closed_loop(48, 8, Duration::ZERO)
-        .request_size(300)
-        .secs(3)
-        .seed(5)
-        .retry_timeout(Duration::from_millis(40))
-        .restart(1, Duration::from_millis(500), Duration::from_millis(1_500))
-        .drain(2);
     // (commits, submitted, committed, retried, messages, bytes)
     let goldens = [
         (
@@ -279,8 +270,35 @@ fn closed_loop_is_bit_identical_to_the_per_client_goldens() {
             [584, 2_048, 2_000, 0, 5_262, 8_458_881],
         ),
         (skewed, [1_840, 2_753, 2_753, 0, 24_783, 14_764_920]),
-        (restarted, [700, 18_732, 18_732, 21_971, 6_381, 70_034_336]),
+        (
+            restarted("banyan"),
+            [700, 18_732, 18_732, 21_971, 6_381, 70_034_336],
+        ),
     ];
+    assert_goldens(goldens);
+}
+
+/// A retry storm across a crash-and-rejoin: replica 1 is down from 0.5 s
+/// to 1.5 s and is rebuilt from its crash snapshot.
+fn restarted(protocol: &str) -> Scenario {
+    Scenario::new(
+        protocol,
+        Topology::uniform(4, Duration::from_millis(10)),
+        1,
+        1,
+    )
+    .closed_loop(48, 8, Duration::ZERO)
+    .request_size(300)
+    .secs(3)
+    .seed(5)
+    .retry_timeout(Duration::from_millis(40))
+    .restart(1, Duration::from_millis(500), Duration::from_millis(1_500))
+    .drain(2)
+}
+
+/// Runs each scenario and compares `(commits, submitted, committed,
+/// retried, messages, bytes)` with its golden.
+fn assert_goldens<const N: usize>(goldens: [(Scenario, [u64; 6]); N]) {
     for (i, (scenario, golden)) in goldens.into_iter().enumerate() {
         let (m, auditor) = run_metrics(&scenario);
         assert!(auditor.is_safe());
@@ -297,6 +315,23 @@ fn closed_loop_is_bit_identical_to_the_per_client_goldens() {
             "#{i}: (commits, submitted, committed, retried, messages, bytes) drifted"
         );
     }
+}
+
+/// The baselines' crash-and-rejoin path, pinned to numbers: the banyan
+/// restarted scenario above run on HotStuff and Streamlet, so a change to
+/// what their snapshot keeps or how a rebuilt engine resumes shows here.
+#[test]
+fn restarted_baselines_are_bit_identical_to_their_goldens() {
+    assert_goldens([
+        (
+            restarted("hotstuff"),
+            [372, 2_046, 2_046, 33_672, 594, 5_062_269],
+        ),
+        (
+            restarted("streamlet"),
+            [380, 6_666, 6_666, 26_459, 1_351, 16_185_609],
+        ),
+    ]);
 }
 
 /// Flag-off bit-identity: with `Scenario::optimistic` left at its
