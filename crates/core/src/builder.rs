@@ -10,6 +10,7 @@ use banyan_crypto::hashsig::HashSig;
 use banyan_crypto::registry::{KeyRegistry, PublicKeyTable};
 use banyan_crypto::sig::SignatureScheme;
 use banyan_crypto::{CachedVerify, DirectVerify, VerifyBackend};
+use banyan_storage::{BlockStore, ChainStore};
 use banyan_types::app::{FixedSizeSource, ProposalSource};
 use banyan_types::config::{ConfigError, ProtocolConfig};
 use banyan_types::engine::Engine;
@@ -21,12 +22,11 @@ pub type SourceFactory = Arc<dyn Fn(u16) -> Box<dyn ProposalSource> + Send + Syn
 
 use crate::chained::{ByzantineMode, ChainedEngine, PathMode};
 use crate::hotstuff::HotStuffEngine;
-use crate::store::ChainStore;
 use crate::streamlet::StreamletEngine;
 
-/// Per-replica [`ChainStore`] factory (chained engines only): called once
-/// per replica index when a cluster is built, so each engine gets its own
-/// backing store — e.g. a `WalStore` opened on that replica's directory.
+/// Per-replica [`ChainStore`] factory: called once per replica index when
+/// a cluster is built, so each engine gets its own backing store — e.g. a
+/// `WalStore` opened on that replica's directory.
 pub type StoreFactory = Arc<dyn Fn(u16) -> Box<dyn ChainStore> + Send + Sync>;
 
 /// View/epoch timeout of the HotStuff and Streamlet baselines: the paper's
@@ -85,8 +85,8 @@ pub struct ClusterBuilder {
     sources: SourceFactory,
     /// Per-replica Byzantine behaviors (chained engines only).
     byzantine: Vec<(u16, ByzantineMode)>,
-    /// Per-replica chain-store factory (chained engines only); `None`
-    /// keeps the default in-memory `BlockStore`.
+    /// Per-replica chain-store factory; `None` keeps the default
+    /// in-memory `BlockStore`.
     stores: Option<StoreFactory>,
     /// Optimistic proposal pipelining (chained engines only); off by
     /// default.
@@ -204,11 +204,11 @@ impl ClusterBuilder {
         self
     }
 
-    /// Installs a per-replica [`ChainStore`] factory for the chained
-    /// engines: `factory(i)` is called once for replica `i` whenever that
-    /// engine is built, replacing the default in-memory `BlockStore`. This
-    /// is how a `WalStore` (crash recovery) is threaded in; the engine
-    /// resumes from whatever finalized frontier the store recovered.
+    /// Installs a per-replica [`ChainStore`] factory: `factory(i)` is
+    /// called once for replica `i` whenever its engine is built, replacing
+    /// the default in-memory `BlockStore`, for every protocol. This is how
+    /// a `WalStore` (crash recovery) is threaded in; the engine resumes
+    /// from whatever the store recovered.
     pub fn chain_stores(
         mut self,
         factory: impl Fn(u16) -> Box<dyn ChainStore> + Send + Sync + 'static,
@@ -252,13 +252,6 @@ impl ClusterBuilder {
         }
     }
 
-    /// Installs the configured verify plane on a freshly built engine.
-    fn install_verify(&self, engine: &mut dyn Engine) {
-        if self.verify_plane.is_some() {
-            engine.set_verify_backend(self.make_verify_backend());
-        }
-    }
-
     /// The validated configuration.
     pub fn protocol_config(&self) -> &ProtocolConfig {
         &self.cfg
@@ -287,7 +280,12 @@ impl ClusterBuilder {
             .unwrap_or(ByzantineMode::Honest)
     }
 
-    fn build_chained_replica(&self, mode: PathMode, i: u16) -> Box<dyn Engine> {
+    fn build_chained_replica(
+        &self,
+        mode: PathMode,
+        i: u16,
+        store: Box<dyn ChainStore>,
+    ) -> Box<dyn Engine> {
         let mut engine = ChainedEngine::new(
             self.cfg.clone(),
             mode,
@@ -295,14 +293,11 @@ impl ClusterBuilder {
             self.beacon(),
             (self.sources)(i),
         )
-        .with_byzantine(self.byz_mode(i));
-        if let Some(stores) = &self.stores {
-            engine = engine.with_store(stores(i));
-        }
+        .with_byzantine(self.byz_mode(i))
+        .with_store(store);
         if self.optimistic {
             engine = engine.with_optimistic();
         }
-        self.install_verify(&mut engine);
         Box::new(engine)
     }
 
@@ -376,33 +371,39 @@ impl ClusterBuilder {
             !self.optimistic || protocol == "icc",
             "optimistic pipelining is not supported for {protocol}"
         );
-        match protocol {
-            "banyan" => self.build_chained_replica(PathMode::Banyan, i),
-            "icc" => self.build_chained_replica(PathMode::IccOnly, i),
-            "hotstuff" => {
-                let mut engine = HotStuffEngine::new(
+        let store = match &self.stores {
+            Some(stores) => stores(i),
+            None => Box::new(BlockStore::new()),
+        };
+        let mut engine: Box<dyn Engine> = match protocol {
+            "banyan" => self.build_chained_replica(PathMode::Banyan, i, store),
+            "icc" => self.build_chained_replica(PathMode::IccOnly, i, store),
+            "hotstuff" => Box::new(
+                HotStuffEngine::new(
                     self.cfg.clone(),
                     self.registry(i),
                     self.beacon(),
                     (self.sources)(i),
                     BASELINE_TIMEOUT,
-                );
-                self.install_verify(&mut engine);
-                Box::new(engine)
-            }
-            "streamlet" => {
-                let mut engine = StreamletEngine::new(
+                )
+                .with_store(store),
+            ),
+            "streamlet" => Box::new(
+                StreamletEngine::new(
                     self.cfg.clone(),
                     self.registry(i),
                     self.beacon(),
                     (self.sources)(i),
                     self.cfg.delta.saturating_mul(2),
-                );
-                self.install_verify(&mut engine);
-                Box::new(engine)
-            }
+                )
+                .with_store(store),
+            ),
             other => panic!("unknown protocol {other:?}"),
+        };
+        if self.verify_plane.is_some() {
+            engine.set_verify_backend(self.make_verify_backend());
         }
+        engine
     }
 }
 

@@ -62,7 +62,7 @@ use banyan_types::vote::{Vote, VoteKind};
 
 use banyan_types::ChainSnapshot;
 
-use crate::store::{BlockStore, ChainStore};
+use banyan_storage::{BlockStore, ChainStore};
 
 use super::round::RoundState;
 

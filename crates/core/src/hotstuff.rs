@@ -16,6 +16,11 @@
 //! Proposer latency on the happy path is the paper's Table 1 figure for
 //! HotStuff-family protocols: several round trips, which is exactly what
 //! Fig. 6a/6e show it losing to ICC/Banyan by.
+//!
+//! Blocks live in the engine's [`ChainStore`], like every engine's. A QC
+//! is kept as the notarization record of the block it certifies (its view
+//! as the round), stored when a block carrying it is: a block's justify
+//! is its parent's record. A commit marks each block finalized.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -23,15 +28,18 @@ use std::sync::Arc;
 use banyan_crypto::beacon::Beacon;
 use banyan_crypto::registry::KeyRegistry;
 use banyan_crypto::{DirectVerify, Signature, VerifyBackend, VerifyStats};
-use banyan_types::app::{ProposalContext, ProposalSource};
+use banyan_storage::{BlockStore, ChainStore};
+use banyan_types::app::ProposalSource;
 use banyan_types::block::Block;
-use banyan_types::certs::QuorumCert;
+use banyan_types::certs::{Notarization, QuorumCert};
 use banyan_types::config::ProtocolConfig;
-use banyan_types::engine::{Actions, CommitEntry, Engine, TimerKind};
+use banyan_types::engine::{Actions, Engine, TimerKind};
 use banyan_types::ids::{BlockHash, Rank, ReplicaId, Round};
 use banyan_types::message::{HotStuffMsg, Message};
 use banyan_types::time::{Duration, Time};
 use banyan_types::ChainSnapshot;
+
+use crate::baseline;
 
 /// Domain for HotStuff vote signatures. Delegates to the shared
 /// [`QuorumCert::signing_message`] so the transport verify plane (which
@@ -39,6 +47,15 @@ use banyan_types::ChainSnapshot;
 /// from what the engine signs.
 fn vote_message(view: u64, block: &BlockHash) -> Vec<u8> {
     QuorumCert::signing_message(view, block)
+}
+
+/// The QC a stored notarization record stands for.
+fn qc_of(record: &Notarization) -> QuorumCert {
+    QuorumCert {
+        view: record.round.0,
+        block: record.block,
+        agg: record.agg.clone(),
+    }
 }
 
 /// The chained-HotStuff replica engine.
@@ -49,8 +66,8 @@ pub struct HotStuffEngine {
     registry: KeyRegistry,
     /// The verify plane (see `ChainedEngine::set_verify_backend`).
     verify: Arc<dyn VerifyBackend>,
-    /// Blocks plus the QC each one carries for its parent.
-    blocks: HashMap<BlockHash, (Block, QuorumCert)>,
+    /// Blocks, the QCs they carry, and the finalized chain.
+    store: Box<dyn ChainStore>,
     /// Current view.
     view: u64,
     /// Highest QC known.
@@ -64,15 +81,11 @@ pub struct HotStuffEngine {
     votes: BTreeMap<(u64, BlockHash), HashMap<u16, Signature>>,
     /// NewView senders per view (pacemaker quorum).
     new_views: BTreeMap<u64, HashMap<u16, QuorumCert>>,
-    /// Highest committed view.
-    committed_view: u64,
-    /// Round of the last committed block (for the commit walk).
-    committed_round: Round,
-    /// `committed_round` as of the start of the current engine event —
-    /// i.e. the newest commit whose `CommitEntry` the driver has already
-    /// routed. The `ProposalContext` ancestor walk stops here, NOT at
-    /// `committed_round`: a QC arrival can commit a block and trigger the
-    /// next proposal in one event, and the mempool's lease for that block
+    /// The store's finalized frontier as of the start of the current
+    /// engine event — i.e. the newest commit whose `CommitEntry` the
+    /// driver has already routed. The `ProposalContext` ancestor walk
+    /// stops here, NOT at the live frontier: a QC arrival can commit a
+    /// block and trigger the next proposal in one event, and the mempool's lease for that block
     /// is still live until the commit is routed after the event — so the
     /// block must still count as a live ancestor or its requests would be
     /// re-batched (the commit-lag duplication race).
@@ -90,7 +103,7 @@ impl std::fmt::Debug for HotStuffEngine {
         f.debug_struct("HotStuffEngine")
             .field("id", &self.id)
             .field("view", &self.view)
-            .field("committed_view", &self.committed_view)
+            .field("committed_round", &self.finalized_round())
             .finish_non_exhaustive()
     }
 }
@@ -113,19 +126,61 @@ impl HotStuffEngine {
             beacon,
             registry,
             verify,
-            blocks: HashMap::new(),
+            store: Box::new(BlockStore::new()),
             view: 0,
             high_qc: QuorumCert::genesis(),
             locked_qc: QuorumCert::genesis(),
             last_vote_view: 0,
             votes: BTreeMap::new(),
             new_views: BTreeMap::new(),
-            committed_view: 0,
-            committed_round: Round::GENESIS,
             routed_committed_round: Round::GENESIS,
             proposed: std::collections::HashSet::new(),
             view_timeout,
             source,
+        }
+    }
+
+    /// Builder-style: replaces the chain store (e.g. a reopened
+    /// `banyan_storage::WalStore`) and resumes from what it holds, as
+    /// [`Engine::restore`] does from a snapshot.
+    pub fn with_store(mut self, store: Box<dyn ChainStore>) -> Self {
+        let snapshot = store.snapshot();
+        self.store = store;
+        self.resume(&snapshot);
+        self
+    }
+
+    /// Re-derives the volatile state from the durable `snapshot` the
+    /// store now holds. Locking at the highest recorded QC is
+    /// conservative (it only refuses votes the pre-crash lock might have
+    /// allowed), so a restarted replica can never vote for a conflicting
+    /// branch.
+    fn resume(&mut self, snapshot: &ChainSnapshot) {
+        self.high_qc = snapshot
+            .notarizations
+            .iter()
+            .max_by_key(|record| record.round)
+            .map_or_else(QuorumCert::genesis, qc_of);
+        self.locked_qc = self.high_qc.clone();
+        // Past votes are gone with the crash; refusing to vote below the
+        // recovered high QC prevents equivocation in replayed views.
+        self.last_vote_view = self.high_qc.view;
+        self.routed_committed_round = self.finalized_round();
+        // Park one view short so `on_init` re-enters at `high_qc.view+1`.
+        self.view = self.high_qc.view;
+        self.votes.clear();
+        self.new_views.clear();
+        self.proposed.clear();
+    }
+
+    /// Stores `block` and, unless it is genesis, the QC it carries as the
+    /// record of the block that QC certifies.
+    fn store_block(&mut self, hash: BlockHash, block: Block, justify: &QuorumCert) {
+        self.store.insert(hash, block);
+        if !justify.is_genesis() {
+            let record =
+                Notarization::from_votes(Round(justify.view), justify.block, justify.agg.clone());
+            self.store.mark_notarized(justify.block, Some(record));
         }
     }
 
@@ -167,7 +222,13 @@ impl HotStuffEngine {
         }
         self.proposed.insert(view);
         let justify = self.high_qc.clone();
-        let ctx = self.proposal_context(Round(view), justify.block, now);
+        let ctx = baseline::proposal_context(
+            self.store.as_ref(),
+            Round(view),
+            justify.block,
+            self.routed_committed_round,
+            now,
+        );
         let mut block = Block {
             round: Round(view),
             proposer: self.id,
@@ -179,41 +240,13 @@ impl HotStuffEngine {
         };
         let hash = block.hash(self.cfg.payload_chunk);
         block.signature = self.registry.sign(&Block::signing_message(&hash));
-        self.blocks.insert(hash, (block.clone(), justify.clone()));
+        self.store_block(hash, block.clone(), &justify);
         actions.broadcast(Message::HotStuff(HotStuffMsg::Proposal {
             block: block.clone(),
             justify: justify.clone(),
         }));
         // Process our own proposal (vote for it).
         self.handle_proposal(block, justify, now, actions);
-    }
-
-    /// The chain position for the `ProposalSource`: the justify block plus
-    /// every ancestor down to — excluding — the last commit the *driver
-    /// has routed* (`routed_committed_round`, snapshotted at event entry;
-    /// see its field docs for why `committed_round` would race). The
-    /// 3-chain rule keeps 2+ blocks in this window even on the happy
-    /// path, which is exactly the commit lag that made blind drains
-    /// re-batch ancestors' requests (the sweep's `dups` column).
-    fn proposal_context(&self, round: Round, parent: BlockHash, now: Time) -> ProposalContext {
-        let mut ancestors = Vec::new();
-        let mut cursor = parent;
-        while cursor != BlockHash::ZERO {
-            let Some((block, justify)) = self.blocks.get(&cursor) else {
-                break;
-            };
-            if block.round <= self.routed_committed_round {
-                break;
-            }
-            ancestors.push(cursor);
-            cursor = justify.block;
-        }
-        ProposalContext {
-            round,
-            now,
-            parent,
-            ancestors,
-        }
     }
 
     fn update_high_qc(&mut self, qc: &QuorumCert) {
@@ -259,7 +292,7 @@ impl HotStuffEngine {
         ) {
             return;
         }
-        self.blocks.entry(hash).or_insert((block, justify.clone()));
+        self.store_block(hash, block, &justify);
         self.update_high_qc(&justify);
         self.try_commit(&justify, now, actions);
 
@@ -276,10 +309,12 @@ impl HotStuffEngine {
         // least our lock.
         if view > self.last_vote_view && justify.view >= self.locked_qc.view {
             self.last_vote_view = view;
-            // 2-chain lock update: lock the justify's justify.
-            if let Some((_, parent_justify)) = self.blocks.get(&justify.block) {
-                if parent_justify.view > self.locked_qc.view {
-                    self.locked_qc = parent_justify.clone();
+            // 2-chain lock update: lock the justify's justify, the record
+            // of the justify block's parent.
+            let grandparent = self.store.get(&justify.block).map(|b| b.parent);
+            if let Some(record) = grandparent.and_then(|h| self.store.notarization(&h)) {
+                if record.round.0 > self.locked_qc.view {
+                    self.locked_qc = qc_of(record);
                 }
             }
             let sig = self.registry.sign(&vote_message(view, &hash));
@@ -335,64 +370,23 @@ impl HotStuffEngine {
     /// The 3-chain commit rule: a QC for `b2` where `b2 → b1 → b0` with
     /// consecutive views commits `b0` and its uncommitted ancestors.
     fn try_commit(&mut self, qc: &QuorumCert, now: Time, actions: &mut Actions) {
-        if qc.is_genesis() {
-            return;
-        }
-        let Some((b2, j2)) = self.blocks.get(&qc.block) else {
+        let Some(b2) = self.store.get(&qc.block) else {
             return;
         };
-        let (v2, j2) = (b2.round.0, j2.clone());
-        let Some((b1, j1)) = self.blocks.get(&j2.block) else {
+        let Some(b1) = self.store.get(&b2.parent) else {
             return;
         };
-        let (v1, j1) = (b1.round.0, j1.clone());
-        let Some((b0, _)) = self.blocks.get(&j1.block) else {
+        let b0_hash = b1.parent;
+        let Some(b0) = self.store.get(&b0_hash) else {
             return;
         };
-        let v0 = b0.round.0;
-        if v2 != v1 + 1 || v1 != v0 + 1 {
+        if b2.round.0 != b1.round.0 + 1
+            || b1.round.0 != b0.round.0 + 1
+            || b0.round <= self.finalized_round()
+        {
             return;
         }
-        if v0 <= self.committed_view {
-            return;
-        }
-        // Commit b0 and all uncommitted ancestors, oldest first.
-        let mut chain = Vec::new();
-        let mut cursor = j1.block; // hash of b0
-        while cursor != BlockHash::ZERO {
-            let Some((blk, justify)) = self.blocks.get(&cursor) else {
-                break;
-            };
-            if blk.round <= self.committed_round {
-                break;
-            }
-            chain.push((
-                cursor,
-                blk.round,
-                blk.proposer,
-                blk.payload.clone(),
-                blk.proposed_at,
-            ));
-            cursor = justify.block;
-        }
-        chain.reverse();
-        let chain_len = chain.len();
-        for (i, (hash, round, proposer, payload, proposed_at)) in chain.iter().enumerate() {
-            actions.commit(CommitEntry {
-                round: *round,
-                block: *hash,
-                proposer: *proposer,
-                payload: payload.clone(),
-                proposed_at: *proposed_at,
-                committed_at: now,
-                fast: false,
-                explicit: i == chain_len - 1,
-            });
-        }
-        self.committed_view = v0;
-        if let Some((_, round, ..)) = chain.last() {
-            self.committed_round = *round;
-        }
+        baseline::commit_chain(self.store.as_mut(), b0_hash, now, actions);
     }
 
     fn handle_new_view(
@@ -428,7 +422,7 @@ impl Engine for HotStuffEngine {
     }
 
     fn on_init(&mut self, now: Time) -> Actions {
-        self.routed_committed_round = self.committed_round;
+        self.routed_committed_round = self.finalized_round();
         let mut actions = Actions::none();
         // Fresh engines start at view 1; restored ones re-enter one view
         // past their recovered `high_qc` (`restore` parks `view` there).
@@ -439,7 +433,7 @@ impl Engine for HotStuffEngine {
 
     fn on_message(&mut self, from: ReplicaId, msg: Message, now: Time) -> Actions {
         // Everything committed before this event has been routed by now.
-        self.routed_committed_round = self.committed_round;
+        self.routed_committed_round = self.finalized_round();
         let mut actions = Actions::none();
         match msg {
             Message::HotStuff(HotStuffMsg::Proposal { block, justify }) => {
@@ -462,7 +456,7 @@ impl Engine for HotStuffEngine {
     }
 
     fn on_timer(&mut self, kind: TimerKind, now: Time) -> Actions {
-        self.routed_committed_round = self.committed_round;
+        self.routed_committed_round = self.finalized_round();
         let mut actions = Actions::none();
         if let TimerKind::ViewTimeout { view } = kind {
             if view == self.view {
@@ -489,7 +483,7 @@ impl Engine for HotStuffEngine {
     }
 
     fn finalized_round(&self) -> Round {
-        self.committed_round
+        self.store.max_finalized_round()
     }
 
     fn verify_stats(&self) -> VerifyStats {
@@ -501,47 +495,15 @@ impl Engine for HotStuffEngine {
     }
 
     fn snapshot(&self) -> ChainSnapshot {
-        let mut snap = ChainSnapshot::default();
-        for (hash, (block, justify)) in &self.blocks {
-            snap.blocks.push((*hash, block.clone()));
-            snap.justifies.push((*hash, justify.clone()));
-        }
-        snap.committed_round = self.committed_round;
-        snap.committed_view = self.committed_view;
-        snap.normalize();
-        snap
+        self.store.snapshot()
     }
 
     fn restore(&mut self, snapshot: &ChainSnapshot) {
-        let justify_of: HashMap<BlockHash, QuorumCert> =
-            snapshot.justifies.iter().cloned().collect();
-        self.blocks.clear();
-        for (hash, block) in &snapshot.blocks {
-            let justify = justify_of
-                .get(hash)
-                .cloned()
-                .unwrap_or_else(QuorumCert::genesis);
-            self.blocks.insert(*hash, (block.clone(), justify));
-        }
-        self.high_qc = justify_of
-            .values()
-            .max_by_key(|qc| qc.view)
-            .cloned()
-            .unwrap_or_else(QuorumCert::genesis);
-        // 2-chain lock: locking at the high QC is conservative (it only
-        // refuses votes the pre-crash lock might have allowed), so a
-        // restarted replica can never vote for a conflicting branch.
-        self.locked_qc = self.high_qc.clone();
-        // Past votes are gone with the crash; refusing to vote below the
-        // recovered high QC prevents equivocation in replayed views.
-        self.last_vote_view = self.high_qc.view;
-        self.committed_round = snapshot.committed_round;
-        self.committed_view = snapshot.committed_view;
-        self.routed_committed_round = self.committed_round;
-        // Park one view short so `on_init` re-enters at `high_qc.view+1`.
-        self.view = self.high_qc.view;
-        self.votes.clear();
-        self.new_views.clear();
-        self.proposed.clear();
+        self.store.restore(snapshot);
+        self.resume(snapshot);
+    }
+
+    fn wal_bytes(&self) -> u64 {
+        self.store.wal_bytes()
     }
 }

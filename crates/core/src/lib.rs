@@ -9,7 +9,6 @@
 //!   machinery and Byzantine behavior knobs;
 //! * [`hotstuff`] — chained 3-phase HotStuff with a rotating leader;
 //! * [`streamlet`] — Streamlet with fixed 2Δ epochs;
-//! * [`store`] — the block tree shared by the chained engines;
 //! * [`model`] — the analytic latency/requirement model behind the
 //!   paper's Table 1;
 //! * [`builder`] — convenience constructors wiring engines, PKI, beacon
@@ -35,15 +34,14 @@
 //! assert_eq!(engines.len(), 4);
 //! ```
 
+mod baseline;
 pub mod builder;
 pub mod chained;
 pub mod hotstuff;
 pub mod model;
-pub mod store;
 pub mod streamlet;
 
 pub use builder::{ClusterBuilder, VerifyPlaneConfig};
 pub use chained::{ByzantineMode, ChainedEngine, PathMode};
 pub use hotstuff::HotStuffEngine;
-pub use store::BlockStore;
 pub use streamlet::StreamletEngine;

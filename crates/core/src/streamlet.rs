@@ -14,6 +14,10 @@
 //! Being a synchronous-epoch protocol, its latency is `O(Δ)` rather than
 //! `O(δ)` — the paper's Table 1 lists `6Δ` finalization — which is why it
 //! trails ICC/Banyan in every figure.
+//!
+//! Blocks, notarizations and the finalized chain live in the engine's
+//! [`ChainStore`], like every engine's; a commit marks each block
+//! finalized.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -21,16 +25,19 @@ use std::sync::Arc;
 use banyan_crypto::beacon::Beacon;
 use banyan_crypto::registry::KeyRegistry;
 use banyan_crypto::{DirectVerify, Signature, VerifyBackend, VerifyStats};
-use banyan_types::app::{ProposalContext, ProposalSource};
+use banyan_storage::{BlockStore, ChainStore};
+use banyan_types::app::ProposalSource;
 use banyan_types::block::Block;
 use banyan_types::certs::Notarization;
 use banyan_types::config::ProtocolConfig;
-use banyan_types::engine::{Actions, CommitEntry, Engine, TimerKind};
+use banyan_types::engine::{Actions, Engine, TimerKind};
 use banyan_types::ids::{BlockHash, Rank, ReplicaId, Round};
 use banyan_types::message::{Message, StreamletMsg, SyncMsg};
 use banyan_types::time::{Duration, Time};
 use banyan_types::vote::{Vote, VoteKind};
 use banyan_types::ChainSnapshot;
+
+use crate::baseline;
 
 /// The Streamlet replica engine.
 pub struct StreamletEngine {
@@ -40,24 +47,21 @@ pub struct StreamletEngine {
     registry: KeyRegistry,
     /// The verify plane (see `ChainedEngine::set_verify_backend`).
     verify: Arc<dyn VerifyBackend>,
-    /// All received blocks.
-    blocks: HashMap<BlockHash, Block>,
+    /// Received blocks, their notarization certificates (quorums we
+    /// observed, plus certificates adopted from catch-up batches — the
+    /// proofs served to rejoining replicas over ranged sync), and the
+    /// finalized chain.
+    store: Box<dyn ChainStore>,
+    /// The highest round of any stored block.
+    top: u64,
     /// Votes per block.
     votes: HashMap<BlockHash, HashMap<u16, Signature>>,
-    /// Notarized blocks.
-    notarized: HashSet<BlockHash>,
-    /// Assembled notarization certificates (quorums we observed, plus
-    /// certificates adopted from catch-up batches) — the proofs served to
-    /// rejoining replicas over ranged sync.
-    notarization_certs: HashMap<BlockHash, Notarization>,
     /// Epoch we are in.
     epoch: u64,
     /// Epochs we have voted in.
     voted_epochs: HashSet<u64>,
     /// Epoch length (the paper's `2Δ`).
     epoch_len: Duration,
-    /// Highest committed round (epoch) so far.
-    committed_round: Round,
     /// Where block payloads come from.
     source: Box<dyn ProposalSource>,
 }
@@ -67,7 +71,7 @@ impl std::fmt::Debug for StreamletEngine {
         f.debug_struct("StreamletEngine")
             .field("id", &self.id)
             .field("epoch", &self.epoch)
-            .field("committed_round", &self.committed_round)
+            .field("committed_round", &self.finalized_round())
             .finish_non_exhaustive()
     }
 }
@@ -90,16 +94,42 @@ impl StreamletEngine {
             beacon,
             registry,
             verify,
-            blocks: HashMap::new(),
+            store: Box::new(BlockStore::new()),
+            top: 0,
             votes: HashMap::new(),
-            notarized: HashSet::new(),
-            notarization_certs: HashMap::new(),
             epoch: 0,
             voted_epochs: HashSet::new(),
             epoch_len,
-            committed_round: Round::GENESIS,
             source,
         }
+    }
+
+    /// Builder-style: replaces the chain store (e.g. a reopened
+    /// `banyan_storage::WalStore`) and resumes from what it holds, as
+    /// [`Engine::restore`] does from a snapshot.
+    pub fn with_store(mut self, store: Box<dyn ChainStore>) -> Self {
+        let snapshot = store.snapshot();
+        self.store = store;
+        self.resume(&snapshot);
+        self
+    }
+
+    /// Re-derives the volatile state from the durable `snapshot` the
+    /// store now holds. It parks one epoch short of the highest stored
+    /// round so `on_init` resumes past it: pre-crash votes can only exist
+    /// in epochs up to it (voting requires the block to be stored
+    /// first), so resuming beyond it cannot equivocate.
+    fn resume(&mut self, snapshot: &ChainSnapshot) {
+        self.votes.clear();
+        self.voted_epochs.clear();
+        self.top = baseline::top_round(snapshot);
+        self.epoch = self.top.max(snapshot.committed_round.0);
+    }
+
+    /// Stores a block (a duplicate is ignored).
+    fn store_block(&mut self, hash: BlockHash, block: Block) {
+        self.top = self.top.max(block.round.0);
+        self.store.insert(hash, block);
     }
 
     fn quorum(&self) -> usize {
@@ -116,10 +146,10 @@ impl StreamletEngine {
         if *hash == BlockHash::ZERO {
             return Some(0);
         }
-        if !self.notarized.contains(hash) {
+        if !self.store.is_notarized(hash) {
             return None;
         }
-        let block = self.blocks.get(hash)?;
+        let block = self.store.get(hash)?;
         self.notarized_chain_len(&block.parent).map(|l| l + 1)
     }
 
@@ -127,12 +157,12 @@ impl StreamletEngine {
     /// tie-break on the hash.
     fn longest_notarized_tip(&self) -> (BlockHash, u64) {
         let mut best = (BlockHash::ZERO, 0u64);
-        let mut tips: Vec<&BlockHash> = self.notarized.iter().collect();
-        tips.sort();
-        for hash in tips {
-            if let Some(len) = self.notarized_chain_len(hash) {
-                if len > best.1 || (len == best.1 && *hash < best.0) {
-                    best = (*hash, len);
+        for round in 0..=self.top {
+            for hash in self.store.round_blocks(Round(round)) {
+                if let Some(len) = self.notarized_chain_len(hash) {
+                    if len > best.1 || (len == best.1 && *hash < best.0) {
+                        best = (*hash, len);
+                    }
                 }
             }
         }
@@ -151,7 +181,21 @@ impl StreamletEngine {
         );
         if self.leader(epoch) == self.id {
             let (parent, _) = self.longest_notarized_tip();
-            let ctx = self.proposal_context(Round(epoch), parent, now);
+            // Stopping the ancestor walk at the store's live frontier
+            // satisfies the mempool's "ancestors reach the newest *routed*
+            // commit" contract only because Streamlet proposes
+            // exclusively as the first action of an epoch tick — no commit
+            // can precede the drain within one event. A future
+            // propose-from-`on_message` path must snapshot the committed
+            // round at event entry instead (see HotStuff's
+            // `routed_committed_round`).
+            let ctx = baseline::proposal_context(
+                self.store.as_ref(),
+                Round(epoch),
+                parent,
+                self.finalized_round(),
+                now,
+            );
             let mut block = Block {
                 round: Round(epoch),
                 proposer: self.id,
@@ -170,46 +214,13 @@ impl StreamletEngine {
         }
     }
 
-    /// The chain position for the `ProposalSource`: the tip being extended
-    /// plus every uncommitted ancestor down to — excluding — the last
-    /// committed epoch. Streamlet's commit rule always leaves the newest
-    /// notarized block (and often more) uncommitted, the commit lag that
-    /// made blind drains re-batch ancestors' requests.
-    ///
-    /// Invariant: stopping at `committed_round` satisfies the mempool's
-    /// "ancestors reach the newest *routed* commit" contract only because
-    /// Streamlet proposes exclusively as the first action of an epoch
-    /// tick — no commit can precede the drain within one event. A future
-    /// propose-from-`on_message` path must snapshot the committed round
-    /// at event entry instead (see HotStuff's `routed_committed_round`).
-    fn proposal_context(&self, round: Round, parent: BlockHash, now: Time) -> ProposalContext {
-        let mut ancestors = Vec::new();
-        let mut cursor = parent;
-        while cursor != BlockHash::ZERO {
-            let Some(block) = self.blocks.get(&cursor) else {
-                break;
-            };
-            if block.round <= self.committed_round {
-                break;
-            }
-            ancestors.push(cursor);
-            cursor = block.parent;
-        }
-        ProposalContext {
-            round,
-            now,
-            parent,
-            ancestors,
-        }
-    }
-
     fn handle_proposal(&mut self, block: Block, now: Time, actions: &mut Actions) {
         let epoch = block.round.0;
         if epoch == 0 || block.proposer != self.leader(epoch) {
             return;
         }
         let hash = block.hash(self.cfg.payload_chunk);
-        if self.blocks.contains_key(&hash) {
+        if self.store.contains(&hash) {
             return;
         }
         if !self.verify.verify(
@@ -219,7 +230,7 @@ impl StreamletEngine {
         ) {
             return;
         }
-        self.blocks.insert(hash, block.clone());
+        self.store_block(hash, block.clone());
 
         // Vote if we haven't voted this epoch and the proposal extends a
         // longest notarized chain.
@@ -254,22 +265,18 @@ impl StreamletEngine {
         let quorum = self.quorum();
         let entry = self.votes.entry(vote.block).or_default();
         entry.insert(vote.voter.0, vote.signature);
-        if entry.len() < quorum {
+        if entry.len() < quorum || self.store.is_notarized(&vote.block) {
             return;
         }
         // Assemble the certificate while the votes are at hand, so a
         // ranged-sync serve later can prove the notarization. Sorted by
         // voter for a deterministic aggregate.
         let mut sigs: Vec<(u16, Signature)> = entry.iter().map(|(i, s)| (*i, *s)).collect();
-        if self.notarized.contains(&vote.block) {
-            return;
-        }
-        self.notarized.insert(vote.block);
         sigs.sort_by_key(|(i, _)| *i);
         let agg = self.registry.table().aggregate(&sigs);
-        self.notarization_certs.insert(
+        self.store.mark_notarized(
             vote.block,
-            Notarization::from_votes(vote.round, vote.block, agg),
+            Some(Notarization::from_votes(vote.round, vote.block, agg)),
         );
         self.try_commit(&vote.block, now, actions);
     }
@@ -283,14 +290,14 @@ impl StreamletEngine {
     fn handle_sync(&mut self, from: ReplicaId, msg: SyncMsg, now: Time, actions: &mut Actions) {
         match msg {
             SyncMsg::Request { hash } => {
-                if let Some(block) = self.blocks.get(&hash) {
+                if let Some(block) = self.store.get(&hash) {
                     let block = block.clone();
                     actions.send(from, Message::Sync(SyncMsg::Response { block }));
                 }
             }
             SyncMsg::Response { block } => {
                 let hash = block.hash(self.cfg.payload_chunk);
-                self.blocks.entry(hash).or_insert(block);
+                self.store_block(hash, block);
             }
             SyncMsg::RequestRange {
                 from_round,
@@ -304,7 +311,7 @@ impl StreamletEngine {
             } => {
                 for block in blocks {
                     let hash = block.hash(self.cfg.payload_chunk);
-                    self.blocks.entry(hash).or_insert(block);
+                    self.store_block(hash, block);
                 }
                 for cert in notarizations {
                     self.adopt_notarization(cert, now, actions);
@@ -316,8 +323,9 @@ impl StreamletEngine {
         }
     }
 
-    /// Serves a ranged catch-up fetch: every notarized block we hold a
-    /// certificate for in `from..=to` (capped), ascending by epoch.
+    /// Serves a ranged catch-up fetch: every stored block we hold a
+    /// certificate for in `from..=to` (capped), ascending by epoch, then
+    /// hash.
     fn serve_range(
         &self,
         from: ReplicaId,
@@ -329,22 +337,21 @@ impl StreamletEngine {
         const MAX_RANGE: u64 = 64;
         let lo = from_round.0.max(1);
         let hi = to_round.0.min(lo.saturating_add(MAX_RANGE - 1));
-        let mut served: Vec<(u64, BlockHash)> = self
-            .notarization_certs
-            .values()
-            .filter(|cert| (lo..=hi).contains(&cert.round.0))
-            .map(|cert| (cert.round.0, cert.block))
-            .collect();
-        served.sort_unstable();
         let mut blocks = Vec::new();
         let mut notarizations = Vec::new();
-        for (_, hash) in served {
-            if let Some(block) = self.blocks.get(&hash) {
-                blocks.push(block.clone());
+        for round in lo..=hi {
+            let mut hashes = self.store.round_blocks(Round(round)).to_vec();
+            hashes.sort_unstable();
+            for hash in hashes {
+                if let (Some(block), Some(cert)) =
+                    (self.store.get(&hash), self.store.notarization(&hash))
+                {
+                    blocks.push(block.clone());
+                    notarizations.push(cert.clone());
+                }
             }
-            notarizations.push(self.notarization_certs[&hash].clone());
         }
-        if !blocks.is_empty() || !notarizations.is_empty() {
+        if !notarizations.is_empty() {
             actions.send(
                 from,
                 Message::Sync(SyncMsg::ResponseBatch {
@@ -359,8 +366,8 @@ impl StreamletEngine {
     /// notarized, and run the commit rule (a reconnected chain can commit
     /// the whole downtime gap at once).
     fn adopt_notarization(&mut self, cert: Notarization, now: Time, actions: &mut Actions) {
-        if self.notarized.contains(&cert.block) {
-            self.notarization_certs.entry(cert.block).or_insert(cert);
+        if self.store.is_notarized(&cert.block) {
+            self.store.mark_notarized(cert.block, Some(cert));
             return;
         }
         // Popcount gate before signature verification: empty aggregates
@@ -372,9 +379,8 @@ impl StreamletEngine {
         if !self.verify.verify_aggregate(&msg, &cert.agg) {
             return;
         }
-        self.notarized.insert(cert.block);
         let block = cert.block;
-        self.notarization_certs.insert(block, cert);
+        self.store.mark_notarized(block, Some(cert));
         self.try_commit(&block, now, actions);
     }
 
@@ -383,15 +389,15 @@ impl StreamletEngine {
     fn try_commit(&mut self, tip: &BlockHash, now: Time, actions: &mut Actions) {
         // tip = e3; parent = e2; grandparent = e1. Epochs must be
         // consecutive; then e2 and ancestors commit.
-        let Some(b3) = self.blocks.get(tip) else {
+        let Some(b3) = self.store.get(tip) else {
             return;
         };
         let e3 = b3.round.0;
         let p2 = b3.parent;
-        if p2 == BlockHash::ZERO || !self.notarized.contains(&p2) {
+        if p2 == BlockHash::ZERO || !self.store.is_notarized(&p2) {
             return;
         }
-        let Some(b2) = self.blocks.get(&p2) else {
+        let Some(b2) = self.store.get(&p2) else {
             return;
         };
         let e2 = b2.round.0;
@@ -405,10 +411,10 @@ impl StreamletEngine {
             }
             0
         } else {
-            if !self.notarized.contains(&p1) {
+            if !self.store.is_notarized(&p1) {
                 return;
             }
-            let Some(b1) = self.blocks.get(&p1) else {
+            let Some(b1) = self.store.get(&p1) else {
                 return;
             };
             b1.round.0
@@ -416,45 +422,10 @@ impl StreamletEngine {
         if e3 != e2 + 1 || (p1 != BlockHash::ZERO && e2 != e1 + 1) {
             return;
         }
-        if Round(e2) <= self.committed_round {
+        if Round(e2) <= self.finalized_round() {
             return;
         }
-        // Commit b2 and its uncommitted ancestors, oldest first.
-        let mut chain = Vec::new();
-        let mut cursor = p2;
-        while cursor != BlockHash::ZERO {
-            let Some(blk) = self.blocks.get(&cursor) else {
-                break;
-            };
-            if blk.round <= self.committed_round {
-                break;
-            }
-            chain.push((
-                cursor,
-                blk.round,
-                blk.proposer,
-                blk.payload.clone(),
-                blk.proposed_at,
-            ));
-            cursor = blk.parent;
-        }
-        chain.reverse();
-        let chain_len = chain.len();
-        for (i, (hash, round, proposer, payload, proposed_at)) in chain.iter().enumerate() {
-            actions.commit(CommitEntry {
-                round: *round,
-                block: *hash,
-                proposer: *proposer,
-                payload: payload.clone(),
-                proposed_at: *proposed_at,
-                committed_at: now,
-                fast: false,
-                explicit: i == chain_len - 1,
-            });
-        }
-        if let Some((_, round, ..)) = chain.last() {
-            self.committed_round = *round;
-        }
+        baseline::commit_chain(self.store.as_mut(), p2, now, actions);
     }
 }
 
@@ -516,7 +487,7 @@ impl Engine for StreamletEngine {
     }
 
     fn finalized_round(&self) -> Round {
-        self.committed_round
+        self.store.max_finalized_round()
     }
 
     fn verify_stats(&self) -> VerifyStats {
@@ -528,37 +499,15 @@ impl Engine for StreamletEngine {
     }
 
     fn snapshot(&self) -> ChainSnapshot {
-        let mut snap = ChainSnapshot::default();
-        for (hash, block) in &self.blocks {
-            snap.blocks.push((*hash, block.clone()));
-        }
-        snap.notarized = self.notarized.iter().copied().collect();
-        snap.notarizations = self.notarization_certs.values().cloned().collect();
-        snap.committed_round = self.committed_round;
-        snap.normalize();
-        snap
+        self.store.snapshot()
     }
 
     fn restore(&mut self, snapshot: &ChainSnapshot) {
-        self.blocks.clear();
-        self.votes.clear();
-        self.notarized.clear();
-        self.notarization_certs.clear();
-        self.voted_epochs.clear();
-        let mut max_seen = snapshot.committed_round.0;
-        for (hash, block) in &snapshot.blocks {
-            max_seen = max_seen.max(block.round.0);
-            self.blocks.insert(*hash, block.clone());
-        }
-        self.notarized.extend(snapshot.notarized.iter().copied());
-        for cert in &snapshot.notarizations {
-            self.notarization_certs.insert(cert.block, cert.clone());
-        }
-        self.committed_round = snapshot.committed_round;
-        // Park one epoch short so `on_init` resumes at `max_seen + 1`.
-        // Pre-crash votes can only exist in epochs ≤ max_seen (voting
-        // requires the block to be stored first), so resuming beyond it
-        // cannot equivocate.
-        self.epoch = max_seen;
+        self.store.restore(snapshot);
+        self.resume(snapshot);
+    }
+
+    fn wal_bytes(&self) -> u64 {
+        self.store.wal_bytes()
     }
 }

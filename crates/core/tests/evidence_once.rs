@@ -362,7 +362,7 @@ fn happy_path_signature_budget_per_committed_round() {
 mod store_reads {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    use banyan_core::store::{BlockStore, ChainStore};
+    use banyan_storage::{BlockStore, ChainStore};
     use banyan_types::engine::TimerKind;
     use banyan_types::ChainSnapshot;
 

@@ -260,10 +260,8 @@ impl BlockStore {
             notarizations: entries()
                 .filter_map(|(_, e)| e.cert.as_deref().cloned())
                 .collect(),
-            justifies: Vec::new(),
             finalized: self.finalized.iter().map(|(r, h)| (*r, *h)).collect(),
             committed_round: self.max_finalized,
-            committed_view: 0,
         };
         snap.normalize();
         snap

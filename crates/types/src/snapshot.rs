@@ -2,10 +2,11 @@
 //! durable chain state.
 //!
 //! A snapshot is what survives a crash: the block tree, the notarized set
-//! and its certificates, the HotStuff justify links, and the finalized
-//! frontier. It is produced by `Engine::snapshot` (and by
-//! `banyan-storage`'s stores), consumed by `Engine::restore`, and doubles
-//! as the WAL's checkpoint record — one encoding for all three uses.
+//! and its certificates, and the finalized frontier. Every engine keeps
+//! that state in one `banyan-storage` chain store, so a snapshot has one
+//! shape: the store produces it (`Engine::snapshot` returns it),
+//! `Engine::restore` consumes it, and it doubles as the WAL's checkpoint
+//! record — one encoding for all three uses.
 //!
 //! Snapshots are **normalized**: every vector is sorted by a total,
 //! content-derived key, so two replicas holding the same logical state
@@ -14,7 +15,7 @@
 //! reaches bit-identical state" a testable property.
 
 use crate::block::Block;
-use crate::certs::{Notarization, QuorumCert};
+use crate::certs::Notarization;
 use crate::codec::{CodecError, Reader, Wire, Writer};
 use crate::ids::{BlockHash, Round};
 
@@ -29,19 +30,14 @@ pub struct ChainSnapshot {
     /// Hashes of the notarized blocks (certificate may be absent when a
     /// quorum was only learned indirectly).
     pub notarized: Vec<BlockHash>,
-    /// The notarization certificates held.
+    /// The notarization certificates held (a HotStuff QC is the record
+    /// of the block it certifies, its view as the round).
     pub notarizations: Vec<Notarization>,
-    /// HotStuff justify links (`block hash → QC for its parent chain`);
-    /// empty for the chained and Streamlet engines.
-    pub justifies: Vec<(BlockHash, QuorumCert)>,
     /// The finalized frontier: `round → finalized block hash`.
     pub finalized: Vec<(Round, BlockHash)>,
-    /// Highest committed round (the chained engine's `k_max`, HotStuff's
-    /// and Streamlet's `committed_round`).
+    /// Highest committed round (the chained engine's `k_max`; the store's
+    /// highest finalized round for HotStuff and Streamlet).
     pub committed_round: Round,
-    /// Highest committed view/epoch counter for view-based engines
-    /// (HotStuff `committed_view`); 0 elsewhere.
-    pub committed_view: u64,
 }
 
 impl ChainSnapshot {
@@ -50,10 +46,8 @@ impl ChainSnapshot {
         self.blocks.is_empty()
             && self.notarized.is_empty()
             && self.notarizations.is_empty()
-            && self.justifies.is_empty()
             && self.finalized.is_empty()
             && self.committed_round == Round::GENESIS
-            && self.committed_view == 0
     }
 
     /// Sorts every vector by a total, content-derived key so logically
@@ -64,7 +58,6 @@ impl ChainSnapshot {
         self.notarized.sort();
         self.notarizations
             .sort_by_key(|n| (n.round, n.block, n.fast_agg.is_some()));
-        self.justifies.sort_by_key(|(h, qc)| (*h, qc.view));
         self.finalized.sort();
     }
 
@@ -91,18 +84,12 @@ impl Wire for ChainSnapshot {
             out.raw(&h.0);
         }
         out.var_list(&self.notarizations);
-        out.u32(u32::try_from(self.justifies.len()).expect("justify count fits u32"));
-        for (h, qc) in &self.justifies {
-            out.raw(&h.0);
-            qc.encode(out);
-        }
         out.u32(u32::try_from(self.finalized.len()).expect("finalized count fits u32"));
         for (round, h) in &self.finalized {
             out.u64(round.0);
             out.raw(&h.0);
         }
         out.u64(self.committed_round.0);
-        out.u64(self.committed_view);
     }
 
     fn decode(input: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -128,15 +115,6 @@ impl Wire for ChainSnapshot {
         if n > crate::codec::MAX_LEN {
             return Err(CodecError::LengthOverflow);
         }
-        let mut justifies = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let h = BlockHash(input.bytes32()?);
-            justifies.push((h, QuorumCert::decode(input)?));
-        }
-        let n = input.u32()? as usize;
-        if n > crate::codec::MAX_LEN {
-            return Err(CodecError::LengthOverflow);
-        }
         let mut finalized = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             let round = Round(input.u64()?);
@@ -146,10 +124,8 @@ impl Wire for ChainSnapshot {
             blocks,
             notarized,
             notarizations,
-            justifies,
             finalized,
             committed_round: Round(input.u64()?),
-            committed_view: input.u64()?,
         })
     }
 
@@ -168,14 +144,7 @@ impl Wire for ChainSnapshot {
                 .map(Wire::encoded_len)
                 .sum::<usize>()
             + 4
-            + self
-                .justifies
-                .iter()
-                .map(|(_, qc)| 32 + qc.encoded_len())
-                .sum::<usize>()
-            + 4
             + 40 * self.finalized.len()
-            + 8
             + 8
     }
 }
@@ -223,17 +192,8 @@ mod tests {
                 BlockHash([1; 32]),
                 agg(),
             )],
-            justifies: vec![(
-                BlockHash([2; 32]),
-                QuorumCert {
-                    view: 1,
-                    block: BlockHash([1; 32]),
-                    agg: agg(),
-                },
-            )],
             finalized: vec![(Round(1), BlockHash([1; 32]))],
             committed_round: Round(1),
-            committed_view: 0,
         };
         snap.normalize();
         snap
