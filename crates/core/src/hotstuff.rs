@@ -162,12 +162,16 @@ impl HotStuffEngine {
             .max_by_key(|record| record.round)
             .map_or_else(QuorumCert::genesis, qc_of);
         self.locked_qc = self.high_qc.clone();
-        // Past votes are gone with the crash; refusing to vote below the
-        // recovered high QC prevents equivocation in replayed views.
-        self.last_vote_view = self.high_qc.view;
+        // Past votes and proposals are gone with the crash. A replica
+        // stores a block before it proposes or votes for it, so it did
+        // neither in any view above the highest stored round: refusing
+        // to vote up to that round, and parking one view short so
+        // `on_init` re-enters just past it, prevents equivocation in
+        // replayed views.
+        let top = baseline::top_round(snapshot);
+        self.last_vote_view = top;
+        self.view = top;
         self.routed_committed_round = self.finalized_round();
-        // Park one view short so `on_init` re-enters at `high_qc.view+1`.
-        self.view = self.high_qc.view;
         self.votes.clear();
         self.new_views.clear();
         self.proposed.clear();
@@ -425,7 +429,7 @@ impl Engine for HotStuffEngine {
         self.routed_committed_round = self.finalized_round();
         let mut actions = Actions::none();
         // Fresh engines start at view 1; restored ones re-enter one view
-        // past their recovered `high_qc` (`restore` parks `view` there).
+        // past their highest stored block (`resume` parks `view` there).
         let next = (self.view + 1).max(1);
         self.enter_view(next, now, &mut actions);
         actions

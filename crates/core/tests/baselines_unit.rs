@@ -11,7 +11,7 @@ use banyan_crypto::registry::KeyRegistry;
 use banyan_types::app::FixedSizeSource;
 use banyan_types::config::ProtocolConfig;
 use banyan_types::engine::{Actions, Engine, Outbound, TimerKind};
-use banyan_types::ids::{ReplicaId, Round};
+use banyan_types::ids::{BlockHash, ReplicaId, Round};
 use banyan_types::message::{HotStuffMsg, Message, StreamletMsg};
 use banyan_types::time::{Duration, Time};
 
@@ -238,6 +238,86 @@ fn hotstuff_rejects_hollow_and_below_quorum_qcs() {
     });
     assert!(voted, "quorum QC must be accepted (control)");
     assert_eq!(e.current_round(), Round(2));
+}
+
+/// The view-1 blocks `actions` proposes and votes for, as two lists of
+/// hashes.
+fn view1_traffic(actions: &Actions) -> (Vec<BlockHash>, Vec<BlockHash>) {
+    let (mut proposed, mut voted) = (Vec::new(), Vec::new());
+    for out in &actions.outbound {
+        let (Outbound::Broadcast(msg) | Outbound::Send(_, msg)) = out;
+        match msg {
+            Message::HotStuff(HotStuffMsg::Proposal { block, .. }) if block.round == Round(1) => {
+                proposed.push(block.hash(64 * 1024));
+            }
+            Message::HotStuff(HotStuffMsg::Vote { view: 1, block, .. }) => voted.push(*block),
+            _ => {}
+        }
+    }
+    (proposed, voted)
+}
+
+/// Restarts `e` the way both drivers do: `snapshot()`, a fresh engine,
+/// `restore()`, `on_init`.
+fn restart_hotstuff(e: &HotStuffEngine, i: u16, now: Time) -> (HotStuffEngine, Actions) {
+    let snapshot = e.snapshot();
+    let mut fresh = hotstuff(i);
+    fresh.restore(&snapshot);
+    let actions = fresh.on_init(now);
+    (fresh, actions)
+}
+
+/// A leader that restarts inside its own view proposes and votes in it
+/// once: after the restart it neither broadcasts a second view-1 block
+/// nor votes for one.
+#[test]
+fn hotstuff_restarted_leader_does_not_propose_twice_in_a_view() {
+    let mut e = hotstuff(0);
+    let (proposed, voted) = view1_traffic(&e.on_init(Time(0)));
+    assert_eq!(proposed.len(), 1, "the view-1 leader proposes");
+    assert_eq!(voted, proposed, "and votes for its own block");
+
+    let (_, actions) = restart_hotstuff(&e, 0, Time(1_000_000));
+    assert_eq!(
+        view1_traffic(&actions),
+        (Vec::new(), Vec::new()),
+        "a restarted leader proposed or voted in view 1 again"
+    );
+}
+
+/// A follower that voted in a view before a restart does not vote for a
+/// conflicting proposal of that view after it.
+#[test]
+fn hotstuff_restarted_follower_does_not_vote_twice_in_a_view() {
+    let reg0 = registry(0);
+    let proposal = |seed: u64| {
+        let mut block = banyan_types::Block {
+            round: Round(1),
+            proposer: ReplicaId(0),
+            rank: banyan_types::Rank(0),
+            parent: BlockHash::ZERO,
+            proposed_at: Time(0),
+            payload: banyan_types::Payload::synthetic(100, seed),
+            signature: banyan_crypto::Signature::zero(),
+        };
+        let hash = block.hash(64 * 1024);
+        block.signature = reg0.sign(&banyan_types::Block::signing_message(&hash));
+        Message::HotStuff(HotStuffMsg::Proposal {
+            block,
+            justify: banyan_types::certs::QuorumCert::genesis(),
+        })
+    };
+    let mut e = hotstuff(2);
+    e.on_init(Time(0));
+    let (_, voted) = view1_traffic(&e.on_message(ReplicaId(0), proposal(1), Time(1_000)));
+    assert_eq!(voted.len(), 1, "the follower votes for the first proposal");
+
+    let (mut e, _) = restart_hotstuff(&e, 2, Time(1_000_000));
+    let (_, voted) = view1_traffic(&e.on_message(ReplicaId(0), proposal(2), Time(2_000_000)));
+    assert!(
+        voted.is_empty(),
+        "a restarted follower voted for a second view-1 block"
+    );
 }
 
 #[test]
