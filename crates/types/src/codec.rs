@@ -132,7 +132,9 @@ impl<'a> Reader<'a> {
         if len > MAX_LEN {
             return Err(CodecError::LengthOverflow);
         }
-        let mut out = Vec::with_capacity(len.min(1024));
+        // Every element encodes to at least one byte: a length the bytes
+        // cannot hold reserves no more than they could.
+        let mut out = Vec::with_capacity(len.min(self.remaining()));
         for _ in 0..len {
             out.push(T::decode(self)?);
         }

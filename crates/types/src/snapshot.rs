@@ -93,38 +93,11 @@ impl Wire for ChainSnapshot {
     }
 
     fn decode(input: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let n = input.u32()? as usize;
-        if n > crate::codec::MAX_LEN {
-            return Err(CodecError::LengthOverflow);
-        }
-        let mut blocks = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let h = BlockHash(input.bytes32()?);
-            blocks.push((h, Block::decode(input)?));
-        }
-        let n = input.u32()? as usize;
-        if n > crate::codec::MAX_LEN {
-            return Err(CodecError::LengthOverflow);
-        }
-        let mut notarized = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            notarized.push(BlockHash(input.bytes32()?));
-        }
-        let notarizations = input.var_list()?;
-        let n = input.u32()? as usize;
-        if n > crate::codec::MAX_LEN {
-            return Err(CodecError::LengthOverflow);
-        }
-        let mut finalized = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let round = Round(input.u64()?);
-            finalized.push((round, BlockHash(input.bytes32()?)));
-        }
         Ok(ChainSnapshot {
-            blocks,
-            notarized,
-            notarizations,
-            finalized,
+            blocks: list(input, |r| Ok((BlockHash(r.bytes32()?), Block::decode(r)?)))?,
+            notarized: list(input, |r| Ok(BlockHash(r.bytes32()?)))?,
+            notarizations: input.var_list()?,
+            finalized: list(input, |r| Ok((Round(r.u64()?), BlockHash(r.bytes32()?))))?,
             committed_round: Round(input.u64()?),
         })
     }
@@ -147,6 +120,23 @@ impl Wire for ChainSnapshot {
             + 40 * self.finalized.len()
             + 8
     }
+}
+
+/// Reads a `u32`-prefixed list whose elements each encode to at least 32
+/// bytes, reserving no more than the remaining bytes could hold.
+fn list<T>(
+    input: &mut Reader<'_>,
+    mut item: impl FnMut(&mut Reader<'_>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = input.u32()? as usize;
+    if n > crate::codec::MAX_LEN {
+        return Err(CodecError::LengthOverflow);
+    }
+    let mut out = Vec::with_capacity(n.min(input.remaining() / 32));
+    for _ in 0..n {
+        out.push(item(input)?);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
