@@ -224,9 +224,9 @@ fn encode_frame(record: &WalRecord) -> Vec<u8> {
 fn scan_segment(buf: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    while buf.len() - pos >= 8 {
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
+    while let Some(&[l0, l1, l2, l3, c0, c1, c2, c3]) = buf[pos..].first_chunk::<8>() {
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
         if len == 0 || len > MAX_LEN || buf.len() - pos - 8 < len {
             break;
         }
@@ -310,10 +310,9 @@ impl WalStore {
             // A rotated segment opens with its checkpoint, which does not
             // count against the rotation limit (see `segment_bytes`).
             let lead = match records.first() {
-                Some(WalRecord::Checkpoint(_)) => {
-                    let len: [u8; 4] = buf[..4].try_into().expect("scanned a record header");
-                    8 + u64::from(u32::from_le_bytes(len))
-                }
+                Some(WalRecord::Checkpoint(_)) => buf
+                    .first_chunk::<4>()
+                    .map_or(0, |len| 8 + u64::from(u32::from_le_bytes(*len))),
                 _ => 0,
             };
             live = Some((idx, clean as u64 - lead));
