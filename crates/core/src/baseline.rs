@@ -76,13 +76,3 @@ pub(crate) fn commit_chain(
         actions.commit(entry);
     }
 }
-
-/// The highest round of any block in `snapshot` (0 if none).
-pub(crate) fn top_round(snapshot: &banyan_types::ChainSnapshot) -> u64 {
-    snapshot
-        .blocks
-        .iter()
-        .map(|(_, block)| block.round.0)
-        .max()
-        .unwrap_or(0)
-}

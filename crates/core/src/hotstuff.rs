@@ -168,7 +168,12 @@ impl HotStuffEngine {
         // to vote up to that round, and parking one view short so
         // `on_init` re-enters just past it, prevents equivocation in
         // replayed views.
-        let top = baseline::top_round(snapshot);
+        let top = snapshot
+            .blocks
+            .iter()
+            .map(|(_, b)| b.round.0)
+            .max()
+            .unwrap_or(0);
         self.last_vote_view = top;
         self.view = top;
         self.routed_committed_round = self.finalized_round();

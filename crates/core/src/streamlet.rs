@@ -19,7 +19,7 @@
 //! [`ChainStore`], like every engine's; a commit marks each block
 //! finalized.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use banyan_crypto::beacon::Beacon;
@@ -52,8 +52,10 @@ pub struct StreamletEngine {
     /// proofs served to rejoining replicas over ranged sync), and the
     /// finalized chain.
     store: Box<dyn ChainStore>,
-    /// The highest round of any stored block.
-    top: u64,
+    /// The rounds that hold a stored block: the store indexes blocks by
+    /// round but cannot list its rounds, and a scan up to the highest
+    /// round would let one block with a huge round stall the engine.
+    rounds: BTreeSet<u64>,
     /// Votes per block.
     votes: HashMap<BlockHash, HashMap<u16, Signature>>,
     /// Epoch we are in.
@@ -95,7 +97,7 @@ impl StreamletEngine {
             registry,
             verify,
             store: Box::new(BlockStore::new()),
-            top: 0,
+            rounds: BTreeSet::new(),
             votes: HashMap::new(),
             epoch: 0,
             voted_epochs: HashSet::new(),
@@ -122,13 +124,14 @@ impl StreamletEngine {
     fn resume(&mut self, snapshot: &ChainSnapshot) {
         self.votes.clear();
         self.voted_epochs.clear();
-        self.top = baseline::top_round(snapshot);
-        self.epoch = self.top.max(snapshot.committed_round.0);
+        self.rounds = snapshot.blocks.iter().map(|(_, b)| b.round.0).collect();
+        let top = self.rounds.last().copied().unwrap_or(0);
+        self.epoch = top.max(snapshot.committed_round.0);
     }
 
     /// Stores a block (a duplicate is ignored).
     fn store_block(&mut self, hash: BlockHash, block: Block) {
-        self.top = self.top.max(block.round.0);
+        self.rounds.insert(block.round.0);
         self.store.insert(hash, block);
     }
 
@@ -157,7 +160,7 @@ impl StreamletEngine {
     /// tie-break on the hash.
     fn longest_notarized_tip(&self) -> (BlockHash, u64) {
         let mut best = (BlockHash::ZERO, 0u64);
-        for round in 0..=self.top {
+        for &round in &self.rounds {
             for hash in self.store.round_blocks(Round(round)) {
                 if let Some(len) = self.notarized_chain_len(hash) {
                     if len > best.1 || (len == best.1 && *hash < best.0) {

@@ -550,3 +550,36 @@ fn streamlet_votes_once_per_epoch() {
     });
     assert!(!voted2, "one vote per epoch");
 }
+
+/// A stored block far in the future — a sync response is stored without
+/// checks — does not stall the longest-chain search the next proposal
+/// runs.
+#[test]
+fn streamlet_a_far_future_block_does_not_stall_the_next_proposal() {
+    // Replica 1 leads epoch 2.
+    let mut e = streamlet(1);
+    e.on_init(Time(0));
+    let block = banyan_types::Block {
+        round: Round(u64::MAX),
+        proposer: ReplicaId(3),
+        rank: banyan_types::Rank(0),
+        parent: BlockHash::ZERO,
+        proposed_at: Time(0),
+        payload: banyan_types::Payload::synthetic(100, 9),
+        signature: banyan_crypto::Signature::zero(),
+    };
+    e.on_message(
+        ReplicaId(3),
+        Message::Sync(banyan_types::message::SyncMsg::Response { block }),
+        Time(1_000),
+    );
+    let now = Time(Duration::from_millis(200).as_nanos());
+    let actions = e.on_timer(TimerKind::EpochTick { epoch: 2 }, now);
+    let proposed = actions.outbound.iter().any(|o| {
+        matches!(
+            o,
+            Outbound::Broadcast(Message::Streamlet(StreamletMsg::Proposal { .. }))
+        )
+    });
+    assert!(proposed, "the epoch-2 leader proposes");
+}
