@@ -15,6 +15,12 @@
 //!   and per-replica [`banyan_types::app::ProposalSource`]s together for
 //!   clusters.
 //!
+//! Every engine keeps its blocks, certificates and finalized chain in a
+//! `banyan_storage::ChainStore` (the in-memory `BlockStore` unless
+//! [`builder::ClusterBuilder::chain_stores`] installs another), so every
+//! engine's snapshot has one shape and a `WalStore` makes any of them
+//! durable.
+//!
 //! Engines never mint payloads themselves: each one pulls the next block
 //! payload from its `ProposalSource` (a mempool, a client queue, or the
 //! paper's size-only synthetic workload installed by
