@@ -52,9 +52,17 @@ pub struct StreamletEngine {
     /// proofs served to rejoining replicas over ranged sync), and the
     /// finalized chain.
     store: Box<dyn ChainStore>,
-    /// The rounds that hold a stored block: the store indexes blocks by
+    /// The rounds from the finalized round up that hold a stored block:
+    /// where `longest_notarized_tip` looks. The store indexes blocks by
     /// round but cannot list its rounds, and a scan up to the highest
     /// round would let one block with a huge round stall the engine.
+    /// Rounds below the finalized one are dropped at each commit, so the
+    /// set stays as small as the unfinalized suffix however the store is
+    /// pruned. With at most `f` faults no notarized chain ending there is
+    /// as long as the one through the finalized block and its notarized
+    /// child; a replica still missing blocks below its finalized one may
+    /// then propose on genesis instead of on a stale fork, and no honest
+    /// replica votes for either.
     rounds: BTreeSet<u64>,
     /// Votes per block.
     votes: HashMap<BlockHash, HashMap<u16, Signature>>,
@@ -124,9 +132,15 @@ impl StreamletEngine {
     fn resume(&mut self, snapshot: &ChainSnapshot) {
         self.votes.clear();
         self.voted_epochs.clear();
-        self.rounds = snapshot.blocks.iter().map(|(_, b)| b.round.0).collect();
+        let finalized = snapshot.max_finalized_round().0;
+        self.rounds = snapshot
+            .blocks
+            .iter()
+            .map(|(_, b)| b.round.0)
+            .filter(|&round| round >= finalized)
+            .collect();
         let top = self.rounds.last().copied().unwrap_or(0);
-        self.epoch = top.max(snapshot.committed_round.0);
+        self.epoch = top.max(finalized);
     }
 
     /// Stores a block (a duplicate is ignored).
@@ -328,7 +342,11 @@ impl StreamletEngine {
 
     /// Serves a ranged catch-up fetch: every stored block we hold a
     /// certificate for in `from..=to` (capped), ascending by epoch, then
-    /// hash.
+    /// hash. A certificate whose block we lack is not served: the
+    /// requester's chain, vote and commit rules all walk stored blocks, so
+    /// it could only mark the hash notarized, and Streamlet never fetches
+    /// a single block by hash — the block reaches a rejoining replica in
+    /// a batch, beside its certificate, from a peer that holds both.
     fn serve_range(
         &self,
         from: ReplicaId,
@@ -429,6 +447,7 @@ impl StreamletEngine {
             return;
         }
         baseline::commit_chain(self.store.as_mut(), p2, now, actions);
+        self.rounds = self.rounds.split_off(&self.finalized_round().0);
     }
 }
 

@@ -10,8 +10,14 @@
 //! │ len: u32 │ crc: u32 │ payload: tag u8 + body     │  (little-endian)
 //! └──────────┴──────────┴────────────────────────────┘
 //! tag 0 = Block { hash, block }         tag 2 = Finalize { round, hash }
-//! tag 1 = Notarize { hash, cert? }      tag 3 = Checkpoint(ChainSnapshot)
+//! tag 1 = Notarize { hash, cert? }      tag 4 = Checkpoint(ChainSnapshot)
 //! ```
+//!
+//! Tag 3 was the checkpoint of an older snapshot layout, one that still
+//! carried HotStuff's `justifies` and `committed_view`. Such a record
+//! cannot be read, and cutting it off as a torn tail would erase the rest
+//! of the log, so [`WalStore::open`] refuses the directory with
+//! [`WalError::OldCheckpoint`] instead.
 //!
 //! [`WalStore::open`] replays every segment in ascending order and stops at
 //! the **first** record whose length, checksum, or decode fails — a torn
@@ -103,6 +109,13 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+/// The tag of a [`WalRecord::Checkpoint`].
+const CHECKPOINT_TAG: u8 = 4;
+
+/// The tag of a checkpoint in the older snapshot layout (see the module
+/// docs): a checksummed record with it is an old log, not a torn tail.
+const OLD_CHECKPOINT_TAG: u8 = 3;
+
 /// One durable mutation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum WalRecord {
@@ -139,7 +152,7 @@ impl Wire for WalRecord {
                 out.raw(&hash.0);
             }
             WalRecord::Checkpoint(snap) => {
-                out.u8(3);
+                out.u8(CHECKPOINT_TAG);
                 snap.encode(out);
             }
         }
@@ -159,7 +172,7 @@ impl Wire for WalRecord {
                 round: Round(input.u64()?),
                 hash: BlockHash(input.bytes32()?),
             }),
-            3 => Ok(WalRecord::Checkpoint(ChainSnapshot::decode(input)?)),
+            CHECKPOINT_TAG => Ok(WalRecord::Checkpoint(ChainSnapshot::decode(input)?)),
             _ => Err(CodecError::Invalid("wal record tag")),
         }
     }
@@ -181,12 +194,22 @@ impl Wire for WalRecord {
 pub enum WalError {
     /// Underlying filesystem failure.
     Io(std::io::Error),
+    /// A segment holds a checkpoint in the older snapshot layout; the
+    /// directory is left untouched. Delete it to start the replica over.
+    OldCheckpoint {
+        /// Index of the segment that holds it.
+        segment: u64,
+    },
 }
 
 impl std::fmt::Display for WalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WalError::Io(e) => write!(f, "wal i/o error: {e}"),
+            WalError::OldCheckpoint { segment } => write!(
+                f,
+                "wal segment {segment} holds a checkpoint in an older layout"
+            ),
         }
     }
 }
@@ -220,8 +243,9 @@ fn encode_frame(record: &WalRecord) -> Vec<u8> {
 
 /// Splits a raw segment buffer into records, returning the decoded
 /// records and the byte offset of the first torn/corrupt record (equal to
-/// `buf.len()` when the whole segment is clean).
-fn scan_segment(buf: &[u8]) -> (Vec<WalRecord>, usize) {
+/// `buf.len()` when the whole segment is clean), or `None` at a
+/// checksummed checkpoint in the older layout.
+fn scan_segment(buf: &[u8]) -> Option<(Vec<WalRecord>, usize)> {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while let Some(&[l0, l1, l2, l3, c0, c1, c2, c3]) = buf[pos..].first_chunk::<8>() {
@@ -234,13 +258,16 @@ fn scan_segment(buf: &[u8]) -> (Vec<WalRecord>, usize) {
         if crc32(payload) != crc {
             break;
         }
+        if payload[0] == OLD_CHECKPOINT_TAG {
+            return None;
+        }
         let Ok(record) = WalRecord::from_bytes(payload) else {
             break;
         };
         records.push(record);
         pos += 8 + len;
     }
-    (records, pos)
+    Some((records, pos))
 }
 
 /// The write-ahead-logged chain store: a [`BlockStore`] cache kept as a
@@ -305,7 +332,8 @@ impl WalStore {
             let path = segment_path(&dir, idx);
             let mut buf = Vec::new();
             File::open(&path)?.read_to_end(&mut buf)?;
-            let (records, clean) = scan_segment(&buf);
+            let (records, clean) =
+                scan_segment(&buf).ok_or(WalError::OldCheckpoint { segment: idx })?;
             total_bytes += clean as u64;
             // A rotated segment opens with its checkpoint, which does not
             // count against the rotation limit (see `segment_bytes`).
@@ -639,7 +667,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         fs::write(segment_path(&dir, 0), &segment).unwrap();
 
-        let (scanned, clean) = scan_segment(&segment);
+        let (scanned, clean) = scan_segment(&segment).unwrap();
         assert_eq!(clean, segment.len(), "no record rejected");
         assert_eq!(scanned, records);
 
@@ -696,6 +724,36 @@ mod tests {
             bytes,
             "idempotent mutations append nothing"
         );
+    }
+
+    #[test]
+    fn an_old_layout_checkpoint_is_refused_not_cut_off() {
+        let dir = scratch_dir("old-checkpoint");
+        let (h1, b1) = block(1, BlockHash::ZERO, 1);
+        {
+            let mut wal = WalStore::open(&dir).unwrap();
+            wal.insert(h1, b1);
+        }
+        // A checksummed tag-3 record between two good ones: the old
+        // checkpoint layout, whatever its body.
+        let path = segment_path(&dir, 0);
+        let mut segment = fs::read(&path).unwrap();
+        let good = segment.clone();
+        let old = [OLD_CHECKPOINT_TAG, 0, 0, 0, 0];
+        segment.extend_from_slice(&(old.len() as u32).to_le_bytes());
+        segment.extend_from_slice(&crc32(&old).to_le_bytes());
+        segment.extend_from_slice(&old);
+        segment.extend_from_slice(&good);
+        fs::write(&path, &segment).unwrap();
+        fs::write(segment_path(&dir, 1), &good).unwrap();
+
+        let err = WalStore::open(&dir).unwrap_err();
+        assert!(
+            matches!(err, WalError::OldCheckpoint { segment: 0 }),
+            "{err}"
+        );
+        assert_eq!(fs::read(&path).unwrap(), segment, "segment left whole");
+        assert!(segment_path(&dir, 1).exists(), "later segment kept");
     }
 
     #[test]

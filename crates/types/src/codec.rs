@@ -44,6 +44,9 @@ impl std::error::Error for CodecError {}
 /// hostile length fields.
 pub const MAX_LEN: usize = 64 << 20;
 
+/// Most elements a list decoder reserves room for before any arrive.
+pub const MAX_LIST_RESERVE: usize = 1024;
+
 /// A cursor over an input buffer.
 #[derive(Debug)]
 pub struct Reader<'a> {
@@ -128,15 +131,27 @@ impl<'a> Reader<'a> {
 
     /// Reads a `u32`-prefixed list of `Wire` values.
     pub fn var_list<T: Wire>(&mut self) -> Result<Vec<T>, CodecError> {
+        self.list(T::decode)
+    }
+
+    /// Reads a `u32`-prefixed list, each element with `item`. The count is
+    /// unchecked input, so the up-front reserve is capped twice: by the
+    /// bytes left (every element encodes to at least one byte), which
+    /// keeps a short input claiming millions small, and by
+    /// [`MAX_LIST_RESERVE`], which keeps a large frame from reserving
+    /// room for as many elements as it has bytes. A list that does decode
+    /// past the cap grows as its elements arrive.
+    pub fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
         let len = self.u32()? as usize;
         if len > MAX_LEN {
             return Err(CodecError::LengthOverflow);
         }
-        // Every element encodes to at least one byte: a length the bytes
-        // cannot hold reserves no more than they could.
-        let mut out = Vec::with_capacity(len.min(self.remaining()));
+        let mut out = Vec::with_capacity(len.min(self.remaining()).min(MAX_LIST_RESERVE));
         for _ in 0..len {
-            out.push(T::decode(self)?);
+            out.push(item(self)?);
         }
         Ok(out)
     }

@@ -94,10 +94,10 @@ impl Wire for ChainSnapshot {
 
     fn decode(input: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(ChainSnapshot {
-            blocks: list(input, |r| Ok((BlockHash(r.bytes32()?), Block::decode(r)?)))?,
-            notarized: list(input, |r| Ok(BlockHash(r.bytes32()?)))?,
+            blocks: input.list(|r| Ok((BlockHash(r.bytes32()?), Block::decode(r)?)))?,
+            notarized: input.list(|r| Ok(BlockHash(r.bytes32()?)))?,
             notarizations: input.var_list()?,
-            finalized: list(input, |r| Ok((Round(r.u64()?), BlockHash(r.bytes32()?))))?,
+            finalized: input.list(|r| Ok((Round(r.u64()?), BlockHash(r.bytes32()?))))?,
             committed_round: Round(input.u64()?),
         })
     }
@@ -120,23 +120,6 @@ impl Wire for ChainSnapshot {
             + 40 * self.finalized.len()
             + 8
     }
-}
-
-/// Reads a `u32`-prefixed list whose elements each encode to at least 32
-/// bytes, reserving no more than the remaining bytes could hold.
-fn list<T>(
-    input: &mut Reader<'_>,
-    mut item: impl FnMut(&mut Reader<'_>) -> Result<T, CodecError>,
-) -> Result<Vec<T>, CodecError> {
-    let n = input.u32()? as usize;
-    if n > crate::codec::MAX_LEN {
-        return Err(CodecError::LengthOverflow);
-    }
-    let mut out = Vec::with_capacity(n.min(input.remaining() / 32));
-    for _ in 0..n {
-        out.push(item(input)?);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

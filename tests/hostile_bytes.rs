@@ -11,7 +11,9 @@
 //!
 //! This test binary's allocator records the largest single allocation its
 //! thread makes, and every decode must stay under a bound linear in its
-//! input.
+//! input. A list's up-front reserve is also capped at a fixed element
+//! count, whatever the input's size: a megabyte frame whose count claims
+//! a million blocks is checked for that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,10 +23,12 @@ use std::sync::OnceLock;
 
 use banyan::crypto::{AggregateSignature, Signature, SignerBitmap};
 use banyan::mempool::{Request, WorkloadBatch};
-use banyan::storage::wal::crc32;
+use banyan::storage::wal::{crc32, WalError};
 use banyan::storage::{ChainStore, WalStore};
 use banyan::types::certs::Notarization;
+use banyan::types::codec::{Wire, MAX_LIST_RESERVE};
 use banyan::types::ids::{BlockHash, Rank, ReplicaId, Round};
+use banyan::types::message::{Message, SyncMsg};
 use banyan::types::payload::Payload;
 use banyan::types::time::Time;
 use banyan::types::Block;
@@ -201,8 +205,9 @@ fn batches() -> &'static [Vec<u8>] {
 
 proptest! {
     /// A segment holding one record of arbitrary bytes, framed with a
-    /// valid checksum, replays without a panic: the record is applied or
-    /// cut off as a torn tail.
+    /// valid checksum, replays without a panic: the record is applied, cut
+    /// off as a torn tail or, carrying the older checkpoint layout's tag,
+    /// refused.
     #[test]
     fn arbitrary_wal_records_never_panic_replay(record in hostile(wal_records)) {
         prop_assume!(!record.is_empty());
@@ -243,7 +248,14 @@ fn replay(name: &str, record: &[u8]) -> (usize, usize) {
     segment.extend_from_slice(record);
     fs::write(dir.join("wal-000000.log"), &segment).expect("write the segment");
     let (opened, peak) = peak_allocation(|| WalStore::open(&dir));
-    opened.expect("replay reports damage as a torn tail, not an error");
+    match opened {
+        Err(WalError::OldCheckpoint { .. }) => {
+            assert_eq!(record[0], 3, "only tag 3 is the older checkpoint layout");
+        }
+        other => {
+            other.expect("replay reports damage as a torn tail, not an error");
+        }
+    }
     (segment.len(), peak)
 }
 
@@ -252,8 +264,8 @@ fn replay(name: &str, record: &[u8]) -> (usize, usize) {
 #[test]
 fn a_checkpoint_claiming_millions_of_entries_allocates_only_what_arrives() {
     for list in 0..4 {
-        // Tag 3 (checkpoint), `list` empty lists, then the bogus count.
-        let mut record = vec![3u8];
+        // Tag 4 (checkpoint), `list` empty lists, then the bogus count.
+        let mut record = vec![4u8];
         record.extend(std::iter::repeat_n(0u8, 4 * list));
         record.extend_from_slice(&0x00FF_FFFFu32.to_le_bytes());
         let (len, peak) = replay("claims", &record);
@@ -262,4 +274,30 @@ fn a_checkpoint_claiming_millions_of_entries_allocates_only_what_arrives() {
             "list {list}: a {len}-byte segment allocated {peak} bytes at once"
         );
     }
+}
+
+/// A 1 MiB `ResponseBatch` whose count claims a million blocks reserves
+/// room for at most `MAX_LIST_RESERVE` of them: bounding the reserve by
+/// the bytes left alone would let a large frame reserve a block's size
+/// per byte it carries (about 150 MB here, gigabytes at `MAX_FRAME`).
+#[test]
+fn a_large_frame_claiming_a_million_blocks_reserves_a_bounded_list() {
+    let empty = Message::Sync(SyncMsg::ResponseBatch {
+        blocks: Vec::new(),
+        notarizations: Vec::new(),
+    });
+    let mut frame = empty.to_bytes();
+    // The two empty lists' counts end the encoding: claim 1 M blocks,
+    // then fill the megabyte with bytes that fail the first block's
+    // payload discriminant, so nothing but the reserve is allocated.
+    let blocks_count = frame.len() - 8;
+    frame[blocks_count..blocks_count + 4].copy_from_slice(&(1u32 << 20).to_le_bytes());
+    frame.resize(1 << 20, 0xFF);
+    let (decoded, peak) = peak_allocation(|| Message::from_bytes(&frame));
+    assert!(decoded.is_err(), "0xFF is no payload discriminant");
+    let bound = MAX_LIST_RESERVE * std::mem::size_of::<Block>();
+    assert!(
+        peak <= bound,
+        "a 1 MiB frame allocated {peak} bytes at once (bound {bound})"
+    );
 }
