@@ -29,7 +29,8 @@
 //! `on_message` re-runs the `progress` fixpoint only if it did. Nothing
 //! unverified is ever merged, and what is skipped could not have been
 //! merged (see `docs/ARCHITECTURE.md`, "What the engine verifies, and
-//! when").
+//! when"). Nor is a block hashed twice: a copy of a block the store
+//! holds is recognised by equality with it and takes its hash.
 //!
 //! **Rules look at what changed.** Every change to a round's state marks
 //! the round touched (`round_entry`; `restore` marks them all), and
@@ -808,10 +809,21 @@ impl ChainedEngine {
         if block.rank != expected {
             return changed;
         }
-        let hash = block.hash(self.cfg.payload_chunk);
+        // A copy of a block we hold (a peer's relay, a repeated sync reply)
+        // is recognised by equality and takes the stored block's hash:
+        // equal blocks hash alike, and comparing costs at most a memcmp
+        // where hashing walks the payload. Anything else — a relay with a
+        // flipped byte, an equivocating leader's second block — is hashed.
+        let held = self
+            .store
+            .round_blocks(block.round)
+            .iter()
+            .find(|h| self.store.get(h) == Some(&block))
+            .copied();
+        let hash = held.unwrap_or_else(|| block.hash(self.cfg.payload_chunk));
         // A hash already in the store is that exact block, authenticated
         // when it was adopted: a relay of it needs no second check.
-        let stored = self.store.contains(&hash);
+        let stored = held.is_some() || self.store.contains(&hash);
         if !stored
             && !self.verify.verify(
                 block.proposer.0,

@@ -231,35 +231,48 @@ impl StreamletEngine {
         }
     }
 
-    fn handle_proposal(&mut self, block: Block, now: Time, actions: &mut Actions) {
+    /// Stores `block` if it is new and its epoch leader's, signed by it:
+    /// the checks every block passes before the store takes it, whether
+    /// it came as a proposal or in a sync reply. Returns its hash if it
+    /// was stored.
+    fn admit(&mut self, block: Block) -> Option<BlockHash> {
         let epoch = block.round.0;
         if epoch == 0 || block.proposer != self.leader(epoch) {
-            return;
+            return None;
         }
         let hash = block.hash(self.cfg.payload_chunk);
         if self.store.contains(&hash) {
-            return;
+            return None;
         }
         if !self.verify.verify(
             block.proposer.0,
             &Block::signing_message(&hash),
             &block.signature,
         ) {
-            return;
+            return None;
         }
-        self.store_block(hash, block.clone());
+        self.store_block(hash, block);
+        Some(hash)
+    }
+
+    fn handle_proposal(&mut self, block: Block, now: Time, actions: &mut Actions) {
+        let (round, parent) = (block.round, block.parent);
+        let Some(hash) = self.admit(block) else {
+            return;
+        };
 
         // Vote if we haven't voted this epoch and the proposal extends a
         // longest notarized chain.
+        let epoch = round.0;
         let (_, longest) = self.longest_notarized_tip();
-        let parent_len = self.notarized_chain_len(&block.parent);
+        let parent_len = self.notarized_chain_len(&parent);
         if !self.voted_epochs.contains(&epoch) && epoch >= self.epoch && parent_len == Some(longest)
         {
             self.voted_epochs.insert(epoch);
-            let msg = Vote::signing_message(VoteKind::Notarize, block.round, &hash);
+            let msg = Vote::signing_message(VoteKind::Notarize, round, &hash);
             let vote = Vote {
                 kind: VoteKind::Notarize,
-                round: block.round,
+                round,
                 block: hash,
                 voter: self.id,
                 signature: self.registry.sign(&msg),
@@ -299,7 +312,8 @@ impl StreamletEngine {
     }
 
     /// Block-sync handling: serve single blocks, serve certified round
-    /// ranges to rejoining replicas, and adopt served batches. Adoption is
+    /// ranges to rejoining replicas, and adopt served blocks, each only
+    /// after the checks a proposal passes (`admit`). Adoption is
     /// what reconnects a restarted replica's chain: its vote rule needs an
     /// unbroken notarized path to the longest tip, so without the
     /// downtime-gap blocks it could notarize and commit but never vote
@@ -313,8 +327,7 @@ impl StreamletEngine {
                 }
             }
             SyncMsg::Response { block } => {
-                let hash = block.hash(self.cfg.payload_chunk);
-                self.store_block(hash, block);
+                self.admit(block);
             }
             SyncMsg::RequestRange {
                 from_round,
@@ -327,8 +340,7 @@ impl StreamletEngine {
                 notarizations,
             } => {
                 for block in blocks {
-                    let hash = block.hash(self.cfg.payload_chunk);
-                    self.store_block(hash, block);
+                    self.admit(block);
                 }
                 for cert in notarizations {
                     self.adopt_notarization(cert, now, actions);

@@ -551,28 +551,48 @@ fn streamlet_votes_once_per_epoch() {
     assert!(!voted2, "one vote per epoch");
 }
 
-/// A stored block far in the future — a sync response is stored without
-/// checks — does not stall the longest-chain search the next proposal
-/// runs.
-#[test]
-fn streamlet_a_far_future_block_does_not_stall_the_next_proposal() {
-    // Replica 1 leads epoch 2.
-    let mut e = streamlet(1);
-    e.on_init(Time(0));
-    let block = banyan_types::Block {
-        round: Round(u64::MAX),
-        proposer: ReplicaId(3),
+/// A block of epoch `epoch` by `proposer` on genesis, signed by `signer`
+/// (`None`: the zero signature).
+fn streamlet_block(epoch: u64, proposer: u16, signer: Option<u16>) -> banyan_types::Block {
+    let mut block = banyan_types::Block {
+        round: Round(epoch),
+        proposer: ReplicaId(proposer),
         rank: banyan_types::Rank(0),
         parent: BlockHash::ZERO,
         proposed_at: Time(0),
         payload: banyan_types::Payload::synthetic(100, 9),
         signature: banyan_crypto::Signature::zero(),
     };
+    if let Some(signer) = signer {
+        let hash = block.hash(ProtocolConfig::new(N, 1, 1).unwrap().payload_chunk);
+        block.signature = registry(signer).sign(&banyan_types::Block::signing_message(&hash));
+    }
+    block
+}
+
+/// True if `e`'s store holds `block`.
+fn streamlet_holds(e: &StreamletEngine, block: &banyan_types::Block) -> bool {
+    e.snapshot().blocks.iter().any(|(_, b)| b == block)
+}
+
+/// A stored block far in the future — its epoch leader's, signed, as a
+/// sync response is stored only then — does not stall the longest-chain
+/// search the next proposal runs.
+#[test]
+fn streamlet_a_far_future_block_does_not_stall_the_next_proposal() {
+    // Replica 1 leads epoch 2; replica 2 leads epoch u64::MAX.
+    let mut e = streamlet(1);
+    e.on_init(Time(0));
+    let leader = Beacon::new(BeaconMode::RoundRobin, N).leader(u64::MAX - 1);
+    let block = streamlet_block(u64::MAX, leader, Some(leader));
     e.on_message(
         ReplicaId(3),
-        Message::Sync(banyan_types::message::SyncMsg::Response { block }),
+        Message::Sync(banyan_types::message::SyncMsg::Response {
+            block: block.clone(),
+        }),
         Time(1_000),
     );
+    assert!(streamlet_holds(&e, &block), "the signed block is stored");
     let now = Time(Duration::from_millis(200).as_nanos());
     let actions = e.on_timer(TimerKind::EpochTick { epoch: 2 }, now);
     let proposed = actions.outbound.iter().any(|o| {
@@ -582,4 +602,48 @@ fn streamlet_a_far_future_block_does_not_stall_the_next_proposal() {
         )
     });
     assert!(proposed, "the epoch-2 leader proposes");
+}
+
+/// A sync reply's block passes the checks a proposal does: an unsigned
+/// block, a block signed by someone other than its proposer and a block
+/// whose proposer does not lead its epoch are not stored, in a single
+/// `Response` or in a `ResponseBatch`; the epoch leader's signed block is.
+#[test]
+fn streamlet_stores_a_synced_block_only_after_a_proposals_checks() {
+    use banyan_types::message::SyncMsg;
+    // Replica 0 leads epoch 1 and proposes at init; replica 2 leads
+    // epoch 3.
+    let refused = [
+        streamlet_block(3, 2, None),
+        streamlet_block(3, 2, Some(1)),
+        streamlet_block(3, 1, Some(1)),
+    ];
+    let signed = streamlet_block(3, 2, Some(2));
+    for batched in [false, true] {
+        let mut e = streamlet(1);
+        e.on_init(Time(0));
+        for block in refused.iter().chain([&signed]) {
+            let block = block.clone();
+            let msg = if batched {
+                SyncMsg::ResponseBatch {
+                    blocks: vec![block],
+                    notarizations: vec![],
+                }
+            } else {
+                SyncMsg::Response { block }
+            };
+            e.on_message(ReplicaId(3), Message::Sync(msg), Time(1_000));
+        }
+        for (k, block) in refused.iter().enumerate() {
+            assert!(
+                !streamlet_holds(&e, block),
+                "batched {batched}: block {k} stored"
+            );
+        }
+        assert!(
+            streamlet_holds(&e, &signed),
+            "batched {batched}: the leader's block"
+        );
+        assert_eq!(e.snapshot().blocks.len(), 1);
+    }
 }

@@ -4,6 +4,11 @@
 //! included — emits anything, while evidence that *is* new is still
 //! verified, whichever channel happens to carry it first. Counted
 //! through `Engine::verify_stats()`.
+//!
+//! Blocks are hashed once too: a copy of a held block is recognised by
+//! equality, which the payload's commitment memo shows — a copy that was
+//! never hashed has none — while a tampered relay and an equivocating
+//! leader's second block are hashed and checked.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -64,6 +69,16 @@ impl Cluster {
 
     /// The round leader's signed block on `parent`.
     fn leader_block(&self, round: u64, parent: BlockHash) -> (BlockHash, Block) {
+        self.leader_block_with(round, parent, Payload::synthetic(1_000, round))
+    }
+
+    /// The round leader's signed block on `parent`, carrying `payload`.
+    fn leader_block_with(
+        &self,
+        round: u64,
+        parent: BlockHash,
+        payload: Payload,
+    ) -> (BlockHash, Block) {
         let proposer = (round % self.n() as u64) as u16;
         let mut block = Block {
             round: Round(round),
@@ -71,7 +86,7 @@ impl Cluster {
             rank: Rank(0),
             parent,
             proposed_at: Time(0),
-            payload: Payload::synthetic(1_000, round),
+            payload,
             signature: Signature::zero(),
         };
         let hash = block.hash(self.cfg.payload_chunk);
@@ -308,6 +323,131 @@ fn first_leader_fast_vote_for_a_stored_block_is_still_verified() {
         "the block became valid and was voted on: {cast:?}"
     );
     assert_replays_are_free(&mut e, c.n(), &relay(genuine), 3);
+}
+
+/// `block` with its payload bytes copied into a buffer of their own, as a
+/// frame decoder hands over every copy it reads: equal bytes, no shared
+/// commitment memo.
+fn fresh_copy(block: &Block) -> Block {
+    let bytes = block.payload.as_inline().expect("an inline payload");
+    Block {
+        payload: Payload::inline(bytes.to_vec()),
+        ..block.clone()
+    }
+}
+
+fn proposal(block: Block, fast_vote: Option<Vote>) -> Message {
+    Message::Chained(ChainedMsg::Proposal {
+        block,
+        parent_notarization: None,
+        parent_unlock: None,
+        fast_vote,
+    })
+}
+
+/// Replica 0 of n = 4 holding round 1's leader block with an inline
+/// payload, taken in from its proposer with the leader's fast vote.
+fn holding_an_inline_block(c: &Cluster) -> (ChainedEngine, BlockHash, Block) {
+    let mut e = c.engine(0);
+    e.on_init(Time(0));
+    let (b1, block1) = c.leader_block_with(1, BlockHash::ZERO, Payload::inline(vec![0x5A; 4_096]));
+    let fast = c.vote(1, VoteKind::Fast, 1, b1);
+    e.on_message(
+        ReplicaId(1),
+        proposal(block1.clone(), Some(fast)),
+        Time(1_000),
+    );
+    assert!(e.store().contains(&b1));
+    assert_eq!(sigs(&e), 2, "proposer signature and fast vote");
+    (e, b1, block1)
+}
+
+/// A relay of a held block, or a sync reply carrying it, arrives in a
+/// buffer of its own with equal bytes: the engine recognises it by
+/// equality with the stored block and never walks its payload — the
+/// payload's commitment memo, seen through a clone kept here, stays
+/// empty — nor checks its signature.
+#[test]
+fn a_relayed_copy_of_a_held_block_is_not_hashed() {
+    let c = Cluster::new(4, 1, 1);
+    let chunk = c.cfg.payload_chunk;
+    let (mut e, b1, block1) = holding_an_inline_block(&c);
+    let fast = c.vote(1, VoteKind::Fast, 1, b1);
+    let relay = fresh_copy(&block1);
+    let reply = fresh_copy(&block1);
+    let kept = [relay.payload.clone(), reply.payload.clone()];
+    assert!(!kept[0].ptr_eq(&block1.payload));
+
+    let actions = e.on_message(ReplicaId(2), proposal(relay, Some(fast)), Time(2_000));
+    assert!(
+        actions.is_empty(),
+        "a relay of a held block emitted {actions:?}"
+    );
+    let response = Message::Sync(SyncMsg::Response { block: reply });
+    let actions = e.on_message(ReplicaId(3), response, Time(3_000));
+    assert!(
+        actions.is_empty(),
+        "a repeated sync reply emitted {actions:?}"
+    );
+
+    for (which, payload) in ["relay", "sync reply"].into_iter().zip(&kept) {
+        assert_eq!(
+            payload.memoized_commitment(chunk),
+            None,
+            "the {which} was hashed"
+        );
+    }
+    assert_eq!(sigs(&e), 2, "a copy of a held block verified a signature");
+    assert_eq!(e.store().round_blocks(Round(1)), &[b1]);
+}
+
+/// A relay that keeps the proposer's header and signature but flips one
+/// payload byte is not the held block: it is hashed, its signature fails
+/// against that hash, and nothing is stored.
+#[test]
+fn a_relay_with_a_flipped_payload_byte_is_hashed_and_refused() {
+    let c = Cluster::new(4, 1, 1);
+    let chunk = c.cfg.payload_chunk;
+    let (mut e, b1, block1) = holding_an_inline_block(&c);
+    let mut bytes = block1.payload.as_inline().expect("inline").to_vec();
+    bytes[1_000] ^= 0x01;
+    let tampered = Block {
+        payload: Payload::inline(bytes),
+        ..block1.clone()
+    };
+    let kept = tampered.payload.clone();
+
+    let actions = e.on_message(ReplicaId(2), proposal(tampered.clone(), None), Time(2_000));
+    assert!(actions.is_empty(), "a tampered relay emitted {actions:?}");
+    assert!(
+        kept.memoized_commitment(chunk).is_some(),
+        "the tampered relay was not hashed"
+    );
+    assert_eq!(sigs(&e), 3, "its signature is checked against its own hash");
+    assert!(!e.store().contains(&tampered.hash(chunk)));
+    assert_eq!(e.store().round_blocks(Round(1)), &[b1]);
+}
+
+/// An equivocating leader's second round-1 block shares the round, the
+/// proposer and the rank with the held one but not its payload: it is
+/// hashed, verified and stored beside the first, as before.
+#[test]
+fn an_equivocating_leaders_second_block_is_hashed_and_stored() {
+    let c = Cluster::new(4, 1, 1);
+    let chunk = c.cfg.payload_chunk;
+    let (mut e, b1, _) = holding_an_inline_block(&c);
+    let (b1x, signed) = c.leader_block_with(1, BlockHash::ZERO, Payload::inline(vec![0xA5; 4_096]));
+    assert_ne!(b1x, b1);
+    let second = fresh_copy(&signed);
+    let kept = second.payload.clone();
+
+    e.on_message(ReplicaId(1), proposal(second, None), Time(2_000));
+    assert_eq!(
+        kept.memoized_commitment(chunk),
+        Some(signed.payload.commitment(chunk))
+    );
+    assert_eq!(sigs(&e), 3, "the second block's signature is checked");
+    assert_eq!(e.store().round_blocks(Round(1)), &[b1, b1x]);
 }
 
 /// The budget: on a seeded n = 4 happy path the whole cluster verifies

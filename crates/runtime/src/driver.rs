@@ -93,6 +93,21 @@ impl TimerSet {
         self.queue.next_at()
     }
 
+    /// Pops the engine timers of rounds before `current_round` from the
+    /// head of the heap, up to the first wake-up that is not one. Returns
+    /// how many it dropped.
+    fn drop_stale_heads(&mut self, current_round: Round) -> u64 {
+        let mut dropped = 0;
+        while let Some((_, Wake::Timer(kind))) = self.queue.peek() {
+            if !is_stale(kind, current_round) {
+                break;
+            }
+            self.queue.pop();
+            dropped += 1;
+        }
+        dropped
+    }
+
     /// Pops the earliest wake-up if it is due at `now`. Equal deadlines pop
     /// in arming order.
     fn pop_due(&mut self, now: Time) -> Option<(Time, Wake)> {
@@ -207,8 +222,18 @@ impl<P: ReplicaPool> Replica<P> {
         self.engine.is_some()
     }
 
-    /// Deadline of the earliest pending wake-up.
-    pub fn next_deadline(&self) -> Option<Time> {
+    /// Deadline of the earliest pending wake-up that can still do
+    /// something: engine timers of rounds the engine has left are first
+    /// dropped from the head of the heap (and counted, once, in
+    /// [`stale_timers_dropped`](Self::stale_timers_dropped)), so a driver
+    /// that waits on this deadline does not wake for them. Such a timer
+    /// behind a live one is dropped when it reaches the head, or when it
+    /// pops. A driver that schedules one [`on_timer`](Self::on_timer) per
+    /// [`ReplicaIo::armed`] — the simulator — never asks.
+    pub fn next_deadline(&mut self) -> Option<Time> {
+        if let Some(engine) = &self.engine {
+            self.stale_timers += self.timers.drop_stale_heads(engine.current_round());
+        }
         self.timers.next_deadline()
     }
 
@@ -640,6 +665,47 @@ mod tests {
         assert_eq!(pops, 3, "one wake-up per armed timer, stale or not");
         assert_eq!(log.fired(), [5]);
         assert_eq!(replica.stale_timers_dropped(), 2);
+        assert_eq!(replica.next_deadline(), None);
+    }
+
+    /// A replica several rounds past the timers it armed reports the
+    /// earliest live deadline, not a dead timer's; each stale timer is
+    /// counted once, whether `next_deadline` or `on_timer` drops it.
+    #[test]
+    fn next_deadline_skips_the_timers_of_rounds_left() {
+        let (mut replica, mut log) = scripted(
+            1,
+            vec![
+                timer(10, propose(1)),
+                timer(20, TimerKind::RoundTimeout { round: 2 }),
+                timer(30, propose(3)),
+                timer(40, propose(4)),
+                timer(50, TimerKind::RoundTimeout { round: 2 }),
+            ],
+        );
+        assert_eq!(replica.next_deadline(), Some(Time(10)), "round 1 is live");
+        // Every frame moves the scripted engine one round on: to round 4.
+        let request = Message::Sync(SyncMsg::Request {
+            hash: BlockHash::ZERO,
+        });
+        for _ in 0..3 {
+            replica.on_frame(ReplicaId(1), request.clone(), Time(5), &mut log);
+        }
+        assert_eq!(replica.next_deadline(), Some(Time(40)));
+        assert_eq!(replica.stale_timers_dropped(), 3);
+        assert_eq!(
+            replica.next_deadline(),
+            Some(Time(40)),
+            "asking drops nothing more"
+        );
+        assert_eq!(replica.stale_timers_dropped(), 3);
+        while replica.on_timer(Time(60), &mut log) != Due::Nothing {}
+        assert_eq!(log.fired(), [4]);
+        assert_eq!(
+            replica.stale_timers_dropped(),
+            4,
+            "the one behind the live timer"
+        );
         assert_eq!(replica.next_deadline(), None);
     }
 

@@ -75,6 +75,13 @@ impl<T> EventQueue<T> {
         self.heap.peek().map(|Reverse((at, ..))| *at)
     }
 
+    /// The earliest entry, left in place.
+    pub fn peek(&self) -> Option<(Time, &T)> {
+        let Reverse((at, _, slot)) = self.heap.peek()?;
+        let item = self.slots[*slot as usize].as_ref()?;
+        Some((*at, item))
+    }
+
     /// Removes and returns the earliest entry.
     pub fn pop(&mut self) -> Option<(Time, T)> {
         let Reverse((at, _, slot)) = self.heap.pop()?;
@@ -122,6 +129,7 @@ mod tests {
         q.push(Time(10), "a");
         q.push(Time(20), "b");
         assert_eq!(q.next_at(), Some(Time(10)));
+        assert_eq!(q.peek(), Some((Time(10), &"a")));
         assert_eq!(q.pop(), Some((Time(10), "a")));
         assert_eq!(q.pop(), Some((Time(20), "b")));
         assert_eq!(q.pop(), Some((Time(30), "c")));

@@ -11,8 +11,9 @@
 //!  replica loop (reads and splits frames)
 //!     │  worker = from % W, try_send; a full queue holds the frame and
 //!     ▼  pauses that connection's reads, never the loop
-//!  verify workers (× W): every block a frame carries → its payload
-//!     │  commitment (the SHA-256 walk), memoized on the payload buffer
+//!  verify workers (× W): each block its proposer sent, or a sync reply
+//!     │  carries → its payload commitment (the SHA-256 walk), memoized
+//!     │  on the payload buffer; relays pass untouched
 //!     ▼  every frame back, in order, then a wake-up if the loop is parked
 //!  replica loop: what an inline replica does with the frame
 //! ```
@@ -22,7 +23,11 @@
 //! the frame it decoded (the same `Inbound::classify`, pool intake, lease
 //! observation and engine call). What the stage buys is the commitment
 //! walk off the loop's thread: every later `Block::hash` of the payload is
-//! one header SHA. Signatures are the engine's to check. Routing a peer's
+//! one header SHA. A proposal relayed by a peer other than its proposer
+//! is not hashed here: the engine recognises a copy of a block it holds
+//! by equality with the stored block, so at n = 4 a block's payload is
+//! walked once per replica (4 times) rather than once per copy received
+//! (13). Signatures are the engine's to check. Routing a peer's
 //! frames to worker `from % verify_workers` keeps per-peer FIFO order
 //! while different peers hash in parallel.
 //!
@@ -125,12 +130,18 @@ impl PipelineStats {
 }
 
 /// The verify-stage work for one decoded frame: walks the payload
-/// commitment of every block the frame carries
-/// ([`Message::carried_blocks`]: proposals, sync responses, catch-up
-/// batches) at `config.payload_chunk`, which memoizes the root on the
-/// payload's shared buffer, counts the frame `verified`, and hands it back
-/// unchanged. Every frame goes on to the loop, which does with it what an
-/// inline replica does.
+/// commitment of each block the frame carries
+/// ([`Message::carried_blocks`]) that `from` proposed, or that came in a
+/// sync reply (`Response`, `ResponseBatch`), at `config.payload_chunk`,
+/// which memoizes the root on the payload's shared buffer; counts the
+/// frame `verified`, and hands it back unchanged. Every frame goes on to
+/// the loop, which does with it what an inline replica does.
+///
+/// A proposal relayed by anyone but its proposer is left unhashed: it is
+/// nearly always a copy of a block the engine already holds, which the
+/// engine recognises by equality with the stored block without hashing
+/// it. A relay that overtook its original, or differs from it, is hashed
+/// by the engine instead.
 ///
 /// `_pool` is not used: the pool work (intake, lease observation) is the
 /// loop's, on both paths. The parameter stays while the repository
@@ -142,8 +153,11 @@ pub fn verify_frame(
     config: &PipelineConfig,
     stats: &PipelineStats,
 ) -> (ReplicaId, Message) {
+    let sync_reply = matches!(msg, Message::Sync(_));
     for block in msg.carried_blocks() {
-        block.payload.commitment(config.payload_chunk);
+        if sync_reply || block.proposer == from {
+            block.payload.commitment(config.payload_chunk);
+        }
     }
     stats.verified.fetch_add(1, Ordering::Relaxed);
     (from, msg)
@@ -430,6 +444,65 @@ mod tests {
         pool.sync_ingest();
         assert_eq!(pool.len(), 0, "the stage fed the pool");
         assert_eq!(pool.pool().live_leases(), 0, "the stage leased a block");
+    }
+
+    /// The stage walks the payload of what a block's proposer sent and of
+    /// every sync reply, and leaves a relay's to the engine, which
+    /// recognises a held block by equality: a relay's buffer comes back
+    /// with no commitment memoized.
+    #[test]
+    fn verify_frame_hashes_originals_and_sync_replies_but_not_relays() {
+        use banyan_types::message::{ChainedMsg, SyncMsg};
+        use banyan_types::payload::Payload;
+        let config = PipelineConfig::default();
+        let chunk = config.payload_chunk;
+        let stats = PipelineStats::default();
+        let block = block_batching(req(7));
+        assert_eq!(block.proposer, ReplicaId(0));
+        // A decoder's copy: equal bytes in a buffer of its own.
+        let copy = || Block {
+            payload: Payload::inline(block.payload.as_inline().expect("inline").to_vec()),
+            ..block.clone()
+        };
+        let proposal = |block| {
+            Message::Chained(ChainedMsg::Proposal {
+                block,
+                parent_notarization: None,
+                parent_unlock: None,
+                fast_vote: None,
+            })
+        };
+        let memoized = |msg: &Message| {
+            msg.carried_blocks()
+                .map(|b| b.payload.memoized_commitment(chunk).is_some())
+                .collect::<Vec<_>>()
+        };
+        let frames = [
+            (ReplicaId(0), proposal(copy()), vec![true]),
+            (ReplicaId(2), proposal(copy()), vec![false]),
+            (
+                ReplicaId(3),
+                Message::Sync(SyncMsg::Response { block: copy() }),
+                vec![true],
+            ),
+            (
+                ReplicaId(3),
+                Message::Sync(SyncMsg::ResponseBatch {
+                    blocks: vec![copy(), copy()],
+                    notarizations: vec![],
+                }),
+                vec![true, true],
+            ),
+        ];
+        for (k, (from, msg, hashed)) in frames.into_iter().enumerate() {
+            assert!(
+                memoized(&msg).iter().all(|m| !m),
+                "frame {k} arrived hashed"
+            );
+            let (_, out) = verify_frame(from, msg, None, &config, &stats);
+            assert_eq!(memoized(&out), hashed, "frame {k} from {from:?}");
+        }
+        assert_eq!(stats.snapshot().verified, 4);
     }
 
     /// The blocks of a catch-up batch are leased by the loop's

@@ -30,7 +30,12 @@
 //! only its peer, whose socket the wait then watches. Staged, a frame goes
 //! to worker `from % W` by `try_send` (a blocking send could deadlock on
 //! the loop's full event channel); a full worker queue refuses it for the
-//! connection to hold.
+//! connection to hold. A worker hashes the payloads a block's proposer
+//! sent and those of sync replies, and leaves relays alone: on both paths
+//! the engine recognises a relayed copy of a block it holds by equality,
+//! so each block is hashed once per replica. The loop waits until the
+//! earliest live timer: [`Replica::next_deadline`] drops the timers of
+//! rounds already left before it answers.
 //!
 //! Workers and a client's push into an idle pool wake the parked loop
 //! through a socket pair the wait watches, writing a byte only while the

@@ -16,7 +16,14 @@ use crate::payload::Payload;
 use crate::time::Time;
 
 /// A proposed block.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Equality compares every field, the payload last: two blocks that
+/// differ in a header field or the signature are told apart without
+/// reading their payloads, and equal inline payloads compare by pointer
+/// when they share a buffer, by `memcmp` otherwise. Equal blocks have
+/// equal [`hash`](Block::hash)es, so a replica holding a block can
+/// recognise a copy of it without hashing the copy.
+#[derive(Clone, Debug, Eq)]
 pub struct Block {
     /// Round (= block-tree height) this block belongs to.
     pub round: Round,
@@ -35,6 +42,18 @@ pub struct Block {
     pub payload: Payload,
     /// Proposer's signature over [`Block::hash`].
     pub signature: Signature,
+}
+
+impl PartialEq for Block {
+    fn eq(&self, other: &Self) -> bool {
+        self.round == other.round
+            && self.proposer == other.proposer
+            && self.rank == other.rank
+            && self.parent == other.parent
+            && self.proposed_at == other.proposed_at
+            && self.signature == other.signature
+            && self.payload == other.payload
+    }
 }
 
 impl Block {
@@ -162,6 +181,25 @@ mod tests {
         b.payload = Payload::inline(vec![2; 64]);
         assert_ne!(b.hash(chunk), h);
         assert_eq!(holder.hash(chunk), h);
+    }
+
+    #[test]
+    fn equality_covers_every_field() {
+        let mut base = sample();
+        base.payload = Payload::inline(vec![3; 64]);
+        // A distinct buffer with equal bytes is an equal block.
+        let mut copy = base.clone();
+        copy.payload = Payload::inline(vec![3; 64]);
+        assert_eq!(copy, base);
+        let mut b = base.clone();
+        b.signature = Signature([5u8; 64]);
+        assert_ne!(b, base);
+        let mut b = base.clone();
+        b.proposed_at = Time(1);
+        assert_ne!(b, base);
+        let mut b = base.clone();
+        b.payload = Payload::inline(vec![4; 64]);
+        assert_ne!(b, base);
     }
 
     #[test]

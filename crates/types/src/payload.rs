@@ -52,16 +52,20 @@ impl InlineBytes {
     /// Merkle root over `chunk_size` pieces, computed at most once per
     /// allocation for the first chunk size asked for.
     fn root(&self, chunk_size: usize) -> [u8; 32] {
-        if let Some(&(chunk, root)) = self.0.root.get() {
-            if chunk == chunk_size {
-                return root;
-            }
+        if let Some(root) = self.memoized_root(chunk_size) {
+            return root;
         }
         let root = payload_root(&self.0.bytes, chunk_size);
         // First writer wins: a slot already taken (another chunk size, or
         // a concurrent first call with this one) is left as it is.
         let _ = self.0.root.set((chunk_size, root));
         root
+    }
+
+    /// The memoized root if one was computed at `chunk_size`.
+    fn memoized_root(&self, chunk_size: usize) -> Option<[u8; 32]> {
+        let &(chunk, root) = self.0.root.get()?;
+        (chunk == chunk_size).then_some(root)
     }
 
     /// True if both handles point at the same allocation (and therefore
@@ -191,6 +195,18 @@ impl Payload {
         }
     }
 
+    /// The commitment an earlier [`commitment`](Self::commitment) call
+    /// memoized on this inline payload's buffer at `chunk_size`, computing
+    /// nothing: `None` if no clone of the buffer was hashed at that chunk
+    /// size yet, and always for a synthetic payload, which memoizes
+    /// nothing. Tells whether a copy of a payload was ever hashed.
+    pub fn memoized_commitment(&self, chunk_size: usize) -> Option<[u8; 32]> {
+        match self {
+            Payload::Inline(bytes) => bytes.memoized_root(chunk_size),
+            Payload::Synthetic { .. } => None,
+        }
+    }
+
     /// Bytes that travel on the wire beyond the encoded struct itself.
     ///
     /// For synthetic payloads this is the full logical length; the
@@ -299,6 +315,19 @@ mod tests {
         let b = Payload::inline(b"aaab".to_vec());
         assert_ne!(a.commitment(2), b.commitment(2));
         assert_eq!(a.commitment(2), a.commitment(2));
+    }
+
+    #[test]
+    fn memoized_commitment_reports_only_what_a_clone_computed() {
+        let p = Payload::inline(vec![5; 100]);
+        let holder = p.clone();
+        let copy = Payload::inline(vec![5; 100]);
+        assert_eq!(holder.memoized_commitment(16), None);
+        let root = p.commitment(16);
+        assert_eq!(holder.memoized_commitment(16), Some(root));
+        assert_eq!(holder.memoized_commitment(32), None, "another chunk size");
+        assert_eq!(copy.memoized_commitment(16), None, "equal bytes, own memo");
+        assert_eq!(Payload::synthetic(100, 1).memoized_commitment(16), None);
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! make it allocate from a length field it has not checked against the
 //! bytes that are there (ROADMAP aim 3).
 //!
-//! Two decoders the codec's own arbitrary-bytes proptest does not reach:
-//! a write-ahead-log record, decoded when `WalStore::open` replays a
-//! segment, and a `WorkloadBatch` inside a committed payload. Each is fed
+//! Three decoders the codec's own arbitrary-bytes proptest does not
+//! reach: a write-ahead-log record, decoded when `WalStore::open` replays
+//! a segment, a `WorkloadBatch` inside a committed payload, and a
+//! certificate carrying a compact (half-aggregated) Schnorr aggregate,
+//! decoded and then put through the quorum gate and the key table's
+//! aggregate check as an engine puts it. Each is fed
 //! raw noise and real encodings with a few bytes overwritten, so decoding
 //! gets deep before it fails. A segment's records are framed with a valid
 //! checksum, so the record decoder — not the CRC check — meets the noise.
@@ -21,16 +24,19 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use banyan::crypto::{AggregateSignature, Signature, SignerBitmap};
+use std::sync::Arc;
+
+use banyan::crypto::{AggregateSignature, KeyRegistry, Signature, SignerBitmap, ToySchnorr};
 use banyan::mempool::{Request, WorkloadBatch};
 use banyan::storage::wal::{crc32, WalError};
 use banyan::storage::{ChainStore, WalStore};
-use banyan::types::certs::Notarization;
+use banyan::types::certs::{FinalKind, Finalization, Notarization};
 use banyan::types::codec::{Wire, MAX_LIST_RESERVE};
 use banyan::types::ids::{BlockHash, Rank, ReplicaId, Round};
 use banyan::types::message::{Message, SyncMsg};
 use banyan::types::payload::Payload;
 use banyan::types::time::Time;
+use banyan::types::vote::{Vote, VoteKind};
 use banyan::types::Block;
 use proptest::prelude::*;
 
@@ -203,7 +209,114 @@ fn batches() -> &'static [Vec<u8>] {
     })
 }
 
+/// Replica 0's view of an n = 4 cluster signing with compact Schnorr
+/// aggregates.
+fn compact_registry() -> &'static KeyRegistry {
+    static REGISTRY: OnceLock<KeyRegistry> = OnceLock::new();
+    REGISTRY.get_or_init(|| KeyRegistry::generate(Arc::new(ToySchnorr::compact()), 11, 4, 0))
+}
+
+/// The notarization quorum of that cluster (n = 4, f = 1).
+const QUORUM: usize = 3;
+
+/// Replicas `voters`' votes of `kind` on `block` in `round`, aggregated
+/// compactly.
+fn compact_aggregate(
+    voters: &[u16],
+    kind: VoteKind,
+    round: Round,
+    block: BlockHash,
+) -> AggregateSignature {
+    let msg = Vote::signing_message(kind, round, &block);
+    let sigs: Vec<(u16, Signature)> = voters
+        .iter()
+        .map(|&v| {
+            let key = KeyRegistry::generate(Arc::new(ToySchnorr::compact()), 11, 4, v);
+            (v, key.sign(&msg))
+        })
+        .collect();
+    compact_registry().table().aggregate(&sigs)
+}
+
+/// Real compact certificates: notarizations with and without a fast-vote
+/// aggregate, and slow and fast finalizations.
+fn compact_certificates() -> &'static [Vec<u8>] {
+    static CERTS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    CERTS.get_or_init(|| {
+        let (round, block) = (Round(9), BlockHash([4; 32]));
+        let notarize = compact_aggregate(&[0, 1, 2], VoteKind::Notarize, round, block);
+        let fast = compact_aggregate(&[1, 2, 3], VoteKind::Fast, round, block);
+        let finalize = compact_aggregate(&[0, 2, 3], VoteKind::Finalize, round, block);
+        let notarization = Notarization::from_votes(round, block, notarize.clone());
+        let with_fast = Notarization {
+            fast_agg: Some(fast.clone()),
+            ..notarization.clone()
+        };
+        let finalization = |kind, agg| Finalization {
+            round,
+            block,
+            kind,
+            agg,
+        };
+        vec![
+            notarization.to_bytes(),
+            with_fast.to_bytes(),
+            finalization(FinalKind::Slow, finalize).to_bytes(),
+            finalization(FinalKind::Fast, fast).to_bytes(),
+        ]
+    })
+}
+
+/// What an engine does with a certificate off the wire: decode it, gate
+/// it on the quorum, then check its aggregate(s) against the key table.
+/// Returns whether it would be accepted.
+fn check_certificate(bytes: &[u8]) -> bool {
+    let table = compact_registry().table();
+    let verified = |kind, round, block: &BlockHash, agg: &AggregateSignature| {
+        table.verify_aggregate(&Vote::signing_message(kind, round, block), agg)
+    };
+    let notarization = Notarization::from_bytes(bytes).is_ok_and(|n| {
+        n.meets_quorum(QUORUM)
+            && verified(VoteKind::Notarize, n.round, &n.block, &n.agg)
+            && n.fast_agg
+                .as_ref()
+                .is_none_or(|fast| verified(VoteKind::Fast, n.round, &n.block, fast))
+    });
+    let finalization = Finalization::from_bytes(bytes).is_ok_and(|f| {
+        let kind = match f.kind {
+            FinalKind::Slow => VoteKind::Finalize,
+            FinalKind::Fast => VoteKind::Fast,
+        };
+        f.meets_quorum(QUORUM) && verified(kind, f.round, &f.block, &f.agg)
+    });
+    notarization || finalization
+}
+
+#[test]
+fn real_compact_certificates_pass_the_checks() {
+    for (k, bytes) in compact_certificates().iter().enumerate() {
+        assert!(check_certificate(bytes), "certificate {k} refused");
+    }
+}
+
 proptest! {
+    /// Arbitrary bytes, or a real compact certificate with a few bytes
+    /// overwritten, decode as a notarization or finalization or fail to,
+    /// and a decoded one goes through the quorum gate and the compact
+    /// aggregate check, without a panic and without an allocation beyond
+    /// the bound.
+    #[test]
+    fn arbitrary_bytes_never_panic_a_compact_certificate_check(
+        bytes in hostile(compact_certificates)
+    ) {
+        let len = bytes.len();
+        let (_, peak) = peak_allocation(|| check_certificate(&bytes));
+        prop_assert!(
+            peak <= allocation_bound(len),
+            "a {len}-byte certificate allocated {peak} bytes at once"
+        );
+    }
+
     /// A segment holding one record of arbitrary bytes, framed with a
     /// valid checksum, replays without a panic: the record is applied, cut
     /// off as a torn tail or, carrying the older checkpoint layout's tag,
