@@ -401,6 +401,42 @@ fn a_relayed_copy_of_a_held_block_is_not_hashed() {
     assert_eq!(e.store().round_blocks(Round(1)), &[b1]);
 }
 
+/// A relay can overtake its original: replica 0 gets round 1's block
+/// from a relaying peer before the proposer's own copy. The relay, with
+/// nothing of its round held, is hashed and its signature checked; the
+/// proposer's copy, arriving next in a buffer of its own, is recognised
+/// by equality and not hashed — only its fast vote, which is new, is
+/// checked.
+#[test]
+fn a_proposers_copy_that_arrives_after_a_relay_of_it_is_not_hashed() {
+    let c = Cluster::new(4, 1, 1);
+    let chunk = c.cfg.payload_chunk;
+    let mut e = c.engine(0);
+    e.on_init(Time(0));
+    let (b1, block1) = c.leader_block_with(1, BlockHash::ZERO, Payload::inline(vec![0x5A; 4_096]));
+    let (relay, original) = (fresh_copy(&block1), fresh_copy(&block1));
+    let kept = [relay.payload.clone(), original.payload.clone()];
+
+    e.on_message(ReplicaId(2), proposal(relay, None), Time(1_000));
+    assert!(e.store().contains(&b1), "the relay was not stored");
+    assert_eq!(
+        kept[0].memoized_commitment(chunk),
+        Some(block1.payload.commitment(chunk)),
+        "the relay was not hashed"
+    );
+    assert_eq!(sigs(&e), 1, "the relay's proposer signature");
+
+    let fast = c.vote(1, VoteKind::Fast, 1, b1);
+    e.on_message(ReplicaId(1), proposal(original, Some(fast)), Time(2_000));
+    assert_eq!(
+        kept[1].memoized_commitment(chunk),
+        None,
+        "the proposer's copy was hashed"
+    );
+    assert_eq!(sigs(&e), 2, "only the fast vote is new");
+    assert_eq!(e.store().round_blocks(Round(1)), &[b1]);
+}
+
 /// A relay that keeps the proposer's header and signature but flips one
 /// payload byte is not the held block: it is hashed, its signature fails
 /// against that hash, and nothing is stored.

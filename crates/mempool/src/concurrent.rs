@@ -21,9 +21,10 @@
 //!
 //! Determinism note: the simulator keeps using the plain
 //! [`SharedMempool`](crate::SharedMempool) — its whole point is a single
-//! deterministic event order. `ConcurrentPool` is for the real-threads TCP
-//! pipeline, where the channel hand-off trades a bounded reordering
-//! window (ingest lands at the next lock) for lock-free submission.
+//! deterministic event order. `ConcurrentPool` is for a TCP replica whose
+//! clients push from threads of their own, where the channel hand-off
+//! trades a bounded reordering window (ingest lands at the next lock) for
+//! lock-free submission.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -79,7 +80,7 @@ pub struct ConcurrentPool {
     arrival: Arc<Mutex<Option<ArrivalHook>>>,
 }
 
-/// The `Arc` handle drivers, pipeline stages and sources share.
+/// The `Arc` handle drivers, sources and client threads share.
 pub type SharedConcurrentPool = Arc<ConcurrentPool>;
 
 impl ConcurrentPool {

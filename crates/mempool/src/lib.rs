@@ -1184,9 +1184,9 @@ impl<P: ReplicaPool> ProposalSource for PoolSource<P> {
 /// besides letting the engine's [`PoolSource`] drain it — **flush**,
 /// **intake**, **lease observation** and **commit retirement** — so
 /// neither cares whether the pool is a [`SharedMempool`] (the bare mutex,
-/// deterministic — the simulator's and the inline replica's) or a
+/// deterministic — the simulator's and most TCP replicas') or a
 /// [`SharedConcurrentPool`] (the same mutex behind an ingest channel, for
-/// the staged replica). A handle supplies [`with_pool`](Self::with_pool)
+/// a TCP replica whose clients push from threads of their own). A handle supplies [`with_pool`](Self::with_pool)
 /// — its lock — and every operation is that lock around the one
 /// [`Mempool`] method. Handles are cheap `Arc` clones.
 pub trait ReplicaPool: Clone + Send + 'static {

@@ -161,16 +161,16 @@ impl Wire for WalRecord {
     fn decode(input: &mut Reader<'_>) -> Result<Self, CodecError> {
         match input.u8()? {
             0 => Ok(WalRecord::Block {
-                hash: BlockHash(input.bytes32()?),
+                hash: BlockHash(input.array()?),
                 block: Block::decode(input)?,
             }),
             1 => Ok(WalRecord::Notarize {
-                hash: BlockHash(input.bytes32()?),
+                hash: BlockHash(input.array()?),
                 cert: input.option()?,
             }),
             2 => Ok(WalRecord::Finalize {
                 round: Round(input.u64()?),
-                hash: BlockHash(input.bytes32()?),
+                hash: BlockHash(input.array()?),
             }),
             CHECKPOINT_TAG => Ok(WalRecord::Checkpoint(ChainSnapshot::decode(input)?)),
             _ => Err(CodecError::Invalid("wal record tag")),

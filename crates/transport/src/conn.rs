@@ -39,35 +39,20 @@ struct Conn<S> {
     frames: FrameBuf,
     /// Set by the hello; every later frame must name it.
     peer: Option<ReplicaId>,
-    /// A frame the staged path had no room for. While one is held the
-    /// connection is neither read nor waited on.
-    held: Option<Event>,
     /// The last wait found the stream readable, or hung up.
     ready: bool,
 }
 
 impl<S: Read> Conn<S> {
-    /// Hands the held frame on, if any; `false` while it is still held.
-    fn release(&mut self, deliver: &mut impl FnMut(Event) -> Option<Event>) -> bool {
-        if let Some(event) = self.held.take() {
-            self.held = deliver(event);
-        }
-        self.held.is_none()
-    }
-
-    /// Hands on, in order, the held frame, the frames already buffered,
-    /// and — if the last wait found the stream ready — those completed by
-    /// up to `READ_BUDGET` more bytes, until the stream is drained or a
-    /// frame is held. `false` once the connection is over: end of stream,
-    /// an error, a frame that is no frame, or one that breaks the sender
-    /// binding (a frame before the hello or naming another replica, or a
-    /// second hello).
-    fn pump(&mut self, deliver: &mut impl FnMut(Event) -> Option<Event>) -> bool {
+    /// Pushes onto `events`, in order, the frames already buffered and —
+    /// if the last wait found the stream ready — those completed by up to
+    /// `READ_BUDGET` more bytes, until the stream is drained. `false`
+    /// once the connection is over: end of stream, an error, a frame that
+    /// is no frame, or one that breaks the sender binding (a frame before
+    /// the hello or naming another replica, or a second hello).
+    fn pump(&mut self, events: &mut Vec<Event>) -> bool {
         let mut read = mem::take(&mut self.ready);
         let mut budget = READ_BUDGET;
-        if !self.release(deliver) {
-            return true;
-        }
         loop {
             loop {
                 match self.frames.next_frame() {
@@ -76,10 +61,7 @@ impl<S: Read> Conn<S> {
                         self.peer = Some(from);
                     }
                     Ok(Some(Frame::Msg { from, msg })) if self.peer == Some(from) => {
-                        self.held = deliver((from, msg));
-                        if self.held.is_some() {
-                            return true;
-                        }
+                        events.push((from, msg));
                     }
                     _ => return false,
                 }
@@ -119,39 +101,27 @@ impl<S: Read> Conns<S> {
             stream,
             frames: FrameBuf::default(),
             peer: None,
-            held: None,
             ready: true,
         });
     }
 
-    /// The streams the wait watches: every connection not holding a frame.
+    /// The streams the wait watches: every connection.
     pub(crate) fn watched(&self) -> impl Iterator<Item = &S> {
-        self.0
-            .iter()
-            .filter(|conn| conn.held.is_none())
-            .map(|conn| &conn.stream)
+        self.0.iter().map(|conn| &conn.stream)
     }
 
     /// Marks which of the [`watched`](Self::watched) streams, in its
     /// order, the wait found readable (or hung up).
     pub(crate) fn mark_ready(&mut self, ready: impl Iterator<Item = bool>) {
-        let unheld = self.0.iter_mut().filter(|conn| conn.held.is_none());
-        for (conn, ready) in unheld.zip(ready) {
+        for (conn, ready) in self.0.iter_mut().zip(ready) {
             conn.ready = ready;
         }
     }
 
-    /// Hands every connection's frames to `deliver` (`Conn::pump`),
+    /// Pushes every connection's frames onto `events` (`Conn::pump`),
     /// dropping the connections that are over.
-    pub(crate) fn read(&mut self, deliver: &mut impl FnMut(Event) -> Option<Event>) {
-        self.0.retain_mut(|conn| conn.pump(deliver));
-    }
-
-    /// Offers the held frames again, up to the first one taken; `true` if
-    /// one was (the rest are offered again when the step reads).
-    pub(crate) fn release(&mut self, deliver: &mut impl FnMut(Event) -> Option<Event>) -> bool {
-        let mut held = self.0.iter_mut().filter(|conn| conn.held.is_some());
-        held.any(|conn| conn.release(deliver))
+    pub(crate) fn read(&mut self, events: &mut Vec<Event>) {
+        self.0.retain_mut(|conn| conn.pump(events));
     }
 }
 
@@ -571,10 +541,7 @@ pub(crate) mod tests {
     pub(crate) fn step(conns: &mut Conns<Script>) -> Vec<Event> {
         let mut events = Vec::new();
         conns.mark_ready(iter::repeat(true));
-        conns.read(&mut |event| {
-            events.push(event);
-            None
-        });
+        conns.read(&mut events);
         events
     }
 

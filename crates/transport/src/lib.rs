@@ -5,15 +5,14 @@
 //! frames on `std::net::TcpStream`, and one engine loop per replica that
 //! owns the timer heap, dials, reads and writes every one of its
 //! non-blocking sockets itself and waits on all of them in one `ppoll(2)`.
-//! No async runtime and no helper threads: one thread per replica (plus
-//! verify workers when staged; `docs/ARCHITECTURE.md`, "Concurrent pool &
-//! replica pipeline"). The loop's body is one step that reads no clock,
-//! so the tests run whole clusters of it in one thread in virtual time.
+//! No async runtime and no helper threads: one thread per replica
+//! (`docs/ARCHITECTURE.md`, "Concurrent pool & replica loop"). The loop's
+//! body is one step that reads no clock, so the tests run whole clusters
+//! of it in one thread in virtual time.
 //!
 //! The public runners in [`runner`] and [`pipeline`] are thin calls into
 //! the one loop (the private `replica` module) that differ only in the
-//! pool they attach, whether a verify stage sits between the loop's socket
-//! reads and its engine, and whether the replica crashes and rejoins.
+//! pool they attach and whether the replica crashes and rejoins.
 //!
 //! Synthetic payloads stay synthetic on the wire (16 bytes + declared
 //! size); bandwidth-sensitive measurements live in `banyan-simnet`, whose
@@ -49,11 +48,10 @@ pub use pipeline::{
 };
 pub use runner::{run_local_cluster, run_replica_full, TcpRunReport};
 
-/// Serializes the loopback cluster tests: each spins up 4 replicas ×
-/// several threads, and on small (single-core CI) machines letting them
-/// overlap starves whole replicas of CPU for seconds at a time, flaking
-/// liveness assertions. Poisoning is ignored — one failed test must not
-/// cascade.
+/// Serializes the tests that run replicas over loopback sockets: on
+/// small (single-core CI) machines letting them overlap starves whole
+/// replicas of CPU for seconds at a time, flaking their timing
+/// assertions. Poisoning is ignored — one failed test must not cascade.
 #[cfg(test)]
 pub(crate) fn loopback_serial_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -1,46 +1,19 @@
-//! The optional verify stage of the replica event loop: decode → **hash**
-//! → engine → dispatch.
+//! What is left of the staged replica: names the repository benchmark's
+//! adapter still calls, and nothing else.
 //!
-//! The one TCP replica loop (`crate::replica`) decodes and executes every
-//! frame on its own thread unless it is handed a [`PipelineConfig`]. With
-//! one, verify workers sit between the loop's socket reads and its engine,
-//! joined by bounded MPMC channels (`crossbeam::channel`), so a replica's
-//! payload hashing scales across cores:
-//!
-//! ```text
-//!  replica loop (reads and splits frames)
-//!     │  worker = from % W, try_send; a full queue holds the frame and
-//!     ▼  pauses that connection's reads, never the loop
-//!  verify workers (× W): each block its proposer sent, or a sync reply
-//!     │  carries → its payload commitment (the SHA-256 walk), memoized
-//!     │  on the payload buffer; relays pass untouched
-//!     ▼  every frame back, in order, then a wake-up if the loop is parked
-//!  replica loop: what an inline replica does with the frame
-//! ```
-//!
-//! A worker decides nothing about a frame: it hands every frame back
-//! unchanged, and the loop treats it exactly as an inline replica treats
-//! the frame it decoded (the same `Inbound::classify`, pool intake, lease
-//! observation and engine call). What the stage buys is the commitment
-//! walk off the loop's thread: every later `Block::hash` of the payload is
-//! one header SHA. A proposal relayed by a peer other than its proposer
-//! is not hashed here: the engine recognises a copy of a block it holds
-//! by equality with the stored block, so at n = 4 a block's payload is
-//! walked once per replica (4 times) rather than once per copy received
-//! (13). Signatures are the engine's to check. Routing a peer's
-//! frames to worker `from % verify_workers` keeps per-peer FIFO order
-//! while different peers hash in parallel.
-//!
-//! Shutdown is loss-free: the loop stops reading and drops its senders,
-//! workers drain what was queued and exit, and the loop absorbs the tail —
-//! every frame a worker's queue took (`decoded`) comes back (`verified`).
+//! A TCP replica decodes and executes every frame on its one loop thread
+//! (`crate::replica`). The engine recognises a relayed copy of a block it
+//! holds by equality, so each replica walks each block's payload once,
+//! and a verify stage would move only that one walk off a thread that is
+//! otherwise idle. [`run_replica_pipelined`] is therefore the same
+//! loop over a [`ConcurrentPool`], the pool client threads push into
+//! without taking its lock. [`PipelineConfig`], [`PipelineStats`],
+//! [`PipelineStatsSnapshot`], [`PipelineRunReport`] and [`verify_frame`]
+//! stay only while the benchmark's `Runner::Pipelined` and its
+//! `transport.verify_frame_us` row name them.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
-
-use crossbeam::channel::{bounded, Sender};
 
 use banyan_mempool::{ConcurrentPool, SharedConcurrentPool};
 use banyan_types::app::App;
@@ -50,19 +23,13 @@ use banyan_types::message::Message;
 
 use crate::runner::TcpRunReport;
 
-/// Frame-channel capacity into each verify worker.
-const VERIFY_QUEUE: usize = 2048;
-
-/// Sizing of the staged pipeline.
+/// The arguments of [`verify_frame`] and [`run_replica_pipelined`]. Kept
+/// only because the benchmark's adapter builds one.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Verify workers between the loop's socket reads and its engine.
-    /// 0 behaves like 1 (a configured stage always exists; the *inline*
-    /// replica is [`run_replica_full`](crate::runner::run_replica_full)).
+    /// Ignored: no replica runs verify workers.
     pub verify_workers: usize,
-    /// Payload-chunk size for the commitment walk; must match the
-    /// cluster's `ProtocolConfig::payload_chunk`, or the memoized root is
-    /// one the engine never asks for.
+    /// Payload-chunk size of [`verify_frame`]'s commitment walk.
     pub payload_chunk: usize,
 }
 
@@ -76,7 +43,7 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Builder-style: sets the verify-worker count.
+    /// Builder-style: sets the (ignored) verify-worker count.
     #[must_use]
     pub fn with_verify_workers(mut self, workers: usize) -> Self {
         self.verify_workers = workers;
@@ -91,61 +58,50 @@ impl PipelineConfig {
     }
 }
 
-/// Frame accounting across the stage: every frame a worker's queue took
-/// is handed back to the loop — the conservation law the shutdown tests
-/// assert.
+/// Counts the frames [`verify_frame`] handed back. Kept only because the
+/// benchmark's `transport.verify_frame_us` row passes one.
 #[derive(Debug, Default)]
 pub struct PipelineStats {
-    /// Frames a verify worker's queue took.
-    pub(crate) decoded: AtomicU64,
-    /// Frames [`verify_frame`] handed back.
     verified: AtomicU64,
 }
 
-/// A plain-value copy of [`PipelineStats`].
+/// The frame accounting a [`PipelineRunReport`] carries: all zero, since
+/// no replica has a stage to account for. Kept only because the
+/// benchmark's conservation check `decoded == ingested + verified +
+/// rejected` names it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStatsSnapshot {
-    /// Frames a verify worker's queue took.
+    /// Frames handed to a stage.
     pub decoded: u64,
-    /// Always 0: the stage absorbs no frame (dissemination frames reach
-    /// the pool from the loop, as inline). Kept because the benchmark's
-    /// conservation check `decoded == ingested + verified + rejected`
-    /// names it.
+    /// Frames a stage absorbed.
     pub ingested: u64,
-    /// Frames the workers handed back to the loop.
+    /// Frames a stage handed back.
     pub verified: u64,
-    /// Always 0: the stage drops no frame. Kept for the same check.
+    /// Frames a stage dropped.
     pub rejected: u64,
 }
 
 impl PipelineStats {
-    /// Snapshots the counters.
+    /// Snapshots the counter.
     pub fn snapshot(&self) -> PipelineStatsSnapshot {
         PipelineStatsSnapshot {
-            decoded: self.decoded.load(Ordering::Relaxed),
             verified: self.verified.load(Ordering::Relaxed),
             ..PipelineStatsSnapshot::default()
         }
     }
 }
 
-/// The verify-stage work for one decoded frame: walks the payload
-/// commitment of each block the frame carries
+/// Walks the payload commitment of each block `msg` carries
 /// ([`Message::carried_blocks`]) that `from` proposed, or that came in a
 /// sync reply (`Response`, `ResponseBatch`), at `config.payload_chunk`,
 /// which memoizes the root on the payload's shared buffer; counts the
-/// frame `verified`, and hands it back unchanged. Every frame goes on to
-/// the loop, which does with it what an inline replica does.
+/// frame `verified`, and hands it back unchanged. A relay is left
+/// unhashed: the engine recognises a copy of a block it holds by
+/// equality.
 ///
-/// A proposal relayed by anyone but its proposer is left unhashed: it is
-/// nearly always a copy of a block the engine already holds, which the
-/// engine recognises by equality with the stored block without hashing
-/// it. A relay that overtook its original, or differs from it, is hashed
-/// by the engine instead.
-///
-/// `_pool` is not used: the pool work (intake, lease observation) is the
-/// loop's, on both paths. The parameter stays while the repository
-/// benchmark's `transport.verify_frame_us` calls this function with it.
+/// No replica calls this: it is the walk a verify worker did, kept only
+/// because the benchmark's `transport.verify_frame_us` row times it.
+/// `_pool` is not used.
 pub fn verify_frame(
     from: ReplicaId,
     msg: Message,
@@ -163,104 +119,19 @@ pub fn verify_frame(
     (from, msg)
 }
 
-/// The spawned verify stage: per-worker input channels (route with
-/// [`VerifyStage::sender_for`]) and the worker join handles.
-pub(crate) struct VerifyStage {
-    txs: Vec<Sender<(ReplicaId, Message)>>,
-    handles: Vec<JoinHandle<()>>,
-    /// Shared frame accounting.
-    pub(crate) stats: Arc<PipelineStats>,
-}
-
-impl VerifyStage {
-    /// Spawns `config.verify_workers.max(1)` workers feeding `event_tx`,
-    /// each calling `wake` after every frame it hands back: the replica
-    /// loop, which waits on its sockets rather than on `event_tx`, learns
-    /// both that an event is queued and that a worker's queue has room
-    /// again.
-    pub(crate) fn spawn(
-        config: &PipelineConfig,
-        event_tx: Sender<(ReplicaId, Message)>,
-        wake: impl Fn() + Clone + Send + 'static,
-    ) -> VerifyStage {
-        let workers = config.verify_workers.max(1);
-        let stats = Arc::new(PipelineStats::default());
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for k in 0..workers {
-            let (tx, rx) = bounded::<(ReplicaId, Message)>(VERIFY_QUEUE);
-            txs.push(tx);
-            let config = config.clone();
-            let stats = stats.clone();
-            let event_tx = event_tx.clone();
-            let wake = wake.clone();
-            let worker = thread::Builder::new().name(format!("verify-{k}"));
-            handles.push(
-                worker
-                    .spawn(move || {
-                        // Drain until every producer hangs up, so no
-                        // queued frame is lost at shutdown.
-                        while let Ok((from, msg)) = rx.recv() {
-                            let event = verify_frame(from, msg, None, &config, &stats);
-                            if event_tx.send(event).is_err() {
-                                break; // consensus thread gone: stop cleanly
-                            }
-                            wake();
-                        }
-                    })
-                    .expect("spawn verify worker"),
-            );
-        }
-        VerifyStage {
-            txs,
-            handles,
-            stats,
-        }
-    }
-
-    /// The input channel for frames from `from` — `from mod workers`, so
-    /// one peer's frames stay FIFO while different peers hash in
-    /// parallel.
-    pub(crate) fn sender_for(&self, from: ReplicaId) -> &Sender<(ReplicaId, Message)> {
-        &self.txs[from.as_usize() % self.txs.len()]
-    }
-
-    /// Drops the stage's input senders: workers drain what is queued and
-    /// exit. The replica loop calls this first and keeps absorbing the
-    /// event channel while the workers wind down, so none blocks on a full
-    /// channel.
-    pub(crate) fn close(&mut self) {
-        self.txs.clear();
-    }
-
-    /// Drops the stage's input senders and joins the workers. Workers
-    /// block while the event channel is full, so the thread that drains it
-    /// must absorb the tail before calling this.
-    pub(crate) fn shutdown(mut self) {
-        self.close();
-        for h in self.handles {
-            let _ = h.join();
-        }
-    }
-}
-
-/// A [`TcpRunReport`] plus the pipeline's frame accounting.
+/// A [`TcpRunReport`] plus an all-zero [`PipelineStatsSnapshot`].
 #[derive(Debug, Default)]
 pub struct PipelineRunReport {
     /// The usual run report (commits, message counts).
     pub report: TcpRunReport,
-    /// Frame accounting across the stage.
+    /// All zero: there is no stage.
     pub stats: PipelineStatsSnapshot,
 }
 
-/// The staged counterpart of
-/// [`run_replica_full`](crate::runner::run_replica_full): the same event
-/// loop, doing the same with every frame, with verify workers walking the
-/// payload commitments between its socket reads and its engine. `pool` is
-/// the replica's pool, fed and drained by the loop as inline; a
-/// [`ConcurrentPool`] so that client threads can push into it without its
-/// lock. Workers are joined before returning; the returned stats satisfy
-/// `decoded == verified`.
+/// [`run_replica_full`](crate::runner::run_replica_full) over a
+/// [`ConcurrentPool`], so that client threads can push into the pool
+/// without its lock: the same loop, which the pool's pushes wake when it
+/// is parked. `_config` is not used.
 ///
 /// # Errors
 ///
@@ -269,15 +140,14 @@ pub fn run_replica_pipelined(
     engine: Box<dyn Engine>,
     app: impl App + 'static,
     pool: Option<SharedConcurrentPool>,
-    config: PipelineConfig,
+    _config: PipelineConfig,
     listen: SocketAddr,
     peers: Vec<SocketAddr>,
     run_for: std::time::Duration,
 ) -> std::io::Result<PipelineRunReport> {
     let listener = std::net::TcpListener::bind(listen)?;
-    let stage = Some(config);
-    let (report, stats) =
-        crate::replica::run(engine, app, pool, stage, listener, peers, run_for, None)?;
+    let report = crate::replica::run(engine, app, pool, listener, peers, run_for, None)?;
+    let stats = PipelineStatsSnapshot::default();
     Ok(PipelineRunReport { report, stats })
 }
 
@@ -286,7 +156,6 @@ mod tests {
     use super::*;
     use banyan_core::builder::ClusterBuilder;
     use banyan_mempool::{ConcurrentMempoolSource, Mempool, Request, WorkloadBatch};
-    use banyan_types::app::NullApp;
     use banyan_types::block::Block;
     use banyan_types::time::Duration as BDuration;
     use banyan_types::time::Time as BTime;
@@ -317,9 +186,12 @@ mod tests {
         }
     }
 
+    /// A cluster over `ConcurrentPool` handles on a `LocalNet`, requests
+    /// pushed at replica 0 through the send-only ingest path: the
+    /// replicas agree, every request commits, and no frame or request
+    /// is dropped on the way.
     #[test]
     fn pipelined_cluster_commits_agrees_and_drops_no_frame() {
-        let _serial = crate::loopback_serial_lock();
         let n = 4;
         let pools: Vec<SharedConcurrentPool> = (0..n)
             .map(|_| ConcurrentPool::new(Mempool::new(4_096).with_gossip(true), 4_096))
@@ -336,51 +208,37 @@ mod tests {
             })
             .build_banyan();
 
-        // Requests enter at replica 0 through the send-only ingest path.
         let ingest = pools[0].ingest();
         for id in 1..=32u64 {
             assert!(ingest.push(req(id)));
         }
 
-        let config = PipelineConfig::default().with_verify_workers(2);
-        let run_for = std::time::Duration::from_secs(3);
-        let reports = crate::runner::run_local(engines, |i, engine, listener, peers| {
-            let (pool, stage) = (Some(pools[i].clone()), Some(config.clone()));
-            let run =
-                crate::replica::run(engine, NullApp, pool, stage, listener, peers, run_for, None);
-            let (report, stats) = run.expect("replica run");
-            PipelineRunReport { report, stats }
-        });
+        let net = crate::replica::tests::LocalNet {
+            seed: 0x9E1,
+            delay: BDuration::from_millis(5),
+        };
+        let pool = |i: usize| Some(pools[i].clone());
+        let reports = net.run(engines, BDuration::from_secs(3), pool, |_| None);
 
-        // Liveness + agreement, as in the unstaged runner.
         let mut canonical = std::collections::HashMap::new();
         for (i, r) in reports.iter().enumerate() {
             assert!(
-                r.report.commits.len() > 3,
+                r.commits.len() > 3,
                 "replica {i} committed only {} blocks",
-                r.report.commits.len()
+                r.commits.len()
             );
-            for c in &r.report.commits {
+            for c in &r.commits {
                 if let Some(prev) = canonical.insert(c.round, c.block) {
                     assert_eq!(prev, c.block, "disagreement at round {}", c.round);
                 }
             }
-        }
-        // Workers joined cleanly and no decoded frame fell on the floor:
-        // every frame a worker took came back to the loop.
-        for (i, r) in reports.iter().enumerate() {
-            let s = &r.stats;
-            assert!(s.decoded > 0, "replica {i} ran without its verify stage");
-            assert_eq!(
-                s.decoded, s.verified,
-                "replica {i} lost frames at close: {s:?}"
-            );
+            assert_eq!(r.frames_refused, 0, "replica {i} refused frames");
             assert_eq!(pools[i].ingest_dropped(), 0, "replica {i} shed ingest");
         }
         // Only replica 0 pushes, so the other pools hear of the requests
-        // only through gossip, which the loop hands to the pool as inline.
-        // A quorum can commit a batch before a peer's copy lands; the pool
-        // then refuses it as already committed — still a delivery.
+        // only through gossip. A quorum can commit a batch before a peer's
+        // copy lands; the pool then refuses it as already committed —
+        // still a delivery.
         for (i, pool) in pools.iter().enumerate().skip(1) {
             let p = pool.pool();
             assert!(
@@ -388,9 +246,7 @@ mod tests {
                 "replica {i} saw no gossip"
             );
         }
-        // The workload committed through the pipeline.
         let committed: std::collections::HashSet<u64> = reports[0]
-            .report
             .commits
             .iter()
             .filter_map(|c| WorkloadBatch::decode(&c.payload))
@@ -401,11 +257,10 @@ mod tests {
         }
     }
 
-    /// Every frame comes back from the stage unchanged and is counted
-    /// once: gossip, a proposal, a catch-up batch and a proposal whose
-    /// payload claims to be a workload batch but does not decode as one —
-    /// an inline replica hands that one to its engine too. The stage
-    /// touches no pool: no request ingested, no lease recorded.
+    /// Every frame comes back from `verify_frame` unchanged and is
+    /// counted once: gossip, a proposal, a catch-up batch and a proposal
+    /// whose payload claims to be a workload batch but does not decode as
+    /// one. It touches no pool: no request ingested, no lease recorded.
     #[test]
     fn verify_frame_accounts_every_frame_once() {
         use banyan_types::message::{DisseminationMsg, StreamletMsg, SyncMsg};
@@ -442,12 +297,12 @@ mod tests {
         let s = stats.snapshot();
         assert_eq!((s.verified, s.ingested, s.rejected), (5, 0, 0));
         pool.sync_ingest();
-        assert_eq!(pool.len(), 0, "the stage fed the pool");
-        assert_eq!(pool.pool().live_leases(), 0, "the stage leased a block");
+        assert_eq!(pool.len(), 0, "verify_frame fed the pool");
+        assert_eq!(pool.pool().live_leases(), 0, "verify_frame leased a block");
     }
 
-    /// The stage walks the payload of what a block's proposer sent and of
-    /// every sync reply, and leaves a relay's to the engine, which
+    /// `verify_frame` walks the payload of what a block's proposer sent
+    /// and of every sync reply, and leaves a relay's to the engine, which
     /// recognises a held block by equality: a relay's buffer comes back
     /// with no commitment memoized.
     #[test]
@@ -506,8 +361,8 @@ mod tests {
     }
 
     /// The blocks of a catch-up batch are leased by the loop's
-    /// `observe_inbound`, on both paths: a speculating pool leases the
-    /// fetched block like a proposal, a non-speculating one records
+    /// `observe_inbound` on a `ConcurrentPool`: a speculating pool leases
+    /// the fetched block like a proposal, a non-speculating one records
     /// nothing.
     #[test]
     fn inline_path_leases_the_blocks_of_a_catch_up_batch() {
@@ -525,9 +380,9 @@ mod tests {
     }
 
     /// A proposal keeps one payload buffer from the frame decoder through
-    /// the verify stage into the engine's store: the allocation
-    /// `verify_frame` hashed (and memoized the commitment on) is the one
-    /// the consensus thread adopts, so it never walks the payload again.
+    /// `verify_frame` into the engine's store: the allocation it hashed
+    /// (and memoized the commitment on) is the one the engine adopts, so
+    /// it never walks the payload again.
     #[test]
     fn verified_proposal_reaches_the_engine_as_the_buffer_that_was_hashed() {
         use banyan_types::app::{ProposalContext, ProposalSource};
@@ -594,11 +449,10 @@ mod tests {
     }
 
     /// An *optimistic* ICC proposal — uncertified parent, so
-    /// `parent_notarization: None`, and no `fast_vote` — must
-    /// flow through the verify stage exactly like a certified one: the
-    /// message handed back with every field untouched. The verify pool is
-    /// deliberately certification-blind; optimism needs no new wire
-    /// handling.
+    /// `parent_notarization: None`, and no `fast_vote` — must pass
+    /// `verify_frame` exactly like a certified one: the message handed
+    /// back with every field untouched. The walk is certification-blind;
+    /// optimism needs no new wire handling.
     #[test]
     fn optimistic_proposal_passes_the_verify_pool_unchanged() {
         use banyan_crypto::Signature;
@@ -633,7 +487,7 @@ mod tests {
             assert_eq!(by, from);
             assert_eq!(
                 forwarded, msg,
-                "the verify stage must not rewrite an optimistic proposal"
+                "verify_frame must not rewrite an optimistic proposal"
             );
         }
         let s = stats.snapshot();

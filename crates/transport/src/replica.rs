@@ -2,18 +2,15 @@
 //! ([`run_replica_full`](crate::runner::run_replica_full),
 //! [`run_replica_restarting`](crate::runner::run_replica_restarting),
 //! [`run_replica_pipelined`](crate::pipeline::run_replica_pipelined)) is a
-//! thin call into [`run`]. A replica is one thread, plus W verify workers
-//! when staged:
+//! thin call into [`run`]. A replica is one thread:
 //!
 //! ```text
 //!   listener · inbound connections · waker · backlogged outbound sockets
 //!                          │ one ppoll(2), until the step's deadline
 //!                          ▼
 //!   engine loop (the calling thread): read the clock, then one step
-//!     · reads each ready connection (conn::Conns)
-//!       │ inline: frames join the step's events     staged: try_send to
-//!       │      ◄── every frame back, a wake-up ──── verify worker from % W
-//!       ▼          if parked                        (payload hashes)
+//!     · reads each ready connection (conn::Conns): frames join the
+//!       step's events
 //!     · the replica step the simulator runs too (banyan_runtime::Replica)
 //!     · each outbound message encoded once into every addressed peer's
 //!       backlog (conn::Peers), written at the step's end; a peer without
@@ -27,22 +24,16 @@
 //! The bytes are [`conn`](crate::conn)'s, and a frame, timer, crash or
 //! rejoin is [`Replica`]'s; the shell adds the one choice a socketed
 //! driver makes blind: which peer to fetch from. A full socket delays
-//! only its peer, whose socket the wait then watches. Staged, a frame goes
-//! to worker `from % W` by `try_send` (a blocking send could deadlock on
-//! the loop's full event channel); a full worker queue refuses it for the
-//! connection to hold. A worker hashes the payloads a block's proposer
-//! sent and those of sync replies, and leaves relays alone: on both paths
-//! the engine recognises a relayed copy of a block it holds by equality,
-//! so each block is hashed once per replica. The loop waits until the
-//! earliest live timer: [`Replica::next_deadline`] drops the timers of
-//! rounds already left before it answers.
+//! only its peer, whose socket the wait then watches. The engine
+//! recognises a relayed copy of a block it holds by equality, so each
+//! block's payload is hashed once per replica, on this thread. The loop
+//! waits until the earliest live timer: [`Replica::next_deadline`] drops
+//! the timers of rounds already left before it answers.
 //!
-//! Workers and a client's push into an idle pool wake the parked loop
-//! through a socket pair the wait watches, writing a byte only while the
-//! loop is parked: an idle rank-0 leader holds its proposal until a
-//! request reaches its pool, so a missed push would wait out the timeout.
-//! At stop the loop absorbs the event channel until every worker has hung
-//! up, so no frame handed to the stage is lost.
+//! A client's push into an idle pool wakes the parked loop through a
+//! socket pair the wait watches, writing a byte only while the loop is
+//! parked: an idle rank-0 leader holds its proposal until a request
+//! reaches its pool, so a missed push would wait out the timeout.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -50,8 +41,6 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{bounded, Receiver, TrySendError};
 
 use banyan_mempool::{ArrivalHook, ReplicaPool, WorkloadBatch};
 use banyan_runtime::driver::{Due, Replica, ReplicaIo};
@@ -61,25 +50,22 @@ use banyan_types::ids::ReplicaId;
 use banyan_types::time::Time;
 
 use crate::conn::{Conns, Event, Peers};
-use crate::pipeline::{PipelineConfig, PipelineStatsSnapshot, VerifyStage};
 use crate::poll::{self, PollFd, READABLE, WRITABLE};
 use crate::runner::{TcpRestart, TcpRunReport};
 
-/// Capacity of the channel verify workers return events on.
-const EVENT_QUEUE: usize = 4096;
 /// The longest wait: a parked loop looks around this often.
 const MAX_WAIT: Duration = Duration::from_millis(10);
 /// Per-step catch-up deadline (wall clock, 250 ms). Loopback round trips
 /// are far below this; a lapsed window re-probes or rotates peers.
 const CATCHUP_TIMEOUT: banyan_types::time::Duration = banyan_types::time::Duration(250_000_000);
 
-/// Wakes the loop out of its wait from another thread: one byte into a
-/// socket pair whose read end the wait watches, written only while the
-/// loop is parked, so work handed to a busy loop costs no syscall (the
-/// rule `compat/crossbeam`'s channel follows for its condvars).
+/// Wakes the loop out of its wait from a client thread pushing into its
+/// pool: one byte into a socket pair whose read end the wait watches,
+/// written only while the loop is parked, so a push into a busy loop's
+/// pool costs no syscall.
 struct Waker {
-    /// True from just before the loop's last look at its queues until
-    /// its wait returns.
+    /// True from just before the loop's last look at its arrival flag
+    /// until its wait returns.
     parked: AtomicBool,
     tx: UnixStream,
 }
@@ -94,12 +80,12 @@ impl Waker {
         Ok((Arc::new(Waker { parked, tx }), rx))
     }
 
-    /// The loop is about to wait: after this it looks at its queues one
-    /// last time, and what is queued later wakes it.
+    /// The loop is about to wait: after this it looks at its arrival flag
+    /// one last time, and a push after that wakes it.
     fn park(&self) {
         self.parked.store(true, Ordering::Relaxed);
         // Pairs with the fence in `wake`: either the loop's last look
-        // sees what a waker queued, or that waker sees `parked`.
+        // sees what a pusher flagged, or that pusher sees `parked`.
         fence(Ordering::SeqCst);
     }
 
@@ -108,7 +94,7 @@ impl Waker {
         self.parked.store(false, Ordering::Relaxed);
     }
 
-    /// Called after queuing work for the loop: a byte if it is parked.
+    /// Called after flagging a push for the loop: a byte if it is parked.
     fn wake(&self) {
         fence(Ordering::SeqCst);
         if self.parked.swap(false, Ordering::Relaxed) {
@@ -177,25 +163,6 @@ impl Inbox {
                 Err(e) => accepting = e.kind() == io::ErrorKind::Interrupted,
             }
         }
-    }
-}
-
-/// Where the loop hands a decoded frame — its only fork. Inline, the
-/// frame joins this step's `events`; staged, it goes to verify worker
-/// `from % W`, counted `decoded`, and comes back if that worker's queue
-/// is full, for the connection to hold.
-fn deliver(verify: Option<&VerifyStage>, events: &mut Vec<Event>, event: Event) -> Option<Event> {
-    let Some(stage) = verify else {
-        events.push(event);
-        return None;
-    };
-    match stage.sender_for(event.0).try_send(event) {
-        Ok(()) => {
-            stage.stats.decoded.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-        Err(TrySendError::Full(event)) => Some(event),
-        Err(TrySendError::Disconnected(_)) => None,
     }
 }
 
@@ -280,25 +247,15 @@ impl<S: Read + Write, A: App, P: ReplicaPool> Shell<S, A, P> {
     }
 
     /// One step at `now`: the frames of the connections the wait marked
-    /// ready (and, staged, those the workers handed back), the crash or
-    /// rejoin due, the timers due, the pool's gossip, and every backlog
-    /// written, each peer whose redial is due dialed by `dial`. Returns
-    /// when to step next: the earliest timer, crash, rejoin or redial, or
-    /// `now` if a flush left gossip queued.
-    fn step(
-        &mut self,
-        now: Time,
-        dial: impl FnMut(usize) -> io::Result<S>,
-        verify: Option<&(VerifyStage, Receiver<Event>)>,
-    ) -> Option<Time> {
-        let (stage, events) = (verify.map(|(stage, _)| stage), &mut self.events);
-        self.conns.read(&mut |event| deliver(stage, events, event));
-        if let Some((_, verified)) = verify {
-            events.extend(verified.try_iter().take(EVENT_QUEUE));
-        }
+    /// ready, the crash or rejoin due, the timers due, the pool's gossip,
+    /// and every backlog written, each peer whose redial is due dialed by
+    /// `dial`. Returns when to step next: the earliest timer, crash,
+    /// rejoin or redial, or `now` if a flush left gossip queued.
+    fn step(&mut self, now: Time, dial: impl FnMut(usize) -> io::Result<S>) -> Option<Time> {
+        self.conns.read(&mut self.events);
         // While down, as with a dead process, every frame is dropped
         // unhandled; reading them on keeps every peer's connection moving.
-        for (from, msg) in events.drain(..) {
+        for (from, msg) in self.events.drain(..) {
             self.messages_received += 1;
             self.replica.on_frame(from, msg, now, &mut self.io);
         }
@@ -359,43 +316,27 @@ impl<S: Read + Write, A: App, P: ReplicaPool> Shell<S, A, P> {
     }
 }
 
-/// Runs `engine` over TCP for `run_for`, accepting on `listener`: inline
-/// when `stage` is `None`, with verify workers hashing payloads between
-/// the socket reads and the engine otherwise; crashing and rejoining
-/// mid-run when `restart` says so. Each turn reads the wall clock, steps
-/// the [`Shell`] and waits until the deadline it returned (10 ms at
-/// most). Returns the run report and the verify stage's frame accounting
-/// (all zero when inline).
+/// Runs `engine` over TCP for `run_for`, accepting on `listener`,
+/// crashing and rejoining mid-run when `restart` says so. Each turn reads
+/// the wall clock, steps the [`Shell`] and waits until the deadline it
+/// returned (10 ms at most).
 ///
 /// # Errors
 ///
 /// Returns an I/O error if the listener or the waker cannot be set up.
-// The parameters are the three public runners' parameters, unioned.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run<P: ReplicaPool>(
     engine: Box<dyn Engine>,
     app: impl App + 'static,
     pool: Option<P>,
-    stage: Option<PipelineConfig>,
     listener: TcpListener,
     peers: Vec<SocketAddr>,
     run_for: Duration,
     restart: Option<TcpRestart>,
-) -> std::io::Result<(TcpRunReport, PipelineStatsSnapshot)> {
+) -> io::Result<TcpRunReport> {
     let start = Instant::now();
     let now = || Time(start.elapsed().as_nanos() as u64);
 
     let mut inbox = Inbox::new(listener)?;
-    // Staged only: the workers, and the channel they hand every frame back
-    // on. The workers hold its only senders, so it disconnects exactly
-    // when the last of them has exited.
-    let verify = stage.map(|config| {
-        let (event_tx, events) = bounded::<Event>(EVENT_QUEUE);
-        let waker = inbox.waker.clone();
-        let stage = VerifyStage::spawn(&config, event_tx, move || waker.wake());
-        (stage, events)
-    });
-
     // A request entering an idle pool is flagged for the loop's last look
     // before it parks, then wakes the loop if it is parked already.
     // Relaxed: `Waker::park` and `Waker::wake` fence, so either the look
@@ -413,19 +354,11 @@ pub(crate) fn run<P: ReplicaPool>(
 
     let (end, mut at) = (Time(run_for.as_nanos() as u64), now());
     while at < end {
-        let next = shell.step(at, &mut dial, verify.as_ref());
-        // Parked first, then one last look at everything a waker
-        // announces: what arrives after the look wakes the wait.
+        let next = shell.step(at, &mut dial);
+        // Parked first, then one last look at the arrival flag: a push
+        // after the look wakes the wait.
         inbox.waker.park();
-        let (stage, events) = (verify.as_ref().map(|(stage, _)| stage), &mut shell.events);
-        let verified = verify
-            .as_ref()
-            .is_some_and(|(_, events)| !events.is_empty());
-        let queued = arrived.swap(false, Ordering::Relaxed)
-            || verified
-            || shell
-                .conns
-                .release(&mut |event| deliver(stage, events, event));
+        let queued = arrived.swap(false, Ordering::Relaxed);
         let wait = match next {
             _ if queued => Duration::ZERO,
             Some(next) => Duration::from_nanos(next.0.saturating_sub(now().0)),
@@ -435,24 +368,7 @@ pub(crate) fn run<P: ReplicaPool>(
         inbox.wait(&mut shell.conns, writable, wait.min(MAX_WAIT));
         at = now();
     }
-
-    // A loss-free close: stop reading (dropping the inbox and the
-    // connections closes every socket they own), release the verify
-    // stage's inputs, and absorb the tail until every worker has hung up —
-    // so none of them blocks on a full channel and every frame handed to
-    // the stage is accounted for.
-    drop(inbox);
-    shell.conns = Conns::default();
-    let stats = verify.map(|(mut stage, events)| {
-        stage.close();
-        while events.recv().is_ok() {
-            shell.messages_received += 1;
-        }
-        let stats = stage.stats.clone();
-        stage.shutdown();
-        stats.snapshot()
-    });
-    Ok((shell.report(), stats.unwrap_or_default()))
+    Ok(shell.report())
 }
 
 #[cfg(test)]
@@ -664,43 +580,6 @@ pub(crate) mod tests {
         assert_eq!(conns.watched().count(), 3);
     }
 
-    /// Staged, a frame whose verify worker's queue is full is held: its
-    /// connection is neither waited on nor read until the worker takes
-    /// it, while a connection routed to another worker is read on. The
-    /// held frame and the rest then follow in order, none lost or
-    /// repeated. Replica 1's worker here takes 10 frames a step.
-    #[test]
-    fn a_full_verify_queue_pauses_one_connection_not_the_loop() {
-        const PROBES: usize = 1_000;
-        let flood = [hello(1), probes(1, PROBES)].concat();
-        let mut conns = reading(64 << 10, vec![flood, [hello(2), probes(2, 1)].concat()]);
-        let mut got = Vec::new();
-        for steps in 0.. {
-            assert!(steps < 10 * PROBES, "the held frames never drained");
-            let mut room = 10;
-            let mut deliver = |event: Event| {
-                if event.0 == ReplicaId(1) && room == 0 {
-                    return Some(event);
-                }
-                room -= usize::from(event.0 == ReplicaId(1));
-                got.push(event.0);
-                None
-            };
-            conns.release(&mut deliver);
-            conns.mark_ready(iter::repeat(true));
-            conns.read(&mut deliver);
-            if got.len() == PROBES + 1 {
-                break;
-            }
-            assert_eq!(conns.watched().count(), 1, "a held connection is watched");
-        }
-        assert!(got.contains(&ReplicaId(2)), "replica 2's probe was held up");
-        assert_eq!(
-            got.iter().filter(|&&from| from == ReplicaId(1)).count(),
-            PROBES
-        );
-    }
-
     // Over loopback: what needs the shell's sockets and wait.
 
     /// The `FrontierInfo` answers the replica sends the peer listening on
@@ -789,76 +668,72 @@ pub(crate) mod tests {
         assert!(got == want, "the bytes differ from write_msg's");
     }
 
+    /// Connects to the replica listening on `listen` as soon as it is up.
+    fn connect(listen: SocketAddr) -> TcpStream {
+        let out = loop {
+            match TcpStream::connect(listen) {
+                Ok(s) => break s,
+                Err(_) => thread::sleep(Duration::from_millis(10)),
+            }
+        };
+        out.set_nodelay(true).expect("nodelay");
+        out
+    }
+
     /// A sender that stalls 120 ms three bytes into a frame's six-byte
     /// header, and again between the header and the body, must not
-    /// desynchronize the reader: the frame arrives intact, inline and
-    /// staged. The frame is a `FrontierProbe`, and the replica runs
-    /// HotStuff — which ignores sync traffic — so the `FrontierInfo` that
-    /// comes back can only be the driver's answer.
+    /// desynchronize the reader: the frame arrives intact. The frame is a
+    /// `FrontierProbe`, and the replica runs HotStuff — which ignores
+    /// sync traffic — so the `FrontierInfo` that comes back can only be
+    /// the driver's answer.
     #[test]
     fn stalled_frame_arrives_intact_and_the_driver_answers_the_probe() {
         let _serial = crate::loopback_serial_lock();
         let mut wire = hello(1);
         let stalls = [wire.len() + 3, wire.len() + 6];
         wire.extend(probes(1, 1));
-        for staged in [false, true] {
-            let ((one, one_addr), (own, listen)) = (listener(), listener());
-            let mut peers = unreachable_addrs(4);
-            (peers[0], peers[1]) = (listen, one_addr);
-            let engine = ClusterBuilder::new(4, 1, 1)
-                .unwrap()
-                .build_hotstuff()
-                .swap_remove(0);
-            let stage = staged.then(PipelineConfig::default);
-            let run_for = Duration::from_millis(1000);
-            let replica = thread::spawn(move || {
-                let pool = None::<SharedMempool>;
-                run(engine, NullApp, pool, stage, own, peers, run_for, None)
-            });
-            let mut out = loop {
-                match TcpStream::connect(listen) {
-                    Ok(s) => break s,
-                    Err(_) => thread::sleep(Duration::from_millis(10)),
-                }
-            };
-            out.set_nodelay(true).expect("nodelay");
-            let mut sent = 0;
-            for at in stalls.into_iter().chain([wire.len()]) {
-                out.write_all(&wire[sent..at]).expect("part of the probe");
-                thread::sleep(Duration::from_millis(120));
-                sent = at;
-            }
-
-            let timeout = run_for + Duration::from_secs(5);
-            let answers = answers_on(&one, timeout);
-            let (report, stats) = replica
-                .join()
-                .expect("replica thread")
-                .expect("replica run");
-            assert_eq!(
-                report.messages_received, 1,
-                "staged={staged}: the stalled frame was lost or mangled"
-            );
-            assert_eq!(
-                answers, 1,
-                "staged={staged}: probe not answered by the driver"
-            );
-            if staged {
-                assert_eq!((stats.decoded, stats.verified), (1, 1));
-            }
+        let ((one, one_addr), (own, listen)) = (listener(), listener());
+        let mut peers = unreachable_addrs(4);
+        (peers[0], peers[1]) = (listen, one_addr);
+        let engine = ClusterBuilder::new(4, 1, 1)
+            .unwrap()
+            .build_hotstuff()
+            .swap_remove(0);
+        let run_for = Duration::from_millis(1000);
+        let replica = thread::spawn(move || {
+            let pool = None::<SharedMempool>;
+            run(engine, NullApp, pool, own, peers, run_for, None)
+        });
+        let mut out = connect(listen);
+        let mut sent = 0;
+        for at in stalls.into_iter().chain([wire.len()]) {
+            out.write_all(&wire[sent..at]).expect("part of the probe");
+            thread::sleep(Duration::from_millis(120));
+            sent = at;
         }
+
+        let answers = answers_on(&one, run_for + Duration::from_secs(5));
+        let report = replica
+            .join()
+            .expect("replica thread")
+            .expect("replica run");
+        assert_eq!(
+            report.messages_received, 1,
+            "the stalled frame was lost or mangled"
+        );
+        assert_eq!(answers, 1, "probe not answered by the driver");
     }
 
-    /// Inline and staged, a replica does with every frame what the other
-    /// does: gossip reaches the pool, a carried workload batch is leased,
-    /// a block whose payload claims to be a batch but is none reaches the
-    /// engine all the same, and every frame counts as received. Replica 1
-    /// sends them, then a probe, on one connection. The replica runs
-    /// HotStuff, which ignores sync traffic, so only the loop acts on the
-    /// blocks, and the one `FrontierInfo` that comes back can only be the
-    /// driver's answer.
+    /// Over a `ConcurrentPool`, the replica does with every frame kind
+    /// what the simulator's driver does: gossip reaches the pool, a
+    /// carried workload batch is leased, a block whose payload claims to
+    /// be a batch but is none reaches the engine all the same, and every
+    /// frame counts as received. Replica 1 sends them, then a probe, on
+    /// one connection. The replica runs HotStuff, which ignores sync
+    /// traffic, so only the loop acts on the blocks, and the one
+    /// `FrontierInfo` that comes back can only be the driver's answer.
     #[test]
-    fn a_staged_replica_does_with_every_frame_what_an_inline_one_does() {
+    fn every_frame_kind_reaches_the_pool_or_the_driver() {
         use banyan_crypto::Signature;
         use banyan_mempool::{ConcurrentPool, Mempool};
         use banyan_types::block::Block;
@@ -893,53 +768,30 @@ pub(crate) mod tests {
             write_msg(&mut wire, ReplicaId(1), msg).expect("encode");
         }
 
-        for staged in [false, true] {
-            let ((one, one_addr), (own, listen)) = (listener(), listener());
-            let mut peers = unreachable_addrs(4);
-            (peers[0], peers[1]) = (listen, one_addr);
-            let chunk = PipelineConfig::default().payload_chunk;
-            let pool = ConcurrentPool::new(Mempool::new(64).with_speculation(chunk), 64);
-            let engine = ClusterBuilder::new(4, 1, 1)
-                .unwrap()
-                .delta(BDuration::from_secs(60))
-                .build_hotstuff()
-                .swap_remove(0);
-            let (stage, replica_pool) = (staged.then(PipelineConfig::default), Some(pool.clone()));
-            let run_for = Duration::from_millis(1000);
-            let replica = thread::spawn(move || {
-                run(
-                    engine,
-                    NullApp,
-                    replica_pool,
-                    stage,
-                    own,
-                    peers,
-                    run_for,
-                    None,
-                )
-            });
-            let mut out = loop {
-                match TcpStream::connect(listen) {
-                    Ok(s) => break s,
-                    Err(_) => thread::sleep(Duration::from_millis(10)),
-                }
-            };
-            out.set_nodelay(true).expect("nodelay");
-            out.write_all(&wire).expect("frames");
-            let answers = answers_on(&one, run_for + Duration::from_secs(5));
+        let ((one, one_addr), (own, listen)) = (listener(), listener());
+        let mut peers = unreachable_addrs(4);
+        (peers[0], peers[1]) = (listen, one_addr);
+        let builder = ClusterBuilder::new(4, 1, 1)
+            .unwrap()
+            .delta(BDuration::from_secs(60));
+        let chunk = builder.protocol_config().payload_chunk;
+        let pool = ConcurrentPool::new(Mempool::new(64).with_speculation(chunk), 64);
+        let engine = builder.build_hotstuff().swap_remove(0);
+        let replica_pool = Some(pool.clone());
+        let run_for = Duration::from_millis(1000);
+        let replica =
+            thread::spawn(move || run(engine, NullApp, replica_pool, own, peers, run_for, None));
+        let mut out = connect(listen);
+        out.write_all(&wire).expect("frames");
+        let answers = answers_on(&one, run_for + Duration::from_secs(5));
 
-            let replica = replica.join().expect("replica thread");
-            let (report, stats) = replica.expect("replica run");
-            assert_eq!(answers, 1, "staged={staged}: the probe was not answered");
-            let received = report.messages_received;
-            assert_eq!(received, 4, "staged={staged}: a frame was lost or mangled");
-            assert_eq!(pool.len(), 2, "staged={staged}: gossip missed the pool");
-            let leases = pool.pool().live_leases();
-            assert_eq!(leases, 1, "staged={staged}: leases recorded");
-            if staged {
-                assert_eq!((stats.decoded, stats.verified), (4, 4), "{stats:?}");
-            }
-        }
+        let report = replica.join().expect("replica thread");
+        let report = report.expect("replica run");
+        assert_eq!(answers, 1, "the probe was not answered");
+        let received = report.messages_received;
+        assert_eq!(received, 4, "a frame was lost or mangled");
+        assert_eq!(pool.len(), 2, "gossip missed the pool");
+        assert_eq!(pool.pool().live_leases(), 1, "leases recorded");
     }
 
     // In one thread: whole clusters of shells over seeded pipes, in
@@ -1005,7 +857,7 @@ pub(crate) mod tests {
                         dialed[j].push(rx);
                         Ok(tx)
                     };
-                    let next_step = shell.step(now, dial, None);
+                    let next_step = shell.step(now, dial);
                     let refused = shell.io.peers.backlogged().next().is_some();
                     due[i] = if refused { Some(now) } else { next_step };
                 }

@@ -128,8 +128,7 @@ pub fn run_replica_restarting(
     restart: Option<TcpRestart>,
 ) -> std::io::Result<TcpRunReport> {
     let listener = TcpListener::bind(listen)?;
-    replica::run(engine, app, pool, None, listener, peers, run_for, restart)
-        .map(|(report, _)| report)
+    replica::run(engine, app, pool, listener, peers, run_for, restart)
 }
 
 /// Runs one replica thread per engine on localhost and returns what each
@@ -181,9 +180,7 @@ pub fn run_local_cluster(
 ) -> Vec<TcpRunReport> {
     run_local(engines, |_, engine, listener, peers| {
         let pool = None::<SharedMempool>;
-        replica::run(engine, NullApp, pool, None, listener, peers, run_for, None)
-            .expect("replica run")
-            .0
+        replica::run(engine, NullApp, pool, listener, peers, run_for, None).expect("replica run")
     })
 }
 
@@ -322,8 +319,8 @@ mod tests {
     /// holds its proposal, here for Δ = 2 s. A request pushed into a
     /// non-leader's pool must wake that replica's parked loop, which
     /// gossips it to the leader, whose arrival releases the proposal: each
-    /// request commits well inside Δ. Inline over `SharedMempool`s
-    /// (`Mempool::push` wakes), and staged over `ConcurrentPool`s
+    /// request commits well inside Δ. Over `SharedMempool`s
+    /// (`Mempool::push` wakes) and over `ConcurrentPool`s
     /// (`PoolIngest::push` wakes).
     ///
     /// A parked loop also looks around every 10 ms, so a missed wake costs
@@ -332,14 +329,13 @@ mod tests {
     /// with the wake, about half the period without it.
     #[test]
     fn a_request_pushed_into_a_parked_cluster_commits_well_inside_delta() {
-        for staged in [false, true] {
-            a_request_pushed_into_a_parked_cluster_commits(staged);
+        for ingest in [false, true] {
+            a_request_pushed_into_a_parked_cluster_commits(ingest);
         }
     }
 
-    fn a_request_pushed_into_a_parked_cluster_commits(staged: bool) {
+    fn a_request_pushed_into_a_parked_cluster_commits(ingest: bool) {
         let _serial = crate::loopback_serial_lock();
-        use crate::pipeline::PipelineConfig;
         use banyan_mempool::{
             ConcurrentMempoolSource, ConcurrentPool, Mempool, MempoolSource, Request,
             SharedConcurrentPool, WorkloadBatch,
@@ -366,7 +362,7 @@ mod tests {
         let concurrent: Vec<SharedConcurrentPool> = (0..n)
             .map(|_| ConcurrentPool::new(Mempool::new(1_024).with_gossip(true), 1_024))
             .collect();
-        let engines = if staged {
+        let engines = if ingest {
             let sources = concurrent.clone();
             builder
                 .proposal_sources(move |i| {
@@ -405,7 +401,7 @@ mod tests {
                     };
                     let to = (id as usize + 3) % n;
                     pushed.push(Instant::now());
-                    if staged {
+                    if ingest {
                         assert!(ingests[to].push(request));
                     } else {
                         shared[to].lock().unwrap().push(request);
@@ -419,13 +415,12 @@ mod tests {
         let run_for = Duration::from_millis(1_800);
         run_local(engines, |i, engine, listen, peers| {
             let app = Tap(tx.clone());
-            if staged {
+            if ingest {
                 let pool = Some(concurrent[i].clone());
-                let stage = Some(PipelineConfig::default());
-                replica::run(engine, app, pool, stage, listen, peers, run_for, None)
+                replica::run(engine, app, pool, listen, peers, run_for, None)
             } else {
                 let pool = Some(shared[i].clone());
-                replica::run(engine, app, pool, None, listen, peers, run_for, None)
+                replica::run(engine, app, pool, listen, peers, run_for, None)
             }
             .expect("replica run")
         });
@@ -442,7 +437,7 @@ mod tests {
             let latency = committed.duration_since(*pushed);
             assert!(
                 latency < Duration::from_millis(100),
-                "staged={staged}: request {id} took {latency:?} under a 2 s hold"
+                "ingest={ingest}: request {id} took {latency:?} under a 2 s hold"
             );
             latencies.push(latency);
         }
@@ -450,26 +445,17 @@ mod tests {
         let median = latencies[latencies.len() / 2];
         assert!(
             median < Duration::from_millis(3),
-            "staged={staged}: median {median:?}: a push did not wake the parked loop"
+            "ingest={ingest}: median {median:?}: a push did not wake the parked loop"
         );
     }
 
     /// One replica with a `WalStore` crashes, rejoins through
-    /// [`TcpRestart`] and catches up — inline on a [`LocalNet`], and with
-    /// the verify stage (which inherits restart and catch-up by sharing
-    /// the loop) over loopback.
+    /// [`TcpRestart`] and catches up, on a [`LocalNet`].
     #[test]
     fn wal_restart_catches_up_over_loopback() {
-        for staged in [false, true] {
-            wal_restart_catches_up(staged);
-        }
-    }
-
-    fn wal_restart_catches_up(staged: bool) {
-        use crate::pipeline::PipelineConfig;
         use banyan_storage::{BlockStore, WalStore};
 
-        let name = format!("banyan-tcp-restart-{}-{staged}", std::process::id());
+        let name = format!("banyan-tcp-restart-{}", std::process::id());
         let wal_dir = std::env::temp_dir().join(name);
         let _ = std::fs::remove_dir_all(&wal_dir);
 
@@ -507,43 +493,12 @@ mod tests {
                 }
             })
         };
-        let pool = |_| None::<SharedMempool>;
-        let reports = if staged {
-            let _serial = crate::loopback_serial_lock();
-            // Generous post-rejoin window: catch-up plus fresh commits
-            // must fit even on a single-core debug build.
-            let run_for = std::time::Duration::from_secs(8);
-            let engines = make_builder().build_banyan();
-            let reports = run_local(engines, |i, engine, listener, peers| {
-                let stage = Some(PipelineConfig::default());
-                replica::run(
-                    engine,
-                    NullApp,
-                    pool(i),
-                    stage,
-                    listener,
-                    peers,
-                    run_for,
-                    restart(i),
-                )
-                .expect("replica run")
-            });
-            for (i, (_, s)) in reports.iter().enumerate() {
-                assert!(s.decoded > 0, "replica {i} ran without its verify stage");
-                assert_eq!(
-                    s.decoded, s.verified,
-                    "replica {i} lost frames at close: {s:?}"
-                );
-            }
-            reports.into_iter().map(|(report, _)| report).collect()
-        } else {
-            NET.run(
-                make_builder().build_banyan(),
-                BDuration::from_secs(4),
-                pool,
-                restart,
-            )
-        };
+        let reports = NET.run(
+            make_builder().build_banyan(),
+            BDuration::from_secs(4),
+            |_| None::<SharedMempool>,
+            restart,
+        );
 
         // The rejoined replica probed the frontier and persisted a WAL.
         assert!(reports[2].sync_requests > 0, "no catch-up traffic issued");

@@ -105,10 +105,10 @@ impl Wire for Block {
             round: Round(input.u64()?),
             proposer: ReplicaId(input.u16()?),
             rank: Rank(input.u16()?),
-            parent: BlockHash(input.bytes32()?),
+            parent: BlockHash(input.array()?),
             proposed_at: Time(input.u64()?),
             payload: Payload::decode(input)?,
-            signature: Signature(input.bytes64()?),
+            signature: Signature(input.array()?),
         })
     }
 

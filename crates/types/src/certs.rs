@@ -148,7 +148,7 @@ impl Wire for Notarization {
     fn decode(input: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Notarization {
             round: Round(input.u64()?),
-            block: BlockHash(input.bytes32()?),
+            block: BlockHash(input.array()?),
             agg: AggregateSignature::decode(input)?,
             fast_agg: input.option()?,
         })
@@ -210,7 +210,7 @@ impl Wire for Finalization {
     fn decode(input: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Finalization {
             round: Round(input.u64()?),
-            block: BlockHash(input.bytes32()?),
+            block: BlockHash(input.array()?),
             kind: match input.u8()? {
                 0 => FinalKind::Slow,
                 1 => FinalKind::Fast,
@@ -247,7 +247,7 @@ impl Wire for UnlockEntry {
 
     fn decode(input: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(UnlockEntry {
-            block: BlockHash(input.bytes32()?),
+            block: BlockHash(input.array()?),
             rank: Rank(input.u16()?),
             agg: AggregateSignature::decode(input)?,
         })
@@ -359,7 +359,7 @@ impl Wire for QuorumCert {
     fn decode(input: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(QuorumCert {
             view: input.u64()?,
-            block: BlockHash(input.bytes32()?),
+            block: BlockHash(input.array()?),
             agg: AggregateSignature::decode(input)?,
         })
     }

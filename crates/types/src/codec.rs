@@ -80,25 +80,28 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// Takes `N` raw bytes as an array.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, _) = self.buf[self.pos..]
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::UnexpectedEof)?;
+        self.pos += N;
+        Ok(*head)
+    }
+
     /// Reads a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a `bool` encoded as 0/1.
@@ -108,16 +111,6 @@ impl<'a> Reader<'a> {
             1 => Ok(true),
             _ => Err(CodecError::Invalid("bool")),
         }
-    }
-
-    /// Reads a fixed 32-byte array.
-    pub fn bytes32(&mut self) -> Result<[u8; 32], CodecError> {
-        Ok(self.take(32)?.try_into().expect("32 bytes"))
-    }
-
-    /// Reads a fixed 64-byte array.
-    pub fn bytes64(&mut self) -> Result<[u8; 64], CodecError> {
-        Ok(self.take(64)?.try_into().expect("64 bytes"))
     }
 
     /// Reads a `u32`-prefixed byte string.
@@ -365,6 +358,11 @@ mod tests {
     fn truncation_errors() {
         let mut r = Reader::new(&[1, 2]);
         assert_eq!(r.u32().unwrap_err(), CodecError::UnexpectedEof);
+        // A short read consumes nothing.
+        assert_eq!(r.array::<3>().unwrap_err(), CodecError::UnexpectedEof);
+        assert_eq!(r.array::<2>().unwrap(), [1, 2]);
+        assert_eq!(r.array::<0>().unwrap(), []);
+        assert_eq!(r.u8().unwrap_err(), CodecError::UnexpectedEof);
     }
 
     #[test]

@@ -581,9 +581,9 @@ impl Wire for HotStuffMsg {
             }),
             1 => Ok(HotStuffMsg::Vote {
                 view: input.u64()?,
-                block: BlockHash(input.bytes32()?),
+                block: BlockHash(input.array()?),
                 voter: ReplicaId(input.u16()?),
-                signature: Signature(input.bytes64()?),
+                signature: Signature(input.array()?),
             }),
             2 => Ok(HotStuffMsg::NewView {
                 view: input.u64()?,
@@ -674,7 +674,7 @@ impl Wire for SyncMsg {
     fn decode(input: &mut Reader<'_>) -> Result<Self, CodecError> {
         match input.u8()? {
             0 => Ok(SyncMsg::Request {
-                hash: BlockHash(input.bytes32()?),
+                hash: BlockHash(input.array()?),
             }),
             1 => Ok(SyncMsg::Response {
                 block: Block::decode(input)?,

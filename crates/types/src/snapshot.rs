@@ -94,10 +94,10 @@ impl Wire for ChainSnapshot {
 
     fn decode(input: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(ChainSnapshot {
-            blocks: input.list(|r| Ok((BlockHash(r.bytes32()?), Block::decode(r)?)))?,
-            notarized: input.list(|r| Ok(BlockHash(r.bytes32()?)))?,
+            blocks: input.list(|r| Ok((BlockHash(r.array()?), Block::decode(r)?)))?,
+            notarized: input.list(|r| Ok(BlockHash(r.array()?)))?,
             notarizations: input.var_list()?,
-            finalized: input.list(|r| Ok((Round(r.u64()?), BlockHash(r.bytes32()?))))?,
+            finalized: input.list(|r| Ok((Round(r.u64()?), BlockHash(r.array()?))))?,
             committed_round: Round(input.u64()?),
         })
     }

@@ -100,9 +100,9 @@ impl Wire for Vote {
         Ok(Vote {
             kind: VoteKind::from_discriminant(input.u8()?)?,
             round: Round(input.u64()?),
-            block: BlockHash(input.bytes32()?),
+            block: BlockHash(input.array()?),
             voter: ReplicaId(input.u16()?),
-            signature: Signature(input.bytes64()?),
+            signature: Signature(input.array()?),
         })
     }
 

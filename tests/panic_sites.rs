@@ -12,7 +12,7 @@ use std::fs;
 use std::path::Path;
 
 /// The most panic sites the library code may hold.
-const CEILING: usize = 94;
+const CEILING: usize = 88;
 
 const PATTERNS: [&str; 3] = [".unwrap()", ".expect(", "panic!("];
 
