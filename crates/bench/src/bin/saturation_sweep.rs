@@ -15,6 +15,7 @@
 //!       [--restart] [--optimistic] [--crypto] [--cohorts] [--fanout-tree F] \
 //!       [--assert-no-drop] [--assert-max-dups] [--assert-rpc] [--assert-crypto] \
 //!       [--assert-gossip-bytes] [secs]`
+//!  or `… --bin saturation_sweep -- --write-goldens`
 //!
 //! * `--quick` shrinks the sweep to a CI-sized smoke test;
 //! * `--json` emits one machine-readable JSON object per protocol
@@ -76,7 +77,12 @@
 //!   50% of broadcast gossip with zero request loss, and — with
 //!   `--cohorts` — every protocol's saturation knee sits at ≥ 10⁵
 //!   modeled clients;
-//! * `secs` overrides the per-point measured duration.
+//! * `secs` overrides the per-point measured duration;
+//! * `--write-goldens`, alone, rewrites `crates/bench/tests/goldens/`:
+//!   the report of every CI flag set ([`GOLDENS`]), which this binary's
+//!   test regenerates in-process and compares line by line. A change
+//!   that means to move virtual time commits the rewritten goldens, so
+//!   their diff is its before and after.
 //!
 //! Without dissemination flags the sweep reproduces the historical
 //! single-pool, no-retry figures bit-for-bit — past the knee, requests
@@ -84,6 +90,8 @@
 //! the effective closed-loop population shrinks. With `--gossip` and
 //! `--retry-ms`, lost requests re-enter the system and goodput holds its
 //! plateau.
+
+use std::path::{Path, PathBuf};
 
 use banyan_bench::runner::{CryptoMode, Scenario};
 use banyan_bench::sweep::{
@@ -115,14 +123,14 @@ struct Args {
     assert_crypto: bool,
     assert_gossip_bytes: bool,
     secs: Option<u64>,
+    write_goldens: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args(raw: &[String]) -> Args {
     let mut args = Args {
         fanout: 1,
         ..Args::default()
     };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut it = raw.iter();
     while let Some(arg) = it.next() {
         // The numeric value a flag takes.
@@ -144,6 +152,7 @@ fn parse_args() -> Args {
             "--assert-rpc" => args.assert_rpc = true,
             "--assert-crypto" => args.assert_crypto = true,
             "--assert-gossip-bytes" => args.assert_gossip_bytes = true,
+            "--write-goldens" => args.write_goldens = true,
             "--fanout-tree" => {
                 let what = "--fanout-tree takes a positive tree degree";
                 args.fanout_tree = number(what) as usize;
@@ -164,6 +173,58 @@ fn parse_args() -> Args {
         }
     }
     args
+}
+
+/// The CI flag sets whose reports `crates/bench/tests/goldens/` pins, as
+/// `(file stem, flags)`.
+const GOLDENS: &[(&str, &str)] = &[
+    ("quick", "--quick 1"),
+    (
+        "gossip",
+        "--quick 1 --json --gossip --retry-ms 200 --assert-no-drop",
+    ),
+    (
+        "optimistic",
+        "--quick 1 --json --gossip --retry-ms 200 --speculative --optimistic \
+         --assert-max-dups --assert-rpc",
+    ),
+    (
+        "cohorts",
+        "--quick 1 --json --cohorts --fanout-tree 2 --assert-gossip-bytes",
+    ),
+    (
+        "crypto",
+        "--crypto --quick --json --gossip --retry-ms 250 --assert-crypto",
+    ),
+];
+
+/// Where the golden of `stem` lives.
+fn golden_path(stem: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/goldens")
+        .join(format!("{stem}.golden"))
+}
+
+/// The report of one flag set as its golden holds it: a line naming the
+/// flags, what the sweep printed, then one line per failed gate.
+fn golden_report(flags: &str) -> String {
+    let raw: Vec<String> = flags.split_whitespace().map(String::from).collect();
+    let mut text = format!("# saturation_sweep {}\n", raw.join(" "));
+    let failures = sweep(&parse_args(&raw), &mut |line| text.push_str(line));
+    for failure in failures {
+        text.push_str(&format!("FAIL: {failure}\n"));
+    }
+    text
+}
+
+/// `--write-goldens`: regenerates every golden in place.
+fn write_goldens() -> std::io::Result<()> {
+    for (stem, flags) in GOLDENS {
+        let path = golden_path(stem);
+        std::fs::write(&path, golden_report(flags))?;
+        println!("wrote {}", path.display());
+    }
+    Ok(())
 }
 
 /// Requests are 512 B and every run is seeded with 42, in every sweep.
@@ -221,8 +282,33 @@ impl Args {
     }
 }
 
+/// Writes one line of a sweep's report to `out`.
+macro_rules! say {
+    ($out:expr) => {
+        $out("\n")
+    };
+    ($out:expr, $($fmt:tt)*) => {
+        $out(&format!("{}\n", format_args!($($fmt)*)))
+    };
+}
+
 fn main() {
-    let args = parse_args();
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&raw);
+    if args.write_goldens {
+        assert_eq!(raw.len(), 1, "--write-goldens takes no other argument");
+        if let Err(e) = write_goldens() {
+            eprintln!("writing the goldens failed: {e}");
+            std::process::exit(1);
+        }
+        return;
+    }
+    exit_on(&sweep(&args, &mut |text| print!("{text}")));
+}
+
+/// Runs the sweep `args` select, writing its report to `out`, and returns
+/// the gates it failed.
+fn sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
     // An age target without a byte target would be a silent no-op
     // (min_bytes = 0 never defers): surface the mistake instead.
     assert!(
@@ -242,8 +328,7 @@ fn main() {
         "--assert-gossip-bytes compares the fanout tree against broadcast; pass --fanout-tree too"
     );
     if args.crypto {
-        crypto_sweep(&args);
-        return;
+        return crypto_sweep(args, out);
     }
     let secs: u64 = args.secs.unwrap_or(if args.quick { 2 } else { 10 });
     let populations: &[u16] = if args.quick {
@@ -280,17 +365,23 @@ fn main() {
     let topology = || Topology::uniform(4, Duration::from_millis(5)).with_egress_bps(100_000_000);
 
     if !args.json {
-        println!(
+        say!(
+            out,
             "# Saturation sweep — n=4 uniform 5 ms WAN at 100 Mbit/s egress, window={window}, \
              {REQUEST_SIZE} B requests, think=0, {secs}s per point, seed={SEED}"
         );
-        println!("# goodput = committed requests/s; knee = first point at 90% of plateau goodput");
+        say!(
+            out,
+            "# goodput = committed requests/s; knee = first point at 90% of plateau goodput"
+        );
         match (args.gossip, args.retry_ms) {
-            (false, None) if args.fanout == 1 && args.fanout_tree == 0 => println!(
+            (false, None) if args.fanout == 1 && args.fanout_tree == 0 => say!(
+                out,
                 "# dissemination off: past saturation, requests batched into never-finalized\n\
                  # proposals are lost (lost column) and the effective population shrinks\n"
             ),
-            _ => println!(
+            _ => say!(
+                out,
                 "# dissemination on (gossip={}, retry={:?} ms, fanout={}, fanout_tree={}, \
                  speculative={}, batch_policy={}), drain={drain_secs}s: lost must be 0\n",
                 args.gossip,
@@ -305,7 +396,8 @@ fn main() {
             ),
         }
         if args.cohorts {
-            println!(
+            say!(
+                out,
                 "# cohort workload: modeled clients folded into {COHORT_COUNT} cohorts, one \
                  request per member per {MEMBER_INTERVAL_SECS}s, admission cap {MAX_OUTSTANDING}\n"
             );
@@ -373,18 +465,19 @@ fn main() {
             } else {
                 protocol.to_string()
             };
-            println!("{}", sweep_json(&tag, &points));
+            say!(out, "{}", sweep_json(&tag, &points));
         } else {
-            print_table(&format!("## {label}"), &points);
+            print_table(out, &format!("## {label}"), &points);
             match knee {
-                Some(i) => println!(
+                Some(i) => say!(
+                    out,
                     "saturates at ~{} clients: {:.0} req/s goodput, p50 {:.1} ms / p99 {:.1} ms\n",
                     points[i].clients,
                     points[i].out.goodput_rps,
                     points[i].p50_ms(),
                     points[i].p99_ms()
                 ),
-                None => println!("no goodput observed — sweep too short?\n"),
+                None => say!(out, "no goodput observed — sweep too short?\n"),
             }
         }
 
@@ -410,18 +503,18 @@ fn main() {
         check_rpc(&icc_pair, &mut failures);
     }
     if args.assert_gossip_bytes {
-        check_gossip_bytes(&args, secs, &mut failures);
+        check_gossip_bytes(args, secs, out, &mut failures);
     }
 
-    exit_on(&failures);
+    failures
 }
 
 /// One sweep as a titled table, the knee marked.
-fn print_table(title: &str, points: &[SweepPoint]) {
+fn print_table(out: &mut dyn FnMut(&str), title: &str, points: &[SweepPoint]) {
     let knee = knee_index(points);
-    println!("{title}\n{}", sweep_header());
+    say!(out, "{title}\n{}", sweep_header());
     for (i, p) in points.iter().enumerate() {
-        println!("{}", point_row(p, knee == Some(i)));
+        say!(out, "{}", point_row(p, knee == Some(i)));
     }
 }
 
@@ -441,7 +534,7 @@ fn exit_on(failures: &[String]) {
 /// region catalog. Every run charges the calibrated per-verify CPU cost
 /// in virtual time, so the goodput deltas between the modes *are* the
 /// crypto bill.
-fn crypto_sweep(args: &Args) {
+fn crypto_sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
     let secs: u64 = args.secs.unwrap_or(if args.quick { 2 } else { 8 });
     let populations: &[u16] = if args.quick {
         &[4, 16, 64]
@@ -456,11 +549,13 @@ fn crypto_sweep(args: &Args) {
     let apply = |base: Scenario| args.apply(base, secs);
 
     if !args.json {
-        println!(
+        say!(
+            out,
             "# Measured-crypto sweep — banyan, window={window}, {REQUEST_SIZE} B requests, \
              think=0, {secs}s per point, seed={SEED}"
         );
-        println!(
+        say!(
+                out,
             "# modes: off = placeholder hashes, free; unbatched = toy Schnorr, one equation per \
              signature; batched = RLC vote batching + compact certs + verdict cache\n\
              # vcpu.ms charges an Ed25519-class cost model (40 µs/sig, 15 µs + 20 µs/sig batched)\n"
@@ -488,16 +583,18 @@ fn crypto_sweep(args: &Args) {
         let knee = knee_index(&points);
         knees[i] = knee.map(|k| points[k].clone());
         if args.json {
-            println!(
+            say!(
+                out,
                 "{}",
                 sweep_json(&format!("banyan+crypto-{}", mode.label()), &points)
             );
         } else {
             print_table(
+                out,
                 &format!("## banyan, crypto {} (n=4)", mode.label()),
                 &points,
             );
-            println!();
+            say!(out);
         }
         all_points.push(points);
     }
@@ -510,8 +607,11 @@ fn crypto_sweep(args: &Args) {
         &[4, 8, 16, 32, 64]
     };
     if !args.json {
-        println!("## banyan, crypto batched — geo scale (AWS regions, f = ⌊(n−1)/3⌋)");
-        println!("{:>4} {}", "n", sweep_header());
+        say!(
+            out,
+            "## banyan, crypto batched — geo scale (AWS regions, f = ⌊(n−1)/3⌋)"
+        );
+        say!(out, "{:>4} {}", "n", sweep_header());
     }
     for &n in sizes {
         let sites: Vec<_> = (0..n).map(|i| AWS_REGIONS[i % AWS_REGIONS.len()]).collect();
@@ -521,7 +621,8 @@ fn crypto_sweep(args: &Args) {
         );
         let p = measure(&base, 32, window, think);
         if args.json {
-            println!(
+            say!(
+                out,
                 "{}",
                 sweep_json(
                     &format!("banyan+crypto-batched-n{n}"),
@@ -529,7 +630,7 @@ fn crypto_sweep(args: &Args) {
                 )
             );
         } else {
-            println!("{:>4} {}", n, point_row(&p, false));
+            say!(out, "{:>4} {}", n, point_row(&p, false));
         }
         if p.out.requests_committed == 0 {
             failures.push(format!("geo n={n}: nothing committed"));
@@ -549,13 +650,13 @@ fn crypto_sweep(args: &Args) {
         }
     }
     if !args.json {
-        println!();
+        say!(out);
     }
 
     if args.assert_crypto {
         check_crypto(&knees, &all_points, disseminating, &mut failures);
     }
-    exit_on(&failures);
+    failures
 }
 
 /// The crypto-viability gate (`--assert-crypto`): at the n=4 knee,
@@ -666,7 +767,12 @@ fn check_max_dups(protocol: &str, points: &[SweepPoint], failures: &mut Vec<Stri
 /// compact announce records) must cost at most half the gossip bytes per
 /// request of full broadcast, and neither configuration may lose a
 /// request — bounded fanout trades bytes for hops, not for durability.
-fn check_gossip_bytes(args: &Args, secs: u64, failures: &mut Vec<String>) {
+fn check_gossip_bytes(
+    args: &Args,
+    secs: u64,
+    out: &mut dyn FnMut(&str),
+    failures: &mut Vec<String>,
+) {
     // The gate's own fixed flag set — gossip with a 250 ms retry (hence a
     // 2 s drain) — whatever the sweep above ran with.
     let mk = |fanout_tree: usize| {
@@ -690,7 +796,8 @@ fn check_gossip_bytes(args: &Args, secs: u64, failures: &mut Vec<String>) {
     let broadcast = measure(&mk(0), 32, 4, Duration::ZERO);
     let tree = measure(&mk(args.fanout_tree), 32, 4, Duration::ZERO);
     if !args.json {
-        println!(
+        say!(
+            out,
             "## gossip bytes gate — banyan n=8, 32 clients: broadcast {:.1} B/req vs \
              fanout-tree({}) {:.1} B/req\n",
             broadcast.gossip_bytes_per_req(),
@@ -757,5 +864,35 @@ fn check_no_drop(
     }
     if disseminating {
         check_no_loss(protocol, &points[knee..], failures);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every CI flag set prints exactly its committed golden: virtual
+    /// time moves only with a commit that rewrites them
+    /// (`--write-goldens`).
+    #[test]
+    fn every_ci_flag_set_reproduces_its_golden() {
+        for (stem, flags) in GOLDENS {
+            let path = golden_path(stem);
+            let golden = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let now = golden_report(flags);
+            let (mut golden_lines, mut now_lines) = (golden.lines(), now.lines());
+            for line in 1.. {
+                let (want, got) = (golden_lines.next(), now_lines.next());
+                if want.is_none() && got.is_none() {
+                    break;
+                }
+                assert_eq!(
+                    want, got,
+                    "`saturation_sweep {flags}` differs from tests/goldens/{stem}.golden \
+                     first at line {line}; if the move is meant, rerun with --write-goldens"
+                );
+            }
+        }
     }
 }
