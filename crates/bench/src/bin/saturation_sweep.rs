@@ -11,7 +11,7 @@
 //!
 //! Run: `cargo run --release -p banyan-bench --bin saturation_sweep -- \
 //!       [--quick] [--json] [--gossip] [--retry-ms N] [--fanout K] \
-//!       [--speculative] [--batch-min-bytes N] [--batch-age-ms N] \
+//!       [--batch-min-bytes N] [--batch-age-ms N] \
 //!       [--restart] [--optimistic] [--crypto] [--cohorts] [--fanout-tree F] \
 //!       [--assert-no-drop] [--assert-max-dups] [--assert-rpc] [--assert-crypto] \
 //!       [--assert-gossip-bytes] [secs]`
@@ -24,9 +24,6 @@
 //! * `--gossip`, `--retry-ms N`, `--fanout K` enable the
 //!   request-dissemination layer (plus a drain phase sized to the retry
 //!   period, so loss accounting settles);
-//! * `--speculative` enables the ancestor-aware speculative drain
-//!   (leaders skip requests a live uncommitted ancestor already carries;
-//!   abandoned blocks release theirs back to the pool);
 //! * `--batch-min-bytes N` / `--batch-age-ms N` install a
 //!   latency-targeted batch policy (defer until N eligible bytes or an
 //!   N ms old request);
@@ -46,8 +43,8 @@
 //!   — the CI regression gate for the dissemination layer;
 //! * `--assert-max-dups` exits nonzero if a protocol's duplicate
 //!   inclusions exceed 1% of its committed requests — the CI regression
-//!   gate for the speculative drain (run it with `--gossip`, where blind
-//!   drains duplicate most);
+//!   gate for the ancestor-aware drain (run it with `--gossip`, where
+//!   every pool holds a copy of what the uncommitted ancestors carry);
 //! * `--assert-rpc` (requires `--optimistic`) exits nonzero unless the
 //!   icc row's rounds-per-commit with optimism on is strictly below its
 //!   flag-off baseline *and* its knee p50 latency does not regress — the
@@ -84,12 +81,11 @@
 //!   that means to move virtual time commits the rewritten goldens, so
 //!   their diff is its before and after.
 //!
-//! Without dissemination flags the sweep reproduces the historical
-//! single-pool, no-retry figures bit-for-bit — past the knee, requests
-//! batched into never-finalized proposals are lost and goodput *drops* as
-//! the effective closed-loop population shrinks. With `--gossip` and
-//! `--retry-ms`, lost requests re-enter the system and goodput holds its
-//! plateau.
+//! Without dissemination flags each request sits in one pool and there is
+//! no drain phase: a block that never finalizes hands its requests back
+//! to its pool, and the lost column counts the requests still in a block
+//! when the run stops. With `--gossip` and `--retry-ms`, a drain phase
+//! lets those commit too, and lost must read 0.
 
 use std::path::{Path, PathBuf};
 
@@ -109,7 +105,6 @@ struct Args {
     gossip: bool,
     retry_ms: Option<u64>,
     fanout: usize,
-    speculative: bool,
     batch_min_bytes: Option<u64>,
     batch_age_ms: Option<u64>,
     restart: bool,
@@ -142,7 +137,6 @@ fn parse_args(raw: &[String]) -> Args {
             "--quick" => args.quick = true,
             "--json" => args.json = true,
             "--gossip" => args.gossip = true,
-            "--speculative" => args.speculative = true,
             "--restart" => args.restart = true,
             "--optimistic" => args.optimistic = true,
             "--crypto" => args.crypto = true,
@@ -181,12 +175,11 @@ const GOLDENS: &[(&str, &str)] = &[
     ("quick", "--quick 1"),
     (
         "gossip",
-        "--quick 1 --json --gossip --retry-ms 200 --assert-no-drop",
+        "--quick 1 --json --gossip --retry-ms 200 --assert-no-drop --assert-max-dups",
     ),
     (
         "optimistic",
-        "--quick 1 --json --gossip --retry-ms 200 --speculative --optimistic \
-         --assert-max-dups --assert-rpc",
+        "--quick 1 --json --gossip --retry-ms 200 --optimistic --assert-max-dups --assert-rpc",
     ),
     (
         "cohorts",
@@ -254,7 +247,7 @@ impl Args {
     }
 
     /// The one place the request-path flags (`--gossip`, `--retry-ms`,
-    /// `--fanout`, `--fanout-tree`, `--speculative`, the batch policy and
+    /// `--fanout`, `--fanout-tree`, the batch policy and
     /// the drain phase they imply) are applied to a sweep's base scenario.
     fn apply(&self, base: Scenario, secs: u64) -> Scenario {
         let mut base = base
@@ -271,9 +264,6 @@ impl Args {
         }
         if let Some(ms) = self.retry_ms {
             base = base.retry_timeout(Duration::from_millis(ms));
-        }
-        if self.speculative {
-            base = base.speculative_drain();
         }
         if let Some((min_bytes, max_age)) = self.batch_policy() {
             base = base.batch_policy(min_bytes, max_age);
@@ -377,18 +367,17 @@ fn sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
         match (args.gossip, args.retry_ms) {
             (false, None) if args.fanout == 1 && args.fanout_tree == 0 => say!(
                 out,
-                "# dissemination off: past saturation, requests batched into never-finalized\n\
-                 # proposals are lost (lost column) and the effective population shrinks\n"
+                "# dissemination off: one pool per request and no drain phase, so the lost\n\
+                 # column counts requests still in a block when the run stops\n"
             ),
             _ => say!(
                 out,
                 "# dissemination on (gossip={}, retry={:?} ms, fanout={}, fanout_tree={}, \
-                 speculative={}, batch_policy={}), drain={drain_secs}s: lost must be 0\n",
+                 batch_policy={}), drain={drain_secs}s: lost must be 0\n",
                 args.gossip,
                 args.retry_ms,
                 args.fanout,
                 args.fanout_tree,
-                args.speculative,
                 match args.batch_policy() {
                     Some((min, age)) => format!("{min}B/{}ms", age.as_millis_f64()),
                     None => "eager".to_string(),
@@ -743,11 +732,10 @@ fn check_rpc(icc_pair: &[Option<Vec<SweepPoint>>; 2], failures: &mut Vec<String>
     }
 }
 
-/// The speculative-drain regression gate: across the whole sweep, a
+/// The ancestor-aware drain's regression gate: across the whole sweep, a
 /// protocol's duplicate inclusions must stay within 1% of its committed
-/// requests. Blind drains under gossip blow far past this for protocols
-/// with commit lag (HotStuff/Streamlet); the ancestor-aware drain holds
-/// it near zero.
+/// requests. A drain blind to the chain blows far past this under gossip
+/// for protocols with commit lag (HotStuff/Streamlet).
 fn check_max_dups(protocol: &str, points: &[SweepPoint], failures: &mut Vec<String>) {
     let committed: u64 = points.iter().map(|p| p.out.requests_committed).sum();
     let duplicates: u64 = points.iter().map(|p| p.out.duplicates_suppressed).sum();

@@ -109,11 +109,6 @@ pub struct Scenario {
     /// Replicas each request is submitted to (1 = the historical single
     /// target; `f + 1` is the classic censorship-resistant setting).
     pub fanout: usize,
-    /// Ancestor-aware **speculative drain**: leaders skip requests a live
-    /// uncommitted ancestor already carries, and abandoned blocks release
-    /// their requests back into the pool. Off by default — the historical
-    /// blind FIFO drain.
-    pub speculative: bool,
     /// Latency-targeted batching policy for the mempool sources; `None`
     /// (the default) drains eagerly on every proposal.
     pub batch_policy: Option<BatchPolicy>,
@@ -177,7 +172,6 @@ impl Scenario {
             gossip: false,
             retry: None,
             fanout: 1,
-            speculative: false,
             batch_policy: None,
             optimistic: false,
             think_multipliers: Vec::new(),
@@ -297,16 +291,6 @@ impl Scenario {
         self
     }
 
-    /// Enables the ancestor-aware speculative drain: drivers feed every
-    /// observed block into per-replica lease tables, leaders skip
-    /// requests leased to a live ancestor of their proposal (collapsing
-    /// the `dups` column), and abandoned blocks release their requests
-    /// back into the pool. Requires a client workload.
-    pub fn speculative_drain(mut self) -> Self {
-        self.speculative = true;
-        self
-    }
-
     /// Installs a latency-targeted batching policy: leaders defer (empty
     /// payload) until the eligible backlog reaches `min_bytes` or its
     /// oldest request has waited `max_age`.
@@ -350,12 +334,6 @@ impl Scenario {
     /// loop) instead of leader-minted synthetic payloads.
     pub fn client_driven(&self) -> bool {
         self.modeled_clients > 0 || self.rate > 0
-    }
-
-    /// True when any dissemination-layer feature (gossip, retry, submit
-    /// fan-out) is enabled.
-    pub fn disseminating(&self) -> bool {
-        self.gossip || self.retry.is_some() || self.fanout > 1
     }
 
     /// Sets the simulated duration in seconds.
@@ -514,9 +492,8 @@ fn build_simulation_with(
     // Workload: either the paper's leader-minted synthetic payloads, or
     // per-replica mempools fed by a client population (closed loop takes
     // precedence over open loop). Each pool is built in its final shape,
-    // so it gossips — down its fanout tree, if it has one — and leases
-    // from the first (priming) submission on.
-    let payload_chunk = builder.protocol_config().payload_chunk;
+    // so it gossips — down its fanout tree, if it has one — from the first
+    // (priming) submission on.
     let mempools: Option<Vec<SharedMempool>> = scenario.client_driven().then(|| {
         (0..n)
             .map(|i| {
@@ -529,9 +506,6 @@ fn build_simulation_with(
                     if !peers.is_empty() {
                         pool = pool.with_peer_queues(&peers);
                     }
-                }
-                if scenario.speculative {
-                    pool = pool.with_speculation(payload_chunk);
                 }
                 std::sync::Arc::new(std::sync::Mutex::new(pool))
             })
@@ -550,10 +524,6 @@ fn build_simulation_with(
         }
         None => builder.payload_size(scenario.payload),
     };
-    assert!(
-        !scenario.speculative || mempools.is_some(),
-        "speculative drain needs a client workload"
-    );
     let builder = cluster(builder);
     let engines = builder.build(&scenario.protocol);
     let mut sim_config = SimConfig::with_seed(scenario.seed);
@@ -605,12 +575,10 @@ fn build_simulation_with(
             workload = workload.with_fanout(scenario.fanout);
         }
         sim.attach_closed_loop(workload);
-        if scenario.disseminating() || scenario.speculative {
-            // Speculation rides the dissemination wiring: commits must
-            // reach the pools to retire/release leases even when gossip,
-            // retry and fan-out are all off.
-            sim.enable_dissemination(scenario.gossip);
-        }
+        // Every pool is wired into its replica, so commits retire its
+        // leases and abandoned blocks release theirs, even with gossip,
+        // retry and fan-out all off.
+        sim.enable_dissemination(scenario.gossip);
     }
     if !scenario.faults.restarts().is_empty() {
         // Rejoining replicas are rebuilt from the same cluster wiring

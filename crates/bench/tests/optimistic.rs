@@ -25,7 +25,6 @@ fn optimistic_loop() -> Scenario {
     .gossip()
     .retry_timeout(Duration::from_millis(200))
     .drain(3)
-    .speculative_drain()
     .optimistic()
 }
 

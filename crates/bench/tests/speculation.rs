@@ -1,16 +1,15 @@
-//! End-to-end tests of the ancestor-aware speculative drain and the
-//! latency-targeted batch policy (ISSUE 5 acceptance criteria): under
-//! gossip, blind FIFO drains re-batch whatever uncommitted ancestors
-//! already carry — the speculative drain must collapse those duplicate
-//! inclusions by ≥90% for the commit-lagged baselines while losing
-//! nothing and keeping goodput, and every knob must default off.
+//! End-to-end tests of the ancestor-aware drain and the latency-targeted
+//! batch policy. Under gossip every pool holds a copy of what the
+//! proposal's uncommitted ancestors carry; the drain skips those, so a
+//! request commits once, and a block that never finalizes releases its
+//! requests, so none is lost.
 
 use banyan_bench::runner::{run_metrics, Scenario};
 use banyan_mempool::WorkloadBatch;
 use banyan_simnet::topology::Topology;
 use banyan_types::time::Duration;
 
-/// The PR 4 dissemination setting where duplicate inclusions are worst:
+/// The setting where a drain blind to the chain duplicates most:
 /// saturated closed loop, gossip + retry, drained so loss accounting
 /// settles.
 fn gossiped(protocol: &str) -> Scenario {
@@ -29,91 +28,27 @@ fn gossiped(protocol: &str) -> Scenario {
     .drain(3)
 }
 
-/// The acceptance bar: the speculative drain cuts the `dups`
-/// column by ≥90% for HotStuff and Streamlet (whose commit lag made
-/// blind drains re-batch multiple ancestor blocks), keeps it no worse
-/// for Banyan, loses zero requests, and does not cost goodput.
+/// The bar CI's `--assert-max-dups` gate holds every sweep to: duplicate
+/// inclusions at most 1% of committed requests, no request lost, and
+/// every submitted request committed after the drain — for all three
+/// engines, HotStuff's and Streamlet's multi-block commit lag included.
 #[test]
-fn speculative_drain_collapses_duplicates_under_gossip() {
+fn gossip_commits_each_request_once_and_loses_none() {
     for protocol in ["banyan", "hotstuff", "streamlet"] {
-        let (blind, _) = run_metrics(&gossiped(protocol));
-        let (spec, auditor) = run_metrics(&gossiped(protocol).speculative_drain());
-        assert!(auditor.is_safe(), "{protocol}: unsafe speculative run");
-
-        let blind_dups = blind.duplicate_requests_suppressed();
-        let spec_dups = spec.duplicate_requests_suppressed();
-        if matches!(protocol, "hotstuff" | "streamlet") {
-            assert!(
-                blind_dups >= 10,
-                "{protocol}: control lost its duplication pathology \
-                 ({blind_dups} dups) — the regression meter is gone"
-            );
-            assert!(
-                (spec_dups as f64) <= 0.1 * blind_dups as f64,
-                "{protocol}: speculative drain must cut dups >=90%: \
-                 {blind_dups} -> {spec_dups}"
-            );
-        } else {
-            assert!(
-                spec_dups <= blind_dups,
-                "{protocol}: speculation must never add dups: \
-                 {blind_dups} -> {spec_dups}"
-            );
-        }
-
-        // Zero loss: released leases put abandoned blocks' requests back.
-        assert_eq!(
-            spec.requests_lost(),
-            0,
-            "{protocol}: lost requests despite gossip+retry+speculation"
+        let (m, auditor) = run_metrics(&gossiped(protocol));
+        assert!(auditor.is_safe(), "{protocol}: unsafe run");
+        let (committed, dups) = (m.requests_committed(), m.duplicate_requests_suppressed());
+        assert!(committed > 1_000, "{protocol}: {committed} committed");
+        assert!(
+            dups as f64 <= 0.01 * committed as f64,
+            "{protocol}: {dups} duplicate inclusions exceed 1% of {committed} committed"
         );
+        assert_eq!(m.requests_lost(), 0, "{protocol}: lost requests");
         assert_eq!(
-            spec.requests_completed, spec.requests_submitted,
+            m.requests_completed, m.requests_submitted,
             "{protocol}: every submitted request must commit after the drain"
         );
-        // No goodput loss: the work the blind drain wasted on duplicates
-        // is reclaimed, so useful commits must hold (tolerance for the
-        // schedule shifting under different batch compositions).
-        assert!(
-            spec.requests_committed() as f64 >= 0.9 * blind.requests_committed() as f64,
-            "{protocol}: goodput regressed: {} -> {} committed",
-            blind.requests_committed(),
-            spec.requests_committed()
-        );
     }
-}
-
-/// With the dissemination layer fully off, speculation alone already
-/// repairs the baseline's loss pathology: requests drained into
-/// never-finalized proposals are released back into the pool instead of
-/// being stranded (`banyan` loses plenty in this regime without it — see
-/// `dissemination.rs::baseline_without_dissemination_strands_requests`).
-#[test]
-fn speculation_releases_what_the_baseline_loses() {
-    let base = Scenario::new(
-        "banyan",
-        Topology::uniform(4, Duration::from_millis(5)).with_egress_bps(100_000_000),
-        1,
-        1,
-    )
-    .closed_loop(128, 4, Duration::ZERO)
-    .request_size(512)
-    .secs(2)
-    .seed(42)
-    .drain(3);
-    let (blind, _) = run_metrics(&base);
-    let (spec, auditor) = run_metrics(&base.speculative_drain());
-    assert!(auditor.is_safe());
-    assert!(
-        blind.requests_lost() > 0,
-        "the no-dissemination control must strand requests past the knee"
-    );
-    assert!(
-        spec.requests_lost() < blind.requests_lost(),
-        "release-on-abandon must recover stranded requests: {} -> {}",
-        blind.requests_lost(),
-        spec.requests_lost()
-    );
 }
 
 /// The latency-targeted batch policy holds blocks until a size or age
@@ -181,20 +116,19 @@ fn batch_policy_trades_bounded_latency_for_fuller_blocks() {
     );
 }
 
-/// Speculation and batch policy ride the same deterministic event loop:
+/// Leases and the batch policy ride the same deterministic event loop:
 /// same seed ⇒ bit-identical runs, different seed ⇒ divergence.
 #[test]
-fn speculative_runs_are_deterministic() {
+fn batch_policy_runs_are_deterministic() {
     let scenario = |seed: u64| {
         gossiped("hotstuff")
             .seed(seed)
-            .speculative_drain()
             .batch_policy(1_024, Duration::from_millis(40))
     };
     let (a, auditor) = run_metrics(&scenario(42));
     let (b, _) = run_metrics(&scenario(42));
     assert!(auditor.is_safe());
-    assert_eq!(a, b, "same seed must reproduce the speculative run exactly");
+    assert_eq!(a, b, "same seed must reproduce the run exactly");
     let (c, _) = run_metrics(&scenario(43));
     assert_ne!(a, c, "different seeds must diverge");
 }

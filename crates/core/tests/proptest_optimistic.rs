@@ -276,7 +276,7 @@ proptest! {
     fn optimistic_release_matches_the_lease_model(
         ops in proptest::collection::vec((0u8..6, 0u8..8), 1..100)
     ) {
-        let mut pool = Mempool::new(100_000).with_speculation(64 * 1024);
+        let mut pool = Mempool::new(100_000);
         let mut model = Model {
             pending: HashSet::new(),
             committed: HashSet::new(),

@@ -191,6 +191,7 @@ mod tests {
     use banyan_types::app::{ProposalContext, ProposalSource};
     use banyan_types::block::Block;
     use banyan_types::ids::{BlockHash, Round};
+    use banyan_types::payload::PAYLOAD_CHUNK;
     use banyan_types::time::Time;
 
     fn req(id: u64, at: u64) -> Request {
@@ -252,7 +253,7 @@ mod tests {
 
     #[test]
     fn coordinator_leases_steer_the_drain() {
-        let pool = ConcurrentPool::new(Mempool::new(100).with_speculation(1024), 64);
+        let pool = ConcurrentPool::new(Mempool::new(100), 64);
         let ingest = pool.ingest();
         for id in 1..=4 {
             ingest.push(req(id, id));
@@ -278,8 +279,8 @@ mod tests {
         let ctx = ProposalContext {
             round: Round(4),
             now: Time(5),
-            parent: block.hash(1024),
-            ancestors: vec![block.hash(1024)],
+            parent: block.hash(PAYLOAD_CHUNK),
+            ancestors: vec![block.hash(PAYLOAD_CHUNK)],
         };
         let out = pool.next_batch(10, u64::MAX, &ctx, &BatchPolicy::EAGER);
         assert_eq!(

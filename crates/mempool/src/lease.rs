@@ -1,8 +1,8 @@
-//! The speculative lease table: `block → the requests it carries`.
+//! The lease table: `block → the requests it carries`.
 //!
 //! A **lease** records that an observed (not yet committed) block carries
-//! a set of requests. The table answers the two questions the speculative
-//! drain machinery asks:
+//! a set of requests. The table answers the two questions the
+//! ancestor-aware drain asks:
 //!
 //! * *exclusion* — which request ids are leased to a live ancestor of the
 //!   block being proposed (those must not be re-batched);
@@ -75,6 +75,14 @@ impl LeaseTable {
             .remove(&(round, *block))
             .expect("lease index and table agree");
         Some(lease.requests)
+    }
+
+    /// The requests of the only live lease, if exactly one is live.
+    pub(crate) fn sole(&self) -> Option<&[Request]> {
+        match self.leases.values().next() {
+            Some(lease) if self.leases.len() == 1 => Some(&lease.requests),
+            _ => None,
+        }
     }
 
     /// Certificate-conflict sweep: a round-`round` block `committed`

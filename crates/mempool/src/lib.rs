@@ -1,7 +1,6 @@
 //! The request-dissemination layer: shared mempools, batch encoding,
 //! pending-request gossip, exactly-once commit dedup and the
-//! **speculative drain** (ancestor-aware leases + latency-targeted
-//! batching).
+//! **ancestor-aware drain** (leases + latency-targeted batching).
 //!
 //! Banyan's latency claims assume client requests reach the *current*
 //! leader promptly, but a request submitted to one replica's FIFO would
@@ -28,20 +27,21 @@
 //!   (request records + zero padding to the nominal byte size, so the
 //!   bandwidth model charges what a real deployment would ship).
 //!
-//! # Speculative drain & leases
+//! # Leases and the ancestor-aware drain
 //!
-//! With gossip, every replica's pool holds a copy of (nearly) every
-//! pending request, so a leader that drains its FIFO blind to the chain
-//! re-batches everything its *uncommitted ancestors* already carry — the
-//! commit-lag duplication the sweep's `dups` column measures (large for
-//! HotStuff/Streamlet's multi-block commit lag).
-//! [`Mempool::with_speculation`] turns the pool into a speculative one:
+//! A leader proposes on a parent that is not yet finalized, and with
+//! gossip every pool holds a copy of (nearly) every pending request, so a
+//! drain blind to the chain would re-batch everything the proposal's
+//! *uncommitted ancestors* already carry. Every pool therefore leases:
 //!
 //! * the driver layer calls [`Mempool::observe_proposal`] for every block
-//!   that crosses the wire (own proposals on the way out, peers' on the
-//!   way in); the pool decodes the block's [`WorkloadBatch`] and records a
-//!   **lease** — `block id → the requests it carries` — so inclusion
-//!   tracking never touches an engine;
+//!   its replica sends and every block that arrives first-hand (from its
+//!   proposer, or in a sync reply: `Message::first_hand_blocks`); the
+//!   pool decodes the block's [`WorkloadBatch`] and records a **lease** —
+//!   `block id → the requests it carries` — so inclusion tracking never
+//!   touches an engine. A relayed copy is neither decoded nor hashed: the
+//!   proposer's copy leases the block, and so does this replica relaying
+//!   it on;
 //! * [`Mempool::drain_speculative`] (what [`MempoolSource`] calls) skips
 //!   every request leased to a **live ancestor** of the block being
 //!   proposed (the `ProposalContext::ancestors` chain), leaving those
@@ -57,12 +57,9 @@
 //! eligible backlog reaches a byte target or its oldest request reaches an
 //! age target — trading a bounded wait for fuller blocks.
 //!
-//! A pool's shape is stated once, where it is built —
-//! `Mempool::new(cap)` then any of [`with_gossip`](Mempool::with_gossip),
-//! [`with_peer_queues`](Mempool::with_peer_queues),
-//! [`with_speculation`](Mempool::with_speculation) — and a pool built
-//! with none of them, drained under [`BatchPolicy::EAGER`], is the
-//! historical blind FIFO bit for bit.
+//! A pool's shape is stated once, where it is built: `Mempool::new(cap)`
+//! then [`with_gossip`](Mempool::with_gossip) or
+//! [`with_peer_queues`](Mempool::with_peer_queues).
 //!
 //! The gossip traffic itself travels as
 //! [`banyan_types::message::DisseminationMsg`] frames, and the pool
@@ -126,7 +123,7 @@ use banyan_types::codec::{Reader, Wire, Writer, MAX_LEN};
 use banyan_types::engine::{CommitEntry, Outbound};
 use banyan_types::ids::{BlockHash, ReplicaId, Round};
 use banyan_types::message::{DisseminationMsg, Message};
-use banyan_types::payload::Payload;
+use banyan_types::payload::{Payload, PAYLOAD_CHUNK};
 use banyan_types::time::{Duration, Time};
 
 pub use banyan_types::message::PendingRequest as Request;
@@ -309,10 +306,6 @@ pub struct Mempool {
     peer_take: usize,
     /// Entries shed by per-peer queue bounds so far (all peers).
     peer_sheds: u64,
-    /// `Some(payload_chunk)` when the speculative lease machinery is on
-    /// (the chunk size parameterizes block hashing in
-    /// [`observe_proposal`](Self::observe_proposal)).
-    speculation: Option<usize>,
     /// Live leases: `block → the requests it carries`.
     leases: LeaseTable,
     /// Called when a [`push`](Self::push) makes an empty pool busy.
@@ -373,7 +366,6 @@ impl Mempool {
             peer_queue_cap: DEFAULT_PEER_QUEUE_CAP,
             peer_take: DEFAULT_PEER_TAKE,
             peer_sheds: 0,
-            speculation: None,
             leases: LeaseTable::new(),
             arrival: None,
             accepted: 0,
@@ -423,15 +415,6 @@ impl Mempool {
                 queue: VecDeque::new(),
             })
             .collect();
-        self
-    }
-
-    /// Builder-style: enables the speculative lease machinery.
-    /// `payload_chunk` must match the cluster's
-    /// `ProtocolConfig::payload_chunk` so observed blocks hash to the same
-    /// ids the engines use.
-    pub fn with_speculation(mut self, payload_chunk: usize) -> Self {
-        self.speculation = Some(payload_chunk);
         self
     }
 
@@ -569,29 +552,26 @@ impl Mempool {
     }
 
     // ------------------------------------------------------------------
-    // Speculative leases
+    // Leases
     // ------------------------------------------------------------------
 
-    /// Driver hook: observes one block crossing the wire (an own proposal
-    /// on the way out, a peer's on the way in). If speculation is enabled
-    /// and the block carries a [`WorkloadBatch`], its requests are
-    /// recorded as a **lease** keyed by the block's id, feeding the
-    /// exclusion set of [`drain_speculative`](Self::drain_speculative)
-    /// and the release machinery of
-    /// [`mark_committed_block`](Self::mark_committed_block). Idempotent
-    /// per block; returns `true` when a new lease was recorded.
+    /// Driver hook: observes one block crossing the wire (one this
+    /// replica sends, or one that arrived first-hand). If the block
+    /// carries a [`WorkloadBatch`], its requests are recorded as a
+    /// **lease** keyed by the block's id (hashed at [`PAYLOAD_CHUNK`]),
+    /// feeding the exclusion set of
+    /// [`drain_speculative`](Self::drain_speculative) and the release
+    /// machinery of [`mark_committed_block`](Self::mark_committed_block).
+    /// Idempotent per block; returns `true` when a new lease was recorded.
     ///
     /// This is the layer that decodes ancestor payloads — engines only
     /// ever hand block *ids* to the pool (via `ProposalContext`), so they
     /// stay pure.
     pub fn observe_proposal(&mut self, block: &Block) -> bool {
-        let Some(payload_chunk) = self.speculation else {
-            return false;
-        };
         let Some(batch) = WorkloadBatch::decode(&block.payload) else {
             return false;
         };
-        let hash = block.hash(payload_chunk);
+        let hash = block.hash(PAYLOAD_CHUNK);
         self.observe_block(hash, block.round, block.parent, batch.requests)
     }
 
@@ -602,9 +582,8 @@ impl Mempool {
     /// parent is what enables the eager
     /// certificate-conflict release of
     /// [`mark_committed_block`](Self::mark_committed_block); a parent
-    /// nobody leased (genesis included) never triggers it. A no-op unless
-    /// the pool speculates; idempotent per block id; returns `true` when
-    /// newly recorded.
+    /// nobody leased (genesis included) never triggers it. Idempotent per
+    /// block id; returns `true` when newly recorded.
     pub fn observe_block(
         &mut self,
         block: BlockHash,
@@ -612,7 +591,7 @@ impl Mempool {
         parent: BlockHash,
         requests: Vec<Request>,
     ) -> bool {
-        self.speculation.is_some() && self.leases.observe(block, round, parent, requests)
+        self.leases.observe(block, round, parent, requests)
     }
 
     /// Commit-side lease retirement: marks every request of the committed
@@ -628,9 +607,6 @@ impl Mempool {
     /// sits *above* the release horizon — without the eager sweep its
     /// requests would strand until the next commit (the fork-abandonment
     /// blind spot).
-    ///
-    /// With speculation off this reduces to per-id `mark_committed`
-    /// calls, preserving the historical commit path bit-for-bit.
     pub fn mark_committed_block(&mut self, block: BlockHash, round: Round, requests: &[Request]) {
         for req in requests {
             self.mark_committed(req.id);
@@ -828,10 +804,9 @@ impl Mempool {
         }
     }
 
-    /// Removes and returns up to `max` requests, oldest first: the blind
-    /// FIFO drain, i.e. [`drain_speculative`](Self::drain_speculative)
-    /// with no byte cap, a genesis-rooted context and the
-    /// [`BatchPolicy::EAGER`] policy.
+    /// Removes and returns up to `max` requests, oldest first:
+    /// [`drain_speculative`](Self::drain_speculative) with no byte cap, no
+    /// ancestors and the [`BatchPolicy::EAGER`] policy.
     pub fn drain(&mut self, max: usize) -> Vec<Request> {
         self.drain_speculative(
             max,
@@ -967,6 +942,20 @@ impl Mempool {
     /// True if nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
+    }
+
+    /// True if the pool holds no request a leader could propose: nothing
+    /// is pending, or the pool's only live lease carries every pending
+    /// request. That lease is the block in flight, which finalizes in its
+    /// own round on the happy path. With two or more blocks in flight, a
+    /// block on top of them is what finalizes one whose round did not, so
+    /// the pool is not idle. What a driver's idle hold tests.
+    pub fn is_idle(&self) -> bool {
+        self.pending.is_empty()
+            || self.leases.sole().is_some_and(|carried| {
+                let pending = carried.iter().filter(|r| self.pending.contains_key(&r.id));
+                pending.count() >= self.pending.len()
+            })
     }
 
     /// Requests accepted so far (including later-evicted ones; local
@@ -1116,18 +1105,12 @@ impl WorkloadBatch {
 /// block). Without the byte bound, large requests would let the record
 /// cap admit multi-gigabyte blocks.
 ///
-/// Draining is destructive: a request batched into a proposal that never
-/// finalizes (a backup proposal that loses to the leader's, or an
-/// equivocator's second block) is gone *from this pool* — the engine
-/// cannot know at drain time whether its block will win. With the
-/// dissemination layer off that means the request is lost outright
-/// (visible as `requests_lost` in the metrics); with gossip, fan-out or
-/// client retry enabled another copy survives elsewhere and commits
-/// exactly once (see the crate docs). With **speculation** enabled on the
-/// pool, the driver-fed lease table additionally (a) excludes requests
-/// already carried by a live ancestor of the proposal (no duplicate
-/// inclusions) and (b) releases requests of abandoned blocks back into
-/// the queue (no local loss either).
+/// Draining is ancestor-aware: the driver-fed lease table (a) excludes
+/// requests already carried by a live ancestor of the proposal (no
+/// duplicate inclusions) and (b) releases the requests of a block that
+/// never finalizes (a backup proposal that loses to the leader's, an
+/// equivocator's second block) back into the queue once a commit passes
+/// its round, so a drained request is not lost with its block.
 #[derive(Debug)]
 pub struct PoolSource<P> {
     pool: P,
@@ -1245,8 +1228,7 @@ pub trait ReplicaPool: Clone + Send + 'static {
 
     /// Leases the block an outbound frame proposes (own proposals,
     /// relays, single sync responses) — what lets an abandoned own
-    /// proposal release its drained requests back into the pool. A no-op
-    /// unless the pool speculates.
+    /// proposal release its drained requests back into the pool.
     fn observe_outbound(&self, out: &Outbound) {
         let (Outbound::Broadcast(msg) | Outbound::Send(_, msg)) = out;
         if let Some(block) = msg.proposal_block() {
@@ -1254,12 +1236,13 @@ pub trait ReplicaPool: Clone + Send + 'static {
         }
     }
 
-    /// Leases every block an arriving frame carries — proposals and
-    /// fetched catch-up batches alike, so a rejoined replica never
-    /// re-batches requests its freshly fetched ancestors already hold. A
-    /// no-op unless the pool speculates.
-    fn observe_inbound(&self, msg: &Message) {
-        for block in msg.carried_blocks() {
+    /// Leases every block a frame from `from` carries first-hand
+    /// ([`Message::first_hand_blocks`]: proposals from their proposer and
+    /// fetched catch-up batches, so a rejoined replica never re-batches
+    /// requests its freshly fetched ancestors already hold). A relay is
+    /// neither decoded nor hashed.
+    fn observe_inbound(&self, from: ReplicaId, msg: &Message) {
+        for block in msg.first_hand_blocks(from) {
             self.observe_proposal(block);
         }
     }
@@ -1613,8 +1596,8 @@ mod tests {
     }
 
     #[test]
-    fn speculative_drain_skips_ancestor_leases_without_consuming_them() {
-        let mut mp = Mempool::new(100).with_speculation(64 * 1024);
+    fn the_drain_skips_ancestor_leases_without_consuming_them() {
+        let mut mp = Mempool::new(100);
         for id in 1..=6 {
             mp.push(req(id, id));
         }
@@ -1640,14 +1623,14 @@ mod tests {
     }
 
     #[test]
-    fn speculative_drain_excludes_mid_event_committed_ancestors() {
+    fn the_drain_excludes_mid_event_committed_ancestors() {
         // The commit-lag race: an engine can commit block E and propose
         // in the SAME event — the drain runs before the commit is routed
         // to the pool. The engine contract therefore keeps E in the
         // context's ancestor chain (ancestors reach down to the newest
         // *routed* commit), and E's still-live lease must exclude its
         // requests from the drain.
-        let mut mp = Mempool::new(100).with_speculation(64 * 1024);
+        let mut mp = Mempool::new(100);
         for id in 1..=3 {
             mp.push(req(id, id));
         }
@@ -1673,9 +1656,28 @@ mod tests {
         assert!(mp.is_empty());
     }
 
+    /// Idle: nothing pending, or one block in flight carrying every
+    /// pending request. A free request, or a second block in flight, makes
+    /// the pool busy.
+    #[test]
+    fn a_pool_is_idle_while_one_block_in_flight_carries_every_request() {
+        let mut mp = Mempool::new(100);
+        assert!(mp.is_idle());
+        mp.push(req(1, 1));
+        assert!(!mp.is_idle(), "a free request");
+        mp.observe_block(hash(0xA), Round(1), BlockHash::ZERO, vec![req(1, 1)]);
+        assert!(mp.is_idle(), "the one block in flight carries it");
+        mp.push(req(2, 2));
+        assert!(!mp.is_idle(), "request 2 is free");
+        mp.observe_block(hash(0xB), Round(2), hash(0xA), vec![req(2, 2)]);
+        assert!(!mp.is_idle(), "two blocks in flight");
+        mp.mark_committed_block(hash(0xA), Round(1), &[req(1, 1)]);
+        assert!(mp.is_idle(), "one block in flight again");
+    }
+
     #[test]
     fn mark_committed_block_retires_the_winner_and_releases_the_losers() {
-        let mut mp = Mempool::new(100).with_speculation(64 * 1024);
+        let mut mp = Mempool::new(100);
         for id in 1..=4 {
             mp.push(req(id, id));
         }
@@ -1709,7 +1711,7 @@ mod tests {
         // extends the round-7 loser A. When B commits at round 7, the
         // round sweep only reaches ≤ 7, so D's lease used to strand until
         // the *next* commit — its requests invisible to both forks.
-        let mut mp = Mempool::new(100).with_speculation(64 * 1024);
+        let mut mp = Mempool::new(100);
         // All four blocks were observed from peers; none of their
         // requests is pending locally, so a release visibly re-enters.
         mp.observe_block(hash(0xA), Round(7), BlockHash::ZERO, vec![req(11, 11)]);
@@ -1735,7 +1737,7 @@ mod tests {
 
     #[test]
     fn release_skips_committed_and_still_pending_copies() {
-        let mut mp = Mempool::new(100).with_speculation(64 * 1024);
+        let mut mp = Mempool::new(100);
         mp.push(req(1, 1));
         mp.push(req(2, 2));
         // Lease carries 1 (still pending here), 2 (pending) and 9 (never
@@ -1756,7 +1758,6 @@ mod tests {
     fn observe_proposal_decodes_batches_and_respects_the_gate() {
         use banyan_crypto::Signature;
         use banyan_types::ids::{Rank, ReplicaId};
-        let chunk = 64 * 1024;
         let block = Block {
             round: Round(2),
             proposer: ReplicaId(0),
@@ -1769,21 +1770,20 @@ mod tests {
             .into_payload(),
             signature: Signature::zero(),
         };
-        // Speculation off: observation is a no-op.
-        let mut off = Mempool::new(10);
-        assert!(!off.observe_proposal(&block));
-        assert_eq!(off.live_leases(), 0);
-        // Speculation on: the batch is decoded and leased under the
-        // block's real hash; re-observation is idempotent.
-        let mut on = Mempool::new(10).with_speculation(chunk);
-        assert!(on.observe_proposal(&block));
-        assert!(!on.observe_proposal(&block));
-        let leased = on.lease(&block.hash(chunk)).expect("lease recorded");
+        // The batch is decoded and leased under the block's real hash;
+        // re-observation is idempotent.
+        let mut mp = Mempool::new(10);
+        assert!(mp.observe_proposal(&block));
+        assert!(!mp.observe_proposal(&block));
+        let leased = mp
+            .lease(&block.hash(PAYLOAD_CHUNK))
+            .expect("lease recorded");
         assert_eq!(leased.iter().map(|r| r.id).collect::<Vec<_>>(), [7]);
         // Non-batch payloads never lease.
         let mut synth = block.clone();
         synth.payload = Payload::synthetic(100, 1);
-        assert!(!on.observe_proposal(&synth));
+        assert!(!mp.observe_proposal(&synth));
+        assert_eq!(mp.live_leases(), 1);
     }
 
     #[test]
@@ -1813,7 +1813,7 @@ mod tests {
         let out = mp.drain_speculative(10, u64::MAX, &ctx_at(7_000_000), &policy);
         assert_eq!(out.len(), 1, "oldest eligible request hit max_age");
         // Leased (excluded) requests count toward neither trigger.
-        let mut mp = Mempool::new(100).with_speculation(1024);
+        let mut mp = Mempool::new(100);
         for id in 1..=20 {
             mp.push(req(id, 1));
         }

@@ -6,7 +6,7 @@
 //! out of a drain exactly once — no loss, no duplication — regardless of
 //! thread interleaving.
 //!
-//! The whole lease lifecycle, speculation on: producers, two observers
+//! The whole lease lifecycle: producers, two observers
 //! leasing blocks, a proposer draining on top of them and a committer
 //! retiring them all share the one lock, and every request stays
 //! accounted for.
@@ -135,11 +135,10 @@ fn lease_lifecycle_under_threads_accounts_for_every_request() {
     const ROUNDS: u64 = 40;
     const PER_BLOCK: u64 = 25;
     const COMMIT_LAG: usize = 3;
-    const HASH_CHUNK: usize = 64 * 1024;
 
-    // Speculation is the wrapped pool's own: a lease observed through the
-    // handle lands in the table `pool()` shows.
-    let probe = ConcurrentPool::new(Mempool::new(8).with_speculation(HASH_CHUNK), 8);
+    // A lease observed through the handle lands in the table `pool()`
+    // shows.
+    let probe = ConcurrentPool::new(Mempool::new(8), 8);
     assert!(lease(
         &probe,
         block_id(1, 0),
@@ -155,10 +154,7 @@ fn lease_lifecycle_under_threads_accounts_for_every_request() {
         let base = (kind - 1) * ROUNDS * PER_BLOCK + j * PER_BLOCK;
         (base + 1..=base + PER_BLOCK).map(req).collect()
     };
-    let pool = ConcurrentPool::new(
-        Mempool::new(2 * IDS as usize).with_speculation(HASH_CHUNK),
-        2 * IDS as usize,
-    );
+    let pool = ConcurrentPool::new(Mempool::new(2 * IDS as usize), 2 * IDS as usize);
     let start = Barrier::new(6);
     let (observed_tx, observed_rx) = mpsc::channel::<u64>();
     let (built_on_tx, built_on_rx) = mpsc::channel::<u64>();

@@ -1,5 +1,5 @@
-//! Property tests of the speculative lease lifecycle: under any
-//! interleaving of pushes, speculative drains, peer-block observations,
+//! Property tests of the lease lifecycle: under any
+//! interleaving of pushes, ancestor-aware drains, peer-block observations,
 //! commits and releases, the pool neither loses a request nor lets one
 //! commit twice — and one script of driver-level operations leaves both
 //! pool handles in the same state.
@@ -24,6 +24,7 @@ use banyan_types::block::Block;
 use banyan_types::engine::{CommitEntry, Outbound};
 use banyan_types::ids::{BlockHash, Rank, ReplicaId, Round};
 use banyan_types::message::{DisseminationMsg, Message, StreamletMsg, SyncMsg};
+use banyan_types::payload::PAYLOAD_CHUNK;
 use banyan_types::time::Time;
 
 /// One live lease in the model: a block (own proposal drained out of the
@@ -102,9 +103,6 @@ fn check_invariants(pool: &Mempool, model: &Model) {
         );
     }
 }
-
-/// Payload-chunk size the scripted blocks are hashed with.
-const CHUNK: usize = 64 * 1024;
 
 /// What the script observes of a pool afterwards: pending ids (sorted),
 /// live leases, and every counter.
@@ -208,10 +206,14 @@ fn run_script<H: Handle>(pool: &H, ops: &[(u8, u8)]) -> (Vec<Outbound>, PoolStat
                     pool.observe_outbound(&Outbound::Broadcast(Message::Streamlet(proposal)));
                 } else {
                     let fetched = blocks.last().cloned().into_iter().chain([new.clone()]);
-                    pool.observe_inbound(&Message::Sync(SyncMsg::ResponseBatch {
-                        blocks: fetched.collect(),
-                        notarizations: vec![],
-                    }));
+                    let sync = ReplicaId(1);
+                    pool.observe_inbound(
+                        sync,
+                        &Message::Sync(SyncMsg::ResponseBatch {
+                            blocks: fetched.collect(),
+                            notarizations: vec![],
+                        }),
+                    );
                 }
                 blocks.push(new);
             }
@@ -219,7 +221,7 @@ fn run_script<H: Handle>(pool: &H, ops: &[(u8, u8)]) -> (Vec<Outbound>, PoolStat
                 let won = blocks.remove(arg as usize % blocks.len());
                 let retired = pool.retire(&CommitEntry {
                     round: won.round,
-                    block: won.hash(CHUNK),
+                    block: won.hash(PAYLOAD_CHUNK),
                     proposer: won.proposer,
                     payload: won.payload.clone(),
                     proposed_at: won.proposed_at,
@@ -242,21 +244,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// One script, both handles: whatever a driver does to a
-    /// `SharedMempool` and to a `SharedConcurrentPool` — with and without
-    /// per-peer queues and speculation — both emit the same frames and
-    /// end with the same pending ids, live leases and counters.
+    /// `SharedMempool` and to a `SharedConcurrentPool` — broadcasting or
+    /// with per-peer queues — both emit the same frames and end with the
+    /// same pending ids, live leases and counters.
     #[test]
     fn one_script_leaves_both_handles_in_the_same_state(
         ops in proptest::collection::vec((0u8..7, 0u8..8), 1..80)
     ) {
-        for (peer_queues, speculation) in [(false, false), (false, true), (true, false), (true, true)] {
+        for peer_queues in [false, true] {
             let build = || {
-                let mut pool = Mempool::new(100_000).with_gossip(true);
+                let pool = Mempool::new(100_000).with_gossip(true);
                 if peer_queues {
-                    pool = pool.with_peer_queues(&[1, 2, 3]);
-                }
-                if speculation {
-                    pool = pool.with_speculation(CHUNK);
+                    return pool.with_peer_queues(&[1, 2, 3]);
                 }
                 pool
             };
@@ -266,20 +265,19 @@ proptest! {
             let (concurrent_out, concurrent_state) = run_script(&concurrent, &ops);
             prop_assert_eq!(&shared_out, &concurrent_out);
             prop_assert_eq!(&shared_state, &concurrent_state);
-            // The script really gossips in both shapes, and really leases.
+            // The script really gossips in both shapes.
             let broadcast = shared_out.iter().any(|out| matches!(out, Outbound::Broadcast(_)));
             prop_assert!(shared_out.is_empty() || broadcast != peer_queues);
-            prop_assert!(speculation || shared_state.1 == 0);
         }
     }
 
-    /// Interleaved push / speculative-drain / observe / commit / release
+    /// Interleaved push / drain / observe / commit / release
     /// never loses a request and never commits one twice.
     #[test]
     fn lease_lifecycle_never_loses_or_double_commits(
         ops in proptest::collection::vec((0u8..5, 0u8..8), 1..100)
     ) {
-        let mut pool = Mempool::new(100_000).with_speculation(64 * 1024);
+        let mut pool = Mempool::new(100_000);
         let mut model = Model {
             pending: HashSet::new(),
             committed: HashSet::new(),

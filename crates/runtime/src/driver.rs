@@ -23,8 +23,10 @@
 //! cluster finalizing empty blocks back to back. So a rank-0 `Propose`
 //! timer (the engine marks it with
 //! [`hold_until`](TimerKind::Propose::hold_until)) that fires while the
-//! replica's pool holds no live pending request is **held**: the first
-//! [`Replica::flush`] that finds a request in the pool fires it, and so
+//! replica's pool holds no request it could propose
+//! ([`Mempool::is_idle`](banyan_mempool::Mempool::is_idle): none pending
+//! outside a live lease) is **held**: the first [`Replica::flush`] that
+//! finds such a request in the pool fires it, and so
 //! does its bound, Δ after the round started, if no request came. Backup
 //! timers, replicas without a pool and engines that never set the bound
 //! are never held. A held proposal whose round was left is dropped, and
@@ -289,15 +291,17 @@ impl<P: ReplicaPool> Replica<P> {
     /// True if a proposal is held while the pool holds a request: what
     /// the next [`flush`](Self::flush) releases.
     pub fn holds_releasable(&self) -> bool {
-        let busy = |pool: &P| pool.with_pool(|pool| !pool.is_empty());
+        let busy = |pool: &P| pool.with_pool(|pool| !pool.is_idle());
         self.held.is_some() && self.pool.as_ref().is_some_and(busy)
     }
 
     /// Handles one frame from `from`. Request gossip feeds the pool, a
     /// frontier probe is answered from the engine's commit frontier, a
     /// frontier report feeds catch-up: engines never see these. Every
-    /// other frame is the engine's, and the blocks it carries are leased
-    /// in the pool first. A down replica drops every frame.
+    /// other frame is the engine's, and the blocks it carries first-hand
+    /// (from their proposer, or in a sync reply) are leased in the pool
+    /// first; a relayed copy is left to the engine, which recognises a
+    /// block it holds by equality. A down replica drops every frame.
     pub fn on_frame(&mut self, from: ReplicaId, msg: Message, now: Time, io: &mut impl ReplicaIo) {
         let Some(engine) = &mut self.engine else {
             return;
@@ -317,7 +321,7 @@ impl<P: ReplicaPool> Replica<P> {
             }
             Inbound::Engine(msg) => {
                 if let Some(pool) = &self.pool {
-                    pool.observe_inbound(&msg);
+                    pool.observe_inbound(from, &msg);
                 }
                 let batch = matches!(msg, Message::Sync(SyncMsg::ResponseBatch { .. }));
                 let actions = engine.on_message(from, msg, now);
@@ -384,7 +388,7 @@ impl<P: ReplicaPool> Replica<P> {
         if is_stale(kind, self.engine.as_ref()?.current_round()) {
             return None;
         }
-        let idle = self.pool.as_ref()?.with_pool(|pool| pool.is_empty());
+        let idle = self.pool.as_ref()?.with_pool(|pool| pool.is_idle());
         (idle && now < until).then_some(until)
     }
 
@@ -796,6 +800,82 @@ mod tests {
         replica.on_frame(ReplicaId(3), request.clone(), Time(3), &mut log);
         let echo = Outbound::Send(ReplicaId(3), request);
         assert_eq!(log.0, [Effect::Sent(echo)], "the engine is deaf");
+    }
+
+    /// An engine that takes every frame in silence.
+    struct Deaf;
+
+    impl Engine for Deaf {
+        fn id(&self) -> ReplicaId {
+            ReplicaId(0)
+        }
+        fn protocol_name(&self) -> &'static str {
+            "deaf"
+        }
+        fn on_init(&mut self, _now: Time) -> Actions {
+            Actions::none()
+        }
+        fn on_message(&mut self, _from: ReplicaId, _msg: Message, _now: Time) -> Actions {
+            Actions::none()
+        }
+        fn on_timer(&mut self, _kind: TimerKind, _now: Time) -> Actions {
+            Actions::none()
+        }
+        fn current_round(&self) -> Round {
+            Round(1)
+        }
+    }
+
+    /// A relayed copy of a block (sent by a replica other than its
+    /// proposer, in a buffer of its own, as a TCP decoder hands it over)
+    /// is neither leased nor hashed: the engine recognises a held block by
+    /// equality. The proposer's own copy is leased.
+    #[test]
+    fn only_the_proposers_copy_of_a_block_is_leased() {
+        use banyan_crypto::Signature;
+        use banyan_mempool::{Mempool, Request};
+        use banyan_types::block::Block;
+        use banyan_types::ids::Rank;
+        use banyan_types::message::StreamletMsg;
+        use banyan_types::payload::{Payload, PAYLOAD_CHUNK};
+        let pool = Mempool::shared(16);
+        let mut replica = Replica::new(Box::new(Deaf), Some(pool.clone()), Duration(10));
+        let mut log = Log::default();
+        replica.init(Time::ZERO, &mut log);
+        let request = Request {
+            id: 7,
+            client: 0,
+            size: 64,
+            submitted_at: Time::ZERO,
+        };
+        let block = Block {
+            round: Round(1),
+            proposer: ReplicaId(2),
+            rank: Rank(0),
+            parent: BlockHash::ZERO,
+            proposed_at: Time::ZERO,
+            payload: WorkloadBatch {
+                requests: vec![request],
+            }
+            .into_payload(),
+            signature: Signature::zero(),
+        };
+        let copy = || Block {
+            payload: Payload::inline(block.payload.as_inline().expect("inline").to_vec()),
+            ..block.clone()
+        };
+        let proposal = |block| Message::Streamlet(StreamletMsg::Proposal { block });
+        let relayed = copy();
+        let payload = relayed.payload.clone();
+        replica.on_frame(ReplicaId(3), proposal(relayed), Time(1), &mut log);
+        assert_eq!(pool.lock().unwrap().live_leases(), 0, "a relay was leased");
+        assert!(
+            payload.memoized_commitment(PAYLOAD_CHUNK).is_none(),
+            "a relay was hashed"
+        );
+        replica.on_frame(ReplicaId(2), proposal(copy()), Time(2), &mut log);
+        let pool = pool.lock().unwrap();
+        assert_eq!(pool.lease(&block.hash(PAYLOAD_CHUNK)), Some(&[request][..]));
     }
 
     /// Gossip feeds the pool and the pool's gossip goes out while the

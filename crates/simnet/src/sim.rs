@@ -510,9 +510,9 @@ impl Simulation {
     ///
     /// Everything else about a pool is its own shape, stated where it was
     /// built: one built `with_peer_queues` gossips down its fanout tree
-    /// instead of broadcasting, and one built `with_speculation` leases
-    /// every block its replica sees cross the wire (own proposals on the
-    /// way out, peers' and sync responses on the way in).
+    /// instead of broadcasting. Every pool leases the blocks its replica
+    /// sends and those that reach it first-hand (from their proposer, or
+    /// in a sync reply).
     ///
     /// # Panics
     ///

@@ -20,6 +20,7 @@ use banyan_types::app::App;
 use banyan_types::engine::Engine;
 use banyan_types::ids::ReplicaId;
 use banyan_types::message::Message;
+use banyan_types::payload::PAYLOAD_CHUNK;
 
 use crate::runner::TcpRunReport;
 
@@ -37,7 +38,7 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             verify_workers: 2,
-            payload_chunk: 64 << 10,
+            payload_chunk: PAYLOAD_CHUNK,
         }
     }
 }
@@ -91,13 +92,12 @@ impl PipelineStats {
     }
 }
 
-/// Walks the payload commitment of each block `msg` carries
-/// ([`Message::carried_blocks`]) that `from` proposed, or that came in a
-/// sync reply (`Response`, `ResponseBatch`), at `config.payload_chunk`,
-/// which memoizes the root on the payload's shared buffer; counts the
-/// frame `verified`, and hands it back unchanged. A relay is left
-/// unhashed: the engine recognises a copy of a block it holds by
-/// equality.
+/// Walks the payload commitment of each block `msg` carries first-hand
+/// ([`Message::first_hand_blocks`]: `from` proposed it, or it came in a
+/// sync reply) at `config.payload_chunk`, which memoizes the root on the
+/// payload's shared buffer; counts the frame `verified`, and hands it
+/// back unchanged. A relay is left unhashed: the engine recognises a copy
+/// of a block it holds by equality.
 ///
 /// No replica calls this: it is the walk a verify worker did, kept only
 /// because the benchmark's `transport.verify_frame_us` row times it.
@@ -109,11 +109,8 @@ pub fn verify_frame(
     config: &PipelineConfig,
     stats: &PipelineStats,
 ) -> (ReplicaId, Message) {
-    let sync_reply = matches!(msg, Message::Sync(_));
-    for block in msg.carried_blocks() {
-        if sync_reply || block.proposer == from {
-            block.payload.commitment(config.payload_chunk);
-        }
+    for block in msg.first_hand_blocks(from) {
+        block.payload.commitment(config.payload_chunk);
     }
     stats.verified.fetch_add(1, Ordering::Relaxed);
     (from, msg)
@@ -267,7 +264,7 @@ mod tests {
         use banyan_types::payload::Payload;
         let config = PipelineConfig::default();
         let stats = PipelineStats::default();
-        let pool = ConcurrentPool::new(Mempool::new(64).with_speculation(config.payload_chunk), 64);
+        let pool = ConcurrentPool::new(Mempool::new(64), 64);
 
         let block = block_batching(req(7));
         let mut corrupt = block.clone();
@@ -361,22 +358,17 @@ mod tests {
     }
 
     /// The blocks of a catch-up batch are leased by the loop's
-    /// `observe_inbound` on a `ConcurrentPool`: a speculating pool leases
-    /// the fetched block like a proposal, a non-speculating one records
-    /// nothing.
+    /// `observe_inbound` on a `ConcurrentPool` like a proposal, whoever
+    /// served them.
     #[test]
     fn inline_path_leases_the_blocks_of_a_catch_up_batch() {
         let batch = Message::Sync(banyan_types::message::SyncMsg::ResponseBatch {
             blocks: vec![block_batching(req(7))],
             notarizations: vec![],
         });
-        let chunk = PipelineConfig::default().payload_chunk;
-        let speculating = ConcurrentPool::new(Mempool::new(64).with_speculation(chunk), 64);
-        let plain = ConcurrentPool::new(Mempool::new(64), 64);
-        for (pool, leases) in [(speculating, 1), (plain, 0)] {
-            banyan_mempool::ReplicaPool::observe_inbound(&pool, &batch);
-            assert_eq!(pool.pool().live_leases(), leases);
-        }
+        let pool = ConcurrentPool::new(Mempool::new(64), 64);
+        banyan_mempool::ReplicaPool::observe_inbound(&pool, ReplicaId(3), &batch);
+        assert_eq!(pool.pool().live_leases(), 1);
     }
 
     /// A proposal keeps one payload buffer from the frame decoder through

@@ -774,8 +774,7 @@ pub(crate) mod tests {
         let builder = ClusterBuilder::new(4, 1, 1)
             .unwrap()
             .delta(BDuration::from_secs(60));
-        let chunk = builder.protocol_config().payload_chunk;
-        let pool = ConcurrentPool::new(Mempool::new(64).with_speculation(chunk), 64);
+        let pool = ConcurrentPool::new(Mempool::new(64), 64);
         let engine = builder.build_hotstuff().swap_remove(0);
         let replica_pool = Some(pool.clone());
         let run_for = Duration::from_millis(1000);

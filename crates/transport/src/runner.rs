@@ -288,9 +288,9 @@ mod tests {
         // a quorum that excludes a slow-to-connect peer can commit the
         // batch before the Forward frame lands there; the pool then
         // refuses the copies as already-committed (`rejected_committed`)
-        // — still proof the gossip path delivered. With speculation off,
-        // nothing but dissemination intake touches these counters on a
-        // peer pool.
+        // — still proof the gossip path delivered. Only dissemination
+        // intake touches these counters (a lease release re-pends without
+        // counting).
         for (i, pool) in pools.iter().enumerate().skip(1) {
             let p = pool.lock().unwrap();
             assert!(

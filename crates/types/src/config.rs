@@ -15,6 +15,7 @@
 //! (`n = 19` with `f = 6, p = 1` and with `f = 4, p = 4`; `n = 4` with
 //! `f = 1, p = 1`).
 
+use crate::payload::PAYLOAD_CHUNK;
 use crate::time::Duration;
 
 /// Errors from [`ProtocolConfig::new`].
@@ -86,7 +87,8 @@ pub struct ProtocolConfig {
     /// count the distinct union. Saves one signature per replica per
     /// round on the happy path. Banyan mode only.
     pub piggyback_fast_votes: bool,
-    /// Chunk size for payload Merkle commitments.
+    /// Chunk size for payload Merkle commitments: [`PAYLOAD_CHUNK`], the
+    /// size every mempool hashes the blocks it leases with.
     pub payload_chunk: usize,
 }
 
@@ -122,7 +124,7 @@ impl ProtocolConfig {
             delta: Duration::from_millis(100),
             forward_blocks: true,
             piggyback_fast_votes: false,
-            payload_chunk: 64 * 1024,
+            payload_chunk: PAYLOAD_CHUNK,
         })
     }
 

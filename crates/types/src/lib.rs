@@ -52,7 +52,7 @@ pub use ids::{BlockHash, Rank, ReplicaId, Round};
 pub use message::{
     ChainedMsg, DisseminationMsg, HotStuffMsg, Message, PendingRequest, StreamletMsg, SyncMsg,
 };
-pub use payload::Payload;
+pub use payload::{Payload, PAYLOAD_CHUNK};
 pub use snapshot::ChainSnapshot;
 pub use time::{Duration, Time};
 pub use vote::{Vote, VoteKind};

@@ -73,9 +73,8 @@ impl Message {
     }
 
     /// The block this message carries, if it is a block-bearing frame
-    /// (a proposal of any protocol family, or a sync response). Drivers
-    /// running a speculative mempool use this to observe every block that
-    /// crosses the wire and feed the pool's inclusion/lease tracking —
+    /// (a proposal of any protocol family, or a sync response). A driver
+    /// leases every block its replica sends in its pool through this;
     /// engines themselves never decode payloads.
     pub fn proposal_block(&self) -> Option<&crate::block::Block> {
         match self {
@@ -88,8 +87,8 @@ impl Message {
     }
 
     /// The blocks a catch-up batch carries (empty for every other
-    /// message). Drivers feed each one to speculative lease tracking, the
-    /// same way [`Message::proposal_block`] feeds single-block frames.
+    /// message). A driver counts the blocks its replica serves through
+    /// this.
     pub fn sync_batch_blocks(&self) -> &[Block] {
         match self {
             Message::Sync(SyncMsg::ResponseBatch { blocks, .. }) => blocks,
@@ -99,12 +98,23 @@ impl Message {
 
     /// Every block this message carries: the proposal or single sync
     /// response of [`Message::proposal_block`], then the batch of
-    /// [`Message::sync_batch_blocks`]. The one walk every driver's
-    /// inbound lease observation goes through.
+    /// [`Message::sync_batch_blocks`].
     pub fn carried_blocks(&self) -> impl Iterator<Item = &Block> {
         self.proposal_block()
             .into_iter()
             .chain(self.sync_batch_blocks())
+    }
+
+    /// The blocks of [`carried_blocks`](Self::carried_blocks) that arrived
+    /// first-hand from `from`: those it proposed, and every block of a
+    /// sync reply (`Response`, `ResponseBatch`). A relay (a block whose
+    /// proposer is not `from`) is left out: its receiver recognises a
+    /// copy of a block it holds by equality, so nothing hashes or decodes
+    /// it. What a replica's pool leases on the way in.
+    pub fn first_hand_blocks(&self, from: ReplicaId) -> impl Iterator<Item = &Block> {
+        let sync_reply = matches!(self, Message::Sync(_));
+        self.carried_blocks()
+            .filter(move |block| sync_reply || block.proposer == from)
     }
 
     /// Short label for traces and drop counters.

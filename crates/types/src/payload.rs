@@ -31,6 +31,11 @@ use banyan_crypto::sha256::sha256_concat;
 
 use crate::codec::{CodecError, Reader, Wire, Writer};
 
+/// The chunk size of every payload commitment: what
+/// [`ProtocolConfig::new`](crate::config::ProtocolConfig::new) sets and
+/// what a mempool hashes the blocks it leases with.
+pub const PAYLOAD_CHUNK: usize = 64 * 1024;
+
 /// The bytes of an inline payload: immutable, shared by every clone, and
 /// carrying a write-once memo of their own Merkle commitment.
 ///
@@ -43,7 +48,7 @@ struct Shared {
     bytes: Vec<u8>,
     /// `(chunk_size, payload_root(bytes, chunk_size))` of the first
     /// commitment computed on this allocation. A cluster uses one chunk
-    /// size (`ProtocolConfig::payload_chunk`), so one slot is enough; a
+    /// size ([`PAYLOAD_CHUNK`]), so one slot is enough; a
     /// call with another size recomputes and leaves the slot alone.
     root: OnceLock<(usize, [u8; 32])>,
 }
