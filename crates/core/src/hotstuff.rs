@@ -219,7 +219,7 @@ impl HotStuffEngine {
         }
         // Propose only when justified: either the QC of view − 1 is known
         // or a pacemaker quorum of NewViews arrived (after a timeout).
-        let justified = self.high_qc.view + 1 == view
+        let justified = self.high_qc.view.checked_add(1) == Some(view)
             || self
                 .new_views
                 .get(&(view - 1))
@@ -315,7 +315,11 @@ impl HotStuffEngine {
         }
 
         // SafeNode: vote once per view, for proposals whose justify is at
-        // least our lock.
+        // least our lock. No view follows `u64::MAX`, so nobody leads the
+        // view a vote there would go to.
+        let Some(next_view) = view.checked_add(1) else {
+            return;
+        };
         if view > self.last_vote_view && justify.view >= self.locked_qc.view {
             self.last_vote_view = view;
             // 2-chain lock update: lock the justify's justify, the record
@@ -333,7 +337,7 @@ impl HotStuffEngine {
                 voter: self.id,
                 signature: sig,
             };
-            let next_leader = self.leader(view + 1);
+            let next_leader = self.leader(next_view);
             if next_leader == self.id {
                 self.handle_vote(view, hash, self.id, sig, now, actions);
             } else {
@@ -371,8 +375,10 @@ impl HotStuffEngine {
             self.try_commit(&qc, now, actions);
             // As leader of view + 1, propose immediately (optimistic
             // responsiveness).
-            self.enter_view(view + 1, now, actions);
-            self.try_propose(now, actions);
+            if let Some(next) = view.checked_add(1) {
+                self.enter_view(next, now, actions);
+                self.try_propose(now, actions);
+            }
         }
     }
 
@@ -389,8 +395,8 @@ impl HotStuffEngine {
         let Some(b0) = self.store.get(&b0_hash) else {
             return;
         };
-        if b2.round.0 != b1.round.0 + 1
-            || b1.round.0 != b0.round.0 + 1
+        if b1.round.0.checked_add(1) != Some(b2.round.0)
+            || b0.round.0.checked_add(1) != Some(b1.round.0)
             || b0.round <= self.finalized_round()
         {
             return;
@@ -414,9 +420,12 @@ impl HotStuffEngine {
             .entry(view)
             .or_default()
             .insert(from.0, justify);
-        if self.leader(view + 1) == self.id {
-            self.enter_view(view + 1, now, actions);
-            self.try_propose(now, actions);
+        match view.checked_add(1) {
+            Some(next) if self.leader(next) == self.id => {
+                self.enter_view(next, now, actions);
+                self.try_propose(now, actions);
+            }
+            _ => {}
         }
     }
 }
@@ -435,7 +444,7 @@ impl Engine for HotStuffEngine {
         let mut actions = Actions::none();
         // Fresh engines start at view 1; restored ones re-enter one view
         // past their highest stored block (`resume` parks `view` there).
-        let next = (self.view + 1).max(1);
+        let next = self.view.saturating_add(1).max(1);
         self.enter_view(next, now, &mut actions);
         actions
     }
@@ -468,20 +477,22 @@ impl Engine for HotStuffEngine {
         self.routed_committed_round = self.finalized_round();
         let mut actions = Actions::none();
         if let TimerKind::ViewTimeout { view } = kind {
-            if view == self.view {
+            // A replica in view `u64::MAX` has no view to move on to.
+            let next = view.checked_add(1).filter(|_| view == self.view);
+            if let Some(next) = next {
                 // Pacemaker: give up on the view, tell the next leader.
                 let msg = HotStuffMsg::NewView {
                     view,
                     justify: self.high_qc.clone(),
                 };
-                let next_leader = self.leader(view + 1);
+                let next_leader = self.leader(next);
                 if next_leader == self.id {
                     let high = self.high_qc.clone();
                     self.handle_new_view(view, high, self.id, now, &mut actions);
                 } else {
                     actions.send(next_leader, Message::HotStuff(msg));
                 }
-                self.enter_view(view + 1, now, &mut actions);
+                self.enter_view(next, now, &mut actions);
             }
         }
         actions

@@ -192,10 +192,13 @@ impl StreamletEngine {
         // the shared epoch clock; for an aligned replica this equals
         // `now + epoch_len` exactly, while a replica re-initialized
         // mid-epoch (restart) re-synchronizes its tick to the boundary.
-        actions.arm(
-            Time(epoch.saturating_mul(self.epoch_len.0)),
-            TimerKind::EpochTick { epoch: epoch + 1 },
-        );
+        // No epoch follows `u64::MAX`: a replica there stays in it.
+        if let Some(next) = epoch.checked_add(1) {
+            actions.arm(
+                Time(epoch.saturating_mul(self.epoch_len.0)),
+                TimerKind::EpochTick { epoch: next },
+            );
+        }
         if self.leader(epoch) == self.id {
             let (parent, _) = self.longest_notarized_tip();
             // Stopping the ancestor walk at the store's live frontier
@@ -452,7 +455,8 @@ impl StreamletEngine {
             };
             b1.round.0
         };
-        if e3 != e2 + 1 || (p1 != BlockHash::ZERO && e2 != e1 + 1) {
+        if e2.checked_add(1) != Some(e3) || (p1 != BlockHash::ZERO && e1.checked_add(1) != Some(e2))
+        {
             return;
         }
         if Round(e2) <= self.finalized_round() {
@@ -484,8 +488,10 @@ impl Engine for StreamletEngine {
         // `self.epoch + 1` floor keeps any pre-crash vote unrepeatable
         // (`restore` parks `epoch` at the highest round it had stored).
         let wall = now.0 / self.epoch_len.0 + 1;
-        let next = wall.max(self.epoch + 1);
-        self.start_epoch(next, now, &mut actions);
+        // A replica restored in epoch `u64::MAX` has none left to start.
+        if let Some(floor) = self.epoch.checked_add(1) {
+            self.start_epoch(wall.max(floor), now, &mut actions);
+        }
         actions
     }
 
@@ -509,7 +515,7 @@ impl Engine for StreamletEngine {
     fn on_timer(&mut self, kind: TimerKind, now: Time) -> Actions {
         let mut actions = Actions::none();
         if let TimerKind::EpochTick { epoch } = kind {
-            if epoch == self.epoch + 1 {
+            if self.epoch.checked_add(1) == Some(epoch) {
                 self.start_epoch(epoch, now, &mut actions);
             }
         }

@@ -647,3 +647,114 @@ fn streamlet_stores_a_synced_block_only_after_a_proposals_checks() {
         assert_eq!(e.snapshot().blocks.len(), 1);
     }
 }
+
+// ---------------------------------------------------------------------
+// Rounds from the wire
+// ---------------------------------------------------------------------
+
+/// A round or view number is a `u64` off the wire, and `u64::MAX` has no
+/// successor: an engine handed one stays where it is rather than
+/// overflow. HotStuff gets a `NewView` carrying the genesis QC and a
+/// proposal signed by that view's leader, Streamlet restarts from a
+/// stored block of that epoch, and the chained engine gets a proposal
+/// and a vote of that round.
+#[test]
+fn u64_max_rounds_from_the_wire_never_panic_an_engine() {
+    use banyan_core::chained::{ChainedEngine, PathMode};
+    use banyan_types::certs::QuorumCert;
+    use banyan_types::message::ChainedMsg;
+    use banyan_types::vote::{Vote, VoteKind};
+    const MAX: u64 = u64::MAX;
+    let beacon = Beacon::new(BeaconMode::RoundRobin, N);
+
+    // HotStuff: a NewView from any peer, at every replica.
+    for i in 0..N as u16 {
+        let mut e = hotstuff(i);
+        e.on_init(Time(0));
+        let new_view = HotStuffMsg::NewView {
+            view: MAX,
+            justify: QuorumCert::genesis(),
+        };
+        e.on_message(ReplicaId(3), Message::HotStuff(new_view), Time(1));
+        assert_eq!(e.current_round(), Round(1), "replica {i} moved");
+    }
+    // HotStuff: the view's leader proposes in it, on the genesis QC. The
+    // replica enters the view (how far one message may move it is not
+    // bounded yet), casts no vote, and its timeout leaves it there.
+    let leader = beacon.leader(MAX - 1);
+    let mut block = streamlet_block(MAX, leader, None);
+    let hash = block.hash(ProtocolConfig::new(N, 1, 1).unwrap().payload_chunk);
+    block.signature = registry(leader).sign(&banyan_types::Block::signing_message(&hash));
+    let mut e = hotstuff((leader + 1) % N as u16);
+    e.on_init(Time(0));
+    let proposal = HotStuffMsg::Proposal {
+        block,
+        justify: QuorumCert::genesis(),
+    };
+    let actions = e.on_message(ReplicaId(leader), Message::HotStuff(proposal), Time(1));
+    assert!(actions.outbound.is_empty(), "a vote for view u64::MAX left");
+    assert_eq!(e.current_round(), Round(MAX));
+    let actions = e.on_timer(TimerKind::ViewTimeout { view: MAX }, Time(2));
+    assert!(actions.outbound.is_empty() && actions.timers.is_empty());
+    assert_eq!(e.current_round(), Round(MAX));
+
+    // Streamlet: a replica that stored the epoch leader's block restarts
+    // into that epoch and arms no tick past it.
+    let leader = beacon.leader(MAX - 1);
+    let mut e = streamlet((leader + 1) % N as u16);
+    e.on_init(Time(0));
+    let block = streamlet_block(MAX, leader, Some(leader));
+    let response = banyan_types::message::SyncMsg::Response { block };
+    e.on_message(ReplicaId(3), Message::Sync(response), Time(1));
+    let mut restarted = streamlet((leader + 1) % N as u16);
+    restarted.restore(&e.snapshot());
+    let actions = restarted.on_init(Time(2));
+    assert!(actions.timers.is_empty(), "a tick past epoch u64::MAX");
+    assert_eq!(restarted.current_round(), Round(MAX));
+    restarted.on_timer(TimerKind::EpochTick { epoch: MAX }, Time(3));
+    assert_eq!(restarted.current_round(), Round(MAX));
+
+    // The chained engine: the round's leader proposes on genesis, and a
+    // peer votes in that round.
+    let leader = beacon.leader(MAX);
+    let mut block = streamlet_block(MAX, leader, None);
+    let hash = block.hash(ProtocolConfig::new(N, 1, 1).unwrap().payload_chunk);
+    block.signature = registry(leader).sign(&banyan_types::Block::signing_message(&hash));
+    let replica = (leader + 1) % N as u16;
+    let mut e = ChainedEngine::new(
+        ProtocolConfig::new(N, 1, 1).unwrap(),
+        PathMode::Banyan,
+        registry(replica),
+        beacon.clone(),
+        Box::new(FixedSizeSource::new(100, replica)),
+    );
+    e.on_init(Time(0));
+    let proposal = ChainedMsg::Proposal {
+        block,
+        parent_notarization: None,
+        parent_unlock: None,
+        fast_vote: None,
+    };
+    e.on_message(ReplicaId(leader), Message::Chained(proposal), Time(1));
+    let voter = (leader + 2) % N as u16;
+    let vote = Vote {
+        kind: VoteKind::Notarize,
+        round: Round(MAX),
+        block: hash,
+        voter: ReplicaId(voter),
+        signature: registry(voter).sign(&Vote::signing_message(
+            VoteKind::Notarize,
+            Round(MAX),
+            &hash,
+        )),
+    };
+    e.on_message(
+        ReplicaId(voter),
+        Message::Chained(ChainedMsg::Votes(vec![vote])),
+        Time(2),
+    );
+    assert!(
+        e.current_round() < Round(MAX),
+        "one proposal moved the replica"
+    );
+}
