@@ -75,19 +75,15 @@
 //!   `--cohorts` — every protocol's saturation knee sits at ≥ 10⁵
 //!   modeled clients;
 //! * `secs` overrides the per-point measured duration;
-//! * `--write-goldens`, alone, rewrites `crates/bench/tests/goldens/`:
-//!   the report of every CI flag set ([`GOLDENS`]), which this binary's
-//!   test regenerates in-process and compares line by line. A change
-//!   that means to move virtual time commits the rewritten goldens, so
-//!   their diff is its before and after.
+//! * `--write-goldens`, alone, rewrites the report of every CI flag set
+//!   ([`GOLDENS`]) in `crates/bench/tests/goldens/`, which this binary's
+//!   test regenerates and compares line by line.
 //!
 //! Without dissemination flags each request sits in one pool and there is
 //! no drain phase: a block that never finalizes hands its requests back
 //! to its pool, and the lost column counts the requests still in a block
 //! when the run stops. With `--gossip` and `--retry-ms`, a drain phase
 //! lets those commit too, and lost must read 0.
-
-use std::path::{Path, PathBuf};
 
 use banyan_bench::runner::{CryptoMode, Scenario};
 use banyan_bench::sweep::{
@@ -171,31 +167,18 @@ fn parse_args(raw: &[String]) -> Args {
 
 /// The CI flag sets whose reports `crates/bench/tests/goldens/` pins, as
 /// `(file stem, flags)`.
+#[rustfmt::skip]
 const GOLDENS: &[(&str, &str)] = &[
     ("quick", "--quick 1"),
-    (
-        "gossip",
-        "--quick 1 --json --gossip --retry-ms 200 --assert-no-drop --assert-max-dups",
-    ),
-    (
-        "optimistic",
-        "--quick 1 --json --gossip --retry-ms 200 --optimistic --assert-max-dups --assert-rpc",
-    ),
-    (
-        "cohorts",
-        "--quick 1 --json --cohorts --fanout-tree 2 --assert-gossip-bytes",
-    ),
-    (
-        "crypto",
-        "--crypto --quick --json --gossip --retry-ms 250 --assert-crypto",
-    ),
+    ("gossip", "--quick 1 --json --gossip --retry-ms 200 --assert-no-drop --assert-max-dups"),
+    ("optimistic", "--quick 1 --json --gossip --retry-ms 200 --optimistic --assert-max-dups --assert-rpc"),
+    ("cohorts", "--quick 1 --json --cohorts --fanout-tree 2 --assert-gossip-bytes"),
+    ("crypto", "--crypto --quick --json --gossip --retry-ms 250 --assert-crypto"),
 ];
 
 /// Where the golden of `stem` lives.
-fn golden_path(stem: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/goldens")
-        .join(format!("{stem}.golden"))
+fn golden_path(stem: &str) -> String {
+    format!("{}/tests/goldens/{stem}.golden", env!("CARGO_MANIFEST_DIR"))
 }
 
 /// The report of one flag set as its golden holds it: a line naming the
@@ -215,7 +198,7 @@ fn write_goldens() -> std::io::Result<()> {
     for (stem, flags) in GOLDENS {
         let path = golden_path(stem);
         std::fs::write(&path, golden_report(flags))?;
-        println!("wrote {}", path.display());
+        println!("wrote {path}");
     }
     Ok(())
 }
@@ -274,26 +257,20 @@ impl Args {
 
 /// Writes one line of a sweep's report to `out`.
 macro_rules! say {
-    ($out:expr) => {
-        $out("\n")
-    };
     ($out:expr, $($fmt:tt)*) => {
         $out(&format!("{}\n", format_args!($($fmt)*)))
     };
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&raw);
     if args.write_goldens {
         assert_eq!(raw.len(), 1, "--write-goldens takes no other argument");
-        if let Err(e) = write_goldens() {
-            eprintln!("writing the goldens failed: {e}");
-            std::process::exit(1);
-        }
-        return;
+        return write_goldens();
     }
     exit_on(&sweep(&args, &mut |text| print!("{text}")));
+    Ok(())
 }
 
 /// Runs the sweep `args` select, writing its report to `out`, and returns
@@ -360,10 +337,7 @@ fn sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
             "# Saturation sweep — n=4 uniform 5 ms WAN at 100 Mbit/s egress, window={window}, \
              {REQUEST_SIZE} B requests, think=0, {secs}s per point, seed={SEED}"
         );
-        say!(
-            out,
-            "# goodput = committed requests/s; knee = first point at 90% of plateau goodput"
-        );
+        out("# goodput = committed requests/s; knee = first point at 90% of plateau goodput\n");
         match (args.gossip, args.retry_ms) {
             (false, None) if args.fanout == 1 && args.fanout_tree == 0 => say!(
                 out,
@@ -571,19 +545,16 @@ fn crypto_sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
             .collect();
         let knee = knee_index(&points);
         knees[i] = knee.map(|k| points[k].clone());
+        let mode = mode.label();
         if args.json {
             say!(
                 out,
                 "{}",
-                sweep_json(&format!("banyan+crypto-{}", mode.label()), &points)
+                sweep_json(&format!("banyan+crypto-{mode}"), &points)
             );
         } else {
-            print_table(
-                out,
-                &format!("## banyan, crypto {} (n=4)", mode.label()),
-                &points,
-            );
-            say!(out);
+            print_table(out, &format!("## banyan, crypto {mode} (n=4)"), &points);
+            out("\n");
         }
         all_points.push(points);
     }
@@ -596,10 +567,7 @@ fn crypto_sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
         &[4, 8, 16, 32, 64]
     };
     if !args.json {
-        say!(
-            out,
-            "## banyan, crypto batched — geo scale (AWS regions, f = ⌊(n−1)/3⌋)"
-        );
+        out("## banyan, crypto batched — geo scale (AWS regions, f = ⌊(n−1)/3⌋)\n");
         say!(out, "{:>4} {}", "n", sweep_header());
     }
     for &n in sizes {
@@ -610,14 +578,11 @@ fn crypto_sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
         );
         let p = measure(&base, 32, window, think);
         if args.json {
-            say!(
-                out,
-                "{}",
-                sweep_json(
-                    &format!("banyan+crypto-batched-n{n}"),
-                    std::slice::from_ref(&p)
-                )
+            let json = sweep_json(
+                &format!("banyan+crypto-batched-n{n}"),
+                std::slice::from_ref(&p),
             );
+            say!(out, "{json}");
         } else {
             say!(out, "{:>4} {}", n, point_row(&p, false));
         }
@@ -639,7 +604,7 @@ fn crypto_sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
         }
     }
     if !args.json {
-        say!(out);
+        out("\n");
     }
 
     if args.assert_crypto {
@@ -866,8 +831,7 @@ mod tests {
     fn every_ci_flag_set_reproduces_its_golden() {
         for (stem, flags) in GOLDENS {
             let path = golden_path(stem);
-            let golden = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
             let now = golden_report(flags);
             let (mut golden_lines, mut now_lines) = (golden.lines(), now.lines());
             for line in 1.. {

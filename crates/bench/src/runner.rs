@@ -575,9 +575,8 @@ fn build_simulation_with(
             workload = workload.with_fanout(scenario.fanout);
         }
         sim.attach_closed_loop(workload);
-        // Every pool is wired into its replica, so commits retire its
-        // leases and abandoned blocks release theirs, even with gossip,
-        // retry and fan-out all off.
+        // Every pool is wired into its replica, so commits retire leases
+        // and release abandoned blocks' requests even without gossip.
         sim.enable_dissemination(scenario.gossip);
     }
     if !scenario.faults.restarts().is_empty() {

@@ -420,12 +420,12 @@ impl HotStuffEngine {
             .entry(view)
             .or_default()
             .insert(from.0, justify);
-        match view.checked_add(1) {
-            Some(next) if self.leader(next) == self.id => {
-                self.enter_view(next, now, actions);
-                self.try_propose(now, actions);
-            }
-            _ => {}
+        let next = view
+            .checked_add(1)
+            .filter(|&next| self.leader(next) == self.id);
+        if let Some(next) = next {
+            self.enter_view(next, now, actions);
+            self.try_propose(now, actions);
         }
     }
 }

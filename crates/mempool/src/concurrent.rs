@@ -230,12 +230,8 @@ mod tests {
         assert!(ingest.push(req(2, 2)));
         // Nothing is in the pending queue until a sync point.
         assert_eq!(pool.pool().len(), 0);
-        let out = pool.next_batch(
-            10,
-            u64::MAX,
-            &ProposalContext::root(Round(1), Time(3)),
-            &BatchPolicy::EAGER,
-        );
+        let ctx = ProposalContext::root(Round(1), Time(3));
+        let out = pool.with_pool(|p| p.drain_speculative(10, u64::MAX, &ctx, &BatchPolicy::EAGER));
         assert_eq!(out.iter().map(|r| r.id).collect::<Vec<_>>(), [1, 2]);
     }
 
@@ -274,7 +270,7 @@ mod tests {
             payload: batch.into_payload(),
             signature: Signature::zero(),
         };
-        assert!(pool.observe_proposal(&block));
+        assert!(pool.with_pool(|pool| pool.observe_proposal(&block)));
         assert_eq!(pool.pool().live_leases(), 1);
         let ctx = ProposalContext {
             round: Round(4),
@@ -282,7 +278,7 @@ mod tests {
             parent: block.hash(PAYLOAD_CHUNK),
             ancestors: vec![block.hash(PAYLOAD_CHUNK)],
         };
-        let out = pool.next_batch(10, u64::MAX, &ctx, &BatchPolicy::EAGER);
+        let out = pool.with_pool(|p| p.drain_speculative(10, u64::MAX, &ctx, &BatchPolicy::EAGER));
         assert_eq!(
             out.iter().map(|r| r.id).collect::<Vec<_>>(),
             [3, 4],
@@ -290,14 +286,10 @@ mod tests {
         );
         // Commit a competing block at the same round: the lease releases
         // {1,2} back into the pending queue.
-        pool.mark_committed_block(hash(0xB), Round(3), &[req(9, 9)]);
+        pool.with_pool(|pool| pool.mark_committed_block(hash(0xB), Round(3), &[req(9, 9)]));
         assert_eq!(pool.pool().live_leases(), 0);
-        let back = pool.next_batch(
-            10,
-            u64::MAX,
-            &ProposalContext::root(Round(5), Time(6)),
-            &BatchPolicy::EAGER,
-        );
+        let ctx = ProposalContext::root(Round(5), Time(6));
+        let back = pool.with_pool(|p| p.drain_speculative(10, u64::MAX, &ctx, &BatchPolicy::EAGER));
         assert_eq!(back.iter().map(|r| r.id).collect::<Vec<_>>(), [1, 2]);
     }
 

@@ -10,22 +10,16 @@
 //! `next_payload` pull:
 //!
 //! * [`Mempool`] — a deterministic FIFO of pending [`Request`]s with
-//!   capacity eviction, duplicate-id rejection, an optional **gossip
-//!   outbox** (locally submitted requests queued for forwarding to peers,
-//!   bounded — see [`DEFAULT_OUTBOX_CAP`]) and **committed-id tracking**
-//!   (the exactly-once dedup rule: a request observed committed is purged
-//!   from the pending queue and every future push or forward of its id is
-//!   rejected);
-//! * [`SharedMempool`] — the `Arc<Mutex<_>>` handle the driver (producer
-//!   side) and the engine's [`MempoolSource`] (consumer side) share;
+//!   capacity eviction, duplicate-id rejection, an optional bounded
+//!   **gossip outbox** and **committed-id tracking** (the exactly-once
+//!   dedup rule below);
+//! * [`SharedMempool`] — the `Arc<Mutex<_>>` handle the driver and the
+//!   engine's [`MempoolSource`] share;
 //! * [`MempoolSource`] — a [`ProposalSource`] that drains the pool into
 //!   one [`WorkloadBatch`] payload per proposal, bounded by a record cap
-//!   and a nominal-byte cap, steered by a
-//!   [`ProposalContext`] and an
-//!   optional [`BatchPolicy`];
-//! * [`WorkloadBatch`] — the self-identifying wire encoding of a batch
-//!   (request records + zero padding to the nominal byte size, so the
-//!   bandwidth model charges what a real deployment would ship).
+//!   and a nominal-byte cap, steered by a [`ProposalContext`] and an
+//!   optional [`BatchPolicy`] (defer until a byte or age target);
+//! * [`WorkloadBatch`] — the self-identifying wire encoding of a batch.
 //!
 //! # Leases and the ancestor-aware drain
 //!
@@ -34,53 +28,39 @@
 //! drain blind to the chain would re-batch everything the proposal's
 //! *uncommitted ancestors* already carry. Every pool therefore leases:
 //!
-//! * the driver layer calls [`Mempool::observe_proposal`] for every block
-//!   its replica sends and every block that arrives first-hand (from its
-//!   proposer, or in a sync reply: `Message::first_hand_blocks`); the
-//!   pool decodes the block's [`WorkloadBatch`] and records a **lease** —
-//!   `block id → the requests it carries` — so inclusion tracking never
-//!   touches an engine. A relayed copy is neither decoded nor hashed: the
-//!   proposer's copy leases the block, and so does this replica relaying
-//!   it on;
-//! * [`Mempool::drain_speculative`] (what [`MempoolSource`] calls) skips
-//!   every request leased to a **live ancestor** of the block being
-//!   proposed (the `ProposalContext::ancestors` chain), leaving those
-//!   pending copies untouched for the fork they might still be needed on;
+//! * [`Mempool::observe_proposal`] decodes the [`WorkloadBatch`] of every
+//!   block the replica sends or receives first-hand (from its proposer,
+//!   or in a sync reply: `Message::first_hand_blocks`) into a **lease**,
+//!   `block id → the requests it carries`. A relayed copy is neither
+//!   decoded nor hashed; the proposer's copy leases the block, and so
+//!   does this replica relaying it on;
+//! * [`Mempool::drain_speculative`] skips every request leased to a
+//!   **live ancestor** of the block being proposed
+//!   (`ProposalContext::ancestors`), leaving the pending copy in place
+//!   for a fork that might still need it;
 //! * [`Mempool::mark_committed_block`] retires the committed block's
-//!   lease and **releases** every lease at or below the committed round
-//!   whose block lost (fork abandonment / round skip): its requests
-//!   re-enter the pending queue with their original id and submit
-//!   timestamp via [`Mempool::release`], so nothing is stranded.
-//!
-//! [`BatchPolicy`] adds latency-targeted batching on top of the same
-//! context: a leader may defer (return an empty payload) until the
-//! eligible backlog reaches a byte target or its oldest request reaches an
-//! age target — trading a bounded wait for fuller blocks.
+//!   lease and **releases** every lease at or below its round: those
+//!   blocks lost, and their requests re-pend with their original id and
+//!   submit timestamp.
 //!
 //! A pool's shape is stated once, where it is built: `Mempool::new(cap)`
 //! then [`with_gossip`](Mempool::with_gossip) or
 //! [`with_peer_queues`](Mempool::with_peer_queues).
 //!
-//! The gossip traffic itself travels as
-//! [`banyan_types::message::DisseminationMsg`] frames, and the pool
-//! writes and reads them itself: a driver (the simulator, the TCP replica
-//! loop) only calls [`ReplicaPool::flush`] and puts what it emits on its
-//! network, and hands every received frame to [`ReplicaPool::intake`].
-//! Whether a flush is one `Forward` broadcast or per-peer
-//! `Forward`/`Announce` sends, and whether an accepted request is relayed
-//! onward, follows from the pool's own shape — no driver is told.
-//! Engines never see dissemination traffic, preserving the purity
-//! contract (engines just pull `next_payload`).
+//! The gossip traffic travels as
+//! [`banyan_types::message::DisseminationMsg`] frames that the pool
+//! writes and reads itself; engines never see it (they just pull
+//! `next_payload`).
 //!
 //! # What a driver does with a pool
 //!
 //! Four operations, written once over [`Mempool`] and reached through
 //! [`ReplicaPool`] by both pool handles and both drivers: **flush**
-//! ([`Mempool::flush`]), **intake** ([`Mempool::intake`]), **lease
-//! observation** ([`ReplicaPool::observe_outbound`] /
-//! [`ReplicaPool::observe_inbound`]) and **commit retirement**
-//! ([`ReplicaPool::retire`]). A handle is a lock around the one
-//! [`Mempool`] and nothing else: [`SharedMempool`] is the bare mutex,
+//! ([`Mempool::flush`]: the frames the pool's shape sends), **intake**
+//! ([`Mempool::intake`]), **lease observation**
+//! ([`ReplicaPool::observe_outbound`] / [`ReplicaPool::observe_inbound`])
+//! and **commit retirement** ([`ReplicaPool::retire`]). A handle is a lock
+//! around the one [`Mempool`]: [`SharedMempool`] is the bare mutex,
 //! [`SharedConcurrentPool`] the same mutex behind a bounded ingest
 //! channel that is emptied into the pool before every operation.
 //!
@@ -944,12 +924,10 @@ impl Mempool {
         self.pending.is_empty()
     }
 
-    /// True if the pool holds no request a leader could propose: nothing
-    /// is pending, or the pool's only live lease carries every pending
-    /// request. That lease is the block in flight, which finalizes in its
-    /// own round on the happy path. With two or more blocks in flight, a
-    /// block on top of them is what finalizes one whose round did not, so
-    /// the pool is not idle. What a driver's idle hold tests.
+    /// The driver's idle-hold test: nothing is pending, or the only live
+    /// lease (the one block in flight, which finalizes in its own round on
+    /// the happy path) carries every pending request. With two blocks in
+    /// flight, a block on top is what finalizes one whose round did not.
     pub fn is_idle(&self) -> bool {
         self.pending.is_empty()
             || self.leases.sole().is_some_and(|carried| {
@@ -1105,12 +1083,10 @@ impl WorkloadBatch {
 /// block). Without the byte bound, large requests would let the record
 /// cap admit multi-gigabyte blocks.
 ///
-/// Draining is ancestor-aware: the driver-fed lease table (a) excludes
-/// requests already carried by a live ancestor of the proposal (no
-/// duplicate inclusions) and (b) releases the requests of a block that
-/// never finalizes (a backup proposal that loses to the leader's, an
-/// equivocator's second block) back into the queue once a commit passes
-/// its round, so a drained request is not lost with its block.
+/// Draining is ancestor-aware: the driver-fed lease table excludes
+/// requests a live ancestor of the proposal carries, and a block that
+/// never finalizes hands its requests back once a commit passes its
+/// round (see the crate docs).
 #[derive(Debug)]
 pub struct PoolSource<P> {
     pool: P,
@@ -1151,9 +1127,10 @@ impl<P: ReplicaPool> PoolSource<P> {
 
 impl<P: ReplicaPool> ProposalSource for PoolSource<P> {
     fn next_payload(&mut self, ctx: &ProposalContext) -> Payload {
+        let (max, bytes, policy) = (self.max_batch, self.max_bytes, &self.policy);
         let requests = self
             .pool
-            .next_batch(self.max_batch, self.max_bytes, ctx, &self.policy);
+            .with_pool(|p| p.drain_speculative(max, bytes, ctx, policy));
         if requests.is_empty() {
             Payload::empty()
         } else {
@@ -1204,35 +1181,13 @@ pub trait ReplicaPool: Clone + Send + 'static {
         self.with_pool(|pool| pool.intake(from, msg));
     }
 
-    /// Observes a block crossing the wire into the lease table (see
-    /// [`Mempool::observe_proposal`]); `true` when a new lease was recorded.
-    fn observe_proposal(&self, block: &Block) -> bool {
-        self.with_pool(|pool| pool.observe_proposal(block))
-    }
-
-    /// Commit-side retirement (see [`Mempool::mark_committed_block`]).
-    fn mark_committed_block(&self, block: BlockHash, round: Round, requests: &[Request]) {
-        self.with_pool(|pool| pool.mark_committed_block(block, round, requests));
-    }
-
-    /// Drains the next batch (see [`Mempool::drain_speculative`]).
-    fn next_batch(
-        &self,
-        max_records: usize,
-        max_bytes: u64,
-        ctx: &ProposalContext,
-        policy: &BatchPolicy,
-    ) -> Vec<Request> {
-        self.with_pool(|pool| pool.drain_speculative(max_records, max_bytes, ctx, policy))
-    }
-
     /// Leases the block an outbound frame proposes (own proposals,
     /// relays, single sync responses) — what lets an abandoned own
     /// proposal release its drained requests back into the pool.
     fn observe_outbound(&self, out: &Outbound) {
         let (Outbound::Broadcast(msg) | Outbound::Send(_, msg)) = out;
         if let Some(block) = msg.proposal_block() {
-            self.observe_proposal(block);
+            self.with_pool(|pool| pool.observe_proposal(block));
         }
     }
 
@@ -1243,19 +1198,20 @@ pub trait ReplicaPool: Clone + Send + 'static {
     /// neither decoded nor hashed.
     fn observe_inbound(&self, from: ReplicaId, msg: &Message) {
         for block in msg.first_hand_blocks(from) {
-            self.observe_proposal(block);
+            self.with_pool(|pool| pool.observe_proposal(block));
         }
     }
 
     /// Retires one commit in the pool — this replica's half of the
     /// exactly-once dedup rule: decodes the committed batch once, marks
     /// its ids committed and retires/releases leases
-    /// ([`mark_committed_block`](Self::mark_committed_block)), and hands
-    /// the batch back for whoever else needs it. `None` (and nothing
-    /// done) for a payload that is not a [`WorkloadBatch`].
+    /// ([`Mempool::mark_committed_block`]), and hands the batch back for
+    /// whoever else needs it. `None` (and nothing done) for a payload that
+    /// is not a [`WorkloadBatch`].
     fn retire(&self, entry: &CommitEntry) -> Option<WorkloadBatch> {
         let batch = WorkloadBatch::decode(&entry.payload)?;
-        self.mark_committed_block(entry.block, entry.round, &batch.requests);
+        let (block, round) = (entry.block, entry.round);
+        self.with_pool(|pool| pool.mark_committed_block(block, round, &batch.requests));
         Some(batch)
     }
 }

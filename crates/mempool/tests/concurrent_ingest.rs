@@ -65,12 +65,9 @@ fn contended_ingest_loses_and_duplicates_nothing() {
             let mut got: Vec<Request> = Vec::new();
             let mut spins = 0u32;
             while got.len() < total as usize && spins < 1_000_000 {
-                let out = pool.next_batch(
-                    512,
-                    u64::MAX,
-                    &ProposalContext::root(Round(1), Time(1)),
-                    &BatchPolicy::EAGER,
-                );
+                let ctx = ProposalContext::root(Round(1), Time(1));
+                let eager = &BatchPolicy::EAGER;
+                let out = pool.with_pool(|p| p.drain_speculative(512, u64::MAX, &ctx, eager));
                 if out.is_empty() {
                     spins += 1;
                     thread::yield_now();
@@ -213,7 +210,8 @@ fn lease_lifecycle_under_threads_accounts_for_every_request() {
                     parent: block_id(1, j),
                     ancestors: ancestors.iter().rev().map(|&a| block_id(1, a)).collect(),
                 };
-                let drained = pool.next_batch(64, u64::MAX, &ctx, &BatchPolicy::EAGER);
+                let eager = &BatchPolicy::EAGER;
+                let drained = pool.with_pool(|p| p.drain_speculative(64, u64::MAX, &ctx, eager));
                 for r in &drained {
                     let leased_to = (r.id - 1) / PER_BLOCK;
                     assert!(

@@ -23,10 +23,9 @@
 //! cluster finalizing empty blocks back to back. So a rank-0 `Propose`
 //! timer (the engine marks it with
 //! [`hold_until`](TimerKind::Propose::hold_until)) that fires while the
-//! replica's pool holds no request it could propose
-//! ([`Mempool::is_idle`](banyan_mempool::Mempool::is_idle): none pending
-//! outside a live lease) is **held**: the first [`Replica::flush`] that
-//! finds such a request in the pool fires it, and so
+//! replica's pool is idle (nothing a leader could propose:
+//! [`Mempool::is_idle`](banyan_mempool::Mempool::is_idle)) is **held**:
+//! the first [`Replica::flush`] that finds the pool busy fires it, and so
 //! does its bound, Δ after the round started, if no request came. Backup
 //! timers, replicas without a pool and engines that never set the bound
 //! are never held. A held proposal whose round was left is dropped, and
@@ -299,9 +298,8 @@ impl<P: ReplicaPool> Replica<P> {
     /// frontier probe is answered from the engine's commit frontier, a
     /// frontier report feeds catch-up: engines never see these. Every
     /// other frame is the engine's, and the blocks it carries first-hand
-    /// (from their proposer, or in a sync reply) are leased in the pool
-    /// first; a relayed copy is left to the engine, which recognises a
-    /// block it holds by equality. A down replica drops every frame.
+    /// are leased in the pool first (`Message::first_hand_blocks`: a relay
+    /// is left to the engine). A down replica drops every frame.
     pub fn on_frame(&mut self, from: ReplicaId, msg: Message, now: Time, io: &mut impl ReplicaIo) {
         let Some(engine) = &mut self.engine else {
             return;

@@ -509,10 +509,7 @@ impl Simulation {
     /// reaches every potential leader within one gossip round.
     ///
     /// Everything else about a pool is its own shape, stated where it was
-    /// built: one built `with_peer_queues` gossips down its fanout tree
-    /// instead of broadcasting. Every pool leases the blocks its replica
-    /// sends and those that reach it first-hand (from their proposer, or
-    /// in a sync reply).
+    /// built: one built `with_peer_queues` gossips down its fanout tree.
     ///
     /// # Panics
     ///

@@ -325,7 +325,9 @@ mod tests {
             })
         };
         let memoized = |msg: &Message| {
-            msg.carried_blocks()
+            let carried = msg.proposal_block().into_iter();
+            carried
+                .chain(msg.sync_batch_blocks())
                 .map(|b| b.payload.memoized_commitment(chunk).is_some())
                 .collect::<Vec<_>>()
         };

@@ -96,24 +96,16 @@ impl Message {
         }
     }
 
-    /// Every block this message carries: the proposal or single sync
-    /// response of [`Message::proposal_block`], then the batch of
-    /// [`Message::sync_batch_blocks`].
-    pub fn carried_blocks(&self) -> impl Iterator<Item = &Block> {
-        self.proposal_block()
-            .into_iter()
-            .chain(self.sync_batch_blocks())
-    }
-
-    /// The blocks of [`carried_blocks`](Self::carried_blocks) that arrived
-    /// first-hand from `from`: those it proposed, and every block of a
-    /// sync reply (`Response`, `ResponseBatch`). A relay (a block whose
-    /// proposer is not `from`) is left out: its receiver recognises a
-    /// copy of a block it holds by equality, so nothing hashes or decodes
-    /// it. What a replica's pool leases on the way in.
+    /// The blocks this message carries that arrived first-hand from
+    /// `from`: those it proposed, and every block of a sync reply. A relay
+    /// (a block whose proposer is not `from`) is left out: its receiver
+    /// recognises a block it holds by equality, so nothing hashes or
+    /// decodes it. What a replica's pool leases on the way in.
     pub fn first_hand_blocks(&self, from: ReplicaId) -> impl Iterator<Item = &Block> {
         let sync_reply = matches!(self, Message::Sync(_));
-        self.carried_blocks()
+        let carried = self.proposal_block().into_iter();
+        carried
+            .chain(self.sync_batch_blocks())
             .filter(move |block| sync_reply || block.proposer == from)
     }
 
@@ -933,10 +925,10 @@ mod tests {
         });
         assert_eq!(msg.wire_len(), msg.encoded_len() as u64 + 30_000);
         assert_eq!(msg.sync_batch_blocks().len(), 2);
-        assert_eq!(msg.carried_blocks().count(), 2);
+        assert_eq!(msg.first_hand_blocks(ReplicaId(3)).count(), 2);
         let probe = Message::Sync(SyncMsg::FrontierProbe);
         assert!(probe.sync_batch_blocks().is_empty());
-        assert_eq!(probe.carried_blocks().count(), 0);
+        assert_eq!(probe.first_hand_blocks(ReplicaId(3)).count(), 0);
         assert_eq!(probe.wire_len(), probe.encoded_len() as u64);
     }
 
