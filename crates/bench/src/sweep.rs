@@ -48,9 +48,9 @@ impl SweepPoint {
 
     /// Duplicate inclusions as a share of committed requests
     /// (`duplicates / committed`, 0 when nothing committed) — the
-    /// regression meter for the speculative drain: blind drains under
-    /// gossip push this far up for commit-lagged protocols; ancestor-aware
-    /// drains hold it near zero.
+    /// regression meter for the ancestor-aware drain: a drain blind to the
+    /// chain pushes this far up under gossip for commit-lagged protocols;
+    /// leases hold it near zero.
     pub fn dup_share(&self) -> f64 {
         Self::efficiency(self.out.requests_committed, self.out.duplicates_suppressed).0
     }

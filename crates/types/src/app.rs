@@ -29,12 +29,12 @@ use crate::time::Time;
 /// leader drained the same pending FIFO and uncommitted ancestor blocks
 /// were re-batched wholesale (the sweep's `dups` column). The context adds
 /// the chain position — the parent block and the uncommitted ancestor
-/// chain — which is what lets a speculative mempool skip requests already
-/// leased to a live ancestor (see `banyan_mempool`).
+/// chain — which is what lets a mempool skip requests already leased to
+/// a live ancestor (see `banyan_mempool`).
 ///
 /// The engine only reports block *identities*; it never decodes payloads
-/// or learns what a request is. Whoever needs the ancestors' contents (the
-/// speculative pool's lease table) is fed by the driver layer decoding
+/// or learns what a request is. Whoever needs the ancestors' contents (a
+/// pool's lease table) is fed by the driver layer decoding
 /// committed/observed payloads, so the engine purity contract is intact.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProposalContext {
