@@ -1210,8 +1210,7 @@ pub trait ReplicaPool: Clone + Send + 'static {
     /// is not a [`WorkloadBatch`].
     fn retire(&self, entry: &CommitEntry) -> Option<WorkloadBatch> {
         let batch = WorkloadBatch::decode(&entry.payload)?;
-        let (block, round) = (entry.block, entry.round);
-        self.with_pool(|pool| pool.mark_committed_block(block, round, &batch.requests));
+        self.with_pool(|pool| pool.mark_committed_block(entry.block, entry.round, &batch.requests));
         Some(batch)
     }
 }
