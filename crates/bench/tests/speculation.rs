@@ -51,6 +51,37 @@ fn gossip_commits_each_request_once_and_loses_none() {
     }
 }
 
+/// With gossip and retry off, each request sits in one pool, so only the
+/// lease release brings back what a never-finalized block drained: the
+/// released requests commit, and each commits once — a release never
+/// re-proposes a request whose block still finalizes.
+#[test]
+fn abandoned_blocks_release_requests_that_commit_once() {
+    let scenario = Scenario::new(
+        "banyan",
+        Topology::uniform(4, Duration::from_millis(5)).with_egress_bps(100_000_000),
+        1,
+        1,
+    )
+    .closed_loop(128, 4, Duration::ZERO)
+    .request_size(512)
+    .secs(2)
+    .seed(42)
+    .drain(3);
+    let (m, auditor) = run_metrics(&scenario);
+    assert!(auditor.is_safe());
+    assert_eq!(m.requests_retried, 0, "nothing may retry");
+    let committed = m.requests_committed();
+    assert!(committed > 1_000, "{committed} committed");
+    assert_eq!(
+        m.duplicate_requests_suppressed(),
+        0,
+        "a released request was committed twice"
+    );
+    assert_eq!(m.requests_lost(), 0, "an abandoned block kept its requests");
+    assert_eq!(m.requests_completed, m.requests_submitted);
+}
+
 /// The latency-targeted batch policy holds blocks until a size or age
 /// target: at a trickle load, eager draining ships many near-empty
 /// batches, while the policy ships fewer, fuller ones — without losing a
@@ -116,10 +147,12 @@ fn batch_policy_trades_bounded_latency_for_fuller_blocks() {
     );
 }
 
-/// Leases and the batch policy ride the same deterministic event loop:
+/// The speculative drain (`Mempool::drain_speculative`, the one drain
+/// every pool runs) and the batch policy ride the same deterministic
+/// event loop:
 /// same seed ⇒ bit-identical runs, different seed ⇒ divergence.
 #[test]
-fn batch_policy_runs_are_deterministic() {
+fn speculative_runs_are_deterministic() {
     let scenario = |seed: u64| {
         gossiped("hotstuff")
             .seed(seed)

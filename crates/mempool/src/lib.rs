@@ -1551,7 +1551,7 @@ mod tests {
     }
 
     #[test]
-    fn the_drain_skips_ancestor_leases_without_consuming_them() {
+    fn speculative_drain_skips_ancestor_leases_without_consuming_them() {
         let mut mp = Mempool::new(100);
         for id in 1..=6 {
             mp.push(req(id, id));
@@ -1578,7 +1578,7 @@ mod tests {
     }
 
     #[test]
-    fn the_drain_excludes_mid_event_committed_ancestors() {
+    fn speculative_drain_excludes_mid_event_committed_ancestors() {
         // The commit-lag race: an engine can commit block E and propose
         // in the SAME event — the drain runs before the commit is routed
         // to the pool. The engine contract therefore keeps E in the
