@@ -7,12 +7,18 @@
 //! cargo run --release -p banyan-bench --bin paper -- explore --protocol icc --crashes 1
 //! ```
 //!
+//! `paper --write-goldens` rewrites the output of every experiment but
+//! `explore`, at a short fixed `secs` ([`GOLDEN_SECS`]), in
+//! `crates/bench/tests/goldens/paper_*.golden`; this binary's test
+//! regenerates them in-process and compares them line by line.
+//!
 //! An experiment is a function in [`EXPERIMENTS`]. Eight of them only
 //! build the list of [`Case`]s that [`table`] runs and prints in the
 //! shared [`header`]/[`row`] layout; the rest print their own columns.
-//! All of them get their outcomes from the [`Run`] they are handed:
-//! [`Simulate`] from `main`, a checker that simulates nothing from the
-//! tests.
+//! All of them get their outcomes from the [`Run`] they are handed
+//! ([`Simulate`] from `main` and the goldens, a checker that simulates
+//! nothing from the scenario test) and write their lines to the sink
+//! they are handed (stdout from `main`, a string for the goldens).
 
 use banyan_bench::runner::{header, human_bytes, row, run_with, Outcome, Scenario};
 use banyan_core::model::render_table1;
@@ -21,6 +27,19 @@ use banyan_simnet::topology::Topology;
 use banyan_types::config::ProtocolConfig;
 use banyan_types::ids::ReplicaId;
 use banyan_types::time::{Duration, Time};
+
+/// Writes one line of an experiment's output to `out`.
+macro_rules! say {
+    ($out:expr) => {
+        $out("\n")
+    };
+    ($out:expr, $($fmt:tt)*) => {
+        $out(&format!("{}\n", format_args!($($fmt)*)))
+    };
+}
+
+/// Where an experiment writes its output.
+type Out<'a> = &'a mut dyn FnMut(&str);
 
 /// One run of an experiment: its row label and what to simulate.
 struct Case {
@@ -75,23 +94,23 @@ impl Run for Simulate {
 }
 
 /// Runs a block of cases, printing each in the shared [`row`] layout.
-fn rows(run: &dyn Run, block: &[Case]) -> Vec<Outcome> {
-    let run_and_print = |case: &Case| {
-        let out = run.run(case);
-        println!("{}", row(&case.label, case.scenario.payload, &out));
-        out
+fn rows(run: &dyn Run, block: &[Case], out: Out) -> Vec<Outcome> {
+    let mut run_and_print = |case: &Case| {
+        let outcome = run.run(case);
+        say!(out, "{}", row(&case.label, case.scenario.payload, &outcome));
+        outcome
     };
-    block.iter().map(run_and_print).collect()
+    block.iter().map(&mut run_and_print).collect()
 }
 
 /// The shared layout: `title`, [`header`], then every block's [`rows`],
 /// each followed by a blank line when `gap` is set.
-fn table(run: &dyn Run, title: String, blocks: Vec<Vec<Case>>, gap: bool) {
-    println!("{title}\n{}", header());
+fn table(run: &dyn Run, title: String, blocks: Vec<Vec<Case>>, gap: bool, out: Out) {
+    say!(out, "{title}\n{}", header());
     for block in blocks {
-        rows(run, &block);
+        rows(run, &block, out);
         if gap {
-            println!();
+            say!(out);
         }
     }
 }
@@ -142,28 +161,40 @@ fn uniform_delta(protocol: &str, one_way_ms: u64) -> Case {
 /// and report latency/δ for each protocol.
 ///
 /// Expected: Banyan ≈ 2.0, ICC ≈ 3.0, HotStuff ≳ 6, Streamlet `O(Δ)` ≫ 3.
-fn fig1_steps(run: &dyn Run) {
-    println!("# Figure 1 — communication steps to finalization (latency / δ, uniform topology)");
-    println!(
+fn fig1_steps(run: &dyn Run, out: Out) {
+    say!(
+        out,
+        "# Figure 1 — communication steps to finalization (latency / δ, uniform topology)"
+    );
+    say!(
+        out,
         "{:<12} {:>8} {:>12} {:>10} {:>8}",
-        "protocol", "δ (ms)", "lat.mean", "steps", "fast%"
+        "protocol",
+        "δ (ms)",
+        "lat.mean",
+        "steps",
+        "fast%"
     );
     for one_way_ms in [20u64, 50, 100] {
         for protocol in PROTOCOLS {
-            let out = run.run(&uniform_delta(protocol, one_way_ms));
-            let steps = out.latency.mean_ms / one_way_ms as f64;
-            println!(
+            let outcome = run.run(&uniform_delta(protocol, one_way_ms));
+            let steps = outcome.latency.mean_ms / one_way_ms as f64;
+            say!(
+                out,
                 "{:<12} {:>8} {:>10.1}ms {:>10.2} {:>7.0}%",
                 protocol,
                 one_way_ms,
-                out.latency.mean_ms,
+                outcome.latency.mean_ms,
                 steps,
-                out.fast_share * 100.0
+                outcome.fast_share * 100.0
             );
         }
-        println!();
+        say!(out);
     }
-    println!("(paper: Banyan = 2 steps, ICC/Simplex/Mysticeti/BBCA ≥ 3 steps — Table 1)");
+    say!(
+        out,
+        "(paper: Banyan = 2 steps, ICC/Simplex/Mysticeti/BBCA ≥ 3 steps — Table 1)"
+    );
 }
 
 /// **Figure 2**: integrated vs. sequential fast paths.
@@ -183,12 +214,18 @@ fn fig1_steps(run: &dyn Run) {
 /// The construction: n = 7, f = 2, p = 1 (the minimum n). The fast quorum
 /// is n − p = 6, the slow quorum ⌈(7+2+1)/2⌉ = 5. Crash 2 → 5 live: the
 /// slow path works, the fast path (needs 6) never fires.
-fn fig2_switching(run: &dyn Run) {
+fn fig2_switching(run: &dyn Run, out: Out) {
     let one_way = 50u64;
     let delta_ms = one_way * 3 / 2;
     let topology = Topology::uniform(7, Duration::from_millis(one_way));
-    println!("# Figure 2 — switching cost when the fast path is ineffective");
-    println!("# n=7, f=2, p=1; 2 replicas crashed ⇒ fast path can never fire\n");
+    say!(
+        out,
+        "# Figure 2 — switching cost when the fast path is ineffective"
+    );
+    say!(
+        out,
+        "# n=7, f=2, p=1; 2 replicas crashed ⇒ fast path can never fire\n"
+    );
     let mut means = Vec::new();
     for (label, protocol) in [
         ("banyan (integrated)", "banyan"),
@@ -200,29 +237,38 @@ fn fig2_switching(run: &dyn Run) {
         let scenario = synthetic(protocol, &topology, (2, 1), 1_000, 30)
             .delta(Duration::from_millis(delta_ms))
             .faults(crashes);
-        let out = run.run(&case(label, scenario));
-        assert!(out.fast_share < 1e-9, "{label}: fast path must never fire");
-        println!(
-            "{:<22} lat.mean {:>7.1}ms  lat.p50 {:>7.1}ms  rounds {:>4}",
-            label, out.latency.mean_ms, out.latency.p50_ms, out.committed_rounds
+        let outcome = run.run(&case(label, scenario));
+        assert!(
+            outcome.fast_share < 1e-9,
+            "{label}: fast path must never fire"
         );
-        means.push(out.latency.mean_ms);
+        say!(
+            out,
+            "{:<22} lat.mean {:>7.1}ms  lat.p50 {:>7.1}ms  rounds {:>4}",
+            label,
+            outcome.latency.mean_ms,
+            outcome.latency.p50_ms,
+            outcome.committed_rounds
+        );
+        means.push(outcome.latency.mean_ms);
     }
     // The sequential-fallback strawman: wait a fast-path timeout (the
     // conservative 2Δ a deployment must allow for the fast round), then
     // run the slow path.
     let (banyan, slow) = (means[0], means[1]);
     let strawman = 2.0 * delta_ms as f64 + slow;
-    println!(
+    say!(
+        out,
         "{:<22} lat.mean {strawman:>7.1}ms  (analytic: 2Δ timeout + slow path)\n",
         "sequential fallback"
     );
     let overhead = (banyan - slow) / slow * 100.0;
-    println!(
+    say!(
+        out,
         "banyan overhead over pure slow path when fast path is dead: {overhead:+.1}% (paper: none)"
     );
     let penalty = (strawman - slow) / slow * 100.0;
-    println!("sequential-fallback penalty: {penalty:+.1}%");
+    say!(out, "sequential-fallback penalty: {penalty:+.1}%");
 }
 
 /// **Figure 6a**: throughput vs. proposal latency for n = 19 replicas
@@ -232,13 +278,13 @@ fn fig2_switching(run: &dyn Run) {
 /// Banyan (f=6, p=1) 216 ms (≈10% better), Banyan (f=4, p=4) 179 ms
 /// (25.1% better — closer to the theoretical 33% because the fast path can
 /// exclude the furthest co-located stragglers).
-fn fig6a(secs: u64, run: &dyn Run) {
+fn fig6a(secs: u64, run: &dyn Run, out: Out) {
     let title =
         format!("# Figure 6a — n=19 across 4 global datacenters (5/5/5/4), {secs}s per point");
     let payloads = [100_000, 200_000, 400_000, 800_000, 1_600_000];
     let testbed = Topology::four_global_19();
     let blocks = payload_sweep(&testbed, &N19_VARIANTS, &payloads, secs);
-    table(run, title, blocks, true);
+    table(run, title, blocks, true, out);
 }
 
 /// **Figure 6b**: throughput vs. proposal latency for n = 4 replicas
@@ -248,7 +294,7 @@ fn fig6a(secs: u64, run: &dyn Run) {
 /// proposal finalization; Banyan improves 29.9% to 157 ms. With n = 4 and
 /// p = 1 the fast path fires after 3 = n − p replies, "the same conditions
 /// as regular notarization".
-fn fig6b(secs: u64, run: &dyn Run) {
+fn fig6b(secs: u64, run: &dyn Run, out: Out) {
     let title =
         format!("# Figure 6b — n=4, one replica per global datacenter (f=1), {secs}s per point");
     let variants = [
@@ -262,7 +308,7 @@ fn fig6b(secs: u64, run: &dyn Run) {
     ];
     let testbed = Topology::four_global_4();
     let blocks = payload_sweep(&testbed, &variants, &payloads, secs);
-    table(run, title, blocks, true);
+    table(run, title, blocks, true, out);
 }
 
 /// **Figure 6c**: variance of Banyan and ICC proposal latencies with 1 MB
@@ -271,24 +317,51 @@ fn fig6b(secs: u64, run: &dyn Run) {
 /// The paper's claim: Banyan's ~30% latency win does **not** come at the
 /// cost of higher variance. We print the full percentile ladder plus the
 /// standard deviation for both protocols.
-fn fig6c(secs: u64, run: &dyn Run) {
-    println!("# Figure 6c — latency distribution, n=4 global, 1MB payload, {secs}s");
-    println!(
+fn fig6c(secs: u64, run: &dyn Run, out: Out) {
+    say!(
+        out,
+        "# Figure 6c — latency distribution, n=4 global, 1MB payload, {secs}s"
+    );
+    say!(
+        out,
         "{:<12} {:>7} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "protocol", "count", "mean", "std", "min", "p50", "p90", "p99", "max"
+        "protocol",
+        "count",
+        "mean",
+        "std",
+        "min",
+        "p50",
+        "p90",
+        "p99",
+        "max"
     );
     let testbed = Topology::four_global_4();
     for (label, protocol) in [("banyan p=1", "banyan"), ("icc", "icc")] {
         let scenario = synthetic(protocol, &testbed, (1, 1), 1_000_000, secs);
-        let out = run.run(&case(label, scenario));
-        let s = &out.latency;
-        println!(
+        let outcome = run.run(&case(label, scenario));
+        let s = &outcome.latency;
+        say!(
+            out,
             "{:<12} {:>7} {:>8.1}m {:>7.1}m {:>7.1}m {:>7.1}m {:>7.1}m {:>7.1}m {:>7.1}m",
-            label, s.count, s.mean_ms, s.std_ms, s.min_ms, s.p50_ms, s.p90_ms, s.p99_ms, s.max_ms
+            label,
+            s.count,
+            s.mean_ms,
+            s.std_ms,
+            s.min_ms,
+            s.p50_ms,
+            s.p90_ms,
+            s.p99_ms,
+            s.max_ms
         );
     }
-    println!("\n(paper: Banyan improves the mean ~29.9% at identical spread — std and the");
-    println!(" p50→p99 ladder should shrink proportionally with the mean, not widen)");
+    say!(
+        out,
+        "\n(paper: Banyan improves the mean ~29.9% at identical spread — std and the"
+    );
+    say!(
+        out,
+        " p50→p99 ladder should shrink proportionally with the mean, not widen)"
+    );
 }
 
 /// **Figure 6d**: effect of crash-faults on throughput and block intervals
@@ -301,15 +374,23 @@ fn fig6c(secs: u64, run: &dyn Run) {
 ///
 /// We crash 0, 2, 4, 6 replicas at t = 0 and report throughput and mean
 /// block interval for Banyan vs ICC.
-fn fig6d(secs: u64, run: &dyn Run) {
+fn fig6d(secs: u64, run: &dyn Run, out: Out) {
     let payload = 400_000u64;
-    println!(
+    say!(
+        out,
         "# Figure 6d — crash faults, n=19 across 4 US datacenters, {} blocks, {secs}s, timeout 3s",
         human_bytes(payload)
     );
-    println!(
+    say!(
+        out,
         "{:<14} {:>8} {:>10} {:>12} {:>12} {:>8} {:>6}",
-        "protocol", "crashed", "MB/s", "interval", "lat.mean", "rounds", "safe"
+        "protocol",
+        "crashed",
+        "MB/s",
+        "interval",
+        "lat.mean",
+        "rounds",
+        "safe"
     );
     let testbed = Topology::four_us_19();
     for crashed in [0usize, 2, 4, 6] {
@@ -320,19 +401,20 @@ fn fig6d(secs: u64, run: &dyn Run) {
             let scenario = synthetic(protocol, &testbed, (6, 1), payload, secs)
                 .delta(Duration::from_millis(1_500))
                 .faults(FaultPlan::none().crash_spread(crashed, 19, Time::ZERO));
-            let out = run.run(&case(label, scenario));
-            println!(
+            let outcome = run.run(&case(label, scenario));
+            say!(
+                out,
                 "{:<14} {:>8} {:>10.2} {:>10.0}ms {:>10.1}ms {:>8} {:>6}",
                 label,
                 crashed,
-                out.throughput_mbps,
-                out.block_interval_ms,
-                out.latency.mean_ms,
-                out.committed_rounds,
-                if out.safe { "ok" } else { "UNSAFE" },
+                outcome.throughput_mbps,
+                outcome.block_interval_ms,
+                outcome.latency.mean_ms,
+                outcome.committed_rounds,
+                if outcome.safe { "ok" } else { "UNSAFE" },
             );
         }
-        println!();
+        say!(out);
     }
 }
 
@@ -341,14 +423,14 @@ fn fig6d(secs: u64, run: &dyn Run) {
 ///
 /// Paper reference points (§9.5), 1 MB payloads: ICC 384 ms; Banyan
 /// (f=6, p=1) 362 ms (−5.8%, "for free"); Banyan (f=4, p=4) 324 ms (−16%).
-fn fig6e(secs: u64, run: &dyn Run) {
+fn fig6e(secs: u64, run: &dyn Run, out: Out) {
     let title = format!(
         "# Figure 6e — n=19, one replica in each of 19 global datacenters, {secs}s per point"
     );
     let payloads = [250_000, 500_000, 1_000_000, 2_000_000];
     let testbed = Topology::nineteen_global();
     let blocks = payload_sweep(&testbed, &N19_VARIANTS, &payloads, secs);
-    table(run, title, blocks, true);
+    table(run, title, blocks, true, out);
 }
 
 /// **Table 1**: analytic comparison of SMR protocols, plus measured
@@ -358,25 +440,36 @@ fn fig6e(secs: u64, run: &dyn Run) {
 /// latencies and requirements (see `banyan_core::model`). The measured
 /// half runs each implemented protocol on a uniform-δ topology and
 /// reports latency/δ — which should land on the analytic step count.
-fn table1(run: &dyn Run) {
-    println!("# Table 1 (analytic) — instantiated at f=6, p*=1 (the paper's n=19 scenario)\n");
-    println!("{}", render_table1(6, 1));
-    println!("# Table 1 (analytic) — instantiated at f=4, p*=4\n");
-    println!("{}", render_table1(4, 4));
+fn table1(run: &dyn Run, out: Out) {
+    say!(
+        out,
+        "# Table 1 (analytic) — instantiated at f=6, p*=1 (the paper's n=19 scenario)\n"
+    );
+    say!(out, "{}", render_table1(6, 1));
+    say!(out, "# Table 1 (analytic) — instantiated at f=4, p*=4\n");
+    say!(out, "{}", render_table1(4, 4));
 
-    println!("# Measured step counts (uniform δ = 50 ms, n = 4, f = p = 1, tiny payload)\n");
+    say!(
+        out,
+        "# Measured step counts (uniform δ = 50 ms, n = 4, f = p = 1, tiny payload)\n"
+    );
     let one_way = 50u64;
-    println!(
+    say!(
+        out,
         "{:<12} {:>12} {:>10} {:>10}",
-        "protocol", "lat.mean", "steps", "analytic"
+        "protocol",
+        "lat.mean",
+        "steps",
+        "analytic"
     );
     for (protocol, analytic) in PROTOCOLS.iter().zip(["2δ", "3δ", "≥6δ", "6Δ"]) {
-        let out = run.run(&uniform_delta(protocol, one_way));
-        println!(
+        let outcome = run.run(&uniform_delta(protocol, one_way));
+        say!(
+            out,
             "{:<12} {:>10.1}ms {:>10.2} {:>10}",
             protocol,
-            out.latency.mean_ms,
-            out.latency.mean_ms / one_way as f64,
+            outcome.latency.mean_ms,
+            outcome.latency.mean_ms / one_way as f64,
             analytic
         );
     }
@@ -391,7 +484,7 @@ fn table1(run: &dyn Run) {
 /// 19-DC global network it shifts which replicas lead how often within a
 /// finite run, moving the mean a little. Either way: same safety, same
 /// fast-path share.
-fn ablation_beacon(secs: u64, run: &dyn Run) {
+fn ablation_beacon(secs: u64, run: &dyn Run, out: Out) {
     let payload = 400_000u64;
     let title = format!(
         "# Ablation — leader schedule, banyan f=6 p=1, 19 global DCs, {} blocks, {secs}s",
@@ -406,7 +499,7 @@ fn ablation_beacon(secs: u64, run: &dyn Run) {
             ..case(format!("beacon seed={seed}"), scenario.clone())
         });
     }
-    table(run, title, vec![cases], false);
+    table(run, title, vec![cases], false, out);
 }
 
 /// **Ablation**: sensitivity to the `Δ` bound.
@@ -417,7 +510,7 @@ fn ablation_beacon(secs: u64, run: &dyn Run) {
 /// with the leader's) or generously large (no cost in the fault-free
 /// case, because delays only gate *non-leader* proposals — optimistic
 /// responsiveness).
-fn ablation_delta(secs: u64, run: &dyn Run) {
+fn ablation_delta(secs: u64, run: &dyn Run, out: Out) {
     let testbed = Topology::four_global_4();
     let base = testbed.max_one_way();
     let title = format!(
@@ -439,9 +532,15 @@ fn ablation_delta(secs: u64, run: &dyn Run) {
         };
         blocks.push(["banyan", "icc"].map(with_delta).into());
     }
-    table(run, title, blocks, true);
-    println!("(too-small Δ lets higher ranks propose before the leader's block lands:");
-    println!(" extra blocks, extra traffic, possible slow-path rounds — but never unsafety)");
+    table(run, title, blocks, true, out);
+    say!(
+        out,
+        "(too-small Δ lets higher ranks propose before the leader's block lands:"
+    );
+    say!(
+        out,
+        " extra blocks, extra traffic, possible slow-path rounds — but never unsafety)"
+    );
 }
 
 /// **Ablation**: tip forwarding on/off.
@@ -450,7 +549,7 @@ fn ablation_delta(secs: u64, run: &dyn Run) {
 /// chain, we drastically improve the performance of all algorithms
 /// implemented with Bamboo". This experiment quantifies that choice for
 /// Banyan and ICC on the n = 19 global testbed.
-fn ablation_forwarding(secs: u64, run: &dyn Run) {
+fn ablation_forwarding(secs: u64, run: &dyn Run, out: Out) {
     let title =
         format!("# Ablation — tip forwarding, n=19 across 4 global datacenters, 400KB, {secs}s");
     let testbed = Topology::four_global_19();
@@ -461,7 +560,7 @@ fn ablation_forwarding(secs: u64, run: &dyn Run) {
         };
         [("on", true), ("off", false)].map(forwarding).into()
     };
-    table(run, title, ["banyan", "icc"].map(block).into(), true);
+    table(run, title, ["banyan", "icc"].map(block).into(), true, out);
 }
 
 /// **Ablation**: the fast-path parameter `p`.
@@ -472,7 +571,7 @@ fn ablation_forwarding(secs: u64, run: &dyn Run) {
 /// lower Byzantine resilience `f`. §9.3 argues p = f = 4 gets within 25%
 /// of the theoretical maximum because co-located stragglers drop out of
 /// the fast quorum.
-fn ablation_p_sweep(secs: u64, run: &dyn Run) {
+fn ablation_p_sweep(secs: u64, run: &dyn Run, out: Out) {
     let title = format!("# Ablation — p sweep at n=19, 4 global datacenters, 400KB, {secs}s");
     let testbed = Topology::four_global_19();
     // All (f, p) with p ∈ [1, f] that fit n = 19, preferring max f per p.
@@ -490,7 +589,7 @@ fn ablation_p_sweep(secs: u64, run: &dyn Run) {
     }
     let reference = synthetic("icc", &testbed, (6, 1), 400_000, secs);
     cases.push(case("icc f=6 (reference)", reference));
-    table(run, title, vec![cases], false);
+    table(run, title, vec![cases], false, out);
 }
 
 /// **Ablation**: the Remark 7.8 fast-vote piggyback.
@@ -500,9 +599,12 @@ fn ablation_p_sweep(secs: u64, run: &dyn Run) {
 /// multi-signatures." This saves one 64-byte signature per replica per
 /// round in the happy path; this experiment quantifies the byte savings
 /// and confirms latency is untouched.
-fn ablation_piggyback(secs: u64, run: &dyn Run) {
-    println!("# Ablation — Remark 7.8 fast-vote piggyback, banyan f=6 p=1, {secs}s");
-    println!("{}", header());
+fn ablation_piggyback(secs: u64, run: &dyn Run, out: Out) {
+    say!(
+        out,
+        "# Ablation — Remark 7.8 fast-vote piggyback, banyan f=6 p=1, {secs}s"
+    );
+    say!(out, "{}", header());
     for (testbed, topology) in [
         ("4 global DCs n=19", Topology::four_global_19()),
         ("19 global DCs", Topology::nineteen_global()),
@@ -511,10 +613,11 @@ fn ablation_piggyback(secs: u64, run: &dyn Run) {
             let scenario = synthetic("banyan", &topology, (6, 1), 400_000, secs).piggyback(on);
             case(format!("{testbed} piggyback={label}"), scenario)
         };
-        let outs = rows(run, &[("off", false), ("on", true)].map(piggyback));
+        let outs = rows(run, &[("off", false), ("on", true)].map(piggyback), out);
         let (off, on) = (&outs[0].counters, &outs[1].counters);
         let saved = off.bytes_sent as f64 - on.bytes_sent as f64;
-        println!(
+        say!(
+            out,
             "  -> bytes saved: {:.2} MB ({:.2}%), messages: {} -> {}\n",
             saved / 1e6,
             saved / off.bytes_sent as f64 * 100.0,
@@ -556,7 +659,7 @@ fn parse_topology(spec: &str) -> Topology {
 
 /// `explore`: any protocol on any testbed with custom parameters (all
 /// flags optional; see [`EXPLORE_FLAGS`]).
-fn explore(args: &[String], run: &dyn Run) {
+fn explore(args: &[String], run: &dyn Run, out: Out) {
     let value = |name: &str| {
         let at = args.iter().position(|a| a == name)?;
         args.get(at + 1).map(String::as_str)
@@ -583,28 +686,29 @@ fn explore(args: &[String], run: &dyn Run) {
         scenario = scenario.faults(FaultPlan::none().crash_spread(crashes, n, Time::ZERO));
     }
 
-    println!(
+    say!(out,
         "# explore — {protocol} on n={n} (f={f}, p={p}), {payload}B blocks, {secs}s, seed {seed}, {crashes} crashed"
     );
-    println!("{}", header());
-    let out = &rows(run, &[case(protocol, scenario)])[0];
-    println!(
+    say!(out, "{}", header());
+    let outcome = &rows(run, &[case(protocol, scenario)], out)[0];
+    say!(
+        out,
         "\nblock interval {:.0} ms · {} msgs · {:.1} MB on the wire · latency p99 {:.1} ms",
-        out.block_interval_ms,
-        out.counters.messages_sent,
-        out.counters.bytes_sent as f64 / 1e6,
-        out.latency.p99_ms,
+        outcome.block_interval_ms,
+        outcome.counters.messages_sent,
+        outcome.counters.bytes_sent as f64 / 1e6,
+        outcome.latency.p99_ms,
     );
 }
 
 /// What an experiment takes on the command line.
 enum Takes {
     /// Nothing: the duration is part of the experiment.
-    Nothing(fn(&dyn Run)),
+    Nothing(fn(&dyn Run, Out)),
     /// `[secs]`, with this default.
-    Secs(u64, fn(u64, &dyn Run)),
+    Secs(u64, fn(u64, &dyn Run, Out)),
     /// Its own flags.
-    Flags(fn(&[String], &dyn Run)),
+    Flags(fn(&[String], &dyn Run, Out)),
 }
 
 /// The experiment index, in the paper's order.
@@ -638,13 +742,14 @@ fn index() -> String {
     out
 }
 
-/// Runs the experiment `args` names, with the arguments it takes.
-fn dispatch(args: &[String], run: &dyn Run) -> Result<(), String> {
+/// Runs the experiment `args` names, with the arguments it takes,
+/// writing its output to `out`.
+fn dispatch(args: &[String], run: &dyn Run, out: Out) -> Result<(), String> {
     let (name, rest) = args
         .split_first()
-        .ok_or("usage: paper <experiment> [secs] | paper list")?;
+        .ok_or("usage: paper <experiment> [secs] | paper list | paper --write-goldens")?;
     if name == "list" {
-        print!("{}", index());
+        out(&index());
         return Ok(());
     }
     let (_, takes) = EXPERIMENTS
@@ -652,24 +757,74 @@ fn dispatch(args: &[String], run: &dyn Run) -> Result<(), String> {
         .find(|(known, ..)| known == name)
         .ok_or(format!("unknown experiment {name:?}"))?;
     match (takes, rest) {
-        (Takes::Nothing(experiment), []) => experiment(run),
-        (Takes::Secs(default, experiment), []) => experiment(*default, run),
+        (Takes::Nothing(experiment), []) => experiment(run, out),
+        (Takes::Secs(default, experiment), []) => experiment(*default, run, out),
         (Takes::Secs(_, experiment), [secs]) => match secs.parse() {
-            Ok(secs) => experiment(secs, run),
+            Ok(secs) => experiment(secs, run, out),
             Err(_) => return Err(format!("{name}: secs must be a number, got {secs:?}")),
         },
-        (Takes::Flags(experiment), _) => experiment(rest, run),
+        (Takes::Flags(experiment), _) => experiment(rest, run, out),
         _ => return Err(format!("{name}: unexpected arguments {rest:?}")),
     }
     Ok(())
 }
 
-fn main() {
+/// The `secs` every golden of an experiment that takes it runs at.
+const GOLDEN_SECS: u64 = 2;
+
+/// The `paper` arguments of every golden, as `(experiment, arguments)`:
+/// every listed experiment but `explore`, a `[secs]` one at
+/// [`GOLDEN_SECS`].
+fn goldens() -> Vec<(&'static str, Vec<String>)> {
+    let args = |name: &'static str, takes: &Takes| match takes {
+        Takes::Nothing(_) => Some((name, vec![name.to_string()])),
+        Takes::Secs(..) => Some((name, vec![name.to_string(), GOLDEN_SECS.to_string()])),
+        Takes::Flags(_) => None,
+    };
+    EXPERIMENTS
+        .iter()
+        .filter_map(|(name, takes)| args(name, takes))
+        .collect()
+}
+
+/// Where the golden of `experiment` lives.
+fn golden_path(experiment: &str) -> String {
+    format!(
+        "{}/tests/goldens/paper_{experiment}.golden",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+/// The output of `paper args` as its golden holds it: a line naming the
+/// arguments, what the experiment printed, then its error, if any.
+fn golden_report(args: &[String]) -> String {
+    let mut text = format!("# paper {}\n", args.join(" "));
+    if let Err(msg) = dispatch(args, &Simulate, &mut |line| text.push_str(line)) {
+        text.push_str(&format!("ERROR: {msg}\n"));
+    }
+    text
+}
+
+/// `--write-goldens`: regenerates every golden in place.
+fn write_goldens() -> std::io::Result<()> {
+    for (experiment, args) in goldens() {
+        let path = golden_path(experiment);
+        std::fs::write(&path, golden_report(&args))?;
+        println!("wrote {path}");
+    }
+    Ok(())
+}
+
+fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(msg) = dispatch(&args, &Simulate) {
+    if args == ["--write-goldens"] {
+        return write_goldens();
+    }
+    if let Err(msg) = dispatch(&args, &Simulate, &mut |text| print!("{text}")) {
         eprint!("{msg}\n\n{}", index());
         std::process::exit(2);
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -708,8 +863,36 @@ mod tests {
         for (i, name) in listed.iter().enumerate() {
             assert!(!listed[..i].contains(name), "{name} listed twice");
             let check = Check(Cell::new(0));
-            dispatch(&[name.to_string()], &check).expect(name);
+            dispatch(&[name.to_string()], &check, &mut |_| {}).expect(name);
             assert!(check.0.get() > 0, "{name} runs nothing");
+        }
+    }
+
+    /// Every listed experiment but `explore` prints exactly its
+    /// committed golden: virtual time moves only with a commit that
+    /// rewrites them (`paper --write-goldens`).
+    #[test]
+    fn every_experiment_reproduces_its_golden() {
+        let experiments = goldens();
+        assert_eq!(experiments.len(), 13);
+        for (experiment, args) in experiments {
+            let path = golden_path(experiment);
+            let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            let now = golden_report(&args);
+            let (mut golden_lines, mut now_lines) = (golden.lines(), now.lines());
+            for line in 1.. {
+                let (want, got) = (golden_lines.next(), now_lines.next());
+                if want.is_none() && got.is_none() {
+                    break;
+                }
+                assert_eq!(
+                    want,
+                    got,
+                    "`paper {}` differs from tests/goldens/paper_{experiment}.golden \
+                     first at line {line}; if the move is meant, rerun with --write-goldens",
+                    args.join(" ")
+                );
+            }
         }
     }
 
@@ -717,7 +900,7 @@ mod tests {
     fn secs_must_be_numeric_and_fixed_experiments_take_nothing() {
         let try_args = |args: &[&str]| {
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            dispatch(&args, &Check(Cell::new(0)))
+            dispatch(&args, &Check(Cell::new(0)), &mut |_| {})
         };
         assert!(try_args(&["fig6c", "2"]).is_ok());
         assert!(try_args(&["fig6c", "two"]).is_err());

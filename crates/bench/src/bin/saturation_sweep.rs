@@ -166,7 +166,8 @@ fn parse_args(raw: &[String]) -> Args {
 }
 
 /// The CI flag sets whose reports `crates/bench/tests/goldens/` pins, as
-/// `(file stem, flags)`.
+/// `(file stem, flags)`, plus the restart set: the one that drives
+/// Streamlet's ranged sync and both baselines' restarts.
 #[rustfmt::skip]
 const GOLDENS: &[(&str, &str)] = &[
     ("quick", "--quick 1"),
@@ -174,6 +175,7 @@ const GOLDENS: &[(&str, &str)] = &[
     ("optimistic", "--quick 1 --json --gossip --retry-ms 200 --optimistic --assert-max-dups --assert-rpc"),
     ("cohorts", "--quick 1 --json --cohorts --fanout-tree 2 --assert-gossip-bytes"),
     ("crypto", "--crypto --quick --json --gossip --retry-ms 250 --assert-crypto"),
+    ("restart", "--quick 1 --json --gossip --retry-ms 200 --restart"),
 ];
 
 /// Where the golden of `stem` lives.
