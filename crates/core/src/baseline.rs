@@ -76,3 +76,40 @@ pub(crate) fn commit_chain(
         actions.commit(entry);
     }
 }
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use std::collections::VecDeque;
+
+    use banyan_types::engine::{Actions, Engine, Outbound};
+    use banyan_types::ids::ReplicaId;
+    use banyan_types::time::Time;
+
+    /// Delivers every `(sender, actions)` pair's messages, and all they
+    /// cause, instantly at `now`, breadth-first. Once any engine is past
+    /// round `stop_round` nothing more is delivered: instant delivery lets
+    /// a pipelined protocol run forever.
+    pub(crate) fn deliver<E: Engine>(
+        engines: &mut [E],
+        initial: Vec<(usize, Actions)>,
+        now: Time,
+        stop_round: u64,
+    ) {
+        let mut queue = VecDeque::from(initial);
+        while let Some((from, actions)) = queue.pop_front() {
+            if engines.iter().any(|e| e.current_round().0 > stop_round) {
+                return;
+            }
+            for out in actions.outbound {
+                let (msg, to): (_, Vec<usize>) = match out {
+                    Outbound::Broadcast(msg) => (msg, (0..engines.len()).collect()),
+                    Outbound::Send(to, msg) => (msg, vec![to.as_usize()]),
+                };
+                for i in to.into_iter().filter(|&i| i != from) {
+                    let sender = ReplicaId(from as u16);
+                    queue.push_back((i, engines[i].on_message(sender, msg.clone(), now)));
+                }
+            }
+        }
+    }
+}

@@ -30,7 +30,9 @@
 //! unverified is ever merged, and what is skipped could not have been
 //! merged (see `docs/ARCHITECTURE.md`, "What the engine verifies, and
 //! when"). Nor is a block hashed twice: a copy of a block the store
-//! holds is recognised by equality with it and takes its hash.
+//! holds is recognised by equality with it and takes its hash. Blocks
+//! are minted and admitted, certificates gated and catch-up ranges
+//! served by the intake all three engines share (`crate::evidence`).
 //!
 //! **Rules look at what changed.** Every change to a round's state marks
 //! the round touched (`round_entry`; `restore` marks them all), and
@@ -66,6 +68,7 @@ use banyan_types::ChainSnapshot;
 use banyan_storage::{BlockStore, ChainStore};
 
 use super::round::RoundState;
+use crate::evidence;
 
 /// Which protocol of the family to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -575,7 +578,7 @@ impl ChainedEngine {
     ) -> (BlockHash, Block, Option<Vote>) {
         let ctx = self.proposal_context(round, parent, now);
         let payload = self.source.next_payload(&ctx);
-        let mut block = Block {
+        let block = Block {
             round,
             proposer: self.id,
             rank,
@@ -584,8 +587,7 @@ impl ChainedEngine {
             payload: self.censor(payload),
             signature: Signature::zero(),
         };
-        let hash = block.hash(self.cfg.payload_chunk);
-        block.signature = self.registry.sign(&Block::signing_message(&hash));
+        let (hash, block) = evidence::mint(&self.registry, self.cfg.payload_chunk, block);
         // Addition 2 / Algorithm 1 line 28: rank-0 proposals carry the
         // proposer's fast vote.
         let fast_vote = (self.fast_path() && rank.is_leader())
@@ -809,30 +811,17 @@ impl ChainedEngine {
         if block.rank != expected {
             return changed;
         }
-        // A copy of a block we hold (a peer's relay, a repeated sync reply)
-        // is recognised by equality and takes the stored block's hash:
-        // equal blocks hash alike, and comparing costs at most a memcmp
-        // where hashing walks the payload. Anything else — a relay with a
-        // flipped byte, an equivocating leader's second block — is hashed.
-        let held = self
-            .store
-            .round_blocks(block.round)
-            .iter()
-            .find(|h| self.store.get(h) == Some(&block))
-            .copied();
-        let hash = held.unwrap_or_else(|| block.hash(self.cfg.payload_chunk));
-        // A hash already in the store is that exact block, authenticated
-        // when it was adopted: a relay of it needs no second check.
-        let stored = held.is_some() || self.store.contains(&hash);
-        if !stored
-            && !self.verify.verify(
-                block.proposer.0,
-                &Block::signing_message(&hash),
-                &block.signature,
-            )
-        {
+        // A relay or repeated sync reply of a held block is neither hashed
+        // nor checked again (`evidence::admit`).
+        let admitted = evidence::admit(
+            self.store.as_ref(),
+            self.verify.as_ref(),
+            &block,
+            self.cfg.payload_chunk,
+        );
+        let Some((hash, stored)) = admitted else {
             return changed;
-        }
+        };
         // The attached fast vote must be the proposer's, for this block —
         // and is only looked at until one is held.
         let fast_vote = fast_vote.filter(|v| {
@@ -884,24 +873,10 @@ impl ChainedEngine {
     /// Adopts a notarization certificate. Returns `true` iff the block
     /// was not notarized before and now is.
     fn handle_notarization(&mut self, cert: Notarization, actions: &mut Actions) -> bool {
-        if self.store.is_notarized(&cert.block) {
+        if self.store.is_notarized(&cert.block)
+            || !evidence::notarized(self.verify.as_ref(), self.cfg.notarization_quorum(), &cert)
+        {
             return false;
-        }
-        // Gate on popcount before touching signatures: an empty or
-        // below-quorum aggregate verifies trivially under every scheme.
-        if !cert.meets_quorum(self.cfg.notarization_quorum()) {
-            return false;
-        }
-        let msg = Vote::signing_message(VoteKind::Notarize, cert.round, &cert.block);
-        if !self.verify.verify_aggregate(&msg, &cert.agg) {
-            return false;
-        }
-        if let Some(fast_agg) = &cert.fast_agg {
-            // Remark 7.8: the second multi-signature covers fast votes.
-            let msg = Vote::signing_message(VoteKind::Fast, cert.round, &cert.block);
-            if !self.verify.verify_aggregate(&msg, fast_agg) {
-                return false;
-            }
         }
         // The fast votes inside a two-signature notarization are genuine
         // fast votes: feed them to the unlock machinery too.
@@ -939,23 +914,13 @@ impl ChainedEngine {
         if self.store.finalized(cert.round).is_some() {
             return;
         }
-        let quorum = match cert.kind {
-            FinalKind::Slow => self.cfg.finalization_quorum(),
-            FinalKind::Fast => self.cfg.fast_quorum(),
-        };
-        // Popcount gate first — see `handle_notarization`.
-        if !cert.meets_quorum(quorum) {
-            return;
-        }
-        if cert.kind == FinalKind::Fast && !self.fast_path() {
-            return;
-        }
-        let kind = match cert.kind {
-            FinalKind::Slow => VoteKind::Finalize,
-            FinalKind::Fast => VoteKind::Fast,
+        let (quorum, kind) = match cert.kind {
+            FinalKind::Slow => (self.cfg.finalization_quorum(), VoteKind::Finalize),
+            FinalKind::Fast if self.fast_path() => (self.cfg.fast_quorum(), VoteKind::Fast),
+            FinalKind::Fast => return,
         };
         let msg = Vote::signing_message(kind, cert.round, &cert.block);
-        if !self.verify.verify_aggregate(&msg, &cert.agg) {
+        if !evidence::certified(self.verify.as_ref(), quorum, &msg, &cert.agg) {
             return;
         }
         self.apply_finalization(cert, now, actions);
@@ -1061,9 +1026,7 @@ impl ChainedEngine {
             SyncMsg::RequestRange {
                 from_round,
                 to_round,
-            } => {
-                self.serve_range(from, from_round, to_round, actions);
-            }
+            } => self.serve_range(from, (from_round, to_round), actions),
             SyncMsg::ResponseBatch {
                 blocks,
                 notarizations,
@@ -1087,42 +1050,9 @@ impl ChainedEngine {
     /// retained notarizations) for `from..=to`, capped, plus our newest
     /// finalization certificate so the requester can actually finalize
     /// what it fetched.
-    fn serve_range(
-        &mut self,
-        from: ReplicaId,
-        from_round: Round,
-        to_round: Round,
-        actions: &mut Actions,
-    ) {
-        /// Rounds served per request (bounds response size).
-        const MAX_RANGE: u64 = 64;
-        let lo = from_round.0.max(1);
-        let hi = to_round
-            .0
-            .min(self.k_max.0)
-            .min(lo.saturating_add(MAX_RANGE - 1));
-        let mut blocks = Vec::new();
-        let mut notarizations = Vec::new();
-        for r in lo..=hi {
-            let Some(h) = self.store.finalized(Round(r)) else {
-                continue;
-            };
-            if let Some(b) = self.store.get(&h) {
-                blocks.push(b.clone());
-            }
-            if let Some(cert) = self.store.notarization(&h) {
-                notarizations.push(cert.clone());
-            }
-        }
-        if !blocks.is_empty() || !notarizations.is_empty() {
-            actions.send(
-                from,
-                Message::Sync(SyncMsg::ResponseBatch {
-                    blocks,
-                    notarizations,
-                }),
-            );
-        }
+    fn serve_range(&self, from: ReplicaId, range: (Round, Round), actions: &mut Actions) {
+        let store = self.store.as_ref();
+        evidence::serve_range(store, range, |r| store.finalized(r), from, actions);
         if let Some(cert) = self.finalizations.get(&self.k_max) {
             actions.send(from, Message::Chained(ChainedMsg::Final(cert.clone())));
         }

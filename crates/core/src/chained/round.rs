@@ -1,6 +1,8 @@
 //! Per-round bookkeeping for the ICC/Banyan engine.
 //!
 //! One [`RoundState`] exists per round a replica has heard anything about.
+//! Its [`VoteTable`] is also the tally HotStuff keeps per view and
+//! Streamlet per epoch.
 //! It owns the round's vote tables (notarization / finalization) and the
 //! fast-vote [`UnlockState`], plus the flags the pseudocode keeps per
 //! round: `proposed`, `fastVoteSent`, the `N` set of blocks we
@@ -50,13 +52,6 @@ impl VoteTable {
             .iter()
             .filter(move |(_, m)| m.len() >= quorum)
             .map(|(h, _)| h)
-    }
-
-    /// Blocks with at least `quorum` votes, sorted.
-    pub fn with_quorum(&self, quorum: usize) -> Vec<BlockHash> {
-        let mut out: Vec<BlockHash> = self.blocks_with(quorum).copied().collect();
-        out.sort();
-        out
     }
 }
 
@@ -144,15 +139,20 @@ mod tests {
     }
 
     #[test]
-    fn with_quorum_filters_and_sorts() {
+    fn blocks_with_filters_by_quorum() {
         let mut t = VoteTable::default();
         for i in 0..3 {
             t.add(hash(2), ReplicaId(i), Signature::zero());
         }
         t.add(hash(1), ReplicaId(0), Signature::zero());
-        assert_eq!(t.with_quorum(3), vec![hash(2)]);
-        assert_eq!(t.with_quorum(1), vec![hash(1), hash(2)]);
-        assert!(t.with_quorum(4).is_empty());
+        let with = |quorum| {
+            let mut blocks: Vec<BlockHash> = t.blocks_with(quorum).copied().collect();
+            blocks.sort();
+            blocks
+        };
+        assert_eq!(with(3), vec![hash(2)]);
+        assert_eq!(with(1), vec![hash(1), hash(2)]);
+        assert!(with(4).is_empty());
     }
 
     #[test]

@@ -260,25 +260,19 @@ impl UnlockState {
     }
 
     /// Merges an unlock proof's support into this table, verifying the
-    /// aggregates that can change it. Returns `true` iff support or a
-    /// rank was added. `false` therefore does *not* mean "rejected": a
-    /// rejected proof (which merges nothing) and an accepted proof that
-    /// restates what the table already holds both return it — callers
-    /// need to know whether to re-evaluate their rules, not why not.
+    /// aggregates that can change it with `verify_aggregate` (the engine
+    /// passes its [`banyan_crypto::VerifyBackend`]: batched, cached,
+    /// counted). Returns `true` iff support or a rank was added. `false`
+    /// therefore does *not* mean "rejected": a rejected proof (which
+    /// merges nothing) and an accepted proof that restates what the table
+    /// already holds both return it — callers need to know whether to
+    /// re-evaluate their rules, not why not.
     ///
     /// Rank claims for blocks we have received are cross-checked; claims
     /// for unknown blocks are accepted as-is (the paper defers compact
     /// worst-case proofs to future work; a lying rank claim can only
     /// *delay* unlocking, never violate safety, because unlocking gates
     /// extension, not finalization).
-    pub fn merge_proof(&mut self, proof: &UnlockProof, table: &PublicKeyTable) -> bool {
-        self.merge_proof_with(proof, |msg, agg| table.verify_aggregate(msg, agg))
-    }
-
-    /// [`UnlockState::merge_proof`] with a caller-supplied aggregate
-    /// verifier, so engines can route the check through an instrumented
-    /// [`banyan_crypto::VerifyBackend`] (batched, cached, counted) instead
-    /// of the raw key table.
     ///
     /// Novelty before signature: every entry's rank is cross-checked, but
     /// only an entry naming a voter not already in `supp(block)` is
@@ -541,7 +535,7 @@ mod tests {
         // A fresh replica verifies and merges the proof; the block
         // unlocks for it too.
         let mut fresh = state();
-        assert!(fresh.merge_proof(&proof, &table));
+        assert!(fresh.merge_proof_with(&proof, |msg, agg| table.verify_aggregate(msg, agg)));
         assert_eq!(fresh.supp(&b0), 3);
         assert!(fresh.is_unlocked(&b0));
     }
@@ -562,7 +556,7 @@ mod tests {
         // Claim an extra signer that never voted.
         proof.entries[0].agg.signers.set(3);
         let mut fresh = state();
-        assert!(!fresh.merge_proof(&proof, &table));
+        assert!(!fresh.merge_proof_with(&proof, |msg, agg| table.verify_aggregate(msg, agg)));
         assert_eq!(fresh.supp(&b0), 0, "nothing merged from a bad proof");
         assert!(!fresh.ranks.contains_key(&b0), "nor its rank learned");
     }
@@ -579,7 +573,7 @@ mod tests {
         let proof = s.build_proof(&table);
         assert_eq!(proof.total_votes(), 1);
         let mut other = state(); // round 1
-        assert!(!other.merge_proof(&proof, &table));
+        assert!(!other.merge_proof_with(&proof, |msg, agg| table.verify_aggregate(msg, agg)));
         // `false` alone could be a redundant proof; rejection is that
         // nothing of it was merged.
         assert_eq!(other.supp(&b0), 0);
@@ -601,7 +595,7 @@ mod tests {
 
         let mut fresh = state();
         fresh.observe_block(b0, Rank(0)); // fresh replica has the block
-        assert!(!fresh.merge_proof(&proof, &table));
+        assert!(!fresh.merge_proof_with(&proof, |msg, agg| table.verify_aggregate(msg, agg)));
         assert_eq!(fresh.supp(&b0), 0, "the honest signature was not merged");
     }
 

@@ -21,8 +21,16 @@
 //! is kept as the notarization record of the block it certifies (its view
 //! as the round), stored when a block carrying it is: a block's justify
 //! is its parent's record. A commit marks each block finalized.
+//!
+//! Evidence comes in as in every engine (`crate::evidence`): a proposal
+//! from the view's leader, extending its justify block, is admitted there
+//! (a repeated one is neither hashed nor checked again), a QC passes the
+//! shared certificate gate, and votes are tallied in one
+//! [`VoteTable`] per view. Per-view state is dropped once the rules can
+//! no longer read it: votes at or below `high_qc.view`, NewViews below
+//! the view before the current one.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use banyan_crypto::beacon::Beacon;
@@ -39,7 +47,8 @@ use banyan_types::message::{HotStuffMsg, Message};
 use banyan_types::time::{Duration, Time};
 use banyan_types::ChainSnapshot;
 
-use crate::baseline;
+use crate::chained::round::VoteTable;
+use crate::{baseline, evidence};
 
 /// Domain for HotStuff vote signatures. Delegates to the shared
 /// [`QuorumCert::signing_message`] so the transport verify plane (which
@@ -76,11 +85,17 @@ pub struct HotStuffEngine {
     locked_qc: QuorumCert,
     /// Last view we voted in.
     last_vote_view: u64,
-    /// Votes collected by this replica as (next-view) leader: per
-    /// (view, block) → voter → signature.
-    votes: BTreeMap<(u64, BlockHash), HashMap<u16, Signature>>,
-    /// NewView senders per view (pacemaker quorum).
-    new_views: BTreeMap<u64, HashMap<u16, QuorumCert>>,
+    /// Last view we proposed in: proposals happen only in the current
+    /// view, and only the current view's is ever looked up.
+    last_proposal_view: u64,
+    /// Votes collected by this replica as (next-view) leader, per view.
+    /// A QC forms only above `high_qc.view`, so the views at or below it
+    /// are dropped whenever it rises, and votes for them are not kept.
+    votes: BTreeMap<u64, VoteTable>,
+    /// NewView senders per view (pacemaker quorum). `try_propose` reads
+    /// only the view before the current one, so views below that are
+    /// dropped on entering a view, and NewViews for them are not kept.
+    new_views: BTreeMap<u64, BTreeSet<u16>>,
     /// The store's finalized frontier as of the start of the current
     /// engine event — i.e. the newest commit whose `CommitEntry` the
     /// driver has already routed. The `ProposalContext` ancestor walk
@@ -90,8 +105,6 @@ pub struct HotStuffEngine {
     /// block must still count as a live ancestor or its requests would be
     /// re-batched (the commit-lag duplication race).
     routed_committed_round: Round,
-    /// Views in which we already proposed.
-    proposed: std::collections::HashSet<u64>,
     /// View timeout (pacemaker).
     view_timeout: Duration,
     /// Where block payloads come from.
@@ -131,10 +144,10 @@ impl HotStuffEngine {
             high_qc: QuorumCert::genesis(),
             locked_qc: QuorumCert::genesis(),
             last_vote_view: 0,
+            last_proposal_view: 0,
             votes: BTreeMap::new(),
             new_views: BTreeMap::new(),
             routed_committed_round: Round::GENESIS,
-            proposed: std::collections::HashSet::new(),
             view_timeout,
             source,
         }
@@ -177,9 +190,9 @@ impl HotStuffEngine {
         self.last_vote_view = top;
         self.view = top;
         self.routed_committed_round = self.finalized_round();
+        self.last_proposal_view = 0;
         self.votes.clear();
         self.new_views.clear();
-        self.proposed.clear();
     }
 
     /// Stores `block` and, unless it is genesis, the QC it carries as the
@@ -206,6 +219,7 @@ impl HotStuffEngine {
             return;
         }
         self.view = view;
+        self.new_views.retain(|&v, _| v.saturating_add(1) >= view);
         actions.arm(now + self.view_timeout, TimerKind::ViewTimeout { view });
         if self.leader(view) == self.id {
             self.try_propose(now, actions);
@@ -214,7 +228,7 @@ impl HotStuffEngine {
 
     fn try_propose(&mut self, now: Time, actions: &mut Actions) {
         let view = self.view;
-        if self.leader(view) != self.id || self.proposed.contains(&view) {
+        if self.leader(view) != self.id || self.last_proposal_view == view {
             return;
         }
         // Propose only when justified: either the QC of view − 1 is known
@@ -223,13 +237,13 @@ impl HotStuffEngine {
             || self
                 .new_views
                 .get(&(view - 1))
-                .map(|m| m.len() >= self.quorum())
+                .map(|senders| senders.len() >= self.quorum())
                 .unwrap_or(false)
             || view == 1;
         if !justified {
             return;
         }
-        self.proposed.insert(view);
+        self.last_proposal_view = view;
         let justify = self.high_qc.clone();
         let ctx = baseline::proposal_context(
             self.store.as_ref(),
@@ -238,7 +252,7 @@ impl HotStuffEngine {
             self.routed_committed_round,
             now,
         );
-        let mut block = Block {
+        let block = Block {
             round: Round(view),
             proposer: self.id,
             rank: Rank(0),
@@ -247,35 +261,26 @@ impl HotStuffEngine {
             payload: self.source.next_payload(&ctx),
             signature: Signature::zero(),
         };
-        let hash = block.hash(self.cfg.payload_chunk);
-        block.signature = self.registry.sign(&Block::signing_message(&hash));
-        self.store_block(hash, block.clone(), &justify);
+        let (_, block) = evidence::mint(&self.registry, self.cfg.payload_chunk, block);
         actions.broadcast(Message::HotStuff(HotStuffMsg::Proposal {
             block: block.clone(),
             justify: justify.clone(),
         }));
-        // Process our own proposal (vote for it).
+        // Take in our own proposal as a peer does: store it, vote for it.
         self.handle_proposal(block, justify, now, actions);
     }
 
     fn update_high_qc(&mut self, qc: &QuorumCert) {
         if qc.view > self.high_qc.view {
             self.high_qc = qc.clone();
+            self.votes.retain(|&view, _| view > qc.view);
         }
     }
 
     fn verify_qc(&self, qc: &QuorumCert) -> bool {
-        if qc.is_genesis() {
-            return true;
-        }
-        // Popcount gate first: an empty or below-quorum aggregate verifies
-        // trivially under every scheme, so the cryptographic check alone
-        // proves nothing about quorum.
-        if !qc.meets_quorum(self.quorum()) {
-            return false;
-        }
-        self.verify
-            .verify_aggregate(&vote_message(qc.view, &qc.block), &qc.agg)
+        let (verify, quorum) = (self.verify.as_ref(), self.quorum());
+        qc.is_genesis()
+            || evidence::certified(verify, quorum, &vote_message(qc.view, &qc.block), &qc.agg)
     }
 
     fn handle_proposal(
@@ -293,14 +298,11 @@ impl HotStuffEngine {
         if block.proposer != self.leader(view) || block.parent != justify.block {
             return;
         }
-        let hash = block.hash(self.cfg.payload_chunk);
-        if !self.verify.verify(
-            block.proposer.0,
-            &Block::signing_message(&hash),
-            &block.signature,
-        ) {
+        let chunk = self.cfg.payload_chunk;
+        let admitted = evidence::admit(self.store.as_ref(), self.verify.as_ref(), &block, chunk);
+        let Some((hash, _)) = admitted else {
             return;
-        }
+        };
         self.store_block(hash, block, &justify);
         self.update_high_qc(&justify);
         self.try_commit(&justify, now, actions);
@@ -358,18 +360,15 @@ impl HotStuffEngine {
         if !self
             .verify
             .verify(voter.0, &vote_message(view, &block), &signature)
+            || view <= self.high_qc.view
         {
             return;
         }
         let quorum = self.quorum();
-        let entry = self.votes.entry((view, block)).or_default();
-        entry.insert(voter.0, signature);
-        if entry.len() >= quorum && self.high_qc.view < view {
-            let votes: Vec<(u16, Signature)> = self.votes[&(view, block)]
-                .iter()
-                .map(|(v, s)| (*v, *s))
-                .collect();
-            let agg = self.registry.table().aggregate(&votes);
+        let table = self.votes.entry(view).or_default();
+        table.add(block, voter, signature);
+        if table.count(&block) >= quorum {
+            let agg = self.registry.table().aggregate(&table.votes_for(&block));
             let qc = QuorumCert { view, block, agg };
             self.update_high_qc(&qc);
             self.try_commit(&qc, now, actions);
@@ -416,10 +415,9 @@ impl HotStuffEngine {
             return;
         }
         self.update_high_qc(&justify);
-        self.new_views
-            .entry(view)
-            .or_default()
-            .insert(from.0, justify);
+        if view.saturating_add(1) >= self.view {
+            self.new_views.entry(view).or_default().insert(from.0);
+        }
         let next = view
             .checked_add(1)
             .filter(|&next| self.leader(next) == self.id);
@@ -525,5 +523,49 @@ impl Engine for HotStuffEngine {
 
     fn wal_bytes(&self) -> u64 {
         self.store.wal_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use banyan_crypto::beacon::BeaconMode;
+    use banyan_crypto::hashsig::HashSig;
+    use banyan_types::app::FixedSizeSource;
+
+    use super::*;
+    use crate::baseline::tests::deliver;
+
+    /// A fault-free n = 4 cluster run for 600 views holds as few per-view
+    /// entries as after a handful: votes only above `high_qc.view`,
+    /// NewViews only from the view before the current one on.
+    #[test]
+    fn per_view_state_stays_bounded_over_600_views() {
+        const N: usize = 4;
+        let mut engines: Vec<HotStuffEngine> = (0..N as u16)
+            .map(|i| {
+                HotStuffEngine::new(
+                    ProtocolConfig::new(N, 1, 1).unwrap(),
+                    KeyRegistry::generate(Arc::new(HashSig), 5, N, i),
+                    Beacon::new(BeaconMode::RoundRobin, N),
+                    Box::new(FixedSizeSource::new(100, i)),
+                    Duration::from_secs(1),
+                )
+            })
+            .collect();
+        let initial = (0..N).map(|i| (i, engines[i].on_init(Time(0)))).collect();
+        deliver(&mut engines, initial, Time(0), 600);
+        for e in &engines {
+            assert!(e.view >= 600 && e.finalized_round().0 >= 590, "{e:?}");
+            assert!(
+                e.votes.len() <= 1,
+                "{e:?}: votes of {} views",
+                e.votes.len()
+            );
+            assert!(
+                e.new_views.len() <= 2,
+                "{e:?}: NewViews of {} views",
+                e.new_views.len()
+            );
+        }
     }
 }

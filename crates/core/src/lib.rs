@@ -21,6 +21,16 @@
 //! engine's snapshot has one shape and a `WalStore` makes any of them
 //! durable.
 //!
+//! Every engine also takes in evidence the same way, through one
+//! crate-private module: blocks are minted and admitted by it (each
+//! block hashed once: a copy of a stored block is recognised by equality,
+//! and only a block not yet stored has its signature checked),
+//! certificates pass its one gate (popcount, then the aggregate), votes
+//! are tallied in [`chained::round::VoteTable`]s, and the chained engine
+//! and Streamlet serve ranged catch-up through its one range server. An
+//! engine's own code is its protocol rules: who may propose, when to
+//! vote, and what commits.
+//!
 //! Engines never mint payloads themselves: each one pulls the next block
 //! payload from its `ProposalSource` (a mempool, a client queue, or the
 //! paper's size-only synthetic workload installed by
@@ -43,6 +53,7 @@
 mod baseline;
 pub mod builder;
 pub mod chained;
+mod evidence;
 pub mod hotstuff;
 pub mod model;
 pub mod streamlet;

@@ -18,8 +18,17 @@
 //! Blocks, notarizations and the finalized chain live in the engine's
 //! [`ChainStore`], like every engine's; a commit marks each block
 //! finalized.
+//!
+//! Evidence comes in as in every engine (`crate::evidence`): the epoch
+//! leader's block is admitted there, whether it came as a proposal or in
+//! a sync reply (a copy of a stored block is neither hashed nor checked
+//! again), a served notarization passes the shared certificate gate,
+//! votes are tallied in one [`VoteTable`] per epoch, and ranged catch-up
+//! is served by the shared range server. Per-epoch state is dropped once
+//! the rules can no longer read it: votes and stored rounds below the
+//! finalized epoch, voted epochs below the current one.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use banyan_crypto::beacon::Beacon;
@@ -37,7 +46,8 @@ use banyan_types::time::{Duration, Time};
 use banyan_types::vote::{Vote, VoteKind};
 use banyan_types::ChainSnapshot;
 
-use crate::baseline;
+use crate::chained::round::VoteTable;
+use crate::{baseline, evidence};
 
 /// The Streamlet replica engine.
 pub struct StreamletEngine {
@@ -64,12 +74,18 @@ pub struct StreamletEngine {
     /// then propose on genesis instead of on a stale fork, and no honest
     /// replica votes for either.
     rounds: BTreeSet<u64>,
-    /// Votes per block.
-    votes: HashMap<BlockHash, HashMap<u16, Signature>>,
+    /// Votes per epoch. Only a vote can notarize a block from them, and
+    /// below the finalized epoch a block is finalized (so notarized) or
+    /// off the finalized chain, where neither the vote nor the commit
+    /// rule looks: epochs below it are dropped at each commit, and votes
+    /// for them are not kept.
+    votes: BTreeMap<u64, VoteTable>,
     /// Epoch we are in.
     epoch: u64,
-    /// Epochs we have voted in.
-    voted_epochs: HashSet<u64>,
+    /// Epochs we have voted in. The vote rule looks only at the current
+    /// epoch and later ones, so earlier ones are dropped on entering an
+    /// epoch.
+    voted_epochs: BTreeSet<u64>,
     /// Epoch length (the paper's `2Δ`).
     epoch_len: Duration,
     /// Where block payloads come from.
@@ -106,9 +122,9 @@ impl StreamletEngine {
             verify,
             store: Box::new(BlockStore::new()),
             rounds: BTreeSet::new(),
-            votes: HashMap::new(),
+            votes: BTreeMap::new(),
             epoch: 0,
-            voted_epochs: HashSet::new(),
+            voted_epochs: BTreeSet::new(),
             epoch_len,
             source,
         }
@@ -188,6 +204,7 @@ impl StreamletEngine {
 
     fn start_epoch(&mut self, epoch: u64, now: Time, actions: &mut Actions) {
         self.epoch = epoch;
+        self.voted_epochs = self.voted_epochs.split_off(&epoch);
         // Arm the next epoch boundary. Epoch `e + 1` begins at `e·len` on
         // the shared epoch clock; for an aligned replica this equals
         // `now + epoch_len` exactly, while a replica re-initialized
@@ -216,7 +233,7 @@ impl StreamletEngine {
                 self.finalized_round(),
                 now,
             );
-            let mut block = Block {
+            let block = Block {
                 round: Round(epoch),
                 proposer: self.id,
                 rank: Rank(0),
@@ -225,8 +242,7 @@ impl StreamletEngine {
                 payload: self.source.next_payload(&ctx),
                 signature: Signature::zero(),
             };
-            let hash = block.hash(self.cfg.payload_chunk);
-            block.signature = self.registry.sign(&Block::signing_message(&hash));
+            let (_, block) = evidence::mint(&self.registry, self.cfg.payload_chunk, block);
             actions.broadcast(Message::Streamlet(StreamletMsg::Proposal {
                 block: block.clone(),
             }));
@@ -234,26 +250,20 @@ impl StreamletEngine {
         }
     }
 
-    /// Stores `block` if it is new and its epoch leader's, signed by it:
-    /// the checks every block passes before the store takes it, whether
-    /// it came as a proposal or in a sync reply. Returns its hash if it
-    /// was stored.
+    /// Stores `block` if it is new and its epoch leader's, signed by it
+    /// (`evidence::admit`): the checks every block passes before the store
+    /// takes it, whether it came as a proposal or in a sync reply. Returns
+    /// its hash if it was stored.
     fn admit(&mut self, block: Block) -> Option<BlockHash> {
         let epoch = block.round.0;
         if epoch == 0 || block.proposer != self.leader(epoch) {
             return None;
         }
-        let hash = block.hash(self.cfg.payload_chunk);
-        if self.store.contains(&hash) {
+        let chunk = self.cfg.payload_chunk;
+        let admitted = evidence::admit(self.store.as_ref(), self.verify.as_ref(), &block, chunk);
+        let Some((hash, false)) = admitted else {
             return None;
-        }
-        if !self.verify.verify(
-            block.proposer.0,
-            &Block::signing_message(&hash),
-            &block.signature,
-        ) {
-            return None;
-        }
+        };
         self.store_block(hash, block);
         Some(hash)
     }
@@ -292,21 +302,22 @@ impl StreamletEngine {
         if !self
             .verify
             .verify(vote.voter.0, &vote.message(), &vote.signature)
+            || vote.round < self.finalized_round()
         {
             return;
         }
         let quorum = self.quorum();
-        let entry = self.votes.entry(vote.block).or_default();
-        entry.insert(vote.voter.0, vote.signature);
-        if entry.len() < quorum || self.store.is_notarized(&vote.block) {
+        let table = self.votes.entry(vote.round.0).or_default();
+        table.add(vote.block, vote.voter, vote.signature);
+        if table.count(&vote.block) < quorum || self.store.is_notarized(&vote.block) {
             return;
         }
         // Assemble the certificate while the votes are at hand, so a
-        // ranged-sync serve later can prove the notarization. Sorted by
-        // voter for a deterministic aggregate.
-        let mut sigs: Vec<(u16, Signature)> = entry.iter().map(|(i, s)| (*i, *s)).collect();
-        sigs.sort_by_key(|(i, _)| *i);
-        let agg = self.registry.table().aggregate(&sigs);
+        // ranged-sync serve later can prove the notarization.
+        let agg = self
+            .registry
+            .table()
+            .aggregate(&table.votes_for(&vote.block));
         self.store.mark_notarized(
             vote.block,
             Some(Notarization::from_votes(vote.round, vote.block, agg)),
@@ -335,9 +346,7 @@ impl StreamletEngine {
             SyncMsg::RequestRange {
                 from_round,
                 to_round,
-            } => {
-                self.serve_range(from, from_round, to_round, actions);
-            }
+            } => self.serve_range(from, (from_round, to_round), actions),
             SyncMsg::ResponseBatch {
                 blocks,
                 notarizations,
@@ -362,40 +371,15 @@ impl StreamletEngine {
     /// it could only mark the hash notarized, and Streamlet never fetches
     /// a single block by hash — the block reaches a rejoining replica in
     /// a batch, beside its certificate, from a peer that holds both.
-    fn serve_range(
-        &self,
-        from: ReplicaId,
-        from_round: Round,
-        to_round: Round,
-        actions: &mut Actions,
-    ) {
-        /// Epochs served per request (bounds response size).
-        const MAX_RANGE: u64 = 64;
-        let lo = from_round.0.max(1);
-        let hi = to_round.0.min(lo.saturating_add(MAX_RANGE - 1));
-        let mut blocks = Vec::new();
-        let mut notarizations = Vec::new();
-        for round in lo..=hi {
-            let mut hashes = self.store.round_blocks(Round(round)).to_vec();
+    fn serve_range(&self, from: ReplicaId, range: (Round, Round), actions: &mut Actions) {
+        let store = self.store.as_ref();
+        let certified = |round| {
+            let mut hashes = store.round_blocks(round).to_vec();
+            hashes.retain(|hash| store.notarization(hash).is_some());
             hashes.sort_unstable();
-            for hash in hashes {
-                if let (Some(block), Some(cert)) =
-                    (self.store.get(&hash), self.store.notarization(&hash))
-                {
-                    blocks.push(block.clone());
-                    notarizations.push(cert.clone());
-                }
-            }
-        }
-        if !notarizations.is_empty() {
-            actions.send(
-                from,
-                Message::Sync(SyncMsg::ResponseBatch {
-                    blocks,
-                    notarizations,
-                }),
-            );
-        }
+            hashes
+        };
+        evidence::serve_range(store, range, certified, from, actions);
     }
 
     /// Adopts a served notarization certificate: verify, mark the block
@@ -406,13 +390,7 @@ impl StreamletEngine {
             self.store.mark_notarized(cert.block, Some(cert));
             return;
         }
-        // Popcount gate before signature verification: empty aggregates
-        // verify trivially under every scheme.
-        if !cert.meets_quorum(self.quorum()) {
-            return;
-        }
-        let msg = Vote::signing_message(VoteKind::Notarize, cert.round, &cert.block);
-        if !self.verify.verify_aggregate(&msg, &cert.agg) {
+        if !evidence::notarized(self.verify.as_ref(), self.quorum(), &cert) {
             return;
         }
         let block = cert.block;
@@ -463,7 +441,9 @@ impl StreamletEngine {
             return;
         }
         baseline::commit_chain(self.store.as_mut(), p2, now, actions);
-        self.rounds = self.rounds.split_off(&self.finalized_round().0);
+        let finalized = self.finalized_round().0;
+        self.rounds = self.rounds.split_off(&finalized);
+        self.votes = self.votes.split_off(&finalized);
     }
 }
 
@@ -549,5 +529,54 @@ impl Engine for StreamletEngine {
 
     fn wal_bytes(&self) -> u64 {
         self.store.wal_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use banyan_crypto::beacon::BeaconMode;
+    use banyan_crypto::hashsig::HashSig;
+    use banyan_types::app::FixedSizeSource;
+
+    use super::*;
+    use crate::baseline::tests::deliver;
+
+    /// A fault-free n = 4 cluster run for 600 epochs holds as few
+    /// per-epoch entries as after a handful: votes and stored rounds only
+    /// from the finalized epoch on, voted epochs only from the current one.
+    #[test]
+    fn per_epoch_state_stays_bounded_over_600_epochs() {
+        const N: usize = 4;
+        let epoch_len = Duration::from_millis(200);
+        let mut engines: Vec<StreamletEngine> = (0..N as u16)
+            .map(|i| {
+                StreamletEngine::new(
+                    ProtocolConfig::new(N, 1, 1).unwrap(),
+                    KeyRegistry::generate(Arc::new(HashSig), 5, N, i),
+                    Beacon::new(BeaconMode::RoundRobin, N),
+                    Box::new(FixedSizeSource::new(100, i)),
+                    epoch_len,
+                )
+            })
+            .collect();
+        for epoch in 1..=600u64 {
+            let now = Time((epoch - 1) * epoch_len.0);
+            let start = |e: &mut StreamletEngine| match epoch {
+                1 => e.on_init(now),
+                _ => e.on_timer(TimerKind::EpochTick { epoch }, now),
+            };
+            let initial = engines.iter_mut().map(start).enumerate().collect();
+            deliver(&mut engines, initial, now, u64::MAX);
+        }
+        for e in &engines {
+            assert!(e.epoch == 600 && e.finalized_round().0 >= 598, "{e:?}");
+            assert!(
+                e.votes.len() <= 2,
+                "{e:?}: votes of {} epochs",
+                e.votes.len()
+            );
+            assert!(e.voted_epochs.len() <= 1, "{e:?}: {:?}", e.voted_epochs);
+            assert!(e.rounds.len() <= 2, "{e:?}: rounds {:?}", e.rounds);
+        }
     }
 }

@@ -649,6 +649,119 @@ fn streamlet_stores_a_synced_block_only_after_a_proposals_checks() {
 }
 
 // ---------------------------------------------------------------------
+// Each block hashed once
+// ---------------------------------------------------------------------
+
+/// `proposer`'s signed block of round `round` on genesis, carrying 4 KiB
+/// of inline payload.
+fn inline_block(round: u64, proposer: u16) -> banyan_types::Block {
+    let chunk = ProtocolConfig::new(N, 1, 1).unwrap().payload_chunk;
+    let mut block = banyan_types::Block {
+        round: Round(round),
+        proposer: ReplicaId(proposer),
+        rank: banyan_types::Rank(0),
+        parent: BlockHash::ZERO,
+        proposed_at: Time(0),
+        payload: banyan_types::Payload::inline(vec![0x5A; 4_096]),
+        signature: banyan_crypto::Signature::zero(),
+    };
+    let hash = block.hash(chunk);
+    block.signature = registry(proposer).sign(&banyan_types::Block::signing_message(&hash));
+    block
+}
+
+/// A copy of `block` whose payload sits in a buffer of its own, as a
+/// second frame off the wire decodes into.
+fn fresh_copy(block: &banyan_types::Block) -> banyan_types::Block {
+    let bytes = block.payload.as_inline().expect("an inline payload");
+    banyan_types::Block {
+        payload: banyan_types::Payload::inline(bytes.to_vec()),
+        ..block.clone()
+    }
+}
+
+/// A repeated HotStuff proposal of a stored block, in a buffer of its
+/// own, is recognised by equality: it is neither hashed (its payload
+/// memoizes no commitment) nor checked, and it emits nothing.
+#[test]
+fn hotstuff_a_repeated_proposal_is_neither_hashed_nor_checked_again() {
+    let chunk = ProtocolConfig::new(N, 1, 1).unwrap().payload_chunk;
+    // Replica 0 leads view 1, and replica 1 view 2.
+    let mut e = hotstuff(2);
+    e.on_init(Time(0));
+    let block = inline_block(1, 0);
+    let (first, repeat) = (fresh_copy(&block), fresh_copy(&block));
+    let kept = [first.payload.clone(), repeat.payload.clone()];
+    let proposal = |block| {
+        let justify = banyan_types::certs::QuorumCert::genesis();
+        Message::HotStuff(HotStuffMsg::Proposal { block, justify })
+    };
+    let actions = e.on_message(ReplicaId(0), proposal(first), Time(1_000));
+    assert_eq!(
+        view1_traffic(&actions).1.len(),
+        1,
+        "a vote for the proposal"
+    );
+    assert_eq!(
+        e.verify_stats().sigs_verified,
+        1,
+        "the proposer's signature"
+    );
+    assert!(
+        kept[0].memoized_commitment(chunk).is_some(),
+        "the first copy is hashed"
+    );
+
+    let actions = e.on_message(ReplicaId(0), proposal(repeat), Time(2_000));
+    assert!(
+        actions.outbound.is_empty(),
+        "the repeat emitted {actions:?}"
+    );
+    assert_eq!(
+        kept[1].memoized_commitment(chunk),
+        None,
+        "the repeat was hashed"
+    );
+    assert_eq!(e.verify_stats().sigs_verified, 1, "the repeat was checked");
+}
+
+/// A Streamlet sync reply repeating a stored block, in a buffer of its
+/// own, is recognised by equality and not hashed: its payload memoizes
+/// no commitment, and no signature is checked again.
+#[test]
+fn streamlet_a_repeated_sync_reply_is_neither_hashed_nor_checked_again() {
+    use banyan_types::message::SyncMsg;
+    let chunk = ProtocolConfig::new(N, 1, 1).unwrap().payload_chunk;
+    // Replica 2 leads epoch 3.
+    let mut e = streamlet(1);
+    e.on_init(Time(0));
+    let block = inline_block(3, 2);
+    let (first, repeat) = (fresh_copy(&block), fresh_copy(&block));
+    let kept = [first.payload.clone(), repeat.payload.clone()];
+    let reply = |block| Message::Sync(SyncMsg::Response { block });
+    e.on_message(ReplicaId(3), reply(first), Time(1_000));
+    assert!(streamlet_holds(&e, &block), "the leader's block is stored");
+    let sigs = e.verify_stats().sigs_verified;
+    assert!(
+        kept[0].memoized_commitment(chunk).is_some(),
+        "the first copy is hashed"
+    );
+
+    e.on_message(ReplicaId(3), reply(repeat), Time(2_000));
+    assert_eq!(
+        kept[1].memoized_commitment(chunk),
+        None,
+        "the repeat was hashed"
+    );
+    assert_eq!(
+        e.verify_stats().sigs_verified,
+        sigs,
+        "the repeat was checked"
+    );
+    assert_eq!(e.snapshot().blocks.len(), 1);
+}
+
+// ---------------------------------------------------------------------
 // Rounds from the wire
 // ---------------------------------------------------------------------
 
