@@ -275,7 +275,7 @@ fn closed_loop_is_bit_identical_to_the_per_client_goldens() {
         (skewed, [1_840, 2_753, 2_753, 0, 24_783, 14_764_920]),
         (
             restarted("banyan"),
-            [700, 18_769, 18_769, 21_946, 6_381, 70_368_536],
+            [884, 18_769, 18_769, 21_946, 7_932, 70_728_212],
         ),
     ];
     assert_goldens(goldens);

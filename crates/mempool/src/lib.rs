@@ -149,8 +149,8 @@ pub const DEFAULT_PEER_QUEUE_CAP: usize = 4_096;
 const DEFAULT_PEER_TAKE: usize = 512;
 
 /// What a pool calls when a request arrives from a client: the wake-up of
-/// a driver that parks while its pool is idle. A rank-0 leader whose pool
-/// is empty holds its proposal (`banyan_runtime::driver`'s idle hold), so
+/// a driver that parks while its pool is idle. A rank-0 leader whose
+/// gossiping pool is empty holds its proposal (`banyan_runtime::driver`'s idle hold), so
 /// a parked TCP loop must learn of the first request at once. Installed
 /// with [`ReplicaPool::set_arrival_hook`]; [`Mempool::push`] calls it when
 /// it takes a request into an empty pool, [`PoolIngest::push`] (which
@@ -924,16 +924,20 @@ impl Mempool {
         self.pending.is_empty()
     }
 
-    /// The driver's idle-hold test: nothing is pending, or the only live
-    /// lease (the one block in flight, which finalizes in its own round on
-    /// the happy path) carries every pending request. With two blocks in
-    /// flight, a block on top is what finalizes one whose round did not.
+    /// The driver's idle-hold test: the pool gossips, and nothing is
+    /// pending or the only live lease (the one block in flight, which
+    /// finalizes in its own round on the happy path) carries every pending
+    /// request. With two blocks in flight, a block on top is what
+    /// finalizes one whose round did not. A pool that does not gossip is
+    /// never idle: it sees only its own clients' requests, so an empty one
+    /// says nothing of the requests waiting in other replicas' pools.
     pub fn is_idle(&self) -> bool {
-        self.pending.is_empty()
-            || self.leases.sole().is_some_and(|carried| {
-                let pending = carried.iter().filter(|r| self.pending.contains_key(&r.id));
-                pending.count() >= self.pending.len()
-            })
+        self.gossip
+            && (self.pending.is_empty()
+                || self.leases.sole().is_some_and(|carried| {
+                    let pending = carried.iter().filter(|r| self.pending.contains_key(&r.id));
+                    pending.count() >= self.pending.len()
+                }))
     }
 
     /// Requests accepted so far (including later-evicted ones; local
@@ -1616,7 +1620,7 @@ mod tests {
     /// the pool busy.
     #[test]
     fn a_pool_is_idle_while_one_block_in_flight_carries_every_request() {
-        let mut mp = Mempool::new(100);
+        let mut mp = Mempool::new(100).with_gossip(true);
         assert!(mp.is_idle());
         mp.push(req(1, 1));
         assert!(!mp.is_idle(), "a free request");
@@ -1628,6 +1632,20 @@ mod tests {
         assert!(!mp.is_idle(), "two blocks in flight");
         mp.mark_committed_block(hash(0xA), Round(1), &[req(1, 1)]);
         assert!(mp.is_idle(), "one block in flight again");
+    }
+
+    /// A pool that does not gossip sees only its own clients' requests,
+    /// so it is never idle, empty or not.
+    #[test]
+    fn a_pool_that_does_not_gossip_is_never_idle() {
+        let mut mp = Mempool::new(100);
+        assert!(!mp.is_idle(), "empty");
+        mp.push(req(1, 1));
+        mp.observe_block(hash(0xA), Round(1), BlockHash::ZERO, vec![req(1, 1)]);
+        assert!(
+            !mp.is_idle(),
+            "the one block in flight carries every request"
+        );
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! cluster finalizing empty blocks back to back. So a rank-0 `Propose`
 //! timer (the engine marks it with
 //! [`hold_until`](TimerKind::Propose::hold_until)) that fires while the
-//! replica's pool is idle (nothing a leader could propose:
+//! replica's pool is idle (nothing a leader could propose, and the pool
+//! gossips, so it would see requests that reach other pools:
 //! [`Mempool::is_idle`](banyan_mempool::Mempool::is_idle)) is **held**:
 //! the first [`Replica::flush`] that finds the pool busy fires it, and so
 //! does its bound, Δ after the round started, if no request came. Backup
@@ -990,10 +991,11 @@ mod tests {
         assert_eq!(replica.sync_requests(), 3);
     }
 
-    /// A replica in round 1 with an idle pool whose engine arms, at init,
-    /// a rank-0 `Propose` for round 1 due at 0 and held until 100.
+    /// A replica in round 1 with an idle (gossiping) pool whose engine
+    /// arms, at init, a rank-0 `Propose` for round 1 due at 0 and held
+    /// until 100.
     fn idle_leader() -> (Replica<SharedMempool>, SharedMempool, Log) {
-        let pool = banyan_mempool::Mempool::shared(16);
+        let pool = banyan_mempool::Mempool::shared_gossiping(16);
         let leader = TimerKind::Propose {
             round: 1,
             hold_until: Some(Time(100)),
@@ -1102,8 +1104,9 @@ mod tests {
     }
 
     /// Only a rank-0 proposal on an idle pool is held: a backup's timer,
-    /// a leader whose pool holds a request and a leader without a pool
-    /// all fire at once.
+    /// a leader whose pool holds a request, a leader without a pool and a
+    /// leader whose empty pool does not gossip (so cannot see the
+    /// requests waiting in other pools) all fire at once.
     #[test]
     fn only_an_idle_pool_holds_a_leader() {
         let leader = TimerKind::Propose {
@@ -1111,12 +1114,16 @@ mod tests {
             hold_until: Some(Time(100)),
         };
         let cases = [
-            (propose(1), true, false),
-            (leader, true, true),
-            (leader, false, false),
+            (propose(1), true, false, true),
+            (leader, true, true, true),
+            (leader, false, false, true),
+            (leader, true, false, false),
         ];
-        for (kind, with_pool, busy) in cases {
-            let pool = banyan_mempool::Mempool::shared(16);
+        for (kind, with_pool, busy, gossip) in cases {
+            let pool = match gossip {
+                true => banyan_mempool::Mempool::shared_gossiping(16),
+                false => banyan_mempool::Mempool::shared(16),
+            };
             if busy {
                 arrive(&pool, 1);
             }
