@@ -20,6 +20,7 @@
 //! nothing from the scenario test) and write their lines to the sink
 //! they are handed (stdout from `main`, a string for the goldens).
 
+use banyan_bench::goldens;
 use banyan_bench::runner::{header, human_bytes, row, run_with, Outcome, Scenario};
 use banyan_core::model::render_table1;
 use banyan_simnet::faults::FaultPlan;
@@ -775,7 +776,7 @@ const GOLDEN_SECS: u64 = 2;
 /// The `paper` arguments of every golden, as `(experiment, arguments)`:
 /// every listed experiment but `explore`, a `[secs]` one at
 /// [`GOLDEN_SECS`].
-fn goldens() -> Vec<(&'static str, Vec<String>)> {
+fn golden_args() -> Vec<(&'static str, Vec<String>)> {
     let args = |name: &'static str, takes: &Takes| match takes {
         Takes::Nothing(_) => Some((name, vec![name.to_string()])),
         Takes::Secs(..) => Some((name, vec![name.to_string(), GOLDEN_SECS.to_string()])),
@@ -785,14 +786,6 @@ fn goldens() -> Vec<(&'static str, Vec<String>)> {
         .iter()
         .filter_map(|(name, takes)| args(name, takes))
         .collect()
-}
-
-/// Where the golden of `experiment` lives.
-fn golden_path(experiment: &str) -> String {
-    format!(
-        "{}/tests/goldens/paper_{experiment}.golden",
-        env!("CARGO_MANIFEST_DIR")
-    )
 }
 
 /// The output of `paper args` as its golden holds it: a line naming the
@@ -807,10 +800,8 @@ fn golden_report(args: &[String]) -> String {
 
 /// `--write-goldens`: regenerates every golden in place.
 fn write_goldens() -> std::io::Result<()> {
-    for (experiment, args) in goldens() {
-        let path = golden_path(experiment);
-        std::fs::write(&path, golden_report(&args))?;
-        println!("wrote {path}");
+    for (experiment, args) in golden_args() {
+        goldens::write(&format!("paper_{experiment}"), &golden_report(&args))?;
     }
     Ok(())
 }
@@ -873,26 +864,15 @@ mod tests {
     /// rewrites them (`paper --write-goldens`).
     #[test]
     fn every_experiment_reproduces_its_golden() {
-        let experiments = goldens();
+        let experiments = golden_args();
         assert_eq!(experiments.len(), 13);
         for (experiment, args) in experiments {
-            let path = golden_path(experiment);
-            let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-            let now = golden_report(&args);
-            let (mut golden_lines, mut now_lines) = (golden.lines(), now.lines());
-            for line in 1.. {
-                let (want, got) = (golden_lines.next(), now_lines.next());
-                if want.is_none() && got.is_none() {
-                    break;
-                }
-                assert_eq!(
-                    want,
-                    got,
-                    "`paper {}` differs from tests/goldens/paper_{experiment}.golden \
-                     first at line {line}; if the move is meant, rerun with --write-goldens",
-                    args.join(" ")
-                );
-            }
+            let command = format!("paper {}", args.join(" "));
+            goldens::assert_matches(
+                &format!("paper_{experiment}"),
+                &command,
+                &golden_report(&args),
+            );
         }
     }
 

@@ -85,6 +85,7 @@
 //! when the run stops. With `--gossip` and `--retry-ms`, a drain phase
 //! lets those commit too, and lost must read 0.
 
+use banyan_bench::goldens;
 use banyan_bench::runner::{CryptoMode, Scenario};
 use banyan_bench::sweep::{
     knee_index, knee_p50_ms, mean_rounds_per_commit, measure, measure_cohorts, point_row,
@@ -178,11 +179,6 @@ const GOLDENS: &[(&str, &str)] = &[
     ("restart", "--quick 1 --json --gossip --retry-ms 200 --restart"),
 ];
 
-/// Where the golden of `stem` lives.
-fn golden_path(stem: &str) -> String {
-    format!("{}/tests/goldens/{stem}.golden", env!("CARGO_MANIFEST_DIR"))
-}
-
 /// The report of one flag set as its golden holds it: a line naming the
 /// flags, what the sweep printed, then one line per failed gate.
 fn golden_report(flags: &str) -> String {
@@ -198,9 +194,7 @@ fn golden_report(flags: &str) -> String {
 /// `--write-goldens`: regenerates every golden in place.
 fn write_goldens() -> std::io::Result<()> {
     for (stem, flags) in GOLDENS {
-        let path = golden_path(stem);
-        std::fs::write(&path, golden_report(flags))?;
-        println!("wrote {path}");
+        goldens::write(stem, &golden_report(flags))?;
     }
     Ok(())
 }
@@ -832,21 +826,8 @@ mod tests {
     #[test]
     fn every_ci_flag_set_reproduces_its_golden() {
         for (stem, flags) in GOLDENS {
-            let path = golden_path(stem);
-            let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-            let now = golden_report(flags);
-            let (mut golden_lines, mut now_lines) = (golden.lines(), now.lines());
-            for line in 1.. {
-                let (want, got) = (golden_lines.next(), now_lines.next());
-                if want.is_none() && got.is_none() {
-                    break;
-                }
-                assert_eq!(
-                    want, got,
-                    "`saturation_sweep {flags}` differs from tests/goldens/{stem}.golden \
-                     first at line {line}; if the move is meant, rerun with --write-goldens"
-                );
-            }
+            let command = format!("saturation_sweep {flags}");
+            goldens::assert_matches(stem, &command, &golden_report(flags));
         }
     }
 }

@@ -6,6 +6,7 @@
 //!   paper);
 //! * [`sweep`] — closed-loop saturation sweeps, knee detection, and the
 //!   one [`sweep::COLUMNS`] list their table and JSON are rendered from;
+//! * [`goldens`] — the committed reports that pin the two binaries below;
 //! * `--bin paper -- <experiment> [secs]` — every table and figure of the
 //!   paper's §9 plus the ablations; `paper list` prints the index;
 //! * `--bin saturation_sweep` — the sweeps, with their CI gates;
@@ -16,5 +17,6 @@
 
 #![warn(missing_docs)]
 
+pub mod goldens;
 pub mod runner;
 pub mod sweep;

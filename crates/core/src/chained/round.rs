@@ -1,13 +1,12 @@
 //! Per-round bookkeeping for the ICC/Banyan engine.
 //!
 //! One [`RoundState`] exists per round a replica has heard anything about.
-//! Its [`VoteTable`] is also the tally HotStuff keeps per view and
-//! Streamlet per epoch.
 //! It owns the round's vote tables (notarization / finalization) and the
 //! fast-vote [`UnlockState`], plus the flags the pseudocode keeps per
 //! round: `proposed`, `fastVoteSent`, the `N` set of blocks we
 //! notarization-voted for, and whether we already advanced out of the
-//! round.
+//! round. The [`VoteTable`] is also the tally HotStuff keeps per view
+//! and Streamlet per epoch.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 

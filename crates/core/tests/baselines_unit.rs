@@ -444,12 +444,35 @@ fn streamlet_rejects_below_quorum_notarizations() {
         "hollow notarization must not be adopted or re-served"
     );
 
-    // Positive control: a genuine 3-vote certificate is adopted.
     let vote_msg = banyan_types::vote::Vote::signing_message(
         banyan_types::vote::VoteKind::Notarize,
         Round(1),
         &hash,
     );
+    // Padded certificate: one genuine vote, plus a fast aggregate whose
+    // two signers signed nothing. Together they name a quorum, and the
+    // quorum is only as good as both aggregates.
+    let forged = [1u16, 2].map(|v| (v, banyan_crypto::Signature::zero()));
+    let padded = banyan_types::certs::Notarization {
+        round: Round(1),
+        block: hash,
+        agg: table.aggregate(&[(0, registry(0).sign(&vote_msg))]),
+        fast_agg: Some(table.aggregate(&forged)),
+    };
+    e.on_message(
+        ReplicaId(1),
+        Message::Sync(banyan_types::message::SyncMsg::ResponseBatch {
+            blocks: Vec::new(),
+            notarizations: vec![padded],
+        }),
+        Time(1000),
+    );
+    assert!(
+        !serve(&mut e),
+        "a notarization padded by a forged fast aggregate must not be adopted"
+    );
+
+    // Positive control: a genuine 3-vote certificate is adopted.
     let votes: Vec<(u16, banyan_crypto::Signature)> = [0u16, 1, 2]
         .iter()
         .map(|&v| (v, registry(v).sign(&vote_msg)))

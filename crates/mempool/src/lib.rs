@@ -150,8 +150,9 @@ const DEFAULT_PEER_TAKE: usize = 512;
 
 /// What a pool calls when a request arrives from a client: the wake-up of
 /// a driver that parks while its pool is idle. A rank-0 leader whose
-/// gossiping pool is empty holds its proposal (`banyan_runtime::driver`'s idle hold), so
-/// a parked TCP loop must learn of the first request at once. Installed
+/// gossiping pool is empty holds its proposal (`banyan_runtime::driver`'s
+/// idle hold), so a parked TCP loop must learn of the first request at
+/// once. Installed
 /// with [`ReplicaPool::set_arrival_hook`]; [`Mempool::push`] calls it when
 /// it takes a request into an empty pool, [`PoolIngest::push`] (which
 /// cannot see the pool) on every request it queues. A busy pool's
