@@ -30,6 +30,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use banyan_bench::flags::{unknown, Flags};
 use banyan_crypto::sha256::{kernel_name, sha256, Sha256};
 use banyan_crypto::sig::{BatchItem, SignatureScheme};
 use banyan_crypto::ToySchnorr;
@@ -42,45 +43,26 @@ struct Args {
     rounds: usize,
 }
 
-fn parse_args() -> Args {
+fn parse_args(raw: &[String]) -> Result<Args, String> {
     let mut args = Args {
         assert_speedup: None,
         assert_sha_speedup: None,
         k: 32,
         rounds: 200,
     };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--assert-speedup" => {
-                args.assert_speedup = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--assert-speedup takes a ratio"),
-                )
-            }
-            "--assert-sha-speedup" => {
-                args.assert_sha_speedup = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--assert-sha-speedup takes a ratio"),
-                )
-            }
-            "--k" => {
-                args.k = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&k: &usize| k >= 2)
-                    .expect("--k takes a batch size of at least 2")
-            }
-            other => match other.parse() {
-                Ok(v) => args.rounds = v,
-                Err(_) => panic!("unknown argument {other:?}"),
+    let mut flags = Flags::new(raw);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--assert-speedup" => args.assert_speedup = Some(flags.value(flag)?),
+            "--assert-sha-speedup" => args.assert_sha_speedup = Some(flags.value(flag)?),
+            "--k" => match flags.value(flag)? {
+                k if k >= 2 => args.k = k,
+                _ => return Err("--k takes a batch size of at least 2".to_string()),
             },
+            bare => args.rounds = bare.parse().map_err(|_| unknown(bare))?,
         }
     }
-    args
+    Ok(args)
 }
 
 /// The fastest of `rounds` timed repetitions of `work` — the standard
@@ -96,7 +78,11 @@ fn best_of(rounds: usize, mut work: impl FnMut()) -> Duration {
 }
 
 fn main() {
-    let args = parse_args();
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&raw).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    });
     let k = args.k;
     let scheme = ToySchnorr::new();
     let compact = ToySchnorr::compact();

@@ -20,8 +20,9 @@
 //! nothing from the scenario test) and write their lines to the sink
 //! they are handed (stdout from `main`, a string for the goldens).
 
+use banyan_bench::flags::{unknown, Flags};
 use banyan_bench::goldens;
-use banyan_bench::runner::{header, human_bytes, row, run_with, Outcome, Scenario};
+use banyan_bench::runner::{header, human_bytes, row, run_with, Outcome, Scenario, Workload};
 use banyan_core::model::render_table1;
 use banyan_simnet::faults::FaultPlan;
 use banyan_simnet::topology::Topology;
@@ -98,7 +99,11 @@ impl Run for Simulate {
 fn rows(run: &dyn Run, block: &[Case], out: Out) -> Vec<Outcome> {
     let mut run_and_print = |case: &Case| {
         let outcome = run.run(case);
-        say!(out, "{}", row(&case.label, case.scenario.payload, &outcome));
+        let payload = match case.scenario.workload {
+            Workload::Synthetic { payload } => payload,
+            Workload::Clients(_) => 0,
+        };
+        say!(out, "{}", row(&case.label, payload, &outcome));
         outcome
     };
     block.iter().map(&mut run_and_print).collect()
@@ -639,59 +644,63 @@ const EXPLORE_FLAGS: &str = "    --protocol  banyan | icc | hotstuff | streamlet
     --delta-ms  override Δ in milliseconds
     --no-forwarding, --piggyback                      feature toggles";
 
-fn parse_topology(spec: &str) -> Topology {
-    match spec {
+fn parse_topology(spec: &str) -> Result<Topology, String> {
+    Ok(match spec {
         "four_global_19" => Topology::four_global_19(),
         "four_global_4" => Topology::four_global_4(),
         "four_us_19" => Topology::four_us_19(),
         "nineteen_global" => Topology::nineteen_global(),
         other => {
-            let rest = other.strip_prefix("uniform:");
-            let mut it = rest
-                .unwrap_or_else(|| panic!("unknown topology {other:?}"))
-                .split(':')
-                .map(|s| s.parse::<u64>().expect("uniform:<n>:<ms>"));
-            let (n, ms) = (it.next(), it.next());
-            let one_way = Duration::from_millis(ms.expect("uniform:<n>:<ms>"));
-            Topology::uniform(n.expect("uniform:<n>:<ms>") as usize, one_way)
+            let uniform = || {
+                let (n, ms) = other.strip_prefix("uniform:")?.split_once(':')?;
+                let one_way = Duration::from_millis(ms.parse().ok()?);
+                Some(Topology::uniform(n.parse().ok()?, one_way))
+            };
+            uniform().ok_or(format!("--topology: unknown topology {other:?}"))?
         }
-    }
+    })
 }
 
 /// `explore`: any protocol on any testbed with custom parameters (all
 /// flags optional; see [`EXPLORE_FLAGS`]).
-fn explore(args: &[String], run: &dyn Run, out: Out) {
-    let value = |name: &str| {
-        let at = args.iter().position(|a| a == name)?;
-        args.get(at + 1).map(String::as_str)
-    };
-    let number =
-        |name: &str, default: u64| value(name).and_then(|s| s.parse().ok()).unwrap_or(default);
-    let has = |name: &str| args.iter().any(|a| a == name);
-    let protocol = value("--protocol").unwrap_or("banyan");
-    let topology = parse_topology(value("--topology").unwrap_or("four_global_4"));
-    let (f, p) = (number("--f", 1) as usize, number("--p", 1) as usize);
-    let (payload, secs) = (number("--payload", 100_000), number("--secs", 30));
-    let crashes = number("--crashes", 0) as usize;
-    let seed = number("--seed", 42);
-
-    let n = topology.n();
-    let mut scenario = synthetic(protocol, &topology, (f, p), payload, secs)
-        .seed(seed)
-        .forwarding(!has("--no-forwarding"))
-        .piggyback(has("--piggyback"));
-    if let Some(ms) = value("--delta-ms").and_then(|s| s.parse().ok()) {
-        scenario = scenario.delta(Duration::from_millis(ms));
+fn explore(args: &[String], run: &dyn Run, out: Out) -> Result<(), String> {
+    let mut scenario = synthetic("banyan", &Topology::four_global_4(), (1, 1), 100_000, 30);
+    let (mut payload, mut crashes) = (100_000, 0);
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--protocol" => scenario.protocol = flags.value(flag)?,
+            "--topology" => scenario.topology = parse_topology(&flags.value::<String>(flag)?)?,
+            "--f" => scenario.f = flags.value(flag)?,
+            "--p" => scenario.p = flags.value(flag)?,
+            "--payload" => payload = flags.value(flag)?,
+            "--secs" => scenario.secs = flags.value(flag)?,
+            "--seed" => scenario.seed = flags.value(flag)?,
+            "--crashes" => crashes = flags.value(flag)?,
+            "--delta-ms" => scenario.delta = Some(Duration::from_millis(flags.value(flag)?)),
+            "--no-forwarding" => scenario.forwarding = false,
+            "--piggyback" => scenario.piggyback = true,
+            other => return Err(unknown(other)),
+        }
     }
+    let n = scenario.topology.n();
+    scenario = scenario.payload(payload);
     if crashes > 0 {
-        scenario = scenario.faults(FaultPlan::none().crash_spread(crashes, n, Time::ZERO));
+        scenario.faults = FaultPlan::none().crash_spread(crashes, n, Time::ZERO);
     }
-
+    let Scenario {
+        protocol,
+        f,
+        p,
+        secs,
+        seed,
+        ..
+    } = &scenario;
     say!(out,
         "# explore — {protocol} on n={n} (f={f}, p={p}), {payload}B blocks, {secs}s, seed {seed}, {crashes} crashed"
     );
     say!(out, "{}", header());
-    let outcome = &rows(run, &[case(protocol, scenario)], out)[0];
+    let outcome = &rows(run, &[case(protocol.clone(), scenario.clone())], out)[0];
     say!(
         out,
         "\nblock interval {:.0} ms · {} msgs · {:.1} MB on the wire · latency p99 {:.1} ms",
@@ -700,6 +709,7 @@ fn explore(args: &[String], run: &dyn Run, out: Out) {
         outcome.counters.bytes_sent as f64 / 1e6,
         outcome.latency.p99_ms,
     );
+    Ok(())
 }
 
 /// What an experiment takes on the command line.
@@ -709,7 +719,7 @@ enum Takes {
     /// `[secs]`, with this default.
     Secs(u64, fn(u64, &dyn Run, Out)),
     /// Its own flags.
-    Flags(fn(&[String], &dyn Run, Out)),
+    Flags(fn(&[String], &dyn Run, Out) -> Result<(), String>),
 }
 
 /// The experiment index, in the paper's order.
@@ -764,7 +774,9 @@ fn dispatch(args: &[String], run: &dyn Run, out: Out) -> Result<(), String> {
             Ok(secs) => experiment(secs, run, out),
             Err(_) => return Err(format!("{name}: secs must be a number, got {secs:?}")),
         },
-        (Takes::Flags(experiment), _) => experiment(rest, run, out),
+        (Takes::Flags(experiment), _) => {
+            experiment(rest, run, out).map_err(|e| format!("{name}: {e}"))?
+        }
         _ => return Err(format!("{name}: unexpected arguments {rest:?}")),
     }
     Ok(())
@@ -888,5 +900,41 @@ mod tests {
         assert!(try_args(&["fig1_steps", "2"]).is_err());
         assert!(try_args(&["fig7"]).is_err());
         assert!(try_args(&[]).is_err());
+    }
+
+    /// `explore` refuses a flag it does not know and a value that does not
+    /// parse, naming the flag, instead of running its defaults.
+    #[test]
+    fn explore_names_an_unknown_flag_or_a_malformed_value() {
+        let explore = |args: &str| {
+            let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+            let check = Check(Cell::new(0));
+            let result = dispatch(&args, &check, &mut |_| {});
+            (result, check.0.get())
+        };
+        let cases = [
+            (
+                "explore --protocl icc",
+                "explore: unknown argument \"--protocl\"",
+            ),
+            (
+                "explore --secs 5s",
+                "explore: --secs takes a u64, not \"5s\"",
+            ),
+            ("explore --crashes", "explore: --crashes takes a value"),
+            (
+                "explore --topology uniform:4",
+                "unknown topology \"uniform:4\"",
+            ),
+        ];
+        for (args, error) in cases {
+            let (result, runs) = explore(args);
+            let message = result.expect_err(args);
+            assert!(message.contains(error), "`{args}`: {message}");
+            assert_eq!(runs, 0, "`{args}` ran a scenario");
+        }
+        let (result, runs) =
+            explore("explore --protocol icc --topology uniform:7:20 --f 2 --secs 5");
+        assert_eq!((result, runs), (Ok(()), 1));
     }
 }

@@ -10,9 +10,8 @@
 //! reproduces bit-for-bit.
 //!
 //! Run: `cargo run --release -p banyan-bench --bin saturation_sweep -- \
-//!       [--quick] [--json] [--gossip] [--retry-ms N] [--fanout K] \
-//!       [--batch-min-bytes N] [--batch-age-ms N] \
-//!       [--restart] [--optimistic] [--crypto] [--cohorts] [--fanout-tree F] \
+//!       [--quick] [--json] [--gossip] [--retry-ms N] [--fanout-tree F] \
+//!       [--restart] [--optimistic] [--crypto] [--cohorts] \
 //!       [--assert-no-drop] [--assert-max-dups] [--assert-rpc] [--assert-crypto] \
 //!       [--assert-gossip-bytes] [secs]`
 //!  or `… --bin saturation_sweep -- --write-goldens`
@@ -21,12 +20,14 @@
 //! * `--json` emits one machine-readable JSON object per protocol
 //!   (`banyan_bench::sweep::sweep_json`) instead of the table, for the
 //!   bench trajectory (`BENCH_*.json`) and CI;
-//! * `--gossip`, `--retry-ms N`, `--fanout K` enable the
-//!   request-dissemination layer (plus a drain phase sized to the retry
-//!   period, so loss accounting settles);
-//! * `--batch-min-bytes N` / `--batch-age-ms N` install a
-//!   latency-targeted batch policy (defer until N eligible bytes or an
-//!   N ms old request);
+//! * `--gossip` and `--retry-ms N` enable the request-dissemination layer
+//!   (plus a drain phase sized to the retry period, so loss accounting
+//!   settles);
+//! * `--fanout-tree F` switches gossip to **propagation-limited** mode:
+//!   pushes travel a degree-`F` tree (ring successor + lowest-delay
+//!   peers) through bounded per-peer queues, each flush taking a bounded
+//!   share, relays going out as compact announce records (with or
+//!   without `--gossip`);
 //! * `--restart` schedules two staggered crash-and-rejoin restarts
 //!   (replicas 1 then 2) per point: each drops all volatile state,
 //!   rebuilds from its durable snapshot, and catches up over ranged
@@ -38,37 +39,33 @@
 //!   received-but-uncertified round-`r` block), which only ICC runs: the
 //!   banyan row gives way to a `chained (icc)` row swept with and
 //!   without the flag, so the two columns sit side by side;
-//! * `--assert-no-drop` exits nonzero if any past-knee point falls below
-//!   90% of the plateau goodput or, with retry/gossip on, loses requests
-//!   — the CI regression gate for the dissemination layer;
-//! * `--assert-max-dups` exits nonzero if a protocol's duplicate
-//!   inclusions exceed 1% of its committed requests — the CI regression
-//!   gate for the ancestor-aware drain (run it with `--gossip`, where
-//!   every pool holds a copy of what the uncommitted ancestors carry);
-//! * `--assert-rpc` (requires `--optimistic`) exits nonzero unless the
-//!   icc row's rounds-per-commit with optimism on is strictly below its
-//!   flag-off baseline *and* its knee p50 latency does not regress — the
-//!   CI gate for the pipelining win itself;
 //! * `--crypto` switches the harness to the **measured-crypto sweep**:
 //!   the banyan engine is swept at n=4 in all three [`CryptoMode`]s
 //!   (off / unbatched / batched — the sigs/batches/cacheh/vcpu.ms
 //!   columns go live), then the batched configuration is scaled over a
 //!   geo-distributed cluster of n ∈ {4, 8, 16, 32, 64} replicas cycled
 //!   through the real AWS region catalog;
-//! * `--assert-crypto` (requires `--crypto`) exits nonzero unless both
-//!   crypto-on knees stay within 1.5× of crypto-off goodput, the batched
-//!   run actually batched and was charged strictly less verify CPU than
-//!   unbatched at no less goodput, and (with retry/gossip on) no point
-//!   lost a request — the CI gate that keeps crypto-on the viable
-//!   measured configuration;
 //! * `--cohorts` sweeps **cohort-aggregated modeled populations** (10³ up
 //!   to 10⁶ modeled clients folded into 64 cohorts, token-paced, with a
 //!   global admission cap) instead of one cohort per client — memory
 //!   stays `O(cohorts)` regardless of the modeled population;
-//! * `--fanout-tree F` switches gossip to **propagation-limited** mode:
-//!   pushes travel a degree-`F` tree (ring successor + lowest-delay
-//!   peers) through bounded per-peer queues, each flush taking a bounded share,
-//!   relays going out as compact announce records (implies `--gossip`);
+//! * `--assert-no-drop` exits nonzero if any past-knee point falls below
+//!   90% of the plateau goodput or, with retry/gossip on, loses requests
+//!   — the regression gate for the dissemination layer;
+//! * `--assert-max-dups` exits nonzero if a protocol's duplicate
+//!   inclusions exceed 1% of its committed requests — the regression
+//!   gate for the ancestor-aware drain (run it with `--gossip`, where
+//!   every pool holds a copy of what the uncommitted ancestors carry);
+//! * `--assert-rpc` (requires `--optimistic`) exits nonzero unless the
+//!   icc row's rounds-per-commit with optimism on is strictly below its
+//!   flag-off baseline *and* its knee p50 latency does not regress — the
+//!   gate for the pipelining win itself;
+//! * `--assert-crypto` (requires `--crypto`) exits nonzero unless both
+//!   crypto-on knees stay within 1.5× of crypto-off goodput, the batched
+//!   run actually batched and was charged strictly less verify CPU than
+//!   unbatched at no less goodput, and (with retry/gossip on) no point
+//!   lost a request — the gate that keeps crypto-on the viable measured
+//!   configuration;
 //! * `--assert-gossip-bytes` (requires `--fanout-tree`) exits nonzero
 //!   unless an n=8 comparison shows tree gossip bytes/request at most
 //!   50% of broadcast gossip with zero request loss, and — with
@@ -77,16 +74,19 @@
 //! * `secs` overrides the per-point measured duration;
 //! * `--write-goldens`, alone, rewrites the report of every CI flag set
 //!   ([`GOLDENS`]) in `crates/bench/tests/goldens/`, which this binary's
-//!   test regenerates and compares line by line.
+//!   test regenerates and compares line by line; a report with a failed
+//!   gate is never written, and fails that test.
 //!
-//! Without dissemination flags each request sits in one pool and there is
-//! no drain phase: a block that never finalizes hands its requests back
-//! to its pool, and the lost column counts the requests still in a block
-//! when the run stops. With `--gossip` and `--retry-ms`, a drain phase
-//! lets those commit too, and lost must read 0.
+//! An unknown argument or a value that does not parse is an error naming
+//! it. Without dissemination flags each request sits in one pool and
+//! there is no drain phase: a block that never finalizes hands its
+//! requests back to its pool, and the lost column counts the requests
+//! still in a block when the run stops. With `--gossip` and `--retry-ms`,
+//! a drain phase lets those commit too, and lost must read 0.
 
+use banyan_bench::flags::{unknown, Flags};
 use banyan_bench::goldens;
-use banyan_bench::runner::{CryptoMode, Scenario};
+use banyan_bench::runner::{CryptoMode, Gossip, Scenario, Workload};
 use banyan_bench::sweep::{
     knee_index, knee_p50_ms, mean_rounds_per_commit, measure, measure_cohorts, point_row,
     sweep_header, sweep_json, SweepPoint,
@@ -95,20 +95,14 @@ use banyan_simnet::topology::Topology;
 use banyan_simnet::AWS_REGIONS;
 use banyan_types::time::Duration;
 
-#[derive(Default)]
+/// What shapes the sweep, and the scenario every point starts from.
 struct Args {
     quick: bool,
     json: bool,
-    gossip: bool,
-    retry_ms: Option<u64>,
-    fanout: usize,
-    batch_min_bytes: Option<u64>,
-    batch_age_ms: Option<u64>,
     restart: bool,
     optimistic: bool,
     crypto: bool,
     cohorts: bool,
-    fanout_tree: usize,
     assert_no_drop: bool,
     assert_max_dups: bool,
     assert_rpc: bool,
@@ -116,24 +110,49 @@ struct Args {
     assert_gossip_bytes: bool,
     secs: Option<u64>,
     write_goldens: bool,
+    /// Every point's scenario before its protocol and population are set:
+    /// the main sweep's cluster, `REQUEST_SIZE`-byte requests, seed
+    /// `SEED`, the run length, and the gossip shape, retry and drain phase
+    /// the flags ask for.
+    base: Scenario,
 }
 
-fn parse_args(raw: &[String]) -> Args {
+/// Requests are 512 B and every run is seeded with 42, in every sweep.
+const REQUEST_SIZE: u64 = 512;
+const SEED: u64 = 42;
+
+fn parse_args(raw: &[String]) -> Result<Args, String> {
     let mut args = Args {
-        fanout: 1,
-        ..Args::default()
+        quick: false,
+        json: false,
+        restart: false,
+        optimistic: false,
+        crypto: false,
+        cohorts: false,
+        assert_no_drop: false,
+        assert_max_dups: false,
+        assert_rpc: false,
+        assert_crypto: false,
+        assert_gossip_bytes: false,
+        secs: None,
+        write_goldens: false,
+        // 100 Mbit/s egress: tight enough that block serialization — not
+        // the sweep's upper population bound — caps goodput, so the knee
+        // falls inside the swept range.
+        base: Scenario::new(
+            "banyan",
+            Topology::uniform(4, Duration::from_millis(5)).with_egress_bps(100_000_000),
+            1,
+            1,
+        )
+        .request_size(REQUEST_SIZE)
+        .seed(SEED),
     };
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        // The numeric value a flag takes.
-        let mut number = |what: &str| -> u64 {
-            let value = it.next().and_then(|v| v.parse().ok());
-            value.unwrap_or_else(|| panic!("{what}"))
-        };
-        match arg.as_str() {
+    let mut flags = Flags::new(raw);
+    while let Some(flag) = flags.next() {
+        match flag {
             "--quick" => args.quick = true,
             "--json" => args.json = true,
-            "--gossip" => args.gossip = true,
             "--restart" => args.restart = true,
             "--optimistic" => args.optimistic = true,
             "--crypto" => args.crypto = true,
@@ -144,26 +163,52 @@ fn parse_args(raw: &[String]) -> Args {
             "--assert-crypto" => args.assert_crypto = true,
             "--assert-gossip-bytes" => args.assert_gossip_bytes = true,
             "--write-goldens" => args.write_goldens = true,
-            "--fanout-tree" => {
-                let what = "--fanout-tree takes a positive tree degree";
-                args.fanout_tree = number(what) as usize;
-                assert!(args.fanout_tree > 0, "{what}");
-            }
-            "--retry-ms" => args.retry_ms = Some(number("--retry-ms takes a millisecond count")),
-            "--fanout" => args.fanout = number("--fanout takes a replica count") as usize,
-            "--batch-min-bytes" => {
-                args.batch_min_bytes = Some(number("--batch-min-bytes takes a byte count"))
-            }
-            "--batch-age-ms" => {
-                args.batch_age_ms = Some(number("--batch-age-ms takes a millisecond count"))
-            }
-            other => match other.parse() {
-                Ok(v) => args.secs = Some(v),
-                Err(_) => panic!("unknown argument {other:?}"),
+            // A tree is gossip too: `--gossip` leaves one in place.
+            "--gossip" if args.base.gossip == Gossip::Off => args.base.gossip = Gossip::Broadcast,
+            "--gossip" => {}
+            "--fanout-tree" => match flags.value(flag)? {
+                0 => return Err("--fanout-tree takes a positive tree degree".to_string()),
+                degree => args.base.gossip = Gossip::Tree(degree),
             },
+            "--retry-ms" => {
+                let ms = flags.value(flag)?;
+                args.base = args.base.retry_timeout(Duration::from_millis(ms));
+            }
+            bare => args.secs = Some(bare.parse().map_err(|_| unknown(bare))?),
         }
     }
-    args
+    if args.assert_rpc && !args.optimistic {
+        return Err("--assert-rpc compares the optimistic rows; pass --optimistic".into());
+    }
+    if args.assert_crypto && !args.crypto {
+        return Err("--assert-crypto gates the crypto sweep; pass --crypto".into());
+    }
+    if args.assert_gossip_bytes && !matches!(args.base.gossip, Gossip::Tree(_)) {
+        return Err("--assert-gossip-bytes compares a fanout tree; pass --fanout-tree".into());
+    }
+    let default_secs = if args.quick {
+        2
+    } else if args.crypto {
+        8
+    } else {
+        10
+    };
+    args.base.secs = args.secs.unwrap_or(default_secs);
+    args.base.drain_secs = drain_secs(&args.base);
+    Ok(args)
+}
+
+/// The drain phase a scenario's request path needs: three retry periods
+/// (500 ms periods without retry), at least 2 s, so loss accounting
+/// settles; none when requests are neither gossiped nor retried.
+fn drain_secs(scenario: &Scenario) -> u64 {
+    match &scenario.workload {
+        Workload::Clients(load) if scenario.gossip != Gossip::Off || load.retry.is_some() => {
+            let period = load.retry.unwrap_or(Duration::from_millis(500));
+            (3 * period.as_nanos()).div_ceil(1_000_000_000).max(2)
+        }
+        _ => 0,
+    }
 }
 
 /// The CI flag sets whose reports `crates/bench/tests/goldens/` pins, as
@@ -184,71 +229,35 @@ const GOLDENS: &[(&str, &str)] = &[
 fn golden_report(flags: &str) -> String {
     let raw: Vec<String> = flags.split_whitespace().map(String::from).collect();
     let mut text = format!("# saturation_sweep {}\n", raw.join(" "));
-    let failures = sweep(&parse_args(&raw), &mut |line| text.push_str(line));
+    let failures = match parse_args(&raw) {
+        Ok(args) => sweep(&args, &mut |line| text.push_str(line)),
+        Err(message) => vec![message],
+    };
     for failure in failures {
         text.push_str(&format!("FAIL: {failure}\n"));
     }
     text
 }
 
-/// `--write-goldens`: regenerates every golden in place.
-fn write_goldens() -> std::io::Result<()> {
-    for (stem, flags) in GOLDENS {
-        goldens::write(stem, &golden_report(flags))?;
+/// A report's failed gates, its `FAIL:` lines, as an error: a golden pins
+/// a passing sweep, never a failing one.
+fn passed(report: &str) -> Result<(), String> {
+    let failed: Vec<&str> = report.lines().filter(|l| l.starts_with("FAIL:")).collect();
+    match failed.as_slice() {
+        [] => Ok(()),
+        lines => Err(lines.join("\n")),
     }
-    Ok(())
 }
 
-/// Requests are 512 B and every run is seeded with 42, in every sweep.
-const REQUEST_SIZE: u64 = 512;
-const SEED: u64 = 42;
-
-impl Args {
-    /// True when any dissemination-layer feature is on.
-    fn disseminating(&self) -> bool {
-        self.gossip || self.retry_ms.is_some() || self.fanout > 1 || self.fanout_tree > 0
+/// `--write-goldens`: regenerates every golden in place, refusing one
+/// whose report fails a gate.
+fn write_goldens() -> Result<(), String> {
+    for (stem, flags) in GOLDENS {
+        let report = golden_report(flags);
+        passed(&report).map_err(|failed| format!("saturation_sweep {flags}:\n{failed}"))?;
+        goldens::write(stem, &report).map_err(|e| e.to_string())?;
     }
-
-    /// Drain long enough for a few retry rounds (or a few consensus
-    /// rounds, when only gossip/fanout is on) to settle loss accounting;
-    /// no drain phase without dissemination.
-    fn drain_secs(&self) -> u64 {
-        if self.disseminating() {
-            (3 * self.retry_ms.unwrap_or(500)).div_ceil(1_000).max(2)
-        } else {
-            0
-        }
-    }
-
-    fn batch_policy(&self) -> Option<(u64, Duration)> {
-        self.batch_min_bytes
-            .map(|min| (min, Duration::from_millis(self.batch_age_ms.unwrap_or(50))))
-    }
-
-    /// The one place the request-path flags (`--gossip`, `--retry-ms`,
-    /// `--fanout`, `--fanout-tree`, the batch policy and
-    /// the drain phase they imply) are applied to a sweep's base scenario.
-    fn apply(&self, base: Scenario, secs: u64) -> Scenario {
-        let mut base = base
-            .request_size(REQUEST_SIZE)
-            .secs(secs)
-            .seed(SEED)
-            .drain(self.drain_secs())
-            .fanout(self.fanout);
-        if self.gossip {
-            base = base.gossip();
-        }
-        if self.fanout_tree > 0 {
-            base = base.fanout_tree(self.fanout_tree);
-        }
-        if let Some(ms) = self.retry_ms {
-            base = base.retry_timeout(Duration::from_millis(ms));
-        }
-        if let Some((min_bytes, max_age)) = self.batch_policy() {
-            base = base.batch_policy(min_bytes, max_age);
-        }
-        base
-    }
+    Ok(())
 }
 
 /// Writes one line of a sweep's report to `out`.
@@ -258,42 +267,32 @@ macro_rules! say {
     };
 }
 
-fn main() -> std::io::Result<()> {
+fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&raw);
-    if args.write_goldens {
-        assert_eq!(raw.len(), 1, "--write-goldens takes no other argument");
-        return write_goldens();
+    let args = parse_args(&raw).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    });
+    let failures = match (args.write_goldens, raw.len()) {
+        (false, _) => sweep(&args, &mut |text| print!("{text}")),
+        (true, 1) => write_goldens().err().into_iter().collect(),
+        (true, _) => vec!["--write-goldens takes no other argument".to_string()],
+    };
+    for f in &failures {
+        eprintln!("FAIL: {f}");
     }
-    exit_on(&sweep(&args, &mut |text| print!("{text}")));
-    Ok(())
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
 }
 
 /// Runs the sweep `args` select, writing its report to `out`, and returns
 /// the gates it failed.
 fn sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
-    // An age target without a byte target would be a silent no-op
-    // (min_bytes = 0 never defers): surface the mistake instead.
-    assert!(
-        args.batch_age_ms.is_none() || args.batch_min_bytes.is_some(),
-        "--batch-age-ms requires --batch-min-bytes (a zero byte target never defers)"
-    );
-    assert!(
-        !args.assert_rpc || args.optimistic,
-        "--assert-rpc compares against the optimistic rows; pass --optimistic too"
-    );
-    assert!(
-        !args.assert_crypto || args.crypto,
-        "--assert-crypto gates the crypto sweep; pass --crypto too"
-    );
-    assert!(
-        !args.assert_gossip_bytes || args.fanout_tree > 0,
-        "--assert-gossip-bytes compares the fanout tree against broadcast; pass --fanout-tree too"
-    );
     if args.crypto {
         return crypto_sweep(args, out);
     }
-    let secs: u64 = args.secs.unwrap_or(if args.quick { 2 } else { 10 });
+    let secs = args.base.secs;
     let populations: &[u16] = if args.quick {
         &[1, 4, 16, 64]
     } else {
@@ -320,12 +319,7 @@ fn sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
     const MEMBER_INTERVAL_SECS: u64 = 25;
     let window = 4;
     let think = Duration::ZERO;
-    let disseminating = args.disseminating();
-    let drain_secs = args.drain_secs();
-    // 100 Mbit/s egress: tight enough that block serialization — not the
-    // sweep's upper population bound — caps goodput, so the knee falls
-    // inside the swept range.
-    let topology = || Topology::uniform(4, Duration::from_millis(5)).with_egress_bps(100_000_000);
+    let drain_secs = args.base.drain_secs;
 
     if !args.json {
         say!(
@@ -334,24 +328,17 @@ fn sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
              {REQUEST_SIZE} B requests, think=0, {secs}s per point, seed={SEED}"
         );
         out("# goodput = committed requests/s; knee = first point at 90% of plateau goodput\n");
-        match (args.gossip, args.retry_ms) {
-            (false, None) if args.fanout == 1 && args.fanout_tree == 0 => say!(
+        match &args.base.workload {
+            Workload::Clients(load) if drain_secs > 0 => say!(
                 out,
-                "# dissemination off: one pool per request and no drain phase, so the lost\n\
-                 # column counts requests still in a block when the run stops\n"
+                "# dissemination on (gossip={:?}, retry_ms={:?}), drain={drain_secs}s: lost must be 0\n",
+                args.base.gossip,
+                load.retry.map(Duration::as_millis_f64),
             ),
             _ => say!(
                 out,
-                "# dissemination on (gossip={}, retry={:?} ms, fanout={}, fanout_tree={}, \
-                 batch_policy={}), drain={drain_secs}s: lost must be 0\n",
-                args.gossip,
-                args.retry_ms,
-                args.fanout,
-                args.fanout_tree,
-                match args.batch_policy() {
-                    Some((min, age)) => format!("{min}B/{}ms", age.as_millis_f64()),
-                    None => "eager".to_string(),
-                }
+                "# dissemination off: one pool per request and no drain phase, so the lost\n\
+                 # column counts requests still in a block when the run stops\n"
             ),
         }
         if args.cohorts {
@@ -383,10 +370,11 @@ fn sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
     let mut failures: Vec<String> = Vec::new();
     let mut icc_pair: [Option<Vec<SweepPoint>>; 2] = [None, None];
     for (label, protocol, optimistic) in rows {
-        let mut base = args.apply(Scenario::new(protocol, topology(), 1, 1), secs);
-        if optimistic {
-            base = base.optimistic();
-        }
+        let mut base = Scenario {
+            protocol: protocol.to_string(),
+            optimistic,
+            ..args.base.clone()
+        };
         if args.restart {
             // Two staggered rolling restarts inside the measured window:
             // replica 1 is down for the second quarter, replica 2 for the
@@ -441,7 +429,7 @@ fn sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
         }
 
         if args.assert_no_drop {
-            check_no_drop(label, &points, knee, disseminating, &mut failures);
+            check_no_drop(label, &points, knee, drain_secs > 0, &mut failures);
         }
         if args.assert_max_dups {
             check_max_dups(label, &points, &mut failures);
@@ -462,7 +450,7 @@ fn sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
         check_rpc(&icc_pair, &mut failures);
     }
     if args.assert_gossip_bytes {
-        check_gossip_bytes(args, secs, out, &mut failures);
+        check_gossip_bytes(args, out, &mut failures);
     }
 
     failures
@@ -477,16 +465,6 @@ fn print_table(out: &mut dyn FnMut(&str), title: &str, points: &[SweepPoint]) {
     }
 }
 
-/// Reports every failed gate; exits nonzero if there is one.
-fn exit_on(failures: &[String]) {
-    for f in failures {
-        eprintln!("FAIL: {f}");
-    }
-    if !failures.is_empty() {
-        std::process::exit(1);
-    }
-}
-
 /// The measured-crypto sweep (`--crypto`): banyan at n=4 in all three
 /// crypto modes, then the batched configuration scaled over
 /// geo-distributed clusters of 4…64 replicas cycled through the AWS
@@ -494,7 +472,7 @@ fn exit_on(failures: &[String]) {
 /// in virtual time, so the goodput deltas between the modes *are* the
 /// crypto bill.
 fn crypto_sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
-    let secs: u64 = args.secs.unwrap_or(if args.quick { 2 } else { 8 });
+    let secs = args.base.secs;
     let populations: &[u16] = if args.quick {
         &[4, 16, 64]
     } else {
@@ -502,10 +480,7 @@ fn crypto_sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
     };
     let window = 4;
     let think = Duration::ZERO;
-    let disseminating = args.disseminating();
-    // The default 1 Gbit/s egress: crypto CPU, not serialization, should
-    // be the contended resource this sweep measures.
-    let apply = |base: Scenario| args.apply(base, secs);
+    let disseminating = args.base.drain_secs > 0;
 
     if !args.json {
         say!(
@@ -526,15 +501,13 @@ fn crypto_sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
     let mut all_points: Vec<Vec<SweepPoint>> = Vec::new();
     let modes = [CryptoMode::Off, CryptoMode::Unbatched, CryptoMode::Batched];
     for (i, &mode) in modes.iter().enumerate() {
-        let base = apply(
-            Scenario::new(
-                "banyan",
-                Topology::uniform(4, Duration::from_millis(5)),
-                1,
-                1,
-            )
-            .crypto(mode),
-        );
+        // The default 1 Gbit/s egress: crypto CPU, not serialization,
+        // should be the contended resource this sweep measures.
+        let base = Scenario {
+            topology: Topology::uniform(4, Duration::from_millis(5)),
+            crypto: mode,
+            ..args.base.clone()
+        };
         let points: Vec<SweepPoint> = populations
             .iter()
             .map(|&clients| measure(&base, clients, window, think))
@@ -568,10 +541,12 @@ fn crypto_sweep(args: &Args, out: &mut dyn FnMut(&str)) -> Vec<String> {
     }
     for &n in sizes {
         let sites: Vec<_> = (0..n).map(|i| AWS_REGIONS[i % AWS_REGIONS.len()]).collect();
-        let f = (n - 1) / 3;
-        let base = apply(
-            Scenario::new("banyan", Topology::from_sites(&sites), f, 1).crypto(CryptoMode::Batched),
-        );
+        let base = Scenario {
+            topology: Topology::from_sites(&sites),
+            f: (n - 1) / 3,
+            crypto: CryptoMode::Batched,
+            ..args.base.clone()
+        };
         let p = measure(&base, 32, window, think);
         if args.json {
             let json = sweep_json(
@@ -716,41 +691,32 @@ fn check_max_dups(protocol: &str, points: &[SweepPoint], failures: &mut Vec<Stri
 /// compact announce records) must cost at most half the gossip bytes per
 /// request of full broadcast, and neither configuration may lose a
 /// request — bounded fanout trades bytes for hops, not for durability.
-fn check_gossip_bytes(
-    args: &Args,
-    secs: u64,
-    out: &mut dyn FnMut(&str),
-    failures: &mut Vec<String>,
-) {
-    // The gate's own fixed flag set — gossip with a 250 ms retry (hence a
-    // 2 s drain) — whatever the sweep above ran with.
-    let mk = |fanout_tree: usize| {
-        let flags = Args {
-            gossip: true,
-            retry_ms: Some(250),
-            fanout: 1,
-            fanout_tree,
-            ..Args::default()
-        };
-        flags.apply(
-            Scenario::new(
-                "banyan",
-                Topology::uniform(8, Duration::from_millis(5)).with_egress_bps(100_000_000),
-                2,
-                1,
-            ),
-            secs,
-        )
+fn check_gossip_bytes(args: &Args, out: &mut dyn FnMut(&str), failures: &mut Vec<String>) {
+    let Gossip::Tree(degree) = args.base.gossip else {
+        return;
     };
-    let broadcast = measure(&mk(0), 32, 4, Duration::ZERO);
-    let tree = measure(&mk(args.fanout_tree), 32, 4, Duration::ZERO);
+    // The gate's own fixed request path — gossip with a 250 ms retry — on
+    // its own cluster, whatever the sweep above ran with.
+    let mk = |gossip| {
+        let mut scenario = Scenario {
+            topology: Topology::uniform(8, Duration::from_millis(5)).with_egress_bps(100_000_000),
+            f: 2,
+            gossip,
+            ..args.base.clone()
+        }
+        .retry_timeout(Duration::from_millis(250));
+        scenario.drain_secs = drain_secs(&scenario);
+        scenario
+    };
+    let broadcast = measure(&mk(Gossip::Broadcast), 32, 4, Duration::ZERO);
+    let tree = measure(&mk(Gossip::Tree(degree)), 32, 4, Duration::ZERO);
     if !args.json {
         say!(
             out,
             "## gossip bytes gate — banyan n=8, 32 clients: broadcast {:.1} B/req vs \
              fanout-tree({}) {:.1} B/req\n",
             broadcast.gossip_bytes_per_req(),
-            args.fanout_tree,
+            degree,
             tree.gossip_bytes_per_req()
         );
     }
@@ -820,14 +786,77 @@ fn check_no_drop(
 mod tests {
     use super::*;
 
-    /// Every CI flag set prints exactly its committed golden: virtual
-    /// time moves only with a commit that rewrites them
-    /// (`--write-goldens`).
+    /// Every CI flag set passes its gates and prints exactly its
+    /// committed golden: virtual time moves only with a commit that
+    /// rewrites them (`--write-goldens`), and a golden that records a
+    /// failed gate fails here too.
     #[test]
     fn every_ci_flag_set_reproduces_its_golden() {
         for (stem, flags) in GOLDENS {
             let command = format!("saturation_sweep {flags}");
-            goldens::assert_matches(stem, &command, &golden_report(flags));
+            let report = golden_report(flags);
+            if let Err(failed) = passed(&report) {
+                panic!("`{command}` fails a gate:\n{failed}");
+            }
+            goldens::assert_matches(stem, &command, &report);
         }
+    }
+
+    #[test]
+    fn a_report_with_a_failed_gate_does_not_pass() {
+        let report = "# saturation_sweep --quick 1\n{\"protocol\":\"banyan\"}\n\
+                      FAIL: banyan: sweep committed nothing\n";
+        assert_eq!(
+            passed(report),
+            Err("FAIL: banyan: sweep committed nothing".to_string())
+        );
+        assert_eq!(
+            passed("# saturation_sweep --quick 1\nno FAIL: here\n"),
+            Ok(())
+        );
+    }
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// An unknown flag, a malformed number and a gate without the sweep it
+    /// gates are errors naming the flag; the scenario flags set the base.
+    #[test]
+    fn flags_read_into_the_base_scenario_or_fail_naming_the_flag() {
+        let err = |line: &str| parse(line).err().unwrap_or_default();
+        assert_eq!(err("--quick --gosip"), "unknown argument \"--gosip\"");
+        assert_eq!(err("--retry-ms 2s"), "--retry-ms takes a u64, not \"2s\"");
+        assert_eq!(err("--fanout-tree"), "--fanout-tree takes a value");
+        assert!(err("--fanout-tree 0").contains("positive"));
+        assert!(err("--assert-rpc").contains("--optimistic"));
+        assert!(err("--assert-gossip-bytes --gossip").contains("--fanout-tree"));
+        for gone in ["--fanout", "--batch-min-bytes", "--batch-age-ms"] {
+            assert_eq!(
+                err(&format!("{gone} 2")),
+                format!("unknown argument \"{gone}\"")
+            );
+        }
+
+        let args = parse("--quick --fanout-tree 2 --gossip --retry-ms 250 3").expect("valid flags");
+        let base = &args.base;
+        assert_eq!(
+            (base.gossip, base.secs, base.drain_secs),
+            (Gossip::Tree(2), 3, 2)
+        );
+        let Workload::Clients(load) = &base.workload else {
+            panic!("the sweep's base is a client load");
+        };
+        assert_eq!(load.retry, Some(Duration::from_millis(250)));
+        let plain = parse("--quick").expect("valid flags").base;
+        assert_eq!(
+            (plain.gossip, plain.secs, plain.drain_secs),
+            (Gossip::Off, 2, 0)
+        );
     }
 }

@@ -7,6 +7,7 @@
 //! * [`sweep`] — closed-loop saturation sweeps, knee detection, and the
 //!   one [`sweep::COLUMNS`] list their table and JSON are rendered from;
 //! * [`goldens`] — the committed reports that pin the two binaries below;
+//! * [`flags`] — the one command-line reader of the binaries;
 //! * `--bin paper -- <experiment> [secs]` — every table and figure of the
 //!   paper's §9 plus the ablations; `paper list` prints the index;
 //! * `--bin saturation_sweep` — the sweeps, with their CI gates;
@@ -17,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+pub mod flags;
 pub mod goldens;
 pub mod runner;
 pub mod sweep;

@@ -5,7 +5,7 @@
 //! paper): proposer-measured finalization latency, committed bytes per
 //! second at a non-faulty replica, per-replica block intervals.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use banyan_core::builder::{ClusterBuilder, VerifyPlaneConfig};
 use banyan_core::chained::ByzantineMode;
@@ -56,6 +56,76 @@ impl CryptoMode {
     }
 }
 
+/// What fills the blocks of a run.
+#[derive(Clone, Debug)]
+pub enum Workload {
+    /// The paper's synthetic workload: each proposer mints `payload`
+    /// bytes per block (the paper's block size knob).
+    Synthetic {
+        /// Payload bytes per block.
+        payload: u64,
+    },
+    /// One client load feeding per-replica mempools; proposers drain them
+    /// into blocks and end-to-end submit→commit latency is reported.
+    Clients(Load),
+}
+
+/// One client load: a population of modeled clients (see
+/// `banyan_simnet::cohort`) and the requests it sends. The open loop is a
+/// load too — one paced member whose window is everything the run can
+/// submit.
+#[derive(Clone, Debug)]
+pub struct Load {
+    /// Modeled clients.
+    pub clients: u64,
+    /// Cohorts the clients are folded into:
+    /// [`closed_loop`](Scenario::closed_loop) sets one per client,
+    /// [`cohort_load`](Scenario::cohort_load) fewer — which is how sweeps
+    /// model 10⁵–10⁶ clients in `O(cohorts)` memory.
+    pub cohorts: u16,
+    /// Outstanding requests per client; `None` is the most the run can
+    /// submit at `member_interval` (the open loop), worked out when the
+    /// simulation is built.
+    pub window: Option<u32>,
+    /// Pause between a completion and the resubmission.
+    pub think_time: Duration,
+    /// Per-cohort think-time multipliers (cohort `c` pauses
+    /// `think_time × multipliers[c % len]`); empty = uniform.
+    pub think_multipliers: Vec<u32>,
+    /// Token-bucket pacing per modeled client; `None` resubmits freed
+    /// slots immediately, the pure closed loop.
+    pub member_interval: Option<Duration>,
+    /// Global in-flight admission cap; `None` admits the full
+    /// `clients × window`.
+    pub max_outstanding: Option<u64>,
+    /// Bytes per request.
+    pub request_size: u64,
+    /// Per-request retransmission timeout; `None` means requests lost to
+    /// never-finalized proposals stay lost.
+    pub retry: Option<Duration>,
+    /// Replicas each request is submitted to (1 = one target; `f + 1` is
+    /// the classic censorship-resistant setting).
+    pub fanout: usize,
+}
+
+/// How pending requests spread between the replicas' mempools.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Gossip {
+    /// A request stays in the pools it was submitted to.
+    #[default]
+    Off,
+    /// Every pool forwards each request to every peer (through the
+    /// modeled network) within one gossip round, so every potential
+    /// leader can batch it.
+    Broadcast,
+    /// Propagation-limited: each pool forwards pushes only to this many
+    /// tree peers (ring successor + lowest-delay picks) through bounded
+    /// per-peer queues, of which one flush takes a bounded share;
+    /// first-time acceptors relay compact announcements down their own
+    /// edges.
+    Tree(usize),
+}
+
 /// A fully specified experiment.
 #[derive(Clone, Debug)]
 pub struct Scenario {
@@ -67,48 +137,10 @@ pub struct Scenario {
     pub f: usize,
     /// Fast-path parameter `p`.
     pub p: usize,
-    /// Payload bytes per block (the paper's block size knob). Ignored
-    /// for client-driven scenarios: block content then comes from the
-    /// mempools.
-    pub payload: u64,
-    /// Open-loop client requests per second across the cluster; 0 (the
-    /// default) keeps the paper's leader-minted synthetic workload.
-    pub rate: u64,
-    /// Closed-loop client population size (see `banyan_simnet::cohort`);
-    /// 0 (the default) means no closed loop. Takes precedence over
-    /// `rate`.
-    pub modeled_clients: u64,
-    /// Cohorts the closed-loop clients are folded into:
-    /// [`closed_loop`](Self::closed_loop) sets one per client,
-    /// [`cohort_load`](Self::cohort_load) fewer — which is how sweeps
-    /// model 10⁵–10⁶ clients in `O(cohorts)` memory.
-    pub cohorts: u16,
-    /// Global in-flight admission cap for the closed loop; 0 (the
-    /// default) means the full `modeled_clients × window`.
-    pub max_outstanding: u64,
-    /// Token-bucket pacing per *modeled* client (closed loop only);
-    /// `None` resubmits freed slots immediately, the pure closed loop.
-    pub member_interval: Option<Duration>,
-    /// Propagation-limited gossip: forward pushes down a bounded-fanout
-    /// tree of this degree with per-peer backpressure instead of
-    /// broadcasting to every peer. 0 (the default) keeps broadcast
-    /// gossip. Implies `gossip`.
-    pub fanout_tree: usize,
-    /// Outstanding-request window per closed-loop client.
-    pub window: u32,
-    /// Pause between a closed-loop completion and the resubmission.
-    pub think_time: Duration,
-    /// Bytes per client request (only meaningful with a client workload).
-    pub request_size: u64,
-    /// Gossip pending requests to every replica (dissemination layer).
-    /// Off by default — the historical single-pool behavior.
-    pub gossip: bool,
-    /// Per-request client retransmission timeout; `None` (the default)
-    /// means requests lost to never-finalized proposals stay lost.
-    pub retry: Option<Duration>,
-    /// Replicas each request is submitted to (1 = the historical single
-    /// target; `f + 1` is the classic censorship-resistant setting).
-    pub fanout: usize,
+    /// What fills the blocks: synthetic payloads or one client load.
+    pub workload: Workload,
+    /// How pending client requests spread between the mempools.
+    pub gossip: Gossip,
     /// Latency-targeted batching policy for the mempool sources; `None`
     /// (the default) drains eagerly on every proposal.
     pub batch_policy: Option<BatchPolicy>,
@@ -121,9 +153,6 @@ pub struct Scenario {
     /// pipeline measured slower than not pipelining). Off by default —
     /// the historical certify-then-propose behavior.
     pub optimistic: bool,
-    /// Per-cohort think-time multipliers for the closed loop (cohort `c`
-    /// pauses `think_time × multipliers[c % len]`); empty = uniform.
-    pub think_multipliers: Vec<u32>,
     /// Extra seconds to run after freezing the workload, letting
     /// in-flight requests drain to a commit. 0 (the default) skips the
     /// drain phase entirely, preserving historical figures bit-for-bit.
@@ -159,22 +188,10 @@ impl Scenario {
             topology,
             f,
             p,
-            payload: 0,
-            rate: 0,
-            modeled_clients: 0,
-            cohorts: 0,
-            max_outstanding: 0,
-            member_interval: None,
-            fanout_tree: 0,
-            window: 0,
-            think_time: Duration::ZERO,
-            request_size: 0,
-            gossip: false,
-            retry: None,
-            fanout: 1,
+            workload: Workload::Synthetic { payload: 0 },
+            gossip: Gossip::Off,
             batch_policy: None,
             optimistic: false,
-            think_multipliers: Vec::new(),
             drain_secs: 0,
             byzantine: Vec::new(),
             delta: None,
@@ -187,108 +204,125 @@ impl Scenario {
         }
     }
 
-    /// Sets the payload size.
+    /// Switches to the paper's synthetic workload of `bytes` per block.
     pub fn payload(mut self, bytes: u64) -> Self {
-        self.payload = bytes;
+        self.workload = Workload::Synthetic { payload: bytes };
         self
     }
 
-    /// Switches the scenario to an open-loop client workload of
-    /// `req_per_sec` requests per second (fed into per-replica mempools;
-    /// end-to-end submit→commit latency is then reported): one client
-    /// paced at `1 s / req_per_sec`, submitting from t = 0 whatever
-    /// commits. Building the simulation panics above 10⁹/s, or when
-    /// `req_per_sec × (secs + drain_secs)` overflows a `u32` window.
-    pub fn rate(mut self, req_per_sec: u64) -> Self {
-        self.rate = req_per_sec;
+    /// Changes the scenario's client load with `set`; a scenario that
+    /// mints synthetic payloads starts from a load with no clients yet,
+    /// one request target and nothing else set.
+    fn load(mut self, set: impl FnOnce(&mut Load)) -> Self {
+        let mut load = match self.workload {
+            Workload::Clients(load) => load,
+            Workload::Synthetic { .. } => Load {
+                clients: 0,
+                cohorts: 0,
+                window: Some(0),
+                think_time: Duration::ZERO,
+                think_multipliers: Vec::new(),
+                member_interval: None,
+                max_outstanding: None,
+                request_size: 0,
+                retry: None,
+                fanout: 1,
+            },
+        };
+        set(&mut load);
+        self.workload = Workload::Clients(load);
         self
     }
 
-    /// Switches the scenario to a **closed-loop** client population:
-    /// `clients` clients × `window` outstanding requests each, pausing
-    /// `think_time` between a completion and the replacement submission.
-    /// The offered load self-regulates to what the cluster commits, so
-    /// sweeping `clients` traces a saturation (throughput-vs-latency)
-    /// curve. Takes precedence over [`rate`](Self::rate).
+    /// Switches to an **open-loop** client load of `req_per_sec` requests
+    /// per second: one client paced at `1 s / req_per_sec`, submitting
+    /// from t = 0 whatever commits. Building the simulation panics above
+    /// 10⁹/s, or when `req_per_sec × (secs + drain_secs)` overflows a
+    /// `u32` window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `req_per_sec` is zero.
+    pub fn rate(self, req_per_sec: u64) -> Self {
+        let interval = Duration(1_000_000_000 / req_per_sec);
+        self.load(|load| {
+            (load.clients, load.cohorts, load.window) = (1, 1, None);
+            (load.think_time, load.member_interval) = (Duration::ZERO, Some(interval));
+        })
+    }
+
+    /// Switches to a **closed-loop** client population: `clients` clients
+    /// × `window` outstanding requests each, pausing `think_time` between
+    /// a completion and the replacement submission. The offered load
+    /// self-regulates to what the cluster commits, so sweeping `clients`
+    /// traces a saturation (throughput-vs-latency) curve.
     pub fn closed_loop(self, clients: u16, window: u32, think_time: Duration) -> Self {
         self.cohort_load(clients as u64, clients, window, think_time)
     }
 
     /// [`closed_loop`](Self::closed_loop) with the population
-    /// **aggregated**: `modeled_clients` modeled clients folded into
-    /// `cohorts` cohorts, each client keeping `window` outstanding
-    /// requests with `think_time` between completion and resubmission.
-    /// Memory and per-event work are `O(cohorts)`, so sweeping to 10⁶
-    /// modeled clients costs the same as 64.
+    /// **aggregated**: `clients` modeled clients folded into `cohorts`
+    /// cohorts, each client keeping `window` outstanding requests with
+    /// `think_time` between completion and resubmission. Memory and
+    /// per-event work are `O(cohorts)`, so sweeping to 10⁶ modeled
+    /// clients costs the same as 64. Like [`rate`](Self::rate), it sets
+    /// the population and keeps the rest of the load.
     pub fn cohort_load(
-        mut self,
-        modeled_clients: u64,
+        self,
+        clients: u64,
         cohorts: u16,
         window: u32,
         think_time: Duration,
     ) -> Self {
-        self.modeled_clients = modeled_clients;
-        self.cohorts = cohorts;
-        self.window = window;
-        self.think_time = think_time;
-        self
+        self.load(|load| {
+            (load.clients, load.cohorts, load.window) = (clients, cohorts, Some(window));
+            load.think_time = think_time;
+        })
     }
 
-    /// Paces each modeled client at one submission per `interval`
-    /// (closed loop only).
-    pub fn member_interval(mut self, interval: Duration) -> Self {
-        self.member_interval = Some(interval);
-        self
+    /// Paces each modeled client at one submission per `interval`.
+    pub fn member_interval(self, interval: Duration) -> Self {
+        self.load(|load| load.member_interval = Some(interval))
     }
 
-    /// Caps the closed loop's total in-flight requests (admission
-    /// control; deferred demand is admitted as completions free slots).
-    pub fn max_outstanding(mut self, cap: u64) -> Self {
-        self.max_outstanding = cap;
-        self
+    /// Caps the load's total in-flight requests (admission control;
+    /// deferred demand is admitted as completions free slots).
+    pub fn max_outstanding(self, cap: u64) -> Self {
+        self.load(|load| load.max_outstanding = Some(cap))
     }
 
-    /// Switches gossip to **propagation-limited** mode: each replica
-    /// forwards pushes only to `fanout` tree peers (ring successor +
-    /// lowest-delay picks) through bounded per-peer queues, of which one
-    /// flush takes a bounded share; first-time acceptors relay compact
-    /// announcements down their own edges. Implies [`gossip`](Self::gossip).
+    /// Gossips down a tree of degree `fanout` (see [`Gossip::Tree`]).
     pub fn fanout_tree(mut self, fanout: usize) -> Self {
         assert!(fanout > 0, "fanout-tree degree must be positive");
-        self.fanout_tree = fanout;
-        self.gossip = true;
+        self.gossip = Gossip::Tree(fanout);
         self
     }
 
-    /// Sets the per-request size for the client workload.
-    pub fn request_size(mut self, bytes: u64) -> Self {
-        self.request_size = bytes;
-        self
+    /// Sets the per-request size of the client load.
+    pub fn request_size(self, bytes: u64) -> Self {
+        self.load(|load| load.request_size = bytes)
     }
 
-    /// Enables pending-request gossip: a request submitted to any replica
-    /// is forwarded to every peer (through the modeled network) within
-    /// one gossip round, so every potential leader can batch it.
+    /// Broadcasts pending requests to every replica (see
+    /// [`Gossip::Broadcast`]).
     pub fn gossip(mut self) -> Self {
-        self.gossip = true;
+        self.gossip = Gossip::Broadcast;
         self
     }
 
     /// Enables client-side retransmission: a request not observed
     /// committed within `timeout` is resubmitted (same id, original
     /// submit timestamp) and re-armed until it commits.
-    pub fn retry_timeout(mut self, timeout: Duration) -> Self {
-        self.retry = Some(timeout);
-        self
+    pub fn retry_timeout(self, timeout: Duration) -> Self {
+        self.load(|load| load.retry = Some(timeout))
     }
 
     /// Submits every request to `fanout` replicas instead of one
     /// (clamped to the cluster size; `f + 1` tolerates any `f` censoring
     /// or crashed replicas).
-    pub fn fanout(mut self, fanout: usize) -> Self {
+    pub fn fanout(self, fanout: usize) -> Self {
         assert!(fanout > 0, "fanout must be positive");
-        self.fanout = fanout;
-        self
+        self.load(|load| load.fanout = fanout)
     }
 
     /// Installs a latency-targeted batching policy: leaders defer (empty
@@ -306,12 +340,11 @@ impl Scenario {
         self
     }
 
-    /// Skews per-cohort submit rates in the closed loop: cohort `c`
-    /// (client `c` under [`closed_loop`](Self::closed_loop)) pauses
+    /// Skews per-cohort submit rates: cohort `c` (client `c` under
+    /// [`closed_loop`](Self::closed_loop)) pauses
     /// `think_time × multipliers[c % len]` before resubmitting.
-    pub fn think_multipliers(mut self, multipliers: Vec<u32>) -> Self {
-        self.think_multipliers = multipliers;
-        self
+    pub fn think_multipliers(self, multipliers: Vec<u32>) -> Self {
+        self.load(|load| load.think_multipliers = multipliers)
     }
 
     /// Adds a drain phase: after the measured `secs`, the workload is
@@ -328,12 +361,6 @@ impl Scenario {
     pub fn byzantine(mut self, replica: u16, mode: ByzantineMode) -> Self {
         self.byzantine.push((replica, mode));
         self
-    }
-
-    /// True when the scenario runs a client workload (open or closed
-    /// loop) instead of leader-minted synthetic payloads.
-    pub fn client_driven(&self) -> bool {
-        self.modeled_clients > 0 || self.rate > 0
     }
 
     /// Sets the simulated duration in seconds.
@@ -490,39 +517,26 @@ fn build_simulation_with(
         builder = builder.byzantine(*replica, mode.clone());
     }
     // Workload: either the paper's leader-minted synthetic payloads, or
-    // per-replica mempools fed by a client population (closed loop takes
-    // precedence over open loop). Each pool is built in its final shape,
-    // so it gossips — down its fanout tree, if it has one — from the first
-    // (priming) submission on.
-    let mempools: Option<Vec<SharedMempool>> = scenario.client_driven().then(|| {
-        (0..n)
-            .map(|i| {
-                let mut pool = Mempool::new(DEFAULT_MEMPOOL_CAPACITY).with_gossip(scenario.gossip);
-                if scenario.fanout_tree > 0 {
-                    let peers =
-                        scenario
-                            .topology
-                            .fanout_peers(i, scenario.fanout_tree, scenario.seed);
-                    if !peers.is_empty() {
-                        pool = pool.with_peer_queues(&peers);
-                    }
-                }
-                std::sync::Arc::new(std::sync::Mutex::new(pool))
-            })
-            .collect()
-    });
-    builder = match &mempools {
-        Some(pools) => {
-            let pools = pools.clone();
+    // per-replica mempools fed by one client load. Each pool is built in
+    // its final shape, so it gossips — down its fanout tree, if it has
+    // one — from the first (priming) submission on.
+    let clients = match &scenario.workload {
+        Workload::Synthetic { payload } => {
+            builder = builder.payload_size(*payload);
+            None
+        }
+        Workload::Clients(load) => {
+            let pools: Vec<SharedMempool> = (0..n).map(|i| pool(scenario, i)).collect();
+            let sources = pools.clone();
             let policy = scenario.batch_policy.unwrap_or(BatchPolicy::EAGER);
-            builder.proposal_sources(move |i| {
+            builder = builder.proposal_sources(move |i| {
                 Box::new(
-                    MempoolSource::new(pools[i as usize].clone(), DEFAULT_MAX_BATCH)
+                    MempoolSource::new(sources[i as usize].clone(), DEFAULT_MAX_BATCH)
                         .with_batch_policy(policy),
                 )
-            })
+            });
+            Some((load, pools))
         }
-        None => builder.payload_size(scenario.payload),
     };
     let builder = cluster(builder);
     let engines = builder.build(&scenario.protocol);
@@ -540,44 +554,41 @@ fn build_simulation_with(
         scenario.faults.clone(),
         sim_config,
     );
-    if let Some(pools) = mempools {
+    if let Some((load, pools)) = clients {
         // Decorrelate the client stream from network jitter while keeping
         // everything a function of the one scenario seed.
         let client_seed = scenario
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(1);
-        let mut workload = if scenario.modeled_clients > 0 {
-            let mut workload = ClosedLoopWorkload::aggregated(
-                scenario.modeled_clients,
-                scenario.cohorts.max(1),
-                scenario.window,
-                scenario.think_time,
-                scenario.request_size,
-                client_seed,
-                pools,
-            )
-            .with_think_multipliers(scenario.think_multipliers.clone());
-            if scenario.max_outstanding > 0 {
-                workload = workload.with_max_outstanding(scenario.max_outstanding);
-            }
-            if let Some(interval) = scenario.member_interval {
-                workload = workload.with_member_interval(interval);
-            }
-            workload
-        } else {
-            open_loop(scenario, client_seed, pools)
+        let window = match load.window {
+            Some(window) => window,
+            None => submission_bound(scenario, load.member_interval),
         };
-        if let Some(timeout) = scenario.retry {
-            workload = workload.with_retry(timeout);
+        let mut workload = ClosedLoopWorkload::aggregated(
+            load.clients,
+            load.cohorts,
+            window,
+            load.think_time,
+            load.request_size,
+            client_seed,
+            pools,
+        )
+        .with_think_multipliers(load.think_multipliers.clone())
+        .with_fanout(load.fanout);
+        if let Some(cap) = load.max_outstanding {
+            workload = workload.with_max_outstanding(cap);
         }
-        if scenario.fanout > 1 {
-            workload = workload.with_fanout(scenario.fanout);
+        if let Some(interval) = load.member_interval {
+            workload = workload.with_member_interval(interval);
+        }
+        if let Some(timeout) = load.retry {
+            workload = workload.with_retry(timeout);
         }
         sim.attach_closed_loop(workload);
         // Every pool is wired into its replica, so commits retire leases
         // and release abandoned blocks' requests even without gossip.
-        sim.enable_dissemination(scenario.gossip);
+        sim.enable_dissemination(scenario.gossip != Gossip::Off);
     }
     if !scenario.faults.restarts().is_empty() {
         // Rejoining replicas are rebuilt from the same cluster wiring
@@ -596,34 +607,38 @@ fn build_simulation_with(
     sim
 }
 
-/// The open loop of [`Scenario::rate`]: one member paced at `1 s / rate`,
-/// with a window of the most requests the run can submit, so the window
-/// never binds and the member submits at `0, i, 2i, …` whatever commits.
+/// Replica `i`'s mempool, in the scenario's gossip shape.
+fn pool(scenario: &Scenario, i: usize) -> SharedMempool {
+    let mut pool =
+        Mempool::new(DEFAULT_MEMPOOL_CAPACITY).with_gossip(scenario.gossip != Gossip::Off);
+    if let Gossip::Tree(degree) = scenario.gossip {
+        let peers = scenario.topology.fanout_peers(i, degree, scenario.seed);
+        if !peers.is_empty() {
+            pool = pool.with_peer_queues(&peers);
+        }
+    }
+    Arc::new(Mutex::new(pool))
+}
+
+/// The window of an open loop: the most requests one member paced at
+/// `interval` submits over the run (at `0, i, 2i, …` until the drain
+/// ends), so the window never binds and the member submits whatever
+/// commits.
 ///
 /// # Panics
 ///
-/// Panics if the rate exceeds 10⁹/s (the interval would truncate to zero
-/// virtual nanoseconds) or the window overflows `u32`.
-fn open_loop(scenario: &Scenario, seed: u64, pools: Vec<SharedMempool>) -> ClosedLoopWorkload {
+/// Panics if there is no interval or it is zero (a rate above 10⁹/s
+/// truncates it to zero virtual nanoseconds), or the window overflows
+/// `u32`.
+fn submission_bound(scenario: &Scenario, interval: Option<Duration>) -> u32 {
+    let interval = interval.map_or(0, Duration::as_nanos);
     assert!(
-        scenario.rate <= 1_000_000_000,
-        "open-loop rate above 1e9/s truncates the submit interval to zero"
+        interval > 0,
+        "an open loop needs a positive member interval: a rate above 1e9/s truncates it to zero"
     );
-    let most = scenario
-        .rate
-        .saturating_mul(scenario.secs + scenario.drain_secs)
-        .saturating_add(1);
-    let window = u32::try_from(most).expect("open-loop window (rate × run seconds) overflows u32");
-    ClosedLoopWorkload::aggregated(
-        1,
-        1,
-        window,
-        Duration::ZERO,
-        scenario.request_size,
-        seed,
-        pools,
-    )
-    .with_member_interval(Duration(1_000_000_000 / scenario.rate))
+    let run = Duration::from_secs(scenario.secs + scenario.drain_secs).as_nanos();
+    let most = run / interval + 1;
+    u32::try_from(most).expect("open-loop window (rate × run seconds) overflows u32")
 }
 
 /// The protocol `Δ` a scenario resolves to: the explicit override, or
@@ -699,8 +714,7 @@ fn summarize(scenario: &Scenario, m: RunMetrics, auditor: &SafetyAuditor) -> Out
     let interval_stats = LatencyStats::from_samples(&intervals);
     // One decode pass over the commit log serves the latency stats, the
     // committed-request count and the duplicate counter.
-    let client_report = scenario
-        .client_driven()
+    let client_report = matches!(scenario.workload, Workload::Clients(_))
         .then(|| m.client_samples_with_duplicates());
     let client_samples: Option<Vec<Duration>> = client_report
         .as_ref()
@@ -797,7 +811,7 @@ mod tests {
         .secs(5)
         .seed(7)
         .forwarding(false);
-        assert_eq!(s.payload, 1000);
+        assert!(matches!(s.workload, Workload::Synthetic { payload: 1000 }));
         assert_eq!(s.secs, 5);
         assert!(!s.forwarding);
     }
@@ -820,7 +834,7 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_scenario_reports_end_to_end_latency() {
+    fn an_open_loop_scenario_reports_end_to_end_latency() {
         let s = Scenario::new(
             "banyan",
             Topology::uniform(4, Duration::from_millis(5)),
@@ -846,7 +860,7 @@ mod tests {
     /// (the most requests the run can submit) overflows `u32`, is refused
     /// when the simulation is built.
     #[test]
-    fn open_loop_rejects_zero_intervals_and_overflowing_windows() {
+    fn an_open_loop_rejects_zero_intervals_and_overflowing_windows() {
         let open = |rate, secs| {
             let topology = Topology::uniform(4, Duration::from_millis(5));
             let s = Scenario::new("banyan", topology, 1, 1)
