@@ -357,10 +357,12 @@ impl HotStuffEngine {
         now: Time,
         actions: &mut Actions,
     ) {
-        if !self
-            .verify
-            .verify(voter.0, &vote_message(view, &block), &signature)
-            || view <= self.high_qc.view
+        // A vote at or below `high_qc.view` can form no QC: drop it before
+        // paying for its signature.
+        if view <= self.high_qc.view
+            || !self
+                .verify
+                .verify(voter.0, &vote_message(view, &block), &signature)
         {
             return;
         }

@@ -320,6 +320,65 @@ fn hotstuff_restarted_follower_does_not_vote_twice_in_a_view() {
     );
 }
 
+/// A vote at or below `high_qc.view` can form no QC, so its signature is
+/// not checked: a view-1 vote that arrives after view 1 is certified
+/// leaves the verify count where the quorum left it.
+#[test]
+fn hotstuff_checks_no_vote_at_or_below_its_high_qc() {
+    // Replica 0 leads view 1 and replica 1 view 2, so every view-1 vote
+    // goes to replica 1.
+    let votes_of = |from: u16, actions: Actions| -> Vec<(ReplicaId, Message)> {
+        let send = |out| match out {
+            Outbound::Send(to, vote) => Some((to, vote)),
+            Outbound::Broadcast(_) => None,
+        };
+        let sent = actions.outbound.into_iter().filter_map(send);
+        sent.inspect(|(to, _)| assert_eq!(*to, ReplicaId(1), "a view-1 vote goes to replica 1"))
+            .map(|(_, vote)| (ReplicaId(from), vote))
+            .collect()
+    };
+    let init = hotstuff(0).on_init(Time(0));
+    let proposal = init.outbound.iter().find_map(|out| match out {
+        Outbound::Broadcast(msg) => Some(msg.clone()),
+        Outbound::Send(..) => None,
+    });
+    let proposal = proposal.expect("the view-1 leader proposes");
+    let mut votes = votes_of(0, init);
+    for i in [2, 3] {
+        let mut e = hotstuff(i);
+        e.on_init(Time(0));
+        votes.extend(votes_of(
+            i,
+            e.on_message(ReplicaId(0), proposal.clone(), Time(1_000)),
+        ));
+    }
+    assert_eq!(votes.len(), 3, "replicas 0, 2 and 3 vote");
+
+    // Replica 1 votes for the proposal itself; one more vote certifies
+    // view 1 and moves it to view 2.
+    let mut e = hotstuff(1);
+    e.on_init(Time(0));
+    e.on_message(ReplicaId(0), proposal, Time(1_000));
+    let late = votes.pop().expect("three votes");
+    for (from, vote) in votes {
+        e.on_message(from, vote, Time(2_000));
+    }
+    assert_eq!(e.current_round(), Round(2), "view 1 is certified");
+
+    let sigs = e.verify_stats().sigs_verified;
+    let (from, vote) = late;
+    let actions = e.on_message(from, vote, Time(3_000));
+    assert!(
+        actions.outbound.is_empty(),
+        "a late vote emitted {actions:?}"
+    );
+    assert_eq!(
+        e.verify_stats().sigs_verified,
+        sigs,
+        "a vote at or below high_qc.view had its signature checked"
+    );
+}
+
 #[test]
 fn hotstuff_ignores_foreign_messages() {
     let mut e = hotstuff(0);
