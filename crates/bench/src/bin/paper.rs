@@ -688,19 +688,18 @@ fn explore(args: &[String], run: &dyn Run, out: Out) -> Result<(), String> {
     if crashes > 0 {
         scenario.faults = FaultPlan::none().crash_spread(crashes, n, Time::ZERO);
     }
-    let Scenario {
-        protocol,
-        f,
-        p,
-        secs,
-        seed,
-        ..
-    } = &scenario;
-    say!(out,
-        "# explore — {protocol} on n={n} (f={f}, p={p}), {payload}B blocks, {secs}s, seed {seed}, {crashes} crashed"
+    let s = &scenario;
+    say!(
+        out,
+        "# explore — {} on n={n} (f={}, p={}), {payload}B blocks, {}s, seed {}, {crashes} crashed",
+        s.protocol,
+        s.f,
+        s.p,
+        s.secs,
+        s.seed
     );
     say!(out, "{}", header());
-    let outcome = &rows(run, &[case(protocol.clone(), scenario.clone())], out)[0];
+    let outcome = &rows(run, &[case(scenario.protocol.clone(), scenario)], out)[0];
     say!(
         out,
         "\nblock interval {:.0} ms · {} msgs · {:.1} MB on the wire · latency p99 {:.1} ms",

@@ -37,37 +37,3 @@ impl<'a> Iterator for Flags<'a> {
 pub fn unknown(arg: &str) -> String {
     format!("unknown argument {arg:?}")
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn args(line: &str) -> Vec<String> {
-        line.split_whitespace().map(String::from).collect()
-    }
-
-    #[test]
-    fn values_parse_where_their_flag_is_read() {
-        let raw = args("--secs 5 --name icc --on");
-        let mut flags = Flags::new(&raw);
-        assert_eq!(flags.next(), Some("--secs"));
-        assert_eq!(flags.value::<u64>("--secs"), Ok(5));
-        assert_eq!(flags.next(), Some("--name"));
-        assert_eq!(flags.value::<String>("--name"), Ok("icc".to_string()));
-        assert_eq!(flags.next(), Some("--on"));
-        assert_eq!(flags.next(), None);
-    }
-
-    #[test]
-    fn a_malformed_or_missing_value_is_an_error_naming_the_flag() {
-        let raw = args("--secs 5s --seed");
-        let mut flags = Flags::new(&raw);
-        flags.next();
-        let malformed = flags.value::<u64>("--secs").unwrap_err();
-        assert_eq!(malformed, "--secs takes a u64, not \"5s\"");
-        flags.next();
-        let missing = flags.value::<u64>("--seed").unwrap_err();
-        assert_eq!(missing, "--seed takes a value");
-        assert_eq!(unknown("--protocl"), "unknown argument \"--protocl\"");
-    }
-}

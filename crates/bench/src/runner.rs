@@ -109,10 +109,9 @@ pub struct Load {
 }
 
 /// How pending requests spread between the replicas' mempools.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Gossip {
     /// A request stays in the pools it was submitted to.
-    #[default]
     Off,
     /// Every pool forwards each request to every peer (through the
     /// modeled network) within one gossip round, so every potential
@@ -246,8 +245,11 @@ impl Scenario {
     pub fn rate(self, req_per_sec: u64) -> Self {
         let interval = Duration(1_000_000_000 / req_per_sec);
         self.load(|load| {
-            (load.clients, load.cohorts, load.window) = (1, 1, None);
-            (load.think_time, load.member_interval) = (Duration::ZERO, Some(interval));
+            load.clients = 1;
+            load.cohorts = 1;
+            load.window = None;
+            load.think_time = Duration::ZERO;
+            load.member_interval = Some(interval);
         })
     }
 
@@ -275,7 +277,9 @@ impl Scenario {
         think_time: Duration,
     ) -> Self {
         self.load(|load| {
-            (load.clients, load.cohorts, load.window) = (clients, cohorts, Some(window));
+            load.clients = clients;
+            load.cohorts = cohorts;
+            load.window = Some(window);
             load.think_time = think_time;
         })
     }
